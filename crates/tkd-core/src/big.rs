@@ -30,7 +30,7 @@ use crate::stats::PruneStats;
 use crate::topk::TopK;
 use std::borrow::Cow;
 use tkd_bitvec::BitVec;
-use tkd_index::BitmapIndex;
+use tkd_index::{BitmapIndex, BitmapIndexBuilder};
 use tkd_model::{Dataset, ObjectId};
 
 /// Precomputed inputs of Algorithm 4: the bitmap index plus the shared
@@ -44,11 +44,16 @@ pub struct BigContext<'a> {
 impl<'a> BigContext<'a> {
     /// Run all preprocessing for `ds` (the paper's Table 3 "bitmap index"
     /// plus "MaxScore" columns).
+    ///
+    /// Each dimension is sorted once: the same column feeds the index and
+    /// the queue.
     pub fn build(ds: &'a Dataset) -> Self {
+        let mut index = BitmapIndexBuilder::new(ds.dims(), 0, ds.len());
+        let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         BigContext {
             ds,
-            index: Cow::Owned(BitmapIndex::build(ds)),
-            pre: Cow::Owned(Preprocessed::build(ds)),
+            index: Cow::Owned(index.finish()),
+            pre: Cow::Owned(pre),
         }
     }
 

@@ -43,7 +43,10 @@ use crate::stats::PruneStats;
 use crate::topk::TopK;
 use std::collections::HashMap;
 use tkd_bitvec::BitVec;
-use tkd_index::{BinnedBitmapIndex, BitmapIndex};
+use tkd_index::{
+    for_each_sorted_column, BinnedBitmapIndex, BinnedBitmapIndexBuilder, BitmapIndex,
+    BitmapIndexBuilder,
+};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 pub use crate::parallel::Outcome;
@@ -90,11 +93,17 @@ impl ShardScorer {
     /// Build with an explicit per-dimension bin count.
     pub fn with_bins(ds: Dataset, bins: usize) -> ShardScorer {
         let n = ds.len();
-        let index = BitmapIndex::build_range(&ds, 0, n);
-        let binned = BinnedBitmapIndex::build(&ds, &vec![bins.max(1); ds.dims()]);
+        let bins = vec![bins.max(1); ds.dims()];
+        // One sort per dimension feeds both index flavors.
+        let mut index = BitmapIndexBuilder::new(ds.dims(), 0, n);
+        let mut binned = BinnedBitmapIndexBuilder::new(&bins, 0, n);
+        for_each_sorted_column(&ds, 0, n, |dim, column| {
+            index.push_dim(dim, column);
+            binned.push_dim(dim, column);
+        });
         ShardScorer {
-            index,
-            binned,
+            index: index.finish(),
+            binned: binned.finish(),
             scratch: ScratchSpace::new(n),
             f_cache: HashMap::new(),
             ds,

@@ -49,6 +49,7 @@
 
 use crate::big::{self, BigContext};
 use crate::ibig::{self, IbigContext};
+use crate::maxscore::t_counts;
 use crate::parallel::{parallel_big, parallel_ibig, ShardedBigContext, ShardedIbigContext};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
@@ -61,7 +62,10 @@ use crate::EngineQuery;
 use std::collections::HashMap;
 use std::fmt;
 use tkd_bitvec::{BitVec, Concise, Tombstones};
-use tkd_index::{cost, BinnedBitmapIndex, BitmapIndex};
+use tkd_index::{
+    cost, for_each_sorted_column, BinnedBitmapIndex, BinnedBitmapIndexBuilder, BitmapIndex,
+    BitmapIndexBuilder,
+};
 use tkd_model::{stats, Dataset, DimMask, ModelError, ObjectId};
 
 /// When the engine rebuilds itself to shed tombstones.
@@ -1398,7 +1402,6 @@ impl DynamicEngine {
         let ds = &self.ds;
         let n = ds.len();
         let dims = self.dims;
-        self.index = BitmapIndex::build(ds);
         let bins = match &self.bins {
             BinChoice::Auto => {
                 let x = cost::optimal_bins(n, stats::missing_rate(ds));
@@ -1410,18 +1413,22 @@ impl DynamicEngine {
                 v.clone()
             }
         };
-        self.binned = BinnedBitmapIndex::build(ds, &bins);
-        self.missing = (0..dims)
-            .map(|d| n - self.binned.observed_count(d))
-            .collect();
+        // One sort per dimension: the same column feeds both indexes and
+        // the exact `|Tᵢ|` table (the probe trees answer rank queries for
+        // the *updates* that follow, not for this build).
+        let mut index = BitmapIndexBuilder::new(dims, 0, n);
+        let mut binned = BinnedBitmapIndexBuilder::new(&bins, 0, n);
         self.t = vec![T_UNOBSERVED; n * dims];
-        for o in 0..n {
-            for d in ds.mask(o as ObjectId).iter() {
-                let v = ds.raw_value(o as ObjectId, d);
-                self.t[o * dims + d] =
-                    (self.binned.count_value_at_least(d, v) - 1 + self.missing[d]) as u32;
+        for_each_sorted_column(ds, 0, n, |d, column| {
+            index.push_dim(d, column);
+            binned.push_dim(d, column);
+            self.missing[d] = n - column.len();
+            for (o, t_d) in t_counts(column, n) {
+                self.t[o as usize * dims + d] = t_d as u32;
             }
-        }
+        });
+        self.index = index.finish();
+        self.binned = binned.finish();
         self.pre = Preprocessed {
             queue: Vec::new(),
             f_sets: incomparable_bitvecs(ds),

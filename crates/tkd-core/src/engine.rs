@@ -25,14 +25,13 @@
 //! `MaxScore` queue where applicable).
 
 use crate::parallel::{
-    big_score_sharded, ibig_score_sharded, new_slots, run_replay, ShardedBigContext,
-    ShardedIbigContext, WorkerScratch,
+    big_score_sharded, build_context_pair, ibig_score_sharded, new_slots, run_replay,
+    ShardedBigContext, ShardedIbigContext, WorkerScratch,
 };
 use crate::preprocess::Preprocessed;
 use crate::query::{shuffle_ties, Algorithm, TieBreak};
 use crate::result::TkdResult;
 use crate::{esb, naive, ubb};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tkd_model::Dataset;
@@ -162,7 +161,8 @@ impl<'a> EngineBuilder<'a> {
     }
 
     /// Build the engine: one `Preprocessed` pass plus the sharded BIG and
-    /// IBIG contexts (shard builds run in parallel).
+    /// IBIG contexts (shard builds run in parallel; each shard's sorted
+    /// columns feed both of its indexes).
     pub fn build(self) -> ParallelEngine<'a> {
         let ds = self.ds;
         let threads = self.threads.unwrap_or_else(|| {
@@ -176,15 +176,7 @@ impl<'a> EngineBuilder<'a> {
             vec![x; ds.dims()]
         });
         assert_eq!(bins.len(), ds.dims(), "one bin count per dimension");
-        let pre = Preprocessed::build(ds);
-        // Preprocessing is *computed* once; the clone deep-copies the
-        // MaxScore queue and per-mask F(o) bit vectors so each context can
-        // own a `Cow` — O(n · masks) memory paid once per engine, still
-        // far cheaper than recomputing the queue (and the contexts keep
-        // their borrow-based `build_with` API for callers that share one
-        // `Preprocessed` by reference).
-        let ibig = ShardedIbigContext::from_parts(ds, &bins, Cow::Owned(pre.clone()), shards);
-        let big = ShardedBigContext::from_parts(ds, Cow::Owned(pre), shards);
+        let (big, ibig) = build_context_pair(ds, &bins, shards);
         ParallelEngine {
             ds,
             threads,

@@ -24,7 +24,7 @@ use crate::stats::PruneStats;
 use crate::topk::TopK;
 use std::borrow::Cow;
 use tkd_bitvec::{BitVec, CompressedBitmap, Concise};
-use tkd_index::{cost, BinnedBitmapIndex, CompressedColumns};
+use tkd_index::{cost, BinnedBitmapIndex, BinnedBitmapIndexBuilder, CompressedColumns};
 use tkd_model::{stats, Dataset, ObjectId};
 
 /// Where an [`IbigContext`] reads its `[Qᵢ]`/`[Pᵢ]` columns from.
@@ -53,14 +53,23 @@ pub struct IbigContext<'a, C: CompressedBitmap = Concise> {
 
 impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
     /// Build with explicit per-dimension bin counts.
+    ///
+    /// Each dimension is sorted once: the same column feeds the binned
+    /// index and the queue.
+    ///
+    /// # Panics
+    /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &'a Dataset, bins_per_dim: &[usize]) -> Self {
-        let index = BinnedBitmapIndex::build(ds, bins_per_dim);
+        assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
+        let mut index = BinnedBitmapIndexBuilder::new(bins_per_dim, 0, ds.len());
+        let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
+        let index = index.finish();
         let columns = ColumnStore::Compressed(CompressedColumns::from_binned(&index));
         IbigContext {
             ds,
             index: Cow::Owned(index),
             columns,
-            pre: Cow::Owned(Preprocessed::build(ds)),
+            pre: Cow::Owned(pre),
         }
     }
 

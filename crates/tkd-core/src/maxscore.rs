@@ -7,59 +7,84 @@
 //! `MaxScore(o) = minᵢ |Tᵢ(o)|` (only observed dimensions can attain the
 //! minimum, since `Tᵢ = S` for missing ones).
 //!
-//! Following the paper's §4.2 implementation note, `|Tᵢ|` is computed with a
-//! per-dimension B+-tree rank query (`O(N·lg N)` overall): the tree holds
-//! `(value, id)` pairs, so *number of entries with value `≥ o[i]`* is one
-//! [`tkd_btree::BPlusTree::count_at_least`] probe (minus one for `o`
-//! itself), plus the missing count `|Sᵢ|`.
+//! `|Tᵢ(o)|` is a **suffix count over dimension `i`'s sorted column**
+//! ([`tkd_index::for_each_sorted_column`]): every entry from the first one
+//! of `o`'s equal-value run onward holds a value `≥ o[i]`, so
+//! `|Tᵢ(o)| = observed − run start − 1 + |Sᵢ|` (the `− 1` is `o` itself)
+//! — one linear sweep per dimension after the sort (`t_counts`). The
+//! paper's §4.2 B+-tree rank query computes the same number one probe at
+//! a time; here that is needed only to *maintain* the counts under
+//! updates (`crate::dynamic`), never to build them. Builds that also
+//! construct an index feed the same column to both
+//! (`max_scores_sharing`).
 
-use tkd_btree::{BPlusTree, F64Key};
+use tkd_index::for_each_sorted_column;
 use tkd_model::{Dataset, ObjectId};
 
-/// `MaxScore(o)` for every object, via per-dimension B+-tree rank queries.
-pub fn max_scores(ds: &Dataset) -> Vec<usize> {
+/// `(local id, |Tᵢ(o)|)` for every entry of dimension `i`'s sorted column
+/// over an id range of `n` objects, in column order.
+pub(crate) fn t_counts(
+    column: &[(f64, ObjectId)],
+    n: usize,
+) -> impl Iterator<Item = (ObjectId, usize)> + '_ {
+    let missing = n - column.len();
+    let mut run_start = 0;
+    column.iter().enumerate().map(move |(pos, &(v, o))| {
+        if column[run_start].0 != v {
+            run_start = pos;
+        }
+        (o, column.len() - run_start - 1 + missing)
+    })
+}
+
+/// [`max_scores`] that lends each of `ds`'s whole-range sorted columns to
+/// `also` as well — how a build feeds its index builder(s) and the queue
+/// from one sort per dimension.
+pub(crate) fn max_scores_sharing(
+    ds: &Dataset,
+    mut also: impl FnMut(usize, &[(f64, ObjectId)]),
+) -> Vec<usize> {
     let n = ds.len();
-    let dims = ds.dims();
-    let mut out = vec![usize::MAX; n];
-    for dim in 0..dims {
-        let mut tree: BPlusTree<(F64Key, ObjectId), ()> = BPlusTree::new();
-        for o in ds.ids() {
-            if let Some(v) = ds.value(o, dim) {
-                tree.insert(
-                    (F64Key::new(v).expect("observed values are not NaN"), o),
-                    (),
-                );
-            }
+    let mut scores = vec![usize::MAX; n];
+    for_each_sorted_column(ds, 0, n, |dim, column| {
+        for (o, t_i) in t_counts(column, n) {
+            let slot = &mut scores[o as usize];
+            *slot = (*slot).min(t_i);
         }
-        let missing = n - tree.len();
-        for o in ds.ids() {
-            if let Some(v) = ds.value(o, dim) {
-                let key = (F64Key::new(v).expect("not NaN"), 0);
-                // Entries with value >= v, minus o itself, plus the missing.
-                let t_i = tree.count_at_least(&key) - 1 + missing;
-                let slot = &mut out[o as usize];
-                *slot = (*slot).min(t_i);
-            }
-        }
-    }
+        also(dim, column);
+    });
     // Every object observes at least one dimension (model invariant), so no
     // usize::MAX survives.
-    debug_assert!(out.iter().all(|&m| m != usize::MAX) || n == 0);
-    out
+    debug_assert!(scores.iter().all(|&m| m != usize::MAX));
+    scores
+}
+
+/// Order per-object `MaxScore`s into the priority queue `F`: descending
+/// score, ties by ascending id.
+pub(crate) fn queue_from_scores(scores: Vec<usize>) -> Vec<(ObjectId, usize)> {
+    let mut queue: Vec<(ObjectId, usize)> = scores
+        .into_iter()
+        .enumerate()
+        .map(|(o, s)| (o as ObjectId, s))
+        .collect();
+    queue.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    queue
+}
+
+/// `MaxScore(o)` for every object, from one sort per dimension.
+pub fn max_scores(ds: &Dataset) -> Vec<usize> {
+    max_scores_sharing(ds, |_, _| {})
 }
 
 /// The priority queue `F` of Fig. 5: all objects sorted by descending
 /// `MaxScore`, ties by ascending id (which is label order for the paper's
 /// fixtures).
 pub fn maxscore_queue(ds: &Dataset) -> Vec<(ObjectId, usize)> {
-    let scores = max_scores(ds);
-    let mut queue: Vec<(ObjectId, usize)> = ds.ids().map(|o| (o, scores[o as usize])).collect();
-    queue.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    queue
+    queue_from_scores(max_scores(ds))
 }
 
 /// Reference implementation of `MaxScore` by direct set counting (used by
-/// tests to validate the B+-tree path).
+/// tests to validate the sorted-column sweep).
 pub fn max_scores_bruteforce(ds: &Dataset) -> Vec<usize> {
     let n = ds.len();
     let mut out = vec![usize::MAX; n];

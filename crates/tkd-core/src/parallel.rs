@@ -58,7 +58,10 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tkd_bitvec::{CompressedBitmap, Concise};
-use tkd_index::{BinSelection, BinnedBitmapIndex, BitmapIndex, ColumnSelection, CompressedColumns};
+use tkd_index::{
+    for_each_sorted_column, BinSelection, BinnedBitmapIndex, BinnedBitmapIndexBuilder, BitmapIndex,
+    BitmapIndexBuilder, ColumnSelection, CompressedColumns,
+};
 use tkd_model::{Dataset, ObjectId};
 
 /// Queue positions claimed per worker round-trip to the shared cursor.
@@ -194,6 +197,39 @@ fn build_per_shard<T: Send>(count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<
     })
 }
 
+/// A sorted column as the index builders take it.
+type Column = [(f64, ObjectId)];
+
+/// Build one artifact per shard of `plan`, each from a single sweep over
+/// the shard's own sorted columns (`start(lo, hi)` opens the shard's
+/// builder state, `push` feeds it one dimension, `finish` closes it — on
+/// the shard's thread, so per-shard compression parallelizes too), plus
+/// the whole-dataset preprocessing unless the caller lends one. A lone
+/// shard covers the whole id range, so there the queue and the shard come
+/// out of the *same* columns.
+fn build_shards<'a, S, T: Send>(
+    ds: &'a Dataset,
+    plan: &ShardPlan,
+    pre: Option<&'a Preprocessed>,
+    start: impl Fn(usize, usize) -> S + Sync,
+    push: impl Fn(&mut S, usize, &Column) + Sync,
+    finish: impl Fn(S) -> T + Sync,
+) -> (Vec<T>, Cow<'a, Preprocessed>) {
+    if pre.is_none() && plan.count() == 1 {
+        let mut state = start(0, ds.len());
+        let pre = Preprocessed::build_sharing(ds, |dim, column| push(&mut state, dim, column));
+        return (vec![finish(state)], Cow::Owned(pre));
+    }
+    let pre = pre.map_or_else(|| Cow::Owned(Preprocessed::build(ds)), Cow::Borrowed);
+    let shards = build_per_shard(plan.count(), |j| {
+        let (lo, hi) = (plan.lo(j), plan.hi(j));
+        let mut state = start(lo, hi);
+        for_each_sorted_column(ds, lo, hi, |dim, column| push(&mut state, dim, column));
+        finish(state)
+    });
+    (shards, pre)
+}
+
 /// Sharded counterpart of [`crate::big::BigContext`]: per-shard
 /// [`BitmapIndex`]es over a [`ShardPlan`] plus the shared
 /// [`Preprocessed`] artifacts (reused via `Cow`, so preprocessing is paid
@@ -211,19 +247,24 @@ pub struct ShardedBigContext<'a> {
 impl<'a> ShardedBigContext<'a> {
     /// Build with `shards` shards, running all preprocessing internally.
     pub fn build(ds: &'a Dataset, shards: usize) -> Self {
-        Self::from_parts(ds, Cow::Owned(Preprocessed::build(ds)), shards)
+        Self::build_inner(ds, None, shards)
     }
 
     /// Build borrowing shared [`Preprocessed`] artifacts.
     pub fn build_with(ds: &'a Dataset, pre: &'a Preprocessed, shards: usize) -> Self {
-        Self::from_parts(ds, Cow::Borrowed(pre), shards)
+        Self::build_inner(ds, Some(pre), shards)
     }
 
-    pub(crate) fn from_parts(ds: &'a Dataset, pre: Cow<'a, Preprocessed>, shards: usize) -> Self {
+    fn build_inner(ds: &'a Dataset, pre: Option<&'a Preprocessed>, shards: usize) -> Self {
         let plan = ShardPlan::new(ds.len(), shards);
-        let shards = build_per_shard(plan.count(), |j| {
-            Cow::Owned(BitmapIndex::build_range(ds, plan.lo(j), plan.hi(j)))
-        });
+        let (shards, pre) = build_shards(
+            ds,
+            &plan,
+            pre,
+            |lo, hi| BitmapIndexBuilder::new(ds.dims(), lo, hi),
+            BitmapIndexBuilder::push_dim,
+            |builder| Cow::Owned(builder.finish()),
+        );
         ShardedBigContext {
             ds,
             plan,
@@ -284,6 +325,15 @@ struct IbigShard<'a, C: CompressedBitmap> {
 }
 
 impl<C: CompressedBitmap> IbigShard<'_, C> {
+    /// Own a freshly built shard index, compressing its columns.
+    fn compressed(index: BinnedBitmapIndex) -> Self {
+        let columns = Some(CompressedColumns::from_binned(&index));
+        IbigShard {
+            index: Cow::Owned(index),
+            columns,
+        }
+    }
+
     /// AND one picked column per dimension into `dst` from whichever store
     /// this shard uses.
     fn and_selected_into(
@@ -311,12 +361,7 @@ pub struct ShardedIbigContext<'a, C: CompressedBitmap = Concise> {
 impl<'a, C: CompressedBitmap + Send> ShardedIbigContext<'a, C> {
     /// Build with explicit per-dimension bin counts and `shards` shards.
     pub fn build(ds: &'a Dataset, bins_per_dim: &[usize], shards: usize) -> Self {
-        Self::from_parts(
-            ds,
-            bins_per_dim,
-            Cow::Owned(Preprocessed::build(ds)),
-            shards,
-        )
+        Self::build_inner(ds, bins_per_dim, None, shards)
     }
 
     /// Build with the Eq. 8 optimal bin count on every dimension.
@@ -332,24 +377,25 @@ impl<'a, C: CompressedBitmap + Send> ShardedIbigContext<'a, C> {
         pre: &'a Preprocessed,
         shards: usize,
     ) -> Self {
-        Self::from_parts(ds, bins_per_dim, Cow::Borrowed(pre), shards)
+        Self::build_inner(ds, bins_per_dim, Some(pre), shards)
     }
 
-    pub(crate) fn from_parts(
+    fn build_inner(
         ds: &'a Dataset,
         bins_per_dim: &[usize],
-        pre: Cow<'a, Preprocessed>,
+        pre: Option<&'a Preprocessed>,
         shards: usize,
     ) -> Self {
+        assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
         let plan = ShardPlan::new(ds.len(), shards);
-        let shards = build_per_shard(plan.count(), |j| {
-            let index = BinnedBitmapIndex::build_range(ds, bins_per_dim, plan.lo(j), plan.hi(j));
-            let columns = Some(CompressedColumns::from_binned(&index));
-            IbigShard {
-                index: Cow::Owned(index),
-                columns,
-            }
-        });
+        let (shards, pre) = build_shards(
+            ds,
+            &plan,
+            pre,
+            |lo, hi| BinnedBitmapIndexBuilder::new(bins_per_dim, lo, hi),
+            BinnedBitmapIndexBuilder::push_dim,
+            |builder| IbigShard::compressed(builder.finish()),
+        );
         ShardedIbigContext {
             ds,
             plan,
@@ -399,6 +445,54 @@ impl<'a, C: CompressedBitmap + Send> ShardedIbigContext<'a, C> {
     pub fn worker_scratch(&self) -> WorkerScratch {
         WorkerScratch::new(&self.plan)
     }
+}
+
+/// Both sharded contexts of a serving engine from one sweep per shard:
+/// shard `j`'s sorted columns feed its exact *and* its binned index (and,
+/// single-shard, the queue). Preprocessing is *computed* once; the clone
+/// deep-copies the queue and the per-mask `F(o)` bit vectors so each
+/// context owns its `Cow` — `O(n · masks)` memory paid once per engine.
+pub(crate) fn build_context_pair<'a, C: CompressedBitmap + Send>(
+    ds: &'a Dataset,
+    bins_per_dim: &[usize],
+    shards: usize,
+) -> (ShardedBigContext<'a>, ShardedIbigContext<'a, C>) {
+    let plan = ShardPlan::new(ds.len(), shards);
+    let (shards, pre) = build_shards(
+        ds,
+        &plan,
+        None,
+        |lo, hi| {
+            (
+                BitmapIndexBuilder::new(ds.dims(), lo, hi),
+                BinnedBitmapIndexBuilder::new(bins_per_dim, lo, hi),
+            )
+        },
+        |(exact, binned), dim, column| {
+            exact.push_dim(dim, column);
+            binned.push_dim(dim, column);
+        },
+        |(exact, binned)| {
+            (
+                Cow::Owned(exact.finish()),
+                IbigShard::compressed(binned.finish()),
+            )
+        },
+    );
+    let (big_shards, ibig_shards) = shards.into_iter().unzip();
+    let big = ShardedBigContext {
+        ds,
+        plan: plan.clone(),
+        shards: big_shards,
+        pre: pre.clone(),
+    };
+    let ibig = ShardedIbigContext {
+        ds,
+        plan,
+        shards: ibig_shards,
+        pre,
+    };
+    (big, ibig)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! Query-independent preprocessing shared by the index-guided algorithms.
 
-use crate::maxscore::maxscore_queue;
+use crate::maxscore::{max_scores_sharing, queue_from_scores};
 use std::collections::HashMap;
 use tkd_bitvec::BitVec;
 use tkd_model::{stats, Dataset, ObjectId};
@@ -12,9 +12,11 @@ use tkd_model::{stats, Dataset, ObjectId};
 /// [`BigContext`](crate::big::BigContext) and
 /// [`IbigContext`](crate::ibig::IbigContext) both need these; building one
 /// `Preprocessed` and lending it to several contexts via their `build_with`
-/// constructors avoids double-paying the `O(N·lg N)` queue construction
+/// constructors avoids double-paying the queue construction — one sort
+/// per dimension plus a linear `|Tᵢ|` sweep, see [`crate::maxscore`] —
 /// when algorithms are compared on the same dataset (as every benchmark
-/// does).
+/// does). The contexts' own `build` constructors go one step further and
+/// feed the queue and their index from the *same* sorted columns.
 #[derive(Clone, Debug)]
 pub struct Preprocessed {
     /// Crate-visible so the dynamic update layer (`crate::dynamic`) can
@@ -28,8 +30,15 @@ pub struct Preprocessed {
 impl Preprocessed {
     /// Run the shared preprocessing for `ds`.
     pub fn build(ds: &Dataset) -> Self {
+        Self::build_sharing(ds, |_, _| {})
+    }
+
+    /// [`Preprocessed::build`] that lends each of `ds`'s whole-range
+    /// sorted columns to `also` as well — how a context build feeds its
+    /// index builder(s) and the queue from one sort per dimension.
+    pub(crate) fn build_sharing(ds: &Dataset, also: impl FnMut(usize, &[(f64, ObjectId)])) -> Self {
         Preprocessed {
-            queue: maxscore_queue(ds),
+            queue: queue_from_scores(max_scores_sharing(ds, also)),
             f_sets: incomparable_bitvecs(ds),
         }
     }
@@ -79,6 +88,7 @@ pub(crate) fn incomparable_bitvecs(ds: &Dataset) -> HashMap<u64, BitVec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxscore::maxscore_queue;
     use tkd_model::fixtures;
 
     #[test]

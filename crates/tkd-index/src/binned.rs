@@ -1,6 +1,7 @@
 //! The binned bitmap index of §4.4 (Fig. 9) with the adaptive binning
 //! strategy of Eq. 3–4 and the per-dimension B+-tree probes of §4.5.
 
+use crate::sorted_column::{for_each_sorted_column, value_runs};
 use tkd_bitvec::BitVec;
 use tkd_btree::{BPlusTree, F64Key};
 use tkd_model::{Dataset, ObjectId, MAX_DIMS};
@@ -74,6 +75,112 @@ pub struct BinnedBitmapIndex {
     trees: Vec<BPlusTree<(F64Key, ObjectId), ()>>,
 }
 
+/// Assembles a [`BinnedBitmapIndex`] over the global id range `[lo, hi)`
+/// one dimension at a time from that range's sorted columns
+/// ([`for_each_sorted_column`]) — the binned counterpart of
+/// [`crate::BitmapIndexBuilder`]. [`BinnedBitmapIndex::build_range`] is
+/// this builder driven alone.
+#[derive(Debug)]
+pub struct BinnedBitmapIndexBuilder<'a> {
+    n: usize,
+    base: usize,
+    bins_per_dim: &'a [usize],
+    boundaries: Vec<Vec<f64>>,
+    columns: Vec<Vec<BitVec>>,
+    bin_idx: Vec<u32>,
+    trees: Vec<BPlusTree<(F64Key, ObjectId), ()>>,
+}
+
+impl<'a> BinnedBitmapIndexBuilder<'a> {
+    /// Start an index with `bins_per_dim[i]` bins requested for dimension
+    /// `i`, over the id range `[lo, hi)`.
+    ///
+    /// # Panics
+    /// Panics if `lo > hi` (a zero bin count panics at
+    /// [`BinnedBitmapIndexBuilder::push_dim`]).
+    pub fn new(bins_per_dim: &'a [usize], lo: usize, hi: usize) -> Self {
+        assert!(lo <= hi, "bad shard range {lo}..{hi}");
+        let dims = bins_per_dim.len();
+        BinnedBitmapIndexBuilder {
+            n: hi - lo,
+            base: lo,
+            bins_per_dim,
+            boundaries: Vec::with_capacity(dims),
+            columns: Vec::with_capacity(dims),
+            bin_idx: vec![MISSING; (hi - lo) * dims],
+            trees: Vec::with_capacity(dims),
+        }
+    }
+
+    /// Add dimension `dim` from its sorted column: the equal-value runs
+    /// are the value counts Eq. 3–4 bins, the ascending order lets one
+    /// cursor assign every entry its bin and lay the columns down bin by
+    /// bin, and the column itself bulk-loads the probe tree.
+    ///
+    /// # Panics
+    /// Panics if dimensions arrive out of order, the requested bin count
+    /// is zero, or the column is not a sorted column of the range.
+    pub fn push_dim(&mut self, dim: usize, column: &[(f64, ObjectId)]) {
+        assert_eq!(
+            dim,
+            self.boundaries.len(),
+            "dimensions must arrive in order"
+        );
+        let dims = self.bins_per_dim.len();
+        let counts: Vec<(f64, usize)> = value_runs(column)
+            .map(|run| (run[0].0, run.len()))
+            .collect();
+        let bounds = if counts.is_empty() {
+            Vec::new()
+        } else {
+            compute_bins(&counts, self.bins_per_dim[dim])
+        };
+
+        // Incremental columns, as in the unbinned index: bin `b`'s column
+        // is the previous one minus the entries up to its upper boundary.
+        let mut cols = Vec::with_capacity(bounds.len() + 1);
+        let mut cur = BitVec::ones(self.n);
+        cols.push(cur.clone());
+        let mut entries = column.iter().peekable();
+        for (b, &ub) in bounds.iter().enumerate() {
+            while let Some(&(_, o)) = entries.next_if(|e| e.0 <= ub) {
+                self.bin_idx[o as usize * dims + dim] = (b + 1) as u32;
+                cur.clear(o as usize);
+            }
+            cols.push(cur.clone());
+        }
+        debug_assert!(entries.next().is_none(), "value above last boundary");
+
+        let tree = BPlusTree::from_sorted_entries(
+            column
+                .iter()
+                .map(|&(v, o)| ((F64Key::new(v).expect("values are not NaN"), o), ())),
+        )
+        .expect("a sorted column is strictly ascending by (value, id)");
+        self.boundaries.push(bounds);
+        self.columns.push(cols);
+        self.trees.push(tree);
+    }
+
+    /// Finish the index.
+    ///
+    /// # Panics
+    /// Panics if fewer dimensions were pushed than bin counts given.
+    pub fn finish(self) -> BinnedBitmapIndex {
+        let dims = self.bins_per_dim.len();
+        assert_eq!(self.boundaries.len(), dims, "missing dimensions");
+        BinnedBitmapIndex {
+            n: self.n,
+            dims,
+            base: self.base,
+            boundaries: self.boundaries,
+            columns: self.columns,
+            bin_idx: self.bin_idx,
+            trees: self.trees,
+        }
+    }
+}
+
 impl BinnedBitmapIndex {
     /// Build with `bins_per_dim[i]` bins requested for dimension `i`.
     ///
@@ -96,70 +203,9 @@ impl BinnedBitmapIndex {
     /// `hi > ds.len()`.
     pub fn build_range(ds: &Dataset, bins_per_dim: &[usize], lo: usize, hi: usize) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        assert!(lo <= hi && hi <= ds.len(), "bad shard range {lo}..{hi}");
-        let n = hi - lo;
-        let dims = ds.dims();
-        let mut boundaries = Vec::with_capacity(dims);
-        let mut columns = Vec::with_capacity(dims);
-        let mut trees = Vec::with_capacity(dims);
-        let mut bin_idx = vec![MISSING; n * dims];
-
-        for dim in 0..dims {
-            // Distinct values with multiplicities, ascending (local ids).
-            let mut sorted: Vec<(f64, ObjectId)> = (lo..hi)
-                .filter_map(|o| {
-                    ds.value(o as ObjectId, dim)
-                        .map(|v| (v, (o - lo) as ObjectId))
-                })
-                .collect();
-            sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut counts: Vec<(f64, usize)> = Vec::new();
-            for &(v, _) in &sorted {
-                match counts.last_mut() {
-                    Some((last, c)) if *last == v => *c += 1,
-                    _ => counts.push((v, 1)),
-                }
-            }
-            let bounds = if counts.is_empty() {
-                Vec::new()
-            } else {
-                compute_bins(&counts, bins_per_dim[dim])
-            };
-
-            // Assign bins and build the probe tree.
-            let mut tree = BPlusTree::new();
-            let mut holders: Vec<Vec<ObjectId>> = vec![Vec::new(); bounds.len()];
-            for &(v, o) in &sorted {
-                let b = bounds.partition_point(|&ub| ub < v);
-                debug_assert!(b < bounds.len(), "value above last boundary");
-                holders[b].push(o);
-                bin_idx[o as usize * dims + dim] = (b + 1) as u32;
-                tree.insert((F64Key::new(v).expect("values are not NaN"), o), ());
-            }
-
-            // Incremental columns, as in the unbinned index.
-            let mut cols = Vec::with_capacity(bounds.len() + 1);
-            let mut cur = BitVec::ones(n);
-            cols.push(cur.clone());
-            for hs in &holders {
-                for &o in hs {
-                    cur.clear(o as usize);
-                }
-                cols.push(cur.clone());
-            }
-            boundaries.push(bounds);
-            columns.push(cols);
-            trees.push(tree);
-        }
-        BinnedBitmapIndex {
-            n,
-            dims,
-            base: lo,
-            boundaries,
-            columns,
-            bin_idx,
-            trees,
-        }
+        let mut builder = BinnedBitmapIndexBuilder::new(bins_per_dim, lo, hi);
+        for_each_sorted_column(ds, lo, hi, |dim, column| builder.push_dim(dim, column));
+        builder.finish()
     }
 
     /// Reassemble a whole-dataset binned index from its persisted logical
@@ -1221,6 +1267,121 @@ mod tests {
             b[2].swap(0, 1);
             assert!(BinnedBitmapIndex::from_store_parts(d, b, c, s, p).is_err());
         }
+    }
+
+    /// Regression for the signed-zero hazard of bulk-loading: a raw
+    /// `total_cmp` sort puts every −0.0 before every +0.0 while the tree
+    /// key collapses them, so `(key, id)` would not ascend and
+    /// `from_sorted_entries` would reject the stream. The sorted column
+    /// normalizes first; the bulk-loaded trees must answer exactly like
+    /// trees filled by single-key inserts.
+    #[test]
+    fn bulk_built_probes_match_insert_built_ones() {
+        use std::collections::BTreeSet;
+        // Dim 0: both zeros, both infinities, heavy duplicates. Dim 1:
+        // never observed. Dim 2: always observed (rows must observe one).
+        let cycle = [
+            Some(-0.0),
+            Some(0.0),
+            Some(1.0),
+            None,
+            Some(f64::INFINITY),
+            Some(1.0),
+            Some(0.0),
+            Some(f64::NEG_INFINITY),
+            Some(-0.0),
+            Some(1.0),
+            Some(-2.5),
+        ];
+        let rows: Vec<Vec<Option<f64>>> = (0..150)
+            .map(|r| vec![cycle[r % cycle.len()], None, Some((r % 4) as f64)])
+            .collect();
+        let ds = tkd_model::Dataset::from_rows(3, &rows).unwrap();
+        let n = ds.len();
+        let key = |v: f64| F64Key::new(v).unwrap();
+        let probes = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            3.0,
+            f64::INFINITY,
+        ];
+
+        for (lo, hi) in [(0, n), (0, 50), (50, 100), (100, n)] {
+            let idx = BinnedBitmapIndex::build_range(&ds, &[3, 3, 3], lo, hi);
+            for dim in 0..3 {
+                let mut tree: BPlusTree<(F64Key, ObjectId), ()> = BPlusTree::new();
+                for o in lo..hi {
+                    if let Some(v) = ds.value(o as ObjectId, dim) {
+                        tree.insert((key(v), (o - lo) as ObjectId), ());
+                    }
+                }
+                let got: Vec<(u64, ObjectId)> = idx
+                    .tree_entries(dim)
+                    .map(|(v, o)| (v.to_bits(), o))
+                    .collect();
+                let want: Vec<(u64, ObjectId)> = tree
+                    .iter()
+                    .map(|(&(k, o), _)| (k.get().to_bits(), o))
+                    .collect();
+                assert_eq!(got, want, "tree_entries {lo}..{hi} dim {dim}");
+                assert_eq!(idx.observed_count(dim), tree.len());
+                for v in probes {
+                    assert_eq!(
+                        idx.count_value_at_least(dim, v),
+                        tree.count_at_least(&(key(v), 0)),
+                        "count_value_at_least({v}) {lo}..{hi} dim {dim}"
+                    );
+                    let eq: Vec<ObjectId> = idx.ids_equal(dim, v).collect();
+                    let want: Vec<ObjectId> = tree
+                        .range((key(v), 0)..=(key(v), ObjectId::MAX))
+                        .map(|(&(_, o), _)| o)
+                        .collect();
+                    assert_eq!(eq, want, "ids_equal({v}) {lo}..{hi} dim {dim}");
+                }
+                for o in 0..(hi - lo) as ObjectId {
+                    let below: BTreeSet<ObjectId> = idx.ids_in_bin_below(&ds, o, dim).collect();
+                    let global = |p: ObjectId| lo as ObjectId + p;
+                    let want: BTreeSet<ObjectId> = (0..(hi - lo) as ObjectId)
+                        .filter(|&p| {
+                            idx.bin_of(o, dim).is_some()
+                                && idx.bin_of(p, dim) == idx.bin_of(o, dim)
+                                && ds.value(global(p), dim) < ds.value(global(o), dim)
+                        })
+                        .collect();
+                    assert_eq!(below, want, "ids_in_bin_below({o}) {lo}..{hi} dim {dim}");
+                }
+            }
+        }
+
+        // The whole-range build against an index grown row by row (every
+        // key a single `insert`): same export, same rank and equality
+        // probes. (Bins differ — appends only extend the last one.)
+        let bulk = BinnedBitmapIndex::build(&ds, &[3, 3, 3]);
+        let empty = tkd_model::Dataset::from_rows(3, &[]).unwrap();
+        let mut grown = BinnedBitmapIndex::build(&empty, &[3, 3, 3]);
+        for o in ds.ids() {
+            grown.append_row(|d| ds.value(o, d));
+        }
+        for dim in 0..3 {
+            let bits = |idx: &BinnedBitmapIndex| -> Vec<(u64, ObjectId)> {
+                idx.tree_entries(dim)
+                    .map(|(v, o)| (v.to_bits(), o))
+                    .collect()
+            };
+            assert_eq!(bits(&bulk), bits(&grown), "dim {dim}");
+            for v in probes {
+                assert_eq!(
+                    bulk.count_value_at_least(dim, v),
+                    grown.count_value_at_least(dim, v)
+                );
+                assert!(bulk.ids_equal(dim, v).eq(grown.ids_equal(dim, v)));
+            }
+        }
+        assert_eq!(bulk.num_bins(1), 0, "never-observed dimension has no bins");
     }
 
     #[test]

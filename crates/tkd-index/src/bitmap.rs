@@ -1,8 +1,9 @@
 //! The range-encoded bitmap index of §4.3 (Fig. 6), with in-place dynamic
 //! maintenance (append / tombstone / cell update) for the update layer.
 
+use crate::sorted_column::{for_each_sorted_column, value_runs};
 use tkd_bitvec::{BitVec, Tombstones};
-use tkd_model::{stats, Dataset, ObjectId, MAX_DIMS};
+use tkd_model::{Dataset, ObjectId, MAX_DIMS};
 
 /// Sentinel marking a missing value in the per-object column-index table.
 const MISSING: u32 = u32::MAX;
@@ -121,6 +122,87 @@ pub struct BitmapIndex {
     live: Tombstones,
 }
 
+/// Assembles a [`BitmapIndex`] over the global id range `[lo, hi)` one
+/// dimension at a time from that range's sorted columns
+/// ([`for_each_sorted_column`]), so a build that also needs the `MaxScore`
+/// queue or the binned index feeds all of them from one sort per
+/// dimension. [`BitmapIndex::build_range`] is this builder driven alone.
+#[derive(Debug)]
+pub struct BitmapIndexBuilder {
+    n: usize,
+    dims: usize,
+    base: usize,
+    values: Vec<Vec<f64>>,
+    columns: Vec<Vec<BitVec>>,
+    val_idx: Vec<u32>,
+}
+
+impl BitmapIndexBuilder {
+    /// Start an index with `dims` dimensions over the id range `[lo, hi)`.
+    ///
+    /// # Panics
+    /// Panics if `lo > hi`.
+    pub fn new(dims: usize, lo: usize, hi: usize) -> Self {
+        assert!(lo <= hi, "bad shard range {lo}..{hi}");
+        let n = hi - lo;
+        BitmapIndexBuilder {
+            n,
+            dims,
+            base: lo,
+            values: Vec::with_capacity(dims),
+            columns: Vec::with_capacity(dims),
+            val_idx: vec![MISSING; n * dims],
+        }
+    }
+
+    /// Add dimension `dim` from its sorted column: each equal-value run is
+    /// one distinct value, its position the run members' value slot, and
+    /// its column the previous one minus the run's members.
+    ///
+    /// # Panics
+    /// Panics if dimensions arrive out of order or the column names an id
+    /// outside the range.
+    pub fn push_dim(&mut self, dim: usize, column: &[(f64, ObjectId)]) {
+        assert_eq!(dim, self.values.len(), "dimensions must arrive in order");
+        let mut vals = Vec::new();
+        let mut cur = BitVec::ones(self.n);
+        let mut cols = vec![cur.clone()];
+        for run in value_runs(column) {
+            vals.push(run[0].0);
+            for &(_, o) in run {
+                self.val_idx[o as usize * self.dims + dim] = vals.len() as u32;
+                cur.clear(o as usize);
+            }
+            cols.push(cur.clone());
+        }
+        self.values.push(vals);
+        self.columns.push(cols);
+    }
+
+    /// Finish the index (suffix-popcount tables included).
+    ///
+    /// # Panics
+    /// Panics if fewer than `dims` dimensions were pushed.
+    pub fn finish(self) -> BitmapIndex {
+        assert_eq!(self.values.len(), self.dims, "missing dimensions");
+        let block_suffix = self
+            .columns
+            .iter()
+            .map(|cols| cols.iter().map(suffix_counts).collect())
+            .collect();
+        BitmapIndex {
+            n: self.n,
+            dims: self.dims,
+            base: self.base,
+            values: self.values,
+            columns: self.columns,
+            val_idx: self.val_idx,
+            block_suffix,
+            live: Tombstones::all_live(self.n),
+        }
+    }
+}
+
 impl BitmapIndex {
     /// Build the index for `ds`.
     pub fn build(ds: &Dataset) -> Self {
@@ -138,58 +220,9 @@ impl BitmapIndex {
     /// # Panics
     /// Panics if `lo > hi` or `hi > ds.len()`.
     pub fn build_range(ds: &Dataset, lo: usize, hi: usize) -> Self {
-        assert!(lo <= hi && hi <= ds.len(), "bad shard range {lo}..{hi}");
-        let n = hi - lo;
-        let dims = ds.dims();
-        let mut values = Vec::with_capacity(dims);
-        let mut columns = Vec::with_capacity(dims);
-        let mut val_idx = vec![MISSING; n * dims];
-        let members = || (lo..hi).map(|o| o as ObjectId);
-
-        for dim in 0..dims {
-            let vals = stats::distinct_values_in(ds, dim, lo, hi);
-            // Objects holding each distinct value, for incremental column
-            // construction.
-            let mut holders: Vec<Vec<ObjectId>> = vec![Vec::new(); vals.len()];
-            for o in members() {
-                if let Some(v) = ds.value(o, dim) {
-                    // `vals` is deduped with `==` (merging −0.0 into 0.0),
-                    // so the lookup must use IEEE `<` too: `total_cmp`
-                    // separates the zero signs and would land one slot past
-                    // the merged entry.
-                    let j = vals.partition_point(|&x| x < v);
-                    debug_assert_eq!(vals[j], v);
-                    let local = o as usize - lo;
-                    holders[j].push(local as ObjectId);
-                    val_idx[local * dims + dim] = (j + 1) as u32;
-                }
-            }
-            let mut cols = Vec::with_capacity(vals.len() + 1);
-            let mut cur = BitVec::ones(n);
-            cols.push(cur.clone());
-            for hs in &holders {
-                for &o in hs {
-                    cur.clear(o as usize);
-                }
-                cols.push(cur.clone());
-            }
-            values.push(vals);
-            columns.push(cols);
-        }
-        let block_suffix = columns
-            .iter()
-            .map(|cols| cols.iter().map(suffix_counts).collect())
-            .collect();
-        BitmapIndex {
-            n,
-            dims,
-            base: lo,
-            values,
-            columns,
-            val_idx,
-            block_suffix,
-            live: Tombstones::all_live(n),
-        }
+        let mut builder = BitmapIndexBuilder::new(ds.dims(), lo, hi);
+        for_each_sorted_column(ds, lo, hi, |dim, column| builder.push_dim(dim, column));
+        builder.finish()
     }
 
     /// Reassemble a whole-dataset index from its persisted logical parts
@@ -417,7 +450,8 @@ impl BitmapIndex {
     /// when `v` is a new distinct value.
     fn ensure_value(&mut self, dim: usize, v: f64) -> usize {
         let vals = &mut self.values[dim];
-        // IEEE `<` probe against the `==`-deduped table (see `build_range`).
+        // IEEE `<` probe: the table merges −0.0 into 0.0, which `total_cmp`
+        // would separate.
         let j = vals.partition_point(|&x| x < v);
         if j < vals.len() && vals[j] == v {
             return j + 1;
@@ -717,8 +751,9 @@ impl BitmapIndex {
         for dim in 0..self.dims {
             if let Some(v) = value(dim) {
                 let vals = &self.values[dim];
-                // IEEE `<` probe against the `==`-deduped table (see
-                // `build_range`): `c` counts the strictly smaller values.
+                // IEEE `<` probe (the table merges −0.0 into 0.0, which
+                // `total_cmp` would separate): `c` counts the strictly
+                // smaller values.
                 let c = vals.partition_point(|&x| x < v);
                 let present = c < vals.len() && vals[c] == v;
                 sel.q[dim] = c as u32;
@@ -1125,8 +1160,8 @@ mod tests {
 
     #[test]
     fn negative_zero_shares_positive_zeros_slot() {
-        // distinct_values dedups −0.0 into 0.0 with IEEE `==`; the build
-        // lookup must agree, or −0.0/0.0 objects land in the wrong column.
+        // The sorted column collapses −0.0 into 0.0, so both zeros form
+        // one equal-value run and share a slot and a column.
         let ds =
             Dataset::from_rows(1, &[vec![Some(-0.0)], vec![Some(0.0)], vec![Some(1.0)]]).unwrap();
         let idx = BitmapIndex::build(&ds);

@@ -10,6 +10,12 @@
 //! * [`CompressedColumns`] — any index's columns compressed with WAH or
 //!   CONCISE (the storage layout IBIG uses).
 //! * [`cost`] — the §4.5 space/time model and the optimal bin count Eq. 8.
+//! * [`for_each_sorted_column`] — the build-time input of both indexes (and
+//!   of `tkd-core`'s `MaxScore` queue): each dimension of an id range
+//!   sorted once, shared by every artifact built over that range through
+//!   [`BitmapIndexBuilder`] / [`BinnedBitmapIndexBuilder`]. The probe
+//!   B+-trees are bulk-loaded from it; rank probes and tree inserts belong
+//!   to the dynamic maintenance path only.
 //!
 //! # The column encoding
 //!
@@ -26,10 +32,12 @@ mod binned;
 mod bitmap;
 mod compressed;
 pub mod cost;
+mod sorted_column;
 
-pub use binned::{compute_bins, BinSelection, BinnedBitmapIndex};
-pub use bitmap::{BitmapIndex, ColumnSelection};
+pub use binned::{compute_bins, BinSelection, BinnedBitmapIndex, BinnedBitmapIndexBuilder};
+pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
+pub use sorted_column::for_each_sorted_column;
 
 use tkd_bitvec::BitVec;
 use tkd_model::MAX_DIMS;

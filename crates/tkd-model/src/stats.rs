@@ -24,24 +24,11 @@ pub fn missing_count(ds: &Dataset, dim: usize) -> usize {
 }
 
 /// The sorted, de-duplicated observed values of `dim` — the paper's value
-/// domain whose size is the dimensional cardinality `C_i`.
+/// domain whose size is the dimensional cardinality `C_i`. `total_cmp`
+/// sort, then IEEE `==` dedup (merging −0.0 into 0.0), so the count agrees
+/// with the index builds' distinct-value tables.
 pub fn distinct_values(ds: &Dataset, dim: usize) -> Vec<f64> {
-    distinct_values_in(ds, dim, 0, ds.len())
-}
-
-/// [`distinct_values`] restricted to the contiguous id range `[lo, hi)` —
-/// the form shard index builds use, so whole-dataset and per-shard value
-/// tables share one definition of the ordering/dedup contract:
-/// `total_cmp` sort, then IEEE `==` dedup (merging −0.0 into 0.0 —
-/// lookups must therefore probe with IEEE `<`, not `total_cmp`).
-///
-/// # Panics
-/// Panics if `lo > hi` or `hi > ds.len()`.
-pub fn distinct_values_in(ds: &Dataset, dim: usize, lo: usize, hi: usize) -> Vec<f64> {
-    assert!(lo <= hi && hi <= ds.len(), "bad id range {lo}..{hi}");
-    let mut vals: Vec<f64> = (lo..hi)
-        .filter_map(|o| ds.value(o as crate::ObjectId, dim))
-        .collect();
+    let mut vals: Vec<f64> = ds.ids().filter_map(|o| ds.value(o, dim)).collect();
     vals.sort_by(f64::total_cmp);
     vals.dedup();
     vals
