@@ -233,20 +233,28 @@ fn main() {
     // `--threads` it runs the thread-scaling grid (BENCH_3.json) instead
     // of the sequential baseline grid (BENCH_2.json).
     if exps.as_ref().is_some_and(|set| set.contains("perf")) {
-        let (table, json, default_out) = match &threads {
+        let (table, json, default_out, below_floor) = match &threads {
             Some(ts) => {
-                let (t, j) = perf::run_threads(scale, seed, ts);
-                (t, j, "BENCH_3.json")
+                let (t, j, below_floor) = perf::run_threads(scale, seed, ts);
+                (t, j, "BENCH_3.json", below_floor)
             }
             None => {
                 let (t, j) = perf::run(scale, seed);
-                (t, j, "BENCH_2.json")
+                (t, j, "BENCH_2.json", Vec::new())
             }
         };
         let bench_out = bench_out.as_deref().unwrap_or(default_out);
         emit(vec![table]);
         std::fs::write(bench_out, json).expect("write perf JSON");
         println!("(perf baseline written to {bench_out})");
+        // The one-thread gate: the artifact is written either way, so a
+        // failing run can be inspected.
+        if !below_floor.is_empty() {
+            for row in &below_floor {
+                eprintln!("error: one-thread engine slower than sequential: {row}");
+            }
+            std::process::exit(1);
+        }
     }
     // The dynamic-update maintenance benchmark (BENCH_4.json) — opt-in,
     // like perf.

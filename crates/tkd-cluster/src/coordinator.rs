@@ -5,9 +5,9 @@
 //! dataset — that is where the candidate queue, MaxScores, and update
 //! validation come from — but **scores come only from the workers**:
 //! every query fans value-based candidate chunks out to the shard
-//! workers, sums their per-shard answers, and drives a
-//! [`ClusterReplay`] in queue order so entries, scores, and tie order
-//! are bit-identical to the in-process engines (see
+//! workers, sums their per-shard answers, and drives a [`Replay`] — the
+//! traversal state machine of every in-process engine — in queue order,
+//! so entries, scores, and tie order are bit-identical to them (see
 //! `tkd_core::cluster` for the proof obligations, and
 //! `tests/cluster_parity.rs` for the pin).
 //!
@@ -30,8 +30,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
-use tkd_core::cluster::{empty_replay, shard_rows, ClusterReplay, Outcome};
-use tkd_core::{Algorithm, DynamicEngine, TkdResult, UpdateOp};
+use tkd_core::cluster::{shard_rows, Outcome};
+use tkd_core::{Algorithm, DynamicEngine, Replay, TkdResult, UpdateOp};
 use tkd_model::Dataset;
 use tkd_serve::{
     Client, ClusterRequest, ClusterResponse, ReplayBatch, ServeError, ShardPhase, ShardQuery,
@@ -88,8 +88,11 @@ struct ShardMeta {
     seq: u64,
     path: PathBuf,
     live: u64,
-    /// Every routed batch `(seq, local ops)` in order — the replay log
-    /// for snapshot re-assignment.
+    /// Routed batches `(seq, local ops)` not yet known to be on disk —
+    /// the replay log for snapshot re-assignment. A batch acked at `seq`
+    /// is committed in `shard-S.seq{seq}.tkd` and re-assignment only
+    /// replays past the newest snapshot, so entries are dropped as soon
+    /// as they are acked: the log holds at most the in-doubt batch.
     log: Vec<(u64, Vec<UpdateOp>)>,
     /// Next local stable id the shard engine will allocate. Local
     /// allocation is deterministic (monotone, never reused), so the
@@ -373,6 +376,8 @@ impl Coordinator {
                     meta.worker = w;
                     meta.seq = target_seq;
                     meta.live = live;
+                    // The new host committed the replayed state before acking.
+                    meta.log.retain(|&(s, _)| s > target_seq);
                     meta.path = if target_seq == disk_seq {
                         disk_path
                     } else {
@@ -561,6 +566,7 @@ impl Coordinator {
                     meta.seq = seq;
                     meta.live = ack.live;
                     meta.path = PathBuf::from(&ack.path);
+                    meta.log.retain(|&(s, _)| s > ack.seq);
                 }
                 Ok(other) => {
                     return Err(ClusterError::Protocol(format!(
@@ -613,18 +619,21 @@ impl Coordinator {
 
     fn try_query(&mut self, k: usize, algorithm: Algorithm) -> Result<TkdResult, Retry> {
         let queue = self.mirror.maintained_queue();
-        if k == 0 || queue.is_empty() {
-            return Ok(empty_replay(queue.len()));
-        }
         let dims = self.mirror.dims();
         let active: Vec<u64> = (0..self.shards.len() as u64)
             .filter(|&s| self.shards[s as usize].live > 0)
             .collect();
-        let mut replay = ClusterReplay::new(k);
+        let mut replay = Replay::new(k);
         let mut announced: Option<u64> = None;
         let chunk_size = self.cfg.chunk.max(1);
         let mut t = 0;
         'queue: while t < queue.len() {
+            // Heuristic 1 at the chunk head: nothing is shipped for a
+            // traversal that is already over (`k = 0` included).
+            if replay.h1_prunes(queue[t].1) {
+                replay.terminate(queue.len() - t);
+                break;
+            }
             let end = (t + chunk_size).min(queue.len());
             let chunk = &queue[t..end];
             // τ at chunk start. Scoring a whole chunk against one τ is
@@ -766,5 +775,61 @@ impl Coordinator {
                 "shard query answered {other:?}"
             )))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Worker, WorkerConfig};
+    use tkd_core::EngineQuery;
+
+    /// Every acked batch is on disk under its seq stamp, so the replay
+    /// log is cut at each ack — and an in-doubt batch leaves it as soon
+    /// as the repair has re-hosted its shard from the replayed snapshot.
+    #[test]
+    fn replay_log_holds_at_most_the_in_doubt_batch() {
+        let dir = std::env::temp_dir().join(format!("tkd-cluster-log-{}", std::process::id()));
+        let mut workers: Vec<Worker> = (0..2)
+            .map(|_| Worker::start("127.0.0.1:0", WorkerConfig::default()).expect("worker start"))
+            .collect();
+        let addrs: Vec<SocketAddr> = workers.iter().map(Worker::local_addr).collect();
+        let rows: Vec<Vec<Option<f64>>> = (0..12)
+            .map(|i| vec![Some(f64::from(i % 5)), Some(f64::from(i % 3))])
+            .collect();
+        let ds = Dataset::from_rows(2, &rows).expect("valid rows");
+        let mut coord =
+            Coordinator::seed(&ds, 2, &addrs, ClusterConfig::new(&dir)).expect("seed cluster");
+
+        // Each batch touches both shards: a set lands on shard 0 (id 0),
+        // inserts alternate between the shards by id.
+        let batch = |i: u32| {
+            vec![
+                UpdateOp::Insert(vec![Some(f64::from(i)), Some(1.0)]),
+                UpdateOp::Insert(vec![Some(2.0), None]),
+                UpdateOp::Set(0, 1, Some(f64::from(i))),
+            ]
+        };
+        for i in 0..8 {
+            coord.update(&batch(i)).expect("cluster update");
+            assert!(
+                coord.shards.iter().all(|m| m.log.is_empty()),
+                "an acked batch must leave the log (after update {i})"
+            );
+        }
+        assert!(coord.shards.iter().all(|m| m.seq == 8));
+
+        // Kill shard 0's host: the next batch is in doubt, the repair
+        // replays it onto the survivor, and the log is empty again.
+        workers.remove(coord.worker_of(0)).kill();
+        coord.update(&batch(8)).expect("repaired update");
+        assert!(coord.shards.iter().all(|m| m.log.is_empty()));
+        assert!(coord.shards.iter().all(|m| m.seq == 9));
+        let want = coord.mirror.query(&EngineQuery::new(4)).expect("mirror");
+        let got = coord.query(4, Algorithm::Big).expect("cluster query");
+        assert_eq!(got.entries(), want.entries());
+
+        drop(workers);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

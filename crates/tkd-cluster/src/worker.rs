@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tkd_core::cluster::{ShardCandidate, ShardScorer};
+use tkd_core::cluster::ShardScorer;
 use tkd_core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkd_core::{Algorithm, BinChoice, DynamicEngine};
 use tkd_serve::cluster_wire::{
@@ -157,15 +157,11 @@ fn score_candidates(
                 }
             },
         };
-        let cand = ShardCandidate {
-            values: c.values.clone(),
-            member,
-        };
         let n = match (algorithm, phase) {
-            (Algorithm::Big, ShardPhase::Bounds) => scorer.big_bound(&cand),
-            (Algorithm::Big, ShardPhase::Partials) => scorer.big_partial(&cand),
-            (_, ShardPhase::Bounds) => scorer.ibig_q_count(&cand),
-            (_, ShardPhase::Partials) => scorer.ibig_partial(&cand),
+            (Algorithm::Big, ShardPhase::Bounds) => scorer.big_bound(&c.values),
+            (Algorithm::Big, ShardPhase::Partials) => scorer.big_partial(&c.values, member),
+            (_, ShardPhase::Bounds) => scorer.ibig_q_count(&c.values),
+            (_, ShardPhase::Partials) => scorer.ibig_partial(&c.values, member),
         };
         out.push(n as u64);
     }

@@ -13,25 +13,42 @@
 //!   dimension iff it is **not** dominated (`nonD(o)`);
 //! * `score(o) = |G(o)| + |L(o)| = |P − F| + |Q − P − nonD|`.
 //!
+//! # Where the algorithm lives
+//!
+//! BIG-Score (Algorithm 3) is written **once**, over a partition of the
+//! rows into shards: every set above is a union over the shards, so the
+//! counts are sums of per-shard terms. `big_score_over` resolves the
+//! candidate's column picks per shard, takes the Heuristic 2 decision on
+//! the cross-shard `Σ |∩ᵢ Qᵢ|`, and sums `big_term` — one shard's
+//! `|P − F| + |Q − P − nonD|`. The sequential `big_score` calls it with
+//! the context's one whole-range shard, the parallel engine
+//! ([`crate::parallel`]) with `plan.count()` shards, and a cluster worker
+//! ([`crate::cluster::ShardScorer`]) calls the term alone against its local
+//! rows. The traversal (Algorithm 4) is `crate::topk`'s `walk`.
+//!
+//! The one-shard case *is* the sequential algorithm, not a twin of it:
+//! same column picks (a member's stored value slots,
+//! [`BitmapIndex::selection_of`]), same budgeted scan, same residue loop,
+//! so entries, scores, tie order **and** every `PruneStats` counter agree
+//! with `threads = 1, shards = 1` of any engine.
+//!
 //! The scoring path is **allocation-free** after context build: Heuristic 2
 //! is a fused multi-way AND-popcount that materializes nothing
-//! ([`BitmapIndex::max_bit_score_counted`]), surviving objects fill the
-//! caller's [`ScratchSpace`] in one fused pass
-//! ([`BitmapIndex::q_p_into`]), and the `Q − P` residue is enumerated
-//! straight off the scratch words. Ties are resolved by integer
-//! `value_index` equality — two observed values are equal iff they map to
-//! the same slot of the index's sorted distinct-value table — instead of
+//! ([`BitmapIndex::q_count_selected_above`]), surviving objects fill the
+//! caller's [`ScratchSpace`] in fused passes, and the `Q − P` residue is
+//! enumerated straight off the scratch words. Ties are resolved by integer
+//! value-slot equality — two observed values are equal iff they map to the
+//! same slot of the index's sorted distinct-value table — instead of
 //! loading `f64`s.
 
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scratch::ScratchSpace;
-use crate::stats::PruneStats;
-use crate::topk::TopK;
+use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
-use tkd_bitvec::BitVec;
+use tkd_bitvec::{BitSlice, BitVec};
 use tkd_index::{BitmapIndex, BitmapIndexBuilder};
-use tkd_model::{Dataset, ObjectId};
+use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// Precomputed inputs of Algorithm 4: the bitmap index plus the shared
 /// [`Preprocessed`] artifacts (`MaxScore` queue `F`, incomparable sets).
@@ -128,100 +145,200 @@ pub fn big_with(ctx: &BigContext<'_>, k: usize) -> TkdResult {
 /// # Panics
 /// Panics if `scratch` was sized for a different object count.
 pub fn big_with_scratch(ctx: &BigContext<'_>, k: usize, scratch: &mut ScratchSpace) -> TkdResult {
-    if k == 0 {
-        // τ can never form with an unfillable candidate set; skip the
-        // full-queue scoring pass (uniform k-edge behavior).
-        return TkdResult::new(
-            Vec::new(),
-            PruneStats {
-                h1_pruned: ctx.pre.queue().len(),
-                ..Default::default()
-            },
-        );
-    }
-    let mut top = TopK::new(k);
-    let mut stats = PruneStats::default();
-    let queue = ctx.pre.queue();
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        // Heuristic 1 — early termination on the loose bound.
-        if top.prunes(max_score) {
-            stats.h1_pruned = queue.len() - visited;
-            break;
-        }
-        match big_score(ctx, o, &top, scratch) {
-            None => stats.h2_pruned += 1,
-            Some(score) => {
-                stats.scored += 1;
-                top.offer(o, score);
-            }
-        }
-    }
-    TkdResult::new(top.into_entries(), stats)
+    walk(ctx.pre.queue(), k, |o, tau| big_score(ctx, o, tau, scratch))
 }
 
-/// BIG-Score (Algorithm 3). Returns `None` when Heuristic 2 discards `o`
-/// (its exact score is then never computed). Crate-visible so the standing
-/// query layer can score cache misses through the identical path.
+/// BIG-Score (Algorithm 3) against the context's one whole-range shard.
+/// [`Outcome::PrunedBitmap`] when Heuristic 2 discards `o` (its exact score
+/// is then never computed).
 pub(crate) fn big_score(
     ctx: &BigContext<'_>,
     o: ObjectId,
-    top: &TopK,
+    tau: Option<usize>,
     scratch: &mut ScratchSpace,
-) -> Option<usize> {
-    let ds = ctx.ds;
-    // Heuristic 2 — bitmap pruning on the tight bound, as a fused
-    // AND-popcount with block-level early exit: the common case (pruned)
-    // reads a fraction of one pass and writes nothing. The prune decision
-    // is exactly `MaxBitScore(o) ≤ τ` (see `max_bit_score_above`).
-    // Survivors re-intersect in `q_p_into` below — redundant, but
-    // survivors enter the candidate set by construction, so there are at
-    // most ~k of them per τ value and the pruned majority stays write-free.
-    match top.tau() {
-        Some(tau) => {
-            ctx.index.max_bit_score_above(o, tau)?;
+) -> Outcome {
+    big_score_over(
+        ctx.ds,
+        std::slice::from_ref(&ctx.index),
+        &ctx.pre,
+        o,
+        tau,
+        std::slice::from_mut(scratch),
+    )
+}
+
+/// What one shard's term needs to know about the candidate being scored.
+#[derive(Clone, Copy)]
+pub(crate) struct Candidate<'a> {
+    /// The candidate's observed dimensions.
+    pub(crate) mask: DimMask,
+    /// Its row in this shard, when it lives there (its own bit is then
+    /// excluded from its score).
+    pub(crate) member: Option<usize>,
+    /// `F(o)` over this shard's rows: those observing no dimension in
+    /// common with the candidate.
+    pub(crate) f: BitSlice<'a>,
+}
+
+/// Row of global object `o` in the shard covering ids `[lo, lo + n)`,
+/// `None` when it lives elsewhere.
+pub(crate) fn member_row(o: ObjectId, lo: usize, n: usize) -> Option<usize> {
+    (o as usize).checked_sub(lo).filter(|&row| row < n)
+}
+
+impl<'a> Candidate<'a> {
+    /// Object `o` of `ds` as seen from the shard covering the global ids
+    /// `[lo, lo + n)` — a word-aligned range, so the shard's view of the
+    /// global `f = F(o)` is a plain word slice — together with that shard's
+    /// window of row masks.
+    pub(crate) fn of_object(
+        ds: &'a Dataset,
+        f: &'a BitVec,
+        o: ObjectId,
+        lo: usize,
+        n: usize,
+    ) -> (Self, &'a [DimMask]) {
+        let cand = Candidate {
+            mask: ds.mask(o),
+            member: member_row(o, lo, n),
+            f: f.slice_words(lo / 64, (lo + n).div_ceil(64)),
+        };
+        (cand, &ds.masks()[lo..lo + n])
+    }
+}
+
+/// BIG-Score (Algorithm 3) of object `o` over a partition of `ds`'s rows
+/// into `shards` (one [`ScratchSpace`] each): cross-shard Heuristic 2 on
+/// `tau`, then the exact score as the sum of the per-shard terms.
+/// Allocation-free.
+pub(crate) fn big_score_over(
+    ds: &Dataset,
+    shards: &[Cow<'_, BitmapIndex>],
+    pre: &Preprocessed,
+    o: ObjectId,
+    tau: Option<usize>,
+    scratch: &mut [ScratchSpace],
+) -> Outcome {
+    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
+        // The home shard reads o's stored slots; the others search o's
+        // values in their own tables.
+        sc.sel = match member_row(o, shard.base(), shard.n()) {
+            Some(row) => shard.selection_of(row),
+            None => shard.select_for(|d| ds.value(o, d)),
+        };
+    }
+    // Heuristic 2 — bitmap pruning on the tight bound. The raw
+    // intersections count o's own bit once, in its home shard, so
+    // `MaxBitScore(o) ≤ τ` reads `Σⱼ |∩ᵢ Qᵢ|ⱼ ≤ τ + 1`. The common case
+    // (pruned) reads a fraction of one pass and writes nothing; survivors
+    // re-intersect in the terms below — redundant, but survivors enter the
+    // candidate set by construction, so there are at most ~k of them per τ
+    // value.
+    if matches!(tau, Some(tau) if !q_count_exceeds(shards, scratch, tau + 1)) {
+        return Outcome::PrunedBitmap;
+    }
+    let f = pre.f_of(ds, o);
+    let mut score = 0usize;
+    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
+        let (cand, row_masks) = Candidate::of_object(ds, f, o, shard.base(), shard.n());
+        score += big_term(shard, row_masks, &cand, sc);
+    }
+    Outcome::Score(score)
+}
+
+/// Is `Σⱼ |∩ᵢ columns[i][sel.q[i]]|ⱼ > limit` over the shards' resolved
+/// selections? Shards exchange budget through the running total: cheap
+/// per-shard upper bounds skip whole shards, and the blockwise early exit
+/// inside [`BitmapIndex::q_count_selected_above`] stops a scan as soon as
+/// the global decision is certain either way.
+fn q_count_exceeds(
+    shards: &[Cow<'_, BitmapIndex>],
+    scratch: &[ScratchSpace],
+    limit: usize,
+) -> bool {
+    let upper_bounds = || {
+        shards
+            .iter()
+            .zip(scratch)
+            .map(|(shard, sc)| shard.q_selected_upper_bound(&sc.sel))
+    };
+    let mut ub_rest: usize = upper_bounds().sum();
+    let mut acc = 0usize;
+    for ((shard, sc), ub) in shards.iter().zip(scratch).zip(upper_bounds()) {
+        ub_rest -= ub;
+        if acc + ub + ub_rest <= limit {
+            return false;
         }
-        None => {
-            // Candidate set not full yet: nothing can be pruned.
+        // Remaining budget for this shard such that `count ≤ budget`
+        // certifies `Σ counts ≤ limit`. When later shards' upper bounds
+        // already exceed `limit − acc` the true budget is negative — no
+        // certificate is possible and a `None` from the capped scan merely
+        // means this shard counts 0 (pruning on it would be unsound;
+        // `acc ≤ limit` here, so `limit − acc` is safe).
+        let budget = (limit - acc).checked_sub(ub_rest);
+        match shard.q_count_selected_above(&sc.sel, budget.unwrap_or(0)) {
+            // This shard provably fits the remaining budget: the global
+            // count cannot exceed `limit`.
+            None if budget.is_some() => return false,
+            // Negative true budget: `None` only says `count == 0`.
+            None => {}
+            Some(c) => {
+                acc += c;
+                if acc > limit {
+                    return true;
+                }
+            }
         }
     }
-    let ScratchSpace { q, p, .. } = scratch;
-    ctx.index.q_p_into(o, q, p);
-    let f = ctx.incomparable(o);
+    false
+}
+
+/// One shard's term of BIG-Score: how many of the shard's rows the
+/// candidate dominates, `|P − F| + |Q − P − nonD|`, against the selection
+/// resolved in `scratch.sel`. `row_masks[r]` is the observation mask of the
+/// shard's row `r`.
+pub(crate) fn big_term(
+    shard: &BitmapIndex,
+    row_masks: &[DimMask],
+    cand: &Candidate<'_>,
+    scratch: &mut ScratchSpace,
+) -> usize {
+    let ScratchSpace { q, p, sel, .. } = scratch;
+    shard.q_into_selected(sel, cand.member, q);
+    shard.p_into_selected(sel, p);
     // G(o) = P − F(o) = |P ∧ ¬F|: strictly-worse-or-missing everywhere,
     // comparable.
-    let g = p.and_not_count(f);
+    let g = p.and_not_count_slice(cand.f);
     // Q − P: candidates for nonD(o) — they tie o somewhere. Enumerated
     // fused off the scratch buffers; |Q − P| is counted along the way.
-    let o_mask = ds.mask(o);
-    let mut non_d = 0usize;
     let mut q_minus_p = 0usize;
-    for pid in q.iter_ones_and_not(p) {
+    let mut non_d = 0usize;
+    for row in q.iter_ones_and_not(p) {
         q_minus_p += 1;
-        let pid = pid as ObjectId;
         // p ∈ nonD(o) iff p equals o on every commonly observed dimension
         // (tagT = |bp & bo| in the paper's notation). Equality is tested on
-        // the integer value indexes: the index maps equal values — and only
-        // equal values — to the same slot.
-        let common = o_mask.and(ds.mask(pid));
-        let all_equal = common
-            .iter()
-            .all(|d| ctx.index.value_index(o, d) == ctx.index.value_index(pid, d));
+        // the integer value slots: the index maps equal values — and only
+        // equal values — to the same non-zero slot.
+        let all_equal = cand.mask.and(row_masks[row]).iter().all(|d| {
+            let slot = sel.eq_slot(d);
+            slot != 0 && slot == shard.value_slot(row, d)
+        });
         if all_equal {
             non_d += 1;
         }
     }
-    Some(g + q_minus_p - non_d)
+    g + q_minus_p - non_d
 }
 
 /// The original allocating BIG-Score, kept verbatim as the test oracle for
 /// the scratch-based path (`score_parity_with_allocating_oracle`).
 #[cfg(test)]
-fn big_score_alloc(ctx: &BigContext<'_>, o: ObjectId, top: &TopK) -> Option<usize> {
+fn big_score_alloc(ctx: &BigContext<'_>, o: ObjectId, tau: Option<usize>) -> Outcome {
     let ds = ctx.ds;
     let q = ctx.index.q_vec(o);
     let max_bit_score = q.count_ones();
-    if top.prunes(max_bit_score) {
-        return None;
+    if matches!(tau, Some(t) if max_bit_score <= t) {
+        return Outcome::PrunedBitmap;
     }
     let p = ctx.index.p_vec(o);
     let f = ctx.incomparable(o);
@@ -240,29 +357,13 @@ fn big_score_alloc(ctx: &BigContext<'_>, o: ObjectId, top: &TopK) -> Option<usiz
         }
     }
     let l = qmp.count_ones() - non_d;
-    Some(g + l)
+    Outcome::Score(g + l)
 }
 
 /// Algorithm 4 driven by the allocating oracle scorer (test-only).
 #[cfg(test)]
 pub(crate) fn big_with_alloc(ctx: &BigContext<'_>, k: usize) -> TkdResult {
-    let mut top = TopK::new(k);
-    let mut stats = PruneStats::default();
-    let queue = ctx.pre.queue();
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        if top.prunes(max_score) {
-            stats.h1_pruned = queue.len() - visited;
-            break;
-        }
-        match big_score_alloc(ctx, o, &top) {
-            None => stats.h2_pruned += 1,
-            Some(score) => {
-                stats.scored += 1;
-                top.offer(o, score);
-            }
-        }
-    }
-    TkdResult::new(top.into_entries(), stats)
+    walk(ctx.pre.queue(), k, |o, tau| big_score_alloc(ctx, o, tau))
 }
 
 /// `MaxBitScore(o)` of the full (unbinned) index — exposed for analysis and
@@ -286,9 +387,8 @@ mod tests {
         let ds = fixtures::fig3_sample();
         let ctx = BigContext::build(&ds);
         let c2 = ds.id_by_label("C2").unwrap();
-        let top = TopK::new(2); // empty: no pruning yet
         let mut scratch = ctx.scratch();
-        assert_eq!(big_score(&ctx, c2, &top, &mut scratch), Some(16));
+        assert_eq!(big_score(&ctx, c2, None, &mut scratch), Outcome::Score(16));
         let p = ctx.index().p_vec(c2);
         assert_eq!(p.count_ones(), 14, "|G(C2)| = |P| = 14 (F empty)");
         let qmp = ctx.index().q_vec(c2).and_not(&p);
@@ -352,12 +452,11 @@ mod tests {
     fn score_via_bitmaps_equals_bruteforce_for_all_objects() {
         let ds = fixtures::fig3_sample();
         let ctx = BigContext::build(&ds);
-        let top = TopK::new(1); // never full with no offers: no pruning
         let mut scratch = ctx.scratch();
         for o in ds.ids() {
             assert_eq!(
-                big_score(&ctx, o, &top, &mut scratch),
-                Some(dominance::score_of(&ds, o)),
+                big_score(&ctx, o, None, &mut scratch),
+                Outcome::Score(dominance::score_of(&ds, o)),
                 "{}",
                 ds.label(o).unwrap()
             );
@@ -377,10 +476,9 @@ mod tests {
         )
         .unwrap();
         let ctx = BigContext::build(&ds);
-        let top = TopK::new(1);
         let mut scratch = ctx.scratch();
-        assert_eq!(big_score(&ctx, 0, &top, &mut scratch), Some(1)); // dominates only 2
-        assert_eq!(big_score(&ctx, 1, &top, &mut scratch), Some(0));
+        assert_eq!(big_score(&ctx, 0, None, &mut scratch), Outcome::Score(1)); // dominates only 2
+        assert_eq!(big_score(&ctx, 1, None, &mut scratch), Outcome::Score(0));
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Cross-process building blocks for the sharded cluster: per-shard
-//! scoring against **value-based candidates** and the coordinator's
-//! replay-merge.
+//! Cross-process building block for the sharded cluster: per-shard
+//! scoring against **value-based candidates**.
 //!
 //! # Why per-shard partials reconstruct the exact answer
 //!
@@ -8,11 +7,13 @@
 //! partition of the live rows into shards, `score(o) = Σⱼ partialⱼ(o)`
 //! where `partialⱼ(o)` counts the shard-j rows `o` dominates. The
 //! [`parallel`](crate::parallel) module exploits this inside one address
-//! space by slicing global bit vectors per shard; this module re-derives
-//! every per-shard term from **local state only** — the shard's dense
-//! live rows, its own indexes, and incomparable sets computed from local
-//! masks — so a shard worker in another process needs nothing global to
-//! score a candidate shipped as raw dimension values.
+//! space by slicing global bit vectors per shard; a [`ShardScorer`] runs
+//! the **same per-shard terms** — [`crate::big`]'s `big_term`,
+//! [`crate::ibig`]'s `ibig_term` — from **local state only**: the shard's
+//! dense live rows, its own indexes, and incomparable windows computed
+//! from local masks. So a shard worker in another process needs nothing
+//! global to score a candidate shipped as raw dimension values, and no
+//! scoring code exists twice.
 //!
 //! The division of labor over the wire:
 //!
@@ -21,47 +22,32 @@
 //!   exact fused count) for the coordinator's cross-shard Heuristic-2
 //!   decision, and the exact per-shard partial score;
 //! * the **coordinator** owns the candidate queue, sums the per-shard
-//!   answers, and drives a **[`ClusterReplay`]** in queue order — the
-//!   same bounded top-k / τ discipline as the sequential driver, so
-//!   entries, scores, and tie order are bit-identical to the in-process
-//!   engines, and Heuristic-1 termination fires at the exact sequential
-//!   position.
+//!   answers, and drives a [`Replay`](crate::Replay) in queue order — the
+//!   one traversal state machine every engine uses, so entries, scores,
+//!   and tie order are bit-identical to the in-process engines, and
+//!   Heuristic-1 termination fires at the exact sequential position.
 //!
 //! Heuristic 2 across shards uses `Σⱼ boundⱼ ≤ τ + 1` (the raw
 //! intersections count a member candidate's own bit exactly once, in its
 //! home shard), which is conservative: a bound-pruned candidate's true
 //! score is `≤ τ`, so the sequential offer would have been a no-op.
 //! Heuristic 3 (partial-score budget) is intentionally **not** applied
-//! across shards — it would need mid-scan budget exchange per candidate —
-//! so only the `h2/h3/scored` counters may differ from a sequential run,
-//! never the entries. `tests/cluster_parity.rs` pins that equivalence
-//! over real sockets; the tests here pin it in-process.
+//! across shards — it would need mid-scan budget exchange per candidate,
+//! so the terms run on an unlimited budget — and only the `h2/h3/scored`
+//! counters may differ from a sequential run, never the entries.
+//! `tests/cluster_parity.rs` pins that equivalence over real sockets; the
+//! tests here pin it in-process.
 
-use crate::result::TkdResult;
+use crate::big::{big_term, Candidate};
+use crate::ibig::{ibig_term, IbigShard};
 use crate::scratch::ScratchSpace;
-use crate::stats::PruneStats;
-use crate::topk::TopK;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use tkd_bitvec::BitVec;
-use tkd_index::{
-    for_each_sorted_column, BinnedBitmapIndex, BinnedBitmapIndexBuilder, BitmapIndex,
-    BitmapIndexBuilder,
-};
+use tkd_bitvec::{BitVec, Concise};
+use tkd_index::{BitmapIndex, IndexPairBuilder};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 pub use crate::parallel::Outcome;
-
-/// One candidate as it crosses the wire: its raw per-dimension values
-/// plus, when the candidate lives in the receiving shard, its dense row
-/// index there (so its own bit can be excluded from its score).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardCandidate {
-    /// Per-dimension values, `None` = missing. Length must equal the
-    /// shard's dimension count.
-    pub values: Vec<Option<f64>>,
-    /// Dense local row of this candidate if it is a member of the shard.
-    pub member: Option<usize>,
-}
 
 /// A shard worker's scoring state: dense live rows with both index
 /// flavors, scratch for allocation-free scoring, and a cache of local
@@ -71,15 +57,46 @@ pub struct ShardCandidate {
 /// [`snapshot`](crate::DynamicEngine::snapshot) (row `i` ↔
 /// `live_ids()[i]`), and rebuilt whenever the shard's contents change —
 /// the scorer itself is immutable with respect to the data.
+///
+/// A candidate arrives as its raw per-dimension `values` (`None` =
+/// missing; the length must equal the shard's dimension count) plus, for
+/// the exact partials, its dense row `member` when it lives in this shard
+/// (so its own bit is excluded from its score). After the first candidate
+/// of each mask, scoring allocates nothing.
 pub struct ShardScorer {
     ds: Dataset,
     index: BitmapIndex,
-    binned: BinnedBitmapIndex,
+    binned: IbigShard<'static, Concise>,
     scratch: ScratchSpace,
     /// Local incomparable window per candidate mask: rows whose mask does
     /// not intersect the candidate's. The per-mask cache mirrors
-    /// [`Preprocessed`]'s F-set sharing (distinct masks are few).
+    /// [`Preprocessed`](crate::Preprocessed)'s F-set sharing (distinct
+    /// masks are few).
     f_cache: HashMap<u64, BitVec>,
+}
+
+/// The candidate as `ds`'s rows see it, with its incomparable window (bit
+/// `i` set iff row `i` observes no dimension in common with the
+/// candidate) borrowed from the per-mask cache.
+fn candidate<'a>(
+    ds: &Dataset,
+    f_cache: &'a mut HashMap<u64, BitVec>,
+    values: &[Option<f64>],
+    member: Option<usize>,
+) -> Candidate<'a> {
+    let observed = values.iter().enumerate().filter(|(_, v)| v.is_some());
+    let mask = DimMask::from_indices(observed.map(|(d, _)| d));
+    let f = f_cache.entry(mask.bits()).or_insert_with(|| {
+        BitVec::from_indices(
+            ds.len(),
+            (0..ds.len()).filter(|&i| !ds.mask(i as ObjectId).intersects(mask)),
+        )
+    });
+    Candidate {
+        mask,
+        member,
+        f: f.as_bit_slice(),
+    }
 }
 
 impl ShardScorer {
@@ -95,15 +112,12 @@ impl ShardScorer {
         let n = ds.len();
         let bins = vec![bins.max(1); ds.dims()];
         // One sort per dimension feeds both index flavors.
-        let mut index = BitmapIndexBuilder::new(ds.dims(), 0, n);
-        let mut binned = BinnedBitmapIndexBuilder::new(&bins, 0, n);
-        for_each_sorted_column(&ds, 0, n, |dim, column| {
-            index.push_dim(dim, column);
-            binned.push_dim(dim, column);
-        });
+        let mut pair = IndexPairBuilder::new(&bins, 0, n);
+        tkd_index::for_each_sorted_column(&ds, 0, n, |dim, column| pair.push_dim(dim, column));
+        let (index, binned) = pair.finish();
         ShardScorer {
-            index: index.finish(),
-            binned: binned.finish(),
+            index,
+            binned: IbigShard::dense(Cow::Owned(binned)),
             scratch: ScratchSpace::new(n),
             f_cache: HashMap::new(),
             ds,
@@ -120,209 +134,44 @@ impl ShardScorer {
         self.ds.len() == 0
     }
 
-    /// The observed-dimension mask of a candidate's values.
-    fn mask_of(values: &[Option<f64>]) -> DimMask {
-        DimMask::from_indices(
-            values
-                .iter()
-                .enumerate()
-                .filter_map(|(d, v)| v.is_some().then_some(d)),
-        )
-    }
-
-    /// The local incomparable window for a candidate mask: bit `i` set iff
-    /// row `i` observes no dimension in common with the candidate.
-    fn f_window(&mut self, mask: DimMask) -> &BitVec {
-        let ds = &self.ds;
-        self.f_cache.entry(mask.bits()).or_insert_with(|| {
-            BitVec::from_indices(
-                ds.len(),
-                (0..ds.len()).filter(|&i| !ds.mask(i as ObjectId).intersects(mask)),
-            )
-        })
-    }
-
     /// BIG phase 1: the suffix-table upper bound on this shard's `|Q|`
     /// intersection for the candidate (its own bit included when it is a
     /// member — the cross-shard Heuristic-2 limit is `τ + 1`).
-    pub fn big_bound(&self, cand: &ShardCandidate) -> usize {
-        let sel = self.index.select_for(|d| cand.values[d]);
+    pub fn big_bound(&self, values: &[Option<f64>]) -> usize {
+        let sel = self.index.select_for(|d| values[d]);
         self.index.q_selected_upper_bound(&sel)
     }
 
     /// IBIG phase 1: the exact fused `|Q|` count off the binned columns
     /// (own bit included when member). The coordinator's `MaxBitScore` is
     /// `Σⱼ counts − 1`.
-    pub fn ibig_q_count(&mut self, cand: &ShardCandidate) -> usize {
-        let dims = self.ds.dims();
-        let sel = self.binned.select_for(|d| cand.values[d]);
-        self.binned
-            .and_selected_into((0..dims).map(|d| sel.q_pick(d)), &mut self.scratch.q);
-        self.scratch.q.count_ones()
+    pub fn ibig_q_count(&mut self, values: &[Option<f64>]) -> usize {
+        self.scratch.bin_sel = self.binned.index.select_for(|d| values[d]);
+        self.binned.fill_q(&mut self.scratch)
     }
 
     /// BIG phase 2: the exact per-shard partial score — the number of
-    /// shard rows the candidate dominates. Mirrors one shard term of
-    /// [`parallel`](crate::parallel)'s sharded BIG-Score, with the
-    /// incomparable window computed locally instead of sliced globally.
-    pub fn big_partial(&mut self, cand: &ShardCandidate) -> usize {
-        let mask = Self::mask_of(&cand.values);
-        let f = self.f_window(mask).clone();
-        let ds = &self.ds;
-        let sc = &mut self.scratch;
-        let sel = self.index.select_for(|d| cand.values[d]);
-        self.index.q_into_selected(&sel, cand.member, &mut sc.q);
-        self.index.p_into_selected(&sel, &mut sc.p);
-        // G contribution: |P ∧ ¬F| against the local incomparable window.
-        let g = sc.p.and_not_count(&f);
-        let mut q_minus_p = 0usize;
-        let mut non_d = 0usize;
-        for lpid in sc.q.iter_ones_and_not(&sc.p) {
-            q_minus_p += 1;
-            let common = mask.and(ds.mask(lpid as ObjectId));
-            // Tie iff equal on every commonly observed dimension.
-            let all_equal = common.iter().all(|d| {
-                let slot = sel.eq_slot(d);
-                slot != 0 && slot == self.index.value_slot(lpid, d)
-            });
-            if all_equal {
-                non_d += 1;
-            }
-        }
-        g + q_minus_p - non_d
+    /// shard rows the candidate dominates: one shard term of BIG-Score,
+    /// with the incomparable window computed locally instead of sliced
+    /// globally.
+    pub fn big_partial(&mut self, values: &[Option<f64>], member: Option<usize>) -> usize {
+        self.scratch.sel = self.index.select_for(|d| values[d]);
+        let cand = candidate(&self.ds, &mut self.f_cache, values, member);
+        big_term(&self.index, self.ds.masks(), &cand, &mut self.scratch)
     }
 
     /// IBIG phase 2: the exact per-shard partial score off the binned
-    /// index — fused `Q`/`P`, then B+-tree probes resolving the binned
-    /// residue, exactly one shard term of the sharded IBIG-Score. No
-    /// Heuristic-3 early exit (the budget is global; see module docs).
-    pub fn ibig_partial(&mut self, cand: &ShardCandidate) -> usize {
-        let mask = Self::mask_of(&cand.values);
-        let f = self.f_window(mask).clone();
-        let ds = &self.ds;
-        let dims = ds.dims();
-        let sc = &mut self.scratch;
-        let sel = self.binned.select_for(|d| cand.values[d]);
-        self.binned
-            .and_selected_into((0..dims).map(|d| sel.q_pick(d)), &mut sc.q);
-        if let Some(member) = cand.member {
-            sc.q.clear(member);
-        }
-        self.binned
-            .and_selected_into((0..dims).map(|d| sel.p_pick(d)), &mut sc.p);
-        let g = sc.p.and_not_count(&f);
-        let mut non_d = 0usize;
-        sc.stamps.next_object();
-        // (a) Same-bin rows strictly better than the candidate somewhere
-        //     cannot be dominated: value-based B+-tree probes.
-        for dim in mask.iter() {
-            let v = cand.values[dim].expect("masked dimension is observed");
-            for lpid in self.binned.ids_below_in_bin(dim, v, true) {
-                let lpid = lpid as usize;
-                if sc.q.get(lpid) && !sc.p.get(lpid) && sc.stamps.mark_nond(lpid) {
-                    non_d += 1;
-                }
-            }
-        }
-        // (b) tagT accumulation: same-value probes per dimension.
-        for dim in mask.iter() {
-            let v = cand.values[dim].expect("masked dimension is observed");
-            for lpid in self.binned.ids_equal(dim, v) {
-                let lpid = lpid as usize;
-                if Some(lpid) != cand.member && sc.q.get(lpid) && !sc.p.get(lpid) {
-                    sc.stamps.bump_tag(lpid);
-                }
-            }
-        }
-        // Members of Q − P tying the candidate on all common dimensions.
-        let mut q_minus_p = 0usize;
-        for lpid in sc.q.iter_ones_and_not(&sc.p) {
-            q_minus_p += 1;
-            if sc.stamps.is_nond(lpid) {
-                continue;
-            }
-            let common = mask.and(ds.mask(lpid as ObjectId)).count();
-            if sc.stamps.tag_of(lpid) == common {
-                non_d += 1;
-            }
-        }
-        g + q_minus_p - non_d
+    /// index — one shard term of IBIG-Score on an unlimited Heuristic-3
+    /// budget (the real one is global; see module docs).
+    pub fn ibig_partial(&mut self, values: &[Option<f64>], member: Option<usize>) -> usize {
+        self.ibig_q_count(values);
+        let cand = candidate(&self.ds, &mut self.f_cache, values, member);
+        let value = |d: usize| values[d].expect("masked dimension is observed");
+        let (masks, scratch) = (self.ds.masks(), &mut self.scratch);
+        let mut unlimited = usize::MAX;
+        ibig_term(&self.binned, masks, &cand, value, scratch, &mut unlimited)
+            .expect("an unlimited budget is never overdrawn")
     }
-}
-
-/// The coordinator's replay-merge: the sequential driver's bounded top-k
-/// and τ, consumed in queue order from per-candidate [`Outcome`]s the
-/// coordinator assembled out of shard answers.
-///
-/// The discipline (identical to the in-process merger):
-/// 1. at each queue position, check [`h1_prunes`](Self::h1_prunes)
-///    against the candidate's `MaxScore` — if it fires, call
-///    [`terminate`](Self::terminate) and stop (Heuristic-1 position is
-///    exact, because the replayed τ *is* the sequential τ here);
-/// 2. otherwise [`absorb`](Self::absorb) the candidate's outcome;
-/// 3. [`finish`](Self::finish) yields the final `TkdResult`.
-pub struct ClusterReplay {
-    top: TopK,
-    stats: PruneStats,
-}
-
-impl ClusterReplay {
-    /// Start a replay for a top-`k` query.
-    pub fn new(k: usize) -> ClusterReplay {
-        ClusterReplay {
-            top: TopK::new(k),
-            stats: PruneStats::default(),
-        }
-    }
-
-    /// The current k-th score lower bound (`None` until the candidate set
-    /// is full) — broadcast to workers as the tightening τ.
-    pub fn tau(&self) -> Option<usize> {
-        self.top.tau()
-    }
-
-    /// Heuristic 1: would the sequential driver terminate at a candidate
-    /// with this `MaxScore`?
-    pub fn h1_prunes(&self, max_score: usize) -> bool {
-        self.top.prunes(max_score)
-    }
-
-    /// Record Heuristic-1 termination with `remaining` unvisited queue
-    /// positions (including the one that fired).
-    pub fn terminate(&mut self, remaining: usize) {
-        self.stats.h1_pruned = remaining;
-    }
-
-    /// Replay one candidate's outcome in queue order.
-    pub fn absorb(&mut self, id: ObjectId, outcome: Outcome) {
-        match outcome {
-            Outcome::PrunedBound | Outcome::PrunedBitmap => self.stats.h2_pruned += 1,
-            Outcome::PrunedPartial => self.stats.h3_pruned += 1,
-            Outcome::Score(s) => {
-                self.stats.scored += 1;
-                self.top.offer(id, s);
-            }
-        }
-    }
-
-    /// The final result: entries, scores, and tie order exactly as the
-    /// sequential driver would produce them.
-    pub fn finish(self) -> TkdResult {
-        TkdResult::new(self.top.into_entries(), self.stats)
-    }
-}
-
-/// The degenerate replays the sequential driver short-circuits: `k = 0`
-/// or an empty queue answers empty with every position Heuristic-1
-/// pruned. Coordinators must take the same early exit.
-pub fn empty_replay(queue_len: usize) -> TkdResult {
-    TkdResult::new(
-        Vec::new(),
-        PruneStats {
-            h1_pruned: queue_len,
-            ..PruneStats::default()
-        },
-    )
 }
 
 /// Slice a dataset's rows `[lo, hi)` into a dense shard dataset — the
@@ -339,6 +188,8 @@ mod tests {
     use crate::parallel::ShardPlan;
     use crate::preprocess::Preprocessed;
     use crate::query::{Algorithm, TkdQuery};
+    use crate::result::TkdResult;
+    use crate::topk::walk;
     use tkd_model::fixtures;
 
     fn mix(seed: &mut u64) -> u64 {
@@ -377,11 +228,8 @@ mod tests {
         (plan, scorers)
     }
 
-    fn candidate_for(ds: &Dataset, plan: &ShardPlan, o: usize, j: usize) -> ShardCandidate {
-        ShardCandidate {
-            values: (0..ds.dims()).map(|d| ds.value(o as ObjectId, d)).collect(),
-            member: plan.local_of(j, o),
-        }
+    fn values_of(ds: &Dataset, o: usize) -> Vec<Option<f64>> {
+        (0..ds.dims()).map(|d| ds.value(o as ObjectId, d)).collect()
     }
 
     /// Σ per-shard partials must equal the exact global score for every
@@ -405,10 +253,10 @@ mod tests {
                     let want = score_of[&(o as u32)];
                     let mut big = 0usize;
                     let mut ibig = 0usize;
+                    let values = values_of(ds, o);
                     for (j, scorer) in scorers.iter_mut().enumerate() {
-                        let cand = candidate_for(ds, &plan, o, j);
-                        big += scorer.big_partial(&cand);
-                        ibig += scorer.ibig_partial(&cand);
+                        big += scorer.big_partial(&values, plan.local_of(j, o));
+                        ibig += scorer.ibig_partial(&values, plan.local_of(j, o));
                     }
                     assert_eq!(big, want, "BIG o={o} shards={shards}");
                     assert_eq!(ibig, want, "IBIG o={o} shards={shards}");
@@ -428,14 +276,14 @@ mod tests {
         let score_of: std::collections::HashMap<u32, usize> =
             all.iter().map(|e| (e.id, e.score)).collect();
         for shards in [1usize, 2, 3] {
-            let (plan, mut scorers) = scorers_for(&ds, shards);
+            let (_, mut scorers) = scorers_for(&ds, shards);
             for o in 0..n {
+                let values = values_of(&ds, o);
                 let mut big_ub = 0usize;
                 let mut ibig_q = 0usize;
-                for (j, scorer) in scorers.iter_mut().enumerate() {
-                    let cand = candidate_for(&ds, &plan, o, j);
-                    big_ub += scorer.big_bound(&cand);
-                    ibig_q += scorer.ibig_q_count(&cand);
+                for scorer in &mut scorers {
+                    big_ub += scorer.big_bound(&values);
+                    ibig_q += scorer.ibig_q_count(&values);
                 }
                 let score = score_of[&(o as u32)];
                 // Both phase-1 sums count o's own bit once, so the bound
@@ -452,62 +300,29 @@ mod tests {
     /// `tests/cluster_parity.rs` applies over sockets.
     fn drive(ds: &Dataset, shards: usize, k: usize, alg: Algorithm) -> TkdResult {
         let pre = Preprocessed::build(ds);
-        let queue = pre.queue();
-        if k == 0 || queue.is_empty() {
-            return empty_replay(queue.len());
-        }
         let (plan, mut scorers) = scorers_for(ds, shards);
-        let mut replay = ClusterReplay::new(k);
-        for (t, &(o, max_score)) in queue.iter().enumerate() {
-            if replay.h1_prunes(max_score) {
-                replay.terminate(queue.len() - t);
-                break;
-            }
-            let tau = replay.tau();
-            let cands: Vec<ShardCandidate> = (0..plan.count())
-                .map(|j| candidate_for(ds, &plan, o as usize, j))
-                .collect();
-            let outcome = match alg {
+        walk(pre.queue(), k, |o, tau| {
+            let values = values_of(ds, o as usize);
+            let member = |j| plan.local_of(j, o as usize);
+            let pruned = match alg {
                 Algorithm::Big => {
-                    let bound: usize = scorers
-                        .iter()
-                        .zip(&cands)
-                        .map(|(s, c)| s.big_bound(c))
-                        .sum();
-                    if matches!(tau, Some(t) if bound <= t + 1) {
-                        Outcome::PrunedBitmap
-                    } else {
-                        Outcome::Score(
-                            scorers
-                                .iter_mut()
-                                .zip(&cands)
-                                .map(|(s, c)| s.big_partial(c))
-                                .sum(),
-                        )
-                    }
+                    let bound: usize = scorers.iter().map(|s| s.big_bound(&values)).sum();
+                    matches!(tau, Some(t) if bound <= t + 1)
                 }
                 _ => {
-                    let total_q: usize = scorers
-                        .iter_mut()
-                        .zip(&cands)
-                        .map(|(s, c)| s.ibig_q_count(c))
-                        .sum();
-                    if matches!(tau, Some(t) if total_q - 1 <= t) {
-                        Outcome::PrunedBitmap
-                    } else {
-                        Outcome::Score(
-                            scorers
-                                .iter_mut()
-                                .zip(&cands)
-                                .map(|(s, c)| s.ibig_partial(c))
-                                .sum(),
-                        )
-                    }
+                    let total_q: usize = scorers.iter_mut().map(|s| s.ibig_q_count(&values)).sum();
+                    matches!(tau, Some(t) if total_q - 1 <= t)
                 }
             };
-            replay.absorb(o, outcome);
-        }
-        replay.finish()
+            if pruned {
+                return Outcome::PrunedBitmap;
+            }
+            let partials = scorers.iter_mut().enumerate().map(|(j, s)| match alg {
+                Algorithm::Big => s.big_partial(&values, member(j)),
+                _ => s.ibig_partial(&values, member(j)),
+            });
+            Outcome::Score(partials.sum())
+        })
     }
 
     #[test]
@@ -545,13 +360,10 @@ mod tests {
         let ds = fixtures::fig3_sample();
         let empty = Dataset::from_rows(ds.dims(), &[]).expect("empty dataset");
         let mut scorer = ShardScorer::new(empty);
-        let cand = ShardCandidate {
-            values: (0..ds.dims()).map(|d| ds.value(0, d)).collect(),
-            member: None,
-        };
-        assert_eq!(scorer.big_bound(&cand), 0);
-        assert_eq!(scorer.ibig_q_count(&cand), 0);
-        assert_eq!(scorer.big_partial(&cand), 0);
-        assert_eq!(scorer.ibig_partial(&cand), 0);
+        let values = values_of(&ds, 0);
+        assert_eq!(scorer.big_bound(&values), 0);
+        assert_eq!(scorer.ibig_q_count(&values), 0);
+        assert_eq!(scorer.big_partial(&values, None), 0);
+        assert_eq!(scorer.ibig_partial(&values, None), 0);
     }
 }

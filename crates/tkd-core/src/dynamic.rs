@@ -29,14 +29,15 @@
 //! `tests/dynamic_parity.rs` pins this equivalence across randomized op
 //! sequences × missing rates × {BIG, IBIG} × thread counts.
 //!
-//! Queries run through the **unchanged** scratch paths:
-//! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`]
-//! over borrowed contexts ([`BigContext::from_prebuilt`],
-//! [`IbigContext::from_prebuilt_dense`]), and `threads > 1` through the
-//! replay-merged parallel engine over
-//! [`ShardedBigContext::from_prebuilt`] /
-//! [`ShardedIbigContext::from_prebuilt_dense`]. Dynamic IBIG scores off
-//! dense binned columns — run-length codecs cannot absorb in-place bit
+//! Queries run through the **unchanged** scorers: BIG-Score /
+//! IBIG-Score over borrowed one-shard contexts
+//! ([`BigContext::from_prebuilt`], [`IbigContext::from_prebuilt_dense`]),
+//! driven by the one replay driver of [`crate::parallel`] — with one
+//! thread that *is* the sequential walk of
+//! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`],
+//! with more the workers split the candidate queue and merge by replay —
+//! and the standing queries put their score cache in front of the same
+//! scorer. Dynamic IBIG scores off dense binned columns — run-length codecs cannot absorb in-place bit
 //! flips, so the dynamic store trades the paper's compression for `O(1)`
 //! bit maintenance (compaction re-quantiles and could re-compress).
 //!
@@ -50,7 +51,7 @@
 use crate::big::{self, BigContext};
 use crate::ibig::{self, IbigContext};
 use crate::maxscore::t_counts;
-use crate::parallel::{parallel_big, parallel_ibig, ShardedBigContext, ShardedIbigContext};
+use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::{ResultEntry, TkdResult};
@@ -62,10 +63,7 @@ use crate::EngineQuery;
 use std::collections::HashMap;
 use std::fmt;
 use tkd_bitvec::{BitVec, Concise, Tombstones};
-use tkd_index::{
-    cost, for_each_sorted_column, BinnedBitmapIndex, BinnedBitmapIndexBuilder, BitmapIndex,
-    BitmapIndexBuilder,
-};
+use tkd_index::{cost, for_each_sorted_column, BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
 use tkd_model::{stats, Dataset, DimMask, ModelError, ObjectId};
 
 /// When the engine rebuilds itself to shed tombstones.
@@ -343,7 +341,9 @@ pub struct DynamicEngine {
     missing: Vec<usize>,
     /// The queue needs a re-sort before the next query.
     queue_dirty: bool,
-    scratch: ScratchSpace,
+    /// One scratch per query thread, (re)sized on demand by
+    /// `fit_scratch`; the first also serves the standing walks.
+    scratch: Vec<ScratchSpace>,
     bins: BinChoice,
     policy: CompactionPolicy,
     epoch: u64,
@@ -396,7 +396,7 @@ impl DynamicEngine {
             t: Vec::new(),
             missing: vec![0; dims],
             queue_dirty: false,
-            scratch: ScratchSpace::new(n),
+            scratch: Vec::new(),
             bins: options.bins,
             policy: options.policy,
             epoch: 0,
@@ -874,9 +874,7 @@ impl DynamicEngine {
             return Vec::new();
         }
         self.refresh();
-        if self.scratch.n() != self.ds.len() {
-            self.scratch = ScratchSpace::new(self.ds.len());
-        }
+        self.fit_scratch(1);
         // Invalidate exactly the dirtied cache entries, counting how much
         // of the *live* set was touched (dead dirt cannot inflate the
         // fraction past 1.0, so `fallback_fraction = 1.0` never falls
@@ -916,13 +914,13 @@ impl DynamicEngine {
                 q.stats.skipped += 1;
                 (q.result.clone(), false)
             } else if q.spec.is_full_space() {
-                if fraction > q.spec.fallback_fraction {
-                    q.stats.fallbacks += 1;
-                    (self.standing_requery_full(&q.spec), true)
-                } else {
+                let patch = fraction <= q.spec.fallback_fraction;
+                if patch {
                     q.stats.patched += 1;
-                    (self.standing_patch_full(&q.spec), false)
+                } else {
+                    q.stats.fallbacks += 1;
                 }
+                (self.standing_answer_full(&q.spec, patch), !patch)
             } else if structural || touched_dims & q.spec.scope_mask() != 0 {
                 // Scoped queries rank a derived dataset: re-query it.
                 q.stats.fallbacks += 1;
@@ -957,44 +955,33 @@ impl DynamicEngine {
     /// per-batch maintenance uses (registration and the fallback path).
     fn standing_answer_fresh(&mut self, spec: &StandingSpec) -> Vec<ResultEntry> {
         self.refresh();
-        if self.scratch.n() != self.ds.len() {
-            self.scratch = ScratchSpace::new(self.ds.len());
-        }
+        self.fit_scratch(1);
         if spec.is_full_space() {
-            self.standing_requery_full(spec)
+            self.standing_answer_full(spec, false)
         } else {
             standing::scoped_requery(&self.snapshot(), &self.live_ids(), spec)
         }
     }
 
-    /// Full-space fallback: plain sequential re-query, results mapped to
-    /// stable ids, cache warmed with the k exact scores just computed.
-    fn standing_requery_full(&mut self, spec: &StandingSpec) -> Vec<ResultEntry> {
-        let slots = standing::requery_full(
+    /// One full-space standing answer, mapped to stable ids: the
+    /// cached-score walk (`patch`), or the fallback — a plain sequential
+    /// re-query that warms the cache with the k exact scores it computed.
+    fn standing_answer_full(&mut self, spec: &StandingSpec, patch: bool) -> Vec<ResultEntry> {
+        let scorer = scorer(
             &self.ds,
             &self.index,
             &self.binned,
             &self.pre,
             spec.algorithm,
-            spec.k,
-            &mut self.standing.cache,
-            &mut self.scratch,
         );
-        self.slots_to_stable(slots)
-    }
-
-    /// Full-space patch: the cached-score queue walk, mapped to stable ids.
-    fn standing_patch_full(&mut self, spec: &StandingSpec) -> Vec<ResultEntry> {
-        let slots = standing::patched_top_k(
-            &self.ds,
-            &self.index,
-            &self.binned,
-            &self.pre,
-            spec.algorithm,
-            spec.k,
-            &mut self.standing.cache,
-            &mut self.scratch,
-        );
+        let scratch = &mut self.scratch[0];
+        let score = |o, tau| scorer(o, tau, scratch);
+        let (queue, cache) = (self.pre.queue(), &mut self.standing.cache);
+        let slots = if patch {
+            standing::patched_top_k(queue, spec.k, cache, score)
+        } else {
+            standing::requery_full(queue, spec.k, cache, score)
+        };
         self.slots_to_stable(slots)
     }
 
@@ -1012,8 +999,8 @@ impl DynamicEngine {
 
     // ----- queries --------------------------------------------------------
 
-    /// Answer a query single-threaded through the sequential scratch
-    /// engines. Entry ids are **stable ids**.
+    /// Answer a query single-threaded — the sequential walk. Entry ids
+    /// are **stable ids**.
     ///
     /// # Errors
     /// [`UpdateError::UnsupportedAlgorithm`] for anything but BIG/IBIG.
@@ -1021,10 +1008,12 @@ impl DynamicEngine {
         self.query_threads(q, 1)
     }
 
-    /// Answer a query with `threads` workers cooperating through the
-    /// replay-merged parallel engine (identical results to
+    /// Answer a query with `threads` workers cooperating on the candidate
+    /// queue and merging by replay (identical results to
     /// [`DynamicEngine::query`] — the same differential guarantee the
-    /// static parallel engine carries).
+    /// static parallel engine carries; every worker scores against the
+    /// one maintained index, whose live-aware paths keep tombstoned slots
+    /// out of every count).
     ///
     /// # Errors
     /// [`UpdateError::UnsupportedAlgorithm`] for anything but BIG/IBIG.
@@ -1037,31 +1026,12 @@ impl DynamicEngine {
             return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
         }
         self.refresh();
-        if self.scratch.n() != self.ds.len() {
-            self.scratch = ScratchSpace::new(self.ds.len());
-        }
         let threads = threads.max(1);
-        let result = match (q.algorithm, threads) {
-            (Algorithm::Big, 1) => {
-                let ctx = BigContext::from_prebuilt(&self.ds, &self.index, &self.pre);
-                big::big_with_scratch(&ctx, q.k, &mut self.scratch)
-            }
-            (Algorithm::Big, t) => {
-                let ctx = ShardedBigContext::from_prebuilt(&self.ds, &self.index, &self.pre);
-                parallel_big(&ctx, q.k, t)
-            }
-            (Algorithm::Ibig, 1) => {
-                let ctx: IbigContext<'_, Concise> =
-                    IbigContext::from_prebuilt_dense(&self.ds, &self.binned, &self.pre);
-                ibig::ibig_with_scratch(&ctx, q.k, &mut self.scratch)
-            }
-            (Algorithm::Ibig, t) => {
-                let ctx: ShardedIbigContext<'_, Concise> =
-                    ShardedIbigContext::from_prebuilt_dense(&self.ds, &self.binned, &self.pre);
-                parallel_ibig(&ctx, q.k, t)
-            }
-            _ => unreachable!("guarded above"),
-        };
+        self.fit_scratch(threads);
+        let scorer = scorer(&self.ds, &self.index, &self.binned, &self.pre, q.algorithm);
+        let queue = self.pre.queue();
+        let slots = new_slots(slots_needed(threads, queue.len()));
+        let result = run_replay(queue, q.k, &mut self.scratch[..threads], &slots, scorer);
         // Slot ids → stable ids. `stable_of` is strictly increasing, so
         // the (score desc, id asc) entry order is preserved verbatim.
         let stats = result.stats;
@@ -1350,7 +1320,7 @@ impl DynamicEngine {
             t,
             missing,
             queue_dirty: false,
-            scratch: ScratchSpace::new(n),
+            scratch: Vec::new(),
             bins,
             policy,
             epoch,
@@ -1376,7 +1346,7 @@ impl DynamicEngine {
         self.live = Tombstones::all_live(n);
         self.slot_of = stable.iter().enumerate().map(|(s, &id)| (id, s)).collect();
         self.stable_of = stable;
-        self.scratch = ScratchSpace::new(n);
+        self.scratch.clear();
         self.rebuild_artifacts();
         self.epoch += 1;
         self.stats.compactions += 1;
@@ -1416,19 +1386,16 @@ impl DynamicEngine {
         // One sort per dimension: the same column feeds both indexes and
         // the exact `|Tᵢ|` table (the probe trees answer rank queries for
         // the *updates* that follow, not for this build).
-        let mut index = BitmapIndexBuilder::new(dims, 0, n);
-        let mut binned = BinnedBitmapIndexBuilder::new(&bins, 0, n);
+        let mut pair = IndexPairBuilder::new(&bins, 0, n);
         self.t = vec![T_UNOBSERVED; n * dims];
         for_each_sorted_column(ds, 0, n, |d, column| {
-            index.push_dim(d, column);
-            binned.push_dim(d, column);
+            pair.push_dim(d, column);
             self.missing[d] = n - column.len();
             for (o, t_d) in t_counts(column, n) {
                 self.t[o as usize * dims + d] = t_d as u32;
             }
         });
-        self.index = index.finish();
-        self.binned = binned.finish();
+        (self.index, self.binned) = pair.finish();
         self.pre = Preprocessed {
             queue: Vec::new(),
             f_sets: incomparable_bitvecs(ds),
@@ -1438,6 +1405,14 @@ impl DynamicEngine {
     }
 
     // ----- internals ------------------------------------------------------
+
+    /// Make (at least) `threads` scratches fit the current slot count.
+    fn fit_scratch(&mut self, threads: usize) {
+        let n = self.ds.len();
+        self.scratch.retain(|s| s.n() == n);
+        let wanted = threads.max(self.scratch.len());
+        self.scratch.resize_with(wanted, || ScratchSpace::new(n));
+    }
 
     fn slot(&self, id: ObjectId) -> Result<usize, UpdateError> {
         match self.slot_of.get(&id) {
@@ -1551,6 +1526,25 @@ impl DynamicEngine {
             .iter()
             .map(|&(s, ms)| (self.stable_of[s as usize], ms))
             .collect()
+    }
+}
+
+/// BIG-Score or IBIG-Score over the maintained artifacts, lent wholesale
+/// into the unchanged one-shard scorers (nothing is built: both contexts
+/// are borrows).
+fn scorer<'a>(
+    ds: &'a Dataset,
+    index: &'a BitmapIndex,
+    binned: &'a BinnedBitmapIndex,
+    pre: &'a Preprocessed,
+    algorithm: Algorithm,
+) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 'a {
+    let big = BigContext::from_prebuilt(ds, index, pre);
+    let ibig: IbigContext<'a, Concise> = IbigContext::from_prebuilt_dense(ds, binned, pre);
+    move |o, tau, scratch| match algorithm {
+        Algorithm::Big => big::big_score(&big, o, tau, scratch),
+        Algorithm::Ibig => ibig::ibig_score(&ibig, o, tau, scratch),
+        other => unreachable!("the dynamic engine serves BIG/IBIG, got {other:?}"),
     }
 }
 

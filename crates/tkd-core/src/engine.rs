@@ -25,8 +25,8 @@
 //! `MaxScore` queue where applicable).
 
 use crate::parallel::{
-    big_score_sharded, build_context_pair, ibig_score_sharded, new_slots, run_replay,
-    ShardedBigContext, ShardedIbigContext, WorkerScratch,
+    build_context_pair, new_slots, run_replay, slots_needed, Outcome, ShardedBigContext,
+    ShardedIbigContext, WorkerScratch,
 };
 use crate::preprocess::Preprocessed;
 use crate::query::{shuffle_ties, Algorithm, TieBreak};
@@ -299,12 +299,12 @@ impl<'a> ParallelEngine<'a> {
 
     fn run(&self, q: &EngineQuery, threads: usize) -> TkdResult {
         let result = match q.algorithm {
-            Algorithm::Big => self.run_replayed(q.k, threads, |o, tau, w| {
-                big_score_sharded(&self.big, o, tau, w)
-            }),
-            Algorithm::Ibig => self.run_replayed(q.k, threads, |o, tau, w| {
-                ibig_score_sharded(&self.ibig, o, tau, w)
-            }),
+            Algorithm::Big => {
+                self.run_replayed(q.k, threads, |o, tau, w| self.big.score(o, tau, w))
+            }
+            Algorithm::Ibig => {
+                self.run_replayed(q.k, threads, |o, tau, w| self.ibig.score(o, tau, w))
+            }
             // Reference algorithms for differential serving: sequential,
             // reusing the engine's MaxScore queue where applicable.
             Algorithm::Naive => naive::naive(self.ds, q.k),
@@ -321,8 +321,7 @@ impl<'a> ParallelEngine<'a> {
         &self,
         k: usize,
         threads: usize,
-        score: impl Fn(tkd_model::ObjectId, Option<usize>, &mut WorkerScratch) -> crate::parallel::Outcome
-            + Sync,
+        score: impl Fn(tkd_model::ObjectId, Option<usize>, &mut WorkerScratch) -> Outcome + Sync,
     ) -> TkdResult {
         let queue = self.big.preprocessed().queue();
         let mut workers = self
@@ -331,10 +330,8 @@ impl<'a> ParallelEngine<'a> {
         // Pooled scratches were built for this engine's plan by
         // construction; guard against cross-engine reuse bugs.
         debug_assert!(workers.iter().all(|w| w.fits(self.big.plan())));
-        let slots = self
-            .pool
-            .take_slots(if threads > 1 { queue.len() } else { 0 });
-        let result = run_replay(queue, k, threads, &mut workers, &slots, score);
+        let slots = self.pool.take_slots(slots_needed(threads, queue.len()));
+        let result = run_replay(queue, k, &mut workers, &slots, score);
         self.pool.put_slots(slots);
         self.pool.put_workers(workers);
         result

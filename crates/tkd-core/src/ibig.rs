@@ -10,6 +10,29 @@
 //! `score(o) = |Q| − |F(o)| − |nonD(o)|` can only shrink as `nonD` grows, so
 //! once `|nonD| > |Q| − |F| − τ` the object is out.
 //!
+//! # Where the algorithm lives
+//!
+//! IBIG-Score (Algorithm 5) is written **once**, over a partition of the
+//! rows into `IbigShard`s. `ibig_score_over` fills every shard's `Q`
+//! and takes the Heuristic 2 decision on `Σ |Q| − 1`, then sums
+//! `ibig_term` — one shard's `|P − F| + |Q − P − nonD|`, the only
+//! function that issues the §4.5 probes — while the terms draw down one
+//! running Heuristic-3 budget. `nonD` only grows and every term checks
+//! the budget after each probed dimension and each residue member, so
+//! Heuristic 3 fires iff the candidate's total `|nonD|` exceeds the budget,
+//! in whatever order the shards are visited. The sequential `ibig_score`
+//! calls it with the context's one whole-range shard, the parallel engine
+//! ([`crate::parallel`]) with `plan.count()` shards, and a cluster worker
+//! ([`crate::cluster::ShardScorer`]) calls the term alone with an unlimited
+//! budget (Heuristic 3 needs the global τ). The traversal is
+//! `crate::topk`'s `walk`.
+//!
+//! The one-shard case *is* the sequential algorithm: same picks (a
+//! member's stored bins, [`BinnedBitmapIndex::selection_of`]), same probes,
+//! same Heuristic-3 check points, so entries, scores, tie order **and**
+//! every `PruneStats` counter agree with `threads = 1, shards = 1` of any
+//! engine.
+//!
 //! Like BIG, the scoring path is **allocation-free** after context build:
 //! the per-object `Q`/`P` intersections decompress straight into the
 //! caller's [`ScratchSpace`] (first column written, the rest ANDed in off
@@ -17,37 +40,75 @@
 //! tables are epoch-stamped in the same scratch, and the B+-tree probes
 //! return concrete range cursors instead of boxed iterators.
 
+use crate::big::{member_row, Candidate};
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scratch::ScratchSpace;
-use crate::stats::PruneStats;
-use crate::topk::TopK;
+use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
 use tkd_bitvec::{BitVec, CompressedBitmap, Concise};
 use tkd_index::{cost, BinnedBitmapIndex, BinnedBitmapIndexBuilder, CompressedColumns};
-use tkd_model::{stats, Dataset, ObjectId};
+use tkd_model::{stats, Dataset, DimMask, ObjectId};
 
-/// Where an [`IbigContext`] reads its `[Qᵢ]`/`[Pᵢ]` columns from.
+/// One IBIG shard: a binned index over a range of rows plus where its
+/// `[Qᵢ]`/`[Pᵢ]` columns are read from.
 ///
 /// Static contexts compress the binned columns (the paper's storage
-/// layout). The dynamic update layer keeps them **dense** instead — run
-/// encodings cannot absorb in-place bit flips, so compression is traded
-/// for `O(1)` tombstone/append maintenance — and scoring ANDs the picked
-/// dense columns directly (including column 0, which carries the
-/// tombstone mask there).
-enum ColumnStore<C> {
-    /// WAH/CONCISE-compressed copies of every column.
-    Compressed(CompressedColumns<C>),
-    /// Read straight from the (possibly dynamic) binned index's columns.
-    Dense,
+/// layout). The dynamic update layer and the cluster workers keep them
+/// **dense** instead (`columns = None`) — run encodings cannot absorb
+/// in-place bit flips, so compression is traded for `O(1)`
+/// tombstone/append maintenance — and scoring ANDs the picked dense
+/// columns directly (including column 0, which carries the tombstone mask
+/// there).
+pub(crate) struct IbigShard<'a, C: CompressedBitmap> {
+    pub(crate) index: Cow<'a, BinnedBitmapIndex>,
+    columns: Option<CompressedColumns<C>>,
 }
 
-/// Precomputed inputs of Algorithm 5: binned index, its column store,
-/// plus the shared [`Preprocessed`] artifacts.
+impl<'a, C: CompressedBitmap> IbigShard<'a, C> {
+    /// Own a freshly built shard index, compressing its columns.
+    pub(crate) fn compressed(index: BinnedBitmapIndex) -> Self {
+        let columns = Some(CompressedColumns::from_binned(&index));
+        IbigShard {
+            index: Cow::Owned(index),
+            columns,
+        }
+    }
+
+    /// Score off the index's own dense columns.
+    pub(crate) fn dense(index: Cow<'a, BinnedBitmapIndex>) -> Self {
+        IbigShard {
+            index,
+            columns: None,
+        }
+    }
+
+    /// AND one picked column per dimension into `dst` from whichever store
+    /// this shard uses.
+    fn and_selected_into(&self, picks: impl IntoIterator<Item = (usize, usize)>, dst: &mut BitVec) {
+        match &self.columns {
+            Some(cols) => cols.and_selected_into(picks, dst),
+            None => self.index.and_selected_into(picks, dst),
+        }
+    }
+
+    /// Fill `scratch.q` with this shard's raw `∩ᵢ Qᵢ` for the picks in
+    /// `scratch.bin_sel` (a member candidate's own bit included) and count
+    /// it — the shard's share of the Heuristic 2 sum, and the `Q`
+    /// `ibig_term` then works on.
+    pub(crate) fn fill_q(&self, scratch: &mut ScratchSpace) -> usize {
+        let ScratchSpace { q, bin_sel, .. } = scratch;
+        self.and_selected_into((0..self.index.dims()).map(|d| bin_sel.q_pick(d)), q);
+        q.count_ones()
+    }
+}
+
+/// Precomputed inputs of Algorithm 5: the binned index with its column
+/// store (one whole-range `IbigShard`), plus the shared [`Preprocessed`]
+/// artifacts.
 pub struct IbigContext<'a, C: CompressedBitmap = Concise> {
     ds: &'a Dataset,
-    index: Cow<'a, BinnedBitmapIndex>,
-    columns: ColumnStore<C>,
+    shard: IbigShard<'a, C>,
     pre: Cow<'a, Preprocessed>,
 }
 
@@ -63,12 +124,9 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
         let mut index = BinnedBitmapIndexBuilder::new(bins_per_dim, 0, ds.len());
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
-        let index = index.finish();
-        let columns = ColumnStore::Compressed(CompressedColumns::from_binned(&index));
         IbigContext {
             ds,
-            index: Cow::Owned(index),
-            columns,
+            shard: IbigShard::compressed(index.finish()),
             pre: Cow::Owned(pre),
         }
     }
@@ -76,22 +134,17 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
     /// Build borrowing shared [`Preprocessed`] artifacts (see
     /// [`crate::big::BigContext::build_with`]).
     pub fn build_with(ds: &'a Dataset, bins_per_dim: &[usize], pre: &'a Preprocessed) -> Self {
-        let index = BinnedBitmapIndex::build(ds, bins_per_dim);
-        let columns = ColumnStore::Compressed(CompressedColumns::from_binned(&index));
         IbigContext {
             ds,
-            index: Cow::Owned(index),
-            columns,
+            shard: IbigShard::compressed(BinnedBitmapIndex::build(ds, bins_per_dim)),
             pre: Cow::Borrowed(pre),
         }
     }
 
     /// Borrow **prebuilt** artifacts wholesale, scoring off the index's
     /// dense columns — the dynamic update layer's entry into the unchanged
-    /// Algorithm 5 scratch path. Dynamic contexts stay uncompressed
-    /// because run encodings cannot absorb in-place bit flips; the store
-    /// trades the paper's compression for `O(1)` tombstone/append
-    /// maintenance.
+    /// Algorithm 5 scratch path (see `IbigShard` for why it stays
+    /// uncompressed).
     pub fn from_prebuilt_dense(
         ds: &'a Dataset,
         index: &'a BinnedBitmapIndex,
@@ -100,22 +153,8 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
         assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
         IbigContext {
             ds,
-            index: Cow::Borrowed(index),
-            columns: ColumnStore::Dense,
+            shard: IbigShard::dense(Cow::Borrowed(index)),
             pre: Cow::Borrowed(pre),
-        }
-    }
-
-    /// AND one picked column per dimension into `dst` from whichever store
-    /// this context uses.
-    fn and_selected_into(
-        &self,
-        picks: impl IntoIterator<Item = (usize, usize)>,
-        dst: &mut tkd_bitvec::BitVec,
-    ) {
-        match &self.columns {
-            ColumnStore::Compressed(cols) => cols.and_selected_into(picks, dst),
-            ColumnStore::Dense => self.index.and_selected_into(picks, dst),
         }
     }
 
@@ -127,7 +166,7 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
 
     /// The binned index.
     pub fn index(&self) -> &BinnedBitmapIndex {
-        &self.index
+        &self.shard.index
     }
 
     /// The compressed column store.
@@ -136,10 +175,10 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
     /// Panics on dense contexts ([`IbigContext::from_prebuilt_dense`]),
     /// which keep no compressed copies.
     pub fn columns(&self) -> &CompressedColumns<C> {
-        match &self.columns {
-            ColumnStore::Compressed(cols) => cols,
-            ColumnStore::Dense => panic!("dense IBIG context has no compressed columns"),
-        }
+        self.shard
+            .columns
+            .as_ref()
+            .expect("dense IBIG context has no compressed columns")
     }
 
     /// The dataset this context was built for.
@@ -155,30 +194,6 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
     /// A fresh [`ScratchSpace`] sized for this context's dataset.
     pub fn scratch(&self) -> ScratchSpace {
         ScratchSpace::new(self.ds.len())
-    }
-
-    fn f_of(&self, o: ObjectId) -> &BitVec {
-        self.pre.f_of(self.ds, o)
-    }
-
-    /// Column pick for `[Qᵢ]` in dimension `d` (same-or-higher bin /
-    /// missing slot).
-    #[inline]
-    fn q_pick(&self, o: ObjectId, d: usize) -> (usize, usize) {
-        let c = self
-            .index
-            .bin_of(o, d)
-            .map(|b| (b - 1) as usize)
-            .unwrap_or(0);
-        (d, c)
-    }
-
-    /// Column pick for `[Pᵢ]` in dimension `d` (strictly higher bin /
-    /// missing slot).
-    #[inline]
-    fn p_pick(&self, o: ObjectId, d: usize) -> (usize, usize) {
-        let c = self.index.bin_of(o, d).map(|b| b as usize).unwrap_or(0);
-        (d, c)
     }
 }
 
@@ -212,173 +227,205 @@ pub fn ibig_with_scratch<C: CompressedBitmap>(
     k: usize,
     scratch: &mut ScratchSpace,
 ) -> TkdResult {
-    if k == 0 {
-        // τ can never form with an unfillable candidate set; skip the
-        // full-queue scoring pass (uniform k-edge behavior).
-        return TkdResult::new(
-            Vec::new(),
-            PruneStats {
-                h1_pruned: ctx.pre.queue().len(),
-                ..Default::default()
-            },
-        );
-    }
-    let mut top = TopK::new(k);
-    let mut stats = PruneStats::default();
-    let queue = ctx.pre.queue();
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        // Heuristic 1 — early termination on MaxScore.
-        if top.prunes(max_score) {
-            stats.h1_pruned = queue.len() - visited;
-            break;
-        }
-        match ibig_score(ctx, o, &top, scratch) {
-            ScoreOutcome::PrunedByBitmap => stats.h2_pruned += 1,
-            ScoreOutcome::PrunedByPartialScore => stats.h3_pruned += 1,
-            ScoreOutcome::Score(score) => {
-                stats.scored += 1;
-                top.offer(o, score);
-            }
-        }
-    }
-    TkdResult::new(top.into_entries(), stats)
+    walk(ctx.pre.queue(), k, |o, tau| {
+        ibig_score(ctx, o, tau, scratch)
+    })
 }
 
-pub(crate) enum ScoreOutcome {
-    PrunedByBitmap,
-    PrunedByPartialScore,
-    Score(usize),
-}
-
-/// IBIG-Score (Algorithm 5). Crate-visible so the standing query layer can
-/// score cache misses through the identical path.
+/// IBIG-Score (Algorithm 5) against the context's one whole-range shard.
 pub(crate) fn ibig_score<C: CompressedBitmap>(
     ctx: &IbigContext<'_, C>,
     o: ObjectId,
-    top: &TopK,
+    tau: Option<usize>,
     scratch: &mut ScratchSpace,
-) -> ScoreOutcome {
-    let ds = ctx.ds;
-    let dims = ds.dims();
-    let ScratchSpace { q, p, stamps } = scratch;
-    stamps.next_object();
-    // Q decompressed straight into scratch; o itself is always a member of
-    // ∩[Qi], so MaxBitScore = |∩Qi| − 1 before clearing its bit.
-    ctx.and_selected_into((0..dims).map(|d| ctx.q_pick(o, d)), q);
-    let max_bit_score = q.count_ones() - 1;
-    // Heuristic 2 — bitmap pruning (still sound under binning, §4.4).
-    if top.prunes(max_bit_score) {
-        return ScoreOutcome::PrunedByBitmap;
+) -> Outcome {
+    ibig_score_over(
+        ctx.ds,
+        std::slice::from_ref(&ctx.shard),
+        &ctx.pre,
+        o,
+        tau,
+        std::slice::from_mut(scratch),
+    )
+}
+
+/// IBIG-Score (Algorithm 5) of object `o` over a partition of `ds`'s rows
+/// into `shards` (one [`ScratchSpace`] each): cross-shard Heuristic 2 on
+/// `tau`, then the exact score as the sum of the per-shard terms, which
+/// share one Heuristic-3 budget. Allocation-free.
+pub(crate) fn ibig_score_over<C: CompressedBitmap>(
+    ds: &Dataset,
+    shards: &[IbigShard<'_, C>],
+    pre: &Preprocessed,
+    o: ObjectId,
+    tau: Option<usize>,
+    scratch: &mut [ScratchSpace],
+) -> Outcome {
+    // Q per shard, straight into scratch; Σ counts o itself once, so
+    // MaxBitScore = Σ|∩Qᵢ| − 1 before its bit is cleared.
+    let mut total_q = 0usize;
+    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
+        // The home shard reads o's stored bins; the others search o's
+        // values in their own boundaries.
+        sc.bin_sel = match member_row(o, shard.index.base(), shard.index.n()) {
+            Some(row) => shard.index.selection_of(row),
+            None => shard.index.select_for(|d| ds.value(o, d)),
+        };
+        total_q += shard.fill_q(sc);
     }
-    q.clear(o as usize);
-    ctx.and_selected_into((0..dims).map(|d| ctx.p_pick(o, d)), p);
-    let f = ctx.f_of(o);
-    let f_count = f.count_ones();
+    let max_bit_score = total_q - 1;
+    // Heuristic 2 — bitmap pruning (still sound under binning, §4.4).
+    if matches!(tau, Some(t) if max_bit_score <= t) {
+        return Outcome::PrunedBitmap;
+    }
+    let f = pre.f_of(ds, o);
+    // Heuristic 3's budget: score(o) = |Q| − |F| − |nonD| beats τ only
+    // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms.
+    let mut nond_left = tau.map_or(usize::MAX, |t| {
+        max_bit_score
+            .saturating_sub(f.count_ones())
+            .saturating_sub(t)
+    });
+    let mut score = 0usize;
+    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
+        let (cand, row_masks) = Candidate::of_object(ds, f, o, shard.index.base(), shard.index.n());
+        let value = |d| ds.raw_value(o, d);
+        match ibig_term(shard, row_masks, &cand, value, sc, &mut nond_left) {
+            Some(term) => score += term,
+            None => return Outcome::PrunedPartial,
+        }
+    }
+    Outcome::Score(score)
+}
+
+/// One shard's term of IBIG-Score: how many of the shard's rows the
+/// candidate dominates, `|P − F| + |Q − P − nonD|`, or `None` as soon as
+/// the shard's `nonD` members overdraw `nond_left` (**Heuristic 3**; the
+/// members found are deducted from it otherwise).
+///
+/// `scratch.q` must hold the shard's raw `∩ᵢ Qᵢ` (`IbigShard::fill_q`),
+/// `value(d)` is the candidate's observation in a dimension of `cand.mask`,
+/// and `row_masks[r]` the observation mask of the shard's row `r`.
+pub(crate) fn ibig_term<C: CompressedBitmap>(
+    shard: &IbigShard<'_, C>,
+    row_masks: &[DimMask],
+    cand: &Candidate<'_>,
+    value: impl Fn(usize) -> f64,
+    scratch: &mut ScratchSpace,
+    nond_left: &mut usize,
+) -> Option<usize> {
+    let ScratchSpace {
+        q,
+        p,
+        stamps,
+        bin_sel,
+        ..
+    } = scratch;
+    if let Some(row) = cand.member {
+        q.clear(row);
+    }
+    shard.and_selected_into((0..shard.index.dims()).map(|d| bin_sel.p_pick(d)), p);
     // G(o) = P − F(o) = |P ∧ ¬F|, fused.
-    let g = p.and_not_count(f);
-
-    // Budget for Heuristic 3: score(o) = |Q| − |F| − |nonD| can never exceed
-    // |Q| − |F| − |nonD so far|.
-    let h3_budget = |non_d: usize, tau: Option<usize>| -> bool {
-        matches!(tau, Some(t) if non_d > max_bit_score.saturating_sub(f_count).saturating_sub(t))
-    };
+    let g = p.and_not_count_slice(cand.f);
     // Membership in Q − P, straight off the scratch words.
-    let in_qmp = |pid: usize| q.get(pid) && !p.get(pid);
+    let in_qmp = |row: usize| q.get(row) && !p.get(row);
 
+    stamps.next_object();
     let mut non_d = 0usize;
-    let o_mask = ds.mask(o);
-    // (a) Same-bin objects strictly better than o in some dimension cannot
-    //     be dominated: B+-tree probe per observed dimension (§4.5).
-    for dim in o_mask.iter() {
-        for pid in ctx.index.ids_in_bin_below(ds, o, dim) {
-            if in_qmp(pid as usize) && stamps.mark_nond(pid as usize) {
+    // (a) Same-bin rows strictly better than the candidate in some
+    //     dimension cannot be dominated: B+-tree probe per observed
+    //     dimension (§4.5).
+    for dim in cand.mask.iter() {
+        for row in shard.index.ids_below_in_bin(dim, value(dim), true) {
+            if in_qmp(row as usize) && stamps.mark_nond(row as usize) {
                 non_d += 1;
             }
         }
         // Heuristic 3 — partial score pruning after every dimension.
-        if h3_budget(non_d, top.tau()) {
-            return ScoreOutcome::PrunedByPartialScore;
+        if non_d > *nond_left {
+            return None;
         }
     }
-    // (b) tagT accumulation: same-value probes per observed dimension.
-    for dim in o_mask.iter() {
-        let v = ds.raw_value(o, dim);
-        for pid in ctx.index.ids_equal(dim, v) {
-            if pid != o && in_qmp(pid as usize) {
-                stamps.bump_tag(pid as usize);
+    // (b) tagT accumulation: same-value probes per observed dimension (the
+    //     candidate's own row left Q above).
+    for dim in cand.mask.iter() {
+        for row in shard.index.ids_equal(dim, value(dim)) {
+            if in_qmp(row as usize) {
+                stamps.bump_tag(row as usize);
             }
         }
     }
-    // Members of Q − P equal to o on *all* commonly observed dimensions are
-    // not dominated either. |Q − P| is counted during the same fused pass.
+    // Members of Q − P equal to the candidate on *all* commonly observed
+    // dimensions are not dominated either. |Q − P| is counted during the
+    // same fused pass.
     let mut q_minus_p = 0usize;
-    for pid in q.iter_ones_and_not(p) {
+    for row in q.iter_ones_and_not(p) {
         q_minus_p += 1;
-        if stamps.is_nond(pid) {
+        if stamps.is_nond(row) {
             continue;
         }
-        let common = o_mask.and(ds.mask(pid as ObjectId)).count();
-        if stamps.tag_of(pid) == common {
+        if stamps.tag_of(row) == cand.mask.and(row_masks[row]).count() {
             non_d += 1;
-            if h3_budget(non_d, top.tau()) {
-                return ScoreOutcome::PrunedByPartialScore;
+            if non_d > *nond_left {
+                return None;
             }
         }
     }
-    ScoreOutcome::Score(g + q_minus_p - non_d)
+    *nond_left -= non_d;
+    Some(g + q_minus_p - non_d)
 }
 
 /// The original allocating IBIG-Score, kept as the test oracle for the
-/// scratch-based path. Uses hash-based `nonD`/`tagT` tables so it shares
-/// no machinery with the path under test.
+/// scratch-based path. Uses hash-based `nonD`/`tagT` tables and reads its
+/// column picks off `bin_of`, so it shares no machinery with the path
+/// under test (the column store is exercised through the same picks).
 #[cfg(test)]
 fn ibig_score_alloc<C: CompressedBitmap>(
     ctx: &IbigContext<'_, C>,
     o: ObjectId,
-    top: &TopK,
-) -> ScoreOutcome {
+    tau: Option<usize>,
+) -> Outcome {
     use std::collections::{HashMap, HashSet};
     let ds = ctx.ds;
-    let dims = ds.dims();
-    // Oracle-side fill: allocate fresh buffers per call (hash-based
-    // tables below keep the oracle machinery-independent of the scratch
-    // path; the column store is exercised through the same picks).
-    let q_picks: Vec<(usize, usize)> = (0..dims).map(|d| ctx.q_pick(o, d)).collect();
+    let index = ctx.index();
+    let prunes = |bound: usize| matches!(tau, Some(t) if bound <= t);
+    // Same-or-higher bin / strictly higher bin (column 0 when missing).
+    let q_picks = (0..ds.dims()).map(|d| (d, index.bin_of(o, d).map_or(0, |b| (b - 1) as usize)));
+    let p_picks = (0..ds.dims()).map(|d| (d, index.bin_of(o, d).map_or(0, |b| b as usize)));
     let mut q = tkd_bitvec::BitVec::zeros(ds.len());
-    ctx.and_selected_into(q_picks.iter().copied(), &mut q);
+    ctx.shard.and_selected_into(q_picks, &mut q);
     let max_bit_score = q.count_ones() - 1;
-    if top.prunes(max_bit_score) {
-        return ScoreOutcome::PrunedByBitmap;
+    if prunes(max_bit_score) {
+        return Outcome::PrunedBitmap;
     }
     q.clear(o as usize);
-    let p_picks: Vec<(usize, usize)> = (0..dims).map(|d| ctx.p_pick(o, d)).collect();
     let mut p = tkd_bitvec::BitVec::zeros(ds.len());
-    ctx.and_selected_into(p_picks.iter().copied(), &mut p);
-    let f = ctx.f_of(o);
+    ctx.shard.and_selected_into(p_picks, &mut p);
+    let f = ctx.pre.f_of(ds, o);
     let f_count = f.count_ones();
     let g = p.count_ones() - p.and_count(f);
     let qmp = q.and_not(&p);
 
-    let h3_budget = |non_d: usize, tau: Option<usize>| -> bool {
+    let h3_budget = |non_d: usize| -> bool {
         matches!(tau, Some(t) if non_d > max_bit_score.saturating_sub(f_count).saturating_sub(t))
     };
 
     let mut non_d_set: HashSet<usize> = HashSet::new();
     let o_mask = ds.mask(o);
     for dim in o_mask.iter() {
-        for pid in ctx.index.ids_in_bin_below(ds, o, dim) {
+        for pid in index.ids_in_bin_below(ds, o, dim) {
             if qmp.get(pid as usize) {
                 non_d_set.insert(pid as usize);
             }
         }
-        if h3_budget(non_d_set.len(), top.tau()) {
-            return ScoreOutcome::PrunedByPartialScore;
+        if h3_budget(non_d_set.len()) {
+            return Outcome::PrunedPartial;
         }
     }
     let mut tags: HashMap<usize, u32> = HashMap::new();
     for dim in o_mask.iter() {
         let v = ds.raw_value(o, dim);
-        for pid in ctx.index.ids_equal(dim, v) {
+        for pid in index.ids_equal(dim, v) {
             if pid != o && qmp.get(pid as usize) {
                 *tags.entry(pid as usize).or_insert(0) += 1;
             }
@@ -392,13 +439,13 @@ fn ibig_score_alloc<C: CompressedBitmap>(
         let common = o_mask.and(ds.mask(pid as ObjectId)).count();
         if tags.get(&pid).copied().unwrap_or(0) == common {
             non_d += 1;
-            if h3_budget(non_d, top.tau()) {
-                return ScoreOutcome::PrunedByPartialScore;
+            if h3_budget(non_d) {
+                return Outcome::PrunedPartial;
             }
         }
     }
     let l = qmp.count_ones() - non_d;
-    ScoreOutcome::Score(g + l)
+    Outcome::Score(g + l)
 }
 
 /// Algorithm 5 driven by the allocating oracle scorer (test-only).
@@ -407,24 +454,7 @@ pub(crate) fn ibig_with_alloc<C: CompressedBitmap>(
     ctx: &IbigContext<'_, C>,
     k: usize,
 ) -> TkdResult {
-    let mut top = TopK::new(k);
-    let mut stats = PruneStats::default();
-    let queue = ctx.pre.queue();
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        if top.prunes(max_score) {
-            stats.h1_pruned = queue.len() - visited;
-            break;
-        }
-        match ibig_score_alloc(ctx, o, &top) {
-            ScoreOutcome::PrunedByBitmap => stats.h2_pruned += 1,
-            ScoreOutcome::PrunedByPartialScore => stats.h3_pruned += 1,
-            ScoreOutcome::Score(score) => {
-                stats.scored += 1;
-                top.offer(o, score);
-            }
-        }
-    }
-    TkdResult::new(top.into_entries(), stats)
+    walk(ctx.pre.queue(), k, |o, tau| ibig_score_alloc(ctx, o, tau))
 }
 
 #[cfg(test)]
@@ -500,10 +530,9 @@ mod tests {
         let ds = fixtures::fig3_sample();
         let ctx: IbigContext<'_> = IbigContext::build(&ds, &[1, 1, 1, 1]);
         let mut scratch = ctx.scratch();
-        let top = TopK::new(1);
         for o in ds.ids() {
-            match ibig_score(&ctx, o, &top, &mut scratch) {
-                ScoreOutcome::Score(s) => {
+            match ibig_score(&ctx, o, None, &mut scratch) {
+                Outcome::Score(s) => {
                     assert_eq!(
                         s,
                         tkd_model::dominance::score_of(&ds, o),

@@ -60,7 +60,7 @@ mod stats;
 mod topk;
 pub mod variants;
 
-pub use cluster::{ClusterReplay, ShardCandidate, ShardScorer};
+pub use cluster::ShardScorer;
 pub use dynamic::{
     BatchReport, CompactionPolicy, DynamicEngine, DynamicOptions, DynamicParts, DynamicPartsRef,
     StorageReport, UpdateError, UpdateOp, UpdateStats,
@@ -73,5 +73,6 @@ pub use result::{ResultEntry, TkdResult};
 pub use scratch::ScratchSpace;
 pub use standing::{apply_notification, Notification, StandingId, StandingSpec, StandingStats};
 pub use stats::PruneStats;
+pub use topk::Replay;
 pub use ubb::ubb;
 pub mod ubb;

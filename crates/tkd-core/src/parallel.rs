@@ -1,6 +1,17 @@
 //! Sharded multi-threaded execution of BIG and IBIG — the repo's first
 //! concurrency subsystem.
 //!
+//! # Where the algorithms live
+//!
+//! Nothing here scores or tallies: BIG-Score and IBIG-Score are
+//! [`crate::big`]'s and [`crate::ibig`]'s shard-summing scorers, called
+//! with this module's `plan.count()` shards instead of the sequential
+//! contexts' one, and the traversal is `crate::topk`'s [`Replay`] — the
+//! same state machine `walk` drives sequentially. This module adds the
+//! data layout, the scheduling and the bound exchange around them. With
+//! one worker `run_replay` *is* `walk`; with one shard on top of that the
+//! whole run is the sequential algorithm, `PruneStats` included.
+//!
 //! # Design
 //!
 //! The paper's bitmap machinery is partition-parallel: for any split of
@@ -15,8 +26,9 @@
 //!   global ids: `global = shard base + local bit position`), and global
 //!   per-object bit vectors such as the incomparable sets `F(o)` are
 //!   viewed per shard through [`tkd_bitvec::BitVec::slice_words`] — no
-//!   copying. Candidates are scored against *every* shard, member or not,
-//!   via the value-based `select_for` APIs.
+//!   copying. Candidates are scored against *every* shard: the home shard
+//!   reads the member's stored picks (`selection_of`), the others resolve
+//!   them from its values (`select_for`).
 //! * **Scheduling** — workers on [`std::thread::scope`] claim chunks of
 //!   the shared descending-`MaxScore` queue, score candidates with their
 //!   own [`WorkerScratch`] (zero allocations per candidate), and publish
@@ -30,11 +42,10 @@
 //!
 //! Results are merged by **replaying outcomes in queue order**: a merger
 //! (any worker that grabs the merge lock) consumes slot `t` only after
-//! slots `0..t`, offering scores to the same bounded top-k candidate set
-//! the sequential driver uses and publishing `τ_t` — by induction exactly
-//! the sequential
-//! τ after prefix `t`. Workers prune with a *published* τ, which is
-//! always ≤ the sequential τ at their queue position, so:
+//! slots `0..t`, absorbing outcomes into the one [`Replay`] and publishing
+//! `τ_t` — by induction exactly the sequential τ after prefix `t`. Workers
+//! prune with a *published* τ, which is always ≤ the sequential τ at their
+//! queue position, so:
 //!
 //! * a worker-pruned candidate satisfies `score ≤ bound ≤ τ_published ≤
 //!   τ_seq(t)` — the sequential offer would have been a no-op;
@@ -43,26 +54,30 @@
 //!
 //! Hence the final entry set, scores, and tie order equal the sequential
 //! run's, and Heuristic-1 termination fires at the same queue position
-//! (`h1_pruned` is exact). Only the `h2/h3/scored` counters may differ —
-//! lagging τ lets workers score candidates the sequential run would have
-//! pruned. `tests/parallel_parity.rs` and the proptests below pin this
-//! equivalence across shard counts, thread counts, missing rates, and
-//! `k` edges.
+//! (`h1_pruned` is exact). With several workers only the `h2/h3/scored`
+//! counters may differ — lagging τ lets workers score candidates the
+//! sequential run would have pruned. `tests/parallel_parity.rs` and the
+//! proptests below pin this equivalence across shard counts, thread
+//! counts, missing rates, and `k` edges, and the whole `PruneStats` for
+//! `shards = 1, threads = 1`.
 
+use crate::big::big_score_over;
+use crate::ibig::{ibig_score_over, IbigShard};
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scratch::ScratchSpace;
-use crate::stats::PruneStats;
-use crate::topk::TopK;
+use crate::topk::{walk, Replay};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tkd_bitvec::{CompressedBitmap, Concise};
 use tkd_index::{
-    for_each_sorted_column, BinSelection, BinnedBitmapIndex, BinnedBitmapIndexBuilder, BitmapIndex,
-    BitmapIndexBuilder, ColumnSelection, CompressedColumns,
+    for_each_sorted_column, BinnedBitmapIndex, BinnedBitmapIndexBuilder, BitmapIndex,
+    BitmapIndexBuilder, IndexPairBuilder,
 };
 use tkd_model::{Dataset, ObjectId};
+
+pub use crate::topk::Outcome;
 
 /// Queue positions claimed per worker round-trip to the shared cursor.
 const CLAIM_CHUNK: usize = 16;
@@ -142,31 +157,20 @@ impl ShardPlan {
 }
 
 /// Per-worker scratch for sharded scoring: one [`ScratchSpace`] per shard
-/// (shard-sized `Q`/`P` vectors plus the epoch-stamped IBIG tables) and
-/// the per-shard column selections. Sized once per worker; the scoring
+/// (shard-sized `Q`/`P` vectors, the epoch-stamped IBIG tables and the
+/// candidate's resolved column picks). Sized once per worker; the scoring
 /// paths then allocate nothing per candidate.
 pub struct WorkerScratch {
-    /// Shard-sized scratch spaces, one per shard.
     shards: Vec<ScratchSpace>,
-    /// Per-shard resolved unbinned column picks (BIG).
-    sels: Vec<ColumnSelection>,
-    /// Per-shard resolved binned column picks (IBIG).
-    bin_sels: Vec<BinSelection>,
-    /// Per-shard cheap `|Q|` upper bounds (Heuristic 2 budgeting).
-    ubs: Vec<usize>,
 }
 
 impl WorkerScratch {
     /// Scratch sized for `plan`'s shards.
     pub fn new(plan: &ShardPlan) -> Self {
-        let count = plan.count();
         WorkerScratch {
-            shards: (0..count)
+            shards: (0..plan.count())
                 .map(|j| ScratchSpace::new(plan.hi(j) - plan.lo(j)))
                 .collect(),
-            sels: vec![ColumnSelection::default(); count],
-            bin_sels: vec![BinSelection::default(); count],
-            ubs: vec![0; count],
         }
     }
 
@@ -274,11 +278,11 @@ impl<'a> ShardedBigContext<'a> {
     }
 
     /// Borrow a **prebuilt** whole-range index and preprocessing as a
-    /// single-shard context — nothing is built or copied. This is how the
-    /// dynamic update layer runs multi-threaded BIG: the workers still
-    /// parallelize across the candidate queue (scoring is per-candidate),
-    /// they just all score against the one borrowed index, whose
-    /// live-aware paths keep tombstoned slots out of every count.
+    /// single-shard context — nothing is built or copied. This is how a
+    /// [`crate::ParallelEngine`] serves a batch against the dynamic update
+    /// layer's maintained state: every worker scores against the one
+    /// borrowed index, whose live-aware paths keep tombstoned slots out
+    /// of every count.
     pub fn from_prebuilt(ds: &'a Dataset, index: &'a BitmapIndex, pre: &'a Preprocessed) -> Self {
         assert_eq!(index.base(), 0, "prebuilt shard must cover the id space");
         assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
@@ -313,38 +317,6 @@ impl<'a> ShardedBigContext<'a> {
     /// A fresh [`WorkerScratch`] sized for this context's plan.
     pub fn worker_scratch(&self) -> WorkerScratch {
         WorkerScratch::new(&self.plan)
-    }
-}
-
-/// One IBIG shard: the shard's binned index plus its column store
-/// (`None` = score off the index's dense columns — the dynamic layer's
-/// layout, whose column 0 carries the tombstone mask).
-struct IbigShard<'a, C: CompressedBitmap> {
-    index: Cow<'a, BinnedBitmapIndex>,
-    columns: Option<CompressedColumns<C>>,
-}
-
-impl<C: CompressedBitmap> IbigShard<'_, C> {
-    /// Own a freshly built shard index, compressing its columns.
-    fn compressed(index: BinnedBitmapIndex) -> Self {
-        let columns = Some(CompressedColumns::from_binned(&index));
-        IbigShard {
-            index: Cow::Owned(index),
-            columns,
-        }
-    }
-
-    /// AND one picked column per dimension into `dst` from whichever store
-    /// this shard uses.
-    fn and_selected_into(
-        &self,
-        picks: impl IntoIterator<Item = (usize, usize)>,
-        dst: &mut tkd_bitvec::BitVec,
-    ) {
-        match &self.columns {
-            Some(cols) => cols.and_selected_into(picks, dst),
-            None => self.index.and_selected_into(picks, dst),
-        }
     }
 }
 
@@ -405,9 +377,8 @@ impl<'a, C: CompressedBitmap + Send> ShardedIbigContext<'a, C> {
     }
 
     /// Borrow a **prebuilt** whole-range binned index and preprocessing as
-    /// a single-shard context scoring off its dense columns — the dynamic
-    /// update layer's multi-threaded IBIG entry (the IBIG counterpart of
-    /// [`ShardedBigContext::from_prebuilt`]).
+    /// a single-shard context scoring off its dense columns (the IBIG
+    /// counterpart of [`ShardedBigContext::from_prebuilt`]).
     pub fn from_prebuilt_dense(
         ds: &'a Dataset,
         index: &'a BinnedBitmapIndex,
@@ -418,10 +389,7 @@ impl<'a, C: CompressedBitmap + Send> ShardedIbigContext<'a, C> {
         ShardedIbigContext {
             ds,
             plan: ShardPlan::new(ds.len(), 1),
-            shards: vec![IbigShard {
-                index: Cow::Borrowed(index),
-                columns: None,
-            }],
+            shards: vec![IbigShard::dense(Cow::Borrowed(index))],
             pre: Cow::Borrowed(pre),
         }
     }
@@ -462,21 +430,11 @@ pub(crate) fn build_context_pair<'a, C: CompressedBitmap + Send>(
         ds,
         &plan,
         None,
-        |lo, hi| {
-            (
-                BitmapIndexBuilder::new(ds.dims(), lo, hi),
-                BinnedBitmapIndexBuilder::new(bins_per_dim, lo, hi),
-            )
-        },
-        |(exact, binned), dim, column| {
-            exact.push_dim(dim, column);
-            binned.push_dim(dim, column);
-        },
-        |(exact, binned)| {
-            (
-                Cow::Owned(exact.finish()),
-                IbigShard::compressed(binned.finish()),
-            )
+        |lo, hi| IndexPairBuilder::new(bins_per_dim, lo, hi),
+        IndexPairBuilder::push_dim,
+        |pair| {
+            let (exact, binned) = pair.finish();
+            (Cow::Owned(exact), IbigShard::compressed(binned))
         },
     );
     let (big_shards, ibig_shards) = shards.into_iter().unzip();
@@ -499,20 +457,23 @@ pub(crate) fn build_context_pair<'a, C: CompressedBitmap + Send>(
 // Sharded scoring
 // ---------------------------------------------------------------------------
 
-/// Outcome of scoring one candidate — the slot payload of the replay
-/// merge, and (via [`crate::cluster`]) the per-candidate verdict a
-/// cluster coordinator assembles from shard answers before replaying.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome {
-    /// Skipped on the `MaxScore` bound against a published τ.
-    PrunedBound,
-    /// Pruned by Heuristic 2 (`MaxBitScore ≤ τ`).
-    PrunedBitmap,
-    /// Pruned by Heuristic 3 (partial-score budget exhausted).
-    PrunedPartial,
-    /// Exact score.
-    Score(usize),
+impl ShardedBigContext<'_> {
+    /// BIG-Score of `o` summed over this context's shards.
+    pub(crate) fn score(&self, o: ObjectId, tau: Option<usize>, w: &mut WorkerScratch) -> Outcome {
+        big_score_over(self.ds, &self.shards, &self.pre, o, tau, &mut w.shards)
+    }
 }
+
+impl<C: CompressedBitmap> ShardedIbigContext<'_, C> {
+    /// IBIG-Score of `o` summed over this context's shards.
+    pub(crate) fn score(&self, o: ObjectId, tau: Option<usize>, w: &mut WorkerScratch) -> Outcome {
+        ibig_score_over(self.ds, &self.shards, &self.pre, o, tau, &mut w.shards)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Replay-merge driver
+// ---------------------------------------------------------------------------
 
 fn encode(o: Outcome) -> u64 {
     match o {
@@ -532,211 +493,6 @@ fn decode(v: u64) -> Outcome {
     }
 }
 
-/// Sharded BIG-Score: cross-shard Heuristic 2 on the shared τ, then exact
-/// per-shard scoring summed into the global score. Allocation-free.
-pub(crate) fn big_score_sharded(
-    ctx: &ShardedBigContext<'_>,
-    o: ObjectId,
-    tau: Option<usize>,
-    w: &mut WorkerScratch,
-) -> Outcome {
-    let ds = ctx.ds;
-    let WorkerScratch {
-        shards: scratch,
-        sels,
-        ubs,
-        ..
-    } = w;
-    for (sel, shard) in sels.iter_mut().zip(&ctx.shards) {
-        *sel = shard.select_for(|d| ds.value(o, d));
-    }
-    // Heuristic 2, cross-shard: prune iff Σⱼ |Qⱼ| ≤ τ + 1 (the raw
-    // intersections count o's own bit once, in its home shard). Shards
-    // exchange budget through the running total: cheap per-shard upper
-    // bounds skip whole shards, and the blockwise early exit inside
-    // `q_count_selected_above` stops a scan as soon as the global decision
-    // is certain either way.
-    if let Some(tau) = tau {
-        let limit = tau + 1;
-        let mut ub_rest = 0usize;
-        for (ub, (sel, shard)) in ubs.iter_mut().zip(sels.iter().zip(&ctx.shards)) {
-            *ub = shard.q_selected_upper_bound(sel);
-            ub_rest += *ub;
-        }
-        let mut acc = 0usize;
-        let mut keep = false;
-        for (j, (sel, shard)) in sels.iter().zip(&ctx.shards).enumerate() {
-            ub_rest -= ubs[j];
-            if acc + ubs[j] + ub_rest <= limit {
-                return Outcome::PrunedBitmap;
-            }
-            // Remaining budget for shard j such that `count_j ≤ budget`
-            // certifies `Σ counts ≤ limit`. When later shards' upper
-            // bounds already exceed `limit − acc` the true budget is
-            // negative — no certificate is possible and a `None` from the
-            // capped scan merely means this shard counts 0 (pruning on it
-            // would be unsound; `acc ≤ limit` here, so `limit − acc` is
-            // safe).
-            let budget = (limit - acc).checked_sub(ub_rest);
-            match shard.q_count_selected_above(sel, budget.unwrap_or(0)) {
-                // Shard j provably fits the remaining budget: the global
-                // count cannot exceed `limit`.
-                None if budget.is_some() => return Outcome::PrunedBitmap,
-                // Negative true budget: `None` only says `count_j == 0`.
-                None => {}
-                Some(c) => {
-                    acc += c;
-                    if acc > limit {
-                        keep = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !keep && acc <= limit {
-            return Outcome::PrunedBitmap;
-        }
-    }
-    // Exact score, shard by shard.
-    let f = ctx.pre.f_of(ds, o);
-    let o_mask = ds.mask(o);
-    let mut score = 0usize;
-    for (j, shard) in ctx.shards.iter().enumerate() {
-        let sc = &mut scratch[j];
-        let member = ctx.plan.local_of(j, o as usize);
-        shard.q_into_selected(&sels[j], member, &mut sc.q);
-        shard.p_into_selected(&sels[j], &mut sc.p);
-        let (w_lo, w_hi) = ctx.plan.word_range(j);
-        // G contribution: |Pⱼ ∧ ¬Fⱼ| against the shard view of F(o).
-        let g = sc.p.and_not_count_slice(f.slice_words(w_lo, w_hi));
-        let base = ctx.plan.lo(j);
-        let mut q_minus_p = 0usize;
-        let mut non_d = 0usize;
-        for lpid in sc.q.iter_ones_and_not(&sc.p) {
-            q_minus_p += 1;
-            let pid = (base + lpid) as ObjectId;
-            let common = o_mask.and(ds.mask(pid));
-            // Tie iff equal on every commonly observed dimension: integer
-            // slot compares against the shard's distinct-value table.
-            let all_equal = common.iter().all(|d| {
-                let slot = sels[j].eq_slot(d);
-                slot != 0 && slot == shard.value_slot(lpid, d)
-            });
-            if all_equal {
-                non_d += 1;
-            }
-        }
-        score += g + q_minus_p - non_d;
-    }
-    Outcome::Score(score)
-}
-
-/// Sharded IBIG-Score: per-shard compressed `Q`/`P` decompression,
-/// cross-shard Heuristics 2 and 3 on the shared τ, per-shard B+-tree
-/// probes resolving the binned residue. Allocation-free.
-pub(crate) fn ibig_score_sharded<C: CompressedBitmap>(
-    ctx: &ShardedIbigContext<'_, C>,
-    o: ObjectId,
-    tau: Option<usize>,
-    w: &mut WorkerScratch,
-) -> Outcome {
-    let ds = ctx.ds;
-    let dims = ds.dims();
-    let WorkerScratch {
-        shards: scratch,
-        bin_sels,
-        ..
-    } = w;
-    for (sel, shard) in bin_sels.iter_mut().zip(&ctx.shards) {
-        *sel = shard.index.select_for(|d| ds.value(o, d));
-    }
-    // Q per shard, fused off the run streams; Σ counts o itself once.
-    let mut total_q = 0usize;
-    for (j, shard) in ctx.shards.iter().enumerate() {
-        shard.and_selected_into((0..dims).map(|d| bin_sels[j].q_pick(d)), &mut scratch[j].q);
-        total_q += scratch[j].q.count_ones();
-    }
-    let max_bit_score = total_q - 1;
-    // Heuristic 2 — bitmap pruning (still sound under per-shard binning).
-    if matches!(tau, Some(t) if max_bit_score <= t) {
-        return Outcome::PrunedBitmap;
-    }
-    let (home, local) = ctx.plan.locate(o as usize);
-    scratch[home].q.clear(local);
-    let f = ctx.pre.f_of(ds, o);
-    let f_count = f.count_ones();
-    let mut g = 0usize;
-    for (j, shard) in ctx.shards.iter().enumerate() {
-        shard.and_selected_into((0..dims).map(|d| bin_sels[j].p_pick(d)), &mut scratch[j].p);
-        let (w_lo, w_hi) = ctx.plan.word_range(j);
-        g += scratch[j].p.and_not_count_slice(f.slice_words(w_lo, w_hi));
-    }
-
-    // Heuristic 3 budget: score(o) ≤ MaxBitScore − |F| − |nonD so far|.
-    let h3_budget = |non_d: usize, tau: Option<usize>| -> bool {
-        matches!(tau, Some(t) if non_d > max_bit_score.saturating_sub(f_count).saturating_sub(t))
-    };
-
-    let o_mask = ds.mask(o);
-    let mut non_d = 0usize;
-    // (a) Same-bin objects strictly better than o somewhere cannot be
-    //     dominated: per-shard value-based B+-tree probes.
-    for (j, shard) in ctx.shards.iter().enumerate() {
-        let sc = &mut scratch[j];
-        sc.stamps.next_object();
-        for dim in o_mask.iter() {
-            let v = ds.raw_value(o, dim);
-            for lpid in shard.index.ids_below_in_bin(dim, v, true) {
-                let lpid = lpid as usize;
-                if sc.q.get(lpid) && !sc.p.get(lpid) && sc.stamps.mark_nond(lpid) {
-                    non_d += 1;
-                }
-            }
-            // Heuristic 3 — partial score pruning, fed by the shared τ.
-            if h3_budget(non_d, tau) {
-                return Outcome::PrunedPartial;
-            }
-        }
-    }
-    // (b) tagT accumulation: same-value probes per shard and dimension.
-    for (j, shard) in ctx.shards.iter().enumerate() {
-        let sc = &mut scratch[j];
-        let base = ctx.plan.lo(j);
-        for dim in o_mask.iter() {
-            let v = ds.raw_value(o, dim);
-            for lpid in shard.index.ids_equal(dim, v) {
-                let lpid = lpid as usize;
-                if base + lpid != o as usize && sc.q.get(lpid) && !sc.p.get(lpid) {
-                    sc.stamps.bump_tag(lpid);
-                }
-            }
-        }
-    }
-    // Members of Q − P tying o on all commonly observed dimensions.
-    let mut q_minus_p = 0usize;
-    for (j, sc) in scratch.iter().enumerate() {
-        let base = ctx.plan.lo(j);
-        for lpid in sc.q.iter_ones_and_not(&sc.p) {
-            q_minus_p += 1;
-            if sc.stamps.is_nond(lpid) {
-                continue;
-            }
-            let common = o_mask.and(ds.mask((base + lpid) as ObjectId)).count();
-            if sc.stamps.tag_of(lpid) == common {
-                non_d += 1;
-                if h3_budget(non_d, tau) {
-                    return Outcome::PrunedPartial;
-                }
-            }
-        }
-    }
-    Outcome::Score(g + q_minus_p - non_d)
-}
-
-// ---------------------------------------------------------------------------
-// Replay-merge driver
-// ---------------------------------------------------------------------------
-
 fn encode_tau(tau: Option<usize>) -> usize {
     tau.map_or(0, |t| t + 1)
 }
@@ -747,8 +503,7 @@ fn decode_tau(v: usize) -> Option<usize> {
 
 struct MergeState {
     frontier: usize,
-    top: TopK,
-    stats: PruneStats,
+    replay: Replay,
     done: bool,
 }
 
@@ -763,9 +518,9 @@ struct Shared<'q> {
     merge: Mutex<MergeState>,
 }
 
-/// Consume completed slots in queue order under the merge lock,
-/// replicating the sequential driver's loop: Heuristic-1 check first,
-/// then the offer. Publishes τ after every accepted score.
+/// Consume completed slots in queue order under the merge lock — `walk`
+/// with the scorer replaced by a slot read. Publishes τ after every
+/// accepted score.
 fn merge_locked(sh: &Shared<'_>, m: &mut MergeState) {
     if m.done {
         return;
@@ -775,8 +530,8 @@ fn merge_locked(sh: &Shared<'_>, m: &mut MergeState) {
         let (o, max_score) = sh.queue[m.frontier];
         // Heuristic 1 — exact, because the replayed τ equals the
         // sequential τ at this position.
-        if m.top.prunes(max_score) {
-            m.stats.h1_pruned = len - m.frontier;
+        if m.replay.h1_prunes(max_score) {
+            m.replay.terminate(len - m.frontier);
             m.done = true;
             sh.stop.store(true, Ordering::Release);
             return;
@@ -785,15 +540,11 @@ fn merge_locked(sh: &Shared<'_>, m: &mut MergeState) {
         if v == 0 {
             return; // frontier position still being scored
         }
-        match decode(v) {
-            Outcome::PrunedBound | Outcome::PrunedBitmap => m.stats.h2_pruned += 1,
-            Outcome::PrunedPartial => m.stats.h3_pruned += 1,
-            Outcome::Score(s) => {
-                m.stats.scored += 1;
-                m.top.offer(o, s);
-                sh.tau_plus1
-                    .store(encode_tau(m.top.tau()), Ordering::Release);
-            }
+        let outcome = decode(v);
+        m.replay.absorb(o, outcome);
+        if matches!(outcome, Outcome::Score(_)) {
+            sh.tau_plus1
+                .store(encode_tau(m.replay.tau()), Ordering::Release);
         }
         m.frontier += 1;
     }
@@ -806,9 +557,9 @@ fn try_merge(sh: &Shared<'_>) {
     }
 }
 
-fn worker_loop<F>(sh: &Shared<'_>, score: &F, w: &mut WorkerScratch)
+fn worker_loop<W, F>(sh: &Shared<'_>, score: &F, w: &mut W)
 where
-    F: Fn(ObjectId, Option<usize>, &mut WorkerScratch) -> Outcome,
+    F: Fn(ObjectId, Option<usize>, &mut W) -> Outcome,
 {
     let len = sh.queue.len();
     'claim: loop {
@@ -838,62 +589,27 @@ where
     try_merge(sh);
 }
 
-/// Single-threaded replay: the same scorer driven by the sequential loop
-/// (fresh τ every candidate — used by `threads == 1` and the batched
-/// engine's per-query workers).
-fn run_single<F>(
+/// Drive `score` over the queue with one thread per entry of `workers`
+/// (each thread scores with its own worker state) and merge by replay.
+/// One worker is the sequential `walk` — fresh τ every candidate, no
+/// slots; more need `slots` to hold at least `queue.len()` zeroed entries
+/// (they are left dirty).
+///
+/// # Panics
+/// Panics if `workers` is empty.
+pub(crate) fn run_replay<W: Send, F>(
     queue: &[(ObjectId, usize)],
     k: usize,
-    w: &mut WorkerScratch,
-    score: F,
-) -> TkdResult
-where
-    F: Fn(ObjectId, Option<usize>, &mut WorkerScratch) -> Outcome,
-{
-    let mut top = TopK::new(k);
-    let mut stats = PruneStats::default();
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        if top.prunes(max_score) {
-            stats.h1_pruned = queue.len() - visited;
-            break;
-        }
-        match score(o, top.tau(), w) {
-            Outcome::PrunedBound | Outcome::PrunedBitmap => stats.h2_pruned += 1,
-            Outcome::PrunedPartial => stats.h3_pruned += 1,
-            Outcome::Score(s) => {
-                stats.scored += 1;
-                top.offer(o, s);
-            }
-        }
-    }
-    TkdResult::new(top.into_entries(), stats)
-}
-
-/// Drive `score` over the queue with `threads` workers and merge by
-/// replay. `workers` must hold at least `threads` scratches; `slots` must
-/// hold at least `queue.len()` zeroed slots (they are left dirty).
-pub(crate) fn run_replay<F>(
-    queue: &[(ObjectId, usize)],
-    k: usize,
-    threads: usize,
-    workers: &mut [WorkerScratch],
+    workers: &mut [W],
     slots: &[AtomicU64],
     score: F,
 ) -> TkdResult
 where
-    F: Fn(ObjectId, Option<usize>, &mut WorkerScratch) -> Outcome + Sync,
+    F: Fn(ObjectId, Option<usize>, &mut W) -> Outcome + Sync,
 {
-    if k == 0 || queue.is_empty() {
-        // Nothing can enter the candidate set: every object is skipped.
-        let stats = PruneStats {
-            h1_pruned: queue.len(),
-            ..PruneStats::default()
-        };
-        return TkdResult::new(Vec::new(), stats);
-    }
-    let threads = threads.clamp(1, workers.len().max(1));
-    if threads == 1 {
-        return run_single(queue, k, &mut workers[0], score);
+    let (mine, others) = workers.split_first_mut().expect("at least one worker");
+    if others.is_empty() {
+        return walk(queue, k, |o, tau| score(o, tau, mine));
     }
     assert!(slots.len() >= queue.len(), "slot buffer too small");
     let shared = Shared {
@@ -904,15 +620,12 @@ where
         stop: AtomicBool::new(false),
         merge: Mutex::new(MergeState {
             frontier: 0,
-            top: TopK::new(k),
-            stats: PruneStats::default(),
+            replay: Replay::new(k),
             done: false,
         }),
     };
     std::thread::scope(|s| {
-        let mut iter = workers[..threads].iter_mut();
-        let mine = iter.next().expect("at least one worker");
-        for w in iter {
+        for w in others {
             let shared = &shared;
             let score = &score;
             s.spawn(move || worker_loop(shared, score, w));
@@ -920,15 +633,22 @@ where
         worker_loop(&shared, &score, mine);
     });
     // All workers joined: every claimed slot is written; drain the tail.
-    {
-        let mut m = shared.merge.lock().expect("merge lock");
-        merge_locked(&shared, &mut m);
-    }
-    let m = shared.merge.into_inner().expect("merge lock");
-    TkdResult::new(m.top.into_entries(), m.stats)
+    merge_locked(&shared, &mut shared.merge.lock().expect("merge lock"));
+    let merged = shared.merge.into_inner().expect("merge lock");
+    merged.replay.finish()
 }
 
-/// Fresh zeroed slot buffer for a queue of `n` candidates.
+/// Slots `run_replay` needs for `workers` threads over a queue of `n`
+/// candidates: a lone worker replays without any.
+pub(crate) fn slots_needed(workers: usize, n: usize) -> usize {
+    if workers > 1 {
+        n
+    } else {
+        0
+    }
+}
+
+/// Fresh zeroed slot buffer of `n` slots.
 pub(crate) fn new_slots(n: usize) -> Vec<AtomicU64> {
     (0..n).map(|_| AtomicU64::new(0)).collect()
 }
@@ -938,23 +658,13 @@ pub(crate) fn new_slots(n: usize) -> Vec<AtomicU64> {
 /// for the argument). Allocates the per-call workspace; the
 /// [`crate::engine::ParallelEngine`] reuses pooled workspaces instead.
 pub fn parallel_big(ctx: &ShardedBigContext<'_>, k: usize, threads: usize) -> TkdResult {
-    let threads = threads.max(1);
-    let mut workers: Vec<WorkerScratch> = (0..threads)
-        .map(|_| WorkerScratch::new(&ctx.plan))
-        .collect();
-    let slots = new_slots(if threads > 1 {
-        ctx.pre.queue().len()
-    } else {
-        0
-    });
-    run_replay(
-        ctx.pre.queue(),
-        k,
-        threads,
-        &mut workers,
-        &slots,
-        |o, tau, w| big_score_sharded(ctx, o, tau, w),
-    )
+    let queue = ctx.pre.queue();
+    let mut workers: Vec<WorkerScratch> =
+        (0..threads.max(1)).map(|_| ctx.worker_scratch()).collect();
+    let slots = new_slots(slots_needed(workers.len(), queue.len()));
+    run_replay(queue, k, &mut workers, &slots, |o, tau, w| {
+        ctx.score(o, tau, w)
+    })
 }
 
 /// Parallel IBIG over a sharded context: score- and order-identical to
@@ -964,23 +674,14 @@ pub fn parallel_ibig<C: CompressedBitmap + Sync>(
     k: usize,
     threads: usize,
 ) -> TkdResult {
-    let threads = threads.max(1);
-    let mut workers: Vec<WorkerScratch> = (0..threads)
+    let queue = ctx.pre.queue();
+    let mut workers: Vec<WorkerScratch> = (0..threads.max(1))
         .map(|_| WorkerScratch::new(&ctx.plan))
         .collect();
-    let slots = new_slots(if threads > 1 {
-        ctx.pre.queue().len()
-    } else {
-        0
-    });
-    run_replay(
-        ctx.pre.queue(),
-        k,
-        threads,
-        &mut workers,
-        &slots,
-        |o, tau, w| ibig_score_sharded(ctx, o, tau, w),
-    )
+    let slots = new_slots(slots_needed(workers.len(), queue.len()));
+    run_replay(queue, k, &mut workers, &slots, |o, tau, w| {
+        ctx.score(o, tau, w)
+    })
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //!
 //! The paper's bit-parallel scoring (Algorithms 3 and 5) needs two dense
 //! working vectors per scored object (`Q` and `P`) plus, for IBIG, the
-//! epoch-stamped `nonD`/`tagT` membership tables of §4.5. Allocating those
-//! per object dominates the constant factor once the index is in place, so
-//! they live here: sized **once** when a context is built, then lent
-//! mutably into every query. After context build, the steady-state query
+//! epoch-stamped `nonD`/`tagT` membership tables of §4.5, and the
+//! candidate's resolved column picks. Allocating those per object
+//! dominates the constant factor once the index is in place, so they live
+//! here: sized **once** when a context is built, then lent mutably into
+//! every query. A sharded context lends one `ScratchSpace` per shard; the
+//! sequential contexts are the one-shard case. After context build, the steady-state query
 //! path ([`crate::big::big_with_scratch`] /
 //! [`crate::ibig::ibig_with_scratch`]) performs **zero heap allocations
 //! per visited object** — `crates/tkd-core/tests/zero_alloc.rs` pins this
@@ -28,6 +30,7 @@
 //!   reusing one across queries, `k`s, or algorithms is always sound.
 
 use tkd_bitvec::BitVec;
+use tkd_index::{BinSelection, ColumnSelection};
 
 /// Caller-owned scratch buffers for the bit-parallel scoring paths.
 ///
@@ -40,6 +43,12 @@ pub struct ScratchSpace {
     pub(crate) p: BitVec,
     /// Epoch-stamped `nonD` / `tagT` tables (IBIG only).
     pub(crate) stamps: EpochStamps,
+    /// The candidate's column picks against this shard's exact index
+    /// (BIG): resolved once, read by Heuristic 2 and the exact term.
+    pub(crate) sel: ColumnSelection,
+    /// The candidate's column picks against this shard's binned index
+    /// (IBIG).
+    pub(crate) bin_sel: BinSelection,
 }
 
 impl ScratchSpace {
@@ -49,6 +58,8 @@ impl ScratchSpace {
             q: BitVec::zeros(n),
             p: BitVec::zeros(n),
             stamps: EpochStamps::new(n),
+            sel: ColumnSelection::default(),
+            bin_sel: BinSelection::default(),
         }
     }
 

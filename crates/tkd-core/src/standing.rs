@@ -7,15 +7,17 @@
 //! # How a patch stays bit-identical to a re-query
 //!
 //! The sequential drivers ([`crate::big::big_with_scratch`],
-//! [`crate::ibig::ibig_with_scratch`]) walk the maintained
-//! `(MaxScore desc, slot asc)` queue offering **exact** scores to a
-//! `TopK` (`crate::topk`); Heuristics 1–3 only ever skip objects whose exact score is
-//! `≤ τ`, and `TopK::offer` ignores exactly those (strict-`>`
+//! [`crate::ibig::ibig_with_scratch`]) are `crate::topk`'s `walk` over
+//! the maintained `(MaxScore desc, slot asc)` queue, offering **exact**
+//! scores to a `TopK`; Heuristics 1–3 only ever skip objects whose exact
+//! score is `≤ τ`, and `TopK::offer` ignores exactly those (strict-`>`
 //! displacement). So the final result set is a pure function of the queue
 //! order and the exact scores — *which* offers were skipped is invisible.
 //! The standing layer exploits that: it keeps a per-slot cache of exact
-//! scores, re-walks the queue offering cached scores for clean slots, and
-//! re-scores only slots whose cache was invalidated since the last batch.
+//! scores and runs the *same* `walk` with the cache in front of the
+//! scorer (`patched_top_k` — there is no second traversal), so clean
+//! slots offer their cached scores and only slots whose cache was
+//! invalidated since the last batch are re-scored.
 //! The result is the same TopK state sequence the from-scratch run
 //! produces, entry for entry, score for score, tie for tie.
 //!
@@ -41,17 +43,11 @@
 //! touched no in-scope dimension provably leaves the result unchanged —
 //! and re-query through [`crate::variants`] otherwise.
 
-use crate::big::{self, BigContext};
-use crate::ibig::{self, IbigContext, ScoreOutcome};
-use crate::preprocess::Preprocessed;
 use crate::query::{Algorithm, TkdQuery};
 use crate::result::ResultEntry;
-use crate::scratch::ScratchSpace;
-use crate::topk::TopK;
+use crate::topk::{walk, Outcome};
 use crate::variants;
 use std::collections::{BTreeMap, HashMap};
-use tkd_bitvec::Concise;
-use tkd_index::{BinnedBitmapIndex, BitmapIndex};
 use tkd_model::{Dataset, ObjectId};
 use tkd_skyline::constrained::Constraints;
 
@@ -351,92 +347,46 @@ impl StandingState {
     }
 }
 
-/// The patched walk: re-run the Heuristic-1 queue traversal offering
-/// cached exact scores for clean slots and scoring dirty/unknown slots
-/// through the unchanged BIG/IBIG scorers (Heuristics 2–3 still active on
-/// misses; pruned objects stay uncached — their exact score was never
+/// The patched walk: the one Algorithm 4 traversal (`crate::topk`'s
+/// `walk`) with the score cache in front of the scorer — a clean slot
+/// answers with its cached exact score, a dirty/unknown one goes through
+/// `score` (the engine's unchanged BIG/IBIG scorer, Heuristics 2–3 still
+/// active; pruned objects stay uncached — their exact score was never
 /// computed). Returns slot-id entries sorted (score desc, slot asc):
 /// bit-identical to the corresponding `*_with_scratch` run by the
 /// no-op-offer argument in the [module docs](self).
-#[allow(clippy::too_many_arguments)] // crate-internal plumbing mirroring the engine's field set
 pub(crate) fn patched_top_k(
-    ds: &Dataset,
-    index: &BitmapIndex,
-    binned: &BinnedBitmapIndex,
-    pre: &Preprocessed,
-    algorithm: Algorithm,
+    queue: &[(ObjectId, usize)],
     k: usize,
     cache: &mut [u32],
-    scratch: &mut ScratchSpace,
+    mut score: impl FnMut(ObjectId, Option<usize>) -> Outcome,
 ) -> Vec<ResultEntry> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut top = TopK::new(k);
-    match algorithm {
-        Algorithm::Big => {
-            let ctx = BigContext::from_prebuilt(ds, index, pre);
-            for &(o, max_score) in pre.queue() {
-                if top.prunes(max_score) {
-                    break;
-                }
-                let c = cache[o as usize];
-                if c != SCORE_UNKNOWN {
-                    top.offer(o, c as usize);
-                } else if let Some(s) = big::big_score(&ctx, o, &top, scratch) {
-                    debug_assert!((s as u64) < SCORE_UNKNOWN as u64);
-                    cache[o as usize] = s as u32;
-                    top.offer(o, s);
-                }
-            }
+    let result = walk(queue, k, |o, tau| {
+        let cached = cache[o as usize];
+        if cached != SCORE_UNKNOWN {
+            return Outcome::Score(cached as usize);
         }
-        Algorithm::Ibig => {
-            let ctx: IbigContext<'_, Concise> = IbigContext::from_prebuilt_dense(ds, binned, pre);
-            for &(o, max_score) in pre.queue() {
-                if top.prunes(max_score) {
-                    break;
-                }
-                let c = cache[o as usize];
-                if c != SCORE_UNKNOWN {
-                    top.offer(o, c as usize);
-                } else if let ScoreOutcome::Score(s) = ibig::ibig_score(&ctx, o, &top, scratch) {
-                    debug_assert!((s as u64) < SCORE_UNKNOWN as u64);
-                    cache[o as usize] = s as u32;
-                    top.offer(o, s);
-                }
-            }
+        let outcome = score(o, tau);
+        if let Outcome::Score(s) = outcome {
+            debug_assert!((s as u64) < SCORE_UNKNOWN as u64);
+            cache[o as usize] = s as u32;
         }
-        other => unreachable!("standing specs are validated to BIG/IBIG, got {other:?}"),
-    }
-    sort_entries(top.into_entries())
+        outcome
+    });
+    result.entries().to_vec()
 }
 
-/// Full re-query through the unchanged sequential drivers (the fallback
-/// path). Returns slot-id entries; the k result scores are written back
-/// into the cache — they are exact by definition.
-#[allow(clippy::too_many_arguments)] // crate-internal plumbing mirroring the engine's field set
+/// Full re-query through the unchanged sequential walk (the fallback
+/// path): the cache is not consulted. Returns slot-id entries; the k
+/// result scores are written back into the cache — they are exact by
+/// definition.
 pub(crate) fn requery_full(
-    ds: &Dataset,
-    index: &BitmapIndex,
-    binned: &BinnedBitmapIndex,
-    pre: &Preprocessed,
-    algorithm: Algorithm,
+    queue: &[(ObjectId, usize)],
     k: usize,
     cache: &mut [u32],
-    scratch: &mut ScratchSpace,
+    score: impl FnMut(ObjectId, Option<usize>) -> Outcome,
 ) -> Vec<ResultEntry> {
-    let result = match algorithm {
-        Algorithm::Big => {
-            let ctx = BigContext::from_prebuilt(ds, index, pre);
-            big::big_with_scratch(&ctx, k, scratch)
-        }
-        Algorithm::Ibig => {
-            let ctx: IbigContext<'_, Concise> = IbigContext::from_prebuilt_dense(ds, binned, pre);
-            ibig::ibig_with_scratch(&ctx, k, scratch)
-        }
-        other => unreachable!("standing specs are validated to BIG/IBIG, got {other:?}"),
-    };
-    let entries = result.entries().to_vec();
+    let entries = walk(queue, k, score).entries().to_vec();
     for e in &entries {
         cache[e.id as usize] = e.score as u32;
     }

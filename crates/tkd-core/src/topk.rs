@@ -1,6 +1,18 @@
-//! Shared bounded top-k candidate set (the paper's `SC` with threshold `τ`).
+//! The traversal of Algorithm 4, once: the bounded top-k candidate set
+//! (the paper's `SC` with threshold `τ`), the [`Replay`] state machine
+//! that consumes per-candidate [`Outcome`]s in queue order, and the
+//! `walk` loop that drives a scorer through it.
+//!
+//! Every engine is this walk with a different scorer in front: UBB scores
+//! pairwise, BIG and IBIG through their bitmap scorers, the standing layer
+//! answers from its score cache first, the parallel merger and the cluster
+//! coordinator feed a [`Replay`] outcomes computed elsewhere (other
+//! threads, other processes). Heuristic 1 is checked in one place —
+//! [`Replay::h1_prunes`] — so it fires at the same queue position
+//! everywhere.
 
-use crate::result::ResultEntry;
+use crate::result::{ResultEntry, TkdResult};
+use crate::stats::PruneStats;
 use tkd_model::ObjectId;
 
 /// A bounded set of the best `k` `(score, id)` pairs seen so far,
@@ -61,6 +73,107 @@ impl TopK {
     pub fn into_entries(self) -> Vec<ResultEntry> {
         self.entries
     }
+}
+
+/// Outcome of scoring one candidate — what a scorer hands the [`Replay`],
+/// whether directly, through the parallel merger's slots, or assembled by
+/// a cluster coordinator from shard answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// Skipped on the `MaxScore` bound against a published τ.
+    PrunedBound,
+    /// Pruned by Heuristic 2 (`MaxBitScore ≤ τ`).
+    PrunedBitmap,
+    /// Pruned by Heuristic 3 (partial-score budget exhausted).
+    PrunedPartial,
+    /// Exact score.
+    Score(usize),
+}
+
+/// The sequential driver's state — bounded top-k, τ and the pruning
+/// tallies — consumed one queue position at a time.
+///
+/// The discipline, identical for every engine:
+/// 1. at each queue position, check [`h1_prunes`](Self::h1_prunes)
+///    against the candidate's `MaxScore` — if it fires, call
+///    [`terminate`](Self::terminate) and stop;
+/// 2. otherwise [`absorb`](Self::absorb) the candidate's outcome;
+/// 3. [`finish`](Self::finish) yields the final `TkdResult`.
+///
+/// An outcome computed against an *older* (smaller) τ than the replay's
+/// own is still exact to absorb: a candidate pruned under it scores `≤ τ`,
+/// so the sequential offer would have been a no-op, and only the
+/// `h2/h3/scored` tallies can differ from a fresh-τ run.
+#[derive(Clone, Debug)]
+pub struct Replay {
+    top: TopK,
+    stats: PruneStats,
+}
+
+impl Replay {
+    /// Start a replay for a top-`k` query.
+    pub fn new(k: usize) -> Replay {
+        Replay {
+            top: TopK::new(k),
+            stats: PruneStats::default(),
+        }
+    }
+
+    /// The current k-th score lower bound (`None` until the candidate set
+    /// is full) — what scorers prune against.
+    pub fn tau(&self) -> Option<usize> {
+        self.top.tau()
+    }
+
+    /// Heuristic 1: does the traversal end at a candidate with this
+    /// `MaxScore`? Always, for `k = 0` — τ can never form with an
+    /// unfillable candidate set, so nothing is worth scoring.
+    pub fn h1_prunes(&self, max_score: usize) -> bool {
+        self.top.k == 0 || self.top.prunes(max_score)
+    }
+
+    /// Record Heuristic-1 termination with `remaining` unvisited queue
+    /// positions (including the one that fired).
+    pub fn terminate(&mut self, remaining: usize) {
+        self.stats.h1_pruned = remaining;
+    }
+
+    /// Replay one candidate's outcome in queue order.
+    pub fn absorb(&mut self, id: ObjectId, outcome: Outcome) {
+        match outcome {
+            Outcome::PrunedBound | Outcome::PrunedBitmap => self.stats.h2_pruned += 1,
+            Outcome::PrunedPartial => self.stats.h3_pruned += 1,
+            Outcome::Score(s) => {
+                self.stats.scored += 1;
+                self.top.offer(id, s);
+            }
+        }
+    }
+
+    /// The final result: entries best first, ties by ascending id.
+    pub fn finish(self) -> TkdResult {
+        TkdResult::new(self.top.into_entries(), self.stats)
+    }
+}
+
+/// Algorithm 4's traversal: visit `queue` in descending-`MaxScore` order,
+/// stop at Heuristic 1, and hand every visited candidate (with the fresh
+/// τ) to `score`.
+pub(crate) fn walk(
+    queue: &[(ObjectId, usize)],
+    k: usize,
+    mut score: impl FnMut(ObjectId, Option<usize>) -> Outcome,
+) -> TkdResult {
+    let mut replay = Replay::new(k);
+    for (visited, &(o, max_score)) in queue.iter().enumerate() {
+        if replay.h1_prunes(max_score) {
+            replay.terminate(queue.len() - visited);
+            break;
+        }
+        let outcome = score(o, replay.tau());
+        replay.absorb(o, outcome);
+    }
+    replay.finish()
 }
 
 #[cfg(test)]

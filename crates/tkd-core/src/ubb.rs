@@ -7,8 +7,7 @@
 
 use crate::maxscore::maxscore_queue;
 use crate::result::TkdResult;
-use crate::stats::PruneStats;
-use crate::topk::TopK;
+use crate::topk::{walk, Outcome};
 use tkd_model::{dominance, Dataset, ObjectId};
 
 /// Answer a TKD query with UBB.
@@ -20,30 +19,7 @@ pub fn ubb(ds: &Dataset, k: usize) -> TkdResult {
 /// UBB over a precomputed priority queue (lets benchmarks account for the
 /// preprocessing separately, as the paper's Table 3 does).
 pub fn ubb_with_queue(ds: &Dataset, k: usize, queue: &[(ObjectId, usize)]) -> TkdResult {
-    if k == 0 {
-        // τ can never form with an unfillable candidate set; skip the
-        // full-queue scoring pass (uniform k-edge behavior).
-        return TkdResult::new(
-            Vec::new(),
-            PruneStats {
-                h1_pruned: queue.len(),
-                ..Default::default()
-            },
-        );
-    }
-    let mut top = TopK::new(k);
-    let mut stats = PruneStats::default();
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        // Heuristic 1: everything from here on is bounded by max_score ≤ τ.
-        if top.prunes(max_score) {
-            stats.h1_pruned = queue.len() - visited;
-            break;
-        }
-        let score = dominance::score_of(ds, o);
-        stats.scored += 1;
-        top.offer(o, score);
-    }
-    TkdResult::new(top.into_entries(), stats)
+    walk(queue, k, |o, _| Outcome::Score(dominance::score_of(ds, o)))
 }
 
 #[cfg(test)]

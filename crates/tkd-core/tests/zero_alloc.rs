@@ -13,7 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tkd_core::{big, engine, ibig};
+use tkd_core::{big, engine, ibig, ShardScorer};
 use tkd_model::Dataset;
 
 struct CountingAlloc;
@@ -205,4 +205,34 @@ fn query_allocations_are_constant_in_dataset_size() {
         "query_many allocation count must not grow with dataset size \
          (small: {b_small}, large: {b_large})"
     );
+
+    // --- Cluster shard scorer ----------------------------------------
+    // A shard worker scores value-based candidates from borrowed values
+    // against a borrowed, per-mask cached incomparable window: once every
+    // candidate mask has been seen, all four phases allocate nothing,
+    // whatever the shard size. (`large` extends `small` row for row, so
+    // candidate `i` is member row `i` of both shards.)
+    let candidates: Vec<Vec<Option<f64>>> = (0..64u32)
+        .map(|o| (0..small.dims()).map(|d| small.value(o, d)).collect())
+        .collect();
+    let score_all = |scorer: &mut ShardScorer| -> usize {
+        let mut sum = 0;
+        for (row, values) in candidates.iter().enumerate() {
+            sum += scorer.big_bound(values) + scorer.ibig_q_count(values);
+            sum += scorer.big_partial(values, Some(row)) + scorer.ibig_partial(values, Some(row));
+        }
+        sum
+    };
+    let mut shard_s = ShardScorer::new(small.clone());
+    let mut shard_l = ShardScorer::new(large.clone());
+    assert!(score_all(&mut shard_s) > 0 && score_all(&mut shard_l) > 0); // warm-up
+    for (shard, size) in [(&mut shard_s, "small"), (&mut shard_l, "large")] {
+        let allocs = allocs_during(|| score_all(shard));
+        assert_eq!(
+            allocs,
+            0,
+            "{size} shard: scoring {} warmed-up candidates allocated {allocs} times",
+            candidates.len()
+        );
+    }
 }

@@ -568,49 +568,19 @@ impl BinnedBitmapIndex {
 
     /// `Q = (∩ᵢ Qᵢ) − {o}` over the binned columns.
     pub fn q_vec(&self, o: ObjectId) -> BitVec {
+        let sel = self.selection_of(o as usize);
         let mut q = BitVec::zeros(self.n);
-        self.q_into(o, &mut q);
+        self.and_selected_into((0..self.dims).map(|d| sel.q_pick(d)), &mut q);
+        q.clear(o as usize);
         q
     }
 
     /// `P = ∩ᵢ Pᵢ` over the binned columns.
     pub fn p_vec(&self, o: ObjectId) -> BitVec {
+        let sel = self.selection_of(o as usize);
         let mut p = BitVec::zeros(self.n);
-        self.p_into(o, &mut p);
+        self.and_selected_into((0..self.dims).map(|d| sel.p_pick(d)), &mut p);
         p
-    }
-
-    /// Fill caller-owned scratch with `Q = (∩ᵢ Qᵢ) − {o}` in one fused
-    /// pass — no allocation (the binned counterpart of
-    /// [`crate::BitmapIndex::q_into`]).
-    ///
-    /// # Panics
-    /// Panics if `q.len() != self.n()`.
-    pub fn q_into(&self, o: ObjectId, q: &mut BitVec) {
-        assert_eq!(q.len(), self.n, "scratch length mismatch");
-        self.fill_selected(
-            |d| self.bin_of(o, d).map(|b| (b - 1) as usize).unwrap_or(0),
-            q,
-        );
-        q.clear(o as usize);
-    }
-
-    /// Intersect one selected column per dimension into `dst`; the
-    /// all-column-0 fallback is column 0 itself (all-ones on static
-    /// indexes, tombstone-aware on dynamic ones — this index tombstones
-    /// every column including column 0).
-    fn fill_selected(&self, col_idx: impl Fn(usize) -> usize, dst: &mut BitVec) {
-        crate::intersect_selected_into(&self.columns, col_idx, &self.columns[0][0], dst);
-    }
-
-    /// Fill caller-owned scratch with `P = ∩ᵢ Pᵢ` in one fused pass — no
-    /// allocation.
-    ///
-    /// # Panics
-    /// Panics if `p.len() != self.n()`.
-    pub fn p_into(&self, o: ObjectId, p: &mut BitVec) {
-        assert_eq!(p.len(), self.n, "scratch length mismatch");
-        self.fill_selected(|d| self.bin_of(o, d).map(|b| b as usize).unwrap_or(0), p);
     }
 
     /// `MaxBitScore(o) = |Q|` under the binned index (still a valid upper
@@ -712,10 +682,7 @@ impl BinnedBitmapIndex {
     /// for non-member values the columns encode "same-or-higher bin than
     /// the bin containing `v`" / "strictly higher bin".
     pub fn select_for(&self, mut value: impl FnMut(usize) -> Option<f64>) -> BinSelection {
-        let mut sel = BinSelection {
-            q: [0; MAX_DIMS],
-            p: [0; MAX_DIMS],
-        };
+        let mut sel = BinSelection::default();
         for dim in 0..self.dims {
             if let Some(v) = value(dim) {
                 let bounds = &self.boundaries[dim];
@@ -728,13 +695,30 @@ impl BinnedBitmapIndex {
         }
         sel
     }
+
+    /// The binned `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row` (a
+    /// local id), read off its stored bins in `O(dims)` — field for field
+    /// what [`BinnedBitmapIndex::select_for`] resolves from the row's
+    /// values by binary search.
+    #[inline]
+    pub fn selection_of(&self, row: usize) -> BinSelection {
+        let mut sel = BinSelection::default();
+        let bins = &self.bin_idx[row * self.dims..(row + 1) * self.dims];
+        for (dim, &b) in bins.iter().enumerate() {
+            if b != MISSING {
+                sel.q[dim] = b - 1;
+                sel.p[dim] = b;
+            }
+        }
+        sel
+    }
 }
 
 /// Resolved per-dimension binned column picks for one candidate against
 /// one [`BinnedBitmapIndex`] — produced by
 /// [`BinnedBitmapIndex::select_for`]. The pick pairs feed
 /// [`crate::CompressedColumns::and_selected_into`] directly.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BinSelection {
     q: [u32; MAX_DIMS],
     p: [u32; MAX_DIMS],

@@ -581,53 +581,26 @@ impl BitmapIndex {
         p
     }
 
-    /// `[Qᵢ]` column index for `o` in `dim` (0 = the all-ones missing slot,
-    /// also selected when `o` holds the dimension's minimum).
-    #[inline]
-    fn q_col_index(&self, o: ObjectId, dim: usize) -> usize {
-        match self.value_index(o, dim) {
-            None => 0,
-            Some(j) => (j - 1) as usize,
-        }
-    }
-
-    /// `[Pᵢ]` column index for `o` in `dim` (0 when missing).
-    #[inline]
-    fn p_col_index(&self, o: ObjectId, dim: usize) -> usize {
-        match self.value_index(o, dim) {
-            None => 0,
-            Some(j) => j as usize,
-        }
-    }
-
-    /// Collect the word slices (and suffix tables) of `o`'s non-trivial
-    /// `[Qᵢ]` selections — column 0 is the intersection identity and is
-    /// skipped, as in [`crate::intersect_selected_into`]. Returns how many
-    /// were kept.
-    #[inline]
-    fn q_selection<'a>(
-        &'a self,
-        o: ObjectId,
-        words: &mut [&'a [u64]; MAX_DIMS],
-        suffix: &mut [&'a [u32]; MAX_DIMS],
-    ) -> usize {
+    /// Intersect one selected column per dimension into `dst`. Column 0 is
+    /// the intersection identity and is skipped; when *every* pick is
+    /// column 0 the result is the live mask (all-ones on static indexes,
+    /// tombstone-aware on dynamic ones).
+    fn fill_selected(&self, col_idx: impl Fn(usize) -> usize, dst: &mut BitVec) {
+        let live = self.live.live_mask();
+        let mut cols: [&BitVec; MAX_DIMS] = [live; MAX_DIMS];
         let mut m = 0;
-        for dim in 0..self.dims {
-            let c = self.q_col_index(o, dim);
+        for (dim, dim_cols) in self.columns.iter().enumerate() {
+            let c = col_idx(dim);
             if c > 0 {
-                words[m] = self.columns[dim][c].as_words();
-                suffix[m] = &self.block_suffix[dim][c];
+                cols[m] = &dim_cols[c];
                 m += 1;
             }
         }
-        m
-    }
-
-    /// Intersect one selected column per dimension into `dst`; the
-    /// all-column-0 fallback is the live mask (all-ones on static
-    /// indexes, tombstone-aware on dynamic ones).
-    fn fill_selected(&self, col_idx: impl Fn(usize) -> usize, dst: &mut BitVec) {
-        crate::intersect_selected_into(&self.columns, col_idx, self.live.live_mask(), dst);
+        if m == 0 {
+            dst.copy_from(live);
+        } else {
+            BitVec::intersect_into(dst, &cols[..m]);
+        }
     }
 
     /// Fill caller-owned scratch with `Q = (∩ᵢ Qᵢ) − {o}` in one fused pass
@@ -636,9 +609,7 @@ impl BitmapIndex {
     /// # Panics
     /// Panics if `q.len() != self.n()`.
     pub fn q_into(&self, o: ObjectId, q: &mut BitVec) {
-        assert_eq!(q.len(), self.n, "scratch length mismatch");
-        self.fill_selected(|d| self.q_col_index(o, d), q);
-        q.clear(o as usize);
+        self.q_into_selected(&self.selection_of(o as usize), Some(o as usize), q);
     }
 
     /// Fill caller-owned scratch with `P = ∩ᵢ Pᵢ` in one fused pass — no
@@ -647,20 +618,7 @@ impl BitmapIndex {
     /// # Panics
     /// Panics if `p.len() != self.n()`.
     pub fn p_into(&self, o: ObjectId, p: &mut BitVec) {
-        assert_eq!(p.len(), self.n, "scratch length mismatch");
-        self.fill_selected(|d| self.p_col_index(o, d), p);
-    }
-
-    /// Fill both `Q` and `P` scratch vectors — no allocation. A convenience
-    /// over [`BitmapIndex::q_into`] + [`BitmapIndex::p_into`] (two
-    /// vectorized passes; a word-interleaved single pass benchmarked
-    /// slower because it defeats SIMD).
-    ///
-    /// # Panics
-    /// Panics if either scratch length differs from `self.n()`.
-    pub fn q_p_into(&self, o: ObjectId, q: &mut BitVec, p: &mut BitVec) {
-        self.q_into(o, q);
-        self.p_into(o, p);
+        self.p_into_selected(&self.selection_of(o as usize), p);
     }
 
     /// `MaxBitScore(o) = |Q|` (Heuristic 2).
@@ -671,65 +629,39 @@ impl BitmapIndex {
     /// `MaxBitScore(o)` as a fused multi-way AND-popcount over the column
     /// words — nothing is materialized and nothing is allocated.
     pub fn max_bit_score_counted(&self, o: ObjectId) -> usize {
-        let mut words: [&[u64]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let mut suffix: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let m = self.q_selection(o, &mut words, &mut suffix);
-        if m == 0 {
-            // Every live object (o is live by contract) minus o itself.
-            return self.live_count() - 1;
-        }
-        let nwords = words[0].len();
-        let mut total = 0usize;
-        let mut w = 0usize;
-        while w < nwords {
-            let end = (w + SUFFIX_BLOCK_WORDS).min(nwords);
-            total += block_and_count(&words, m, w, end);
-            w = end;
-        }
         // o ∈ [Qᵢ] for every i (o[i] ≥ o[i], and the missing slot is
         // all-ones), so |Q| = |∩ᵢ Qᵢ| − 1 without clearing o's bit.
-        total - 1
+        self.q_count_selected_above(&self.selection_of(o as usize), 0)
+            .map_or(0, |c| c - 1)
     }
 
     /// Heuristic 2 in one call: `Some(MaxBitScore(o))` when it exceeds
     /// `tau`, `None` when `MaxBitScore(o) ≤ tau` — i.e. `None` means
-    /// *prune*. The decision is exactly `max_bit_score(o) ≤ tau`, but the
-    /// fused AND-popcount stops as soon as the bits counted so far plus the
-    /// sparsest column's remaining suffix popcount can no longer exceed
-    /// `tau`: on Heuristic-2-heavy workloads most of each scan is skipped.
-    /// This is the hot path of Algorithm 3 — most visited objects die here.
+    /// *prune*. The decision is exactly `max_bit_score(o) ≤ tau`, taken by
+    /// [`BitmapIndex::q_count_selected_above`] on `o`'s own selection: o's
+    /// own bit is part of every count there, so `|Q| ≤ tau` reads
+    /// `|∩ᵢ Qᵢ| ≤ tau + 1`.
     pub fn max_bit_score_above(&self, o: ObjectId, tau: usize) -> Option<usize> {
-        let mut words: [&[u64]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let mut suffix: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let m = self.q_selection(o, &mut words, &mut suffix);
-        if m == 0 {
-            let mbs = self.live_count() - 1;
-            return (mbs > tau).then_some(mbs);
-        }
-        // o's own bit is part of every count here, so the prune condition
-        // |Q| ≤ tau reads |∩ᵢ Qᵢ| ≤ tau + 1.
-        let limit = tau + 1;
-        // Upfront: the sparsest single column already bounds |∩ᵢ Qᵢ|.
-        let min0 = suffix[..m].iter().map(|s| s[0] as usize).min().unwrap();
-        if min0 <= limit {
-            return None;
-        }
-        let nwords = words[0].len();
-        let mut total = 0usize;
-        let mut block = 0usize;
-        let mut w = 0usize;
-        while w < nwords {
-            let end = (w + SUFFIX_BLOCK_WORDS).min(nwords);
-            total += block_and_count(&words, m, w, end);
-            w = end;
-            block += 1;
-            let min_suffix = suffix[..m].iter().map(|s| s[block] as usize).min().unwrap();
-            if total + min_suffix <= limit {
-                return None;
+        self.q_count_selected_above(&self.selection_of(o as usize), tau + 1)
+            .map(|c| c - 1)
+    }
+
+    /// The `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row` (a local
+    /// id), read off its stored value slots in `O(dims)` — field for field
+    /// what [`BitmapIndex::select_for`] resolves from the row's values by
+    /// binary search.
+    #[inline]
+    pub fn selection_of(&self, row: usize) -> ColumnSelection {
+        let mut sel = ColumnSelection::default();
+        let slots = &self.val_idx[row * self.dims..(row + 1) * self.dims];
+        for (dim, &j) in slots.iter().enumerate() {
+            if j != MISSING {
+                sel.q[dim] = j - 1;
+                sel.p[dim] = j;
+                sel.eq[dim] = j;
             }
         }
-        let mbs = total - 1;
-        (mbs > tau).then_some(mbs)
+        sel
     }
 
     /// Resolve the `[Qᵢ]`/`[Pᵢ]` column picks for an **arbitrary value
@@ -743,11 +675,7 @@ impl BitmapIndex {
     /// non-members the columns encode the same set predicates
     /// (`{p : p missing ∨ p ≥ v}` and `{p : p missing ∨ p > v}`).
     pub fn select_for(&self, mut value: impl FnMut(usize) -> Option<f64>) -> ColumnSelection {
-        let mut sel = ColumnSelection {
-            q: [0; MAX_DIMS],
-            p: [0; MAX_DIMS],
-            eq: [0; MAX_DIMS],
-        };
+        let mut sel = ColumnSelection::default();
         for dim in 0..self.dims {
             if let Some(v) = value(dim) {
                 let vals = &self.values[dim];
@@ -803,12 +731,15 @@ impl BitmapIndex {
         ub
     }
 
-    /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit: returns
-    /// `None` as soon as the count is provably `≤ budget` (blockwise, via
-    /// the suffix-popcount tables — the same certificate as
-    /// [`BitmapIndex::max_bit_score_above`]), else the exact count. A
-    /// `None` lets the sharded Heuristic 2 prune without finishing the
-    /// scan; a `Some` feeds the running cross-shard total.
+    /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit — the one
+    /// Heuristic 2 scan, and the hot path of Algorithm 3 (most visited
+    /// objects die here). Returns `None` as soon as the count is provably
+    /// `≤ budget`: upfront when the sparsest selected column already fits,
+    /// then blockwise as soon as the bits counted so far plus the sparsest
+    /// column's remaining suffix popcount can no longer exceed `budget`
+    /// (on Heuristic-2-heavy workloads most of each scan is skipped). Else
+    /// the exact count. A `None` lets Heuristic 2 prune without finishing
+    /// the scan; a `Some` feeds the running cross-shard total.
     pub fn q_count_selected_above(&self, sel: &ColumnSelection, budget: usize) -> Option<usize> {
         let mut words: [&[u64]; MAX_DIMS] = [&[]; MAX_DIMS];
         let mut suffix: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
@@ -901,7 +832,7 @@ impl BitmapIndex {
 /// methods. Plain `Copy` data on the stack: the parallel engine keeps one
 /// per shard in its per-worker scratch, so candidate scoring allocates
 /// nothing.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ColumnSelection {
     /// `[Qᵢ]` column index per dimension (0 = the all-ones missing slot).
     q: [u32; MAX_DIMS],
@@ -1056,9 +987,6 @@ mod tests {
             assert_eq!(q, oracle_q(o), "q_into object {o}");
             idx.p_into(o, &mut p);
             assert_eq!(p, oracle_p(o), "p_into object {o}");
-            idx.q_p_into(o, &mut q, &mut p);
-            assert_eq!(q, oracle_q(o), "q_p_into q of object {o}");
-            assert_eq!(p, oracle_p(o), "q_p_into p of object {o}");
             assert_eq!(q, idx.q_vec(o), "q_vec routes through q_into");
             assert_eq!(
                 idx.max_bit_score_counted(o),

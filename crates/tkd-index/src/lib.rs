@@ -13,9 +13,10 @@
 //! * [`for_each_sorted_column`] — the build-time input of both indexes (and
 //!   of `tkd-core`'s `MaxScore` queue): each dimension of an id range
 //!   sorted once, shared by every artifact built over that range through
-//!   [`BitmapIndexBuilder`] / [`BinnedBitmapIndexBuilder`]. The probe
-//!   B+-trees are bulk-loaded from it; rank probes and tree inserts belong
-//!   to the dynamic maintenance path only.
+//!   [`BitmapIndexBuilder`] / [`BinnedBitmapIndexBuilder`] (both at once:
+//!   [`IndexPairBuilder`]). The probe B+-trees are bulk-loaded from it;
+//!   rank probes and tree inserts belong to the dynamic maintenance path
+//!   only.
 //!
 //! # The column encoding
 //!
@@ -39,36 +40,36 @@ pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
 pub use sorted_column::for_each_sorted_column;
 
-use tkd_bitvec::BitVec;
-use tkd_model::MAX_DIMS;
+use tkd_model::ObjectId;
 
-/// Intersect one selected column per dimension into `dst` — the shared
-/// scratch-fill of both indexes' `q_into`/`p_into`. `col_idx(dim)` names
-/// the selected column; column 0 is skipped as the intersection identity,
-/// and when *every* pick is column 0 the result is `fallback` — all-ones
-/// on static indexes, the live mask (`BitmapIndex`) or the
-/// tombstone-aware column 0 (`BinnedBitmapIndex`) on dynamic ones.
-///
-/// # Panics
-/// Panics if `dst`'s length differs from the columns'.
-pub(crate) fn intersect_selected_into(
-    columns: &[Vec<BitVec>],
-    col_idx: impl Fn(usize) -> usize,
-    fallback: &BitVec,
-    dst: &mut BitVec,
-) {
-    let mut cols: [&BitVec; MAX_DIMS] = [fallback; MAX_DIMS];
-    let mut m = 0;
-    for (dim, dim_cols) in columns.iter().enumerate() {
-        let c = col_idx(dim);
-        if c > 0 {
-            cols[m] = &dim_cols[c];
-            m += 1;
+/// The exact *and* the binned index of one id range, assembled together:
+/// every sorted column ([`for_each_sorted_column`]) is pushed into both
+/// builders, so an engine that serves BIG and IBIG over the same rows
+/// sorts each dimension once.
+#[derive(Debug)]
+pub struct IndexPairBuilder<'a> {
+    exact: BitmapIndexBuilder,
+    binned: BinnedBitmapIndexBuilder<'a>,
+}
+
+impl<'a> IndexPairBuilder<'a> {
+    /// Start both indexes over the id range `[lo, hi)`, with
+    /// `bins_per_dim[i]` bins requested for dimension `i` of the binned one.
+    pub fn new(bins_per_dim: &'a [usize], lo: usize, hi: usize) -> Self {
+        IndexPairBuilder {
+            exact: BitmapIndexBuilder::new(bins_per_dim.len(), lo, hi),
+            binned: BinnedBitmapIndexBuilder::new(bins_per_dim, lo, hi),
         }
     }
-    if m == 0 {
-        dst.copy_from(fallback);
-    } else {
-        BitVec::intersect_into(dst, &cols[..m]);
+
+    /// Add dimension `dim` to both indexes from its sorted column.
+    pub fn push_dim(&mut self, dim: usize, column: &[(f64, ObjectId)]) {
+        self.exact.push_dim(dim, column);
+        self.binned.push_dim(dim, column);
+    }
+
+    /// Finish both indexes.
+    pub fn finish(self) -> (BitmapIndex, BinnedBitmapIndex) {
+        (self.exact.finish(), self.binned.finish())
     }
 }

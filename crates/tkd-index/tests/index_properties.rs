@@ -2,6 +2,7 @@
 //! semantics, on random incomplete datasets.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use tkd_bitvec::{CompressedBitmap, Concise, Wah};
 use tkd_index::{compute_bins, BinnedBitmapIndex, BitmapIndex, CompressedColumns};
 use tkd_model::Dataset;
@@ -18,8 +19,94 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// Rows over `dims` dimensions drawn from the values a selection is most
+/// likely to get wrong: signed zeros, both infinities and halves.
+fn special_rows(dims: usize) -> impl Strategy<Value = Vec<Vec<Option<f64>>>> {
+    let cell = (0u8..10).prop_map(|v| match v {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        v => f64::from(v - 4) / 2.0,
+    });
+    let row = proptest::collection::vec(proptest::option::weighted(0.7, cell), dims)
+        .prop_filter("at least one observed", |r| r.iter().any(Option::is_some));
+    proptest::collection::vec(row, 1..40)
+}
+
+/// Every row's stored selection equals the one resolved from its values,
+/// on both indexes.
+fn assert_selections_agree(
+    exact: &BitmapIndex,
+    binned: &BinnedBitmapIndex,
+    rows: &[Vec<Option<f64>>],
+) -> Result<(), TestCaseError> {
+    for (row, values) in rows.iter().enumerate() {
+        prop_assert_eq!(
+            exact.selection_of(row),
+            exact.select_for(|d| values[d]),
+            "exact row {}",
+            row
+        );
+        prop_assert_eq!(
+            binned.selection_of(row),
+            binned.select_for(|d| values[d]),
+            "binned row {}",
+            row
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `selection_of(row)` is `select_for` over the row's values, field
+    /// for field, on both indexes: bulk-built with a dimension nobody
+    /// observes, beside tombstoned neighbours (whose own slots stay
+    /// readable), after appends that open that dimension's first bin and
+    /// splice new values in, and after cell rewrites.
+    #[test]
+    fn selection_of_equals_select_for(
+        seed_rows in special_rows(3),
+        appended in special_rows(4),
+        bins in 1usize..5,
+    ) {
+        // Dimension 3 starts out all-missing.
+        let mut rows: Vec<Vec<Option<f64>>> = seed_rows
+            .into_iter()
+            .map(|mut r| {
+                r.push(None);
+                r
+            })
+            .collect();
+        let ds = Dataset::from_rows(4, &rows).expect("valid rows");
+        let mut exact = BitmapIndex::build(&ds);
+        let mut binned = BinnedBitmapIndex::build(&ds, &[bins; 4]);
+        assert_selections_agree(&exact, &binned, &rows)?;
+
+        for local in (0..rows.len()).step_by(3) {
+            exact.tombstone_row(local);
+            binned.tombstone_row(local, |d| rows[local][d]);
+        }
+        assert_selections_agree(&exact, &binned, &rows)?;
+
+        for row in appended {
+            exact.append_row(|d| row[d]);
+            binned.append_row(|d| row[d]);
+            rows.push(row);
+        }
+        assert_selections_agree(&exact, &binned, &rows)?;
+
+        // Rotate each live seed row's first cell into its neighbour's.
+        for local in (1..rows.len()).filter(|l| l % 3 != 0) {
+            let (old, new) = (rows[local][0], rows[local - 1][0]);
+            exact.set_cell(local, 0, new);
+            binned.set_cell(local, 0, old, new);
+            rows[local][0] = new;
+        }
+        assert_selections_agree(&exact, &binned, &rows)?;
+    }
 
     /// Every vertical column equals its defining set
     /// `{p : p[i] missing ∨ p[i] > v_c}`.

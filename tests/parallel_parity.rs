@@ -122,3 +122,69 @@ fn engine_batch_differential() {
         }
     }
 }
+
+/// One shard and one thread *is* the sequential algorithm — the same
+/// scorer on the same picks under the same walk — so beyond entries and
+/// the H1 position the **whole** `PruneStats` (h1, h2, h3, scored) of
+/// every engine surface equals the sequential scratch run's.
+#[test]
+fn one_shard_one_thread_is_the_sequential_run() {
+    use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
+    use tkdi::core::{BinChoice, DynamicEngine};
+
+    for (seed, &missing) in MISSING.iter().enumerate() {
+        let ds = synth(300 + seed as u64, 150, 4, 8, missing);
+        let bins = vec![3usize; ds.dims()];
+        let seq = big::BigContext::build(&ds);
+        let iseq: ibig::IbigContext<'_> = ibig::IbigContext::build(&ds, &bins);
+        let (mut scratch, mut iscratch) = (seq.scratch(), iseq.scratch());
+        let ctx = ShardedBigContext::build(&ds, 1);
+        let ictx: ShardedIbigContext<'_> = ShardedIbigContext::build(&ds, &bins, 1);
+        let engine = ParallelEngine::builder(&ds)
+            .threads(1)
+            .shards(1)
+            .bins(bins.clone())
+            .build();
+        let mut dynamic = DynamicEngine::with_options(
+            ds.clone(),
+            DynamicOptions {
+                bins: BinChoice::PerDim(bins.clone()),
+                policy: CompactionPolicy::default(),
+            },
+        );
+        let mut ks = grid_ks(ds.len());
+        ks.push(0);
+        for k in ks {
+            for alg in [Algorithm::Big, Algorithm::Ibig] {
+                let q = EngineQuery::new(k).algorithm(alg);
+                let (reference, parallel) = match alg {
+                    Algorithm::Big => (
+                        big::big_with_scratch(&seq, k, &mut scratch),
+                        parallel_big(&ctx, k, 1),
+                    ),
+                    _ => (
+                        ibig::ibig_with_scratch(&iseq, k, &mut iscratch),
+                        parallel_ibig(&ictx, k, 1),
+                    ),
+                };
+                let surfaces = [
+                    ("parallel_*", parallel),
+                    ("ParallelEngine::query", engine.query(&q)),
+                    (
+                        "query_many",
+                        engine.query_many(std::slice::from_ref(&q)).remove(0),
+                    ),
+                    (
+                        "DynamicEngine::query_threads",
+                        dynamic.query_threads(&q, 1).expect("BIG/IBIG"),
+                    ),
+                ];
+                for (surface, got) in surfaces {
+                    let cell = format!("{surface} {alg:?} missing={missing}% k={k}");
+                    assert_eq!(got.entries(), reference.entries(), "{cell}");
+                    assert_eq!(got.stats, reference.stats, "{cell}");
+                }
+            }
+        }
+    }
+}
