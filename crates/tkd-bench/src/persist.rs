@@ -4,7 +4,7 @@
 //! For each `(n, dims, missing)` cell the harness:
 //!
 //! 1. builds a [`DynamicEngine`] from scratch — the cold-start cost every
-//!    process pays *without* persistence (index + B+-tree + preprocessing
+//!    process pays *without* persistence (index + probe-tree + preprocessing
 //!    construction);
 //! 2. saves a snapshot to disk and loads it back in full (read + decode +
 //!    validation), timing both;

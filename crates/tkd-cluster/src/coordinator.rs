@@ -62,8 +62,8 @@ impl ClusterConfig {
     }
 }
 
-/// Wire/merge counters for one coordinator — the protocol-overhead side
-/// of `BENCH_10`.
+/// Wire/merge counters for one coordinator — the source of the
+/// `cluster.*` cells of the `cluster-2w` workload (`BENCHMARK.json`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClusterStats {
     /// Cluster-plane request frames sent (both phases, updates, control).

@@ -288,6 +288,36 @@ fn snapshot_path(prev: &std::path::Path, shard: u64, seq: u64) -> PathBuf {
     dir.join(format!("shard-{shard}.seq{seq}.tkd"))
 }
 
+/// Reject a batch that left `shard`'s engine ahead of its committed
+/// snapshot (`apply_ops` keeps the valid prefix of a failing batch):
+/// reload the engine from that snapshot so the hosted state, the scorer
+/// and `shard-S.seqN.tkd` agree again before the rejection goes out. A
+/// shard whose snapshot no longer loads is un-hosted — the coordinator's
+/// repair path re-assigns it — rather than served in a state no file
+/// holds.
+fn roll_back(state: &mut WorkerState, shard: u64, datum: u64, message: String) -> ClusterResponse {
+    let host = state
+        .shards
+        .get_mut(&shard)
+        .expect("caller holds the shard");
+    host.scorer = None;
+    match tkd_store::load_engine(&host.path) {
+        Ok(engine) => {
+            host.engine = engine;
+            reject(ERR_REJECTED, datum, message)
+        }
+        Err(e) => {
+            let path = host.path.display().to_string();
+            state.shards.remove(&shard);
+            reject(
+                ERR_REJECTED,
+                shard,
+                format!("{message}; shard {shard} released: cannot reload {path}: {e}"),
+            )
+        }
+    }
+}
+
 fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterResponse {
     let Some(host) = state.shards.get_mut(&u.shard) else {
         return reject(ERR_REJECTED, u.shard, format!("unknown shard {}", u.shard));
@@ -306,20 +336,14 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
     if let Some((i, e)) = &report.error {
         // The coordinator validates against its mirror first, so a
         // failing op here means the shard and the mirror have diverged.
-        return reject(
-            ERR_REJECTED,
-            *i as u64,
-            format!("op {i} failed on shard {}: {e}", u.shard),
-        );
+        let message = format!("op {i} failed on shard {}: {e}", u.shard);
+        return roll_back(state, u.shard, *i as u64, message);
     }
     host.scorer = None;
     let new_path = snapshot_path(&host.path, u.shard, u.seq);
     if let Err(e) = tkd_store::save_engine(&new_path, &mut host.engine) {
-        return reject(
-            ERR_REJECTED,
-            u.ops.len() as u64,
-            format!("ops applied but snapshot commit failed: {e}"),
-        );
+        let message = format!("snapshot commit failed, batch rolled back: {e}");
+        return roll_back(state, u.shard, u.ops.len() as u64, message);
     }
     // The new snapshot is durable; the predecessor is garbage.
     if new_path != host.path {

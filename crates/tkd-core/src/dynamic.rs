@@ -13,7 +13,7 @@
 //! * the [`BinnedBitmapIndex`] — bin boundaries are frozen between
 //!   compactions (a value above the last boundary extends it; a never
 //!   observed dimension gets its first bin on demand), per-dimension
-//!   B+-tree keys are inserted/removed, and tombstones are cleared from
+//!   probe-tree keys are inserted/removed, and tombstones are cleared from
 //!   *every* column including column 0;
 //! * the shared [`Preprocessed`] artifacts — the per-object per-dimension
 //!   `|Tᵢ|` counts behind `MaxScore` are repaired **exactly** by
@@ -247,9 +247,8 @@ pub struct DynamicPartsRef<'a> {
 /// The persisted logical state of a [`DynamicEngine`] — everything
 /// [`DynamicEngine::from_store_parts`] needs to resume bit-identically,
 /// and nothing derivable: the slot→stable-id map, live/dead bookkeeping
-/// (inside [`DynamicParts::index`]'s live mask), `|Sᵢ|` missing counts,
-/// the scratch space, and the stable-id→slot inverse are all recomputed
-/// at load.
+/// (inside [`DynamicParts::index`]'s live mask), the scratch space, and
+/// the stable-id→slot inverse are all recomputed at load.
 #[derive(Clone, Debug)]
 pub struct DynamicParts {
     /// All slots since the last compaction, tombstoned rows included.
@@ -337,8 +336,6 @@ pub struct DynamicEngine {
     /// Row-major `n × dims` table of `|Tᵢ(o)|` (the exact per-dimension
     /// MaxScore ingredients); [`T_UNOBSERVED`] where `o` misses `i`.
     t: Vec<u32>,
-    /// Per-dimension live missing counts `|Sᵢ|`.
-    missing: Vec<usize>,
     /// The queue needs a re-sort before the next query.
     queue_dirty: bool,
     /// One scratch per query thread, (re)sized on demand by
@@ -394,7 +391,6 @@ impl DynamicEngine {
                 f_sets: HashMap::new(),
             },
             t: Vec::new(),
-            missing: vec![0; dims],
             queue_dirty: false,
             scratch: Vec::new(),
             bins: options.bins,
@@ -545,9 +541,6 @@ impl DynamicEngine {
         //    index).
         for (dim, &obs) in row.iter().enumerate() {
             self.shift_t(dim, obs, None, 1);
-            if obs.is_none() {
-                self.missing[dim] += 1;
-            }
         }
         // 2. Indexes and storage grow by one slot.
         let slot = self.index.append_row(|d| row[d]);
@@ -562,14 +555,12 @@ impl DynamicEngine {
         if self.standing.tracking() {
             self.standing.on_insert_slot();
         }
-        // 3. The new object's own |Tᵢ| row, via the (updated) probe trees
-        //    — the same rank-query formula the from-scratch oracle uses.
+        // 3. The new object's own |Tᵢ| row: the (updated) exact index's
+        //    count of live rows missing or ≥ v, less the newcomer itself.
         for (dim, &obs) in row.iter().enumerate() {
             self.t.push(match obs {
                 None => T_UNOBSERVED,
-                Some(v) => {
-                    (self.binned.count_value_at_least(dim, v) - 1 + self.missing[dim]) as u32
-                }
+                Some(v) => (self.index.count_missing_or_at_least(dim, v) - 1) as u32,
             });
         }
         // 4. Incomparable sets: a bit for the newcomer in every mask's
@@ -606,9 +597,6 @@ impl DynamicEngine {
         for dim in 0..self.dims {
             let obs = self.ds.value(slot as ObjectId, dim);
             self.shift_t(dim, obs, None, -1);
-            if obs.is_none() {
-                self.missing[dim] -= 1;
-            }
         }
         self.index.tombstone_row(slot);
         let row: Vec<Option<f64>> = (0..self.dims)
@@ -687,15 +675,10 @@ impl DynamicEngine {
         self.ds
             .set_value(slot as ObjectId, dim, new)
             .expect("validated above");
-        match (old.is_some(), new.is_some()) {
-            (true, false) => self.missing[dim] += 1,
-            (false, true) => self.missing[dim] -= 1,
-            _ => {}
-        }
-        // The object's own |T_dim| from the updated probe tree.
+        // The object's own |T_dim| from the updated exact index.
         self.t[slot * self.dims + dim] = match new {
             None => T_UNOBSERVED,
-            Some(v) => (self.binned.count_value_at_least(dim, v) - 1 + self.missing[dim]) as u32,
+            Some(v) => (self.index.count_missing_or_at_least(dim, v) - 1) as u32,
         };
         // Observedness flips re-home the object across incomparable sets.
         if old.is_some() != new.is_some() {
@@ -1228,14 +1211,10 @@ impl DynamicEngine {
                 n * dims
             ));
         }
-        let mut missing = vec![0usize; dims];
-        for (d, m) in missing.iter_mut().enumerate() {
-            *m = live
-                .live_count()
-                .checked_sub(binned.observed_count(d))
-                .ok_or_else(|| {
-                    format!("dim {d} observes more probe entries than live slots exist")
-                })?;
+        if let Some(d) = (0..dims).find(|&d| binned.observed_count(d) > live.live_count()) {
+            return Err(format!(
+                "dim {d} observes more probe entries than live slots exist"
+            ));
         }
         // Live slots' t rows agree with the masks; the queue covers the
         // live slots exactly, sorted by (MaxScore desc, slot asc), each
@@ -1318,7 +1297,6 @@ impl DynamicEngine {
             binned,
             pre,
             t,
-            missing,
             queue_dirty: false,
             scratch: Vec::new(),
             bins,
@@ -1384,13 +1362,11 @@ impl DynamicEngine {
             }
         };
         // One sort per dimension: the same column feeds both indexes and
-        // the exact `|Tᵢ|` table (the probe trees answer rank queries for
-        // the *updates* that follow, not for this build).
+        // the exact `|Tᵢ|` table.
         let mut pair = IndexPairBuilder::new(&bins, 0, n);
         self.t = vec![T_UNOBSERVED; n * dims];
         for_each_sorted_column(ds, 0, n, |d, column| {
             pair.push_dim(d, column);
-            self.missing[d] = n - column.len();
             for (o, t_d) in t_counts(column, n) {
                 self.t[o as usize * dims + d] = t_d as u32;
             }

@@ -5,7 +5,7 @@
 //! **compressed** (CONCISE by default, WAH optional). Binning coarsens
 //! `[Qᵢ]`/`[Pᵢ]`, so `Q − P` now holds *same-bin* objects whose values may
 //! even be better than `o`'s; those are resolved through the per-dimension
-//! B+-tree probes of §4.5 and counted into `nonD(o)`. While `nonD` grows,
+//! tree probes of §4.5 and counted into `nonD(o)`. While `nonD` grows,
 //! **Heuristic 3** (partial score pruning) abandons objects early:
 //! `score(o) = |Q| − |F(o)| − |nonD(o)|` can only shrink as `nonD` grows, so
 //! once `|nonD| > |Q| − |F| − τ` the object is out.
@@ -37,7 +37,7 @@
 //! the per-object `Q`/`P` intersections decompress straight into the
 //! caller's [`ScratchSpace`] (first column written, the rest ANDed in off
 //! their run streams — no compressed intermediates), the `nonD`/`tagT`
-//! tables are epoch-stamped in the same scratch, and the B+-tree probes
+//! tables are epoch-stamped in the same scratch, and the tree probes
 //! return concrete range cursors instead of boxed iterators.
 
 use crate::big::{member_row, Candidate};
@@ -333,7 +333,7 @@ pub(crate) fn ibig_term<C: CompressedBitmap>(
     stamps.next_object();
     let mut non_d = 0usize;
     // (a) Same-bin rows strictly better than the candidate in some
-    //     dimension cannot be dominated: B+-tree probe per observed
+    //     dimension cannot be dominated: tree probe per observed
     //     dimension (§4.5).
     for dim in cand.mask.iter() {
         for row in shard.index.ids_below_in_bin(dim, value(dim), true) {

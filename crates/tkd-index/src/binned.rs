@@ -1,13 +1,27 @@
 //! The binned bitmap index of §4.4 (Fig. 9) with the adaptive binning
-//! strategy of Eq. 3–4 and the per-dimension B+-tree probes of §4.5.
+//! strategy of Eq. 3–4 and the per-dimension probe trees of §4.5.
+//!
+//! The paper's §4.5 B+-tree is `std::collections::BTreeSet` here: what
+//! the `nonD(o)` probe needs of it is ordered `(value, id)` keys, an
+//! `O(log n)` seek to a bin's lower boundary and an in-order scan of the
+//! bin interior, which `BTreeSet::range` is. The paper's other B+-tree
+//! use, the §4.2 rank query behind `MaxScore`, needs order statistics a
+//! `BTreeSet` does not keep — and the exact index beside this one already
+//! stores that count as a column popcount, so the rank query lives there
+//! ([`crate::BitmapIndex::count_missing_or_at_least`]).
 
+use crate::key::F64Key;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
+use std::collections::BTreeSet;
 use tkd_bitvec::BitVec;
-use tkd_btree::{BPlusTree, F64Key};
 use tkd_model::{Dataset, ObjectId, MAX_DIMS};
 
 /// Sentinel marking a missing value in the per-object bin table.
 const MISSING: u32 = u32::MAX;
+
+/// One dimension's live observed `(value, id)` pairs, for bin-interior
+/// probing (§4.5).
+type ProbeTree = BTreeSet<(F64Key, ObjectId)>;
 
 /// Compute bin upper boundaries for one dimension (Eq. 3–4).
 ///
@@ -57,7 +71,7 @@ pub fn compute_bins(value_counts: &[(f64, usize)], x: usize) -> Vec<f64> {
 /// Because a bin conflates a value range, `[Qᵢ]` (same-or-higher bin) may
 /// include objects that are actually *better* than `o` in dimension `i`;
 /// the IBIG score computation (Algorithm 5) resolves those through the
-/// per-dimension B+-tree probes exposed here.
+/// per-dimension tree probes exposed here.
 #[derive(Clone, Debug)]
 pub struct BinnedBitmapIndex {
     n: usize,
@@ -70,9 +84,7 @@ pub struct BinnedBitmapIndex {
     columns: Vec<Vec<BitVec>>,
     /// Per object, per dimension: 1-based bin index or `MISSING`.
     bin_idx: Vec<u32>,
-    /// Per dimension: B+-tree over `(value, id)` pairs of observed values,
-    /// for bin-interior probing (§4.5).
-    trees: Vec<BPlusTree<(F64Key, ObjectId), ()>>,
+    trees: Vec<ProbeTree>,
 }
 
 /// Assembles a [`BinnedBitmapIndex`] over the global id range `[lo, hi)`
@@ -88,7 +100,7 @@ pub struct BinnedBitmapIndexBuilder<'a> {
     boundaries: Vec<Vec<f64>>,
     columns: Vec<Vec<BitVec>>,
     bin_idx: Vec<u32>,
-    trees: Vec<BPlusTree<(F64Key, ObjectId), ()>>,
+    trees: Vec<ProbeTree>,
 }
 
 impl<'a> BinnedBitmapIndexBuilder<'a> {
@@ -115,7 +127,7 @@ impl<'a> BinnedBitmapIndexBuilder<'a> {
     /// Add dimension `dim` from its sorted column: the equal-value runs
     /// are the value counts Eq. 3–4 bins, the ascending order lets one
     /// cursor assign every entry its bin and lay the columns down bin by
-    /// bin, and the column itself bulk-loads the probe tree.
+    /// bin, and the column itself bulk-fills the probe tree.
     ///
     /// # Panics
     /// Panics if dimensions arrive out of order, the requested bin count
@@ -151,12 +163,10 @@ impl<'a> BinnedBitmapIndexBuilder<'a> {
         }
         debug_assert!(entries.next().is_none(), "value above last boundary");
 
-        let tree = BPlusTree::from_sorted_entries(
-            column
-                .iter()
-                .map(|&(v, o)| ((F64Key::new(v).expect("values are not NaN"), o), ())),
-        )
-        .expect("a sorted column is strictly ascending by (value, id)");
+        let tree = column
+            .iter()
+            .map(|&(v, o)| (F64Key::new(v).expect("values are not NaN"), o))
+            .collect();
         self.boundaries.push(bounds);
         self.columns.push(cols);
         self.trees.push(tree);
@@ -213,14 +223,13 @@ impl BinnedBitmapIndex {
     /// row-major `n × dims` table of 1-based bins with `0` marking a
     /// missing cell; `tree_entries` holds each dimension's live observed
     /// `(value, local id)` pairs in strictly ascending `(value, id)`
-    /// order, from which the probe B+-trees are rebuilt deterministically
-    /// ([`tkd_btree::BPlusTree::from_sorted_entries`]) — tree node
+    /// order, from which the probe trees are refilled — tree node
     /// structure is never persisted.
     ///
     /// # Errors
     /// A description of the first structural inconsistency (arities,
-    /// non-ascending or NaN boundaries/keys, column lengths, out-of-range
-    /// bins or probe ids).
+    /// non-ascending, duplicated or NaN boundaries/keys, column lengths,
+    /// out-of-range bins or probe ids).
     pub fn from_store_parts(
         dims: usize,
         boundaries: Vec<Vec<f64>>,
@@ -276,21 +285,22 @@ impl BinnedBitmapIndex {
                     ));
                 }
             }
+            let mut keys = Vec::with_capacity(tree_entries[d].len());
             for &(v, id) in &tree_entries[d] {
                 if (id as usize) >= n {
                     return Err(format!("probe id {id} of dim {d} exceeds n={n}"));
                 }
-                if v.is_nan() {
-                    return Err(format!("NaN probe key in dim {d}"));
-                }
+                let key = F64Key::new(v).ok_or_else(|| format!("NaN probe key in dim {d}"))?;
+                keys.push((key, id));
             }
-            let tree = BPlusTree::from_sorted_entries(
-                tree_entries[d]
-                    .iter()
-                    .map(|&(v, id)| ((F64Key::new(v).expect("checked above"), id), ())),
-            )
-            .map_err(|e| format!("probe stream of dim {d}: {e}"))?;
-            trees.push(tree);
+            // Checked here because `collect` would sort and dedup a corrupt
+            // stream into a tree that disagrees with the columns.
+            if keys.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "probe stream of dim {d} is not strictly ascending by (value, id)"
+                ));
+            }
+            trees.push(keys.into_iter().collect());
         }
         let mut bin_idx = bin_slots;
         for (i, slot) in bin_idx.iter_mut().enumerate() {
@@ -322,7 +332,7 @@ impl BinnedBitmapIndex {
     /// Keys come back normalized (−0.0 was collapsed to +0.0 at insert),
     /// so the export is already canonical.
     pub fn tree_entries(&self, dim: usize) -> impl Iterator<Item = (f64, ObjectId)> + '_ {
-        self.trees[dim].iter().map(|(&(k, id), _)| (k.get(), id))
+        self.trees[dim].iter().map(|&(k, id)| (k.get(), id))
     }
 
     // ----- dynamic maintenance -------------------------------------------
@@ -358,13 +368,10 @@ impl BinnedBitmapIndex {
                     for (c, col) in self.columns[dim].iter_mut().enumerate() {
                         col.push(c <= b);
                     }
-                    self.trees[dim].insert(
-                        (
-                            F64Key::new(v).expect("values are not NaN"),
-                            local as ObjectId,
-                        ),
-                        (),
-                    );
+                    self.trees[dim].insert((
+                        F64Key::new(v).expect("values are not NaN"),
+                        local as ObjectId,
+                    ));
                     (b + 1) as u32
                 }
             };
@@ -411,7 +418,7 @@ impl BinnedBitmapIndex {
             None => MISSING,
             Some(v) => {
                 let b = self.ensure_bin(dim, v);
-                self.trees[dim].insert((F64Key::new(v).expect("not NaN"), local as ObjectId), ());
+                self.trees[dim].insert((F64Key::new(v).expect("not NaN"), local as ObjectId));
                 (b + 1) as u32
             }
         };
@@ -453,13 +460,6 @@ impl BinnedBitmapIndex {
             *bounds.last_mut().expect("nonempty") = v;
         }
         bounds.partition_point(|&ub| ub < v)
-    }
-
-    /// Rank probe over the per-dimension B+-tree: number of live observed
-    /// entries with value `≥ v` — the `|Tᵢ|` building block of exact
-    /// `MaxScore` maintenance.
-    pub fn count_value_at_least(&self, dim: usize, v: f64) -> usize {
-        self.trees[dim].count_at_least(&(F64Key::new(v).expect("not NaN"), 0))
     }
 
     /// Number of live observed entries in `dim` (the probe tree's size).
@@ -606,18 +606,18 @@ impl BinnedBitmapIndex {
     }
 
     /// Actual allocated column storage in bytes: every column holds
-    /// `ceil(|S| / 64)` 64-bit words. Excludes the B+-tree probes.
+    /// `ceil(|S| / 64)` 64-bit words. Excludes the probe trees.
     pub fn allocated_bytes(&self) -> u64 {
         let ncols: u64 = self.columns.iter().map(|c| c.len() as u64).sum();
         ncols * (self.n as u64).div_ceil(64) * 8
     }
 
-    /// Objects whose value in `dim` equals `v` (B+-tree probe, ascending id).
+    /// Objects whose value in `dim` equals `v` (tree probe, ascending id).
     pub fn ids_equal(&self, dim: usize, v: f64) -> impl Iterator<Item = ObjectId> + '_ {
         let k = F64Key::new(v).expect("probe value is not NaN");
         self.trees[dim]
             .range((k, 0)..=(k, ObjectId::MAX))
-            .map(|(&(_, id), _)| id)
+            .map(|&(_, id)| id)
     }
 
     /// Objects in the same bin as `o` in `dim` whose value is strictly less
@@ -625,7 +625,7 @@ impl BinnedBitmapIndex {
     /// dominated by `o`). Empty when `o` misses `dim`. `o` is an id local
     /// to this index (equal to the global id for whole-dataset builds).
     ///
-    /// Returns a concrete B+-tree range cursor — no boxing, so the IBIG
+    /// Returns a concrete tree range cursor — no boxing, so the IBIG
     /// inner loop performs no heap allocation per probe.
     pub fn ids_in_bin_below(
         &self,
@@ -672,7 +672,7 @@ impl BinnedBitmapIndex {
             };
             (lo, hi)
         };
-        self.trees[dim].range((lo, hi)).map(|(&(_, id), _)| id)
+        self.trees[dim].range((lo, hi)).map(|&(_, id)| id)
     }
 
     /// Resolve the binned `[Qᵢ]`/`[Pᵢ]` column picks for an arbitrary value
@@ -1090,7 +1090,8 @@ mod tests {
                         .filter_map(|s| value_of(&rows, s, d))
                         .filter(|&v| v >= probe)
                         .count();
-                    assert_eq!(idx.count_value_at_least(d, probe), brute, "probe {probe}");
+                    let in_tree = idx.tree_entries(d).filter(|e| e.0 >= probe).count();
+                    assert_eq!(in_tree, brute, "probe {probe}");
                 }
                 let brute_observed = (0..rows.len())
                     .filter(|&s| value_of(&rows, s, d).is_some())
@@ -1207,10 +1208,7 @@ mod tests {
                 "probes of dim {d}"
             );
             for probe in [0.0, 2.0, 3.5, 11.0] {
-                assert_eq!(
-                    rebuilt.count_value_at_least(d, probe),
-                    idx.count_value_at_least(d, probe)
-                );
+                assert!(rebuilt.ids_equal(d, probe).eq(idx.ids_equal(d, probe)));
             }
         }
         for o in ds.ids().filter(|&o| o as usize != victim) {
@@ -1245,6 +1243,14 @@ mod tests {
             p[1].swap(0, 1);
             assert!(BinnedBitmapIndex::from_store_parts(d, b, c, s, p).is_err());
         }
+        // The same (value, id) entry twice in a row.
+        {
+            let (d, b, c, s, mut p) = parts.clone();
+            let first = p[1][0];
+            p[1].insert(0, first);
+            let err = BinnedBitmapIndex::from_store_parts(d, b, c, s, p).unwrap_err();
+            assert!(err.contains("strictly ascending"), "{err}");
+        }
         // Unsorted boundaries.
         {
             let (d, mut b, c, s, p) = parts;
@@ -1255,13 +1261,12 @@ mod tests {
 
     /// Regression for the signed-zero hazard of bulk-loading: a raw
     /// `total_cmp` sort puts every −0.0 before every +0.0 while the tree
-    /// key collapses them, so `(key, id)` would not ascend and
-    /// `from_sorted_entries` would reject the stream. The sorted column
-    /// normalizes first; the bulk-loaded trees must answer exactly like
-    /// trees filled by single-key inserts.
+    /// key collapses them, so `(key, id)` would not ascend. The sorted
+    /// column normalizes first; the bulk-filled trees must answer exactly
+    /// like trees filled by single-key inserts, and the exact index's rank
+    /// query like a count over such a tree.
     #[test]
     fn bulk_built_probes_match_insert_built_ones() {
-        use std::collections::BTreeSet;
         // Dim 0: both zeros, both infinities, heavy duplicates. Dim 1:
         // never observed. Dim 2: always observed (rows must observe one).
         let cycle = [
@@ -1296,33 +1301,33 @@ mod tests {
 
         for (lo, hi) in [(0, n), (0, 50), (50, 100), (100, n)] {
             let idx = BinnedBitmapIndex::build_range(&ds, &[3, 3, 3], lo, hi);
+            let exact = BitmapIndex::build_range(&ds, lo, hi);
             for dim in 0..3 {
-                let mut tree: BPlusTree<(F64Key, ObjectId), ()> = BPlusTree::new();
+                let mut tree = ProbeTree::new();
                 for o in lo..hi {
                     if let Some(v) = ds.value(o as ObjectId, dim) {
-                        tree.insert((key(v), (o - lo) as ObjectId), ());
+                        tree.insert((key(v), (o - lo) as ObjectId));
                     }
                 }
+                let missing = (hi - lo) - tree.len();
                 let got: Vec<(u64, ObjectId)> = idx
                     .tree_entries(dim)
                     .map(|(v, o)| (v.to_bits(), o))
                     .collect();
-                let want: Vec<(u64, ObjectId)> = tree
-                    .iter()
-                    .map(|(&(k, o), _)| (k.get().to_bits(), o))
-                    .collect();
+                let want: Vec<(u64, ObjectId)> =
+                    tree.iter().map(|&(k, o)| (k.get().to_bits(), o)).collect();
                 assert_eq!(got, want, "tree_entries {lo}..{hi} dim {dim}");
                 assert_eq!(idx.observed_count(dim), tree.len());
                 for v in probes {
                     assert_eq!(
-                        idx.count_value_at_least(dim, v),
-                        tree.count_at_least(&(key(v), 0)),
-                        "count_value_at_least({v}) {lo}..{hi} dim {dim}"
+                        exact.count_missing_or_at_least(dim, v),
+                        missing + tree.range((key(v), 0)..).count(),
+                        "count_missing_or_at_least({v}) {lo}..{hi} dim {dim}"
                     );
                     let eq: Vec<ObjectId> = idx.ids_equal(dim, v).collect();
                     let want: Vec<ObjectId> = tree
                         .range((key(v), 0)..=(key(v), ObjectId::MAX))
-                        .map(|(&(_, o), _)| o)
+                        .map(|&(_, o)| o)
                         .collect();
                     assert_eq!(eq, want, "ids_equal({v}) {lo}..{hi} dim {dim}");
                 }
@@ -1345,10 +1350,13 @@ mod tests {
         // key a single `insert`): same export, same rank and equality
         // probes. (Bins differ — appends only extend the last one.)
         let bulk = BinnedBitmapIndex::build(&ds, &[3, 3, 3]);
+        let bulk_exact = BitmapIndex::build(&ds);
         let empty = tkd_model::Dataset::from_rows(3, &[]).unwrap();
         let mut grown = BinnedBitmapIndex::build(&empty, &[3, 3, 3]);
+        let mut grown_exact = BitmapIndex::build(&empty);
         for o in ds.ids() {
             grown.append_row(|d| ds.value(o, d));
+            grown_exact.append_row(|d| ds.value(o, d));
         }
         for dim in 0..3 {
             let bits = |idx: &BinnedBitmapIndex| -> Vec<(u64, ObjectId)> {
@@ -1359,8 +1367,8 @@ mod tests {
             assert_eq!(bits(&bulk), bits(&grown), "dim {dim}");
             for v in probes {
                 assert_eq!(
-                    bulk.count_value_at_least(dim, v),
-                    grown.count_value_at_least(dim, v)
+                    bulk_exact.count_missing_or_at_least(dim, v),
+                    grown_exact.count_missing_or_at_least(dim, v)
                 );
                 assert!(bulk.ids_equal(dim, v).eq(grown.ids_equal(dim, v)));
             }

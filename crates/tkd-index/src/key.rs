@@ -1,9 +1,9 @@
-//! Totally ordered `f64` key wrapper.
+//! Totally ordered `f64` key of the binned index's probe trees.
 
 use core::cmp::Ordering;
 use core::fmt;
 
-/// An `f64` with total order, usable as a B+-tree key.
+/// An `f64` with total order, usable as a `BTreeSet` key.
 ///
 /// NaN is rejected at construction (the data model already forbids NaN for
 /// observed values) and **−0.0 is normalized to +0.0**, so `Eq`/`Ord` are
@@ -12,13 +12,13 @@ use core::fmt;
 /// order −0.0 below +0.0 and value-equality probes (e.g. IBIG's `tagT`
 /// accumulation) would miss ties between the two zeros.
 #[derive(Clone, Copy, PartialEq)]
-pub struct F64Key(f64);
+pub(crate) struct F64Key(f64);
 
 impl F64Key {
     /// Wrap a finite-or-infinite (non-NaN) float.
     ///
     /// Returns `None` for NaN.
-    pub fn new(v: f64) -> Option<Self> {
+    pub(crate) fn new(v: f64) -> Option<Self> {
         if v.is_nan() {
             None
         } else {
@@ -29,7 +29,7 @@ impl F64Key {
     }
 
     /// The wrapped value.
-    pub fn get(self) -> f64 {
+    pub(crate) fn get(self) -> f64 {
         self.0
     }
 }
@@ -54,13 +54,6 @@ impl fmt::Debug for F64Key {
     }
 }
 
-impl TryFrom<f64> for F64Key {
-    type Error = &'static str;
-    fn try_from(v: f64) -> Result<Self, Self::Error> {
-        F64Key::new(v).ok_or("NaN is not a valid key")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,7 +61,6 @@ mod tests {
     #[test]
     fn rejects_nan() {
         assert!(F64Key::new(f64::NAN).is_none());
-        assert!(F64Key::try_from(f64::NAN).is_err());
     }
 
     #[test]

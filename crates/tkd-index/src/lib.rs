@@ -6,7 +6,7 @@
 //!   dominance checks reduce to ANDs).
 //! * [`BinnedBitmapIndex`] — the **binned** variant of Fig. 9: one bit per
 //!   value *range* instead of per value, with the adaptive quantile binning
-//!   of Eq. 3–4 and per-dimension B+-trees for probing bin interiors.
+//!   of Eq. 3–4 and per-dimension ordered sets for probing bin interiors.
 //! * [`CompressedColumns`] — any index's columns compressed with WAH or
 //!   CONCISE (the storage layout IBIG uses).
 //! * [`cost`] — the §4.5 space/time model and the optimal bin count Eq. 8.
@@ -14,9 +14,10 @@
 //!   of `tkd-core`'s `MaxScore` queue): each dimension of an id range
 //!   sorted once, shared by every artifact built over that range through
 //!   [`BitmapIndexBuilder`] / [`BinnedBitmapIndexBuilder`] (both at once:
-//!   [`IndexPairBuilder`]). The probe B+-trees are bulk-loaded from it;
-//!   rank probes and tree inserts belong to the dynamic maintenance path
-//!   only.
+//!   [`IndexPairBuilder`]). The probe trees are bulk-filled from it;
+//!   single-key inserts and the rank query
+//!   ([`BitmapIndex::count_missing_or_at_least`]) belong to the dynamic
+//!   maintenance path only.
 //!
 //! # The column encoding
 //!
@@ -33,6 +34,7 @@ mod binned;
 mod bitmap;
 mod compressed;
 pub mod cost;
+mod key;
 mod sorted_column;
 
 pub use binned::{compute_bins, BinSelection, BinnedBitmapIndex, BinnedBitmapIndexBuilder};

@@ -4,13 +4,12 @@
 //! Every query-independent artifact is a sweep over this one sequence —
 //! the exact index's distinct-value table, slots and columns
 //! ([`crate::BitmapIndexBuilder`]), the binned index's value counts, bin
-//! assignment and bulk-loaded probe tree
+//! assignment and bulk-filled probe tree
 //! ([`crate::BinnedBitmapIndexBuilder`]), and the `|Tᵢ(o)|` suffix counts
 //! behind `MaxScore` (`tkd_core::maxscore`). So a build sorts each
 //! dimension of an id range **once** and hands the column to every
-//! artifact built over that range; the B+-tree is a *maintenance-time*
-//! structure (rank probes under inserts and deletes), never a build-time
-//! one.
+//! artifact built over that range; no build path inserts tree keys one
+//! by one or asks a rank query.
 
 use tkd_model::{Dataset, ObjectId};
 
@@ -21,8 +20,8 @@ use tkd_model::{Dataset, ObjectId};
 /// `(value, id)`; an entirely missing dimension yields an empty column.
 /// Values are normalized with `v + 0.0`, which collapses −0.0 into +0.0
 /// and fixes every other non-NaN value: the order then agrees with IEEE
-/// `<`/`==` *and* with [`tkd_btree::F64Key`], so equal-value runs are
-/// contiguous and the column bulk-loads a probe tree as is. One buffer of
+/// `<`/`==` *and* with the probe trees' key order, so equal-value runs
+/// are contiguous and the column bulk-fills a probe tree as is. One buffer of
 /// at most `hi − lo` entries is reused across the dimensions.
 ///
 /// # Panics

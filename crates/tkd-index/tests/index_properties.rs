@@ -58,6 +58,42 @@ fn assert_selections_agree(
     Ok(())
 }
 
+/// The rank query equals a brute-force count over the live rows (`None` =
+/// tombstoned), for probes at, between, below and beyond the table values.
+fn assert_ranks_agree(
+    exact: &BitmapIndex,
+    rows: &[Option<Vec<Option<f64>>>],
+) -> Result<(), TestCaseError> {
+    for dim in 0..exact.dims() {
+        let mut probes = vec![
+            f64::NEG_INFINITY,
+            -200.0,
+            -0.0,
+            0.0,
+            0.25,
+            1.75,
+            1e9,
+            f64::INFINITY,
+        ];
+        probes.extend_from_slice(exact.values(dim));
+        for v in probes {
+            let brute = rows
+                .iter()
+                .flatten()
+                .filter(|r| r[dim].is_none_or(|x| x >= v))
+                .count();
+            prop_assert_eq!(
+                exact.count_missing_or_at_least(dim, v),
+                brute,
+                "dim {} probe {}",
+                dim,
+                v
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -106,6 +142,54 @@ proptest! {
             rows[local][0] = new;
         }
         assert_selections_agree(&exact, &binned, &rows)?;
+    }
+
+    /// `count_missing_or_at_least` is the number of live rows with
+    /// `missing ∨ value ≥ v` while the index is mutated: beside
+    /// tombstones, after an append that is the first observation of a
+    /// dimension and a new minimum everywhere else (the column-0 splice,
+    /// which must mask the dead slots), after appends of signed zeros,
+    /// infinities and new distinct values, and after cell rewrites to
+    /// fresh values and to missing.
+    #[test]
+    fn rank_query_matches_brute_force_under_mutation(
+        seed_rows in special_rows(3),
+        appended in special_rows(4),
+    ) {
+        // Dimension 3 starts out all-missing.
+        let seed: Vec<Vec<Option<f64>>> = seed_rows
+            .into_iter()
+            .map(|mut r| {
+                r.push(None);
+                r
+            })
+            .collect();
+        let mut exact = BitmapIndex::build(&Dataset::from_rows(4, &seed).expect("valid rows"));
+        let mut rows: Vec<Option<Vec<Option<f64>>>> = seed.into_iter().map(Some).collect();
+        assert_ranks_agree(&exact, &rows)?;
+
+        for local in (0..rows.len()).step_by(3) {
+            exact.tombstone_row(local);
+            rows[local] = None;
+        }
+        assert_ranks_agree(&exact, &rows)?;
+
+        for row in std::iter::once(vec![Some(-100.0); 4]).chain(appended) {
+            exact.append_row(|d| row[d]);
+            rows.push(Some(row));
+            assert_ranks_agree(&exact, &rows)?;
+        }
+
+        for (local, row) in rows.iter_mut().enumerate() {
+            let Some(row) = row else { continue };
+            row[3] = Some(local as f64 + 0.125);
+            exact.set_cell(local, 3, row[3]);
+            if local % 2 == 0 {
+                row[0] = None;
+                exact.set_cell(local, 0, None);
+            }
+        }
+        assert_ranks_agree(&exact, &rows)?;
     }
 
     /// Every vertical column equals its defining set

@@ -2,7 +2,7 @@
 //! process lifetimes.
 //!
 //! Every `tkdq` invocation and engine start used to re-pay the full
-//! `O(N·d)` bitmap + B+-tree + preprocessing construction. This crate
+//! `O(N·d)` bitmap + probe-tree + preprocessing construction. This crate
 //! persists the whole maintained state of a
 //! [`DynamicEngine`] — dataset, exact
 //! [`tkd_index::BitmapIndex`], binned index with probe
@@ -35,8 +35,8 @@
 //! buffer, and after the checksums validate, every column and dataset
 //! slab is handed out as a *borrowed view* of that buffer (promoted to
 //! an owned copy only when first mutated) — load cost is O(validate),
-//! not O(copy). B+-tree *node structure* is never stored: probe trees
-//! serialize as their sorted entry streams and rebuild deterministically.
+//! not O(copy). Tree *node structure* is never stored: probe trees
+//! serialize as their sorted entry streams and are refilled from them.
 //!
 //! **Compatibility policy:** exact version match. A snapshot from any
 //! other format version fails with [`StoreError::VersionMismatch`] —

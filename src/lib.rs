@@ -8,7 +8,6 @@
 //!
 //! * [`model`] — incomplete-data records, datasets, dominance (Def. 1–3).
 //! * [`bitvec`] — dense bit vectors plus WAH and CONCISE compression.
-//! * [`btree`] — in-memory B+-tree substrate.
 //! * [`skyline`] — skyline / k-skyband operators.
 //! * [`index`] — range-encoded and binned bitmap indexes, binning strategy,
 //!   space/time cost model (§4.3–4.5).
@@ -51,7 +50,6 @@
 pub mod cli;
 
 pub use tkd_bitvec as bitvec;
-pub use tkd_btree as btree;
 pub use tkd_cluster as cluster;
 pub use tkd_core as core;
 pub use tkd_data as data;

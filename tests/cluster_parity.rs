@@ -17,7 +17,14 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tkdi::cluster::{ClusterConfig, ClusterError, Coordinator, Worker, WorkerConfig};
-use tkdi::core::{Algorithm, DynamicEngine, EngineQuery, ParallelEngine, TkdResult, UpdateOp};
+use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
+use tkdi::core::{
+    Algorithm, BinChoice, DynamicEngine, EngineQuery, ParallelEngine, TkdResult, UpdateOp,
+};
+use tkdi::serve::cluster_wire::{
+    ClusterRequest, ClusterResponse, ShardPhase, ShardQuery, ShardUpdate, WireCandidate,
+};
+use tkdi::serve::{Client, ServeError};
 
 const SHARDS: [usize; 3] = [1, 2, 3];
 const MISSING: [u64; 3] = [10, 30, 60];
@@ -254,4 +261,128 @@ fn killed_worker_is_repaired_or_fails_typed() {
         ),
         "typed error only, got {err}"
     );
+}
+
+/// A rejected `shard_update` must leave the worker exactly where its
+/// committed snapshot is. `apply_ops` keeps the valid prefix of a failing
+/// batch, so without a rollback the hosted engine runs ahead of
+/// `shard-0.seqN.tkd`: the next accepted batch commits the orphan insert
+/// and a handoff ships it. Driven frame by frame over a real socket,
+/// against a twin engine that replays the accepted batches only.
+#[test]
+fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
+    let ds = synth(4242, 30, 3, 5, 30);
+    let n = ds.len() as u64;
+    let scratch = ScratchDir::new("rollback");
+    let seed_path = scratch.0.join("shard-0.seq0.tkd");
+    let options = DynamicOptions {
+        bins: BinChoice::Auto,
+        policy: CompactionPolicy::never(),
+    };
+    tkdi::store::save_engine(
+        &seed_path,
+        &mut DynamicEngine::with_options(ds.clone(), options),
+    )
+    .expect("seed snapshot");
+    // The twin takes the worker's own route: loaded from the seed file,
+    // then fed the accepted batches.
+    let mut twin = tkdi::store::load_engine(&seed_path).expect("twin load");
+    let twin_bytes = |twin: &mut DynamicEngine| {
+        let path = scratch.0.join("twin.tkd");
+        tkdi::store::save_engine(&path, twin).expect("twin save");
+        std::fs::read(path).expect("twin bytes")
+    };
+
+    let (workers, addrs) = start_workers(1);
+    let mut client = Client::connect(addrs[0]).expect("connect");
+    let assign = ClusterRequest::Assign {
+        shard: 0,
+        path: seed_path.display().to_string(),
+        replay: Vec::new(),
+    };
+    client.cluster_call(&assign).expect("assign");
+    let update = |client: &mut Client, seq: u64, ops: &[UpdateOp]| {
+        let ops = ops.to_vec();
+        match client.cluster_call(&ClusterRequest::ShardUpdate(ShardUpdate {
+            shard: 0,
+            seq,
+            ops,
+        })) {
+            Ok(ClusterResponse::ShardUpdateAck(ack)) => Ok(ack),
+            Ok(other) => panic!("unexpected answer {other:?}"),
+            Err(e) => Err(e),
+        }
+    };
+    // Bounds and partials of a fixed candidate set (two members, one
+    // stranger), both algorithms — the cached `ShardScorer`'s view.
+    let row = |id: u32| (0..ds.dims()).map(|d| ds.value(id, d)).collect();
+    let cand = |values, member| WireCandidate { values, member };
+    let candidates = vec![
+        cand(row(0), Some(0)),
+        cand(row(7), Some(7)),
+        cand(vec![Some(2.0), None, Some(1.0)], None),
+    ];
+    let outcomes = |client: &mut Client| -> Vec<ClusterResponse> {
+        let mut all = Vec::new();
+        for &algorithm in &ALGS {
+            for phase in [ShardPhase::Bounds, ShardPhase::Partials] {
+                let query = ShardQuery {
+                    shard: 0,
+                    algorithm,
+                    phase,
+                    tau: None,
+                    candidates: candidates.clone(),
+                };
+                let answer = client.cluster_call(&ClusterRequest::ShardQuery(query));
+                all.push(answer.expect("shard query"));
+            }
+        }
+        all
+    };
+
+    // seq 1, accepted.
+    let first = [UpdateOp::Insert(vec![Some(2.0), None, Some(3.0)])];
+    assert!(twin.apply_ops(&first).error.is_none());
+    let ack1 = update(&mut client, 1, &first).expect("seq 1");
+    assert_eq!((ack1.live, &ack1.inserted), (n + 1, &vec![n]));
+    let committed = std::fs::read(&ack1.path).expect("seq1 snapshot");
+    assert_eq!(committed, twin_bytes(&mut twin));
+    let before = outcomes(&mut client);
+
+    // seq 2, rejected at its second op; its first op is a valid insert.
+    let poisoned = [
+        UpdateOp::Insert(vec![Some(9.0), Some(9.0), Some(9.0)]),
+        UpdateOp::Delete(9_999),
+    ];
+    match update(&mut client, 2, &poisoned) {
+        Err(ServeError::Rejected { index: 1, .. }) => {}
+        other => panic!("poisoned batch must be rejected at op 1, got {other:?}"),
+    }
+    assert_eq!(outcomes(&mut client), before);
+    assert_eq!(std::fs::read(&ack1.path).expect("seq1 snapshot"), committed);
+
+    // seq 2 again, accepted: exactly its own insert, under the id a
+    // replay of the accepted batches hands out.
+    let second = [
+        UpdateOp::Insert(vec![None, Some(4.0), Some(0.0)]),
+        UpdateOp::Delete(3),
+    ];
+    assert!(twin.apply_ops(&second).error.is_none());
+    let ack2 = update(&mut client, 2, &second).expect("seq 2");
+    assert_eq!((ack2.live, &ack2.inserted), (n + 1, &vec![n + 1]));
+
+    let handoff = client.cluster_call(&ClusterRequest::Handoff { shard: 0 });
+    let handed = ClusterResponse::HandoffAck {
+        path: ack2.path.clone(),
+        seq: 2,
+    };
+    assert_eq!(handoff.expect("handoff"), handed);
+    assert_eq!(
+        std::fs::read(&ack2.path).expect("seq2 snapshot"),
+        twin_bytes(&mut twin),
+        "handed-off snapshot must hold the accepted batches only"
+    );
+    for w in workers {
+        w.stop();
+    }
 }
