@@ -8,9 +8,9 @@
 //!   --exp        comma-separated subset of:
 //!                table2,fig10,table3,fig11,fig12,fig13,table4,
 //!                fig14,fig15,fig16,fig17,fig18,binopt,ablation,baseline,
-//!                perf,updates,persist,serve,load,standing,cluster,compare
+//!                perf,updates,persist,serve,load,standing,compare
 //!                (default: all paper artifacts; `perf`, `updates`,
-//!                `persist`, `serve`, `load`, `standing`, `cluster`, and
+//!                `persist`, `serve`, `load`, `standing`, and
 //!                `compare` run only when requested)
 //!   --scale      quick (default) or paper (the paper's dataset sizes)
 //!   --seed       RNG seed (default 42)
@@ -22,7 +22,7 @@
 //!                (default: BENCH_2.json, BENCH_3.json with --threads,
 //!                BENCH_4.json for updates, BENCH_5.json for persist,
 //!                BENCH_6.json for serve, BENCH_7.json for load,
-//!                BENCH_8.json for standing, BENCH_10.json for cluster)
+//!                BENCH_8.json for standing)
 //!   --baseline   with `--exp compare`: the committed tkd-perf/v1 file
 //!   --current    with `--exp compare`: the freshly measured snapshot
 //!   --tolerance  with `--exp compare`: allowed normalized-time ratio
@@ -32,16 +32,15 @@
 
 use std::collections::BTreeSet;
 use tkd_bench::{
-    cluster, compare, experiments as exp, load, perf, persist, serve, standing, table::Table,
-    updates, Scale,
+    compare, experiments as exp, load, perf, persist, serve, standing, table::Table, updates, Scale,
 };
 
 /// Every experiment name `--exp` accepts; the single source of truth for
 /// validation and the usage text.
-const KNOWN: [&str; 23] = [
+const KNOWN: [&str; 22] = [
     "table2", "fig10", "table3", "fig11", "fig12", "fig13", "table4", "fig14", "fig15", "fig16",
     "fig17", "fig18", "binopt", "ablation", "baseline", "perf", "updates", "persist", "serve",
-    "load", "standing", "cluster", "compare",
+    "load", "standing", "compare",
 ];
 
 fn main() {
@@ -148,17 +147,15 @@ fn main() {
     }
     let want_compare = exps.as_ref().is_some_and(|set| set.contains("compare"));
     let wants = |name: &str| exps.as_ref().is_some_and(|set| set.contains(name));
-    let bench_writers = [
-        "perf", "updates", "persist", "serve", "load", "standing", "cluster",
-    ]
-    .iter()
-    .filter(|e| wants(e))
-    .count();
+    let bench_writers = ["perf", "updates", "persist", "serve", "load", "standing"]
+        .iter()
+        .filter(|e| wants(e))
+        .count();
     if bench_out.is_some() && bench_writers > 1 {
         // Multiple experiments would write the same file, the later ones
         // silently clobbering the earlier.
         usage(
-            "--bench-out is ambiguous across perf/updates/persist/serve/load/standing/cluster; \
+            "--bench-out is ambiguous across perf/updates/persist/serve/load/standing; \
              run them separately",
         );
     }
@@ -301,15 +298,6 @@ fn main() {
         std::fs::write(bench_out, json).expect("write standing JSON");
         println!("(standing-query benchmark written to {bench_out})");
     }
-    // The cluster protocol-overhead benchmark (BENCH_10.json) — opt-in;
-    // bit-identical answers asserted inline, wire cost recorded.
-    if exps.as_ref().is_some_and(|set| set.contains("cluster")) {
-        let (table, json) = cluster::run(scale, seed);
-        let bench_out = bench_out.as_deref().unwrap_or("BENCH_10.json");
-        emit(vec![table]);
-        std::fs::write(bench_out, json).expect("write cluster JSON");
-        println!("(cluster benchmark written to {bench_out})");
-    }
     // The perf regression gate — opt-in; a regression (or a vacuous
     // comparison) exits non-zero so CI fails.
     if want_compare {
@@ -382,8 +370,6 @@ fn usage(err: &str) -> ! {
          wide-lane popcount kernels (writes BENCH_7.json)\n\
          --exp standing measures per-batch standing-query patching vs \
          full re-query (writes BENCH_8.json)\n\
-         --exp cluster measures multi-process shard-query overhead at \
-         bit-identical answers (writes BENCH_10.json)\n\
          --exp compare gates normalized BIG/IBIG query times against a \
          committed tkd-perf/v1 baseline (exit 1 on regression)",
         KNOWN.join(",")

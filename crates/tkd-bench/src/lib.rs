@@ -13,7 +13,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod compare;
 pub mod datasets;
 pub mod experiments;

@@ -423,11 +423,21 @@ impl Coordinator {
     /// shard is never lost mid-move.
     ///
     /// # Errors
-    /// [`ClusterError::NoWorkers`] when no live worker can take the
-    /// shard; typed worker/protocol errors otherwise.
+    /// [`ClusterError::OutOfRange`] for a `shard` or `to` this cluster
+    /// does not have (nothing moves); [`ClusterError::NoWorkers`] when no
+    /// live worker can take the shard; typed worker/protocol errors
+    /// otherwise.
     pub fn handoff(&mut self, shard: u64, to: usize) -> Result<(), ClusterError> {
-        assert!((shard as usize) < self.shards.len(), "unknown shard");
-        assert!(to < self.workers.len(), "unknown worker");
+        let in_range = |what, index: u64, count: usize| {
+            let count = count as u64;
+            if index < count {
+                Ok(())
+            } else {
+                Err(ClusterError::OutOfRange { what, index, count })
+            }
+        };
+        in_range("shard", shard, self.shards.len())?;
+        in_range("worker", to as u64, self.workers.len())?;
         let from = self.shards[shard as usize].worker;
         if from == to {
             return Ok(());
@@ -784,13 +794,11 @@ mod tests {
     use crate::{Worker, WorkerConfig};
     use tkd_core::EngineQuery;
 
-    /// Every acked batch is on disk under its seq stamp, so the replay
-    /// log is cut at each ack — and an in-doubt batch leaves it as soon
-    /// as the repair has re-hosted its shard from the replayed snapshot.
-    #[test]
-    fn replay_log_holds_at_most_the_in_doubt_batch() {
-        let dir = std::env::temp_dir().join(format!("tkd-cluster-log-{}", std::process::id()));
-        let mut workers: Vec<Worker> = (0..2)
+    /// Two workers and a 12-row, 2-shard cluster seeded under a scratch
+    /// directory of its own.
+    fn seeded(tag: &str) -> (Vec<Worker>, Coordinator, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("tkd-cluster-{tag}-{}", std::process::id()));
+        let workers: Vec<Worker> = (0..2)
             .map(|_| Worker::start("127.0.0.1:0", WorkerConfig::default()).expect("worker start"))
             .collect();
         let addrs: Vec<SocketAddr> = workers.iter().map(Worker::local_addr).collect();
@@ -798,8 +806,41 @@ mod tests {
             .map(|i| vec![Some(f64::from(i % 5)), Some(f64::from(i % 3))])
             .collect();
         let ds = Dataset::from_rows(2, &rows).expect("valid rows");
-        let mut coord =
+        let coord =
             Coordinator::seed(&ds, 2, &addrs, ClusterConfig::new(&dir)).expect("seed cluster");
+        (workers, coord, dir)
+    }
+
+    /// A handoff naming a shard or worker the cluster does not have is a
+    /// typed error that moves nothing (`tkdq cluster query --handoff 9:0`
+    /// used to die on an assertion here).
+    #[test]
+    fn handoff_of_an_unknown_shard_or_worker_is_a_typed_error() {
+        let (workers, mut coord, dir) = seeded("handoff-range");
+        let hosts = (coord.worker_of(0), coord.worker_of(1));
+        for (shard, to, message) in [
+            (99, 0, "unknown shard 99: the cluster has shards 0..2"),
+            (0, 99, "unknown worker 99: the cluster has workers 0..2"),
+        ] {
+            let err = coord.handoff(shard, to).expect_err("out of range");
+            assert!(matches!(err, ClusterError::OutOfRange { .. }), "{err:?}");
+            assert_eq!(err.to_string(), message);
+            assert_eq!((coord.worker_of(0), coord.worker_of(1)), hosts);
+        }
+        let want = coord.mirror.query(&EngineQuery::new(4)).expect("mirror");
+        let got = coord.query(4, Algorithm::Big).expect("cluster query");
+        assert_eq!(got.entries(), want.entries());
+
+        drop(workers);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every acked batch is on disk under its seq stamp, so the replay
+    /// log is cut at each ack — and an in-doubt batch leaves it as soon
+    /// as the repair has re-hosted its shard from the replayed snapshot.
+    #[test]
+    fn replay_log_holds_at_most_the_in_doubt_batch() {
+        let (mut workers, mut coord, dir) = seeded("log");
 
         // Each batch touches both shards: a set lands on shard 0 (id 0),
         // inserts alternate between the shards by id.

@@ -5,9 +5,11 @@
 //! partition — into a process topology: a [`Coordinator`] that owns the
 //! routing table and candidate queue, and N shard [`Worker`] processes
 //! that each host one or more id-range shards loaded from seq-stamped
-//! snapshot files (`shard-{s}.seq{n}.tkd`).
+//! snapshot files (`shard-{s}.seq{n}.tkd`). A hosted shard is one
+//! `DynamicEngine`: the update path maintains it in place and the query
+//! path scores candidates on it, so a worker holds each shard once.
 //!
-//! Everything rides the v4 byte protocol's v5 cluster plane (see
+//! Everything rides the cluster plane of the v5 byte protocol (see
 //! `docs/WIRE_PROTOCOL.md`): queries fan out as two-phase
 //! `shard_query` frames with budgeted τ broadcasts, updates route by
 //! id through a single-writer path that only acks after an atomic
@@ -84,6 +86,16 @@ pub enum ClusterError {
     },
     /// No live worker remains to host a shard or answer a query.
     NoWorkers,
+    /// A caller-supplied shard or worker index names nothing in this
+    /// cluster.
+    OutOfRange {
+        /// What was indexed: `"shard"` or `"worker"`.
+        what: &'static str,
+        /// The index given.
+        index: u64,
+        /// How many exist; valid indexes are `0..count`.
+        count: u64,
+    },
     /// A worker answered with the wrong frame or inconsistent contents.
     Protocol(String),
     /// A snapshot could not be written, found, or loaded.
@@ -98,6 +110,12 @@ impl fmt::Display for ClusterError {
                 write!(f, "update op {index} rejected: {message}")
             }
             ClusterError::NoWorkers => write!(f, "no live workers remain"),
+            ClusterError::OutOfRange { what, index, count } => {
+                write!(
+                    f,
+                    "unknown {what} {index}: the cluster has {what}s 0..{count}"
+                )
+            }
             ClusterError::Protocol(msg) => write!(f, "cluster protocol violation: {msg}"),
             ClusterError::Store(msg) => write!(f, "shard snapshot store: {msg}"),
         }

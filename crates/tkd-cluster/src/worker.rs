@@ -3,11 +3,14 @@
 //! seq-stamped snapshot before acking.
 //!
 //! A worker is deliberately dumb: it never sees the candidate queue, the
-//! top-k, or other shards. It scores value-based candidates against its
-//! local rows ([`ShardScorer`]), applies routed update batches in strict
-//! seq order, and moves whole shards by snapshot path on `handoff` /
-//! `assign`. All cluster smarts (τ, pruning decisions, replay-merge,
-//! failure repair) live in the [`Coordinator`](crate::Coordinator).
+//! top-k, or other shards. It scores value-based candidates on the
+//! [`DynamicEngine`] that hosts each shard — the one copy of the shard's
+//! rows and indexes, maintained in place by the update path, so there is
+//! nothing to rebuild or invalidate between an update and the next query
+//! — applies routed update batches in strict seq order, and moves whole
+//! shards by snapshot path on `handoff` / `assign`. All cluster smarts
+//! (τ, pruning decisions, replay-merge, failure repair) live in the
+//! [`Coordinator`](crate::Coordinator).
 //!
 //! # Durability contract
 //!
@@ -19,14 +22,12 @@
 
 use crate::seq_from_path;
 use std::collections::HashMap;
-use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tkd_core::cluster::ShardScorer;
 use tkd_core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkd_core::{Algorithm, BinChoice, DynamicEngine};
 use tkd_serve::cluster_wire::{
@@ -67,32 +68,12 @@ impl Default for WorkerConfig {
     }
 }
 
-/// One hosted shard: its engine, the path + seq of its last committed
-/// snapshot, and a lazily (re)built scorer over the current rows.
+/// One hosted shard: its engine and the path + seq of its last committed
+/// snapshot.
 struct ShardHost {
     engine: DynamicEngine,
     path: PathBuf,
     seq: u64,
-    /// `(scorer, local stable id -> dense scorer row)`, dropped on every
-    /// update and rebuilt from `engine.snapshot()` on the next query.
-    scorer: Option<(ShardScorer, HashMap<u32, usize>)>,
-}
-
-impl ShardHost {
-    fn scorer_mut(&mut self) -> &mut (ShardScorer, HashMap<u32, usize>) {
-        if self.scorer.is_none() {
-            let ds = self.engine.snapshot();
-            let rows: HashMap<u32, usize> = self
-                .engine
-                .live_ids()
-                .into_iter()
-                .enumerate()
-                .map(|(row, sid)| (sid, row))
-                .collect();
-            self.scorer = Some((ShardScorer::new(ds), rows));
-        }
-        self.scorer.as_mut().expect("just built")
-    }
 }
 
 /// Worker-global state behind one lock: hosted shards plus the session
@@ -127,8 +108,8 @@ fn score_candidates(
     phase: ShardPhase,
     candidates: &[WireCandidate],
 ) -> Result<Vec<u64>, ClusterResponse> {
-    let dims = host.engine.dims();
-    let (scorer, rows) = host.scorer_mut();
+    let engine = &mut host.engine;
+    let dims = engine.dims();
     let mut out = Vec::with_capacity(candidates.len());
     for (i, c) in candidates.iter().enumerate() {
         if c.values.len() != dims {
@@ -146,8 +127,8 @@ fn score_candidates(
         // rather than silently double-count the candidate's own bit.
         let member = match c.member {
             None => None,
-            Some(sid) => match u32::try_from(sid).ok().and_then(|s| rows.get(&s)) {
-                Some(&row) => Some(row),
+            Some(sid) => match u32::try_from(sid).ok().filter(|&id| engine.contains(id)) {
+                Some(id) => Some(id),
                 None => {
                     return Err(reject(
                         ERR_REJECTED,
@@ -158,11 +139,12 @@ fn score_candidates(
             },
         };
         let n = match (algorithm, phase) {
-            (Algorithm::Big, ShardPhase::Bounds) => scorer.big_bound(&c.values),
-            (Algorithm::Big, ShardPhase::Partials) => scorer.big_partial(&c.values, member),
-            (_, ShardPhase::Bounds) => scorer.ibig_q_count(&c.values),
-            (_, ShardPhase::Partials) => scorer.ibig_partial(&c.values, member),
-        };
+            (Algorithm::Big, ShardPhase::Bounds) => Ok(engine.big_bound(&c.values)),
+            (Algorithm::Big, ShardPhase::Partials) => engine.big_partial(&c.values, member),
+            (_, ShardPhase::Bounds) => Ok(engine.ibig_q_count(&c.values)),
+            (_, ShardPhase::Partials) => engine.ibig_partial(&c.values, member),
+        }
+        .map_err(|e| reject(ERR_REJECTED, i as u64, format!("candidate {i}: {e}")))?;
         out.push(n as u64);
     }
     Ok(out)
@@ -275,7 +257,6 @@ fn handle_assign(
             engine,
             path: current,
             seq,
-            scorer: None,
         },
     );
     ClusterResponse::AssignAck { shard, live }
@@ -290,8 +271,8 @@ fn snapshot_path(prev: &std::path::Path, shard: u64, seq: u64) -> PathBuf {
 
 /// Reject a batch that left `shard`'s engine ahead of its committed
 /// snapshot (`apply_ops` keeps the valid prefix of a failing batch):
-/// reload the engine from that snapshot so the hosted state, the scorer
-/// and `shard-S.seqN.tkd` agree again before the rejection goes out. A
+/// reload the engine from that snapshot so the hosted state and
+/// `shard-S.seqN.tkd` agree again before the rejection goes out. A
 /// shard whose snapshot no longer loads is un-hosted — the coordinator's
 /// repair path re-assigns it — rather than served in a state no file
 /// holds.
@@ -300,7 +281,6 @@ fn roll_back(state: &mut WorkerState, shard: u64, datum: u64, message: String) -
         .shards
         .get_mut(&shard)
         .expect("caller holds the shard");
-    host.scorer = None;
     match tkd_store::load_engine(&host.path) {
         Ok(engine) => {
             host.engine = engine;
@@ -339,7 +319,6 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
         let message = format!("op {i} failed on shard {}: {e}", u.shard);
         return roll_back(state, u.shard, *i as u64, message);
     }
-    host.scorer = None;
     let new_path = snapshot_path(&host.path, u.shard, u.seq);
     if let Err(e) = tkd_store::save_engine(&new_path, &mut host.engine) {
         let message = format!("snapshot commit failed, batch rolled back: {e}");
@@ -478,10 +457,10 @@ impl Worker {
                                 connection_loop(stream, &state, &stop, &config);
                             }));
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                        // Nothing pending — or a transient failure
+                        // (`ECONNABORTED`, `EMFILE`): a worker that still
+                        // pins its shards keeps listening until `stop`.
+                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
                     conns.retain(|h| !h.is_finished());
                 }

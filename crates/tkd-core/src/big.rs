@@ -23,8 +23,8 @@
 //! `|P − F| + |Q − P − nonD|`. The sequential `big_score` calls it with
 //! the context's one whole-range shard, the parallel engine
 //! ([`crate::parallel`]) with `plan.count()` shards, and a cluster worker
-//! ([`crate::cluster::ShardScorer`]) calls the term alone against its local
-//! rows. The traversal (Algorithm 4) is `crate::topk`'s `walk`.
+//! ([`crate::DynamicEngine::big_partial`]) calls the term alone against
+//! the engine hosting its shard. The traversal (Algorithm 4) is `crate::topk`'s `walk`.
 //!
 //! The one-shard case *is* the sequential algorithm, not a twin of it:
 //! same column picks (a member's stored value slots,

@@ -1,5 +1,5 @@
-//! Cross-process building block for the sharded cluster: per-shard
-//! scoring against **value-based candidates**.
+//! Cross-process building block for the sharded cluster: why per-shard
+//! scoring against **value-based candidates** adds up.
 //!
 //! # Why per-shard partials reconstruct the exact answer
 //!
@@ -7,20 +7,22 @@
 //! partition of the live rows into shards, `score(o) = Σⱼ partialⱼ(o)`
 //! where `partialⱼ(o)` counts the shard-j rows `o` dominates. The
 //! [`parallel`](crate::parallel) module exploits this inside one address
-//! space by slicing global bit vectors per shard; a [`ShardScorer`] runs
-//! the **same per-shard terms** — [`crate::big`]'s `big_term`,
-//! [`crate::ibig`]'s `ibig_term` — from **local state only**: the shard's
-//! dense live rows, its own indexes, and incomparable windows computed
-//! from local masks. So a shard worker in another process needs nothing
-//! global to score a candidate shipped as raw dimension values, and no
-//! scoring code exists twice.
+//! space by slicing global bit vectors per shard; a shard's
+//! [`DynamicEngine`](crate::DynamicEngine) runs the **same per-shard
+//! terms** — [`crate::big`]'s `big_term`, [`crate::ibig`]'s `ibig_term` —
+//! from **local state only**: the indexes it maintains under updates
+//! anyway, its live-aware incomparable windows, and its own scratch. So a
+//! shard worker in another process needs nothing global to score a
+//! candidate shipped as raw dimension values, keeps no second copy of its
+//! rows to do it, and no scoring code exists twice.
 //!
 //! The division of labor over the wire:
 //!
-//! * a **[`ShardScorer`]** answers two questions per candidate, phase by
-//!   phase: a cheap `|Q|` bound (BIG: suffix-table upper bound; IBIG:
-//!   exact fused count) for the coordinator's cross-shard Heuristic-2
-//!   decision, and the exact per-shard partial score;
+//! * a **shard engine** answers two questions per candidate, phase by
+//!   phase ([`big_bound`] / [`ibig_q_count`], then [`big_partial`] /
+//!   [`ibig_partial`]): a cheap `|Q|` bound (BIG: suffix-table upper
+//!   bound; IBIG: exact fused count) for the coordinator's cross-shard
+//!   Heuristic-2 decision, and the exact per-shard partial score;
 //! * the **coordinator** owns the candidate queue, sums the per-shard
 //!   answers, and drives a [`Replay`](crate::Replay) in queue order — the
 //!   one traversal state machine every engine uses, so entries, scores,
@@ -34,145 +36,21 @@
 //! Heuristic 3 (partial-score budget) is intentionally **not** applied
 //! across shards — it would need mid-scan budget exchange per candidate,
 //! so the terms run on an unlimited budget — and only the `h2/h3/scored`
-//! counters may differ from a sequential run, never the entries.
+//! counters may differ from a sequential run, never the entries. (IBIG's
+//! phase-1 count reads each shard's own frozen bin boundaries, so those
+//! counters also depend on the shards' update histories.)
 //! `tests/cluster_parity.rs` pins that equivalence over real sockets; the
-//! tests here pin it in-process.
+//! tests here pin it in-process, `tests/shard_scoring.rs` on engines
+//! mutated under random op streams.
+//!
+//! [`big_bound`]: crate::DynamicEngine::big_bound
+//! [`ibig_q_count`]: crate::DynamicEngine::ibig_q_count
+//! [`big_partial`]: crate::DynamicEngine::big_partial
+//! [`ibig_partial`]: crate::DynamicEngine::ibig_partial
 
-use crate::big::{big_term, Candidate};
-use crate::ibig::{ibig_term, IbigShard};
-use crate::scratch::ScratchSpace;
-use std::borrow::Cow;
-use std::collections::HashMap;
-use tkd_bitvec::{BitVec, Concise};
-use tkd_index::{BitmapIndex, IndexPairBuilder};
-use tkd_model::{Dataset, DimMask, ObjectId};
+use tkd_model::{Dataset, ObjectId};
 
 pub use crate::parallel::Outcome;
-
-/// A shard worker's scoring state: dense live rows with both index
-/// flavors, scratch for allocation-free scoring, and a cache of local
-/// incomparable windows keyed by candidate mask.
-///
-/// Built from a [`DynamicEngine`](crate::DynamicEngine) worker's
-/// [`snapshot`](crate::DynamicEngine::snapshot) (row `i` ↔
-/// `live_ids()[i]`), and rebuilt whenever the shard's contents change —
-/// the scorer itself is immutable with respect to the data.
-///
-/// A candidate arrives as its raw per-dimension `values` (`None` =
-/// missing; the length must equal the shard's dimension count) plus, for
-/// the exact partials, its dense row `member` when it lives in this shard
-/// (so its own bit is excluded from its score). After the first candidate
-/// of each mask, scoring allocates nothing.
-pub struct ShardScorer {
-    ds: Dataset,
-    index: BitmapIndex,
-    binned: IbigShard<'static, Concise>,
-    scratch: ScratchSpace,
-    /// Local incomparable window per candidate mask: rows whose mask does
-    /// not intersect the candidate's. The per-mask cache mirrors
-    /// [`Preprocessed`](crate::Preprocessed)'s F-set sharing (distinct
-    /// masks are few).
-    f_cache: HashMap<u64, BitVec>,
-}
-
-/// The candidate as `ds`'s rows see it, with its incomparable window (bit
-/// `i` set iff row `i` observes no dimension in common with the
-/// candidate) borrowed from the per-mask cache.
-fn candidate<'a>(
-    ds: &Dataset,
-    f_cache: &'a mut HashMap<u64, BitVec>,
-    values: &[Option<f64>],
-    member: Option<usize>,
-) -> Candidate<'a> {
-    let observed = values.iter().enumerate().filter(|(_, v)| v.is_some());
-    let mask = DimMask::from_indices(observed.map(|(d, _)| d));
-    let f = f_cache.entry(mask.bits()).or_insert_with(|| {
-        BitVec::from_indices(
-            ds.len(),
-            (0..ds.len()).filter(|&i| !ds.mask(i as ObjectId).intersects(mask)),
-        )
-    });
-    Candidate {
-        mask,
-        member,
-        f: f.as_bit_slice(),
-    }
-}
-
-impl ShardScorer {
-    /// Build over the shard's dense live rows with the Eq. 8 optimal bin
-    /// count (the same choice the auto-binned contexts make).
-    pub fn new(ds: Dataset) -> ShardScorer {
-        let bins = tkd_index::cost::optimal_bins(ds.len(), tkd_model::stats::missing_rate(&ds));
-        Self::with_bins(ds, bins)
-    }
-
-    /// Build with an explicit per-dimension bin count.
-    pub fn with_bins(ds: Dataset, bins: usize) -> ShardScorer {
-        let n = ds.len();
-        let bins = vec![bins.max(1); ds.dims()];
-        // One sort per dimension feeds both index flavors.
-        let mut pair = IndexPairBuilder::new(&bins, 0, n);
-        tkd_index::for_each_sorted_column(&ds, 0, n, |dim, column| pair.push_dim(dim, column));
-        let (index, binned) = pair.finish();
-        ShardScorer {
-            index,
-            binned: IbigShard::dense(Cow::Owned(binned)),
-            scratch: ScratchSpace::new(n),
-            f_cache: HashMap::new(),
-            ds,
-        }
-    }
-
-    /// Number of rows this scorer covers.
-    pub fn len(&self) -> usize {
-        self.ds.len()
-    }
-
-    /// Is the shard empty?
-    pub fn is_empty(&self) -> bool {
-        self.ds.len() == 0
-    }
-
-    /// BIG phase 1: the suffix-table upper bound on this shard's `|Q|`
-    /// intersection for the candidate (its own bit included when it is a
-    /// member — the cross-shard Heuristic-2 limit is `τ + 1`).
-    pub fn big_bound(&self, values: &[Option<f64>]) -> usize {
-        let sel = self.index.select_for(|d| values[d]);
-        self.index.q_selected_upper_bound(&sel)
-    }
-
-    /// IBIG phase 1: the exact fused `|Q|` count off the binned columns
-    /// (own bit included when member). The coordinator's `MaxBitScore` is
-    /// `Σⱼ counts − 1`.
-    pub fn ibig_q_count(&mut self, values: &[Option<f64>]) -> usize {
-        self.scratch.bin_sel = self.binned.index.select_for(|d| values[d]);
-        self.binned.fill_q(&mut self.scratch)
-    }
-
-    /// BIG phase 2: the exact per-shard partial score — the number of
-    /// shard rows the candidate dominates: one shard term of BIG-Score,
-    /// with the incomparable window computed locally instead of sliced
-    /// globally.
-    pub fn big_partial(&mut self, values: &[Option<f64>], member: Option<usize>) -> usize {
-        self.scratch.sel = self.index.select_for(|d| values[d]);
-        let cand = candidate(&self.ds, &mut self.f_cache, values, member);
-        big_term(&self.index, self.ds.masks(), &cand, &mut self.scratch)
-    }
-
-    /// IBIG phase 2: the exact per-shard partial score off the binned
-    /// index — one shard term of IBIG-Score on an unlimited Heuristic-3
-    /// budget (the real one is global; see module docs).
-    pub fn ibig_partial(&mut self, values: &[Option<f64>], member: Option<usize>) -> usize {
-        self.ibig_q_count(values);
-        let cand = candidate(&self.ds, &mut self.f_cache, values, member);
-        let value = |d: usize| values[d].expect("masked dimension is observed");
-        let (masks, scratch) = (self.ds.masks(), &mut self.scratch);
-        let mut unlimited = usize::MAX;
-        ibig_term(&self.binned, masks, &cand, value, scratch, &mut unlimited)
-            .expect("an unlimited budget is never overdrawn")
-    }
-}
 
 /// Slice a dataset's rows `[lo, hi)` into a dense shard dataset — the
 /// reference row partition used when seeding a cluster from one dataset
@@ -185,6 +63,7 @@ pub fn shard_rows(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::DynamicEngine;
     use crate::parallel::ShardPlan;
     use crate::preprocess::Preprocessed;
     use crate::query::{Algorithm, TkdQuery};
@@ -220,12 +99,18 @@ mod tests {
         Dataset::from_rows(dims, &rows).expect("valid rows")
     }
 
-    fn scorers_for(ds: &Dataset, shards: usize) -> (ShardPlan, Vec<ShardScorer>) {
+    fn scorers_for(ds: &Dataset, shards: usize) -> (ShardPlan, Vec<DynamicEngine>) {
         let plan = ShardPlan::new(ds.len(), shards);
         let scorers = (0..plan.count())
-            .map(|j| ShardScorer::new(shard_rows(ds, plan.lo(j), plan.hi(j))))
+            .map(|j| DynamicEngine::new(shard_rows(ds, plan.lo(j), plan.hi(j))))
             .collect();
         (plan, scorers)
+    }
+
+    /// Candidate `o`'s stable id on shard `j`, when it lives there (a
+    /// fresh engine numbers its rows in order).
+    fn member_of(plan: &ShardPlan, j: usize, o: usize) -> Option<ObjectId> {
+        plan.local_of(j, o).map(|row| row as ObjectId)
     }
 
     fn values_of(ds: &Dataset, o: usize) -> Vec<Option<f64>> {
@@ -255,8 +140,9 @@ mod tests {
                     let mut ibig = 0usize;
                     let values = values_of(ds, o);
                     for (j, scorer) in scorers.iter_mut().enumerate() {
-                        big += scorer.big_partial(&values, plan.local_of(j, o));
-                        ibig += scorer.ibig_partial(&values, plan.local_of(j, o));
+                        let member = member_of(&plan, j, o);
+                        big += scorer.big_partial(&values, member).unwrap();
+                        ibig += scorer.ibig_partial(&values, member).unwrap();
                     }
                     assert_eq!(big, want, "BIG o={o} shards={shards}");
                     assert_eq!(ibig, want, "IBIG o={o} shards={shards}");
@@ -303,7 +189,7 @@ mod tests {
         let (plan, mut scorers) = scorers_for(ds, shards);
         walk(pre.queue(), k, |o, tau| {
             let values = values_of(ds, o as usize);
-            let member = |j| plan.local_of(j, o as usize);
+            let member = |j| member_of(&plan, j, o as usize);
             let pruned = match alg {
                 Algorithm::Big => {
                     let bound: usize = scorers.iter().map(|s| s.big_bound(&values)).sum();
@@ -318,8 +204,8 @@ mod tests {
                 return Outcome::PrunedBitmap;
             }
             let partials = scorers.iter_mut().enumerate().map(|(j, s)| match alg {
-                Algorithm::Big => s.big_partial(&values, member(j)),
-                _ => s.ibig_partial(&values, member(j)),
+                Algorithm::Big => s.big_partial(&values, member(j)).unwrap(),
+                _ => s.ibig_partial(&values, member(j)).unwrap(),
             });
             Outcome::Score(partials.sum())
         })
@@ -359,11 +245,11 @@ mod tests {
     fn empty_shard_is_inert() {
         let ds = fixtures::fig3_sample();
         let empty = Dataset::from_rows(ds.dims(), &[]).expect("empty dataset");
-        let mut scorer = ShardScorer::new(empty);
+        let mut scorer = DynamicEngine::new(empty);
         let values = values_of(&ds, 0);
         assert_eq!(scorer.big_bound(&values), 0);
         assert_eq!(scorer.ibig_q_count(&values), 0);
-        assert_eq!(scorer.big_partial(&values, None), 0);
-        assert_eq!(scorer.ibig_partial(&values, None), 0);
+        assert_eq!(scorer.big_partial(&values, None), Ok(0));
+        assert_eq!(scorer.ibig_partial(&values, None), Ok(0));
     }
 }

@@ -41,6 +41,14 @@
 //! flips, so the dynamic store trades the paper's compression for `O(1)`
 //! bit maintenance (compaction re-quantiles and could re-compress).
 //!
+//! The same maintained state is what a cluster worker scores on: a shard
+//! is one engine, and [`DynamicEngine::big_bound`] /
+//! [`ibig_q_count`](DynamicEngine::ibig_q_count) /
+//! [`big_partial`](DynamicEngine::big_partial) /
+//! [`ibig_partial`](DynamicEngine::ibig_partial) answer for a candidate
+//! shipped as raw values with one per-shard term of the scorers above
+//! (see [`crate::cluster`]).
+//!
 //! Deletes tombstone; a [`CompactionPolicy`] rebuilds the whole store —
 //! re-quantiling bins and renumbering slots — once the tombstone fraction
 //! crosses its threshold, bumping [`DynamicEngine::epoch`]. Object ids
@@ -48,8 +56,8 @@
 //! compaction**: results and the mutation API speak stable ids, and the
 //! internal slot renumbering is invisible.
 
-use crate::big::{self, BigContext};
-use crate::ibig::{self, IbigContext};
+use crate::big::{self, big_term, BigContext, Candidate};
+use crate::ibig::{self, ibig_term, IbigContext, IbigShard};
 use crate::maxscore::t_counts;
 use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
@@ -333,6 +341,11 @@ pub struct DynamicEngine {
     binned: BinnedBitmapIndex,
     /// Maintained queue + incomparable sets, lent into query contexts.
     pre: Preprocessed,
+    /// Incomparable windows of shard-scoring candidates whose mask no
+    /// local row carries (`pre.f_sets` has no entry to lend). Never
+    /// persisted and dropped on every mutation, so the snapshot bytes
+    /// stay a pure function of the op history whatever was scored.
+    foreign_f: HashMap<u64, BitVec>,
     /// Row-major `n × dims` table of `|Tᵢ(o)|` (the exact per-dimension
     /// MaxScore ingredients); [`T_UNOBSERVED`] where `o` misses `i`.
     t: Vec<u32>,
@@ -390,6 +403,7 @@ impl DynamicEngine {
                 queue: Vec::new(),
                 f_sets: HashMap::new(),
             },
+            foreign_f: HashMap::new(),
             t: Vec::new(),
             queue_dirty: false,
             scratch: Vec::new(),
@@ -569,6 +583,7 @@ impl DynamicEngine {
             bv.push(*key & mask.bits() == 0);
         }
         self.ensure_fset(mask);
+        self.foreign_f.clear();
         // 5. Stable identity.
         let id = self.next_id;
         self.next_id += 1;
@@ -606,6 +621,7 @@ impl DynamicEngine {
         for bv in self.pre.f_sets.values_mut() {
             bv.clear(slot);
         }
+        self.foreign_f.clear();
         self.slot_of.remove(&id);
         self.queue_dirty = true;
         self.stats.deletes += 1;
@@ -694,6 +710,7 @@ impl DynamicEngine {
                     bv.clear(slot);
                 }
             }
+            self.foreign_f.clear();
         }
         self.queue_dirty = true;
         Ok(())
@@ -1100,6 +1117,78 @@ impl DynamicEngine {
             .collect())
     }
 
+    // ----- shard scoring ---------------------------------------------------
+    //
+    // What a cluster worker answers about a candidate shipped as raw
+    // per-dimension `values` (`None` = missing; the length must equal
+    // `dims()`): one shard's share of a score that lives across processes
+    // — see `crate::cluster` for why the shares add up. The candidate is
+    // resolved against the maintained indexes by value, so it need not
+    // live here; when it does, `member` names it by stable id and its own
+    // bit is left out of its score. Nothing is built, and after the
+    // first candidate of a mask no local row carries, nothing allocated.
+
+    /// BIG phase 1: the suffix-table upper bound on this engine's `|Q|`
+    /// intersection for the candidate (its own bit included when it is a
+    /// member — the cross-shard Heuristic-2 limit is `τ + 1`).
+    pub fn big_bound(&self, values: &[Option<f64>]) -> usize {
+        let sel = self.index.select_for(|d| values[d]);
+        self.index.q_selected_upper_bound(&sel)
+    }
+
+    /// IBIG phase 1: the exact fused `|Q|` count off the binned columns
+    /// (own bit included when member). The coordinator's `MaxBitScore` is
+    /// `Σⱼ counts − 1`.
+    pub fn ibig_q_count(&mut self, values: &[Option<f64>]) -> usize {
+        self.fit_scratch(1);
+        let scratch = &mut self.scratch[0];
+        scratch.bin_sel = self.binned.select_for(|d| values[d]);
+        IbigShard::<Concise>::dense(&self.binned).fill_q(scratch)
+    }
+
+    /// BIG phase 2: how many of this engine's live rows the candidate
+    /// dominates — one shard term of BIG-Score.
+    ///
+    /// # Errors
+    /// [`UpdateError::UnknownId`] / [`UpdateError::Deleted`] when `member`
+    /// is not a live object.
+    pub fn big_partial(
+        &mut self,
+        values: &[Option<f64>],
+        member: Option<ObjectId>,
+    ) -> Result<usize, UpdateError> {
+        let member = member.map(|id| self.slot(id)).transpose()?;
+        self.fit_scratch(1);
+        let scratch = &mut self.scratch[0];
+        scratch.sel = self.index.select_for(|d| values[d]);
+        let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
+        let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
+        Ok(big_term(&self.index, ds.masks(), &cand, scratch))
+    }
+
+    /// IBIG phase 2: the same count off the binned index — one shard term
+    /// of IBIG-Score on an unlimited Heuristic-3 budget (the real one is
+    /// global; see `crate::cluster`).
+    ///
+    /// # Errors
+    /// As [`DynamicEngine::big_partial`].
+    pub fn ibig_partial(
+        &mut self,
+        values: &[Option<f64>],
+        member: Option<ObjectId>,
+    ) -> Result<usize, UpdateError> {
+        let member = member.map(|id| self.slot(id)).transpose()?;
+        self.ibig_q_count(values);
+        let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
+        let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
+        let shard = IbigShard::<Concise>::dense(&self.binned);
+        let value = |d: usize| values[d].expect("masked dimension is observed");
+        let scratch = &mut self.scratch[0];
+        let mut unlimited = usize::MAX;
+        let term = ibig_term(&shard, ds.masks(), &cand, value, scratch, &mut unlimited);
+        Ok(term.expect("an unlimited budget is never overdrawn"))
+    }
+
     // ----- persistence ----------------------------------------------------
 
     /// Export the engine's logical state for the snapshot writer. Takes
@@ -1296,6 +1385,7 @@ impl DynamicEngine {
             index,
             binned,
             pre,
+            foreign_f: HashMap::new(),
             t,
             queue_dirty: false,
             scratch: Vec::new(),
@@ -1376,6 +1466,7 @@ impl DynamicEngine {
             queue: Vec::new(),
             f_sets: incomparable_bitvecs(ds),
         };
+        self.foreign_f.clear();
         self.queue_dirty = true;
         self.refresh();
     }
@@ -1454,16 +1545,11 @@ impl DynamicEngine {
     /// Make sure the incomparable-set table has an entry for `mask`,
     /// building it over the live objects if absent.
     fn ensure_fset(&mut self, mask: DimMask) {
-        if self.pre.f_sets.contains_key(&mask.bits()) {
-            return;
-        }
-        let mut bv = BitVec::zeros(self.ds.len());
-        for s in self.live.iter_live() {
-            if self.ds.mask(s as ObjectId).bits() & mask.bits() == 0 {
-                bv.set(s);
-            }
-        }
-        self.pre.f_sets.insert(mask.bits(), bv);
+        let (ds, live) = (&self.ds, &self.live);
+        self.pre
+            .f_sets
+            .entry(mask.bits())
+            .or_insert_with(|| incomparable_window(ds, live, mask));
     }
 
     /// Re-sort the candidate queue from the maintained exact `|Tᵢ|` table
@@ -1502,6 +1588,39 @@ impl DynamicEngine {
             .iter()
             .map(|&(s, ms)| (self.stable_of[s as usize], ms))
             .collect()
+    }
+}
+
+/// The live slots observing no dimension in common with `mask`.
+fn incomparable_window(ds: &Dataset, live: &Tombstones, mask: DimMask) -> BitVec {
+    let incomparable = |&s: &usize| !ds.mask(s as ObjectId).intersects(mask);
+    BitVec::from_indices(ds.len(), live.iter_live().filter(incomparable))
+}
+
+/// A shard-scoring candidate as the engine's slots see it: its mask read
+/// off the shipped values, its window lent from the maintained
+/// incomparable sets when a local row carries that mask, else computed
+/// once into `foreign_f`.
+fn shard_candidate<'a>(
+    ds: &Dataset,
+    live: &Tombstones,
+    f_sets: &'a HashMap<u64, BitVec>,
+    foreign_f: &'a mut HashMap<u64, BitVec>,
+    values: &[Option<f64>],
+    member: Option<usize>,
+) -> Candidate<'a> {
+    let observed = values.iter().enumerate().filter(|(_, v)| v.is_some());
+    let mask = DimMask::from_indices(observed.map(|(d, _)| d));
+    let f = match f_sets.get(&mask.bits()) {
+        Some(f) => f,
+        None => foreign_f
+            .entry(mask.bits())
+            .or_insert_with(|| incomparable_window(ds, live, mask)),
+    };
+    Candidate {
+        mask,
+        member,
+        f: f.as_bit_slice(),
     }
 }
 

@@ -23,8 +23,8 @@
 //! in whatever order the shards are visited. The sequential `ibig_score`
 //! calls it with the context's one whole-range shard, the parallel engine
 //! ([`crate::parallel`]) with `plan.count()` shards, and a cluster worker
-//! ([`crate::cluster::ShardScorer`]) calls the term alone with an unlimited
-//! budget (Heuristic 3 needs the global τ). The traversal is
+//! ([`crate::DynamicEngine::ibig_partial`]) calls the term alone with an
+//! unlimited budget (Heuristic 3 needs the global τ). The traversal is
 //! `crate::topk`'s `walk`.
 //!
 //! The one-shard case *is* the sequential algorithm: same picks (a
@@ -54,8 +54,8 @@ use tkd_model::{stats, Dataset, DimMask, ObjectId};
 /// `[Qᵢ]`/`[Pᵢ]` columns are read from.
 ///
 /// Static contexts compress the binned columns (the paper's storage
-/// layout). The dynamic update layer and the cluster workers keep them
-/// **dense** instead (`columns = None`) — run encodings cannot absorb
+/// layout). The dynamic update layer — and with it every cluster worker,
+/// which scores on the engine it hosts — keeps them **dense** instead (`columns = None`) — run encodings cannot absorb
 /// in-place bit flips, so compression is traded for `O(1)`
 /// tombstone/append maintenance — and scoring ANDs the picked dense
 /// columns directly (including column 0, which carries the tombstone mask
@@ -75,10 +75,10 @@ impl<'a, C: CompressedBitmap> IbigShard<'a, C> {
         }
     }
 
-    /// Score off the index's own dense columns.
-    pub(crate) fn dense(index: Cow<'a, BinnedBitmapIndex>) -> Self {
+    /// Score off a borrowed index's own dense columns.
+    pub(crate) fn dense(index: &'a BinnedBitmapIndex) -> Self {
         IbigShard {
-            index,
+            index: Cow::Borrowed(index),
             columns: None,
         }
     }
@@ -153,7 +153,7 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
         assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
         IbigContext {
             ds,
-            shard: IbigShard::dense(Cow::Borrowed(index)),
+            shard: IbigShard::dense(index),
             pre: Cow::Borrowed(pre),
         }
     }

@@ -60,7 +60,6 @@ mod stats;
 mod topk;
 pub mod variants;
 
-pub use cluster::ShardScorer;
 pub use dynamic::{
     BatchReport, CompactionPolicy, DynamicEngine, DynamicOptions, DynamicParts, DynamicPartsRef,
     StorageReport, UpdateError, UpdateOp, UpdateStats,

@@ -389,7 +389,7 @@ impl<'a, C: CompressedBitmap + Send> ShardedIbigContext<'a, C> {
         ShardedIbigContext {
             ds,
             plan: ShardPlan::new(ds.len(), 1),
-            shards: vec![IbigShard::dense(Cow::Borrowed(index))],
+            shards: vec![IbigShard::dense(index)],
             pre: Cow::Borrowed(pre),
         }
     }

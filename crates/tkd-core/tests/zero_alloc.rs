@@ -13,7 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tkd_core::{big, engine, ibig, ShardScorer};
+use tkd_core::{big, engine, ibig, DynamicEngine, UpdateOp};
 use tkd_model::Dataset;
 
 struct CountingAlloc;
@@ -206,25 +206,27 @@ fn query_allocations_are_constant_in_dataset_size() {
          (small: {b_small}, large: {b_large})"
     );
 
-    // --- Cluster shard scorer ----------------------------------------
-    // A shard worker scores value-based candidates from borrowed values
-    // against a borrowed, per-mask cached incomparable window: once every
-    // candidate mask has been seen, all four phases allocate nothing,
-    // whatever the shard size. (`large` extends `small` row for row, so
-    // candidate `i` is member row `i` of both shards.)
+    // --- Cluster shard scoring -----------------------------------------
+    // A shard worker scores value-based candidates on the engine that
+    // hosts the shard: borrowed values against the maintained indexes and
+    // incomparable windows. All four phases allocate nothing, whatever the
+    // shard size. (`large` extends `small` row for row, so candidate `i`
+    // is stable id `i` of both shards.)
     let candidates: Vec<Vec<Option<f64>>> = (0..64u32)
         .map(|o| (0..small.dims()).map(|d| small.value(o, d)).collect())
         .collect();
-    let score_all = |scorer: &mut ShardScorer| -> usize {
+    let score_all = |shard: &mut DynamicEngine| -> usize {
         let mut sum = 0;
-        for (row, values) in candidates.iter().enumerate() {
-            sum += scorer.big_bound(values) + scorer.ibig_q_count(values);
-            sum += scorer.big_partial(values, Some(row)) + scorer.ibig_partial(values, Some(row));
+        for (id, values) in candidates.iter().enumerate() {
+            let member = Some(id as u32);
+            sum += shard.big_bound(values) + shard.ibig_q_count(values);
+            sum += shard.big_partial(values, member).unwrap();
+            sum += shard.ibig_partial(values, member).unwrap();
         }
         sum
     };
-    let mut shard_s = ShardScorer::new(small.clone());
-    let mut shard_l = ShardScorer::new(large.clone());
+    let mut shard_s = DynamicEngine::new(small.clone());
+    let mut shard_l = DynamicEngine::new(large.clone());
     assert!(score_all(&mut shard_s) > 0 && score_all(&mut shard_l) > 0); // warm-up
     for (shard, size) in [(&mut shard_s, "small"), (&mut shard_l, "large")] {
         let allocs = allocs_during(|| score_all(shard));
@@ -235,4 +237,23 @@ fn query_allocations_are_constant_in_dataset_size() {
             candidates.len()
         );
     }
+    // Nothing stands between an update and the next score: after a batch
+    // that only deletes and rewrites cells, the first candidate whose mask
+    // a local row carries is scored without a single allocation — no
+    // index, dataset copy or id map is rebuilt.
+    let batch = [
+        UpdateOp::Delete(70),
+        UpdateOp::Set(71, 0, Some(3.0)),
+        UpdateOp::Set(72, 1, Some(39.0)),
+        UpdateOp::Delete(399),
+    ];
+    assert!(shard_l.apply_ops(&batch).error.is_none());
+    let first = &candidates[0];
+    let allocs = allocs_during(|| {
+        shard_l.big_bound(first)
+            + shard_l.ibig_q_count(first)
+            + shard_l.big_partial(first, Some(0)).unwrap()
+            + shard_l.ibig_partial(first, Some(0)).unwrap()
+    });
+    assert_eq!(allocs, 0, "first candidate after an update batch");
 }

@@ -21,8 +21,8 @@
 //!
 //! A `shard_query` runs one of two phases. `Bounds` asks for the
 //! shard's upper-bound contribution per candidate (the suffix-table /
-//! fused-count bounds of `tkd_core::cluster::ShardScorer`); the
-//! coordinator sums them across shards and prunes against τ (the
+//! fused-count bounds `DynamicEngine::{big_bound, ibig_q_count}` of the
+//! engine hosting the shard); the coordinator sums them across shards and prunes against τ (the
 //! paper's Heuristic 2, made distributive). `Partials` asks for exact
 //! partial scores of the survivors; the sums are exact by the row
 //! partition argument in `tkd_core::cluster`. Both answers are plain

@@ -314,7 +314,7 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
         }
     };
     // Bounds and partials of a fixed candidate set (two members, one
-    // stranger), both algorithms — the cached `ShardScorer`'s view.
+    // stranger), both algorithms — the hosted engine's view.
     let row = |id: u32| (0..ds.dims()).map(|d| ds.value(id, d)).collect();
     let cand = |values, member| WireCandidate { values, member };
     let candidates = vec![
