@@ -8,10 +8,10 @@
 //!   --exp        comma-separated subset of:
 //!                table2,fig10,table3,fig11,fig12,fig13,table4,
 //!                fig14,fig15,fig16,fig17,fig18,binopt,ablation,baseline,
-//!                perf,updates,persist,serve,load,standing,compare
+//!                perf,updates,persist,serve,load,compare
 //!                (default: all paper artifacts; `perf`, `updates`,
-//!                `persist`, `serve`, `load`, `standing`, and
-//!                `compare` run only when requested)
+//!                `persist`, `serve`, `load`, and `compare` run only
+//!                when requested)
 //!   --scale      quick (default) or paper (the paper's dataset sizes)
 //!   --seed       RNG seed (default 42)
 //!   --out        also write each table as CSV into DIR
@@ -21,8 +21,7 @@
 //!                / `--exp serve` / `--exp load` writes its JSON
 //!                (default: BENCH_2.json, BENCH_3.json with --threads,
 //!                BENCH_4.json for updates, BENCH_5.json for persist,
-//!                BENCH_6.json for serve, BENCH_7.json for load,
-//!                BENCH_8.json for standing)
+//!                BENCH_6.json for serve, BENCH_7.json for load)
 //!   --baseline   with `--exp compare`: the committed tkd-perf/v1 file
 //!   --current    with `--exp compare`: the freshly measured snapshot
 //!   --tolerance  with `--exp compare`: allowed normalized-time ratio
@@ -32,15 +31,15 @@
 
 use std::collections::BTreeSet;
 use tkd_bench::{
-    compare, experiments as exp, load, perf, persist, serve, standing, table::Table, updates, Scale,
+    compare, experiments as exp, load, perf, persist, serve, table::Table, updates, Scale,
 };
 
 /// Every experiment name `--exp` accepts; the single source of truth for
 /// validation and the usage text.
-const KNOWN: [&str; 22] = [
+const KNOWN: [&str; 21] = [
     "table2", "fig10", "table3", "fig11", "fig12", "fig13", "table4", "fig14", "fig15", "fig16",
     "fig17", "fig18", "binopt", "ablation", "baseline", "perf", "updates", "persist", "serve",
-    "load", "standing", "compare",
+    "load", "compare",
 ];
 
 fn main() {
@@ -147,7 +146,7 @@ fn main() {
     }
     let want_compare = exps.as_ref().is_some_and(|set| set.contains("compare"));
     let wants = |name: &str| exps.as_ref().is_some_and(|set| set.contains(name));
-    let bench_writers = ["perf", "updates", "persist", "serve", "load", "standing"]
+    let bench_writers = ["perf", "updates", "persist", "serve", "load"]
         .iter()
         .filter(|e| wants(e))
         .count();
@@ -155,7 +154,7 @@ fn main() {
         // Multiple experiments would write the same file, the later ones
         // silently clobbering the earlier.
         usage(
-            "--bench-out is ambiguous across perf/updates/persist/serve/load/standing; \
+            "--bench-out is ambiguous across perf/updates/persist/serve/load; \
              run them separately",
         );
     }
@@ -289,15 +288,6 @@ fn main() {
         std::fs::write(bench_out, json).expect("write load JSON");
         println!("(zero-copy load benchmark written to {bench_out})");
     }
-    // The standing-query maintenance benchmark (BENCH_8.json) — opt-in;
-    // patched-vs-requery cost per op-batch, parity-checked inline.
-    if exps.as_ref().is_some_and(|set| set.contains("standing")) {
-        let (table, json) = standing::run(scale, seed);
-        let bench_out = bench_out.as_deref().unwrap_or("BENCH_8.json");
-        emit(vec![table]);
-        std::fs::write(bench_out, json).expect("write standing JSON");
-        println!("(standing-query benchmark written to {bench_out})");
-    }
     // The perf regression gate — opt-in; a regression (or a vacuous
     // comparison) exits non-zero so CI fails.
     if want_compare {
@@ -368,8 +358,6 @@ fn usage(err: &str) -> ! {
          (writes BENCH_6.json)\n\
          --exp load measures zero-copy vs copying snapshot load and the \
          wide-lane popcount kernels (writes BENCH_7.json)\n\
-         --exp standing measures per-batch standing-query patching vs \
-         full re-query (writes BENCH_8.json)\n\
          --exp compare gates normalized BIG/IBIG query times against a \
          committed tkd-perf/v1 baseline (exit 1 on regression)",
         KNOWN.join(",")

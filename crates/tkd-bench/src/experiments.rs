@@ -472,7 +472,7 @@ pub fn binopt() -> Table {
 // ---------------------------------------------------------------------------
 
 /// Ablation — IBIG with CONCISE columns vs IBIG reading the same binned
-/// index uncompressed (space/time trade-off called out in DESIGN.md).
+/// index uncompressed (the space/time trade-off of §4.4).
 pub fn ablation_compression(scale: Scale, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation — IBIG columns: CONCISE vs WAH vs query-equivalent BIG",

@@ -1,5 +1,5 @@
 //! Benchmark harness reproducing every table and figure of the paper's
-//! evaluation (§5). See DESIGN.md §6 for the experiment index.
+//! evaluation (§5).
 //!
 //! The [`experiments`] module has one entry point per paper artifact
 //! (Table 2–4, Fig. 10–18); the `repro` binary drives them and prints
@@ -20,7 +20,6 @@ pub mod load;
 pub mod perf;
 pub mod persist;
 pub mod serve;
-pub mod standing;
 pub mod table;
 pub mod updates;
 

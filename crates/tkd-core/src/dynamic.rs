@@ -36,8 +36,9 @@
 //! thread that *is* the sequential walk of
 //! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`],
 //! with more the workers split the candidate queue and merge by replay —
-//! and the standing queries put their score cache in front of the same
-//! scorer. Dynamic IBIG scores off dense binned columns — run-length codecs cannot absorb in-place bit
+//! and a full-space standing query is answered by that same
+//! [`DynamicEngine::query`] after every batch. Dynamic IBIG scores off
+//! dense binned columns — run-length codecs cannot absorb in-place bit
 //! flips, so the dynamic store trades the paper's compression for `O(1)`
 //! bit maintenance (compaction re-quantiles and could re-compress).
 //!
@@ -152,7 +153,7 @@ pub enum UpdateError {
     /// The dynamic engine serves the index-guided algorithms only.
     UnsupportedAlgorithm(Algorithm),
     /// A standing-query registration was invalid (bad subspace,
-    /// constraint, fallback fraction, or unsupported algorithm).
+    /// constraint, or unsupported algorithm).
     InvalidStandingQuery(String),
 }
 
@@ -352,14 +353,14 @@ pub struct DynamicEngine {
     /// The queue needs a re-sort before the next query.
     queue_dirty: bool,
     /// One scratch per query thread, (re)sized on demand by
-    /// `fit_scratch`; the first also serves the standing walks.
+    /// `fit_scratch`.
     scratch: Vec<ScratchSpace>,
     bins: BinChoice,
     policy: CompactionPolicy,
     epoch: u64,
     stats: UpdateStats,
-    /// Standing-query registry, dirty tracking, and the shared exact-score
-    /// cache (dormant — zero per-op cost — until a query registers).
+    /// Standing-query registry and per-batch skip counters (dormant —
+    /// zero per-op cost — until a query registers).
     standing: StandingState,
 }
 
@@ -566,9 +567,7 @@ impl DynamicEngine {
         }
         .expect("row already validated");
         self.live.push_live();
-        if self.standing.tracking() {
-            self.standing.on_insert_slot();
-        }
+        self.standing.on_structural();
         // 3. The new object's own |Tᵢ| row: the (updated) exact index's
         //    count of live rows missing or ≥ v, less the newcomer itself.
         for (dim, &obs) in row.iter().enumerate() {
@@ -602,11 +601,7 @@ impl DynamicEngine {
     /// is unchanged on error.
     pub fn delete(&mut self, id: ObjectId) -> Result<(), UpdateError> {
         let slot = self.slot(id)?;
-        if self.standing.tracking() {
-            self.standing.mark(slot);
-            self.standing.structural += 1;
-            self.standing.effective += 1;
-        }
+        self.standing.on_structural();
         // Kill first so the delta scans exclude the victim itself.
         self.live.kill(slot);
         for dim in 0..self.dims {
@@ -673,13 +668,7 @@ impl DynamicEngine {
             }
             _ => {}
         }
-        if self.standing.tracking() {
-            // The rewritten row's own score can change too — the delta
-            // scans below only cover the *other* side of each pair.
-            self.standing.mark(slot);
-            self.standing.touched_dims |= 1u64 << dim;
-            self.standing.effective += 1;
-        }
+        self.standing.on_set(dim);
         // Other objects' |T_dim|: remove the old contribution, add the new
         // one. Both scans skip the object itself (its own row is
         // recomputed below) and see only other objects' bits, which the
@@ -746,21 +735,21 @@ impl DynamicEngine {
 
     /// Register a standing query: its initial result is computed now (a
     /// full query), and every subsequent [`DynamicEngine::apply_ops`]
-    /// batch patches it in place and reports the delta as a
+    /// batch re-queries it and reports the delta as a
     /// [`Notification`]. Duplicate registrations of the same spec are
     /// independent queries with fresh ids.
     ///
     /// # Errors
     /// [`UpdateError::InvalidStandingQuery`] for a spec naming an
-    /// unsupported algorithm, an out-of-range or empty subspace, a
-    /// malformed constraint, or a fallback fraction outside `[0, 1]`.
+    /// unsupported algorithm, an out-of-range or empty subspace, or a
+    /// malformed constraint.
     pub fn register(&mut self, spec: StandingSpec) -> Result<StandingId, UpdateError> {
         spec.validate(self.dims)
             .map_err(UpdateError::InvalidStandingQuery)?;
         if !self.standing.tracking() {
-            self.standing.activate(self.ds.len());
+            self.standing.reset_batch();
         }
-        let result = self.standing_answer_fresh(&spec);
+        let result = self.standing_answer(&spec, &mut None);
         let id = self.standing.next_id;
         self.standing.next_id += 1;
         self.standing.queries.insert(
@@ -774,27 +763,21 @@ impl DynamicEngine {
         Ok(id)
     }
 
-    /// Remove a standing query. Returns whether `id` was registered; the
-    /// last removal drops all tracking state (updates go back to paying
-    /// zero standing overhead).
+    /// Remove a standing query. Returns whether `id` was registered.
     pub fn unregister(&mut self, id: StandingId) -> bool {
-        let removed = self.standing.queries.remove(&id).is_some();
-        if removed && self.standing.queries.is_empty() {
-            self.standing.deactivate();
-        }
-        removed
+        self.standing.queries.remove(&id).is_some()
     }
 
     /// The current result set of a standing query (stable ids, sorted by
     /// score desc then id asc), or `None` for an unknown id. Reflects the
     /// state as of the last [`DynamicEngine::apply_ops`] batch (or
-    /// registration); direct mutation-call dirt is folded in at the next
+    /// registration); direct mutation calls are folded in at the next
     /// batch.
     pub fn standing_result(&self, id: StandingId) -> Option<&[ResultEntry]> {
         self.standing.queries.get(&id).map(|q| q.result.as_slice())
     }
 
-    /// Patch/fallback/skip counters of a standing query.
+    /// Re-query/skip counters of a standing query.
     pub fn standing_stats(&self, id: StandingId) -> Option<StandingStats> {
         self.standing.queries.get(&id).map(|q| q.stats)
     }
@@ -866,75 +849,36 @@ impl DynamicEngine {
         report
     }
 
-    /// Run one batch's standing maintenance: invalidate the score cache
-    /// for the dirty slots, patch (or re-query) every registered query,
-    /// emit the deltas, and clear the per-batch trackers.
+    /// Run one batch's standing maintenance: re-query every registered
+    /// query the batch could have changed, emit the deltas, and clear the
+    /// per-batch counters.
     fn standing_maintenance(&mut self) -> Vec<Notification> {
         if !self.standing.tracking() {
             return Vec::new();
         }
-        self.refresh();
-        self.fit_scratch(1);
-        // Invalidate exactly the dirtied cache entries, counting how much
-        // of the *live* set was touched (dead dirt cannot inflate the
-        // fraction past 1.0, so `fallback_fraction = 1.0` never falls
-        // back).
-        let mut dirty_live = 0usize;
-        if self.standing.all_dirty {
-            for c in self.standing.cache.iter_mut() {
-                *c = standing::SCORE_UNKNOWN;
-            }
-        } else {
-            for &s in &self.standing.dirty_slots {
-                self.standing.cache[s] = standing::SCORE_UNKNOWN;
-                if self.live.is_live(s) {
-                    dirty_live += 1;
-                }
-            }
-        }
-        let live_count = self.live.live_count();
-        let fraction = if self.standing.all_dirty {
-            1.0
-        } else if live_count == 0 {
-            0.0
-        } else {
-            dirty_live as f64 / live_count as f64
-        };
         let effective = self.standing.effective > 0;
-        let structural = self.standing.structural > 0 || self.standing.all_dirty;
+        let structural = self.standing.structural > 0;
         let touched_dims = self.standing.touched_dims;
         let seq = self.standing.batch_seq;
 
         let mut queries = std::mem::take(&mut self.standing.queries);
-        let mut snapshot: Option<(Dataset, Vec<ObjectId>)> = None;
+        let mut snapshot = None;
         let mut notes = Vec::with_capacity(queries.len());
         for (&id, q) in queries.iter_mut() {
-            let (new_result, via_fallback) = if !effective {
-                // Nothing effective happened: the result provably stands.
-                q.stats.skipped += 1;
-                (q.result.clone(), false)
-            } else if q.spec.is_full_space() {
-                let patch = fraction <= q.spec.fallback_fraction;
-                if patch {
-                    q.stats.patched += 1;
-                } else {
-                    q.stats.fallbacks += 1;
-                }
-                (self.standing_answer_full(&q.spec, patch), !patch)
-            } else if structural || touched_dims & q.spec.scope_mask() != 0 {
-                // Scoped queries rank a derived dataset: re-query it.
+            // The two provable skips: nothing effective happened, or no
+            // structural change and no in-scope dimension rewritten (every
+            // dimension is in scope of a full-space or constrained query).
+            let requery = effective && (structural || touched_dims & q.spec.scope_mask() != 0);
+            let (added, removed, rescored) = if requery {
                 q.stats.fallbacks += 1;
-                let (snap, ids) =
-                    snapshot.get_or_insert_with(|| (self.snapshot(), self.live_ids()));
-                (standing::scoped_requery(snap, ids, &q.spec), true)
+                let new_result = self.standing_answer(&q.spec, &mut snapshot);
+                let delta = standing::diff(&q.result, &new_result);
+                q.result = new_result;
+                delta
             } else {
-                // No structural change and no in-scope dimension touched:
-                // the derived dataset is unchanged, so is the result.
                 q.stats.skipped += 1;
-                (q.result.clone(), false)
+                Default::default()
             };
-            let (added, removed, rescored) = standing::diff(&q.result, &new_result);
-            q.result = new_result;
             q.stats.batches += 1;
             notes.push(Notification {
                 id,
@@ -943,7 +887,7 @@ impl DynamicEngine {
                 removed,
                 rescored,
                 kth_score: q.result.last().map(|e| e.score),
-                via_fallback,
+                via_fallback: requery,
             });
         }
         self.standing.queries = queries;
@@ -951,50 +895,27 @@ impl DynamicEngine {
         notes
     }
 
-    /// Compute a fresh result for a spec through the same paths the
-    /// per-batch maintenance uses (registration and the fallback path).
-    fn standing_answer_fresh(&mut self, spec: &StandingSpec) -> Vec<ResultEntry> {
-        self.refresh();
-        self.fit_scratch(1);
+    /// A fresh answer for `spec` in stable ids (registration and every
+    /// re-queried batch): the engine's own [`DynamicEngine::query`] for a
+    /// full-space spec, [`standing::scoped_requery`] over the live
+    /// snapshot — taken once per batch into `snapshot` — otherwise.
+    fn standing_answer(
+        &mut self,
+        spec: &StandingSpec,
+        snapshot: &mut Option<(Dataset, Vec<ObjectId>)>,
+    ) -> Vec<ResultEntry> {
         if spec.is_full_space() {
-            self.standing_answer_full(spec, false)
+            let q = EngineQuery {
+                k: spec.k,
+                algorithm: spec.algorithm,
+                tie: TieBreak::ById,
+            };
+            let result = self.query(&q).expect("algorithm validated at registration");
+            result.into_iter().collect()
         } else {
-            standing::scoped_requery(&self.snapshot(), &self.live_ids(), spec)
+            let (snap, ids) = snapshot.get_or_insert_with(|| (self.snapshot(), self.live_ids()));
+            standing::scoped_requery(snap, ids, spec)
         }
-    }
-
-    /// One full-space standing answer, mapped to stable ids: the
-    /// cached-score walk (`patch`), or the fallback — a plain sequential
-    /// re-query that warms the cache with the k exact scores it computed.
-    fn standing_answer_full(&mut self, spec: &StandingSpec, patch: bool) -> Vec<ResultEntry> {
-        let scorer = scorer(
-            &self.ds,
-            &self.index,
-            &self.binned,
-            &self.pre,
-            spec.algorithm,
-        );
-        let scratch = &mut self.scratch[0];
-        let score = |o, tau| scorer(o, tau, scratch);
-        let (queue, cache) = (self.pre.queue(), &mut self.standing.cache);
-        let slots = if patch {
-            standing::patched_top_k(queue, spec.k, cache, score)
-        } else {
-            standing::requery_full(queue, spec.k, cache, score)
-        };
-        self.slots_to_stable(slots)
-    }
-
-    /// Slot-id entries → stable-id entries. `stable_of` is strictly
-    /// increasing, so (score desc, id asc) order is preserved verbatim.
-    fn slots_to_stable(&self, entries: Vec<ResultEntry>) -> Vec<ResultEntry> {
-        entries
-            .into_iter()
-            .map(|e| ResultEntry {
-                id: self.stable_of[e.id as usize],
-                score: e.score,
-            })
-            .collect()
     }
 
     // ----- queries --------------------------------------------------------
@@ -1418,11 +1339,7 @@ impl DynamicEngine {
         self.rebuild_artifacts();
         self.epoch += 1;
         self.stats.compactions += 1;
-        if self.standing.tracking() {
-            // Slots were renumbered: every cache entry and every result
-            // may shift. Treated as 100 % dirty.
-            self.standing.on_compact(n);
-        }
+        self.standing.on_structural();
     }
 
     fn maybe_compact(&mut self) {
@@ -1516,29 +1433,13 @@ impl DynamicEngine {
         }
         let col = self.index.column(dim, c);
         let dims = self.dims;
-        if self.standing.tracking() {
-            // Standing queries registered: the enumerated slots are exactly
-            // the objects whose pairwise dominance with the touched row can
-            // change (see `crate::standing`'s module docs), so collecting
-            // the dirty set is a by-product of the same scan.
-            for s in self.live.live_mask().iter_ones_and_not(col) {
-                if Some(s) == skip {
-                    continue;
-                }
-                self.standing.mark(s);
-                let e = &mut self.t[s * dims + dim];
-                debug_assert_ne!(*e, T_UNOBSERVED, "shift hit an unobserved cell");
-                *e = e.checked_add_signed(delta).expect("t-count out of range");
+        for s in self.live.live_mask().iter_ones_and_not(col) {
+            if Some(s) == skip {
+                continue;
             }
-        } else {
-            for s in self.live.live_mask().iter_ones_and_not(col) {
-                if Some(s) == skip {
-                    continue;
-                }
-                let e = &mut self.t[s * dims + dim];
-                debug_assert_ne!(*e, T_UNOBSERVED, "shift hit an unobserved cell");
-                *e = e.checked_add_signed(delta).expect("t-count out of range");
-            }
+            let e = &mut self.t[s * dims + dim];
+            debug_assert_ne!(*e, T_UNOBSERVED, "shift hit an unobserved cell");
+            *e = e.checked_add_signed(delta).expect("t-count out of range");
         }
     }
 
@@ -2104,7 +2005,6 @@ mod tests {
         // Bad specs are rejected with the typed error.
         for bad in [
             StandingSpec::new(2).algorithm(Algorithm::Naive),
-            StandingSpec::new(2).fallback_fraction(1.5),
             StandingSpec::new(2).subspace(vec![0, 9]),
             StandingSpec::new(2)
                 .subspace(vec![0])
@@ -2135,15 +2035,9 @@ mod tests {
     #[test]
     fn standing_batches_track_oracle_and_count_paths() {
         let mut engine = engine_no_compaction(fixtures::fig3_sample());
-        let always_patch = engine
-            .register(StandingSpec::new(3).fallback_fraction(1.0))
-            .unwrap();
-        let always_fall = engine
-            .register(
-                StandingSpec::new(3)
-                    .algorithm(Algorithm::Ibig)
-                    .fallback_fraction(0.0),
-            )
+        let by_big = engine.register(StandingSpec::new(3)).unwrap();
+        let by_ibig = engine
+            .register(StandingSpec::new(3).algorithm(Algorithm::Ibig))
             .unwrap();
         let batches: Vec<Vec<UpdateOp>> = vec![
             vec![UpdateOp::Insert(vec![
@@ -2153,7 +2047,7 @@ mod tests {
                 Some(2.0),
             ])],
             vec![UpdateOp::Set(0, 1, Some(3.0)), UpdateOp::Delete(3)],
-            vec![], // empty batch: both queries may skip, notifications still flow
+            vec![], // empty batch: both queries skip, notifications still flow
         ];
         let mut seq = 0;
         for ops in &batches {
@@ -2162,8 +2056,8 @@ mod tests {
             seq += 1;
             assert_eq!(report.batch_seq, seq);
             assert_eq!(report.notifications.len(), 2);
-            for q in [always_patch, always_fall] {
-                let spec = StandingSpec::new(3).algorithm(if q == always_fall {
+            for q in [by_big, by_ibig] {
+                let spec = StandingSpec::new(3).algorithm(if q == by_ibig {
                     Algorithm::Ibig
                 } else {
                     Algorithm::Big
@@ -2174,19 +2068,20 @@ mod tests {
                     "batch {seq} query {q}"
                 );
             }
-            // Deltas reconstruct the new result from the old one.
+            // An effective batch re-queries, the empty one is skipped, and
+            // the notification says which.
             for note in &report.notifications {
                 assert_eq!(note.batch_seq, seq);
+                assert_eq!(note.via_fallback, !ops.is_empty());
             }
         }
-        let patch_stats = engine.standing_stats(always_patch).unwrap();
-        let fall_stats = engine.standing_stats(always_fall).unwrap();
-        assert_eq!(patch_stats.batches, 3);
-        assert_eq!(patch_stats.fallbacks, 0, "threshold 1.0 never falls back");
-        assert!(patch_stats.patched >= 2);
-        assert_eq!(fall_stats.patched, 0, "threshold 0.0 always falls back");
-        assert!(fall_stats.fallbacks >= 2);
-        assert!(patch_stats.skipped >= 1, "empty batch is provably a no-op");
+        for q in [by_big, by_ibig] {
+            let stats = engine.standing_stats(q).unwrap();
+            assert_eq!(stats.batches, 3);
+            assert_eq!(stats.patched, 0, "there is no patch path");
+            assert_eq!(stats.fallbacks, 2, "one re-query per effective batch");
+            assert_eq!(stats.skipped, 1, "empty batch is provably a no-op");
+        }
     }
 
     #[test]

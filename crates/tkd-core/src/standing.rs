@@ -1,51 +1,38 @@
 //! Standing (continuous) TKD queries — registered top-k result sets that
-//! are **patched per op-batch** instead of recomputed, after the
-//! answer-maintenance direction of Kosmatopoulos & Tsichlas's *Dynamic
-//! Top-k Dominating Queries* applied to the incomplete-data engines of
-//! Miao et al. (ICDE 2016).
+//! are **re-queried per op-batch** over the artifacts the dynamic engine
+//! already keeps exact, after Kosmatopoulos & Tsichlas's *Dynamic Top-k
+//! Dominating Queries* applied to the incomplete-data engines of Miao et
+//! al. (ICDE 2016).
 //!
-//! # How a patch stays bit-identical to a re-query
+//! # One result path
 //!
-//! The sequential drivers ([`crate::big::big_with_scratch`],
-//! [`crate::ibig::ibig_with_scratch`]) are `crate::topk`'s `walk` over
-//! the maintained `(MaxScore desc, slot asc)` queue, offering **exact**
-//! scores to a `TopK`; Heuristics 1–3 only ever skip objects whose exact
-//! score is `≤ τ`, and `TopK::offer` ignores exactly those (strict-`>`
-//! displacement). So the final result set is a pure function of the queue
-//! order and the exact scores — *which* offers were skipped is invisible.
-//! The standing layer exploits that: it keeps a per-slot cache of exact
-//! scores and runs the *same* `walk` with the cache in front of the
-//! scorer (`patched_top_k` — there is no second traversal), so clean
-//! slots offer their cached scores and only slots whose cache was
-//! invalidated since the last batch are re-scored.
-//! The result is the same TopK state sequence the from-scratch run
-//! produces, entry for entry, score for score, tie for tie.
-//!
-//! # Which slots get invalidated
-//!
-//! `score(p)` changes only when the dominance relation `p ≺ x` flips for
-//! some object `x` touched by an op. Any dominator `p` of `x` satisfies
-//! `p[d] ≤ x[d]` on every commonly observed dimension, so `p` is a member
-//! of the `live ∧ ¬column` complement scan [`super::dynamic`] already runs
-//! per touched dimension to repair the `|Tᵢ|` table — and for
-//! missing-value transitions the scan widens to *all* observers of the
-//! dimension. The dirty set is therefore collected for free as a
-//! by-product of the existing word-parallel delta scans, plus the touched
-//! row itself. When the dirty fraction of the live set exceeds the
-//! query's [`StandingSpec::fallback_fraction`], patching degenerates and
-//! the layer falls back to a plain full re-query (counted in
-//! [`StandingStats::fallbacks`] and flagged in
-//! [`Notification::via_fallback`]).
+//! [`super::dynamic`] maintains the bitmap index, the incomparable sets
+//! and the `(MaxScore desc, slot asc)` queue in place under every op, so
+//! a full-space standing query's answer after a batch is the engine's own
+//! [`super::DynamicEngine::query`] — the sequential Algorithm 4 walk,
+//! ties by queue order — diffed against the previous answer. There is no
+//! second traversal, no per-slot state and nothing to tune: patching the
+//! result from a score cache cannot save more than the re-query it
+//! replaces, ≈ 6 % of an update on `serve-rw` (ROADMAP item 2 has the
+//! measurement).
 //!
 //! Subspace and constrained standing queries rank over a *derived*
-//! dataset, where per-slot score caching does not apply; they use a
-//! scope check instead — a batch that performed no structural change and
-//! touched no in-scope dimension provably leaves the result unchanged —
-//! and re-query through [`crate::variants`] otherwise.
+//! dataset and re-query through [`crate::variants`] over the live
+//! snapshot.
+//!
+//! # The two provable skips
+//!
+//! A batch in which nothing effective happened (empty, or every op failed
+//! or was a semantic no-op) leaves every result standing. A subspace
+//! query is additionally skipped by a batch that performed no structural
+//! change (insert / delete / age-out / compaction) and rewrote no in-scope
+//! dimension: its derived dataset is unchanged. Skipped batches emit an
+//! empty delta with [`Notification::via_fallback`] `false` and count in
+//! [`StandingStats::skipped`]; every other batch re-queries
+//! ([`StandingStats::fallbacks`], `via_fallback` `true`).
 
 use crate::query::{Algorithm, TkdQuery};
 use crate::result::ResultEntry;
-use crate::topk::{walk, Outcome};
 use crate::variants;
 use std::collections::{BTreeMap, HashMap};
 use tkd_model::{Dataset, ObjectId};
@@ -55,12 +42,8 @@ use tkd_skyline::constrained::Constraints;
 /// reused — duplicate registrations of the same spec get fresh ids).
 pub type StandingId = u64;
 
-/// Cache sentinel: the slot's exact score is unknown (never computed, or
-/// invalidated by the current batch's dirty scan).
-pub(crate) const SCORE_UNKNOWN: u32 = u32::MAX;
-
 /// What a standing query asks for: the continuous analogue of
-/// [`crate::EngineQuery`], plus the patch/fallback tuning knob.
+/// [`crate::EngineQuery`], plus an optional subspace or constraint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StandingSpec {
     /// How many dominating objects to maintain.
@@ -69,28 +52,22 @@ pub struct StandingSpec {
     pub algorithm: Algorithm,
     /// Rank inside this dimension subset (strictly increasing indices);
     /// `None` = the full space. Subspace queries re-rank over a projected
-    /// dataset and therefore use scope-checked re-query, not patching.
+    /// dataset through [`crate::variants`].
     pub subspace: Option<Vec<usize>>,
     /// Per-dimension inclusive range constraints `(dim, lo, hi)`; empty =
     /// unconstrained. Constrained queries rank the admitted
     /// sub-population over the full space, so every dimension is in scope.
     pub constraint: Vec<(usize, f64, f64)>,
-    /// Fall back to a full re-query when more than this fraction of the
-    /// live set was dirtied by the batch (`0.0` = always re-query on any
-    /// change, `1.0` = never fall back). Must be finite in `[0, 1]`.
-    pub fallback_fraction: f64,
 }
 
 impl StandingSpec {
-    /// A full-space top-`k` standing query answered by BIG, falling back
-    /// to re-query above 25 % churn (the default the benchmarks use).
+    /// A full-space top-`k` standing query answered by BIG.
     pub fn new(k: usize) -> Self {
         StandingSpec {
             k,
             algorithm: Algorithm::Big,
             subspace: None,
             constraint: Vec::new(),
-            fallback_fraction: 0.25,
         }
     }
 
@@ -113,12 +90,6 @@ impl StandingSpec {
         self
     }
 
-    /// Set the fallback threshold.
-    pub fn fallback_fraction(mut self, f: f64) -> Self {
-        self.fallback_fraction = f;
-        self
-    }
-
     /// Validate against an engine of dimensionality `dims`. Returns a
     /// human-readable description of the first violation.
     pub(crate) fn validate(&self, dims: usize) -> Result<(), String> {
@@ -126,12 +97,6 @@ impl StandingSpec {
             return Err(format!(
                 "standing queries run on BIG/IBIG, not {:?}",
                 self.algorithm
-            ));
-        }
-        if !self.fallback_fraction.is_finite() || !(0.0..=1.0).contains(&self.fallback_fraction) {
-            return Err(format!(
-                "fallback fraction {} is not in [0, 1]",
-                self.fallback_fraction
             ));
         }
         if let Some(sub) = &self.subspace {
@@ -172,15 +137,15 @@ impl StandingSpec {
     /// answer without a structural (insert/delete/compaction) change.
     pub(crate) fn scope_mask(&self) -> u64 {
         match &self.subspace {
-            // Constrained (and plain scoped-requery) queries judge
-            // dominance over the full space: everything is in scope.
+            // Full-space and constrained queries judge dominance over
+            // the full space: everything is in scope.
             None => u64::MAX,
             Some(dims) => dims.iter().fold(0u64, |m, &d| m | (1u64 << d)),
         }
     }
 
-    /// Does this spec use the patched full-space path (as opposed to the
-    /// scope-checked re-query path)?
+    /// Is this spec answered by the engine's own `query` (as opposed to
+    /// [`scoped_requery`] over a derived dataset)?
     pub(crate) fn is_full_space(&self) -> bool {
         self.subspace.is_none() && self.constraint.is_empty()
     }
@@ -206,8 +171,8 @@ pub struct Notification {
     /// The k-th (smallest maintained) score after the batch — the
     /// paper's `τ`; `None` while the result holds fewer than 1 entry.
     pub kth_score: Option<usize>,
-    /// Did this batch take the full re-query path (fallback threshold
-    /// exceeded, or a scoped query whose scope was touched)?
+    /// Did this batch re-query (`true`), or was it provably unable to
+    /// change the result and skipped (`false`)?
     pub via_fallback: bool,
 }
 
@@ -223,13 +188,14 @@ impl Notification {
 pub struct StandingStats {
     /// Batches this query was maintained across.
     pub batches: u64,
-    /// Batches answered by the patched cache walk.
+    /// Always 0: there is no patch path. Kept because the frozen
+    /// `benchmark/` package reads it; leaves with `core.standing_patched`
+    /// in the next `benchmark` PR.
     pub patched: u64,
-    /// Batches answered by a full re-query (threshold exceeded, or a
-    /// scoped query whose scope was touched).
+    /// Batches answered by a re-query.
     pub fallbacks: u64,
     /// Batches provably unable to change the result (scope untouched, or
-    /// nothing effective happened) — no walk, no re-query.
+    /// nothing effective happened) — no re-query.
     pub skipped: u64,
 }
 
@@ -242,155 +208,57 @@ pub(crate) struct StandingQuery {
     pub(crate) stats: StandingStats,
 }
 
-/// The engine-side registry plus the per-batch dirty tracking and the
-/// shared exact-score cache. Dormant (empty vectors, no per-op overhead)
-/// until the first query registers.
+/// The engine-side registry plus the per-batch counters behind the two
+/// provable skips. Dormant (no per-op bookkeeping) until the first query
+/// registers.
 #[derive(Debug, Default)]
 pub(crate) struct StandingState {
     pub(crate) queries: BTreeMap<StandingId, StandingQuery>,
     pub(crate) next_id: StandingId,
     pub(crate) batch_seq: u64,
-    /// Slot → dirtied this batch (superset of slots whose exact score may
-    /// have changed; collected by the `shift_t` delta scans plus the
-    /// touched rows themselves).
-    pub(crate) dirty: Vec<bool>,
-    /// Dirtied slots, unique, in marking order — so invalidation and the
-    /// live-dirt count stay O(dirt), not O(n).
-    pub(crate) dirty_slots: Vec<usize>,
-    /// Compaction renumbered the slots: every cache entry is invalid and
-    /// every result may shift (treated as 100 % dirty).
-    pub(crate) all_dirty: bool,
     /// Dimensions touched by `Set` ops this batch.
     pub(crate) touched_dims: u64,
     /// Inserts + deletes (age-outs included) + compactions this batch.
     pub(crate) structural: usize,
     /// All effective ops this batch (structural plus value rewrites).
     pub(crate) effective: usize,
-    /// Slot → exact score, [`SCORE_UNKNOWN`] where never computed or
-    /// invalidated. Shared across queries and algorithms — BIG and IBIG
-    /// compute the same dominance score.
-    pub(crate) cache: Vec<u32>,
     /// Sliding-window capacity: after each batch the oldest live objects
     /// beyond it are deleted through the normal tombstone path.
     pub(crate) window: Option<usize>,
 }
 
 impl StandingState {
-    /// Is per-op dirty tracking active (any query registered)?
+    /// Is per-op bookkeeping active (any query registered)?
     #[inline]
     pub(crate) fn tracking(&self) -> bool {
         !self.queries.is_empty()
     }
 
-    /// Mark one slot dirty (idempotent).
+    /// An insert, delete or compaction took effect.
     #[inline]
-    pub(crate) fn mark(&mut self, slot: usize) {
-        if !self.dirty[slot] {
-            self.dirty[slot] = true;
-            self.dirty_slots.push(slot);
+    pub(crate) fn on_structural(&mut self) {
+        if self.tracking() {
+            self.structural += 1;
+            self.effective += 1;
         }
     }
 
-    /// A new slot was appended by an insert: it is dirty by construction.
-    pub(crate) fn on_insert_slot(&mut self) {
-        let slot = self.dirty.len();
-        self.dirty.push(true);
-        self.dirty_slots.push(slot);
-        self.cache.push(SCORE_UNKNOWN);
-        self.structural += 1;
-        self.effective += 1;
+    /// A `Set` op rewrote a cell of `dim`.
+    #[inline]
+    pub(crate) fn on_set(&mut self, dim: usize) {
+        if self.tracking() {
+            self.touched_dims |= 1u64 << dim;
+            self.effective += 1;
+        }
     }
 
-    /// Compaction renumbered every slot.
-    pub(crate) fn on_compact(&mut self, n: usize) {
-        self.dirty = vec![false; n];
-        self.dirty_slots.clear();
-        self.cache = vec![SCORE_UNKNOWN; n];
-        self.all_dirty = true;
-        self.structural += 1;
-        self.effective += 1;
-    }
-
-    /// Size the tracking vectors for an engine of `n` slots (first
-    /// registration) — everything unknown, nothing dirty.
-    pub(crate) fn activate(&mut self, n: usize) {
-        self.dirty = vec![false; n];
-        self.dirty_slots.clear();
-        self.cache = vec![SCORE_UNKNOWN; n];
-        self.all_dirty = false;
-        self.touched_dims = 0;
-        self.structural = 0;
-        self.effective = 0;
-    }
-
-    /// Drop the tracking vectors (last query unregistered).
-    pub(crate) fn deactivate(&mut self) {
-        self.dirty = Vec::new();
-        self.dirty_slots = Vec::new();
-        self.cache = Vec::new();
-        self.all_dirty = false;
-        self.touched_dims = 0;
-        self.structural = 0;
-        self.effective = 0;
-    }
-
-    /// Clear the per-batch trackers after maintenance consumed them.
+    /// Clear the per-batch counters (after maintenance consumed them, and
+    /// at the first registration).
     pub(crate) fn reset_batch(&mut self) {
-        for &s in &self.dirty_slots {
-            self.dirty[s] = false;
-        }
-        self.dirty_slots.clear();
-        self.all_dirty = false;
         self.touched_dims = 0;
         self.structural = 0;
         self.effective = 0;
     }
-}
-
-/// The patched walk: the one Algorithm 4 traversal (`crate::topk`'s
-/// `walk`) with the score cache in front of the scorer — a clean slot
-/// answers with its cached exact score, a dirty/unknown one goes through
-/// `score` (the engine's unchanged BIG/IBIG scorer, Heuristics 2–3 still
-/// active; pruned objects stay uncached — their exact score was never
-/// computed). Returns slot-id entries sorted (score desc, slot asc):
-/// bit-identical to the corresponding `*_with_scratch` run by the
-/// no-op-offer argument in the [module docs](self).
-pub(crate) fn patched_top_k(
-    queue: &[(ObjectId, usize)],
-    k: usize,
-    cache: &mut [u32],
-    mut score: impl FnMut(ObjectId, Option<usize>) -> Outcome,
-) -> Vec<ResultEntry> {
-    let result = walk(queue, k, |o, tau| {
-        let cached = cache[o as usize];
-        if cached != SCORE_UNKNOWN {
-            return Outcome::Score(cached as usize);
-        }
-        let outcome = score(o, tau);
-        if let Outcome::Score(s) = outcome {
-            debug_assert!((s as u64) < SCORE_UNKNOWN as u64);
-            cache[o as usize] = s as u32;
-        }
-        outcome
-    });
-    result.entries().to_vec()
-}
-
-/// Full re-query through the unchanged sequential walk (the fallback
-/// path): the cache is not consulted. Returns slot-id entries; the k
-/// result scores are written back into the cache — they are exact by
-/// definition.
-pub(crate) fn requery_full(
-    queue: &[(ObjectId, usize)],
-    k: usize,
-    cache: &mut [u32],
-    score: impl FnMut(ObjectId, Option<usize>) -> Outcome,
-) -> Vec<ResultEntry> {
-    let entries = walk(queue, k, score).entries().to_vec();
-    for e in &entries {
-        cache[e.id as usize] = e.score as u32;
-    }
-    entries
 }
 
 /// Scoped (subspace / constrained) re-query over the live snapshot,
@@ -508,14 +376,6 @@ mod tests {
         assert!(StandingSpec::new(3).validate(4).is_ok());
         assert!(StandingSpec::new(3)
             .algorithm(Algorithm::Naive)
-            .validate(4)
-            .is_err());
-        assert!(StandingSpec::new(3)
-            .fallback_fraction(f64::NAN)
-            .validate(4)
-            .is_err());
-        assert!(StandingSpec::new(3)
-            .fallback_fraction(1.5)
             .validate(4)
             .is_err());
         assert!(StandingSpec::new(3).subspace(vec![]).validate(4).is_err());

@@ -10,7 +10,6 @@
 //! * [`simulators`] — synthetic stand-ins for the paper's three real
 //!   datasets (MovieLens, NBA, Zillow), matching their published shape:
 //!   cardinality, dimensionality, per-dimension domains and missing rate.
-//!   See DESIGN.md §3 for why each substitution preserves the experiment.
 //!
 //! All values follow the workspace convention: **smaller is better**.
 

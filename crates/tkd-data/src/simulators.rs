@@ -1,7 +1,7 @@
 //! Synthetic stand-ins for the paper's three real datasets.
 //!
 //! The originals are not redistributable, so each simulator reproduces the
-//! *published shape* that the paper's findings depend on (DESIGN.md §3):
+//! *published shape* that the paper's findings depend on:
 //!
 //! | Dataset | N × d | domains | missing |
 //! |---|---|---|---|

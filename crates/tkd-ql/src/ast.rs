@@ -133,6 +133,4 @@ pub enum WithItem {
     Window(u64, Span),
     /// `BINS x` — IBIG bins per dimension.
     Bins(u64, Span),
-    /// `FALLBACK f` — standing-query re-query threshold in `[0, 1]`.
-    Fallback(f64, Span),
 }

@@ -33,8 +33,6 @@ pub struct Bound {
     pub window: Option<usize>,
     /// `WITH BINS x` (one-shot IBIG only).
     pub bins: Option<usize>,
-    /// `WITH FALLBACK f` (subscriptions only).
-    pub fallback: Option<f64>,
     /// Dimensionality the statement was bound against.
     pub dims: usize,
 }
@@ -60,7 +58,7 @@ pub struct BoundPredicate {
 /// Bind-stage [`QlError`] for unknown dimensions, duplicate subspace or
 /// `WITH` entries, out-of-range counts, and clause combinations the
 /// standing-query layer rejects (`SUBSCRIBE` with both `SUBSPACE` and
-/// `WHERE`, non-BIG/IBIG `USING`, one-shot `WINDOW`/`FALLBACK`).
+/// `WHERE`, non-BIG/IBIG `USING`, one-shot `WINDOW`).
 pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
     let sel = &stmt.select;
     if dims == 0 {
@@ -121,13 +119,11 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
     let mut threads: Option<(u64, Span)> = None;
     let mut window: Option<(u64, Span)> = None;
     let mut bins: Option<(u64, Span)> = None;
-    let mut fallback: Option<(f64, Span)> = None;
     for item in &sel.with {
         match item {
             WithItem::Threads(v, s) => set_once("THREADS", &mut threads, *v, *s)?,
             WithItem::Window(v, s) => set_once("WINDOW", &mut window, *v, *s)?,
             WithItem::Bins(v, s) => set_once("BINS", &mut bins, *v, *s)?,
-            WithItem::Fallback(v, s) => set_once("FALLBACK", &mut fallback, *v, *s)?,
         }
     }
     let threads = match threads {
@@ -136,18 +132,6 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
     };
     let window = window.map(|(v, s)| positive("WINDOW", v, s)).transpose()?;
     let bins = bins.map(|(v, s)| positive("BINS", v, s)).transpose()?;
-    let fallback = match fallback {
-        None => None,
-        Some((v, s)) => {
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(QlError::bind(
-                    s,
-                    format!("FALLBACK must be a fraction in [0, 1], got {v}"),
-                ));
-            }
-            Some(v)
-        }
-    };
 
     if stmt.subscribe {
         if subspace.is_some() && !predicates.is_empty() {
@@ -169,7 +153,7 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
             return Err(QlError::bind(
                 with_span(sel, "THREADS"),
                 "THREADS does not apply to subscriptions \
-                 (patching is incremental, not parallel)",
+                 (standing queries re-query single-threaded)",
             ));
         }
         if bins.is_some() {
@@ -179,19 +163,11 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
                  (the engine manages its own binning)",
             ));
         }
-    } else {
-        if window.is_some() {
-            return Err(QlError::bind(
-                with_span(sel, "WINDOW"),
-                "WINDOW applies to subscriptions only",
-            ));
-        }
-        if fallback.is_some() {
-            return Err(QlError::bind(
-                with_span(sel, "FALLBACK"),
-                "FALLBACK applies to subscriptions only",
-            ));
-        }
+    } else if window.is_some() {
+        return Err(QlError::bind(
+            with_span(sel, "WINDOW"),
+            "WINDOW applies to subscriptions only",
+        ));
     }
 
     Ok(Bound {
@@ -205,7 +181,6 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
         threads,
         window,
         bins,
-        fallback,
         dims,
     })
 }
@@ -267,8 +242,7 @@ fn with_span(sel: &crate::ast::SelectStmt, what: &str) -> Span {
         match (item, what) {
             (WithItem::Threads(_, s), "THREADS")
             | (WithItem::Window(_, s), "WINDOW")
-            | (WithItem::Bins(_, s), "BINS")
-            | (WithItem::Fallback(_, s), "FALLBACK") => return *s,
+            | (WithItem::Bins(_, s), "BINS") => return *s,
             _ => {}
         }
     }
@@ -337,18 +311,12 @@ mod tests {
         assert!(e.message.contains("BIG or IBIG"), "{e}");
         let e = bind_text("SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH THREADS 4", 4).unwrap_err();
         assert!(e.message.contains("THREADS"), "{e}");
-        assert!(bind_text(
-            "SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH WINDOW 100, FALLBACK 0.5",
-            4
-        )
-        .is_ok());
+        assert!(bind_text("SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH WINDOW 100", 4).is_ok());
     }
 
     #[test]
     fn one_shot_rejects_subscription_knobs() {
         let e = bind_text("SELECT TOP 1 DOMINATING WITH WINDOW 10", 4).unwrap_err();
-        assert!(e.message.contains("subscriptions only"), "{e}");
-        let e = bind_text("SELECT TOP 1 DOMINATING WITH FALLBACK 0.5", 4).unwrap_err();
         assert!(e.message.contains("subscriptions only"), "{e}");
     }
 
@@ -356,7 +324,5 @@ mod tests {
     fn with_value_ranges() {
         let e = bind_text("SELECT TOP 1 DOMINATING WITH THREADS 0", 4).unwrap_err();
         assert!(e.message.contains("at least 1"), "{e}");
-        let e = bind_text("SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH FALLBACK 1.5", 4).unwrap_err();
-        assert!(e.message.contains("[0, 1]"), "{e}");
     }
 }

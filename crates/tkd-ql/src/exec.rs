@@ -143,7 +143,7 @@ fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError
     spec = match plan.algo {
         AlgoChoice::Fixed(a) => spec.algorithm(a),
         AlgoChoice::Auto => {
-            // Standing queries patch BIG/IBIG; resolve on the live data.
+            // Standing queries run BIG/IBIG; resolve on the live data.
             let snap = engine.snapshot();
             spec.algorithm(resolve_algorithm(&PlanStats::of(&snap), true).algorithm)
         }
@@ -153,9 +153,6 @@ fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError
     }
     for r in &plan.ranges {
         spec = spec.constrain(r.dim, r.lo, r.hi);
-    }
-    if let Some(f) = plan.fallback {
-        spec = spec.fallback_fraction(f);
     }
     if plan.explain {
         let snap = engine.snapshot();
@@ -312,9 +309,6 @@ fn render_explain(plan: &Plan, target: &str, derived: &Derived, decision: &AlgoD
     }
     if let Some(w) = plan.window {
         out.push_str(&format!("  window:    {w}\n"));
-    }
-    if let Some(f) = plan.fallback {
-        out.push_str(&format!("  fallback:  {f}\n"));
     }
     out
 }

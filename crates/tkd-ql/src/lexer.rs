@@ -84,7 +84,7 @@ impl TokenKind {
 }
 
 /// The reserved words of the language, upper-cased.
-pub const KEYWORDS: [&str; 20] = [
+pub const KEYWORDS: [&str; 19] = [
     "SELECT",
     "TOP",
     "DOMINATING",
@@ -101,7 +101,6 @@ pub const KEYWORDS: [&str; 20] = [
     "THREADS",
     "WINDOW",
     "BINS",
-    "FALLBACK",
     "TIES",
     "SEED",
     "BY",

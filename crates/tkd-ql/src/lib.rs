@@ -14,7 +14,7 @@
 //!
 //! plus the wrappers `EXPLAIN <select>` (plan, don't run) and
 //! `SUBSCRIBE TO <select>` (register a standing query on a dynamic
-//! engine; accepts `WITH WINDOW n, FALLBACK f`). The normative grammar,
+//! engine; accepts `WITH WINDOW n`). The normative grammar,
 //! keyword table, and executable examples live in `docs/TKDQL.md`; the
 //! spec harness (`tests/tkdql_spec_examples.rs`) runs every example
 //! against the paper's Fig. 3 dataset.

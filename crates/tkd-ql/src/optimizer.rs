@@ -117,7 +117,6 @@ pub fn plan(bound: Bound) -> Result<Plan, QlError> {
         threads: bound.threads,
         window: bound.window,
         bins: bound.bins,
-        fallback: bound.fallback,
         dims: bound.dims,
     })
 }

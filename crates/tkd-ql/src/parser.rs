@@ -16,8 +16,7 @@
 //! expr        = term { ("+"|"-") term } ;
 //! term        = factor { ("*"|"/") factor } ;
 //! factor      = [ "-" ] ( number | "(" expr ")" ) ;
-//! with-item   = "THREADS" integer | "WINDOW" integer
-//!             | "BINS" integer | "FALLBACK" number ;
+//! with-item   = "THREADS" integer | "WINDOW" integer | "BINS" integer ;
 //! algorithm   = "NAIVE" | "ESB" | "UBB" | "BIG" | "IBIG" ;
 //! ```
 //!
@@ -260,23 +259,10 @@ impl Parser {
             }
             TokenKind::Keyword("WINDOW") => Ok(WithItem::Window(self.integer("WINDOW")?.0, t.span)),
             TokenKind::Keyword("BINS") => Ok(WithItem::Bins(self.integer("BINS")?.0, t.span)),
-            TokenKind::Keyword("FALLBACK") => {
-                let t2 = self.bump();
-                match t2.kind {
-                    TokenKind::Number(raw) => {
-                        let v: f64 = raw.parse().expect("lexer validated");
-                        Ok(WithItem::Fallback(v, t2.span))
-                    }
-                    other => Err(QlError::parse(
-                        t2.span,
-                        format!("FALLBACK expects a number, found {}", other.describe()),
-                    )),
-                }
-            }
             other => Err(QlError::parse(
                 t.span,
                 format!(
-                    "expected a WITH item (THREADS, WINDOW, BINS, FALLBACK), found {}",
+                    "expected a WITH item (THREADS, WINDOW, BINS), found {}",
                     other.describe()
                 ),
             )),
@@ -463,6 +449,13 @@ mod tests {
         assert!(e.message.contains("after the end"), "{e}");
         let e = parse("SELECT TOP 3 DOMINATING WHERE d1 ~ 3");
         assert!(e.is_err());
+    }
+
+    #[test]
+    fn fallback_is_not_a_with_item() {
+        let e = parse("SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH FALLBACK 0.5").unwrap_err();
+        assert_eq!(e.stage, crate::error::QlStage::Parse);
+        assert!(e.message.contains("THREADS, WINDOW, BINS)"), "{e}");
     }
 
     #[test]

@@ -85,8 +85,6 @@ pub struct Plan {
     pub window: Option<usize>,
     /// IBIG bin count per dimension (one-shot).
     pub bins: Option<usize>,
-    /// Standing-query fallback fraction (subscriptions).
-    pub fallback: Option<f64>,
     /// Dimensionality the plan was bound against.
     pub dims: usize,
 }

@@ -33,7 +33,6 @@ const VOCAB: &[&str] = &[
     "THREADS",
     "WINDOW",
     "BINS",
-    "FALLBACK",
     "TIES",
     "SEED",
     "BY",
@@ -141,7 +140,7 @@ fn mutated_valid_statements_stay_typed() {
         "SELECT TOP 5 DOMINATING",
         "EXPLAIN SELECT TOP 3 DOMINATING WHERE d1 < 0.5 AND d2 BETWEEN 1 AND 4",
         "SELECT TOP 10 DOMINATING FROM 'data.txt' SUBSPACE (d1, d3) USING IBIG WITH BINS 16",
-        "SUBSCRIBE TO SELECT TOP 2 DOMINATING WHERE d4 >= 3 WITH WINDOW 100, FALLBACK 0.5",
+        "SUBSCRIBE TO SELECT TOP 2 DOMINATING WHERE d4 >= 3 WITH WINDOW 100",
         "SELECT TOP 7 DOMINATING WHERE d1 = 2 * 3 - 1 USING UBB WITH THREADS 2",
     ];
     let mut rng = StdRng::seed_from_u64(0x7d_51);

@@ -46,7 +46,6 @@ fn main() {
                 algorithm: Algorithm::Big,
                 subspace: None,
                 constraint: vec![],
-                fallback_fraction: 0.5,
             }),
         ),
     ];

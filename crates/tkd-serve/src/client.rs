@@ -143,8 +143,9 @@ impl Client {
         }
     }
 
-    /// Drop a standing query. Returns whether the server still knew the
-    /// id (false for double-unsubscribes — idempotent, not an error).
+    /// Drop a standing query. Returns whether the server knew the id as a
+    /// subscription of this connection (false for double-unsubscribes and
+    /// for another connection's id — idempotent, not an error).
     /// Notifications already pushed for it may still be in flight or in
     /// the local buffer.
     ///

@@ -283,7 +283,8 @@ pub enum Response {
     Error(ErrorFrame),
     /// Answer to [`Request::Subscribe`].
     SubscribeAck(SubscribeAck),
-    /// Answer to [`Request::Unsubscribe`]: whether the id was registered.
+    /// Answer to [`Request::Unsubscribe`]: whether the id was registered
+    /// by the requesting connection.
     UnsubscribeAck(bool),
     /// Server-pushed standing-query delta (not an answer to anything).
     Notify(WireNotification),
@@ -859,8 +860,8 @@ fn put_entries(w: &mut BodyWriter, entries: &[WireEntry]) -> Result<(), ServeErr
     Ok(())
 }
 
-/// A wire f64 that must be a real number (constraint bounds, fallback
-/// fraction) — NaN is rejected like NaN cells are.
+/// A wire f64 that must be a real number (constraint bounds) — NaN is
+/// rejected like NaN cells are.
 fn get_real(r: &mut BodyReader, what: &str) -> Result<f64, ServeError> {
     let v = f64::from_bits(r.get_u64()?);
     if v.is_nan() {
@@ -897,7 +898,9 @@ fn put_standing_spec(w: &mut BodyWriter, spec: &StandingSpec) -> Result<(), Serv
         w.put_u64(lo.to_bits());
         w.put_u64(hi.to_bits());
     }
-    w.put_u64(spec.fallback_fraction.to_bits());
+    // Reserved (v5 carried a patch/re-query threshold here): written 0,
+    // ignored on read, dropped with the next version bump.
+    w.put_u64(0);
     Ok(())
 }
 
@@ -932,13 +935,12 @@ fn get_standing_spec(r: &mut BodyReader) -> Result<StandingSpec, ServeError> {
         let hi = get_real(r, "constraint high bound")?;
         constraint.push((dim, lo, hi));
     }
-    let fallback_fraction = get_real(r, "fallback fraction")?;
+    r.get_u64()?; // reserved, see `put_standing_spec`
     Ok(StandingSpec {
         k,
         algorithm,
         subspace,
         constraint,
-        fallback_fraction,
     })
 }
 
@@ -1191,14 +1193,12 @@ mod tests {
             Request::Subscribe(
                 StandingSpec::new(0)
                     .algorithm(Algorithm::Ibig)
-                    .subspace(vec![0, 2, 5])
-                    .fallback_fraction(0.0),
+                    .subspace(vec![0, 2, 5]),
             ),
             Request::Subscribe(
                 StandingSpec::new(9)
                     .constrain(1, -0.0, 2.5)
-                    .constrain(3, 0.0, 8.0)
-                    .fallback_fraction(1.0),
+                    .constrain(3, 0.0, 8.0),
             ),
             Request::Unsubscribe(0),
             Request::Unsubscribe(u64::MAX),
@@ -1339,6 +1339,21 @@ mod tests {
             decode_request(&seal(KIND_SUBSCRIBE, w.buf)).unwrap_err(),
             ServeError::BadFrame { .. }
         ));
+    }
+
+    #[test]
+    fn subscribe_reserved_slot_is_ignored_on_read() {
+        let spec = StandingSpec::new(2).constrain(0, 1.0, 2.0);
+        let zero = encode_request(&Request::Subscribe(spec.clone())).expect("encodes");
+        let mut nonzero = zero.clone();
+        let len = nonzero.len();
+        nonzero[len - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        for frame in [zero, reseal(&nonzero)] {
+            assert_eq!(
+                decode_request(&frame).expect("decodes"),
+                Request::Subscribe(spec.clone())
+            );
+        }
     }
 
     /// Re-checksum a frame whose body bytes were edited, so the decode

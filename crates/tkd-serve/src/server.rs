@@ -111,7 +111,8 @@ enum Work {
     Shutdown,
     /// Register a standing query; deltas are pushed through the sink.
     Subscribe(StandingSpec, Arc<PushSink>),
-    Unsubscribe(u64),
+    /// End a standing query — only one registered through this sink.
+    Unsubscribe(u64, Arc<PushSink>),
     /// A TKDQL statement (v4); `SUBSCRIBE TO …` registers on the sink.
     QueryText(String, Arc<PushSink>),
 }
@@ -415,7 +416,7 @@ fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc
             Request::Stats => Work::Stats,
             Request::Shutdown => Work::Shutdown,
             Request::Subscribe(spec) => Work::Subscribe(spec, Arc::clone(sink)),
-            Request::Unsubscribe(id) => Work::Unsubscribe(id),
+            Request::Unsubscribe(id) => Work::Unsubscribe(id, Arc::clone(sink)),
             Request::QueryText(text) => Work::QueryText(text, Arc::clone(sink)),
         };
         let reply = match submit(shared, work) {
@@ -690,9 +691,14 @@ fn serve_one(
                 message: e.to_string(),
             }),
         },
-        Work::Unsubscribe(id) => {
-            subs.remove(id);
-            Response::UnsubscribeAck(engine.unregister(*id))
+        Work::Unsubscribe(id, sink) => {
+            // Ids are sequential and echoed in every ack: a connection may
+            // only end its own subscriptions, anything else is "not known".
+            let own = subs.get(id).is_some_and(|s| Arc::ptr_eq(s, sink));
+            if own {
+                subs.remove(id);
+            }
+            Response::UnsubscribeAck(own && engine.unregister(*id))
         }
         Work::QueryText(text, sink) => serve_query_text(engine, counters, subs, text, sink),
         Work::Shutdown => {

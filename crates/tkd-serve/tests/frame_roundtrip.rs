@@ -59,9 +59,8 @@ fn standing_spec_strategy() -> impl Strategy<Value = StandingSpec> {
         0u8..2,
         option::of(vec(0usize..6, 0..4)),
         vec((0usize..6, 0u32..8, 0u32..8), 0..3),
-        0u32..=4,
     )
-        .prop_map(|(k, a, subspace, ranges, frac)| StandingSpec {
+        .prop_map(|(k, a, subspace, ranges)| StandingSpec {
             k,
             algorithm: if a == 0 {
                 Algorithm::Big
@@ -73,7 +72,6 @@ fn standing_spec_strategy() -> impl Strategy<Value = StandingSpec> {
                 .into_iter()
                 .map(|(d, lo, hi)| (d, f64::from(lo) - 4.0, f64::from(hi)))
                 .collect(),
-            fallback_fraction: f64::from(frac) / 4.0,
         })
 }
 

@@ -87,7 +87,6 @@ fn documented_values() -> Vec<(&'static str, Result<Request, Response>)> {
                 algorithm: Algorithm::Big,
                 subspace: None,
                 constraint: vec![],
-                fallback_fraction: 0.5,
             })),
         ),
         (

@@ -16,8 +16,8 @@
 //!   execution layer (`core::parallel`), the multi-user serving engine
 //!   (`core::engine`), the dynamic update layer (`core::dynamic`)
 //!   with incremental inserts/deletes over all indexes, and standing
-//!   queries (`core::standing`) whose results are patched per op-batch
-//!   and streamed as deltas.
+//!   queries (`core::standing`) whose results are re-queried per
+//!   op-batch and streamed as deltas.
 //! * [`data`] — synthetic workloads (IND/AC/CO) and real-dataset simulators.
 //! * [`impute`] — matrix-factorization imputation baseline (§5.2, Table 4).
 //! * [`store`] — versioned on-disk snapshots of the full query state

@@ -314,7 +314,7 @@ fn standing_subscriptions_match_twin_engine() {
             StandingSpec::new(3),
             StandingSpec::new(2).algorithm(Algorithm::Ibig),
             StandingSpec::new(5).subspace(vec![0, 2]),
-            StandingSpec::new(4).fallback_fraction(0.0),
+            StandingSpec::new(4),
         ];
         // (wire id, twin id, running view folded from pushes).
         let mut subs: Vec<(u64, u64, Vec<ResultEntry>)> = Vec::new();
@@ -418,6 +418,39 @@ fn notifications_beat_the_poll_interval() {
         avg < Duration::from_millis(20),
         "average push latency {avg:?} should be far under the 50ms poll"
     );
+    server.stop().expect("clean stop");
+}
+
+/// A subscription belongs to the connection that made it: ids are
+/// sequential and echoed in every ack, so another connection guessing one
+/// must not be able to end the owner's notification stream.
+#[test]
+fn standing_unsubscribe_is_scoped_to_the_owning_connection() {
+    let dims = 3;
+    let mut rng = Mix(62_000);
+    let initial: Vec<Vec<Option<f64>>> = (0..12).map(|_| common::row(&mut rng, dims, 30)).collect();
+    let ds = Dataset::from_rows(dims, &initial).expect("valid rows");
+    let (server, mut a) = start(ds);
+    let mut b = Client::connect_with(server.local_addr(), Duration::from_secs(30))
+        .expect("second client connects");
+    let ack = a.subscribe(&StandingSpec::new(3)).expect("subscribe acked");
+    for round in 0..2 {
+        let op = UpdateOp::Insert(common::row(&mut rng, dims, 30));
+        b.update(&[op]).expect("insert applies");
+        let note = a
+            .next_notification(Duration::from_secs(5))
+            .expect("healthy stream")
+            .expect("one push per acked batch");
+        assert_eq!((note.id, note.batch_seq), (ack.id, round + 1));
+        if round == 0 {
+            assert!(
+                !b.unsubscribe(ack.id).expect("unsubscribe answers"),
+                "another connection's id is not known to this one"
+            );
+        }
+    }
+    assert!(a.unsubscribe(ack.id).expect("unsubscribe answers"));
+    assert!(!a.unsubscribe(ack.id).expect("unsubscribe answers"));
     server.stop().expect("clean stop");
 }
 
