@@ -2,45 +2,30 @@
 //!
 //! ```text
 //! Usage: repro [--exp LIST] [--scale quick|paper] [--seed N] [--out DIR]
-//!              [--bench-out FILE] [--threads 1,2,4,8]
-//!              [--baseline FILE --current FILE [--tolerance R]]
+//!              [--threads 1,2,4,8] [--bench-out FILE]
 //!
 //!   --exp        comma-separated subset of:
 //!                table2,fig10,table3,fig11,fig12,fig13,table4,
 //!                fig14,fig15,fig16,fig17,fig18,binopt,ablation,baseline,
-//!                perf,updates,persist,serve,load,compare
-//!                (default: all paper artifacts; `perf`, `updates`,
-//!                `persist`, `serve`, `load`, and `compare` run only
-//!                when requested)
+//!                perf
+//!                (default: all paper artifacts; `perf` runs only when
+//!                requested, and needs `--threads`)
 //!   --scale      quick (default) or paper (the paper's dataset sizes)
 //!   --seed       RNG seed (default 42)
 //!   --out        also write each table as CSV into DIR
 //!   --threads    with `--exp perf`: run the parallel-engine
-//!                thread-scaling grid over the given thread counts
-//!   --bench-out  where `--exp perf` / `--exp updates` / `--exp persist`
-//!                / `--exp serve` / `--exp load` writes its JSON
-//!                (default: BENCH_2.json, BENCH_3.json with --threads,
-//!                BENCH_4.json for updates, BENCH_5.json for persist,
-//!                BENCH_6.json for serve, BENCH_7.json for load)
-//!   --baseline   with `--exp compare`: the committed tkd-perf/v1 file
-//!   --current    with `--exp compare`: the freshly measured snapshot
-//!   --tolerance  with `--exp compare`: allowed normalized-time ratio
-//!                before a cell counts as regressed (default 1.3);
-//!                any regression exits non-zero
+//!                thread-scaling grid over the given thread counts; exits
+//!                1 when a `threads: 1` row runs below 0.90x sequential
+//!   --bench-out  where `--exp perf` writes its JSON (default:
+//!                BENCH_3.json)
 //! ```
+//!
+//! Engineering numbers (builds, queries, updates, snapshots, the service,
+//! the kernels) come from the repository benchmark: `benchmark/`,
+//! `BENCHMARK.json`.
 
 use std::collections::BTreeSet;
-use tkd_bench::{
-    compare, experiments as exp, load, perf, persist, serve, table::Table, updates, Scale,
-};
-
-/// Every experiment name `--exp` accepts; the single source of truth for
-/// validation and the usage text.
-const KNOWN: [&str; 21] = [
-    "table2", "fig10", "table3", "fig11", "fig12", "fig13", "table4", "fig14", "fig15", "fig16",
-    "fig17", "fig18", "binopt", "ablation", "baseline", "perf", "updates", "persist", "serve",
-    "load", "compare",
-];
+use tkd_bench::{experiments as exp, perf, table::Table, Scale, KNOWN};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,9 +35,6 @@ fn main() {
     let mut out_dir: Option<String> = None;
     let mut bench_out: Option<String> = None;
     let mut threads: Option<Vec<usize>> = None;
-    let mut baseline: Option<String> = None;
-    let mut current: Option<String> = None;
-    let mut tolerance = 1.3f64;
 
     let mut i = 0;
     while i < args.len() {
@@ -107,27 +89,6 @@ fn main() {
                     _ => usage("--threads expects a comma-separated list of positive integers"),
                 };
             }
-            "--baseline" => {
-                i += 1;
-                baseline = match args.get(i) {
-                    Some(f) => Some(f.clone()),
-                    None => usage("missing value for --baseline"),
-                };
-            }
-            "--current" => {
-                i += 1;
-                current = match args.get(i) {
-                    Some(f) => Some(f.clone()),
-                    None => usage("missing value for --current"),
-                };
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v >= 1.0 => v,
-                    _ => usage("--tolerance must be a ratio >= 1.0"),
-                };
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),
         }
@@ -141,28 +102,16 @@ fn main() {
             }
         }
     }
-    if threads.is_some() && !exps.as_ref().is_some_and(|set| set.contains("perf")) {
+    let wants_perf = exps.as_ref().is_some_and(|set| set.contains("perf"));
+    if threads.is_some() && !wants_perf {
         usage("--threads requires --exp perf");
     }
-    let want_compare = exps.as_ref().is_some_and(|set| set.contains("compare"));
-    let wants = |name: &str| exps.as_ref().is_some_and(|set| set.contains(name));
-    let bench_writers = ["perf", "updates", "persist", "serve", "load"]
-        .iter()
-        .filter(|e| wants(e))
-        .count();
-    if bench_out.is_some() && bench_writers > 1 {
-        // Multiple experiments would write the same file, the later ones
-        // silently clobbering the earlier.
+    if wants_perf && threads.is_none() {
         usage(
-            "--bench-out is ambiguous across perf/updates/persist/serve/load; \
-             run them separately",
+            "--exp perf requires --threads (e.g. --threads 1,2,4); the sequential \
+             build and query timings are cells of the repository benchmark \
+             (benchmark/, workload warm-scoring)",
         );
-    }
-    if (baseline.is_some() || current.is_some()) && !want_compare {
-        usage("--baseline/--current require --exp compare");
-    }
-    if want_compare && (baseline.is_none() || current.is_none()) {
-        usage("--exp compare requires --baseline FILE and --current FILE");
     }
     let want = |name: &str| exps.as_ref().is_none_or(|set| set.contains(name));
     let scale_name = match scale {
@@ -224,22 +173,11 @@ fn main() {
     if want("baseline") {
         emit(vec![exp::ablation_baseline(scale, seed)]);
     }
-    // The perf baseline is opt-in: it is a repo artifact generator, not a
-    // paper reproduction, so `--exp` must name it explicitly. With
-    // `--threads` it runs the thread-scaling grid (BENCH_3.json) instead
-    // of the sequential baseline grid (BENCH_2.json).
-    if exps.as_ref().is_some_and(|set| set.contains("perf")) {
-        let (table, json, default_out, below_floor) = match &threads {
-            Some(ts) => {
-                let (t, j, below_floor) = perf::run_threads(scale, seed, ts);
-                (t, j, "BENCH_3.json", below_floor)
-            }
-            None => {
-                let (t, j) = perf::run(scale, seed);
-                (t, j, "BENCH_2.json", Vec::new())
-            }
-        };
-        let bench_out = bench_out.as_deref().unwrap_or(default_out);
+    // The thread-scaling grid is opt-in: it measures this repository's
+    // parallel engine, not a paper artifact, so `--exp` must name it.
+    if let Some(ts) = &threads {
+        let (table, json, below_floor) = perf::run_threads(scale, seed, ts);
+        let bench_out = bench_out.as_deref().unwrap_or("BENCH_3.json");
         emit(vec![table]);
         std::fs::write(bench_out, json).expect("write perf JSON");
         println!("(perf baseline written to {bench_out})");
@@ -250,67 +188,6 @@ fn main() {
                 eprintln!("error: one-thread engine slower than sequential: {row}");
             }
             std::process::exit(1);
-        }
-    }
-    // The dynamic-update maintenance benchmark (BENCH_4.json) — opt-in,
-    // like perf.
-    if exps.as_ref().is_some_and(|set| set.contains("updates")) {
-        let (table, json) = updates::run(scale, seed);
-        let bench_out = bench_out.as_deref().unwrap_or("BENCH_4.json");
-        emit(vec![table]);
-        std::fs::write(bench_out, json).expect("write updates JSON");
-        println!("(update maintenance benchmark written to {bench_out})");
-    }
-    // The snapshot load-vs-rebuild benchmark (BENCH_5.json) — opt-in,
-    // like perf and updates.
-    if exps.as_ref().is_some_and(|set| set.contains("persist")) {
-        let (table, json) = persist::run(scale, seed);
-        let bench_out = bench_out.as_deref().unwrap_or("BENCH_5.json");
-        emit(vec![table]);
-        std::fs::write(bench_out, json).expect("write persist JSON");
-        println!("(snapshot persistence benchmark written to {bench_out})");
-    }
-    // The TCP-service load benchmark (BENCH_6.json) — opt-in; starts a
-    // real server on a loopback port and drives open-loop load.
-    if exps.as_ref().is_some_and(|set| set.contains("serve")) {
-        let (table, json) = serve::run(scale, seed);
-        let bench_out = bench_out.as_deref().unwrap_or("BENCH_6.json");
-        emit(vec![table]);
-        std::fs::write(bench_out, json).expect("write serve JSON");
-        println!("(serve load benchmark written to {bench_out})");
-    }
-    // The zero-copy snapshot-load + kernel benchmark (BENCH_7.json) —
-    // opt-in, like the other artifact generators.
-    if exps.as_ref().is_some_and(|set| set.contains("load")) {
-        let (tables, json) = load::run(scale, seed);
-        let bench_out = bench_out.as_deref().unwrap_or("BENCH_7.json");
-        emit(tables);
-        std::fs::write(bench_out, json).expect("write load JSON");
-        println!("(zero-copy load benchmark written to {bench_out})");
-    }
-    // The perf regression gate — opt-in; a regression (or a vacuous
-    // comparison) exits non-zero so CI fails.
-    if want_compare {
-        let (baseline, current) = (baseline.expect("checked"), current.expect("checked"));
-        match compare::run(&baseline, &current, tolerance) {
-            Ok((table, ok, warnings)) => {
-                emit(vec![table]);
-                for w in &warnings {
-                    eprintln!("warning: {w}");
-                }
-                if !ok {
-                    eprintln!(
-                        "error: performance regression beyond {tolerance}x tolerance \
-                         (see REGRESSED rows above)"
-                    );
-                    std::process::exit(1);
-                }
-                println!("(perf regression gate passed at tolerance {tolerance}x)");
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
         }
     }
 
@@ -345,21 +222,13 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "Usage: repro [--exp LIST] [--scale quick|paper] [--seed N] [--out DIR] \
-         [--bench-out FILE] [--threads 1,2,4,8] \
-         [--baseline FILE --current FILE [--tolerance R]]\n\
+         [--threads 1,2,4,8] [--bench-out FILE]\n\
          experiments: {}\n\
-         --threads runs the thread-scaling perf grid (requires --exp perf; \
-         writes BENCH_3.json)\n\
-         --exp updates measures incremental maintenance vs rebuild \
-         (writes BENCH_4.json)\n\
-         --exp persist measures snapshot load vs rebuild \
-         (writes BENCH_5.json)\n\
-         --exp serve drives open-loop load at a live TCP server \
-         (writes BENCH_6.json)\n\
-         --exp load measures zero-copy vs copying snapshot load and the \
-         wide-lane popcount kernels (writes BENCH_7.json)\n\
-         --exp compare gates normalized BIG/IBIG query times against a \
-         committed tkd-perf/v1 baseline (exit 1 on regression)",
+         --exp perf --threads LIST runs the thread-scaling grid and its \
+         one-thread gate (writes BENCH_3.json, or --bench-out FILE)\n\
+         engineering numbers (builds, queries, updates, snapshots, the \
+         service, kernels) are cells of the repository benchmark: \
+         benchmark/, BENCHMARK.json",
         KNOWN.join(",")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

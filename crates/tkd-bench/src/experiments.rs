@@ -4,7 +4,7 @@
 //! returns printable [`Table`]s: the same rows/series the paper plots, with
 //! our measured values. Absolute times differ from the paper's 2015 Java
 //! testbed; the *shape* (who wins, trends, crossovers) is the reproduction
-//! target — see EXPERIMENTS.md.
+//! target.
 
 use crate::datasets::{self, Workload};
 use crate::table::{bytes, secs, Table};

@@ -3,7 +3,10 @@
 //!
 //! The [`experiments`] module has one entry point per paper artifact
 //! (Table 2–4, Fig. 10–18); the `repro` binary drives them and prints
-//! paper-style tables. Everything is deterministic given the seed.
+//! paper-style tables. Everything is deterministic given the seed. The one
+//! engineering measurement kept here is [`perf`]'s thread-scaling grid and
+//! its one-thread gate; every other engineering number is a cell of the
+//! repository benchmark (`benchmark/`, `BENCHMARK.json`).
 //!
 //! Two scales are supported:
 //!
@@ -13,15 +16,19 @@
 
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod datasets;
 pub mod experiments;
-pub mod load;
 pub mod perf;
-pub mod persist;
-pub mod serve;
 pub mod table;
-pub mod updates;
+
+/// Every experiment name `repro --exp` accepts; the single source of truth
+/// for validation and the usage text. All but `perf` are paper artifacts
+/// and run by default; `perf` (the thread-scaling grid) runs only when
+/// named, together with `--threads`.
+pub const KNOWN: [&str; 16] = [
+    "table2", "fig10", "table3", "fig11", "fig12", "fig13", "table4", "fig14", "fig15", "fig16",
+    "fig17", "fig18", "binopt", "ablation", "baseline", "perf",
+];
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,22 +1,21 @@
-//! `repro --exp perf` — the reproducible performance baseline.
+//! `repro --exp perf --threads 1,2,4` — the thread-scaling grid and its
+//! one-thread gate (`BENCH_3.json`).
 //!
-//! Runs UBB / BIG / IBIG (plus a faithful replica of the pre-scratch
-//! *allocating* BIG scorer as the regression reference) over a synthetic
-//! `(N, dims, missing-rate)` grid, and renders the measurements both as a
-//! printable [`Table`] and as machine-readable JSON (`BENCH_<pr>.json`).
-//! Every later performance PR is judged against the trajectory these files
-//! record; see README § Performance for the schema.
-//!
-//! Preprocessing (`MaxScore` queue + incomparable sets) is built **once
-//! per cell** through [`Preprocessed`] and lent to every context, so the
-//! per-algorithm `build_s` isolates index construction and `query_s`
-//! isolates the scoring loop.
+//! Times [`tkd_core::ParallelEngine`] against the sequential scratch
+//! engines over a synthetic `(N, dims, missing-rate, k)` grid, asserting
+//! parity before any timing, and renders the measurements both as a
+//! printable [`Table`] and as machine-readable JSON
+//! (`tkd-perf-threads/v1`). A `threads: 1` row below
+//! `ONE_THREAD_FLOOR` of the sequential engines timed in the same run
+//! fails the run. Every other engineering number — builds, queries,
+//! updates, snapshots, the service, the kernels — is a cell of the
+//! repository benchmark (`benchmark/`, `BENCHMARK.json`); see
+//! `docs/INTERNALS.md` § Where each number lives.
 
 use crate::table::{secs, Table};
 use crate::{time, Scale};
-use tkd_core::{big, ibig, ubb, Preprocessed, PruneStats};
+use tkd_core::{big, ibig, Preprocessed};
 use tkd_data::synthetic::{generate, Distribution, SyntheticConfig};
-use tkd_model::ObjectId;
 
 /// Query repetitions per measurement; the minimum is reported.
 const QUERY_REPS: usize = 3;
@@ -29,10 +28,10 @@ const THREAD_CELL_WINDOW: std::time::Duration = std::time::Duration::from_millis
 pub type PerfPoint = (usize, usize, f64, usize);
 
 /// The synthetic workload grid. `Quick` is CI-sized; `Paper` adds the
-/// n = 50K cells the PR-2 acceptance baseline is pinned on. The k = 64
-/// cells are Heuristic-2-heavy (late H1 termination forces thousands of
-/// bitmap evaluations), which is where the scoring engine matters; the
-/// k = 8 cells are the paper's Table 2 default.
+/// n = 50K cells. The k = 64 cells are Heuristic-2-heavy (late H1
+/// termination forces thousands of bitmap evaluations), which is where
+/// the scoring engine matters; the k = 8 cells are the paper's Table 2
+/// default.
 pub fn perf_grid(scale: Scale) -> Vec<PerfPoint> {
     match scale {
         Scale::Quick => vec![
@@ -50,42 +49,6 @@ pub fn perf_grid(scale: Scale) -> Vec<PerfPoint> {
     }
 }
 
-/// One measured algorithm run within a cell.
-struct AlgoRun {
-    name: &'static str,
-    /// Context construction beyond the shared preprocessing (seconds).
-    build_s: f64,
-    /// Query wall-clock, minimum of [`QUERY_REPS`] runs (seconds).
-    query_s: f64,
-    stats: PruneStats,
-}
-
-/// One grid cell with its measurements.
-struct Cell {
-    n: usize,
-    dims: usize,
-    missing: f64,
-    cardinality: usize,
-    k: usize,
-    preprocess_s: f64,
-    runs: Vec<AlgoRun>,
-}
-
-impl Cell {
-    fn run_of(&self, name: &str) -> &AlgoRun {
-        self.runs
-            .iter()
-            .find(|r| r.name == name)
-            .expect("algorithm measured")
-    }
-
-    /// End-to-end BIG query speedup of the scratch engine over the
-    /// allocating replica.
-    fn big_speedup(&self) -> f64 {
-        self.run_of("big_legacy").query_s / self.run_of("big").query_s
-    }
-}
-
 /// Minimum-of-N timing for sub-millisecond stability.
 fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let (mut out, mut best) = time(&mut f);
@@ -98,196 +61,6 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     }
     (out, best)
 }
-
-fn measure_cell(point: PerfPoint, seed: u64) -> Cell {
-    let (n, dims, missing, k) = point;
-    let cardinality = 100;
-    let ds = generate(&SyntheticConfig {
-        n,
-        dims,
-        cardinality,
-        missing_rate: missing,
-        distribution: Distribution::Independent,
-        seed,
-    });
-    let (pre, preprocess_s) = time(|| Preprocessed::build(&ds));
-    let mut runs = Vec::new();
-
-    // UBB: no context beyond the shared preprocessing.
-    let (r, query_s) = time_best(QUERY_REPS, || ubb::ubb_with_queue(&ds, k, pre.queue()));
-    let reference = r.scores();
-    runs.push(AlgoRun {
-        name: "ubb",
-        build_s: 0.0,
-        query_s,
-        stats: r.stats,
-    });
-
-    // BIG — scratch engine.
-    let (ctx, build_s) = time(|| big::BigContext::build_with(&ds, &pre));
-    let mut scratch = ctx.scratch();
-    let (r, query_s) = time_best(QUERY_REPS, || big::big_with_scratch(&ctx, k, &mut scratch));
-    assert_eq!(r.scores(), reference, "BIG disagrees with UBB");
-    runs.push(AlgoRun {
-        name: "big",
-        build_s,
-        query_s,
-        stats: r.stats,
-    });
-
-    // BIG — allocating replica of the pre-scratch scorer (the baseline the
-    // speedup claim is measured against).
-    let (r, query_s) = time_best(QUERY_REPS, || legacy_big_query(&ctx, k));
-    assert_eq!(r.0, reference, "legacy BIG disagrees with UBB");
-    runs.push(AlgoRun {
-        name: "big_legacy",
-        build_s,
-        query_s,
-        stats: r.1,
-    });
-
-    // IBIG — scratch engine, Eq. 8-ish bin count (32 at the Table 2
-    // defaults, matching the paper's §5.1 configuration).
-    let bins = vec![32usize; dims];
-    let (ictx, build_s) =
-        time(|| ibig::IbigContext::<'_, tkd_bitvec::Concise>::build_with(&ds, &bins, &pre));
-    let mut iscratch = ictx.scratch();
-    let (r, query_s) = time_best(QUERY_REPS, || {
-        ibig::ibig_with_scratch(&ictx, k, &mut iscratch)
-    });
-    assert_eq!(r.scores(), reference, "IBIG disagrees with UBB");
-    runs.push(AlgoRun {
-        name: "ibig",
-        build_s,
-        query_s,
-        stats: r.stats,
-    });
-
-    Cell {
-        n,
-        dims,
-        missing,
-        cardinality,
-        k,
-        preprocess_s,
-        runs,
-    }
-}
-
-/// Run the whole grid, returning the printable table and the JSON
-/// document.
-pub fn run(scale: Scale, seed: u64) -> (Table, String) {
-    let cells: Vec<Cell> = perf_grid(scale)
-        .into_iter()
-        .map(|p| measure_cell(p, seed))
-        .collect();
-    // Kernel microbenches ride along in the artifact so the compare gate
-    // can flag wide-lane regressions; the scalar reference measured in
-    // the same process is the calibration constant.
-    let kernels = crate::load::measure_kernels();
-
-    let mut t = Table::new(
-        "perf baseline — query wall-clock (IND)",
-        &[
-            "N",
-            "dims",
-            "missing",
-            "k",
-            "algorithm",
-            "build (s)",
-            "query (s)",
-            "scored",
-            "pruned",
-        ],
-    );
-    for c in &cells {
-        for r in &c.runs {
-            t.push(vec![
-                c.n.to_string(),
-                c.dims.to_string(),
-                format!("{:.0}%", c.missing * 100.0),
-                c.k.to_string(),
-                r.name.into(),
-                secs(r.build_s),
-                secs(r.query_s),
-                r.stats.scored.to_string(),
-                r.stats.pruned().to_string(),
-            ]);
-        }
-        t.push(vec![
-            c.n.to_string(),
-            c.dims.to_string(),
-            format!("{:.0}%", c.missing * 100.0),
-            c.k.to_string(),
-            "big speedup vs legacy".into(),
-            "-".into(),
-            format!("{:.2}x", c.big_speedup()),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-
-    (t, to_json(scale, seed, &cells, &kernels))
-}
-
-/// Hand-rolled JSON (the workspace is offline — no serde).
-fn to_json(scale: Scale, seed: u64, cells: &[Cell], kernels: &crate::load::KernelReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tkd-perf/v1\",\n");
-    s.push_str("  \"created_by\": \"repro --exp perf\",\n");
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-        }
-    ));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!(
-            "      \"workload\": {{\"n\": {}, \"dims\": {}, \"missing_rate\": {}, \
-             \"cardinality\": {}, \"k\": {}, \"distribution\": \"IND\"}},\n",
-            c.n, c.dims, c.missing, c.cardinality, c.k
-        ));
-        s.push_str(&format!("      \"preprocess_s\": {:.6},\n", c.preprocess_s));
-        s.push_str("      \"algorithms\": [\n");
-        for (j, r) in c.runs.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"name\": \"{}\", \"build_s\": {:.6}, \"query_s\": {:.6}, \
-                 \"h1_pruned\": {}, \"h2_pruned\": {}, \"h3_pruned\": {}, \"scored\": {}}}{}\n",
-                r.name,
-                r.build_s,
-                r.query_s,
-                r.stats.h1_pruned,
-                r.stats.h2_pruned,
-                r.stats.h3_pruned,
-                r.stats.scored,
-                if j + 1 < c.runs.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ],\n");
-        s.push_str(&format!(
-            "      \"big_speedup_vs_legacy\": {:.3}\n",
-            c.big_speedup()
-        ));
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"kernels\":\n");
-    s.push_str(&crate::load::kernels_json(kernels, "  "));
-    s.push_str("\n}\n");
-    s
-}
-
-// ---------------------------------------------------------------------------
-// Thread-scaling grid (`--exp perf --threads 1,2,4,8` → BENCH_3.json)
-// ---------------------------------------------------------------------------
 
 /// Size of the multi-user batch measured per thread count.
 const BATCH_QUERIES: usize = 16;
@@ -331,7 +104,7 @@ fn measure_thread_cell(point: PerfPoint, seed: u64, threads: &[usize]) -> Thread
         seed,
     });
     let bins = vec![32usize; dims];
-    // Sequential engines (shared preprocessing, as in the perf grid).
+    // Sequential engines over one shared preprocessing.
     let pre = Preprocessed::build(&ds);
     let ctx = big::BigContext::build_with(&ds, &pre);
     let mut scratch = ctx.scratch();
@@ -566,137 +339,9 @@ fn threads_to_json(scale: Scale, seed: u64, cells: &[ThreadCell]) -> String {
     s
 }
 
-// ---------------------------------------------------------------------------
-// Allocating BIG replica (the pre-PR-2 scorer), via public APIs only.
-// ---------------------------------------------------------------------------
-
-/// Bounded top-k candidate set replicating `tkd_core::topk::TopK`'s
-/// semantics (ascending by `(score, Reverse(id))`, strict replacement) so
-/// the legacy traversal is identical to the real driver's.
-struct MiniTopK {
-    k: usize,
-    /// `(score, id)`, worst candidate first.
-    entries: Vec<(usize, ObjectId)>,
-}
-
-impl MiniTopK {
-    fn new(k: usize) -> Self {
-        MiniTopK {
-            k,
-            entries: Vec::with_capacity(k),
-        }
-    }
-
-    fn tau(&self) -> Option<usize> {
-        if self.entries.len() == self.k {
-            self.entries.first().map(|e| e.0)
-        } else {
-            None
-        }
-    }
-
-    fn prunes(&self, bound: usize) -> bool {
-        matches!(self.tau(), Some(t) if bound <= t)
-    }
-
-    fn offer(&mut self, id: ObjectId, score: usize) {
-        if self.k == 0 {
-            return;
-        }
-        let key = (score, std::cmp::Reverse(id));
-        if self.entries.len() < self.k {
-            let pos = self
-                .entries
-                .partition_point(|&(s, i)| (s, std::cmp::Reverse(i)) < key);
-            self.entries.insert(pos, (score, id));
-        } else if score > self.entries[0].0 {
-            self.entries.remove(0);
-            let pos = self
-                .entries
-                .partition_point(|&(s, i)| (s, std::cmp::Reverse(i)) < key);
-            self.entries.insert(pos, (score, id));
-        }
-    }
-
-    /// Scores descending (the shape `TkdResult::scores` reports).
-    fn scores(&self) -> Vec<usize> {
-        self.entries.iter().rev().map(|e| e.0).collect()
-    }
-}
-
-/// The original allocating BIG-Score: clones `Q` and `P` columns per
-/// object, materializes `Q − P`, compares raw `f64`s in the tie loop.
-fn legacy_big_score(ctx: &big::BigContext<'_>, o: ObjectId, top: &MiniTopK) -> Option<usize> {
-    let ds = ctx.dataset();
-    let q = ctx.index().q_vec(o);
-    let max_bit_score = q.count_ones();
-    if top.prunes(max_bit_score) {
-        return None;
-    }
-    let p = ctx.index().p_vec(o);
-    let f = ctx.incomparable(o);
-    let g = p.count_ones() - p.and_count(f);
-    let qmp = q.and_not(&p);
-    let o_mask = ds.mask(o);
-    let mut non_d = 0usize;
-    for pid in qmp.iter_ones() {
-        let pid = pid as ObjectId;
-        let common = o_mask.and(ds.mask(pid));
-        let all_equal = common
-            .iter()
-            .all(|d| ds.raw_value(o, d) == ds.raw_value(pid, d));
-        if all_equal {
-            non_d += 1;
-        }
-    }
-    let l = qmp.count_ones() - non_d;
-    Some(g + l)
-}
-
-/// The legacy Algorithm 4 driver; returns `(scores descending, stats)`.
-fn legacy_big_query(ctx: &big::BigContext<'_>, k: usize) -> (Vec<usize>, PruneStats) {
-    let mut top = MiniTopK::new(k);
-    let mut stats = PruneStats::default();
-    let queue = ctx.preprocessed().queue();
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        if top.prunes(max_score) {
-            stats.h1_pruned = queue.len() - visited;
-            break;
-        }
-        match legacy_big_score(ctx, o, &top) {
-            None => stats.h2_pruned += 1,
-            Some(score) => {
-                stats.scored += 1;
-                top.offer(o, score);
-            }
-        }
-    }
-    (top.scores(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_replica_matches_engine_and_json_is_sane() {
-        let ds = generate(&SyntheticConfig {
-            n: 600,
-            dims: 5,
-            cardinality: 40,
-            missing_rate: 0.2,
-            distribution: Distribution::Independent,
-            seed: 11,
-        });
-        let pre = Preprocessed::build(&ds);
-        let ctx = big::BigContext::build_with(&ds, &pre);
-        for k in [1usize, 4, 16] {
-            let engine = big::big_with(&ctx, k);
-            let (scores, stats) = legacy_big_query(&ctx, k);
-            assert_eq!(engine.scores(), scores, "k={k}");
-            assert_eq!(engine.stats, stats, "k={k}");
-        }
-    }
 
     #[test]
     fn grid_shapes() {

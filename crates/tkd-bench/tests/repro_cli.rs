@@ -1,0 +1,96 @@
+//! The `repro` command line, driven as a built binary: which experiment
+//! names and flags it accepts, what it answers for the ones it retired,
+//! and that the usage text lists exactly [`tkd_bench::KNOWN`].
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+fn stderr_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn retired_experiments_are_unknown() {
+    for name in ["updates", "persist", "serve", "load", "compare", "standing"] {
+        let out = repro(&["--exp", name]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "--exp {name}: {err}");
+        assert!(err.contains("unknown experiment"), "--exp {name}: {err}");
+    }
+}
+
+#[test]
+fn perf_without_threads_points_at_the_benchmark() {
+    let out = repro(&["--exp", "perf"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("warm-scoring"), "{err}");
+}
+
+#[test]
+fn compare_flags_are_unknown_arguments() {
+    let out = repro(&["--baseline", "x"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown argument --baseline"), "{err}");
+}
+
+#[test]
+fn paper_artifacts_run_by_name() {
+    let out = repro(&["--exp", "table2,binopt"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let printed = String::from_utf8_lossy(&out.stdout);
+    for title in ["## Table 2", "optimal bin count"] {
+        assert!(printed.contains(title), "missing {title:?} in {printed}");
+    }
+}
+
+#[test]
+fn thread_grid_writes_its_artifact() {
+    let path = std::env::temp_dir().join(format!("repro_cli_{}.json", std::process::id()));
+    let path_arg = path.to_string_lossy().into_owned();
+    let out = repro(&[
+        "--exp",
+        "perf",
+        "--threads",
+        "1",
+        "--scale",
+        "quick",
+        "--bench-out",
+        &path_arg,
+    ]);
+    let err = stderr_of(&out);
+    // Exit 1 is the one-thread gate's timing verdict (the artifact is
+    // written either way); on a contended test machine it is not this
+    // test's subject, the command line is.
+    let gate_tripped =
+        out.status.code() == Some(1) && err.contains("one-thread engine slower than sequential");
+    assert!(
+        out.status.code() == Some(0) || gate_tripped,
+        "exit {:?}: {err}",
+        out.status.code()
+    );
+    let json = std::fs::read_to_string(&path).expect("artifact written");
+    let _ = std::fs::remove_file(&path);
+    assert!(json.contains("tkd-perf-threads/v1"), "{json}");
+}
+
+#[test]
+fn usage_lists_exactly_the_known_experiments() {
+    let out = repro(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let err = stderr_of(&out);
+    let listed: Vec<&str> = err
+        .lines()
+        .find_map(|l| l.strip_prefix("experiments: "))
+        .expect("usage has an experiments line")
+        .split(',')
+        .collect();
+    assert_eq!(listed, tkd_bench::KNOWN);
+}

@@ -10,7 +10,7 @@ use std::process::exit;
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::variants;
 use tkdi::data::synthetic::{generate, Distribution, SyntheticConfig};
-use tkdi::model::{io, stats, Dataset};
+use tkdi::model::{io, stats, Dataset, MAX_DIMS};
 use tkdi::prelude::*;
 use tkdi::skyline::incomplete;
 
@@ -727,17 +727,25 @@ fn cmd_generate(args: &[String]) {
             })
             .unwrap_or(default)
     };
+    let dims = get_num("dims", 5);
+    if !(1..=MAX_DIMS).contains(&dims) {
+        usage(&format!("--dims must lie in 1..={MAX_DIMS}"));
+    }
+    let cardinality = get_num("cardinality", 100);
+    if cardinality == 0 {
+        usage("--cardinality must be at least 1");
+    }
+    // `contains` is false for NaN, so a non-finite rate is rejected too.
+    let missing_rate = match opts.get("missing").map(str::parse::<f64>) {
+        None => 0.1,
+        Some(Ok(rate)) if (0.0..1.0).contains(&rate) => rate,
+        Some(_) => usage("--missing must be a rate in [0,1)"),
+    };
     let cfg = SyntheticConfig {
         n: get_num("n", 1000),
-        dims: get_num("dims", 5),
-        cardinality: get_num("cardinality", 100),
-        missing_rate: opts
-            .get("missing")
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| usage("--missing must be a rate in [0,1)"))
-            })
-            .unwrap_or(0.1),
+        dims,
+        cardinality,
+        missing_rate,
         distribution: match opts.get("dist").unwrap_or("ind") {
             "ind" => Distribution::Independent,
             "ac" => Distribution::AntiCorrelated,

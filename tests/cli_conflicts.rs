@@ -116,3 +116,33 @@ fn snapshot_conflicts_are_rejected_uniformly() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `generate` answers out-of-range flags like every other subcommand —
+/// `error: …` naming the flag, usage, exit 2 — instead of tripping the
+/// library generator's asserts (a backtrace and exit 101).
+#[test]
+fn generate_rejects_out_of_range_flags_without_panicking() {
+    let probes: [(&str, &str); 6] = [
+        ("--dims", "0"),
+        ("--dims", "65"),
+        ("--cardinality", "0"),
+        ("--missing", "1.0"),
+        ("--missing", "-0.5"),
+        ("--missing", "nan"),
+    ];
+    for (flag, value) in probes {
+        let out = tkdq(&["generate", flag, value]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(
+            err.starts_with("error:") && err.lines().next().is_some_and(|l| l.contains(flag)),
+            "{flag} {value}: first line must name the flag, got {err:?}"
+        );
+        assert!(!err.contains("panicked"), "{flag} {value}: {err}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: printed rows");
+    }
+
+    // An empty dataset is a valid request.
+    let out = tkdq(&["generate", "--n", "0"]);
+    assert_eq!(out.status.code(), Some(0), "--n 0: {}", stderr_of(&out));
+}
