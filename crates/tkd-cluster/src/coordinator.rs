@@ -608,9 +608,15 @@ impl Coordinator {
     /// by the worker count.
     ///
     /// # Errors
+    /// [`ClusterError::UnsupportedAlgorithm`] for anything but BIG/IBIG,
+    /// before any frame is sent — a frame the wire cannot encode would
+    /// otherwise read as a transport failure and kill a healthy worker;
     /// [`ClusterError::NoWorkers`] once every worker has died; typed
     /// worker/protocol errors otherwise.
     pub fn query(&mut self, k: usize, algorithm: Algorithm) -> Result<TkdResult, ClusterError> {
+        if !matches!(algorithm, Algorithm::Big | Algorithm::Ibig) {
+            return Err(ClusterError::UnsupportedAlgorithm(algorithm));
+        }
         let mut attempts = self.workers.len() + 1;
         loop {
             match self.try_query(k, algorithm) {
@@ -829,6 +835,32 @@ mod tests {
         }
         let want = coord.mirror.query(&EngineQuery::new(4)).expect("mirror");
         let got = coord.query(4, Algorithm::Big).expect("cluster query");
+        assert_eq!(got.entries(), want.entries());
+
+        drop(workers);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A query for an algorithm the wire cannot carry is a typed error
+    /// that sends nothing and kills no worker: an encode error alone
+    /// would read as a transport failure, mark the worker dead and
+    /// re-host its shards.
+    #[test]
+    fn unservable_algorithm_is_rejected_before_any_frame() {
+        let (workers, mut coord, dir) = seeded("unservable");
+        let frames = coord.stats.frames;
+        for a in [Algorithm::Naive, Algorithm::Esb, Algorithm::Ubb] {
+            let err = coord.query(4, a).expect_err("not servable");
+            assert!(
+                matches!(err, ClusterError::UnsupportedAlgorithm(got) if got == a),
+                "{err:?}"
+            );
+            assert_eq!(coord.live_workers(), 2);
+        }
+        assert_eq!(coord.stats.frames, frames);
+        assert_eq!(coord.stats.repairs, 0);
+        let want = coord.mirror.query(&EngineQuery::new(4)).expect("mirror");
+        let got = coord.query(4, Algorithm::Ibig).expect("cluster query");
         assert_eq!(got.entries(), want.entries());
 
         drop(workers);

@@ -27,6 +27,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use tkd_core::Algorithm;
 use tkd_serve::ServeError;
 
 pub mod coordinator;
@@ -96,6 +97,9 @@ pub enum ClusterError {
         /// How many exist; valid indexes are `0..count`.
         count: u64,
     },
+    /// The query asked for an algorithm the cluster plane does not carry
+    /// (only BIG and IBIG); rejected before any frame is sent.
+    UnsupportedAlgorithm(Algorithm),
     /// A worker answered with the wrong frame or inconsistent contents.
     Protocol(String),
     /// A snapshot could not be written, found, or loaded.
@@ -115,6 +119,9 @@ impl fmt::Display for ClusterError {
                     f,
                     "unknown {what} {index}: the cluster has {what}s 0..{count}"
                 )
+            }
+            ClusterError::UnsupportedAlgorithm(a) => {
+                write!(f, "the cluster answers BIG and IBIG queries, not {a:?}")
             }
             ClusterError::Protocol(msg) => write!(f, "cluster protocol violation: {msg}"),
             ClusterError::Store(msg) => write!(f, "shard snapshot store: {msg}"),

@@ -9,6 +9,11 @@
 //! answer rejections with the shared error frame (kind 133), so one
 //! error path serves both planes.
 //!
+//! Like the client plane, every frame here is described once — the
+//! `frames!` tables below give each variant its kind, its name in
+//! `docs/WIRE_PROTOCOL.md` and its fields, and `wire_structs!` makes each
+//! struct's field order its layout — and the codec derives from that
+//! description through `tkd-store`'s cursor (see [`crate::protocol`]).
 //! The frames, in protocol order:
 //!
 //! | kind | frame | answered by |
@@ -38,22 +43,11 @@
 
 use crate::error::ServeError;
 use crate::protocol::{
-    bad, get_error_frame, get_op, open_frame, put_error_frame, put_op, seal, BodyReader,
-    BodyWriter, ErrorFrame, KIND_ERROR_SHARED,
+    frame_writer, frames, open_frame, seal, wire_structs, with, ErrorFrame, Wire,
 };
 use tkd_core::{Algorithm, UpdateOp};
-
-// Cluster frame kinds — disjoint from the plain plane's 1–8 / 128–137.
-const KIND_SHARD_QUERY: u8 = 16;
-const KIND_TAU_UPDATE: u8 = 17;
-const KIND_HANDOFF: u8 = 18;
-const KIND_ASSIGN: u8 = 19;
-const KIND_SHARD_UPDATE: u8 = 20;
-const KIND_SHARD_OUTCOMES: u8 = 144;
-const KIND_HANDOFF_ACK: u8 = 145;
-const KIND_ASSIGN_ACK: u8 = 146;
-const KIND_SHARD_UPDATE_ACK: u8 = 147;
-const KIND_TAU_ACK: u8 = 148;
+use tkd_store::wire::{Reader, Writer};
+use tkd_store::Section;
 
 /// Which half of the two-phase fan-out a `shard_query` drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,426 +58,174 @@ pub enum ShardPhase {
     Partials,
 }
 
-/// One candidate shipped to a shard: its (possibly incomplete) row, and
-/// — when the candidate's home row lives on this shard — its local
-/// stable id, so the worker can exclude the member's own bit from its
-/// partial (each object must be counted in exactly one shard).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireCandidate {
-    /// The candidate's observed values, one slot per dimension.
-    pub values: Vec<Option<f64>>,
-    /// The candidate's stable id *local to this shard*, when it lives
-    /// there; `None` on every other shard.
-    pub member: Option<u64>,
-}
-
-/// A chunk of candidates for one shard to bound or score.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardQuery {
-    /// Which of the worker's hosted shards answers.
-    pub shard: u64,
-    /// BIG or IBIG — decides which bound/partial the worker computes.
-    pub algorithm: Algorithm,
-    /// Bounds (phase 1) or exact partials (phase 2).
-    pub phase: ShardPhase,
-    /// The coordinator's τ at send time, when one exists. Carried for
-    /// the monotonicity tripwire; the pruning itself happens at the
-    /// coordinator, where the cross-shard sums live.
-    pub tau: Option<u64>,
-    /// The candidates, in coordinator queue order.
-    pub candidates: Vec<WireCandidate>,
-}
-
-/// One replayed update batch inside an [`ClusterRequest::Assign`] — a
-/// batch the coordinator acked but whose snapshot rewrite the dead
-/// worker may not have committed. Replay is idempotent because the
-/// snapshot filename carries the last committed seq.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplayBatch {
-    /// The coordinator's per-shard update sequence number.
-    pub seq: u64,
-    /// The batch's ops, in application order.
-    pub ops: Vec<UpdateOp>,
-}
-
-/// A routed update batch for one shard.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardUpdate {
-    /// The target shard.
-    pub shard: u64,
-    /// The coordinator's per-shard update sequence number — strictly
-    /// increasing; the worker commits it into the snapshot filename.
-    pub seq: u64,
-    /// The ops, in application order.
-    pub ops: Vec<UpdateOp>,
-}
-
-/// A coordinator→worker frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ClusterRequest {
-    /// Bound or score a chunk of candidates on one shard.
-    ShardQuery(ShardQuery),
-    /// Broadcast the tightening τ for the in-flight query.
-    TauUpdate {
-        /// The k-th maintained score so far.
-        tau: u64,
-    },
-    /// Save the shard's snapshot, release the shard, answer with the
-    /// file path — the first half of a rebalance.
-    Handoff {
-        /// The shard to hand off.
-        shard: u64,
-    },
-    /// Adopt a shard from a snapshot file (the second half of a
-    /// rebalance, or the repair path after a worker death), replaying
-    /// any update batches newer than the snapshot.
-    Assign {
-        /// The shard to adopt.
-        shard: u64,
-        /// Path of the snapshot file to load.
-        path: String,
-        /// Acked-but-possibly-uncommitted batches to replay, oldest
-        /// first.
-        replay: Vec<ReplayBatch>,
-    },
-    /// Apply one routed update batch to a shard.
-    ShardUpdate(ShardUpdate),
-}
-
-/// Acknowledgement of a [`ClusterRequest::ShardUpdate`]: the shard's
-/// post-batch state, mirroring the plain plane's `update_ack`.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct ShardUpdateAck {
-    /// The committed sequence number (echoes the request).
-    pub seq: u64,
-    /// Live objects on the shard after the batch.
-    pub live: u64,
-    /// The snapshot file the batch was committed to.
-    pub path: String,
-    /// Local stable ids assigned to the batch's inserts, in op order.
-    pub inserted: Vec<u64>,
-}
-
-/// A worker→coordinator frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ClusterResponse {
-    /// Answer to [`ClusterRequest::ShardQuery`]: one `u64` per
-    /// candidate, in request order — upper bounds in the `Bounds`
-    /// phase, exact partial scores in the `Partials` phase.
-    ShardOutcomes(Vec<u64>),
-    /// Answer to [`ClusterRequest::Handoff`]: where the released
-    /// shard's snapshot was written, and its committed seq.
-    HandoffAck {
-        /// The snapshot file path.
-        path: String,
-        /// The last update seq committed into that file.
-        seq: u64,
-    },
-    /// Answer to [`ClusterRequest::Assign`].
-    AssignAck {
-        /// The adopted shard (echoes the request).
-        shard: u64,
-        /// Live objects after load + replay.
-        live: u64,
-    },
-    /// Answer to [`ClusterRequest::ShardUpdate`].
-    ShardUpdateAck(ShardUpdateAck),
-    /// Answer to [`ClusterRequest::TauUpdate`]: the worker's session τ
-    /// after the update (equal to the broadcast value on success).
-    TauAck {
-        /// The worker's session τ.
-        tau: u64,
-    },
-    /// Typed rejection — the same error frame the plain plane uses
-    /// (unknown shard, τ regression, update validation failure, …).
-    Error(ErrorFrame),
-}
-
-/// Encode a cluster request as one full v5 frame.
-///
-/// # Errors
-/// [`ServeError::TooLarge`] when a collection exceeds the wire's `u32`
-/// count field.
-pub fn encode_cluster_request(req: &ClusterRequest) -> Result<Vec<u8>, ServeError> {
-    let mut w = BodyWriter::default();
-    let kind = match req {
-        ClusterRequest::ShardQuery(q) => {
-            w.put_u64(q.shard);
-            put_algorithm(&mut w, q.algorithm);
-            w.put_u8(match q.phase {
-                ShardPhase::Bounds => 0,
-                ShardPhase::Partials => 1,
-            });
-            match q.tau {
-                None => w.put_u8(0),
-                Some(t) => {
-                    w.put_u8(1);
-                    w.put_u64(t);
-                }
-            }
-            w.put_count("candidate chunk", q.candidates.len())?;
-            for c in &q.candidates {
-                w.put_count("candidate row", c.values.len())?;
-                for &cell in &c.values {
-                    w.put_cell(cell);
-                }
-                match c.member {
-                    None => w.put_u8(0),
-                    Some(id) => {
-                        w.put_u8(1);
-                        w.put_u64(id);
-                    }
-                }
-            }
-            KIND_SHARD_QUERY
-        }
-        ClusterRequest::TauUpdate { tau } => {
-            w.put_u64(*tau);
-            KIND_TAU_UPDATE
-        }
-        ClusterRequest::Handoff { shard } => {
-            w.put_u64(*shard);
-            KIND_HANDOFF
-        }
-        ClusterRequest::Assign {
-            shard,
-            path,
-            replay,
-        } => {
-            w.put_u64(*shard);
-            w.put_str("snapshot path", path)?;
-            w.put_count("replay log", replay.len())?;
-            for batch in replay {
-                w.put_u64(batch.seq);
-                w.put_count("replay batch", batch.ops.len())?;
-                for op in &batch.ops {
-                    put_op(&mut w, op)?;
-                }
-            }
-            KIND_ASSIGN
-        }
-        ClusterRequest::ShardUpdate(u) => {
-            w.put_u64(u.shard);
-            w.put_u64(u.seq);
-            w.put_count("shard update batch", u.ops.len())?;
-            for op in &u.ops {
-                put_op(&mut w, op)?;
-            }
-            KIND_SHARD_UPDATE
-        }
-    };
-    Ok(seal(kind, w.buf))
-}
-
-/// Decode a full cluster request frame.
-pub fn decode_cluster_request(bytes: &[u8]) -> Result<ClusterRequest, ServeError> {
-    let (kind, body) = open_frame(bytes)?;
-    decode_cluster_request_body(kind, body)
-}
-
-/// Decode a cluster request body whose frame header was already
-/// validated (the worker's streaming path).
-pub fn decode_cluster_request_body(kind: u8, body: &[u8]) -> Result<ClusterRequest, ServeError> {
-    let mut r = BodyReader::new(body);
-    let req = match kind {
-        KIND_SHARD_QUERY => {
-            let shard = r.get_u64()?;
-            let algorithm = get_algorithm(&mut r)?;
-            let phase = match r.get_u8()? {
-                0 => ShardPhase::Bounds,
-                1 => ShardPhase::Partials,
-                other => return Err(bad(format!("phase byte {other} (want 0/1)"))),
-            };
-            let tau = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_u64()?),
-                other => return Err(bad(format!("tau presence flag {other} (want 0/1)"))),
-            };
-            let count = r.get_count(5)?;
-            let mut candidates = Vec::with_capacity(count);
-            for _ in 0..count {
-                let dims = r.get_count(1)?;
-                let mut values = Vec::with_capacity(dims);
-                for _ in 0..dims {
-                    values.push(r.get_cell()?);
-                }
-                let member = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(r.get_u64()?),
-                    other => return Err(bad(format!("member presence flag {other} (want 0/1)"))),
-                };
-                candidates.push(WireCandidate { values, member });
-            }
-            ClusterRequest::ShardQuery(ShardQuery {
-                shard,
-                algorithm,
-                phase,
-                tau,
-                candidates,
-            })
-        }
-        KIND_TAU_UPDATE => ClusterRequest::TauUpdate { tau: r.get_u64()? },
-        KIND_HANDOFF => ClusterRequest::Handoff {
-            shard: r.get_u64()?,
-        },
-        KIND_ASSIGN => {
-            let shard = r.get_u64()?;
-            let path = r.get_str()?;
-            let count = r.get_count(12)?;
-            let mut replay = Vec::with_capacity(count);
-            for _ in 0..count {
-                let seq = r.get_u64()?;
-                let op_count = r.get_count(1)?;
-                let mut ops = Vec::with_capacity(op_count);
-                for _ in 0..op_count {
-                    ops.push(get_op(&mut r)?);
-                }
-                replay.push(ReplayBatch { seq, ops });
-            }
-            ClusterRequest::Assign {
-                shard,
-                path,
-                replay,
-            }
-        }
-        KIND_SHARD_UPDATE => {
-            let shard = r.get_u64()?;
-            let seq = r.get_u64()?;
-            let count = r.get_count(1)?;
-            let mut ops = Vec::with_capacity(count);
-            for _ in 0..count {
-                ops.push(get_op(&mut r)?);
-            }
-            ClusterRequest::ShardUpdate(ShardUpdate { shard, seq, ops })
-        }
-        other => return Err(bad(format!("unknown cluster request kind {other}"))),
-    };
-    r.finish()?;
-    Ok(req)
-}
-
-/// Encode a cluster response as one full v5 frame.
-///
-/// # Errors
-/// [`ServeError::TooLarge`] when a collection exceeds the wire's `u32`
-/// count field.
-pub fn encode_cluster_response(resp: &ClusterResponse) -> Result<Vec<u8>, ServeError> {
-    let mut w = BodyWriter::default();
-    let kind = match resp {
-        ClusterResponse::ShardOutcomes(values) => {
-            w.put_count("outcome values", values.len())?;
-            for &v in values {
-                w.put_u64(v);
-            }
-            KIND_SHARD_OUTCOMES
-        }
-        ClusterResponse::HandoffAck { path, seq } => {
-            w.put_str("snapshot path", path)?;
-            w.put_u64(*seq);
-            KIND_HANDOFF_ACK
-        }
-        ClusterResponse::AssignAck { shard, live } => {
-            w.put_u64(*shard);
-            w.put_u64(*live);
-            KIND_ASSIGN_ACK
-        }
-        ClusterResponse::ShardUpdateAck(ack) => {
-            w.put_u64(ack.seq);
-            w.put_u64(ack.live);
-            w.put_str("snapshot path", &ack.path)?;
-            w.put_count("ack id list", ack.inserted.len())?;
-            for &id in &ack.inserted {
-                w.put_u64(id);
-            }
-            KIND_SHARD_UPDATE_ACK
-        }
-        ClusterResponse::TauAck { tau } => {
-            w.put_u64(*tau);
-            KIND_TAU_ACK
-        }
-        ClusterResponse::Error(e) => {
-            put_error_frame(&mut w, e)?;
-            KIND_ERROR_SHARED
-        }
-    };
-    Ok(seal(kind, w.buf))
-}
-
-/// Decode a full cluster response frame.
-pub fn decode_cluster_response(bytes: &[u8]) -> Result<ClusterResponse, ServeError> {
-    let (kind, body) = open_frame(bytes)?;
-    decode_cluster_response_body(kind, body)
-}
-
-/// Decode a cluster response body whose frame header was already
-/// validated (the coordinator's streaming path).
-pub fn decode_cluster_response_body(kind: u8, body: &[u8]) -> Result<ClusterResponse, ServeError> {
-    let mut r = BodyReader::new(body);
-    let resp = match kind {
-        KIND_SHARD_OUTCOMES => {
-            let count = r.get_count(8)?;
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(r.get_u64()?);
-            }
-            ClusterResponse::ShardOutcomes(values)
-        }
-        KIND_HANDOFF_ACK => {
-            let path = r.get_str()?;
-            let seq = r.get_u64()?;
-            ClusterResponse::HandoffAck { path, seq }
-        }
-        KIND_ASSIGN_ACK => {
-            let shard = r.get_u64()?;
-            let live = r.get_u64()?;
-            ClusterResponse::AssignAck { shard, live }
-        }
-        KIND_SHARD_UPDATE_ACK => {
-            let seq = r.get_u64()?;
-            let live = r.get_u64()?;
-            let path = r.get_str()?;
-            let count = r.get_count(8)?;
-            let mut inserted = Vec::with_capacity(count);
-            for _ in 0..count {
-                inserted.push(r.get_u64()?);
-            }
-            ClusterResponse::ShardUpdateAck(ShardUpdateAck {
-                seq,
-                live,
-                path,
-                inserted,
-            })
-        }
-        KIND_TAU_ACK => ClusterResponse::TauAck { tau: r.get_u64()? },
-        KIND_ERROR_SHARED => ClusterResponse::Error(get_error_frame(&mut r)?),
-        other => return Err(bad(format!("unknown cluster response kind {other}"))),
-    };
-    r.finish()?;
-    Ok(resp)
-}
-
-fn put_algorithm(w: &mut BodyWriter, a: Algorithm) {
-    w.put_u8(match a {
-        Algorithm::Big => 3,
-        Algorithm::Ibig => 4,
-        other => unreachable!("cluster queries are BIG/IBIG only, got {other:?}"),
-    });
-}
-
-fn get_algorithm(r: &mut BodyReader) -> Result<Algorithm, ServeError> {
-    match r.get_u8()? {
-        3 => Ok(Algorithm::Big),
-        4 => Ok(Algorithm::Ibig),
-        other => Err(bad(format!(
-            "algorithm byte {other} (the cluster plane answers BIG=3/IBIG=4)"
-        ))),
+/// One byte: bounds = 0, partials = 1.
+impl Wire for ShardPhase {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_u8(match self {
+            ShardPhase::Bounds => 0,
+            ShardPhase::Partials => 1,
+        });
+        Ok(())
     }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        match r.get_u8()? {
+            0 => Ok(ShardPhase::Bounds),
+            1 => Ok(ShardPhase::Partials),
+            other => Err(r.invalid(format!("phase byte {other} (want 0/1)")).into()),
+        }
+    }
+}
+
+wire_structs! {
+    /// One candidate shipped to a shard: its (possibly incomplete) row, and
+    /// — when the candidate's home row lives on this shard — its local
+    /// stable id, so the worker can exclude the member's own bit from its
+    /// partial (each object must be counted in exactly one shard).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WireCandidate {
+        /// The candidate's observed values, one slot per dimension.
+        pub values: Vec<Option<f64>>,
+        /// The candidate's stable id *local to this shard*, when it lives
+        /// there; `None` on every other shard.
+        pub member: Option<u64>,
+    }
+
+    /// A chunk of candidates for one shard to bound or score.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ShardQuery {
+        /// Which of the worker's hosted shards answers.
+        pub shard: u64,
+        /// BIG or IBIG — decides which bound/partial the worker computes.
+        pub algorithm: Algorithm,
+        /// Bounds (phase 1) or exact partials (phase 2).
+        pub phase: ShardPhase,
+        /// The coordinator's τ at send time, when one exists. Carried for
+        /// the monotonicity tripwire; the pruning itself happens at the
+        /// coordinator, where the cross-shard sums live.
+        pub tau: Option<u64>,
+        /// The candidates, in coordinator queue order.
+        pub candidates: Vec<WireCandidate>,
+    }
+
+    /// One replayed update batch inside an [`ClusterRequest::Assign`] — a
+    /// batch the coordinator acked but whose snapshot rewrite the dead
+    /// worker may not have committed. Replay is idempotent because the
+    /// snapshot filename carries the last committed seq.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ReplayBatch {
+        /// The coordinator's per-shard update sequence number.
+        pub seq: u64,
+        /// The batch's ops, in application order.
+        pub ops: Vec<UpdateOp>,
+    }
+
+    /// A routed update batch for one shard.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ShardUpdate {
+        /// The target shard.
+        pub shard: u64,
+        /// The coordinator's per-shard update sequence number — strictly
+        /// increasing; the worker commits it into the snapshot filename.
+        pub seq: u64,
+        /// The ops, in application order.
+        pub ops: Vec<UpdateOp>,
+    }
+
+    /// Acknowledgement of a [`ClusterRequest::ShardUpdate`]: the shard's
+    /// post-batch state, mirroring the plain plane's `update_ack`.
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct ShardUpdateAck {
+        /// The committed sequence number (echoes the request).
+        pub seq: u64,
+        /// Live objects on the shard after the batch.
+        pub live: u64,
+        /// The snapshot file the batch was committed to.
+        pub path: String,
+        /// Local stable ids assigned to the batch's inserts, in op order.
+        pub inserted: Vec<u64>,
+    }
+}
+
+frames! {
+    /// A coordinator→worker frame.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum ClusterRequest("cluster request") {
+        /// Bound or score a chunk of candidates on one shard.
+        ShardQuery(ShardQuery) = 16 "shard_query",
+        /// Broadcast the tightening τ for the in-flight query.
+        TauUpdate {
+            /// The k-th maintained score so far.
+            tau: u64,
+        } = 17 "tau_update",
+        /// Save the shard's snapshot, release the shard, answer with the
+        /// file path — the first half of a rebalance.
+        Handoff {
+            /// The shard to hand off.
+            shard: u64,
+        } = 18 "handoff",
+        /// Adopt a shard from a snapshot file (the second half of a
+        /// rebalance, or the repair path after a worker death), replaying
+        /// any update batches newer than the snapshot.
+        Assign {
+            /// The shard to adopt.
+            shard: u64,
+            /// Path of the snapshot file to load.
+            path: String,
+            /// Acked-but-possibly-uncommitted batches to replay, oldest
+            /// first.
+            replay: Vec<ReplayBatch>,
+        } = 19 "assign",
+        /// Apply one routed update batch to a shard.
+        ShardUpdate(ShardUpdate) = 20 "shard_update",
+    }
+    fn encode_cluster_request, decode_cluster_request, decode_cluster_request_body;
+}
+
+frames! {
+    /// A worker→coordinator frame.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum ClusterResponse("cluster response") {
+        /// Typed rejection — the same error frame (and kind) the plain
+        /// plane uses (unknown shard, τ regression, update validation
+        /// failure, …).
+        Error(ErrorFrame) = 133 "error",
+        /// Answer to [`ClusterRequest::ShardQuery`]: one `u64` per
+        /// candidate, in request order — upper bounds in the `Bounds`
+        /// phase, exact partial scores in the `Partials` phase.
+        ShardOutcomes(Vec<u64>) = 144 "shard_outcomes",
+        /// Answer to [`ClusterRequest::Handoff`]: where the released
+        /// shard's snapshot was written, and its committed seq.
+        HandoffAck {
+            /// The snapshot file path.
+            path: String,
+            /// The last update seq committed into that file.
+            seq: u64,
+        } = 145 "handoff_ack",
+        /// Answer to [`ClusterRequest::Assign`].
+        AssignAck {
+            /// The adopted shard (echoes the request).
+            shard: u64,
+            /// Live objects after load + replay.
+            live: u64,
+        } = 146 "assign_ack",
+        /// Answer to [`ClusterRequest::ShardUpdate`].
+        ShardUpdateAck(ShardUpdateAck) = 147 "shard_update_ack",
+        /// Answer to [`ClusterRequest::TauUpdate`]: the worker's session τ
+        /// after the update (equal to the broadcast value on success).
+        TauAck {
+            /// The worker's session τ.
+            tau: u64,
+        } = 148 "tau_ack",
+    }
+    fn encode_cluster_response, decode_cluster_response, decode_cluster_response_body;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode_request_body, ERR_REJECTED};
+    use crate::protocol::tests::reseal;
+    use crate::protocol::{decode_request_body, ERR_REJECTED, HEADER_LEN};
 
     fn sample_requests() -> Vec<ClusterRequest> {
         vec![
@@ -611,17 +353,19 @@ mod tests {
 
     #[test]
     fn hostile_cluster_bytes_are_typed_errors() {
-        let good = encode_cluster_request(&ClusterRequest::ShardQuery(ShardQuery {
-            shard: 0,
-            algorithm: Algorithm::Big,
-            phase: ShardPhase::Bounds,
-            tau: None,
-            candidates: vec![WireCandidate {
-                values: vec![Some(1.0)],
-                member: None,
-            }],
-        }))
-        .unwrap();
+        let query = |algorithm| {
+            ClusterRequest::ShardQuery(ShardQuery {
+                shard: 0,
+                algorithm,
+                phase: ShardPhase::Bounds,
+                tau: None,
+                candidates: vec![WireCandidate {
+                    values: vec![Some(1.0)],
+                    member: None,
+                }],
+            })
+        };
+        let good = encode_cluster_request(&query(Algorithm::Big)).unwrap();
         // Truncation at every byte.
         for cut in 0..good.len() {
             assert!(
@@ -630,23 +374,17 @@ mod tests {
             );
         }
         // Body layout: shard u64 ‖ alg u8 ‖ phase u8 ‖ tau flag u8 ‖ …
-        let reseal = |frame: &[u8]| {
-            seal(
-                frame[crate::protocol::HEADER_LEN - 9],
-                frame[crate::protocol::HEADER_LEN..].to_vec(),
-            )
-        };
         // Unsupported algorithm byte.
         let mut b = good.clone();
-        b[crate::protocol::HEADER_LEN + 8] = 0;
+        b[HEADER_LEN + 8] = 0;
         assert!(decode_cluster_request(&reseal(&b)).is_err());
         // Bad phase byte.
         let mut b = good.clone();
-        b[crate::protocol::HEADER_LEN + 9] = 7;
+        b[HEADER_LEN + 9] = 7;
         assert!(decode_cluster_request(&reseal(&b)).is_err());
         // Bad tau presence flag.
         let mut b = good.clone();
-        b[crate::protocol::HEADER_LEN + 10] = 9;
+        b[HEADER_LEN + 10] = 9;
         assert!(decode_cluster_request(&reseal(&b)).is_err());
         // Trailing bytes.
         let mut b = good.clone();
@@ -663,5 +401,13 @@ mod tests {
             decode_cluster_request(&b).unwrap_err(),
             ServeError::ChecksumMismatch
         );
+        // An algorithm the wire cannot name is an encode error, not a
+        // panic.
+        for a in [Algorithm::Naive, Algorithm::Esb, Algorithm::Ubb] {
+            assert!(matches!(
+                encode_cluster_request(&query(a)),
+                Err(ServeError::BadFrame { .. })
+            ));
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! or wedged server.
 
 use std::fmt;
+use tkd_store::StoreError;
 
 /// Why a frame, request, or connection failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,7 +36,8 @@ pub enum ServeError {
     /// — rejected before encoding, where it would otherwise truncate
     /// silently (`len as u32`) and frame a shorter, plausible payload.
     TooLarge {
-        /// Which collection (query batch, result rows, ack id list, …).
+        /// What was being counted (list, string, dimension index, frame
+        /// body).
         what: &'static str,
         /// The offending length.
         len: u64,
@@ -130,5 +132,24 @@ impl std::error::Error for ServeError {}
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e.to_string())
+    }
+}
+
+/// The one mapping from the shared cursor's errors (`tkd_store::wire`)
+/// into this crate's: short input is [`ServeError::Truncated`], an
+/// uncountable length [`ServeError::TooLarge`], anything else a
+/// [`ServeError::BadFrame`].
+impl From<StoreError> for ServeError {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::Truncated {
+                needed, available, ..
+            } => ServeError::Truncated { needed, available },
+            StoreError::TooLarge { what, len } => ServeError::TooLarge { what, len },
+            StoreError::Invalid { reason, .. } => ServeError::BadFrame { reason },
+            other => ServeError::BadFrame {
+                reason: other.to_string(),
+            },
+        }
     }
 }

@@ -25,6 +25,19 @@
 //! — and, when decoding from a byte buffer, against the bytes actually
 //! present.
 //!
+//! # One codec
+//!
+//! Bytes are written and read with `tkd-store`'s cursor
+//! ([`tkd_store::wire::Writer`] / [`tkd_store::wire::Reader`]); its
+//! errors become [`ServeError`]s in one `From` impl. Every frame is
+//! described **once**, here and in [`crate::cluster_wire`]: a `frames!`
+//! table gives each variant its kind byte, its name in
+//! `docs/WIRE_PROTOCOL.md` and its fields, and `wire_structs!` makes a
+//! struct's field order its body layout. Encode, decode and the public
+//! `KINDS` tables (which `tests/docs_sync.rs` holds the doc's frame
+//! tables to) all derive from that one description, through one `Wire`
+//! impl per field type — so a new frame or field is one edit.
+//!
 //! Decoding is **canonical**: every accepted frame re-encodes to the
 //! identical bytes (`encode(decode(b)) == b`), the same golden-file
 //! discipline as the snapshot format. Trailing bytes, non-0/1 presence
@@ -40,7 +53,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use tkd_core::{Algorithm, StandingSpec, UpdateOp};
-use tkd_store::fnv64;
+use tkd_model::ObjectId;
+use tkd_store::wire::{Reader, Writer};
+use tkd_store::{fnv64, Section};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"TKDW";
@@ -63,36 +78,6 @@ pub const HEADER_LEN: usize = 4 + 4 + 8 + 1 + 8;
 /// batch, small enough that a hostile length cannot balloon memory.
 pub const DEFAULT_MAX_FRAME: u64 = 16 * 1024 * 1024;
 
-// Frame kinds. Requests and responses share the header format but use
-// disjoint kind ranges so a misdirected frame fails loudly. The cluster
-// frames (`cluster_wire`) use 16–20 / 144–148 — disjoint again, so a
-// cluster frame sent at a plain server (or vice versa) is a typed
-// "unknown kind" error, not a misparse.
-const KIND_QUERY: u8 = 1;
-const KIND_QUERY_BATCH: u8 = 2;
-const KIND_UPDATE_OPS: u8 = 3;
-const KIND_STATS: u8 = 4;
-const KIND_SHUTDOWN: u8 = 5;
-const KIND_SUBSCRIBE: u8 = 6;
-const KIND_UNSUBSCRIBE: u8 = 7;
-const KIND_QUERY_TEXT: u8 = 8;
-const KIND_QUERY_RESULT: u8 = 128;
-const KIND_BATCH_RESULT: u8 = 129;
-const KIND_UPDATE_ACK: u8 = 130;
-const KIND_STATS_RESULT: u8 = 131;
-const KIND_SHUTDOWN_ACK: u8 = 132;
-const KIND_ERROR: u8 = 133;
-const KIND_SUBSCRIBE_ACK: u8 = 134;
-const KIND_UNSUBSCRIBE_ACK: u8 = 135;
-/// Server-initiated: pushed after an acked update batch, never in
-/// answer to a request. Clients must tolerate one arriving where a
-/// response is expected.
-const KIND_NOTIFY: u8 = 136;
-const KIND_EXPLAIN_RESULT: u8 = 137;
-/// Shared with the cluster plane: a worker's typed rejection uses the
-/// same error frame a plain server sends.
-pub(crate) const KIND_ERROR_SHARED: u8 = KIND_ERROR;
-
 // Error-frame codes (the `code` byte of [`ErrorFrame`]).
 /// Admission control rejected the request: queue full.
 pub const ERR_OVERLOADED: u8 = 1;
@@ -105,17 +90,477 @@ pub const ERR_REJECTED: u8 = 4;
 /// The server could not parse or admit the request frame.
 pub const ERR_BAD_REQUEST: u8 = 5;
 
-/// One query over the wire: `k` plus the answering algorithm.
-///
-/// Only the index-guided algorithms are representable — the serving
-/// engine maintains BIG/IBIG artifacts, and the wire enum leaves room
-/// for the rest without admitting them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QuerySpec {
-    /// How many dominating objects to return.
-    pub k: u64,
-    /// BIG or IBIG (the two the dynamic store serves).
-    pub algorithm: Algorithm,
+// ---------------------------------------------------------------------------
+// The codec: one `Wire` impl per field type, two macros that derive
+// struct and frame codecs from their definitions.
+// ---------------------------------------------------------------------------
+
+/// A value with one wire encoding, from which `put` and `get` both
+/// derive.
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes one encoded value takes — what a decoded element
+    /// count is checked against before anything is allocated.
+    const MIN_BYTES: usize;
+    /// Append the encoding.
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError>;
+    /// Read one value back, rejecting every byte string `put` cannot
+    /// produce.
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError>;
+}
+
+impl Wire for u64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_u64(*self);
+        Ok(())
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        Ok(r.get_u64()?)
+    }
+}
+
+/// `k`, dimension indexes and constraint dimensions travel as `u64`.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_u64(*self as u64);
+        Ok(())
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        let raw = r.get_u64()?;
+        usize::try_from(raw).map_err(|_| r.invalid(format!("{raw} exceeds usize")).into())
+    }
+}
+
+/// IEEE bits; a real number only — NaN is rejected (cells, bounds).
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_f64(*self);
+        Ok(())
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        let v = r.get_f64()?;
+        if v.is_nan() {
+            return Err(r.invalid("NaN value").into());
+        }
+        Ok(v)
+    }
+}
+
+/// One byte, 0 or 1.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_u8(u8::from(*self));
+        Ok(())
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(r.invalid(format!("flag byte {other} (want 0/1)")).into()),
+        }
+    }
+}
+
+/// `u32` byte length ‖ UTF-8 bytes.
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        Ok(w.put_str(self)?)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        Ok(r.get_str()?)
+    }
+}
+
+/// A presence flag (`bool`), then the value when present: cells, τ,
+/// member, kth-score and subspace.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        self.is_some().put(w)?;
+        self.as_ref().map_or(Ok(()), |v| v.put(w))
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_count("list", self.len())?;
+        self.iter().try_for_each(|v| v.put(w))
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        let count = r.get_count(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A constraint range: `dim ‖ lo ‖ hi`.
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        self.0.put(w)?;
+        self.1.put(w)?;
+        self.2.put(w)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// BIG = 3, IBIG = 4 — the two algorithms the serving engines maintain
+/// artifacts for. Any other algorithm is an encode error, not a panic.
+impl Wire for Algorithm {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_u8(match self {
+            Algorithm::Big => 3,
+            Algorithm::Ibig => 4,
+            other => {
+                return Err(ServeError::BadFrame {
+                    reason: format!("algorithm {other:?} is not servable (BIG or IBIG)"),
+                })
+            }
+        });
+        Ok(())
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        match r.get_u8()? {
+            3 => Ok(Algorithm::Big),
+            4 => Ok(Algorithm::Ibig),
+            other => Err(r
+                .invalid(format!("algorithm byte {other} (want BIG=3/IBIG=4)"))
+                .into()),
+        }
+    }
+}
+
+/// A `u8` op tag, then the op's fields. Stable ids travel as `u64`, the
+/// `set` dimension as `u32`.
+impl Wire for UpdateOp {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        match self {
+            UpdateOp::Insert(row) => {
+                w.put_u8(0);
+                row.put(w)
+            }
+            UpdateOp::InsertLabeled(label, row) => {
+                w.put_u8(1);
+                label.put(w)?;
+                row.put(w)
+            }
+            UpdateOp::Delete(id) => {
+                w.put_u8(2);
+                u64::from(*id).put(w)
+            }
+            UpdateOp::Set(id, dim, cell) => {
+                w.put_u8(3);
+                u64::from(*id).put(w)?;
+                w.put_count("dimension index", *dim)?;
+                cell.put(w)
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        let id = |r: &mut Reader<'_>| -> Result<ObjectId, ServeError> {
+            let raw = r.get_u64()?;
+            ObjectId::try_from(raw)
+                .map_err(|_| r.invalid(format!("object id {raw} exceeds u32")).into())
+        };
+        Ok(match r.get_u8()? {
+            0 => UpdateOp::Insert(Wire::get(r)?),
+            1 => UpdateOp::InsertLabeled(Wire::get(r)?, Wire::get(r)?),
+            2 => UpdateOp::Delete(id(r)?),
+            3 => UpdateOp::Set(id(r)?, r.get_u32()? as usize, Wire::get(r)?),
+            other => return Err(r.invalid(format!("unknown op tag {other}")).into()),
+        })
+    }
+}
+
+/// `subscribe`'s body. The trailing `u64` is reserved (v5 carried a
+/// patch/re-query threshold there): written 0, ignored on read, dropped
+/// with the next version bump.
+impl Wire for StandingSpec {
+    const MIN_BYTES: usize = 8 + 1 + 1 + 4 + 8;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        self.k.put(w)?;
+        self.algorithm.put(w)?;
+        self.subspace.put(w)?;
+        self.constraint.put(w)?;
+        w.put_u64(0);
+        Ok(())
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        let spec = StandingSpec {
+            k: Wire::get(r)?,
+            algorithm: Wire::get(r)?,
+            subspace: Wire::get(r)?,
+            constraint: Wire::get(r)?,
+        };
+        r.get_u64()?;
+        Ok(spec)
+    }
+}
+
+/// `code ‖ datum ‖ message`, the code one of the `ERR_*` values.
+impl Wire for ErrorFrame {
+    const MIN_BYTES: usize = 1 + 8 + 4;
+    fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+        w.put_u8(self.code);
+        self.datum.put(w)?;
+        self.message.put(w)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+        let code = r.get_u8()?;
+        if !(ERR_OVERLOADED..=ERR_BAD_REQUEST).contains(&code) {
+            return Err(r.invalid(format!("unknown error code {code}")).into());
+        }
+        Ok(ErrorFrame {
+            code,
+            datum: Wire::get(r)?,
+            message: Wire::get(r)?,
+        })
+    }
+}
+
+/// `with!(T; tokens)` is `tokens`: lets a `$(..)?` group keyed on a tuple
+/// variant's payload type emit a fixed binding.
+macro_rules! with {
+    ($_payload:ty; $($t:tt)*) => { $($t)* };
+}
+pub(crate) use with;
+
+/// Defines structs whose body is their fields in declaration order — the
+/// definition is the one description of the layout.
+macro_rules! wire_structs {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $ty:ident { $( $(#[$fmeta:meta])* pub $field:ident: $fty:ty, )* }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $ty { $( $(#[$fmeta])* pub $field: $fty, )* }
+
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)*;
+            #[inline]
+            fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
+                $( self.$field.put(w)?; )*
+                Ok(())
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
+                Ok($ty { $( $field: Wire::get(r)?, )* })
+            }
+        }
+    )*};
+}
+pub(crate) use wire_structs;
+
+/// Defines one plane's frame enum from its table: each variant's kind
+/// byte, its name in `docs/WIRE_PROTOCOL.md`, and its fields in body
+/// order. Generates the plane's `KINDS` table and its encode, decode and
+/// streaming-decode functions.
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident($what:literal) {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $(($inner:ty))?
+                    $({ $( $(#[$fmeta:meta])* $field:ident: $fty:ty, )* })?
+                    = $kind:literal $name:literal,
+            )*
+        }
+        fn $encode:ident, $decode:ident, $decode_body:ident;
+    ) => {
+        $(#[$meta])*
+        pub enum $ty {
+            $(
+                $(#[$vmeta])*
+                $variant $(($inner))? $({ $( $(#[$fmeta])* $field: $fty, )* })?,
+            )*
+        }
+
+        impl $ty {
+            /// Every kind byte of this plane with the frame's name in
+            /// `docs/WIRE_PROTOCOL.md` (`tests/docs_sync.rs` holds the
+            /// doc's frame tables to it).
+            pub const KINDS: &'static [(u8, &'static str)] = &[$(($kind, $name)),*];
+        }
+
+        #[doc = concat!("Encode a ", $what, " as one full frame.")]
+        ///
+        /// # Errors
+        /// [`ServeError::TooLarge`] when a collection exceeds the wire's
+        /// `u32` count field, [`ServeError::BadFrame`] for an algorithm
+        /// other than BIG/IBIG — rejected before encoding rather than
+        /// truncated or panicked on.
+        pub fn $encode(frame: &$ty) -> Result<Vec<u8>, ServeError> {
+            let mut w = frame_writer();
+            let kind = match frame {
+                $(
+                    $ty::$variant $((with!($inner; x)))? $({ $($field),* })? => {
+                        $( with!($inner; x).put(&mut w)?; )?
+                        $( $( $field.put(&mut w)?; )* )?
+                        $kind
+                    }
+                )*
+            };
+            Ok(seal(w, kind))
+        }
+
+        #[doc = concat!("Decode a full ", $what, " frame.")]
+        pub fn $decode(bytes: &[u8]) -> Result<$ty, ServeError> {
+            let (kind, body) = open_frame(bytes)?;
+            $decode_body(kind, body)
+        }
+
+        #[doc = concat!("Decode a ", $what, " body whose frame header was already validated")]
+        /// (the streaming path).
+        pub fn $decode_body(kind: u8, body: &[u8]) -> Result<$ty, ServeError> {
+            let mut r = Reader::new(body, Section::Frame);
+            let frame = match kind {
+                $(
+                    $kind => $ty::$variant
+                        $((with!($inner; Wire::get(&mut r)?)))?
+                        $({ $( $field: Wire::get(&mut r)?, )* })?,
+                )*
+                other => return Err(r.invalid(format!("unknown {} kind {other}", $what)).into()),
+            };
+            r.finish()?;
+            Ok(frame)
+        }
+    };
+}
+pub(crate) use frames;
+
+// ---------------------------------------------------------------------------
+// The client plane
+// ---------------------------------------------------------------------------
+
+wire_structs! {
+    /// One query over the wire: `k` plus the answering algorithm.
+    ///
+    /// Only the index-guided algorithms are representable — the serving
+    /// engine maintains BIG/IBIG artifacts, and the wire enum leaves room
+    /// for the rest without admitting them.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct QuerySpec {
+        /// How many dominating objects to return.
+        pub k: u64,
+        /// BIG or IBIG (the two the dynamic store serves).
+        pub algorithm: Algorithm,
+    }
+
+    /// One result entry over the wire.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct WireEntry {
+        /// Stable object id.
+        pub id: u64,
+        /// Dominating score.
+        pub score: u64,
+    }
+
+    /// Acknowledgement of an applied update batch.
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct UpdateAck {
+        /// Ops applied (the whole batch, on success).
+        pub applied: u64,
+        /// Server-global update-batch sequence number (strictly increasing;
+        /// the order a sequential replay must use).
+        pub seq: u64,
+        /// Engine compaction epoch after the batch.
+        pub epoch: u64,
+        /// Live objects after the batch.
+        pub live: u64,
+        /// Tombstoned slots after the batch.
+        pub tombstones: u64,
+        /// Stable ids assigned to this batch's inserts, in op order.
+        pub inserted_ids: Vec<u64>,
+    }
+
+    /// Server/engine statistics (the `stats` frame's answer).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct ServerStats {
+        /// Live objects.
+        pub live: u64,
+        /// Tombstoned slots.
+        pub tombstones: u64,
+        /// Engine compaction epoch.
+        pub epoch: u64,
+        /// Update batches applied so far (matches the last ack's `seq`).
+        pub seq: u64,
+        /// Lifetime successful inserts.
+        pub inserts: u64,
+        /// Lifetime successful deletes.
+        pub deletes: u64,
+        /// Lifetime successful cell updates.
+        pub cell_updates: u64,
+        /// Lifetime compactions.
+        pub compactions: u64,
+        /// Queries answered (batch members counted individually).
+        pub served_queries: u64,
+        /// `query_many` batches the coalescer formed.
+        pub coalesced_batches: u64,
+        /// Requests rejected by admission control.
+        pub overloaded: u64,
+        /// Requests abandoned after their queue-wait timeout.
+        pub timeouts: u64,
+        /// Pending requests at the time of the stats call.
+        pub queue_depth: u64,
+        /// Wall time the startup snapshot load took, in microseconds — 0
+        /// when the engine was built in-process rather than loaded.
+        pub load_micros: u64,
+        /// 1 while the engine still serves storage **borrowed** from the
+        /// zero-copy snapshot buffer, 0 once fully promoted/owned (fresh
+        /// builds, big-endian hosts, or after mutations touched everything).
+        pub borrowed: u64,
+    }
+
+    /// One standing-query result delta over the wire — the serialized form
+    /// of [`tkd_core::Notification`].
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct WireNotification {
+        /// The standing-query id the delta belongs to.
+        pub id: u64,
+        /// The engine's batch sequence number — strictly consecutive per
+        /// subscription, so a gap means a lost notification.
+        pub batch_seq: u64,
+        /// Entries that entered the top-k.
+        pub added: Vec<WireEntry>,
+        /// Ids that left the top-k.
+        pub removed: Vec<u64>,
+        /// Entries that stayed but were re-scored.
+        pub rescored: Vec<WireEntry>,
+        /// The k-th maintained score (τ) after the batch, if any.
+        pub kth_score: Option<u64>,
+        /// Whether the server took the full re-query path for this batch.
+        pub via_fallback: bool,
+    }
+
+    /// Acknowledgement of a [`Request::Subscribe`].
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct SubscribeAck {
+        /// The id deltas will arrive under (and `unsubscribe` takes).
+        pub id: u64,
+        /// The full initial result — the base the first delta applies to.
+        pub result: Vec<WireEntry>,
+    }
 }
 
 impl QuerySpec {
@@ -134,97 +579,6 @@ impl QuerySpec {
     }
 }
 
-/// A client→server frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// One query.
-    Query(QuerySpec),
-    /// An explicit batch of queries, answered together.
-    QueryBatch(Vec<QuerySpec>),
-    /// A batch of update ops, applied by the single writer in order.
-    UpdateOps(Vec<UpdateOp>),
-    /// Ask for server/engine statistics.
-    Stats,
-    /// Drain and stop the server.
-    Shutdown,
-    /// Register a standing query on this connection; the server pushes a
-    /// [`Response::Notify`] delta after every acked update batch.
-    Subscribe(StandingSpec),
-    /// Remove a standing query previously registered on any connection.
-    Unsubscribe(u64),
-    /// A TKDQL statement (v4). `SELECT` answers with
-    /// [`Response::QueryResult`], `EXPLAIN` with
-    /// [`Response::ExplainResult`], and `SUBSCRIBE TO SELECT` registers
-    /// on this connection and answers with [`Response::SubscribeAck`].
-    /// A `FROM` clause is rejected — the server's engine is the target.
-    QueryText(String),
-}
-
-/// One result entry over the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WireEntry {
-    /// Stable object id.
-    pub id: u64,
-    /// Dominating score.
-    pub score: u64,
-}
-
-/// Acknowledgement of an applied update batch.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct UpdateAck {
-    /// Ops applied (the whole batch, on success).
-    pub applied: u64,
-    /// Server-global update-batch sequence number (strictly increasing;
-    /// the order a sequential replay must use).
-    pub seq: u64,
-    /// Engine compaction epoch after the batch.
-    pub epoch: u64,
-    /// Live objects after the batch.
-    pub live: u64,
-    /// Tombstoned slots after the batch.
-    pub tombstones: u64,
-    /// Stable ids assigned to this batch's inserts, in op order.
-    pub inserted_ids: Vec<u64>,
-}
-
-/// Server/engine statistics (the `stats` frame's answer).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Live objects.
-    pub live: u64,
-    /// Tombstoned slots.
-    pub tombstones: u64,
-    /// Engine compaction epoch.
-    pub epoch: u64,
-    /// Update batches applied so far (matches the last ack's `seq`).
-    pub seq: u64,
-    /// Lifetime successful inserts.
-    pub inserts: u64,
-    /// Lifetime successful deletes.
-    pub deletes: u64,
-    /// Lifetime successful cell updates.
-    pub cell_updates: u64,
-    /// Lifetime compactions.
-    pub compactions: u64,
-    /// Queries answered (batch members counted individually).
-    pub served_queries: u64,
-    /// `query_many` batches the coalescer formed.
-    pub coalesced_batches: u64,
-    /// Requests rejected by admission control.
-    pub overloaded: u64,
-    /// Requests abandoned after their queue-wait timeout.
-    pub timeouts: u64,
-    /// Pending requests at the time of the stats call.
-    pub queue_depth: u64,
-    /// Wall time the startup snapshot load took, in microseconds — 0
-    /// when the engine was built in-process rather than loaded.
-    pub load_micros: u64,
-    /// 1 while the engine still serves storage **borrowed** from the
-    /// zero-copy snapshot buffer, 0 once fully promoted/owned (fresh
-    /// builds, big-endian hosts, or after mutations touched everything).
-    pub borrowed: u64,
-}
-
 /// A typed rejection relayed to the client.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ErrorFrame {
@@ -234,63 +588,6 @@ pub struct ErrorFrame {
     pub datum: u64,
     /// Human-readable reason.
     pub message: String,
-}
-
-/// One standing-query result delta over the wire — the serialized form
-/// of [`tkd_core::Notification`].
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct WireNotification {
-    /// The standing-query id the delta belongs to.
-    pub id: u64,
-    /// The engine's batch sequence number — strictly consecutive per
-    /// subscription, so a gap means a lost notification.
-    pub batch_seq: u64,
-    /// Entries that entered the top-k.
-    pub added: Vec<WireEntry>,
-    /// Ids that left the top-k.
-    pub removed: Vec<u64>,
-    /// Entries that stayed but were re-scored.
-    pub rescored: Vec<WireEntry>,
-    /// The k-th maintained score (τ) after the batch, if any.
-    pub kth_score: Option<u64>,
-    /// Whether the server took the full re-query path for this batch.
-    pub via_fallback: bool,
-}
-
-/// Acknowledgement of a [`Request::Subscribe`].
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct SubscribeAck {
-    /// The id deltas will arrive under (and `unsubscribe` takes).
-    pub id: u64,
-    /// The full initial result — the base the first delta applies to.
-    pub result: Vec<WireEntry>,
-}
-
-/// A server→client frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Answer to [`Request::Query`].
-    QueryResult(Vec<WireEntry>),
-    /// Answer to [`Request::QueryBatch`], in batch order.
-    BatchResult(Vec<Vec<WireEntry>>),
-    /// Answer to [`Request::UpdateOps`].
-    UpdateAck(UpdateAck),
-    /// Answer to [`Request::Stats`].
-    StatsResult(ServerStats),
-    /// Answer to [`Request::Shutdown`].
-    ShutdownAck,
-    /// Typed rejection of any request.
-    Error(ErrorFrame),
-    /// Answer to [`Request::Subscribe`].
-    SubscribeAck(SubscribeAck),
-    /// Answer to [`Request::Unsubscribe`]: whether the id was registered
-    /// by the requesting connection.
-    UnsubscribeAck(bool),
-    /// Server-pushed standing-query delta (not an answer to anything).
-    Notify(WireNotification),
-    /// Answer to a [`Request::QueryText`] carrying `EXPLAIN` (v4): the
-    /// rendered plan, UTF-8 text.
-    ExplainResult(String),
 }
 
 impl ErrorFrame {
@@ -313,174 +610,112 @@ impl ErrorFrame {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Wire primitives
-// ---------------------------------------------------------------------------
-
-/// Append-only little-endian body writer.
-#[derive(Default)]
-pub(crate) struct BodyWriter {
-    pub(crate) buf: Vec<u8>,
+// Requests and responses share the header format but use disjoint kind
+// ranges so a misdirected frame fails loudly. The cluster frames
+// (`cluster_wire`) use 16–20 / 144–148 — disjoint again, so a cluster
+// frame sent at a plain server (or vice versa) is a typed "unknown kind"
+// error, not a misparse.
+frames! {
+    /// A client→server frame.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request("request") {
+        /// One query.
+        Query(QuerySpec) = 1 "query",
+        /// An explicit batch of queries, answered together.
+        QueryBatch(Vec<QuerySpec>) = 2 "query_batch",
+        /// A batch of update ops, applied by the single writer in order.
+        UpdateOps(Vec<UpdateOp>) = 3 "update_ops",
+        /// Ask for server/engine statistics.
+        Stats = 4 "stats",
+        /// Drain and stop the server.
+        Shutdown = 5 "shutdown",
+        /// Register a standing query on this connection; the server pushes a
+        /// [`Response::Notify`] delta after every acked update batch.
+        Subscribe(StandingSpec) = 6 "subscribe",
+        /// Remove a standing query previously registered on any connection.
+        Unsubscribe(u64) = 7 "unsubscribe",
+        /// A TKDQL statement (v4). `SELECT` answers with
+        /// [`Response::QueryResult`], `EXPLAIN` with
+        /// [`Response::ExplainResult`], and `SUBSCRIBE TO SELECT` registers
+        /// on this connection and answers with [`Response::SubscribeAck`].
+        /// A `FROM` clause is rejected — the server's engine is the target.
+        QueryText(String) = 8 "query_text",
+    }
+    fn encode_request, decode_request, decode_request_body;
 }
 
-/// Validate that a collection length fits the wire's `u32` count field
-/// **before** encoding it. Without this gate an oversized batch would
-/// truncate silently (`len as u32`) and decode as a shorter, plausible
-/// frame on the other side.
-pub(crate) fn check_count(what: &'static str, len: usize) -> Result<u32, ServeError> {
-    u32::try_from(len).map_err(|_| ServeError::TooLarge {
-        what,
-        len: len as u64,
-    })
-}
-
-/// Convert a wire-declared byte length into an in-memory size, rejecting
-/// values the address space cannot represent. The mirror image of
-/// [`check_count`]: that gate stops silent truncation on *encode*
-/// (`usize → u32`), this one stops it on *decode* (`u64 → usize`, lossy
-/// on 32-bit targets where `len as usize` would quietly wrap a hostile
-/// length into a small, plausible allocation).
-pub(crate) fn check_len(what: &'static str, len: u64) -> Result<usize, ServeError> {
-    usize::try_from(len).map_err(|_| ServeError::TooLarge { what, len })
-}
-
-impl BodyWriter {
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+frames! {
+    /// A server→client frame.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response("response") {
+        /// Answer to [`Request::Query`].
+        QueryResult(Vec<WireEntry>) = 128 "query_result",
+        /// Answer to [`Request::QueryBatch`], in batch order.
+        BatchResult(Vec<Vec<WireEntry>>) = 129 "batch_result",
+        /// Answer to [`Request::UpdateOps`].
+        UpdateAck(UpdateAck) = 130 "update_ack",
+        /// Answer to [`Request::Stats`].
+        StatsResult(ServerStats) = 131 "stats_result",
+        /// Answer to [`Request::Shutdown`].
+        ShutdownAck = 132 "shutdown_ack",
+        /// Typed rejection of any request (kind 133 is shared with the
+        /// cluster plane).
+        Error(ErrorFrame) = 133 "error",
+        /// Answer to [`Request::Subscribe`].
+        SubscribeAck(SubscribeAck) = 134 "subscribe_ack",
+        /// Answer to [`Request::Unsubscribe`]: whether the id was registered
+        /// by the requesting connection.
+        UnsubscribeAck(bool) = 135 "unsubscribe_ack",
+        /// Server-pushed standing-query delta (not an answer to anything).
+        /// Clients must tolerate one arriving where a response is expected.
+        Notify(WireNotification) = 136 "notify",
+        /// Answer to a [`Request::QueryText`] carrying `EXPLAIN` (v4): the
+        /// rendered plan, UTF-8 text.
+        ExplainResult(String) = 137 "explain_result",
     }
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Write a `u32` element count, rejecting lengths that don't fit.
-    pub(crate) fn put_count(&mut self, what: &'static str, len: usize) -> Result<(), ServeError> {
-        self.put_u32(check_count(what, len)?);
-        Ok(())
-    }
-    pub(crate) fn put_str(&mut self, what: &'static str, s: &str) -> Result<(), ServeError> {
-        self.put_count(what, s.len())?;
-        self.buf.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-    pub(crate) fn put_cell(&mut self, cell: Option<f64>) {
-        match cell {
-            None => self.put_u8(0),
-            Some(v) => {
-                self.put_u8(1);
-                self.put_u64(v.to_bits());
-            }
-        }
-    }
-}
-
-/// Bounds-checked little-endian body reader. Every length check happens
-/// before the allocation it guards.
-pub(crate) struct BodyReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BodyReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        BodyReader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        if self.remaining() < n {
-            return Err(ServeError::Truncated {
-                needed: n as u64,
-                available: self.remaining() as u64,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn get_u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn get_u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-
-    pub(crate) fn get_u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    /// A `u32` element count validated against the bytes present
-    /// (`min_elem_bytes` per element) before anything is allocated.
-    pub(crate) fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, ServeError> {
-        let count = self.get_u32()? as usize;
-        let need = count
-            .checked_mul(min_elem_bytes)
-            .ok_or_else(|| bad("element count overflows"))?;
-        if self.remaining() < need {
-            return Err(ServeError::Truncated {
-                needed: need as u64,
-                available: self.remaining() as u64,
-            });
-        }
-        Ok(count)
-    }
-
-    pub(crate) fn get_str(&mut self) -> Result<String, ServeError> {
-        let len = self.get_u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| bad("string is not UTF-8"))
-    }
-
-    pub(crate) fn get_cell(&mut self) -> Result<Option<f64>, ServeError> {
-        match self.get_u8()? {
-            0 => Ok(None),
-            1 => {
-                let v = f64::from_bits(self.get_u64()?);
-                if v.is_nan() {
-                    return Err(bad("NaN cell value"));
-                }
-                Ok(Some(v))
-            }
-            other => Err(bad(format!("cell presence flag {other} (want 0/1)"))),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<(), ServeError> {
-        if self.remaining() != 0 {
-            return Err(bad(format!("{} trailing body bytes", self.remaining())));
-        }
-        Ok(())
-    }
-}
-
-pub(crate) fn bad(reason: impl Into<String>) -> ServeError {
-    ServeError::BadFrame {
-        reason: reason.into(),
-    }
+    fn encode_response, decode_response, decode_response_body;
 }
 
 // ---------------------------------------------------------------------------
 // Frame assembly / parsing
 // ---------------------------------------------------------------------------
 
-/// Wrap a kind + body into a full frame (header, checksum, body).
-pub(crate) fn seal(kind: u8, body: Vec<u8>) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    let mut tail = Vec::with_capacity(9 + body.len());
-    tail.push(kind);
-    tail.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    tail.extend_from_slice(&body);
-    frame.extend_from_slice(&fnv64(&tail).to_le_bytes());
-    frame.extend_from_slice(&tail);
+/// A writer holding a blank frame header, ready for a body.
+pub(crate) fn frame_writer() -> Writer {
+    let mut w = Writer::new();
+    w.put_bytes(&[0; HEADER_LEN]);
+    w
+}
+
+/// Finish a [`frame_writer`] frame: fill in the header around the body
+/// written after it — one buffer, no staging copies.
+pub(crate) fn seal(w: Writer, kind: u8) -> Vec<u8> {
+    let mut frame = w.into_bytes();
+    let len = (frame.len() - HEADER_LEN) as u64;
+    frame[..4].copy_from_slice(&MAGIC);
+    frame[4..8].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    frame[16] = kind;
+    frame[17..25].copy_from_slice(&len.to_le_bytes());
+    let checksum = fnv64(&frame[16..]);
+    frame[8..16].copy_from_slice(&checksum.to_le_bytes());
     frame
+}
+
+/// The header check [`open_frame`] and [`read_frame`] share: magic and
+/// version, then `(checksum, kind, body length)`.
+fn read_header(header: &[u8]) -> Result<(u64, u8, u64), ServeError> {
+    if header[..4] != MAGIC {
+        return Err(ServeError::BadMagic);
+    }
+    let mut r = Reader::new(&header[4..HEADER_LEN], Section::Frame);
+    let version = r.get_u32()?;
+    if version != PROTOCOL_VERSION {
+        return Err(ServeError::VersionMismatch {
+            found: version,
+            expected: PROTOCOL_VERSION,
+        });
+    }
+    Ok((r.get_u64()?, r.get_u8()?, r.get_u64()?))
 }
 
 /// Validate a full frame buffer (magic, version, length, checksum) and
@@ -493,534 +728,24 @@ pub fn open_frame(bytes: &[u8]) -> Result<(u8, &[u8]), ServeError> {
             available: bytes.len() as u64,
         });
     }
-    if bytes[..4] != MAGIC {
-        return Err(ServeError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4B"));
-    if version != PROTOCOL_VERSION {
-        return Err(ServeError::VersionMismatch {
-            found: version,
-            expected: PROTOCOL_VERSION,
-        });
-    }
-    let checksum = u64::from_le_bytes(bytes[8..16].try_into().expect("8B"));
-    let len = u64::from_le_bytes(bytes[17..25].try_into().expect("8B"));
-    let body_have = (bytes.len() - HEADER_LEN) as u64;
-    if len > body_have {
+    let (checksum, kind, len) = read_header(bytes)?;
+    let body = &bytes[HEADER_LEN..];
+    let have = body.len() as u64;
+    if len > have {
         return Err(ServeError::Truncated {
             needed: len,
-            available: body_have,
+            available: have,
         });
     }
-    if len < body_have {
-        return Err(bad(format!("{} trailing frame bytes", body_have - len)));
+    if len < have {
+        return Err(ServeError::BadFrame {
+            reason: format!("{} trailing frame bytes", have - len),
+        });
     }
     if fnv64(&bytes[16..]) != checksum {
         return Err(ServeError::ChecksumMismatch);
     }
-    Ok((bytes[16], &bytes[HEADER_LEN..]))
-}
-
-/// Encode a request as one full frame.
-///
-/// # Errors
-/// [`ServeError::TooLarge`] when a collection exceeds the wire's `u32`
-/// count field — rejected before encoding rather than truncated on it.
-pub fn encode_request(req: &Request) -> Result<Vec<u8>, ServeError> {
-    let mut w = BodyWriter::default();
-    let kind = match req {
-        Request::Query(q) => {
-            put_query(&mut w, q);
-            KIND_QUERY
-        }
-        Request::QueryBatch(qs) => {
-            w.put_count("query batch", qs.len())?;
-            for q in qs {
-                put_query(&mut w, q);
-            }
-            KIND_QUERY_BATCH
-        }
-        Request::UpdateOps(ops) => {
-            w.put_count("update batch", ops.len())?;
-            for op in ops {
-                put_op(&mut w, op)?;
-            }
-            KIND_UPDATE_OPS
-        }
-        Request::Stats => KIND_STATS,
-        Request::Shutdown => KIND_SHUTDOWN,
-        Request::Subscribe(spec) => {
-            put_standing_spec(&mut w, spec)?;
-            KIND_SUBSCRIBE
-        }
-        Request::Unsubscribe(id) => {
-            w.put_u64(*id);
-            KIND_UNSUBSCRIBE
-        }
-        Request::QueryText(text) => {
-            w.put_str("statement text", text)?;
-            KIND_QUERY_TEXT
-        }
-    };
-    Ok(seal(kind, w.buf))
-}
-
-/// Decode a full request frame.
-pub fn decode_request(bytes: &[u8]) -> Result<Request, ServeError> {
-    let (kind, body) = open_frame(bytes)?;
-    decode_request_body(kind, body)
-}
-
-/// Decode a request body whose frame header was already validated (the
-/// server's streaming path).
-pub fn decode_request_body(kind: u8, body: &[u8]) -> Result<Request, ServeError> {
-    let mut r = BodyReader::new(body);
-    let req = match kind {
-        KIND_QUERY => Request::Query(get_query(&mut r)?),
-        KIND_QUERY_BATCH => {
-            let count = r.get_count(9)?;
-            let mut qs = Vec::with_capacity(count);
-            for _ in 0..count {
-                qs.push(get_query(&mut r)?);
-            }
-            Request::QueryBatch(qs)
-        }
-        KIND_UPDATE_OPS => {
-            let count = r.get_count(1)?;
-            let mut ops = Vec::with_capacity(count);
-            for _ in 0..count {
-                ops.push(get_op(&mut r)?);
-            }
-            Request::UpdateOps(ops)
-        }
-        KIND_STATS => Request::Stats,
-        KIND_SHUTDOWN => Request::Shutdown,
-        KIND_SUBSCRIBE => Request::Subscribe(get_standing_spec(&mut r)?),
-        KIND_UNSUBSCRIBE => Request::Unsubscribe(r.get_u64()?),
-        KIND_QUERY_TEXT => Request::QueryText(r.get_str()?),
-        other => return Err(bad(format!("unknown request kind {other}"))),
-    };
-    r.finish()?;
-    Ok(req)
-}
-
-/// Encode a response as one full frame.
-///
-/// # Errors
-/// [`ServeError::TooLarge`] when a collection exceeds the wire's `u32`
-/// count field — rejected before encoding rather than truncated on it.
-pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ServeError> {
-    let mut w = BodyWriter::default();
-    let kind = match resp {
-        Response::QueryResult(entries) => {
-            put_entries(&mut w, entries)?;
-            KIND_QUERY_RESULT
-        }
-        Response::BatchResult(results) => {
-            w.put_count("result batch", results.len())?;
-            for entries in results {
-                put_entries(&mut w, entries)?;
-            }
-            KIND_BATCH_RESULT
-        }
-        Response::UpdateAck(ack) => {
-            w.put_u64(ack.applied);
-            w.put_u64(ack.seq);
-            w.put_u64(ack.epoch);
-            w.put_u64(ack.live);
-            w.put_u64(ack.tombstones);
-            w.put_count("ack id list", ack.inserted_ids.len())?;
-            for &id in &ack.inserted_ids {
-                w.put_u64(id);
-            }
-            KIND_UPDATE_ACK
-        }
-        Response::StatsResult(s) => {
-            for v in [
-                s.live,
-                s.tombstones,
-                s.epoch,
-                s.seq,
-                s.inserts,
-                s.deletes,
-                s.cell_updates,
-                s.compactions,
-                s.served_queries,
-                s.coalesced_batches,
-                s.overloaded,
-                s.timeouts,
-                s.queue_depth,
-                s.load_micros,
-                s.borrowed,
-            ] {
-                w.put_u64(v);
-            }
-            KIND_STATS_RESULT
-        }
-        Response::ShutdownAck => KIND_SHUTDOWN_ACK,
-        Response::Error(e) => {
-            put_error_frame(&mut w, e)?;
-            KIND_ERROR
-        }
-        Response::SubscribeAck(ack) => {
-            w.put_u64(ack.id);
-            put_entries(&mut w, &ack.result)?;
-            KIND_SUBSCRIBE_ACK
-        }
-        Response::UnsubscribeAck(removed) => {
-            w.put_u8(u8::from(*removed));
-            KIND_UNSUBSCRIBE_ACK
-        }
-        Response::Notify(n) => {
-            w.put_u64(n.id);
-            w.put_u64(n.batch_seq);
-            put_entries(&mut w, &n.added)?;
-            w.put_count("notify removed ids", n.removed.len())?;
-            for &id in &n.removed {
-                w.put_u64(id);
-            }
-            put_entries(&mut w, &n.rescored)?;
-            match n.kth_score {
-                None => w.put_u8(0),
-                Some(s) => {
-                    w.put_u8(1);
-                    w.put_u64(s);
-                }
-            }
-            w.put_u8(u8::from(n.via_fallback));
-            KIND_NOTIFY
-        }
-        Response::ExplainResult(text) => {
-            w.put_str("explain text", text)?;
-            KIND_EXPLAIN_RESULT
-        }
-    };
-    Ok(seal(kind, w.buf))
-}
-
-/// Decode a full response frame.
-pub fn decode_response(bytes: &[u8]) -> Result<Response, ServeError> {
-    let (kind, body) = open_frame(bytes)?;
-    decode_response_body(kind, body)
-}
-
-/// Decode a response body whose frame header was already validated (the
-/// client's streaming path).
-pub fn decode_response_body(kind: u8, body: &[u8]) -> Result<Response, ServeError> {
-    let mut r = BodyReader::new(body);
-    let resp = match kind {
-        KIND_QUERY_RESULT => Response::QueryResult(get_entries(&mut r)?),
-        KIND_BATCH_RESULT => {
-            let count = r.get_count(4)?;
-            let mut results = Vec::with_capacity(count);
-            for _ in 0..count {
-                results.push(get_entries(&mut r)?);
-            }
-            Response::BatchResult(results)
-        }
-        KIND_UPDATE_ACK => {
-            let applied = r.get_u64()?;
-            let seq = r.get_u64()?;
-            let epoch = r.get_u64()?;
-            let live = r.get_u64()?;
-            let tombstones = r.get_u64()?;
-            let count = r.get_count(8)?;
-            let mut inserted_ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                inserted_ids.push(r.get_u64()?);
-            }
-            Response::UpdateAck(UpdateAck {
-                applied,
-                seq,
-                epoch,
-                live,
-                tombstones,
-                inserted_ids,
-            })
-        }
-        KIND_STATS_RESULT => {
-            let mut get = || r.get_u64();
-            let s = ServerStats {
-                live: get()?,
-                tombstones: get()?,
-                epoch: get()?,
-                seq: get()?,
-                inserts: get()?,
-                deletes: get()?,
-                cell_updates: get()?,
-                compactions: get()?,
-                served_queries: get()?,
-                coalesced_batches: get()?,
-                overloaded: get()?,
-                timeouts: get()?,
-                queue_depth: get()?,
-                load_micros: get()?,
-                borrowed: get()?,
-            };
-            Response::StatsResult(s)
-        }
-        KIND_SHUTDOWN_ACK => Response::ShutdownAck,
-        KIND_SUBSCRIBE_ACK => {
-            let id = r.get_u64()?;
-            let result = get_entries(&mut r)?;
-            Response::SubscribeAck(SubscribeAck { id, result })
-        }
-        KIND_UNSUBSCRIBE_ACK => match r.get_u8()? {
-            0 => Response::UnsubscribeAck(false),
-            1 => Response::UnsubscribeAck(true),
-            other => return Err(bad(format!("removed flag {other} (want 0/1)"))),
-        },
-        KIND_NOTIFY => {
-            let id = r.get_u64()?;
-            let batch_seq = r.get_u64()?;
-            let added = get_entries(&mut r)?;
-            let count = r.get_count(8)?;
-            let mut removed = Vec::with_capacity(count);
-            for _ in 0..count {
-                removed.push(r.get_u64()?);
-            }
-            let rescored = get_entries(&mut r)?;
-            let kth_score = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_u64()?),
-                other => return Err(bad(format!("kth presence flag {other} (want 0/1)"))),
-            };
-            let via_fallback = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                other => return Err(bad(format!("fallback flag {other} (want 0/1)"))),
-            };
-            Response::Notify(WireNotification {
-                id,
-                batch_seq,
-                added,
-                removed,
-                rescored,
-                kth_score,
-                via_fallback,
-            })
-        }
-        KIND_EXPLAIN_RESULT => Response::ExplainResult(r.get_str()?),
-        KIND_ERROR => Response::Error(get_error_frame(&mut r)?),
-        other => return Err(bad(format!("unknown response kind {other}"))),
-    };
-    r.finish()?;
-    Ok(resp)
-}
-
-pub(crate) fn put_error_frame(w: &mut BodyWriter, e: &ErrorFrame) -> Result<(), ServeError> {
-    w.put_u8(e.code);
-    w.put_u64(e.datum);
-    w.put_str("error message", &e.message)
-}
-
-pub(crate) fn get_error_frame(r: &mut BodyReader) -> Result<ErrorFrame, ServeError> {
-    let code = r.get_u8()?;
-    if !(ERR_OVERLOADED..=ERR_BAD_REQUEST).contains(&code) {
-        return Err(bad(format!("unknown error code {code}")));
-    }
-    let datum = r.get_u64()?;
-    let message = r.get_str()?;
-    Ok(ErrorFrame {
-        code,
-        datum,
-        message,
-    })
-}
-
-fn put_query(w: &mut BodyWriter, q: &QuerySpec) {
-    w.put_u64(q.k);
-    w.put_u8(match q.algorithm {
-        Algorithm::Big => 3,
-        Algorithm::Ibig => 4,
-        other => unreachable!("wire queries are BIG/IBIG only, got {other:?}"),
-    });
-}
-
-fn get_query(r: &mut BodyReader) -> Result<QuerySpec, ServeError> {
-    let k = r.get_u64()?;
-    let algorithm = match r.get_u8()? {
-        3 => Algorithm::Big,
-        4 => Algorithm::Ibig,
-        other => {
-            return Err(bad(format!(
-                "algorithm byte {other} (the serve path answers BIG=3/IBIG=4)"
-            )))
-        }
-    };
-    Ok(QuerySpec { k, algorithm })
-}
-
-fn put_entries(w: &mut BodyWriter, entries: &[WireEntry]) -> Result<(), ServeError> {
-    w.put_count("result rows", entries.len())?;
-    for e in entries {
-        w.put_u64(e.id);
-        w.put_u64(e.score);
-    }
-    Ok(())
-}
-
-/// A wire f64 that must be a real number (constraint bounds) — NaN is
-/// rejected like NaN cells are.
-fn get_real(r: &mut BodyReader, what: &str) -> Result<f64, ServeError> {
-    let v = f64::from_bits(r.get_u64()?);
-    if v.is_nan() {
-        return Err(bad(format!("NaN {what}")));
-    }
-    Ok(v)
-}
-
-fn get_usize(r: &mut BodyReader, what: &str) -> Result<usize, ServeError> {
-    let raw = r.get_u64()?;
-    usize::try_from(raw).map_err(|_| bad(format!("{what} {raw} exceeds usize")))
-}
-
-fn put_standing_spec(w: &mut BodyWriter, spec: &StandingSpec) -> Result<(), ServeError> {
-    w.put_u64(spec.k as u64);
-    w.put_u8(match spec.algorithm {
-        Algorithm::Big => 3,
-        Algorithm::Ibig => 4,
-        other => unreachable!("wire standing specs are BIG/IBIG only, got {other:?}"),
-    });
-    match &spec.subspace {
-        None => w.put_u8(0),
-        Some(dims) => {
-            w.put_u8(1);
-            w.put_count("subspace dims", dims.len())?;
-            for &d in dims {
-                w.put_u64(d as u64);
-            }
-        }
-    }
-    w.put_count("constraint ranges", spec.constraint.len())?;
-    for &(dim, lo, hi) in &spec.constraint {
-        w.put_u64(dim as u64);
-        w.put_u64(lo.to_bits());
-        w.put_u64(hi.to_bits());
-    }
-    // Reserved (v5 carried a patch/re-query threshold here): written 0,
-    // ignored on read, dropped with the next version bump.
-    w.put_u64(0);
-    Ok(())
-}
-
-fn get_standing_spec(r: &mut BodyReader) -> Result<StandingSpec, ServeError> {
-    let k = get_usize(r, "standing k")?;
-    let algorithm = match r.get_u8()? {
-        3 => Algorithm::Big,
-        4 => Algorithm::Ibig,
-        other => {
-            return Err(bad(format!(
-                "algorithm byte {other} (standing queries answer BIG=3/IBIG=4)"
-            )))
-        }
-    };
-    let subspace = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let count = r.get_count(8)?;
-            let mut dims = Vec::with_capacity(count);
-            for _ in 0..count {
-                dims.push(get_usize(r, "subspace dim")?);
-            }
-            Some(dims)
-        }
-        other => return Err(bad(format!("subspace presence flag {other} (want 0/1)"))),
-    };
-    let count = r.get_count(24)?;
-    let mut constraint = Vec::with_capacity(count);
-    for _ in 0..count {
-        let dim = get_usize(r, "constraint dim")?;
-        let lo = get_real(r, "constraint low bound")?;
-        let hi = get_real(r, "constraint high bound")?;
-        constraint.push((dim, lo, hi));
-    }
-    r.get_u64()?; // reserved, see `put_standing_spec`
-    Ok(StandingSpec {
-        k,
-        algorithm,
-        subspace,
-        constraint,
-    })
-}
-
-fn get_entries(r: &mut BodyReader) -> Result<Vec<WireEntry>, ServeError> {
-    let count = r.get_count(16)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(WireEntry {
-            id: r.get_u64()?,
-            score: r.get_u64()?,
-        });
-    }
-    Ok(entries)
-}
-
-const OP_INSERT: u8 = 0;
-const OP_INSERT_LABELED: u8 = 1;
-const OP_DELETE: u8 = 2;
-const OP_SET: u8 = 3;
-
-pub(crate) fn put_op(w: &mut BodyWriter, op: &UpdateOp) -> Result<(), ServeError> {
-    match op {
-        UpdateOp::Insert(row) => {
-            w.put_u8(OP_INSERT);
-            w.put_count("insert row", row.len())?;
-            for &cell in row {
-                w.put_cell(cell);
-            }
-        }
-        UpdateOp::InsertLabeled(label, row) => {
-            w.put_u8(OP_INSERT_LABELED);
-            w.put_str("row label", label)?;
-            w.put_count("insert row", row.len())?;
-            for &cell in row {
-                w.put_cell(cell);
-            }
-        }
-        UpdateOp::Delete(id) => {
-            w.put_u8(OP_DELETE);
-            w.put_u64(u64::from(*id));
-        }
-        UpdateOp::Set(id, dim, cell) => {
-            w.put_u8(OP_SET);
-            w.put_u64(u64::from(*id));
-            w.put_u32(check_count("dimension index", *dim)?);
-            w.put_cell(*cell);
-        }
-    }
-    Ok(())
-}
-
-fn get_row(r: &mut BodyReader) -> Result<Vec<Option<f64>>, ServeError> {
-    let dims = r.get_count(1)?;
-    let mut row = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        row.push(r.get_cell()?);
-    }
-    Ok(row)
-}
-
-fn get_id(r: &mut BodyReader) -> Result<tkd_model::ObjectId, ServeError> {
-    let raw = r.get_u64()?;
-    tkd_model::ObjectId::try_from(raw).map_err(|_| bad(format!("object id {raw} exceeds u32")))
-}
-
-pub(crate) fn get_op(r: &mut BodyReader) -> Result<UpdateOp, ServeError> {
-    match r.get_u8()? {
-        OP_INSERT => Ok(UpdateOp::Insert(get_row(r)?)),
-        OP_INSERT_LABELED => {
-            let label = r.get_str()?;
-            Ok(UpdateOp::InsertLabeled(label, get_row(r)?))
-        }
-        OP_DELETE => Ok(UpdateOp::Delete(get_id(r)?)),
-        OP_SET => {
-            let id = get_id(r)?;
-            let dim = r.get_u32()? as usize;
-            Ok(UpdateOp::Set(id, dim, r.get_cell()?))
-        }
-        other => Err(bad(format!("unknown op tag {other}"))),
-    }
+    Ok((kind, body))
 }
 
 // ---------------------------------------------------------------------------
@@ -1089,19 +814,7 @@ pub fn read_frame(
     // frame budget, however slowly the peer trickles it.
     let deadline = Instant::now() + policy.frame_timeout;
     read_exact_deadline(stream, &mut header[got..], deadline)?;
-    if header[..4] != MAGIC {
-        return Err(ServeError::BadMagic);
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("4B"));
-    if version != PROTOCOL_VERSION {
-        return Err(ServeError::VersionMismatch {
-            found: version,
-            expected: PROTOCOL_VERSION,
-        });
-    }
-    let checksum = u64::from_le_bytes(header[8..16].try_into().expect("8B"));
-    let kind = header[16];
-    let len = u64::from_le_bytes(header[17..25].try_into().expect("8B"));
+    let (checksum, kind, len) = read_header(&header)?;
     // The admission gate for hostile lengths: reject before allocating.
     if len > max_frame {
         return Err(ServeError::FrameTooLarge {
@@ -1109,16 +822,20 @@ pub fn read_frame(
             max: max_frame,
         });
     }
-    let mut body = vec![0u8; check_len("frame body", len)?];
-    read_exact_deadline(stream, &mut body, deadline)?;
-    let mut summed = Vec::with_capacity(9 + body.len());
-    summed.push(kind);
-    summed.extend_from_slice(&len.to_le_bytes());
-    summed.extend_from_slice(&body);
+    let len = usize::try_from(len).map_err(|_| ServeError::TooLarge {
+        what: "frame body",
+        len,
+    })?;
+    // `kind ‖ len ‖ body` in one buffer: checksummed where it lies, then
+    // the 9-byte prefix is dropped.
+    let mut summed = vec![0u8; 9 + len];
+    summed[..9].copy_from_slice(&header[16..]);
+    read_exact_deadline(stream, &mut summed[9..], deadline)?;
     if fnv64(&summed) != checksum {
         return Err(ServeError::ChecksumMismatch);
     }
-    Ok((kind, body))
+    summed.drain(..9);
+    Ok((kind, summed))
 }
 
 /// `read_exact` with an absolute deadline, implemented over repeated
@@ -1169,7 +886,7 @@ pub fn write_frame_bytes(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1278,27 +995,25 @@ mod tests {
     #[test]
     fn oversized_collections_are_typed_errors_not_truncation() {
         // The wire's count fields are u32. A length that does not fit
-        // must be a typed [`ServeError::TooLarge`] from the checked
-        // helper every encoder now routes through — previously
-        // `len as u32` truncated silently and framed a shorter,
-        // plausible payload. (The collections themselves would take tens
-        // of GiB to materialize, so the gate is pinned directly.)
+        // must be a typed [`ServeError::TooLarge`] from the cursor's
+        // checked count every collection encodes through — `len as u32`
+        // would truncate silently and frame a shorter, plausible payload.
+        // (The collections themselves would take tens of GiB to
+        // materialize, so the gate is pinned directly.)
         let over = u32::MAX as usize + 1;
-        for what in ["query batch", "update batch", "result rows", "ack id list"] {
-            assert_eq!(
-                check_count(what, over).unwrap_err(),
-                ServeError::TooLarge {
-                    what,
-                    len: over as u64
-                },
-            );
-        }
-        // Everything that fits still encodes.
+        let err: ServeError = Writer::new().put_count("list", over).unwrap_err().into();
         assert_eq!(
-            check_count("result rows", u32::MAX as usize).unwrap(),
-            u32::MAX
+            err,
+            ServeError::TooLarge {
+                what: "list",
+                len: over as u64
+            }
         );
-        assert_eq!(check_count("result rows", 0).unwrap(), 0);
+        // Everything that fits still encodes.
+        let mut w = Writer::new();
+        w.put_count("list", u32::MAX as usize).unwrap();
+        w.put_count("list", 0).unwrap();
+        assert_eq!(w.as_bytes(), [0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0]);
         // And the per-op dimension index uses the same gate.
         let op = UpdateOp::Set(1, over, Some(0.0));
         assert!(matches!(
@@ -1326,17 +1041,17 @@ mod tests {
         b[HEADER_LEN + 9] = 7;
         assert!(decode_request(&reseal(&b)).is_err());
         // NaN constraint bound.
-        let mut w = BodyWriter::default();
+        let mut w = frame_writer();
         w.put_u64(2);
         w.put_u8(3);
         w.put_u8(0);
         w.put_u32(1);
         w.put_u64(0);
-        w.put_u64(f64::NAN.to_bits());
-        w.put_u64(2.0f64.to_bits());
-        w.put_u64(0.25f64.to_bits());
+        w.put_f64(f64::NAN);
+        w.put_f64(2.0);
+        w.put_f64(0.25);
         assert!(matches!(
-            decode_request(&seal(KIND_SUBSCRIBE, w.buf)).unwrap_err(),
+            decode_request(&seal(w, 6)).unwrap_err(),
             ServeError::BadFrame { .. }
         ));
     }
@@ -1358,8 +1073,10 @@ mod tests {
 
     /// Re-checksum a frame whose body bytes were edited, so the decode
     /// error under test is the semantic one, not ChecksumMismatch.
-    fn reseal(frame: &[u8]) -> Vec<u8> {
-        seal(frame[16], frame[HEADER_LEN..].to_vec())
+    pub(crate) fn reseal(frame: &[u8]) -> Vec<u8> {
+        let mut w = frame_writer();
+        w.put_bytes(&frame[HEADER_LEN..]);
+        seal(w, frame[16])
     }
 
     #[test]
@@ -1395,17 +1112,14 @@ mod tests {
             ServeError::BadFrame { .. }
         ));
         // NaN cell.
-        let nan_op = {
-            let mut w = BodyWriter::default();
-            w.put_u32(1);
-            w.put_u8(OP_INSERT);
-            w.put_u32(1);
-            w.put_u8(1);
-            w.put_u64(f64::NAN.to_bits());
-            seal(KIND_UPDATE_OPS, w.buf)
-        };
+        let mut w = frame_writer();
+        w.put_u32(1);
+        w.put_u8(0); // insert
+        w.put_u32(1);
+        w.put_u8(1);
+        w.put_f64(f64::NAN);
         assert!(matches!(
-            decode_request(&nan_op).unwrap_err(),
+            decode_request(&seal(w, 3)).unwrap_err(),
             ServeError::BadFrame { .. }
         ));
     }
@@ -1413,13 +1127,26 @@ mod tests {
     #[test]
     fn unsupported_algorithm_byte_is_rejected() {
         // Hand-roll a query frame with algorithm byte 0 (Naive).
-        let mut w = BodyWriter::default();
+        let mut w = frame_writer();
         w.put_u64(4);
         w.put_u8(0);
-        let frame = seal(KIND_QUERY, w.buf);
         assert!(matches!(
-            decode_request(&frame).unwrap_err(),
+            decode_request(&seal(w, 1)).unwrap_err(),
             ServeError::BadFrame { .. }
         ));
+        // And the encoders refuse the algorithms the wire cannot name
+        // with a typed error, not a panic.
+        for a in [Algorithm::Naive, Algorithm::Esb, Algorithm::Ubb] {
+            for req in [
+                Request::Query(QuerySpec::new(3).algorithm(a)),
+                Request::QueryBatch(vec![QuerySpec::new(3), QuerySpec::new(1).algorithm(a)]),
+                Request::Subscribe(StandingSpec::new(3).algorithm(a)),
+            ] {
+                assert!(
+                    matches!(encode_request(&req), Err(ServeError::BadFrame { .. })),
+                    "{req:?}"
+                );
+            }
+        }
     }
 }

@@ -61,7 +61,7 @@ pub fn encode_dataset(w: &mut Writer, ds: &Dataset) {
         Some(labels) => {
             w.put_u8(1);
             for l in labels {
-                w.put_str(l);
+                w.put_str(l).expect("label length fits u32");
             }
         }
     }
@@ -76,7 +76,7 @@ pub fn decode_dataset(r: &mut Reader<'_>) -> Result<Dataset, StoreError> {
     if dims == 0 || dims > tkd_model::MAX_DIMS {
         return Err(r.invalid(format!("bad dimensionality {dims}")));
     }
-    let n = r.get_count(8 * (1 + dims))?; // each row needs a mask + dims values
+    let n = r.get_count_u64(8 * (1 + dims))?; // each row needs a mask + dims values
     r.align8()?;
     let mask_words = r.get_word_slab(n)?;
     let value_words = r.get_word_slab(n * dims)?;
@@ -154,9 +154,9 @@ pub fn decode_bitmap(r: &mut Reader<'_>) -> Result<BitmapIndex, StoreError> {
     let mut values = Vec::with_capacity(dims);
     let mut columns = Vec::with_capacity(dims);
     for _ in 0..dims {
-        let card = r.get_count(8)?;
+        let card = r.get_count_u64(8)?;
         let vals: Vec<f64> = r.get_words(card)?.into_iter().map(f64::from_bits).collect();
-        let ncols = r.get_count(8)?; // each column is ≥ 8 bytes (its length)
+        let ncols = r.get_count_u64(8)?; // each column is ≥ 8 bytes (its length)
         let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             cols.push(decode_bitvec(r)?);
@@ -223,18 +223,18 @@ pub fn decode_binned(r: &mut Reader<'_>) -> Result<BinnedBitmapIndex, StoreError
     let mut columns = Vec::with_capacity(dims);
     let mut probes = Vec::with_capacity(dims);
     for _ in 0..dims {
-        let nbins = r.get_count(8)?;
+        let nbins = r.get_count_u64(8)?;
         let bounds: Vec<f64> = r
             .get_words(nbins)?
             .into_iter()
             .map(f64::from_bits)
             .collect();
-        let ncols = r.get_count(8)?;
+        let ncols = r.get_count_u64(8)?;
         let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             cols.push(decode_bitvec(r)?);
         }
-        let nprobe = r.get_count(12)?; // f64 + u32 per entry
+        let nprobe = r.get_count_u64(12)?; // f64 + u32 per entry
         let mut entries = Vec::with_capacity(nprobe);
         for _ in 0..nprobe {
             let v = r.get_f64()?;
@@ -289,7 +289,7 @@ pub fn encode_pre(w: &mut Writer, n: usize, pre: &Preprocessed) {
 pub fn decode_pre(r: &mut Reader<'_>) -> Result<(usize, Preprocessed), StoreError> {
     let n = r.get_u64()?;
     let n = usize::try_from(n).map_err(|_| r.invalid("n exceeds usize"))?;
-    let qlen = r.get_count(12)?;
+    let qlen = r.get_count_u64(12)?;
     let mut queue = Vec::with_capacity(qlen);
     for _ in 0..qlen {
         let slot = r.get_u32()?;
@@ -297,7 +297,7 @@ pub fn decode_pre(r: &mut Reader<'_>) -> Result<(usize, Preprocessed), StoreErro
         let score = usize::try_from(score).map_err(|_| r.invalid("score exceeds usize"))?;
         queue.push((slot, score));
     }
-    let nsets = r.get_count(16)?; // mask u64 + bit length u64 minimum
+    let nsets = r.get_count_u64(16)?; // mask u64 + bit length u64 minimum
     let mut f_sets = HashMap::with_capacity(nsets);
     let mut last: Option<u64> = None;
     for _ in 0..nsets {
@@ -376,12 +376,12 @@ pub fn encode_dynamic(w: &mut Writer, parts: &DynamicPartsRef<'_>) {
 /// Inverse of [`encode_dynamic`].
 pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
     let next_id = r.get_u32()?;
-    let nslots = r.get_count(4)?;
+    let nslots = r.get_count_u64(4)?;
     let mut stable_of = Vec::with_capacity(nslots);
     for _ in 0..nslots {
         stable_of.push(r.get_u32()?);
     }
-    let tlen = r.get_count(4)?;
+    let tlen = r.get_count_u64(4)?;
     let mut t = Vec::with_capacity(tlen);
     for _ in 0..tlen {
         t.push(r.get_u32()?);
@@ -393,7 +393,7 @@ pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
             BinChoice::Fixed(usize::try_from(x).map_err(|_| r.invalid("bin count overflow"))?)
         }
         2 => {
-            let len = r.get_count(8)?;
+            let len = r.get_count_u64(8)?;
             let mut v = Vec::with_capacity(len);
             for _ in 0..len {
                 let x = r.get_u64()?;

@@ -26,6 +26,9 @@ pub enum Section {
     /// A cluster shard manifest (`cluster.manifest`), not a snapshot
     /// section proper but validated with the same discipline.
     Manifest,
+    /// A `tkd-serve` wire frame body, read with the same cursor
+    /// ([`crate::wire::Reader`]).
+    Frame,
 }
 
 impl fmt::Display for Section {
@@ -38,6 +41,7 @@ impl fmt::Display for Section {
             Section::Preprocessed => "preprocessed",
             Section::Dynamic => "dynamic",
             Section::Manifest => "manifest",
+            Section::Frame => "frame",
         })
     }
 }
@@ -94,6 +98,14 @@ pub enum StoreError {
         /// The violated invariant.
         reason: String,
     },
+    /// A length being *encoded* does not fit its `u32` count field —
+    /// rejected instead of truncated into a shorter, plausible value.
+    TooLarge {
+        /// What was being counted (list, string, dimension index).
+        what: &'static str,
+        /// The offending length.
+        len: u64,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -122,6 +134,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::Invalid { section, reason } => {
                 write!(f, "invalid {section} section: {reason}")
+            }
+            StoreError::TooLarge { what, len } => {
+                write!(f, "cannot encode {what} of {len}: exceeds the u32 count")
             }
         }
     }

@@ -52,7 +52,7 @@
 mod codec;
 mod error;
 mod manifest;
-mod wire;
+pub mod wire;
 
 pub use error::{Section, StoreError};
 pub use manifest::{ClusterManifest, ShardEntry, MANIFEST_MAGIC, MANIFEST_VERSION};
@@ -226,9 +226,9 @@ pub fn encode_engine(engine: &mut DynamicEngine) -> Vec<u8> {
         w.put_u64(0); // checksum, backpatched
     }
     w.put_u64(0); // header checksum, backpatched
-    debug_assert_eq!(w.len(), table_end);
+    debug_assert_eq!(w.as_bytes().len(), table_end);
     for (i, (_, section)) in KINDS.iter().enumerate() {
-        let offset = w.len();
+        let offset = w.as_bytes().len();
         debug_assert!(offset.is_multiple_of(8));
         match section {
             Section::Dataset => codec::encode_dataset(&mut w, parts.ds),
@@ -236,9 +236,11 @@ pub fn encode_engine(engine: &mut DynamicEngine) -> Vec<u8> {
             Section::BinnedIndex => codec::encode_binned(&mut w, parts.binned),
             Section::Preprocessed => codec::encode_pre(&mut w, parts.ds.len(), parts.pre),
             Section::Dynamic => codec::encode_dynamic(&mut w, &parts),
-            Section::Header | Section::Manifest => unreachable!("not a payload section"),
+            Section::Header | Section::Manifest | Section::Frame => {
+                unreachable!("not a payload section")
+            }
         }
-        let len = w.len() - offset;
+        let len = w.as_bytes().len() - offset;
         let checksum = fnv64(&w.as_bytes()[offset..]);
         let pad = len.div_ceil(8) * 8 - len;
         w.put_bytes(&[0u8; 8][..pad]);

@@ -57,7 +57,7 @@ impl ClusterManifest {
             w.put_u64(e.shard);
             w.put_u64(e.seq);
             w.put_u64(e.live);
-            w.put_str(&e.path);
+            w.put_str(&e.path).expect("path length fits u32");
         }
         let checksum = fnv64(w.as_bytes());
         w.put_u64(checksum);
@@ -91,7 +91,7 @@ impl ClusterManifest {
                 expected: MANIFEST_VERSION,
             });
         }
-        let count = r.get_count(8 * 3 + 4)?;
+        let count = r.get_count_u64(8 * 3 + 4)?;
         let mut shards = Vec::with_capacity(count);
         let mut prev: Option<u64> = None;
         for _ in 0..count {

@@ -1,11 +1,19 @@
 //! Little-endian wire primitives: an append-only [`Writer`] and a
-//! bounds-checked [`Reader`].
+//! bounds-checked [`Reader`] — the one cursor pair of the workspace.
+//! Snapshot sections and manifests (this crate) and `tkd-serve`'s
+//! network frames are all written and read through it; `tkd-serve`
+//! maps its [`StoreError`]s into its own error type in one place.
 //!
 //! Every `Reader` length check happens **before** the allocation it
 //! guards, so a hostile length field can never trigger an OOM abort —
-//! it is rejected against the bytes actually present. Word arrays
-//! (`u64` sequences, the storage of every `BitVec`) are copied in bulk
-//! from the byte buffer, never decoded bit by bit.
+//! it is rejected against the bytes actually present. Element counts
+//! come in two widths: the snapshot format's `u64`
+//! ([`Reader::get_count_u64`]) and the wire's `u32` ([`Writer::put_count`]
+//! / [`Reader::get_count`]), which refuses on encode a length it cannot
+//! carry. Word arrays (`u64` sequences, the storage of every `BitVec`)
+//! are copied in bulk from the byte buffer, never decoded bit by bit.
+//! The per-field primitives are `#[inline]` because `tkd-serve` calls
+//! them across the crate boundary once per field of every frame.
 
 use crate::error::{Section, StoreError};
 use std::sync::Arc;
@@ -39,32 +47,32 @@ impl Writer {
         &self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Append raw bytes.
+    #[inline]
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
     /// Append one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its raw IEEE bits, little-endian.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
@@ -98,10 +106,29 @@ impl Writer {
         self.buf.extend_from_slice(&[0u8; 8][..pad]);
     }
 
+    /// Append `len` as a `u32` count.
+    ///
+    /// # Errors
+    /// [`StoreError::TooLarge`] when `len` does not fit — it would
+    /// otherwise truncate into a shorter, plausible count.
+    #[inline]
+    pub fn put_count(&mut self, what: &'static str, len: usize) -> Result<(), StoreError> {
+        let n = u32::try_from(len).map_err(|_| StoreError::TooLarge {
+            what,
+            len: len as u64,
+        })?;
+        self.put_u32(n);
+        Ok(())
+    }
+
     /// Append a length-prefixed UTF-8 string (`u32` length).
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(u32::try_from(s.len()).expect("label length fits u32"));
+    ///
+    /// # Errors
+    /// [`StoreError::TooLarge`] for a string of 4 GiB or more.
+    pub fn put_str(&mut self, s: &str) -> Result<(), StoreError> {
+        self.put_count("string", s.len())?;
         self.put_bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -146,11 +173,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Fail with [`StoreError::Truncated`] unless `n` more bytes exist.
+    #[inline]
     fn need(&self, n: usize) -> Result<(), StoreError> {
         if self.remaining() < n {
             Err(StoreError::Truncated {
@@ -163,6 +192,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         self.need(n)?;
         let s = &self.buf[self.pos..self.pos + n];
@@ -171,11 +201,13 @@ impl<'a> Reader<'a> {
     }
 
     /// One byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
 
     /// A `u32`, little-endian.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
@@ -183,6 +215,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u64`, little-endian.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -190,16 +223,32 @@ impl<'a> Reader<'a> {
     }
 
     /// An `f64` from raw IEEE bits.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// A `u64` length field validated to describe at most
-    /// `remaining / elem_bytes` elements — the pre-allocation guard: a
-    /// hostile count is rejected here, before any `Vec::with_capacity`.
-    pub fn get_count(&mut self, elem_bytes: usize) -> Result<usize, StoreError> {
+    /// A `u64` count (the snapshot format's width) validated to describe
+    /// at most `remaining / elem_bytes` elements — the pre-allocation
+    /// guard: a hostile count is rejected here, before any
+    /// `Vec::with_capacity`.
+    pub fn get_count_u64(&mut self, elem_bytes: usize) -> Result<usize, StoreError> {
         let raw = self.get_u64()?;
         let count = usize::try_from(raw).map_err(|_| self.invalid("count exceeds usize"))?;
+        self.fits(count, elem_bytes)
+    }
+
+    /// A `u32` count (the wire's width), guarded like
+    /// [`Reader::get_count_u64`]: `elem_bytes` is the fewest bytes one
+    /// element can take.
+    #[inline]
+    pub fn get_count(&mut self, elem_bytes: usize) -> Result<usize, StoreError> {
+        let count = self.get_u32()? as usize;
+        self.fits(count, elem_bytes)
+    }
+
+    #[inline]
+    fn fits(&self, count: usize, elem_bytes: usize) -> Result<usize, StoreError> {
         let bytes = count
             .checked_mul(elem_bytes)
             .ok_or_else(|| self.invalid("count overflows"))?;
@@ -208,7 +257,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u64` word array of exactly `count` words (bulk copy; call
-    /// [`Reader::get_count`] first to validate the count).
+    /// [`Reader::get_count_u64`] first to validate the count).
     pub fn get_words(&mut self, count: usize) -> Result<Vec<u64>, StoreError> {
         let bytes = count
             .checked_mul(8)
@@ -258,7 +307,7 @@ impl<'a> Reader<'a> {
     pub fn get_str(&mut self) -> Result<String, StoreError> {
         let len = self.get_u32()? as usize;
         let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| self.invalid("label is not UTF-8"))
+        String::from_utf8(raw.to_vec()).map_err(|_| self.invalid("string is not UTF-8"))
     }
 
     /// Build an [`StoreError::Invalid`] for this section.
@@ -309,7 +358,8 @@ mod tests {
         w.put_u64(u64::MAX - 3);
         w.put_f64(-0.0);
         w.put_words(&[1, 2, 3]);
-        w.put_str("héllo");
+        w.put_str("héllo").unwrap();
+        w.put_count("list", 2).unwrap();
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, Section::Header);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -318,24 +368,45 @@ mod tests {
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_words(3).unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_str().unwrap(), "héllo");
+        assert_eq!(r.get_count(0).unwrap(), 2);
         r.finish().unwrap();
     }
 
     #[test]
     fn hostile_lengths_fail_before_allocation() {
-        // A count field claiming u64::MAX elements must be rejected by
-        // comparing against the bytes present, not by allocating.
+        // A count field claiming u64::MAX (or u32::MAX) elements must be
+        // rejected by comparing against the bytes present, not by
+        // allocating.
         let mut w = Writer::new();
         w.put_u64(u64::MAX);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, Section::Dataset);
-        let err = r.get_count(8).unwrap_err();
+        let err = r.get_count_u64(8).unwrap_err();
         assert!(
             matches!(
                 err,
                 StoreError::Truncated { .. } | StoreError::Invalid { .. }
             ),
             "{err:?}"
+        );
+        let mut r = Reader::new(&bytes, Section::Frame);
+        assert_eq!(
+            r.get_count(16).unwrap_err(),
+            StoreError::Truncated {
+                section: Section::Frame,
+                needed: u64::from(u32::MAX) * 16,
+                available: 4,
+            }
+        );
+        // On encode, a length the u32 count cannot carry is an error,
+        // never a silent truncation.
+        let over = u32::MAX as usize + 1;
+        assert_eq!(
+            Writer::new().put_count("list", over).unwrap_err(),
+            StoreError::TooLarge {
+                what: "list",
+                len: over as u64
+            }
         );
         // Same for string lengths.
         let mut w = Writer::new();

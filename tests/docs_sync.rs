@@ -93,6 +93,56 @@ fn relative_links_resolve() {
     }
 }
 
+/// The four `| kind | name | body |` tables of `docs/WIRE_PROTOCOL.md`
+/// (requests, responses, cluster requests, cluster responses — in that
+/// order) list exactly the codec's kinds: no row missing, none extra.
+#[test]
+fn wire_protocol_kind_tables_match_the_codec() {
+    use tkdi::serve::{ClusterRequest, ClusterResponse, Request, Response};
+    let doc = read("docs/WIRE_PROTOCOL.md");
+    let mut tables: Vec<Vec<(u8, String)>> = Vec::new();
+    let mut rows: Option<Vec<(u8, String)>> = None;
+    for line in doc.lines() {
+        if line == "| kind | name | body |" {
+            rows = Some(Vec::new());
+        } else if let Some(table) = rows.as_mut() {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            if line.starts_with("|---") {
+                continue;
+            } else if line.starts_with('|') && cells.len() >= 4 {
+                let kind = cells[1]
+                    .parse()
+                    .unwrap_or_else(|_| panic!("bad kind cell in {line:?}"));
+                table.push((kind, cells[2].trim_matches('`').to_string()));
+            } else {
+                tables.extend(rows.take());
+            }
+        }
+    }
+    tables.extend(rows);
+    let codec = [
+        ("requests", Request::KINDS),
+        ("responses", Response::KINDS),
+        ("cluster requests", ClusterRequest::KINDS),
+        ("cluster responses", ClusterResponse::KINDS),
+    ];
+    assert_eq!(
+        tables.len(),
+        codec.len(),
+        "docs/WIRE_PROTOCOL.md should have one kind table per plane direction"
+    );
+    for (doc_rows, (what, kinds)) in tables.iter().zip(codec) {
+        let kinds: Vec<(u8, String)> = kinds.iter().map(|&(k, n)| (k, n.to_string())).collect();
+        let missing: Vec<_> = kinds.iter().filter(|k| !doc_rows.contains(k)).collect();
+        let extra: Vec<_> = doc_rows.iter().filter(|r| !kinds.contains(r)).collect();
+        assert!(
+            missing.is_empty() && extra.is_empty() && doc_rows.len() == kinds.len(),
+            "docs/WIRE_PROTOCOL.md {what} table drifted from the codec:\n  \
+             missing from the doc: {missing:?}\n  not in the codec: {extra:?}"
+        );
+    }
+}
+
 /// The deep docs must not resurrect retired claims: the serving story is
 /// protocol v4 with eight request kinds, and the stale v3 phrasing the
 /// README used to carry must not reappear anywhere in the doc set.
