@@ -2,30 +2,22 @@
 //!
 //! ```text
 //! Usage: repro [--exp LIST] [--scale quick|paper] [--seed N] [--out DIR]
-//!              [--threads 1,2,4,8] [--bench-out FILE]
 //!
 //!   --exp        comma-separated subset of:
 //!                table2,fig10,table3,fig11,fig12,fig13,table4,
-//!                fig14,fig15,fig16,fig17,fig18,binopt,ablation,baseline,
-//!                perf
-//!                (default: all paper artifacts; `perf` runs only when
-//!                requested, and needs `--threads`)
+//!                fig14,fig15,fig16,fig17,fig18,binopt,ablation,baseline
+//!                (default: all of them)
 //!   --scale      quick (default) or paper (the paper's dataset sizes)
 //!   --seed       RNG seed (default 42)
 //!   --out        also write each table as CSV into DIR
-//!   --threads    with `--exp perf`: run the parallel-engine
-//!                thread-scaling grid over the given thread counts; exits
-//!                1 when a `threads: 1` row runs below 0.90x sequential
-//!   --bench-out  where `--exp perf` writes its JSON (default:
-//!                BENCH_3.json)
 //! ```
 //!
-//! Engineering numbers (builds, queries, updates, snapshots, the service,
-//! the kernels) come from the repository benchmark: `benchmark/`,
-//! `BENCHMARK.json`.
+//! Engineering numbers (builds, queries, thread scaling, updates,
+//! snapshots, the service, the kernels) come from the repository
+//! benchmark: `benchmark/`, `BENCHMARK.json`.
 
 use std::collections::BTreeSet;
-use tkd_bench::{experiments as exp, perf, table::Table, Scale, KNOWN};
+use tkd_bench::{experiments as exp, table::Table, Scale, KNOWN};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,8 +25,6 @@ fn main() {
     let mut scale = Scale::Quick;
     let mut seed = 42u64;
     let mut out_dir: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut threads: Option<Vec<usize>> = None;
 
     let mut i = 0;
     while i < args.len() {
@@ -69,26 +59,6 @@ fn main() {
                     None => usage("missing value for --out"),
                 };
             }
-            "--bench-out" => {
-                i += 1;
-                bench_out = match args.get(i) {
-                    Some(f) => Some(f.clone()),
-                    None => usage("missing value for --bench-out"),
-                };
-            }
-            "--threads" => {
-                i += 1;
-                let list = match args.get(i) {
-                    Some(l) => l,
-                    None => usage("missing value for --threads"),
-                };
-                let parsed: Result<Vec<usize>, _> =
-                    list.split(',').map(|s| s.trim().parse()).collect();
-                threads = match parsed {
-                    Ok(v) if !v.is_empty() && v.iter().all(|&t| t >= 1) => Some(v),
-                    _ => usage("--threads expects a comma-separated list of positive integers"),
-                };
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),
         }
@@ -101,17 +71,6 @@ fn main() {
                 usage(&format!("unknown experiment {name:?}"));
             }
         }
-    }
-    let wants_perf = exps.as_ref().is_some_and(|set| set.contains("perf"));
-    if threads.is_some() && !wants_perf {
-        usage("--threads requires --exp perf");
-    }
-    if wants_perf && threads.is_none() {
-        usage(
-            "--exp perf requires --threads (e.g. --threads 1,2,4); the sequential \
-             build and query timings are cells of the repository benchmark \
-             (benchmark/, workload warm-scoring)",
-        );
     }
     let want = |name: &str| exps.as_ref().is_none_or(|set| set.contains(name));
     let scale_name = match scale {
@@ -173,24 +132,6 @@ fn main() {
     if want("baseline") {
         emit(vec![exp::ablation_baseline(scale, seed)]);
     }
-    // The thread-scaling grid is opt-in: it measures this repository's
-    // parallel engine, not a paper artifact, so `--exp` must name it.
-    if let Some(ts) = &threads {
-        let (table, json, below_floor) = perf::run_threads(scale, seed, ts);
-        let bench_out = bench_out.as_deref().unwrap_or("BENCH_3.json");
-        emit(vec![table]);
-        std::fs::write(bench_out, json).expect("write perf JSON");
-        println!("(perf baseline written to {bench_out})");
-        // The one-thread gate: the artifact is written either way, so a
-        // failing run can be inspected.
-        if !below_floor.is_empty() {
-            for row in &below_floor {
-                eprintln!("error: one-thread engine slower than sequential: {row}");
-            }
-            std::process::exit(1);
-        }
-    }
-
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(&dir).expect("create output directory");
         for t in &all_tables {
@@ -221,14 +162,11 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "Usage: repro [--exp LIST] [--scale quick|paper] [--seed N] [--out DIR] \
-         [--threads 1,2,4,8] [--bench-out FILE]\n\
+        "Usage: repro [--exp LIST] [--scale quick|paper] [--seed N] [--out DIR]\n\
          experiments: {}\n\
-         --exp perf --threads LIST runs the thread-scaling grid and its \
-         one-thread gate (writes BENCH_3.json, or --bench-out FILE)\n\
-         engineering numbers (builds, queries, updates, snapshots, the \
-         service, kernels) are cells of the repository benchmark: \
-         benchmark/, BENCHMARK.json",
+         engineering numbers (builds, queries, thread scaling, updates, \
+         snapshots, the service, kernels) are cells of the repository \
+         benchmark: benchmark/, BENCHMARK.json",
         KNOWN.join(",")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

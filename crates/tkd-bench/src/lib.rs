@@ -3,10 +3,9 @@
 //!
 //! The [`experiments`] module has one entry point per paper artifact
 //! (Table 2–4, Fig. 10–18); the `repro` binary drives them and prints
-//! paper-style tables. Everything is deterministic given the seed. The one
-//! engineering measurement kept here is [`perf`]'s thread-scaling grid and
-//! its one-thread gate; every other engineering number is a cell of the
-//! repository benchmark (`benchmark/`, `BENCHMARK.json`).
+//! paper-style tables. Everything is deterministic given the seed. Every
+//! engineering number is a cell of the repository benchmark (`benchmark/`,
+//! `BENCHMARK.json`).
 //!
 //! Two scales are supported:
 //!
@@ -18,16 +17,14 @@
 
 pub mod datasets;
 pub mod experiments;
-pub mod perf;
 pub mod table;
 
-/// Every experiment name `repro --exp` accepts; the single source of truth
-/// for validation and the usage text. All but `perf` are paper artifacts
-/// and run by default; `perf` (the thread-scaling grid) runs only when
-/// named, together with `--threads`.
-pub const KNOWN: [&str; 16] = [
+/// Every experiment name `repro --exp` accepts, each a paper artifact run
+/// by default; the single source of truth for validation and the usage
+/// text.
+pub const KNOWN: [&str; 15] = [
     "table2", "fig10", "table3", "fig11", "fig12", "fig13", "table4", "fig14", "fig15", "fig16",
-    "fig17", "fig18", "binopt", "ablation", "baseline", "perf",
+    "fig17", "fig18", "binopt", "ablation", "baseline",
 ];
 
 /// Experiment scale.

@@ -17,7 +17,9 @@ fn stderr_of(out: &Output) -> String {
 
 #[test]
 fn retired_experiments_are_unknown() {
-    for name in ["updates", "persist", "serve", "load", "compare", "standing"] {
+    for name in [
+        "updates", "persist", "serve", "load", "compare", "standing", "perf",
+    ] {
         let out = repro(&["--exp", name]);
         let err = stderr_of(&out);
         assert_eq!(out.status.code(), Some(2), "--exp {name}: {err}");
@@ -26,19 +28,13 @@ fn retired_experiments_are_unknown() {
 }
 
 #[test]
-fn perf_without_threads_points_at_the_benchmark() {
-    let out = repro(&["--exp", "perf"]);
-    let err = stderr_of(&out);
-    assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(err.contains("warm-scoring"), "{err}");
-}
-
-#[test]
 fn compare_flags_are_unknown_arguments() {
-    let out = repro(&["--baseline", "x"]);
-    let err = stderr_of(&out);
-    assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(err.contains("unknown argument --baseline"), "{err}");
+    for flag in ["--baseline", "--threads", "--bench-out"] {
+        let out = repro(&[flag, "x"]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(err.contains(&format!("unknown argument {flag}")), "{err}");
+    }
 }
 
 #[test]
@@ -49,36 +45,6 @@ fn paper_artifacts_run_by_name() {
     for title in ["## Table 2", "optimal bin count"] {
         assert!(printed.contains(title), "missing {title:?} in {printed}");
     }
-}
-
-#[test]
-fn thread_grid_writes_its_artifact() {
-    let path = std::env::temp_dir().join(format!("repro_cli_{}.json", std::process::id()));
-    let path_arg = path.to_string_lossy().into_owned();
-    let out = repro(&[
-        "--exp",
-        "perf",
-        "--threads",
-        "1",
-        "--scale",
-        "quick",
-        "--bench-out",
-        &path_arg,
-    ]);
-    let err = stderr_of(&out);
-    // Exit 1 is the one-thread gate's timing verdict (the artifact is
-    // written either way); on a contended test machine it is not this
-    // test's subject, the command line is.
-    let gate_tripped =
-        out.status.code() == Some(1) && err.contains("one-thread engine slower than sequential");
-    assert!(
-        out.status.code() == Some(0) || gate_tripped,
-        "exit {:?}: {err}",
-        out.status.code()
-    );
-    let json = std::fs::read_to_string(&path).expect("artifact written");
-    let _ = std::fs::remove_file(&path);
-    assert!(json.contains("tkd-perf-threads/v1"), "{json}");
 }
 
 #[test]

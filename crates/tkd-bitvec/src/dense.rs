@@ -370,69 +370,6 @@ impl BitVec {
         }
     }
 
-    /// Borrow the whole vector as a [`BitSlice`] view.
-    #[inline]
-    pub fn as_bit_slice(&self) -> BitSlice<'_> {
-        BitSlice {
-            words: self.w(),
-            len: self.len,
-        }
-    }
-
-    /// Split into two [`BitSlice`] views at word `w` (bit `64·w`) — the
-    /// shard-view primitive of the parallel engine. The left slice holds
-    /// bits `[0, 64·w)`, the right the rest; both borrow `self`'s storage,
-    /// so no bits are copied.
-    ///
-    /// # Panics
-    /// Panics if `w` exceeds the word count.
-    pub fn split_at_word(&self, w: usize) -> (BitSlice<'_>, BitSlice<'_>) {
-        let words = self.w();
-        assert!(w <= words.len(), "word index {w} out of range");
-        let (lo, hi) = words.split_at(w);
-        let lo_bits = (w * WORD_BITS).min(self.len);
-        (
-            BitSlice {
-                words: lo,
-                len: lo_bits,
-            },
-            BitSlice {
-                words: hi,
-                len: self.len - lo_bits,
-            },
-        )
-    }
-
-    /// View of the word range `[w_lo, w_hi)` as a [`BitSlice`] — bits
-    /// `[64·w_lo, min(64·w_hi, len))`. Shards produced by word-aligned
-    /// partitioning are exactly such views, so a shard-restricted global
-    /// vector (e.g. the incomparable set `F(o)`) costs nothing to build.
-    ///
-    /// # Panics
-    /// Panics if `w_lo > w_hi` or `w_hi` exceeds the word count.
-    pub fn slice_words(&self, w_lo: usize, w_hi: usize) -> BitSlice<'_> {
-        let words = self.w();
-        assert!(w_lo <= w_hi, "inverted word range {w_lo}..{w_hi}");
-        assert!(w_hi <= words.len(), "word index {w_hi} out of range");
-        let hi_bits = (w_hi * WORD_BITS).min(self.len);
-        BitSlice {
-            words: &words[w_lo..w_hi],
-            len: hi_bits.saturating_sub(w_lo * WORD_BITS),
-        }
-    }
-
-    /// Popcount of `self AND NOT other` where `other` is a word-aligned
-    /// view (see [`BitVec::slice_words`]) of the same bit length as `self`
-    /// — routed through the wide-lane [`kernels`].
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    #[inline]
-    pub fn and_not_count_slice(&self, other: BitSlice<'_>) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        kernels::and_not_count(self.w(), other.words)
-    }
-
     /// Is every set bit of `self` also set in `other`?
     ///
     /// # Panics
@@ -465,66 +402,6 @@ impl fmt::Debug for BitVec {
     }
 }
 
-/// A borrowed, word-aligned view of a [`BitVec`] region — the shard-view
-/// type returned by [`BitVec::split_at_word`] / [`BitVec::slice_words`].
-///
-/// Views always start at a word boundary of the underlying vector, so all
-/// operations run on whole `u64` words with no shifting. Bits past `len`
-/// in the final word are guaranteed zero (they are either the parent
-/// vector's zero padding or, for interior shards of a word-aligned
-/// partition, outside the slice entirely), so popcounts are exact.
-#[derive(Clone, Copy, Debug)]
-pub struct BitSlice<'a> {
-    words: &'a [u64],
-    len: usize,
-}
-
-impl<'a> BitSlice<'a> {
-    /// Length in bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the length zero?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Raw word storage of the view.
-    #[inline]
-    pub fn as_words(&self) -> &'a [u64] {
-        self.words
-    }
-
-    /// Read bit `i` (relative to the view's start).
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        (self.words[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
-    }
-
-    /// Number of set bits.
-    #[inline]
-    pub fn count_ones(&self) -> usize {
-        kernels::popcount(self.words)
-    }
-
-    /// Iterate over the indexes of set bits (relative to the view's
-    /// start), ascending.
-    pub fn iter_ones(&self) -> Ones<'a> {
-        Ones {
-            words: self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-}
-
 // The bitmap substrate is shared read-only across query workers; these
 // compile-time assertions pin the auto-derived thread-safety so a future
 // field addition (e.g. an interior-mutability cache) cannot silently take
@@ -533,7 +410,6 @@ impl<'a> BitSlice<'a> {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<BitVec>();
-    assert_send_sync::<BitSlice<'_>>();
     assert_send_sync::<crate::Concise>();
     assert_send_sync::<crate::Wah>();
 };
@@ -732,63 +608,6 @@ mod tests {
         let z = BitVec::zeros(500);
         assert_eq!(a.iter_ones_and_not(&a).count(), 0);
         assert_eq!(z.iter_ones_and_not(&b).count(), 0);
-    }
-
-    #[test]
-    fn split_at_word_partitions_bits() {
-        let idx = vec![0usize, 31, 63, 64, 127, 128, 199];
-        let b = BitVec::from_indices(200, idx.clone());
-        for w in [0usize, 1, 2, 3, 4] {
-            let (lo, hi) = b.split_at_word(w);
-            assert_eq!(lo.len() + hi.len(), 200, "split at word {w}");
-            assert_eq!(lo.count_ones() + hi.count_ones(), idx.len());
-            let cut = w * 64;
-            let left: Vec<usize> = lo.iter_ones().collect();
-            let right: Vec<usize> = hi.iter_ones().map(|i| i + cut).collect();
-            let rebuilt: Vec<usize> = left.into_iter().chain(right).collect();
-            assert_eq!(rebuilt, idx, "split at word {w}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn split_past_end_panics() {
-        BitVec::zeros(100).split_at_word(3);
-    }
-
-    #[test]
-    fn slice_words_matches_manual_window() {
-        let b = BitVec::from_indices(300, (0..300).step_by(3));
-        let s = b.slice_words(1, 3); // bits 64..192
-        assert_eq!(s.len(), 128);
-        let expected: Vec<usize> = (0..300)
-            .step_by(3)
-            .filter(|&i| (64..192).contains(&i))
-            .map(|i| i - 64)
-            .collect();
-        assert_eq!(s.iter_ones().collect::<Vec<_>>(), expected);
-        assert_eq!(s.count_ones(), expected.len());
-        assert!(s.get(2)); // global bit 66
-                           // Final, partial-word slice: padding stays exact.
-        let tail = b.slice_words(4, 5); // bits 256..300
-        assert_eq!(tail.len(), 44);
-        assert_eq!(tail.count_ones(), (256..300).filter(|i| i % 3 == 0).count());
-        // Whole-vector view.
-        assert_eq!(b.as_bit_slice().count_ones(), b.count_ones());
-        assert!(b.slice_words(2, 2).is_empty());
-    }
-
-    #[test]
-    fn and_not_count_slice_matches_dense() {
-        let f = BitVec::from_indices(500, (0..500).step_by(6));
-        // Word-aligned shard [128, 320): compare against the dense oracle
-        // restricted to the same range.
-        let shard: Vec<usize> = (128..320).filter(|i| i % 2 == 0).map(|i| i - 128).collect();
-        let p = BitVec::from_indices(192, shard);
-        let fs = f.slice_words(2, 5);
-        assert_eq!(fs.len(), 192);
-        let expected = (128..320).filter(|i| i % 2 == 0 && i % 6 != 0).count();
-        assert_eq!(p.and_not_count_slice(fs), expected);
     }
 
     #[test]

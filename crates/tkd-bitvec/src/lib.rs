@@ -35,7 +35,7 @@ mod wah;
 mod words;
 
 pub use concise::Concise;
-pub use dense::{AndNotOnes, BitSlice, BitVec, Ones};
+pub use dense::{AndNotOnes, BitVec, Ones};
 pub use hash::fnv64;
 pub use runs::{Run, BLOCK_BITS};
 pub use tombstones::Tombstones;

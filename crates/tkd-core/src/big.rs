@@ -15,22 +15,20 @@
 //!
 //! # Where the algorithm lives
 //!
-//! BIG-Score (Algorithm 3) is written **once**, over a partition of the
-//! rows into shards: every set above is a union over the shards, so the
-//! counts are sums of per-shard terms. `big_score_over` resolves the
-//! candidate's column picks per shard, takes the Heuristic 2 decision on
-//! the cross-shard `Σ |∩ᵢ Qᵢ|`, and sums `big_term` — one shard's
-//! `|P − F| + |Q − P − nonD|`. The sequential `big_score` calls it with
-//! the context's one whole-range shard, the parallel engine
-//! ([`crate::parallel`]) with `plan.count()` shards, and a cluster worker
+//! BIG-Score (Algorithm 3) is written **once**, against one index:
+//! `big_score_over` reads the candidate's column picks off its stored
+//! value slots ([`BitmapIndex::selection_of`]), takes the Heuristic 2
+//! decision with the budgeted scan, and returns `big_term` —
+//! `|P − F| + |Q − P − nonD|`. Every in-process engine scores through it:
+//! the sequential [`big_with_scratch`], and the parallel paths
+//! ([`crate::engine::ParallelEngine`], [`crate::TkdQuery::threads`],
+//! [`crate::DynamicEngine::query_threads`]), which split the queue across
+//! workers over the same index and merge by replay ([`crate::parallel`]),
+//! so entries, scores, tie order **and**, with one thread, every
+//! `PruneStats` counter agree. A cluster worker
 //! ([`crate::DynamicEngine::big_partial`]) calls the term alone against
-//! the engine hosting its shard. The traversal (Algorithm 4) is `crate::topk`'s `walk`.
-//!
-//! The one-shard case *is* the sequential algorithm, not a twin of it:
-//! same column picks (a member's stored value slots,
-//! [`BitmapIndex::selection_of`]), same budgeted scan, same residue loop,
-//! so entries, scores, tie order **and** every `PruneStats` counter agree
-//! with `threads = 1, shards = 1` of any engine.
+//! the engine hosting its shard. The traversal (Algorithm 4) is
+//! `crate::topk`'s `walk`.
 //!
 //! The scoring path is **allocation-free** after context build: Heuristic 2
 //! is a fused multi-way AND-popcount that materializes nothing
@@ -46,7 +44,7 @@ use crate::result::TkdResult;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
-use tkd_bitvec::{BitSlice, BitVec};
+use tkd_bitvec::BitVec;
 use tkd_index::{BitmapIndex, BitmapIndexBuilder};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
@@ -65,7 +63,7 @@ impl<'a> BigContext<'a> {
     /// Each dimension is sorted once: the same column feeds the index and
     /// the queue.
     pub fn build(ds: &'a Dataset) -> Self {
-        let mut index = BitmapIndexBuilder::new(ds.dims(), 0, ds.len());
+        let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         BigContext {
             ds,
@@ -148,167 +146,81 @@ pub fn big_with_scratch(ctx: &BigContext<'_>, k: usize, scratch: &mut ScratchSpa
     walk(ctx.pre.queue(), k, |o, tau| big_score(ctx, o, tau, scratch))
 }
 
-/// BIG-Score (Algorithm 3) against the context's one whole-range shard.
-/// [`Outcome::PrunedBitmap`] when Heuristic 2 discards `o` (its exact score
-/// is then never computed).
+/// BIG-Score (Algorithm 3) against the context's index.
 pub(crate) fn big_score(
     ctx: &BigContext<'_>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
-    big_score_over(
-        ctx.ds,
-        std::slice::from_ref(&ctx.index),
-        &ctx.pre,
-        o,
-        tau,
-        std::slice::from_mut(scratch),
-    )
+    big_score_over(ctx.ds, &ctx.index, &ctx.pre, o, tau, scratch)
 }
 
-/// What one shard's term needs to know about the candidate being scored.
+/// What the scoring terms need to know about the candidate being scored.
 #[derive(Clone, Copy)]
 pub(crate) struct Candidate<'a> {
     /// The candidate's observed dimensions.
     pub(crate) mask: DimMask,
-    /// Its row in this shard, when it lives there (its own bit is then
+    /// Its row in the index, when it lives there (its own bit is then
     /// excluded from its score).
     pub(crate) member: Option<usize>,
-    /// `F(o)` over this shard's rows: those observing no dimension in
-    /// common with the candidate.
-    pub(crate) f: BitSlice<'a>,
-}
-
-/// Row of global object `o` in the shard covering ids `[lo, lo + n)`,
-/// `None` when it lives elsewhere.
-pub(crate) fn member_row(o: ObjectId, lo: usize, n: usize) -> Option<usize> {
-    (o as usize).checked_sub(lo).filter(|&row| row < n)
+    /// `F(o)`: the rows observing no dimension in common with the
+    /// candidate.
+    pub(crate) f: &'a BitVec,
 }
 
 impl<'a> Candidate<'a> {
-    /// Object `o` of `ds` as seen from the shard covering the global ids
-    /// `[lo, lo + n)` — a word-aligned range, so the shard's view of the
-    /// global `f = F(o)` is a plain word slice — together with that shard's
-    /// window of row masks.
-    pub(crate) fn of_object(
-        ds: &'a Dataset,
-        f: &'a BitVec,
-        o: ObjectId,
-        lo: usize,
-        n: usize,
-    ) -> (Self, &'a [DimMask]) {
-        let cand = Candidate {
+    /// Member `o` of `ds`, with its incomparable set from `pre`.
+    pub(crate) fn member(ds: &Dataset, pre: &'a Preprocessed, o: ObjectId) -> Self {
+        Candidate {
             mask: ds.mask(o),
-            member: member_row(o, lo, n),
-            f: f.slice_words(lo / 64, (lo + n).div_ceil(64)),
-        };
-        (cand, &ds.masks()[lo..lo + n])
+            member: Some(o as usize),
+            f: pre.f_of(ds, o),
+        }
     }
 }
 
-/// BIG-Score (Algorithm 3) of object `o` over a partition of `ds`'s rows
-/// into `shards` (one [`ScratchSpace`] each): cross-shard Heuristic 2 on
-/// `tau`, then the exact score as the sum of the per-shard terms.
+/// BIG-Score (Algorithm 3) of member `o` of `ds` against `index`:
+/// Heuristic 2 on `tau`, then the exact score. [`Outcome::PrunedBitmap`]
+/// when Heuristic 2 discards `o` (its exact score is then never computed).
 /// Allocation-free.
 pub(crate) fn big_score_over(
     ds: &Dataset,
-    shards: &[Cow<'_, BitmapIndex>],
+    index: &BitmapIndex,
     pre: &Preprocessed,
     o: ObjectId,
     tau: Option<usize>,
-    scratch: &mut [ScratchSpace],
+    scratch: &mut ScratchSpace,
 ) -> Outcome {
-    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
-        // The home shard reads o's stored slots; the others search o's
-        // values in their own tables.
-        sc.sel = match member_row(o, shard.base(), shard.n()) {
-            Some(row) => shard.selection_of(row),
-            None => shard.select_for(|d| ds.value(o, d)),
-        };
-    }
+    scratch.sel = index.selection_of(o as usize);
     // Heuristic 2 — bitmap pruning on the tight bound. The raw
-    // intersections count o's own bit once, in its home shard, so
-    // `MaxBitScore(o) ≤ τ` reads `Σⱼ |∩ᵢ Qᵢ|ⱼ ≤ τ + 1`. The common case
-    // (pruned) reads a fraction of one pass and writes nothing; survivors
-    // re-intersect in the terms below — redundant, but survivors enter the
-    // candidate set by construction, so there are at most ~k of them per τ
-    // value.
-    if matches!(tau, Some(tau) if !q_count_exceeds(shards, scratch, tau + 1)) {
+    // intersection counts o's own bit, so `MaxBitScore(o) ≤ τ` reads
+    // `|∩ᵢ Qᵢ| ≤ τ + 1`. The common case (pruned) reads a fraction of one
+    // pass and writes nothing; survivors re-intersect in the term below —
+    // redundant, but survivors enter the candidate set by construction, so
+    // there are at most ~k of them per τ value.
+    if matches!(tau, Some(tau) if index.q_count_selected_above(&scratch.sel, tau + 1).is_none()) {
         return Outcome::PrunedBitmap;
     }
-    let f = pre.f_of(ds, o);
-    let mut score = 0usize;
-    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
-        let (cand, row_masks) = Candidate::of_object(ds, f, o, shard.base(), shard.n());
-        score += big_term(shard, row_masks, &cand, sc);
-    }
-    Outcome::Score(score)
+    let cand = Candidate::member(ds, pre, o);
+    Outcome::Score(big_term(index, ds.masks(), &cand, scratch))
 }
 
-/// Is `Σⱼ |∩ᵢ columns[i][sel.q[i]]|ⱼ > limit` over the shards' resolved
-/// selections? Shards exchange budget through the running total: cheap
-/// per-shard upper bounds skip whole shards, and the blockwise early exit
-/// inside [`BitmapIndex::q_count_selected_above`] stops a scan as soon as
-/// the global decision is certain either way.
-fn q_count_exceeds(
-    shards: &[Cow<'_, BitmapIndex>],
-    scratch: &[ScratchSpace],
-    limit: usize,
-) -> bool {
-    let upper_bounds = || {
-        shards
-            .iter()
-            .zip(scratch)
-            .map(|(shard, sc)| shard.q_selected_upper_bound(&sc.sel))
-    };
-    let mut ub_rest: usize = upper_bounds().sum();
-    let mut acc = 0usize;
-    for ((shard, sc), ub) in shards.iter().zip(scratch).zip(upper_bounds()) {
-        ub_rest -= ub;
-        if acc + ub + ub_rest <= limit {
-            return false;
-        }
-        // Remaining budget for this shard such that `count ≤ budget`
-        // certifies `Σ counts ≤ limit`. When later shards' upper bounds
-        // already exceed `limit − acc` the true budget is negative — no
-        // certificate is possible and a `None` from the capped scan merely
-        // means this shard counts 0 (pruning on it would be unsound;
-        // `acc ≤ limit` here, so `limit − acc` is safe).
-        let budget = (limit - acc).checked_sub(ub_rest);
-        match shard.q_count_selected_above(&sc.sel, budget.unwrap_or(0)) {
-            // This shard provably fits the remaining budget: the global
-            // count cannot exceed `limit`.
-            None if budget.is_some() => return false,
-            // Negative true budget: `None` only says `count == 0`.
-            None => {}
-            Some(c) => {
-                acc += c;
-                if acc > limit {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// One shard's term of BIG-Score: how many of the shard's rows the
-/// candidate dominates, `|P − F| + |Q − P − nonD|`, against the selection
-/// resolved in `scratch.sel`. `row_masks[r]` is the observation mask of the
-/// shard's row `r`.
+/// BIG-Score's term: how many of the index's rows the candidate
+/// dominates, `|P − F| + |Q − P − nonD|`, against the selection resolved
+/// in `scratch.sel`. `row_masks[r]` is the observation mask of row `r`.
 pub(crate) fn big_term(
-    shard: &BitmapIndex,
+    index: &BitmapIndex,
     row_masks: &[DimMask],
     cand: &Candidate<'_>,
     scratch: &mut ScratchSpace,
 ) -> usize {
     let ScratchSpace { q, p, sel, .. } = scratch;
-    shard.q_into_selected(sel, cand.member, q);
-    shard.p_into_selected(sel, p);
+    index.q_into_selected(sel, cand.member, q);
+    index.p_into_selected(sel, p);
     // G(o) = P − F(o) = |P ∧ ¬F|: strictly-worse-or-missing everywhere,
     // comparable.
-    let g = p.and_not_count_slice(cand.f);
+    let g = p.and_not_count(cand.f);
     // Q − P: candidates for nonD(o) — they tie o somewhere. Enumerated
     // fused off the scratch buffers; |Q − P| is counted along the way.
     let mut q_minus_p = 0usize;
@@ -321,7 +233,7 @@ pub(crate) fn big_term(
         // equal values — to the same non-zero slot.
         let all_equal = cand.mask.and(row_masks[row]).iter().all(|d| {
             let slot = sel.eq_slot(d);
-            slot != 0 && slot == shard.value_slot(row, d)
+            slot != 0 && slot == index.value_slot(row, d)
         });
         if all_equal {
             non_d += 1;

@@ -5,12 +5,11 @@
 //!
 //! A dominating score is a sum of pairwise comparisons, so for *any*
 //! partition of the live rows into shards, `score(o) = Σⱼ partialⱼ(o)`
-//! where `partialⱼ(o)` counts the shard-j rows `o` dominates. The
-//! [`parallel`](crate::parallel) module exploits this inside one address
-//! space by slicing global bit vectors per shard; a shard's
-//! [`DynamicEngine`](crate::DynamicEngine) runs the **same per-shard
-//! terms** — [`crate::big`]'s `big_term`, [`crate::ibig`]'s `ibig_term` —
-//! from **local state only**: the indexes it maintains under updates
+//! where `partialⱼ(o)` counts the shard-j rows `o` dominates. A shard's
+//! [`DynamicEngine`](crate::DynamicEngine) runs the **same terms** the
+//! in-process engines score with — [`crate::big`]'s `big_term`,
+//! [`crate::ibig`]'s `ibig_term` — against its own index, from **local
+//! state only**: the indexes it maintains under updates
 //! anyway, its live-aware incomparable windows, and its own scratch. So a
 //! shard worker in another process needs nothing global to score a
 //! candidate shipped as raw dimension values, keeps no second copy of its
@@ -64,12 +63,91 @@ pub fn shard_rows(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
 mod tests {
     use super::*;
     use crate::dynamic::DynamicEngine;
-    use crate::parallel::ShardPlan;
     use crate::preprocess::Preprocessed;
     use crate::query::{Algorithm, TkdQuery};
     use crate::result::TkdResult;
     use crate::topk::walk;
     use tkd_model::fixtures;
+
+    /// A word-aligned partition of the id space into contiguous shards:
+    /// interior boundaries are multiples of 64.
+    #[derive(Clone, Debug)]
+    struct ShardPlan {
+        /// Shard start offsets; `starts[0] = 0`, `starts[count] = n`.
+        starts: Vec<usize>,
+    }
+
+    impl ShardPlan {
+        /// Partition `n` objects into (at most) `shards` word-aligned,
+        /// balanced, non-empty shards (an empty dataset yields one empty
+        /// shard).
+        fn new(n: usize, shards: usize) -> Self {
+            let words = n.div_ceil(64);
+            let count = shards.clamp(1, words.max(1));
+            let (base, rem) = (words / count, words % count);
+            let mut starts = vec![0];
+            let mut w = 0usize;
+            for j in 0..count {
+                w += base + usize::from(j < rem);
+                starts.push((w * 64).min(n));
+            }
+            ShardPlan { starts }
+        }
+
+        fn count(&self) -> usize {
+            self.starts.len() - 1
+        }
+
+        fn lo(&self, j: usize) -> usize {
+            self.starts[j]
+        }
+
+        fn hi(&self, j: usize) -> usize {
+            self.starts[j + 1]
+        }
+
+        /// Local id of global `id` within shard `j`, `None` when outside.
+        fn local_of(&self, j: usize, id: usize) -> Option<usize> {
+            (self.lo(j)..self.hi(j))
+                .contains(&id)
+                .then(|| id - self.lo(j))
+        }
+    }
+
+    #[test]
+    fn shard_plan_is_word_aligned_and_covers() {
+        for (n, shards) in [
+            (0usize, 4usize),
+            (1, 1),
+            (1, 8),
+            (63, 2),
+            (64, 2),
+            (65, 2),
+            (1000, 3),
+            (1000, 7),
+            (1000, 1),
+            (130, 100),
+        ] {
+            let p = ShardPlan::new(n, shards);
+            assert!(p.count() >= 1);
+            assert_eq!(p.lo(0), 0);
+            assert_eq!(p.hi(p.count() - 1), n, "n={n} shards={shards}");
+            for j in 0..p.count() {
+                assert!(p.lo(j) < p.hi(j) || n == 0, "empty shard {j} (n={n})");
+                assert_eq!(p.lo(j) % 64, 0, "unaligned shard start");
+                if j + 1 < p.count() {
+                    assert_eq!(p.hi(j), p.lo(j + 1));
+                }
+            }
+            for id in 0..n {
+                let homes: Vec<usize> = (0..p.count())
+                    .filter(|&j| p.local_of(j, id).is_some())
+                    .collect();
+                assert_eq!(homes.len(), 1, "id {id} (n={n})");
+                assert_eq!(p.lo(homes[0]) + p.local_of(homes[0], id).unwrap(), id);
+            }
+        }
+    }
 
     fn mix(seed: &mut u64) -> u64 {
         *seed = seed.wrapping_add(0x9E3779B97F4A7C15);
@@ -211,9 +289,21 @@ mod tests {
         })
     }
 
+    /// 64 loose-`MaxScore` decoys `(0, 100)` ahead of the real winner
+    /// `(1, 1)` at row 64, which dominates the 63 `(2, 2)` rows behind it.
+    /// Cut at 2 shards the decoys fill shard 0 and set τ = 0 while the
+    /// winner's `Q` is empty there and 63 in shard 1 — the case on which a
+    /// cross-shard Heuristic 2 once dropped the true top-1.
+    fn budget_saturation_dataset() -> Dataset {
+        let mut rows = vec![vec![Some(0.0), Some(100.0)]; 64];
+        rows.push(vec![Some(1.0), Some(1.0)]);
+        rows.extend(std::iter::repeat_n(vec![Some(2.0), Some(2.0)], 63));
+        Dataset::from_rows(2, &rows).expect("valid rows")
+    }
+
     #[test]
     fn reference_drive_matches_sequential_engines() {
-        let mut datasets = vec![fixtures::fig3_sample()];
+        let mut datasets = vec![fixtures::fig3_sample(), budget_saturation_dataset()];
         for missing in [10u64, 30, 60] {
             datasets.push(random_dataset(4000 + missing, 60, 3, missing));
         }

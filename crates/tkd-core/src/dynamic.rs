@@ -30,10 +30,9 @@
 //! sequences × missing rates × {BIG, IBIG} × thread counts.
 //!
 //! Queries run through the **unchanged** scorers: BIG-Score /
-//! IBIG-Score over borrowed one-shard contexts
-//! ([`BigContext::from_prebuilt`], [`IbigContext::from_prebuilt_dense`]),
-//! driven by the one replay driver of [`crate::parallel`] — with one
-//! thread that *is* the sequential walk of
+//! IBIG-Score against the maintained indexes (the same scorer
+//! [`crate::ParallelEngine`] runs), driven by the one replay driver of
+//! [`crate::parallel`] — with one thread that *is* the sequential walk of
 //! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`],
 //! with more the workers split the candidate queue and merge by replay —
 //! and a full-space standing query is answered by that same
@@ -57,10 +56,11 @@
 //! compaction**: results and the mutation API speak stable ids, and the
 //! internal slot renumbering is invisible.
 
-use crate::big::{self, big_term, BigContext, Candidate};
-use crate::ibig::{self, ibig_term, IbigContext, IbigShard};
+use crate::big::{big_term, Candidate};
+use crate::engine::scorer;
+use crate::ibig::{ibig_term, IbigIndex};
 use crate::maxscore::t_counts;
-use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
+use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::{ResultEntry, TkdResult};
@@ -931,8 +931,8 @@ impl DynamicEngine {
 
     /// Answer a query with `threads` workers cooperating on the candidate
     /// queue and merging by replay (identical results to
-    /// [`DynamicEngine::query`] — the same differential guarantee the
-    /// static parallel engine carries; every worker scores against the
+    /// [`DynamicEngine::query`] — the same differential guarantee
+    /// [`crate::ParallelEngine`] carries; every worker scores against the
     /// one maintained index, whose live-aware paths keep tombstoned slots
     /// out of every count).
     ///
@@ -949,7 +949,8 @@ impl DynamicEngine {
         self.refresh();
         let threads = threads.max(1);
         self.fit_scratch(threads);
-        let scorer = scorer(&self.ds, &self.index, &self.binned, &self.pre, q.algorithm);
+        let binned = IbigIndex::<Concise>::dense(&self.binned);
+        let scorer = scorer(&self.ds, &self.index, &binned, &self.pre, q.algorithm);
         let queue = self.pre.queue();
         let slots = new_slots(slots_needed(threads, queue.len()));
         let result = run_replay(queue, q.k, &mut self.scratch[..threads], &slots, scorer);
@@ -971,9 +972,10 @@ impl DynamicEngine {
     }
 
     /// Answer a batch of concurrent queries against the live state —
-    /// the coalescing path of the network server: the borrowed
-    /// single-shard contexts are built **once** per batch (O(1) in the
-    /// dataset) and the batch fans out worker-per-query through
+    /// the coalescing path of the network server: a
+    /// [`crate::ParallelEngine`] borrowing the maintained indexes is made
+    /// **once** per batch (O(1) in the dataset) and the batch fans out
+    /// worker-per-query through
     /// [`crate::ParallelEngine::query_many`]. Results come back in
     /// batch order, each bit-identical (entries, scores, tie order) to
     /// running [`DynamicEngine::query`] alone, and entry ids are
@@ -1064,7 +1066,7 @@ impl DynamicEngine {
         self.fit_scratch(1);
         let scratch = &mut self.scratch[0];
         scratch.bin_sel = self.binned.select_for(|d| values[d]);
-        IbigShard::<Concise>::dense(&self.binned).fill_q(scratch)
+        IbigIndex::<Concise>::dense(&self.binned).fill_q(scratch)
     }
 
     /// BIG phase 2: how many of this engine's live rows the candidate
@@ -1102,7 +1104,7 @@ impl DynamicEngine {
         self.ibig_q_count(values);
         let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
         let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
-        let shard = IbigShard::<Concise>::dense(&self.binned);
+        let shard = IbigIndex::<Concise>::dense(&self.binned);
         let value = |d: usize| values[d].expect("masked dimension is observed");
         let scratch = &mut self.scratch[0];
         let mut unlimited = usize::MAX;
@@ -1184,15 +1186,14 @@ impl DynamicEngine {
         } = parts;
         let dims = ds.dims();
         let n = ds.len();
-        if index.n() != n || index.dims() != dims || index.base() != 0 {
+        if index.n() != n || index.dims() != dims {
             return Err(format!(
-                "bitmap index shape ({} × {}, base {}) disagrees with the dataset ({n} × {dims})",
+                "bitmap index shape ({} × {}) disagrees with the dataset ({n} × {dims})",
                 index.n(),
-                index.dims(),
-                index.base()
+                index.dims()
             ));
         }
-        if binned.n() != n || binned.dims() != dims || binned.base() != 0 {
+        if binned.n() != n || binned.dims() != dims {
             return Err(format!(
                 "binned index shape ({} × {}) disagrees with the dataset ({n} × {dims})",
                 binned.n(),
@@ -1370,9 +1371,9 @@ impl DynamicEngine {
         };
         // One sort per dimension: the same column feeds both indexes and
         // the exact `|Tᵢ|` table.
-        let mut pair = IndexPairBuilder::new(&bins, 0, n);
+        let mut pair = IndexPairBuilder::new(&bins, n);
         self.t = vec![T_UNOBSERVED; n * dims];
-        for_each_sorted_column(ds, 0, n, |d, column| {
+        for_each_sorted_column(ds, |d, column| {
             pair.push_dim(d, column);
             for (o, t_d) in t_counts(column, n) {
                 self.t[o as usize * dims + d] = t_d as u32;
@@ -1518,30 +1519,7 @@ fn shard_candidate<'a>(
             .entry(mask.bits())
             .or_insert_with(|| incomparable_window(ds, live, mask)),
     };
-    Candidate {
-        mask,
-        member,
-        f: f.as_bit_slice(),
-    }
-}
-
-/// BIG-Score or IBIG-Score over the maintained artifacts, lent wholesale
-/// into the unchanged one-shard scorers (nothing is built: both contexts
-/// are borrows).
-fn scorer<'a>(
-    ds: &'a Dataset,
-    index: &'a BitmapIndex,
-    binned: &'a BinnedBitmapIndex,
-    pre: &'a Preprocessed,
-    algorithm: Algorithm,
-) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 'a {
-    let big = BigContext::from_prebuilt(ds, index, pre);
-    let ibig: IbigContext<'a, Concise> = IbigContext::from_prebuilt_dense(ds, binned, pre);
-    move |o, tau, scratch| match algorithm {
-        Algorithm::Big => big::big_score(&big, o, tau, scratch),
-        Algorithm::Ibig => ibig::ibig_score(&ibig, o, tau, scratch),
-        other => unreachable!("the dynamic engine serves BIG/IBIG, got {other:?}"),
-    }
+    Candidate { mask, member, f }
 }
 
 #[cfg(test)]

@@ -1,17 +1,20 @@
-//! [`ParallelEngine`] — a multi-user query-serving facade over the
-//! sharded execution layer of [`crate::parallel`].
+//! [`ParallelEngine`] — a multi-user query-serving facade over the replay
+//! driver of [`crate::parallel`].
 //!
-//! The engine pays preprocessing and (sharded) index construction **once**
-//! per dataset and then serves any number of queries against it:
+//! The engine pays preprocessing and index construction **once** per
+//! dataset — one sort per dimension feeds the `MaxScore` queue, the exact
+//! index and the binned index — and then serves any number of queries
+//! against it:
 //!
 //! * [`ParallelEngine::query`] parallelizes **within** one query: all
-//!   worker threads cooperate on the candidate queue, exchanging the
-//!   shared pruning threshold τ (see the [`crate::parallel`] docs).
+//!   worker threads split the candidate queue over the one index,
+//!   exchanging the shared pruning threshold τ (see the
+//!   [`crate::parallel`] docs).
 //! * [`ParallelEngine::query_many`] parallelizes **across** a batch of
 //!   concurrent queries — the multi-user serving shape: each worker
 //!   drains queries from the batch and runs them sequentially against the
-//!   shared contexts, so context build is amortized over the whole batch
-//!   and per-query overhead is one pooled scratch checkout.
+//!   shared index, so the build is amortized over the whole batch and
+//!   per-query overhead is one pooled scratch checkout.
 //!
 //! Worker scratches and slot buffers are recycled through an internal
 //! pool, so after a warm-up query the engine performs a small constant
@@ -20,21 +23,25 @@
 //!
 //! Every algorithm routes to an implementation that is score- and
 //! order-identical to the corresponding single-threaded function: BIG and
-//! IBIG through the replay-merged parallel engines, Naive/ESB/UBB through
-//! the sequential reference implementations (reusing the engine's
-//! `MaxScore` queue where applicable).
+//! IBIG through the replay-merged scorers — the same `scorer` the
+//! dynamic engine's [`crate::DynamicEngine::query_threads`] runs —
+//! Naive/ESB/UBB through the sequential reference implementations
+//! (reusing the engine's `MaxScore` queue where applicable).
 
-use crate::parallel::{
-    build_context_pair, new_slots, run_replay, slots_needed, Outcome, ShardedBigContext,
-    ShardedIbigContext, WorkerScratch,
-};
+use crate::big::big_score_over;
+use crate::ibig::{ibig_score_over, IbigIndex};
+use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
 use crate::preprocess::Preprocessed;
 use crate::query::{shuffle_ties, Algorithm, TieBreak};
 use crate::result::TkdResult;
+use crate::scratch::ScratchSpace;
 use crate::{esb, naive, ubb};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tkd_model::Dataset;
+use tkd_bitvec::Concise;
+use tkd_index::{BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
+use tkd_model::{Dataset, ObjectId};
 
 /// One query of a multi-user batch: `k`, the algorithm to answer it with,
 /// and the tie handling among candidates sharing the k-th score.
@@ -43,7 +50,7 @@ pub struct EngineQuery {
     /// How many dominating objects to return.
     pub k: usize,
     /// Which algorithm answers the query (all five are score-identical;
-    /// BIG/IBIG run on the engine's sharded contexts).
+    /// BIG/IBIG run on the engine's prebuilt indexes).
     pub algorithm: Algorithm,
     /// Tie handling (see [`TieBreak`]).
     pub tie: TieBreak,
@@ -72,39 +79,50 @@ impl EngineQuery {
     }
 }
 
+/// BIG-Score or IBIG-Score of a member of `ds` against one index pair and
+/// its preprocessing — the scorer both parallel paths hand
+/// [`run_replay`]: [`ParallelEngine`] over the indexes it built, and
+/// [`crate::DynamicEngine::query_threads`] over the ones it maintains.
+pub(crate) fn scorer<'s>(
+    ds: &'s Dataset,
+    index: &'s BitmapIndex,
+    binned: &'s IbigIndex<'s, Concise>,
+    pre: &'s Preprocessed,
+    algorithm: Algorithm,
+) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 's {
+    move |o, tau, scratch| match algorithm {
+        Algorithm::Big => big_score_over(ds, index, pre, o, tau, scratch),
+        Algorithm::Ibig => ibig_score_over(ds, binned, pre, o, tau, scratch),
+        other => unreachable!("the replayed paths serve BIG/IBIG, got {other:?}"),
+    }
+}
+
 /// Reusable per-query resources, recycled through [`ParallelEngine`]'s
 /// pool.
 struct Pool {
-    workers: Mutex<Vec<WorkerScratch>>,
+    scratch: Mutex<Vec<ScratchSpace>>,
     slots: Mutex<Vec<Vec<AtomicU64>>>,
 }
 
 impl Pool {
     fn new() -> Self {
         Pool {
-            workers: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
             slots: Mutex::new(Vec::new()),
         }
     }
 
-    fn take_workers(&self, n: usize, make: impl Fn() -> WorkerScratch) -> Vec<WorkerScratch> {
-        let mut pool = self.workers.lock().expect("worker pool");
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match pool.pop() {
-                Some(w) => out.push(w),
-                None => break,
-            }
-        }
+    fn take_scratch(&self, count: usize, n: usize) -> Vec<ScratchSpace> {
+        let mut pool = self.scratch.lock().expect("scratch pool");
+        let keep = pool.len().saturating_sub(count);
+        let mut out = pool.split_off(keep);
         drop(pool);
-        while out.len() < n {
-            out.push(make());
-        }
+        out.resize_with(count, || ScratchSpace::new(n));
         out
     }
 
-    fn put_workers(&self, ws: Vec<WorkerScratch>) {
-        self.workers.lock().expect("worker pool").extend(ws);
+    fn put_scratch(&self, scratch: Vec<ScratchSpace>) {
+        self.scratch.lock().expect("scratch pool").extend(scratch);
     }
 
     fn take_slots(&self, n: usize) -> Vec<AtomicU64> {
@@ -130,7 +148,6 @@ impl Pool {
 pub struct EngineBuilder<'a> {
     ds: &'a Dataset,
     threads: Option<usize>,
-    shards: Option<usize>,
     bins: Option<Vec<usize>>,
 }
 
@@ -142,14 +159,7 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// Shard count (default: the thread count). Clamped internally so no
-    /// shard is empty.
-    pub fn shards(mut self, s: usize) -> Self {
-        self.shards = Some(s.max(1));
-        self
-    }
-
-    /// Per-dimension bin counts for the IBIG context (default: the Eq. 8
+    /// Per-dimension bin counts for the IBIG index (default: the Eq. 8
     /// optimum on every dimension).
     ///
     /// # Panics
@@ -160,9 +170,9 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// Build the engine: one `Preprocessed` pass plus the sharded BIG and
-    /// IBIG contexts (shard builds run in parallel; each shard's sorted
-    /// columns feed both of its indexes).
+    /// Build the engine in one sweep per dimension: each sorted column
+    /// feeds the `MaxScore` queue, the exact index and the binned index,
+    /// whose columns are then compressed.
     pub fn build(self) -> ParallelEngine<'a> {
         let ds = self.ds;
         let threads = self.threads.unwrap_or_else(|| {
@@ -170,38 +180,41 @@ impl<'a> EngineBuilder<'a> {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let shards = self.shards.unwrap_or(threads);
         let bins = self.bins.unwrap_or_else(|| {
             let x = tkd_index::cost::optimal_bins(ds.len(), tkd_model::stats::missing_rate(ds));
             vec![x; ds.dims()]
         });
         assert_eq!(bins.len(), ds.dims(), "one bin count per dimension");
-        let (big, ibig) = build_context_pair(ds, &bins, shards);
+        let mut pair = IndexPairBuilder::new(&bins, ds.len());
+        let pre = Preprocessed::build_sharing(ds, |dim, column| pair.push_dim(dim, column));
+        let (index, binned) = pair.finish();
         ParallelEngine {
             ds,
             threads,
-            big,
-            ibig,
+            index: Cow::Owned(index),
+            binned: IbigIndex::compressed(binned),
+            pre: Cow::Owned(pre),
             pool: Pool::new(),
         }
     }
 }
 
-/// A query-serving engine: sharded contexts built once, queries answered
-/// with within-query parallelism ([`ParallelEngine::query`]) or batched
+/// A query-serving engine: one exact index, one compressed binned index
+/// and one `MaxScore` queue built once, queries answered with
+/// within-query parallelism ([`ParallelEngine::query`]) or batched
 /// across-query parallelism ([`ParallelEngine::query_many`]). See the
 /// [module docs](self).
 pub struct ParallelEngine<'a> {
     ds: &'a Dataset,
     threads: usize,
-    big: ShardedBigContext<'a>,
-    ibig: ShardedIbigContext<'a>,
+    index: Cow<'a, BitmapIndex>,
+    binned: IbigIndex<'a, Concise>,
+    pre: Cow<'a, Preprocessed>,
     pool: Pool,
 }
 
 impl<'a> ParallelEngine<'a> {
-    /// Build with defaults: threads = available parallelism, shards =
-    /// threads, Eq. 8 bins.
+    /// Build with defaults: threads = available parallelism, Eq. 8 bins.
     pub fn build(ds: &'a Dataset) -> Self {
         Self::builder(ds).build()
     }
@@ -211,38 +224,30 @@ impl<'a> ParallelEngine<'a> {
         EngineBuilder {
             ds,
             threads: None,
-            shards: None,
             bins: None,
         }
     }
 
-    /// Borrow a serving engine from prebuilt artifacts — the maintained
-    /// state of a [`crate::DynamicEngine`] — without recomputing
-    /// preprocessing or index construction. This is the coalescing hook
-    /// of the network server: between update batches it lets a batch of
-    /// small queries run through [`ParallelEngine::query_many`] against
-    /// the live dynamic store.
-    ///
-    /// The contexts are single-shard borrows (the same shape
-    /// [`crate::DynamicEngine::query_threads`] uses), so construction is
-    /// O(1) in the dataset size. Entry ids are **slot** ids; callers
-    /// serving a dynamic engine must map them through its stable-id
-    /// table. When the index carries tombstones, only
-    /// [`Algorithm::Big`] and [`Algorithm::Ibig`] see the live mask —
-    /// restrict queries to those two (the reference algorithms scan the
-    /// raw dataset, dead slots included).
-    pub fn from_prebuilt(
+    /// Borrow a serving engine from the maintained state of a
+    /// [`crate::DynamicEngine`] — nothing is built or copied — so that
+    /// [`crate::DynamicEngine::query_many`] can fan a batch out through
+    /// [`ParallelEngine::query_many`]. Entry ids are **slot** ids, and
+    /// only BIG/IBIG see the index's live mask (the reference algorithms
+    /// would count tombstoned slots).
+    pub(crate) fn from_prebuilt(
         ds: &'a Dataset,
-        index: &'a tkd_index::BitmapIndex,
-        binned: &'a tkd_index::BinnedBitmapIndex,
+        index: &'a BitmapIndex,
+        binned: &'a BinnedBitmapIndex,
         pre: &'a Preprocessed,
         threads: usize,
     ) -> Self {
+        assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
         ParallelEngine {
             ds,
             threads: threads.max(1),
-            big: ShardedBigContext::from_prebuilt(ds, index, pre),
-            ibig: ShardedIbigContext::from_prebuilt_dense(ds, binned, pre),
+            index: Cow::Borrowed(index),
+            binned: IbigIndex::dense(binned),
+            pre: Cow::Borrowed(pre),
             pool: Pool::new(),
         }
     }
@@ -257,11 +262,6 @@ impl<'a> ParallelEngine<'a> {
         self.threads
     }
 
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.big.plan().count()
-    }
-
     /// Answer one query with all worker threads cooperating on it.
     pub fn query(&self, q: &EngineQuery) -> TkdResult {
         self.run(q, self.threads)
@@ -269,8 +269,8 @@ impl<'a> ParallelEngine<'a> {
 
     /// Answer a batch of concurrent queries, worker-per-query: each of
     /// the engine's threads drains queries from the batch and runs them
-    /// against the shared contexts with a pooled scratch. Results come
-    /// back in batch order and are identical to running each query alone.
+    /// against the shared index with a pooled scratch. Results come back
+    /// in batch order and are identical to running each query alone.
     pub fn query_many(&self, queries: &[EngineQuery]) -> Vec<TkdResult> {
         let threads = self.threads.min(queries.len()).max(1);
         if threads == 1 {
@@ -299,17 +299,12 @@ impl<'a> ParallelEngine<'a> {
 
     fn run(&self, q: &EngineQuery, threads: usize) -> TkdResult {
         let result = match q.algorithm {
-            Algorithm::Big => {
-                self.run_replayed(q.k, threads, |o, tau, w| self.big.score(o, tau, w))
-            }
-            Algorithm::Ibig => {
-                self.run_replayed(q.k, threads, |o, tau, w| self.ibig.score(o, tau, w))
-            }
+            Algorithm::Big | Algorithm::Ibig => self.run_replayed(q, threads),
             // Reference algorithms for differential serving: sequential,
             // reusing the engine's MaxScore queue where applicable.
             Algorithm::Naive => naive::naive(self.ds, q.k),
             Algorithm::Esb => esb::esb(self.ds, q.k),
-            Algorithm::Ubb => ubb::ubb_with_queue(self.ds, q.k, self.big.preprocessed().queue()),
+            Algorithm::Ubb => ubb::ubb_with_queue(self.ds, q.k, self.pre.queue()),
         };
         match q.tie {
             TieBreak::ById => result,
@@ -317,23 +312,14 @@ impl<'a> ParallelEngine<'a> {
         }
     }
 
-    fn run_replayed(
-        &self,
-        k: usize,
-        threads: usize,
-        score: impl Fn(tkd_model::ObjectId, Option<usize>, &mut WorkerScratch) -> Outcome + Sync,
-    ) -> TkdResult {
-        let queue = self.big.preprocessed().queue();
-        let mut workers = self
-            .pool
-            .take_workers(threads, || self.big.worker_scratch());
-        // Pooled scratches were built for this engine's plan by
-        // construction; guard against cross-engine reuse bugs.
-        debug_assert!(workers.iter().all(|w| w.fits(self.big.plan())));
+    fn run_replayed(&self, q: &EngineQuery, threads: usize) -> TkdResult {
+        let queue = self.pre.queue();
+        let mut workers = self.pool.take_scratch(threads, self.ds.len());
         let slots = self.pool.take_slots(slots_needed(threads, queue.len()));
-        let result = run_replay(queue, k, &mut workers, &slots, score);
+        let score = scorer(self.ds, &self.index, &self.binned, &self.pre, q.algorithm);
+        let result = run_replay(queue, q.k, &mut workers, &slots, score);
         self.pool.put_slots(slots);
-        self.pool.put_workers(workers);
+        self.pool.put_scratch(workers);
         result
     }
 }
@@ -347,7 +333,7 @@ mod tests {
     #[test]
     fn engine_matches_tkdquery_for_all_algorithms() {
         let ds = fixtures::fig3_sample();
-        let engine = ParallelEngine::builder(&ds).threads(3).shards(2).build();
+        let engine = ParallelEngine::builder(&ds).threads(3).build();
         for k in [1usize, 2, 5, 20] {
             for alg in Algorithm::ALL {
                 let reference = TkdQuery::new(k).algorithm(alg).run(&ds);
@@ -363,7 +349,7 @@ mod tests {
     #[test]
     fn query_many_returns_batch_order_and_exact_results() {
         let ds = fixtures::fig3_sample();
-        let engine = ParallelEngine::builder(&ds).threads(4).shards(3).build();
+        let engine = ParallelEngine::builder(&ds).threads(4).build();
         let batch: Vec<EngineQuery> = (1..=12)
             .map(|k| {
                 EngineQuery::new(k).algorithm(if k % 2 == 0 {

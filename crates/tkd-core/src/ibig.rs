@@ -12,26 +12,20 @@
 //!
 //! # Where the algorithm lives
 //!
-//! IBIG-Score (Algorithm 5) is written **once**, over a partition of the
-//! rows into `IbigShard`s. `ibig_score_over` fills every shard's `Q`
-//! and takes the Heuristic 2 decision on `Σ |Q| − 1`, then sums
-//! `ibig_term` — one shard's `|P − F| + |Q − P − nonD|`, the only
-//! function that issues the §4.5 probes — while the terms draw down one
-//! running Heuristic-3 budget. `nonD` only grows and every term checks
-//! the budget after each probed dimension and each residue member, so
-//! Heuristic 3 fires iff the candidate's total `|nonD|` exceeds the budget,
-//! in whatever order the shards are visited. The sequential `ibig_score`
-//! calls it with the context's one whole-range shard, the parallel engine
-//! ([`crate::parallel`]) with `plan.count()` shards, and a cluster worker
-//! ([`crate::DynamicEngine::ibig_partial`]) calls the term alone with an
-//! unlimited budget (Heuristic 3 needs the global τ). The traversal is
-//! `crate::topk`'s `walk`.
-//!
-//! The one-shard case *is* the sequential algorithm: same picks (a
-//! member's stored bins, [`BinnedBitmapIndex::selection_of`]), same probes,
-//! same Heuristic-3 check points, so entries, scores, tie order **and**
-//! every `PruneStats` counter agree with `threads = 1, shards = 1` of any
-//! engine.
+//! IBIG-Score (Algorithm 5) is written **once**, against one `IbigIndex`
+//! (a binned index plus its column store). `ibig_score_over` fills `Q`
+//! from the candidate's stored bins ([`BinnedBitmapIndex::selection_of`])
+//! and takes the Heuristic 2 decision on `|Q| − 1`, then returns
+//! `ibig_term` — `|P − F| + |Q − P − nonD|`, the only function that issues
+//! the §4.5 probes — under the Heuristic-3 budget, checked after each
+//! probed dimension and each residue member. Every in-process engine
+//! scores through it: the sequential [`ibig_with_scratch`], and the
+//! parallel paths, which split the queue across workers over the same
+//! index and merge by replay ([`crate::parallel`]), so entries, scores,
+//! tie order **and**, with one thread, every `PruneStats` counter agree.
+//! A cluster worker ([`crate::DynamicEngine::ibig_partial`]) calls the
+//! term alone with an unlimited budget (Heuristic 3 needs the global τ).
+//! The traversal is `crate::topk`'s `walk`.
 //!
 //! Like BIG, the scoring path is **allocation-free** after context build:
 //! the per-object `Q`/`P` intersections decompress straight into the
@@ -40,7 +34,7 @@
 //! tables are epoch-stamped in the same scratch, and the tree probes
 //! return concrete range cursors instead of boxed iterators.
 
-use crate::big::{member_row, Candidate};
+use crate::big::Candidate;
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scratch::ScratchSpace;
@@ -50,26 +44,26 @@ use tkd_bitvec::{BitVec, CompressedBitmap, Concise};
 use tkd_index::{cost, BinnedBitmapIndex, BinnedBitmapIndexBuilder, CompressedColumns};
 use tkd_model::{stats, Dataset, DimMask, ObjectId};
 
-/// One IBIG shard: a binned index over a range of rows plus where its
-/// `[Qᵢ]`/`[Pᵢ]` columns are read from.
+/// What IBIG scores against: a binned index plus where its `[Qᵢ]`/`[Pᵢ]`
+/// columns are read from.
 ///
 /// Static contexts compress the binned columns (the paper's storage
 /// layout). The dynamic update layer — and with it every cluster worker,
-/// which scores on the engine it hosts — keeps them **dense** instead (`columns = None`) — run encodings cannot absorb
-/// in-place bit flips, so compression is traded for `O(1)`
-/// tombstone/append maintenance — and scoring ANDs the picked dense
-/// columns directly (including column 0, which carries the tombstone mask
-/// there).
-pub(crate) struct IbigShard<'a, C: CompressedBitmap> {
+/// which scores on the engine it hosts — keeps them **dense** instead
+/// (`columns = None`): run encodings cannot absorb in-place bit flips, so
+/// compression is traded for `O(1)` tombstone/append maintenance, and
+/// scoring ANDs the picked dense columns directly (including column 0,
+/// which carries the tombstone mask there).
+pub(crate) struct IbigIndex<'a, C: CompressedBitmap> {
     pub(crate) index: Cow<'a, BinnedBitmapIndex>,
     columns: Option<CompressedColumns<C>>,
 }
 
-impl<'a, C: CompressedBitmap> IbigShard<'a, C> {
-    /// Own a freshly built shard index, compressing its columns.
+impl<'a, C: CompressedBitmap> IbigIndex<'a, C> {
+    /// Own a freshly built index, compressing its columns.
     pub(crate) fn compressed(index: BinnedBitmapIndex) -> Self {
         let columns = Some(CompressedColumns::from_binned(&index));
-        IbigShard {
+        IbigIndex {
             index: Cow::Owned(index),
             columns,
         }
@@ -77,14 +71,14 @@ impl<'a, C: CompressedBitmap> IbigShard<'a, C> {
 
     /// Score off a borrowed index's own dense columns.
     pub(crate) fn dense(index: &'a BinnedBitmapIndex) -> Self {
-        IbigShard {
+        IbigIndex {
             index: Cow::Borrowed(index),
             columns: None,
         }
     }
 
     /// AND one picked column per dimension into `dst` from whichever store
-    /// this shard uses.
+    /// this index uses.
     fn and_selected_into(&self, picks: impl IntoIterator<Item = (usize, usize)>, dst: &mut BitVec) {
         match &self.columns {
             Some(cols) => cols.and_selected_into(picks, dst),
@@ -92,10 +86,9 @@ impl<'a, C: CompressedBitmap> IbigShard<'a, C> {
         }
     }
 
-    /// Fill `scratch.q` with this shard's raw `∩ᵢ Qᵢ` for the picks in
+    /// Fill `scratch.q` with the raw `∩ᵢ Qᵢ` for the picks in
     /// `scratch.bin_sel` (a member candidate's own bit included) and count
-    /// it — the shard's share of the Heuristic 2 sum, and the `Q`
-    /// `ibig_term` then works on.
+    /// it — the Heuristic 2 count, and the `Q` `ibig_term` then works on.
     pub(crate) fn fill_q(&self, scratch: &mut ScratchSpace) -> usize {
         let ScratchSpace { q, bin_sel, .. } = scratch;
         self.and_selected_into((0..self.index.dims()).map(|d| bin_sel.q_pick(d)), q);
@@ -104,11 +97,10 @@ impl<'a, C: CompressedBitmap> IbigShard<'a, C> {
 }
 
 /// Precomputed inputs of Algorithm 5: the binned index with its column
-/// store (one whole-range `IbigShard`), plus the shared [`Preprocessed`]
-/// artifacts.
+/// store (an `IbigIndex`), plus the shared [`Preprocessed`] artifacts.
 pub struct IbigContext<'a, C: CompressedBitmap = Concise> {
     ds: &'a Dataset,
-    shard: IbigShard<'a, C>,
+    binned: IbigIndex<'a, C>,
     pre: Cow<'a, Preprocessed>,
 }
 
@@ -122,11 +114,11 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &'a Dataset, bins_per_dim: &[usize]) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        let mut index = BinnedBitmapIndexBuilder::new(bins_per_dim, 0, ds.len());
+        let mut index = BinnedBitmapIndexBuilder::new(bins_per_dim, ds.len());
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         IbigContext {
             ds,
-            shard: IbigShard::compressed(index.finish()),
+            binned: IbigIndex::compressed(index.finish()),
             pre: Cow::Owned(pre),
         }
     }
@@ -136,14 +128,14 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
     pub fn build_with(ds: &'a Dataset, bins_per_dim: &[usize], pre: &'a Preprocessed) -> Self {
         IbigContext {
             ds,
-            shard: IbigShard::compressed(BinnedBitmapIndex::build(ds, bins_per_dim)),
+            binned: IbigIndex::compressed(BinnedBitmapIndex::build(ds, bins_per_dim)),
             pre: Cow::Borrowed(pre),
         }
     }
 
     /// Borrow **prebuilt** artifacts wholesale, scoring off the index's
     /// dense columns — the dynamic update layer's entry into the unchanged
-    /// Algorithm 5 scratch path (see `IbigShard` for why it stays
+    /// Algorithm 5 scratch path (see `IbigIndex` for why it stays
     /// uncompressed).
     pub fn from_prebuilt_dense(
         ds: &'a Dataset,
@@ -153,7 +145,7 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
         assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
         IbigContext {
             ds,
-            shard: IbigShard::dense(index),
+            binned: IbigIndex::dense(index),
             pre: Cow::Borrowed(pre),
         }
     }
@@ -166,7 +158,7 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
 
     /// The binned index.
     pub fn index(&self) -> &BinnedBitmapIndex {
-        &self.shard.index
+        &self.binned.index
     }
 
     /// The compressed column store.
@@ -175,7 +167,7 @@ impl<'a, C: CompressedBitmap> IbigContext<'a, C> {
     /// Panics on dense contexts ([`IbigContext::from_prebuilt_dense`]),
     /// which keep no compressed copies.
     pub fn columns(&self) -> &CompressedColumns<C> {
-        self.shard
+        self.binned
             .columns
             .as_ref()
             .expect("dense IBIG context has no compressed columns")
@@ -232,82 +224,60 @@ pub fn ibig_with_scratch<C: CompressedBitmap>(
     })
 }
 
-/// IBIG-Score (Algorithm 5) against the context's one whole-range shard.
+/// IBIG-Score (Algorithm 5) against the context's binned index.
 pub(crate) fn ibig_score<C: CompressedBitmap>(
     ctx: &IbigContext<'_, C>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
-    ibig_score_over(
-        ctx.ds,
-        std::slice::from_ref(&ctx.shard),
-        &ctx.pre,
-        o,
-        tau,
-        std::slice::from_mut(scratch),
-    )
+    ibig_score_over(ctx.ds, &ctx.binned, &ctx.pre, o, tau, scratch)
 }
 
-/// IBIG-Score (Algorithm 5) of object `o` over a partition of `ds`'s rows
-/// into `shards` (one [`ScratchSpace`] each): cross-shard Heuristic 2 on
-/// `tau`, then the exact score as the sum of the per-shard terms, which
-/// share one Heuristic-3 budget. Allocation-free.
+/// IBIG-Score (Algorithm 5) of member `o` of `ds` against `binned`:
+/// Heuristic 2 on `tau`, then the exact score under the Heuristic-3
+/// budget. Allocation-free.
 pub(crate) fn ibig_score_over<C: CompressedBitmap>(
     ds: &Dataset,
-    shards: &[IbigShard<'_, C>],
+    binned: &IbigIndex<'_, C>,
     pre: &Preprocessed,
     o: ObjectId,
     tau: Option<usize>,
-    scratch: &mut [ScratchSpace],
+    scratch: &mut ScratchSpace,
 ) -> Outcome {
-    // Q per shard, straight into scratch; Σ counts o itself once, so
-    // MaxBitScore = Σ|∩Qᵢ| − 1 before its bit is cleared.
-    let mut total_q = 0usize;
-    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
-        // The home shard reads o's stored bins; the others search o's
-        // values in their own boundaries.
-        sc.bin_sel = match member_row(o, shard.index.base(), shard.index.n()) {
-            Some(row) => shard.index.selection_of(row),
-            None => shard.index.select_for(|d| ds.value(o, d)),
-        };
-        total_q += shard.fill_q(sc);
-    }
-    let max_bit_score = total_q - 1;
+    // Q straight into scratch; the count includes o itself, so
+    // MaxBitScore = |∩Qᵢ| − 1 before its bit is cleared.
+    scratch.bin_sel = binned.index.selection_of(o as usize);
+    let max_bit_score = binned.fill_q(scratch) - 1;
     // Heuristic 2 — bitmap pruning (still sound under binning, §4.4).
     if matches!(tau, Some(t) if max_bit_score <= t) {
         return Outcome::PrunedBitmap;
     }
-    let f = pre.f_of(ds, o);
+    let cand = Candidate::member(ds, pre, o);
     // Heuristic 3's budget: score(o) = |Q| − |F| − |nonD| beats τ only
     // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms.
     let mut nond_left = tau.map_or(usize::MAX, |t| {
         max_bit_score
-            .saturating_sub(f.count_ones())
+            .saturating_sub(cand.f.count_ones())
             .saturating_sub(t)
     });
-    let mut score = 0usize;
-    for (shard, sc) in shards.iter().zip(scratch.iter_mut()) {
-        let (cand, row_masks) = Candidate::of_object(ds, f, o, shard.index.base(), shard.index.n());
-        let value = |d| ds.raw_value(o, d);
-        match ibig_term(shard, row_masks, &cand, value, sc, &mut nond_left) {
-            Some(term) => score += term,
-            None => return Outcome::PrunedPartial,
-        }
+    let value = |d| ds.raw_value(o, d);
+    match ibig_term(binned, ds.masks(), &cand, value, scratch, &mut nond_left) {
+        Some(score) => Outcome::Score(score),
+        None => Outcome::PrunedPartial,
     }
-    Outcome::Score(score)
 }
 
-/// One shard's term of IBIG-Score: how many of the shard's rows the
-/// candidate dominates, `|P − F| + |Q − P − nonD|`, or `None` as soon as
-/// the shard's `nonD` members overdraw `nond_left` (**Heuristic 3**; the
-/// members found are deducted from it otherwise).
+/// IBIG-Score's term: how many of the index's rows the candidate
+/// dominates, `|P − F| + |Q − P − nonD|`, or `None` as soon as the `nonD`
+/// members overdraw `nond_left` (**Heuristic 3**; the members found are
+/// deducted from it otherwise).
 ///
-/// `scratch.q` must hold the shard's raw `∩ᵢ Qᵢ` (`IbigShard::fill_q`),
+/// `scratch.q` must hold the raw `∩ᵢ Qᵢ` (`IbigIndex::fill_q`),
 /// `value(d)` is the candidate's observation in a dimension of `cand.mask`,
-/// and `row_masks[r]` the observation mask of the shard's row `r`.
+/// and `row_masks[r]` the observation mask of row `r`.
 pub(crate) fn ibig_term<C: CompressedBitmap>(
-    shard: &IbigShard<'_, C>,
+    binned: &IbigIndex<'_, C>,
     row_masks: &[DimMask],
     cand: &Candidate<'_>,
     value: impl Fn(usize) -> f64,
@@ -324,9 +294,9 @@ pub(crate) fn ibig_term<C: CompressedBitmap>(
     if let Some(row) = cand.member {
         q.clear(row);
     }
-    shard.and_selected_into((0..shard.index.dims()).map(|d| bin_sel.p_pick(d)), p);
+    binned.and_selected_into((0..binned.index.dims()).map(|d| bin_sel.p_pick(d)), p);
     // G(o) = P − F(o) = |P ∧ ¬F|, fused.
-    let g = p.and_not_count_slice(cand.f);
+    let g = p.and_not_count(cand.f);
     // Membership in Q − P, straight off the scratch words.
     let in_qmp = |row: usize| q.get(row) && !p.get(row);
 
@@ -336,7 +306,7 @@ pub(crate) fn ibig_term<C: CompressedBitmap>(
     //     dimension cannot be dominated: tree probe per observed
     //     dimension (§4.5).
     for dim in cand.mask.iter() {
-        for row in shard.index.ids_below_in_bin(dim, value(dim), true) {
+        for row in binned.index.ids_below_in_bin(dim, value(dim), true) {
             if in_qmp(row as usize) && stamps.mark_nond(row as usize) {
                 non_d += 1;
             }
@@ -349,7 +319,7 @@ pub(crate) fn ibig_term<C: CompressedBitmap>(
     // (b) tagT accumulation: same-value probes per observed dimension (the
     //     candidate's own row left Q above).
     for dim in cand.mask.iter() {
-        for row in shard.index.ids_equal(dim, value(dim)) {
+        for row in binned.index.ids_equal(dim, value(dim)) {
             if in_qmp(row as usize) {
                 stamps.bump_tag(row as usize);
             }
@@ -393,14 +363,14 @@ fn ibig_score_alloc<C: CompressedBitmap>(
     let q_picks = (0..ds.dims()).map(|d| (d, index.bin_of(o, d).map_or(0, |b| (b - 1) as usize)));
     let p_picks = (0..ds.dims()).map(|d| (d, index.bin_of(o, d).map_or(0, |b| b as usize)));
     let mut q = tkd_bitvec::BitVec::zeros(ds.len());
-    ctx.shard.and_selected_into(q_picks, &mut q);
+    ctx.binned.and_selected_into(q_picks, &mut q);
     let max_bit_score = q.count_ones() - 1;
     if prunes(max_bit_score) {
         return Outcome::PrunedBitmap;
     }
     q.clear(o as usize);
     let mut p = tkd_bitvec::BitVec::zeros(ds.len());
-    ctx.shard.and_selected_into(p_picks, &mut p);
+    ctx.binned.and_selected_into(p_picks, &mut p);
     let f = ctx.pre.f_of(ds, o);
     let f_count = f.count_ones();
     let g = p.count_ones() - p.and_count(f);

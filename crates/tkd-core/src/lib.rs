@@ -16,10 +16,11 @@
 //! (Definitions 2–3) and a [`PruneStats`] describing how much work each
 //! heuristic saved (the paper's Fig. 18).
 //!
-//! Beyond the paper, the [`parallel`] module shards BIG/IBIG across
-//! worker threads with a shared pruning threshold τ (score- and
-//! order-identical to the sequential runs), and [`engine`] wraps it in a
-//! multi-user [`ParallelEngine`] with a batched `query_many` API.
+//! Beyond the paper, the [`parallel`] module splits BIG/IBIG's candidate
+//! queue across worker threads over one index, with a shared pruning
+//! threshold τ (score- and order-identical to the sequential runs), and
+//! [`engine`] wraps it in a multi-user [`ParallelEngine`] with a batched
+//! `query_many` API.
 //!
 //! The ergonomic entry point is [`TkdQuery`]:
 //!
@@ -65,7 +66,6 @@ pub use dynamic::{
     StorageReport, UpdateError, UpdateOp, UpdateStats,
 };
 pub use engine::{EngineQuery, ParallelEngine};
-pub use parallel::{parallel_big, parallel_ibig, ShardPlan, ShardedBigContext, ShardedIbigContext};
 pub use preprocess::Preprocessed;
 pub use query::{Algorithm, BinChoice, TieBreak, TkdQuery};
 pub use result::{ResultEntry, TkdResult};

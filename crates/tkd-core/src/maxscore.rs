@@ -21,8 +21,8 @@
 use tkd_index::for_each_sorted_column;
 use tkd_model::{Dataset, ObjectId};
 
-/// `(local id, |Tᵢ(o)|)` for every entry of dimension `i`'s sorted column
-/// over an id range of `n` objects, in column order.
+/// `(id, |Tᵢ(o)|)` for every entry of dimension `i`'s sorted column over
+/// `n` objects, in column order.
 pub(crate) fn t_counts(
     column: &[(f64, ObjectId)],
     n: usize,
@@ -37,7 +37,7 @@ pub(crate) fn t_counts(
     })
 }
 
-/// [`max_scores`] that lends each of `ds`'s whole-range sorted columns to
+/// [`max_scores`] that lends each of `ds`'s sorted columns to
 /// `also` as well — how a build feeds its index builder(s) and the queue
 /// from one sort per dimension.
 pub(crate) fn max_scores_sharing(
@@ -46,7 +46,7 @@ pub(crate) fn max_scores_sharing(
 ) -> Vec<usize> {
     let n = ds.len();
     let mut scores = vec![usize::MAX; n];
-    for_each_sorted_column(ds, 0, n, |dim, column| {
+    for_each_sorted_column(ds, |dim, column| {
         for (o, t_i) in t_counts(column, n) {
             let slot = &mut scores[o as usize];
             *slot = (*slot).min(t_i);

@@ -33,8 +33,8 @@ impl Preprocessed {
         Self::build_sharing(ds, |_, _| {})
     }
 
-    /// [`Preprocessed::build`] that lends each of `ds`'s whole-range
-    /// sorted columns to `also` as well — how a context build feeds its
+    /// [`Preprocessed::build`] that lends each of `ds`'s sorted columns
+    /// to `also` as well — how a context build feeds its
     /// index builder(s) and the queue from one sort per dimension.
     pub(crate) fn build_sharing(ds: &Dataset, also: impl FnMut(usize, &[(f64, ObjectId)])) -> Self {
         Preprocessed {

@@ -1,11 +1,15 @@
 //! The unified query API: pick an algorithm, run, get a [`TkdResult`].
 
+use crate::big::{big_score, BigContext};
+use crate::ibig::{ibig_score, IbigContext};
+use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
 use crate::result::TkdResult;
-use crate::{big, esb, ibig, naive, parallel, ubb};
+use crate::scratch::ScratchSpace;
+use crate::{esb, naive, ubb};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tkd_index::cost;
-use tkd_model::{stats, Dataset};
+use tkd_model::{stats, Dataset, ObjectId};
 
 /// Which of the paper's algorithms answers the query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -106,13 +110,13 @@ impl TkdQuery {
         self
     }
 
-    /// Worker thread count (default 1 = the sequential engines). With
-    /// more than one thread, BIG and IBIG route through the sharded
-    /// parallel engine of [`crate::parallel`] — score- and
-    /// order-identical to the sequential run — using `threads` shards;
-    /// the other algorithms stay sequential. For serving many queries
-    /// against one dataset, prefer [`crate::engine::ParallelEngine`],
-    /// which builds the sharded contexts once.
+    /// Worker thread count (default 1 = the sequential engines). BIG and
+    /// IBIG build the one context their algorithm needs and split its
+    /// candidate queue across `threads` workers, merging by replay
+    /// ([`crate::parallel`]) — score- and order-identical to the
+    /// sequential run; the other algorithms stay sequential. For serving
+    /// many queries against one dataset, prefer
+    /// [`crate::engine::ParallelEngine`], which builds its indexes once.
     pub fn threads(mut self, t: usize) -> Self {
         self.threads = t.max(1);
         self
@@ -129,26 +133,37 @@ impl TkdQuery {
             Algorithm::Naive => naive::naive(ds, self.k),
             Algorithm::Esb => esb::esb(ds, self.k),
             Algorithm::Ubb => ubb::ubb(ds, self.k),
-            Algorithm::Big if self.threads > 1 => {
-                let ctx = parallel::ShardedBigContext::build(ds, self.threads);
-                parallel::parallel_big(&ctx, self.k, self.threads)
+            Algorithm::Big => {
+                let ctx = BigContext::build(ds);
+                self.replay(ctx.preprocessed().queue(), ds.len(), |o, tau, s| {
+                    big_score(&ctx, o, tau, s)
+                })
             }
-            Algorithm::Big => big::big(ds, self.k),
             Algorithm::Ibig => {
-                let bins = self.resolve_bins(ds);
-                if self.threads > 1 {
-                    let ctx: parallel::ShardedIbigContext<'_> =
-                        parallel::ShardedIbigContext::build(ds, &bins, self.threads);
-                    parallel::parallel_ibig(&ctx, self.k, self.threads)
-                } else {
-                    ibig::ibig_with_bins(ds, self.k, &bins)
-                }
+                let ctx: IbigContext<'_> = IbigContext::build(ds, &self.resolve_bins(ds));
+                self.replay(ctx.preprocessed().queue(), ds.len(), |o, tau, s| {
+                    ibig_score(&ctx, o, tau, s)
+                })
             }
         };
         match self.tie {
             TieBreak::ById => result,
             TieBreak::Random(seed) => shuffle_ties(result, seed),
         }
+    }
+
+    /// Drive `score` over `queue` with `threads` fresh scratches for `n`
+    /// objects — one thread is the sequential walk.
+    fn replay(
+        &self,
+        queue: &[(ObjectId, usize)],
+        n: usize,
+        score: impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync,
+    ) -> TkdResult {
+        let mut scratch: Vec<ScratchSpace> =
+            (0..self.threads).map(|_| ScratchSpace::new(n)).collect();
+        let slots = new_slots(slots_needed(self.threads, queue.len()));
+        run_replay(queue, self.k, &mut scratch, &slots, score)
     }
 
     fn resolve_bins(&self, ds: &Dataset) -> Vec<usize> {

@@ -7,9 +7,8 @@
 //! candidate's resolved column picks. Allocating those per object
 //! dominates the constant factor once the index is in place, so they live
 //! here: sized **once** when a context is built, then lent mutably into
-//! every query. A sharded context lends one `ScratchSpace` per shard; the
-//! sequential contexts are the one-shard case. After context build, the steady-state query
-//! path ([`crate::big::big_with_scratch`] /
+//! every query; a parallel query lends one per worker thread. After
+//! context build, the steady-state query path ([`crate::big::big_with_scratch`] /
 //! [`crate::ibig::ibig_with_scratch`]) performs **zero heap allocations
 //! per visited object** — `crates/tkd-core/tests/zero_alloc.rs` pins this
 //! with a counting global allocator.
@@ -43,11 +42,10 @@ pub struct ScratchSpace {
     pub(crate) p: BitVec,
     /// Epoch-stamped `nonD` / `tagT` tables (IBIG only).
     pub(crate) stamps: EpochStamps,
-    /// The candidate's column picks against this shard's exact index
-    /// (BIG): resolved once, read by Heuristic 2 and the exact term.
+    /// The candidate's column picks against the exact index (BIG):
+    /// resolved once, read by Heuristic 2 and the exact term.
     pub(crate) sel: ColumnSelection,
-    /// The candidate's column picks against this shard's binned index
-    /// (IBIG).
+    /// The candidate's column picks against the binned index (IBIG).
     pub(crate) bin_sel: BinSelection,
 }
 

@@ -1,5 +1,5 @@
 //! The shared k-edge matrix: every algorithm — the five sequential ones,
-//! the sharded parallel paths, and the serving engine — must behave
+//! the parallel paths, and the serving engine — must behave
 //! identically at the awkward corners of the query space:
 //!
 //! * `k = 0` (empty result, nothing scored),
@@ -10,10 +10,7 @@
 //! This test supersedes the per-module `k_zero_is_empty` checks that used
 //! to live in `naive.rs` / `esb.rs` / `ubb.rs`.
 
-use tkd_core::{
-    parallel_big, parallel_ibig, Algorithm, EngineQuery, ParallelEngine, ShardedBigContext,
-    ShardedIbigContext, TkdQuery,
-};
+use tkd_core::{Algorithm, EngineQuery, ParallelEngine, TkdQuery};
 use tkd_model::{fixtures, Dataset};
 
 /// Deterministic incomplete dataset (splitmix-style hash).
@@ -74,7 +71,7 @@ fn edge_ks(n: usize) -> Vec<usize> {
 fn k_edge_matrix_all_algorithms_agree() {
     for (name, ds) in edge_datasets() {
         let n = ds.len();
-        let engine = ParallelEngine::builder(&ds).threads(2).shards(2).build();
+        let engine = ParallelEngine::builder(&ds).threads(2).build();
         for k in edge_ks(n) {
             let reference = TkdQuery::new(k).algorithm(Algorithm::Naive).run(&ds);
             assert_eq!(reference.len(), k.min(n), "naive size {name} k={k}");
@@ -119,18 +116,17 @@ fn k_zero_skips_all_scoring() {
     }
 }
 
-/// Oversized k on the sharded engines: every object is returned exactly
-/// once (no loss, no duplication across shard boundaries).
+/// Oversized k on the parallel paths: every object is returned exactly
+/// once (no loss, no duplication across workers).
 #[test]
 fn oversized_k_returns_every_object_once() {
     let ds = synth(11, 130, 3, 5, 25);
-    let ctx = ShardedBigContext::build(&ds, 3);
-    let ictx: ShardedIbigContext<'_> = ShardedIbigContext::build_auto(&ds, 3);
     for threads in [1usize, 2, 4] {
-        for r in [
-            parallel_big(&ctx, ds.len() + 9, threads),
-            parallel_ibig(&ictx, ds.len() + 9, threads),
-        ] {
+        for alg in [Algorithm::Big, Algorithm::Ibig] {
+            let r = TkdQuery::new(ds.len() + 9)
+                .algorithm(alg)
+                .threads(threads)
+                .run(&ds);
             assert_eq!(r.len(), ds.len(), "threads={threads}");
             let mut ids = r.ids();
             ids.sort_unstable();

@@ -156,14 +156,8 @@ fn query_allocations_are_constant_in_dataset_size() {
     // itself costs a constant number of allocations per query, so the
     // ceiling is higher than the sequential one but still n-independent.
     const PER_PARALLEL_QUERY_CEILING: u64 = 64;
-    let eng_s = engine::ParallelEngine::builder(&small)
-        .threads(2)
-        .shards(2)
-        .build();
-    let eng_l = engine::ParallelEngine::builder(&large)
-        .threads(2)
-        .shards(2)
-        .build();
+    let eng_s = engine::ParallelEngine::builder(&small).threads(2).build();
+    let eng_l = engine::ParallelEngine::builder(&large).threads(2).build();
     let q = engine::EngineQuery::new(K);
     for _ in 0..3 {
         // Warm-up: populate pools, fault in thread-stack caches.

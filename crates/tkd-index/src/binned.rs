@@ -76,8 +76,6 @@ pub fn compute_bins(value_counts: &[(f64, usize)], x: usize) -> Vec<f64> {
 pub struct BinnedBitmapIndex {
     n: usize,
     dims: usize,
-    /// First global object id covered (0 for whole-dataset builds).
-    base: usize,
     /// Per dimension: ascending upper boundary of each bin.
     boundaries: Vec<Vec<f64>>,
     /// `columns[i][c]` = `{p : p[i] missing ∨ bin(p[i]) > c}` (1-based bins).
@@ -87,15 +85,13 @@ pub struct BinnedBitmapIndex {
     trees: Vec<ProbeTree>,
 }
 
-/// Assembles a [`BinnedBitmapIndex`] over the global id range `[lo, hi)`
-/// one dimension at a time from that range's sorted columns
-/// ([`for_each_sorted_column`]) — the binned counterpart of
-/// [`crate::BitmapIndexBuilder`]. [`BinnedBitmapIndex::build_range`] is
-/// this builder driven alone.
+/// Assembles a [`BinnedBitmapIndex`] one dimension at a time from the
+/// dataset's sorted columns ([`for_each_sorted_column`]) — the binned
+/// counterpart of [`crate::BitmapIndexBuilder`].
+/// [`BinnedBitmapIndex::build`] is this builder driven alone.
 #[derive(Debug)]
 pub struct BinnedBitmapIndexBuilder<'a> {
     n: usize,
-    base: usize,
     bins_per_dim: &'a [usize],
     boundaries: Vec<Vec<f64>>,
     columns: Vec<Vec<BitVec>>,
@@ -104,22 +100,17 @@ pub struct BinnedBitmapIndexBuilder<'a> {
 }
 
 impl<'a> BinnedBitmapIndexBuilder<'a> {
-    /// Start an index with `bins_per_dim[i]` bins requested for dimension
-    /// `i`, over the id range `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` (a zero bin count panics at
+    /// Start an index over `n` objects with `bins_per_dim[i]` bins
+    /// requested for dimension `i` (a zero bin count panics at
     /// [`BinnedBitmapIndexBuilder::push_dim`]).
-    pub fn new(bins_per_dim: &'a [usize], lo: usize, hi: usize) -> Self {
-        assert!(lo <= hi, "bad shard range {lo}..{hi}");
+    pub fn new(bins_per_dim: &'a [usize], n: usize) -> Self {
         let dims = bins_per_dim.len();
         BinnedBitmapIndexBuilder {
-            n: hi - lo,
-            base: lo,
+            n,
             bins_per_dim,
             boundaries: Vec::with_capacity(dims),
             columns: Vec::with_capacity(dims),
-            bin_idx: vec![MISSING; (hi - lo) * dims],
+            bin_idx: vec![MISSING; n * dims],
             trees: Vec::with_capacity(dims),
         }
     }
@@ -131,7 +122,7 @@ impl<'a> BinnedBitmapIndexBuilder<'a> {
     ///
     /// # Panics
     /// Panics if dimensions arrive out of order, the requested bin count
-    /// is zero, or the column is not a sorted column of the range.
+    /// is zero, or the column is not a sorted column of the dataset.
     pub fn push_dim(&mut self, dim: usize, column: &[(f64, ObjectId)]) {
         assert_eq!(
             dim,
@@ -182,7 +173,6 @@ impl<'a> BinnedBitmapIndexBuilder<'a> {
         BinnedBitmapIndex {
             n: self.n,
             dims,
-            base: self.base,
             boundaries: self.boundaries,
             columns: self.columns,
             bin_idx: self.bin_idx,
@@ -197,24 +187,9 @@ impl BinnedBitmapIndex {
     /// # Panics
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &Dataset, bins_per_dim: &[usize]) -> Self {
-        Self::build_range(ds, bins_per_dim, 0, ds.len())
-    }
-
-    /// Build a **shard** index over the contiguous global id range
-    /// `[lo, hi)` of `ds` (the binned counterpart of
-    /// [`crate::BitmapIndex::build_range`]). Bins are re-quantiled over the
-    /// shard's own value distribution; all object ids in columns, bin
-    /// tables, and probe cursors are **local** (global = `base() + local`).
-    /// Candidates outside the shard are scored through
-    /// [`BinnedBitmapIndex::select_for`] and the value-based probes.
-    ///
-    /// # Panics
-    /// Panics if `bins_per_dim.len() != ds.dims()`, `lo > hi`, or
-    /// `hi > ds.len()`.
-    pub fn build_range(ds: &Dataset, bins_per_dim: &[usize], lo: usize, hi: usize) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        let mut builder = BinnedBitmapIndexBuilder::new(bins_per_dim, lo, hi);
-        for_each_sorted_column(ds, lo, hi, |dim, column| builder.push_dim(dim, column));
+        let mut builder = BinnedBitmapIndexBuilder::new(bins_per_dim, ds.len());
+        for_each_sorted_column(ds, |dim, column| builder.push_dim(dim, column));
         builder.finish()
     }
 
@@ -318,7 +293,6 @@ impl BinnedBitmapIndex {
         Ok(BinnedBitmapIndex {
             n,
             dims,
-            base: 0,
             boundaries,
             columns,
             bin_idx,
@@ -348,11 +322,7 @@ impl BinnedBitmapIndex {
     // bins stay exact — compaction re-quantiles them.
 
     /// Append one object (slot `n()`). Returns the new local id.
-    ///
-    /// # Panics
-    /// Panics on shard indexes (`base() != 0`).
     pub fn append_row(&mut self, mut value: impl FnMut(usize) -> Option<f64>) -> usize {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         let local = self.n;
         for dim in 0..self.dims {
             let slot = match value(dim) {
@@ -384,11 +354,7 @@ impl BinnedBitmapIndex {
     /// Tombstone local slot `local`: clear its bits in **all** columns and
     /// remove its keys from the probe trees. `value(d)` must return the
     /// slot's observations (the caller still holds the tombstoned row).
-    ///
-    /// # Panics
-    /// Panics on shard indexes.
     pub fn tombstone_row(&mut self, local: usize, mut value: impl FnMut(usize) -> Option<f64>) {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         for dim in 0..self.dims {
             for col in &mut self.columns[dim] {
                 if col.get(local) {
@@ -404,11 +370,7 @@ impl BinnedBitmapIndex {
     /// Overwrite one cell of live slot `local` (`old` is its current
     /// observation, `new` the replacement), re-binning its column bits and
     /// swapping its probe-tree key.
-    ///
-    /// # Panics
-    /// Panics on shard indexes.
     pub fn set_cell(&mut self, local: usize, dim: usize, old: Option<f64>, new: Option<f64>) {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         if let Some(v) = old {
             self.trees[dim].remove(&(F64Key::new(v).expect("not NaN"), local as ObjectId));
         }
@@ -496,12 +458,6 @@ impl BinnedBitmapIndex {
     /// Number of indexed objects.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// First global object id covered (0 unless built with
-    /// [`BinnedBitmapIndex::build_range`]).
-    pub fn base(&self) -> usize {
-        self.base
     }
 
     /// Dimensionality.
@@ -622,8 +578,7 @@ impl BinnedBitmapIndex {
 
     /// Objects in the same bin as `o` in `dim` whose value is strictly less
     /// than `o[i]` — the §4.5 probe that feeds `nonD(o)` (they cannot be
-    /// dominated by `o`). Empty when `o` misses `dim`. `o` is an id local
-    /// to this index (equal to the global id for whole-dataset builds).
+    /// dominated by `o`). Empty when `o` misses `dim`.
     ///
     /// Returns a concrete tree range cursor — no boxing, so the IBIG
     /// inner loop performs no heap allocation per probe.
@@ -636,18 +591,16 @@ impl BinnedBitmapIndex {
         match self.bin_of(o, dim) {
             None => self.ids_below_in_bin(dim, f64::INFINITY, false),
             Some(_) => {
-                let v = ds
-                    .value((self.base + o as usize) as ObjectId, dim)
-                    .expect("bin implies observed");
+                let v = ds.value(o, dim).expect("bin implies observed");
                 self.ids_below_in_bin(dim, v, true)
             }
         }
     }
 
     /// Value-based form of [`BinnedBitmapIndex::ids_in_bin_below`] for
-    /// candidates that are **not** members of this (shard) index: local ids
-    /// of the members sharing the bin that contains `v` whose value is
-    /// strictly below `v`. `observed = false` (the candidate misses `dim`)
+    /// candidates that need not be members of this index: ids of the
+    /// members sharing the bin that contains `v` whose value is strictly
+    /// below `v`. `observed = false` (the candidate misses `dim`)
     /// yields the empty cursor. A `v` above every boundary belongs to no
     /// bin — also empty (such members cannot tie the candidate's bin).
     pub fn ids_below_in_bin(
@@ -676,7 +629,7 @@ impl BinnedBitmapIndex {
     }
 
     /// Resolve the binned `[Qᵢ]`/`[Pᵢ]` column picks for an arbitrary value
-    /// vector — the cross-shard scoring entry point (binned counterpart of
+    /// vector — the cluster's scoring entry point (binned counterpart of
     /// [`crate::BitmapIndex::select_for`]). For members the picks coincide
     /// with [`BinnedBitmapIndex::q_column`] / [`BinnedBitmapIndex::p_column`];
     /// for non-member values the columns encode "same-or-higher bin than
@@ -688,7 +641,7 @@ impl BinnedBitmapIndex {
                 let bounds = &self.boundaries[dim];
                 let c = bounds.partition_point(|&ub| ub < v); // 0-based bin
                 sel.q[dim] = c as u32;
-                // `c == bounds.len()` (value above every shard bin): both
+                // `c == bounds.len()` (value above every bin): both
                 // picks degenerate to the last column, `{p : p[i] missing}`.
                 sel.p[dim] = (c + 1).min(bounds.len()) as u32;
             }
@@ -696,8 +649,8 @@ impl BinnedBitmapIndex {
         sel
     }
 
-    /// The binned `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row` (a
-    /// local id), read off its stored bins in `O(dims)` — field for field
+    /// The binned `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row`,
+    /// read off its stored bins in `O(dims)` — field for field
     /// what [`BinnedBitmapIndex::select_for`] resolves from the row's
     /// values by binary search.
     #[inline]
@@ -883,51 +836,18 @@ mod tests {
         assert!(small.size_bits() < large.size_bits());
     }
 
-    #[test]
-    fn range_build_matches_per_shard_rebuild() {
-        // A shard built over [lo, hi) must behave exactly like a
-        // whole-dataset build over the same rows: same bins, same columns,
-        // same probes — only the id frame differs (local = global − lo).
-        let ds = fixtures::fig3_sample();
-        let (lo, hi) = (6, 17);
-        let shard = BinnedBitmapIndex::build_range(&ds, &[2, 2, 3, 3], lo, hi);
-        assert_eq!(shard.base(), lo);
-        assert_eq!(shard.n(), hi - lo);
-        let rows: Vec<Vec<Option<f64>>> = (lo..hi)
-            .map(|o| (0..ds.dims()).map(|d| ds.value(o as u32, d)).collect())
-            .collect();
-        let sub = tkd_model::Dataset::from_rows(ds.dims(), &rows).unwrap();
-        let fresh = BinnedBitmapIndex::build(&sub, &[2, 2, 3, 3]);
-        for dim in 0..ds.dims() {
-            assert_eq!(shard.num_columns(dim), fresh.num_columns(dim), "dim {dim}");
-            for c in 0..shard.num_columns(dim) {
-                assert_eq!(
-                    shard.column(dim, c),
-                    fresh.column(dim, c),
-                    "dim {dim} col {c}"
-                );
-            }
-        }
-        for local in 0..shard.n() {
-            for dim in 0..ds.dims() {
-                assert_eq!(
-                    shard.bin_of(local as u32, dim),
-                    fresh.bin_of(local as u32, dim)
-                );
-            }
-        }
-        // Member probe respects the base offset.
-        for local in 0..shard.n() {
-            let a: Vec<u32> = shard.ids_in_bin_below(&ds, local as u32, 0).collect();
-            let b: Vec<u32> = fresh.ids_in_bin_below(&sub, local as u32, 0).collect();
-            assert_eq!(a, b, "local {local}");
-        }
+    /// Rows `[lo, hi)` of `ds` as a dataset of their own — one shard of a
+    /// row partition, as a cluster worker holds it.
+    fn row_range(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
+        let ids: Vec<ObjectId> = (lo as ObjectId..hi as ObjectId).collect();
+        ds.select(&ids)
     }
 
     #[test]
     fn value_based_selection_and_probe_agree_with_member_forms() {
         let ds = fixtures::fig3_sample();
-        let shard = BinnedBitmapIndex::build_range(&ds, &[2, 2, 3, 3], 5, 14);
+        let sub = row_range(&ds, 5, 14);
+        let shard = BinnedBitmapIndex::build(&sub, &[2, 2, 3, 3]);
         // Candidates from the whole dataset, members or not.
         for o in ds.ids() {
             let sel = shard.select_for(|d| ds.value(o, d));
@@ -938,7 +858,7 @@ mod tests {
                 assert!(qc <= pc && pc <= shard.num_bins(d));
                 // Column predicates against every member, from raw values.
                 for local in 0..shard.n() {
-                    let pid = (shard.base() + local) as u32;
+                    let pid = (5 + local) as u32;
                     let member_bin = shard.bin_of(local as u32, d);
                     let cand_bin = ds.value(o, d).map(|v| {
                         // 1-based bin containing v (num_bins + 1 = above all).
@@ -971,7 +891,7 @@ mod tests {
             if (5..14).contains(&(o as usize)) {
                 let local = o - 5;
                 for d in 0..ds.dims() {
-                    let via_member: Vec<u32> = shard.ids_in_bin_below(&ds, local, d).collect();
+                    let via_member: Vec<u32> = shard.ids_in_bin_below(&sub, local, d).collect();
                     let via_value: Vec<u32> = match ds.value(o, d) {
                         Some(v) => shard.ids_below_in_bin(d, v, true).collect(),
                         None => shard.ids_below_in_bin(d, 0.0, false).collect(),
@@ -1300,8 +1220,9 @@ mod tests {
         ];
 
         for (lo, hi) in [(0, n), (0, 50), (50, 100), (100, n)] {
-            let idx = BinnedBitmapIndex::build_range(&ds, &[3, 3, 3], lo, hi);
-            let exact = BitmapIndex::build_range(&ds, lo, hi);
+            let sub = row_range(&ds, lo, hi);
+            let idx = BinnedBitmapIndex::build(&sub, &[3, 3, 3]);
+            let exact = BitmapIndex::build(&sub);
             for dim in 0..3 {
                 let mut tree = ProbeTree::new();
                 for o in lo..hi {
@@ -1332,7 +1253,7 @@ mod tests {
                     assert_eq!(eq, want, "ids_equal({v}) {lo}..{hi} dim {dim}");
                 }
                 for o in 0..(hi - lo) as ObjectId {
-                    let below: BTreeSet<ObjectId> = idx.ids_in_bin_below(&ds, o, dim).collect();
+                    let below: BTreeSet<ObjectId> = idx.ids_in_bin_below(&sub, o, dim).collect();
                     let global = |p: ObjectId| lo as ObjectId + p;
                     let want: BTreeSet<ObjectId> = (0..(hi - lo) as ObjectId)
                         .filter(|&p| {
@@ -1346,7 +1267,7 @@ mod tests {
             }
         }
 
-        // The whole-range build against an index grown row by row (every
+        // The whole-dataset build against an index grown row by row (every
         // key a single `insert`): same export, same rank and equality
         // probes. (Bins differ — appends only extend the last one.)
         let bulk = BinnedBitmapIndex::build(&ds, &[3, 3, 3]);

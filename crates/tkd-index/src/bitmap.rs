@@ -95,9 +95,6 @@ fn suffix_counts(col: &BitVec) -> Vec<u32> {
 pub struct BitmapIndex {
     n: usize,
     dims: usize,
-    /// First global object id covered by this index (0 for whole-dataset
-    /// builds; see [`BitmapIndex::build_range`]).
-    base: usize,
     /// Sorted distinct observed values per dimension.
     values: Vec<Vec<f64>>,
     /// `columns[i][c]` = `{p : p[i] missing ∨ p[i] > values[i][c-1]}`;
@@ -122,33 +119,26 @@ pub struct BitmapIndex {
     live: Tombstones,
 }
 
-/// Assembles a [`BitmapIndex`] over the global id range `[lo, hi)` one
-/// dimension at a time from that range's sorted columns
-/// ([`for_each_sorted_column`]), so a build that also needs the `MaxScore`
-/// queue or the binned index feeds all of them from one sort per
-/// dimension. [`BitmapIndex::build_range`] is this builder driven alone.
+/// Assembles a [`BitmapIndex`] one dimension at a time from the dataset's
+/// sorted columns ([`for_each_sorted_column`]), so a build that also needs
+/// the `MaxScore` queue or the binned index feeds all of them from one
+/// sort per dimension. [`BitmapIndex::build`] is this builder driven
+/// alone.
 #[derive(Debug)]
 pub struct BitmapIndexBuilder {
     n: usize,
     dims: usize,
-    base: usize,
     values: Vec<Vec<f64>>,
     columns: Vec<Vec<BitVec>>,
     val_idx: Vec<u32>,
 }
 
 impl BitmapIndexBuilder {
-    /// Start an index with `dims` dimensions over the id range `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`.
-    pub fn new(dims: usize, lo: usize, hi: usize) -> Self {
-        assert!(lo <= hi, "bad shard range {lo}..{hi}");
-        let n = hi - lo;
+    /// Start an index with `dims` dimensions over `n` objects.
+    pub fn new(dims: usize, n: usize) -> Self {
         BitmapIndexBuilder {
             n,
             dims,
-            base: lo,
             values: Vec::with_capacity(dims),
             columns: Vec::with_capacity(dims),
             val_idx: vec![MISSING; n * dims],
@@ -161,7 +151,7 @@ impl BitmapIndexBuilder {
     ///
     /// # Panics
     /// Panics if dimensions arrive out of order or the column names an id
-    /// outside the range.
+    /// at or past `n`.
     pub fn push_dim(&mut self, dim: usize, column: &[(f64, ObjectId)]) {
         assert_eq!(dim, self.values.len(), "dimensions must arrive in order");
         let mut vals = Vec::new();
@@ -193,7 +183,6 @@ impl BitmapIndexBuilder {
         BitmapIndex {
             n: self.n,
             dims: self.dims,
-            base: self.base,
             values: self.values,
             columns: self.columns,
             val_idx: self.val_idx,
@@ -206,22 +195,8 @@ impl BitmapIndexBuilder {
 impl BitmapIndex {
     /// Build the index for `ds`.
     pub fn build(ds: &Dataset) -> Self {
-        Self::build_range(ds, 0, ds.len())
-    }
-
-    /// Build a **shard** index over the contiguous global id range
-    /// `[lo, hi)` of `ds`. Bit `i` of every column refers to the object
-    /// with the stable global id `lo + i` ([`BitmapIndex::base`] recovers
-    /// `lo`), so per-shard `Q`/`P` popcounts over a partition of the
-    /// dataset sum to the whole-dataset counts. Distinct-value tables hold
-    /// only the shard members' values; candidates from *outside* the shard
-    /// are scored against it through [`BitmapIndex::select_for`].
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > ds.len()`.
-    pub fn build_range(ds: &Dataset, lo: usize, hi: usize) -> Self {
-        let mut builder = BitmapIndexBuilder::new(ds.dims(), lo, hi);
-        for_each_sorted_column(ds, lo, hi, |dim, column| builder.push_dim(dim, column));
+        let mut builder = BitmapIndexBuilder::new(ds.dims(), ds.len());
+        for_each_sorted_column(ds, |dim, column| builder.push_dim(dim, column));
         builder.finish()
     }
 
@@ -311,7 +286,6 @@ impl BitmapIndex {
         Ok(BitmapIndex {
             n,
             dims,
-            base: 0,
             values,
             columns,
             val_idx,
@@ -330,12 +304,7 @@ impl BitmapIndex {
     /// Cost without a new distinct value: `O(Σᵢ (Cᵢ+1))` bit appends plus
     /// `O(set bits · nblocks)` suffix updates — far below a rebuild's
     /// `O(Σᵢ (Cᵢ+1) · N/64)`.
-    ///
-    /// # Panics
-    /// Panics on shard indexes (`base() != 0`) — only whole-dataset
-    /// indexes are dynamically maintained.
     pub fn append_row(&mut self, mut value: impl FnMut(usize) -> Option<f64>) -> usize {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         let local = self.n;
         for dim in 0..self.dims {
             let slot = match value(dim) {
@@ -374,9 +343,8 @@ impl BitmapIndex {
     /// repair the suffix tables. Returns `false` if already dead.
     ///
     /// # Panics
-    /// Panics on shard indexes or out-of-range slots.
+    /// Panics on out-of-range slots.
     pub fn tombstone_row(&mut self, local: usize) -> bool {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         if !self.live.kill(local) {
             return false;
         }
@@ -405,9 +373,8 @@ impl BitmapIndex {
     /// them).
     ///
     /// # Panics
-    /// Panics on shard indexes, out-of-range slots, or dead slots.
+    /// Panics on out-of-range slots or dead slots.
     pub fn set_cell(&mut self, local: usize, dim: usize, new: Option<f64>) {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         assert!(self.live.is_live(local), "cell update on dead slot {local}");
         // Resolve the new slot first: a value-table insert shifts `val_idx`
         // (including this object's), so the old slot is read afterwards.
@@ -494,14 +461,6 @@ impl BitmapIndex {
     }
 
     // ----- static accessors ----------------------------------------------
-
-    /// First global object id covered (0 unless built with
-    /// [`BitmapIndex::build_range`]). Object arguments of the per-object
-    /// accessors (`value_index`, `q_column`, …) and set-bit positions of
-    /// every column are **local**: global id = `base() + local`.
-    pub fn base(&self) -> usize {
-        self.base
-    }
 
     /// Number of indexed objects.
     pub fn n(&self) -> usize {
@@ -646,9 +605,9 @@ impl BitmapIndex {
             .map(|c| c - 1)
     }
 
-    /// The `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row` (a local
-    /// id), read off its stored value slots in `O(dims)` — field for field
-    /// what [`BitmapIndex::select_for`] resolves from the row's values by
+    /// The `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row`, read off its
+    /// stored value slots in `O(dims)` — field for field what
+    /// [`BitmapIndex::select_for`] resolves from the row's values by
     /// binary search.
     #[inline]
     pub fn selection_of(&self, row: usize) -> ColumnSelection {
@@ -665,12 +624,12 @@ impl BitmapIndex {
     }
 
     /// Resolve the `[Qᵢ]`/`[Pᵢ]` column picks for an **arbitrary value
-    /// vector** — the cross-shard scoring entry point: a shard index built
-    /// with [`BitmapIndex::build_range`] can score any candidate, member
-    /// or not, from its per-dimension values. `value(d)` returns the
-    /// candidate's observation in dimension `d` (`None` = missing).
+    /// vector** — the cluster's scoring entry point: a shard worker's index
+    /// can score any candidate, member or not, from its per-dimension
+    /// values. `value(d)` returns the candidate's observation in dimension
+    /// `d` (`None` = missing).
     ///
-    /// For shard members the resolved picks coincide exactly with
+    /// For members the resolved picks coincide exactly with
     /// [`BitmapIndex::q_column`] / [`BitmapIndex::p_column`]; for
     /// non-members the columns encode the same set predicates
     /// (`{p : p missing ∨ p ≥ v}` and `{p : p missing ∨ p > v}`).
@@ -694,7 +653,7 @@ impl BitmapIndex {
 
     /// Fill caller-owned scratch with the selection's
     /// `Q = ∩ᵢ columns[i][sel.q[i]]`, clearing `member`'s bit when the
-    /// candidate is a member of this index (local id). No allocation.
+    /// candidate is a member of this index. No allocation.
     ///
     /// # Panics
     /// Panics if `q.len() != self.n()` or `member` is out of range.
@@ -718,8 +677,8 @@ impl BitmapIndex {
 
     /// Cheap upper bound of `|∩ᵢ columns[i][sel.q[i]]|`: the sparsest
     /// selected column's total popcount (`O(dims)` table lookups, no words
-    /// touched). The parallel engine's cross-shard Heuristic 2 sums these
-    /// to skip whole shards.
+    /// touched). BIG's scorer prunes on it before any scan, and the
+    /// cluster's cross-shard Heuristic 2 sums it over the shards.
     pub fn q_selected_upper_bound(&self, sel: &ColumnSelection) -> usize {
         let mut ub = self.live_count();
         for dim in 0..self.dims {
@@ -755,7 +714,7 @@ impl BitmapIndex {
     /// column's remaining suffix popcount can no longer exceed `budget`
     /// (on Heuristic-2-heavy workloads most of each scan is skipped). Else
     /// the exact count. A `None` lets Heuristic 2 prune without finishing
-    /// the scan; a `Some` feeds the running cross-shard total.
+    /// the scan.
     pub fn q_count_selected_above(&self, sel: &ColumnSelection, budget: usize) -> Option<usize> {
         let mut words: [&[u64]; MAX_DIMS] = [&[]; MAX_DIMS];
         let mut suffix: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
@@ -786,8 +745,8 @@ impl BitmapIndex {
             w = end;
             block += 1;
             if total > budget {
-                // Keep decided: finish the scan for the exact count (the
-                // cross-shard caller needs it to budget later shards).
+                // Keep decided: finish the scan for the exact count
+                // (`max_bit_score_above` reports it).
                 while w < nwords {
                     let end = (w + SUFFIX_BLOCK_WORDS).min(nwords);
                     total += block_and_count(&words, m, w, end);
@@ -803,7 +762,7 @@ impl BitmapIndex {
         (total > budget).then_some(total)
     }
 
-    /// 1-based value slot of local object `local` in `dim`, `0` when
+    /// 1-based value slot of object `local` in `dim`, `0` when
     /// missing — the raw form of [`BitmapIndex::value_index`], directly
     /// comparable with [`ColumnSelection::eq_slot`] for tie detection.
     #[inline]
@@ -845,9 +804,8 @@ impl BitmapIndex {
 /// Resolved per-dimension column picks (plus equality slots) for one
 /// candidate against one [`BitmapIndex`] — produced by
 /// [`BitmapIndex::select_for`], consumed by the `*_selected` scoring
-/// methods. Plain `Copy` data on the stack: the parallel engine keeps one
-/// per shard in its per-worker scratch, so candidate scoring allocates
-/// nothing.
+/// methods. Plain `Copy` data on the stack: every query scratch keeps one,
+/// so candidate scoring allocates nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ColumnSelection {
     /// `[Qᵢ]` column index per dimension (0 = the all-ones missing slot).
@@ -855,7 +813,7 @@ pub struct ColumnSelection {
     /// `[Pᵢ]` column index per dimension.
     p: [u32; MAX_DIMS],
     /// 1-based slot of the candidate's value in the index's distinct-value
-    /// table, or 0 when missing / not present in this shard.
+    /// table, or 0 when missing / not present in this index.
     eq: [u32; MAX_DIMS],
 }
 
@@ -1012,37 +970,42 @@ mod tests {
         }
     }
 
+    /// Rows `[lo, hi)` of `ds` as a dataset of their own — one shard of a
+    /// row partition, as a cluster worker holds it.
+    fn row_range(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
+        let ids: Vec<ObjectId> = (lo as ObjectId..hi as ObjectId).collect();
+        ds.select(&ids)
+    }
+
     #[test]
     fn range_builds_partition_the_full_index() {
-        // Sharded Q/P popcounts must sum to the whole-dataset counts, and
-        // member selections must coincide with the member accessors.
+        // Indexes over a partition of the rows score any candidate by
+        // value: their Q/P popcounts sum to the whole-dataset counts, and
+        // member selections coincide with the member accessors.
         let ds = fixtures::fig3_sample();
         let full = BitmapIndex::build(&ds);
         for cuts in [vec![0, 20], vec![0, 8, 20], vec![0, 5, 11, 16, 20]] {
-            let shards: Vec<BitmapIndex> = cuts
+            let shards: Vec<(usize, BitmapIndex)> = cuts
                 .windows(2)
-                .map(|w| BitmapIndex::build_range(&ds, w[0], w[1]))
+                .map(|w| (w[0], BitmapIndex::build(&row_range(&ds, w[0], w[1]))))
                 .collect();
             for o in ds.ids() {
                 let mut q_total = 0;
                 let mut p_total = 0;
-                for s in &shards {
+                for (lo, s) in &shards {
                     let sel = s.select_for(|d| ds.value(o, d));
-                    let member = (s.base()..s.base() + s.n())
-                        .contains(&(o as usize))
-                        .then(|| o as usize - s.base());
+                    let member = (o as usize).checked_sub(*lo).filter(|&r| r < s.n());
                     let mut q = BitVec::zeros(s.n());
                     let mut p = BitVec::zeros(s.n());
                     s.q_into_selected(&sel, member, &mut q);
                     s.p_into_selected(&sel, &mut p);
                     // Selected columns match the global predicate bit by bit.
                     for local in 0..s.n() {
-                        let g = s.base() + local;
+                        let g = lo + local;
                         assert_eq!(
                             q.get(local),
                             full.q_vec(o).get(g),
-                            "Q obj {o} shard base {} bit {local}",
-                            s.base()
+                            "Q obj {o} shard from {lo} bit {local}"
                         );
                         assert_eq!(p.get(local), full.p_vec(o).get(g), "P obj {o} bit {local}");
                     }
@@ -1062,11 +1025,11 @@ mod tests {
     #[test]
     fn selection_eq_slots_detect_exact_ties() {
         let ds = fixtures::fig3_sample();
-        let shard = BitmapIndex::build_range(&ds, 7, 15);
+        let shard = BitmapIndex::build(&row_range(&ds, 7, 15));
         for o in ds.ids() {
             let sel = shard.select_for(|d| ds.value(o, d));
             for local in 0..shard.n() {
-                let pid = (shard.base() + local) as ObjectId;
+                let pid = (7 + local) as ObjectId;
                 for d in 0..ds.dims() {
                     let tied = match (ds.value(o, d), ds.value(pid, d)) {
                         (Some(a), Some(b)) => a == b,

@@ -11,8 +11,8 @@
 //!   CONCISE (the storage layout IBIG uses).
 //! * [`cost`] — the §4.5 space/time model and the optimal bin count Eq. 8.
 //! * [`for_each_sorted_column`] — the build-time input of both indexes (and
-//!   of `tkd-core`'s `MaxScore` queue): each dimension of an id range
-//!   sorted once, shared by every artifact built over that range through
+//!   of `tkd-core`'s `MaxScore` queue): each dimension sorted once, shared
+//!   by every artifact built over the dataset through
 //!   [`BitmapIndexBuilder`] / [`BinnedBitmapIndexBuilder`] (both at once:
 //!   [`IndexPairBuilder`]). The probe trees are bulk-filled from it;
 //!   single-key inserts and the rank query
@@ -44,7 +44,7 @@ pub use sorted_column::for_each_sorted_column;
 
 use tkd_model::ObjectId;
 
-/// The exact *and* the binned index of one id range, assembled together:
+/// The exact *and* the binned index of one dataset, assembled together:
 /// every sorted column ([`for_each_sorted_column`]) is pushed into both
 /// builders, so an engine that serves BIG and IBIG over the same rows
 /// sorts each dimension once.
@@ -55,12 +55,12 @@ pub struct IndexPairBuilder<'a> {
 }
 
 impl<'a> IndexPairBuilder<'a> {
-    /// Start both indexes over the id range `[lo, hi)`, with
-    /// `bins_per_dim[i]` bins requested for dimension `i` of the binned one.
-    pub fn new(bins_per_dim: &'a [usize], lo: usize, hi: usize) -> Self {
+    /// Start both indexes over `n` objects, with `bins_per_dim[i]` bins
+    /// requested for dimension `i` of the binned one.
+    pub fn new(bins_per_dim: &'a [usize], n: usize) -> Self {
         IndexPairBuilder {
-            exact: BitmapIndexBuilder::new(bins_per_dim.len(), lo, hi),
-            binned: BinnedBitmapIndexBuilder::new(bins_per_dim, lo, hi),
+            exact: BitmapIndexBuilder::new(bins_per_dim.len(), n),
+            binned: BinnedBitmapIndexBuilder::new(bins_per_dim, n),
         }
     }
 

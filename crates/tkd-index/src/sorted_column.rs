@@ -1,5 +1,5 @@
 //! The build-time **sorted column**: one dimension's observed
-//! `(value, local id)` pairs in strictly ascending `(value, id)` order.
+//! `(value, id)` pairs in strictly ascending `(value, id)` order.
 //!
 //! Every query-independent artifact is a sweep over this one sequence —
 //! the exact index's distinct-value table, slots and columns
@@ -7,39 +7,30 @@
 //! assignment and bulk-filled probe tree
 //! ([`crate::BinnedBitmapIndexBuilder`]), and the `|Tᵢ(o)|` suffix counts
 //! behind `MaxScore` (`tkd_core::maxscore`). So a build sorts each
-//! dimension of an id range **once** and hands the column to every
-//! artifact built over that range; no build path inserts tree keys one
-//! by one or asks a rank query.
+//! dimension **once** and hands the column to every artifact built over
+//! the dataset; no build path inserts tree keys one by one or asks a rank
+//! query.
 
 use tkd_model::{Dataset, ObjectId};
 
-/// Sort each dimension's observed cells over the global id range
-/// `[lo, hi)` of `ds` and hand the columns to `visit` in dimension order.
+/// Sort each dimension's observed cells of `ds` and hand the columns to
+/// `visit` in dimension order.
 ///
-/// A column holds `(value, id − lo)` pairs, strictly ascending by
+/// A column holds `(value, id)` pairs, strictly ascending by
 /// `(value, id)`; an entirely missing dimension yields an empty column.
 /// Values are normalized with `v + 0.0`, which collapses −0.0 into +0.0
 /// and fixes every other non-NaN value: the order then agrees with IEEE
 /// `<`/`==` *and* with the probe trees' key order, so equal-value runs
 /// are contiguous and the column bulk-fills a probe tree as is. One buffer of
-/// at most `hi − lo` entries is reused across the dimensions.
-///
-/// # Panics
-/// Panics if `lo > hi` or `hi > ds.len()`.
-pub fn for_each_sorted_column(
-    ds: &Dataset,
-    lo: usize,
-    hi: usize,
-    mut visit: impl FnMut(usize, &[(f64, ObjectId)]),
-) {
-    assert!(lo <= hi && hi <= ds.len(), "bad id range {lo}..{hi}");
-    let mut column: Vec<(f64, ObjectId)> = Vec::with_capacity(hi - lo);
+/// at most `ds.len()` entries is reused across the dimensions.
+pub fn for_each_sorted_column(ds: &Dataset, mut visit: impl FnMut(usize, &[(f64, ObjectId)])) {
+    let mut column: Vec<(f64, ObjectId)> = Vec::with_capacity(ds.len());
     for dim in 0..ds.dims() {
         column.clear();
-        column.extend((lo..hi).filter_map(|o| {
-            ds.value(o as ObjectId, dim)
-                .map(|v| (v + 0.0, (o - lo) as ObjectId))
-        }));
+        column.extend(
+            ds.ids()
+                .filter_map(|o| ds.value(o, dim).map(|v| (v + 0.0, o))),
+        );
         // Ids were pushed ascending, so a stable sort by value alone
         // yields `(value, id)` order.
         column.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -58,9 +49,9 @@ pub(crate) fn value_runs(
 mod tests {
     use super::*;
 
-    fn columns(ds: &Dataset, lo: usize, hi: usize) -> Vec<Vec<(f64, ObjectId)>> {
+    fn columns(ds: &Dataset) -> Vec<Vec<(f64, ObjectId)>> {
         let mut out = Vec::new();
-        for_each_sorted_column(ds, lo, hi, |dim, col| {
+        for_each_sorted_column(ds, |dim, col| {
             assert_eq!(dim, out.len());
             out.push(col.to_vec());
         });
@@ -80,13 +71,11 @@ mod tests {
             ],
         )
         .unwrap();
-        let whole = columns(&ds, 0, 5);
+        let whole = columns(&ds);
         assert_eq!(whole[0], [(1.0, 1), (1.0, 4), (2.0, 0), (2.0, 3)]);
         assert_eq!(whole[1], [(5.0, 2)]);
-        let tail = columns(&ds, 2, 5);
-        assert_eq!(tail[0], [(1.0, 2), (2.0, 1)]);
-        assert_eq!(tail[1], [(5.0, 0)]);
-        assert_eq!(columns(&ds, 3, 3), [vec![], vec![]]);
+        let empty = Dataset::from_rows(2, &[]).unwrap();
+        assert_eq!(columns(&empty), [vec![], vec![]]);
     }
 
     #[test]
@@ -102,7 +91,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let col = &columns(&ds, 0, 5)[0];
+        let col = &columns(&ds)[0];
         let ids: Vec<ObjectId> = col.iter().map(|e| e.1).collect();
         assert_eq!(ids, [2, 0, 1, 3, 4]);
         assert!(col.iter().all(|e| e.0 != 0.0 || e.0.is_sign_positive()));

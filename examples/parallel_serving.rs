@@ -56,9 +56,8 @@ fn main() {
     let t0 = Instant::now();
     let engine = ParallelEngine::builder(&ds).threads(hw.max(2)).build();
     println!(
-        "engine: {} threads, {} shards, built in {:.1?}",
+        "engine: {} threads, built in {:.1?}",
         engine.threads(),
-        engine.shards(),
         t0.elapsed()
     );
 

@@ -281,16 +281,9 @@ fn cmd_query(args: &[String]) {
         "ibig" => Algorithm::Ibig,
         other => usage(&format!("unknown algorithm {other:?}")),
     };
-    let mut query = TkdQuery::new(k).algorithm(algorithm);
-    if let Some(t) = opts.get("threads") {
-        let t: usize = t
-            .parse()
-            .unwrap_or_else(|_| usage("--threads must be a positive integer"));
-        if t == 0 {
-            usage("--threads must be a positive integer");
-        }
-        query = query.threads(t);
-    }
+    let mut query = TkdQuery::new(k)
+        .algorithm(algorithm)
+        .threads(parse_threads(&opts));
     if let Some(bins) = opts.get("bins") {
         if bins != "auto" {
             let x: usize = bins

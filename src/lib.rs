@@ -12,8 +12,8 @@
 //! * [`index`] — range-encoded and binned bitmap indexes, binning strategy,
 //!   space/time cost model (§4.3–4.5).
 //! * [`core`] — the TKD algorithms: Naive, ESB, UBB, BIG, IBIG (§4), plus
-//!   the MFD weighted-dominance extension (§3), the sharded parallel
-//!   execution layer (`core::parallel`), the multi-user serving engine
+//!   the MFD weighted-dominance extension (§3), the parallel execution
+//!   layer (`core::parallel`), the multi-user serving engine
 //!   (`core::engine`), the dynamic update layer (`core::dynamic`)
 //!   with incremental inserts/deletes over all indexes, and standing
 //!   queries (`core::standing`) whose results are re-queried per

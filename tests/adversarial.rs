@@ -18,7 +18,7 @@ fn naive_scores(ds: &Dataset, k: usize) -> Vec<usize> {
 /// Run the full algorithm matrix (sequential × parallel × engine) against
 /// Naive on the given dataset.
 fn assert_all_algorithms_agree(name: &str, ds: &Dataset) {
-    let engine = ParallelEngine::builder(ds).threads(2).shards(2).build();
+    let engine = ParallelEngine::builder(ds).threads(2).build();
     for k in [1usize, 2, ds.len() / 2 + 1, ds.len(), ds.len() + 3] {
         let reference = naive_scores(ds, k);
         for alg in Algorithm::ALL {

@@ -75,7 +75,7 @@ fn entries(r: &TkdResult) -> Vec<(u32, usize)> {
 fn cluster_differential_grid() {
     for (seed, &missing) in MISSING.iter().enumerate() {
         let ds = synth(700 + seed as u64, 60, 3, 6, missing);
-        let oracle = ParallelEngine::builder(&ds).threads(2).shards(2).build();
+        let oracle = ParallelEngine::builder(&ds).threads(2).build();
         for &shards in &SHARDS {
             // Fresh fleet per cell: a worker keeps hosting its shards
             // until handed off, so each cluster gets its own workers.

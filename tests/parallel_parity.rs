@@ -1,8 +1,8 @@
-//! The differential-testing harness pinning the sharded parallel engine
-//! to the sequential oracles.
+//! The differential-testing harness pinning the parallel paths — the
+//! candidate queue split across threads over one index — to the
+//! sequential oracles.
 //!
-//! Grid (from the PR-3 acceptance criteria): shard counts {1, 2, 3, 7} ×
-//! thread counts {1, 2, 4} × missing rates {0.1, 0.3, 0.6} ×
+//! Grid: thread counts {1, 2, 4} × missing rates {0.1, 0.3, 0.6} ×
 //! k ∈ {1, n − 1, n, n + 5}. For every cell, parallel BIG and IBIG must
 //! return **identical entries, scores, and tie order** to the sequential
 //! scratch engines (which are themselves pinned to the allocating
@@ -12,12 +12,8 @@
 mod common;
 
 use common::synth;
-use tkdi::core::{
-    big, ibig, parallel_big, parallel_ibig, Algorithm, EngineQuery, ParallelEngine,
-    ShardedBigContext, ShardedIbigContext,
-};
+use tkdi::core::{big, ibig, Algorithm, BinChoice, EngineQuery, ParallelEngine, TkdQuery};
 
-const SHARDS: [usize; 4] = [1, 2, 3, 7];
 const THREADS: [usize; 3] = [1, 2, 4];
 const MISSING: [u64; 3] = [10, 30, 60];
 
@@ -33,23 +29,20 @@ fn parallel_big_differential_grid() {
     for (seed, &missing) in MISSING.iter().enumerate() {
         let ds = synth(100 + seed as u64, 150, 4, 8, missing);
         let seq = big::BigContext::build(&ds);
-        for &shards in &SHARDS {
-            let ctx = ShardedBigContext::build(&ds, shards);
-            for &threads in &THREADS {
-                for k in grid_ks(ds.len()) {
-                    let reference = big::big_with(&seq, k);
-                    let par = parallel_big(&ctx, k, threads);
-                    assert_eq!(
-                        par.entries(),
-                        reference.entries(),
-                        "missing={missing}% shards={shards} threads={threads} k={k}"
-                    );
-                    assert_eq!(
-                        par.stats.h1_pruned, reference.stats.h1_pruned,
-                        "H1 must fire at the same queue position \
-                         (missing={missing}% shards={shards} threads={threads} k={k})"
-                    );
-                }
+        for &threads in &THREADS {
+            for k in grid_ks(ds.len()) {
+                let reference = big::big_with(&seq, k);
+                let par = TkdQuery::new(k).threads(threads).run(&ds);
+                assert_eq!(
+                    par.entries(),
+                    reference.entries(),
+                    "missing={missing}% threads={threads} k={k}"
+                );
+                assert_eq!(
+                    par.stats.h1_pruned, reference.stats.h1_pruned,
+                    "H1 must fire at the same queue position \
+                     (missing={missing}% threads={threads} k={k})"
+                );
             }
         }
     }
@@ -62,20 +55,19 @@ fn parallel_ibig_differential_grid() {
         for bins in [2usize, 5] {
             let bins_per_dim = vec![bins; ds.dims()];
             let seq: ibig::IbigContext<'_> = ibig::IbigContext::build(&ds, &bins_per_dim);
-            for &shards in &SHARDS {
-                let ctx: ShardedIbigContext<'_> =
-                    ShardedIbigContext::build(&ds, &bins_per_dim, shards);
-                for &threads in &THREADS {
-                    for k in grid_ks(ds.len()) {
-                        let reference = ibig::ibig_with(&seq, k);
-                        let par = parallel_ibig(&ctx, k, threads);
-                        assert_eq!(
-                            par.entries(),
-                            reference.entries(),
-                            "missing={missing}% bins={bins} shards={shards} \
-                             threads={threads} k={k}"
-                        );
-                    }
+            for &threads in &THREADS {
+                for k in grid_ks(ds.len()) {
+                    let reference = ibig::ibig_with(&seq, k);
+                    let par = TkdQuery::new(k)
+                        .algorithm(Algorithm::Ibig)
+                        .bins(BinChoice::PerDim(bins_per_dim.clone()))
+                        .threads(threads)
+                        .run(&ds);
+                    assert_eq!(
+                        par.entries(),
+                        reference.entries(),
+                        "missing={missing}% bins={bins} threads={threads} k={k}"
+                    );
                 }
             }
         }
@@ -93,7 +85,6 @@ fn engine_batch_differential() {
     for &threads in &THREADS {
         let engine = ParallelEngine::builder(&ds)
             .threads(threads)
-            .shards(3)
             .bins(ibins.clone())
             .build();
         let batch: Vec<EngineQuery> = (0..24)
@@ -123,14 +114,14 @@ fn engine_batch_differential() {
     }
 }
 
-/// One shard and one thread *is* the sequential algorithm — the same
-/// scorer on the same picks under the same walk — so beyond entries and
-/// the H1 position the **whole** `PruneStats` (h1, h2, h3, scored) of
-/// every engine surface equals the sequential scratch run's.
+/// One thread *is* the sequential algorithm — the same scorer on the same
+/// picks under the same walk — so beyond entries and the H1 position the
+/// **whole** `PruneStats` (h1, h2, h3, scored) of every engine surface
+/// equals the sequential scratch run's.
 #[test]
 fn one_shard_one_thread_is_the_sequential_run() {
     use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
-    use tkdi::core::{BinChoice, DynamicEngine};
+    use tkdi::core::DynamicEngine;
 
     for (seed, &missing) in MISSING.iter().enumerate() {
         let ds = synth(300 + seed as u64, 150, 4, 8, missing);
@@ -138,11 +129,8 @@ fn one_shard_one_thread_is_the_sequential_run() {
         let seq = big::BigContext::build(&ds);
         let iseq: ibig::IbigContext<'_> = ibig::IbigContext::build(&ds, &bins);
         let (mut scratch, mut iscratch) = (seq.scratch(), iseq.scratch());
-        let ctx = ShardedBigContext::build(&ds, 1);
-        let ictx: ShardedIbigContext<'_> = ShardedIbigContext::build(&ds, &bins, 1);
         let engine = ParallelEngine::builder(&ds)
             .threads(1)
-            .shards(1)
             .bins(bins.clone())
             .build();
         let mut dynamic = DynamicEngine::with_options(
@@ -157,18 +145,17 @@ fn one_shard_one_thread_is_the_sequential_run() {
         for k in ks {
             for alg in [Algorithm::Big, Algorithm::Ibig] {
                 let q = EngineQuery::new(k).algorithm(alg);
-                let (reference, parallel) = match alg {
-                    Algorithm::Big => (
-                        big::big_with_scratch(&seq, k, &mut scratch),
-                        parallel_big(&ctx, k, 1),
-                    ),
-                    _ => (
-                        ibig::ibig_with_scratch(&iseq, k, &mut iscratch),
-                        parallel_ibig(&ictx, k, 1),
-                    ),
+                let reference = match alg {
+                    Algorithm::Big => big::big_with_scratch(&seq, k, &mut scratch),
+                    _ => ibig::ibig_with_scratch(&iseq, k, &mut iscratch),
                 };
+                let one_off = TkdQuery::new(k)
+                    .algorithm(alg)
+                    .bins(BinChoice::PerDim(bins.clone()))
+                    .threads(1)
+                    .run(&ds);
                 let surfaces = [
-                    ("parallel_*", parallel),
+                    ("TkdQuery::threads", one_off),
                     ("ParallelEngine::query", engine.query(&q)),
                     (
                         "query_many",

@@ -35,11 +35,7 @@ fn replay_merge_is_deterministic_under_contention() {
     let seq_big = big::BigContext::build(&ds);
     let bins = vec![2usize; ds.dims()];
     let seq_ibig: ibig::IbigContext<'_> = ibig::IbigContext::build(&ds, &bins);
-    let engine = ParallelEngine::builder(&ds)
-        .threads(4)
-        .shards(3)
-        .bins(bins)
-        .build();
+    let engine = ParallelEngine::builder(&ds).threads(4).bins(bins).build();
     // k = 8 sits in the middle of a large tie group — the adversarial
     // spot for threshold races; k = 1 and k = n exercise the extremes.
     for k in [1usize, 8, ds.len()] {
@@ -65,7 +61,7 @@ fn replay_merge_is_deterministic_under_contention() {
 #[test]
 fn query_many_never_loses_or_duplicates_results() {
     let ds = tie_heavy(256);
-    let engine = ParallelEngine::builder(&ds).threads(4).shards(4).build();
+    let engine = ParallelEngine::builder(&ds).threads(4).build();
     let batch: Vec<EngineQuery> = (0..16)
         .map(|i| {
             EngineQuery::new(1 + i * 3).algorithm(if i % 2 == 0 {

@@ -80,7 +80,6 @@ fn static_queries_match_parallel_engine() {
         let n = ds.len();
         let reference = ParallelEngine::builder(&ds)
             .threads(2)
-            .shards(1)
             .bins(vec![BINS; ds.dims()])
             .build();
         let (server, mut client) = start(ds.clone());
@@ -110,7 +109,6 @@ fn query_batch_matches_individual_queries() {
     let ds = random_dataset(&mut rng, 60, 4, 30);
     let reference = ParallelEngine::builder(&ds)
         .threads(2)
-        .shards(1)
         .bins(vec![BINS; ds.dims()])
         .build();
     let (server, mut client) = start(ds.clone());
