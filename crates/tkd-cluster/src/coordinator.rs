@@ -500,16 +500,23 @@ impl Coordinator {
     /// shard holds exactly the mirrored state.
     ///
     /// # Errors
-    /// [`ClusterError::Rejected`] if an op fails mirror validation (the
-    /// valid prefix stays applied, like `apply_all`); worker/store
-    /// errors if the cluster cannot be brought back in sync.
+    /// [`ClusterError::Rejected`] if an op fails mirror validation — the
+    /// batch changes nothing: no frame is sent and no snapshot or
+    /// manifest is written; worker/store errors if the cluster cannot be
+    /// brought back in sync.
     pub fn update(&mut self, ops: &[UpdateOp]) -> Result<(), ClusterError> {
         let report = self.mirror.apply_ops(ops);
+        if let Some((i, e)) = report.error {
+            return Err(ClusterError::Rejected {
+                index: i as u64,
+                message: e.to_string(),
+            });
+        }
         let mut inserted = report.inserted_ids.iter().copied();
         let shard_count = self.shards.len() as u64;
         let mut routed: BTreeMap<u64, Vec<UpdateOp>> = BTreeMap::new();
         let mut predicted: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for op in &ops[..report.applied] {
+        for op in ops {
             match op {
                 UpdateOp::Insert(_) | UpdateOp::InsertLabeled(_, _) => {
                     let g = inserted.next().expect("one id per applied insert");
@@ -592,14 +599,7 @@ impl Coordinator {
                 Err(e) => return Err(ClusterError::Worker(e)),
             }
         }
-        self.write_manifest()?;
-        if let Some((i, e)) = report.error {
-            return Err(ClusterError::Rejected {
-                index: i as u64,
-                message: e.to_string(),
-            });
-        }
-        Ok(())
+        self.write_manifest()
     }
 
     /// Answer a top-k dominating query across the cluster, bit-identical

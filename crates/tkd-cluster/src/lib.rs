@@ -78,7 +78,7 @@ pub enum ClusterError {
     /// A worker exchange failed (transport error or typed rejection).
     Worker(ServeError),
     /// An update op failed validation on the coordinator's mirror; the
-    /// valid prefix stayed applied, like `DynamicEngine::apply_all`.
+    /// batch changed nothing, on the mirror or on any shard.
     Rejected {
         /// Index of the first rejected op in the submitted batch.
         index: u64,

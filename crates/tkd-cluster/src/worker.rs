@@ -231,7 +231,7 @@ fn handle_assign(
                 format!("replay gap: batch seq {} after committed {seq}", batch.seq),
             );
         }
-        if let Err((i, e)) = engine.apply_all(&batch.ops) {
+        if let Some((i, e)) = engine.apply_ops(&batch.ops).error {
             return reject(
                 ERR_REJECTED,
                 i as u64,
@@ -269,9 +269,9 @@ fn snapshot_path(prev: &std::path::Path, shard: u64, seq: u64) -> PathBuf {
     dir.join(format!("shard-{shard}.seq{seq}.tkd"))
 }
 
-/// Reject a batch that left `shard`'s engine ahead of its committed
-/// snapshot (`apply_ops` keeps the valid prefix of a failing batch):
-/// reload the engine from that snapshot so the hosted state and
+/// Reject a batch that applied but whose snapshot failed to commit,
+/// which leaves `shard`'s engine ahead of its committed snapshot: reload
+/// the engine from that snapshot so the hosted state and
 /// `shard-S.seqN.tkd` agree again before the rejection goes out. A
 /// shard whose snapshot no longer loads is un-hosted — the coordinator's
 /// repair path re-assigns it — rather than served in a state no file
@@ -316,8 +316,13 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
     if let Some((i, e)) = &report.error {
         // The coordinator validates against its mirror first, so a
         // failing op here means the shard and the mirror have diverged.
-        let message = format!("op {i} failed on shard {}: {e}", u.shard);
-        return roll_back(state, u.shard, *i as u64, message);
+        // The batch changed nothing: the engine still matches its
+        // snapshot.
+        return reject(
+            ERR_REJECTED,
+            *i as u64,
+            format!("op {i} failed on shard {}: {e}", u.shard),
+        );
     }
     let new_path = snapshot_path(&host.path, u.shard, u.seq);
     if let Err(e) = tkd_store::save_engine(&new_path, &mut host.engine) {

@@ -198,25 +198,23 @@ pub struct UpdateStats {
 /// snapshot codec persists the table verbatim ([`DynamicParts::t`]).
 pub const T_UNOBSERVED: u32 = u32::MAX;
 
-/// What [`DynamicEngine::apply_ops`] did with one op batch: how far it
-/// got, the identities it handed out or retired, and — when standing
+/// What [`DynamicEngine::apply_ops`] did with one op batch: whether it
+/// applied, the identities it handed out or retired, and — when standing
 /// queries are registered — one result-delta [`Notification`] per query.
-///
-/// Unlike [`DynamicEngine::apply_all`], a failing op does **not** abort
-/// the post-batch work: window age-out and standing maintenance still run
-/// over whatever prefix applied, so subscriber state stays consistent
-/// with the engine after partial failures.
-#[derive(Clone, Debug, PartialEq)]
+/// A batch applies whole or not at all: a rejected batch reports only
+/// its [`error`](BatchReport::error), every other field empty or zero.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BatchReport {
-    /// Ops applied (the prefix before the first failure, if any).
+    /// Ops applied: `ops.len()` on success, 0 on rejection.
     pub applied: usize,
     /// Stable ids handed out by this batch's inserts, in op order.
     pub inserted_ids: Vec<ObjectId>,
     /// Stable ids deleted by sliding-window age-out (oldest first).
     pub aged_out: Vec<ObjectId>,
-    /// `(index of the failing op, its error)`, if the batch stopped early.
+    /// `(index of the failing op, its error)` if the batch was rejected.
     pub error: Option<(usize, UpdateError)>,
-    /// This batch's sequence number (monotonic per engine).
+    /// This batch's sequence number (monotonic per engine; 0 on
+    /// rejection, which takes none).
     pub batch_seq: u64,
     /// One delta per registered standing query (empty deltas included).
     pub notifications: Vec<Notification>,
@@ -550,7 +548,7 @@ impl DynamicEngine {
         row: &[Option<f64>],
         label: Option<String>,
     ) -> Result<ObjectId, UpdateError> {
-        let mask = self.check_row(row)?;
+        let mask = self.check_row(row, self.ds.len())?;
         // 1. Every existing live object's |Tᵢ| gains the new object's
         //    contribution (word-parallel delta scans over the pre-insert
         //    index).
@@ -639,21 +637,9 @@ impl DynamicEngine {
         new: Option<f64>,
     ) -> Result<(), UpdateError> {
         let slot = self.slot(id)?;
-        if dim >= self.dims {
-            return Err(ModelError::DimensionOutOfRange {
-                dim,
-                dims: self.dims,
-            }
-            .into());
-        }
-        if new.is_some_and(f64::is_nan) {
-            return Err(ModelError::NaNValue { row: slot, dim }.into());
-        }
-        let old = self.ds.value(slot as ObjectId, dim);
         let mut mask = self.ds.mask(slot as ObjectId);
-        if old.is_some() && new.is_none() && mask.count() == 1 {
-            return Err(ModelError::AllMissingRow(slot).into());
-        }
+        self.check_cell(slot, mask, dim, new)?;
+        let old = self.ds.value(slot as ObjectId, dim);
         self.stats.cell_updates += 1;
         match (old, new) {
             (None, None) => return Ok(()),
@@ -718,17 +704,6 @@ impl DynamicEngine {
             UpdateOp::Delete(id) => self.delete(*id).map(|()| None),
             UpdateOp::Set(id, dim, v) => self.update_value(*id, *dim, *v).map(|()| None),
         }
-    }
-
-    /// Apply a batch front to back, stopping at the first failure.
-    ///
-    /// # Errors
-    /// `(index of the failing op, its error)` — ops before it are applied.
-    pub fn apply_all(&mut self, ops: &[UpdateOp]) -> Result<(), (usize, UpdateError)> {
-        for (i, op) in ops.iter().enumerate() {
-            self.apply(op).map_err(|e| (i, e))?;
-        }
-        Ok(())
     }
 
     // ----- standing queries -----------------------------------------------
@@ -801,36 +776,26 @@ impl DynamicEngine {
         self.standing.window
     }
 
-    /// Apply a batch of ops as one **maintenance unit**: ops run front to
-    /// back stopping at the first failure (exactly [`apply_all`]'s
-    /// semantics), then window age-out and standing-query maintenance run
-    /// over whatever applied, so subscriber state stays consistent even
-    /// after a partial batch. One [`Notification`] per registered
-    /// standing query is always produced, empty deltas included.
-    ///
-    /// [`apply_all`]: DynamicEngine::apply_all
+    /// Apply a batch of ops as one **maintenance unit**, whole or not at
+    /// all. The whole batch is checked first: a rejected batch changes
+    /// nothing — no op, no window age-out, no standing maintenance, no
+    /// `batch_seq` — and reports `applied: 0` with the `(index, error)`
+    /// at which applying the ops one by one would have stopped. An
+    /// accepted batch runs its ops front to back, then window age-out,
+    /// then standing-query maintenance: one [`Notification`] per
+    /// registered standing query, empty deltas included.
     pub fn apply_ops(&mut self, ops: &[UpdateOp]) -> BatchReport {
-        let mut report = BatchReport {
-            applied: 0,
-            inserted_ids: Vec::new(),
-            aged_out: Vec::new(),
-            error: None,
-            batch_seq: 0,
-            notifications: Vec::new(),
-        };
-        for (i, op) in ops.iter().enumerate() {
-            match self.apply(op) {
-                Ok(Some(id)) => {
-                    report.inserted_ids.push(id);
-                    report.applied += 1;
-                }
-                Ok(None) => report.applied += 1,
-                Err(e) => {
-                    report.error = Some((i, e));
-                    break;
-                }
+        let mut report = BatchReport::default();
+        if let Err(failed) = self.check_batch(ops) {
+            report.error = Some(failed);
+            return report;
+        }
+        for op in ops {
+            if let Some(id) = self.apply(op).expect("the batch check accepted every op") {
+                report.inserted_ids.push(id);
             }
         }
+        report.applied = ops.len();
         if let Some(cap) = self.standing.window {
             while self.len() > cap {
                 let oldest = self
@@ -1407,11 +1372,82 @@ impl DynamicEngine {
         }
     }
 
-    /// Validate a row *before* any artifact is touched (inserts must be
-    /// atomic), with exactly the model's rules — shared through
-    /// [`tkd_model::validate_row`] so the two layers cannot drift.
-    fn check_row(&self, row: &[Option<f64>]) -> Result<DimMask, UpdateError> {
-        Ok(tkd_model::validate_row(self.dims, row, self.ds.len())?)
+    /// Validate a row bound for `slot` *before* any artifact is touched
+    /// (inserts must be atomic), with exactly the model's rules — shared
+    /// through [`tkd_model::validate_row`] so the two layers cannot drift.
+    fn check_row(&self, row: &[Option<f64>], slot: usize) -> Result<DimMask, UpdateError> {
+        Ok(tkd_model::validate_row(self.dims, row, slot)?)
+    }
+
+    /// Validate writing `new` into `dim` of the object at `slot` whose
+    /// observed dimensions are `mask` — the rules of
+    /// [`DynamicEngine::update_value`], which [`Self::check_batch`]
+    /// shares.
+    fn check_cell(
+        &self,
+        slot: usize,
+        mask: DimMask,
+        dim: usize,
+        new: Option<f64>,
+    ) -> Result<(), UpdateError> {
+        if dim >= self.dims {
+            return Err(ModelError::DimensionOutOfRange {
+                dim,
+                dims: self.dims,
+            }
+            .into());
+        }
+        if new.is_some_and(f64::is_nan) {
+            return Err(ModelError::NaNValue { row: slot, dim }.into());
+        }
+        if new.is_none() && mask.observed(dim) && mask.count() == 1 {
+            return Err(ModelError::AllMissingRow(slot).into());
+        }
+        Ok(())
+    }
+
+    /// Check a whole batch without touching anything, against the engine
+    /// as it would stand after each earlier op: the `(index, error)` at
+    /// which [`DynamicEngine::apply`] run op by op would stop, if any.
+    /// Earlier ops are tracked as the ids their inserts hand out
+    /// (`next_id + k`, at slot `ds.len() + k`) and, per touched id, its
+    /// slot and its mask after the batch's earlier `Set`s — `None` once
+    /// deleted. A compaction that an earlier delete would trigger
+    /// renumbers slots, so under one the row a row error names can differ
+    /// from the op-by-op run's; the index and the kind cannot.
+    fn check_batch(&self, ops: &[UpdateOp]) -> Result<(), (usize, UpdateError)> {
+        let mut touched: HashMap<ObjectId, (usize, Option<DimMask>)> = HashMap::new();
+        let mut inserts = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let at = |e| (i, e);
+            let object = |id: ObjectId| match touched.get(&id) {
+                Some(&(slot, Some(mask))) => Ok((slot, mask)),
+                Some(&(_, None)) => Err(UpdateError::Deleted(id)),
+                None => self.slot(id).map(|s| (s, self.ds.mask(s as ObjectId))),
+            };
+            match op {
+                UpdateOp::Insert(row) | UpdateOp::InsertLabeled(_, row) => {
+                    let slot = self.ds.len() + inserts;
+                    let mask = self.check_row(row, slot).map_err(at)?;
+                    touched.insert(self.next_id + inserts as ObjectId, (slot, Some(mask)));
+                    inserts += 1;
+                }
+                UpdateOp::Delete(id) => {
+                    let (slot, _) = object(*id).map_err(at)?;
+                    touched.insert(*id, (slot, None));
+                }
+                UpdateOp::Set(id, dim, new) => {
+                    let (slot, mut mask) = object(*id).map_err(at)?;
+                    self.check_cell(slot, mask, *dim, *new).map_err(at)?;
+                    match new {
+                        Some(_) => mask.set(*dim),
+                        None => mask.unset(*dim),
+                    }
+                    touched.insert(*id, (slot, Some(mask)));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Add `delta` to `|T_dim(o)|` of every live object `o` that counts an
@@ -2130,25 +2166,27 @@ mod tests {
     }
 
     #[test]
-    fn standing_partial_batch_still_maintains() {
+    fn standing_rejected_batch_changes_nothing() {
         let mut engine = engine_no_compaction(fixtures::fig3_sample());
         let id = engine.register(StandingSpec::new(2)).unwrap();
+        let before = engine.standing_result(id).unwrap().to_vec();
         let report = engine.apply_ops(&[
             UpdateOp::Delete(0),
-            UpdateOp::Delete(999), // unknown id: batch stops here
+            UpdateOp::Delete(999), // unknown id: the whole batch is rejected
             UpdateOp::Delete(1),
         ]);
-        assert_eq!(report.applied, 1);
-        assert!(matches!(
-            report.error,
-            Some((1, UpdateError::UnknownId(999)))
-        ));
-        // The one applied op is still reflected in the standing result.
         assert_eq!(
-            engine.standing_result(id).unwrap(),
-            standing_oracle(&engine, &StandingSpec::new(2))
+            report,
+            BatchReport {
+                error: Some((1, UpdateError::UnknownId(999))),
+                ..BatchReport::default()
+            }
         );
-        assert!(engine.contains(1));
+        // No op applied, no notification, no batch consumed.
+        assert!(engine.contains(0) && engine.contains(1));
+        assert_eq!(engine.standing_result(id).unwrap(), before);
+        assert_eq!(engine.standing_stats(id).unwrap().batches, 0);
+        assert_eq!(engine.apply_ops(&[UpdateOp::Delete(0)]).batch_seq, 1);
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl Client {
     ///
     /// # Errors
     /// Transport errors, or [`ServeError::Rejected`] naming the failing
-    /// op (ops before it remain applied, as with `apply_all`).
+    /// op; a rejected batch changes nothing on the server.
     pub fn update(&mut self, ops: &[UpdateOp]) -> Result<UpdateAck, ServeError> {
         match self.call(&Request::UpdateOps(ops.to_vec()))? {
             Response::UpdateAck(ack) => Ok(ack),

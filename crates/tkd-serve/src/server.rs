@@ -816,14 +816,12 @@ fn run_queries(
 
 /// Apply one update batch as a maintenance unit
 /// ([`DynamicEngine::apply_ops`]), route the standing-query deltas it
-/// produced, then atomically rewrite the snapshot. A failing op stops
-/// the batch: the `Rejected` frame carries its index, and ops before it
-/// remain applied (the same front-to-back contract as
-/// [`DynamicEngine::apply_all`]) — standing results are maintained over
-/// the partial batch, so subscribers stay consistent either way. `seq`
-/// advances whenever at least one op applied, so a sequential replay of
-/// acked/partially applied batches in `seq` order reproduces the engine
-/// exactly.
+/// produced, then atomically rewrite the snapshot. A batch applies whole
+/// or not at all: a rejected one answers a `Rejected` frame carrying the
+/// failing op's index and changes nothing — engine, `seq`, snapshot
+/// file, subscribers. `seq` counts the non-empty acked batches, so a
+/// sequential replay of the acked batches in `seq` order reproduces the
+/// engine exactly.
 fn apply_updates(
     engine: &mut DynamicEngine,
     shared: &Shared,
@@ -832,10 +830,6 @@ fn apply_updates(
     ops: &[UpdateOp],
 ) -> Response {
     let report = engine.apply_ops(ops);
-    if report.applied > 0 {
-        counters.seq += 1;
-    }
-    route_notifications(engine, subs, &report.notifications);
     if let Some((i, e)) = &report.error {
         return Response::Error(ErrorFrame {
             code: ERR_REJECTED,
@@ -843,6 +837,10 @@ fn apply_updates(
             message: e.to_string(),
         });
     }
+    if !ops.is_empty() {
+        counters.seq += 1;
+    }
+    route_notifications(engine, subs, &report.notifications);
     if let Some(path) = &shared.config.snapshot {
         if let Err(e) = tkd_store::save_engine(path, engine) {
             // The ops ARE applied; the durability side failed. Surface

@@ -86,7 +86,7 @@ fn main() {
     }
 
     let t1 = Instant::now();
-    engine.apply_all(&ops).expect("stream is valid");
+    assert_eq!(engine.apply_ops(&ops).error, None, "stream is valid");
     let apply = t1.elapsed();
     let t2 = Instant::now();
     let top = engine.query(&EngineQuery::new(10)).expect("BIG supported");

@@ -548,9 +548,11 @@ fn parse_op_cell(cell: &str, line: usize) -> Option<f64> {
     }
 }
 
-/// Parse the update script (see the usage text for the line grammar).
-fn parse_ops(text: &str, dims: usize, labeled: bool) -> Vec<UpdateOp> {
+/// Parse the update script (see the usage text for the line grammar)
+/// into its ops and the script line of each.
+fn parse_ops(text: &str, dims: usize, labeled: bool) -> (Vec<UpdateOp>, Vec<usize>) {
     let mut ops = Vec::new();
+    let mut lines = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         let trimmed = raw.trim();
@@ -565,6 +567,7 @@ fn parse_ops(text: &str, dims: usize, labeled: bool) -> Vec<UpdateOp> {
         if cells.is_empty() {
             continue; // separators only — treat like a blank line
         }
+        lines.push(line);
         let parse_id = |s: &str| -> ObjectId {
             s.parse()
                 .unwrap_or_else(|_| usage(&format!("ops line {line}: bad object id {s:?}")))
@@ -617,7 +620,7 @@ fn parse_ops(text: &str, dims: usize, labeled: bool) -> Vec<UpdateOp> {
             )),
         }
     }
-    ops
+    (ops, lines)
 }
 
 fn cmd_update(args: &[String]) {
@@ -664,9 +667,12 @@ fn cmd_update(args: &[String]) {
             None,
         ),
     };
-    let ops = parse_ops(&text, engine.dims(), opts.has("labeled"));
-    if let Err((i, e)) = engine.apply_all(&ops) {
-        eprintln!("error: op {} failed: {e}", i + 1);
+    let (ops, lines) = parse_ops(&text, engine.dims(), opts.has("labeled"));
+    if let Some((i, e)) = engine.apply_ops(&ops).error {
+        eprintln!(
+            "error: ops line {}: {e}; the batch applied nothing",
+            lines[i]
+        );
         exit(1);
     }
     let s = engine.stats();
@@ -932,7 +938,7 @@ fn cmd_cluster_query(args: &[String]) {
             eprintln!("error: cannot read {ops_file}: {e}");
             exit(1);
         });
-        let ops = parse_ops(&text, ds.dims(), opts.has("labeled"));
+        let (ops, _) = parse_ops(&text, ds.dims(), opts.has("labeled"));
         coord.update(&ops).unwrap_or_else(|e| {
             eprintln!("error: cluster update failed: {e}");
             exit(1);

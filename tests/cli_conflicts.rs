@@ -146,3 +146,47 @@ fn generate_rejects_out_of_range_flags_without_panicking() {
     let out = tkdq(&["generate", "--n", "0"]);
     assert_eq!(out.status.code(), Some(0), "--n 0: {}", stderr_of(&out));
 }
+
+/// A bad op in an `update --index` script: the error names its script
+/// line (comments count, as in every parse error), the batch applies
+/// nothing, and the snapshot is not rewritten.
+#[test]
+fn rejected_update_names_the_line_and_keeps_the_snapshot() {
+    let dir = std::env::temp_dir().join(format!("tkdq_cli_rejected_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let data = dir.join("data.txt").to_string_lossy().into_owned();
+    let snap = dir.join("index.snap").to_string_lossy().into_owned();
+    let ops = dir.join("ops.txt").to_string_lossy().into_owned();
+    let ds = generate(&SyntheticConfig {
+        n: 20,
+        dims: 3,
+        cardinality: 10,
+        missing_rate: 0.2,
+        distribution: Distribution::Independent,
+        seed: 8,
+    });
+    std::fs::write(&data, io::to_text(&ds)).expect("write dataset");
+    let built = tkdq(&["build", &data, "--out", &snap]);
+    assert!(built.status.success(), "build: {}", stderr_of(&built));
+    let before = std::fs::read(&snap).expect("snapshot");
+    std::fs::write(
+        &ops,
+        "# one good op, then a bad delete\ninsert 1,2,3\ndelete 99\n",
+    )
+    .expect("write ops");
+
+    let out = tkdq(&["update", "--index", &snap, "--ops", &ops, "--k", "3"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("line 3") && err.contains("applied nothing"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(&snap).expect("snapshot"),
+        before,
+        "snapshot kept"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

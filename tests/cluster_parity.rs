@@ -264,11 +264,11 @@ fn killed_worker_is_repaired_or_fails_typed() {
 }
 
 /// A rejected `shard_update` must leave the worker exactly where its
-/// committed snapshot is. `apply_ops` keeps the valid prefix of a failing
-/// batch, so without a rollback the hosted engine runs ahead of
-/// `shard-0.seqN.tkd`: the next accepted batch commits the orphan insert
-/// and a handoff ships it. Driven frame by frame over a real socket,
-/// against a twin engine that replays the accepted batches only.
+/// committed snapshot is. A batch applies whole or not at all, so the
+/// valid insert ahead of the bad op must not reach the hosted engine:
+/// otherwise the next accepted batch commits that orphan insert and a
+/// handoff ships it. Driven frame by frame over a real socket, against a
+/// twin engine that replays the accepted batches only.
 #[test]
 fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
     let ds = synth(4242, 30, 3, 5, 30);

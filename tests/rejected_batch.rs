@@ -1,0 +1,170 @@
+//! A rejected update batch at the outer layers: the server and the
+//! cluster coordinator answer a typed rejection naming the failing op,
+//! and the batch changes nothing — not the engine, not `seq`, not a
+//! snapshot file or the manifest, and no subscriber hears of it.
+
+mod common;
+
+use common::synth;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+use tkdi::cluster::{ClusterConfig, ClusterError, Coordinator, Worker, WorkerConfig};
+use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
+use tkdi::core::BinChoice;
+use tkdi::prelude::*;
+use tkdi::serve::{Client, ServeConfig, ServeError, Server};
+
+/// A unique scratch directory, removed on drop.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("tkd-rejected-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Every file in `dir` with its bytes, by name.
+fn files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut all: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let bytes = std::fs::read(&path).expect("read file");
+            (path, bytes)
+        })
+        .collect();
+    all.sort();
+    all
+}
+
+/// The first two ops are fine; the third deletes an id the second
+/// deleted.
+fn bad_batch(dims: usize) -> Vec<UpdateOp> {
+    vec![
+        UpdateOp::Insert(vec![Some(0.0); dims]),
+        UpdateOp::Delete(1),
+        UpdateOp::Set(1, 0, Some(2.0)),
+    ]
+}
+
+#[test]
+fn serve_rejected_batch_changes_nothing() {
+    let ds = synth(91, 40, 3, 6, 20);
+    let scratch = ScratchDir::new("serve");
+    let snap = scratch.0.join("engine.tkd");
+    let options = DynamicOptions {
+        bins: BinChoice::Auto,
+        policy: CompactionPolicy::never(),
+    };
+    let engine = DynamicEngine::with_options(ds.clone(), options.clone());
+    let config = ServeConfig {
+        snapshot: Some(snap.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(engine, "127.0.0.1:0", config).expect("server binds");
+    let wait = Duration::from_secs(30);
+    let mut writer = Client::connect_with(server.local_addr(), wait).expect("connect");
+    let mut sub = Client::connect_with(server.local_addr(), wait).expect("connect");
+    sub.subscribe(&StandingSpec::new(3)).expect("subscribe");
+
+    let first = writer
+        .update(&[UpdateOp::Insert(vec![Some(1.0), None, Some(1.0)])])
+        .expect("good batch");
+    let noted = sub
+        .next_notification(wait)
+        .expect("push")
+        .expect("a notify");
+    let bytes = std::fs::read(&snap).expect("snapshot written");
+
+    match writer.update(&bad_batch(ds.dims())) {
+        Err(ServeError::Rejected { index, .. }) => assert_eq!(index, 2),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert_eq!(
+        std::fs::read(&snap).expect("snapshot"),
+        bytes,
+        "file untouched"
+    );
+
+    let next = writer
+        .update(&[UpdateOp::Insert(vec![Some(2.0), Some(2.0), None])])
+        .expect("good batch");
+    assert_eq!(next.seq, first.seq + 1, "the rejected batch took no seq");
+    assert_eq!(
+        next.inserted_ids,
+        vec![first.inserted_ids[0] + 1],
+        "the rejected insert took no id"
+    );
+    // Pushes arrive in batch order: a notify for the rejected batch would
+    // come first.
+    let after = sub
+        .next_notification(wait)
+        .expect("push")
+        .expect("a notify");
+    assert_eq!(
+        after.batch_seq,
+        noted.batch_seq + 1,
+        "no notify for the rejected batch"
+    );
+
+    // The served engine is the twin that saw the two good batches only.
+    let mut twin = DynamicEngine::with_options(ds, options);
+    twin.apply(&UpdateOp::Insert(vec![Some(1.0), None, Some(1.0)]))
+        .unwrap();
+    twin.apply(&UpdateOp::Insert(vec![Some(2.0), Some(2.0), None]))
+        .unwrap();
+    let mut served = server.stop().expect("clean stop");
+    assert_eq!(
+        tkdi::store::encode_engine(&mut served),
+        tkdi::store::encode_engine(&mut twin)
+    );
+}
+
+#[test]
+fn cluster_rejected_batch_changes_nothing() {
+    let ds = synth(92, 45, 3, 6, 20);
+    let scratch = ScratchDir::new("cluster");
+    let workers: Vec<Worker> = (0..2)
+        .map(|_| Worker::start("127.0.0.1:0", WorkerConfig::default()).expect("worker start"))
+        .collect();
+    let addrs: Vec<_> = workers.iter().map(Worker::local_addr).collect();
+    let mut coord =
+        Coordinator::seed(&ds, 3, &addrs, ClusterConfig::new(&scratch.0)).expect("seed cluster");
+    coord
+        .update(&[
+            UpdateOp::Insert(vec![Some(1.0), None, Some(1.0)]),
+            UpdateOp::Delete(4),
+        ])
+        .expect("good batch");
+    let before = coord.query(5, Algorithm::Big).expect("query");
+    let frames = coord.stats.frames;
+    let on_disk = files(&scratch.0);
+    assert!(on_disk.iter().any(|(p, _)| *p == coord.manifest_path()));
+    let live = coord.len();
+
+    match coord.update(&bad_batch(ds.dims())) {
+        Err(ClusterError::Rejected { index, .. }) => assert_eq!(index, 2),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert_eq!(coord.stats.frames, frames, "no frame sent");
+    assert_eq!(
+        files(&scratch.0),
+        on_disk,
+        "snapshots and manifest untouched"
+    );
+    assert_eq!(coord.len(), live);
+    let after = coord.query(5, Algorithm::Big).expect("query");
+    let entries = |r: &TkdResult| r.iter().map(|e| (e.id, e.score)).collect::<Vec<_>>();
+    assert_eq!(entries(&after), entries(&before));
+    for w in workers {
+        w.stop();
+    }
+}

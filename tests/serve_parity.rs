@@ -172,7 +172,11 @@ fn interleaved_updates_match_twin_and_rebuild_oracle() {
             let ack = client.update(&ops).expect("update batch applies");
             assert_eq!(ack.applied, ops.len() as u64);
             assert_eq!(ack.seq, batch + 1, "seq is the batch ordinal");
-            twin.apply_all(&ops).expect("twin applies the same ops");
+            assert_eq!(
+                twin.apply_ops(&ops).error,
+                None,
+                "twin applies the same ops"
+            );
             assert_eq!(ack.live, twin.len() as u64, "live count parity");
             // One inserted id per insert op, matching the mirror's
             // monotone allocation (ids next_id - inserts .. next_id).

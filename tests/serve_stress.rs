@@ -191,9 +191,9 @@ fn contended_updates_replay_to_identical_snapshot() {
     // on the exact same snapshot bytes as the contended server did.
     let mut replay = DynamicEngine::with_options(ds, options());
     for (seq, ops, _) in &batches {
-        replay
-            .apply_all(ops)
-            .unwrap_or_else(|(i, e)| panic!("replay of batch seq={seq} failed at op {i}: {e}"));
+        if let Some((i, e)) = replay.apply_ops(ops).error {
+            panic!("replay of batch seq={seq} failed at op {i}: {e}");
+        }
     }
     let served_bytes = store::encode_engine(&mut served);
     let replay_bytes = store::encode_engine(&mut replay);

@@ -23,7 +23,7 @@ fn scoring_leaves_the_snapshot_bytes_alone() {
         UpdateOp::Set(9, 1, None),
         UpdateOp::Set(11, 0, Some(42.0)),
     ];
-    engine.apply_all(&ops).expect("valid ops");
+    assert_eq!(engine.apply_ops(&ops).error, None, "valid ops");
     let kept = engine.store_parts_ref().pre.f_sets().clone();
     let foreign = (1..16u64).find(|mask| !kept.contains_key(mask));
     let foreign = foreign.expect("fig. 3 does not carry all 15 masks");
