@@ -1,13 +1,18 @@
 //! The cluster coordinator: metadata authority, query planner, and the
 //! only writer.
 //!
-//! The coordinator owns a full [`DynamicEngine`] mirror of the logical
-//! dataset — that is where the candidate queue, MaxScores, and update
-//! validation come from — but **scores come only from the workers**:
-//! every query fans value-based candidate chunks out to the shard
-//! workers, sums their per-shard answers, and drives a [`Replay`] — the
-//! traversal state machine of every in-process engine — in queue order,
-//! so entries, scores, and tie order are bit-identical to them (see
+//! The coordinator holds no index. Its state is the rows by global id,
+//! the route map (global id → shard and local id, and the one record of
+//! which ids are live) and a per-dimension live value → count table
+//! ([`ValueCounts`]). The table gives the candidate queue:
+//! `MaxScore(o) = minᵢ |Tᵢ(o)|` is a rank count on each dimension (§4.2).
+//! An update batch is checked by [`check_batch`], the rules
+//! `DynamicEngine::apply_ops` runs, with the route map as the liveness
+//! lookup. **Scores come only from the workers**: every query fans
+//! value-based candidate chunks out to the shard workers, sums their
+//! per-shard answers, and drives a [`Replay`] — the traversal state
+//! machine of every in-process engine — in queue order, so entries,
+//! scores, and tie order are bit-identical to them (see
 //! `tkd_core::cluster` for the proof obligations, and
 //! `tests/cluster_parity.rs` for the pin).
 //!
@@ -26,13 +31,15 @@
 
 use crate::worker::shard_options;
 use crate::{newest_snapshot, ClusterError};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 use tkd_core::cluster::{shard_rows, Outcome};
-use tkd_core::{Algorithm, DynamicEngine, Replay, TkdResult, UpdateOp};
-use tkd_model::Dataset;
+use tkd_core::dynamic::check_batch;
+use tkd_core::maxscore::ValueCounts;
+use tkd_core::{Algorithm, DynamicEngine, Replay, TkdResult, UpdateError, UpdateOp};
+use tkd_model::{Dataset, ObjectId};
 use tkd_serve::{
     Client, ClusterRequest, ClusterResponse, ReplayBatch, ServeError, ShardPhase, ShardQuery,
     ShardUpdate, WireCandidate,
@@ -83,6 +90,18 @@ struct WorkerLink {
     dead: bool,
 }
 
+impl WorkerLink {
+    /// The open connection, dialled on first use; a failed dial marks
+    /// the worker dead.
+    fn connect(&mut self, timeout: Duration) -> Result<&mut Client, ServeError> {
+        let client = match self.client.take() {
+            Some(client) => client,
+            None => Client::connect_with(self.addr, timeout).inspect_err(|_| self.dead = true)?,
+        };
+        Ok(self.client.insert(client))
+    }
+}
+
 struct ShardMeta {
     worker: usize,
     seq: u64,
@@ -110,9 +129,17 @@ enum Retry {
 
 /// The coordinator. One per cluster; the single writer.
 pub struct Coordinator {
-    mirror: DynamicEngine,
-    /// global stable id -> (shard, local stable id on that shard).
-    route: HashMap<u32, (u64, u32)>,
+    /// Every row the cluster has held, at its global id: ids are dense
+    /// and never reused, so a deleted row keeps its slot.
+    rows: Dataset,
+    /// Global id → (shard, local stable id on that shard), one entry per
+    /// row, `None` once deleted: the one record of which ids are live.
+    route: Vec<Option<(u64, u32)>>,
+    /// Per-dimension value counts of the live rows.
+    counts: ValueCounts,
+    /// The candidate queue `(global id, MaxScore)`; `None` after a batch
+    /// until the next query sorts it again.
+    queue: Option<Vec<(ObjectId, usize)>>,
     shards: Vec<ShardMeta>,
     workers: Vec<WorkerLink>,
     cfg: ClusterConfig,
@@ -155,7 +182,7 @@ impl Coordinator {
         let shard_count = shards.max(1);
         let n = ds.len();
         let mut metas = Vec::with_capacity(shard_count);
-        let mut route = HashMap::new();
+        let mut route = Vec::with_capacity(n);
         for j in 0..shard_count {
             let (lo, hi) = (j * n / shard_count, (j + 1) * n / shard_count);
             let sub = shard_rows(ds, lo, hi);
@@ -164,7 +191,7 @@ impl Coordinator {
             tkd_store::save_engine(&path, &mut engine)
                 .map_err(|e| ClusterError::Store(format!("seed shard {j}: {e}")))?;
             for i in lo..hi {
-                route.insert(i as u32, (j as u64, (i - lo) as u32));
+                route.push(Some((j as u64, (i - lo) as u32)));
             }
             metas.push(ShardMeta {
                 worker: j % workers.len(),
@@ -175,9 +202,12 @@ impl Coordinator {
                 next_local: (hi - lo) as u32,
             });
         }
+        let counts = ValueCounts::new(ds);
         let mut coord = Coordinator {
-            mirror: DynamicEngine::with_options(ds.clone(), shard_options()),
+            rows: ds.clone(),
             route,
+            queue: Some(counts.queue(ds, ds.ids())),
+            counts,
             shards: metas,
             workers: workers
                 .iter()
@@ -222,14 +252,26 @@ impl Coordinator {
         Ok(coord)
     }
 
-    /// Live objects in the cluster (mirror view).
+    /// Live objects in the cluster.
     pub fn len(&self) -> usize {
-        self.mirror.len()
+        self.route.iter().flatten().count()
     }
 
     /// Is the cluster empty?
     pub fn is_empty(&self) -> bool {
-        self.mirror.is_empty()
+        self.len() == 0
+    }
+
+    /// Label of live object `id`, if it was seeded or inserted with a
+    /// non-empty one.
+    pub fn label(&self, id: ObjectId) -> Option<&str> {
+        self.home(id)?;
+        self.rows.label(id).filter(|l| !l.is_empty())
+    }
+
+    /// Where live object `id` lives: its shard and its local id there.
+    fn home(&self, id: ObjectId) -> Option<(u64, u32)> {
+        self.route.get(id as usize).copied().flatten()
     }
 
     /// Number of shards.
@@ -278,43 +320,25 @@ impl Coordinator {
         Ok(())
     }
 
-    fn connect(&mut self, w: usize) -> Result<(), ServeError> {
-        if self.workers[w].client.is_none() {
-            let link = &mut self.workers[w];
-            match Client::connect_with(link.addr, self.cfg.timeout) {
-                Ok(c) => link.client = Some(c),
-                Err(e) => {
-                    link.dead = true;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// One cluster-plane exchange with worker `w`. Transport-level
     /// failures mark the worker dead (the caller repairs); typed worker
     /// rejections pass through with the worker still considered alive.
     fn call(&mut self, w: usize, req: &ClusterRequest) -> Result<ClusterResponse, ServeError> {
-        if self.workers[w].dead {
+        let link = &mut self.workers[w];
+        if link.dead {
             return Err(ServeError::Io(format!(
                 "worker {w} ({}) is marked dead",
-                self.workers[w].addr
+                link.addr
             )));
         }
-        self.connect(w)?;
+        let client = link.connect(self.cfg.timeout)?;
         self.stats.frames += 1;
-        let client = self.workers[w].client.as_mut().expect("connected above");
-        match client.cluster_call(req) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                if is_transport(&e) {
-                    self.workers[w].dead = true;
-                    self.workers[w].client = None;
-                }
-                Err(e)
-            }
+        let resp = client.cluster_call(req);
+        if resp.as_ref().is_err_and(is_transport) {
+            link.dead = true;
+            link.client = None;
         }
+        resp
     }
 
     fn cluster(&mut self, w: usize, req: &ClusterRequest) -> Result<ClusterResponse, Retry> {
@@ -491,65 +515,37 @@ impl Coordinator {
         }
     }
 
-    /// Apply an update batch through the single-writer path: validate on
-    /// the mirror, route each op to its shard by id, and commit each
-    /// per-shard batch with a strictly increasing seq and an atomic
-    /// snapshot rewrite on the worker. A worker death mid-batch is
-    /// repaired in place (the seq-stamped snapshot resolves whether the
-    /// in-doubt batch committed), so a successful return means every
-    /// shard holds exactly the mirrored state.
+    /// Apply an update batch through the single-writer path: check it
+    /// with the engine's batch rules against the route map, route each op
+    /// to its shard by id, and commit each per-shard batch with a
+    /// strictly increasing seq and an atomic snapshot rewrite on the
+    /// worker. A worker death mid-batch is repaired in place (the
+    /// seq-stamped snapshot resolves whether the in-doubt batch
+    /// committed), so a successful return means every shard holds exactly
+    /// the coordinator's rows.
     ///
     /// # Errors
-    /// [`ClusterError::Rejected`] if an op fails mirror validation — the
+    /// [`ClusterError::Rejected`] if an op fails the batch check — the
     /// batch changes nothing: no frame is sent and no snapshot or
     /// manifest is written; worker/store errors if the cluster cannot be
     /// brought back in sync.
     pub fn update(&mut self, ops: &[UpdateOp]) -> Result<(), ClusterError> {
-        let report = self.mirror.apply_ops(ops);
-        if let Some((i, e)) = report.error {
-            return Err(ClusterError::Rejected {
-                index: i as u64,
-                message: e.to_string(),
-            });
-        }
-        let mut inserted = report.inserted_ids.iter().copied();
-        let shard_count = self.shards.len() as u64;
+        let rejected = |(index, e): (usize, UpdateError)| ClusterError::Rejected {
+            index: index as u64,
+            message: e.to_string(),
+        };
+        let next_id = self.rows.len() as ObjectId;
+        let live = |id| self.home(id).map(|_| (id as usize, self.rows.mask(id)));
+        check_batch(self.rows.dims(), next_id, next_id as usize, live, ops).map_err(rejected)?;
+        self.queue = None;
+        // Local ids are allocated in order, so each shard's inserts get
+        // `first_local[s]..next_local` — what its ack must report.
+        let first_local: Vec<u32> = self.shards.iter().map(|m| m.next_local).collect();
         let mut routed: BTreeMap<u64, Vec<UpdateOp>> = BTreeMap::new();
-        let mut predicted: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for op in ops {
-            match op {
-                UpdateOp::Insert(_) | UpdateOp::InsertLabeled(_, _) => {
-                    let g = inserted.next().expect("one id per applied insert");
-                    let shard = u64::from(g) % shard_count;
-                    // Bind the route immediately from the predicted local
-                    // id, so later ops in this very batch can target it.
-                    let local = self.shards[shard as usize].next_local;
-                    self.shards[shard as usize].next_local += 1;
-                    self.route.insert(g, (shard, local));
-                    predicted.entry(shard).or_default().push(u64::from(local));
-                    routed.entry(shard).or_default().push(op.clone());
-                }
-                UpdateOp::Delete(g) => {
-                    let (shard, local) = self
-                        .route
-                        .remove(g)
-                        .unwrap_or_else(|| panic!("mirror applied delete of unrouted id {g}"));
-                    routed
-                        .entry(shard)
-                        .or_default()
-                        .push(UpdateOp::Delete(local));
-                }
-                UpdateOp::Set(g, dim, v) => {
-                    let &(shard, local) = self
-                        .route
-                        .get(g)
-                        .unwrap_or_else(|| panic!("mirror applied set of unrouted id {g}"));
-                    routed
-                        .entry(shard)
-                        .or_default()
-                        .push(UpdateOp::Set(local, *dim, *v));
-                }
-            }
+        for (i, op) in ops.iter().enumerate() {
+            // The check above accepted every op, so none fails here.
+            let (shard, local_op) = self.route_op(op).map_err(|e| rejected((i, e)))?;
+            routed.entry(shard).or_default().push(local_op);
         }
         for (shard, local_ops) in routed {
             let seq = self.shards[shard as usize].seq + 1;
@@ -572,7 +568,9 @@ impl Coordinator {
                             ack.seq
                         )));
                     }
-                    let expected = predicted.get(&shard).map_or(&[][..], Vec::as_slice);
+                    let allocated =
+                        first_local[shard as usize]..self.shards[shard as usize].next_local;
+                    let expected: Vec<u64> = allocated.map(u64::from).collect();
                     if ack.inserted != expected {
                         return Err(ClusterError::Protocol(format!(
                             "shard {shard} allocated inserts {:?}, coordinator predicted {:?}",
@@ -602,6 +600,42 @@ impl Coordinator {
         self.write_manifest()
     }
 
+    /// Apply one checked op to the rows, the counts and the route map,
+    /// and name it as its shard will see it. An insert is routed to shard
+    /// `id mod shards` and bound at once, so later ops in the same batch
+    /// can target it.
+    fn route_op(&mut self, op: &UpdateOp) -> Result<(u64, UpdateOp), UpdateError> {
+        Ok(match op {
+            UpdateOp::Insert(row) | UpdateOp::InsertLabeled(_, row) => {
+                let g = match op {
+                    UpdateOp::InsertLabeled(label, _) => {
+                        self.rows.push_row_labeled(label.as_str(), row)?
+                    }
+                    _ => self.rows.push_row(row)?,
+                };
+                self.counts.insert(self.rows.row(g));
+                let shard = u64::from(g) % self.shards.len() as u64;
+                let meta = &mut self.shards[shard as usize];
+                self.route.push(Some((shard, meta.next_local)));
+                meta.next_local += 1;
+                (shard, op.clone())
+            }
+            UpdateOp::Delete(g) => {
+                let home = self.route.get_mut(*g as usize).and_then(Option::take);
+                let (shard, local) = home.ok_or(UpdateError::Deleted(*g))?;
+                self.counts.remove(self.rows.row(*g));
+                (shard, UpdateOp::Delete(local))
+            }
+            UpdateOp::Set(g, dim, v) => {
+                let (shard, local) = self.home(*g).ok_or(UpdateError::Deleted(*g))?;
+                let old = self.rows.value(*g, *dim);
+                self.rows.set_value(*g, *dim, *v)?;
+                self.counts.set(*dim, old, *v);
+                (shard, UpdateOp::Set(local, *dim, *v))
+            }
+        })
+    }
+
     /// Answer a top-k dominating query across the cluster, bit-identical
     /// to the in-process engines. Worker deaths mid-query are repaired
     /// and the query retried (it is read-only on the workers), bounded
@@ -617,25 +651,40 @@ impl Coordinator {
         if !matches!(algorithm, Algorithm::Big | Algorithm::Ibig) {
             return Err(ClusterError::UnsupportedAlgorithm(algorithm));
         }
+        let queue = match self.queue.take() {
+            Some(queue) => queue,
+            None => {
+                let live = self.route.iter().enumerate();
+                let live = live.filter_map(|(g, home)| home.map(|_| g as ObjectId));
+                self.counts.queue(&self.rows, live)
+            }
+        };
         let mut attempts = self.workers.len() + 1;
-        loop {
-            match self.try_query(k, algorithm) {
-                Ok(r) => return Ok(r),
-                Err(Retry::Fatal(e)) => return Err(e),
+        let result = loop {
+            match self.try_query(&queue, k, algorithm) {
+                Ok(r) => break Ok(r),
+                Err(Retry::Fatal(e)) => break Err(e),
                 Err(Retry::Dead(w)) => {
                     attempts -= 1;
                     if attempts == 0 {
-                        return Err(ClusterError::NoWorkers);
+                        break Err(ClusterError::NoWorkers);
                     }
-                    self.repair_worker(w)?;
+                    if let Err(e) = self.repair_worker(w) {
+                        break Err(e);
+                    }
                 }
             }
-        }
+        };
+        self.queue = Some(queue);
+        result
     }
 
-    fn try_query(&mut self, k: usize, algorithm: Algorithm) -> Result<TkdResult, Retry> {
-        let queue = self.mirror.maintained_queue();
-        let dims = self.mirror.dims();
+    fn try_query(
+        &mut self,
+        queue: &[(ObjectId, usize)],
+        k: usize,
+        algorithm: Algorithm,
+    ) -> Result<TkdResult, Retry> {
         let active: Vec<u64> = (0..self.shards.len() as u64)
             .filter(|&s| self.shards[s as usize].live > 0)
             .collect();
@@ -679,15 +728,11 @@ impl Coordinator {
             }
             let values: Vec<Vec<Option<f64>>> = chunk
                 .iter()
-                .map(|&(o, _)| {
-                    (0..dims)
-                        .map(|d| self.mirror.value(o, d).expect("queued ids are live"))
-                        .collect()
-                })
+                .map(|&(o, _)| self.rows.row(o).to_options())
                 .collect();
             let homes: Vec<(u64, u32)> = chunk
                 .iter()
-                .map(|&(o, _)| *self.route.get(&o).expect("queued ids are routed"))
+                .map(|&(o, _)| self.home(o).expect("queued ids are routed"))
                 .collect();
             // Phase 1: per-shard Heuristic-2 certificates, summed here.
             let mut sums = vec![0u64; chunk.len()];
@@ -800,21 +845,26 @@ mod tests {
     use crate::{Worker, WorkerConfig};
     use tkd_core::EngineQuery;
 
-    /// Two workers and a 12-row, 2-shard cluster seeded under a scratch
-    /// directory of its own.
-    fn seeded(tag: &str) -> (Vec<Worker>, Coordinator, PathBuf) {
+    /// The 12-row, 2-dimensional dataset most tests seed.
+    fn grid() -> Dataset {
+        let rows: Vec<Vec<Option<f64>>> = (0..12)
+            .map(|i| vec![Some(f64::from(i % 5)), Some(f64::from(i % 3))])
+            .collect();
+        Dataset::from_rows(2, &rows).expect("valid rows")
+    }
+
+    /// Two workers and a 2-shard cluster over `ds`, seeded under a
+    /// scratch directory of its own, plus the oracle: a twin engine over
+    /// the same rows, to be fed the same ops.
+    fn seeded(tag: &str, ds: &Dataset) -> (Vec<Worker>, Coordinator, DynamicEngine, PathBuf) {
         let dir = std::env::temp_dir().join(format!("tkd-cluster-{tag}-{}", std::process::id()));
         let workers: Vec<Worker> = (0..2)
             .map(|_| Worker::start("127.0.0.1:0", WorkerConfig::default()).expect("worker start"))
             .collect();
         let addrs: Vec<SocketAddr> = workers.iter().map(Worker::local_addr).collect();
-        let rows: Vec<Vec<Option<f64>>> = (0..12)
-            .map(|i| vec![Some(f64::from(i % 5)), Some(f64::from(i % 3))])
-            .collect();
-        let ds = Dataset::from_rows(2, &rows).expect("valid rows");
         let coord =
-            Coordinator::seed(&ds, 2, &addrs, ClusterConfig::new(&dir)).expect("seed cluster");
-        (workers, coord, dir)
+            Coordinator::seed(ds, 2, &addrs, ClusterConfig::new(&dir)).expect("seed cluster");
+        (workers, coord, DynamicEngine::new(ds.clone()), dir)
     }
 
     /// A handoff naming a shard or worker the cluster does not have is a
@@ -822,7 +872,7 @@ mod tests {
     /// used to die on an assertion here).
     #[test]
     fn handoff_of_an_unknown_shard_or_worker_is_a_typed_error() {
-        let (workers, mut coord, dir) = seeded("handoff-range");
+        let (workers, mut coord, mut twin, dir) = seeded("handoff-range", &grid());
         let hosts = (coord.worker_of(0), coord.worker_of(1));
         for (shard, to, message) in [
             (99, 0, "unknown shard 99: the cluster has shards 0..2"),
@@ -833,7 +883,7 @@ mod tests {
             assert_eq!(err.to_string(), message);
             assert_eq!((coord.worker_of(0), coord.worker_of(1)), hosts);
         }
-        let want = coord.mirror.query(&EngineQuery::new(4)).expect("mirror");
+        let want = twin.query(&EngineQuery::new(4)).expect("twin");
         let got = coord.query(4, Algorithm::Big).expect("cluster query");
         assert_eq!(got.entries(), want.entries());
 
@@ -847,7 +897,7 @@ mod tests {
     /// re-host its shards.
     #[test]
     fn unservable_algorithm_is_rejected_before_any_frame() {
-        let (workers, mut coord, dir) = seeded("unservable");
+        let (workers, mut coord, mut twin, dir) = seeded("unservable", &grid());
         let frames = coord.stats.frames;
         for a in [Algorithm::Naive, Algorithm::Esb, Algorithm::Ubb] {
             let err = coord.query(4, a).expect_err("not servable");
@@ -859,7 +909,7 @@ mod tests {
         }
         assert_eq!(coord.stats.frames, frames);
         assert_eq!(coord.stats.repairs, 0);
-        let want = coord.mirror.query(&EngineQuery::new(4)).expect("mirror");
+        let want = twin.query(&EngineQuery::new(4)).expect("twin");
         let got = coord.query(4, Algorithm::Ibig).expect("cluster query");
         assert_eq!(got.entries(), want.entries());
 
@@ -872,7 +922,7 @@ mod tests {
     /// as the repair has re-hosted its shard from the replayed snapshot.
     #[test]
     fn replay_log_holds_at_most_the_in_doubt_batch() {
-        let (mut workers, mut coord, dir) = seeded("log");
+        let (mut workers, mut coord, mut twin, dir) = seeded("log", &grid());
 
         // Each batch touches both shards: a set lands on shard 0 (id 0),
         // inserts alternate between the shards by id.
@@ -885,6 +935,7 @@ mod tests {
         };
         for i in 0..8 {
             coord.update(&batch(i)).expect("cluster update");
+            assert!(twin.apply_ops(&batch(i)).error.is_none());
             assert!(
                 coord.shards.iter().all(|m| m.log.is_empty()),
                 "an acked batch must leave the log (after update {i})"
@@ -896,11 +947,49 @@ mod tests {
         // replays it onto the survivor, and the log is empty again.
         workers.remove(coord.worker_of(0)).kill();
         coord.update(&batch(8)).expect("repaired update");
+        assert!(twin.apply_ops(&batch(8)).error.is_none());
         assert!(coord.shards.iter().all(|m| m.log.is_empty()));
         assert!(coord.shards.iter().all(|m| m.seq == 9));
-        let want = coord.mirror.query(&EngineQuery::new(4)).expect("mirror");
+        let want = twin.query(&EngineQuery::new(4)).expect("twin");
         let got = coord.query(4, Algorithm::Big).expect("cluster query");
         assert_eq!(got.entries(), want.entries());
+
+        drop(workers);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Labels come from the coordinator's rows: a seeded row keeps its
+    /// label, an insert carries its own, and an unlabeled insert, a
+    /// deleted id and an id never issued have none (`tkdq cluster query
+    /// --labeled` used to print `#4` for an inserted `star`).
+    #[test]
+    fn labels_of_seeded_and_inserted_rows() {
+        let mut b = Dataset::builder(2).expect("two dims");
+        for (label, v) in [("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0)] {
+            b.push_labeled(label, &[Some(v), Some(v)])
+                .expect("valid row");
+        }
+        let (workers, mut coord, mut twin, dir) = seeded("labels", &b.build());
+        let ops = [
+            UpdateOp::InsertLabeled("star".into(), vec![Some(0.0), Some(0.0)]),
+            UpdateOp::Insert(vec![Some(5.0), None]),
+            UpdateOp::Delete(1),
+        ];
+        coord.update(&ops).expect("cluster update");
+        assert!(twin.apply_ops(&ops).error.is_none());
+        for (id, label) in [
+            (0, Some("a")),
+            (4, Some("star")),
+            (5, None),
+            (1, None),
+            (9, None),
+        ] {
+            assert_eq!(coord.label(id), label, "id {id}");
+        }
+        let got = coord.query(2, Algorithm::Big).expect("cluster query");
+        let want = twin.query(&EngineQuery::new(2)).expect("twin");
+        assert_eq!(got.entries(), want.entries());
+        assert_eq!(coord.label(got.entries()[0].id), Some("star"));
 
         drop(workers);
         let _ = std::fs::remove_dir_all(&dir);

@@ -7,7 +7,10 @@
 //! that each host one or more id-range shards loaded from seq-stamped
 //! snapshot files (`shard-{s}.seq{n}.tkd`). A hosted shard is one
 //! `DynamicEngine`: the update path maintains it in place and the query
-//! path scores candidates on it, so a worker holds each shard once.
+//! path scores candidates on it, so a worker holds each shard once. The
+//! coordinator holds no index: rows by global id, the route map, and a
+//! live value → count table per dimension that gives the queue's
+//! MaxScores.
 //!
 //! Everything rides the cluster plane of the v5 byte protocol (see
 //! `docs/WIRE_PROTOCOL.md`): queries fan out as two-phase
@@ -77,12 +80,15 @@ pub fn newest_snapshot(dir: &Path, shard: u64) -> Option<(u64, PathBuf)> {
 pub enum ClusterError {
     /// A worker exchange failed (transport error or typed rejection).
     Worker(ServeError),
-    /// An update op failed validation on the coordinator's mirror; the
-    /// batch changed nothing, on the mirror or on any shard.
+    /// An update op failed the coordinator's batch check; the batch
+    /// changed nothing, on the coordinator or on any shard.
     Rejected {
         /// Index of the first rejected op in the submitted batch.
         index: u64,
-        /// The mirror's rejection message.
+        /// The rejection message — the text of the [`UpdateError`]
+        /// `DynamicEngine::apply_ops` reports for the same batch.
+        ///
+        /// [`UpdateError`]: tkd_core::UpdateError
         message: String,
     },
     /// No live worker remains to host a shard or answer a query.

@@ -277,10 +277,13 @@ fn snapshot_path(prev: &std::path::Path, shard: u64, seq: u64) -> PathBuf {
 /// repair path re-assigns it — rather than served in a state no file
 /// holds.
 fn roll_back(state: &mut WorkerState, shard: u64, datum: u64, message: String) -> ClusterResponse {
-    let host = state
-        .shards
-        .get_mut(&shard)
-        .expect("caller holds the shard");
+    let Some(host) = state.shards.get_mut(&shard) else {
+        return reject(
+            ERR_REJECTED,
+            shard,
+            format!("{message}; shard {shard} is not hosted here"),
+        );
+    };
     match tkd_store::load_engine(&host.path) {
         Ok(engine) => {
             host.engine = engine;
@@ -314,10 +317,10 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
     }
     let report = host.engine.apply_ops(&u.ops);
     if let Some((i, e)) = &report.error {
-        // The coordinator validates against its mirror first, so a
-        // failing op here means the shard and the mirror have diverged.
-        // The batch changed nothing: the engine still matches its
-        // snapshot.
+        // The coordinator checks every batch with the same rules against
+        // its route map first, so a failing op here means this shard and
+        // the coordinator's route map have diverged. The batch changed
+        // nothing: the engine still matches its snapshot.
         return reject(
             ERR_REJECTED,
             *i as u64,

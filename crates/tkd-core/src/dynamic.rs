@@ -59,7 +59,7 @@
 use crate::big::{big_term, Candidate};
 use crate::engine::scorer;
 use crate::ibig::{ibig_term, IbigIndex};
-use crate::maxscore::t_counts;
+use crate::maxscore::{fill_queue, t_counts};
 use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
@@ -548,7 +548,8 @@ impl DynamicEngine {
         row: &[Option<f64>],
         label: Option<String>,
     ) -> Result<ObjectId, UpdateError> {
-        let mask = self.check_row(row, self.ds.len())?;
+        // Validated before any artifact is touched: inserts are atomic.
+        let mask = tkd_model::validate_row(self.dims, row, self.ds.len())?;
         // 1. Every existing live object's |Tᵢ| gains the new object's
         //    contribution (word-parallel delta scans over the pre-insert
         //    index).
@@ -638,7 +639,7 @@ impl DynamicEngine {
     ) -> Result<(), UpdateError> {
         let slot = self.slot(id)?;
         let mut mask = self.ds.mask(slot as ObjectId);
-        self.check_cell(slot, mask, dim, new)?;
+        check_cell(self.dims, slot, mask, dim, new)?;
         let old = self.ds.value(slot as ObjectId, dim);
         self.stats.cell_updates += 1;
         match (old, new) {
@@ -786,7 +787,11 @@ impl DynamicEngine {
     /// registered standing query, empty deltas included.
     pub fn apply_ops(&mut self, ops: &[UpdateOp]) -> BatchReport {
         let mut report = BatchReport::default();
-        if let Err(failed) = self.check_batch(ops) {
+        let live = |id| {
+            let slot = *self.slot_of.get(&id)?;
+            Some((slot, self.ds.mask(slot as ObjectId)))
+        };
+        if let Err(failed) = check_batch(self.dims, self.next_id, self.ds.len(), live, ops) {
             report.error = Some(failed);
             return report;
         }
@@ -1365,89 +1370,7 @@ impl DynamicEngine {
     }
 
     fn slot(&self, id: ObjectId) -> Result<usize, UpdateError> {
-        match self.slot_of.get(&id) {
-            Some(&s) => Ok(s),
-            None if id < self.next_id => Err(UpdateError::Deleted(id)),
-            None => Err(UpdateError::UnknownId(id)),
-        }
-    }
-
-    /// Validate a row bound for `slot` *before* any artifact is touched
-    /// (inserts must be atomic), with exactly the model's rules — shared
-    /// through [`tkd_model::validate_row`] so the two layers cannot drift.
-    fn check_row(&self, row: &[Option<f64>], slot: usize) -> Result<DimMask, UpdateError> {
-        Ok(tkd_model::validate_row(self.dims, row, slot)?)
-    }
-
-    /// Validate writing `new` into `dim` of the object at `slot` whose
-    /// observed dimensions are `mask` — the rules of
-    /// [`DynamicEngine::update_value`], which [`Self::check_batch`]
-    /// shares.
-    fn check_cell(
-        &self,
-        slot: usize,
-        mask: DimMask,
-        dim: usize,
-        new: Option<f64>,
-    ) -> Result<(), UpdateError> {
-        if dim >= self.dims {
-            return Err(ModelError::DimensionOutOfRange {
-                dim,
-                dims: self.dims,
-            }
-            .into());
-        }
-        if new.is_some_and(f64::is_nan) {
-            return Err(ModelError::NaNValue { row: slot, dim }.into());
-        }
-        if new.is_none() && mask.observed(dim) && mask.count() == 1 {
-            return Err(ModelError::AllMissingRow(slot).into());
-        }
-        Ok(())
-    }
-
-    /// Check a whole batch without touching anything, against the engine
-    /// as it would stand after each earlier op: the `(index, error)` at
-    /// which [`DynamicEngine::apply`] run op by op would stop, if any.
-    /// Earlier ops are tracked as the ids their inserts hand out
-    /// (`next_id + k`, at slot `ds.len() + k`) and, per touched id, its
-    /// slot and its mask after the batch's earlier `Set`s — `None` once
-    /// deleted. A compaction that an earlier delete would trigger
-    /// renumbers slots, so under one the row a row error names can differ
-    /// from the op-by-op run's; the index and the kind cannot.
-    fn check_batch(&self, ops: &[UpdateOp]) -> Result<(), (usize, UpdateError)> {
-        let mut touched: HashMap<ObjectId, (usize, Option<DimMask>)> = HashMap::new();
-        let mut inserts = 0;
-        for (i, op) in ops.iter().enumerate() {
-            let at = |e| (i, e);
-            let object = |id: ObjectId| match touched.get(&id) {
-                Some(&(slot, Some(mask))) => Ok((slot, mask)),
-                Some(&(_, None)) => Err(UpdateError::Deleted(id)),
-                None => self.slot(id).map(|s| (s, self.ds.mask(s as ObjectId))),
-            };
-            match op {
-                UpdateOp::Insert(row) | UpdateOp::InsertLabeled(_, row) => {
-                    let slot = self.ds.len() + inserts;
-                    let mask = self.check_row(row, slot).map_err(at)?;
-                    touched.insert(self.next_id + inserts as ObjectId, (slot, Some(mask)));
-                    inserts += 1;
-                }
-                UpdateOp::Delete(id) => {
-                    let (slot, _) = object(*id).map_err(at)?;
-                    touched.insert(*id, (slot, None));
-                }
-                UpdateOp::Set(id, dim, new) => {
-                    let (slot, mut mask) = object(*id).map_err(at)?;
-                    self.check_cell(slot, mask, *dim, *new).map_err(at)?;
-                    match new {
-                        Some(_) => mask.set(*dim),
-                        None => mask.unset(*dim),
-                    }
-                    touched.insert(*id, (slot, Some(mask)));
-                }
-            }
-        }
-        Ok(())
+        live_or(self.slot_of.get(&id).copied(), id, self.next_id)
     }
 
     /// Add `delta` to `|T_dim(o)|` of every live object `o` that counts an
@@ -1496,21 +1419,19 @@ impl DynamicEngine {
         if !self.queue_dirty {
             return;
         }
-        self.pre.queue.clear();
-        let dims = self.dims;
-        for s in self.live.iter_live() {
-            let ms = self
-                .ds
-                .mask(s as ObjectId)
-                .iter()
-                .map(|d| self.t[s * dims + d] as usize)
+        let (ds, t, dims) = (&self.ds, &self.t, self.dims);
+        let max_score = |s: usize| {
+            let observed = ds.mask(s as ObjectId).iter();
+            let t_row = observed.map(|d| t[s * dims + d] as usize);
+            t_row
                 .min()
-                .expect("live rows observe at least one dimension");
-            self.pre.queue.push((s as ObjectId, ms));
-        }
-        self.pre
-            .queue
-            .sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                .expect("live rows observe at least one dimension")
+        };
+        let live = self.live.iter_live();
+        fill_queue(
+            &mut self.pre.queue,
+            live.map(|s| (s as ObjectId, max_score(s))),
+        );
         self.queue_dirty = false;
     }
 
@@ -1527,6 +1448,95 @@ impl DynamicEngine {
             .map(|&(s, ms)| (self.stable_of[s as usize], ms))
             .collect()
     }
+}
+
+/// `found`, or why `id` names no live object in an id space that has
+/// handed out `0..next_id`.
+fn live_or<T>(found: Option<T>, id: ObjectId, next_id: ObjectId) -> Result<T, UpdateError> {
+    found.ok_or(if id < next_id {
+        UpdateError::Deleted(id)
+    } else {
+        UpdateError::UnknownId(id)
+    })
+}
+
+/// The rules of writing `new` into `dim` of the object at `slot` whose
+/// observed dimensions are `mask`, over `dims` dimensions.
+fn check_cell(
+    dims: usize,
+    slot: usize,
+    mask: DimMask,
+    dim: usize,
+    new: Option<f64>,
+) -> Result<(), UpdateError> {
+    if dim >= dims {
+        return Err(ModelError::DimensionOutOfRange { dim, dims }.into());
+    }
+    if new.is_some_and(f64::is_nan) {
+        return Err(ModelError::NaNValue { row: slot, dim }.into());
+    }
+    if new.is_none() && mask.observed(dim) && mask.count() == 1 {
+        return Err(ModelError::AllMissingRow(slot).into());
+    }
+    Ok(())
+}
+
+/// The batch rules, once: check `ops` without touching anything against
+/// an id space as it would stand after each earlier op, and return the
+/// `(index, error)` at which applying them one by one would stop, if any.
+/// The id space has handed out `0..next_id` and fills slot `next_slot`
+/// next; `live` maps each live id to its slot and observed dimensions.
+/// [`DynamicEngine::apply_ops`] and the cluster coordinator both run it,
+/// so they reject the same batches with the same errors.
+///
+/// Earlier ops are tracked as the ids their inserts hand out
+/// (`next_id + k`, at slot `next_slot + k`) and, per touched id, its slot
+/// and its mask after the batch's earlier `Set`s — `None` once deleted. A
+/// compaction that an earlier delete would trigger renumbers a
+/// [`DynamicEngine`]'s slots, so under one the row a row error names can
+/// differ from the op-by-op run's; the index and the kind cannot.
+///
+/// # Errors
+/// The first failing op's index and error.
+pub fn check_batch(
+    dims: usize,
+    next_id: ObjectId,
+    next_slot: usize,
+    live: impl Fn(ObjectId) -> Option<(usize, DimMask)>,
+    ops: &[UpdateOp],
+) -> Result<(), (usize, UpdateError)> {
+    let mut touched: HashMap<ObjectId, (usize, Option<DimMask>)> = HashMap::new();
+    let mut inserts = 0;
+    for (i, op) in ops.iter().enumerate() {
+        let at = |e| (i, e);
+        let object = |id: ObjectId| match touched.get(&id) {
+            Some(&(slot, Some(mask))) => Ok((slot, mask)),
+            Some(&(_, None)) => Err(UpdateError::Deleted(id)),
+            None => live_or(live(id), id, next_id),
+        };
+        match op {
+            UpdateOp::Insert(row) | UpdateOp::InsertLabeled(_, row) => {
+                let slot = next_slot + inserts;
+                let mask = tkd_model::validate_row(dims, row, slot).map_err(|e| at(e.into()))?;
+                touched.insert(next_id + inserts as ObjectId, (slot, Some(mask)));
+                inserts += 1;
+            }
+            UpdateOp::Delete(id) => {
+                let (slot, _) = object(*id).map_err(at)?;
+                touched.insert(*id, (slot, None));
+            }
+            UpdateOp::Set(id, dim, new) => {
+                let (slot, mut mask) = object(*id).map_err(at)?;
+                check_cell(dims, slot, mask, *dim, *new).map_err(at)?;
+                match new {
+                    Some(_) => mask.set(*dim),
+                    None => mask.unset(*dim),
+                }
+                touched.insert(*id, (slot, Some(mask)));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The live slots observing no dimension in common with `mask`.

@@ -2,26 +2,35 @@
 //! sweep equals direct set counting, the queue keeps its tie order, and
 //! the dynamic engine's maintained queue and `|Tᵢ|` table — after a random
 //! op stream *and* after a forced compaction (the bulk rebuild path) —
-//! equal a from-scratch build over the live rows.
+//! equal a from-scratch build over the live rows, as does the queue of
+//! the live value-count tables. `−0.0` sits in the value domain beside
+//! `0.0`: the two are IEEE-equal and must count as one value.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::collections::BTreeSet;
 use tkd_core::dynamic::{DynamicEngine, UpdateOp, T_UNOBSERVED};
-use tkd_core::maxscore::{max_scores, max_scores_bruteforce, maxscore_queue};
+use tkd_core::maxscore::{max_scores, max_scores_bruteforce, maxscore_queue, ValueCounts};
 use tkd_model::{Dataset, ObjectId};
 
 /// Missing rates of the random datasets.
 const MISSING: [f64; 3] = [0.1, 0.3, 0.6];
 
-/// A random row over values `0..card` (duplicates guaranteed by the small
-/// domain), each cell missing with probability `missing`; never
-/// all-missing.
+/// A value of `0..card` or `−0.0`: a small domain, so duplicates are
+/// guaranteed.
+fn value_strategy(card: u8) -> impl Strategy<Value = f64> {
+    (0..=card).prop_map(move |v| if v == card { -0.0 } else { f64::from(v) })
+}
+
+/// A cell missing with probability `missing`, else a value.
+fn cell_strategy(missing: f64, card: u8) -> impl Strategy<Value = Option<f64>> {
+    proptest::option::weighted(1.0 - missing, value_strategy(card))
+}
+
+/// A random row of cells; never all-missing.
 fn row_strategy(dims: usize, missing: f64, card: u8) -> impl Strategy<Value = Vec<Option<f64>>> {
-    proptest::collection::vec(
-        proptest::option::weighted(1.0 - missing, (0..card).prop_map(f64::from)),
-        dims,
-    )
-    .prop_filter("at least one observed", |r| r.iter().any(Option::is_some))
+    proptest::collection::vec(cell_strategy(missing, card), dims)
+        .prop_filter("at least one observed", |r| r.iter().any(Option::is_some))
 }
 
 /// `(dims, missing rate, cardinality)` of one case.
@@ -44,12 +53,11 @@ type RawOp = (u8, usize, usize, Option<f64>, Vec<Option<f64>>);
 /// A starting dataset plus a raw op stream over the same shape.
 fn dynamic_case_strategy() -> impl Strategy<Value = (Dataset, Vec<RawOp>)> {
     shape_strategy().prop_flat_map(|(dims, missing, card)| {
-        let cell = proptest::option::weighted(1.0 - missing, (0..card).prop_map(f64::from));
         let op = (
             0u8..3,
             0usize..1000,
             0usize..dims,
-            cell,
+            cell_strategy(missing, card),
             row_strategy(dims, missing, card),
         );
         (
@@ -62,15 +70,36 @@ fn dynamic_case_strategy() -> impl Strategy<Value = (Dataset, Vec<RawOp>)> {
     })
 }
 
-/// Queue and `t`-derived MaxScores of `engine` against a from-scratch
-/// build over its live rows (snapshot row `i` ↔ `live_ids()[i]`).
-fn assert_exact(engine: &mut DynamicEngine) -> Result<(), TestCaseError> {
-    let snapshot = engine.snapshot();
+/// Resolve a raw op against the engine's `live` ids; `None` when it
+/// targets an id and none is live.
+fn resolve(
+    (kind, pick, dim, cell, row): RawOp,
+    live: &[ObjectId],
+    dims: usize,
+) -> Option<UpdateOp> {
+    Some(match kind {
+        0 => UpdateOp::Insert(row),
+        _ if live.is_empty() => return None,
+        1 => UpdateOp::Delete(live[pick % live.len()]),
+        _ => UpdateOp::Set(live[pick % live.len()], dim % dims, cell),
+    })
+}
+
+/// The queue of a from-scratch build over `engine`'s live rows, in
+/// stable ids (snapshot row `i` ↔ `live_ids()[i]`).
+fn rebuilt_queue(engine: &DynamicEngine) -> Vec<(ObjectId, usize)> {
     let live = engine.live_ids();
-    let want: Vec<(ObjectId, usize)> = maxscore_queue(&snapshot)
+    maxscore_queue(&engine.snapshot())
         .into_iter()
         .map(|(row, ms)| (live[row as usize], ms))
-        .collect();
+        .collect()
+}
+
+/// Queue and `t`-derived MaxScores of `engine` against a from-scratch
+/// build over its live rows.
+fn assert_exact(engine: &mut DynamicEngine) -> Result<(), TestCaseError> {
+    let snapshot = engine.snapshot();
+    let want = rebuilt_queue(engine);
     prop_assert_eq!(engine.maintained_queue(), want);
 
     let parts = engine.store_parts_ref();
@@ -129,13 +158,9 @@ proptest! {
         let dims = ds.dims();
         let mut engine = DynamicEngine::new(ds);
         assert_exact(&mut engine)?;
-        for (kind, pick, dim, cell, row) in ops {
-            let live = engine.live_ids();
-            let op = match kind {
-                0 => UpdateOp::Insert(row),
-                _ if live.is_empty() => continue,
-                1 => UpdateOp::Delete(live[pick % live.len()]),
-                _ => UpdateOp::Set(live[pick % live.len()], dim % dims, cell),
+        for raw in ops {
+            let Some(op) = resolve(raw, &engine.live_ids(), dims) else {
+                continue;
             };
             // Clearing a row's last observed cell is rejected and leaves
             // the engine unchanged; every other op applies.
@@ -145,5 +170,48 @@ proptest! {
         engine.compact_now();
         prop_assert_eq!(engine.tombstones(), 0);
         assert_exact(&mut engine)?;
+    }
+
+    /// The live value-count tables of a row store that keeps every row
+    /// at its id, deleted ones included (the cluster coordinator's
+    /// state), give the queue of a from-scratch build over the live rows
+    /// and the dynamic engine's maintained queue, after the same ops.
+    #[test]
+    fn count_table_queue_equals_rebuild_and_engine((ds, ops) in dynamic_case_strategy()) {
+        let dims = ds.dims();
+        let mut engine = DynamicEngine::new(ds.clone());
+        let mut rows = ds.clone();
+        let mut live: BTreeSet<ObjectId> = ds.ids().collect();
+        let mut counts = ValueCounts::new(&ds);
+        for raw in ops {
+            let Some(op) = resolve(raw, &engine.live_ids(), dims) else {
+                continue;
+            };
+            // A rejected op (clearing a row's last observed cell) leaves
+            // both sides unchanged.
+            let Ok(inserted) = engine.apply(&op) else {
+                continue;
+            };
+            match op {
+                UpdateOp::Insert(row) => {
+                    let id = rows.push_row(&row).expect("the engine took the row");
+                    prop_assert_eq!(inserted, Some(id));
+                    counts.insert(rows.row(id));
+                    live.insert(id);
+                }
+                UpdateOp::Delete(id) => {
+                    counts.remove(rows.row(id));
+                    live.remove(&id);
+                }
+                UpdateOp::Set(id, dim, v) => {
+                    counts.set(dim, rows.value(id, dim), v);
+                    rows.set_value(id, dim, v).expect("the engine took the cell");
+                }
+                UpdateOp::InsertLabeled(..) => unreachable!("not generated"),
+            }
+        }
+        let queue = counts.queue(&rows, live.iter().copied());
+        prop_assert_eq!(&queue, &rebuilt_queue(&engine));
+        prop_assert_eq!(queue, engine.maintained_queue());
     }
 }

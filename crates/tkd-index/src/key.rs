@@ -1,4 +1,5 @@
-//! Totally ordered `f64` key of the binned index's probe trees.
+//! Totally ordered `f64` key of the binned index's probe trees (and of
+//! `tkd-core`'s live value-count tables).
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -12,13 +13,13 @@ use core::fmt;
 /// order −0.0 below +0.0 and value-equality probes (e.g. IBIG's `tagT`
 /// accumulation) would miss ties between the two zeros.
 #[derive(Clone, Copy, PartialEq)]
-pub(crate) struct F64Key(f64);
+pub struct F64Key(f64);
 
 impl F64Key {
     /// Wrap a finite-or-infinite (non-NaN) float.
     ///
     /// Returns `None` for NaN.
-    pub(crate) fn new(v: f64) -> Option<Self> {
+    pub fn new(v: f64) -> Option<Self> {
         if v.is_nan() {
             None
         } else {
@@ -29,7 +30,7 @@ impl F64Key {
     }
 
     /// The wrapped value.
-    pub(crate) fn get(self) -> f64 {
+    pub fn get(self) -> f64 {
         self.0
     }
 }

@@ -40,6 +40,7 @@ mod sorted_column;
 pub use binned::{compute_bins, BinSelection, BinnedBitmapIndex, BinnedBitmapIndexBuilder};
 pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
+pub use key::F64Key;
 pub use sorted_column::for_each_sorted_column;
 
 use tkd_model::ObjectId;

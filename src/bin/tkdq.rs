@@ -916,7 +916,6 @@ fn cmd_cluster_query(args: &[String]) {
         std::path::PathBuf::from,
     );
     let ds = opts.load();
-    let labels = ds.clone();
     let mut coord = tkdi::cluster::Coordinator::seed(
         &ds,
         shards,
@@ -961,12 +960,9 @@ fn cmd_cluster_query(args: &[String]) {
         exit(1);
     });
     for (rank, e) in result.iter().enumerate() {
-        let name = (e.id < labels.len() as u32)
-            .then(|| labels.label(e.id))
-            .flatten()
-            .filter(|l| !l.is_empty())
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("#{}", e.id));
+        let name = coord
+            .label(e.id)
+            .map_or_else(|| format!("#{}", e.id), str::to_string);
         println!("{:>3}. {:<20} score {}", rank + 1, name, e.score);
     }
     if opts.has("stats") {

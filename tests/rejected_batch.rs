@@ -128,6 +128,51 @@ fn serve_rejected_batch_changes_nothing() {
     );
 }
 
+/// Bad batches, each with the index of the op that must be rejected, for
+/// a 3-dimensional store of 46 ids where id 4 is deleted and id 45 holds
+/// `(1, −, 1)`.
+fn bad_batches() -> Vec<(u64, Vec<UpdateOp>)> {
+    let row = |v: f64| vec![Some(v), Some(v), Some(v)];
+    vec![
+        // An unknown id, after a good insert.
+        (1, vec![UpdateOp::Insert(row(1.0)), UpdateOp::Delete(999)]),
+        // An id deleted before this batch, and one deleted earlier in it.
+        (0, vec![UpdateOp::Set(4, 0, Some(1.0))]),
+        (1, vec![UpdateOp::Delete(7), UpdateOp::Set(7, 0, Some(1.0))]),
+        // Sets on an id inserted earlier in the batch: the check tracks
+        // its mask, so clearing its last observed cell is caught.
+        (
+            3,
+            vec![
+                UpdateOp::Insert(vec![Some(1.0), None, None]),
+                UpdateOp::Set(46, 1, Some(2.0)),
+                UpdateOp::Set(46, 0, None),
+                UpdateOp::Set(46, 1, None),
+            ],
+        ),
+        // NaN, in a set and in an insert.
+        (0, vec![UpdateOp::Set(0, 1, Some(f64::NAN))]),
+        (
+            1,
+            vec![
+                UpdateOp::Insert(row(2.0)),
+                UpdateOp::Insert(vec![Some(1.0), Some(f64::NAN), None]),
+            ],
+        ),
+        // Wrong arity.
+        (0, vec![UpdateOp::Insert(vec![Some(1.0)])]),
+        // An all-missing insert.
+        (0, vec![UpdateOp::InsertLabeled("x".into(), vec![None; 3])]),
+        // A set that clears the last observed cell of a stored row.
+        (
+            1,
+            vec![UpdateOp::Set(45, 0, None), UpdateOp::Set(45, 2, None)],
+        ),
+        // A dimension out of range.
+        (0, vec![UpdateOp::Set(0, 3, Some(1.0))]),
+    ]
+}
+
 #[test]
 fn cluster_rejected_batch_changes_nothing() {
     let ds = synth(92, 45, 3, 6, 20);
@@ -138,32 +183,50 @@ fn cluster_rejected_batch_changes_nothing() {
     let addrs: Vec<_> = workers.iter().map(Worker::local_addr).collect();
     let mut coord =
         Coordinator::seed(&ds, 3, &addrs, ClusterConfig::new(&scratch.0)).expect("seed cluster");
-    coord
-        .update(&[
-            UpdateOp::Insert(vec![Some(1.0), None, Some(1.0)]),
-            UpdateOp::Delete(4),
-        ])
-        .expect("good batch");
+    // The twin rejects each batch with the engine's own rules.
+    let options = DynamicOptions {
+        bins: BinChoice::Auto,
+        policy: CompactionPolicy::never(),
+    };
+    let mut twin = DynamicEngine::with_options(ds.clone(), options);
+    let good = [
+        UpdateOp::Insert(vec![Some(1.0), None, Some(1.0)]),
+        UpdateOp::Delete(4),
+    ];
+    coord.update(&good).expect("good batch");
+    assert!(twin.apply_ops(&good).error.is_none());
     let before = coord.query(5, Algorithm::Big).expect("query");
     let frames = coord.stats.frames;
     let on_disk = files(&scratch.0);
     assert!(on_disk.iter().any(|(p, _)| *p == coord.manifest_path()));
     let live = coord.len();
 
-    match coord.update(&bad_batch(ds.dims())) {
-        Err(ClusterError::Rejected { index, .. }) => assert_eq!(index, 2),
-        other => panic!("expected a rejection, got {other:?}"),
+    let batches = std::iter::once((2, bad_batch(ds.dims()))).chain(bad_batches());
+    for (want_index, batch) in batches {
+        let (index, error) = twin.apply_ops(&batch).error.expect("the twin rejects it");
+        assert_eq!(index as u64, want_index, "{batch:?}");
+        match coord.update(&batch) {
+            Err(ClusterError::Rejected {
+                index: got,
+                message,
+            }) => {
+                assert_eq!((got, message), (want_index, error.to_string()), "{batch:?}");
+            }
+            other => panic!("expected a rejection of {batch:?}, got {other:?}"),
+        }
+        assert_eq!(coord.stats.frames, frames, "no frame sent for {batch:?}");
+        assert_eq!(
+            files(&scratch.0),
+            on_disk,
+            "snapshots and manifest untouched by {batch:?}"
+        );
+        assert_eq!(coord.len(), live);
     }
-    assert_eq!(coord.stats.frames, frames, "no frame sent");
-    assert_eq!(
-        files(&scratch.0),
-        on_disk,
-        "snapshots and manifest untouched"
-    );
-    assert_eq!(coord.len(), live);
     let after = coord.query(5, Algorithm::Big).expect("query");
     let entries = |r: &TkdResult| r.iter().map(|e| (e.id, e.score)).collect::<Vec<_>>();
     assert_eq!(entries(&after), entries(&before));
+    let want = twin.query(&EngineQuery::new(5)).expect("twin query");
+    assert_eq!(entries(&after), entries(&want));
     for w in workers {
         w.stop();
     }
