@@ -1030,13 +1030,12 @@ impl DynamicEngine {
     }
 
     /// IBIG phase 1: the exact fused `|Q|` count off the binned columns
-    /// (own bit included when member). The coordinator's `MaxBitScore` is
+    /// (own bit included when member) — the budgeted scan at budget 0,
+    /// which counts without writing. The coordinator's `MaxBitScore` is
     /// `Σⱼ counts − 1`.
-    pub fn ibig_q_count(&mut self, values: &[Option<f64>]) -> usize {
-        self.fit_scratch(1);
-        let scratch = &mut self.scratch[0];
-        scratch.bin_sel = self.binned.select_for(|d| values[d]);
-        IbigIndex::<Concise>::dense(&self.binned).fill_q(scratch)
+    pub fn ibig_q_count(&self, values: &[Option<f64>]) -> usize {
+        let sel = self.binned.select_for(|d| values[d]);
+        self.binned.q_count_selected_above(&sel, 0).unwrap_or(0)
     }
 
     /// BIG phase 2: how many of this engine's live rows the candidate
@@ -1071,12 +1070,14 @@ impl DynamicEngine {
         member: Option<ObjectId>,
     ) -> Result<usize, UpdateError> {
         let member = member.map(|id| self.slot(id)).transpose()?;
-        self.ibig_q_count(values);
+        self.fit_scratch(1);
+        let scratch = &mut self.scratch[0];
+        scratch.bin_sel = self.binned.select_for(|d| values[d]);
+        let shard = IbigIndex::<Concise>::dense(&self.binned);
+        shard.fill_q(scratch);
         let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
         let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
-        let shard = IbigIndex::<Concise>::dense(&self.binned);
         let value = |d: usize| values[d].expect("masked dimension is observed");
-        let scratch = &mut self.scratch[0];
         let mut unlimited = usize::MAX;
         let term = ibig_term(&shard, ds.masks(), &cand, value, scratch, &mut unlimited);
         Ok(term.expect("an unlimited budget is never overdrawn"))

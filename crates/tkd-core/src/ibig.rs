@@ -13,12 +13,16 @@
 //! # Where the algorithm lives
 //!
 //! IBIG-Score (Algorithm 5) is written **once**, against one `IbigIndex`
-//! (a binned index plus its column store). `ibig_score_over` fills `Q`
-//! from the candidate's stored bins ([`BinnedBitmapIndex::selection_of`])
-//! and takes the Heuristic 2 decision on `|Q| − 1`, then returns
-//! `ibig_term` — `|P − F| + |Q − P − nonD|`, the only function that issues
-//! the §4.5 probes — under the Heuristic-3 budget, checked after each
-//! probed dimension and each residue member. Every in-process engine
+//! (a binned index plus its column store). `ibig_score_over` reads the
+//! candidate's picks off its stored bins
+//! ([`BinnedBitmapIndex::selection_of`]) and takes the Heuristic 2
+//! decision on `|Q| − 1` with the budgeted scan BIG runs
+//! ([`BinnedBitmapIndex::q_count_selected_above`]: the binned columns'
+//! dense words against their per-block suffix popcounts, exiting as soon
+//! as the bound is settled and writing nothing). Only survivors fill `Q`,
+//! and `ibig_term` — `|P − F| + |Q − P − nonD|`, the only function that
+//! issues the §4.5 probes — runs under the Heuristic-3 budget, checked
+//! after each probed dimension and each residue member. Every in-process engine
 //! scores through it: the sequential [`ibig_with_scratch`], and the
 //! parallel paths, which split the queue across workers over the same
 //! index and merge by replay ([`crate::parallel`]), so entries, scores,
@@ -28,7 +32,7 @@
 //! The traversal is `crate::topk`'s `walk`.
 //!
 //! Like BIG, the scoring path is **allocation-free** after context build:
-//! the per-object `Q`/`P` intersections decompress straight into the
+//! a survivor's `Q`/`P` intersections decompress straight into the
 //! caller's [`ScratchSpace`] (first column written, the rest ANDed in off
 //! their run streams — no compressed intermediates), the `nonD`/`tagT`
 //! tables are epoch-stamped in the same scratch, and the tree probes
@@ -54,6 +58,10 @@ use tkd_model::{stats, Dataset, DimMask, ObjectId};
 /// compression is traded for `O(1)` tombstone/append maintenance, and
 /// scoring ANDs the picked dense columns directly (including column 0,
 /// which carries the tombstone mask there).
+///
+/// `columns` only chooses where a survivor's `Q`/`P` are filled from.
+/// Heuristic 2 always scans `index`'s dense words: a compressed context
+/// keeps the index it compressed, so both kinds hold them.
 pub(crate) struct IbigIndex<'a, C: CompressedBitmap> {
     pub(crate) index: Cow<'a, BinnedBitmapIndex>,
     columns: Option<CompressedColumns<C>>,
@@ -87,12 +95,13 @@ impl<'a, C: CompressedBitmap> IbigIndex<'a, C> {
     }
 
     /// Fill `scratch.q` with the raw `∩ᵢ Qᵢ` for the picks in
-    /// `scratch.bin_sel` (a member candidate's own bit included) and count
-    /// it — the Heuristic 2 count, and the `Q` `ibig_term` then works on.
-    pub(crate) fn fill_q(&self, scratch: &mut ScratchSpace) -> usize {
+    /// `scratch.bin_sel` (a member candidate's own bit included) — the `Q`
+    /// `ibig_term` works on. Only candidates that survive Heuristic 2 are
+    /// filled; the count that decides it is
+    /// [`BinnedBitmapIndex::q_count_selected_above`], which writes nothing.
+    pub(crate) fn fill_q(&self, scratch: &mut ScratchSpace) {
         let ScratchSpace { q, bin_sel, .. } = scratch;
         self.and_selected_into((0..self.index.dims()).map(|d| bin_sel.q_pick(d)), q);
-        q.count_ones()
     }
 }
 
@@ -245,14 +254,20 @@ pub(crate) fn ibig_score_over<C: CompressedBitmap>(
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
-    // Q straight into scratch; the count includes o itself, so
-    // MaxBitScore = |∩Qᵢ| − 1 before its bit is cleared.
-    scratch.bin_sel = binned.index.selection_of(o as usize);
-    let max_bit_score = binned.fill_q(scratch) - 1;
-    // Heuristic 2 — bitmap pruning (still sound under binning, §4.4).
-    if matches!(tau, Some(t) if max_bit_score <= t) {
+    // Heuristic 2 — bitmap pruning (still sound under binning, §4.4), as
+    // BIG takes it: o sits in every column it picks, so
+    // MaxBitScore = |∩Qᵢ| − 1 ≤ τ reads |∩Qᵢ| ≤ τ + 1, decided by the
+    // budgeted scan without writing Q. With no τ yet the budget is 0 and
+    // the count (≥ 1, o's own bit) comes back exact.
+    let index = &binned.index;
+    scratch.bin_sel = index.selection_of(o as usize);
+    let budget = tau.map_or(0, |t| t + 1);
+    let Some(q_count) = index.q_count_selected_above(&scratch.bin_sel, budget) else {
         return Outcome::PrunedBitmap;
-    }
+    };
+    let max_bit_score = q_count - 1;
+    // Survivors only: Q into scratch for the term.
+    binned.fill_q(scratch);
     let cand = Candidate::member(ds, pre, o);
     // Heuristic 3's budget: score(o) = |Q| − |F| − |nonD| beats τ only
     // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms.

@@ -12,6 +12,7 @@
 
 use crate::key::F64Key;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
+use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts};
 use std::collections::BTreeSet;
 use tkd_bitvec::BitVec;
 use tkd_model::{Dataset, ObjectId, MAX_DIMS};
@@ -82,6 +83,9 @@ pub struct BinnedBitmapIndex {
     columns: Vec<Vec<BitVec>>,
     /// Per object, per dimension: 1-based bin index or `MISSING`.
     bin_idx: Vec<u32>,
+    /// `block_suffix[i][c]` = [`suffix_counts`] of `columns[i][c]`, for the
+    /// Heuristic 2 early exit.
+    block_suffix: Vec<Vec<Vec<u32>>>,
     trees: Vec<ProbeTree>,
 }
 
@@ -96,6 +100,7 @@ pub struct BinnedBitmapIndexBuilder<'a> {
     boundaries: Vec<Vec<f64>>,
     columns: Vec<Vec<BitVec>>,
     bin_idx: Vec<u32>,
+    block_suffix: Vec<Vec<Vec<u32>>>,
     trees: Vec<ProbeTree>,
 }
 
@@ -111,6 +116,7 @@ impl<'a> BinnedBitmapIndexBuilder<'a> {
             boundaries: Vec::with_capacity(dims),
             columns: Vec::with_capacity(dims),
             bin_idx: vec![MISSING; n * dims],
+            block_suffix: Vec::with_capacity(dims),
             trees: Vec::with_capacity(dims),
         }
     }
@@ -159,6 +165,8 @@ impl<'a> BinnedBitmapIndexBuilder<'a> {
             .map(|&(v, o)| (F64Key::new(v).expect("values are not NaN"), o))
             .collect();
         self.boundaries.push(bounds);
+        self.block_suffix
+            .push(cols.iter().map(suffix_counts).collect());
         self.columns.push(cols);
         self.trees.push(tree);
     }
@@ -176,6 +184,7 @@ impl<'a> BinnedBitmapIndexBuilder<'a> {
             boundaries: self.boundaries,
             columns: self.columns,
             bin_idx: self.bin_idx,
+            block_suffix: self.block_suffix,
             trees: self.trees,
         }
     }
@@ -199,7 +208,8 @@ impl BinnedBitmapIndex {
     /// missing cell; `tree_entries` holds each dimension's live observed
     /// `(value, local id)` pairs in strictly ascending `(value, id)`
     /// order, from which the probe trees are refilled — tree node
-    /// structure is never persisted.
+    /// structure is never persisted, and neither are the suffix-popcount
+    /// tables, which are recomputed from the adopted columns.
     ///
     /// # Errors
     /// A description of the first structural inconsistency (arities,
@@ -290,12 +300,17 @@ impl BinnedBitmapIndex {
                 ));
             }
         }
+        let block_suffix = columns
+            .iter()
+            .map(|cols| cols.iter().map(suffix_counts).collect())
+            .collect();
         Ok(BinnedBitmapIndex {
             n,
             dims,
             boundaries,
             columns,
             bin_idx,
+            block_suffix,
             trees,
         })
     }
@@ -314,7 +329,10 @@ impl BinnedBitmapIndex {
     // Unlike the exact index, the binned index tombstones slots in **every**
     // column *including column 0* (it keeps no separate live mask): the
     // compressed/dense `and_selected_into` paths AND all picked columns, so
-    // a cleared column-0 bit masks dead slots even for all-missing picks.
+    // a cleared column-0 bit masks dead slots even for all-missing picks,
+    // and the budgeted scan answers an all-column-0 selection from column
+    // 0's stored popcount. Every column change goes through the `col_*`
+    // helpers, which keep the suffix tables exact.
     // Bin boundaries are frozen between compactions; a value above the last
     // boundary extends that boundary upward (no existing assignment
     // changes), and a dimension's first observed value creates its first
@@ -327,16 +345,23 @@ impl BinnedBitmapIndex {
         for dim in 0..self.dims {
             let slot = match value(dim) {
                 None => {
-                    for col in &mut self.columns[dim] {
-                        col.push(true);
+                    for (col, suf) in self.columns[dim]
+                        .iter_mut()
+                        .zip(&mut self.block_suffix[dim])
+                    {
+                        col_push(col, suf, true);
                     }
                     MISSING
                 }
                 Some(v) => {
                     let b = self.ensure_bin(dim, v);
                     // bin = b+1; bit in column c iff bin > c, i.e. c ≤ b.
-                    for (c, col) in self.columns[dim].iter_mut().enumerate() {
-                        col.push(c <= b);
+                    for (c, (col, suf)) in self.columns[dim]
+                        .iter_mut()
+                        .zip(&mut self.block_suffix[dim])
+                        .enumerate()
+                    {
+                        col_push(col, suf, c <= b);
                     }
                     self.trees[dim].insert((
                         F64Key::new(v).expect("values are not NaN"),
@@ -356,10 +381,11 @@ impl BinnedBitmapIndex {
     /// slot's observations (the caller still holds the tombstoned row).
     pub fn tombstone_row(&mut self, local: usize, mut value: impl FnMut(usize) -> Option<f64>) {
         for dim in 0..self.dims {
-            for col in &mut self.columns[dim] {
-                if col.get(local) {
-                    col.clear(local);
-                }
+            for (col, suf) in self.columns[dim]
+                .iter_mut()
+                .zip(&mut self.block_suffix[dim])
+            {
+                col_clear(col, suf, local);
             }
             if let Some(v) = value(dim) {
                 self.trees[dim].remove(&(F64Key::new(v).expect("not NaN"), local as ObjectId));
@@ -396,11 +422,19 @@ impl BinnedBitmapIndex {
         };
         if new_hi > old_hi {
             for c in old_hi..new_hi {
-                self.columns[dim][c].set(local);
+                col_set(
+                    &mut self.columns[dim][c],
+                    &mut self.block_suffix[dim][c],
+                    local,
+                );
             }
         } else {
             for c in new_hi..old_hi {
-                self.columns[dim][c].clear(local);
+                col_clear(
+                    &mut self.columns[dim][c],
+                    &mut self.block_suffix[dim][c],
+                    local,
+                );
             }
         }
         self.bin_idx[local * self.dims + dim] = new_slot;
@@ -415,7 +449,9 @@ impl BinnedBitmapIndex {
             // First bin of a never-observed dimension: every existing slot
             // misses it, so the new column equals column 0 bit for bit.
             let col = self.columns[dim][0].clone();
+            let suf = self.block_suffix[dim][0].clone();
             self.columns[dim].push(col);
+            self.block_suffix[dim].push(suf);
             return 0;
         }
         if v > *bounds.last().expect("nonempty") {
@@ -544,6 +580,23 @@ impl BinnedBitmapIndex {
     /// Lemma 3 does not carry over, see §4.4).
     pub fn max_bit_score(&self, o: ObjectId) -> usize {
         self.q_vec(o).count_ones()
+    }
+
+    /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit: `None` as
+    /// soon as the count is provably `≤ budget`, else the exact count —
+    /// the same scan as [`crate::BitmapIndex::q_count_selected_above`],
+    /// over the binned columns and their suffix tables. IBIG's Heuristic 2
+    /// decision; nothing is written.
+    pub fn q_count_selected_above(&self, sel: &BinSelection, budget: usize) -> Option<usize> {
+        // Column 0 carries the tombstones here, so its popcount is the
+        // live count.
+        count_selected_above(
+            &self.columns,
+            &self.block_suffix,
+            &sel.q[..self.dims],
+            self.block_suffix[0][0][0] as usize,
+            budget,
+        )
     }
 
     /// Index size in bits: the paper's **logical** Eq. 5 cost with the
@@ -932,6 +985,35 @@ mod tests {
         }
     }
 
+    /// The suffix tables equal a fresh recompute from the columns, and the
+    /// budgeted scan agrees with the popcount of the materialized `Q` of
+    /// every selection in `sels`, at budgets on both sides of it.
+    fn assert_scan_consistent(
+        idx: &BinnedBitmapIndex,
+        sels: impl IntoIterator<Item = BinSelection>,
+        ctx: &str,
+    ) {
+        for d in 0..idx.dims() {
+            assert_eq!(idx.block_suffix[d].len(), idx.num_columns(d), "{ctx}");
+            for c in 0..idx.num_columns(d) {
+                let fresh = suffix_counts(idx.column(d, c));
+                assert_eq!(idx.block_suffix[d][c], fresh, "{ctx}: dim {d} col {c}");
+            }
+        }
+        let mut q = BitVec::zeros(idx.n());
+        for sel in sels {
+            idx.and_selected_into((0..idx.dims()).map(|d| sel.q_pick(d)), &mut q);
+            let exact = q.count_ones();
+            for budget in [0, 1, exact.saturating_sub(1), exact, exact + 3] {
+                assert_eq!(
+                    idx.q_count_selected_above(&sel, budget),
+                    (exact > budget).then_some(exact),
+                    "{ctx}: budget {budget}"
+                );
+            }
+        }
+    }
+
     /// Dynamic maintenance keeps the binned index *consistent*: column
     /// predicates match the frozen bin assignment, tombstones vanish from
     /// every column and probe, `Q` stays a sound superset of the exact
@@ -1021,6 +1103,10 @@ mod tests {
             // Q-superset soundness vs the exact index over live rows, via
             // the value-based pick path every scorer uses.
             let live_rows: Vec<Vec<Option<f64>>> = rows.iter().flatten().cloned().collect();
+            // The all-missing selection counts the live slots off column 0.
+            let all_missing = std::iter::once(BinSelection::default());
+            let by_value = live_rows.iter().map(|row| idx.select_for(|d| row[d]));
+            assert_scan_consistent(&idx, all_missing.chain(by_value), &format!("step {step}"));
             if live_rows.is_empty() {
                 continue;
             }
@@ -1067,6 +1153,10 @@ mod tests {
         let b = idx.append_row(|d| [None, Some(3.5)][d]);
         let below: Vec<u32> = idx.ids_below_in_bin(1, 4.0, true).collect();
         assert_eq!(below, vec![b as u32]);
+        // The spliced first column carries a suffix table, and the scan
+        // agrees on every member's own selection.
+        let members: Vec<BinSelection> = (0..idx.n()).map(|r| idx.selection_of(r)).collect();
+        assert_scan_consistent(&idx, members, "after first bin");
     }
 
     /// Disassemble a binned index into the store's export shape.
@@ -1134,6 +1224,13 @@ mod tests {
         for o in ds.ids().filter(|&o| o as usize != victim) {
             assert_eq!(rebuilt.q_vec(o), idx.q_vec(o), "Q of {o}");
             assert_eq!(rebuilt.p_vec(o), idx.p_vec(o), "P of {o}");
+        }
+        // Suffix tables are recomputed at load, not persisted: both sides
+        // agree with a fresh recompute and with their own bits.
+        for (name, index) in [("mutated", &idx), ("rebuilt", &rebuilt)] {
+            let live = ds.ids().filter(|&o| o as usize != victim);
+            let sels = live.map(|o| index.selection_of(o as usize));
+            assert_scan_consistent(index, sels, name);
         }
     }
 

@@ -2,88 +2,12 @@
 //! maintenance (append / tombstone / cell update) for the update layer.
 
 use crate::sorted_column::{for_each_sorted_column, value_runs};
+use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts};
 use tkd_bitvec::{BitVec, Tombstones};
 use tkd_model::{Dataset, ObjectId, MAX_DIMS};
 
 /// Sentinel marking a missing value in the per-object column-index table.
 const MISSING: u32 = u32::MAX;
-
-/// Words per block of the per-column suffix-popcount tables that power the
-/// Heuristic 2 early exit (2048 bits per block).
-const SUFFIX_BLOCK_WORDS: usize = 32;
-
-/// Popcount of the AND of the first `m` word slices over `[start, end)`,
-/// staged through a stack block buffer so each column is one vectorizable
-/// pass (a word-at-a-time gather across columns defeats SIMD and
-/// benchmarks ~2.5× slower).
-#[inline]
-fn block_and_count(words: &[&[u64]; MAX_DIMS], m: usize, start: usize, end: usize) -> usize {
-    let mut buf = [0u64; SUFFIX_BLOCK_WORDS];
-    let blen = end - start;
-    buf[..blen].copy_from_slice(&words[0][start..end]);
-    for col in &words[1..m] {
-        for (b, s) in buf[..blen].iter_mut().zip(&col[start..end]) {
-            *b &= s;
-        }
-    }
-    tkd_bitvec::kernels::popcount(&buf[..blen])
-}
-
-/// Append one bit to a column, keeping its suffix-popcount table exact.
-/// Amortized `O(1)` for a zero bit, `O(nblocks)` for a one (every block
-/// prefix gains the bit).
-fn col_push(col: &mut BitVec, suf: &mut Vec<u32>, bit: bool) {
-    col.push(bit);
-    let nblocks = col.as_words().len().div_ceil(SUFFIX_BLOCK_WORDS);
-    // A fresh block's count and the trailing sentinel are both 0.
-    while suf.len() < nblocks + 1 {
-        suf.push(0);
-    }
-    if bit {
-        for s in &mut suf[..nblocks] {
-            *s += 1;
-        }
-    }
-}
-
-/// Clear one bit of a column, keeping its suffix table exact. No-op when
-/// the bit is already zero.
-fn col_clear(col: &mut BitVec, suf: &mut [u32], pos: usize) {
-    if col.get(pos) {
-        col.clear(pos);
-        let b0 = pos / 64 / SUFFIX_BLOCK_WORDS;
-        for s in &mut suf[..=b0] {
-            *s -= 1;
-        }
-    }
-}
-
-/// Set one bit of a column, keeping its suffix table exact. No-op when the
-/// bit is already one.
-fn col_set(col: &mut BitVec, suf: &mut [u32], pos: usize) {
-    if !col.get(pos) {
-        col.set(pos);
-        let b0 = pos / 64 / SUFFIX_BLOCK_WORDS;
-        for s in &mut suf[..=b0] {
-            *s += 1;
-        }
-    }
-}
-
-/// Suffix popcounts of a column at [`SUFFIX_BLOCK_WORDS`] granularity:
-/// entry `b` is the popcount of words `b·B..`, entry `nblocks` is 0.
-fn suffix_counts(col: &BitVec) -> Vec<u32> {
-    let words = col.as_words();
-    let nblocks = words.len().div_ceil(SUFFIX_BLOCK_WORDS);
-    let mut suf = vec![0u32; nblocks + 1];
-    for b in (0..nblocks).rev() {
-        let start = b * SUFFIX_BLOCK_WORDS;
-        let end = ((b + 1) * SUFFIX_BLOCK_WORDS).min(words.len());
-        let cnt = tkd_bitvec::kernels::popcount(&words[start..end]) as u32;
-        suf[b] = suf[b + 1] + cnt;
-    }
-    suf
-}
 
 /// Range-encoded bitmap index over an incomplete dataset.
 ///
@@ -706,7 +630,7 @@ impl BitmapIndex {
         }
     }
 
-    /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit — the one
+    /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit — the
     /// Heuristic 2 scan, and the hot path of Algorithm 3 (most visited
     /// objects die here). Returns `None` as soon as the count is provably
     /// `≤ budget`: upfront when the sparsest selected column already fits,
@@ -714,52 +638,16 @@ impl BitmapIndex {
     /// column's remaining suffix popcount can no longer exceed `budget`
     /// (on Heuristic-2-heavy workloads most of each scan is skipped). Else
     /// the exact count. A `None` lets Heuristic 2 prune without finishing
-    /// the scan.
+    /// the scan. The binned index runs the same scan
+    /// ([`crate::BinnedBitmapIndex::q_count_selected_above`]).
     pub fn q_count_selected_above(&self, sel: &ColumnSelection, budget: usize) -> Option<usize> {
-        let mut words: [&[u64]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let mut suffix: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let mut m = 0;
-        for dim in 0..self.dims {
-            let c = sel.q[dim] as usize;
-            if c > 0 {
-                words[m] = self.columns[dim][c].as_words();
-                suffix[m] = &self.block_suffix[dim][c];
-                m += 1;
-            }
-        }
-        if m == 0 {
-            let live = self.live_count();
-            return (live > budget).then_some(live);
-        }
-        let min0 = suffix[..m].iter().map(|s| s[0] as usize).min().unwrap();
-        if min0 <= budget {
-            return None;
-        }
-        let nwords = words[0].len();
-        let mut total = 0usize;
-        let mut block = 0usize;
-        let mut w = 0usize;
-        while w < nwords {
-            let end = (w + SUFFIX_BLOCK_WORDS).min(nwords);
-            total += block_and_count(&words, m, w, end);
-            w = end;
-            block += 1;
-            if total > budget {
-                // Keep decided: finish the scan for the exact count
-                // (`max_bit_score_above` reports it).
-                while w < nwords {
-                    let end = (w + SUFFIX_BLOCK_WORDS).min(nwords);
-                    total += block_and_count(&words, m, w, end);
-                    w = end;
-                }
-                return Some(total);
-            }
-            let min_suffix = suffix[..m].iter().map(|s| s[block] as usize).min().unwrap();
-            if total + min_suffix <= budget {
-                return None;
-            }
-        }
-        (total > budget).then_some(total)
+        count_selected_above(
+            &self.columns,
+            &self.block_suffix,
+            &sel.q[..self.dims],
+            self.live_count(),
+            budget,
+        )
     }
 
     /// 1-based value slot of object `local` in `dim`, `0` when
@@ -843,6 +731,7 @@ impl ColumnSelection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BinnedBitmapIndex;
     use tkd_model::{dominance, fixtures};
 
     fn bits_to_string(b: &BitVec) -> String {
@@ -1046,6 +935,32 @@ mod tests {
         }
     }
 
+    /// The budgeted scan's contract at one `(count, budget)` point: the
+    /// exact count when it exceeds the budget, `None` otherwise.
+    fn assert_budgeted(got: Option<usize>, exact: usize, budget: usize, ctx: &str) {
+        assert_eq!(
+            got,
+            (exact > budget).then_some(exact),
+            "{ctx} budget {budget}"
+        );
+    }
+
+    /// `n` rows over 4 dimensions. Dimension 0 falls with the row index,
+    /// so its high-value columns are dense in the first blocks and empty
+    /// after them (the block-by-block exit fires mid-scan); the other
+    /// three hold the dynamic tests' tie-heavy random cells.
+    fn trending_dataset(n: usize) -> Dataset {
+        let mut seed = 29u64;
+        let rows: Vec<Vec<Option<f64>>> = (0..n)
+            .map(|r| {
+                let mut row = random_row(&mut seed, 4);
+                row[0] = Some(((n - r) * 40 / n) as f64);
+                row
+            })
+            .collect();
+        Dataset::from_rows(4, &rows).unwrap()
+    }
+
     #[test]
     fn budgeted_count_agrees_with_exact() {
         let ds = fixtures::fig3_sample();
@@ -1054,12 +969,40 @@ mod tests {
             let sel = idx.select_for(|d| ds.value(o, d));
             let exact = idx.q_vec(o).count_ones() + 1; // q_vec cleared o's bit
             for budget in [0usize, 1, 5, exact.saturating_sub(1), exact, exact + 3] {
-                match idx.q_count_selected_above(&sel, budget) {
-                    Some(c) => {
-                        assert_eq!(c, exact, "obj {o} budget {budget}");
-                        assert!(c > budget);
-                    }
-                    None => assert!(exact <= budget, "obj {o} budget {budget}"),
+                let ctx = format!("fig3 obj {o}");
+                assert_budgeted(
+                    idx.q_count_selected_above(&sel, budget),
+                    exact,
+                    budget,
+                    &ctx,
+                );
+            }
+        }
+
+        // Three full 2 048-bit blocks plus a tail, so the scan crosses
+        // block boundaries and can exit inside its loop — on the exact
+        // index and on the binned one, which runs the same scan.
+        let ds = trending_dataset(3 * 2048 + 356);
+        let exact_idx = BitmapIndex::build(&ds);
+        let binned: Vec<(usize, BinnedBitmapIndex)> = [1, 3, 21]
+            .into_iter()
+            .map(|x| (x, BinnedBitmapIndex::build(&ds, &[x; 4])))
+            .collect();
+        let mut q = BitVec::zeros(ds.len());
+        for o in ds.ids().step_by(7) {
+            let sel = exact_idx.select_for(|d| ds.value(o, d));
+            let exact = exact_idx.q_vec(o).count_ones() + 1;
+            for budget in [0, 1, exact - 1, exact, exact + 3] {
+                let got = exact_idx.q_count_selected_above(&sel, budget);
+                assert_budgeted(got, exact, budget, &format!("exact obj {o}"));
+            }
+            for (x, idx) in &binned {
+                let sel = idx.selection_of(o as usize);
+                idx.and_selected_into((0..ds.dims()).map(|d| sel.q_pick(d)), &mut q);
+                let exact = q.count_ones();
+                for budget in [0, 1, exact - 1, exact, exact + 3] {
+                    let got = idx.q_count_selected_above(&sel, budget);
+                    assert_budgeted(got, exact, budget, &format!("{x} bins obj {o}"));
                 }
             }
         }

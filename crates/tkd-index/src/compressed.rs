@@ -6,9 +6,11 @@ use tkd_bitvec::{BitVec, CompressedBitmap};
 /// The vertical columns of a bitmap index, compressed with a
 /// [`CompressedBitmap`] codec (WAH or CONCISE).
 ///
-/// This is the storage layout of IBIG: `MaxBitScore` is computed by ANDing
-/// and counting on the compressed form; candidate enumeration decompresses
-/// the final `Q`/`P` vectors only.
+/// This is the storage layout of IBIG's static contexts: a candidate that
+/// survives Heuristic 2 has its `Q`/`P` filled from these columns
+/// ([`CompressedColumns::and_selected_into`]). `MaxBitScore` is never
+/// computed here — Heuristic 2 scans the binned index's dense words
+/// ([`BinnedBitmapIndex::q_count_selected_above`]).
 #[derive(Clone, Debug)]
 pub struct CompressedColumns<C> {
     n: usize,

@@ -27,6 +27,12 @@
 //! `o[i] = v_j`, the paper's Definition 4 sets are single column lookups:
 //! `[Qᵢ] = column(i, j−1)` and `[Pᵢ] = column(i, j)`, and `Q`/`P` are plain
 //! word-wise intersections.
+//!
+//! Both indexes keep a per-block suffix-popcount table beside every
+//! column and run one budgeted AND-count over them,
+//! [`BitmapIndex::q_count_selected_above`] /
+//! [`BinnedBitmapIndex::q_count_selected_above`] — Heuristic 2 for BIG
+//! and IBIG alike.
 
 #![warn(missing_docs)]
 
@@ -36,6 +42,7 @@ mod compressed;
 pub mod cost;
 mod key;
 mod sorted_column;
+mod suffix;
 
 pub use binned::{compute_bins, BinSelection, BinnedBitmapIndex, BinnedBitmapIndexBuilder};
 pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
