@@ -21,16 +21,16 @@
 //! The per-frame timeout on each worker connection is the failure
 //! detector. When a call fails at the transport level, the worker is
 //! marked dead and every shard it hosted is re-assigned to a surviving
-//! worker from the newest committed snapshot on the shared handoff
-//! directory, replaying any acked-but-newer batches from the
-//! coordinator's log. Queries are stateless on the workers, so a failed
-//! query is simply retried after repair — the retried answer is the
-//! same bit-identical result. An in-doubt update batch (sent, no ack)
-//! is resolved by the seq-stamped snapshot the worker did or did not
-//! commit: the filename is the arbiter.
+//! worker from the newest checkpoint on the shared handoff directory and
+//! the op log beside it. Queries are stateless on the workers, so a
+//! failed query is simply retried after repair — the retried answer is
+//! the same bit-identical result. An in-doubt update batch (sent, no
+//! ack) travels with the re-assignment; the new host skips it if the
+//! dead worker's log holds it (the log is the arbiter) and applies it
+//! otherwise.
 
 use crate::worker::shard_options;
-use crate::{newest_snapshot, ClusterError};
+use crate::{newest_snapshot, seq_from_path, ClusterError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -104,14 +104,16 @@ impl WorkerLink {
 
 struct ShardMeta {
     worker: usize,
+    /// Seq of the shard's last acked batch.
     seq: u64,
-    path: PathBuf,
+    /// The shard's checkpoint: `shard-S.seq{n}.tkd` and its seq `n`; the
+    /// batches acked after `n` are in the op log beside it.
+    checkpoint: (u64, PathBuf),
     live: u64,
-    /// Routed batches `(seq, local ops)` not yet known to be on disk —
-    /// the replay log for snapshot re-assignment. A batch acked at `seq`
-    /// is committed in `shard-S.seq{seq}.tkd` and re-assignment only
-    /// replays past the newest snapshot, so entries are dropped as soon
-    /// as they are acked: the log holds at most the in-doubt batch.
+    /// Routed batches `(seq, local ops)` not yet acked — what a
+    /// re-assignment replays. An acked batch is in the shard's op log, so
+    /// entries are dropped as soon as they are acked: this holds at most
+    /// the in-doubt batch.
     log: Vec<(u64, Vec<UpdateOp>)>,
     /// Next local stable id the shard engine will allocate. Local
     /// allocation is deterministic (monotone, never reused), so the
@@ -145,6 +147,19 @@ pub struct Coordinator {
     cfg: ClusterConfig,
     /// Wire counters, reset at the caller's discretion.
     pub stats: ClusterStats,
+}
+
+/// A checkpoint a worker named for `shard` at acked seq `seq`: its path
+/// must carry a `.seq{n}.` stamp no later than `seq`.
+fn checkpoint(shard: u64, path: String, seq: u64) -> Result<(u64, PathBuf), ClusterError> {
+    let path = PathBuf::from(path);
+    match seq_from_path(&path) {
+        Some(n) if n <= seq => Ok((n, path)),
+        _ => Err(ClusterError::Protocol(format!(
+            "shard {shard} at seq {seq} named checkpoint {}",
+            path.display()
+        ))),
+    }
 }
 
 fn is_transport(e: &ServeError) -> bool {
@@ -196,7 +211,7 @@ impl Coordinator {
             metas.push(ShardMeta {
                 worker: j % workers.len(),
                 seq: 0,
-                path,
+                checkpoint: (0, path),
                 live: (hi - lo) as u64,
                 log: Vec::new(),
                 next_local: (hi - lo) as u32,
@@ -223,7 +238,7 @@ impl Coordinator {
         for j in 0..shard_count {
             let (w, path, live) = {
                 let m = &coord.shards[j];
-                (m.worker, m.path.display().to_string(), m.live)
+                (m.worker, m.checkpoint.1.display().to_string(), m.live)
             };
             match coord.call(
                 w,
@@ -303,14 +318,17 @@ impl Coordinator {
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(s, m)| ShardEntry {
-                    shard: s as u64,
-                    seq: m.seq,
-                    live: m.live,
-                    path: m.path.file_name().map_or_else(
-                        || m.path.display().to_string(),
-                        |n| n.to_string_lossy().into_owned(),
-                    ),
+                .map(|(s, m)| {
+                    let (seq, path) = &m.checkpoint;
+                    ShardEntry {
+                        shard: s as u64,
+                        seq: *seq,
+                        live: m.live,
+                        path: path.file_name().map_or_else(
+                            || path.display().to_string(),
+                            |n| n.to_string_lossy().into_owned(),
+                        ),
+                    }
                 })
                 .collect(),
         };
@@ -360,10 +378,11 @@ impl Coordinator {
             .ok_or(ClusterError::NoWorkers)
     }
 
-    /// Re-host `shard` on a surviving worker from the newest committed
-    /// snapshot, replaying logged batches the snapshot predates. Also
-    /// resolves an in-doubt batch: if the dying worker committed it, the
-    /// seq-stamped file proves it and the log entry is treated as acked.
+    /// Re-host `shard` on a surviving worker from the newest checkpoint and
+    /// its op log, sending the unacked batches along. Also resolves an
+    /// in-doubt batch: the new host skips it if the dead worker's log
+    /// holds it and applies it otherwise, so either way the shard reaches
+    /// the last routed seq.
     fn reassign(&mut self, shard: u64) -> Result<(), ClusterError> {
         let (disk_seq, disk_path) = newest_snapshot(&self.cfg.dir, shard).ok_or_else(|| {
             ClusterError::Store(format!(
@@ -371,14 +390,11 @@ impl Coordinator {
                 self.cfg.dir.display()
             ))
         })?;
-        let target_seq = self.shards[shard as usize]
-            .log
-            .last()
-            .map_or(disk_seq, |&(s, _)| s.max(disk_seq));
-        let replay: Vec<ReplayBatch> = self.shards[shard as usize]
+        let meta = &self.shards[shard as usize];
+        let target_seq = meta.log.last().map_or(meta.seq, |&(s, _)| s);
+        let replay: Vec<ReplayBatch> = meta
             .log
             .iter()
-            .filter(|&&(s, _)| s > disk_seq)
             .map(|(s, ops)| ReplayBatch {
                 seq: *s,
                 ops: ops.clone(),
@@ -400,14 +416,14 @@ impl Coordinator {
                     meta.worker = w;
                     meta.seq = target_seq;
                     meta.live = live;
-                    // The new host committed the replayed state before acking.
-                    meta.log.retain(|&(s, _)| s > target_seq);
-                    meta.path = if target_seq == disk_seq {
-                        disk_path
+                    meta.log.clear();
+                    // A host that replayed anything checkpointed the
+                    // result under its seq before acking.
+                    meta.checkpoint = if target_seq == disk_seq {
+                        (disk_seq, disk_path)
                     } else {
-                        self.cfg
-                            .dir
-                            .join(format!("shard-{shard}.seq{target_seq}.tkd"))
+                        let name = format!("shard-{shard}.seq{target_seq}.tkd");
+                        (target_seq, self.cfg.dir.join(name))
                     };
                     return self.write_manifest();
                 }
@@ -427,7 +443,7 @@ impl Coordinator {
     }
 
     /// Repair a dead worker: every shard it hosted is re-assigned from
-    /// its newest committed snapshot.
+    /// its newest checkpoint and the op log beside it.
     fn repair_worker(&mut self, w: usize) -> Result<(), ClusterError> {
         self.stats.repairs += 1;
         self.workers[w].dead = true;
@@ -474,7 +490,7 @@ impl Coordinator {
                         self.shards[shard as usize].seq
                     )));
                 }
-                self.shards[shard as usize].path = PathBuf::from(path);
+                self.shards[shard as usize].checkpoint = checkpoint(shard, path, seq)?;
             }
             Ok(other) => {
                 return Err(ClusterError::Protocol(format!(
@@ -488,7 +504,7 @@ impl Coordinator {
         // live if `to` dies under us.
         let (path, live) = {
             let m = &self.shards[shard as usize];
-            (m.path.display().to_string(), m.live)
+            (m.checkpoint.1.display().to_string(), m.live)
         };
         match self.call(
             to,
@@ -518,11 +534,10 @@ impl Coordinator {
     /// Apply an update batch through the single-writer path: check it
     /// with the engine's batch rules against the route map, route each op
     /// to its shard by id, and commit each per-shard batch with a
-    /// strictly increasing seq and an atomic snapshot rewrite on the
-    /// worker. A worker death mid-batch is repaired in place (the
-    /// seq-stamped snapshot resolves whether the in-doubt batch
-    /// committed), so a successful return means every shard holds exactly
-    /// the coordinator's rows.
+    /// strictly increasing seq to the worker's op log. A worker death
+    /// mid-batch is repaired in place (the shard's log resolves whether
+    /// the in-doubt batch committed), so a successful return means every
+    /// shard holds exactly the coordinator's rows.
     ///
     /// # Errors
     /// [`ClusterError::Rejected`] if an op fails the batch check — the
@@ -577,10 +592,11 @@ impl Coordinator {
                             ack.inserted, expected
                         )));
                     }
+                    let checkpoint = checkpoint(shard, ack.path, seq)?;
                     let meta = &mut self.shards[shard as usize];
                     meta.seq = seq;
                     meta.live = ack.live;
-                    meta.path = PathBuf::from(&ack.path);
+                    meta.checkpoint = checkpoint;
                     meta.log.retain(|&(s, _)| s > ack.seq);
                 }
                 Ok(other) => {
@@ -917,7 +933,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every acked batch is on disk under its seq stamp, so the replay
+    /// Every acked batch is in its shard's op log, so the replay
     /// log is cut at each ack — and an in-doubt batch leaves it as soon
     /// as the repair has re-hosted its shard from the replayed snapshot.
     #[test]

@@ -5,7 +5,8 @@
 //! partition — into a process topology: a [`Coordinator`] that owns the
 //! routing table and candidate queue, and N shard [`Worker`] processes
 //! that each host one or more id-range shards loaded from seq-stamped
-//! snapshot files (`shard-{s}.seq{n}.tkd`). A hosted shard is one
+//! checkpoints (`shard-{s}.seq{n}.tkd`) and the op logs beside them
+//! (`shard-{s}.seq{n}.tkd.log`). A hosted shard is one
 //! `DynamicEngine`: the update path maintains it in place and the query
 //! path scores candidates on it, so a worker holds each shard once. The
 //! coordinator holds no index: rows by global id, the route map, and a
@@ -15,11 +16,11 @@
 //! Everything rides the cluster plane of the v5 byte protocol (see
 //! `docs/WIRE_PROTOCOL.md`): queries fan out as two-phase
 //! `shard_query` frames with budgeted τ broadcasts, updates route by
-//! id through a single-writer path that only acks after an atomic
-//! snapshot rewrite, and shards move between workers by snapshot
-//! handoff. Worker failure is detected by a frame deadline and repaired
-//! by re-assigning the dead worker's snapshots to survivors — the
-//! filename seq is the commit arbiter for any in-doubt batch.
+//! id through a single-writer path whose workers only ack after a synced
+//! append to the shard's op log, and shards move between workers by
+//! snapshot handoff. Worker failure is detected by a frame deadline and
+//! repaired by re-assigning the dead worker's checkpoints to survivors —
+//! the shard's log is the commit arbiter for any in-doubt batch.
 //!
 //! The non-negotiable invariant, pinned by `tests/cluster_parity.rs`:
 //! cluster answers are **bit-identical** (entries, scores, tie order)
@@ -39,12 +40,14 @@ pub mod worker;
 pub use coordinator::{ClusterConfig, ClusterStats, Coordinator};
 pub use worker::{Worker, WorkerConfig};
 
-/// Parse the commit seq out of a `shard-{s}.seq{n}.tkd` snapshot path.
+/// Parse the seq out of a `shard-{s}.seq{n}.tkd` checkpoint path.
 ///
-/// The stamp is load-bearing: a worker only acks an update after the
-/// stamped rewrite, so the newest parseable file under the handoff
-/// directory *is* the shard's committed state. Returns `None` for
-/// paths without a `.seq{n}.tkd` suffix.
+/// The stamp names the state the checkpoint holds; the batches acked
+/// after it are the records of its op log. A worker saves each
+/// checkpoint under a new stamp and only then drops the old one, so the
+/// newest parseable file under the handoff directory plus its log *is*
+/// the shard's acked state. Returns `None` for paths without a
+/// `.seq{n}.tkd` suffix — an op log (`….tkd.log`) included.
 pub fn seq_from_path(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let stem = name.strip_suffix(".tkd")?;
@@ -52,13 +55,15 @@ pub fn seq_from_path(path: &Path) -> Option<u64> {
     stem[at + 4..].parse().ok()
 }
 
-/// Find the newest committed snapshot for `shard` under `dir`:
-/// the highest `.seq{n}.` stamp among `shard-{shard}.seq*.tkd` files.
+/// Find the newest checkpoint for `shard` under `dir`: the highest
+/// `.seq{n}.` stamp among `shard-{shard}.seq*.tkd` files. A directory
+/// entry that cannot be read is skipped, not taken for the end of the
+/// listing.
 pub fn newest_snapshot(dir: &Path, shard: u64) -> Option<(u64, PathBuf)> {
     let prefix = format!("shard-{shard}.seq");
     let mut best: Option<(u64, PathBuf)> = None;
-    for entry in std::fs::read_dir(dir).ok()? {
-        let path = entry.ok()?.path();
+    for entry in std::fs::read_dir(dir).ok()?.flatten() {
+        let path = entry.path();
         let stamped = path
             .file_name()
             .and_then(|n| n.to_str())
@@ -156,6 +161,7 @@ mod tests {
         assert_eq!(seq_from_path(Path::new("shard-0.tkd")), None);
         assert_eq!(seq_from_path(Path::new("shard-0.seqx.tkd")), None);
         assert_eq!(seq_from_path(Path::new("shard-0.seq1.bak")), None);
+        assert_eq!(seq_from_path(Path::new("shard-0.seq3.tkd.log")), None);
     }
 
     #[test]
@@ -169,6 +175,7 @@ mod tests {
             "shard-1.seq7.tkd",
             "shard-10.seq99.tkd", // prefix `shard-1` must not claim this
             "shard-0.seqjunk.tkd",
+            "shard-0.seq30.tkd.log", // an op log is never a checkpoint
             "notes.txt",
         ] {
             std::fs::write(dir.join(name), b"x").unwrap();

@@ -1,6 +1,6 @@
 //! The shard-worker process: hosts one or more shard engines, answers
-//! cluster-plane frames, and commits every update batch to an atomic,
-//! seq-stamped snapshot before acking.
+//! cluster-plane frames, and commits every update batch to the shard's
+//! op log before acking.
 //!
 //! A worker is deliberately dumb: it never sees the candidate queue, the
 //! top-k, or other shards. It scores value-based candidates on the
@@ -14,11 +14,19 @@
 //!
 //! # Durability contract
 //!
-//! A `shard_update` is acked only after the shard's new state is
-//! committed to `shard-S.seqN.tkd` via an atomic tmp-file rename. The
-//! filename carries the committed seq, so after a crash the newest
-//! parseable snapshot *is* the shard's durable state and everything
-//! newer can be replayed idempotently through `assign`.
+//! A shard's durable state is a checkpoint, `shard-S.seqN.tkd` — the
+//! shard at seq `N`, saved whole — plus the op log beside it,
+//! `shard-S.seqN.tkd.log`, holding the batches acked since
+//! ([`tkd_store::Journal`]). A `shard_update` is checked against the
+//! engine, appended to the log and synced, and only then applied and
+//! acked; a batch that fails either step is rejected and changes
+//! nothing. Every [`tkd_store::CHECKPOINT_RECORDS`] batches the worker
+//! saves `shard-S.seqM.tkd` at the current seq `M` and removes the old
+//! checkpoint and its log. So the newest stamped checkpoint under the
+//! handoff directory plus its log *is* the shard's acked state:
+//! `assign` recovers both, and skips the replayed batches at or below
+//! the seq they reach — the log, not the file name, decides whether an
+//! in-doubt batch committed.
 
 use crate::seq_from_path;
 use std::collections::HashMap;
@@ -39,6 +47,7 @@ use tkd_serve::protocol::{
     ERR_REJECTED,
 };
 use tkd_serve::ServeError;
+use tkd_store::Journal;
 
 /// Engine options for hosted shards: compaction never fires, so a
 /// shard's state (and its snapshot bytes) is a pure function of its op
@@ -68,11 +77,11 @@ impl Default for WorkerConfig {
     }
 }
 
-/// One hosted shard: its engine and the path + seq of its last committed
-/// snapshot.
+/// One hosted shard: its engine, its journal (the checkpoint and the log
+/// beside it) and the seq of its last acked batch.
 struct ShardHost {
     engine: DynamicEngine,
-    path: PathBuf,
+    journal: Journal,
     seq: u64,
 }
 
@@ -206,8 +215,8 @@ fn handle_assign(
             format!("snapshot path {} lacks a .seqN. stamp", path.display()),
         );
     };
-    let mut engine = match tkd_store::load_engine(&path) {
-        Ok(e) => e,
+    let recovered = match tkd_store::recover(&path) {
+        Ok(r) => r,
         Err(e) => {
             return reject(
                 ERR_REJECTED,
@@ -216,10 +225,12 @@ fn handle_assign(
             )
         }
     };
-    // Replay is idempotent: the filename says what is already in the
-    // snapshot, so batches at or below it are skipped, and the rest must
-    // form a gap-free continuation.
-    let mut current = path;
+    let mut engine = recovered.engine;
+    let mut replayed = recovered.replayed;
+    // Replay is idempotent: the checkpoint and its log say what the shard
+    // already holds, so batches at or below it are skipped, and the rest
+    // must form a gap-free continuation.
+    seq = recovered.seq.unwrap_or(seq);
     for batch in replay {
         if batch.seq <= seq {
             continue;
@@ -239,10 +250,14 @@ fn handle_assign(
             );
         }
         seq = batch.seq;
+        replayed += 1;
     }
-    if seq > seq_from_path(&current).expect("validated above") {
-        current = snapshot_path(&current, shard, seq);
-        if let Err(e) = tkd_store::save_engine(&current, &mut engine) {
+    // A replayed state is checkpointed under its own seq, so the shard's
+    // log always starts against a file that holds its engine.
+    let mut journal = Journal::clean(&path);
+    if replayed > 0 {
+        let to = snapshot_path(&path, shard, seq);
+        if let Err(e) = journal.checkpoint_to(&mut engine, &to) {
             return reject(
                 ERR_REJECTED,
                 shard,
@@ -255,7 +270,7 @@ fn handle_assign(
         shard,
         ShardHost {
             engine,
-            path: current,
+            journal,
             seq,
         },
     );
@@ -269,36 +284,14 @@ fn snapshot_path(prev: &std::path::Path, shard: u64, seq: u64) -> PathBuf {
     dir.join(format!("shard-{shard}.seq{seq}.tkd"))
 }
 
-/// Reject a batch that applied but whose snapshot failed to commit,
-/// which leaves `shard`'s engine ahead of its committed snapshot: reload
-/// the engine from that snapshot so the hosted state and
-/// `shard-S.seqN.tkd` agree again before the rejection goes out. A
-/// shard whose snapshot no longer loads is un-hosted — the coordinator's
-/// repair path re-assigns it — rather than served in a state no file
-/// holds.
-fn roll_back(state: &mut WorkerState, shard: u64, datum: u64, message: String) -> ClusterResponse {
-    let Some(host) = state.shards.get_mut(&shard) else {
-        return reject(
-            ERR_REJECTED,
-            shard,
-            format!("{message}; shard {shard} is not hosted here"),
-        );
-    };
-    match tkd_store::load_engine(&host.path) {
-        Ok(engine) => {
-            host.engine = engine;
-            reject(ERR_REJECTED, datum, message)
-        }
-        Err(e) => {
-            let path = host.path.display().to_string();
-            state.shards.remove(&shard);
-            reject(
-                ERR_REJECTED,
-                shard,
-                format!("{message}; shard {shard} released: cannot reload {path}: {e}"),
-            )
-        }
+/// Append `u` to the shard's log — after a checkpoint under the current
+/// seq when a failed append left the log's tail unknown.
+fn log_batch(host: &mut ShardHost, u: &ShardUpdate) -> Result<(), tkd_store::StoreError> {
+    if host.journal.is_stale() {
+        let to = snapshot_path(host.journal.snapshot(), u.shard, host.seq);
+        host.journal.checkpoint_to(&mut host.engine, &to)?;
     }
+    host.journal.append(u.seq, &u.ops)
 }
 
 fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterResponse {
@@ -315,33 +308,39 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
             ),
         );
     }
-    let report = host.engine.apply_ops(&u.ops);
-    if let Some((i, e)) = &report.error {
+    if let Err((i, e)) = host.engine.check_ops(&u.ops) {
         // The coordinator checks every batch with the same rules against
         // its route map first, so a failing op here means this shard and
         // the coordinator's route map have diverged. The batch changed
-        // nothing: the engine still matches its snapshot.
+        // nothing.
         return reject(
             ERR_REJECTED,
-            *i as u64,
+            i as u64,
             format!("op {i} failed on shard {}: {e}", u.shard),
         );
     }
-    let new_path = snapshot_path(&host.path, u.shard, u.seq);
-    if let Err(e) = tkd_store::save_engine(&new_path, &mut host.engine) {
-        let message = format!("snapshot commit failed, batch rolled back: {e}");
-        return roll_back(state, u.shard, u.ops.len() as u64, message);
+    if let Err(e) = log_batch(host, u) {
+        return reject(
+            ERR_REJECTED,
+            u.ops.len() as u64,
+            format!(
+                "batch not logged on shard {}, nothing applied: {e}",
+                u.shard
+            ),
+        );
     }
-    // The new snapshot is durable; the predecessor is garbage.
-    if new_path != host.path {
-        let _ = std::fs::remove_file(&host.path);
-    }
-    host.path = new_path.clone();
+    let report = host.engine.apply_ops(&u.ops);
     host.seq = u.seq;
+    if host.journal.is_full() {
+        // A failed checkpoint leaves the old checkpoint and log in place,
+        // and the log keeps taking batches.
+        let to = snapshot_path(host.journal.snapshot(), u.shard, u.seq);
+        let _ = host.journal.checkpoint_to(&mut host.engine, &to);
+    }
     ClusterResponse::ShardUpdateAck(ShardUpdateAck {
         seq: u.seq,
         live: host.engine.len() as u64,
-        path: new_path.display().to_string(),
+        path: host.journal.snapshot().display().to_string(),
         inserted: report
             .inserted_ids
             .iter()
@@ -371,21 +370,22 @@ fn handle(state: &Mutex<WorkerState>, req: &ClusterRequest) -> ClusterResponse {
             let Some(mut host) = state.shards.remove(shard) else {
                 return reject(ERR_REJECTED, *shard, format!("unknown shard {shard}"));
             };
-            // The on-disk snapshot is already current (every update
-            // committed before its ack); re-save defensively so the
-            // handoff never ships a stale file even if that invariant is
-            // disturbed by a future refactor.
-            if let Err(e) = tkd_store::save_engine(&host.path, &mut host.engine) {
-                let resp = reject(
-                    ERR_REJECTED,
-                    *shard,
-                    format!("handoff snapshot commit failed: {e}"),
-                );
-                state.shards.insert(*shard, host);
-                return resp;
+            // The shard leaves as one file: a checkpoint at its seq, saved
+            // only when the log holds batches the checkpoint does not.
+            if !host.journal.holds_engine() {
+                let to = snapshot_path(host.journal.snapshot(), *shard, host.seq);
+                if let Err(e) = host.journal.checkpoint_to(&mut host.engine, &to) {
+                    let resp = reject(
+                        ERR_REJECTED,
+                        *shard,
+                        format!("handoff checkpoint failed: {e}"),
+                    );
+                    state.shards.insert(*shard, host);
+                    return resp;
+                }
             }
             ClusterResponse::HandoffAck {
-                path: host.path.display().to_string(),
+                path: host.journal.snapshot().display().to_string(),
                 seq: host.seq,
             }
         }

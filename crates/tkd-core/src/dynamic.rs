@@ -69,7 +69,8 @@ use crate::standing::{
     self, Notification, StandingId, StandingQuery, StandingSpec, StandingState, StandingStats,
 };
 use crate::EngineQuery;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tkd_bitvec::{BitVec, Concise, Tombstones};
 use tkd_index::{cost, for_each_sorted_column, BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
@@ -787,11 +788,7 @@ impl DynamicEngine {
     /// registered standing query, empty deltas included.
     pub fn apply_ops(&mut self, ops: &[UpdateOp]) -> BatchReport {
         let mut report = BatchReport::default();
-        let live = |id| {
-            let slot = *self.slot_of.get(&id)?;
-            Some((slot, self.ds.mask(slot as ObjectId)))
-        };
-        if let Err(failed) = check_batch(self.dims, self.next_id, self.ds.len(), live, ops) {
+        if let Err(failed) = self.check_ops(ops) {
             report.error = Some(failed);
             return report;
         }
@@ -817,6 +814,60 @@ impl DynamicEngine {
         report.batch_seq = self.standing.batch_seq;
         report.notifications = self.standing_maintenance();
         report
+    }
+
+    /// Check a batch without applying anything: the `(index, error)`
+    /// [`DynamicEngine::apply_ops`] rejects it with, if any (it runs this
+    /// same [`check_batch`]). A writer that must make a batch durable
+    /// before applying it checks first.
+    ///
+    /// # Errors
+    /// The first failing op's index and error.
+    pub fn check_ops(&self, ops: &[UpdateOp]) -> Result<(), (usize, UpdateError)> {
+        let live = |id| {
+            let slot = *self.slot_of.get(&id)?;
+            Some((slot, self.ds.mask(slot as ObjectId)))
+        };
+        check_batch(self.dims, self.next_id, self.ds.len(), live, ops)
+    }
+
+    /// The batch [`DynamicEngine::apply_ops`] makes of `ops` under the
+    /// sliding window: `ops`, then a `Delete` of each object the window
+    /// ages out after them, oldest first — `ops` itself with no window
+    /// or nothing to age out. Applying it leaves this engine exactly as
+    /// applying `ops` does, and it replays to the same state on an engine
+    /// with no window, which is what an op log must record. `ops` must
+    /// pass [`DynamicEngine::check_ops`].
+    pub fn with_age_out<'a>(&self, ops: &'a [UpdateOp]) -> Cow<'a, [UpdateOp]> {
+        let Some(cap) = self.standing.window else {
+            return Cow::Borrowed(ops);
+        };
+        let mut deleted = HashSet::new();
+        let mut inserted = 0;
+        for op in ops {
+            match op {
+                UpdateOp::Insert(_) | UpdateOp::InsertLabeled(..) => inserted += 1,
+                UpdateOp::Delete(id) => {
+                    deleted.insert(*id);
+                }
+                UpdateOp::Set(..) => {}
+            }
+        }
+        let live = self.len() + inserted - deleted.len();
+        if live <= cap {
+            return Cow::Borrowed(ops);
+        }
+        // Stable ids are insertion order: the live rows, then this
+        // batch's inserts.
+        let oldest = self.live.iter_live().map(|s| self.stable_of[s]);
+        let oldest = oldest.chain(self.next_id..self.next_id + inserted as ObjectId);
+        let aged = oldest.filter(|id| !deleted.contains(id)).take(live - cap);
+        Cow::Owned(
+            ops.iter()
+                .cloned()
+                .chain(aged.map(UpdateOp::Delete))
+                .collect(),
+        )
     }
 
     /// Run one batch's standing maintenance: re-query every registered
@@ -2174,6 +2225,42 @@ mod tests {
             engine.standing_result(id).unwrap(),
             standing_oracle(&engine, &StandingSpec::new(2))
         );
+    }
+
+    /// A windowed batch spelled out with its age-out deletes applies
+    /// exactly like the batch itself, under the window or without one —
+    /// what lets an op log record it and replay it on a windowless load.
+    #[test]
+    fn window_age_out_spelled_out_replays_without_the_window() {
+        let ds = fixtures::fig3_sample();
+        let n = ds.len() as ObjectId;
+        let mut direct = DynamicEngine::new(ds.clone());
+        let mut spelled = DynamicEngine::new(ds.clone());
+        let mut replayed = DynamicEngine::new(ds);
+        direct.set_window(Some(n as usize - 3));
+        spelled.set_window(Some(n as usize - 3));
+        let row = |v: f64| UpdateOp::Insert(vec![Some(v), Some(1.0), None, Some(2.0)]);
+        for ops in [
+            vec![],
+            vec![row(1.0), UpdateOp::Delete(5), row(2.0)],
+            vec![row(3.0), UpdateOp::Delete(n + 1), UpdateOp::Delete(n + 2)],
+            vec![UpdateOp::Set(n, 2, Some(4.0))],
+        ] {
+            assert!(spelled.check_ops(&ops).is_ok());
+            let batch = spelled.with_age_out(&ops).into_owned();
+            let aged = direct.apply_ops(&ops).aged_out;
+            let deletes: Vec<UpdateOp> = aged.into_iter().map(UpdateOp::Delete).collect();
+            assert_eq!(batch[ops.len()..], deletes[..]);
+            assert!(spelled.apply_ops(&batch).aged_out.is_empty());
+            assert!(replayed.apply_ops(&batch).error.is_none());
+            for e in [&mut spelled, &mut replayed] {
+                assert_eq!(e.live_ids(), direct.live_ids());
+                assert_eq!((e.stats(), e.epoch()), (direct.stats(), direct.epoch()));
+                let q = EngineQuery::new(4);
+                let want = direct.query(&q).unwrap();
+                assert_eq!(e.query(&q).unwrap().entries(), want.entries());
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! |------|-------|-------------|
 //! | 16 | `shard_query` — a chunk of candidates to bound or score | 144 `shard_outcomes` |
 //! | 17 | `tau_update` — the coordinator's tightening τ broadcast | 148 `tau_ack` |
-//! | 18 | `handoff` — save the shard's snapshot and release it | 145 `handoff_ack` |
-//! | 19 | `assign` — adopt a shard from a snapshot (+ replay log) | 146 `assign_ack` |
+//! | 18 | `handoff` — checkpoint the shard and release it | 145 `handoff_ack` |
+//! | 19 | `assign` — adopt a shard from a checkpoint and its op log (+ replay) | 146 `assign_ack` |
 //! | 20 | `shard_update` — one routed update batch for a shard | 147 `shard_update_ack` |
 //!
 //! A `shard_query` runs one of two phases. `Bounds` asks for the
@@ -109,9 +109,10 @@ wire_structs! {
     }
 
     /// One replayed update batch inside an [`ClusterRequest::Assign`] — a
-    /// batch the coordinator acked but whose snapshot rewrite the dead
-    /// worker may not have committed. Replay is idempotent because the
-    /// snapshot filename carries the last committed seq.
+    /// batch the coordinator routed but saw no ack for, which the dead
+    /// worker may or may not have logged. Replay is idempotent because
+    /// the new host recovers the checkpoint and its op log first and skips
+    /// every batch at or below the seq they reach.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ReplayBatch {
         /// The coordinator's per-shard update sequence number.
@@ -126,7 +127,7 @@ wire_structs! {
         /// The target shard.
         pub shard: u64,
         /// The coordinator's per-shard update sequence number — strictly
-        /// increasing; the worker commits it into the snapshot filename.
+        /// increasing; the worker logs the batch under it.
         pub seq: u64,
         /// The ops, in application order.
         pub ops: Vec<UpdateOp>,
@@ -140,7 +141,8 @@ wire_structs! {
         pub seq: u64,
         /// Live objects on the shard after the batch.
         pub live: u64,
-        /// The snapshot file the batch was committed to.
+        /// The shard's checkpoint: the snapshot whose op log holds the batch,
+        /// or which holds it itself when the batch filled the log.
         pub path: String,
         /// Local stable ids assigned to the batch's inserts, in op order.
         pub inserted: Vec<u64>,
@@ -158,15 +160,16 @@ frames! {
             /// The k-th maintained score so far.
             tau: u64,
         } = 17 "tau_update",
-        /// Save the shard's snapshot, release the shard, answer with the
-        /// file path — the first half of a rebalance.
+        /// Checkpoint the shard if its op log holds batches, release it,
+        /// answer with the checkpoint's path — the first half of a
+        /// rebalance.
         Handoff {
             /// The shard to hand off.
             shard: u64,
         } = 18 "handoff",
-        /// Adopt a shard from a snapshot file (the second half of a
-        /// rebalance, or the repair path after a worker death), replaying
-        /// any update batches newer than the snapshot.
+        /// Adopt a shard from a checkpoint and the op log beside it (the
+        /// second half of a rebalance, or the repair path after a worker
+        /// death), replaying any update batches newer than both.
         Assign {
             /// The shard to adopt.
             shard: u64,

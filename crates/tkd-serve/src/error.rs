@@ -72,8 +72,8 @@ pub enum ServeError {
     },
     /// The server is draining and admits no new work.
     ShuttingDown,
-    /// The server rejected the request content (update validation,
-    /// snapshot rewrite failure, …).
+    /// The server rejected the request content (update validation, an
+    /// update batch it could not log, …).
     Rejected {
         /// Index of the failing op within its batch (updates), else 0.
         index: u64,

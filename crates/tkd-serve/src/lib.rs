@@ -5,8 +5,9 @@
 //! turns the maintained [`tkd_core::DynamicEngine`] into a *service*:
 //! a server that loads a `tkd-store` snapshot, answers BIG/IBIG queries
 //! and update batches for many concurrent clients over a versioned,
-//! checksummed binary protocol, and persists every applied batch with
-//! an atomic snapshot rewrite.
+//! checksummed binary protocol, and makes every update batch durable —
+//! a synced append to the op log beside the snapshot — before it applies
+//! and acks it.
 //!
 //! Three layers, mirroring the crate's test layers:
 //! * [`protocol`] — frame encode/decode plus socket framing. Canonical

@@ -53,7 +53,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use tkd_core::{Algorithm, StandingSpec, UpdateOp};
-use tkd_model::ObjectId;
 use tkd_store::wire::{Reader, Writer};
 use tkd_store::{fnv64, Section};
 
@@ -249,46 +248,15 @@ impl Wire for Algorithm {
     }
 }
 
-/// A `u8` op tag, then the op's fields. Stable ids travel as `u64`, the
-/// `set` dimension as `u32`.
+/// The one op layout, [`tkd_store::wire::put_op`] — which the op log
+/// shares.
 impl Wire for UpdateOp {
-    const MIN_BYTES: usize = 1;
+    const MIN_BYTES: usize = tkd_store::wire::OP_MIN_BYTES;
     fn put(&self, w: &mut Writer) -> Result<(), ServeError> {
-        match self {
-            UpdateOp::Insert(row) => {
-                w.put_u8(0);
-                row.put(w)
-            }
-            UpdateOp::InsertLabeled(label, row) => {
-                w.put_u8(1);
-                label.put(w)?;
-                row.put(w)
-            }
-            UpdateOp::Delete(id) => {
-                w.put_u8(2);
-                u64::from(*id).put(w)
-            }
-            UpdateOp::Set(id, dim, cell) => {
-                w.put_u8(3);
-                u64::from(*id).put(w)?;
-                w.put_count("dimension index", *dim)?;
-                cell.put(w)
-            }
-        }
+        Ok(tkd_store::wire::put_op(w, self)?)
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, ServeError> {
-        let id = |r: &mut Reader<'_>| -> Result<ObjectId, ServeError> {
-            let raw = r.get_u64()?;
-            ObjectId::try_from(raw)
-                .map_err(|_| r.invalid(format!("object id {raw} exceeds u32")).into())
-        };
-        Ok(match r.get_u8()? {
-            0 => UpdateOp::Insert(Wire::get(r)?),
-            1 => UpdateOp::InsertLabeled(Wire::get(r)?, Wire::get(r)?),
-            2 => UpdateOp::Delete(id(r)?),
-            3 => UpdateOp::Set(id(r)?, r.get_u32()? as usize, Wire::get(r)?),
-            other => return Err(r.invalid(format!("unknown op tag {other}")).into()),
-        })
+        Ok(tkd_store::wire::get_op(r)?)
     }
 }
 

@@ -12,7 +12,7 @@
 //!                                   ▼
 //!                  engine thread (sole owner of the DynamicEngine)
 //!                    coalesce queries → query_many
-//!                    update batches   → apply + atomic snapshot rewrite
+//!                    update batches   → check → append + sync → apply → ack
 //! ```
 //!
 //! Only the engine thread ever touches the engine, so updates are
@@ -34,9 +34,22 @@
 //!
 //! A `shutdown` frame (or [`Server::stop`]) flips the drain flag under
 //! the queue lock: no new work is admitted, everything already queued is
-//! answered, a final snapshot is rewritten atomically, and the engine is
-//! handed back to the caller so nothing in flight is ever silently
-//! dropped.
+//! answered, a final checkpoint is written, and the engine is handed back
+//! to the caller so nothing in flight is ever silently dropped.
+//!
+//! # Durability
+//!
+//! With [`ServeConfig::snapshot`] set, an update batch is acked only
+//! after it is appended to the op log beside the snapshot and synced
+//! ([`tkd_store::Journal`]): O(batch), not a rewrite of the engine. The
+//! batch is checked first and applied after, so a batch that cannot be
+//! logged is rejected and changes nothing. Once the log holds
+//! [`tkd_store::CHECKPOINT_RECORDS`] records the engine thread saves the
+//! whole engine — after the ack, so no update waits for it — and the log
+//! starts over; the drain saves once more. The server is handed an
+//! engine, not a file, so its first append checkpoints that engine:
+//! the log's base is exactly the state its records apply to.
+//! [`tkd_store::load_engine`] on the path recovers the acked state.
 
 use crate::error::ServeError;
 use crate::protocol::{
@@ -52,6 +65,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tkd_core::{DynamicEngine, EngineQuery, Notification, StandingSpec, TieBreak, UpdateOp};
+use tkd_store::Journal;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Clone, Debug)]
@@ -70,8 +84,9 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Largest accepted frame body.
     pub max_frame: u64,
-    /// If set, the snapshot is atomically rewritten here after every
-    /// applied update batch and once more at drain.
+    /// If set, every acked update batch is appended to the op log beside
+    /// this snapshot before it is applied, and the snapshot is the log's
+    /// checkpoint (see the module docs § Durability).
     pub snapshot: Option<PathBuf>,
     /// How long the startup snapshot load took, reported verbatim in
     /// the `stats` frame (`None` = engine built in-process, reported
@@ -263,7 +278,7 @@ impl Server {
     }
 
     /// Drain and stop from the server side: stop admitting work, answer
-    /// everything queued, rewrite the final snapshot, and hand the
+    /// everything queued, write the final checkpoint, and hand the
     /// engine back.
     ///
     /// # Errors
@@ -509,17 +524,28 @@ struct EngineCounters {
 
 /// The single-writer loop: sole owner of the engine from start to drain.
 /// It also owns the subscription registry (standing-query id → the push
-/// sink of the connection that registered it).
+/// sink of the connection that registered it) and the journal acked
+/// batches go to (`None` without [`ServeConfig::snapshot`]). The journal
+/// starts stale — the engine need not be the file — and touches no file
+/// before the first append.
 fn engine_loop(mut engine: DynamicEngine, shared: Arc<Shared>, done: mpsc::Sender<DynamicEngine>) {
     let mut counters = EngineCounters {
         seq: shared.config.initial_seq,
         ..EngineCounters::default()
     };
     let mut subs: HashMap<u64, Arc<PushSink>> = HashMap::new();
+    let mut journal = shared.config.snapshot.clone().map(Journal::stale);
     loop {
         let (batch, drain_now) = next_batch(&shared);
         if !batch.is_empty() {
-            serve_one(&mut engine, &shared, &mut counters, &mut subs, batch);
+            serve_one(
+                &mut engine,
+                &shared,
+                &mut counters,
+                &mut subs,
+                &mut journal,
+                batch,
+            );
         }
         if drain_now {
             break;
@@ -531,9 +557,9 @@ fn engine_loop(mut engine: DynamicEngine, shared: Arc<Shared>, done: mpsc::Sende
     // invariant "no accepted request goes unanswered" survives future
     // refactors of either side rather than resting on their interplay.
     sweep_leftovers(&shared);
-    // Final snapshot, then hand the engine back.
-    if let Some(path) = &shared.config.snapshot {
-        let _ = tkd_store::save_engine(path, &mut engine);
+    // Final checkpoint, then hand the engine back.
+    if let Some(journal) = &mut journal {
+        let _ = journal.checkpoint(&mut engine);
     }
     shared.shutdown.store(true, Ordering::Release);
     let _ = done.send(engine);
@@ -597,6 +623,7 @@ fn serve_one(
     shared: &Shared,
     counters: &mut EngineCounters,
     subs: &mut HashMap<u64, Arc<PushSink>>,
+    journal: &mut Option<Journal>,
     batch: Vec<Pending>,
 ) {
     // Per-request queue-wait timeout, checked at dequeue (shutdown,
@@ -668,7 +695,7 @@ fn serve_one(
                 Err(resp) => resp,
             }
         }
-        Work::Update(ops) => apply_updates(engine, shared, counters, subs, ops),
+        Work::Update(ops) => apply_updates(engine, counters, subs, journal.as_mut(), ops),
         Work::Stats => Response::StatsResult(gather_stats(engine, shared, counters)),
         Work::Subscribe(spec, sink) => match engine.register(spec.clone()) {
             Ok(id) => {
@@ -712,6 +739,11 @@ fn serve_one(
         }
     };
     let _ = p.resp.send(resp);
+    // The acked batches are durable in the log; folding them into a
+    // checkpoint is housekeeping, done once the ack is on its way.
+    if let Some(journal) = journal.as_mut().filter(|j| j.is_full()) {
+        let _ = journal.checkpoint(engine);
+    }
 }
 
 /// Answer a TKDQL statement against the serving engine: `SELECT` runs
@@ -814,46 +846,47 @@ fn run_queries(
     }
 }
 
-/// Apply one update batch as a maintenance unit
-/// ([`DynamicEngine::apply_ops`]), route the standing-query deltas it
-/// produced, then atomically rewrite the snapshot. A batch applies whole
-/// or not at all: a rejected one answers a `Rejected` frame carrying the
-/// failing op's index and changes nothing — engine, `seq`, snapshot
-/// file, subscribers. `seq` counts the non-empty acked batches, so a
-/// sequential replay of the acked batches in `seq` order reproduces the
-/// engine exactly.
+/// Apply one update batch as a maintenance unit: check it, make it
+/// durable, apply it ([`DynamicEngine::apply_ops`]), route the
+/// standing-query deltas it produced, ack. A batch applies whole or not
+/// at all: a rejected one — an op fails the check (the frame carries its
+/// index) or the log append fails (the frame carries the batch length) —
+/// changes nothing: engine, `seq`, files, subscribers. `seq` counts the
+/// non-empty acked batches, and the log records each under its `seq`,
+/// window age-outs spelled out ([`DynamicEngine::with_age_out`]), so a
+/// replay of the acked batches in `seq` order reproduces the engine
+/// exactly.
 fn apply_updates(
     engine: &mut DynamicEngine,
-    shared: &Shared,
     counters: &mut EngineCounters,
     subs: &mut HashMap<u64, Arc<PushSink>>,
+    journal: Option<&mut Journal>,
     ops: &[UpdateOp],
 ) -> Response {
-    let report = engine.apply_ops(ops);
-    if let Some((i, e)) = &report.error {
-        return Response::Error(ErrorFrame {
+    let reject = |datum: usize, message: String| {
+        Response::Error(ErrorFrame {
             code: ERR_REJECTED,
-            datum: *i as u64,
-            message: e.to_string(),
-        });
+            datum: datum as u64,
+            message,
+        })
+    };
+    if let Err((i, e)) = engine.check_ops(ops) {
+        return reject(i, e.to_string());
     }
-    if !ops.is_empty() {
+    let batch = engine.with_age_out(ops);
+    if !batch.is_empty() {
+        if let Some(journal) = journal {
+            let seq = counters.seq + 1;
+            if let Err(e) = log_batch(engine, journal, seq, &batch) {
+                return reject(ops.len(), format!("batch not logged, nothing applied: {e}"));
+            }
+        }
         counters.seq += 1;
     }
+    let report = engine.apply_ops(&batch);
     route_notifications(engine, subs, &report.notifications);
-    if let Some(path) = &shared.config.snapshot {
-        if let Err(e) = tkd_store::save_engine(path, engine) {
-            // The ops ARE applied; the durability side failed. Surface
-            // that precisely rather than pretending either way.
-            return Response::Error(ErrorFrame {
-                code: ERR_REJECTED,
-                datum: ops.len() as u64,
-                message: format!("ops applied but snapshot rewrite failed: {e}"),
-            });
-        }
-    }
     Response::UpdateAck(UpdateAck {
-        applied: report.applied as u64,
+        applied: ops.len() as u64,
         seq: counters.seq,
         epoch: engine.epoch(),
         live: engine.len() as u64,
@@ -864,6 +897,20 @@ fn apply_updates(
             .map(|&id| u64::from(id))
             .collect(),
     })
+}
+
+/// Append batch `seq` to the journal — after a checkpoint when the
+/// snapshot may not hold the engine (the first append of a server).
+fn log_batch(
+    engine: &mut DynamicEngine,
+    journal: &mut Journal,
+    seq: u64,
+    batch: &[UpdateOp],
+) -> Result<(), tkd_store::StoreError> {
+    if journal.is_stale() {
+        journal.checkpoint(engine)?;
+    }
+    journal.append(seq, batch)
 }
 
 /// Fan each notification out to the sink of the connection that

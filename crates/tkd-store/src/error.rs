@@ -29,6 +29,8 @@ pub enum Section {
     /// A `tkd-serve` wire frame body, read with the same cursor
     /// ([`crate::wire::Reader`]).
     Frame,
+    /// The op log beside a snapshot ([`crate::Journal`]).
+    Log,
 }
 
 impl fmt::Display for Section {
@@ -42,6 +44,7 @@ impl fmt::Display for Section {
             Section::Dynamic => "dynamic",
             Section::Manifest => "manifest",
             Section::Frame => "frame",
+            Section::Log => "op log",
         })
     }
 }

@@ -1,13 +1,15 @@
-//! The cluster shard manifest: which seq-stamped snapshot file is the
-//! committed state of every shard.
+//! The cluster shard manifest: which seq-stamped checkpoint holds every
+//! shard.
 //!
 //! A cluster's durable state is a directory of `shard-{s}.seq{n}.tkd`
-//! snapshots plus this one small file naming, per shard, the snapshot
-//! that is current. The coordinator rewrites it (atomically, like every
-//! snapshot) after each state change — seed, routed update batch,
-//! handoff, repair — so an operator or a fresh coordinator can tell the
-//! committed topology apart from leftover `.seq` files without trusting
-//! directory-listing order.
+//! checkpoints — each the shard at seq `n`, with the batches acked since
+//! in the op log beside it (`shard-{s}.seq{n}.tkd.log`, see
+//! [`crate::Journal`]) — plus this one small file naming, per shard, the
+//! checkpoint that is current. The coordinator rewrites it (atomically,
+//! like every snapshot) after each state change — seed, routed update
+//! batch, handoff, repair — so an operator or a fresh coordinator can
+//! tell the committed topology apart from leftover `.seq` files without
+//! trusting directory-listing order.
 //!
 //! The format follows the snapshot discipline: magic, exact version
 //! match, length validation before any allocation, and a trailing
@@ -31,11 +33,13 @@ pub const MANIFEST_VERSION: u32 = 1;
 pub struct ShardEntry {
     /// Shard number.
     pub shard: u64,
-    /// Commit seq — must match the `.seq{n}.` stamp in `path`.
+    /// The checkpoint's seq — the `.seq{n}.` stamp in `path`. The
+    /// shard's later acked batches are the records of the checkpoint's
+    /// op log.
     pub seq: u64,
-    /// Live objects in the shard at that seq.
+    /// Live objects in the shard after its last acked batch.
     pub live: u64,
-    /// Snapshot file name (relative to the manifest's directory).
+    /// Checkpoint file name (relative to the manifest's directory).
     pub path: String,
 }
 

@@ -14,10 +14,15 @@
 //! are copied in bulk from the byte buffer, never decoded bit by bit.
 //! The per-field primitives are `#[inline]` because `tkd-serve` calls
 //! them across the crate boundary once per field of every frame.
+//!
+//! [`put_op`] / [`get_op`] are the one byte layout of an [`UpdateOp`]:
+//! the wire's `update_ops`, `shard_update` and `assign` bodies and the
+//! op log's records ([`crate::Journal`]) all carry ops through them.
 
 use crate::error::{Section, StoreError};
 use std::sync::Arc;
 use tkd_bitvec::{SharedWords, Words};
+use tkd_core::UpdateOp;
 
 // The word-folded FNV-1a checksum lives in `tkd_bitvec::hash` (the
 // dependency-free substrate crate) so the store and the serve protocol
@@ -328,6 +333,121 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The fewest bytes one encoded op takes (its tag).
+pub const OP_MIN_BYTES: usize = 1;
+
+/// Append one op: a `u8` tag, then its fields. Stable ids travel as
+/// `u64`, the `set` dimension as a `u32` count, a row as a `u32` cell
+/// count and a cell as a presence byte (0/1) followed, when present, by
+/// its IEEE bits.
+///
+/// ```text
+/// 0 insert          row
+/// 1 insert_labeled  label (u32 length ‖ UTF-8) ‖ row
+/// 2 delete          id u64
+/// 3 set             id u64 ‖ dim u32 ‖ cell
+/// ```
+///
+/// # Errors
+/// [`StoreError::TooLarge`] for a row, label or dimension index that does
+/// not fit its `u32` field.
+pub fn put_op(w: &mut Writer, op: &UpdateOp) -> Result<(), StoreError> {
+    let put_row = |w: &mut Writer, row: &[Option<f64>]| {
+        w.put_count("list", row.len())?;
+        row.iter().for_each(|&cell| put_cell(w, cell));
+        Ok(())
+    };
+    match op {
+        UpdateOp::Insert(row) => {
+            w.put_u8(0);
+            put_row(w, row)
+        }
+        UpdateOp::InsertLabeled(label, row) => {
+            w.put_u8(1);
+            w.put_str(label)?;
+            put_row(w, row)
+        }
+        UpdateOp::Delete(id) => {
+            w.put_u8(2);
+            w.put_u64(u64::from(*id));
+            Ok(())
+        }
+        UpdateOp::Set(id, dim, cell) => {
+            w.put_u8(3);
+            w.put_u64(u64::from(*id));
+            w.put_count("dimension index", *dim)?;
+            put_cell(w, *cell);
+            Ok(())
+        }
+    }
+}
+
+/// Read one op back — the inverse of [`put_op`], rejecting every byte
+/// string it cannot produce: an unknown tag, a presence byte other than
+/// 0/1, a NaN cell, an id beyond `u32`.
+///
+/// # Errors
+/// [`StoreError::Truncated`] for short input, [`StoreError::Invalid`]
+/// for the rest.
+pub fn get_op(r: &mut Reader<'_>) -> Result<UpdateOp, StoreError> {
+    let id = |r: &mut Reader<'_>| -> Result<u32, StoreError> {
+        let raw = r.get_u64()?;
+        u32::try_from(raw).map_err(|_| r.invalid(format!("object id {raw} exceeds u32")))
+    };
+    let row = |r: &mut Reader<'_>| -> Result<Vec<Option<f64>>, StoreError> {
+        let count = r.get_count(1)?;
+        (0..count).map(|_| get_cell(r)).collect()
+    };
+    Ok(match r.get_u8()? {
+        0 => UpdateOp::Insert(row(r)?),
+        1 => UpdateOp::InsertLabeled(r.get_str()?, row(r)?),
+        2 => UpdateOp::Delete(id(r)?),
+        3 => UpdateOp::Set(id(r)?, r.get_u32()? as usize, get_cell(r)?),
+        other => return Err(r.invalid(format!("unknown op tag {other}"))),
+    })
+}
+
+fn put_cell(w: &mut Writer, cell: Option<f64>) {
+    w.put_u8(u8::from(cell.is_some()));
+    if let Some(v) = cell {
+        w.put_f64(v);
+    }
+}
+
+fn get_cell(r: &mut Reader<'_>) -> Result<Option<f64>, StoreError> {
+    match r.get_u8()? {
+        0 => Ok(None),
+        1 => match r.get_f64()? {
+            v if v.is_nan() => Err(r.invalid("NaN value")),
+            v => Ok(Some(v)),
+        },
+        other => Err(r.invalid(format!("flag byte {other} (want 0/1)"))),
+    }
+}
+
+/// Append a batch: a `u32` op count, then each op ([`put_op`]) — the
+/// body of the wire's `update_ops` frame.
+///
+/// # Errors
+/// As [`put_op`], and for a batch of 2³² ops or more.
+pub fn put_ops(w: &mut Writer, ops: &[UpdateOp]) -> Result<(), StoreError> {
+    w.put_count("list", ops.len())?;
+    ops.iter().try_for_each(|op| put_op(w, op))
+}
+
+/// Read a batch written by [`put_ops`].
+///
+/// # Errors
+/// As [`get_op`]; a hostile count is rejected before any allocation.
+pub fn get_ops(r: &mut Reader<'_>) -> Result<Vec<UpdateOp>, StoreError> {
+    let count = r.get_count(OP_MIN_BYTES)?;
+    let mut ops = Vec::with_capacity(count);
+    for _ in 0..count {
+        ops.push(get_op(r)?);
+    }
+    Ok(ops)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,6 +537,41 @@ mod tests {
             r.get_str().unwrap_err(),
             StoreError::Truncated { .. }
         ));
+    }
+
+    #[test]
+    fn ops_round_trip_and_reject_what_put_cannot_write() {
+        let ops = vec![
+            UpdateOp::Insert(vec![Some(1.0), None, Some(-0.0)]),
+            UpdateOp::InsertLabeled("héllo".into(), vec![Some(2.5)]),
+            UpdateOp::Delete(7),
+            UpdateOp::Set(3, 1, None),
+            UpdateOp::Set(u32::MAX, 0, Some(f64::INFINITY)),
+        ];
+        let mut w = Writer::new();
+        put_ops(&mut w, &ops).unwrap();
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes, Section::Frame);
+        assert_eq!(get_ops(&mut r).unwrap(), ops);
+        r.finish().unwrap();
+        for cut in 0..bytes.len() {
+            assert!(get_ops(&mut Reader::new(&bytes[..cut], Section::Frame)).is_err());
+        }
+        // Tag 4, presence byte 2, a NaN cell, an id past u32.
+        for bad in [
+            &[4u8][..],
+            &[0, 1, 0, 0, 0, 2],
+            &[
+                3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f,
+            ],
+            &[2, 0, 0, 0, 0, 1, 0, 0, 0],
+        ] {
+            let err = get_op(&mut Reader::new(bad, Section::Frame)).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Invalid { .. }),
+                "{bad:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! * [`data`] — synthetic workloads (IND/AC/CO) and real-dataset simulators.
 //! * [`impute`] — matrix-factorization imputation baseline (§5.2, Table 4).
 //! * [`store`] — versioned on-disk snapshots of the full query state
-//!   (`tkdq build` / `--index`), restored bit-identically.
+//!   (`tkdq build` / `--index`), restored bit-identically, and the op
+//!   log that makes an update batch durable between snapshots.
 //! * [`serve`] — long-running TCP query service (`tkdq serve`): versioned
-//!   binary protocol, query coalescing, admission control, and atomic
-//!   snapshot rewrites on update.
+//!   binary protocol, query coalescing, admission control, and updates
+//!   acked after a synced op-log append.
 //! * [`ql`] — TKDQL, the query language: lexer → parser → binder →
 //!   cost-based planner → execution (`tkdq query -e`, `tkdq repl`, and
 //!   the wire protocol's text statements). Spec: `docs/TKDQL.md`.

@@ -292,6 +292,11 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
         tkdi::store::save_engine(&path, twin).expect("twin save");
         std::fs::read(path).expect("twin bytes")
     };
+    // What the shard's checkpoint and the op log beside it recover to.
+    let recovered = |path: &str| {
+        let mut engine = tkdi::store::load_engine(path).expect("shard recovers");
+        tkdi::store::encode_engine(&mut engine)
+    };
 
     let (workers, addrs) = start_workers(1);
     let mut client = Client::connect(addrs[0]).expect("connect");
@@ -345,7 +350,7 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
     assert!(twin.apply_ops(&first).error.is_none());
     let ack1 = update(&mut client, 1, &first).expect("seq 1");
     assert_eq!((ack1.live, &ack1.inserted), (n + 1, &vec![n]));
-    let committed = std::fs::read(&ack1.path).expect("seq1 snapshot");
+    let committed = recovered(&ack1.path);
     assert_eq!(committed, twin_bytes(&mut twin));
     let before = outcomes(&mut client);
 
@@ -359,7 +364,7 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
         other => panic!("poisoned batch must be rejected at op 1, got {other:?}"),
     }
     assert_eq!(outcomes(&mut client), before);
-    assert_eq!(std::fs::read(&ack1.path).expect("seq1 snapshot"), committed);
+    assert_eq!(recovered(&ack1.path), committed);
 
     // seq 2 again, accepted: exactly its own insert, under the id a
     // replay of the accepted batches hands out.
@@ -371,14 +376,16 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
     let ack2 = update(&mut client, 2, &second).expect("seq 2");
     assert_eq!((ack2.live, &ack2.inserted), (n + 1, &vec![n + 1]));
 
+    // The handoff checkpoints the logged batches under seq 2.
     let handoff = client.cluster_call(&ClusterRequest::Handoff { shard: 0 });
+    let checkpoint = scratch.0.join("shard-0.seq2.tkd");
     let handed = ClusterResponse::HandoffAck {
-        path: ack2.path.clone(),
+        path: checkpoint.display().to_string(),
         seq: 2,
     };
     assert_eq!(handoff.expect("handoff"), handed);
     assert_eq!(
-        std::fs::read(&ack2.path).expect("seq2 snapshot"),
+        std::fs::read(&checkpoint).expect("seq2 checkpoint"),
         twin_bytes(&mut twin),
         "handed-off snapshot must hold the accepted batches only"
     );

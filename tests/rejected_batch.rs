@@ -12,7 +12,7 @@ use tkdi::cluster::{ClusterConfig, ClusterError, Coordinator, Worker, WorkerConf
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::BinChoice;
 use tkdi::prelude::*;
-use tkdi::serve::{Client, ServeConfig, ServeError, Server};
+use tkdi::serve::{Client, QuerySpec, ServeConfig, ServeError, Server};
 
 /// A unique scratch directory, removed on drop.
 struct ScratchDir(PathBuf);
@@ -126,6 +126,83 @@ fn serve_rejected_batch_changes_nothing() {
         tkdi::store::encode_engine(&mut served),
         tkdi::store::encode_engine(&mut twin)
     );
+}
+
+/// A batch the server cannot make durable — a directory sits where the
+/// op log goes, so the append fails — is a typed rejection that changes
+/// nothing: not `seq`, not an answer, not a subscriber, not a file. Once
+/// the log can be written the same batch is acked as the next seq, and
+/// the snapshot path recovers it.
+#[test]
+fn serve_unlogged_batch_changes_nothing() {
+    let ds = synth(93, 40, 3, 6, 20);
+    let scratch = ScratchDir::new("unlogged");
+    let snap = scratch.0.join("engine.tkd");
+    let options = DynamicOptions {
+        bins: BinChoice::Auto,
+        policy: CompactionPolicy::never(),
+    };
+    let mut twin = DynamicEngine::with_options(ds, options);
+    tkdi::store::save_engine(&snap, &mut twin).expect("snapshot saved");
+    let engine = tkdi::store::load_engine(&snap).expect("snapshot loads");
+    let log = tkdi::store::log_path(&snap);
+    std::fs::create_dir(&log).expect("a directory where the log goes");
+    let config = ServeConfig {
+        snapshot: Some(snap.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(engine, "127.0.0.1:0", config).expect("server binds");
+    let wait = Duration::from_secs(30);
+    let mut writer = Client::connect_with(server.local_addr(), wait).expect("connect");
+    let mut sub = Client::connect_with(server.local_addr(), wait).expect("connect");
+    sub.subscribe(&StandingSpec::new(3)).expect("subscribe");
+    let seq = writer.stats().expect("stats").seq;
+    let answer = writer.query(QuerySpec::new(5)).expect("query");
+    let names = |dir: &Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let (listing, bytes) = (names(&scratch.0), std::fs::read(&snap).expect("snapshot"));
+
+    let batch = [
+        UpdateOp::Insert(vec![Some(1.0), None, Some(1.0)]),
+        UpdateOp::Delete(3),
+    ];
+    match writer.update(&batch) {
+        Err(ServeError::Rejected { index, .. }) => assert_eq!(index, batch.len() as u64),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert_eq!(writer.stats().expect("stats").seq, seq, "no seq taken");
+    assert_eq!(writer.query(QuerySpec::new(5)).expect("query"), answer);
+    assert_eq!(
+        sub.next_notification(Duration::from_millis(200))
+            .expect("healthy stream"),
+        None,
+        "no notify for the rejected batch"
+    );
+    assert_eq!(names(&scratch.0), listing, "no file added or removed");
+    assert_eq!(std::fs::read(&snap).expect("snapshot"), bytes);
+    assert!(names(&log).is_empty(), "the log directory is untouched");
+
+    std::fs::remove_dir(&log).expect("clear the log path");
+    let ack = writer.update(&batch).expect("the batch logs now");
+    assert_eq!(ack.seq, seq + 1);
+    let note = sub
+        .next_notification(wait)
+        .expect("push")
+        .expect("a notify");
+    assert_eq!(note.batch_seq, 1, "the rejected attempt was never applied");
+    assert!(twin.apply_ops(&batch).error.is_none());
+    let mut recovered = tkdi::store::load_engine(&snap).expect("snapshot and log recover");
+    assert_eq!(
+        tkdi::store::encode_engine(&mut recovered),
+        tkdi::store::encode_engine(&mut twin)
+    );
+    server.stop().expect("clean stop");
 }
 
 /// Bad batches, each with the index of the op that must be rejected, for
