@@ -77,12 +77,11 @@ impl Default for WorkerConfig {
     }
 }
 
-/// One hosted shard: its engine, its journal (the checkpoint and the log
-/// beside it) and the seq of its last acked batch.
+/// One hosted shard: its engine and its journal (the checkpoint, the log
+/// beside it and the seq of the last acked batch).
 struct ShardHost {
     engine: DynamicEngine,
     journal: Journal,
-    seq: u64,
 }
 
 /// Worker-global state behind one lock: hosted shards plus the session
@@ -252,12 +251,18 @@ fn handle_assign(
         seq = batch.seq;
         replayed += 1;
     }
-    // A replayed state is checkpointed under its own seq, so the shard's
-    // log always starts against a file that holds its engine.
-    let mut journal = Journal::clean(&path);
-    if replayed > 0 {
-        let to = snapshot_path(&path, shard, seq);
-        if let Err(e) = journal.checkpoint_to(&mut engine, &to) {
+    // Checkpoints carry their seq in the name, in the directory of the
+    // one assigned (workers on one host share the handoff dir). A
+    // replayed state is checkpointed under its own seq before the ack, so
+    // the shard's log always starts against a file that holds its engine.
+    let journal = if replayed == 0 {
+        Journal::clean(&path, seq)
+    } else {
+        Journal::stale(&path, seq)
+    };
+    let mut journal = journal.stamped(format!("shard-{shard}"));
+    if !journal.holds_engine() {
+        if let Err(e) = journal.checkpoint(&mut engine) {
             return reject(
                 ERR_REJECTED,
                 shard,
@@ -266,45 +271,22 @@ fn handle_assign(
         }
     }
     let live = engine.len() as u64;
-    state.shards.insert(
-        shard,
-        ShardHost {
-            engine,
-            journal,
-            seq,
-        },
-    );
+    state.shards.insert(shard, ShardHost { engine, journal });
     ClusterResponse::AssignAck { shard, live }
-}
-
-/// Sibling snapshot path for `shard` at `seq`, in the same directory as
-/// the previous snapshot (workers on one host share the handoff dir).
-fn snapshot_path(prev: &std::path::Path, shard: u64, seq: u64) -> PathBuf {
-    let dir = prev.parent().unwrap_or_else(|| std::path::Path::new("."));
-    dir.join(format!("shard-{shard}.seq{seq}.tkd"))
-}
-
-/// Append `u` to the shard's log — after a checkpoint under the current
-/// seq when a failed append left the log's tail unknown.
-fn log_batch(host: &mut ShardHost, u: &ShardUpdate) -> Result<(), tkd_store::StoreError> {
-    if host.journal.is_stale() {
-        let to = snapshot_path(host.journal.snapshot(), u.shard, host.seq);
-        host.journal.checkpoint_to(&mut host.engine, &to)?;
-    }
-    host.journal.append(u.seq, &u.ops)
 }
 
 fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterResponse {
     let Some(host) = state.shards.get_mut(&u.shard) else {
         return reject(ERR_REJECTED, u.shard, format!("unknown shard {}", u.shard));
     };
-    if u.seq != host.seq + 1 {
+    let committed = host.journal.seq();
+    if u.seq != committed + 1 {
         return reject(
             ERR_REJECTED,
             u.seq,
             format!(
-                "seq {} out of order: shard {} has committed {}",
-                u.seq, u.shard, host.seq
+                "seq {} out of order: shard {} has committed {committed}",
+                u.seq, u.shard
             ),
         );
     }
@@ -319,7 +301,7 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
             format!("op {i} failed on shard {}: {e}", u.shard),
         );
     }
-    if let Err(e) = log_batch(host, u) {
+    if let Err(e) = host.journal.append(&mut host.engine, u.seq, &u.ops) {
         return reject(
             ERR_REJECTED,
             u.ops.len() as u64,
@@ -330,12 +312,10 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
         );
     }
     let report = host.engine.apply_ops(&u.ops);
-    host.seq = u.seq;
     if host.journal.is_full() {
         // A failed checkpoint leaves the old checkpoint and log in place,
         // and the log keeps taking batches.
-        let to = snapshot_path(host.journal.snapshot(), u.shard, u.seq);
-        let _ = host.journal.checkpoint_to(&mut host.engine, &to);
+        let _ = host.journal.checkpoint(&mut host.engine);
     }
     ClusterResponse::ShardUpdateAck(ShardUpdateAck {
         seq: u.seq,
@@ -373,8 +353,7 @@ fn handle(state: &Mutex<WorkerState>, req: &ClusterRequest) -> ClusterResponse {
             // The shard leaves as one file: a checkpoint at its seq, saved
             // only when the log holds batches the checkpoint does not.
             if !host.journal.holds_engine() {
-                let to = snapshot_path(host.journal.snapshot(), *shard, host.seq);
-                if let Err(e) = host.journal.checkpoint_to(&mut host.engine, &to) {
+                if let Err(e) = host.journal.checkpoint(&mut host.engine) {
                     let resp = reject(
                         ERR_REJECTED,
                         *shard,
@@ -386,7 +365,7 @@ fn handle(state: &Mutex<WorkerState>, req: &ClusterRequest) -> ClusterResponse {
             }
             ClusterResponse::HandoffAck {
                 path: host.journal.snapshot().display().to_string(),
-                seq: host.seq,
+                seq: host.journal.seq(),
             }
         }
         ClusterRequest::Assign {

@@ -792,24 +792,17 @@ impl DynamicEngine {
             report.error = Some(failed);
             return report;
         }
+        let aged_out = self.age_out(ops);
         for op in ops {
             if let Some(id) = self.apply(op).expect("the batch check accepted every op") {
                 report.inserted_ids.push(id);
             }
         }
         report.applied = ops.len();
-        if let Some(cap) = self.standing.window {
-            while self.len() > cap {
-                let oldest = self
-                    .live
-                    .iter_live()
-                    .next()
-                    .map(|s| self.stable_of[s])
-                    .expect("live set is non-empty while above capacity");
-                self.delete(oldest).expect("oldest live id is deletable");
-                report.aged_out.push(oldest);
-            }
+        for &id in &aged_out {
+            self.delete(id).expect("an aged-out id is live");
         }
+        report.aged_out = aged_out;
         self.standing.batch_seq += 1;
         report.batch_seq = self.standing.batch_seq;
         report.notifications = self.standing_maintenance();
@@ -839,8 +832,22 @@ impl DynamicEngine {
     /// with no window, which is what an op log must record. `ops` must
     /// pass [`DynamicEngine::check_ops`].
     pub fn with_age_out<'a>(&self, ops: &'a [UpdateOp]) -> Cow<'a, [UpdateOp]> {
-        let Some(cap) = self.standing.window else {
+        let aged_out = self.age_out(ops);
+        if aged_out.is_empty() {
             return Cow::Borrowed(ops);
+        }
+        let deletes = aged_out.into_iter().map(UpdateOp::Delete);
+        Cow::Owned(ops.iter().cloned().chain(deletes).collect())
+    }
+
+    /// The window's one age-out rule: the stable ids to delete after
+    /// `ops` so at most the window's capacity stays live, oldest first.
+    /// Stable ids are insertion order, so those are the live rows, then
+    /// this batch's inserts, less what the batch deletes. `ops` must pass
+    /// [`DynamicEngine::check_ops`].
+    fn age_out(&self, ops: &[UpdateOp]) -> Vec<ObjectId> {
+        let Some(cap) = self.standing.window else {
+            return Vec::new();
         };
         let mut deleted = HashSet::new();
         let mut inserted = 0;
@@ -854,20 +861,12 @@ impl DynamicEngine {
             }
         }
         let live = self.len() + inserted - deleted.len();
-        if live <= cap {
-            return Cow::Borrowed(ops);
-        }
-        // Stable ids are insertion order: the live rows, then this
-        // batch's inserts.
         let oldest = self.live.iter_live().map(|s| self.stable_of[s]);
         let oldest = oldest.chain(self.next_id..self.next_id + inserted as ObjectId);
-        let aged = oldest.filter(|id| !deleted.contains(id)).take(live - cap);
-        Cow::Owned(
-            ops.iter()
-                .cloned()
-                .chain(aged.map(UpdateOp::Delete))
-                .collect(),
-        )
+        oldest
+            .filter(|id| !deleted.contains(id))
+            .take(live.saturating_sub(cap))
+            .collect()
     }
 
     /// Run one batch's standing maintenance: re-query every registered

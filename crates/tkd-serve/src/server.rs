@@ -534,7 +534,11 @@ fn engine_loop(mut engine: DynamicEngine, shared: Arc<Shared>, done: mpsc::Sende
         ..EngineCounters::default()
     };
     let mut subs: HashMap<u64, Arc<PushSink>> = HashMap::new();
-    let mut journal = shared.config.snapshot.clone().map(Journal::stale);
+    let mut journal = shared
+        .config
+        .snapshot
+        .clone()
+        .map(|path| Journal::stale(path, counters.seq));
     loop {
         let (batch, drain_now) = next_batch(&shared);
         if !batch.is_empty() {
@@ -876,8 +880,7 @@ fn apply_updates(
     let batch = engine.with_age_out(ops);
     if !batch.is_empty() {
         if let Some(journal) = journal {
-            let seq = counters.seq + 1;
-            if let Err(e) = log_batch(engine, journal, seq, &batch) {
+            if let Err(e) = journal.append(engine, counters.seq + 1, &batch) {
                 return reject(ops.len(), format!("batch not logged, nothing applied: {e}"));
             }
         }
@@ -897,20 +900,6 @@ fn apply_updates(
             .map(|&id| u64::from(id))
             .collect(),
     })
-}
-
-/// Append batch `seq` to the journal — after a checkpoint when the
-/// snapshot may not hold the engine (the first append of a server).
-fn log_batch(
-    engine: &mut DynamicEngine,
-    journal: &mut Journal,
-    seq: u64,
-    batch: &[UpdateOp],
-) -> Result<(), tkd_store::StoreError> {
-    if journal.is_stale() {
-        journal.checkpoint(engine)?;
-    }
-    journal.append(seq, batch)
 }
 
 /// Fan each notification out to the sink of the connection that

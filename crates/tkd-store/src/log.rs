@@ -8,14 +8,17 @@
 //! whole ([`crate::save_engine`]) and the log starts over. Recovery is
 //! [`recover`]: the snapshot, then the log's records replayed onto it.
 //!
-//! A log is bound to one snapshot by that snapshot's identity — the
-//! header checksum it stores, which covers every section checksum — so
-//! any other write at the path (`save_engine`, `atomic_rewrite`, `tkdq
-//! build`, `tkdq update --index`) leaves an old log inert without
-//! knowing it exists. A writer never appends to a log it did not start:
-//! it starts one (truncating whatever was there) at its first append
-//! after a checkpoint, so a torn tail left by a crash is cut before
-//! anything is appended again.
+//! A log belongs to the write that saved its snapshot. Every write of a
+//! snapshot file ([`crate::atomic_rewrite`], so `save_engine`, `tkdq
+//! build`, `tkdq update --index`) removes the log beside it once the new
+//! bytes are in place — even bytes identical to the old ones, which a
+//! log could not tell apart. Beyond that, the header binds a log to its
+//! snapshot's identity — the header checksum the snapshot stores, which
+//! covers every section checksum — so a log left beside another snapshot
+//! (a crash between the rename and the removal) is inert. A writer never
+//! appends to a log it did not start: it starts one (truncating whatever
+//! was there) at its first append after a checkpoint, so a torn tail
+//! left by a crash is cut before anything is appended again.
 
 use crate::error::{Section, StoreError};
 use crate::wire::{fnv64, get_ops, put_ops, Reader, Writer};
@@ -180,9 +183,9 @@ pub fn recover(path: impl AsRef<Path>) -> Result<Recovered, StoreError> {
     Ok(recovered)
 }
 
-/// A writer's durable state: the snapshot at [`Journal::snapshot`] plus
-/// the op log beside it. Recovering the path ([`crate::recover`]) yields
-/// exactly the batches the journal accepted.
+/// A writer's durable state: its checkpoint ([`Journal::snapshot`]) plus
+/// the op log beside it. Recovering the checkpoint ([`crate::recover`])
+/// yields exactly the batches the journal accepted.
 ///
 /// The discipline: check a batch, [`Journal::append`] it (written and
 /// synced), apply it, ack it; when [`Journal::is_full`], after the ack,
@@ -191,21 +194,26 @@ pub fn recover(path: impl AsRef<Path>) -> Result<Recovered, StoreError> {
 #[derive(Debug)]
 pub struct Journal {
     snapshot: PathBuf,
+    /// Seq of the newest batch the journal holds: the checkpoint's, plus
+    /// one per record.
+    seq: u64,
+    /// Checkpoints go to `<stamp>.seq{n}.tkd` beside the current one, `n`
+    /// the seq they hold, rather than over it.
+    stamp: Option<String>,
     log: Log,
 }
 
 #[derive(Debug)]
 enum Log {
-    /// The snapshot may not hold the engine: checkpoint before appending.
+    /// The checkpoint may not hold the engine: the next append
+    /// checkpoints first.
     Stale,
-    /// The snapshot holds the engine exactly; the next append starts the
-    /// log.
+    /// The checkpoint holds the engine exactly; the next append starts
+    /// the log.
     Clean,
-    /// Appending to a log started against the snapshot.
+    /// Appending to a log started against the checkpoint.
     Open {
         file: File,
-        /// Seq of the last record (the base seq before the first).
-        seq: u64,
         records: usize,
         /// Bytes written and synced.
         len: u64,
@@ -213,22 +221,36 @@ enum Log {
 }
 
 impl Journal {
-    /// A journal for an engine that `snapshot` may not hold — a server
-    /// is handed an engine, not a file — so the first append checkpoints
-    /// it. No file is touched until then.
-    pub fn stale(snapshot: impl Into<PathBuf>) -> Journal {
+    /// A journal for an engine at `seq` that `snapshot` may not hold — a
+    /// server is handed an engine, not a file; a shard worker may have
+    /// replayed batches onto what it loaded. The first append checkpoints
+    /// it; no file is touched until then.
+    pub fn stale(snapshot: impl Into<PathBuf>, seq: u64) -> Journal {
         Journal {
             snapshot: snapshot.into(),
+            seq,
+            stamp: None,
             log: Log::Stale,
         }
     }
 
-    /// A journal for an engine that `snapshot` holds exactly: just
-    /// decoded from it with nothing replayed, or just saved to it.
-    pub fn clean(snapshot: impl Into<PathBuf>) -> Journal {
+    /// A journal for an engine at `seq` that `snapshot` holds exactly:
+    /// just decoded from it with nothing replayed, or just saved to it.
+    pub fn clean(snapshot: impl Into<PathBuf>, seq: u64) -> Journal {
         Journal {
-            snapshot: snapshot.into(),
             log: Log::Clean,
+            ..Journal::stale(snapshot, seq)
+        }
+    }
+
+    /// Save checkpoints as `<stamp>.seq{n}.tkd` in the snapshot's
+    /// directory, `n` the seq they hold (a shard worker's
+    /// `shard-S.seqN.tkd`), each replacing the one before only once it is
+    /// written.
+    pub fn stamped(self, stamp: impl Into<String>) -> Journal {
+        Journal {
+            stamp: Some(stamp.into()),
+            ..self
         }
     }
 
@@ -237,14 +259,13 @@ impl Journal {
         &self.snapshot
     }
 
-    /// Must the journal [`checkpoint`](Journal::checkpoint) before its
-    /// next append?
-    pub fn is_stale(&self) -> bool {
-        matches!(self.log, Log::Stale)
+    /// Seq of the newest batch the journal holds.
+    pub fn seq(&self) -> u64 {
+        self.seq
     }
 
-    /// Does the snapshot alone hold every appended batch (no records
-    /// since the checkpoint)?
+    /// Does the checkpoint alone hold every appended batch (no records
+    /// since it was saved)?
     pub fn holds_engine(&self) -> bool {
         matches!(self.log, Log::Clean | Log::Open { records: 0, .. })
     }
@@ -254,23 +275,36 @@ impl Journal {
         matches!(self.log, Log::Open { records, .. } if records >= CHECKPOINT_RECORDS)
     }
 
-    /// Make batch `seq` durable: one record, written and synced
-    /// (`write_all` + `sync_data`). The first append after a checkpoint
-    /// starts the log, truncating whatever was at its path; later ones
-    /// must carry the next seq.
+    /// Make batch `seq` of `engine`, which must not be applied yet,
+    /// durable: one record, written and synced (`write_all` +
+    /// `sync_data`). A stale journal first checkpoints `engine`; the
+    /// first append after a checkpoint starts the log, truncating
+    /// whatever was at its path.
     ///
     /// # Errors
+    /// [`StoreError::Invalid`] when `seq` does not follow
+    /// [`Journal::seq`]; the errors of [`Journal::checkpoint`];
     /// [`StoreError::Io`] when the write or sync fails — the record is
     /// cut off again where the file allows, and the journal turns stale
     /// if the log already held records (its tail is unknown), so nothing
-    /// is appended behind it; [`StoreError::Invalid`] on a stale journal
-    /// or an out-of-order seq; [`StoreError::TooLarge`] for a batch the
+    /// is appended behind it; [`StoreError::TooLarge`] for a batch the
     /// record cannot carry.
-    pub fn append(&mut self, seq: u64, ops: &[UpdateOp]) -> Result<(), StoreError> {
+    pub fn append(
+        &mut self,
+        engine: &mut DynamicEngine,
+        seq: u64,
+        ops: &[UpdateOp],
+    ) -> Result<(), StoreError> {
+        if seq != self.seq.wrapping_add(1) {
+            return Err(invalid(format!("seq {seq} does not follow {}", self.seq)));
+        }
+        if let Log::Stale = self.log {
+            self.checkpoint(engine)?;
+        }
         let path = log_path(&self.snapshot);
         let mut w = Writer::new();
         if let Log::Clean = self.log {
-            put_header(&mut w, read_identity(&self.snapshot)?, seq.wrapping_sub(1));
+            put_header(&mut w, read_identity(&self.snapshot)?, self.seq);
         }
         put_record(&mut w, seq, ops)?;
         if let Log::Clean = self.log {
@@ -284,25 +318,13 @@ impl Journal {
             }
             self.log = Log::Open {
                 file,
-                seq: seq.wrapping_sub(1),
                 records: 0,
                 len: 0,
             };
         }
-        let Log::Open {
-            file,
-            seq: last,
-            records,
-            len,
-        } = &mut self.log
-        else {
-            return Err(invalid(
-                "the snapshot may not hold the engine: checkpoint before appending".into(),
-            ));
+        let Log::Open { file, records, len } = &mut self.log else {
+            unreachable!("a clean log was just opened");
         };
-        if seq != last.wrapping_add(1) {
-            return Err(invalid(format!("seq {seq} does not follow {last}")));
-        }
         if let Err(e) = file.write_all(w.as_bytes()).and_then(|()| file.sync_data()) {
             let _ = file.set_len(*len);
             self.log = if *records == 0 {
@@ -312,43 +334,36 @@ impl Journal {
             };
             return Err(io_error(&path, e));
         }
-        *last = seq;
+        self.seq = seq;
         *records += 1;
         *len += w.as_bytes().len() as u64;
         Ok(())
     }
 
-    /// Save `engine` whole over the journal's snapshot ([`save_engine`])
-    /// and remove the log. A crash at any point leaves a path that
-    /// recovers every appended batch: until the rename the old snapshot
-    /// and log hold them, after it the new snapshot does and the old log
-    /// is inert. Returns the snapshot bytes written.
+    /// Save `engine`, at [`Journal::seq`], whole as the journal's
+    /// checkpoint ([`save_engine`], which removes the log beside the path
+    /// it writes); a stamped checkpoint then removes the old log and the
+    /// old snapshot, in that order. A crash at any point leaves a path
+    /// that recovers every appended batch: until the rename the old
+    /// snapshot and log hold them, after it the new snapshot does.
+    /// Returns the snapshot bytes written.
     ///
     /// # Errors
     /// [`StoreError::Io`] when the save fails; the journal is unchanged
     /// and keeps appending to its log.
     pub fn checkpoint(&mut self, engine: &mut DynamicEngine) -> Result<u64, StoreError> {
-        let to = self.snapshot.clone();
-        self.checkpoint_to(engine, &to)
-    }
-
-    /// [`Journal::checkpoint`] to another path, which becomes the
-    /// journal's snapshot: the old snapshot is removed after the old log.
-    /// (A shard worker's checkpoints carry their seq in the name.)
-    ///
-    /// # Errors
-    /// As [`Journal::checkpoint`].
-    pub fn checkpoint_to(
-        &mut self,
-        engine: &mut DynamicEngine,
-        to: &Path,
-    ) -> Result<u64, StoreError> {
-        let written = save_engine(to, engine)?;
+        let to = match &self.stamp {
+            Some(stamp) => self
+                .snapshot
+                .with_file_name(format!("{stamp}.seq{}.tkd", self.seq)),
+            None => self.snapshot.clone(),
+        };
+        let written = save_engine(&to, engine)?;
         self.log = Log::Clean;
-        let _ = std::fs::remove_file(log_path(&self.snapshot));
         if to != self.snapshot {
+            let _ = std::fs::remove_file(log_path(&self.snapshot));
             let _ = std::fs::remove_file(&self.snapshot);
-            self.snapshot = to.to_path_buf();
+            self.snapshot = to;
         }
         Ok(written)
     }

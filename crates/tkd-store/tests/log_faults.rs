@@ -72,11 +72,13 @@ fn history(dir: &Path) -> History {
     let snap = dir.join("engine.tkd");
     let mut twin = DynamicEngine::new(fixtures::fig3_sample());
     save_engine(&snap, &mut twin).expect("snapshot");
-    let mut journal = Journal::clean(&snap);
+    let mut journal = Journal::clean(&snap, 0);
     let mut states = vec![encode_engine(&mut twin)];
     let mut lens = vec![0];
     for (i, ops) in batches().iter().enumerate() {
-        journal.append(i as u64 + 1, ops).expect("append");
+        journal
+            .append(&mut twin, i as u64 + 1, ops)
+            .expect("append");
         assert!(twin.apply_ops(ops).error.is_none());
         states.push(encode_engine(&mut twin));
         lens.push(std::fs::metadata(log_path(&snap)).expect("log").len() as usize);
@@ -162,29 +164,59 @@ fn a_damaged_or_foreign_header_makes_the_log_inert() {
     }
 }
 
-/// Any other write at the path leaves the old log inert: the log names
-/// the snapshot it was started against.
+/// Any other write at the path retires the log, and a log a crash leaves
+/// beside a replaced snapshot is inert: the log names the snapshot it
+/// was started against.
 #[test]
 fn a_stale_log_beside_a_replaced_snapshot_is_inert() {
     let dir = Scratch::new("stale");
     let h = history(&dir.0);
+    let old_log = std::fs::read(&h.log).expect("log");
     // `save_engine` of another state (what `tkdq build` and `tkdq update
-    // --index` do).
+    // --index` do) removes the log after its rename.
     let mut other = DynamicEngine::new(fixtures::fig3_sample());
     other.apply_ops(&[UpdateOp::Delete(0)]);
     save_engine(&h.snap, &mut other).expect("save over");
+    assert!(!h.log.exists(), "the write retired the log");
+    assert_eq!(recovered(&h.snap), encode_engine(&mut other));
+    // A crash between the rename and the removal leaves the old log.
+    std::fs::write(&h.log, &old_log).expect("old log back");
     assert_eq!(recovered(&h.snap), encode_engine(&mut other));
     // `atomic_rewrite` of a snapshot's bytes — here the state after two
     // batches, which the log's records must not be replayed onto.
     tkd_store::atomic_rewrite(&h.snap, &h.states[2]).expect("rewrite");
+    assert!(!h.log.exists(), "the write retired the log");
+    std::fs::write(&h.log, &old_log).expect("old log back");
     assert_eq!(recovered(&h.snap), h.states[2]);
-    assert!(h.log.is_file(), "the writer never touched the log");
+}
+
+/// A rewrite with the very bytes the log was started against — `tkdq
+/// build` of the same data, a backup copied back through
+/// `atomic_rewrite`, a re-seeded shard — retires the log too: the path
+/// recovers to the snapshot alone, never to old records replayed onto
+/// it.
+#[test]
+fn a_rewrite_with_the_base_bytes_retires_the_log() {
+    let dir = Scratch::new("rebase");
+    let h = history(&dir.0);
+    tkd_store::atomic_rewrite(&h.snap, &h.states[0]).expect("copy the base back");
+    let r = recover(&h.snap).expect("recovers");
+    assert_eq!((r.seq, r.replayed), (None, 0));
+    assert_eq!(recovered(&h.snap), h.states[0]);
+    assert!(!h.log.exists(), "the write retired the log");
+
+    let h = history(&dir.0);
+    assert_eq!(recover(&h.snap).expect("recovers").replayed, 4);
+    save_engine(&h.snap, &mut decode(&h.states[0])).expect("re-save the base");
+    assert_eq!(std::fs::read(&h.snap).expect("snapshot"), h.states[0]);
+    assert_eq!(recovered(&h.snap), h.states[0]);
+    assert!(!h.log.exists(), "the write retired the log");
 }
 
 /// A checkpoint in place (the server's): save the engine over the
-/// snapshot, remove the log, start a new log at the next append. A crash
-/// can stop it at any of these file states; each recovers every acked
-/// batch.
+/// snapshot, which removes the log, and start a new log at the next
+/// append. A crash can stop it at any of these file states; each
+/// recovers every acked batch.
 #[test]
 fn every_intermediate_state_of_a_checkpoint_in_place() {
     let dir = Scratch::new("ckpt");
@@ -210,9 +242,11 @@ fn every_intermediate_state_of_a_checkpoint_in_place() {
     assert_eq!(recovered(&h.snap), h.states[4]);
 
     // The next append stopped at every byte: its header and its record.
-    let mut journal = Journal::clean(&h.snap);
+    let mut journal = Journal::clean(&h.snap, 4);
     let fifth = [UpdateOp::Insert(vec![None, None, Some(1.0), None])];
-    journal.append(5, &fifth).expect("append");
+    journal
+        .append(&mut decode(&h.states[4]), 5, &fifth)
+        .expect("append");
     let fresh = std::fs::read(&h.log).expect("fresh log");
     for cut in 0..fresh.len() {
         std::fs::write(&h.log, &fresh[..cut]).expect("torn");
@@ -226,17 +260,17 @@ fn every_intermediate_state_of_a_checkpoint_in_place() {
     assert_eq!(encode_engine(&mut twin.engine), encode_engine(&mut want));
 }
 
-/// A checkpoint to a new path (a shard worker's: `shard-S.seqM.tkd`):
-/// the new snapshot lands beside the old pair, then the old log goes,
-/// then the old snapshot. Whichever of the files a crash leaves, the
-/// newest checkpoint recovers every acked batch, and so does the old
-/// pair while it is whole.
+/// A stamped checkpoint (a shard worker's: `shard-S.seqM.tkd`): the new
+/// snapshot lands beside the old pair, then the old log goes, then the
+/// old snapshot. Whichever of the files a crash leaves, the newest
+/// checkpoint recovers every acked batch, and so does the old pair while
+/// it is whole.
 #[test]
-fn every_intermediate_state_of_a_checkpoint_to_a_new_path() {
+fn every_intermediate_state_of_a_stamped_checkpoint() {
     let dir = Scratch::new("move");
     let h = history(&dir.0);
     let mut engine = recover(&h.snap).expect("recovers").engine;
-    let mut journal = Journal::clean(&h.snap);
+    let mut journal = Journal::stale(&h.snap, 4).stamped("engine");
     let to = dir.0.join("engine.seq4.tkd");
     // Both present: old snapshot + old log, and the new checkpoint.
     save_engine(&to, &mut engine).expect("new checkpoint");
@@ -248,10 +282,10 @@ fn every_intermediate_state_of_a_checkpoint_to_a_new_path() {
     assert_eq!(recovered(&to), h.states[4]);
     std::fs::write(&h.log, old_log).expect("old log back");
     // The whole step, through the journal.
-    journal.checkpoint_to(&mut engine, &to).expect("checkpoint");
+    journal.checkpoint(&mut engine).expect("checkpoint");
     assert!(!h.snap.exists() && !h.log.exists(), "the old pair is gone");
     assert_eq!(recovered(&to), h.states[4]);
-    assert_eq!(journal.snapshot(), to);
+    assert_eq!((journal.snapshot(), journal.seq()), (to.as_path(), 4));
 }
 
 /// After a crash tears the tail, the next writer's first append cuts it:
@@ -270,47 +304,58 @@ fn append_after_a_recovered_torn_tail() {
     let r = recover(&h.snap).expect("recovers");
     assert_eq!(r.replayed, 0);
     let mut engine = r.engine;
-    let mut journal = Journal::clean(&h.snap);
-    journal.append(1, &extra).expect("append over the torn log");
+    let mut journal = Journal::clean(&h.snap, 0);
+    journal
+        .append(&mut engine, 1, &extra)
+        .expect("append over the torn log");
     assert!(engine.apply_ops(&extra).error.is_none());
     assert_eq!(recovered(&h.snap), encode_engine(&mut engine));
 
-    // Torn inside the third record: two replay, so the writer checkpoints
-    // before its first append, and the log it starts is its own.
+    // Torn inside the third record: two replay, so the writer's journal
+    // is stale and its first append checkpoints before it starts a log
+    // of its own.
     std::fs::write(&h.snap, &h.states[0]).expect("snapshot back");
     std::fs::write(&h.log, &full[..h.lens[3] - 5]).expect("torn");
     let r = recover(&h.snap).expect("recovers");
     assert_eq!((r.seq, r.replayed), (Some(2), 2));
     let mut engine = r.engine;
-    let mut journal = Journal::stale(&h.snap);
-    journal.checkpoint(&mut engine).expect("checkpoint");
-    journal.append(3, &extra).expect("append");
+    let mut journal = Journal::stale(&h.snap, 2);
+    journal.append(&mut engine, 3, &extra).expect("append");
     assert!(engine.apply_ops(&extra).error.is_none());
     assert_eq!(recovered(&h.snap), encode_engine(&mut engine));
     let r = recover(&h.snap).expect("recovers");
     assert_eq!((r.seq, r.replayed), (Some(3), 1));
 }
 
-/// A journal appends only what follows: a stale one until it
-/// checkpoints, an open one only the next seq.
+/// A journal appends only the seq after its own, and refuses anything
+/// else before it touches a file; a stale one checkpoints at its first
+/// append.
 #[test]
-fn out_of_order_and_stale_appends_are_refused() {
+fn out_of_order_appends_are_refused() {
     let dir = Scratch::new("order");
     let h = history(&dir.0);
     let ops = [UpdateOp::Delete(1)];
-    let mut stale = Journal::stale(&h.snap);
-    assert!(stale.append(1, &ops).is_err());
     let mut engine = recover(&h.snap).expect("recovers").engine;
-    let mut journal = Journal::stale(&h.snap);
-    journal.checkpoint(&mut engine).expect("checkpoint");
-    journal
-        .append(5, &ops)
-        .expect("first append starts the log");
-    for seq in [5, 7, 0] {
-        assert!(journal.append(seq, &ops).is_err(), "seq {seq}");
+    let log = std::fs::read(&h.log).expect("log");
+    let mut journal = Journal::stale(&h.snap, 4);
+    for seq in [4, 6, 0] {
+        assert!(journal.append(&mut engine, seq, &ops).is_err(), "seq {seq}");
     }
-    journal.append(6, &ops[..0]).expect("the next seq");
-    assert_eq!(recover(&h.snap).expect("recovers").seq, Some(6));
+    assert_eq!(std::fs::read(&h.log).expect("log"), log, "no checkpoint");
+    journal
+        .append(&mut engine, 5, &ops)
+        .expect("checkpoint, then the first record");
+    assert!(engine.apply_ops(&ops).error.is_none());
+    assert_eq!(recover(&h.snap).expect("recovers").replayed, 1);
+    for seq in [5, 7, 0] {
+        assert!(journal.append(&mut engine, seq, &ops).is_err(), "seq {seq}");
+    }
+    journal
+        .append(&mut engine, 6, &ops[..0])
+        .expect("the next seq");
+    let mut r = recover(&h.snap).expect("recovers");
+    assert_eq!((r.seq, r.replayed), (Some(6), 2));
+    assert_eq!(encode_engine(&mut r.engine), encode_engine(&mut engine));
 }
 
 fn decode(bytes: &[u8]) -> DynamicEngine {

@@ -263,6 +263,62 @@ fn killed_worker_is_repaired_or_fails_typed() {
     );
 }
 
+/// Seeding into a handoff directory a killed cluster left behind: the
+/// seed rewrites each `shard-S.seq0.tkd` with the very bytes the old
+/// shard started from, right beside that shard's op log. The rewrite
+/// retires the log, so the new cluster starts from the seed data alone:
+/// the old batches neither replay into the fresh shards nor move their
+/// seqs ahead of the coordinator's.
+#[test]
+fn reseeding_a_reused_directory_leaves_the_old_logs_behind() {
+    let ds = synth(950, 40, 3, 6, 30);
+    let scratch = ScratchDir::new("reseed");
+    let (workers, addrs) = start_workers(2);
+    let mut coord =
+        Coordinator::seed(&ds, 2, &addrs, ClusterConfig::new(&scratch.0)).expect("seed cluster");
+    // Two batches over both shards (rows 0..20 and 20..40): each shard's
+    // log holds two records, short of a checkpoint.
+    for ops in [
+        vec![UpdateOp::Delete(0), UpdateOp::Delete(39)],
+        vec![UpdateOp::Delete(1), UpdateOp::Delete(38)],
+    ] {
+        coord.update(&ops).expect("cluster update");
+    }
+    let logs: Vec<PathBuf> = (0..2)
+        .map(|j| tkdi::store::log_path(&scratch.0.join(format!("shard-{j}.seq0.tkd"))))
+        .collect();
+    assert!(logs.iter().all(|log| log.is_file()), "both shards logged");
+    for w in workers {
+        w.kill();
+    }
+    drop(coord);
+
+    let (workers, addrs) = start_workers(2);
+    let mut coord = Coordinator::seed(&ds, 2, &addrs, ClusterConfig::new(&scratch.0))
+        .expect("re-seed into the reused directory");
+    assert!(
+        logs.iter().all(|log| !log.exists()),
+        "the seed retired them"
+    );
+    let mut twin = DynamicEngine::new(ds.clone());
+    let ops = [UpdateOp::Delete(5), UpdateOp::Delete(25)];
+    coord.update(&ops).expect("seq 1 follows the seed");
+    assert!(twin.apply_ops(&ops).error.is_none());
+    assert_eq!(coord.len(), twin.len());
+    for k in [1usize, 5] {
+        for &alg in &ALGS {
+            let reference = twin
+                .query(&EngineQuery::new(k).algorithm(alg))
+                .expect("BIG/IBIG supported");
+            let got = coord.query(k, alg).expect("cluster query");
+            assert_eq!(entries(&got), entries(&reference), "alg={alg:?} k={k}");
+        }
+    }
+    for w in workers {
+        w.stop();
+    }
+}
+
 /// A rejected `shard_update` must leave the worker exactly where its
 /// committed snapshot is. A batch applies whole or not at all, so the
 /// valid insert ahead of the bad op must not reach the hosted engine:
