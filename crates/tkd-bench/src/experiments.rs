@@ -114,7 +114,9 @@ pub fn table3(scale: Scale, seed: u64) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Fig. 11 — TKD cost and index sizes vs the number of bins `x`, one table
-/// per dataset. The BIG row is the unbinned reference.
+/// per dataset. The BIG row is the unbinned reference (dense bytes); an
+/// IBIG row's size is its binned index CONCISE-compressed, the paper's
+/// storage layout.
 pub fn fig11(scale: Scale, seed: u64) -> Vec<Table> {
     let k = K_DEFAULT;
     let sweeps: [(&str, Vec<usize>); 5] = [
@@ -154,13 +156,13 @@ pub fn fig11(scale: Scale, seed: u64) -> Vec<Table> {
             } else {
                 vec![x; w.dataset.dims()]
             };
-            let ictx: ibig::IbigContext<'_, Concise> = ibig::IbigContext::build(&w.dataset, &bins);
+            let ictx = ibig::IbigContext::build(&w.dataset, &bins);
             let (_, t_ibig) = time(|| ibig::ibig_with(&ictx, k));
             t.push(vec![
                 "IBIG".into(),
                 x.to_string(),
                 secs(t_ibig),
-                bytes(ictx.columns().size_bytes() as u64),
+                bytes(concise_bytes(ictx.index())),
             ]);
         }
         tables.push(t);
@@ -199,7 +201,7 @@ fn run_algorithms(w: &Workload, k: usize, set: AlgoSet) -> Vec<(&'static str, f6
     let (_, t) = time(|| big::big_with(&ctx, k));
     out.push(("BIG", t));
     drop(ctx);
-    let ictx: ibig::IbigContext<'_, Concise> = ibig::IbigContext::build(ds, &w.ibig_bins);
+    let ictx = ibig::IbigContext::build(ds, &w.ibig_bins);
     let (_, t) = time(|| ibig::ibig_with(&ictx, k));
     out.push(("IBIG", t));
     out
@@ -410,8 +412,7 @@ pub fn fig17(scale: Scale, seed: u64) -> Vec<Table> {
 pub fn fig18(scale: Scale, seed: u64) -> Vec<Table> {
     let mut tables = Vec::new();
     for w in datasets::all_workloads(scale, seed) {
-        let ictx: ibig::IbigContext<'_, Concise> =
-            ibig::IbigContext::build(&w.dataset, &w.ibig_bins);
+        let ictx = ibig::IbigContext::build(&w.dataset, &w.ibig_bins);
         let mut t = Table::new(
             format!("Fig. 18 ({}) — objects pruned per heuristic vs k", w.name),
             &["k", "Heuristic 1", "Heuristic 2", "Heuristic 3", "scored"],
@@ -468,44 +469,34 @@ pub fn binopt() -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation (beyond the paper): dense vs compressed IBIG columns
+// Ablation (beyond the paper): what each column store would occupy
 // ---------------------------------------------------------------------------
 
-/// Ablation — IBIG with CONCISE columns vs IBIG reading the same binned
-/// index uncompressed (the space/time trade-off of §4.4).
+/// CONCISE bytes of a binned index's columns — the §4.4 layout, measured.
+fn concise_bytes(index: &BinnedBitmapIndex) -> u64 {
+    CompressedColumns::<Concise>::from_binned(index).size_bytes() as u64
+}
+
+/// Ablation — the bytes of the exact index (dense) against the binned
+/// index kept dense (what IBIG queries), CONCISE- and WAH-compressed (the
+/// §4.4 layouts). No timings: every IBIG query reads the dense columns.
 pub fn ablation_compression(scale: Scale, seed: u64) -> Table {
     let mut t = Table::new(
-        "Ablation — IBIG columns: CONCISE vs WAH vs query-equivalent BIG",
-        &["dataset", "variant", "CPU time (s)", "column store size"],
+        "Ablation — index column bytes: exact dense vs binned dense / CONCISE / WAH",
+        &["dataset", "index", "column bytes"],
     );
     for w in [datasets::nba(scale, seed), datasets::ind(scale, seed)] {
-        let con: ibig::IbigContext<'_, Concise> =
-            ibig::IbigContext::build(&w.dataset, &w.ibig_bins);
-        let (_, t_con) = time(|| ibig::ibig_with(&con, K_DEFAULT));
-        t.push(vec![
-            w.name.into(),
-            "IBIG/CONCISE".into(),
-            secs(t_con),
-            bytes(con.columns().size_bytes() as u64),
-        ]);
-        drop(con);
-        let wah: ibig::IbigContext<'_, Wah> = ibig::IbigContext::build(&w.dataset, &w.ibig_bins);
-        let (_, t_wah) = time(|| ibig::ibig_with(&wah, K_DEFAULT));
-        t.push(vec![
-            w.name.into(),
-            "IBIG/WAH".into(),
-            secs(t_wah),
-            bytes(wah.columns().size_bytes() as u64),
-        ]);
-        drop(wah);
-        let ctx = big::BigContext::build(&w.dataset);
-        let (_, t_big) = time(|| big::big_with(&ctx, K_DEFAULT));
-        t.push(vec![
-            w.name.into(),
-            "BIG/dense".into(),
-            secs(t_big),
-            bytes(ctx.index().size_bytes()),
-        ]);
+        let exact = BitmapIndex::build(&w.dataset);
+        let binned = BinnedBitmapIndex::build(&w.dataset, &w.ibig_bins);
+        let wah = CompressedColumns::<Wah>::from_binned(&binned).size_bytes() as u64;
+        for (variant, size) in [
+            ("exact/dense", exact.size_bytes()),
+            ("binned/dense", binned.size_bytes()),
+            ("binned/CONCISE", concise_bytes(&binned)),
+            ("binned/WAH", wah),
+        ] {
+            t.push(vec![w.name.into(), variant.into(), bytes(size)]);
+        }
     }
     t
 }

@@ -13,8 +13,7 @@
 //!   hold `n`, the number of blocks in the run **minus one**.
 
 use crate::runs::{
-    and_count_runs, and_runs, and_runs_into_dense, blocks_of, count_ones_runs,
-    decompress_runs_into, or_runs, runs_from_blocks, Run, RunStream, BLOCK_MASK,
+    blocks_of, count_ones_runs, decompress_runs_into, runs_from_blocks, Run, BLOCK_MASK,
 };
 use crate::{BitVec, CompressedBitmap};
 
@@ -103,11 +102,6 @@ impl Concise {
             pending: None,
         }
     }
-
-    /// Raw encoded words (for storage accounting).
-    pub fn as_words(&self) -> &[u32] {
-        &self.words
-    }
 }
 
 /// Run iterator over a [`Concise`] bitmap.
@@ -159,16 +153,6 @@ impl CompressedBitmap for Concise {
         dst
     }
 
-    fn decompress_into(&self, dst: &mut BitVec) {
-        assert_eq!(dst.len(), self.len, "length mismatch");
-        decompress_runs_into(self.runs(), dst);
-    }
-
-    fn and_dense(&self, dst: &mut BitVec) {
-        assert_eq!(dst.len(), self.len, "length mismatch");
-        and_runs_into_dense(self.runs(), dst);
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -179,27 +163,6 @@ impl CompressedBitmap for Concise {
 
     fn count_ones(&self) -> usize {
         count_ones_runs(self.runs(), self.len)
-    }
-
-    fn and(&self, other: &Self) -> Self {
-        assert_eq!(self.len, other.len, "length mismatch");
-        let merged = and_runs(RunStream::new(self.runs()), RunStream::new(other.runs()));
-        Concise::from_runs(&merged, self.len)
-    }
-
-    fn or(&self, other: &Self) -> Self {
-        assert_eq!(self.len, other.len, "length mismatch");
-        let merged = or_runs(RunStream::new(self.runs()), RunStream::new(other.runs()));
-        Concise::from_runs(&merged, self.len)
-    }
-
-    fn and_count(&self, other: &Self) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        and_count_runs(
-            RunStream::new(self.runs()),
-            RunStream::new(other.runs()),
-            self.len,
-        )
     }
 }
 
@@ -266,32 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn and_or_match_dense() {
-        let a = patterned(997, 3);
-        let b = patterned(997, 5);
-        let ca = Concise::compress(&a);
-        let cb = Concise::compress(&b);
-        assert_eq!(ca.and(&cb).decompress(), a.and(&b));
-        assert_eq!(ca.or(&cb).decompress(), a.or(&b));
-        assert_eq!(ca.and_count(&cb), a.and_count(&b));
-    }
-
-    #[test]
-    fn and_of_sparse_mixed_fills() {
-        let mut a = BitVec::zeros(31 * 200);
-        let mut b = BitVec::zeros(31 * 200);
-        a.set(42);
-        a.set(31 * 150);
-        b.set(42);
-        b.set(31 * 199);
-        let ca = Concise::compress(&a);
-        let cb = Concise::compress(&b);
-        assert_eq!(ca.and(&cb).decompress(), a.and(&b));
-        assert_eq!(ca.and_count(&cb), 1);
-        assert_eq!(ca.or(&cb).count_ones(), 3);
-    }
-
-    #[test]
     fn mixed_fill_word_is_exactly_one_word() {
         // literal(single bit) + zero fill => one mixed word.
         let mut b = BitVec::zeros(31 * 10);
@@ -320,14 +257,6 @@ mod tests {
         };
         assert_eq!(c.count_ones(), 1);
         assert_eq!(c.words(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn or_rejects_length_mismatch() {
-        let a = Concise::compress(&BitVec::zeros(10));
-        let b = Concise::compress(&BitVec::zeros(20));
-        let _ = a.or(&b);
     }
 
     #[test]

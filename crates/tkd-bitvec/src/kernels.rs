@@ -572,6 +572,7 @@ mod tests {
     fn dispatch_name_is_stable_nonempty() {
         let n1 = dispatch_name();
         let n2 = dispatch_name();
+        println!("kernel dispatch tier: {n1}");
         assert!(!n1.is_empty());
         assert_eq!(n1, n2);
     }

@@ -4,9 +4,12 @@
 //! (Colantonio & Di Pietro, IPL 2010).
 //!
 //! The vertical bit-vectors of the paper's bitmap index (`[Qi]`, `[Pi]` in
-//! §4.3) are [`BitVec`]s; the IBIG algorithm (§4.4) stores them compressed
-//! with either codec behind the [`CompressedBitmap`] trait and performs the
-//! `Q = ∩ Qi` / `P = ∩ Pi` intersections directly on the compressed form.
+//! §4.3) are [`BitVec`]s, and every query intersects them in that dense
+//! form with the [`kernels`]. The paper's IBIG (§4.4) stores them
+//! compressed and intersects `Q = ∩ Qi` / `P = ∩ Pi` on the compressed
+//! form; here that layout is **measured, not executed**: the codecs behind
+//! the [`CompressedBitmap`] trait compress, decompress and count, which is
+//! what the evaluation's compression time, ratio and size figures need.
 //!
 //! # Example
 //!
@@ -45,30 +48,14 @@ pub use words::{SharedWords, Words};
 /// Common interface of the compressed bitmap codecs (WAH and CONCISE).
 ///
 /// All codecs compress the same logical object — a fixed-length bit vector —
-/// into a sequence of 32-bit words, and support bitwise AND/OR plus
-/// population count without decompressing.
+/// into a sequence of 32-bit words, and count its set bits without
+/// decompressing.
 pub trait CompressedBitmap: Sized + Clone {
     /// Compress a dense bit vector.
     fn compress(bits: &BitVec) -> Self;
 
     /// Decompress back to a dense bit vector.
     fn decompress(&self) -> BitVec;
-
-    /// Decompress into a caller-owned dense buffer without allocating —
-    /// the scratch-space entry point of the IBIG query path.
-    ///
-    /// # Panics
-    /// Panics if `dst.len() != self.len()`.
-    fn decompress_into(&self, dst: &mut BitVec);
-
-    /// AND this compressed bitmap into a dense buffer in place
-    /// (`dst &= self`), directly off the run stream: one-fills are skipped,
-    /// zero-fills clear word spans, literals AND a 31-bit window. No
-    /// allocation on either side.
-    ///
-    /// # Panics
-    /// Panics if `dst.len() != self.len()`.
-    fn and_dense(&self, dst: &mut BitVec);
 
     /// Logical length in bits.
     fn len(&self) -> usize;
@@ -88,25 +75,6 @@ pub trait CompressedBitmap: Sized + Clone {
 
     /// Number of set bits (computed on the compressed form).
     fn count_ones(&self) -> usize;
-
-    /// Bitwise AND, producing a compressed result.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    fn and(&self, other: &Self) -> Self;
-
-    /// Bitwise OR, producing a compressed result.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    fn or(&self, other: &Self) -> Self;
-
-    /// Population count of `self AND other` without materializing the
-    /// intersection (hot path of `MaxBitScore`).
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    fn and_count(&self, other: &Self) -> usize;
 
     /// Compression ratio: compressed bytes over dense bytes (`> 1` means the
     /// "compressed" form is larger, which the paper observes for NBA).

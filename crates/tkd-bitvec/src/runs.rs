@@ -3,9 +3,9 @@
 //! Both WAH and CONCISE segment a bit vector into **31-bit blocks** and
 //! represent maximal runs of all-zero / all-one blocks as *fill* words and
 //! everything else as *literal* words. This module provides the common
-//! block segmentation, a run-stream abstraction, and generic run-merge
-//! algorithms (AND, OR, popcount) that both codecs reuse — the codecs then
-//! only differ in their 32-bit word encodings.
+//! block segmentation, the run-level popcount and the word-level
+//! decompression that both codecs reuse — the codecs then only differ in
+//! their 32-bit word encodings.
 
 use crate::BitVec;
 
@@ -103,105 +103,6 @@ pub fn runs_from_blocks(blocks: &[u32]) -> Vec<Run> {
     out
 }
 
-/// A consumable stream of runs with partial-run consumption, used by the
-/// merge algorithms.
-pub struct RunStream<I: Iterator<Item = Run>> {
-    iter: I,
-    /// Current run with its remaining block count.
-    head: Option<Run>,
-}
-
-impl<I: Iterator<Item = Run>> RunStream<I> {
-    /// Wrap an iterator of runs.
-    pub fn new(iter: I) -> Self {
-        let mut s = RunStream { iter, head: None };
-        s.refill();
-        s
-    }
-
-    fn refill(&mut self) {
-        if self.head.is_none() {
-            self.head = self.iter.next();
-        }
-    }
-
-    /// Remaining blocks of the current head run (0 when exhausted).
-    pub fn head_blocks(&self) -> u64 {
-        match self.head {
-            Some(Run::Fill { blocks, .. }) => blocks,
-            Some(Run::Literal(_)) => 1,
-            None => 0,
-        }
-    }
-
-    /// Current head run, if any.
-    pub fn head(&self) -> Option<Run> {
-        self.head
-    }
-
-    /// Consume `n` blocks from the head run (`n` must not exceed
-    /// [`RunStream::head_blocks`]).
-    pub fn consume(&mut self, n: u64) {
-        match &mut self.head {
-            Some(Run::Fill { blocks, .. }) => {
-                debug_assert!(n <= *blocks);
-                *blocks -= n;
-                if *blocks == 0 {
-                    self.head = None;
-                }
-            }
-            Some(Run::Literal(_)) => {
-                debug_assert_eq!(n, 1);
-                self.head = None;
-            }
-            None => debug_assert_eq!(n, 0),
-        }
-        self.refill();
-    }
-}
-
-/// A sink that accumulates runs, merging adjacent compatible fills.
-#[derive(Default)]
-pub struct RunBuf {
-    runs: Vec<Run>,
-}
-
-impl RunBuf {
-    /// Create an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a run, canonicalizing (literal 0 / literal all-ones become
-    /// fills; adjacent same-bit fills merge).
-    pub fn push(&mut self, run: Run) {
-        let run = match run {
-            Run::Literal(0) => Run::Fill {
-                ones: false,
-                blocks: 1,
-            },
-            Run::Literal(BLOCK_MASK) => Run::Fill {
-                ones: true,
-                blocks: 1,
-            },
-            r => r,
-        };
-        match (self.runs.last_mut(), run) {
-            (Some(Run::Fill { ones: a, blocks: n }), Run::Fill { ones: b, blocks: m })
-                if *a == b =>
-            {
-                *n += m;
-            }
-            (_, r) => self.runs.push(r),
-        }
-    }
-
-    /// The accumulated runs.
-    pub fn into_runs(self) -> Vec<Run> {
-        self.runs
-    }
-}
-
 /// Set bits `[start, end)` in a word array.
 fn set_bit_range(words: &mut [u64], start: usize, end: usize) {
     if start >= end {
@@ -218,26 +119,6 @@ fn set_bit_range(words: &mut [u64], start: usize, end: usize) {
         }
         if eb > 0 {
             words[ew] |= (1u64 << eb) - 1;
-        }
-    }
-}
-
-/// Clear bits `[start, end)` in a word array.
-fn clear_bit_range(words: &mut [u64], start: usize, end: usize) {
-    if start >= end {
-        return;
-    }
-    let (sw, sb) = (start / 64, start % 64);
-    let (ew, eb) = (end / 64, end % 64);
-    if sw == ew {
-        words[sw] &= !(((1u64 << (eb - sb)) - 1) << sb);
-    } else {
-        words[sw] &= !(!0u64 << sb);
-        for w in words.iter_mut().take(ew).skip(sw + 1) {
-            *w = 0;
-        }
-        if eb > 0 {
-            words[ew] &= !((1u64 << eb) - 1);
         }
     }
 }
@@ -277,156 +158,6 @@ pub fn decompress_runs_into(runs: impl Iterator<Item = Run>, dst: &mut BitVec) {
     dst.fix_tail();
 }
 
-/// AND a run stream into a dense buffer in place (`dst &= runs`), without
-/// materializing the compressed side — the hot kernel behind
-/// `CompressedColumns::and_selected_into`. One-fills touch nothing,
-/// zero-fills clear whole word spans, literals AND a 31-bit window.
-pub fn and_runs_into_dense(runs: impl Iterator<Item = Run>, dst: &mut BitVec) {
-    let len = dst.len();
-    let words = dst.words_mut();
-    let total_bits = words.len() * 64;
-    let mut bit = 0usize;
-    for run in runs {
-        match run {
-            Run::Fill { ones: true, blocks } => bit += blocks as usize * BLOCK_BITS,
-            Run::Fill {
-                ones: false,
-                blocks,
-            } => {
-                let nbits = blocks as usize * BLOCK_BITS;
-                clear_bit_range(words, bit.min(total_bits), (bit + nbits).min(total_bits));
-                bit += nbits;
-            }
-            Run::Literal(x) => {
-                if bit < total_bits {
-                    let inv = (!x as u64) & BLOCK_MASK as u64;
-                    let w = bit / 64;
-                    let off = bit % 64;
-                    words[w] &= !(inv << off);
-                    if off + BLOCK_BITS > 64 && w + 1 < words.len() {
-                        words[w + 1] &= !(inv >> (64 - off));
-                    }
-                }
-                bit += BLOCK_BITS;
-            }
-        }
-    }
-    debug_assert!(bit >= len, "run stream covers only {bit} of {len} bits");
-}
-
-/// Generic binary merge of two equal-length run streams.
-///
-/// `lit_op` combines two literal blocks; `fill_short_circuit` says, for a
-/// fill with the given bit on one side, whether the output over the overlap
-/// is a fill of a known bit (`Some(bit)`) or a copy of the other side
-/// (`None`). For AND: zero-fill → `Some(false)`, one-fill → `None`. For OR:
-/// one-fill → `Some(true)`, zero-fill → `None`.
-fn merge<A, B>(
-    a: RunStream<A>,
-    b: RunStream<B>,
-    lit_op: impl Fn(u32, u32) -> u32,
-    fill_short_circuit: impl Fn(bool) -> Option<bool>,
-) -> Vec<Run>
-where
-    A: Iterator<Item = Run>,
-    B: Iterator<Item = Run>,
-{
-    let mut a = a;
-    let mut b = b;
-    let mut out = RunBuf::new();
-    loop {
-        let (ha, hb) = (a.head(), b.head());
-        let (ha, hb) = match (ha, hb) {
-            (None, None) => break,
-            (Some(x), Some(y)) => (x, y),
-            _ => panic!("run streams of unequal length"),
-        };
-        let take = a.head_blocks().min(b.head_blocks());
-        debug_assert!(take >= 1);
-        match (ha, hb) {
-            (Run::Literal(x), Run::Literal(y)) => {
-                out.push(Run::Literal(lit_op(x, y) & BLOCK_MASK));
-                a.consume(1);
-                b.consume(1);
-            }
-            (Run::Fill { ones, .. }, other) => {
-                match fill_short_circuit(ones) {
-                    Some(bit) => {
-                        out.push(Run::Fill {
-                            ones: bit,
-                            blocks: take,
-                        });
-                        a.consume(take);
-                        b.consume(take);
-                    }
-                    None => {
-                        // Output copies the other side over the overlap.
-                        match other {
-                            Run::Literal(y) => {
-                                out.push(Run::Literal(y));
-                                a.consume(1);
-                                b.consume(1);
-                            }
-                            Run::Fill { ones: ob, .. } => {
-                                out.push(Run::Fill {
-                                    ones: ob,
-                                    blocks: take,
-                                });
-                                a.consume(take);
-                                b.consume(take);
-                            }
-                        }
-                    }
-                }
-            }
-            (Run::Literal(x), Run::Fill { ones, .. }) => match fill_short_circuit(ones) {
-                Some(bit) => {
-                    out.push(Run::Fill {
-                        ones: bit,
-                        blocks: take,
-                    });
-                    a.consume(take);
-                    b.consume(take);
-                }
-                None => {
-                    out.push(Run::Literal(x));
-                    a.consume(1);
-                    b.consume(1);
-                }
-            },
-        }
-    }
-    out.into_runs()
-}
-
-/// AND of two equal-length run streams.
-pub fn and_runs<A, B>(a: RunStream<A>, b: RunStream<B>) -> Vec<Run>
-where
-    A: Iterator<Item = Run>,
-    B: Iterator<Item = Run>,
-{
-    merge(
-        a,
-        b,
-        |x, y| x & y,
-        |ones| if ones { None } else { Some(false) },
-    )
-}
-
-/// OR of two equal-length run streams.
-pub fn or_runs<A, B>(a: RunStream<A>, b: RunStream<B>) -> Vec<Run>
-where
-    A: Iterator<Item = Run>,
-    B: Iterator<Item = Run>,
-{
-    merge(
-        a,
-        b,
-        |x, y| x | y,
-        |ones| if ones { Some(true) } else { None },
-    )
-}
-
 /// Popcount of a run stream, with the final block's padding excluded
 /// (`len` is the logical bit length).
 pub fn count_ones_runs<I: Iterator<Item = Run>>(runs: I, len: usize) -> usize {
@@ -446,60 +177,6 @@ pub fn count_ones_runs<I: Iterator<Item = Run>>(runs: I, len: usize) -> usize {
             Run::Literal(x) => {
                 total += x.count_ones() as usize;
                 bit_pos += BLOCK_BITS;
-            }
-        }
-    }
-    total
-}
-
-/// Popcount of the AND of two run streams without materializing it.
-pub fn and_count_runs<A, B>(a: RunStream<A>, b: RunStream<B>, len: usize) -> usize
-where
-    A: Iterator<Item = Run>,
-    B: Iterator<Item = Run>,
-{
-    let mut a = a;
-    let mut b = b;
-    let mut total = 0usize;
-    let mut bit_pos = 0usize;
-    loop {
-        let (ha, hb) = match (a.head(), b.head()) {
-            (None, None) => break,
-            (Some(x), Some(y)) => (x, y),
-            _ => panic!("run streams of unequal length"),
-        };
-        let take = a.head_blocks().min(b.head_blocks());
-        match (ha, hb) {
-            (Run::Fill { ones: false, .. }, _) | (_, Run::Fill { ones: false, .. }) => {
-                bit_pos += take as usize * BLOCK_BITS;
-                a.consume(take);
-                b.consume(take);
-            }
-            (Run::Fill { ones: true, .. }, Run::Fill { ones: true, .. }) => {
-                let nbits = take as usize * BLOCK_BITS;
-                let end = (bit_pos + nbits).min(len);
-                total += end.saturating_sub(bit_pos);
-                bit_pos += nbits;
-                a.consume(take);
-                b.consume(take);
-            }
-            (Run::Fill { ones: true, .. }, Run::Literal(y)) => {
-                total += y.count_ones() as usize;
-                bit_pos += BLOCK_BITS;
-                a.consume(1);
-                b.consume(1);
-            }
-            (Run::Literal(x), Run::Fill { ones: true, .. }) => {
-                total += x.count_ones() as usize;
-                bit_pos += BLOCK_BITS;
-                a.consume(1);
-                b.consume(1);
-            }
-            (Run::Literal(x), Run::Literal(y)) => {
-                total += (x & y).count_ones() as usize;
-                bit_pos += BLOCK_BITS;
-                a.consume(1);
-                b.consume(1);
             }
         }
     }
@@ -575,37 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn and_or_match_dense() {
-        let a = BitVec::from_indices(200, (0..200).step_by(3));
-        let b = BitVec::from_indices(200, (0..200).step_by(5));
-        let and = and_runs(
-            RunStream::new(rt(&a).into_iter()),
-            RunStream::new(rt(&b).into_iter()),
-        );
-        let or = or_runs(
-            RunStream::new(rt(&a).into_iter()),
-            RunStream::new(rt(&b).into_iter()),
-        );
-        let nblocks = 200usize.div_ceil(BLOCK_BITS);
-        let expand = |runs: Vec<Run>| {
-            let mut blocks = Vec::new();
-            for r in runs {
-                match r {
-                    Run::Fill { ones, blocks: n } => blocks.extend(std::iter::repeat_n(
-                        if ones { BLOCK_MASK } else { 0 },
-                        n as usize,
-                    )),
-                    Run::Literal(x) => blocks.push(x),
-                }
-            }
-            assert_eq!(blocks.len(), nblocks);
-            bits_from_blocks(&blocks, 200)
-        };
-        assert_eq!(expand(and), a.and(&b));
-        assert_eq!(expand(or), a.or(&b));
-    }
-
-    #[test]
     fn count_ones_clips_padding() {
         // 40 bits of ones: blocks = [ones, literal(9 ones)] but runs_from_
         // blocks sees the second block as literal; count must be exactly 40.
@@ -618,18 +264,6 @@ mod tests {
             blocks: 2,
         }];
         assert_eq!(count_ones_runs(runs.into_iter(), 40), 40);
-    }
-
-    #[test]
-    fn and_count_matches_dense() {
-        let a = BitVec::from_indices(500, (0..500).step_by(2));
-        let b = BitVec::from_indices(500, (0..500).step_by(7));
-        let got = and_count_runs(
-            RunStream::new(rt(&a).into_iter()),
-            RunStream::new(rt(&b).into_iter()),
-            500,
-        );
-        assert_eq!(got, a.and_count(&b));
     }
 
     #[test]
@@ -648,84 +282,5 @@ mod tests {
         let mut dst = BitVec::zeros(400);
         decompress_runs_into(rt(&ones).into_iter(), &mut dst);
         assert_eq!(dst, ones);
-    }
-
-    #[test]
-    fn and_into_dense_matches_dense_and() {
-        for len in [1usize, 31, 64, 93, 200, 500] {
-            let a = BitVec::from_indices(len, (0..len).step_by(2));
-            let mut sparse = BitVec::zeros(len);
-            if len > 40 {
-                sparse.set(40);
-            }
-            for other in [BitVec::ones(len), BitVec::zeros(len), sparse, a.clone()] {
-                let mut dst = a.clone();
-                and_runs_into_dense(rt(&other).into_iter(), &mut dst);
-                assert_eq!(dst, a.and(&other), "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unequal length")]
-    fn merge_rejects_unequal_streams() {
-        let a = vec![Run::Fill {
-            ones: false,
-            blocks: 2,
-        }];
-        let b = vec![Run::Fill {
-            ones: false,
-            blocks: 1,
-        }];
-        let _ = and_runs(RunStream::new(a.into_iter()), RunStream::new(b.into_iter()));
-    }
-
-    #[test]
-    fn runbuf_canonicalizes() {
-        let mut buf = RunBuf::new();
-        buf.push(Run::Literal(0));
-        buf.push(Run::Fill {
-            ones: false,
-            blocks: 3,
-        });
-        buf.push(Run::Literal(BLOCK_MASK));
-        buf.push(Run::Fill {
-            ones: true,
-            blocks: 1,
-        });
-        let runs = buf.into_runs();
-        assert_eq!(
-            runs,
-            vec![
-                Run::Fill {
-                    ones: false,
-                    blocks: 4
-                },
-                Run::Fill {
-                    ones: true,
-                    blocks: 2
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn runstream_partial_consumption() {
-        let runs = vec![
-            Run::Fill {
-                ones: true,
-                blocks: 5,
-            },
-            Run::Literal(7),
-        ];
-        let mut s = RunStream::new(runs.into_iter());
-        assert_eq!(s.head_blocks(), 5);
-        s.consume(2);
-        assert_eq!(s.head_blocks(), 3);
-        s.consume(3);
-        assert_eq!(s.head(), Some(Run::Literal(7)));
-        s.consume(1);
-        assert_eq!(s.head(), None);
-        assert_eq!(s.head_blocks(), 0);
     }
 }

@@ -8,8 +8,7 @@
 //!   of consecutive all-zero / all-one 31-bit blocks.
 
 use crate::runs::{
-    and_count_runs, and_runs, and_runs_into_dense, blocks_of, count_ones_runs,
-    decompress_runs_into, or_runs, runs_from_blocks, Run, RunStream, BLOCK_MASK,
+    blocks_of, count_ones_runs, decompress_runs_into, runs_from_blocks, Run, BLOCK_MASK,
 };
 use crate::{BitVec, CompressedBitmap};
 
@@ -60,11 +59,6 @@ impl Wah {
             }
         })
     }
-
-    /// Raw encoded words (for storage accounting).
-    pub fn as_words(&self) -> &[u32] {
-        &self.words
-    }
 }
 
 impl CompressedBitmap for Wah {
@@ -78,16 +72,6 @@ impl CompressedBitmap for Wah {
         dst
     }
 
-    fn decompress_into(&self, dst: &mut BitVec) {
-        assert_eq!(dst.len(), self.len, "length mismatch");
-        decompress_runs_into(self.runs(), dst);
-    }
-
-    fn and_dense(&self, dst: &mut BitVec) {
-        assert_eq!(dst.len(), self.len, "length mismatch");
-        and_runs_into_dense(self.runs(), dst);
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -98,27 +82,6 @@ impl CompressedBitmap for Wah {
 
     fn count_ones(&self) -> usize {
         count_ones_runs(self.runs(), self.len)
-    }
-
-    fn and(&self, other: &Self) -> Self {
-        assert_eq!(self.len, other.len, "length mismatch");
-        let merged = and_runs(RunStream::new(self.runs()), RunStream::new(other.runs()));
-        Wah::from_runs(merged, self.len)
-    }
-
-    fn or(&self, other: &Self) -> Self {
-        assert_eq!(self.len, other.len, "length mismatch");
-        let merged = or_runs(RunStream::new(self.runs()), RunStream::new(other.runs()));
-        Wah::from_runs(merged, self.len)
-    }
-
-    fn and_count(&self, other: &Self) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        and_count_runs(
-            RunStream::new(self.runs()),
-            RunStream::new(other.runs()),
-            self.len,
-        )
     }
 }
 
@@ -169,24 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn and_or_match_dense() {
-        let a = patterned(997, 3);
-        let b = patterned(997, 5);
-        let wa = Wah::compress(&a);
-        let wb = Wah::compress(&b);
-        assert_eq!(wa.and(&wb).decompress(), a.and(&b));
-        assert_eq!(wa.or(&wb).decompress(), a.or(&b));
-        assert_eq!(wa.and_count(&wb), a.and_count(&b));
-    }
-
-    #[test]
-    fn and_with_ones_is_identity() {
-        let a = patterned(500, 7);
-        let ones = Wah::compress(&BitVec::ones(500));
-        assert_eq!(Wah::compress(&a).and(&ones).decompress(), a);
-    }
-
-    #[test]
     fn fill_chunking_survives_giant_runs() {
         // Directly exercise the chunking path with a synthetic run longer
         // than one fill word can hold.
@@ -197,13 +142,5 @@ mod tests {
         );
         assert_eq!(w.words(), 2);
         assert_eq!(w.count_ones(), blocks as usize * BLOCK_BITS);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn and_rejects_length_mismatch() {
-        let a = Wah::compress(&BitVec::zeros(10));
-        let b = Wah::compress(&BitVec::zeros(20));
-        let _ = a.and(&b);
     }
 }

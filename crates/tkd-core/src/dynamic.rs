@@ -36,10 +36,10 @@
 //! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`],
 //! with more the workers split the candidate queue and merge by replay —
 //! and a full-space standing query is answered by that same
-//! [`DynamicEngine::query`] after every batch. Dynamic IBIG scores off
-//! dense binned columns — run-length codecs cannot absorb in-place bit
-//! flips, so the dynamic store trades the paper's compression for `O(1)`
-//! bit maintenance (compaction re-quantiles and could re-compress).
+//! [`DynamicEngine::query`] after every batch. IBIG scores off the binned
+//! index's dense columns, as it does everywhere (see [`crate::ibig`]);
+//! they take every tombstone, append and cell rewrite as an `O(1)` bit
+//! flip, which a run-length codec could not.
 //!
 //! The same maintained state is what a cluster worker scores on: a shard
 //! is one engine, and [`DynamicEngine::big_bound`] /
@@ -58,7 +58,7 @@
 
 use crate::big::{big_term, Candidate};
 use crate::engine::scorer;
-use crate::ibig::{ibig_term, IbigIndex};
+use crate::ibig::{fill_q, ibig_term};
 use crate::maxscore::{fill_queue, t_counts};
 use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
@@ -72,7 +72,7 @@ use crate::EngineQuery;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use tkd_bitvec::{BitVec, Concise, Tombstones};
+use tkd_bitvec::{BitVec, Tombstones};
 use tkd_index::{cost, for_each_sorted_column, BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
 use tkd_model::{stats, Dataset, DimMask, ModelError, ObjectId};
 
@@ -969,8 +969,7 @@ impl DynamicEngine {
         self.refresh();
         let threads = threads.max(1);
         self.fit_scratch(threads);
-        let binned = IbigIndex::<Concise>::dense(&self.binned);
-        let scorer = scorer(&self.ds, &self.index, &binned, &self.pre, q.algorithm);
+        let scorer = scorer(&self.ds, &self.index, &self.binned, &self.pre, q.algorithm);
         let queue = self.pre.queue();
         let slots = new_slots(slots_needed(threads, queue.len()));
         let result = run_replay(queue, q.k, &mut self.scratch[..threads], &slots, scorer);
@@ -1123,13 +1122,19 @@ impl DynamicEngine {
         self.fit_scratch(1);
         let scratch = &mut self.scratch[0];
         scratch.bin_sel = self.binned.select_for(|d| values[d]);
-        let shard = IbigIndex::<Concise>::dense(&self.binned);
-        shard.fill_q(scratch);
+        fill_q(&self.binned, scratch);
         let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
         let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
         let value = |d: usize| values[d].expect("masked dimension is observed");
         let mut unlimited = usize::MAX;
-        let term = ibig_term(&shard, ds.masks(), &cand, value, scratch, &mut unlimited);
+        let term = ibig_term(
+            &self.binned,
+            ds.masks(),
+            &cand,
+            value,
+            scratch,
+            &mut unlimited,
+        );
         Ok(term.expect("an unlimited budget is never overdrawn"))
     }
 

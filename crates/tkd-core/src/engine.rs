@@ -29,7 +29,7 @@
 //! (reusing the engine's `MaxScore` queue where applicable).
 
 use crate::big::big_score_over;
-use crate::ibig::{ibig_score_over, IbigIndex};
+use crate::ibig::ibig_score_over;
 use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
 use crate::preprocess::Preprocessed;
 use crate::query::{shuffle_ties, Algorithm, TieBreak};
@@ -39,7 +39,6 @@ use crate::{esb, naive, ubb};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tkd_bitvec::Concise;
 use tkd_index::{BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
 use tkd_model::{Dataset, ObjectId};
 
@@ -86,7 +85,7 @@ impl EngineQuery {
 pub(crate) fn scorer<'s>(
     ds: &'s Dataset,
     index: &'s BitmapIndex,
-    binned: &'s IbigIndex<'s, Concise>,
+    binned: &'s BinnedBitmapIndex,
     pre: &'s Preprocessed,
     algorithm: Algorithm,
 ) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 's {
@@ -171,8 +170,7 @@ impl<'a> EngineBuilder<'a> {
     }
 
     /// Build the engine in one sweep per dimension: each sorted column
-    /// feeds the `MaxScore` queue, the exact index and the binned index,
-    /// whose columns are then compressed.
+    /// feeds the `MaxScore` queue, the exact index and the binned index.
     pub fn build(self) -> ParallelEngine<'a> {
         let ds = self.ds;
         let threads = self.threads.unwrap_or_else(|| {
@@ -192,15 +190,15 @@ impl<'a> EngineBuilder<'a> {
             ds,
             threads,
             index: Cow::Owned(index),
-            binned: IbigIndex::compressed(binned),
+            binned: Cow::Owned(binned),
             pre: Cow::Owned(pre),
             pool: Pool::new(),
         }
     }
 }
 
-/// A query-serving engine: one exact index, one compressed binned index
-/// and one `MaxScore` queue built once, queries answered with
+/// A query-serving engine: one exact index, one binned index and one
+/// `MaxScore` queue built once, queries answered with
 /// within-query parallelism ([`ParallelEngine::query`]) or batched
 /// across-query parallelism ([`ParallelEngine::query_many`]). See the
 /// [module docs](self).
@@ -208,7 +206,7 @@ pub struct ParallelEngine<'a> {
     ds: &'a Dataset,
     threads: usize,
     index: Cow<'a, BitmapIndex>,
-    binned: IbigIndex<'a, Concise>,
+    binned: Cow<'a, BinnedBitmapIndex>,
     pre: Cow<'a, Preprocessed>,
     pool: Pool,
 }
@@ -246,7 +244,7 @@ impl<'a> ParallelEngine<'a> {
             ds,
             threads: threads.max(1),
             index: Cow::Borrowed(index),
-            binned: IbigIndex::dense(binned),
+            binned: Cow::Borrowed(binned),
             pre: Cow::Borrowed(pre),
             pool: Pool::new(),
         }

@@ -22,7 +22,8 @@ pub enum Algorithm {
     Ubb,
     /// Bitmap index guided (Algorithms 3–4).
     Big,
-    /// Improved BIG on the binned, compressed index (Algorithm 5).
+    /// Improved BIG on the binned index (Algorithm 5; the paper's
+    /// compressed column layout is measured, not executed).
     Ibig,
 }
 

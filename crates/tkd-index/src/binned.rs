@@ -327,8 +327,8 @@ impl BinnedBitmapIndex {
     // ----- dynamic maintenance -------------------------------------------
     //
     // Unlike the exact index, the binned index tombstones slots in **every**
-    // column *including column 0* (it keeps no separate live mask): the
-    // compressed/dense `and_selected_into` paths AND all picked columns, so
+    // column *including column 0* (it keeps no separate live mask):
+    // `and_selected_into` ANDs all picked columns, so
     // a cleared column-0 bit masks dead slots even for all-missing picks,
     // and the budgeted scan answers an all-column-0 selection from column
     // 0's stored popcount. Every column change goes through the `col_*`
@@ -466,9 +466,8 @@ impl BinnedBitmapIndex {
     }
 
     /// AND one picked column per dimension into `dst`, **including**
-    /// column-0 picks — the dense counterpart of
-    /// [`crate::CompressedColumns::and_selected_into`], and the fill the
-    /// dynamic IBIG path uses (its column 0 carries the tombstone mask).
+    /// column-0 picks — IBIG's `Q`/`P` fill on every surface (on a
+    /// dynamic index column 0 carries the tombstone mask).
     ///
     /// # Panics
     /// Panics if `picks` is empty, names an out-of-range column, or
@@ -723,7 +722,7 @@ impl BinnedBitmapIndex {
 /// Resolved per-dimension binned column picks for one candidate against
 /// one [`BinnedBitmapIndex`] — produced by
 /// [`BinnedBitmapIndex::select_for`]. The pick pairs feed
-/// [`crate::CompressedColumns::and_selected_into`] directly.
+/// [`BinnedBitmapIndex::and_selected_into`] directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BinSelection {
     q: [u32; MAX_DIMS],

@@ -6,11 +6,10 @@ use tkd_bitvec::{BitVec, CompressedBitmap};
 /// The vertical columns of a bitmap index, compressed with a
 /// [`CompressedBitmap`] codec (WAH or CONCISE).
 ///
-/// This is the storage layout of IBIG's static contexts: a candidate that
-/// survives Heuristic 2 has its `Q`/`P` filled from these columns
-/// ([`CompressedColumns::and_selected_into`]). `MaxBitScore` is never
-/// computed here — Heuristic 2 scans the binned index's dense words
-/// ([`BinnedBitmapIndex::q_count_selected_above`]).
+/// This is the paper's §4.4 storage layout for IBIG, kept to be
+/// **measured**: its build time, size and ratio are what Fig. 10,
+/// Table 3 and Fig. 11 report. No query reads it — IBIG scores off the
+/// binned index's dense columns.
 #[derive(Clone, Debug)]
 pub struct CompressedColumns<C> {
     n: usize,
@@ -63,48 +62,6 @@ impl<C: CompressedBitmap> CompressedColumns<C> {
         self.columns[dim].len()
     }
 
-    /// Compressed column `c` of `dim`.
-    pub fn column(&self, dim: usize, c: usize) -> &C {
-        &self.columns[dim][c]
-    }
-
-    /// AND together one selected column per dimension (e.g. the `[Qᵢ]`
-    /// selections of an object), entirely on the compressed form.
-    ///
-    /// # Panics
-    /// Panics if `picks` is empty or any index is out of range.
-    pub fn and_selected(&self, picks: &[(usize, usize)]) -> C {
-        assert!(!picks.is_empty(), "need at least one column");
-        let (d0, c0) = picks[0];
-        let mut acc = self.columns[d0][c0].clone();
-        for &(d, c) in &picks[1..] {
-            acc = acc.and(&self.columns[d][c]);
-        }
-        acc
-    }
-
-    /// AND together one selected column per dimension directly into a
-    /// caller-owned dense scratch buffer — the zero-allocation IBIG query
-    /// path. The first column is decompressed into `dst` (overwriting it);
-    /// every further column is ANDed in straight off its run stream, so no
-    /// compressed intermediate is ever materialized.
-    ///
-    /// # Panics
-    /// Panics if `picks` is empty, any index is out of range, or
-    /// `dst.len() != self.n()`.
-    pub fn and_selected_into(
-        &self,
-        picks: impl IntoIterator<Item = (usize, usize)>,
-        dst: &mut BitVec,
-    ) {
-        let mut picks = picks.into_iter();
-        let (d0, c0) = picks.next().expect("need at least one column");
-        self.columns[d0][c0].decompress_into(dst);
-        for (d, c) in picks {
-            self.columns[d][c].and_dense(dst);
-        }
-    }
-
     /// Total compressed size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.columns
@@ -130,7 +87,7 @@ impl<C: CompressedBitmap> CompressedColumns<C> {
         self.size_bytes() as f64 / dense as f64
     }
 
-    /// Decompress one column (tests / fallback paths).
+    /// Decompress one column (what the round-trip checks compare).
     pub fn decompress_column(&self, dim: usize, c: usize) -> BitVec {
         self.columns[dim][c].decompress()
     }
@@ -158,30 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn and_selected_matches_dense_q() {
-        let ds = fixtures::fig3_sample();
-        let idx = BitmapIndex::build(&ds);
-        let cc: CompressedColumns<Concise> = CompressedColumns::from_bitmap(&ds_index_picks(&idx));
-        for o in ds.ids() {
-            let picks: Vec<(usize, usize)> = (0..idx.dims())
-                .map(|d| {
-                    let c = idx.value_index(o, d).map(|j| (j - 1) as usize).unwrap_or(0);
-                    (d, c)
-                })
-                .collect();
-            let mut q = cc.and_selected(&picks).decompress();
-            q.clear(o as usize);
-            assert_eq!(q, idx.q_vec(o), "object {o}");
-        }
-    }
-
-    // Helper keeping the test body readable: compression happens from the
-    // same index.
-    fn ds_index_picks(idx: &BitmapIndex) -> BitmapIndex {
-        idx.clone()
-    }
-
-    #[test]
     fn binned_columns_compress() {
         let ds = fixtures::fig3_sample();
         let idx = BinnedBitmapIndex::build(&ds, &[2, 2, 3, 3]);
@@ -194,45 +127,5 @@ mod tests {
                 assert_eq!(&cc.decompress_column(dim, c), idx.column(dim, c));
             }
         }
-    }
-
-    #[test]
-    fn and_selected_into_matches_compressed_chain() {
-        let ds = fixtures::fig3_sample();
-        let idx = BitmapIndex::build(&ds);
-        let cc: CompressedColumns<Concise> = CompressedColumns::from_bitmap(&idx);
-        let cw: CompressedColumns<Wah> = CompressedColumns::from_bitmap(&idx);
-        let mut dst = BitVec::ones(idx.n());
-        for o in ds.ids() {
-            let picks: Vec<(usize, usize)> = (0..idx.dims())
-                .map(|d| {
-                    let c = idx.value_index(o, d).map(|j| (j - 1) as usize).unwrap_or(0);
-                    (d, c)
-                })
-                .collect();
-            let reference = cc.and_selected(&picks).decompress();
-            cc.and_selected_into(picks.iter().copied(), &mut dst);
-            assert_eq!(dst, reference, "concise object {o}");
-            cw.and_selected_into(picks.iter().copied(), &mut dst);
-            assert_eq!(dst, reference, "wah object {o}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one column")]
-    fn and_selected_into_rejects_empty() {
-        let ds = fixtures::fig3_sample();
-        let idx = BitmapIndex::build(&ds);
-        let cc: CompressedColumns<Concise> = CompressedColumns::from_bitmap(&idx);
-        cc.and_selected_into(std::iter::empty(), &mut BitVec::zeros(idx.n()));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one column")]
-    fn and_selected_rejects_empty() {
-        let ds = fixtures::fig3_sample();
-        let idx = BitmapIndex::build(&ds);
-        let cc: CompressedColumns<Wah> = CompressedColumns::from_bitmap(&idx);
-        let _ = cc.and_selected(&[]);
     }
 }

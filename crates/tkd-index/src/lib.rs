@@ -8,7 +8,9 @@
 //!   value *range* instead of per value, with the adaptive quantile binning
 //!   of Eq. 3–4 and per-dimension ordered sets for probing bin interiors.
 //! * [`CompressedColumns`] — any index's columns compressed with WAH or
-//!   CONCISE (the storage layout IBIG uses).
+//!   CONCISE: the paper's §4.4 storage layout for IBIG, built to be
+//!   measured (Fig. 10, Table 3, Fig. 11 sizes). Queries read the dense
+//!   columns; Algorithm 5's compressed intersections are not executed.
 //! * [`cost`] — the §4.5 space/time model and the optimal bin count Eq. 8.
 //! * [`for_each_sorted_column`] — the build-time input of both indexes (and
 //!   of `tkd-core`'s `MaxScore` queue): each dimension sorted once, shared

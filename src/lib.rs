@@ -7,7 +7,8 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`model`] — incomplete-data records, datasets, dominance (Def. 1–3).
-//! * [`bitvec`] — dense bit vectors plus WAH and CONCISE compression.
+//! * [`bitvec`] — dense bit vectors plus WAH and CONCISE compression (the
+//!   paper's IBIG storage layout, measured; queries read dense columns).
 //! * [`skyline`] — skyline / k-skyband operators.
 //! * [`index`] — range-encoded and binned bitmap indexes, binning strategy,
 //!   space/time cost model (§4.3–4.5).
