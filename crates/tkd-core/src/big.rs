@@ -45,7 +45,7 @@ use crate::scratch::ScratchSpace;
 use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
 use tkd_bitvec::BitVec;
-use tkd_index::{BitmapIndex, BitmapIndexBuilder};
+use tkd_index::{BitmapIndex, BitmapIndexBuilder, RowScope};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// Precomputed inputs of Algorithm 4: the bitmap index plus the shared
@@ -153,7 +153,7 @@ pub(crate) fn big_score(
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
-    big_score_over(ctx.ds, &ctx.index, &ctx.pre, o, tau, scratch)
+    big_score_over(ctx.ds, &ctx.index, &ctx.pre, None, o, tau, scratch)
 }
 
 /// What the scoring terms need to know about the candidate being scored.
@@ -183,11 +183,13 @@ impl<'a> Candidate<'a> {
 /// BIG-Score (Algorithm 3) of member `o` of `ds` against `index`:
 /// Heuristic 2 on `tau`, then the exact score. [`Outcome::PrunedBitmap`]
 /// when Heuristic 2 discards `o` (its exact score is then never computed).
-/// Allocation-free.
+/// With a `scope`, every set is ANDed with its rows: the score counts
+/// only the rows in scope (a constrained query). Allocation-free.
 pub(crate) fn big_score_over(
     ds: &Dataset,
     index: &BitmapIndex,
     pre: &Preprocessed,
+    scope: Option<&RowScope>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
@@ -199,25 +201,29 @@ pub(crate) fn big_score_over(
     // pass and writes nothing; survivors re-intersect in the term below —
     // redundant, but survivors enter the candidate set by construction, so
     // there are at most ~k of them per τ value.
-    if matches!(tau, Some(tau) if index.q_count_selected_above(&scratch.sel, tau + 1).is_none()) {
+    let sel = &scratch.sel;
+    if matches!(tau, Some(tau) if index.q_count_selected_above_scoped(sel, scope, tau + 1).is_none())
+    {
         return Outcome::PrunedBitmap;
     }
     let cand = Candidate::member(ds, pre, o);
-    Outcome::Score(big_term(index, ds.masks(), &cand, scratch))
+    Outcome::Score(big_term(index, ds.masks(), &cand, scope, scratch))
 }
 
 /// BIG-Score's term: how many of the index's rows the candidate
 /// dominates, `|P − F| + |Q − P − nonD|`, against the selection resolved
-/// in `scratch.sel`. `row_masks[r]` is the observation mask of row `r`.
+/// in `scratch.sel`, over `scope`'s rows only when there is a scope.
+/// `row_masks[r]` is the observation mask of row `r`.
 pub(crate) fn big_term(
     index: &BitmapIndex,
     row_masks: &[DimMask],
     cand: &Candidate<'_>,
+    scope: Option<&RowScope>,
     scratch: &mut ScratchSpace,
 ) -> usize {
     let ScratchSpace { q, p, sel, .. } = scratch;
-    index.q_into_selected(sel, cand.member, q);
-    index.p_into_selected(sel, p);
+    index.q_into_selected_scoped(sel, cand.member, scope, q);
+    index.p_into_selected_scoped(sel, scope, p);
     // G(o) = P − F(o) = |P ∧ ¬F|: strictly-worse-or-missing everywhere,
     // comparable.
     let g = p.and_not_count(cand.f);

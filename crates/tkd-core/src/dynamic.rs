@@ -41,6 +41,14 @@
 //! they take every tombstone, append and cell rewrite as an `O(1)` bit
 //! flip, which a run-length codec could not.
 //!
+//! A constrained query ([`DynamicEngine::query_constrained`]) runs the
+//! same scorers over the same indexes with one more AND operand: the
+//! admitted live rows as a [`RowScope`], built from two column reads per
+//! constrained dimension. Its queue is recounted inside the scope — one
+//! histogram of the admitted rows' value slots — so it is the queue a
+//! rebuild over the admitted rows would sort, and the answer is that
+//! rebuild's, tie order included.
+//!
 //! The same maintained state is what a cluster worker scores on: a shard
 //! is one engine, and [`DynamicEngine::big_bound`] /
 //! [`ibig_q_count`](DynamicEngine::ibig_q_count) /
@@ -68,13 +76,17 @@ use crate::scratch::ScratchSpace;
 use crate::standing::{
     self, Notification, StandingId, StandingQuery, StandingSpec, StandingState, StandingStats,
 };
+use crate::topk::walk;
 use crate::EngineQuery;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tkd_bitvec::{BitVec, Tombstones};
-use tkd_index::{cost, for_each_sorted_column, BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
+use tkd_index::{
+    cost, for_each_sorted_column, BinnedBitmapIndex, BitmapIndex, IndexPairBuilder, RowScope,
+};
 use tkd_model::{stats, Dataset, DimMask, ModelError, ObjectId};
+use tkd_skyline::constrained::Constraints;
 
 /// When the engine rebuilds itself to shed tombstones.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -917,25 +929,31 @@ impl DynamicEngine {
 
     /// A fresh answer for `spec` in stable ids (registration and every
     /// re-queried batch): the engine's own [`DynamicEngine::query`] for a
-    /// full-space spec, [`standing::scoped_requery`] over the live
-    /// snapshot — taken once per batch into `snapshot` — otherwise.
+    /// full-space spec, [`DynamicEngine::query_constrained`] for a
+    /// constrained one, and [`standing::subspace_requery`] over the live
+    /// snapshot — taken once per batch into `snapshot` — for a subspace
+    /// one.
     fn standing_answer(
         &mut self,
         spec: &StandingSpec,
         snapshot: &mut Option<(Dataset, Vec<ObjectId>)>,
     ) -> Vec<ResultEntry> {
-        if spec.is_full_space() {
-            let q = EngineQuery {
-                k: spec.k,
-                algorithm: spec.algorithm,
-                tie: TieBreak::ById,
-            };
-            let result = self.query(&q).expect("algorithm validated at registration");
-            result.into_iter().collect()
-        } else {
+        if let Some(dims) = &spec.subspace {
             let (snap, ids) = snapshot.get_or_insert_with(|| (self.snapshot(), self.live_ids()));
-            standing::scoped_requery(snap, ids, spec)
+            return standing::subspace_requery(snap, ids, dims, spec);
         }
+        let q = EngineQuery {
+            k: spec.k,
+            algorithm: spec.algorithm,
+            tie: TieBreak::ById,
+        };
+        let result = if spec.constraint.is_empty() {
+            self.query(&q)
+        } else {
+            self.query_constrained(&q, &spec.constraints(self.dims))
+        };
+        let result = result.expect("spec validated at registration");
+        result.into_iter().collect()
     }
 
     // ----- queries --------------------------------------------------------
@@ -969,12 +987,141 @@ impl DynamicEngine {
         self.refresh();
         let threads = threads.max(1);
         self.fit_scratch(threads);
-        let scorer = scorer(&self.ds, &self.index, &self.binned, &self.pre, q.algorithm);
+        let scorer = scorer(
+            &self.ds,
+            &self.index,
+            &self.binned,
+            &self.pre,
+            None,
+            q.algorithm,
+        );
         let queue = self.pre.queue();
         let slots = new_slots(slots_needed(threads, queue.len()));
         let result = run_replay(queue, q.k, &mut self.scratch[..threads], &slots, scorer);
-        // Slot ids → stable ids. `stable_of` is strictly increasing, so
-        // the (score desc, id asc) entry order is preserved verbatim.
+        Ok(self.stable_result(result, q.tie))
+    }
+
+    /// Answer a **constrained** query — rank only the live rows
+    /// `constraints` admits, scores counting admitted rows only
+    /// ([`crate::variants::constrained_top_k`]'s semantics) — on the
+    /// maintained indexes, copying no row. The admitted rows are a scope
+    /// mask, `live ∧ ⋂ admitted(dimᵢ)` ([`BitmapIndex::admit`]), that
+    /// every scan and fill of BIG-Score / IBIG-Score ANDs in as one more
+    /// operand. Each admitted row's `MaxScore` is recounted inside the
+    /// scope, so the queue, and with it the tie order, is the one a
+    /// rebuild over the admitted rows sorts: entries, scores and tie order
+    /// equal `constrained_top_k` over [`DynamicEngine::snapshot`] mapped
+    /// through [`DynamicEngine::live_ids`], and for BIG so does every
+    /// `PruneStats` counter (`tests/constrained_scope.rs`). Sequential;
+    /// entry ids are **stable ids**.
+    ///
+    /// # Errors
+    /// [`UpdateError::UnsupportedAlgorithm`] for anything but BIG/IBIG;
+    /// [`ModelError::DimensionOutOfRange`] for a constraint on a
+    /// dimension past [`DynamicEngine::dims`].
+    pub fn query_constrained(
+        &mut self,
+        q: &EngineQuery,
+        constraints: &Constraints,
+    ) -> Result<TkdResult, UpdateError> {
+        if !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig) {
+            return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
+        }
+        let scope = RowScope::new(self.admitted(constraints)?);
+        let queue = self.scoped_queue(&scope);
+        self.fit_scratch(1);
+        let (ds, index, binned, pre) = (&self.ds, &self.index, &self.binned, &self.pre);
+        let score = scorer(ds, index, binned, pre, Some(&scope), q.algorithm);
+        let scratch = &mut self.scratch[0];
+        let result = walk(&queue, q.k, |o, tau| score(o, tau, scratch));
+        Ok(self.stable_result(result, q.tie))
+    }
+
+    /// Every slot's row since the last compaction, tombstoned ones
+    /// included: the rows [`DynamicEngine::admitted_slots`] names.
+    pub fn slot_rows(&self) -> &Dataset {
+        &self.ds
+    }
+
+    /// The live slots `constraints` admits, ascending — every live slot
+    /// for [`Constraints::none`]. They name rows of
+    /// [`DynamicEngine::slot_rows`], so a planner measures the rows a
+    /// statement ranks in place, without a snapshot.
+    ///
+    /// # Errors
+    /// As [`DynamicEngine::query_constrained`].
+    pub fn admitted_slots(&self, constraints: &Constraints) -> Result<Vec<ObjectId>, UpdateError> {
+        let admitted = self.admitted(constraints)?;
+        Ok(admitted.iter_ones().map(|s| s as ObjectId).collect())
+    }
+
+    /// The live slots `constraints` admits, one bit per slot.
+    fn admitted(&self, constraints: &Constraints) -> Result<BitVec, UpdateError> {
+        let past = (self.dims..constraints.dims()).find(|&d| constraints.interval(d).is_some());
+        if let Some(dim) = past {
+            let dims = self.dims;
+            return Err(ModelError::DimensionOutOfRange { dim, dims }.into());
+        }
+        let mut scope = self.live.live_mask().clone();
+        let mut admitted = BitVec::zeros(self.ds.len());
+        for dim in 0..self.dims {
+            if let Some((lo, hi)) = constraints.interval(dim) {
+                self.index.admit(dim, lo, hi, &mut admitted);
+                scope.and_assign(&admitted);
+            }
+        }
+        Ok(scope)
+    }
+
+    /// The queue `F` of the rows in `scope`, as a rebuild over those rows
+    /// sorts it: a row's `MaxScore` is the least, over its observed
+    /// dimensions, of the scope rows missing that dimension or at or above
+    /// its value slot, less itself — one histogram of the scope rows'
+    /// value slots per dimension, summed from the top.
+    fn scoped_queue(&self, scope: &RowScope) -> Vec<(ObjectId, usize)> {
+        let (index, dims) = (&self.index, self.dims);
+        // `at_least[base[d] + j]`: scope rows missing `d` (`j = 0`) or,
+        // for `j ≥ 1`, at a value slot `≥ j` of `d`.
+        let mut base = Vec::with_capacity(dims);
+        let mut len = 0;
+        for d in 0..dims {
+            base.push(len);
+            len += index.cardinality(d) + 1;
+        }
+        let mut at_least = vec![0usize; len];
+        for s in scope.bits().iter_ones() {
+            for (d, &b) in base.iter().enumerate() {
+                at_least[b + index.value_slot(s, d) as usize] += 1;
+            }
+        }
+        for (d, &b) in base.iter().enumerate() {
+            let counts = &mut at_least[b..=b + index.cardinality(d)];
+            let mut sum = counts[0];
+            for c in counts[1..].iter_mut().rev() {
+                sum += *c;
+                *c = sum;
+            }
+            // A missing cell never attains the minimum.
+            counts[0] = usize::MAX;
+        }
+        // Less the row itself, which every count of its own slots holds.
+        let max_score = |s: usize| {
+            let t_row = base
+                .iter()
+                .enumerate()
+                .map(|(d, &b)| at_least[b + index.value_slot(s, d) as usize]);
+            t_row.min().expect("at least one dimension") - 1
+        };
+        let mut queue = Vec::with_capacity(scope.count());
+        let rows = scope.bits().iter_ones();
+        fill_queue(&mut queue, rows.map(|s| (s as ObjectId, max_score(s))));
+        queue
+    }
+
+    /// A slot-id result in stable ids, with `tie` applied after the
+    /// mapping. `stable_of` is strictly increasing, so the (score desc,
+    /// id asc) entry order is preserved verbatim.
+    fn stable_result(&self, result: TkdResult, tie: TieBreak) -> TkdResult {
         let stats = result.stats;
         let entries: Vec<ResultEntry> = result
             .into_iter()
@@ -984,10 +1131,10 @@ impl DynamicEngine {
             })
             .collect();
         let mapped = TkdResult::new_ordered(entries, stats);
-        Ok(match q.tie {
+        match tie {
             TieBreak::ById => mapped,
             TieBreak::Random(seed) => shuffle_ties(mapped, seed),
-        })
+        }
     }
 
     /// Answer a batch of concurrent queries against the live state —
@@ -1041,21 +1188,7 @@ impl DynamicEngine {
         Ok(queries
             .iter()
             .zip(results)
-            .map(|(q, r)| {
-                let stats = r.stats;
-                let entries: Vec<ResultEntry> = r
-                    .into_iter()
-                    .map(|e| ResultEntry {
-                        id: self.stable_of[e.id as usize],
-                        score: e.score,
-                    })
-                    .collect();
-                let mapped = TkdResult::new_ordered(entries, stats);
-                match q.tie {
-                    TieBreak::ById => mapped,
-                    TieBreak::Random(seed) => shuffle_ties(mapped, seed),
-                }
-            })
+            .map(|(q, r)| self.stable_result(r, q.tie))
             .collect())
     }
 
@@ -1104,7 +1237,7 @@ impl DynamicEngine {
         scratch.sel = self.index.select_for(|d| values[d]);
         let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
         let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
-        Ok(big_term(&self.index, ds.masks(), &cand, scratch))
+        Ok(big_term(&self.index, ds.masks(), &cand, None, scratch))
     }
 
     /// IBIG phase 2: the same count off the binned index — one shard term
@@ -1122,7 +1255,7 @@ impl DynamicEngine {
         self.fit_scratch(1);
         let scratch = &mut self.scratch[0];
         scratch.bin_sel = self.binned.select_for(|d| values[d]);
-        fill_q(&self.binned, scratch);
+        fill_q(&self.binned, None, scratch);
         let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
         let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
         let value = |d: usize| values[d].expect("masked dimension is observed");
@@ -1131,6 +1264,7 @@ impl DynamicEngine {
             &self.binned,
             ds.masks(),
             &cand,
+            None,
             value,
             scratch,
             &mut unlimited,
@@ -1475,13 +1609,12 @@ impl DynamicEngine {
         if !self.queue_dirty {
             return;
         }
-        let (ds, t, dims) = (&self.ds, &self.t, self.dims);
+        let (t, dims) = (&self.t, self.dims);
+        // `T_UNOBSERVED` is `u32::MAX`, so a missing cell never attains
+        // the minimum.
         let max_score = |s: usize| {
-            let observed = ds.mask(s as ObjectId).iter();
-            let t_row = observed.map(|d| t[s * dims + d] as usize);
-            t_row
-                .min()
-                .expect("live rows observe at least one dimension")
+            let t_row = t[s * dims..(s + 1) * dims].iter().min();
+            *t_row.expect("at least one dimension") as usize
         };
         let live = self.live.iter_live();
         fill_queue(

@@ -39,7 +39,7 @@ use crate::{esb, naive, ubb};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tkd_index::{BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
+use tkd_index::{BinnedBitmapIndex, BitmapIndex, IndexPairBuilder, RowScope};
 use tkd_model::{Dataset, ObjectId};
 
 /// One query of a multi-user batch: `k`, the algorithm to answer it with,
@@ -79,19 +79,22 @@ impl EngineQuery {
 }
 
 /// BIG-Score or IBIG-Score of a member of `ds` against one index pair and
-/// its preprocessing — the scorer both parallel paths hand
-/// [`run_replay`]: [`ParallelEngine`] over the indexes it built, and
-/// [`crate::DynamicEngine::query_threads`] over the ones it maintains.
+/// its preprocessing, over `scope`'s rows when there is a scope — the
+/// scorer both parallel paths hand [`run_replay`]: [`ParallelEngine`]
+/// over the indexes it built, and [`crate::DynamicEngine::query_threads`]
+/// over the ones it maintains (and, scoped,
+/// [`crate::DynamicEngine::query_constrained`]).
 pub(crate) fn scorer<'s>(
     ds: &'s Dataset,
     index: &'s BitmapIndex,
     binned: &'s BinnedBitmapIndex,
     pre: &'s Preprocessed,
+    scope: Option<&'s RowScope>,
     algorithm: Algorithm,
 ) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 's {
     move |o, tau, scratch| match algorithm {
-        Algorithm::Big => big_score_over(ds, index, pre, o, tau, scratch),
-        Algorithm::Ibig => ibig_score_over(ds, binned, pre, o, tau, scratch),
+        Algorithm::Big => big_score_over(ds, index, pre, scope, o, tau, scratch),
+        Algorithm::Ibig => ibig_score_over(ds, binned, pre, scope, o, tau, scratch),
         other => unreachable!("the replayed paths serve BIG/IBIG, got {other:?}"),
     }
 }
@@ -314,7 +317,14 @@ impl<'a> ParallelEngine<'a> {
         let queue = self.pre.queue();
         let mut workers = self.pool.take_scratch(threads, self.ds.len());
         let slots = self.pool.take_slots(slots_needed(threads, queue.len()));
-        let score = scorer(self.ds, &self.index, &self.binned, &self.pre, q.algorithm);
+        let score = scorer(
+            self.ds,
+            &self.index,
+            &self.binned,
+            &self.pre,
+            None,
+            q.algorithm,
+        );
         let result = run_replay(queue, q.k, &mut workers, &slots, score);
         self.pool.put_slots(slots);
         self.pool.put_scratch(workers);

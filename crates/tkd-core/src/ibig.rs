@@ -52,17 +52,23 @@ use crate::result::TkdResult;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
-use tkd_index::{cost, BinnedBitmapIndex, BinnedBitmapIndexBuilder};
+use tkd_index::{cost, BinnedBitmapIndex, BinnedBitmapIndexBuilder, RowScope};
 use tkd_model::{stats, Dataset, DimMask, ObjectId};
 
 /// Fill `scratch.q` with the raw `∩ᵢ Qᵢ` for the picks in
-/// `scratch.bin_sel` (a member candidate's own bit included) — the `Q`
-/// `ibig_term` works on. Only candidates that survive Heuristic 2 are
-/// filled; the count that decides it is
-/// [`BinnedBitmapIndex::q_count_selected_above`], which writes nothing.
-pub(crate) fn fill_q(index: &BinnedBitmapIndex, scratch: &mut ScratchSpace) {
+/// `scratch.bin_sel` (a member candidate's own bit included), ANDed with
+/// `scope`'s rows when there is a scope — the `Q` `ibig_term` works on.
+/// Only candidates that survive Heuristic 2 are filled; the count that
+/// decides it is [`BinnedBitmapIndex::q_count_selected_above`], which
+/// writes nothing.
+pub(crate) fn fill_q(
+    index: &BinnedBitmapIndex,
+    scope: Option<&RowScope>,
+    scratch: &mut ScratchSpace,
+) {
     let ScratchSpace { q, bin_sel, .. } = scratch;
-    index.and_selected_into((0..index.dims()).map(|d| bin_sel.q_pick(d)), q);
+    let picks = (0..index.dims()).map(|d| bin_sel.q_pick(d));
+    index.and_selected_into_scoped(picks, scope, q);
 }
 
 /// Precomputed inputs of Algorithm 5: the binned index plus the shared
@@ -183,16 +189,18 @@ pub(crate) fn ibig_score(
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
-    ibig_score_over(ctx.ds, &ctx.binned, &ctx.pre, o, tau, scratch)
+    ibig_score_over(ctx.ds, &ctx.binned, &ctx.pre, None, o, tau, scratch)
 }
 
 /// IBIG-Score (Algorithm 5) of member `o` of `ds` against `binned`:
 /// Heuristic 2 on `tau`, then the exact score under the Heuristic-3
-/// budget. Allocation-free.
+/// budget. With a `scope`, every set and count is ANDed with its rows
+/// (a constrained query). Allocation-free.
 pub(crate) fn ibig_score_over(
     ds: &Dataset,
     index: &BinnedBitmapIndex,
     pre: &Preprocessed,
+    scope: Option<&RowScope>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
@@ -204,22 +212,31 @@ pub(crate) fn ibig_score_over(
     // the count (≥ 1, o's own bit) comes back exact.
     scratch.bin_sel = index.selection_of(o as usize);
     let budget = tau.map_or(0, |t| t + 1);
-    let Some(q_count) = index.q_count_selected_above(&scratch.bin_sel, budget) else {
+    let Some(q_count) = index.q_count_selected_above_scoped(&scratch.bin_sel, scope, budget) else {
         return Outcome::PrunedBitmap;
     };
     let max_bit_score = q_count - 1;
     // Survivors only: Q into scratch for the term.
-    fill_q(index, scratch);
+    fill_q(index, scope, scratch);
     let cand = Candidate::member(ds, pre, o);
     // Heuristic 3's budget: score(o) = |Q| − |F| − |nonD| beats τ only
-    // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms.
+    // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms. F
+    // counts inside the scope, as Q does: the unscoped |F| would
+    // over-prune.
     let mut nond_left = tau.map_or(usize::MAX, |t| {
-        max_bit_score
-            .saturating_sub(cand.f.count_ones())
-            .saturating_sub(t)
+        let f = scope.map_or_else(|| cand.f.count_ones(), |s| cand.f.and_count(s.bits()));
+        max_bit_score.saturating_sub(f).saturating_sub(t)
     });
     let value = |d| ds.raw_value(o, d);
-    match ibig_term(index, ds.masks(), &cand, value, scratch, &mut nond_left) {
+    match ibig_term(
+        index,
+        ds.masks(),
+        &cand,
+        scope,
+        value,
+        scratch,
+        &mut nond_left,
+    ) {
         Some(score) => Outcome::Score(score),
         None => Outcome::PrunedPartial,
     }
@@ -230,13 +247,16 @@ pub(crate) fn ibig_score_over(
 /// members overdraw `nond_left` (**Heuristic 3**; the members found are
 /// deducted from it otherwise).
 ///
-/// `scratch.q` must hold the raw `∩ᵢ Qᵢ` (`fill_q`),
-/// `value(d)` is the candidate's observation in a dimension of `cand.mask`,
-/// and `row_masks[r]` the observation mask of row `r`.
+/// `scratch.q` must hold the raw `∩ᵢ Qᵢ` (`fill_q`, under the same
+/// `scope`), `value(d)` is the candidate's observation in a dimension of
+/// `cand.mask`, and `row_masks[r]` the observation mask of row `r`. The
+/// probes range over every row; only those in `Q − P`, and so in scope,
+/// count.
 pub(crate) fn ibig_term(
     index: &BinnedBitmapIndex,
     row_masks: &[DimMask],
     cand: &Candidate<'_>,
+    scope: Option<&RowScope>,
     value: impl Fn(usize) -> f64,
     scratch: &mut ScratchSpace,
     nond_left: &mut usize,
@@ -251,7 +271,7 @@ pub(crate) fn ibig_term(
     if let Some(row) = cand.member {
         q.clear(row);
     }
-    index.and_selected_into((0..index.dims()).map(|d| bin_sel.p_pick(d)), p);
+    index.and_selected_into_scoped((0..index.dims()).map(|d| bin_sel.p_pick(d)), scope, p);
     // G(o) = P − F(o) = |P ∧ ¬F|, fused.
     let g = p.and_not_count(cand.f);
     // Membership in Q − P, straight off the scratch words.

@@ -66,22 +66,36 @@ pub(crate) fn max_scores_sharing(
 }
 
 /// Fill `queue` with `(id, MaxScore)` pairs in the order of the priority
-/// queue `F`: descending score, ties by ascending id. Each pair sorts as
-/// one `u64`, the score's complement above the id — twice as fast as
-/// sorting the pairs under a two-field comparison.
+/// queue `F`: descending score, ties by ascending id. `pairs` must arrive
+/// in ascending id order; a stable counting sort by score then keeps the
+/// ties in it. A MaxScore counts other objects, so the buckets number at
+/// most one per pair: linear, where a comparison sort of the same pairs
+/// is not.
 pub(crate) fn fill_queue(
     queue: &mut Vec<(ObjectId, usize)>,
     pairs: impl Iterator<Item = (ObjectId, usize)>,
 ) {
-    // A MaxScore counts other objects, so it is below the id space.
-    let key = |(o, ms): (ObjectId, usize)| (u64::from(u32::MAX - ms as u32) << 32) | u64::from(o);
-    let mut keys: Vec<u64> = pairs.map(key).collect();
-    keys.sort_unstable();
     queue.clear();
-    queue.extend(
-        keys.into_iter()
-            .map(|k| (k as ObjectId, (u32::MAX - (k >> 32) as u32) as usize)),
-    );
+    queue.extend(pairs);
+    debug_assert!(queue.windows(2).all(|w| w[0].0 < w[1].0), "ids ascend");
+    let top = queue.iter().map(|&(_, ms)| ms).max().unwrap_or(0);
+    // `start[ms]`: where the bucket of `ms` begins, the higher scores first.
+    let mut start = vec![0usize; top + 1];
+    for &(_, ms) in queue.iter() {
+        start[ms] += 1;
+    }
+    let mut at = 0;
+    for bucket in start.iter_mut().rev() {
+        let count = *bucket;
+        *bucket = at;
+        at += count;
+    }
+    let mut sorted = vec![(0, 0); queue.len()];
+    for &(o, ms) in queue.iter() {
+        sorted[start[ms]] = (o, ms);
+        start[ms] += 1;
+    }
+    *queue = sorted;
 }
 
 /// Order per-object `MaxScore`s into the priority queue `F`.

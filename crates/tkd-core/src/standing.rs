@@ -13,12 +13,15 @@
 //! ties by queue order — diffed against the previous answer. There is no
 //! second traversal, no per-slot state and nothing to tune: patching the
 //! result from a score cache cannot save more than the re-query it
-//! replaces, ≈ 6 % of an update on `serve-rw` (ROADMAP item 2 has the
-//! measurement).
+//! replaces.
 //!
-//! Subspace and constrained standing queries rank over a *derived*
-//! dataset and re-query through [`crate::variants`] over the live
-//! snapshot.
+//! A constrained standing query is answered on the same maintained
+//! indexes by [`super::DynamicEngine::query_constrained`]: its admitted
+//! rows are a scope mask that every scan and fill ANDs in, and its queue
+//! is recounted inside the mask, so no row is copied. A subspace query
+//! re-ranks a projection, which changes dominance itself: it re-queries
+//! through [`crate::variants::subspace_top_k`] over the live snapshot,
+//! taken once per batch for all subspace queries.
 //!
 //! # The two provable skips
 //!
@@ -144,10 +147,13 @@ impl StandingSpec {
         }
     }
 
-    /// Is this spec answered by the engine's own `query` (as opposed to
-    /// [`scoped_requery`] over a derived dataset)?
-    pub(crate) fn is_full_space(&self) -> bool {
-        self.subspace.is_none() && self.constraint.is_empty()
+    /// The spec's ranges as [`Constraints`] over `dims` dimensions.
+    pub(crate) fn constraints(&self, dims: usize) -> Constraints {
+        let mut c = Constraints::none(dims);
+        for &(d, lo, hi) in &self.constraint {
+            c = c.with_range(d, lo, hi);
+        }
+        c
     }
 }
 
@@ -261,27 +267,20 @@ impl StandingState {
     }
 }
 
-/// Scoped (subspace / constrained) re-query over the live snapshot,
-/// returning **stable-id** entries: the same [`crate::variants`] calls a
-/// from-scratch client would make, with snapshot positions translated
-/// through `live_ids` (ascending-position ↔ ascending-stable-id, so the
-/// tie order carries over verbatim).
-pub(crate) fn scoped_requery(
+/// Subspace re-query over the live snapshot, returning **stable-id**
+/// entries: the [`crate::variants::subspace_top_k`] call a from-scratch
+/// client would make, with snapshot positions translated through
+/// `live_ids` (ascending-position ↔ ascending-stable-id, so the tie order
+/// carries over verbatim).
+pub(crate) fn subspace_requery(
     snapshot: &Dataset,
     live_ids: &[ObjectId],
+    dims: &[usize],
     spec: &StandingSpec,
 ) -> Vec<ResultEntry> {
     let query = TkdQuery::new(spec.k).algorithm(spec.algorithm);
-    let result = if let Some(dims) = &spec.subspace {
-        variants::subspace_top_k(snapshot, dims, &query)
-            .expect("subspace validated at registration")
-    } else {
-        let mut c = Constraints::none(snapshot.dims());
-        for &(d, lo, hi) in &spec.constraint {
-            c = c.with_range(d, lo, hi);
-        }
-        variants::constrained_top_k(snapshot, &c, &query)
-    };
+    let result = variants::subspace_top_k(snapshot, dims, &query)
+        .expect("subspace validated at registration");
     result
         .into_iter()
         .map(|e| ResultEntry {

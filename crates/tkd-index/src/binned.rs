@@ -12,7 +12,7 @@
 
 use crate::key::F64Key;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
-use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts};
+use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
 use std::collections::BTreeSet;
 use tkd_bitvec::BitVec;
 use tkd_model::{Dataset, ObjectId, MAX_DIMS};
@@ -477,14 +477,33 @@ impl BinnedBitmapIndex {
         picks: impl IntoIterator<Item = (usize, usize)>,
         dst: &mut BitVec,
     ) {
+        self.and_selected_into_scoped(picks, None, dst);
+    }
+
+    /// [`BinnedBitmapIndex::and_selected_into`] restricted to `scope`'s
+    /// rows: one more AND operand in the same pass. `None` is the
+    /// unscoped fill.
+    ///
+    /// # Panics
+    /// As [`BinnedBitmapIndex::and_selected_into`].
+    pub fn and_selected_into_scoped(
+        &self,
+        picks: impl IntoIterator<Item = (usize, usize)>,
+        scope: Option<&RowScope>,
+        dst: &mut BitVec,
+    ) {
         assert_eq!(dst.len(), self.n, "scratch length mismatch");
-        let mut cols: [&BitVec; MAX_DIMS] = [&self.columns[0][0]; MAX_DIMS];
+        let mut cols: [&BitVec; MAX_DIMS + 1] = [&self.columns[0][0]; MAX_DIMS + 1];
         let mut m = 0;
         for (d, c) in picks {
             cols[m] = &self.columns[d][c];
             m += 1;
         }
         assert!(m >= 1, "need at least one column");
+        if let Some(scope) = scope {
+            cols[m] = scope.bits();
+            m += 1;
+        }
         BitVec::intersect_into(dst, &cols[..m]);
     }
 
@@ -587,6 +606,17 @@ impl BinnedBitmapIndex {
     /// over the binned columns and their suffix tables. IBIG's Heuristic 2
     /// decision; nothing is written.
     pub fn q_count_selected_above(&self, sel: &BinSelection, budget: usize) -> Option<usize> {
+        self.q_count_selected_above_scoped(sel, None, budget)
+    }
+
+    /// [`BinnedBitmapIndex::q_count_selected_above`] with `scope`'s rows as
+    /// one more operand of the scan. `None` is the unscoped scan.
+    pub fn q_count_selected_above_scoped(
+        &self,
+        sel: &BinSelection,
+        scope: Option<&RowScope>,
+        budget: usize,
+    ) -> Option<usize> {
         // Column 0 carries the tombstones here, so its popcount is the
         // live count.
         count_selected_above(
@@ -594,6 +624,7 @@ impl BinnedBitmapIndex {
             &self.block_suffix,
             &sel.q[..self.dims],
             self.block_suffix[0][0][0] as usize,
+            scope,
             budget,
         )
     }

@@ -2,7 +2,7 @@
 //! maintenance (append / tombstone / cell update) for the update layer.
 
 use crate::sorted_column::{for_each_sorted_column, value_runs};
-use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts};
+use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
 use tkd_bitvec::{BitVec, Tombstones};
 use tkd_model::{Dataset, ObjectId, MAX_DIMS};
 
@@ -464,13 +464,19 @@ impl BitmapIndex {
         p
     }
 
-    /// Intersect one selected column per dimension into `dst`. Column 0 is
-    /// the intersection identity and is skipped; when *every* pick is
-    /// column 0 the result is the live mask (all-ones on static indexes,
-    /// tombstone-aware on dynamic ones).
-    fn fill_selected(&self, col_idx: impl Fn(usize) -> usize, dst: &mut BitVec) {
+    /// Intersect one selected column per dimension, and the scope's rows
+    /// when there is a scope, into `dst`. Column 0 is the intersection
+    /// identity and is skipped; when nothing is left the result is the
+    /// live mask (all-ones on static indexes, tombstone-aware on dynamic
+    /// ones).
+    fn fill_selected(
+        &self,
+        col_idx: impl Fn(usize) -> usize,
+        scope: Option<&RowScope>,
+        dst: &mut BitVec,
+    ) {
         let live = self.live.live_mask();
-        let mut cols: [&BitVec; MAX_DIMS] = [live; MAX_DIMS];
+        let mut cols: [&BitVec; MAX_DIMS + 1] = [live; MAX_DIMS + 1];
         let mut m = 0;
         for (dim, dim_cols) in self.columns.iter().enumerate() {
             let c = col_idx(dim);
@@ -478,6 +484,10 @@ impl BitmapIndex {
                 cols[m] = &dim_cols[c];
                 m += 1;
             }
+        }
+        if let Some(scope) = scope {
+            cols[m] = scope.bits();
+            m += 1;
         }
         if m == 0 {
             dst.copy_from(live);
@@ -582,8 +592,24 @@ impl BitmapIndex {
     /// # Panics
     /// Panics if `q.len() != self.n()` or `member` is out of range.
     pub fn q_into_selected(&self, sel: &ColumnSelection, member: Option<usize>, q: &mut BitVec) {
+        self.q_into_selected_scoped(sel, member, None, q);
+    }
+
+    /// [`BitmapIndex::q_into_selected`] restricted to `scope`'s rows: one
+    /// more AND operand in the same fused pass. `None` is the unscoped
+    /// fill.
+    ///
+    /// # Panics
+    /// As [`BitmapIndex::q_into_selected`].
+    pub fn q_into_selected_scoped(
+        &self,
+        sel: &ColumnSelection,
+        member: Option<usize>,
+        scope: Option<&RowScope>,
+        q: &mut BitVec,
+    ) {
         assert_eq!(q.len(), self.n, "scratch length mismatch");
-        self.fill_selected(|d| sel.q[d] as usize, q);
+        self.fill_selected(|d| sel.q[d] as usize, scope, q);
         if let Some(local) = member {
             q.clear(local);
         }
@@ -595,8 +621,22 @@ impl BitmapIndex {
     /// # Panics
     /// Panics if `p.len() != self.n()`.
     pub fn p_into_selected(&self, sel: &ColumnSelection, p: &mut BitVec) {
+        self.p_into_selected_scoped(sel, None, p);
+    }
+
+    /// [`BitmapIndex::p_into_selected`] restricted to `scope`'s rows.
+    /// `None` is the unscoped fill.
+    ///
+    /// # Panics
+    /// As [`BitmapIndex::p_into_selected`].
+    pub fn p_into_selected_scoped(
+        &self,
+        sel: &ColumnSelection,
+        scope: Option<&RowScope>,
+        p: &mut BitVec,
+    ) {
         assert_eq!(p.len(), self.n, "scratch length mismatch");
-        self.fill_selected(|d| sel.p[d] as usize, p);
+        self.fill_selected(|d| sel.p[d] as usize, scope, p);
     }
 
     /// Cheap upper bound of `|∩ᵢ columns[i][sel.q[i]]|`: the sparsest
@@ -641,13 +681,57 @@ impl BitmapIndex {
     /// the scan. The binned index runs the same scan
     /// ([`crate::BinnedBitmapIndex::q_count_selected_above`]).
     pub fn q_count_selected_above(&self, sel: &ColumnSelection, budget: usize) -> Option<usize> {
+        self.q_count_selected_above_scoped(sel, None, budget)
+    }
+
+    /// [`BitmapIndex::q_count_selected_above`] of `|∩ᵢ columns[i][sel.q[i]]
+    /// ∧ scope|`: the scope is one more operand of the same budgeted scan,
+    /// its suffix table beside the columns'. `None` is the unscoped scan.
+    pub fn q_count_selected_above_scoped(
+        &self,
+        sel: &ColumnSelection,
+        scope: Option<&RowScope>,
+        budget: usize,
+    ) -> Option<usize> {
         count_selected_above(
             &self.columns,
             &self.block_suffix,
             &sel.q[..self.dims],
             self.live_count(),
+            scope,
             budget,
         )
+    }
+
+    /// Write into `dst` the live rows that miss `dim` or hold a value in
+    /// `[lo, hi]` — one dimension's admission test of a constrained query,
+    /// read off the range-encoded columns: `column a ∧ ¬column b` holds
+    /// the observed values in range and the last column the rows missing
+    /// `dim`. The bounds resolve against the value table with the IEEE
+    /// `<` probe of [`BitmapIndex::select_for`], so `−0.0` and `0.0`
+    /// bound alike. `lo > hi` (or a range no stored value falls in) admits
+    /// only the rows missing `dim`.
+    ///
+    /// # Panics
+    /// Panics if `dst.len() != self.n()`.
+    pub fn admit(&self, dim: usize, lo: f64, hi: f64, dst: &mut BitVec) {
+        assert_eq!(dst.len(), self.n, "scratch length mismatch");
+        let vals = &self.values[dim];
+        let cols = &self.columns[dim];
+        // Column `a` is `missing ∨ ≥ lo`, column `b` is `missing ∨ > hi`.
+        let a = vals.partition_point(|&x| x < lo);
+        let b = vals.partition_point(|&x| x <= hi);
+        let missing = &cols[vals.len()];
+        if a < b {
+            dst.copy_from(&cols[a]);
+            dst.and_not_assign(&cols[b]);
+            dst.or_assign(missing);
+        } else {
+            dst.copy_from(missing);
+        }
+        // Column 0 (the missing column of a dimension with no values, and
+        // column `a` at `a = 0`) keeps dead slots set.
+        dst.and_assign(self.live.live_mask());
     }
 
     /// 1-based value slot of object `local` in `dim`, `0` when
@@ -1003,6 +1087,99 @@ mod tests {
                 for budget in [0, 1, exact - 1, exact, exact + 3] {
                     let got = idx.q_count_selected_above(&sel, budget);
                     assert_budgeted(got, exact, budget, &format!("{x} bins obj {o}"));
+                }
+            }
+        }
+    }
+
+    /// `admit` and the scoped scans and fills against brute force, on the
+    /// multi-block input of `budgeted_count_agrees_with_exact` with every
+    /// 13th row tombstoned, over ranges on, between and outside the
+    /// stored values (signed zeros, `lo == hi`, an empty interval) — on
+    /// the exact index and on the binned one.
+    #[test]
+    fn admit_and_scoped_scan_agree_with_brute_force() {
+        let ds = trending_dataset(3 * 2048 + 356);
+        let mut exact_idx = BitmapIndex::build(&ds);
+        let mut binned: Vec<BinnedBitmapIndex> = [1, 3, 21]
+            .into_iter()
+            .map(|x| BinnedBitmapIndex::build(&ds, &[x; 4]))
+            .collect();
+        for o in ds.ids().step_by(13) {
+            exact_idx.tombstone_row(o as usize);
+            for idx in &mut binned {
+                idx.tombstone_row(o as usize, |d| ds.value(o, d));
+            }
+        }
+        let live = |o: ObjectId| !o.is_multiple_of(13);
+        let ranges: [&[(usize, f64, f64)]; 6] = [
+            &[(0, 10.0, 25.0)],
+            &[(1, -0.0, 2.5), (3, 0.0, 0.0)],
+            &[(2, 4.0, 1.0)],
+            &[(0, 0.25, 39.5), (2, 5.5, 5.5)],
+            &[(1, f64::NEG_INFINITY, -1.0)],
+            &[
+                (0, -3.0, 100.0),
+                (1, 1.0, 4.0),
+                (2, -0.0, 3.0),
+                (3, 2.0, 5.0),
+            ],
+        ];
+        let mut admitted = BitVec::zeros(ds.len());
+        let mut q = BitVec::zeros(ds.len());
+        let mut p = BitVec::zeros(ds.len());
+        for ranges in ranges {
+            let admits = |o: ObjectId, &(d, lo, hi): &(usize, f64, f64)| {
+                ds.value(o, d).is_none_or(|v| lo <= v && v <= hi)
+            };
+            let mut bits = exact_idx.live_mask().clone();
+            for range @ &(d, lo, hi) in ranges {
+                exact_idx.admit(d, lo, hi, &mut admitted);
+                let want = ds.ids().filter(|&o| live(o) && admits(o, range));
+                let want = BitVec::from_indices(ds.len(), want.map(|o| o as usize));
+                assert_eq!(admitted, want, "admit {range:?}");
+                bits.and_assign(&admitted);
+            }
+            let scope = RowScope::new(bits);
+            let in_scope = |o: ObjectId| live(o) && ranges.iter().all(|r| admits(o, r));
+            assert_eq!(scope.count(), ds.ids().filter(|&o| in_scope(o)).count());
+            for o in ds.ids().filter(|&o| live(o)).step_by(7) {
+                // Exact index: rows in scope missing or `≥` the candidate
+                // on each of its observed dimensions (its own row too).
+                let sel = exact_idx.select_for(|d| ds.value(o, d));
+                let at_least = |r: ObjectId| {
+                    (0..ds.dims()).all(|d| match (ds.value(o, d), ds.value(r, d)) {
+                        (Some(a), Some(b)) => b >= a,
+                        _ => true,
+                    })
+                };
+                let exact = ds.ids().filter(|&r| in_scope(r) && at_least(r)).count();
+                for budget in [0, 1, exact.saturating_sub(1), exact, exact + 3] {
+                    let got = exact_idx.q_count_selected_above_scoped(&sel, Some(&scope), budget);
+                    assert_budgeted(got, exact, budget, &format!("exact obj {o} {ranges:?}"));
+                }
+                exact_idx.q_into_selected(&sel, Some(o as usize), &mut q);
+                q.and_assign(scope.bits());
+                exact_idx.p_into_selected(&sel, &mut p);
+                p.and_assign(scope.bits());
+                let mut scoped = BitVec::zeros(ds.len());
+                exact_idx.q_into_selected_scoped(&sel, Some(o as usize), Some(&scope), &mut scoped);
+                assert_eq!(scoped, q, "scoped Q of {o}");
+                exact_idx.p_into_selected_scoped(&sel, Some(&scope), &mut scoped);
+                assert_eq!(scoped, p, "scoped P of {o}");
+                // Binned: the unscoped fill ANDed with the scope.
+                for idx in &binned {
+                    let sel = idx.selection_of(o as usize);
+                    idx.and_selected_into((0..ds.dims()).map(|d| sel.q_pick(d)), &mut q);
+                    let exact = q.and_count(scope.bits());
+                    for budget in [0, 1, exact.saturating_sub(1), exact, exact + 3] {
+                        let got = idx.q_count_selected_above_scoped(&sel, Some(&scope), budget);
+                        assert_budgeted(got, exact, budget, &format!("binned obj {o}"));
+                    }
+                    q.and_assign(scope.bits());
+                    let picks = (0..ds.dims()).map(|d| sel.q_pick(d));
+                    idx.and_selected_into_scoped(picks, Some(&scope), &mut scoped);
+                    assert_eq!(scoped, q, "binned scoped Q of {o}");
                 }
             }
         }

@@ -51,6 +51,7 @@ pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
 pub use key::F64Key;
 pub use sorted_column::for_each_sorted_column;
+pub use suffix::RowScope;
 
 use tkd_model::ObjectId;
 

@@ -88,21 +88,55 @@ pub(crate) fn suffix_counts(col: &BitVec) -> Vec<u32> {
     suf
 }
 
+/// A row mask that the scoped scans and fills of both indexes AND in as
+/// one more operand — a constrained query's admitted live rows. Its
+/// block-suffix popcount table is computed once, at construction (one
+/// popcount per block), so the budgeted scan exits on it like on any
+/// column. A scope must hold live rows only: the scoped scans answer an
+/// all-column-0 selection with its popcount.
+#[derive(Clone, Debug)]
+pub struct RowScope {
+    bits: BitVec,
+    suffix: Vec<u32>,
+}
+
+impl RowScope {
+    /// Scope to the rows set in `bits` (live rows of the index it is
+    /// used with, one bit per slot).
+    pub fn new(bits: BitVec) -> Self {
+        let suffix = suffix_counts(&bits);
+        RowScope { bits, suffix }
+    }
+
+    /// The rows in scope, one bit per slot.
+    pub fn bits(&self) -> &BitVec {
+        &self.bits
+    }
+
+    /// How many rows are in scope.
+    pub fn count(&self) -> usize {
+        self.suffix[0] as usize
+    }
+}
+
 /// [`count_above`] over one picked column per dimension
-/// (`columns[d][picks[d]]`, suffix tables alongside). Column-0 picks are
+/// (`columns[d][picks[d]]`, suffix tables alongside), plus the scope's
+/// rows as one more operand when there is a scope. Column-0 picks are
 /// skipped: every column of an index is a subset of its dimension's
-/// column 0, so column 0 is the intersection's identity. When every pick
-/// is column 0 the count is `all_column_0` — the index's live count.
+/// column 0, so column 0 is the intersection's identity. When nothing
+/// is left the count is the scope's, or with no scope `all_column_0` —
+/// the index's live count.
 #[inline]
 pub(crate) fn count_selected_above(
     columns: &[Vec<BitVec>],
     suffixes: &[Vec<Vec<u32>>],
     picks: &[u32],
     all_column_0: usize,
+    scope: Option<&RowScope>,
     budget: usize,
 ) -> Option<usize> {
-    let mut words: [&[u64]; MAX_DIMS] = [&[]; MAX_DIMS];
-    let mut suffix: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
+    let mut words: [&[u64]; MAX_DIMS + 1] = [&[]; MAX_DIMS + 1];
+    let mut suffix: [&[u32]; MAX_DIMS + 1] = [&[]; MAX_DIMS + 1];
     let mut m = 0;
     for (dim, &c) in picks.iter().enumerate() {
         let c = c as usize;
@@ -111,6 +145,11 @@ pub(crate) fn count_selected_above(
             suffix[m] = &suffixes[dim][c];
             m += 1;
         }
+    }
+    if let Some(scope) = scope {
+        words[m] = scope.bits.as_words();
+        suffix[m] = &scope.suffix;
+        m += 1;
     }
     if m == 0 {
         return (all_column_0 > budget).then_some(all_column_0);

@@ -7,15 +7,19 @@
 //!   the core query on it, and remaps ids back to the original, exactly
 //!   the composition `tkd_core::variants` uses (the differential harness
 //!   pins bit-identity);
-//! * a [`DynamicEngine`] — BIG/IBIG only; unscoped one-shot queries use
-//!   the maintained index directly, scoped ones run against a snapshot
-//!   with ids translated through the live-id table, and `SUBSCRIBE`
+//! * a [`DynamicEngine`] — BIG/IBIG only. A full-space statement ranks on
+//!   the maintained indexes, its `WHERE` ranges as the scope mask of
+//!   [`DynamicEngine::query_constrained`], so no row is copied; a
+//!   `SUBSPACE` statement re-ranks a projection, derived from a snapshot
+//!   with ids translated through the live-id table; and `SUBSCRIBE`
 //!   registers a [`StandingSpec`].
 //!
 //! Cost-based algorithm selection ([`AlgoChoice::Auto`]) measures the
-//! *derived* dataset and calls [`resolve_algorithm`]; EXPLAIN calls the
-//! same function on the same stats, so the printed and executed choices
-//! are one decision, not two.
+//! rows the statement ranks ([`PlanStats`]; on an engine, its live or
+//! admitted slots in place) and calls [`resolve_algorithm`]; EXPLAIN
+//! renders the same stats and decision, so the printed and executed
+//! choices are one decision, not two. A statement with a fixed
+//! algorithm and no EXPLAIN measures nothing.
 
 use crate::error::{QlError, Span};
 use crate::plan::{resolve_algorithm, AlgoChoice, AlgoDecision, Plan, PlanStats};
@@ -58,12 +62,12 @@ pub fn run_on_dataset(plan: &Plan, ds: &Dataset) -> Result<Outcome, QlError> {
     let derived = derive(plan, ds)?;
     // An EXPLAIN SUBSCRIBE must show what registration would pick, and
     // standing queries are served by the bitmap engines only.
-    let decision = decide(plan, &derived.stats, plan.subscribe);
+    let decision = decide(plan, Some(&derived.stats), plan.subscribe);
     if plan.explain {
         return Ok(Outcome::Explain(render_explain(
             plan,
             &format!("dataset (N={}, d={})", ds.len(), ds.dims()),
-            &derived,
+            &derived.stats,
             &decision,
         )));
     }
@@ -92,62 +96,52 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
     if plan.subscribe {
         return subscribe(plan, engine);
     }
-    // Scoped queries (and Auto selection) measure/run against a snapshot
-    // of the live rows; snapshot id `i` is live_ids()[i].
-    let scoped = plan.subspace.is_some() || !plan.ranges.is_empty();
-    if !scoped {
-        let snap;
-        let stats = {
-            snap = engine.snapshot();
-            PlanStats::of(&snap)
-        };
-        let decision = decide(plan, &stats, true);
+    if plan.subspace.is_some() {
+        // A projection changes dominance itself: derive it from a
+        // snapshot of the live rows; snapshot id `i` is live_ids()[i].
+        let snap = engine.snapshot();
+        let live = engine.live_ids();
+        let derived = derive(plan, &snap)?;
+        let decision = decide(plan, Some(&derived.stats), true);
         if plan.explain {
-            let derived = Derived {
-                ds: snap,
-                mapping: None,
-                stats,
-            };
-            return Ok(Outcome::Explain(render_explain(
-                plan,
-                &format!("engine (live N={}, d={})", engine.len(), engine.dims()),
-                &derived,
-                &decision,
-            )));
+            let target = engine_target(engine);
+            let text = render_explain(plan, &target, &derived.stats, &decision);
+            return Ok(Outcome::Explain(text));
         }
-        let q = EngineQuery::new(plan.k).algorithm(decision.algorithm);
-        let result = engine
-            .query_threads(&q, plan.threads)
-            .map_err(|e| QlError::exec(Span::eof(), e.to_string()))?;
-        return Ok(Outcome::Rows(result));
+        let result = run_derived(plan, &derived, decision.algorithm);
+        return Ok(Outcome::Rows(variants::remap(result, &live)));
     }
-    let snap = engine.snapshot();
-    let live = engine.live_ids();
-    let derived = derive(plan, &snap)?;
-    let decision = decide(plan, &derived.stats, true);
+    // Full space: ranked on the maintained indexes, the WHERE ranges as
+    // a scope mask. Only EXPLAIN and AUTO measure the rows, in place.
+    let constraints = constraints(plan);
+    let stats = (plan.explain || plan.algo == AlgoChoice::Auto)
+        .then(|| engine_stats(engine, &constraints))
+        .transpose()?;
+    let decision = decide(plan, stats.as_ref(), true);
     if plan.explain {
+        let stats = stats.as_ref().expect("EXPLAIN measures its rows");
+        let target = engine_target(engine);
         return Ok(Outcome::Explain(render_explain(
-            plan,
-            &format!("engine (live N={}, d={})", engine.len(), engine.dims()),
-            &derived,
-            &decision,
+            plan, &target, stats, &decision,
         )));
     }
-    let result = run_derived(plan, &derived, decision.algorithm);
-    // Translate snapshot ids back to engine ids.
-    Ok(Outcome::Rows(variants::remap(result, &live)))
+    let q = EngineQuery::new(plan.k).algorithm(decision.algorithm);
+    let result = if plan.ranges.is_empty() {
+        engine.query_threads(&q, plan.threads)
+    } else {
+        engine.query_constrained(&q, &constraints)
+    };
+    result.map(Outcome::Rows).map_err(exec_error)
 }
 
 fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError> {
-    let mut spec = StandingSpec::new(plan.k);
-    spec = match plan.algo {
-        AlgoChoice::Fixed(a) => spec.algorithm(a),
-        AlgoChoice::Auto => {
-            // Standing queries run BIG/IBIG; resolve on the live data.
-            let snap = engine.snapshot();
-            spec.algorithm(resolve_algorithm(&PlanStats::of(&snap), true).algorithm)
-        }
+    // Standing queries run BIG/IBIG; AUTO resolves on the live data.
+    let live_stats = match plan.algo {
+        AlgoChoice::Fixed(_) => None,
+        AlgoChoice::Auto => Some(engine_stats(engine, &Constraints::none(plan.dims))?),
     };
+    let decision = decide(plan, live_stats.as_ref(), true);
+    let mut spec = StandingSpec::new(plan.k).algorithm(decision.algorithm);
     if let Some(dims) = &plan.subspace {
         spec = spec.subspace(dims.clone());
     }
@@ -155,33 +149,48 @@ fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError
         spec = spec.constrain(r.dim, r.lo, r.hi);
     }
     if plan.explain {
-        let snap = engine.snapshot();
-        let derived = derive(plan, &snap)?;
-        let decision = AlgoDecision {
-            algorithm: spec.algorithm,
-            rationale: match plan.algo {
-                AlgoChoice::Fixed(_) => "USING clause".into(),
-                AlgoChoice::Auto => resolve_algorithm(&PlanStats::of(&snap), true).rationale,
-            },
+        let stats = match plan.subspace {
+            Some(_) => derive(plan, &engine.snapshot())?.stats,
+            None => engine_stats(engine, &constraints(plan))?,
         };
+        let target = engine_target(engine);
         return Ok(Outcome::Explain(render_explain(
-            plan,
-            &format!("engine (live N={}, d={})", engine.len(), engine.dims()),
-            &derived,
-            &decision,
+            plan, &target, &stats, &decision,
         )));
     }
     if let Some(w) = plan.window {
         engine.set_window(Some(w));
     }
-    let id = engine
-        .register(spec)
-        .map_err(|e| QlError::exec(Span::eof(), e.to_string()))?;
+    let id = engine.register(spec).map_err(exec_error)?;
     let initial = engine
         .standing_result(id)
         .map(<[ResultEntry]>::to_vec)
         .unwrap_or_default();
     Ok(Outcome::Subscribed { id, initial })
+}
+
+/// The plan's `WHERE` ranges as constraints (empty intervals kept).
+fn constraints(plan: &Plan) -> Constraints {
+    let mut c = Constraints::none(plan.dims);
+    for r in &plan.ranges {
+        c = c.with_interval(r.dim, r.lo, r.hi);
+    }
+    c
+}
+
+/// The statistics of the live rows of `engine` that `constraints`
+/// admits, measured where they lie.
+fn engine_stats(engine: &DynamicEngine, constraints: &Constraints) -> Result<PlanStats, QlError> {
+    let slots = engine.admitted_slots(constraints).map_err(exec_error)?;
+    Ok(PlanStats::of_rows(engine.slot_rows(), slots.into_iter()))
+}
+
+fn engine_target(engine: &DynamicEngine) -> String {
+    format!("engine (live N={}, d={})", engine.len(), engine.dims())
+}
+
+fn exec_error(e: impl ToString) -> QlError {
+    QlError::exec(Span::eof(), e.to_string())
 }
 
 /// A plan's derived dataset plus the id mapping back to the target.
@@ -198,18 +207,12 @@ fn derive(plan: &Plan, ds: &Dataset) -> Result<Derived, QlError> {
     let mut current = ds.clone();
     let mut mapping: Option<Vec<ObjectId>> = None;
     if !plan.ranges.is_empty() {
-        let mut c = Constraints::none(ds.dims());
-        for r in &plan.ranges {
-            c = c.with_interval(r.dim, r.lo, r.hi);
-        }
-        let admitted = c.admitted(&current);
+        let admitted = constraints(plan).admitted(&current);
         current = current.select(&admitted);
         mapping = Some(admitted);
     }
     if let Some(dims) = &plan.subspace {
-        let (projected, kept) = current
-            .project(dims)
-            .map_err(|e| QlError::exec(Span::eof(), e.to_string()))?;
+        let (projected, kept) = current.project(dims).map_err(exec_error)?;
         mapping = Some(match mapping {
             None => kept,
             Some(outer) => kept.into_iter().map(|i| outer[i as usize]).collect(),
@@ -242,13 +245,17 @@ fn run_derived(plan: &Plan, derived: &Derived, algorithm: Algorithm) -> TkdResul
     }
 }
 
-fn decide(plan: &Plan, stats: &PlanStats, engine_only: bool) -> AlgoDecision {
+/// The algorithm `plan` runs with: its `USING` clause, or the cost model
+/// on `stats`, which an `AUTO` plan always measures.
+fn decide(plan: &Plan, stats: Option<&PlanStats>, engine_only: bool) -> AlgoDecision {
     match plan.algo {
         AlgoChoice::Fixed(a) => AlgoDecision {
             algorithm: a,
             rationale: "USING clause".into(),
         },
-        AlgoChoice::Auto => resolve_algorithm(stats, engine_only),
+        AlgoChoice::Auto => {
+            resolve_algorithm(stats.expect("an AUTO plan measures its rows"), engine_only)
+        }
     }
 }
 
@@ -265,9 +272,10 @@ fn check_dims(plan: &Plan, dims: usize) -> Result<(), QlError> {
     Ok(())
 }
 
-/// Render the EXPLAIN text: bound plan, pushed-down region, derived-data
-/// statistics, and the algorithm decision with its rationale.
-fn render_explain(plan: &Plan, target: &str, derived: &Derived, decision: &AlgoDecision) -> String {
+/// Render the EXPLAIN text: bound plan, pushed-down region, the
+/// statistics of the rows the statement ranks, and the algorithm decision
+/// with its rationale.
+fn render_explain(plan: &Plan, target: &str, s: &PlanStats, decision: &AlgoDecision) -> String {
     let mut out = String::new();
     let kind = if plan.subscribe {
         "standing query (SUBSCRIBE)"
@@ -294,7 +302,6 @@ fn render_explain(plan: &Plan, target: &str, derived: &Derived, decision: &AlgoD
             out.push_str(&format!("  pushdown:  {r}\n"));
         }
     }
-    let s = &derived.stats;
     out.push_str(&format!(
         "  derived:   N={}, d={}, missing rate {:.3}\n",
         s.n, s.dims, s.sigma
@@ -468,6 +475,49 @@ mod tests {
             variants::subspace_top_k(&ds, &[1, 3], &TkdQuery::new(3).algorithm(Algorithm::Big))
                 .unwrap();
         assert_eq!(r.entries(), want.entries());
+    }
+
+    #[test]
+    fn engine_where_ranks_admitted_rows_in_place() {
+        let ds = fixtures::fig3_sample();
+        let mut engine = DynamicEngine::new(ds);
+        engine.delete(4).unwrap();
+        engine.delete(11).unwrap();
+        let snap = engine.snapshot();
+        let live = engine.live_ids();
+        for text in [
+            "SELECT TOP 3 DOMINATING WHERE d4 BETWEEN 1 AND 4 USING BIG",
+            "SELECT TOP 3 DOMINATING WHERE d4 BETWEEN 1 AND 4 USING IBIG",
+            "SELECT TOP 2 DOMINATING WHERE d1 > 5 AND d1 < 3 USING BIG",
+            "SELECT TOP 5 DOMINATING WHERE d2 <= 3 AND d3 >= 2",
+            "SELECT TOP 4 DOMINATING",
+        ] {
+            let plan = compile(text, 4).unwrap();
+            let got = rows(run_on_engine(&plan, &mut engine).unwrap());
+            let got: Vec<(ObjectId, usize)> = got.iter().map(|e| (e.id, e.score)).collect();
+            let want = rows(run_on_dataset(&plan, &snap).unwrap());
+            let want: Vec<(ObjectId, usize)> = want
+                .iter()
+                .map(|e| (live[e.id as usize], e.score))
+                .collect();
+            assert_eq!(got, want, "{text}");
+            // EXPLAIN measures the admitted slots where they lie: the
+            // numbers of the derived dataset, with no snapshot taken.
+            let plan = compile(&format!("EXPLAIN {text}"), 4).unwrap();
+            let derived_line = |o: Outcome| match o {
+                Outcome::Explain(s) => s
+                    .lines()
+                    .find(|l| l.contains("derived:"))
+                    .unwrap()
+                    .to_owned(),
+                other => panic!("expected explain, got {other:?}"),
+            };
+            assert_eq!(
+                derived_line(run_on_engine(&plan, &mut engine).unwrap()),
+                derived_line(run_on_dataset(&plan, &snap).unwrap()),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::fmt;
 use tkd_core::Algorithm;
-use tkd_model::{stats, Dataset};
+use tkd_model::{Dataset, ObjectId};
 
 /// A per-dimension inclusive value range pushed down from `WHERE`.
 ///
@@ -104,15 +104,39 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    /// Measure `ds`.
+    /// Measure `ds`: [`PlanStats::of_rows`] over all its rows.
     pub fn of(ds: &Dataset) -> Self {
+        Self::of_rows(ds, ds.ids())
+    }
+
+    /// Measure the rows `rows` of `ds` as if they were a dataset of their
+    /// own — how an engine statement measures its live or admitted rows
+    /// in place, without copying them out.
+    pub fn of_rows(ds: &Dataset, rows: impl Iterator<Item = ObjectId> + Clone) -> Self {
+        let dims = ds.dims();
+        let n = rows.clone().count();
+        let cells = n * dims;
+        let observed: usize = rows.clone().map(|o| ds.mask(o).count() as usize).sum();
+        let sigma = if cells == 0 {
+            0.0
+        } else {
+            (cells - observed) as f64 / cells as f64
+        };
+        let distinct = (0..dims)
+            .map(|d| {
+                // IEEE dedup after a total-order sort: −0.0 and 0.0 are one
+                // value, as in the indexes.
+                let mut values: Vec<f64> = rows.clone().filter_map(|o| ds.value(o, d)).collect();
+                values.sort_by(f64::total_cmp);
+                values.dedup();
+                values.len()
+            })
+            .collect();
         PlanStats {
-            n: ds.len(),
-            dims: ds.dims(),
-            sigma: stats::missing_rate(ds),
-            distinct: (0..ds.dims())
-                .map(|d| stats::distinct_values(ds, d).len())
-                .collect(),
+            n,
+            dims,
+            sigma,
+            distinct,
         }
     }
 }
@@ -192,6 +216,18 @@ mod tests {
         assert_eq!(s.dims, 4);
         assert!(s.sigma > 0.0 && s.sigma < 1.0);
         assert_eq!(s.distinct.len(), 4);
+    }
+
+    #[test]
+    fn row_set_stats_equal_the_selected_dataset() {
+        let ds = fixtures::fig3_sample();
+        for rows in [vec![0, 3, 4, 9, 15, 19], vec![7], vec![]] {
+            assert_eq!(
+                PlanStats::of_rows(&ds, rows.iter().copied()),
+                PlanStats::of(&ds.select(&rows)),
+                "{rows:?}"
+            );
+        }
     }
 
     #[test]

@@ -58,6 +58,11 @@ impl Constraints {
         self
     }
 
+    /// Dimensionality of the space the constraints are over.
+    pub fn dims(&self) -> usize {
+        self.ranges.len()
+    }
+
     /// The interval constraining `dim`, if any (`lo > hi` = empty).
     pub fn interval(&self, dim: usize) -> Option<(f64, f64)> {
         self.ranges.get(dim).copied().flatten()

@@ -259,6 +259,10 @@ fn read_aligned(
     Ok(unsafe { arc.assume_init() })
 }
 
+/// The snapshot buffer's first allocation: well above the sizes an
+/// allocator serves from per-thread caches (see [`encode_engine`]).
+const ENCODE_START_BYTES: usize = 64 << 10;
+
 /// Serialize the engine's full state to snapshot bytes. Takes `&mut`
 /// to flush the deferred queue re-sort first, which makes the encoding
 /// of a given logical state deterministic (the golden-file guarantee:
@@ -270,7 +274,14 @@ pub fn encode_engine(engine: &mut DynamicEngine) -> Vec<u8> {
     // are backpatched — peak memory is the engine plus the final
     // snapshot bytes, with no per-section staging copies.
     let parts = engine.store_parts_ref();
-    let mut w = Writer::new();
+    // Start past the allocator's per-thread cache of small freed chunks:
+    // a recycled small chunk can come from another thread's heap, and a
+    // buffer grown from it grows to the snapshot's size in that heap,
+    // which keeps the pages once it is freed. The server's engine thread
+    // encodes checkpoints and frees chunks its connection threads
+    // allocated, so without this its peak RSS carries a second
+    // snapshot-sized heap.
+    let mut w = Writer::with_capacity(ENCODE_START_BYTES);
     w.put_bytes(&MAGIC);
     w.put_u32(FORMAT_VERSION);
     w.put_u32(KINDS.len() as u32);

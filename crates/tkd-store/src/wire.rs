@@ -42,6 +42,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// Empty writer with room for `bytes` before its first growth.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
