@@ -41,6 +41,7 @@
 
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
+use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
@@ -183,18 +184,24 @@ impl<'a> Candidate<'a> {
 /// BIG-Score (Algorithm 3) of member `o` of `ds` against `index`:
 /// Heuristic 2 on `tau`, then the exact score. [`Outcome::PrunedBitmap`]
 /// when Heuristic 2 discards `o` (its exact score is then never computed).
-/// With a `scope`, every set is ANDed with its rows: the score counts
-/// only the rows in scope (a constrained query). Allocation-free.
+/// With a `scope`, every set is ANDed with its rows and the candidate is
+/// restricted to its dimensions: the score counts only the rows in scope,
+/// compared inside the scope's dimensions (a constrained or subspace
+/// query). Allocation-free.
 pub(crate) fn big_score_over(
     ds: &Dataset,
     index: &BitmapIndex,
     pre: &Preprocessed,
-    scope: Option<&RowScope>,
+    scope: Option<&Scope>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
     scratch.sel = index.selection_of(o as usize);
+    if let Some(s) = scope {
+        scratch.sel.restrict(s.dims);
+    }
+    let rows = scope.map(|s| &s.rows);
     // Heuristic 2 — bitmap pruning on the tight bound. The raw
     // intersection counts o's own bit, so `MaxBitScore(o) ≤ τ` reads
     // `|∩ᵢ Qᵢ| ≤ τ + 1`. The common case (pruned) reads a fraction of one
@@ -202,12 +209,15 @@ pub(crate) fn big_score_over(
     // redundant, but survivors enter the candidate set by construction, so
     // there are at most ~k of them per τ value.
     let sel = &scratch.sel;
-    if matches!(tau, Some(tau) if index.q_count_selected_above_scoped(sel, scope, tau + 1).is_none())
+    if matches!(tau, Some(tau) if index.q_count_selected_above_scoped(sel, rows, tau + 1).is_none())
     {
         return Outcome::PrunedBitmap;
     }
-    let cand = Candidate::member(ds, pre, o);
-    Outcome::Score(big_term(index, ds.masks(), &cand, scope, scratch))
+    let cand = match scope {
+        Some(s) => s.candidate(ds, pre, o),
+        None => Candidate::member(ds, pre, o),
+    };
+    Outcome::Score(big_term(index, ds.masks(), &cand, rows, scratch))
 }
 
 /// BIG-Score's term: how many of the index's rows the candidate

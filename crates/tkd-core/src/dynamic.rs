@@ -41,13 +41,18 @@
 //! they take every tombstone, append and cell rewrite as an `O(1)` bit
 //! flip, which a run-length codec could not.
 //!
-//! A constrained query ([`DynamicEngine::query_constrained`]) runs the
-//! same scorers over the same indexes with one more AND operand: the
-//! admitted live rows as a [`RowScope`], built from two column reads per
-//! constrained dimension. Its queue is recounted inside the scope — one
-//! histogram of the admitted rows' value slots — so it is the queue a
-//! rebuild over the admitted rows would sort, and the answer is that
-//! rebuild's, tie order included.
+//! A constrained query ([`DynamicEngine::query_constrained`]) and a
+//! subspace query ([`DynamicEngine::query_subspace`]) run one scoped walk:
+//! the same scorers over the same indexes with one more AND operand, the
+//! rows in scope as a [`RowScope`] — the admitted live rows, two column
+//! reads per constrained dimension, and for a subspace `S` only those
+//! observing a dimension of `S`, one read of each missing column. A
+//! subspace candidate is restricted to `S`: its column picks outside `S`
+//! become the all-ones column 0, and its incomparable set is the
+//! projection's (see `crate::scope`). The queue is recounted inside the
+//! scope over `S` — one histogram of the scope rows' value slots — so it
+//! is the queue a rebuild over the admitted, projected rows would sort,
+//! and the answer is that rebuild's, tie order included.
 //!
 //! The same maintained state is what a cluster worker scores on: a shard
 //! is one engine, and [`DynamicEngine::big_bound`] /
@@ -72,6 +77,7 @@ use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::{ResultEntry, TkdResult};
+use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::standing::{
     self, Notification, StandingId, StandingQuery, StandingSpec, StandingState, StandingStats,
@@ -192,6 +198,18 @@ impl From<ModelError> for UpdateError {
     fn from(e: ModelError) -> Self {
         UpdateError::Model(e)
     }
+}
+
+/// The rows a scoped query ranks, measured in place
+/// ([`DynamicEngine::scope_stats`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ScopeStats {
+    /// How many rows are in scope.
+    pub rows: usize,
+    /// Their observed cells in the measured dimensions.
+    pub observed: usize,
+    /// Distinct observed values among them, per measured dimension.
+    pub distinct: Vec<usize>,
 }
 
 /// Lifetime counters of a [`DynamicEngine`].
@@ -738,7 +756,7 @@ impl DynamicEngine {
         if !self.standing.tracking() {
             self.standing.reset_batch();
         }
-        let result = self.standing_answer(&spec, &mut None);
+        let result = self.standing_answer(&spec);
         let id = self.standing.next_id;
         self.standing.next_id += 1;
         self.standing.queries.insert(
@@ -894,7 +912,6 @@ impl DynamicEngine {
         let seq = self.standing.batch_seq;
 
         let mut queries = std::mem::take(&mut self.standing.queries);
-        let mut snapshot = None;
         let mut notes = Vec::with_capacity(queries.len());
         for (&id, q) in queries.iter_mut() {
             // The two provable skips: nothing effective happened, or no
@@ -903,7 +920,7 @@ impl DynamicEngine {
             let requery = effective && (structural || touched_dims & q.spec.scope_mask() != 0);
             let (added, removed, rescored) = if requery {
                 q.stats.fallbacks += 1;
-                let new_result = self.standing_answer(&q.spec, &mut snapshot);
+                let new_result = self.standing_answer(&q.spec);
                 let delta = standing::diff(&q.result, &new_result);
                 q.result = new_result;
                 delta
@@ -930,27 +947,18 @@ impl DynamicEngine {
     /// A fresh answer for `spec` in stable ids (registration and every
     /// re-queried batch): the engine's own [`DynamicEngine::query`] for a
     /// full-space spec, [`DynamicEngine::query_constrained`] for a
-    /// constrained one, and [`standing::subspace_requery`] over the live
-    /// snapshot — taken once per batch into `snapshot` — for a subspace
-    /// one.
-    fn standing_answer(
-        &mut self,
-        spec: &StandingSpec,
-        snapshot: &mut Option<(Dataset, Vec<ObjectId>)>,
-    ) -> Vec<ResultEntry> {
-        if let Some(dims) = &spec.subspace {
-            let (snap, ids) = snapshot.get_or_insert_with(|| (self.snapshot(), self.live_ids()));
-            return standing::subspace_requery(snap, ids, dims, spec);
-        }
+    /// constrained one and [`DynamicEngine::query_subspace`] for a
+    /// subspace one — all on the maintained indexes.
+    fn standing_answer(&mut self, spec: &StandingSpec) -> Vec<ResultEntry> {
         let q = EngineQuery {
             k: spec.k,
             algorithm: spec.algorithm,
             tie: TieBreak::ById,
         };
-        let result = if spec.constraint.is_empty() {
-            self.query(&q)
-        } else {
-            self.query_constrained(&q, &spec.constraints(self.dims))
+        let result = match &spec.subspace {
+            Some(dims) => self.query_subspace(&q, dims, &Constraints::none(self.dims)),
+            None if spec.constraint.is_empty() => self.query(&q),
+            None => self.query_constrained(&q, &spec.constraints(self.dims)),
         };
         let result = result.expect("spec validated at registration");
         result.into_iter().collect()
@@ -981,9 +989,7 @@ impl DynamicEngine {
         q: &EngineQuery,
         threads: usize,
     ) -> Result<TkdResult, UpdateError> {
-        if !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig) {
-            return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
-        }
+        serves(q.algorithm)?;
         self.refresh();
         let threads = threads.max(1);
         self.fit_scratch(threads);
@@ -1024,11 +1030,53 @@ impl DynamicEngine {
         q: &EngineQuery,
         constraints: &Constraints,
     ) -> Result<TkdResult, UpdateError> {
-        if !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig) {
-            return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
-        }
-        let scope = RowScope::new(self.admitted(constraints)?);
-        let queue = self.scoped_queue(&scope);
+        serves(q.algorithm)?;
+        self.query_scoped(q, DimMask::all(self.dims), constraints)
+    }
+
+    /// Answer a **subspace** query — rank by dominance inside the
+    /// dimensions `dims`, over the live rows `constraints` admits that
+    /// observe at least one of them ([`crate::variants::subspace_top_k`]
+    /// after admission, as a rebuild would: admit, select, project) — on
+    /// the maintained indexes, copying no row. The rows in scope are
+    /// `live ∧ ⋂ admitted(dimᵢ) ∧ ⋃_{d ∈ dims} observed(d)`
+    /// ([`BitmapIndex::observing_any`]); every candidate's column picks
+    /// outside `dims` become the all-ones column 0, and its incomparable
+    /// set is the projection's, the rows sharing no observed dimension
+    /// with it inside `dims`. The queue is recounted over `dims` inside
+    /// the scope, so entries, scores and tie order equal the rebuild's,
+    /// and for BIG so does every `PruneStats` counter
+    /// (`tests/subspace_scope.rs`). Sequential; entry ids are **stable
+    /// ids**.
+    ///
+    /// # Errors
+    /// [`UpdateError::UnsupportedAlgorithm`] for anything but BIG/IBIG;
+    /// [`ModelError::BadDimensionality`] for an empty `dims`;
+    /// [`ModelError::DimensionOutOfRange`] for a dimension of `dims` or a
+    /// constraint past [`DynamicEngine::dims`].
+    pub fn query_subspace(
+        &mut self,
+        q: &EngineQuery,
+        dims: &[usize],
+        constraints: &Constraints,
+    ) -> Result<TkdResult, UpdateError> {
+        serves(q.algorithm)?;
+        let dims = self.subspace_mask(dims)?;
+        self.query_scoped(q, dims, constraints)
+    }
+
+    /// The one scoped walk: the sequential Algorithm 4 / 5 (`q` names
+    /// BIG or IBIG) over the rows `constraints` admits that observe a
+    /// dimension of `dims`, judged inside `dims`.
+    fn query_scoped(
+        &mut self,
+        q: &EngineQuery,
+        dims: DimMask,
+        constraints: &Constraints,
+    ) -> Result<TkdResult, UpdateError> {
+        let rows = RowScope::new(self.scope_rows(dims, constraints)?);
+        let queue = self.scoped_queue(&rows, dims);
+        let scope = Scope::new(rows, dims, &self.index, &self.pre);
         self.fit_scratch(1);
         let (ds, index, binned, pre) = (&self.ds, &self.index, &self.binned, &self.pre);
         let score = scorer(ds, index, binned, pre, Some(&scope), q.algorithm);
@@ -1037,65 +1085,136 @@ impl DynamicEngine {
         Ok(self.stable_result(result, q.tie))
     }
 
-    /// Every slot's row since the last compaction, tombstoned ones
-    /// included: the rows [`DynamicEngine::admitted_slots`] names.
-    pub fn slot_rows(&self) -> &Dataset {
-        &self.ds
-    }
-
     /// The live slots `constraints` admits, ascending — every live slot
-    /// for [`Constraints::none`]. They name rows of
-    /// [`DynamicEngine::slot_rows`], so a planner measures the rows a
-    /// statement ranks in place, without a snapshot.
+    /// for [`Constraints::none`].
     ///
     /// # Errors
     /// As [`DynamicEngine::query_constrained`].
     pub fn admitted_slots(&self, constraints: &Constraints) -> Result<Vec<ObjectId>, UpdateError> {
-        let admitted = self.admitted(constraints)?;
+        let admitted = self.scope_rows(DimMask::all(self.dims), constraints)?;
         Ok(admitted.iter_ones().map(|s| s as ObjectId).collect())
     }
 
-    /// The live slots `constraints` admits, one bit per slot.
-    fn admitted(&self, constraints: &Constraints) -> Result<BitVec, UpdateError> {
+    /// What the rows a subspace query over `dims` ranks look like — the
+    /// live rows `constraints` admits that observe a dimension of `dims`
+    /// — measured where they lie, with no row copied: how many there are,
+    /// how many of their cells in `dims` are observed, and how many
+    /// distinct values each dimension of `dims` holds among them (`−0.0`
+    /// and `0.0` count as one, as they share a value slot). Over every
+    /// dimension, in order, these are a constrained query's rows.
+    ///
+    /// # Errors
+    /// As [`DynamicEngine::query_subspace`].
+    pub fn scope_stats(
+        &self,
+        dims: &[usize],
+        constraints: &Constraints,
+    ) -> Result<ScopeStats, UpdateError> {
+        let mask = self.subspace_mask(dims)?;
+        let rows = self.scope_rows(mask, constraints)?;
+        let (layout, counts) = self.slot_histogram(&rows, mask, |_| {});
+        let n = rows.count_ones();
+        let slots = |d: usize| {
+            let &(_, base) = layout
+                .iter()
+                .find(|&&(e, _)| e == d)
+                .expect("d is in the mask");
+            &counts[base..=base + self.index.cardinality(d)]
+        };
+        Ok(ScopeStats {
+            rows: n,
+            observed: dims.iter().map(|&d| n - slots(d)[0]).sum(),
+            distinct: dims
+                .iter()
+                .map(|&d| slots(d)[1..].iter().filter(|&&c| c > 0).count())
+                .collect(),
+        })
+    }
+
+    /// `dims` as a mask.
+    ///
+    /// # Errors
+    /// [`ModelError::BadDimensionality`] for an empty `dims`;
+    /// [`ModelError::DimensionOutOfRange`] for one past
+    /// [`DynamicEngine::dims`].
+    fn subspace_mask(&self, dims: &[usize]) -> Result<DimMask, UpdateError> {
+        if dims.is_empty() {
+            return Err(ModelError::BadDimensionality(0).into());
+        }
+        if let Some(&dim) = dims.iter().find(|&&d| d >= self.dims) {
+            let dims = self.dims;
+            return Err(ModelError::DimensionOutOfRange { dim, dims }.into());
+        }
+        Ok(DimMask::from_indices(dims.iter().copied()))
+    }
+
+    /// The live slots `constraints` admits that observe a dimension of
+    /// `dims`, one bit per slot. Every row observes some dimension, so
+    /// over every dimension these are the admitted live slots.
+    fn scope_rows(&self, dims: DimMask, constraints: &Constraints) -> Result<BitVec, UpdateError> {
         let past = (self.dims..constraints.dims()).find(|&d| constraints.interval(d).is_some());
         if let Some(dim) = past {
             let dims = self.dims;
             return Err(ModelError::DimensionOutOfRange { dim, dims }.into());
         }
         let mut scope = self.live.live_mask().clone();
-        let mut admitted = BitVec::zeros(self.ds.len());
+        let mut rows = BitVec::zeros(self.ds.len());
         for dim in 0..self.dims {
             if let Some((lo, hi)) = constraints.interval(dim) {
-                self.index.admit(dim, lo, hi, &mut admitted);
-                scope.and_assign(&admitted);
+                self.index.admit(dim, lo, hi, &mut rows);
+                scope.and_assign(&rows);
             }
+        }
+        if dims != DimMask::all(self.dims) {
+            self.index.observing_any(dims, &mut rows);
+            scope.and_assign(&rows);
         }
         Ok(scope)
     }
 
-    /// The queue `F` of the rows in `scope`, as a rebuild over those rows
-    /// sorts it: a row's `MaxScore` is the least, over its observed
-    /// dimensions, of the scope rows missing that dimension or at or above
-    /// its value slot, less itself — one histogram of the scope rows'
-    /// value slots per dimension, summed from the top.
-    fn scoped_queue(&self, scope: &RowScope) -> Vec<(ObjectId, usize)> {
-        let (index, dims) = (&self.index, self.dims);
-        // `at_least[base[d] + j]`: scope rows missing `d` (`j = 0`) or,
-        // for `j ≥ 1`, at a value slot `≥ j` of `d`.
-        let mut base = Vec::with_capacity(dims);
+    /// A histogram of the value slots of `rows` in each dimension of
+    /// `dims`: an entry `(d, base)` per dimension, whose slot `j` (`0` =
+    /// missing) is bucket `base + j`, and the count of each bucket. Every
+    /// row's buckets, row by row and in entry order, also go to `visit`.
+    fn slot_histogram(
+        &self,
+        rows: &BitVec,
+        dims: DimMask,
+        mut visit: impl FnMut(usize),
+    ) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let index = &self.index;
+        let mut layout = Vec::with_capacity(dims.count() as usize);
         let mut len = 0;
-        for d in 0..dims {
-            base.push(len);
+        for d in dims.iter() {
+            layout.push((d, len));
             len += index.cardinality(d) + 1;
         }
-        let mut at_least = vec![0usize; len];
-        for s in scope.bits().iter_ones() {
-            for (d, &b) in base.iter().enumerate() {
-                at_least[b + index.value_slot(s, d) as usize] += 1;
+        let mut counts = vec![0usize; len];
+        for s in rows.iter_ones() {
+            for &(d, base) in &layout {
+                let bucket = base + index.value_slot(s, d) as usize;
+                counts[bucket] += 1;
+                visit(bucket);
             }
         }
-        for (d, &b) in base.iter().enumerate() {
-            let counts = &mut at_least[b..=b + index.cardinality(d)];
+        (layout, counts)
+    }
+
+    /// The queue `F` of the rows in `scope` judged inside `dims`, as a
+    /// rebuild over their projection sorts it: a row's `MaxScore` is the
+    /// least, over its observed dimensions of `dims`, of the scope rows
+    /// missing that dimension or at or above its value slot, less itself
+    /// — one histogram of the scope rows' value slots per dimension of
+    /// `dims`, summed from the top.
+    fn scoped_queue(&self, scope: &RowScope, dims: DimMask) -> Vec<(ObjectId, usize)> {
+        // Row by row, its bucket in each dimension of `dims`.
+        let mut buckets = Vec::with_capacity(scope.count() * dims.count() as usize);
+        let (layout, mut at_least) =
+            self.slot_histogram(scope.bits(), dims, |b| buckets.push(b as u32));
+        // Now `at_least[base + j]`: scope rows missing `d` (`j = 0`) or,
+        // for `j ≥ 1`, at a value slot `≥ j` of `d`.
+        for &(d, base) in &layout {
+            let counts = &mut at_least[base..=base + self.index.cardinality(d)];
             let mut sum = counts[0];
             for c in counts[1..].iter_mut().rev() {
                 sum += *c;
@@ -1105,16 +1224,14 @@ impl DynamicEngine {
             counts[0] = usize::MAX;
         }
         // Less the row itself, which every count of its own slots holds.
-        let max_score = |s: usize| {
-            let t_row = base
-                .iter()
-                .enumerate()
-                .map(|(d, &b)| at_least[b + index.value_slot(s, d) as usize]);
-            t_row.min().expect("at least one dimension") - 1
-        };
+        // A scope row observes some dimension of `dims`.
+        let max_scores = buckets.chunks_exact(layout.len()).map(|row| {
+            let t_row = row.iter().map(|&b| at_least[b as usize]);
+            t_row.min().expect("a scope dimension") - 1
+        });
         let mut queue = Vec::with_capacity(scope.count());
-        let rows = scope.bits().iter_ones();
-        fill_queue(&mut queue, rows.map(|s| (s as ObjectId, max_score(s))));
+        let rows = scope.bits().iter_ones().map(|s| s as ObjectId);
+        fill_queue(&mut queue, rows.zip(max_scores));
         queue
     }
 
@@ -1157,9 +1274,7 @@ impl DynamicEngine {
         threads: usize,
     ) -> Result<Vec<TkdResult>, UpdateError> {
         for q in queries {
-            if !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig) {
-                return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
-            }
+            serves(q.algorithm)?;
         }
         if queries.is_empty() {
             return Ok(Vec::new());
@@ -1636,6 +1751,14 @@ impl DynamicEngine {
             .iter()
             .map(|&(s, ms)| (self.stable_of[s as usize], ms))
             .collect()
+    }
+}
+
+/// Whether the engine answers queries with `algorithm`: BIG and IBIG.
+fn serves(algorithm: Algorithm) -> Result<(), UpdateError> {
+    match algorithm {
+        Algorithm::Big | Algorithm::Ibig => Ok(()),
+        other => Err(UpdateError::UnsupportedAlgorithm(other)),
     }
 }
 

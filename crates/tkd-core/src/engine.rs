@@ -34,12 +34,13 @@ use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
 use crate::preprocess::Preprocessed;
 use crate::query::{shuffle_ties, Algorithm, TieBreak};
 use crate::result::TkdResult;
+use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::{esb, naive, ubb};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tkd_index::{BinnedBitmapIndex, BitmapIndex, IndexPairBuilder, RowScope};
+use tkd_index::{BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
 use tkd_model::{Dataset, ObjectId};
 
 /// One query of a multi-user batch: `k`, the algorithm to answer it with,
@@ -83,13 +84,14 @@ impl EngineQuery {
 /// scorer both parallel paths hand [`run_replay`]: [`ParallelEngine`]
 /// over the indexes it built, and [`crate::DynamicEngine::query_threads`]
 /// over the ones it maintains (and, scoped,
-/// [`crate::DynamicEngine::query_constrained`]).
+/// [`crate::DynamicEngine::query_constrained`] and
+/// [`crate::DynamicEngine::query_subspace`]).
 pub(crate) fn scorer<'s>(
     ds: &'s Dataset,
     index: &'s BitmapIndex,
     binned: &'s BinnedBitmapIndex,
     pre: &'s Preprocessed,
-    scope: Option<&'s RowScope>,
+    scope: Option<&'s Scope>,
     algorithm: Algorithm,
 ) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 's {
     move |o, tau, scratch| match algorithm {

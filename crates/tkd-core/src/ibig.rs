@@ -49,6 +49,7 @@
 use crate::big::Candidate;
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
+use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
@@ -194,13 +195,14 @@ pub(crate) fn ibig_score(
 
 /// IBIG-Score (Algorithm 5) of member `o` of `ds` against `binned`:
 /// Heuristic 2 on `tau`, then the exact score under the Heuristic-3
-/// budget. With a `scope`, every set and count is ANDed with its rows
-/// (a constrained query). Allocation-free.
+/// budget. With a `scope`, every set and count is ANDed with its rows and
+/// the candidate is restricted to its dimensions (a constrained or
+/// subspace query). Allocation-free.
 pub(crate) fn ibig_score_over(
     ds: &Dataset,
     index: &BinnedBitmapIndex,
     pre: &Preprocessed,
-    scope: Option<&RowScope>,
+    scope: Option<&Scope>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
@@ -211,20 +213,27 @@ pub(crate) fn ibig_score_over(
     // budgeted scan without writing Q. With no τ yet the budget is 0 and
     // the count (≥ 1, o's own bit) comes back exact.
     scratch.bin_sel = index.selection_of(o as usize);
+    if let Some(s) = scope {
+        scratch.bin_sel.restrict(s.dims);
+    }
+    let rows = scope.map(|s| &s.rows);
     let budget = tau.map_or(0, |t| t + 1);
-    let Some(q_count) = index.q_count_selected_above_scoped(&scratch.bin_sel, scope, budget) else {
+    let Some(q_count) = index.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget) else {
         return Outcome::PrunedBitmap;
     };
     let max_bit_score = q_count - 1;
     // Survivors only: Q into scratch for the term.
-    fill_q(index, scope, scratch);
-    let cand = Candidate::member(ds, pre, o);
+    fill_q(index, rows, scratch);
+    let cand = match scope {
+        Some(s) => s.candidate(ds, pre, o),
+        None => Candidate::member(ds, pre, o),
+    };
     // Heuristic 3's budget: score(o) = |Q| − |F| − |nonD| beats τ only
     // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms. F
     // counts inside the scope, as Q does: the unscoped |F| would
     // over-prune.
     let mut nond_left = tau.map_or(usize::MAX, |t| {
-        let f = scope.map_or_else(|| cand.f.count_ones(), |s| cand.f.and_count(s.bits()));
+        let f = rows.map_or_else(|| cand.f.count_ones(), |r| cand.f.and_count(r.bits()));
         max_bit_score.saturating_sub(f).saturating_sub(t)
     });
     let value = |d| ds.raw_value(o, d);
@@ -232,7 +241,7 @@ pub(crate) fn ibig_score_over(
         index,
         ds.masks(),
         &cand,
-        scope,
+        rows,
         value,
         scratch,
         &mut nond_left,

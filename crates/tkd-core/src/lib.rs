@@ -55,6 +55,7 @@ pub mod parallel;
 pub mod preprocess;
 mod query;
 mod result;
+mod scope;
 pub mod scratch;
 pub mod standing;
 mod stats;
@@ -63,7 +64,7 @@ pub mod variants;
 
 pub use dynamic::{
     BatchReport, CompactionPolicy, DynamicEngine, DynamicOptions, DynamicParts, DynamicPartsRef,
-    StorageReport, UpdateError, UpdateOp, UpdateStats,
+    ScopeStats, StorageReport, UpdateError, UpdateOp, UpdateStats,
 };
 pub use engine::{EngineQuery, ParallelEngine};
 pub use preprocess::Preprocessed;

@@ -15,13 +15,12 @@
 //! result from a score cache cannot save more than the re-query it
 //! replaces.
 //!
-//! A constrained standing query is answered on the same maintained
-//! indexes by [`super::DynamicEngine::query_constrained`]: its admitted
-//! rows are a scope mask that every scan and fill ANDs in, and its queue
-//! is recounted inside the mask, so no row is copied. A subspace query
-//! re-ranks a projection, which changes dominance itself: it re-queries
-//! through [`crate::variants::subspace_top_k`] over the live snapshot,
-//! taken once per batch for all subspace queries.
+//! Constrained and subspace standing queries are answered on the same
+//! maintained indexes, by [`super::DynamicEngine::query_constrained`] and
+//! [`super::DynamicEngine::query_subspace`]: the rows in scope are a mask
+//! that every scan and fill ANDs in, a subspace candidate is restricted
+//! to the subspace's dimensions, and the queue is recounted inside the
+//! mask, so no row is copied.
 //!
 //! # The two provable skips
 //!
@@ -29,16 +28,16 @@
 //! or was a semantic no-op) leaves every result standing. A subspace
 //! query is additionally skipped by a batch that performed no structural
 //! change (insert / delete / age-out / compaction) and rewrote no in-scope
-//! dimension: its derived dataset is unchanged. Skipped batches emit an
-//! empty delta with [`Notification::via_fallback`] `false` and count in
+//! dimension: the rows it ranks and their values in its dimensions are
+//! unchanged. Skipped batches emit an empty delta with
+//! [`Notification::via_fallback`] `false` and count in
 //! [`StandingStats::skipped`]; every other batch re-queries
 //! ([`StandingStats::fallbacks`], `via_fallback` `true`).
 
-use crate::query::{Algorithm, TkdQuery};
+use crate::query::Algorithm;
 use crate::result::ResultEntry;
-use crate::variants;
 use std::collections::{BTreeMap, HashMap};
-use tkd_model::{Dataset, ObjectId};
+use tkd_model::ObjectId;
 use tkd_skyline::constrained::Constraints;
 
 /// Handle of a registered standing query (unique per engine, never
@@ -54,8 +53,9 @@ pub struct StandingSpec {
     /// BIG or IBIG — the engines the dynamic layer serves.
     pub algorithm: Algorithm,
     /// Rank inside this dimension subset (strictly increasing indices);
-    /// `None` = the full space. Subspace queries re-rank over a projected
-    /// dataset through [`crate::variants`].
+    /// `None` = the full space. Subspace queries rank the rows observing
+    /// one of the dimensions by dominance inside them
+    /// ([`crate::variants::subspace_top_k`]'s semantics).
     pub subspace: Option<Vec<usize>>,
     /// Per-dimension inclusive range constraints `(dim, lo, hi)`; empty =
     /// unconstrained. Constrained queries rank the admitted
@@ -265,29 +265,6 @@ impl StandingState {
         self.structural = 0;
         self.effective = 0;
     }
-}
-
-/// Subspace re-query over the live snapshot, returning **stable-id**
-/// entries: the [`crate::variants::subspace_top_k`] call a from-scratch
-/// client would make, with snapshot positions translated through
-/// `live_ids` (ascending-position ↔ ascending-stable-id, so the tie order
-/// carries over verbatim).
-pub(crate) fn subspace_requery(
-    snapshot: &Dataset,
-    live_ids: &[ObjectId],
-    dims: &[usize],
-    spec: &StandingSpec,
-) -> Vec<ResultEntry> {
-    let query = TkdQuery::new(spec.k).algorithm(spec.algorithm);
-    let result = variants::subspace_top_k(snapshot, dims, &query)
-        .expect("subspace validated at registration");
-    result
-        .into_iter()
-        .map(|e| ResultEntry {
-            id: live_ids[e.id as usize],
-            score: e.score,
-        })
-        .collect()
 }
 
 /// Sort entries by (score desc, id asc) — the result-order contract.

@@ -15,7 +15,7 @@ use crate::sorted_column::{for_each_sorted_column, value_runs};
 use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
 use std::collections::BTreeSet;
 use tkd_bitvec::BitVec;
-use tkd_model::{Dataset, ObjectId, MAX_DIMS};
+use tkd_model::{Dataset, DimMask, ObjectId, MAX_DIMS};
 
 /// Sentinel marking a missing value in the per-object bin table.
 const MISSING: u32 = u32::MAX;
@@ -781,6 +781,17 @@ impl BinSelection {
     #[inline]
     pub fn p_pick(&self, dim: usize) -> (usize, usize) {
         (dim, self.p[dim] as usize)
+    }
+
+    /// Restrict the selection to the dimensions of `dims`: every other
+    /// pick becomes column 0, as for a candidate missing that dimension
+    /// ([`crate::ColumnSelection::restrict`] on the binned index).
+    pub fn restrict(&mut self, dims: DimMask) {
+        for d in 0..MAX_DIMS {
+            let keep = (dims.bits() >> d) as u32 & 1;
+            self.q[d] *= keep;
+            self.p[d] *= keep;
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::sorted_column::{for_each_sorted_column, value_runs};
 use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
 use tkd_bitvec::{BitVec, Tombstones};
-use tkd_model::{Dataset, ObjectId, MAX_DIMS};
+use tkd_model::{Dataset, DimMask, ObjectId, MAX_DIMS};
 
 /// Sentinel marking a missing value in the per-object column-index table.
 const MISSING: u32 = u32::MAX;
@@ -734,6 +734,24 @@ impl BitmapIndex {
         dst.and_assign(self.live.live_mask());
     }
 
+    /// Write into `dst` the live rows observing at least one dimension of
+    /// `dims`, `live ∧ ¬⋂_{d ∈ dims} missing(d)` — the rows a projection
+    /// onto `dims` keeps. The last column of each dimension holds the
+    /// rows missing it. An empty `dims` keeps no row.
+    ///
+    /// # Panics
+    /// Panics if `dst.len() != self.n()` or `dims` names a dimension past
+    /// [`BitmapIndex::dims`].
+    pub fn observing_any(&self, dims: DimMask, dst: &mut BitVec) {
+        assert_eq!(dst.len(), self.n, "scratch length mismatch");
+        dst.set_all();
+        for d in dims.iter() {
+            dst.and_assign(&self.columns[d][self.values[d].len()]);
+        }
+        dst.not_assign();
+        dst.and_assign(self.live.live_mask());
+    }
+
     /// 1-based value slot of object `local` in `dim`, `0` when
     /// missing — the raw form of [`BitmapIndex::value_index`], directly
     /// comparable with [`ColumnSelection::eq_slot`] for tie detection.
@@ -809,6 +827,21 @@ impl ColumnSelection {
     #[inline]
     pub fn eq_slot(&self, dim: usize) -> u32 {
         self.eq[dim]
+    }
+
+    /// Restrict the selection to the dimensions of `dims`, as if the
+    /// candidate missed every other one: those picks become the all-ones
+    /// column 0, which the scans and fills skip, and their value slots 0.
+    /// How a subspace query reads the projection's `Q`/`P` off the full
+    /// index.
+    pub fn restrict(&mut self, dims: DimMask) {
+        // Branch-free, so the loop vectorizes: `keep` is 1 inside `dims`.
+        for d in 0..MAX_DIMS {
+            let keep = (dims.bits() >> d) as u32 & 1;
+            self.q[d] *= keep;
+            self.p[d] *= keep;
+            self.eq[d] *= keep;
+        }
     }
 }
 
@@ -1180,6 +1213,106 @@ mod tests {
                     let picks = (0..ds.dims()).map(|d| sel.q_pick(d));
                     idx.and_selected_into_scoped(picks, Some(&scope), &mut scoped);
                     assert_eq!(scoped, q, "binned scoped Q of {o}");
+                }
+            }
+        }
+    }
+
+    /// A subspace query's pieces against brute force: `observing_any` and
+    /// the restricted selections, scanned and filled inside the
+    /// observed-union scope, on the multi-block input of
+    /// `budgeted_count_agrees_with_exact` at its budgets, with every 11th
+    /// row tombstoned — on the exact index and on the binned one. One
+    /// scope also admits on a dimension outside the subspace.
+    #[test]
+    fn restricted_selection_agrees_with_brute_force() {
+        let ds = trending_dataset(3 * 2048 + 356);
+        let mut exact_idx = BitmapIndex::build(&ds);
+        let mut binned: Vec<BinnedBitmapIndex> = [1, 3, 21]
+            .into_iter()
+            .map(|x| BinnedBitmapIndex::build(&ds, &[x; 4]))
+            .collect();
+        for o in ds.ids().step_by(11) {
+            exact_idx.tombstone_row(o as usize);
+            for idx in &mut binned {
+                idx.tombstone_row(o as usize, |d| ds.value(o, d));
+            }
+        }
+        let live = |o: ObjectId| !o.is_multiple_of(11);
+        type Case<'a> = (&'a [usize], Option<(usize, f64, f64)>);
+        let cases: [Case<'_>; 6] = [
+            (&[1], None),
+            (&[2, 3], None),
+            (&[1, 3], Some((0, 10.0, 25.0))),
+            (&[0, 2], None),
+            (&[3], Some((3, -0.0, 2.5))),
+            (&[0, 1, 2, 3], None),
+        ];
+        let mut observing = BitVec::zeros(ds.len());
+        let mut admitted = BitVec::zeros(ds.len());
+        let mut got = BitVec::zeros(ds.len());
+        for (dims, range) in cases {
+            let mask = DimMask::from_indices(dims.iter().copied());
+            exact_idx.observing_any(mask, &mut observing);
+            let observes = |o: ObjectId| dims.iter().any(|&d| ds.value(o, d).is_some());
+            let want = ds.ids().filter(|&o| live(o) && observes(o));
+            let want = BitVec::from_indices(ds.len(), want.map(|o| o as usize));
+            assert_eq!(observing, want, "observing_any {dims:?}");
+            let mut bits = observing.clone();
+            if let Some((d, lo, hi)) = range {
+                exact_idx.admit(d, lo, hi, &mut admitted);
+                bits.and_assign(&admitted);
+            }
+            let admits = |o: ObjectId| {
+                range.is_none_or(|(d, lo, hi)| ds.value(o, d).is_none_or(|v| lo <= v && v <= hi))
+            };
+            let in_scope = |o: ObjectId| live(o) && observes(o) && admits(o);
+            let scope = RowScope::new(bits);
+            assert_eq!(scope.count(), ds.ids().filter(|&o| in_scope(o)).count());
+            // Rows in scope whose cell in every dimension of the subspace
+            // passes `keep` against the candidate's (missing passes).
+            let brute = |keep: &dyn Fn(ObjectId, ObjectId, usize) -> Option<bool>, o: ObjectId| {
+                let rows = ds.ids().filter(|&r| {
+                    in_scope(r) && dims.iter().all(|&d| keep(o, r, d).unwrap_or(true))
+                });
+                BitVec::from_indices(ds.len(), rows.map(|r| r as usize))
+            };
+            for o in ds.ids().filter(|&o| in_scope(o)).step_by(29) {
+                let mut sel = exact_idx.selection_of(o as usize);
+                sel.restrict(mask);
+                for d in (0..ds.dims()).filter(|d| !dims.contains(d)) {
+                    assert_eq!(sel.eq_slot(d), 0, "eq slot of {d} outside {dims:?}");
+                }
+                let cells = |o: ObjectId, r: ObjectId, d: usize| ds.value(o, d).zip(ds.value(r, d));
+                let q = brute(&|o, r, d| cells(o, r, d).map(|(a, b)| b >= a), o);
+                let exact = q.count_ones();
+                for budget in [0, 1, 5, exact.saturating_sub(1), exact, exact + 3] {
+                    let count = exact_idx.q_count_selected_above_scoped(&sel, Some(&scope), budget);
+                    assert_budgeted(count, exact, budget, &format!("exact obj {o} {dims:?}"));
+                }
+                exact_idx.q_into_selected_scoped(&sel, None, Some(&scope), &mut got);
+                assert_eq!(got, q, "restricted Q of {o} on {dims:?}");
+                let p = brute(&|o, r, d| cells(o, r, d).map(|(a, b)| b > a), o);
+                exact_idx.p_into_selected_scoped(&sel, Some(&scope), &mut got);
+                assert_eq!(got, p, "restricted P of {o} on {dims:?}");
+                for idx in &binned {
+                    let mut sel = idx.selection_of(o as usize);
+                    sel.restrict(mask);
+                    let bins =
+                        |o: ObjectId, r: ObjectId, d: usize| idx.bin_of(o, d).zip(idx.bin_of(r, d));
+                    let q = brute(&|o, r, d| bins(o, r, d).map(|(a, b)| b >= a), o);
+                    let exact = q.count_ones();
+                    for budget in [0, 1, 5, exact.saturating_sub(1), exact, exact + 3] {
+                        let count = idx.q_count_selected_above_scoped(&sel, Some(&scope), budget);
+                        assert_budgeted(count, exact, budget, &format!("binned obj {o} {dims:?}"));
+                    }
+                    let picks = (0..ds.dims()).map(|d| sel.q_pick(d));
+                    idx.and_selected_into_scoped(picks, Some(&scope), &mut got);
+                    assert_eq!(got, q, "binned restricted Q of {o} on {dims:?}");
+                    let p = brute(&|o, r, d| bins(o, r, d).map(|(a, b)| b > a), o);
+                    let picks = (0..ds.dims()).map(|d| sel.p_pick(d));
+                    idx.and_selected_into_scoped(picks, Some(&scope), &mut got);
+                    assert_eq!(got, p, "binned restricted P of {o} on {dims:?}");
                 }
             }
         }

@@ -7,22 +7,23 @@
 //!   the core query on it, and remaps ids back to the original, exactly
 //!   the composition `tkd_core::variants` uses (the differential harness
 //!   pins bit-identity);
-//! * a [`DynamicEngine`] — BIG/IBIG only. A full-space statement ranks on
-//!   the maintained indexes, its `WHERE` ranges as the scope mask of
-//!   [`DynamicEngine::query_constrained`], so no row is copied; a
-//!   `SUBSPACE` statement re-ranks a projection, derived from a snapshot
-//!   with ids translated through the live-id table; and `SUBSCRIBE`
-//!   registers a [`StandingSpec`].
+//! * a [`DynamicEngine`] — BIG/IBIG only. Every statement ranks on the
+//!   maintained indexes, so no row is copied: its `WHERE` ranges become
+//!   the scope mask of [`DynamicEngine::query_constrained`], and a
+//!   `SUBSPACE` becomes the projected scope of
+//!   [`DynamicEngine::query_subspace`] (with or without `WHERE`); and
+//!   `SUBSCRIBE` registers a [`StandingSpec`].
 //!
 //! Cost-based algorithm selection ([`AlgoChoice::Auto`]) measures the
-//! rows the statement ranks ([`PlanStats`]; on an engine, its live or
-//! admitted slots in place) and calls [`resolve_algorithm`]; EXPLAIN
-//! renders the same stats and decision, so the printed and executed
-//! choices are one decision, not two. A statement with a fixed
-//! algorithm and no EXPLAIN measures nothing.
+//! rows the statement ranks ([`PlanStats`]; on an engine, the rows in
+//! scope where they lie, [`DynamicEngine::scope_stats`]) and calls
+//! [`resolve_algorithm`]; EXPLAIN renders the same stats and decision,
+//! so the printed and executed choices are one decision, not two. A
+//! statement with a fixed algorithm and no EXPLAIN measures nothing.
 
 use crate::error::{QlError, Span};
 use crate::plan::{resolve_algorithm, AlgoChoice, AlgoDecision, Plan, PlanStats};
+use std::borrow::Cow;
 use tkd_core::{
     variants, Algorithm, BinChoice, DynamicEngine, EngineQuery, ResultEntry, StandingId,
     StandingSpec, TkdQuery, TkdResult,
@@ -96,26 +97,12 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
     if plan.subscribe {
         return subscribe(plan, engine);
     }
-    if plan.subspace.is_some() {
-        // A projection changes dominance itself: derive it from a
-        // snapshot of the live rows; snapshot id `i` is live_ids()[i].
-        let snap = engine.snapshot();
-        let live = engine.live_ids();
-        let derived = derive(plan, &snap)?;
-        let decision = decide(plan, Some(&derived.stats), true);
-        if plan.explain {
-            let target = engine_target(engine);
-            let text = render_explain(plan, &target, &derived.stats, &decision);
-            return Ok(Outcome::Explain(text));
-        }
-        let result = run_derived(plan, &derived, decision.algorithm);
-        return Ok(Outcome::Rows(variants::remap(result, &live)));
-    }
-    // Full space: ranked on the maintained indexes, the WHERE ranges as
-    // a scope mask. Only EXPLAIN and AUTO measure the rows, in place.
+    // Ranked on the maintained indexes: the WHERE ranges admit, the
+    // SUBSPACE projects. Only EXPLAIN and AUTO measure the rows, in place.
     let constraints = constraints(plan);
+    let subspace = plan.subspace.as_deref();
     let stats = (plan.explain || plan.algo == AlgoChoice::Auto)
-        .then(|| engine_stats(engine, &constraints))
+        .then(|| engine_stats(engine, subspace, &constraints))
         .transpose()?;
     let decision = decide(plan, stats.as_ref(), true);
     if plan.explain {
@@ -126,10 +113,10 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
         )));
     }
     let q = EngineQuery::new(plan.k).algorithm(decision.algorithm);
-    let result = if plan.ranges.is_empty() {
-        engine.query_threads(&q, plan.threads)
-    } else {
-        engine.query_constrained(&q, &constraints)
+    let result = match subspace {
+        Some(dims) => engine.query_subspace(&q, dims, &constraints),
+        None if plan.ranges.is_empty() => engine.query_threads(&q, plan.threads),
+        None => engine.query_constrained(&q, &constraints),
     };
     result.map(Outcome::Rows).map_err(exec_error)
 }
@@ -138,7 +125,7 @@ fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError
     // Standing queries run BIG/IBIG; AUTO resolves on the live data.
     let live_stats = match plan.algo {
         AlgoChoice::Fixed(_) => None,
-        AlgoChoice::Auto => Some(engine_stats(engine, &Constraints::none(plan.dims))?),
+        AlgoChoice::Auto => Some(engine_stats(engine, None, &Constraints::none(plan.dims))?),
     };
     let decision = decide(plan, live_stats.as_ref(), true);
     let mut spec = StandingSpec::new(plan.k).algorithm(decision.algorithm);
@@ -149,10 +136,7 @@ fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError
         spec = spec.constrain(r.dim, r.lo, r.hi);
     }
     if plan.explain {
-        let stats = match plan.subspace {
-            Some(_) => derive(plan, &engine.snapshot())?.stats,
-            None => engine_stats(engine, &constraints(plan))?,
-        };
+        let stats = engine_stats(engine, plan.subspace.as_deref(), &constraints(plan))?;
         let target = engine_target(engine);
         return Ok(Outcome::Explain(render_explain(
             plan, &target, &stats, &decision,
@@ -178,11 +162,24 @@ fn constraints(plan: &Plan) -> Constraints {
     c
 }
 
-/// The statistics of the live rows of `engine` that `constraints`
-/// admits, measured where they lie.
-fn engine_stats(engine: &DynamicEngine, constraints: &Constraints) -> Result<PlanStats, QlError> {
-    let slots = engine.admitted_slots(constraints).map_err(exec_error)?;
-    Ok(PlanStats::of_rows(engine.slot_rows(), slots.into_iter()))
+/// The statistics of the rows of `engine` a statement ranks — the live
+/// rows `constraints` admits, projected onto `subspace` (`None` = the full
+/// space) — measured where they lie: the numbers of the derived dataset,
+/// with no row copied and no value sorted.
+fn engine_stats(
+    engine: &DynamicEngine,
+    subspace: Option<&[usize]>,
+    constraints: &Constraints,
+) -> Result<PlanStats, QlError> {
+    let all: Vec<usize> = (0..engine.dims()).collect();
+    let dims = subspace.unwrap_or(&all);
+    let s = engine.scope_stats(dims, constraints).map_err(exec_error)?;
+    Ok(PlanStats::of_counts(
+        s.rows,
+        dims.len(),
+        s.observed,
+        s.distinct,
+    ))
 }
 
 fn engine_target(engine: &DynamicEngine) -> String {
@@ -194,8 +191,9 @@ fn exec_error(e: impl ToString) -> QlError {
 }
 
 /// A plan's derived dataset plus the id mapping back to the target.
-struct Derived {
-    ds: Dataset,
+struct Derived<'a> {
+    /// The target itself when the plan derives nothing.
+    ds: Cow<'a, Dataset>,
     /// `derived id i` → original id; `None` = identity.
     mapping: Option<Vec<ObjectId>>,
     stats: PlanStats,
@@ -203,12 +201,14 @@ struct Derived {
 
 /// Apply `WHERE` admission and `SUBSPACE` projection, mirroring
 /// `tkd_core::variants` (admit → select → project → compose mappings).
-fn derive(plan: &Plan, ds: &Dataset) -> Result<Derived, QlError> {
-    let mut current = ds.clone();
+/// A step copies only the rows it keeps; a full-space statement with no
+/// `WHERE` borrows the target.
+fn derive<'a>(plan: &Plan, ds: &'a Dataset) -> Result<Derived<'a>, QlError> {
+    let mut current = Cow::Borrowed(ds);
     let mut mapping: Option<Vec<ObjectId>> = None;
     if !plan.ranges.is_empty() {
         let admitted = constraints(plan).admitted(&current);
-        current = current.select(&admitted);
+        current = Cow::Owned(current.select(&admitted));
         mapping = Some(admitted);
     }
     if let Some(dims) = &plan.subspace {
@@ -217,7 +217,7 @@ fn derive(plan: &Plan, ds: &Dataset) -> Result<Derived, QlError> {
             None => kept,
             Some(outer) => kept.into_iter().map(|i| outer[i as usize]).collect(),
         });
-        current = projected;
+        current = Cow::Owned(projected);
     }
     let stats = PlanStats::of(&current);
     Ok(Derived {
@@ -228,7 +228,7 @@ fn derive(plan: &Plan, ds: &Dataset) -> Result<Derived, QlError> {
 }
 
 /// Run the core query on the derived dataset and remap ids.
-fn run_derived(plan: &Plan, derived: &Derived, algorithm: Algorithm) -> TkdResult {
+fn run_derived(plan: &Plan, derived: &Derived<'_>, algorithm: Algorithm) -> TkdResult {
     if derived.ds.is_empty() {
         return TkdResult::default();
     }
@@ -517,6 +517,68 @@ mod tests {
                 derived_line(run_on_dataset(&plan, &snap).unwrap()),
                 "{text}"
             );
+        }
+    }
+
+    /// An engine statement's in-place statistics equal those of the
+    /// dataset a rebuild derives, on random scopes — subspaces, `WHERE`
+    /// ranges inside and outside them, signed-zero bounds — over an engine
+    /// with tombstones, rewritten cells and both zeros stored.
+    #[test]
+    fn engine_stats_equal_the_derived_datasets() {
+        let mut h = 7u64;
+        let mut next = move || {
+            h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        const CELLS: [f64; 6] = [-0.0, 0.0, 1.0, 2.0, 2.5, 4.0];
+        let cell = |next: &mut dyn FnMut() -> u64| match next() % 8 {
+            0 | 1 => None,
+            i => Some(CELLS[(i as usize + next() as usize) % CELLS.len()]),
+        };
+        let rows: Vec<Vec<Option<f64>>> = (0..60)
+            .map(|i| {
+                let mut r: Vec<Option<f64>> = (0..4).map(|_| cell(&mut next)).collect();
+                r[i % 4] = r[i % 4].or(Some(-0.0));
+                r
+            })
+            .collect();
+        let mut engine = DynamicEngine::new(Dataset::from_rows(4, &rows).unwrap());
+        for id in (0..60).step_by(7) {
+            engine.delete(id).unwrap();
+        }
+        for id in [2, 13, 40] {
+            engine.update_value(id, 1, Some(0.0)).unwrap();
+            engine.update_value(id, 3, None).unwrap();
+        }
+        engine.insert(&[Some(-0.0), None, Some(9.0), None]).unwrap();
+        let snap = engine.snapshot();
+        let bound =
+            |next: &mut dyn FnMut() -> u64| ["-0", "0", "1", "2.5", "3"][next() as usize % 5];
+        for _ in 0..40 {
+            let dims: Vec<String> = (1..=4)
+                .filter(|_| next() % 2 == 0)
+                .map(|d| format!("d{d}"))
+                .collect();
+            let mut text = String::from("SELECT TOP 3 DOMINATING");
+            if !dims.is_empty() {
+                text += &format!(" SUBSPACE ({})", dims.join(", "));
+            }
+            let d = next() % 4 + 1;
+            match next() % 4 {
+                0 => {}
+                1 => text += &format!(" WHERE d{d} <= {}", bound(&mut next)),
+                2 => text += &format!(" WHERE d{d} > {}", bound(&mut next)),
+                _ => {
+                    let (a, b) = (bound(&mut next), bound(&mut next));
+                    text += &format!(" WHERE d{d} BETWEEN {a} AND {b}");
+                }
+            }
+            let plan = compile(&text, 4).unwrap();
+            let got = engine_stats(&engine, plan.subspace.as_deref(), &constraints(&plan));
+            assert_eq!(got.unwrap(), derive(&plan, &snap).unwrap().stats, "{text}");
         }
     }
 

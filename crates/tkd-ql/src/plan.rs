@@ -110,18 +110,11 @@ impl PlanStats {
     }
 
     /// Measure the rows `rows` of `ds` as if they were a dataset of their
-    /// own — how an engine statement measures its live or admitted rows
-    /// in place, without copying them out.
+    /// own, without copying them out.
     pub fn of_rows(ds: &Dataset, rows: impl Iterator<Item = ObjectId> + Clone) -> Self {
         let dims = ds.dims();
         let n = rows.clone().count();
-        let cells = n * dims;
         let observed: usize = rows.clone().map(|o| ds.mask(o).count() as usize).sum();
-        let sigma = if cells == 0 {
-            0.0
-        } else {
-            (cells - observed) as f64 / cells as f64
-        };
         let distinct = (0..dims)
             .map(|d| {
                 // IEEE dedup after a total-order sort: −0.0 and 0.0 are one
@@ -132,6 +125,20 @@ impl PlanStats {
                 values.len()
             })
             .collect();
+        Self::of_counts(n, dims, observed, distinct)
+    }
+
+    /// The statistics of `n` rows over `dims` dimensions holding
+    /// `observed` observed cells and `distinct[i]` distinct values in
+    /// dimension `i` — how an engine statement reports the rows it ranks
+    /// from counts taken in place.
+    pub(crate) fn of_counts(n: usize, dims: usize, observed: usize, distinct: Vec<usize>) -> Self {
+        let cells = n * dims;
+        let sigma = if cells == 0 {
+            0.0
+        } else {
+            (cells - observed) as f64 / cells as f64
+        };
         PlanStats {
             n,
             dims,
