@@ -201,9 +201,9 @@ impl Coordinator {
         for j in 0..shard_count {
             let (lo, hi) = (j * n / shard_count, (j + 1) * n / shard_count);
             let sub = shard_rows(ds, lo, hi);
-            let mut engine = DynamicEngine::with_options(sub, shard_options());
+            let engine = DynamicEngine::with_options(sub, shard_options());
             let path = cfg.dir.join(format!("shard-{j}.seq0.tkd"));
-            tkd_store::save_engine(&path, &mut engine)
+            tkd_store::save_engine(&path, &engine)
                 .map_err(|e| ClusterError::Store(format!("seed shard {j}: {e}")))?;
             for i in lo..hi {
                 route.push(Some((j as u64, (i - lo) as u32)));

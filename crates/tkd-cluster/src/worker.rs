@@ -262,7 +262,7 @@ fn handle_assign(
     };
     let mut journal = journal.stamped(format!("shard-{shard}"));
     if !journal.holds_engine() {
-        if let Err(e) = journal.checkpoint(&mut engine) {
+        if let Err(e) = journal.checkpoint(&engine) {
             return reject(
                 ERR_REJECTED,
                 shard,
@@ -315,7 +315,7 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
     if host.journal.is_full() {
         // A failed checkpoint leaves the old checkpoint and log in place,
         // and the log keeps taking batches.
-        let _ = host.journal.checkpoint(&mut host.engine);
+        let _ = host.journal.checkpoint(&host.engine);
     }
     ClusterResponse::ShardUpdateAck(ShardUpdateAck {
         seq: u.seq,
@@ -353,7 +353,7 @@ fn handle(state: &Mutex<WorkerState>, req: &ClusterRequest) -> ClusterResponse {
             // The shard leaves as one file: a checkpoint at its seq, saved
             // only when the log holds batches the checkpoint does not.
             if !host.journal.holds_engine() {
-                if let Err(e) = host.journal.checkpoint(&mut host.engine) {
+                if let Err(e) = host.journal.checkpoint(&host.engine) {
                     let resp = reject(
                         ERR_REJECTED,
                         *shard,

@@ -15,19 +15,25 @@
 //!   observed dimension gets its first bin on demand), per-dimension
 //!   probe-tree keys are inserted/removed, and tombstones are cleared from
 //!   *every* column including column 0;
-//! * the shared [`Preprocessed`] artifacts — the per-object per-dimension
-//!   `|Tᵢ|` counts behind `MaxScore` are repaired **exactly** by
-//!   word-parallel delta scans (`live ∧ ¬column` enumerations), the
-//!   incomparable sets gain/lose bits in `O(masks)`, and the descending
-//!   queue is re-sorted lazily at the next query.
+//! * the shared [`Preprocessed`] artifacts — the incomparable sets
+//!   gain/lose bits in `O(masks)`, and the descending `MaxScore` queue is
+//!   recounted lazily at the next query.
 //!
-//! Exactness of the maintained `MaxScore` queue is not an optimization —
-//! it is what makes the engine **bit-identical** to rebuilding from
-//! scratch: ties at the k-th score are resolved by candidate-queue order
-//! (an equal score never displaces, Algorithm 2 line 7), so a merely
-//! *sound* bound would change which of the tied objects survives.
-//! `tests/dynamic_parity.rs` pins this equivalence across randomized op
-//! sequences × missing rates × {BIG, IBIG} × thread counts.
+//! The queue keeps no state of its own. `MaxScore(o) = minᵢ |Tᵢ(o)|`
+//! (Lemma 2) is a rank count the exact index already holds: `|Tᵢ(o)| + 1`
+//! is the live rows missing dimension `i` or at or above `o`'s value slot
+//! in it. So one histogram of the live rows' value slots per dimension,
+//! summed from the top, gives every row's `MaxScore` — the same recount a
+//! constrained or subspace query runs over its scope — and nothing is
+//! repaired per op or stored in a snapshot.
+//!
+//! Exactness of that queue is not an optimization — it is what makes the
+//! engine **bit-identical** to rebuilding from scratch: ties at the k-th
+//! score are resolved by candidate-queue order (an equal score never
+//! displaces, Algorithm 2 line 7), so a merely *sound* bound would change
+//! which of the tied objects survives. `tests/dynamic_parity.rs` pins
+//! this equivalence across randomized op sequences × missing rates ×
+//! {BIG, IBIG} × thread counts.
 //!
 //! Queries run through the **unchanged** scorers: BIG-Score /
 //! IBIG-Score against the maintained indexes (the same scorer
@@ -72,7 +78,7 @@
 use crate::big::{big_term, Candidate};
 use crate::engine::scorer;
 use crate::ibig::{fill_q, ibig_term};
-use crate::maxscore::{fill_queue, t_counts};
+use crate::maxscore::fill_queue;
 use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
@@ -225,10 +231,6 @@ pub struct UpdateStats {
     pub compactions: usize,
 }
 
-/// Sentinel in the `t` table for unobserved cells — public because the
-/// snapshot codec persists the table verbatim ([`DynamicParts::t`]).
-pub const T_UNOBSERVED: u32 = u32::MAX;
-
 /// What [`DynamicEngine::apply_ops`] did with one op batch: whether it
 /// applied, the identities it handed out or retired, and — when standing
 /// queries are registered — one result-delta [`Notification`] per query.
@@ -267,11 +269,9 @@ pub struct DynamicPartsRef<'a> {
     pub index: &'a BitmapIndex,
     /// The maintained binned index.
     pub binned: &'a BinnedBitmapIndex,
-    /// Maintained queue + incomparable sets (queue freshly re-sorted).
+    /// The maintained incomparable sets (the queue beside them is
+    /// derived state, recounted at load).
     pub pre: &'a Preprocessed,
-    /// Row-major `n × dims` table of `|Tᵢ(o)|` ([`T_UNOBSERVED`] where
-    /// missing).
-    pub t: &'a [u32],
     /// IBIG bin selection.
     pub bins: &'a BinChoice,
     /// Tombstone compaction policy.
@@ -285,8 +285,9 @@ pub struct DynamicPartsRef<'a> {
 /// The persisted logical state of a [`DynamicEngine`] — everything
 /// [`DynamicEngine::from_store_parts`] needs to resume bit-identically,
 /// and nothing derivable: the slot→stable-id map, live/dead bookkeeping
-/// (inside [`DynamicParts::index`]'s live mask), the scratch space, and
-/// the stable-id→slot inverse are all recomputed at load.
+/// (inside [`DynamicParts::index`]'s live mask), the `MaxScore` queue,
+/// the scratch space, and the stable-id→slot inverse are all recomputed
+/// at load.
 #[derive(Clone, Debug)]
 pub struct DynamicParts {
     /// All slots since the last compaction, tombstoned rows included.
@@ -299,12 +300,10 @@ pub struct DynamicParts {
     pub index: BitmapIndex,
     /// The maintained binned index (frozen bins, live probe trees).
     pub binned: BinnedBitmapIndex,
-    /// Maintained queue + incomparable sets. The queue must be clean
-    /// (re-sorted) — [`DynamicEngine::to_store_parts`] refreshes first.
+    /// The maintained incomparable sets. Its queue is never read:
+    /// [`DynamicEngine::from_store_parts`] recounts the queue from the
+    /// index's value slots.
     pub pre: Preprocessed,
-    /// Row-major `n × dims` table of `|Tᵢ(o)|`, [`T_UNOBSERVED`] where
-    /// `o` misses `i` (stale on tombstoned slots, like in memory).
-    pub t: Vec<u32>,
     /// IBIG bin selection, re-resolved at the next compaction.
     pub bins: BinChoice,
     /// Tombstone compaction policy.
@@ -376,10 +375,7 @@ pub struct DynamicEngine {
     /// persisted and dropped on every mutation, so the snapshot bytes
     /// stay a pure function of the op history whatever was scored.
     foreign_f: HashMap<u64, BitVec>,
-    /// Row-major `n × dims` table of `|Tᵢ(o)|` (the exact per-dimension
-    /// MaxScore ingredients); [`T_UNOBSERVED`] where `o` misses `i`.
-    t: Vec<u32>,
-    /// The queue needs a re-sort before the next query.
+    /// The queue needs a recount before the next query.
     queue_dirty: bool,
     /// One scratch per query thread, (re)sized on demand by
     /// `fit_scratch`.
@@ -429,12 +425,8 @@ impl DynamicEngine {
                 &Dataset::from_rows(dims, &[]).expect("valid dims"),
                 &vec![1; dims],
             ),
-            pre: Preprocessed {
-                queue: Vec::new(),
-                f_sets: HashMap::new(),
-            },
+            pre: Preprocessed::from_parts(HashMap::new()),
             foreign_f: HashMap::new(),
-            t: Vec::new(),
             queue_dirty: false,
             scratch: Vec::new(),
             bins: options.bins,
@@ -581,13 +573,7 @@ impl DynamicEngine {
     ) -> Result<ObjectId, UpdateError> {
         // Validated before any artifact is touched: inserts are atomic.
         let mask = tkd_model::validate_row(self.dims, row, self.ds.len())?;
-        // 1. Every existing live object's |Tᵢ| gains the new object's
-        //    contribution (word-parallel delta scans over the pre-insert
-        //    index).
-        for (dim, &obs) in row.iter().enumerate() {
-            self.shift_t(dim, obs, None, 1);
-        }
-        // 2. Indexes and storage grow by one slot.
+        // 1. Indexes and storage grow by one slot.
         let slot = self.index.append_row(|d| row[d]);
         let also = self.binned.append_row(|d| row[d]);
         debug_assert_eq!(slot, also);
@@ -598,22 +584,14 @@ impl DynamicEngine {
         .expect("row already validated");
         self.live.push_live();
         self.standing.on_structural();
-        // 3. The new object's own |Tᵢ| row: the (updated) exact index's
-        //    count of live rows missing or ≥ v, less the newcomer itself.
-        for (dim, &obs) in row.iter().enumerate() {
-            self.t.push(match obs {
-                None => T_UNOBSERVED,
-                Some(v) => (self.index.count_missing_or_at_least(dim, v) - 1) as u32,
-            });
-        }
-        // 4. Incomparable sets: a bit for the newcomer in every mask's
+        // 2. Incomparable sets: a bit for the newcomer in every mask's
         //    set, plus an entry for its own mask if unseen.
         for (key, bv) in self.pre.f_sets.iter_mut() {
             bv.push(*key & mask.bits() == 0);
         }
         self.ensure_fset(mask);
         self.foreign_f.clear();
-        // 5. Stable identity.
+        // 3. Stable identity.
         let id = self.next_id;
         self.next_id += 1;
         self.stable_of.push(id);
@@ -632,12 +610,7 @@ impl DynamicEngine {
     pub fn delete(&mut self, id: ObjectId) -> Result<(), UpdateError> {
         let slot = self.slot(id)?;
         self.standing.on_structural();
-        // Kill first so the delta scans exclude the victim itself.
         self.live.kill(slot);
-        for dim in 0..self.dims {
-            let obs = self.ds.value(slot as ObjectId, dim);
-            self.shift_t(dim, obs, None, -1);
-        }
         self.index.tombstone_row(slot);
         let row: Vec<Option<f64>> = (0..self.dims)
             .map(|d| self.ds.value(slot as ObjectId, d))
@@ -687,22 +660,11 @@ impl DynamicEngine {
             _ => {}
         }
         self.standing.on_set(dim);
-        // Other objects' |T_dim|: remove the old contribution, add the new
-        // one. Both scans skip the object itself (its own row is
-        // recomputed below) and see only other objects' bits, which the
-        // in-between index mutation does not touch.
-        self.shift_t(dim, old, Some(slot), -1);
         self.index.set_cell(slot, dim, new);
-        self.shift_t(dim, new, Some(slot), 1);
         self.binned.set_cell(slot, dim, old, new);
         self.ds
             .set_value(slot as ObjectId, dim, new)
             .expect("validated above");
-        // The object's own |T_dim| from the updated exact index.
-        self.t[slot * self.dims + dim] = match new {
-            None => T_UNOBSERVED,
-            Some(v) => (self.index.count_missing_or_at_least(dim, v) - 1) as u32,
-        };
         // Observedness flips re-home the object across incomparable sets.
         if old.is_some() != new.is_some() {
             match new {
@@ -1075,7 +1037,7 @@ impl DynamicEngine {
         constraints: &Constraints,
     ) -> Result<TkdResult, UpdateError> {
         let rows = RowScope::new(self.scope_rows(dims, constraints)?);
-        let queue = self.scoped_queue(&rows, dims);
+        let queue = self.scoped_queue(rows.bits(), dims);
         let scope = Scope::new(rows, dims, &self.index, &self.pre);
         self.fit_scratch(1);
         let (ds, index, binned, pre) = (&self.ds, &self.index, &self.binned, &self.pre);
@@ -1112,7 +1074,7 @@ impl DynamicEngine {
     ) -> Result<ScopeStats, UpdateError> {
         let mask = self.subspace_mask(dims)?;
         let rows = self.scope_rows(mask, constraints)?;
-        let (layout, counts) = self.slot_histogram(&rows, mask, |_| {});
+        let (layout, counts) = self.slot_histogram(&rows, mask);
         let n = rows.count_ones();
         let slots = |d: usize| {
             let &(_, base) = layout
@@ -1174,14 +1136,8 @@ impl DynamicEngine {
 
     /// A histogram of the value slots of `rows` in each dimension of
     /// `dims`: an entry `(d, base)` per dimension, whose slot `j` (`0` =
-    /// missing) is bucket `base + j`, and the count of each bucket. Every
-    /// row's buckets, row by row and in entry order, also go to `visit`.
-    fn slot_histogram(
-        &self,
-        rows: &BitVec,
-        dims: DimMask,
-        mut visit: impl FnMut(usize),
-    ) -> (Vec<(usize, usize)>, Vec<usize>) {
+    /// missing) is bucket `base + j`, and the count of each bucket.
+    fn slot_histogram(&self, rows: &BitVec, dims: DimMask) -> (Vec<(usize, usize)>, Vec<usize>) {
         let index = &self.index;
         let mut layout = Vec::with_capacity(dims.count() as usize);
         let mut len = 0;
@@ -1192,9 +1148,7 @@ impl DynamicEngine {
         let mut counts = vec![0usize; len];
         for s in rows.iter_ones() {
             for &(d, base) in &layout {
-                let bucket = base + index.value_slot(s, d) as usize;
-                counts[bucket] += 1;
-                visit(bucket);
+                counts[base + index.value_slot(s, d) as usize] += 1;
             }
         }
         (layout, counts)
@@ -1205,12 +1159,10 @@ impl DynamicEngine {
     /// least, over its observed dimensions of `dims`, of the scope rows
     /// missing that dimension or at or above its value slot, less itself
     /// — one histogram of the scope rows' value slots per dimension of
-    /// `dims`, summed from the top.
-    fn scoped_queue(&self, scope: &RowScope, dims: DimMask) -> Vec<(ObjectId, usize)> {
-        // Row by row, its bucket in each dimension of `dims`.
-        let mut buckets = Vec::with_capacity(scope.count() * dims.count() as usize);
-        let (layout, mut at_least) =
-            self.slot_histogram(scope.bits(), dims, |b| buckets.push(b as u32));
+    /// `dims`, summed from the top. Over the live rows and every
+    /// dimension this is the engine's own queue.
+    fn scoped_queue(&self, scope: &BitVec, dims: DimMask) -> Vec<(ObjectId, usize)> {
+        let (layout, mut at_least) = self.slot_histogram(scope, dims);
         // Now `at_least[base + j]`: scope rows missing `d` (`j = 0`) or,
         // for `j ≥ 1`, at a value slot `≥ j` of `d`.
         for &(d, base) in &layout {
@@ -1225,13 +1177,16 @@ impl DynamicEngine {
         }
         // Less the row itself, which every count of its own slots holds.
         // A scope row observes some dimension of `dims`.
-        let max_scores = buckets.chunks_exact(layout.len()).map(|row| {
-            let t_row = row.iter().map(|&b| at_least[b as usize]);
+        let index = &self.index;
+        let max_score = |s: usize| {
+            let t_row = layout
+                .iter()
+                .map(|&(d, base)| at_least[base + index.value_slot(s, d) as usize]);
             t_row.min().expect("a scope dimension") - 1
-        });
-        let mut queue = Vec::with_capacity(scope.count());
-        let rows = scope.bits().iter_ones().map(|s| s as ObjectId);
-        fill_queue(&mut queue, rows.zip(max_scores));
+        };
+        let mut queue = Vec::with_capacity(scope.count_ones());
+        let rows = scope.iter_ones().map(|s| (s as ObjectId, max_score(s)));
+        fill_queue(&mut queue, rows);
         queue
     }
 
@@ -1389,20 +1344,17 @@ impl DynamicEngine {
 
     // ----- persistence ----------------------------------------------------
 
-    /// Export the engine's logical state for the snapshot writer. Takes
-    /// `&mut self` to flush the deferred queue re-sort first, so the
-    /// persisted queue is always clean and the serialization of a given
-    /// logical state is deterministic.
-    pub fn to_store_parts(&mut self) -> DynamicParts {
-        self.refresh();
+    /// Export the engine's logical state for the snapshot writer. The
+    /// queue is left out (`pre` carries an empty one): it is derived
+    /// state, recounted at load.
+    pub fn to_store_parts(&self) -> DynamicParts {
         DynamicParts {
             ds: self.ds.clone(),
             stable_of: self.stable_of.clone(),
             next_id: self.next_id,
             index: self.index.clone(),
             binned: self.binned.clone(),
-            pre: self.pre.clone(),
-            t: self.t.clone(),
+            pre: Preprocessed::from_parts(self.pre.f_sets.clone()),
             bins: self.bins.clone(),
             policy: self.policy,
             epoch: self.epoch,
@@ -1414,8 +1366,7 @@ impl DynamicEngine {
     /// path's view. Serializing through references keeps peak memory at
     /// one engine plus the output buffer; the owned [`DynamicParts`]
     /// (a full deep copy of every artifact) is only ever built on load.
-    pub fn store_parts_ref(&mut self) -> DynamicPartsRef<'_> {
-        self.refresh();
+    pub fn store_parts_ref(&self) -> DynamicPartsRef<'_> {
         DynamicPartsRef {
             ds: &self.ds,
             stable_of: &self.stable_of,
@@ -1423,7 +1374,6 @@ impl DynamicEngine {
             index: &self.index,
             binned: &self.binned,
             pre: &self.pre,
-            t: &self.t,
             bins: &self.bins,
             policy: self.policy,
             epoch: self.epoch,
@@ -1434,12 +1384,12 @@ impl DynamicEngine {
     /// Resume an engine from persisted parts (snapshot load) — the
     /// inverse of [`DynamicEngine::to_store_parts`], rebuilding every
     /// derivable structure (live bookkeeping from the index's mask, the
-    /// stable-id inverse, `|Sᵢ|` counts, scratch) and validating the
-    /// cross-section invariants the query paths rely on: consistent
-    /// arities, strictly increasing stable ids (the tie-order invariant),
-    /// a `t` table whose observedness matches the dataset's masks, a
-    /// clean correctly-sorted queue covering exactly the live slots, and
-    /// an incomparable set for every live mask.
+    /// stable-id inverse, scratch; the `MaxScore` queue at the first
+    /// query) and validating the cross-section invariants the query paths
+    /// rely on: consistent arities, strictly increasing stable ids (the
+    /// tie-order invariant), exact-index value slots that name every live
+    /// cell's value (the queue is counted from them), and an incomparable
+    /// set for every live mask.
     ///
     /// # Errors
     /// A description of the first violated invariant. Bit-level integrity
@@ -1453,7 +1403,6 @@ impl DynamicEngine {
             index,
             binned,
             pre,
-            t,
             bins,
             policy,
             epoch,
@@ -1490,67 +1439,23 @@ impl DynamicEngine {
                 return Err(format!("stable id {last} is not below next_id {next_id}"));
             }
         }
-        if t.len() != n * dims {
-            return Err(format!(
-                "t table holds {} entries, expected {}",
-                t.len(),
-                n * dims
-            ));
-        }
         if let Some(d) = (0..dims).find(|&d| binned.observed_count(d) > live.live_count()) {
             return Err(format!(
                 "dim {d} observes more probe entries than live slots exist"
             ));
         }
-        // Live slots' t rows agree with the masks; the queue covers the
-        // live slots exactly, sorted by (MaxScore desc, slot asc), each
-        // entry carrying the min of its observed t row.
+        // Live slots' value slots name their cells: 0 for a missing one,
+        // else the slot of an IEEE-equal value.
         for s in live.iter_live() {
-            let mask = ds.mask(s as ObjectId);
             for d in 0..dims {
-                let unobserved = t[s * dims + d] == T_UNOBSERVED;
-                if unobserved == mask.observed(d) {
+                let slot = index.value_slot(s, d) as usize;
+                let names_cell = match ds.value(s as ObjectId, d) {
+                    None => slot == 0,
+                    Some(v) => slot > 0 && index.values(d)[slot - 1] == v,
+                };
+                if !names_cell {
                     return Err(format!(
-                        "t table observedness of slot {s} dim {d} disagrees with the dataset"
-                    ));
-                }
-            }
-        }
-        if pre.queue().len() != live.live_count() {
-            return Err(format!(
-                "queue holds {} entries for {} live slots",
-                pre.queue().len(),
-                live.live_count()
-            ));
-        }
-        let mut seen = BitVec::zeros(n);
-        for (i, &(slot, ms)) in pre.queue().iter().enumerate() {
-            let s = slot as usize;
-            if s >= n || !live.is_live(s) {
-                return Err(format!(
-                    "queue entry {i} names dead or out-of-range slot {slot}"
-                ));
-            }
-            if seen.get(s) {
-                return Err(format!("queue names slot {slot} twice"));
-            }
-            seen.set(s);
-            let expected = ds
-                .mask(slot)
-                .iter()
-                .map(|d| t[s * dims + d] as usize)
-                .min()
-                .expect("live rows observe at least one dimension");
-            if ms != expected {
-                return Err(format!(
-                    "queue MaxScore {ms} of slot {slot} disagrees with the t table ({expected})"
-                ));
-            }
-            if i > 0 {
-                let (ps, pm) = pre.queue()[i - 1];
-                if (pm, slot) <= (ms, ps) {
-                    return Err(format!(
-                        "queue is not sorted by (MaxScore desc, slot asc) at entry {i}"
+                        "value slot {slot} of slot {s} dim {d} disagrees with the dataset"
                     ));
                 }
             }
@@ -1583,8 +1488,7 @@ impl DynamicEngine {
             binned,
             pre,
             foreign_f: HashMap::new(),
-            t,
-            queue_dirty: false,
+            queue_dirty: true,
             scratch: Vec::new(),
             bins,
             policy,
@@ -1644,21 +1548,11 @@ impl DynamicEngine {
                 v.clone()
             }
         };
-        // One sort per dimension: the same column feeds both indexes and
-        // the exact `|Tᵢ|` table.
+        // One sort per dimension feeds both indexes.
         let mut pair = IndexPairBuilder::new(&bins, n);
-        self.t = vec![T_UNOBSERVED; n * dims];
-        for_each_sorted_column(ds, |d, column| {
-            pair.push_dim(d, column);
-            for (o, t_d) in t_counts(column, n) {
-                self.t[o as usize * dims + d] = t_d as u32;
-            }
-        });
+        for_each_sorted_column(ds, |d, column| pair.push_dim(d, column));
         (self.index, self.binned) = pair.finish();
-        self.pre = Preprocessed {
-            queue: Vec::new(),
-            f_sets: incomparable_bitvecs(ds),
-        };
+        self.pre = Preprocessed::from_parts(incomparable_bitvecs(ds));
         self.foreign_f.clear();
         self.queue_dirty = true;
         self.refresh();
@@ -1678,36 +1572,6 @@ impl DynamicEngine {
         live_or(self.slot_of.get(&id).copied(), id, self.next_id)
     }
 
-    /// Add `delta` to `|T_dim(o)|` of every live object `o` that counts an
-    /// object observing `obs` in `dim` (`None` = the object misses `dim`
-    /// and contributes through `S_dim` to every observer), skipping
-    /// `skip`. One word-parallel `live ∧ ¬column` enumeration: `O(N/64)`
-    /// words plus one add per affected object.
-    fn shift_t(&mut self, dim: usize, obs: Option<f64>, skip: Option<usize>, delta: i32) {
-        // `o` counts the contributor iff `o[dim] ≤ v` (rank sets) or
-        // always when the contributor misses `dim` (membership in S_dim) —
-        // in both cases a complement-of-column scan:
-        //   {o live, observed, o[dim] ≤ v}  =  live ∧ ¬column[#values ≤ v]
-        //   {o live, observed}              =  live ∧ ¬column[C_dim]
-        let c = match obs {
-            Some(v) => self.index.values(dim).partition_point(|&x| x <= v),
-            None => self.index.cardinality(dim),
-        };
-        if c == 0 {
-            return; // column 0 is all-ones: the complement set is empty
-        }
-        let col = self.index.column(dim, c);
-        let dims = self.dims;
-        for s in self.live.live_mask().iter_ones_and_not(col) {
-            if Some(s) == skip {
-                continue;
-            }
-            let e = &mut self.t[s * dims + dim];
-            debug_assert_ne!(*e, T_UNOBSERVED, "shift hit an unobserved cell");
-            *e = e.checked_add_signed(delta).expect("t-count out of range");
-        }
-    }
-
     /// Make sure the incomparable-set table has an entry for `mask`,
     /// building it over the live objects if absent.
     fn ensure_fset(&mut self, mask: DimMask) {
@@ -1718,24 +1582,14 @@ impl DynamicEngine {
             .or_insert_with(|| incomparable_window(ds, live, mask));
     }
 
-    /// Re-sort the candidate queue from the maintained exact `|Tᵢ|` table
-    /// (deferred until the next query so op batches pay it once).
+    /// Recount the candidate queue over the live rows and every
+    /// dimension (deferred until the next query so op batches pay it
+    /// once).
     fn refresh(&mut self) {
         if !self.queue_dirty {
             return;
         }
-        let (t, dims) = (&self.t, self.dims);
-        // `T_UNOBSERVED` is `u32::MAX`, so a missing cell never attains
-        // the minimum.
-        let max_score = |s: usize| {
-            let t_row = t[s * dims..(s + 1) * dims].iter().min();
-            *t_row.expect("at least one dimension") as usize
-        };
-        let live = self.live.iter_live();
-        fill_queue(
-            &mut self.pre.queue,
-            live.map(|s| (s as ObjectId, max_score(s))),
-        );
+        self.pre.queue = self.scoped_queue(self.live.live_mask(), DimMask::all(self.dims));
         self.queue_dirty = false;
     }
 
@@ -2251,27 +2105,7 @@ mod tests {
             p.next_id = 5;
             assert!(DynamicEngine::from_store_parts(p).is_err());
         }
-        // Queue MaxScore tampered.
-        {
-            let mut p = parts.clone();
-            let q = p.pre.queue().to_vec();
-            let mut q2 = q.clone();
-            q2[0].1 += 1;
-            p.pre = Preprocessed::from_parts(q2, p.pre.f_sets().clone());
-            assert!(DynamicEngine::from_store_parts(p).is_err());
-        }
-        // Queue order tampered (swap two adjacent distinct-score entries).
-        {
-            let mut p = parts.clone();
-            let mut q = p.pre.queue().to_vec();
-            let i = (0..q.len() - 1)
-                .find(|&i| q[i].1 != q[i + 1].1)
-                .expect("distinct scores exist");
-            q.swap(i, i + 1);
-            p.pre = Preprocessed::from_parts(q, p.pre.f_sets().clone());
-            assert!(DynamicEngine::from_store_parts(p).is_err());
-        }
-        // t-table observedness flipped on an observed cell of live slot 0.
+        // A live cell whose value its exact-index value slot does not name.
         {
             let mut p = parts.clone();
             let d =
@@ -2279,7 +2113,8 @@ mod tests {
                     .iter()
                     .next()
                     .expect("slot 0 observes something");
-            p.t[d] = T_UNOBSERVED;
+            let v = p.ds.value(0, d).expect("observed");
+            p.ds.set_value(0, d, Some(v + 0.5)).unwrap();
             assert!(DynamicEngine::from_store_parts(p).is_err());
         }
         // Missing incomparable set for a live mask.
@@ -2287,7 +2122,7 @@ mod tests {
             let mut p = parts;
             let mut f = p.pre.f_sets().clone();
             f.remove(&p.ds.mask(0).bits());
-            p.pre = Preprocessed::from_parts(p.pre.queue().to_vec(), f);
+            p.pre = Preprocessed::from_parts(f);
             assert!(DynamicEngine::from_store_parts(p).is_err());
         }
     }

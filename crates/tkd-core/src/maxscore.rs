@@ -13,12 +13,15 @@
 //! `|Tᵢ(o)| = observed − run start − 1 + |Sᵢ|` (the `− 1` is `o` itself)
 //! — one linear sweep per dimension after the sort (`t_counts`). The
 //! paper's §4.2 B+-tree rank query computes the same number one probe at
-//! a time; here that is needed only to *maintain* the counts under
-//! updates (`crate::dynamic`), never to build them. Builds that also
-//! construct an index feed the same column to both
-//! (`max_scores_sharing`).
+//! a time; nothing here asks it. Builds that also construct an index
+//! feed the same column to both (`max_scores_sharing`).
 //!
-//! A row set that changes but keeps no index reads the same number off
+//! A row set that changes keeps no counts either way. With an exact
+//! index beside it (`crate::dynamic`), `|Tᵢ(o)| + 1` is the live rows
+//! missing `i` or at or above `o`'s value slot, so one histogram of the
+//! index's value slots per dimension, summed from the top, gives every
+//! row's `MaxScore` at the next query (`fill_queue` orders them). A
+//! row set that keeps no index reads the same number off
 //! [`ValueCounts`]: per dimension, the live count of each distinct value
 //! and of the missing cells, so `|Tᵢ(o)| = |Sᵢ| + #{observed ≥ o[i]} − 1`
 //! is a rank count in a table of at most `Cᵢ` entries.

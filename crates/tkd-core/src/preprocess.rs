@@ -20,7 +20,7 @@ use tkd_model::{stats, Dataset, ObjectId};
 #[derive(Clone, Debug)]
 pub struct Preprocessed {
     /// Crate-visible so the dynamic update layer (`crate::dynamic`) can
-    /// repair the queue in place instead of rebuilding it per op.
+    /// recount the queue in place.
     pub(crate) queue: Vec<(ObjectId, usize)>,
     /// Keyed by observation-mask bits; crate-visible for the same reason
     /// (inserts push a bit into every set, deletes clear one).
@@ -43,11 +43,16 @@ impl Preprocessed {
         }
     }
 
-    /// Reassemble the artifacts from persisted parts (snapshot load).
-    /// Invariant validation lives with the caller that knows the dataset
-    /// — see `DynamicEngine::from_store_parts`.
-    pub fn from_parts(queue: Vec<(ObjectId, usize)>, f_sets: HashMap<u64, BitVec>) -> Self {
-        Preprocessed { queue, f_sets }
+    /// The artifacts from their incomparable sets alone, beside an empty
+    /// queue that a `DynamicEngine` recounts — how its builds and
+    /// snapshot loads assemble them. Invariant validation lives with the
+    /// caller that knows the dataset — see
+    /// `DynamicEngine::from_store_parts`.
+    pub fn from_parts(f_sets: HashMap<u64, BitVec>) -> Self {
+        Preprocessed {
+            queue: Vec::new(),
+            f_sets,
+        }
     }
 
     /// The priority queue `F`: all objects by descending `MaxScore`.

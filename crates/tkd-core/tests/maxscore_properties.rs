@@ -1,15 +1,16 @@
 //! Property-based pins of the sorted-column `MaxScore` derivation: the
 //! sweep equals direct set counting, the queue keeps its tie order, and
-//! the dynamic engine's maintained queue and `|Tᵢ|` table — after a random
-//! op stream *and* after a forced compaction (the bulk rebuild path) —
-//! equal a from-scratch build over the live rows, as does the queue of
-//! the live value-count tables. `−0.0` sits in the value domain beside
-//! `0.0`: the two are IEEE-equal and must count as one value.
+//! the dynamic engine's queue — after a random op stream *and* after a
+//! forced compaction (the bulk rebuild path), in the engine and in one
+//! resumed from its persisted parts — equals a from-scratch build over
+//! the live rows, as does the queue of the live value-count tables.
+//! `−0.0` sits in the value domain beside `0.0`: the two are IEEE-equal
+//! and must count as one value.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeSet;
-use tkd_core::dynamic::{DynamicEngine, UpdateOp, T_UNOBSERVED};
+use tkd_core::dynamic::{DynamicEngine, UpdateOp};
 use tkd_core::maxscore::{max_scores, max_scores_bruteforce, maxscore_queue, ValueCounts};
 use tkd_model::{Dataset, ObjectId};
 
@@ -95,32 +96,14 @@ fn rebuilt_queue(engine: &DynamicEngine) -> Vec<(ObjectId, usize)> {
         .collect()
 }
 
-/// Queue and `t`-derived MaxScores of `engine` against a from-scratch
-/// build over its live rows.
+/// The queue of `engine`, and of an engine resumed from its persisted
+/// parts, against a from-scratch build over its live rows.
 fn assert_exact(engine: &mut DynamicEngine) -> Result<(), TestCaseError> {
-    let snapshot = engine.snapshot();
     let want = rebuilt_queue(engine);
-    prop_assert_eq!(engine.maintained_queue(), want);
-
-    let parts = engine.store_parts_ref();
-    let dims = parts.ds.dims();
-    let from_t: Vec<usize> = (0..parts.ds.len())
-        .filter(|&slot| parts.index.live_mask().get(slot))
-        .map(|slot| {
-            parts
-                .ds
-                .mask(slot as ObjectId)
-                .iter()
-                .map(|d| {
-                    let t = parts.t[slot * dims + d];
-                    assert_ne!(t, T_UNOBSERVED, "observed cell without a count");
-                    t as usize
-                })
-                .min()
-                .expect("rows observe a dimension")
-        })
-        .collect();
-    prop_assert_eq!(from_t, max_scores(&snapshot));
+    prop_assert_eq!(engine.maintained_queue(), want.clone());
+    let mut resumed =
+        DynamicEngine::from_store_parts(engine.to_store_parts()).map_err(TestCaseError::from)?;
+    prop_assert_eq!(resumed.maintained_queue(), want);
     Ok(())
 }
 
@@ -154,7 +137,7 @@ proptest! {
     /// The dynamic engine's bulk-built artifacts, their incremental
     /// maintenance, and the compaction rebuild all stay exact.
     #[test]
-    fn dynamic_queue_and_t_table_stay_exact((ds, ops) in dynamic_case_strategy()) {
+    fn dynamic_queue_stays_exact((ds, ops) in dynamic_case_strategy()) {
         let dims = ds.dims();
         let mut engine = DynamicEngine::new(ds);
         assert_exact(&mut engine)?;

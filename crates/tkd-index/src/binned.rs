@@ -7,8 +7,10 @@
 //! bin interior, which `BTreeSet::range` is. The paper's other B+-tree
 //! use, the §4.2 rank query behind `MaxScore`, needs order statistics a
 //! `BTreeSet` does not keep — and the exact index beside this one already
-//! stores that count as a column popcount, so the rank query lives there
-//! ([`crate::BitmapIndex::count_missing_or_at_least`]).
+//! stores that count as a column popcount (the `[Qᵢ]` column of a value,
+//! [`crate::BitmapIndex::q_selected_upper_bound`] of a one-dimension
+//! selection) and every row's value slot, from which `tkd-core` counts
+//! the whole queue in one histogram.
 
 use crate::key::F64Key;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
@@ -1357,6 +1359,11 @@ mod tests {
             f64::INFINITY,
         ];
 
+        // Live rows missing `dim` or at or above `v`: the popcount of the
+        // one `[Q_dim]` column a selection observing only `dim` picks.
+        let at_least = |exact: &BitmapIndex, dim: usize, v: f64| {
+            exact.q_selected_upper_bound(&exact.select_for(|d| (d == dim).then_some(v)))
+        };
         for (lo, hi) in [(0, n), (0, 50), (50, 100), (100, n)] {
             let sub = row_range(&ds, lo, hi);
             let idx = BinnedBitmapIndex::build(&sub, &[3, 3, 3]);
@@ -1379,9 +1386,9 @@ mod tests {
                 assert_eq!(idx.observed_count(dim), tree.len());
                 for v in probes {
                     assert_eq!(
-                        exact.count_missing_or_at_least(dim, v),
+                        at_least(&exact, dim, v),
                         missing + tree.range((key(v), 0)..).count(),
-                        "count_missing_or_at_least({v}) {lo}..{hi} dim {dim}"
+                        "missing or at least {v}, {lo}..{hi} dim {dim}"
                     );
                     let eq: Vec<ObjectId> = idx.ids_equal(dim, v).collect();
                     let want: Vec<ObjectId> = tree
@@ -1426,8 +1433,8 @@ mod tests {
             assert_eq!(bits(&bulk), bits(&grown), "dim {dim}");
             for v in probes {
                 assert_eq!(
-                    bulk_exact.count_missing_or_at_least(dim, v),
-                    grown_exact.count_missing_or_at_least(dim, v)
+                    at_least(&bulk_exact, dim, v),
+                    at_least(&grown_exact, dim, v)
                 );
                 assert!(bulk.ids_equal(dim, v).eq(grown.ids_equal(dim, v)));
             }

@@ -654,22 +654,6 @@ impl BitmapIndex {
         ub
     }
 
-    /// Rank query: the number of live objects whose value in `dim` is
-    /// missing or `≥ v` — for an observed `v` of object `o`,
-    /// `|Tᵢ(o)| + 1` (the count includes `o` itself), which is how the
-    /// dynamic engine seeds a new row's `MaxScore` terms. The set is one
-    /// range-encoded column, so this is a binary search in the value
-    /// table plus one stored popcount.
-    pub fn count_missing_or_at_least(&self, dim: usize, v: f64) -> usize {
-        // IEEE `<` probe, as in `select_for`: column `c` holds
-        // `missing ∨ > values[c − 1]`, i.e. `missing ∨ ≥ v`.
-        match self.values[dim].partition_point(|&x| x < v) {
-            // Column 0 stays all-ones under tombstones.
-            0 => self.live_count(),
-            c => self.block_suffix[dim][c][0] as usize,
-        }
-    }
-
     /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit — the
     /// Heuristic 2 scan, and the hot path of Algorithm 3 (most visited
     /// objects die here). Returns `None` as soon as the count is provably

@@ -17,9 +17,10 @@
 //!   by every artifact built over the dataset through
 //!   [`BitmapIndexBuilder`] / [`BinnedBitmapIndexBuilder`] (both at once:
 //!   [`IndexPairBuilder`]). The probe trees are bulk-filled from it;
-//!   single-key inserts and the rank query
-//!   ([`BitmapIndex::count_missing_or_at_least`]) belong to the dynamic
-//!   maintenance path only.
+//!   single-key inserts belong to the dynamic maintenance path only. The
+//!   §4.2 rank query behind `MaxScore` is no probe here: a maintained
+//!   index keeps every row's value slot ([`BitmapIndex::value_slot`]),
+//!   and `tkd-core` counts the whole queue from one histogram of them.
 //!
 //! # The column encoding
 //!

@@ -58,8 +58,10 @@ fn assert_selections_agree(
     Ok(())
 }
 
-/// The rank query equals a brute-force count over the live rows (`None` =
-/// tombstoned), for probes at, between, below and beyond the table values.
+/// The rank query — the popcount of the one `[Qᵢ]` column a selection
+/// observing only dimension `i` picks — equals a brute-force count over
+/// the live rows (`None` = tombstoned), for probes at, between, below and
+/// beyond the table values.
 fn assert_ranks_agree(
     exact: &BitmapIndex,
     rows: &[Option<Vec<Option<f64>>>],
@@ -82,8 +84,9 @@ fn assert_ranks_agree(
                 .flatten()
                 .filter(|r| r[dim].is_none_or(|x| x >= v))
                 .count();
+            let sel = exact.select_for(|d| (d == dim).then_some(v));
             prop_assert_eq!(
-                exact.count_missing_or_at_least(dim, v),
+                exact.q_selected_upper_bound(&sel),
                 brute,
                 "dim {} probe {}",
                 dim,
@@ -144,7 +147,7 @@ proptest! {
         assert_selections_agree(&exact, &binned, &rows)?;
     }
 
-    /// `count_missing_or_at_least` is the number of live rows with
+    /// The rank query is the number of live rows with
     /// `missing ∨ value ≥ v` while the index is mutated: beside
     /// tombstones, after an append that is the first observation of a
     /// dimension and a new minimum everywhere else (the column-0 splice,

@@ -563,7 +563,7 @@ fn engine_loop(mut engine: DynamicEngine, shared: Arc<Shared>, done: mpsc::Sende
     sweep_leftovers(&shared);
     // Final checkpoint, then hand the engine back.
     if let Some(journal) = &mut journal {
-        let _ = journal.checkpoint(&mut engine);
+        let _ = journal.checkpoint(&engine);
     }
     shared.shutdown.store(true, Ordering::Release);
     let _ = done.send(engine);

@@ -266,15 +266,10 @@ pub fn decode_binned(r: &mut Reader<'_>) -> Result<BinnedBitmapIndex, StoreError
 
 // ----- preprocessed -------------------------------------------------------
 
-/// `n u64 · queue len u64 · (slot u32, score u64) pairs · nsets u64 ·
-/// (mask u64 ascending · bitvec) entries`.
+/// `n u64 · nsets u64 · (mask u64 ascending · bitvec) entries` — the
+/// incomparable sets only: the `MaxScore` queue is recounted at load.
 pub fn encode_pre(w: &mut Writer, n: usize, pre: &Preprocessed) {
     w.put_u64(n as u64);
-    w.put_u64(pre.queue().len() as u64);
-    for &(slot, score) in pre.queue() {
-        w.put_u32(slot);
-        w.put_u64(score as u64);
-    }
     let mut keys: Vec<u64> = pre.f_sets().keys().copied().collect();
     keys.sort_unstable(); // canonical: the map's order never leaks
     w.put_u64(keys.len() as u64);
@@ -285,18 +280,11 @@ pub fn encode_pre(w: &mut Writer, n: usize, pre: &Preprocessed) {
 }
 
 /// Inverse of [`encode_pre`]; enforces strictly ascending mask keys (the
-/// canonical form) and per-set bit lengths of `n`.
+/// canonical form) and per-set bit lengths of `n`. The queue comes back
+/// empty.
 pub fn decode_pre(r: &mut Reader<'_>) -> Result<(usize, Preprocessed), StoreError> {
     let n = r.get_u64()?;
     let n = usize::try_from(n).map_err(|_| r.invalid("n exceeds usize"))?;
-    let qlen = r.get_count_u64(12)?;
-    let mut queue = Vec::with_capacity(qlen);
-    for _ in 0..qlen {
-        let slot = r.get_u32()?;
-        let score = r.get_u64()?;
-        let score = usize::try_from(score).map_err(|_| r.invalid("score exceeds usize"))?;
-        queue.push((slot, score));
-    }
     let nsets = r.get_count_u64(16)?; // mask u64 + bit length u64 minimum
     let mut f_sets = HashMap::with_capacity(nsets);
     let mut last: Option<u64> = None;
@@ -315,7 +303,7 @@ pub fn decode_pre(r: &mut Reader<'_>) -> Result<(usize, Preprocessed), StoreErro
         }
         f_sets.insert(mask, bv);
     }
-    Ok((n, Preprocessed::from_parts(queue, f_sets)))
+    Ok((n, Preprocessed::from_parts(f_sets)))
 }
 
 // ----- dynamic meta -------------------------------------------------------
@@ -326,8 +314,6 @@ pub struct DynamicMeta {
     pub stable_of: Vec<ObjectId>,
     /// Next stable id.
     pub next_id: ObjectId,
-    /// The exact `|Tᵢ|` table.
-    pub t: Vec<u32>,
     /// Bin selection.
     pub bins: BinChoice,
     /// Compaction policy.
@@ -338,17 +324,13 @@ pub struct DynamicMeta {
     pub stats: UpdateStats,
 }
 
-/// `next_id u32 · nslots u64 · stable ids u32 · tlen u64 · t u32 · bins
-/// (tag u8 + payload) · policy (f64 + u64) · epoch u64 · stats 4×u64`.
+/// `next_id u32 · nslots u64 · stable ids u32 · bins (tag u8 + payload) ·
+/// policy (f64 + u64) · epoch u64 · stats 4×u64`.
 pub fn encode_dynamic(w: &mut Writer, parts: &DynamicPartsRef<'_>) {
     w.put_u32(parts.next_id);
     w.put_u64(parts.stable_of.len() as u64);
     for &id in parts.stable_of {
         w.put_u32(id);
-    }
-    w.put_u64(parts.t.len() as u64);
-    for &v in parts.t {
-        w.put_u32(v);
     }
     match parts.bins {
         BinChoice::Auto => w.put_u8(0),
@@ -380,11 +362,6 @@ pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
     let mut stable_of = Vec::with_capacity(nslots);
     for _ in 0..nslots {
         stable_of.push(r.get_u32()?);
-    }
-    let tlen = r.get_count_u64(4)?;
-    let mut t = Vec::with_capacity(tlen);
-    for _ in 0..tlen {
-        t.push(r.get_u32()?);
     }
     let bins = match r.get_u8()? {
         0 => BinChoice::Auto,
@@ -418,7 +395,6 @@ pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
     Ok(DynamicMeta {
         stable_of,
         next_id,
-        t,
         bins,
         policy: CompactionPolicy {
             max_tombstone_fraction,

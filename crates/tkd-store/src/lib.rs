@@ -6,7 +6,7 @@
 //! persists the whole maintained state of a
 //! [`DynamicEngine`] — dataset, exact
 //! [`tkd_index::BitmapIndex`], binned index with probe
-//! trees, [`tkd_core::Preprocessed`] artifacts, and the
+//! trees, the incomparable sets of [`tkd_core::Preprocessed`], and the
 //! dynamic bookkeeping (tombstones, stable ids, epoch, counters) — in a
 //! versioned binary format, and restores it **bit-identically**: a
 //! loaded engine answers every query with the same entries, scores, and
@@ -14,11 +14,11 @@
 //! with the same differential discipline as the parallel and dynamic
 //! subsystems).
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! ```text
 //! magic            8 bytes  "TKDSNAP\0"
-//! format_version   u32      2
+//! format_version   u32      3
 //! section_count    u32      5
 //! section table    5 × { kind u32, pad u32, offset u64, len u64, fnv64 u64 }
 //! header checksum  u64      FNV-1a 64 of every byte above
@@ -26,11 +26,14 @@
 //! ```
 //!
 //! All integers are little-endian. Section kinds (in required order):
-//! 1 dataset, 2 bitmap index, 3 binned index, 4 preprocessed,
-//! 5 dynamic state. `BitVec` columns are stored as `(bit length, u64
-//! word array)` and every word slab (columns, dataset masks/values) is
-//! zero-padded to an **8-byte file offset** — v2's one layout change
-//! over v1. That alignment is what makes the zero-copy load possible:
+//! 1 dataset, 2 bitmap index, 3 binned index, 4 preprocessed (the
+//! incomparable sets), 5 dynamic state. No derived queue state is
+//! stored — v3's one change over v2, which also held the `MaxScore`
+//! queue and a per-cell `|Tᵢ|` table: a load recounts the queue from
+//! the bitmap index's value slots, which it checks against the dataset.
+//! `BitVec` columns are stored as `(bit length, u64 word array)` and
+//! every word slab (columns, dataset masks/values) is zero-padded to an
+//! **8-byte file offset** (since v2). That alignment is what makes the zero-copy load possible:
 //! [`SnapshotBuf`] owns the whole file as one aligned `Arc<[u64]>`
 //! buffer, and after the checksums validate, every column and dataset
 //! slab is handed out as a *borrowed view* of that buffer (promoted to
@@ -98,9 +101,9 @@ use wire::{Reader, Writer};
 pub const MAGIC: [u8; 8] = *b"TKDSNAP\0";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
-/// Section kinds of format v1, in their required file order.
+/// Section kinds, in their required file order.
 const KINDS: [(u32, Section); 5] = [
     (1, Section::Dataset),
     (2, Section::BitmapIndex),
@@ -263,11 +266,10 @@ fn read_aligned(
 /// allocator serves from per-thread caches (see [`encode_engine`]).
 const ENCODE_START_BYTES: usize = 64 << 10;
 
-/// Serialize the engine's full state to snapshot bytes. Takes `&mut`
-/// to flush the deferred queue re-sort first, which makes the encoding
-/// of a given logical state deterministic (the golden-file guarantee:
+/// Serialize the engine's full state to snapshot bytes. The encoding of
+/// a given logical state is deterministic (the golden-file guarantee:
 /// `encode(decode(b)) == b`).
-pub fn encode_engine(engine: &mut DynamicEngine) -> Vec<u8> {
+pub fn encode_engine(engine: &DynamicEngine) -> Vec<u8> {
     // Borrowed view of the engine's state, streamed into ONE buffer:
     // the section table goes down as placeholders, each payload is
     // encoded in place right after it, and offsets/lengths/checksums
@@ -294,19 +296,18 @@ pub fn encode_engine(engine: &mut DynamicEngine) -> Vec<u8> {
     }
     w.put_u64(0); // header checksum, backpatched
     debug_assert_eq!(w.as_bytes().len(), TABLE_END);
-    for (i, (_, section)) in KINDS.iter().enumerate() {
+    // The payloads in `KINDS` order.
+    let payloads: [&dyn Fn(&mut Writer); KINDS.len()] = [
+        &|w| codec::encode_dataset(w, parts.ds),
+        &|w| codec::encode_bitmap(w, parts.index),
+        &|w| codec::encode_binned(w, parts.binned),
+        &|w| codec::encode_pre(w, parts.ds.len(), parts.pre),
+        &|w| codec::encode_dynamic(w, &parts),
+    ];
+    for (i, encode) in payloads.iter().enumerate() {
         let offset = w.as_bytes().len();
         debug_assert!(offset.is_multiple_of(8));
-        match section {
-            Section::Dataset => codec::encode_dataset(&mut w, parts.ds),
-            Section::BitmapIndex => codec::encode_bitmap(&mut w, parts.index),
-            Section::BinnedIndex => codec::encode_binned(&mut w, parts.binned),
-            Section::Preprocessed => codec::encode_pre(&mut w, parts.ds.len(), parts.pre),
-            Section::Dynamic => codec::encode_dynamic(&mut w, &parts),
-            Section::Header | Section::Manifest | Section::Frame | Section::Log => {
-                unreachable!("not a payload section")
-            }
-        }
+        encode(&mut w);
         let len = w.as_bytes().len() - offset;
         let checksum = fnv64(&w.as_bytes()[offset..]);
         let pad = len.div_ceil(8) * 8 - len;
@@ -382,7 +383,10 @@ fn decode_engine_inner(
     let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
     if count != KINDS.len() {
         return Err(StoreError::BadSectionTable {
-            reason: format!("v2 requires {} sections, found {count}", KINDS.len()),
+            reason: format!(
+                "v{FORMAT_VERSION} requires {} sections, found {count}",
+                KINDS.len()
+            ),
         });
     }
     let table_end = HEADER_LEN + count * ENTRY_LEN + 8;
@@ -500,7 +504,6 @@ fn decode_engine_inner(
         index,
         binned,
         pre,
-        t: meta.t,
         bins: meta.bins,
         policy: meta.policy,
         epoch: meta.epoch,
@@ -528,7 +531,7 @@ fn decode_engine_inner(
 /// [`StoreError::Io`] with the path and OS message.
 pub fn save_engine(
     path: impl AsRef<std::path::Path>,
-    engine: &mut DynamicEngine,
+    engine: &DynamicEngine,
 ) -> Result<u64, StoreError> {
     atomic_rewrite(path, &encode_engine(engine))
 }
@@ -635,10 +638,10 @@ mod tests {
     #[test]
     fn fig3_roundtrip_is_byte_stable_and_query_identical() {
         let mut engine = DynamicEngine::new(fixtures::fig3_sample());
-        let bytes = encode_engine(&mut engine);
+        let bytes = encode_engine(&engine);
         let mut loaded = decode_engine(&bytes).expect("own bytes load");
         // Canonical: re-serialization is byte-identical.
-        assert_eq!(encode_engine(&mut loaded), bytes);
+        assert_eq!(encode_engine(&loaded), bytes);
         // And the loaded engine answers the running example identically.
         let fresh = engine.query(&EngineQuery::new(2)).unwrap();
         let resumed = loaded.query(&EngineQuery::new(2)).unwrap();
@@ -648,8 +651,8 @@ mod tests {
 
     #[test]
     fn version_bump_and_magic_are_rejected() {
-        let mut engine = DynamicEngine::new(fixtures::fig3_sample());
-        let bytes = encode_engine(&mut engine);
+        let engine = DynamicEngine::new(fixtures::fig3_sample());
+        let bytes = encode_engine(&engine);
         let mut wrong_version = bytes.clone();
         wrong_version[8] = FORMAT_VERSION as u8 + 1; // format_version LE low byte
         assert_eq!(
@@ -676,11 +679,24 @@ mod tests {
     }
 
     #[test]
+    fn a_v2_snapshot_is_rejected_with_version_mismatch() {
+        let mut bytes = encode_engine(&DynamicEngine::new(fixtures::fig3_sample()));
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            decode_engine(&bytes).unwrap_err(),
+            StoreError::VersionMismatch {
+                found: 2,
+                expected: 3
+            }
+        );
+    }
+
+    #[test]
     fn save_and_load_through_the_filesystem() {
-        let mut engine = DynamicEngine::new(fixtures::fig3_sample());
+        let engine = DynamicEngine::new(fixtures::fig3_sample());
         let path =
             std::env::temp_dir().join(format!("tkd_store_smoke_{}.tkdsnap", std::process::id()));
-        let written = save_engine(&path, &mut engine).unwrap();
+        let written = save_engine(&path, &engine).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
         let mut loaded = load_engine(&path).unwrap();
         assert_eq!(
@@ -696,8 +712,8 @@ mod tests {
 
     #[test]
     fn boundaries_cover_header_table_and_sections() {
-        let mut engine = DynamicEngine::new(fixtures::fig3_sample());
-        let bytes = encode_engine(&mut engine);
+        let engine = DynamicEngine::new(fixtures::fig3_sample());
+        let bytes = encode_engine(&engine);
         let cuts = section_boundaries(&bytes);
         // Adjacent cuts collapse when a section's padded end coincides
         // with the next offset (always, now that v2 aligns slabs), so

@@ -351,7 +351,7 @@ impl Journal {
     /// # Errors
     /// [`StoreError::Io`] when the save fails; the journal is unchanged
     /// and keeps appending to its log.
-    pub fn checkpoint(&mut self, engine: &mut DynamicEngine) -> Result<u64, StoreError> {
+    pub fn checkpoint(&mut self, engine: &DynamicEngine) -> Result<u64, StoreError> {
         let to = match &self.stamp {
             Some(stamp) => self
                 .snapshot

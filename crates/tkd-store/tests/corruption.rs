@@ -30,7 +30,7 @@ impl Mix {
 }
 
 fn small_snapshot() -> Vec<u8> {
-    encode_engine(&mut DynamicEngine::new(fixtures::fig3_sample()))
+    encode_engine(&DynamicEngine::new(fixtures::fig3_sample()))
 }
 
 fn large_snapshot() -> Vec<u8> {
@@ -47,7 +47,7 @@ fn large_snapshot() -> Vec<u8> {
     engine.insert(&[Some(1.0), None, Some(2.0), None]).unwrap();
     engine.delete(3).unwrap();
     engine.delete(77).unwrap();
-    encode_engine(&mut engine)
+    encode_engine(&engine)
 }
 
 /// Recompute every section checksum and the header checksum so tampered
@@ -269,4 +269,52 @@ fn loaded_large_snapshot_still_answers() {
     let mut engine = decode_engine(&bytes).expect("healthy snapshot");
     let r = engine.query(&EngineQuery::new(5)).expect("BIG supported");
     assert_eq!(r.len(), 5);
+}
+
+/// Exact-index value slots tampered behind valid checksums — a nonzero
+/// slot on a missing cell, a 0 on an observed one, another value's slot
+/// — are rejected on both load paths: a load counts the `MaxScore` queue
+/// from these slots, so one that disagrees with the dataset must never
+/// load.
+#[test]
+fn value_slots_that_disagree_with_the_dataset_are_rejected() {
+    let bytes = large_snapshot();
+    let e = 16 + 32; // entry 1: bitmap index
+    let off = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[e + 16..e + 24].try_into().unwrap()) as usize;
+    let dims = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+    let n = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
+    // The value-slot table closes the section: `n × dims` u32s.
+    let slots_at = off + len - n * dims * 4;
+    let tombstoned = [3, 77];
+    let mut rng = Mix(0x5107);
+    let mut tampered = 0;
+    while tampered < 20 {
+        let (s, d) = (rng.next() as usize % n, rng.next() as usize % dims);
+        let at = slots_at + (s * dims + d) * 4;
+        let slot = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let wrong = match (tampered % 3, slot) {
+            (0, 0) => 1,
+            (1, j) if j > 0 => 0,
+            (2, j) if j > 1 => j - 1,
+            (2, 1) => 2,
+            _ => continue,
+        };
+        if tombstoned.contains(&s) {
+            continue;
+        }
+        let mut damaged = bytes.clone();
+        damaged[at..at + 4].copy_from_slice(&wrong.to_le_bytes());
+        fix_checksums(&mut damaged);
+        let what = format!("slot {s} dim {d}: value slot {slot} → {wrong}");
+        match decode_engine(&damaged) {
+            Err(StoreError::Invalid { .. }) => {}
+            other => panic!("{what}: expected Invalid, got {other:?}"),
+        }
+        match decode_engine_shared(&SnapshotBuf::from_bytes(damaged)) {
+            Err(StoreError::Invalid { .. }) => {}
+            other => panic!("{what} (borrowed): expected Invalid, got {other:?}"),
+        }
+        tampered += 1;
+    }
 }

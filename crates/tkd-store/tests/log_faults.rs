@@ -71,16 +71,16 @@ struct History {
 fn history(dir: &Path) -> History {
     let snap = dir.join("engine.tkd");
     let mut twin = DynamicEngine::new(fixtures::fig3_sample());
-    save_engine(&snap, &mut twin).expect("snapshot");
+    save_engine(&snap, &twin).expect("snapshot");
     let mut journal = Journal::clean(&snap, 0);
-    let mut states = vec![encode_engine(&mut twin)];
+    let mut states = vec![encode_engine(&twin)];
     let mut lens = vec![0];
     for (i, ops) in batches().iter().enumerate() {
         journal
             .append(&mut twin, i as u64 + 1, ops)
             .expect("append");
         assert!(twin.apply_ops(ops).error.is_none());
-        states.push(encode_engine(&mut twin));
+        states.push(encode_engine(&twin));
         lens.push(std::fs::metadata(log_path(&snap)).expect("log").len() as usize);
     }
     History {
@@ -93,7 +93,7 @@ fn history(dir: &Path) -> History {
 
 /// The state `path` recovers to, encoded.
 fn recovered(path: &Path) -> Vec<u8> {
-    encode_engine(&mut recover(path).expect("recovers").engine)
+    encode_engine(&recover(path).expect("recovers").engine)
 }
 
 #[test]
@@ -176,12 +176,12 @@ fn a_stale_log_beside_a_replaced_snapshot_is_inert() {
     // --index` do) removes the log after its rename.
     let mut other = DynamicEngine::new(fixtures::fig3_sample());
     other.apply_ops(&[UpdateOp::Delete(0)]);
-    save_engine(&h.snap, &mut other).expect("save over");
+    save_engine(&h.snap, &other).expect("save over");
     assert!(!h.log.exists(), "the write retired the log");
-    assert_eq!(recovered(&h.snap), encode_engine(&mut other));
+    assert_eq!(recovered(&h.snap), encode_engine(&other));
     // A crash between the rename and the removal leaves the old log.
     std::fs::write(&h.log, &old_log).expect("old log back");
-    assert_eq!(recovered(&h.snap), encode_engine(&mut other));
+    assert_eq!(recovered(&h.snap), encode_engine(&other));
     // `atomic_rewrite` of a snapshot's bytes — here the state after two
     // batches, which the log's records must not be replayed onto.
     tkd_store::atomic_rewrite(&h.snap, &h.states[2]).expect("rewrite");
@@ -207,7 +207,7 @@ fn a_rewrite_with_the_base_bytes_retires_the_log() {
 
     let h = history(&dir.0);
     assert_eq!(recover(&h.snap).expect("recovers").replayed, 4);
-    save_engine(&h.snap, &mut decode(&h.states[0])).expect("re-save the base");
+    save_engine(&h.snap, &decode(&h.states[0])).expect("re-save the base");
     assert_eq!(std::fs::read(&h.snap).expect("snapshot"), h.states[0]);
     assert_eq!(recovered(&h.snap), h.states[0]);
     assert!(!h.log.exists(), "the write retired the log");
@@ -253,11 +253,11 @@ fn every_intermediate_state_of_a_checkpoint_in_place() {
         assert_eq!(recovered(&h.snap), h.states[4], "fresh log cut at {cut}");
     }
     std::fs::write(&h.log, &fresh).expect("whole");
-    let mut twin = recover(&h.snap).expect("recovers");
+    let twin = recover(&h.snap).expect("recovers");
     assert_eq!(twin.seq, Some(5));
     let mut want = decode(&h.states[4]);
     assert!(want.apply_ops(&fifth).error.is_none());
-    assert_eq!(encode_engine(&mut twin.engine), encode_engine(&mut want));
+    assert_eq!(encode_engine(&twin.engine), encode_engine(&want));
 }
 
 /// A stamped checkpoint (a shard worker's: `shard-S.seqM.tkd`): the new
@@ -269,11 +269,11 @@ fn every_intermediate_state_of_a_checkpoint_in_place() {
 fn every_intermediate_state_of_a_stamped_checkpoint() {
     let dir = Scratch::new("move");
     let h = history(&dir.0);
-    let mut engine = recover(&h.snap).expect("recovers").engine;
+    let engine = recover(&h.snap).expect("recovers").engine;
     let mut journal = Journal::stale(&h.snap, 4).stamped("engine");
     let to = dir.0.join("engine.seq4.tkd");
     // Both present: old snapshot + old log, and the new checkpoint.
-    save_engine(&to, &mut engine).expect("new checkpoint");
+    save_engine(&to, &engine).expect("new checkpoint");
     assert_eq!(recovered(&h.snap), h.states[4]);
     assert_eq!(recovered(&to), h.states[4]);
     // The old log gone, the old snapshot not yet.
@@ -282,7 +282,7 @@ fn every_intermediate_state_of_a_stamped_checkpoint() {
     assert_eq!(recovered(&to), h.states[4]);
     std::fs::write(&h.log, old_log).expect("old log back");
     // The whole step, through the journal.
-    journal.checkpoint(&mut engine).expect("checkpoint");
+    journal.checkpoint(&engine).expect("checkpoint");
     assert!(!h.snap.exists() && !h.log.exists(), "the old pair is gone");
     assert_eq!(recovered(&to), h.states[4]);
     assert_eq!((journal.snapshot(), journal.seq()), (to.as_path(), 4));
@@ -309,7 +309,7 @@ fn append_after_a_recovered_torn_tail() {
         .append(&mut engine, 1, &extra)
         .expect("append over the torn log");
     assert!(engine.apply_ops(&extra).error.is_none());
-    assert_eq!(recovered(&h.snap), encode_engine(&mut engine));
+    assert_eq!(recovered(&h.snap), encode_engine(&engine));
 
     // Torn inside the third record: two replay, so the writer's journal
     // is stale and its first append checkpoints before it starts a log
@@ -322,7 +322,7 @@ fn append_after_a_recovered_torn_tail() {
     let mut journal = Journal::stale(&h.snap, 2);
     journal.append(&mut engine, 3, &extra).expect("append");
     assert!(engine.apply_ops(&extra).error.is_none());
-    assert_eq!(recovered(&h.snap), encode_engine(&mut engine));
+    assert_eq!(recovered(&h.snap), encode_engine(&engine));
     let r = recover(&h.snap).expect("recovers");
     assert_eq!((r.seq, r.replayed), (Some(3), 1));
 }
@@ -353,9 +353,9 @@ fn out_of_order_appends_are_refused() {
     journal
         .append(&mut engine, 6, &ops[..0])
         .expect("the next seq");
-    let mut r = recover(&h.snap).expect("recovers");
+    let r = recover(&h.snap).expect("recovers");
     assert_eq!((r.seq, r.replayed), (Some(6), 2));
-    assert_eq!(encode_engine(&mut r.engine), encode_engine(&mut engine));
+    assert_eq!(encode_engine(&r.engine), encode_engine(&engine));
 }
 
 fn decode(bytes: &[u8]) -> DynamicEngine {

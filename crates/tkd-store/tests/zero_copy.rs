@@ -77,7 +77,7 @@ fn assert_three_way_parity(fresh: &mut DynamicEngine, tag: &str) {
         "{tag}: queries promoted storage"
     );
     // …and re-encodes to the identical canonical bytes.
-    assert_eq!(encode_engine(&mut borrowed), bytes, "{tag}: re-encode");
+    assert_eq!(encode_engine(&borrowed), bytes, "{tag}: re-encode");
 }
 
 #[test]
@@ -94,14 +94,14 @@ fn borrowed_load_matches_copied_load_and_fresh_build() {
 
 #[test]
 fn mutation_promotes_and_stays_bit_identical_through_compaction() {
-    let mut fresh = DynamicEngine::with_options(
+    let fresh = DynamicEngine::with_options(
         synthetic(80, 3, 0.3, 21),
         DynamicOptions {
             bins: BinChoice::Fixed(4),
             policy: CompactionPolicy::never(),
         },
     );
-    let bytes = encode_engine(&mut fresh);
+    let bytes = encode_engine(&fresh);
     let mut copied = decode_engine(&bytes).expect("copied load");
     let buf = SnapshotBuf::from_bytes(bytes);
     let mut borrowed = decode_engine_shared(&buf).expect("borrowed load");
@@ -168,8 +168,8 @@ fn mutation_promotes_and_stays_bit_identical_through_compaction() {
         }
     }
     assert_eq!(
-        encode_engine(&mut borrowed),
-        encode_engine(&mut copied),
+        encode_engine(&borrowed),
+        encode_engine(&copied),
         "post-compact snapshots diverge"
     );
 }
@@ -201,12 +201,12 @@ proptest! {
                 policy: CompactionPolicy::default(),
             },
         );
-        let bytes = encode_engine(&mut fresh);
+        let bytes = encode_engine(&fresh);
         let mut copied = decode_engine(&bytes).expect("copied load");
         let buf = SnapshotBuf::from_bytes(bytes.clone());
         let mut borrowed = decode_engine_shared(&buf).expect("borrowed load");
         prop_assert!(borrowed.storage_report().is_borrowed());
-        prop_assert_eq!(encode_engine(&mut borrowed), bytes);
+        prop_assert_eq!(encode_engine(&borrowed), bytes);
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             prop_assert_eq!(
                 entries(&mut borrowed, k, alg),

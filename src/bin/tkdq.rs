@@ -224,14 +224,14 @@ fn cmd_build(args: &[String]) {
         .to_string();
     let ds = opts.load();
     let (n, dims) = (ds.len(), ds.dims());
-    let mut engine = DynamicEngine::with_options(
+    let engine = DynamicEngine::with_options(
         ds,
         DynamicOptions {
             bins: parse_bins(&opts),
             policy: parse_policy(&opts),
         },
     );
-    let bytes = tkdi::store::save_engine(&out, &mut engine).unwrap_or_else(|e| {
+    let bytes = tkdi::store::save_engine(&out, &engine).unwrap_or_else(|e| {
         eprintln!("error: cannot write snapshot: {e}");
         exit(1);
     });
@@ -687,7 +687,7 @@ fn cmd_update(args: &[String]) {
         engine.epoch()
     );
     if let Some(path) = snap_path {
-        let bytes = tkdi::store::save_engine(&path, &mut engine).unwrap_or_else(|e| {
+        let bytes = tkdi::store::save_engine(&path, &engine).unwrap_or_else(|e| {
             eprintln!("error: cannot rewrite snapshot: {e}");
             exit(1);
         });
@@ -831,10 +831,10 @@ fn cmd_serve(args: &[String]) {
     // Block until a client sends the shutdown frame, then persist the
     // drained engine one last time.
     match server.join() {
-        Ok(mut engine) => {
+        Ok(engine) => {
             if opts.has("no-rewrite") {
                 let final_path = format!("{snap}.final");
-                match tkdi::store::save_engine(&final_path, &mut engine) {
+                match tkdi::store::save_engine(&final_path, &engine) {
                     Ok(bytes) => println!("drained; final snapshot: {final_path} ({bytes} bytes)"),
                     Err(e) => {
                         eprintln!("error: drained but final snapshot failed: {e}");

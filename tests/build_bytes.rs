@@ -1,10 +1,9 @@
 //! Byte-stability pin for the build path: a freshly built engine must
-//! encode to exactly the bytes of the committed golden snapshot, which an
-//! earlier build path (single-key B+-tree inserts, per-cell rank probes)
-//! wrote. The bulk-loaded probe trees, the swept `|Tᵢ|` table and the
-//! queue therefore export the same streams, value for value and in the
-//! same order. (`persist_golden.rs` pins the *codec* by re-serializing
-//! the loaded file; this pins the *builder* behind it.)
+//! encode to exactly the bytes of the committed golden snapshot, so the
+//! bulk-loaded indexes, probe trees and incomparable sets export the
+//! streams the build that wrote the file exported, value for value and in
+//! the same order. (`persist_golden.rs` pins the *codec* by
+//! re-serializing the loaded file; this pins the *builder* behind it.)
 
 use tkdi::model::fixtures;
 use tkdi::prelude::*;
@@ -15,6 +14,6 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig3.tkd
 #[test]
 fn fresh_build_encodes_to_the_golden_bytes() {
     let golden = std::fs::read(GOLDEN).expect("golden file present");
-    let mut engine = DynamicEngine::new(fixtures::fig3_sample());
-    assert_eq!(store::encode_engine(&mut engine), golden);
+    let engine = DynamicEngine::new(fixtures::fig3_sample());
+    assert_eq!(store::encode_engine(&engine), golden);
 }

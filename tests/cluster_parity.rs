@@ -337,7 +337,7 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
     };
     tkdi::store::save_engine(
         &seed_path,
-        &mut DynamicEngine::with_options(ds.clone(), options),
+        &DynamicEngine::with_options(ds.clone(), options),
     )
     .expect("seed snapshot");
     // The twin takes the worker's own route: loaded from the seed file,
@@ -350,8 +350,8 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
     };
     // What the shard's checkpoint and the op log beside it recover to.
     let recovered = |path: &str| {
-        let mut engine = tkdi::store::load_engine(path).expect("shard recovers");
-        tkdi::store::encode_engine(&mut engine)
+        let engine = tkdi::store::load_engine(path).expect("shard recovers");
+        tkdi::store::encode_engine(&engine)
     };
 
     let (workers, addrs) = start_workers(1);

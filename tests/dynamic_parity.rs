@@ -313,17 +313,13 @@ fn run_batch_check(seed: u64, missing_pct: u64, policy: CompactionPolicy) -> BTr
             .iter()
             .enumerate()
             .find_map(|(i, op)| twin.apply(op).err().map(|e| (i, e)));
-        let before = encode_engine(&mut engine);
+        let before = encode_engine(&engine);
         let report = engine.apply_ops(&ops);
         match expected {
             None => {
                 assert_eq!(report.error, None, "{tag}");
                 assert_eq!(report.applied, ops.len(), "{tag}");
-                assert_eq!(
-                    encode_engine(&mut engine),
-                    encode_engine(&mut twin),
-                    "{tag}"
-                );
+                assert_eq!(encode_engine(&engine), encode_engine(&twin), "{tag}");
                 accepted.push(ops);
                 (mirror, next_id) = (local, local_next);
                 applied += 1;
@@ -344,9 +340,9 @@ fn run_batch_check(seed: u64, missing_pct: u64, policy: CompactionPolicy) -> BTr
                     "{tag}: a rejected batch reports nothing else"
                 );
                 twin = fresh_twin(&accepted);
-                let after = encode_engine(&mut engine);
+                let after = encode_engine(&engine);
                 assert_eq!(after, before, "{tag}: a rejected batch changes nothing");
-                assert_eq!(after, encode_engine(&mut twin), "{tag}");
+                assert_eq!(after, encode_engine(&twin), "{tag}");
                 kinds.insert(format!("{:?}", without_row(&e)));
                 rejected += 1;
             }

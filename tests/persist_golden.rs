@@ -1,7 +1,8 @@
 //! Golden-file compatibility pin for the snapshot format.
 //!
-//! `tests/golden/fig3.tkdsnap` is a committed v1 snapshot of the
-//! paper's Fig. 3 running example. This suite documents the format's
+//! `tests/golden/fig3.tkdsnap` is a committed snapshot, in the current
+//! format version ([`FORMAT_VERSION`], 3), of the paper's Fig. 3 running
+//! example. This suite documents the format's
 //! compatibility policy:
 //!
 //! * **Stability** — today's writer re-serializes the loaded golden file
@@ -12,7 +13,7 @@
 //!   answer `{A2, C2}` at score 16.
 //! * **Version gate** — a snapshot stamped with any other format version
 //!   fails with [`StoreError::VersionMismatch`], never a partial load:
-//!   v1 has no migration path; snapshots are caches, rebuilt with
+//!   no version has a migration path; snapshots are caches, rebuilt with
 //!   `tkdq build`.
 //!
 //! To regenerate after an intentional format change:
@@ -46,9 +47,9 @@ fn golden_loads_and_reproduces_fig3_answer() {
 #[test]
 fn golden_reserializes_byte_identically() {
     let bytes = std::fs::read(GOLDEN).expect("golden file present");
-    let mut engine = store::decode_engine(&bytes).expect("golden snapshot loads");
+    let engine = store::decode_engine(&bytes).expect("golden snapshot loads");
     assert_eq!(
-        store::encode_engine(&mut engine),
+        store::encode_engine(&engine),
         bytes,
         "byte layout changed: bump FORMAT_VERSION and regenerate the golden file \
          (see the module docs)"
@@ -77,7 +78,7 @@ fn version_bump_fails_with_clean_mismatch() {
 #[test]
 #[ignore = "writes tests/golden/fig3.tkdsnap; run only on intentional format changes"]
 fn regenerate_golden() {
-    let mut engine = DynamicEngine::new(fixtures::fig3_sample());
-    let written = store::save_engine(GOLDEN, &mut engine).expect("write golden");
+    let engine = DynamicEngine::new(fixtures::fig3_sample());
+    let written = store::save_engine(GOLDEN, &engine).expect("write golden");
     println!("regenerated {GOLDEN} ({written} bytes)");
 }

@@ -33,7 +33,7 @@ fn assert_roundtrip_parity(engine: &mut DynamicEngine, tag: &str) {
     let bytes = store::encode_engine(engine);
     let mut loaded = store::decode_engine(&bytes).expect("own snapshot loads");
     // Canonical bytes: re-encoding the loaded engine is the identity.
-    assert_eq!(store::encode_engine(&mut loaded), bytes, "{tag}: bytes");
+    assert_eq!(store::encode_engine(&loaded), bytes, "{tag}: bytes");
     assert_eq!(loaded.live_ids(), engine.live_ids(), "{tag}: ids");
     assert_eq!(
         loaded.maintained_queue(),
@@ -145,7 +145,7 @@ fn dynamic_roundtrip_then_mutate_then_compact() {
         // Mutate, snapshot with tombstones present, load.
         apply_random_ops(&mut engine, &mut mirror, &mut rng, 25);
         assert!(engine.tombstones() > 0 || engine.stats().deletes == 0);
-        let bytes = store::encode_engine(&mut engine);
+        let bytes = store::encode_engine(&engine);
         let mut loaded = store::decode_engine(&bytes).expect("snapshot loads");
         assert_roundtrip_parity(&mut engine, &format!("dynamic missing={missing_pct}"));
         // The loaded engine absorbs more ops, then compacts — and stays
@@ -202,9 +202,9 @@ proptest! {
                 policy: CompactionPolicy::default(),
             },
         );
-        let bytes = store::encode_engine(&mut engine);
+        let bytes = store::encode_engine(&engine);
         let mut loaded = store::decode_engine(&bytes).expect("snapshot loads");
-        prop_assert_eq!(store::encode_engine(&mut loaded), bytes);
+        prop_assert_eq!(store::encode_engine(&loaded), bytes);
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             prop_assert_eq!(
                 entries(&mut loaded, k, alg),

@@ -121,10 +121,10 @@ fn serve_rejected_batch_changes_nothing() {
         .unwrap();
     twin.apply(&UpdateOp::Insert(vec![Some(2.0), Some(2.0), None]))
         .unwrap();
-    let mut served = server.stop().expect("clean stop");
+    let served = server.stop().expect("clean stop");
     assert_eq!(
-        tkdi::store::encode_engine(&mut served),
-        tkdi::store::encode_engine(&mut twin)
+        tkdi::store::encode_engine(&served),
+        tkdi::store::encode_engine(&twin)
     );
 }
 
@@ -143,7 +143,7 @@ fn serve_unlogged_batch_changes_nothing() {
         policy: CompactionPolicy::never(),
     };
     let mut twin = DynamicEngine::with_options(ds, options);
-    tkdi::store::save_engine(&snap, &mut twin).expect("snapshot saved");
+    tkdi::store::save_engine(&snap, &twin).expect("snapshot saved");
     let engine = tkdi::store::load_engine(&snap).expect("snapshot loads");
     let log = tkdi::store::log_path(&snap);
     std::fs::create_dir(&log).expect("a directory where the log goes");
@@ -197,10 +197,10 @@ fn serve_unlogged_batch_changes_nothing() {
         .expect("a notify");
     assert_eq!(note.batch_seq, 1, "the rejected attempt was never applied");
     assert!(twin.apply_ops(&batch).error.is_none());
-    let mut recovered = tkdi::store::load_engine(&snap).expect("snapshot and log recover");
+    let recovered = tkdi::store::load_engine(&snap).expect("snapshot and log recover");
     assert_eq!(
-        tkdi::store::encode_engine(&mut recovered),
-        tkdi::store::encode_engine(&mut twin)
+        tkdi::store::encode_engine(&recovered),
+        tkdi::store::encode_engine(&twin)
     );
     server.stop().expect("clean stop");
 }

@@ -157,7 +157,7 @@ fn contended_updates_replay_to_identical_snapshot() {
     }
 
     // Drain the server and take the engine back.
-    let mut served = server.stop().expect("clean drain");
+    let served = server.stop().expect("clean drain");
 
     // --- No lost/duplicated responses ---------------------------------
     let mut batches = Arc::try_unwrap(log)
@@ -195,8 +195,8 @@ fn contended_updates_replay_to_identical_snapshot() {
             panic!("replay of batch seq={seq} failed at op {i}: {e}");
         }
     }
-    let served_bytes = store::encode_engine(&mut served);
-    let replay_bytes = store::encode_engine(&mut replay);
+    let served_bytes = store::encode_engine(&served);
+    let replay_bytes = store::encode_engine(&replay);
     assert_eq!(
         served_bytes, replay_bytes,
         "served engine is bit-identical to the sequential replay"
@@ -481,8 +481,8 @@ fn kill_and_restart_resumes_the_seq_stream() {
         rng.next()
     ));
     let ds = random_dataset(&mut rng, INITIAL, DIMS, 30);
-    let mut seed = DynamicEngine::with_options(ds, options());
-    store::save_engine(&snap, &mut seed).expect("seed snapshot saved");
+    let seed = DynamicEngine::with_options(ds, options());
+    store::save_engine(&snap, &seed).expect("seed snapshot saved");
 
     let mk = |rng: &mut Mix| -> Vec<UpdateOp> {
         (0..PER_BATCH)

@@ -51,12 +51,12 @@ fn scoring_leaves_the_snapshot_bytes_alone() {
         answers
     };
 
-    let before = encode_engine(&mut engine);
+    let before = encode_engine(&engine);
     let answers = score(&mut engine);
-    assert_eq!(encode_engine(&mut engine), before);
+    assert_eq!(encode_engine(&engine), before);
     // An engine loaded from those bytes — how a worker comes by every
     // shard it hosts — gives the same answers and stays as pure.
     let mut loaded = decode_engine(&before).expect("own snapshot decodes");
     assert_eq!(score(&mut loaded), answers);
-    assert_eq!(encode_engine(&mut loaded), before);
+    assert_eq!(encode_engine(&loaded), before);
 }
