@@ -301,7 +301,7 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
             format!("op {i} failed on shard {}: {e}", u.shard),
         );
     }
-    if let Err(e) = host.journal.append(&mut host.engine, u.seq, &u.ops) {
+    if let Err(e) = host.journal.append(&host.engine, u.seq, &u.ops) {
         return reject(
             ERR_REJECTED,
             u.ops.len() as u64,

@@ -18,9 +18,10 @@
 //! BIG-Score (Algorithm 3) is written **once**, against one index:
 //! `big_score_over` reads the candidate's column picks off its stored
 //! value slots ([`BitmapIndex::selection_of`]), takes the Heuristic 2
-//! decision with the budgeted scan, and returns `big_term` —
-//! `|P − F| + |Q − P − nonD|`. Every in-process engine scores through it:
-//! the sequential [`big_with_scratch`], and the parallel paths
+//! decision with the budgeted scan, and returns `score_term` —
+//! `|P − F| + |Q − P − nonD|`, the term IBIG shares ([`crate::ibig`]).
+//! Every in-process engine scores through it: the sequential
+//! [`big_with_scratch`], and the parallel paths
 //! ([`crate::engine::ParallelEngine`], [`crate::TkdQuery::threads`],
 //! [`crate::DynamicEngine::query_threads`]), which split the queue across
 //! workers over the same index and merge by replay ([`crate::parallel`]),
@@ -34,10 +35,13 @@
 //! is a fused multi-way AND-popcount that materializes nothing
 //! ([`BitmapIndex::q_count_selected_above`]), surviving objects fill the
 //! caller's [`ScratchSpace`] in fused passes, and the `Q − P` residue is
-//! enumerated straight off the scratch words. Ties are resolved by integer
-//! value-slot equality — two observed values are equal iff they map to the
-//! same slot of the index's sorted distinct-value table — instead of
-//! loading `f64`s.
+//! split in one more fused pass over the index's columns
+//! ([`BitmapIndex::residue_counts`]): a row of `Q − P` is not dominated
+//! when it equals or misses `o` in every dimension `o` observes — one
+//! AND-NOT of the candidate's `[Qᵢ]` and `[Pᵢ]` columns, OR the missing
+//! column, per dimension. No row is visited one at a time: the pass costs
+//! `d · ⌈N/64⌉` words per scored candidate, and blocks where `Q − P` is
+//! empty read no column.
 
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
@@ -111,12 +115,6 @@ impl<'a> BigContext<'a> {
     /// The shared preprocessing artifacts (owned or borrowed).
     pub fn preprocessed(&self) -> &Preprocessed {
         &self.pre
-    }
-
-    /// `F(o)` for an object's mask (empty bit vector if every object is
-    /// comparable).
-    pub fn incomparable(&self, o: ObjectId) -> &BitVec {
-        self.pre.f_of(self.ds, o)
     }
 
     /// A fresh [`ScratchSpace`] sized for this context's dataset.
@@ -217,75 +215,79 @@ pub(crate) fn big_score_over(
         Some(s) => s.candidate(ds, pre, o),
         None => Candidate::member(ds, pre, o),
     };
-    Outcome::Score(big_term(index, ds.masks(), &cand, rows, scratch))
+    Outcome::Score(big_term(index, &cand, rows, scratch))
 }
 
-/// BIG-Score's term: how many of the index's rows the candidate
-/// dominates, `|P − F| + |Q − P − nonD|`, against the selection resolved
-/// in `scratch.sel`, over `scope`'s rows only when there is a scope.
-/// `row_masks[r]` is the observation mask of row `r`.
+/// BIG-Score's term: [`score_term`] at the exact picks resolved in
+/// `scratch.sel`, where no row of `Q − P` can sit below the candidate in
+/// its bin, on an unlimited Heuristic-3 budget (BIG has none).
 pub(crate) fn big_term(
     index: &BitmapIndex,
-    row_masks: &[DimMask],
     cand: &Candidate<'_>,
     scope: Option<&RowScope>,
     scratch: &mut ScratchSpace,
 ) -> usize {
-    let ScratchSpace { q, p, sel, .. } = scratch;
-    index.q_into_selected_scoped(sel, cand.member, scope, q);
-    index.p_into_selected_scoped(sel, scope, p);
+    scratch.bin_sel = scratch.sel;
+    let mut unlimited = usize::MAX;
+    score_term(index, cand, scope, scratch, &mut unlimited).expect("BIG has no budget")
+}
+
+/// The scoring term of BIG-Score and IBIG-Score: how many of the index's
+/// rows the candidate dominates, `|P − F| + |Q − P − nonD|`, over
+/// `scope`'s rows only when there is a scope — or `None` as soon as the
+/// `nonD` members overdraw `nond_left` (**Heuristic 3**; the members found
+/// are deducted from it otherwise).
+///
+/// `Q` and `P` are filled at the picks in `scratch.bin_sel` (the binned
+/// ones for IBIG, the exact ones for BIG), and `Q − P` is split in one
+/// fused pass against the exact picks in `scratch.sel`
+/// ([`BitmapIndex::residue_counts`]). Heuristic 3 is decided on the whole
+/// `nonD` count: the paper checks it after each probed dimension and each
+/// residue member, but the count only grows, so it overdraws the budget
+/// at some check iff it does at the end.
+pub(crate) fn score_term(
+    index: &BitmapIndex,
+    cand: &Candidate<'_>,
+    scope: Option<&RowScope>,
+    scratch: &mut ScratchSpace,
+    nond_left: &mut usize,
+) -> Option<usize> {
+    let ScratchSpace { q, p, sel, bin_sel } = scratch;
+    index.q_into_selected_scoped(bin_sel, cand.member, scope, q);
+    index.p_into_selected_scoped(bin_sel, scope, p);
     // G(o) = P − F(o) = |P ∧ ¬F|: strictly-worse-or-missing everywhere,
     // comparable.
     let g = p.and_not_count(cand.f);
-    // Q − P: candidates for nonD(o) — they tie o somewhere. Enumerated
-    // fused off the scratch buffers; |Q − P| is counted along the way.
-    let mut q_minus_p = 0usize;
-    let mut non_d = 0usize;
-    for row in q.iter_ones_and_not(p) {
-        q_minus_p += 1;
-        // p ∈ nonD(o) iff p equals o on every commonly observed dimension
-        // (tagT = |bp & bo| in the paper's notation). Equality is tested on
-        // the integer value slots: the index maps equal values — and only
-        // equal values — to the same non-zero slot.
-        let all_equal = cand.mask.and(row_masks[row]).iter().all(|d| {
-            let slot = sel.eq_slot(d);
-            slot != 0 && slot == index.value_slot(row, d)
-        });
-        if all_equal {
-            non_d += 1;
-        }
+    let (q_minus_p, non_d) = index.residue_counts(q, p, sel, bin_sel, cand.mask);
+    if non_d > *nond_left {
+        return None;
     }
-    g + q_minus_p - non_d
+    *nond_left -= non_d;
+    Some(g + q_minus_p - non_d)
 }
 
-/// The original allocating BIG-Score, kept verbatim as the test oracle for
-/// the scratch-based path (`score_parity_with_allocating_oracle`).
+/// The test oracle of BIG-Score: a plain row scan over raw values that
+/// shares no column, kernel or probe with the path under test.
+/// `MaxBitScore(o)` counts the rows other than `o` at or above it wherever
+/// both observe; the score counts the rows `o` dominates.
 #[cfg(test)]
 fn big_score_alloc(ctx: &BigContext<'_>, o: ObjectId, tau: Option<usize>) -> Outcome {
     let ds = ctx.ds;
-    let q = ctx.index.q_vec(o);
-    let max_bit_score = q.count_ones();
+    let common = |r: ObjectId| ds.mask(o).and(ds.mask(r));
+    let cells = move |r: ObjectId| {
+        common(r)
+            .iter()
+            .map(move |d| (ds.raw_value(o, d), ds.raw_value(r, d)))
+    };
+    let max_bit_score = ds
+        .ids()
+        .filter(|&r| r != o && cells(r).all(|(a, b)| b >= a))
+        .count();
     if matches!(tau, Some(t) if max_bit_score <= t) {
         return Outcome::PrunedBitmap;
     }
-    let p = ctx.index.p_vec(o);
-    let f = ctx.incomparable(o);
-    let g = p.count_ones() - p.and_count(f);
-    let qmp = q.and_not(&p);
-    let o_mask = ds.mask(o);
-    let mut non_d = 0usize;
-    for pid in qmp.iter_ones() {
-        let pid = pid as ObjectId;
-        let common = o_mask.and(ds.mask(pid));
-        let all_equal = common
-            .iter()
-            .all(|d| ds.raw_value(o, d) == ds.raw_value(pid, d));
-        if all_equal {
-            non_d += 1;
-        }
-    }
-    let l = qmp.count_ones() - non_d;
-    Outcome::Score(g + l)
+    let dominated = |r: ObjectId| cells(r).all(|(a, b)| a <= b) && cells(r).any(|(a, b)| a < b);
+    Outcome::Score(ds.ids().filter(|&r| r != o && dominated(r)).count())
 }
 
 /// Algorithm 4 driven by the allocating oracle scorer (test-only).
@@ -423,14 +425,17 @@ mod tests {
         }
     }
 
-    /// Random incomplete dataset with the given missing probability.
-    fn dataset_strategy(missing: f64) -> impl Strategy<Value = tkd_model::Dataset> {
+    /// Random incomplete dataset with the given missing probability and
+    /// values drawn from `0..cardinality`.
+    fn dataset_strategy(
+        missing: f64,
+        cardinality: u32,
+    ) -> impl Strategy<Value = tkd_model::Dataset> {
         (1usize..=4).prop_flat_map(move |dims| {
-            let row = proptest::collection::vec(
-                proptest::option::weighted(1.0 - missing, (0u8..6).prop_map(|v| v as f64)),
-                dims,
-            )
-            .prop_filter("at least one observed", |r| r.iter().any(Option::is_some));
+            let value = (0..cardinality).prop_map(f64::from);
+            let row =
+                proptest::collection::vec(proptest::option::weighted(1.0 - missing, value), dims)
+                    .prop_filter("at least one observed", |r| r.iter().any(Option::is_some));
             proptest::collection::vec(row, 1..60).prop_map(move |rows| {
                 tkd_model::Dataset::from_rows(dims, &rows).expect("valid rows")
             })
@@ -441,16 +446,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(20))]
 
         /// The scratch-based scoring path returns identical scores *and*
-        /// identical `PruneStats` to the original allocating path, across
-        /// low / medium / high missing rates.
+        /// identical `PruneStats` to the row-scan oracle, across low /
+        /// medium / high missing rates and cardinalities C ∈ {2, 10, 1000}.
         #[test]
         fn score_parity_with_allocating_oracle(
-            ds_low in dataset_strategy(0.1),
-            ds_mid in dataset_strategy(0.3),
-            ds_high in dataset_strategy(0.6),
+            ds_low in dataset_strategy(0.1, 2),
+            ds_mid in dataset_strategy(0.3, 10),
+            ds_high in dataset_strategy(0.6, 1000),
+            ds_wide in dataset_strategy(0.1, 1000),
             k in 1usize..8,
         ) {
-            for ds in [&ds_low, &ds_mid, &ds_high] {
+            for ds in [&ds_low, &ds_mid, &ds_high, &ds_wide] {
                 let ctx = BigContext::build(ds);
                 let new = big_with(&ctx, k);
                 let oracle = big_with_alloc(&ctx, k);

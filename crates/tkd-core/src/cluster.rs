@@ -7,8 +7,9 @@
 //! partition of the live rows into shards, `score(o) = Σⱼ partialⱼ(o)`
 //! where `partialⱼ(o)` counts the shard-j rows `o` dominates. A shard's
 //! [`DynamicEngine`](crate::DynamicEngine) runs the **same terms** the
-//! in-process engines score with — [`crate::big`]'s `big_term`,
-//! [`crate::ibig`]'s `ibig_term` — against its own index, from **local
+//! in-process engines score with — [`crate::big`]'s `score_term`, at
+//! the exact picks for BIG and the binned ones for IBIG — against its own
+//! index, from **local
 //! state only**: the indexes it maintains under updates
 //! anyway, its live-aware incomparable windows, and its own scratch. So a
 //! shard worker in another process needs nothing global to score a

@@ -10,11 +10,11 @@
 //! * the range-encoded [`BitmapIndex`] — columns grow by appended bits,
 //!   deletes clear tombstone bits (suffix-popcount tables repaired
 //!   incrementally), new distinct values splice in one cloned column;
-//! * the [`BinnedBitmapIndex`] — bin boundaries are frozen between
-//!   compactions (a value above the last boundary extends it; a never
-//!   observed dimension gets its first bin on demand), per-dimension
-//!   probe-tree keys are inserted/removed, and tombstones are cleared from
-//!   *every* column including column 0;
+//! * the [`BinBoundaries`] that view it as the binned index — frozen
+//!   between compactions and never maintained: a value above the last
+//!   boundary lands in the open last bin, a never observed dimension's
+//!   values share one bin, and only the per-slot pick tables follow the
+//!   index's value tables when a new distinct value arrives;
 //! * the shared [`Preprocessed`] artifacts — the incomparable sets
 //!   gain/lose bits in `O(masks)`, and the descending `MaxScore` queue is
 //!   recounted lazily at the next query.
@@ -42,10 +42,10 @@
 //! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`],
 //! with more the workers split the candidate queue and merge by replay —
 //! and a full-space standing query is answered by that same
-//! [`DynamicEngine::query`] after every batch. IBIG scores off the binned
-//! index's dense columns, as it does everywhere (see [`crate::ibig`]);
-//! they take every tombstone, append and cell rewrite as an `O(1)` bit
-//! flip, which a run-length codec could not.
+//! [`DynamicEngine::query`] after every batch. IBIG scores off the exact
+//! index's dense columns at its binned picks, as it does everywhere (see
+//! [`crate::ibig`]); they take every tombstone, append and cell rewrite as
+//! an `O(1)` bit flip, which a run-length codec could not.
 //!
 //! A constrained query ([`DynamicEngine::query_constrained`]) and a
 //! subspace query ([`DynamicEngine::query_subspace`]) run one scoped walk:
@@ -75,9 +75,8 @@
 //! compaction**: results and the mutation API speak stable ids, and the
 //! internal slot renumbering is invisible.
 
-use crate::big::{big_term, Candidate};
+use crate::big::{big_term, score_term, Candidate};
 use crate::engine::scorer;
-use crate::ibig::{fill_q, ibig_term};
 use crate::maxscore::fill_queue;
 use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
@@ -94,9 +93,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tkd_bitvec::{BitVec, Tombstones};
-use tkd_index::{
-    cost, for_each_sorted_column, BinnedBitmapIndex, BitmapIndex, IndexPairBuilder, RowScope,
-};
+use tkd_index::{cost, BinBoundaries, BinnedBitmapIndex, BitmapIndex, RowScope};
 use tkd_model::{stats, Dataset, DimMask, ModelError, ObjectId};
 use tkd_skyline::constrained::Constraints;
 
@@ -267,8 +264,8 @@ pub struct DynamicPartsRef<'a> {
     pub next_id: ObjectId,
     /// The maintained exact bitmap index.
     pub index: &'a BitmapIndex,
-    /// The maintained binned index.
-    pub binned: &'a BinnedBitmapIndex,
+    /// The bin boundaries IBIG views the index through.
+    pub boundaries: &'a BinBoundaries,
     /// The maintained incomparable sets (the queue beside them is
     /// derived state, recounted at load).
     pub pre: &'a Preprocessed,
@@ -298,8 +295,9 @@ pub struct DynamicParts {
     pub next_id: ObjectId,
     /// The maintained exact bitmap index (its live mask is the engine's).
     pub index: BitmapIndex,
-    /// The maintained binned index (frozen bins, live probe trees).
-    pub binned: BinnedBitmapIndex,
+    /// The bin boundaries over `index`, per dimension (frozen until
+    /// compaction; the view's pick tables are derived at load).
+    pub boundaries: Vec<Vec<f64>>,
     /// The maintained incomparable sets. Its queue is never read:
     /// [`DynamicEngine::from_store_parts`] recounts the queue from the
     /// index's value slots.
@@ -320,7 +318,7 @@ pub struct DynamicParts {
 pub struct StorageReport {
     /// Columns still borrowing a shared snapshot buffer.
     pub borrowed_columns: usize,
-    /// All columns tallied (bitmap + binned + live mask + F-sets).
+    /// All columns tallied (bitmap + live mask + F-sets).
     pub total_columns: usize,
     /// Do the dataset's value/mask slabs borrow a snapshot buffer?
     pub dataset_borrowed: bool,
@@ -367,7 +365,8 @@ pub struct DynamicEngine {
     slot_of: HashMap<ObjectId, usize>,
     next_id: ObjectId,
     index: BitmapIndex,
-    binned: BinnedBitmapIndex,
+    /// The binned index's boundaries over `index`.
+    boundaries: BinBoundaries,
     /// Maintained queue + incomparable sets, lent into query contexts.
     pre: Preprocessed,
     /// Incomparable windows of shard-scoring candidates whose mask no
@@ -413,6 +412,7 @@ impl DynamicEngine {
     pub fn with_options(ds: Dataset, options: DynamicOptions) -> Self {
         let dims = ds.dims();
         let n = ds.len();
+        let index = BitmapIndex::build(&Dataset::from_rows(dims, &[]).expect("valid dims"));
         let mut engine = DynamicEngine {
             dims,
             ds,
@@ -420,11 +420,8 @@ impl DynamicEngine {
             stable_of: (0..n as ObjectId).collect(),
             slot_of: (0..n).map(|s| (s as ObjectId, s)).collect(),
             next_id: n as ObjectId,
-            index: BitmapIndex::build(&Dataset::from_rows(dims, &[]).expect("valid dims")),
-            binned: BinnedBitmapIndex::build(
-                &Dataset::from_rows(dims, &[]).expect("valid dims"),
-                &vec![1; dims],
-            ),
+            boundaries: BinBoundaries::build(&index, &vec![1; dims]),
+            index,
             pre: Preprocessed::from_parts(HashMap::new()),
             foreign_f: HashMap::new(),
             queue_dirty: false,
@@ -477,7 +474,7 @@ impl DynamicEngine {
     }
 
     /// Where the engine's word storage lives: how many of its `BitVec`
-    /// columns (bitmap + binned + incomparable sets) still **borrow** a
+    /// columns (bitmap + incomparable sets) still **borrow** a
     /// shared snapshot buffer versus own their words, and whether the
     /// dataset slabs do. A freshly built engine is fully owned; a
     /// zero-copy load is fully borrowed; mutations promote exactly the
@@ -492,11 +489,6 @@ impl DynamicEngine {
         for d in 0..self.index.dims() {
             for c in 0..self.index.num_columns(d) {
                 tally(self.index.column(d, c));
-            }
-        }
-        for d in 0..self.binned.dims() {
-            for c in 0..self.binned.num_columns(d) {
-                tally(self.binned.column(d, c));
             }
         }
         for bv in self.pre.f_sets.values() {
@@ -575,8 +567,7 @@ impl DynamicEngine {
         let mask = tkd_model::validate_row(self.dims, row, self.ds.len())?;
         // 1. Indexes and storage grow by one slot.
         let slot = self.index.append_row(|d| row[d]);
-        let also = self.binned.append_row(|d| row[d]);
-        debug_assert_eq!(slot, also);
+        self.boundaries.sync(&self.index);
         match label {
             Some(l) => self.ds.push_row_labeled(l, row),
             None => self.ds.push_row(row),
@@ -612,10 +603,6 @@ impl DynamicEngine {
         self.standing.on_structural();
         self.live.kill(slot);
         self.index.tombstone_row(slot);
-        let row: Vec<Option<f64>> = (0..self.dims)
-            .map(|d| self.ds.value(slot as ObjectId, d))
-            .collect();
-        self.binned.tombstone_row(slot, |d| row[d]);
         for bv in self.pre.f_sets.values_mut() {
             bv.clear(slot);
         }
@@ -661,7 +648,7 @@ impl DynamicEngine {
         }
         self.standing.on_set(dim);
         self.index.set_cell(slot, dim, new);
-        self.binned.set_cell(slot, dim, old, new);
+        self.boundaries.sync(&self.index);
         self.ds
             .set_value(slot as ObjectId, dim, new)
             .expect("validated above");
@@ -955,14 +942,8 @@ impl DynamicEngine {
         self.refresh();
         let threads = threads.max(1);
         self.fit_scratch(threads);
-        let scorer = scorer(
-            &self.ds,
-            &self.index,
-            &self.binned,
-            &self.pre,
-            None,
-            q.algorithm,
-        );
+        let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
+        let scorer = scorer(&self.ds, &binned, &self.pre, None, q.algorithm);
         let queue = self.pre.queue();
         let slots = new_slots(slots_needed(threads, queue.len()));
         let result = run_replay(queue, q.k, &mut self.scratch[..threads], &slots, scorer);
@@ -1040,8 +1021,8 @@ impl DynamicEngine {
         let queue = self.scoped_queue(rows.bits(), dims);
         let scope = Scope::new(rows, dims, &self.index, &self.pre);
         self.fit_scratch(1);
-        let (ds, index, binned, pre) = (&self.ds, &self.index, &self.binned, &self.pre);
-        let score = scorer(ds, index, binned, pre, Some(&scope), q.algorithm);
+        let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
+        let score = scorer(&self.ds, &binned, &self.pre, Some(&scope), q.algorithm);
         let scratch = &mut self.scratch[0];
         let result = walk(&queue, q.k, |o, tau| score(o, tau, scratch));
         Ok(self.stable_result(result, q.tie))
@@ -1235,13 +1216,8 @@ impl DynamicEngine {
             return Ok(Vec::new());
         }
         self.refresh();
-        let engine = crate::ParallelEngine::from_prebuilt(
-            &self.ds,
-            &self.index,
-            &self.binned,
-            &self.pre,
-            threads,
-        );
+        let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
+        let engine = crate::ParallelEngine::from_prebuilt(&self.ds, binned, &self.pre, threads);
         // Run with the identity tie-break and map slot → stable ids
         // first, applying the requested tie handling after the mapping —
         // the exact order of operations of `query_threads`, so the two
@@ -1281,13 +1257,14 @@ impl DynamicEngine {
         self.index.q_selected_upper_bound(&sel)
     }
 
-    /// IBIG phase 1: the exact fused `|Q|` count off the binned columns
+    /// IBIG phase 1: the exact fused `|Q|` count at the binned picks
     /// (own bit included when member) — the budgeted scan at budget 0,
     /// which counts without writing. The coordinator's `MaxBitScore` is
     /// `Σⱼ counts − 1`.
     pub fn ibig_q_count(&self, values: &[Option<f64>]) -> usize {
-        let sel = self.binned.select_for(|d| values[d]);
-        self.binned.q_count_selected_above(&sel, 0).unwrap_or(0)
+        let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
+        let sel = binned.select_for(|d| values[d]);
+        self.index.q_count_selected_above(&sel, 0).unwrap_or(0)
     }
 
     /// BIG phase 2: how many of this engine's live rows the candidate
@@ -1307,10 +1284,10 @@ impl DynamicEngine {
         scratch.sel = self.index.select_for(|d| values[d]);
         let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
         let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
-        Ok(big_term(&self.index, ds.masks(), &cand, None, scratch))
+        Ok(big_term(&self.index, &cand, None, scratch))
     }
 
-    /// IBIG phase 2: the same count off the binned index — one shard term
+    /// IBIG phase 2: the same count at the binned picks — one shard term
     /// of IBIG-Score on an unlimited Heuristic-3 budget (the real one is
     /// global; see `crate::cluster`).
     ///
@@ -1324,21 +1301,13 @@ impl DynamicEngine {
         let member = member.map(|id| self.slot(id)).transpose()?;
         self.fit_scratch(1);
         let scratch = &mut self.scratch[0];
-        scratch.bin_sel = self.binned.select_for(|d| values[d]);
-        fill_q(&self.binned, None, scratch);
+        let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
+        scratch.bin_sel = binned.select_for(|d| values[d]);
+        scratch.sel = self.index.select_for(|d| values[d]);
         let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
         let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
-        let value = |d: usize| values[d].expect("masked dimension is observed");
         let mut unlimited = usize::MAX;
-        let term = ibig_term(
-            &self.binned,
-            ds.masks(),
-            &cand,
-            None,
-            value,
-            scratch,
-            &mut unlimited,
-        );
+        let term = score_term(&self.index, &cand, None, scratch, &mut unlimited);
         Ok(term.expect("an unlimited budget is never overdrawn"))
     }
 
@@ -1353,7 +1322,9 @@ impl DynamicEngine {
             stable_of: self.stable_of.clone(),
             next_id: self.next_id,
             index: self.index.clone(),
-            binned: self.binned.clone(),
+            boundaries: (0..self.dims)
+                .map(|d| self.boundaries.of(d).to_vec())
+                .collect(),
             pre: Preprocessed::from_parts(self.pre.f_sets.clone()),
             bins: self.bins.clone(),
             policy: self.policy,
@@ -1372,7 +1343,7 @@ impl DynamicEngine {
             stable_of: &self.stable_of,
             next_id: self.next_id,
             index: &self.index,
-            binned: &self.binned,
+            boundaries: &self.boundaries,
             pre: &self.pre,
             bins: &self.bins,
             policy: self.policy,
@@ -1401,7 +1372,7 @@ impl DynamicEngine {
             stable_of,
             next_id,
             index,
-            binned,
+            boundaries,
             pre,
             bins,
             policy,
@@ -1417,13 +1388,7 @@ impl DynamicEngine {
                 index.dims()
             ));
         }
-        if binned.n() != n || binned.dims() != dims {
-            return Err(format!(
-                "binned index shape ({} × {}) disagrees with the dataset ({n} × {dims})",
-                binned.n(),
-                binned.dims()
-            ));
-        }
+        let boundaries = BinBoundaries::from_store_parts(&index, boundaries)?;
         let live = Tombstones::from_live_mask(index.live_mask().clone());
         if stable_of.len() != n {
             return Err(format!(
@@ -1438,11 +1403,6 @@ impl DynamicEngine {
             if last >= next_id {
                 return Err(format!("stable id {last} is not below next_id {next_id}"));
             }
-        }
-        if let Some(d) = (0..dims).find(|&d| binned.observed_count(d) > live.live_count()) {
-            return Err(format!(
-                "dim {d} observes more probe entries than live slots exist"
-            ));
         }
         // Live slots' value slots name their cells: 0 for a missing one,
         // else the slot of an IEEE-equal value.
@@ -1485,7 +1445,7 @@ impl DynamicEngine {
             slot_of,
             next_id,
             index,
-            binned,
+            boundaries,
             pre,
             foreign_f: HashMap::new(),
             queue_dirty: true,
@@ -1548,10 +1508,8 @@ impl DynamicEngine {
                 v.clone()
             }
         };
-        // One sort per dimension feeds both indexes.
-        let mut pair = IndexPairBuilder::new(&bins, n);
-        for_each_sorted_column(ds, |d, column| pair.push_dim(d, column));
-        (self.index, self.binned) = pair.finish();
+        self.index = BitmapIndex::build(ds);
+        self.boundaries = BinBoundaries::build(&self.index, &bins);
         self.pre = Preprocessed::from_parts(incomparable_bitvecs(ds));
         self.foreign_f.clear();
         self.queue_dirty = true;

@@ -2,9 +2,9 @@
 //! driver of [`crate::parallel`].
 //!
 //! The engine pays preprocessing and index construction **once** per
-//! dataset — one sort per dimension feeds the `MaxScore` queue, the exact
-//! index and the binned index — and then serves any number of queries
-//! against it:
+//! dataset — one sort per dimension feeds the `MaxScore` queue and the
+//! exact index, which the binned index is a view of — and then serves any
+//! number of queries against it:
 //!
 //! * [`ParallelEngine::query`] parallelizes **within** one query: all
 //!   worker threads split the candidate queue over the one index,
@@ -40,7 +40,7 @@ use crate::{esb, naive, ubb};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tkd_index::{BinnedBitmapIndex, BitmapIndex, IndexPairBuilder};
+use tkd_index::{BinnedBitmapIndex, BitmapIndexBuilder};
 use tkd_model::{Dataset, ObjectId};
 
 /// One query of a multi-user batch: `k`, the algorithm to answer it with,
@@ -79,23 +79,23 @@ impl EngineQuery {
     }
 }
 
-/// BIG-Score or IBIG-Score of a member of `ds` against one index pair and
-/// its preprocessing, over `scope`'s rows when there is a scope — the
-/// scorer both parallel paths hand [`run_replay`]: [`ParallelEngine`]
-/// over the indexes it built, and [`crate::DynamicEngine::query_threads`]
-/// over the ones it maintains (and, scoped,
+/// BIG-Score or IBIG-Score of a member of `ds` against one index — the
+/// exact one for BIG, its binned view for IBIG — and its preprocessing,
+/// over `scope`'s rows when there is a scope — the scorer both parallel
+/// paths hand [`run_replay`]: [`ParallelEngine`] over the index it built,
+/// and [`crate::DynamicEngine::query_threads`] over the one it maintains
+/// (and, scoped,
 /// [`crate::DynamicEngine::query_constrained`] and
 /// [`crate::DynamicEngine::query_subspace`]).
 pub(crate) fn scorer<'s>(
     ds: &'s Dataset,
-    index: &'s BitmapIndex,
-    binned: &'s BinnedBitmapIndex,
+    binned: &'s BinnedBitmapIndex<'s>,
     pre: &'s Preprocessed,
     scope: Option<&'s Scope>,
     algorithm: Algorithm,
 ) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 's {
     move |o, tau, scratch| match algorithm {
-        Algorithm::Big => big_score_over(ds, index, pre, scope, o, tau, scratch),
+        Algorithm::Big => big_score_over(ds, binned.exact(), pre, scope, o, tau, scratch),
         Algorithm::Ibig => ibig_score_over(ds, binned, pre, scope, o, tau, scratch),
         other => unreachable!("the replayed paths serve BIG/IBIG, got {other:?}"),
     }
@@ -175,7 +175,8 @@ impl<'a> EngineBuilder<'a> {
     }
 
     /// Build the engine in one sweep per dimension: each sorted column
-    /// feeds the `MaxScore` queue, the exact index and the binned index.
+    /// feeds the `MaxScore` queue and the exact index; the bin boundaries
+    /// are quantiles of the index's value counts.
     pub fn build(self) -> ParallelEngine<'a> {
         let ds = self.ds;
         let threads = self.threads.unwrap_or_else(|| {
@@ -188,21 +189,19 @@ impl<'a> EngineBuilder<'a> {
             vec![x; ds.dims()]
         });
         assert_eq!(bins.len(), ds.dims(), "one bin count per dimension");
-        let mut pair = IndexPairBuilder::new(&bins, ds.len());
-        let pre = Preprocessed::build_sharing(ds, |dim, column| pair.push_dim(dim, column));
-        let (index, binned) = pair.finish();
+        let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
+        let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         ParallelEngine {
             ds,
             threads,
-            index: Cow::Owned(index),
-            binned: Cow::Owned(binned),
+            binned: BinnedBitmapIndex::owned(index.finish(), &bins),
             pre: Cow::Owned(pre),
             pool: Pool::new(),
         }
     }
 }
 
-/// A query-serving engine: one exact index, one binned index and one
+/// A query-serving engine: one exact index with its binned view and one
 /// `MaxScore` queue built once, queries answered with
 /// within-query parallelism ([`ParallelEngine::query`]) or batched
 /// across-query parallelism ([`ParallelEngine::query_many`]). See the
@@ -210,8 +209,7 @@ impl<'a> EngineBuilder<'a> {
 pub struct ParallelEngine<'a> {
     ds: &'a Dataset,
     threads: usize,
-    index: Cow<'a, BitmapIndex>,
-    binned: Cow<'a, BinnedBitmapIndex>,
+    binned: BinnedBitmapIndex<'a>,
     pre: Cow<'a, Preprocessed>,
     pool: Pool,
 }
@@ -239,17 +237,15 @@ impl<'a> ParallelEngine<'a> {
     /// would count tombstoned slots).
     pub(crate) fn from_prebuilt(
         ds: &'a Dataset,
-        index: &'a BitmapIndex,
-        binned: &'a BinnedBitmapIndex,
+        binned: BinnedBitmapIndex<'a>,
         pre: &'a Preprocessed,
         threads: usize,
     ) -> Self {
-        assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
+        assert_eq!(binned.n(), ds.len(), "index/dataset size mismatch");
         ParallelEngine {
             ds,
             threads: threads.max(1),
-            index: Cow::Borrowed(index),
-            binned: Cow::Borrowed(binned),
+            binned,
             pre: Cow::Borrowed(pre),
             pool: Pool::new(),
         }
@@ -319,14 +315,7 @@ impl<'a> ParallelEngine<'a> {
         let queue = self.pre.queue();
         let mut workers = self.pool.take_scratch(threads, self.ds.len());
         let slots = self.pool.take_slots(slots_needed(threads, queue.len()));
-        let score = scorer(
-            self.ds,
-            &self.index,
-            &self.binned,
-            &self.pre,
-            None,
-            q.algorithm,
-        );
+        let score = scorer(self.ds, &self.binned, &self.pre, None, q.algorithm);
         let result = run_replay(queue, q.k, &mut workers, &slots, score);
         self.pool.put_slots(slots);
         self.pool.put_scratch(workers);

@@ -3,98 +3,92 @@
 //! IBIG trades query time for index space: columns come from the **binned**
 //! bitmap index (one bit per value range, Eq. 3–4). Binning coarsens
 //! `[Qᵢ]`/`[Pᵢ]`, so `Q − P` now holds *same-bin* objects whose values may
-//! even be better than `o`'s; those are resolved through the per-dimension
-//! tree probes of §4.5 and counted into `nonD(o)`. While `nonD` grows,
+//! even be better than `o`'s; §4.5 resolves those through per-dimension
+//! tree probes and counts them into `nonD(o)`. While `nonD` grows,
 //! **Heuristic 3** (partial score pruning) abandons objects early:
 //! `score(o) = |Q| − |F(o)| − |nonD(o)|` can only shrink as `nonD` grows, so
 //! once `|nonD| > |Q| − |F| − τ` the object is out.
 //!
-//! # One column store
+//! # One index, one term
+//!
+//! The binned index is a view: bin boundaries over the exact index,
+//! whose columns at the boundaries' value slots are the binned columns
+//! ([`BinnedBitmapIndex`]). So IBIG scores on the exact index's dense
+//! columns, on every surface — static contexts, the parallel engine, the
+//! dynamic engine and every cluster shard — and the §4.5 probes are
+//! AND-NOTs over them. A row of `Q − P` sits in the candidate's bin below
+//! it in dimension `i` iff it is in the bin's lowest column and not in the
+//! candidate's own exact `[Qᵢ]`; it ties the candidate on every common
+//! dimension iff it is in each `[Qᵢ] ∧ ¬[Pᵢ]` or missing column. Both are
+//! counted in one fused word pass, the one BIG's residue runs
+//! ([`tkd_index::BitmapIndex::residue_counts`]): `crate::big`'s
+//! `score_term` is the term of both algorithms, BIG being the case where
+//! the bin of a value is the value. At 50 000 × 8 (C = 100, σ = 0.1,
+//! `x* = 21`, k = 64, 2-vCPU host) this took a static-context IBIG query
+//! from 21.0–22.0 ms with `BTreeSet` probes and epoch-stamped
+//! `nonD`/`tagT` tables to 5.5–6.3 ms, every `PruneStats` counter
+//! unchanged (`docs/INTERNALS.md`).
 //!
 //! The paper stores the binned columns CONCISE-compressed and intersects
-//! them on the compressed form. Here the binned index's dense columns are
-//! the only store, on every surface: static contexts, the parallel
-//! engine, the dynamic engine and every cluster shard (run encodings
-//! cannot absorb the dynamic layer's in-place bit flips). Algorithm 5's
-//! compressed intersections are **measured, not executed**: Fig. 10 and
-//! Table 3 time the codecs, and Fig. 11 and the `ablation` table report
-//! the CONCISE bytes of the binned index (`tkd-bench`).
+//! them on the compressed form. Algorithm 5's compressed intersections
+//! are **measured, not executed**: Fig. 10 and Table 3 time the codecs,
+//! and Fig. 11 and the `ablation` table report the CONCISE bytes of the
+//! binned columns (`tkd-bench`).
 //!
 //! # Where the algorithm lives
 //!
 //! IBIG-Score (Algorithm 5) is written **once**, against one
-//! [`BinnedBitmapIndex`]. `ibig_score_over` reads the candidate's picks
-//! off its stored bins ([`BinnedBitmapIndex::selection_of`]) and takes the
-//! Heuristic 2 decision on `|Q| − 1` with the budgeted scan BIG runs
-//! ([`BinnedBitmapIndex::q_count_selected_above`]: the binned columns'
-//! dense words against their per-block suffix popcounts, exiting as soon
-//! as the bound is settled and writing nothing). Only survivors fill `Q`,
-//! and `ibig_term` — `|P − F| + |Q − P − nonD|`, the only function that
-//! issues the §4.5 probes — runs under the Heuristic-3 budget, checked
-//! after each probed dimension and each residue member. Every in-process engine
-//! scores through it: the sequential [`ibig_with_scratch`], and the
-//! parallel paths, which split the queue across workers over the same
-//! index and merge by replay ([`crate::parallel`]), so entries, scores,
-//! tie order **and**, with one thread, every `PruneStats` counter agree.
-//! A cluster worker ([`crate::DynamicEngine::ibig_partial`]) calls the
-//! term alone with an unlimited budget (Heuristic 3 needs the global τ).
-//! The traversal is `crate::topk`'s `walk`.
+//! [`BinnedBitmapIndex`]. `ibig_score_over` reads the candidate's binned
+//! picks off its stored value slots ([`BinnedBitmapIndex::selection_of`])
+//! and takes the Heuristic 2 decision on `|Q| − 1` with the budgeted scan
+//! BIG runs, at those picks. Only survivors reach the term, which runs
+//! under the Heuristic-3 budget. Every in-process engine scores through
+//! it: the sequential [`ibig_with_scratch`], and the parallel paths,
+//! which split the queue across workers over the same index and merge by
+//! replay ([`crate::parallel`]), so entries, scores, tie order **and**,
+//! with one thread, every `PruneStats` counter agree. A cluster worker
+//! ([`crate::DynamicEngine::ibig_partial`]) calls the term alone with an
+//! unlimited budget (Heuristic 3 needs the global τ). The traversal is
+//! `crate::topk`'s `walk`.
 //!
 //! Like BIG, the scoring path is **allocation-free** after context build:
 //! a survivor's `Q`/`P` intersections are written straight into the
-//! caller's [`ScratchSpace`] ([`BinnedBitmapIndex::and_selected_into`]),
-//! the `nonD`/`tagT` tables are epoch-stamped in the same scratch, and the
-//! tree probes return concrete range cursors instead of boxed iterators.
+//! caller's [`ScratchSpace`], and the residue pass writes nothing.
 
-use crate::big::Candidate;
+use crate::big::{score_term, Candidate};
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
-use tkd_index::{cost, BinnedBitmapIndex, BinnedBitmapIndexBuilder, RowScope};
-use tkd_model::{stats, Dataset, DimMask, ObjectId};
-
-/// Fill `scratch.q` with the raw `∩ᵢ Qᵢ` for the picks in
-/// `scratch.bin_sel` (a member candidate's own bit included), ANDed with
-/// `scope`'s rows when there is a scope — the `Q` `ibig_term` works on.
-/// Only candidates that survive Heuristic 2 are filled; the count that
-/// decides it is [`BinnedBitmapIndex::q_count_selected_above`], which
-/// writes nothing.
-pub(crate) fn fill_q(
-    index: &BinnedBitmapIndex,
-    scope: Option<&RowScope>,
-    scratch: &mut ScratchSpace,
-) {
-    let ScratchSpace { q, bin_sel, .. } = scratch;
-    let picks = (0..index.dims()).map(|d| bin_sel.q_pick(d));
-    index.and_selected_into_scoped(picks, scope, q);
-}
+use tkd_index::{cost, BinnedBitmapIndex, BitmapIndexBuilder};
+use tkd_model::{stats, Dataset, ObjectId};
 
 /// Precomputed inputs of Algorithm 5: the binned index plus the shared
 /// [`Preprocessed`] artifacts.
 pub struct IbigContext<'a> {
     ds: &'a Dataset,
-    binned: Cow<'a, BinnedBitmapIndex>,
+    binned: BinnedBitmapIndex<'a>,
     pre: Cow<'a, Preprocessed>,
 }
 
 impl<'a> IbigContext<'a> {
     /// Build with explicit per-dimension bin counts.
     ///
-    /// Each dimension is sorted once: the same column feeds the binned
-    /// index and the queue.
+    /// Each dimension is sorted once: the same column feeds the exact
+    /// index and the queue; the boundaries are quantiles of the index's
+    /// value counts.
     ///
     /// # Panics
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &'a Dataset, bins_per_dim: &[usize]) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        let mut index = BinnedBitmapIndexBuilder::new(bins_per_dim, ds.len());
+        let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         IbigContext {
             ds,
-            binned: Cow::Owned(index.finish()),
+            binned: BinnedBitmapIndex::owned(index.finish(), bins_per_dim),
             pre: Cow::Owned(pre),
         }
     }
@@ -104,23 +98,7 @@ impl<'a> IbigContext<'a> {
     pub fn build_with(ds: &'a Dataset, bins_per_dim: &[usize], pre: &'a Preprocessed) -> Self {
         IbigContext {
             ds,
-            binned: Cow::Owned(BinnedBitmapIndex::build(ds, bins_per_dim)),
-            pre: Cow::Borrowed(pre),
-        }
-    }
-
-    /// Borrow **prebuilt** artifacts wholesale. The context scores exactly
-    /// as one from [`IbigContext::build`] does; it only borrows the index
-    /// and the preprocessing instead of owning them.
-    pub fn from_prebuilt_dense(
-        ds: &'a Dataset,
-        index: &'a BinnedBitmapIndex,
-        pre: &'a Preprocessed,
-    ) -> Self {
-        assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
-        IbigContext {
-            ds,
-            binned: Cow::Borrowed(index),
+            binned: BinnedBitmapIndex::build(ds, bins_per_dim),
             pre: Cow::Borrowed(pre),
         }
     }
@@ -132,7 +110,7 @@ impl<'a> IbigContext<'a> {
     }
 
     /// The binned index.
-    pub fn index(&self) -> &BinnedBitmapIndex {
+    pub fn index(&self) -> &BinnedBitmapIndex<'a> {
         &self.binned
     }
 
@@ -200,7 +178,7 @@ pub(crate) fn ibig_score(
 /// subspace query). Allocation-free.
 pub(crate) fn ibig_score_over(
     ds: &Dataset,
-    index: &BinnedBitmapIndex,
+    index: &BinnedBitmapIndex<'_>,
     pre: &Preprocessed,
     scope: Option<&Scope>,
     o: ObjectId,
@@ -218,12 +196,16 @@ pub(crate) fn ibig_score_over(
     }
     let rows = scope.map(|s| &s.rows);
     let budget = tau.map_or(0, |t| t + 1);
-    let Some(q_count) = index.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget) else {
+    let exact = index.exact();
+    let Some(q_count) = exact.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget) else {
         return Outcome::PrunedBitmap;
     };
     let max_bit_score = q_count - 1;
-    // Survivors only: Q into scratch for the term.
-    fill_q(index, rows, scratch);
+    // Survivors only: the exact picks the residue pass compares against.
+    scratch.sel = exact.selection_of(o as usize);
+    if let Some(s) = scope {
+        scratch.sel.restrict(s.dims);
+    }
     let cand = match scope {
         Some(s) => s.candidate(ds, pre, o),
         None => Candidate::member(ds, pre, o),
@@ -236,169 +218,64 @@ pub(crate) fn ibig_score_over(
         let f = rows.map_or_else(|| cand.f.count_ones(), |r| cand.f.and_count(r.bits()));
         max_bit_score.saturating_sub(f).saturating_sub(t)
     });
-    let value = |d| ds.raw_value(o, d);
-    match ibig_term(
-        index,
-        ds.masks(),
-        &cand,
-        rows,
-        value,
-        scratch,
-        &mut nond_left,
-    ) {
+    match score_term(exact, &cand, rows, scratch, &mut nond_left) {
         Some(score) => Outcome::Score(score),
         None => Outcome::PrunedPartial,
     }
 }
 
-/// IBIG-Score's term: how many of the index's rows the candidate
-/// dominates, `|P − F| + |Q − P − nonD|`, or `None` as soon as the `nonD`
-/// members overdraw `nond_left` (**Heuristic 3**; the members found are
-/// deducted from it otherwise).
-///
-/// `scratch.q` must hold the raw `∩ᵢ Qᵢ` (`fill_q`, under the same
-/// `scope`), `value(d)` is the candidate's observation in a dimension of
-/// `cand.mask`, and `row_masks[r]` the observation mask of row `r`. The
-/// probes range over every row; only those in `Q − P`, and so in scope,
-/// count.
-pub(crate) fn ibig_term(
-    index: &BinnedBitmapIndex,
-    row_masks: &[DimMask],
-    cand: &Candidate<'_>,
-    scope: Option<&RowScope>,
-    value: impl Fn(usize) -> f64,
-    scratch: &mut ScratchSpace,
-    nond_left: &mut usize,
-) -> Option<usize> {
-    let ScratchSpace {
-        q,
-        p,
-        stamps,
-        bin_sel,
-        ..
-    } = scratch;
-    if let Some(row) = cand.member {
-        q.clear(row);
-    }
-    index.and_selected_into_scoped((0..index.dims()).map(|d| bin_sel.p_pick(d)), scope, p);
-    // G(o) = P − F(o) = |P ∧ ¬F|, fused.
-    let g = p.and_not_count(cand.f);
-    // Membership in Q − P, straight off the scratch words.
-    let in_qmp = |row: usize| q.get(row) && !p.get(row);
-
-    stamps.next_object();
-    let mut non_d = 0usize;
-    // (a) Same-bin rows strictly better than the candidate in some
-    //     dimension cannot be dominated: tree probe per observed
-    //     dimension (§4.5).
-    for dim in cand.mask.iter() {
-        for row in index.ids_below_in_bin(dim, value(dim), true) {
-            if in_qmp(row as usize) && stamps.mark_nond(row as usize) {
-                non_d += 1;
-            }
-        }
-        // Heuristic 3 — partial score pruning after every dimension.
-        if non_d > *nond_left {
-            return None;
-        }
-    }
-    // (b) tagT accumulation: same-value probes per observed dimension (the
-    //     candidate's own row left Q above).
-    for dim in cand.mask.iter() {
-        for row in index.ids_equal(dim, value(dim)) {
-            if in_qmp(row as usize) {
-                stamps.bump_tag(row as usize);
-            }
-        }
-    }
-    // Members of Q − P equal to the candidate on *all* commonly observed
-    // dimensions are not dominated either. |Q − P| is counted during the
-    // same fused pass.
-    let mut q_minus_p = 0usize;
-    for row in q.iter_ones_and_not(p) {
-        q_minus_p += 1;
-        if stamps.is_nond(row) {
-            continue;
-        }
-        if stamps.tag_of(row) == cand.mask.and(row_masks[row]).count() {
-            non_d += 1;
-            if non_d > *nond_left {
-                return None;
-            }
-        }
-    }
-    *nond_left -= non_d;
-    Some(g + q_minus_p - non_d)
-}
-
-/// The original allocating IBIG-Score, kept as the test oracle for the
-/// scratch-based path. Uses hash-based `nonD`/`tagT` tables, reads its
-/// column picks off `bin_of` and builds `Q`/`P` by chaining owned
-/// [`BitVec::and`](tkd_bitvec::BitVec::and)s over cloned columns, so it
-/// shares no fill or count with the path under test.
+/// The test oracle of IBIG-Score: a plain row scan over raw values and
+/// the context's bin boundaries, sharing no column, kernel or probe with
+/// the path under test. Heuristic 2 prunes on the rows other than `o` in
+/// the same or a higher bin wherever `o` observes (missing passes);
+/// Heuristic 3 on the rows of that `Q` outside `P` (strictly higher bins)
+/// that `o` does not dominate — the paper's checks overdraw the budget at
+/// some step iff the final count does.
 #[cfg(test)]
 fn ibig_score_alloc(ctx: &IbigContext<'_>, o: ObjectId, tau: Option<usize>) -> Outcome {
-    use std::collections::{HashMap, HashSet};
     let ds = ctx.ds;
-    let index = ctx.index();
-    let prunes = |bound: usize| matches!(tau, Some(t) if bound <= t);
-    // Same-or-higher bin / strictly higher bin (column 0 when missing).
-    let intersect = |pick: fn(u32) -> usize| {
-        let col = |d| index.column(d, index.bin_of(o, d).map_or(0, pick));
-        (1..ds.dims()).fold(col(0).clone(), |acc, d| acc.and(col(d)))
+    let bounds = ctx.index().boundaries();
+    // 0-based bin of `v`: the first boundary at or above it, or the last
+    // (open) one.
+    let bin = |d: usize, v: f64| {
+        let b = bounds.of(d);
+        b.partition_point(|&ub| ub < v)
+            .min(b.len().saturating_sub(1))
     };
-    let mut q = intersect(|b| (b - 1) as usize);
-    let max_bit_score = q.count_ones() - 1;
-    if prunes(max_bit_score) {
+    let binned = |r: ObjectId, keep: fn(usize, usize) -> bool| {
+        ds.mask(o).iter().all(|d| {
+            ds.value(r, d)
+                .is_none_or(|w| keep(bin(d, w), bin(d, ds.raw_value(o, d))))
+        })
+    };
+    let q: Vec<ObjectId> = ds
+        .ids()
+        .filter(|&r| r != o && binned(r, |b, a| b >= a))
+        .collect();
+    let max_bit_score = q.len();
+    if matches!(tau, Some(t) if max_bit_score <= t) {
         return Outcome::PrunedBitmap;
     }
-    q.clear(o as usize);
-    let p = intersect(|b| b as usize);
-    let f = ctx.pre.f_of(ds, o);
-    let f_count = f.count_ones();
-    let g = p.count_ones() - p.and_count(f);
-    let qmp = q.and_not(&p);
-
-    let h3_budget = |non_d: usize| -> bool {
-        matches!(tau, Some(t) if non_d > max_bit_score.saturating_sub(f_count).saturating_sub(t))
+    let common = |r: ObjectId| ds.mask(o).and(ds.mask(r));
+    let cells = |r: ObjectId| {
+        let c = common(r);
+        c.iter()
+            .map(|d| (ds.raw_value(o, d), ds.raw_value(r, d)))
+            .collect::<Vec<_>>()
     };
-
-    let mut non_d_set: HashSet<usize> = HashSet::new();
-    let o_mask = ds.mask(o);
-    for dim in o_mask.iter() {
-        for pid in index.ids_in_bin_below(ds, o, dim) {
-            if qmp.get(pid as usize) {
-                non_d_set.insert(pid as usize);
-            }
-        }
-        if h3_budget(non_d_set.len()) {
-            return Outcome::PrunedPartial;
-        }
+    let dominated = |r: ObjectId| {
+        let c = cells(r);
+        c.iter().all(|(a, b)| a <= b) && c.iter().any(|(a, b)| a < b)
+    };
+    let f = ds.ids().filter(|&r| common(r).is_empty()).count();
+    let non_d = q
+        .iter()
+        .filter(|&&r| !binned(r, |b, a| b > a) && !dominated(r))
+        .count();
+    if matches!(tau, Some(t) if non_d > max_bit_score.saturating_sub(f).saturating_sub(t)) {
+        return Outcome::PrunedPartial;
     }
-    let mut tags: HashMap<usize, u32> = HashMap::new();
-    for dim in o_mask.iter() {
-        let v = ds.raw_value(o, dim);
-        for pid in index.ids_equal(dim, v) {
-            if pid != o && qmp.get(pid as usize) {
-                *tags.entry(pid as usize).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut non_d = non_d_set.len();
-    for pid in qmp.iter_ones() {
-        if non_d_set.contains(&pid) {
-            continue;
-        }
-        let common = o_mask.and(ds.mask(pid as ObjectId)).count();
-        if tags.get(&pid).copied().unwrap_or(0) == common {
-            non_d += 1;
-            if h3_budget(non_d) {
-                return Outcome::PrunedPartial;
-            }
-        }
-    }
-    let l = qmp.count_ones() - non_d;
-    Outcome::Score(g + l)
+    Outcome::Score(ds.ids().filter(|&r| r != o && dominated(r)).count())
 }
 
 /// Algorithm 5 driven by the allocating oracle scorer (test-only).
@@ -550,14 +427,17 @@ mod tests {
         assert!(h3_total > 0, "Heuristic 3 never fired across the family");
     }
 
-    /// Random incomplete dataset with the given missing probability.
-    fn dataset_strategy(missing: f64) -> impl Strategy<Value = tkd_model::Dataset> {
+    /// Random incomplete dataset with the given missing probability and
+    /// values drawn from `0..cardinality`.
+    fn dataset_strategy(
+        missing: f64,
+        cardinality: u32,
+    ) -> impl Strategy<Value = tkd_model::Dataset> {
         (1usize..=4).prop_flat_map(move |dims| {
-            let row = proptest::collection::vec(
-                proptest::option::weighted(1.0 - missing, (0u8..6).prop_map(|v| v as f64)),
-                dims,
-            )
-            .prop_filter("at least one observed", |r| r.iter().any(Option::is_some));
+            let value = (0..cardinality).prop_map(f64::from);
+            let row =
+                proptest::collection::vec(proptest::option::weighted(1.0 - missing, value), dims)
+                    .prop_filter("at least one observed", |r| r.iter().any(Option::is_some));
             proptest::collection::vec(row, 1..60).prop_map(move |rows| {
                 tkd_model::Dataset::from_rows(dims, &rows).expect("valid rows")
             })
@@ -568,23 +448,27 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// The scratch-based scoring path returns identical scores *and*
-        /// identical `PruneStats` to the original allocating path, across
-        /// low / medium / high missing rates and bin counts.
+        /// identical `PruneStats` to the row-scan oracle, across
+        /// cardinalities C ∈ {2, 10, 1000} × bins ∈ {1, x*, C, 2C}: one
+        /// bin, Eq. 8's count, single-value bins, and more bins than
+        /// values.
         #[test]
         fn score_parity_with_allocating_oracle(
-            ds_low in dataset_strategy(0.1),
-            ds_mid in dataset_strategy(0.3),
-            ds_high in dataset_strategy(0.6),
+            ds_2 in dataset_strategy(0.3, 2),
+            ds_10 in dataset_strategy(0.1, 10),
+            ds_1000 in dataset_strategy(0.6, 1000),
             k in 1usize..8,
-            bins in 1usize..6,
         ) {
-            for ds in [&ds_low, &ds_mid, &ds_high] {
-                let ctx: IbigContext<'_> = IbigContext::build(ds, &vec![bins; ds.dims()]);
-                let new = ibig_with(&ctx, k);
-                let oracle = ibig_with_alloc(&ctx, k);
-                prop_assert_eq!(new.scores(), oracle.scores());
-                prop_assert_eq!(new.entries(), oracle.entries());
-                prop_assert_eq!(new.stats, oracle.stats);
+            for (ds, c) in [(&ds_2, 2), (&ds_10, 10), (&ds_1000, 1000)] {
+                let x_star = cost::optimal_bins(ds.len(), stats::missing_rate(ds));
+                for bins in [1, x_star, c, 2 * c] {
+                    let ctx: IbigContext<'_> = IbigContext::build(ds, &vec![bins; ds.dims()]);
+                    let new = ibig_with(&ctx, k);
+                    let oracle = ibig_with_alloc(&ctx, k);
+                    prop_assert_eq!(new.scores(), oracle.scores());
+                    prop_assert_eq!(new.entries(), oracle.entries());
+                    prop_assert_eq!(new.stats, oracle.stats);
+                }
             }
         }
     }

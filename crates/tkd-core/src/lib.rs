@@ -10,7 +10,7 @@
 //! | [`esb`]    | bucket by mask + local k-skyband candidates (Lemma 1) | Alg. 1 |
 //! | [`ubb`](mod@ubb) | `MaxScore` upper bound + early termination (Heuristic 1) | Alg. 2 |
 //! | [`big`]    | bitmap index, `MaxBitScore` (Heuristic 2), bitwise scoring | Alg. 3–4 |
-//! | [`ibig`]   | binned index (its CONCISE layout measured, not executed), partial-score pruning (Heuristic 3) | Alg. 5 |
+//! | [`ibig`]   | binned view of the bitmap index (its CONCISE layout measured, not executed), partial-score pruning (Heuristic 3) | Alg. 5 |
 //!
 //! All algorithms return a [`TkdResult`] with identical score semantics
 //! (Definitions 2–3) and a [`PruneStats`] describing how much work each

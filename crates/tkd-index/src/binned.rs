@@ -1,30 +1,27 @@
 //! The binned bitmap index of §4.4 (Fig. 9) with the adaptive binning
-//! strategy of Eq. 3–4 and the per-dimension probe trees of §4.5.
+//! strategy of Eq. 3–4, as a **view** over the exact index.
 //!
-//! The paper's §4.5 B+-tree is `std::collections::BTreeSet` here: what
-//! the `nonD(o)` probe needs of it is ordered `(value, id)` keys, an
-//! `O(log n)` seek to a bin's lower boundary and an in-order scan of the
-//! bin interior, which `BTreeSet::range` is. The paper's other B+-tree
-//! use, the §4.2 rank query behind `MaxScore`, needs order statistics a
-//! `BTreeSet` does not keep — and the exact index beside this one already
-//! stores that count as a column popcount (the `[Qᵢ]` column of a value,
-//! [`crate::BitmapIndex::q_selected_upper_bound`] of a one-dimension
-//! selection) and every row's value slot, from which `tkd-core` counts
-//! the whole queue in one histogram.
+//! A binned column is `{missing ∨ v > boundary}`. Every boundary is an
+//! observed value, so every binned column is an exact column — the one at
+//! the slot `#values ≤ boundary` of [`crate::BitmapIndex`]'s value table.
+//! [`BinnedBitmapIndex`] therefore keeps no columns of its own: it is the
+//! exact index plus per-dimension [`BinBoundaries`], and its `[Qᵢ]`/`[Pᵢ]`
+//! picks are a [`ColumnSelection`] at those slots. The exact index's fills
+//! and budgeted scan serve Heuristic 2 on it, live mask included, and the
+//! §4.5 `nonD(o)` probes are AND-NOTs of two exact columns
+//! ([`BitmapIndex::residue_counts`]). Bins set only how tight
+//! Heuristics 2 and 3 prune; no score depends on them.
+//!
+//! The last bin is open above: a value inserted past the build-time
+//! boundaries lands in it, and a dimension with no boundaries (never
+//! observed at build) holds all its values in one bin. Compaction
+//! re-quantiles, so the boundaries follow the data between rebuilds
+//! without being maintained.
 
-use crate::key::F64Key;
-use crate::sorted_column::{for_each_sorted_column, value_runs};
-use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
-use std::collections::BTreeSet;
+use crate::bitmap::{BitmapIndex, ColumnSelection};
+use std::borrow::Cow;
 use tkd_bitvec::BitVec;
-use tkd_model::{Dataset, DimMask, ObjectId, MAX_DIMS};
-
-/// Sentinel marking a missing value in the per-object bin table.
-const MISSING: u32 = u32::MAX;
-
-/// One dimension's live observed `(value, id)` pairs, for bin-interior
-/// probing (§4.5).
-type ProbeTree = BTreeSet<(F64Key, ObjectId)>;
+use tkd_model::{Dataset, ObjectId};
 
 /// Compute bin upper boundaries for one dimension (Eq. 3–4).
 ///
@@ -68,530 +65,287 @@ pub fn compute_bins(value_counts: &[(f64, usize)], x: usize) -> Vec<f64> {
     boundaries
 }
 
-/// Binned bitmap index: like [`crate::BitmapIndex`] but with one column per
-/// value *bin*, shrinking storage from `Σ(Cᵢ+1)·N` to `Σ(xᵢ+1)·N` bits.
-///
-/// Because a bin conflates a value range, `[Qᵢ]` (same-or-higher bin) may
-/// include objects that are actually *better* than `o` in dimension `i`;
-/// the IBIG score computation (Algorithm 5) resolves those through the
-/// per-dimension tree probes exposed here.
-#[derive(Clone, Debug)]
-pub struct BinnedBitmapIndex {
-    n: usize,
-    dims: usize,
-    /// Per dimension: ascending upper boundary of each bin.
-    boundaries: Vec<Vec<f64>>,
-    /// `columns[i][c]` = `{p : p[i] missing ∨ bin(p[i]) > c}` (1-based bins).
-    columns: Vec<Vec<BitVec>>,
-    /// Per object, per dimension: 1-based bin index or `MISSING`.
-    bin_idx: Vec<u32>,
-    /// `block_suffix[i][c]` = [`suffix_counts`] of `columns[i][c]`, for the
-    /// Heuristic 2 early exit.
-    block_suffix: Vec<Vec<Vec<u32>>>,
-    trees: Vec<ProbeTree>,
+/// Per-dimension bin boundaries over one [`BitmapIndex`], and, for each of
+/// its value slots, the exact columns that are the slot's bin's `[Qᵢ]`
+/// and `[Pᵢ]` picks. The boundaries are the state (what a snapshot
+/// stores); the pick tables follow the index's value tables
+/// ([`BinBoundaries::sync`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct BinBoundaries {
+    /// Per dimension: ascending upper boundary of each bin; the last bin
+    /// is open above.
+    bounds: Vec<Vec<f64>>,
+    /// `picks[d][j]`: the `(Q, P)` exact columns of the bin holding value
+    /// slot `j ≥ 1` of `d`; entry 0 (missing) is `(0, 0)`.
+    picks: Vec<Vec<(u32, u32)>>,
 }
 
-/// Assembles a [`BinnedBitmapIndex`] one dimension at a time from the
-/// dataset's sorted columns ([`for_each_sorted_column`]) — the binned
-/// counterpart of [`crate::BitmapIndexBuilder`].
-/// [`BinnedBitmapIndex::build`] is this builder driven alone.
-#[derive(Debug)]
-pub struct BinnedBitmapIndexBuilder<'a> {
-    n: usize,
-    bins_per_dim: &'a [usize],
-    boundaries: Vec<Vec<f64>>,
-    columns: Vec<Vec<BitVec>>,
-    bin_idx: Vec<u32>,
-    block_suffix: Vec<Vec<Vec<u32>>>,
-    trees: Vec<ProbeTree>,
-}
-
-impl<'a> BinnedBitmapIndexBuilder<'a> {
-    /// Start an index over `n` objects with `bins_per_dim[i]` bins
-    /// requested for dimension `i` (a zero bin count panics at
-    /// [`BinnedBitmapIndexBuilder::push_dim`]).
-    pub fn new(bins_per_dim: &'a [usize], n: usize) -> Self {
-        let dims = bins_per_dim.len();
-        BinnedBitmapIndexBuilder {
-            n,
-            bins_per_dim,
-            boundaries: Vec::with_capacity(dims),
-            columns: Vec::with_capacity(dims),
-            bin_idx: vec![MISSING; n * dims],
-            block_suffix: Vec::with_capacity(dims),
-            trees: Vec::with_capacity(dims),
-        }
-    }
-
-    /// Add dimension `dim` from its sorted column: the equal-value runs
-    /// are the value counts Eq. 3–4 bins, the ascending order lets one
-    /// cursor assign every entry its bin and lay the columns down bin by
-    /// bin, and the column itself bulk-fills the probe tree.
+impl BinBoundaries {
+    /// Quantile boundaries (Eq. 3–4) of `exact`'s live values, with
+    /// `bins_per_dim[i]` bins requested for dimension `i`. The value
+    /// counts are read off the columns' popcounts — no row is visited.
     ///
     /// # Panics
-    /// Panics if dimensions arrive out of order, the requested bin count
-    /// is zero, or the column is not a sorted column of the dataset.
-    pub fn push_dim(&mut self, dim: usize, column: &[(f64, ObjectId)]) {
+    /// Panics if `bins_per_dim.len() != exact.dims()` or an entry is zero.
+    pub fn build(exact: &BitmapIndex, bins_per_dim: &[usize]) -> Self {
         assert_eq!(
-            dim,
-            self.boundaries.len(),
-            "dimensions must arrive in order"
+            bins_per_dim.len(),
+            exact.dims(),
+            "one bin count per dimension"
         );
-        let dims = self.bins_per_dim.len();
-        let counts: Vec<(f64, usize)> = value_runs(column)
-            .map(|run| (run[0].0, run.len()))
-            .collect();
-        let bounds = if counts.is_empty() {
-            Vec::new()
-        } else {
-            compute_bins(&counts, self.bins_per_dim[dim])
-        };
-
-        // Incremental columns, as in the unbinned index: bin `b`'s column
-        // is the previous one minus the entries up to its upper boundary.
-        let mut cols = Vec::with_capacity(bounds.len() + 1);
-        let mut cur = BitVec::ones(self.n);
-        cols.push(cur.clone());
-        let mut entries = column.iter().peekable();
-        for (b, &ub) in bounds.iter().enumerate() {
-            while let Some(&(_, o)) = entries.next_if(|e| e.0 <= ub) {
-                self.bin_idx[o as usize * dims + dim] = (b + 1) as u32;
-                cur.clear(o as usize);
-            }
-            cols.push(cur.clone());
-        }
-        debug_assert!(entries.next().is_none(), "value above last boundary");
-
-        let tree = column
+        let bounds = bins_per_dim
             .iter()
-            .map(|&(v, o)| (F64Key::new(v).expect("values are not NaN"), o))
+            .enumerate()
+            .map(|(d, &x)| {
+                assert!(x >= 1, "at least one bin required");
+                let counts = exact.value_counts(d);
+                if counts.is_empty() {
+                    Vec::new()
+                } else {
+                    compute_bins(&counts, x)
+                }
+            })
             .collect();
-        self.boundaries.push(bounds);
-        self.block_suffix
-            .push(cols.iter().map(suffix_counts).collect());
-        self.columns.push(cols);
-        self.trees.push(tree);
+        Self::over(exact, bounds)
     }
 
-    /// Finish the index.
-    ///
-    /// # Panics
-    /// Panics if fewer dimensions were pushed than bin counts given.
-    pub fn finish(self) -> BinnedBitmapIndex {
-        let dims = self.bins_per_dim.len();
-        assert_eq!(self.boundaries.len(), dims, "missing dimensions");
-        BinnedBitmapIndex {
-            n: self.n,
-            dims,
-            boundaries: self.boundaries,
-            columns: self.columns,
-            bin_idx: self.bin_idx,
-            block_suffix: self.block_suffix,
-            trees: self.trees,
-        }
-    }
-}
-
-impl BinnedBitmapIndex {
-    /// Build with `bins_per_dim[i]` bins requested for dimension `i`.
-    ///
-    /// # Panics
-    /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
-    pub fn build(ds: &Dataset, bins_per_dim: &[usize]) -> Self {
-        assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        let mut builder = BinnedBitmapIndexBuilder::new(bins_per_dim, ds.len());
-        for_each_sorted_column(ds, |dim, column| builder.push_dim(dim, column));
-        builder.finish()
-    }
-
-    /// Reassemble a whole-dataset binned index from its persisted logical
-    /// parts — the snapshot loader's constructor. `bin_slots` is the
-    /// row-major `n × dims` table of 1-based bins with `0` marking a
-    /// missing cell; `tree_entries` holds each dimension's live observed
-    /// `(value, local id)` pairs in strictly ascending `(value, id)`
-    /// order, from which the probe trees are refilled — tree node
-    /// structure is never persisted, and neither are the suffix-popcount
-    /// tables, which are recomputed from the adopted columns.
+    /// Adopt persisted boundaries for `exact` — the snapshot loader's
+    /// constructor.
     ///
     /// # Errors
-    /// A description of the first structural inconsistency (arities,
-    /// non-ascending, duplicated or NaN boundaries/keys, column lengths,
-    /// out-of-range bins or probe ids).
-    pub fn from_store_parts(
-        dims: usize,
-        boundaries: Vec<Vec<f64>>,
-        columns: Vec<Vec<BitVec>>,
-        bin_slots: Vec<u32>,
-        tree_entries: Vec<Vec<(f64, ObjectId)>>,
-    ) -> Result<Self, String> {
-        if dims == 0 || dims > MAX_DIMS {
-            return Err(format!("bad dimensionality {dims}"));
-        }
-        if boundaries.len() != dims || columns.len() != dims || tree_entries.len() != dims {
+    /// A description of the first inconsistency: a boundary set per
+    /// dimension other than `exact.dims()`, or NaN or non-ascending
+    /// boundaries.
+    pub fn from_store_parts(exact: &BitmapIndex, bounds: Vec<Vec<f64>>) -> Result<Self, String> {
+        if bounds.len() != exact.dims() {
             return Err(format!(
-                "per-dimension tables disagree with dims={dims}: {} boundary sets, \
-                 {} column sets, {} probe streams",
-                boundaries.len(),
-                columns.len(),
-                tree_entries.len()
+                "{} boundary sets for {} dimensions",
+                bounds.len(),
+                exact.dims()
             ));
         }
-        let n = columns[0]
-            .first()
-            .map(BitVec::len)
-            .ok_or_else(|| "dim 0 has no columns".to_string())?;
-        if bin_slots.len() != n * dims {
-            return Err(format!(
-                "bin table holds {} entries, expected {}",
-                bin_slots.len(),
-                n * dims
-            ));
-        }
-        let mut trees = Vec::with_capacity(dims);
-        for (d, (bounds, cols)) in boundaries.iter().zip(&columns).enumerate() {
-            if bounds.iter().any(|v| v.is_nan()) {
+        for (d, b) in bounds.iter().enumerate() {
+            if b.iter().any(|v| v.is_nan()) {
                 return Err(format!("NaN in the bin boundaries of dim {d}"));
             }
-            if bounds.windows(2).any(|w| w[0] >= w[1]) {
+            if b.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!(
                     "bin boundaries of dim {d} are not strictly ascending"
                 ));
             }
-            if cols.len() != bounds.len() + 1 {
-                return Err(format!(
-                    "dim {d} has {} columns for {} bins (expected xᵢ + 1)",
-                    cols.len(),
-                    bounds.len()
-                ));
-            }
-            for (c, col) in cols.iter().enumerate() {
-                if col.len() != n {
-                    return Err(format!(
-                        "column {c} of dim {d} has {} bits, expected {n}",
-                        col.len()
-                    ));
-                }
-            }
-            let mut keys = Vec::with_capacity(tree_entries[d].len());
-            for &(v, id) in &tree_entries[d] {
-                if (id as usize) >= n {
-                    return Err(format!("probe id {id} of dim {d} exceeds n={n}"));
-                }
-                let key = F64Key::new(v).ok_or_else(|| format!("NaN probe key in dim {d}"))?;
-                keys.push((key, id));
-            }
-            // Checked here because `collect` would sort and dedup a corrupt
-            // stream into a tree that disagrees with the columns.
-            if keys.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!(
-                    "probe stream of dim {d} is not strictly ascending by (value, id)"
-                ));
-            }
-            trees.push(keys.into_iter().collect());
         }
-        let mut bin_idx = bin_slots;
-        for (i, slot) in bin_idx.iter_mut().enumerate() {
-            let d = i % dims;
-            if *slot == 0 {
-                *slot = MISSING;
-            } else if *slot as usize > boundaries[d].len() {
-                return Err(format!(
-                    "bin {slot} of object {} exceeds dim {d}'s bin count {}",
-                    i / dims,
-                    boundaries[d].len()
-                ));
-            }
-        }
-        let block_suffix = columns
-            .iter()
-            .map(|cols| cols.iter().map(suffix_counts).collect())
-            .collect();
-        Ok(BinnedBitmapIndex {
-            n,
-            dims,
-            boundaries,
-            columns,
-            bin_idx,
-            block_suffix,
-            trees,
-        })
+        Ok(Self::over(exact, bounds))
     }
 
-    /// The live observed `(value, local id)` pairs of `dim`'s probe tree
-    /// in ascending `(value, id)` order — exactly the stream
-    /// [`BinnedBitmapIndex::from_store_parts`] rebuilds the tree from.
-    /// Keys come back normalized (−0.0 was collapsed to +0.0 at insert),
-    /// so the export is already canonical.
-    pub fn tree_entries(&self, dim: usize) -> impl Iterator<Item = (f64, ObjectId)> + '_ {
-        self.trees[dim].iter().map(|&(k, id)| (k.get(), id))
-    }
-
-    // ----- dynamic maintenance -------------------------------------------
-    //
-    // Unlike the exact index, the binned index tombstones slots in **every**
-    // column *including column 0* (it keeps no separate live mask):
-    // `and_selected_into` ANDs all picked columns, so
-    // a cleared column-0 bit masks dead slots even for all-missing picks,
-    // and the budgeted scan answers an all-column-0 selection from column
-    // 0's stored popcount. Every column change goes through the `col_*`
-    // helpers, which keep the suffix tables exact.
-    // Bin boundaries are frozen between compactions; a value above the last
-    // boundary extends that boundary upward (no existing assignment
-    // changes), and a dimension's first observed value creates its first
-    // bin. Binning only affects pruning tightness, never scores, so frozen
-    // bins stay exact — compaction re-quantiles them.
-
-    /// Append one object (slot `n()`). Returns the new local id.
-    pub fn append_row(&mut self, mut value: impl FnMut(usize) -> Option<f64>) -> usize {
-        let local = self.n;
-        for dim in 0..self.dims {
-            let slot = match value(dim) {
-                None => {
-                    for (col, suf) in self.columns[dim]
-                        .iter_mut()
-                        .zip(&mut self.block_suffix[dim])
-                    {
-                        col_push(col, suf, true);
-                    }
-                    MISSING
-                }
-                Some(v) => {
-                    let b = self.ensure_bin(dim, v);
-                    // bin = b+1; bit in column c iff bin > c, i.e. c ≤ b.
-                    for (c, (col, suf)) in self.columns[dim]
-                        .iter_mut()
-                        .zip(&mut self.block_suffix[dim])
-                        .enumerate()
-                    {
-                        col_push(col, suf, c <= b);
-                    }
-                    self.trees[dim].insert((
-                        F64Key::new(v).expect("values are not NaN"),
-                        local as ObjectId,
-                    ));
-                    (b + 1) as u32
-                }
-            };
-            self.bin_idx.push(slot);
-        }
-        self.n += 1;
-        local
-    }
-
-    /// Tombstone local slot `local`: clear its bits in **all** columns and
-    /// remove its keys from the probe trees. `value(d)` must return the
-    /// slot's observations (the caller still holds the tombstoned row).
-    pub fn tombstone_row(&mut self, local: usize, mut value: impl FnMut(usize) -> Option<f64>) {
-        for dim in 0..self.dims {
-            for (col, suf) in self.columns[dim]
-                .iter_mut()
-                .zip(&mut self.block_suffix[dim])
-            {
-                col_clear(col, suf, local);
-            }
-            if let Some(v) = value(dim) {
-                self.trees[dim].remove(&(F64Key::new(v).expect("not NaN"), local as ObjectId));
-            }
-        }
-    }
-
-    /// Overwrite one cell of live slot `local` (`old` is its current
-    /// observation, `new` the replacement), re-binning its column bits and
-    /// swapping its probe-tree key.
-    pub fn set_cell(&mut self, local: usize, dim: usize, old: Option<f64>, new: Option<f64>) {
-        if let Some(v) = old {
-            self.trees[dim].remove(&(F64Key::new(v).expect("not NaN"), local as ObjectId));
-        }
-        // Resolve the new bin first: it may create or extend a bin (which
-        // never changes existing assignments, so `old`'s range stays valid).
-        let new_slot = match new {
-            None => MISSING,
-            Some(v) => {
-                let b = self.ensure_bin(dim, v);
-                self.trees[dim].insert((F64Key::new(v).expect("not NaN"), local as ObjectId));
-                (b + 1) as u32
-            }
+    fn over(exact: &BitmapIndex, bounds: Vec<Vec<f64>>) -> Self {
+        let mut bins = BinBoundaries {
+            picks: vec![Vec::new(); bounds.len()],
+            bounds,
         };
-        let ncols = self.columns[dim].len();
-        // Set-bit prefixes `0..hi` (column 0 is in both, so it never flips).
-        let old_hi = match self.bin_idx[local * self.dims + dim] {
-            MISSING => ncols,
-            b => b as usize,
-        };
-        let new_hi = match new_slot {
-            MISSING => ncols,
-            b => b as usize,
-        };
-        if new_hi > old_hi {
-            for c in old_hi..new_hi {
-                col_set(
-                    &mut self.columns[dim][c],
-                    &mut self.block_suffix[dim][c],
-                    local,
-                );
+        bins.sync(exact);
+        bins
+    }
+
+    /// Bring the pick tables up to date with `exact`'s value tables after
+    /// it gained distinct values. Between compactions a value table only
+    /// grows, so a table of the wrong length is a stale one; only those
+    /// are recomputed, in one merge of the values with the boundaries.
+    pub fn sync(&mut self, exact: &BitmapIndex) {
+        for (d, picks) in self.picks.iter_mut().enumerate() {
+            let values = exact.values(d);
+            if picks.len() == values.len() + 1 {
+                continue;
             }
-        } else {
-            for c in new_hi..old_hi {
-                col_clear(
-                    &mut self.columns[dim][c],
-                    &mut self.block_suffix[dim][c],
-                    local,
-                );
+            let cut = |b| upper_column(&self.bounds[d], values, b);
+            picks.clear();
+            picks.push((0, 0));
+            let (mut b, mut lo, mut hi) = (0, 0, cut(0));
+            for j in 1..=values.len() as u32 {
+                while j > hi {
+                    b += 1;
+                    (lo, hi) = (hi, cut(b));
+                }
+                picks.push((lo, hi));
             }
         }
-        self.bin_idx[local * self.dims + dim] = new_slot;
     }
 
-    /// 0-based bin that holds `v`, creating the dimension's first bin or
-    /// extending the last boundary when `v` exceeds it.
-    fn ensure_bin(&mut self, dim: usize, v: f64) -> usize {
-        let bounds = &mut self.boundaries[dim];
-        if bounds.is_empty() {
-            bounds.push(v);
-            // First bin of a never-observed dimension: every existing slot
-            // misses it, so the new column equals column 0 bit for bit.
-            let col = self.columns[dim][0].clone();
-            let suf = self.block_suffix[dim][0].clone();
-            self.columns[dim].push(col);
-            self.block_suffix[dim].push(suf);
-            return 0;
-        }
-        if v > *bounds.last().expect("nonempty") {
-            *bounds.last_mut().expect("nonempty") = v;
-        }
-        bounds.partition_point(|&ub| ub < v)
-    }
-
-    /// Number of live observed entries in `dim` (the probe tree's size).
-    pub fn observed_count(&self, dim: usize) -> usize {
-        self.trees[dim].len()
-    }
-
-    /// AND one picked column per dimension into `dst`, **including**
-    /// column-0 picks — IBIG's `Q`/`P` fill on every surface (on a
-    /// dynamic index column 0 carries the tombstone mask).
-    ///
-    /// # Panics
-    /// Panics if `picks` is empty, names an out-of-range column, or
-    /// `dst.len() != self.n()`.
-    pub fn and_selected_into(
-        &self,
-        picks: impl IntoIterator<Item = (usize, usize)>,
-        dst: &mut BitVec,
-    ) {
-        self.and_selected_into_scoped(picks, None, dst);
-    }
-
-    /// [`BinnedBitmapIndex::and_selected_into`] restricted to `scope`'s
-    /// rows: one more AND operand in the same pass. `None` is the
-    /// unscoped fill.
-    ///
-    /// # Panics
-    /// As [`BinnedBitmapIndex::and_selected_into`].
-    pub fn and_selected_into_scoped(
-        &self,
-        picks: impl IntoIterator<Item = (usize, usize)>,
-        scope: Option<&RowScope>,
-        dst: &mut BitVec,
-    ) {
-        assert_eq!(dst.len(), self.n, "scratch length mismatch");
-        let mut cols: [&BitVec; MAX_DIMS + 1] = [&self.columns[0][0]; MAX_DIMS + 1];
-        let mut m = 0;
-        for (d, c) in picks {
-            cols[m] = &self.columns[d][c];
-            m += 1;
-        }
-        assert!(m >= 1, "need at least one column");
-        if let Some(scope) = scope {
-            cols[m] = scope.bits();
-            m += 1;
-        }
-        BitVec::intersect_into(dst, &cols[..m]);
-    }
-
-    // ----- static accessors ----------------------------------------------
-
-    /// Number of indexed objects.
-    pub fn n(&self) -> usize {
-        self.n
+    /// The ascending bin upper boundaries of `dim` (the last bin is open
+    /// above whatever its stored boundary says).
+    pub fn of(&self, dim: usize) -> &[f64] {
+        &self.bounds[dim]
     }
 
     /// Dimensionality.
     pub fn dims(&self) -> usize {
-        self.dims
+        self.bounds.len()
+    }
+}
+
+/// The exact column that is binned column `b + 1` (0-based bin `b`'s
+/// `[Pᵢ]`): the one at the slot of its boundary, `#values ≤ boundary`, or
+/// the missing column for the open last bin.
+fn upper_column(bounds: &[f64], values: &[f64], b: usize) -> u32 {
+    if b + 1 >= bounds.len() {
+        values.len() as u32
+    } else {
+        values.partition_point(|&v| v <= bounds[b]) as u32
+    }
+}
+
+/// Binned bitmap index: per-dimension bin boundaries viewed over a
+/// [`BitmapIndex`], with one column per value *bin* — `Σ(xᵢ+1)·N` bits
+/// (Eq. 5) where the exact index holds `Σ(Cᵢ+1)·N`. See the module docs.
+///
+/// Because a bin conflates a value range, `[Qᵢ]` (same-or-higher bin) may
+/// include objects that are actually *better* than `o` in dimension `i`;
+/// IBIG (Algorithm 5) counts those into `nonD(o)` with
+/// [`BitmapIndex::residue_counts`] over the exact columns.
+#[derive(Clone, Debug)]
+pub struct BinnedBitmapIndex<'a> {
+    exact: Cow<'a, BitmapIndex>,
+    bins: Cow<'a, BinBoundaries>,
+}
+
+impl<'a> BinnedBitmapIndex<'a> {
+    /// Build the exact index of `ds` and its Eq. 3–4 boundaries with
+    /// `bins_per_dim[i]` bins requested for dimension `i`.
+    ///
+    /// # Panics
+    /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
+    pub fn build(ds: &Dataset, bins_per_dim: &[usize]) -> BinnedBitmapIndex<'static> {
+        BinnedBitmapIndex::owned(BitmapIndex::build(ds), bins_per_dim)
     }
 
-    /// Actual number of bins materialized for `dim` (≤ requested).
+    /// The view of `exact` binned with `bins_per_dim[i]` bins requested
+    /// for dimension `i`, owning both.
+    pub fn owned(exact: BitmapIndex, bins_per_dim: &[usize]) -> BinnedBitmapIndex<'static> {
+        let bins = BinBoundaries::build(&exact, bins_per_dim);
+        BinnedBitmapIndex {
+            exact: Cow::Owned(exact),
+            bins: Cow::Owned(bins),
+        }
+    }
+
+    /// The view of `exact` through `bins`, borrowing both — nothing is
+    /// built or copied.
+    ///
+    /// # Panics
+    /// Panics if the boundaries are for another dimensionality.
+    pub fn new(exact: &'a BitmapIndex, bins: &'a BinBoundaries) -> Self {
+        assert_eq!(bins.dims(), exact.dims(), "one boundary set per dimension");
+        BinnedBitmapIndex {
+            exact: Cow::Borrowed(exact),
+            bins: Cow::Borrowed(bins),
+        }
+    }
+
+    /// The exact index underneath.
+    pub fn exact(&self) -> &BitmapIndex {
+        &self.exact
+    }
+
+    /// The bin boundaries.
+    pub fn boundaries(&self) -> &BinBoundaries {
+        &self.bins
+    }
+
+    /// Number of indexed objects.
+    pub fn n(&self) -> usize {
+        self.exact.n()
+    }
+
+    /// Dimensionality.
+    pub fn dims(&self) -> usize {
+        self.exact.dims()
+    }
+
+    /// Number of bins materialized for `dim` (≤ requested).
     pub fn num_bins(&self, dim: usize) -> usize {
-        self.boundaries[dim].len()
+        self.bins.bounds[dim].len()
     }
 
     /// Number of columns of `dim` (`xᵢ + 1`).
     pub fn num_columns(&self, dim: usize) -> usize {
-        self.columns[dim].len()
+        self.num_bins(dim) + 1
     }
 
-    /// Vertical column `c` of `dim`.
+    /// Vertical column `c` of `dim`: `{p : p[i] missing ∨ bin(p[i]) > c}`
+    /// (1-based bins) — the exact column at the slot of bin `c`'s upper
+    /// boundary, column 0 for `c = 0` and the missing column for the
+    /// open last bin.
     pub fn column(&self, dim: usize, c: usize) -> &BitVec {
-        &self.columns[dim][c]
+        let values = self.exact.values(dim);
+        let slot = match c {
+            0 => 0,
+            c => upper_column(&self.bins.bounds[dim], values, c - 1),
+        };
+        self.exact.column(dim, slot as usize)
     }
 
     /// Upper boundary value of 1-based `bin` in `dim`.
     pub fn bin_upper(&self, dim: usize, bin: u32) -> f64 {
-        self.boundaries[dim][(bin - 1) as usize]
-    }
-
-    /// Upper boundary of the bin *below* `bin`, i.e. the exclusive lower
-    /// bound of `bin` (`None` for the first bin).
-    pub fn bin_lower(&self, dim: usize, bin: u32) -> Option<f64> {
-        if bin <= 1 {
-            None
-        } else {
-            Some(self.boundaries[dim][(bin - 2) as usize])
-        }
+        self.bins.bounds[dim][(bin - 1) as usize]
     }
 
     /// 1-based bin of `o` in `dim`, or `None` when missing.
-    #[inline]
     pub fn bin_of(&self, o: ObjectId, dim: usize) -> Option<u32> {
-        match self.bin_idx[o as usize * self.dims + dim] {
-            MISSING => None,
-            b => Some(b),
-        }
+        let j = self.exact.value_slot(o as usize, dim);
+        (j != 0).then(|| self.bin_of_value(dim, self.exact.values(dim)[j as usize - 1]))
     }
 
-    /// `[Qᵢ]` for `o`: same-or-higher bin or missing.
-    #[inline]
-    pub fn q_column(&self, o: ObjectId, dim: usize) -> &BitVec {
-        match self.bin_of(o, dim) {
-            None => &self.columns[dim][0],
-            Some(b) => &self.columns[dim][(b - 1) as usize],
-        }
+    /// 1-based bin holding `v` in `dim`: the first whose boundary is at or
+    /// above it, or the open last one.
+    fn bin_of_value(&self, dim: usize, v: f64) -> u32 {
+        let bounds = &self.bins.bounds[dim];
+        let b = bounds.partition_point(|&ub| ub < v);
+        b.min(bounds.len().saturating_sub(1)) as u32 + 1
     }
 
-    /// `[Pᵢ]` for `o`: strictly higher bin or missing.
+    /// The binned `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row`, in
+    /// `O(dims)` off its stored value slots: exact columns at its bins'
+    /// boundaries. The equality slots are the exact ones.
     #[inline]
-    pub fn p_column(&self, o: ObjectId, dim: usize) -> &BitVec {
-        match self.bin_of(o, dim) {
-            None => &self.columns[dim][0],
-            Some(b) => &self.columns[dim][b as usize],
+    pub fn selection_of(&self, row: usize) -> ColumnSelection {
+        let mut sel = ColumnSelection::default();
+        for (dim, picks) in self.bins.picks.iter().enumerate() {
+            let j = self.exact.value_slot(row, dim);
+            (sel.q[dim], sel.p[dim]) = picks[j as usize];
+            sel.eq[dim] = j;
         }
+        sel
+    }
+
+    /// Resolve the binned picks for an **arbitrary value vector** — the
+    /// cluster's scoring entry point ([`BitmapIndex::select_for`] for
+    /// bins): the picks of the bin containing each value. For members they
+    /// equal [`BinnedBitmapIndex::selection_of`].
+    pub fn select_for(&self, mut value: impl FnMut(usize) -> Option<f64>) -> ColumnSelection {
+        let mut sel = self.exact.select_for(&mut value);
+        for dim in 0..self.dims() {
+            if let Some(v) = value(dim) {
+                let b = self.bin_of_value(dim, v) as usize - 1;
+                let cut = |b| upper_column(&self.bins.bounds[dim], self.exact.values(dim), b);
+                sel.q[dim] = if b == 0 { 0 } else { cut(b - 1) };
+                sel.p[dim] = cut(b);
+            }
+        }
+        sel
     }
 
     /// `Q = (∩ᵢ Qᵢ) − {o}` over the binned columns.
     pub fn q_vec(&self, o: ObjectId) -> BitVec {
-        let sel = self.selection_of(o as usize);
-        let mut q = BitVec::zeros(self.n);
-        self.and_selected_into((0..self.dims).map(|d| sel.q_pick(d)), &mut q);
-        q.clear(o as usize);
+        let mut q = BitVec::zeros(self.n());
+        self.exact
+            .q_into_selected(&self.selection_of(o as usize), Some(o as usize), &mut q);
         q
     }
 
     /// `P = ∩ᵢ Pᵢ` over the binned columns.
     pub fn p_vec(&self, o: ObjectId) -> BitVec {
-        let sel = self.selection_of(o as usize);
-        let mut p = BitVec::zeros(self.n);
-        self.and_selected_into((0..self.dims).map(|d| sel.p_pick(d)), &mut p);
+        let mut p = BitVec::zeros(self.n());
+        self.exact
+            .p_into_selected(&self.selection_of(o as usize), &mut p);
         p
     }
 
@@ -602,42 +356,11 @@ impl BinnedBitmapIndex {
         self.q_vec(o).count_ones()
     }
 
-    /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit: `None` as
-    /// soon as the count is provably `≤ budget`, else the exact count —
-    /// the same scan as [`crate::BitmapIndex::q_count_selected_above`],
-    /// over the binned columns and their suffix tables. IBIG's Heuristic 2
-    /// decision; nothing is written.
-    pub fn q_count_selected_above(&self, sel: &BinSelection, budget: usize) -> Option<usize> {
-        self.q_count_selected_above_scoped(sel, None, budget)
-    }
-
-    /// [`BinnedBitmapIndex::q_count_selected_above`] with `scope`'s rows as
-    /// one more operand of the scan. `None` is the unscoped scan.
-    pub fn q_count_selected_above_scoped(
-        &self,
-        sel: &BinSelection,
-        scope: Option<&RowScope>,
-        budget: usize,
-    ) -> Option<usize> {
-        // Column 0 carries the tombstones here, so its popcount is the
-        // live count.
-        count_selected_above(
-            &self.columns,
-            &self.block_suffix,
-            &sel.q[..self.dims],
-            self.block_suffix[0][0][0] as usize,
-            scope,
-            budget,
-        )
-    }
-
     /// Index size in bits: the paper's **logical** Eq. 5 cost with the
-    /// actual bin counts (see [`BinnedBitmapIndex::allocated_bytes`] for
-    /// the allocation footprint).
+    /// actual bin counts.
     pub fn size_bits(&self) -> u64 {
-        self.columns
-            .iter()
-            .map(|cols| cols.len() as u64 * self.n as u64)
+        (0..self.dims())
+            .map(|d| self.num_columns(d) as u64 * self.n() as u64)
             .sum()
     }
 
@@ -646,161 +369,40 @@ impl BinnedBitmapIndex {
         self.size_bits().div_ceil(8)
     }
 
-    /// Actual allocated column storage in bytes: every column holds
-    /// `ceil(|S| / 64)` 64-bit words. Excludes the probe trees.
+    /// The bytes the binned columns would allocate standalone: every
+    /// column holds `ceil(|S| / 64)` 64-bit words. The view allocates
+    /// none of them — they are the exact index's.
     pub fn allocated_bytes(&self) -> u64 {
-        let ncols: u64 = self.columns.iter().map(|c| c.len() as u64).sum();
-        ncols * (self.n as u64).div_ceil(64) * 8
+        let ncols: u64 = (0..self.dims()).map(|d| self.num_columns(d) as u64).sum();
+        ncols * (self.n() as u64).div_ceil(64) * 8
     }
 
-    /// Objects whose value in `dim` equals `v` (tree probe, ascending id).
-    pub fn ids_equal(&self, dim: usize, v: f64) -> impl Iterator<Item = ObjectId> + '_ {
-        let k = F64Key::new(v).expect("probe value is not NaN");
-        self.trees[dim]
-            .range((k, 0)..=(k, ObjectId::MAX))
-            .map(|&(_, id)| id)
-    }
-
-    /// Objects in the same bin as `o` in `dim` whose value is strictly less
-    /// than `o[i]` — the §4.5 probe that feeds `nonD(o)` (they cannot be
-    /// dominated by `o`). Empty when `o` misses `dim`.
-    ///
-    /// Returns a concrete tree range cursor — no boxing, so the IBIG
-    /// inner loop performs no heap allocation per probe.
+    /// Live objects in the same bin as `o` in `dim` whose value is
+    /// strictly less than `o[i]` — the §4.5 probe that feeds `nonD(o)`
+    /// (they cannot be dominated by `o`): the bin's lowest column AND-NOT
+    /// `o`'s own `[Qᵢ]`. Empty when `o` misses `dim`. `_ds` is `o`'s
+    /// dataset, kept for the call shape; the index holds `o`'s value.
     pub fn ids_in_bin_below(
         &self,
-        ds: &Dataset,
+        _ds: &Dataset,
         o: ObjectId,
         dim: usize,
     ) -> impl Iterator<Item = ObjectId> + '_ {
-        match self.bin_of(o, dim) {
-            None => self.ids_below_in_bin(dim, f64::INFINITY, false),
-            Some(_) => {
-                let v = ds.value(o, dim).expect("bin implies observed");
-                self.ids_below_in_bin(dim, v, true)
-            }
-        }
-    }
-
-    /// Value-based form of [`BinnedBitmapIndex::ids_in_bin_below`] for
-    /// candidates that need not be members of this index: ids of the
-    /// members sharing the bin that contains `v` whose value is strictly
-    /// below `v`. `observed = false` (the candidate misses `dim`)
-    /// yields the empty cursor. A `v` above every boundary belongs to no
-    /// bin — also empty (such members cannot tie the candidate's bin).
-    pub fn ids_below_in_bin(
-        &self,
-        dim: usize,
-        v: f64,
-        observed: bool,
-    ) -> impl Iterator<Item = ObjectId> + '_ {
-        use std::ops::Bound;
-        let bounds = &self.boundaries[dim];
-        let c = bounds.partition_point(|&ub| ub < v); // 0-based bin of v
-        let (lo, hi) = if !observed || c >= bounds.len() {
-            // An interval whose bounds exclude everything yields the empty
-            // probe through the same cursor type.
-            let k = (F64Key::new(0.0).expect("zero is not NaN"), 0);
-            (Bound::Included(k), Bound::Excluded(k))
-        } else {
-            let hi = Bound::Excluded((F64Key::new(v).expect("not NaN"), 0));
-            let lo = match self.bin_lower(dim, (c + 1) as u32) {
-                None => Bound::Unbounded,
-                Some(lb) => Bound::Excluded((F64Key::new(lb).expect("not NaN"), ObjectId::MAX)),
-            };
-            (lo, hi)
-        };
-        self.trees[dim].range((lo, hi)).map(|&(_, id)| id)
-    }
-
-    /// Resolve the binned `[Qᵢ]`/`[Pᵢ]` column picks for an arbitrary value
-    /// vector — the cluster's scoring entry point (binned counterpart of
-    /// [`crate::BitmapIndex::select_for`]). For members the picks coincide
-    /// with [`BinnedBitmapIndex::q_column`] / [`BinnedBitmapIndex::p_column`];
-    /// for non-member values the columns encode "same-or-higher bin than
-    /// the bin containing `v`" / "strictly higher bin".
-    pub fn select_for(&self, mut value: impl FnMut(usize) -> Option<f64>) -> BinSelection {
-        let mut sel = BinSelection::default();
-        for dim in 0..self.dims {
-            if let Some(v) = value(dim) {
-                let bounds = &self.boundaries[dim];
-                let c = bounds.partition_point(|&ub| ub < v); // 0-based bin
-                sel.q[dim] = c as u32;
-                // `c == bounds.len()` (value above every bin): both
-                // picks degenerate to the last column, `{p : p[i] missing}`.
-                sel.p[dim] = (c + 1).min(bounds.len()) as u32;
-            }
-        }
-        sel
-    }
-
-    /// The binned `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row`,
-    /// read off its stored bins in `O(dims)` — field for field
-    /// what [`BinnedBitmapIndex::select_for`] resolves from the row's
-    /// values by binary search.
-    #[inline]
-    pub fn selection_of(&self, row: usize) -> BinSelection {
-        let mut sel = BinSelection::default();
-        let bins = &self.bin_idx[row * self.dims..(row + 1) * self.dims];
-        for (dim, &b) in bins.iter().enumerate() {
-            if b != MISSING {
-                sel.q[dim] = b - 1;
-                sel.p[dim] = b;
-            }
-        }
-        sel
-    }
-}
-
-/// Resolved per-dimension binned column picks for one candidate against
-/// one [`BinnedBitmapIndex`] — produced by
-/// [`BinnedBitmapIndex::select_for`]. The pick pairs feed
-/// [`BinnedBitmapIndex::and_selected_into`] directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BinSelection {
-    q: [u32; MAX_DIMS],
-    p: [u32; MAX_DIMS],
-}
-
-impl Default for BinSelection {
-    /// The all-missing selection: every pick is the all-ones column 0.
-    fn default() -> Self {
-        BinSelection {
-            q: [0; MAX_DIMS],
-            p: [0; MAX_DIMS],
-        }
-    }
-}
-
-impl BinSelection {
-    /// `(dim, column)` pick of `[Q_dim]`.
-    #[inline]
-    pub fn q_pick(&self, dim: usize) -> (usize, usize) {
-        (dim, self.q[dim] as usize)
-    }
-
-    /// `(dim, column)` pick of `[P_dim]`.
-    #[inline]
-    pub fn p_pick(&self, dim: usize) -> (usize, usize) {
-        (dim, self.p[dim] as usize)
-    }
-
-    /// Restrict the selection to the dimensions of `dims`: every other
-    /// pick becomes column 0, as for a candidate missing that dimension
-    /// ([`crate::ColumnSelection::restrict`] on the binned index).
-    pub fn restrict(&mut self, dims: DimMask) {
-        for d in 0..MAX_DIMS {
-            let keep = (dims.bits() >> d) as u32 & 1;
-            self.q[d] *= keep;
-            self.p[d] *= keep;
-        }
+        let j = self.exact.value_slot(o as usize, dim) as usize;
+        let (lo, _) = self.bins.picks[dim][j];
+        let s = j.saturating_sub(1);
+        let live = self.exact.live_mask();
+        self.exact
+            .column(dim, lo as usize)
+            .iter_ones_and_not(self.exact.column(dim, s))
+            .filter(move |&r| live.get(r))
+            .map(|r| r as ObjectId)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitmapIndex;
     use tkd_model::{dominance, fixtures};
 
     #[test]
@@ -845,7 +447,7 @@ mod tests {
         assert_eq!(b, vec![2.0, 5.0, 8.0, 11.0]);
     }
 
-    fn fig9_index() -> (tkd_model::Dataset, BinnedBitmapIndex) {
+    fn fig9_index() -> (tkd_model::Dataset, BinnedBitmapIndex<'static>) {
         let ds = fixtures::fig3_sample();
         // §4.4 / Fig. 9: x = (2, 2, 3, 3).
         let idx = BinnedBitmapIndex::build(&ds, &[2, 2, 3, 3]);
@@ -922,6 +524,12 @@ mod tests {
             }
         }
         assert_eq!(binned.size_bits(), exact.size_bits());
+        for o in ds.ids() {
+            assert_eq!(
+                binned.selection_of(o as usize),
+                exact.selection_of(o as usize)
+            );
+        }
     }
 
     #[test]
@@ -939,62 +547,101 @@ mod tests {
         ds.select(&ids)
     }
 
+    /// The columns a selection picks hold, for every member, exactly the
+    /// bin predicate `missing ∨ bin ≥ cand` (Q) / `> cand` (P), where a
+    /// value above every boundary sits in the open last bin.
     #[test]
     fn value_based_selection_and_probe_agree_with_member_forms() {
         let ds = fixtures::fig3_sample();
         let sub = row_range(&ds, 5, 14);
         let shard = BinnedBitmapIndex::build(&sub, &[2, 2, 3, 3]);
-        // Candidates from the whole dataset, members or not.
-        for o in ds.ids() {
-            let sel = shard.select_for(|d| ds.value(o, d));
-            for d in 0..ds.dims() {
-                let (qd, qc) = sel.q_pick(d);
-                let (pd, pc) = sel.p_pick(d);
-                assert_eq!((qd, pd), (d, d));
-                assert!(qc <= pc && pc <= shard.num_bins(d));
-                // Column predicates against every member, from raw values.
+        let mut q = BitVec::zeros(shard.n());
+        let mut p = BitVec::zeros(shard.n());
+        // Candidates from the whole dataset, members or not, and one
+        // above every value.
+        let beyond = [Some(99.0); 4];
+        let values = ds
+            .ids()
+            .map(|o| (0..4).map(|d| ds.value(o, d)).collect::<Vec<_>>())
+            .chain([beyond.to_vec()]);
+        for (o, row) in values.enumerate() {
+            let sel = shard.select_for(|d| row[d]);
+            let bin = |v: f64, d: usize| shard.bin_of_value(d, v);
+            for (d, &cell) in row.iter().enumerate() {
+                let mut one = ColumnSelection::default();
+                (one.q[d], one.p[d]) = (sel.q[d], sel.p[d]);
+                shard.exact().q_into_selected(&one, None, &mut q);
+                shard.exact().p_into_selected(&one, &mut p);
                 for local in 0..shard.n() {
-                    let pid = (5 + local) as u32;
-                    let member_bin = shard.bin_of(local as u32, d);
-                    let cand_bin = ds.value(o, d).map(|v| {
-                        // 1-based bin containing v (num_bins + 1 = above all).
-                        (0..shard.num_bins(d) as u32)
-                            .find(|&b| v <= shard.bin_upper(d, b + 1))
-                            .map(|b| b + 1)
-                            .unwrap_or(shard.num_bins(d) as u32 + 1)
+                    let cells = cell.zip(sub.value(local as ObjectId, d));
+                    let (in_q, in_p) = cells.map_or((true, true), |(a, b)| {
+                        (bin(b, d) >= bin(a, d), bin(b, d) > bin(a, d))
                     });
-                    let in_q = match (member_bin, cand_bin) {
-                        (None, _) | (_, None) => true,
-                        (Some(mb), Some(cb)) => mb >= cb,
-                    };
-                    let in_p = match (member_bin, cand_bin) {
-                        (None, _) | (_, None) => true,
-                        (Some(mb), Some(cb)) => mb > cb,
-                    };
-                    assert_eq!(
-                        shard.column(d, qc).get(local),
-                        in_q,
-                        "Q o={o} pid={pid} d={d}"
-                    );
-                    assert_eq!(
-                        shard.column(d, pc).get(local),
-                        in_p,
-                        "P o={o} pid={pid} d={d}"
-                    );
+                    assert_eq!(q.get(local), in_q, "Q o={o} local={local} d={d}");
+                    assert_eq!(p.get(local), in_p, "P o={o} local={local} d={d}");
                 }
             }
-            // Value probe = member probe when o happens to be a member.
-            if (5..14).contains(&(o as usize)) {
-                let local = o - 5;
-                for d in 0..ds.dims() {
-                    let via_member: Vec<u32> = shard.ids_in_bin_below(&sub, local, d).collect();
-                    let via_value: Vec<u32> = match ds.value(o, d) {
-                        Some(v) => shard.ids_below_in_bin(d, v, true).collect(),
-                        None => shard.ids_below_in_bin(d, 0.0, false).collect(),
-                    };
-                    assert_eq!(via_member, via_value, "o={o} d={d}");
-                }
+            // Value picks = member picks when o happens to be a member.
+            if (5..14).contains(&o) {
+                assert_eq!(sel, shard.selection_of(o - 5), "o={o}");
             }
+        }
+    }
+
+    #[test]
+    fn probe_ids_in_bin_below() {
+        let (ds, idx) = fig9_index();
+        // D4[1] = 4 sits in bin 2 of dim 0, which covers (2, 5]. Values
+        // strictly below 4 in that bin: the five 3s (C3, C4, C5, D1) —
+        // and nothing from bin 1.
+        let d4 = ds.id_by_label("D4").unwrap();
+        let mut ids: Vec<String> = idx
+            .ids_in_bin_below(&ds, d4, 0)
+            .map(|o| ds.label(o).unwrap().to_string())
+            .collect();
+        ids.sort();
+        assert_eq!(ids, vec!["C3", "C4", "C5", "D1"]);
+        // C2[1] = 2 is the minimum of its bin: nothing below.
+        let c2 = ds.id_by_label("C2").unwrap();
+        assert_eq!(idx.ids_in_bin_below(&ds, c2, 0).count(), 0);
+        // Missing dimension: empty probe.
+        let a1 = ds.id_by_label("A1").unwrap();
+        assert_eq!(idx.ids_in_bin_below(&ds, a1, 0).count(), 0);
+    }
+
+    /// A view over a mutated exact index: a value above the last
+    /// boundary joins the open last bin, and a never-observed dimension's
+    /// first values share one bin — without touching the boundaries.
+    #[test]
+    fn dynamic_first_bin_and_boundary_extension() {
+        let ds = tkd_model::Dataset::from_rows(2, &[vec![Some(1.0), None], vec![Some(2.0), None]])
+            .unwrap();
+        let mut exact = BitmapIndex::build(&ds);
+        let mut bins = BinBoundaries::build(&exact, &[2, 2]);
+        assert_eq!(bins.of(0), [1.0, 2.0]);
+        assert!(bins.of(1).is_empty());
+        let a = exact.append_row(|d| [Some(9.0), Some(4.0)][d]);
+        let b = exact.append_row(|d| [None, Some(3.5)][d]);
+        bins.sync(&exact);
+        let view = BinnedBitmapIndex::new(&exact, &bins);
+        assert_eq!(view.num_bins(1), 0);
+        assert_eq!(view.bin_of(a as u32, 0), Some(2), "9.0 joins the last bin");
+        assert_eq!(view.bin_of(a as u32, 1), Some(1));
+        assert_eq!(view.bin_of(b as u32, 1), Some(1));
+        // 2.0 shares the open bin with 9.0; 3.5 shares dim 1's with 4.0.
+        let below: Vec<u32> = view.ids_in_bin_below(&ds, a as u32, 0).collect();
+        assert_eq!(below, vec![1]);
+        let below: Vec<u32> = view.ids_in_bin_below(&ds, a as u32, 1).collect();
+        assert_eq!(below, vec![b as u32]);
+        // The member picks agree with the value picks.
+        for r in 0..view.n() {
+            let row: Vec<Option<f64>> = (0..2)
+                .map(|d| {
+                    let j = exact.value_slot(r, d) as usize;
+                    (j > 0).then(|| exact.values(d)[j - 1])
+                })
+                .collect();
+            assert_eq!(view.selection_of(r), view.select_for(|d| row[d]), "row {r}");
         }
     }
 
@@ -1028,60 +675,26 @@ mod tests {
         }
     }
 
-    /// The suffix tables equal a fresh recompute from the columns, and the
-    /// budgeted scan agrees with the popcount of the materialized `Q` of
-    /// every selection in `sels`, at budgets on both sides of it.
-    fn assert_scan_consistent(
-        idx: &BinnedBitmapIndex,
-        sels: impl IntoIterator<Item = BinSelection>,
-        ctx: &str,
-    ) {
-        for d in 0..idx.dims() {
-            assert_eq!(idx.block_suffix[d].len(), idx.num_columns(d), "{ctx}");
-            for c in 0..idx.num_columns(d) {
-                let fresh = suffix_counts(idx.column(d, c));
-                assert_eq!(idx.block_suffix[d][c], fresh, "{ctx}: dim {d} col {c}");
-            }
-        }
-        let mut q = BitVec::zeros(idx.n());
-        for sel in sels {
-            idx.and_selected_into((0..idx.dims()).map(|d| sel.q_pick(d)), &mut q);
-            let exact = q.count_ones();
-            for budget in [0, 1, exact.saturating_sub(1), exact, exact + 3] {
-                assert_eq!(
-                    idx.q_count_selected_above(&sel, budget),
-                    (exact > budget).then_some(exact),
-                    "{ctx}: budget {budget}"
-                );
-            }
-        }
-    }
-
-    /// Dynamic maintenance keeps the binned index *consistent*: column
-    /// predicates match the frozen bin assignment, tombstones vanish from
-    /// every column and probe, `Q` stays a sound superset of the exact
-    /// index's `Q` over live objects, and the probe trees agree with a
-    /// brute-force scan. (Bit-level equality with a rebuild is *not*
-    /// expected — compaction re-quantiles bins.)
+    /// A view over an index maintained in place stays *consistent*: its
+    /// columns follow the bins, tombstones never reach a `Q` fill at its
+    /// picks, and that `Q` stays a superset of the exact index's. (Bins
+    /// frozen between compactions only loosen pruning.)
     #[test]
     fn dynamic_maintenance_stays_consistent() {
         let dims = 3;
         let mut seed = 13u64;
         let mut rows: Vec<Option<Vec<Option<f64>>>> = Vec::new();
-        let mut idx = {
-            let ds = tkd_model::Dataset::from_rows(dims, &[]).unwrap();
-            BinnedBitmapIndex::build(&ds, &[3, 3, 3])
-        };
-        let value_of = |rows: &Vec<Option<Vec<Option<f64>>>>, s: usize, d: usize| {
-            rows[s].as_ref().and_then(|r| r[d])
-        };
+        let seed_rows: Vec<Vec<Option<f64>>> =
+            (0..12).map(|_| random_row(&mut seed, dims)).collect();
+        let mut exact = BitmapIndex::build(&Dataset::from_rows(dims, &seed_rows).unwrap());
+        let mut bins = BinBoundaries::build(&exact, &[3, 3, 3]);
+        rows.extend(seed_rows.into_iter().map(Some));
         for step in 0..160 {
             let live: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_some()).collect();
             match mix(&mut seed) % 10 {
                 0..=2 if !live.is_empty() => {
                     let s = live[mix(&mut seed) as usize % live.len()];
-                    let row = rows[s].clone().unwrap();
-                    idx.tombstone_row(s, |d| row[d]);
+                    exact.tombstone_row(s);
                     rows[s] = None;
                 }
                 3..=4 if !live.is_empty() => {
@@ -1092,78 +705,42 @@ mod tests {
                     let mut cand = row.clone();
                     cand[d] = nv;
                     if cand.iter().any(Option::is_some) {
-                        idx.set_cell(s, d, row[d], nv);
+                        exact.set_cell(s, d, nv);
                         *row = cand;
                     }
                 }
                 _ => {
                     let row = random_row(&mut seed, dims);
-                    let local = idx.append_row(|d| row[d]);
-                    assert_eq!(local, rows.len());
+                    exact.append_row(|d| row[d]);
                     rows.push(Some(row));
                 }
             }
+            bins.sync(&exact);
             if step % 11 != 0 && step != 159 {
                 continue;
             }
-            // Column predicates: live slots follow bin semantics, dead
-            // slots are zero everywhere (including column 0).
+            let view = BinnedBitmapIndex::new(&exact, &bins);
             for d in 0..dims {
-                for c in 0..idx.num_columns(d) {
-                    let col = idx.column(d, c);
+                for c in 1..view.num_columns(d) {
                     for (s, row) in rows.iter().enumerate() {
-                        let expected = match row {
-                            None => false,
-                            Some(r) => match r[d] {
-                                None => true,
-                                Some(v) => {
-                                    let b = (0..idx.num_bins(d) as u32)
-                                        .find(|&b| v <= idx.bin_upper(d, b + 1))
-                                        .map(|b| b + 1)
-                                        .expect("live value inside some bin");
-                                    assert_eq!(Some(b), idx.bin_of(s as u32, d));
-                                    b as usize > c
-                                }
-                            },
-                        };
-                        assert_eq!(col.get(s), expected, "step {step} d={d} c={c} s={s}");
+                        let expected = row.as_ref().is_some_and(|r| {
+                            r[d].is_none() || view.bin_of(s as u32, d).unwrap() as usize > c
+                        });
+                        let got = view.column(d, c).get(s);
+                        assert_eq!(got, expected, "step {step} d={d} c={c} s={s}");
                     }
                 }
-                // Probe tree vs brute force: count ≥ v over live observed.
-                for probe in [-0.0, 0.0, 1.0, 4.25, 8.0, 100.0] {
-                    let brute = (0..rows.len())
-                        .filter_map(|s| value_of(&rows, s, d))
-                        .filter(|&v| v >= probe)
-                        .count();
-                    let in_tree = idx.tree_entries(d).filter(|e| e.0 >= probe).count();
-                    assert_eq!(in_tree, brute, "probe {probe}");
+            }
+            let mut q = BitVec::zeros(view.n());
+            let mut eq = BitVec::zeros(view.n());
+            for (s, row) in rows.iter().enumerate() {
+                if row.is_none() {
+                    continue;
                 }
-                let brute_observed = (0..rows.len())
-                    .filter(|&s| value_of(&rows, s, d).is_some())
-                    .count();
-                assert_eq!(idx.observed_count(d), brute_observed);
-            }
-            // Q-superset soundness vs the exact index over live rows, via
-            // the value-based pick path every scorer uses.
-            let live_rows: Vec<Vec<Option<f64>>> = rows.iter().flatten().cloned().collect();
-            // The all-missing selection counts the live slots off column 0.
-            let all_missing = std::iter::once(BinSelection::default());
-            let by_value = live_rows.iter().map(|row| idx.select_for(|d| row[d]));
-            assert_scan_consistent(&idx, all_missing.chain(by_value), &format!("step {step}"));
-            if live_rows.is_empty() {
-                continue;
-            }
-            let exact =
-                BitmapIndex::build(&tkd_model::Dataset::from_rows(dims, &live_rows).unwrap());
-            let mut q = tkd_bitvec::BitVec::zeros(idx.n());
-            for row in &live_rows {
-                let sel = idx.select_for(|d| row[d]);
-                idx.and_selected_into((0..dims).map(|d| sel.q_pick(d)), &mut q);
-                let esel = exact.select_for(|d| row[d]);
-                let mut eq = tkd_bitvec::BitVec::zeros(exact.n());
-                exact.q_into_selected(&esel, None, &mut eq);
+                exact.q_into_selected(&view.selection_of(s), Some(s), &mut q);
+                exact.q_into_selected(&exact.selection_of(s), Some(s), &mut eq);
                 assert!(
-                    q.count_ones() >= eq.count_ones(),
+                    eq.is_subset_of(&q),
                     "binned Q must stay a superset (step {step})"
                 );
                 for dead in (0..rows.len()).filter(|&i| rows[i].is_none()) {
@@ -1173,158 +750,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dynamic_first_bin_and_boundary_extension() {
-        // Dimension 1 starts never-observed; dimension 0 grows past its
-        // last boundary.
-        let ds = tkd_model::Dataset::from_rows(2, &[vec![Some(1.0), None], vec![Some(2.0), None]])
-            .unwrap();
-        let mut idx = BinnedBitmapIndex::build(&ds, &[2, 2]);
-        assert_eq!(idx.num_bins(1), 0);
-        // First observation of dim 1 creates its first bin.
-        let a = idx.append_row(|d| [Some(9.0), Some(4.0)][d]);
-        assert_eq!(idx.num_bins(1), 1);
-        assert_eq!(idx.bin_of(a as u32, 1), Some(1));
-        // 9.0 exceeded dim 0's last boundary (2.0): the last bin extended.
-        assert_eq!(idx.bin_upper(0, idx.num_bins(0) as u32), 9.0);
-        assert_eq!(
-            idx.ids_below_in_bin(1, 4.0, true).count(),
-            0,
-            "alone in its bin"
-        );
-        // A same-bin smaller value shows up in the probe.
-        let b = idx.append_row(|d| [None, Some(3.5)][d]);
-        let below: Vec<u32> = idx.ids_below_in_bin(1, 4.0, true).collect();
-        assert_eq!(below, vec![b as u32]);
-        // The spliced first column carries a suffix table, and the scan
-        // agrees on every member's own selection.
-        let members: Vec<BinSelection> = (0..idx.n()).map(|r| idx.selection_of(r)).collect();
-        assert_scan_consistent(&idx, members, "after first bin");
-    }
-
-    /// Disassemble a binned index into the store's export shape.
-    #[allow(clippy::type_complexity)]
-    fn export_parts(
-        idx: &BinnedBitmapIndex,
-    ) -> (
-        usize,
-        Vec<Vec<f64>>,
-        Vec<Vec<BitVec>>,
-        Vec<u32>,
-        Vec<Vec<(f64, ObjectId)>>,
-    ) {
-        let dims = idx.dims();
-        (
-            dims,
-            (0..dims)
-                .map(|d| {
-                    (0..idx.num_bins(d))
-                        .map(|b| idx.bin_upper(d, b as u32 + 1))
-                        .collect()
-                })
-                .collect(),
-            (0..dims)
-                .map(|d| {
-                    (0..idx.num_columns(d))
-                        .map(|c| idx.column(d, c).clone())
-                        .collect()
-                })
-                .collect(),
-            (0..idx.n())
-                .flat_map(|o| (0..dims).map(move |d| idx.bin_of(o as ObjectId, d).unwrap_or(0)))
-                .collect(),
-            (0..dims).map(|d| idx.tree_entries(d).collect()).collect(),
-        )
-    }
-
-    #[test]
-    fn store_parts_roundtrip_preserves_columns_and_probes() {
-        let (ds, mut idx) = fig9_index();
-        // A mutated (frozen-bin) index round-trips too: tombstone one row
-        // and rebin another so the parts differ from a fresh build.
-        let victim = ds.id_by_label("B4").unwrap() as usize;
-        let row: Vec<Option<f64>> = (0..ds.dims()).map(|d| ds.value(victim as u32, d)).collect();
-        idx.tombstone_row(victim, |d| row[d]);
-        idx.set_cell(2, 1, ds.value(2, 1), Some(11.0));
-        let (dims, bounds, cols, slots, probes) = export_parts(&idx);
-        let rebuilt =
-            BinnedBitmapIndex::from_store_parts(dims, bounds, cols, slots, probes).unwrap();
-        assert_eq!(rebuilt.n(), idx.n());
-        for d in 0..dims {
-            assert_eq!(rebuilt.num_bins(d), idx.num_bins(d));
-            for c in 0..idx.num_columns(d) {
-                assert_eq!(rebuilt.column(d, c), idx.column(d, c), "dim {d} col {c}");
-            }
-            assert_eq!(
-                rebuilt.tree_entries(d).collect::<Vec<_>>(),
-                idx.tree_entries(d).collect::<Vec<_>>(),
-                "probes of dim {d}"
-            );
-            for probe in [0.0, 2.0, 3.5, 11.0] {
-                assert!(rebuilt.ids_equal(d, probe).eq(idx.ids_equal(d, probe)));
-            }
-        }
-        for o in ds.ids().filter(|&o| o as usize != victim) {
-            assert_eq!(rebuilt.q_vec(o), idx.q_vec(o), "Q of {o}");
-            assert_eq!(rebuilt.p_vec(o), idx.p_vec(o), "P of {o}");
-        }
-        // Suffix tables are recomputed at load, not persisted: both sides
-        // agree with a fresh recompute and with their own bits.
-        for (name, index) in [("mutated", &idx), ("rebuilt", &rebuilt)] {
-            let live = ds.ids().filter(|&o| o as usize != victim);
-            let sels = live.map(|o| index.selection_of(o as usize));
-            assert_scan_consistent(index, sels, name);
-        }
-    }
-
-    #[test]
-    fn store_parts_reject_inconsistencies() {
-        let (_, idx) = fig9_index();
-        let parts = export_parts(&idx);
-        {
-            let (d, b, c, s, p) = parts.clone();
-            assert!(BinnedBitmapIndex::from_store_parts(d, b, c, s, p).is_ok());
-        }
-        // Out-of-range bin.
-        {
-            let (d, b, c, mut s, p) = parts.clone();
-            s[0] = 42;
-            assert!(BinnedBitmapIndex::from_store_parts(d, b, c, s, p).is_err());
-        }
-        // Probe id beyond n.
-        {
-            let (d, b, c, s, mut p) = parts.clone();
-            p[0].push((999.0, 10_000));
-            assert!(BinnedBitmapIndex::from_store_parts(d, b, c, s, p).is_err());
-        }
-        // Out-of-order probe stream.
-        {
-            let (d, b, c, s, mut p) = parts.clone();
-            p[1].swap(0, 1);
-            assert!(BinnedBitmapIndex::from_store_parts(d, b, c, s, p).is_err());
-        }
-        // The same (value, id) entry twice in a row.
-        {
-            let (d, b, c, s, mut p) = parts.clone();
-            let first = p[1][0];
-            p[1].insert(0, first);
-            let err = BinnedBitmapIndex::from_store_parts(d, b, c, s, p).unwrap_err();
-            assert!(err.contains("strictly ascending"), "{err}");
-        }
-        // Unsorted boundaries.
-        {
-            let (d, mut b, c, s, p) = parts;
-            b[2].swap(0, 1);
-            assert!(BinnedBitmapIndex::from_store_parts(d, b, c, s, p).is_err());
-        }
-    }
-
     /// Regression for the signed-zero hazard of bulk-loading: a raw
-    /// `total_cmp` sort puts every −0.0 before every +0.0 while the tree
-    /// key collapses them, so `(key, id)` would not ascend. The sorted
-    /// column normalizes first; the bulk-filled trees must answer exactly
-    /// like trees filled by single-key inserts, and the exact index's rank
-    /// query like a count over such a tree.
+    /// `total_cmp` sort puts every −0.0 before every +0.0, so the
+    /// bulk-built index must merge the zeros into one value slot as
+    /// single-row appends do. The same boundaries over a bulk-built index
+    /// and over one grown row by row give every row the same picks, in-bin
+    /// probe and columns.
     #[test]
     fn bulk_built_probes_match_insert_built_ones() {
         // Dim 0: both zeros, both infinities, heavy duplicates. Dim 1:
@@ -1345,134 +776,83 @@ mod tests {
         let rows: Vec<Vec<Option<f64>>> = (0..150)
             .map(|r| vec![cycle[r % cycle.len()], None, Some((r % 4) as f64)])
             .collect();
-        let ds = tkd_model::Dataset::from_rows(3, &rows).unwrap();
-        let n = ds.len();
-        let key = |v: f64| F64Key::new(v).unwrap();
-        let probes = [
-            f64::NEG_INFINITY,
-            -2.5,
-            -0.0,
-            0.0,
-            0.5,
-            1.0,
-            3.0,
-            f64::INFINITY,
-        ];
-
-        // Live rows missing `dim` or at or above `v`: the popcount of the
-        // one `[Q_dim]` column a selection observing only `dim` picks.
-        let at_least = |exact: &BitmapIndex, dim: usize, v: f64| {
-            exact.q_selected_upper_bound(&exact.select_for(|d| (d == dim).then_some(v)))
-        };
-        for (lo, hi) in [(0, n), (0, 50), (50, 100), (100, n)] {
-            let sub = row_range(&ds, lo, hi);
-            let idx = BinnedBitmapIndex::build(&sub, &[3, 3, 3]);
-            let exact = BitmapIndex::build(&sub);
-            for dim in 0..3 {
-                let mut tree = ProbeTree::new();
-                for o in lo..hi {
-                    if let Some(v) = ds.value(o as ObjectId, dim) {
-                        tree.insert((key(v), (o - lo) as ObjectId));
-                    }
-                }
-                let missing = (hi - lo) - tree.len();
-                let got: Vec<(u64, ObjectId)> = idx
-                    .tree_entries(dim)
-                    .map(|(v, o)| (v.to_bits(), o))
-                    .collect();
-                let want: Vec<(u64, ObjectId)> =
-                    tree.iter().map(|&(k, o)| (k.get().to_bits(), o)).collect();
-                assert_eq!(got, want, "tree_entries {lo}..{hi} dim {dim}");
-                assert_eq!(idx.observed_count(dim), tree.len());
-                for v in probes {
-                    assert_eq!(
-                        at_least(&exact, dim, v),
-                        missing + tree.range((key(v), 0)..).count(),
-                        "missing or at least {v}, {lo}..{hi} dim {dim}"
-                    );
-                    let eq: Vec<ObjectId> = idx.ids_equal(dim, v).collect();
-                    let want: Vec<ObjectId> = tree
-                        .range((key(v), 0)..=(key(v), ObjectId::MAX))
-                        .map(|&(_, o)| o)
-                        .collect();
-                    assert_eq!(eq, want, "ids_equal({v}) {lo}..{hi} dim {dim}");
-                }
-                for o in 0..(hi - lo) as ObjectId {
-                    let below: BTreeSet<ObjectId> = idx.ids_in_bin_below(&sub, o, dim).collect();
-                    let global = |p: ObjectId| lo as ObjectId + p;
-                    let want: BTreeSet<ObjectId> = (0..(hi - lo) as ObjectId)
-                        .filter(|&p| {
-                            idx.bin_of(o, dim).is_some()
-                                && idx.bin_of(p, dim) == idx.bin_of(o, dim)
-                                && ds.value(global(p), dim) < ds.value(global(o), dim)
-                        })
-                        .collect();
-                    assert_eq!(below, want, "ids_in_bin_below({o}) {lo}..{hi} dim {dim}");
-                }
-            }
-        }
-
-        // The whole-dataset build against an index grown row by row (every
-        // key a single `insert`): same export, same rank and equality
-        // probes. (Bins differ — appends only extend the last one.)
+        let ds = Dataset::from_rows(3, &rows).unwrap();
         let bulk = BinnedBitmapIndex::build(&ds, &[3, 3, 3]);
-        let bulk_exact = BitmapIndex::build(&ds);
-        let empty = tkd_model::Dataset::from_rows(3, &[]).unwrap();
-        let mut grown = BinnedBitmapIndex::build(&empty, &[3, 3, 3]);
-        let mut grown_exact = BitmapIndex::build(&empty);
+        let mut grown = BitmapIndex::build(&Dataset::from_rows(3, &[]).unwrap());
         for o in ds.ids() {
             grown.append_row(|d| ds.value(o, d));
-            grown_exact.append_row(|d| ds.value(o, d));
         }
-        for dim in 0..3 {
-            let bits = |idx: &BinnedBitmapIndex| -> Vec<(u64, ObjectId)> {
-                idx.tree_entries(dim)
-                    .map(|(v, o)| (v.to_bits(), o))
-                    .collect()
-            };
-            assert_eq!(bits(&bulk), bits(&grown), "dim {dim}");
-            for v in probes {
+        let bins = BinBoundaries::from_store_parts(
+            &grown,
+            (0..3).map(|d| bulk.boundaries().of(d).to_vec()).collect(),
+        )
+        .unwrap();
+        let grown = BinnedBitmapIndex::new(&grown, &bins);
+        assert_eq!(bulk.num_bins(1), 0, "never-observed dimension has no bins");
+        for d in 0..3 {
+            assert_eq!(bulk.exact().values(d), grown.exact().values(d), "dim {d}");
+            for c in 0..bulk.num_columns(d) {
+                assert_eq!(bulk.column(d, c), grown.column(d, c), "dim {d} col {c}");
+            }
+            for o in ds.ids() {
                 assert_eq!(
-                    at_least(&bulk_exact, dim, v),
-                    at_least(&grown_exact, dim, v)
+                    bulk.selection_of(o as usize),
+                    grown.selection_of(o as usize)
                 );
-                assert!(bulk.ids_equal(dim, v).eq(grown.ids_equal(dim, v)));
+                let probe = |idx: &BinnedBitmapIndex| -> Vec<ObjectId> {
+                    idx.ids_in_bin_below(&ds, o, d).collect()
+                };
+                let want: Vec<ObjectId> = ds
+                    .ids()
+                    .filter(|&p| {
+                        let (v, w) = (ds.value(o, d), ds.value(p, d));
+                        bulk.bin_of(p, d) == bulk.bin_of(o, d)
+                            && v.zip(w).is_some_and(|(v, w)| w < v)
+                    })
+                    .collect();
+                assert_eq!(probe(&bulk), want, "dim {d} obj {o}");
+                assert_eq!(probe(&grown), want, "dim {d} obj {o}");
             }
         }
-        assert_eq!(bulk.num_bins(1), 0, "never-observed dimension has no bins");
     }
 
     #[test]
-    fn probe_ids_equal() {
+    fn store_parts_roundtrip_preserves_columns_and_probes() {
         let (ds, idx) = fig9_index();
-        // Dim 0 value 3: C3, C4, C5, D1.
-        let mut ids: Vec<String> = idx
-            .ids_equal(0, 3.0)
-            .map(|o| ds.label(o).unwrap().to_string())
-            .collect();
-        ids.sort();
-        assert_eq!(ids, vec!["C3", "C4", "C5", "D1"]);
-        assert_eq!(idx.ids_equal(0, 99.0).count(), 0);
+        let bounds = (0..ds.dims()).map(|d| idx.boundaries().of(d).to_vec());
+        let bins = BinBoundaries::from_store_parts(idx.exact(), bounds.collect()).unwrap();
+        assert_eq!(&bins, idx.boundaries());
+        let rebuilt = BinnedBitmapIndex::new(idx.exact(), &bins);
+        for d in 0..ds.dims() {
+            for c in 0..idx.num_columns(d) {
+                assert_eq!(rebuilt.column(d, c), idx.column(d, c), "dim {d} col {c}");
+            }
+            for o in ds.ids() {
+                assert!(rebuilt
+                    .ids_in_bin_below(&ds, o, d)
+                    .eq(idx.ids_in_bin_below(&ds, o, d)));
+            }
+        }
     }
 
     #[test]
-    fn probe_ids_in_bin_below() {
-        let (ds, idx) = fig9_index();
-        // D4[1] = 4 sits in bin 2 of dim 0, which covers (2, 5]. Values
-        // strictly below 4 in that bin: the five 3s (C3, C4, C5, D1) —
-        // and nothing from bin 1.
-        let d4 = ds.id_by_label("D4").unwrap();
-        let mut ids: Vec<String> = idx
-            .ids_in_bin_below(&ds, d4, 0)
-            .map(|o| ds.label(o).unwrap().to_string())
-            .collect();
-        ids.sort();
-        assert_eq!(ids, vec!["C3", "C4", "C5", "D1"]);
-        // C2[1] = 2 is the minimum of its bin: nothing below.
-        let c2 = ds.id_by_label("C2").unwrap();
-        assert_eq!(idx.ids_in_bin_below(&ds, c2, 0).count(), 0);
-        // Missing dimension: empty probe.
-        let a1 = ds.id_by_label("A1").unwrap();
-        assert_eq!(idx.ids_in_bin_below(&ds, a1, 0).count(), 0);
+    fn store_parts_reject_inconsistencies() {
+        let (_, idx) = fig9_index();
+        let exact = idx.exact();
+        let parts: Vec<Vec<f64>> = (0..4).map(|d| idx.boundaries().of(d).to_vec()).collect();
+        assert!(BinBoundaries::from_store_parts(exact, parts.clone()).is_ok());
+        // Unsorted boundaries.
+        let mut b = parts.clone();
+        b[2].swap(0, 1);
+        let err = BinBoundaries::from_store_parts(exact, b).unwrap_err();
+        assert!(err.contains("strictly ascending"), "{err}");
+        // NaN boundary.
+        let mut b = parts.clone();
+        b[1][0] = f64::NAN;
+        assert!(BinBoundaries::from_store_parts(exact, b).is_err());
+        // A boundary set short.
+        let mut b = parts;
+        b.pop();
+        assert!(BinBoundaries::from_store_parts(exact, b).is_err());
     }
 }

@@ -9,6 +9,9 @@ use tkd_model::{Dataset, DimMask, ObjectId, MAX_DIMS};
 /// Sentinel marking a missing value in the per-object column-index table.
 const MISSING: u32 = u32::MAX;
 
+/// Words per block of [`BitmapIndex::residue_counts`]'s staged pass.
+const RESIDUE_BLOCK_WORDS: usize = 32;
+
 /// Range-encoded bitmap index over an incomplete dataset.
 ///
 /// Storage cost is exactly the paper's `Σᵢ (Cᵢ + 1) · |S|` bits
@@ -45,9 +48,8 @@ pub struct BitmapIndex {
 
 /// Assembles a [`BitmapIndex`] one dimension at a time from the dataset's
 /// sorted columns ([`for_each_sorted_column`]), so a build that also needs
-/// the `MaxScore` queue or the binned index feeds all of them from one
-/// sort per dimension. [`BitmapIndex::build`] is this builder driven
-/// alone.
+/// the `MaxScore` queue feeds both from one sort per dimension.
+/// [`BitmapIndex::build`] is this builder driven alone.
 #[derive(Debug)]
 pub struct BitmapIndexBuilder {
     n: usize,
@@ -662,8 +664,8 @@ impl BitmapIndex {
     /// column's remaining suffix popcount can no longer exceed `budget`
     /// (on Heuristic-2-heavy workloads most of each scan is skipped). Else
     /// the exact count. A `None` lets Heuristic 2 prune without finishing
-    /// the scan. The binned index runs the same scan
-    /// ([`crate::BinnedBitmapIndex::q_count_selected_above`]).
+    /// the scan. IBIG runs the same scan at its binned picks
+    /// ([`crate::BinnedBitmapIndex::selection_of`]).
     pub fn q_count_selected_above(&self, sel: &ColumnSelection, budget: usize) -> Option<usize> {
         self.q_count_selected_above_scoped(sel, None, budget)
     }
@@ -736,6 +738,101 @@ impl BitmapIndex {
         dst.and_assign(self.live.live_mask());
     }
 
+    /// Split a candidate's `Q − P` in one fused pass over the words:
+    /// `(|Q ∧ ¬P|, |nonD|)`. `q` and `p` hold its filled `Q` (its own bit
+    /// cleared) and `P`, made from the picks `bin_sel` — the binned ones
+    /// for IBIG, `sel` itself for BIG; `sel` holds its exact picks and
+    /// `dims` its observed dimensions. A row of `Q − P` is not dominated
+    /// when, in some dimension of `dims`, it sits in the candidate's bin
+    /// strictly below it — `column(bin_sel.q) ∧ ¬column(sel.q)`, the
+    /// §4.5 probe — or when it equals or misses the candidate in every
+    /// dimension of `dims` — `⋀ (column(sel.q) ∧ ¬column(sel.p)) ∨
+    /// missing`, the paper's `tagT` test. A row of the first kind holds a
+    /// smaller value than the candidate's, so the two never meet; with
+    /// `bin_sel = sel` the first is empty. Blocks where `Q − P` is empty
+    /// read no column. Nothing is written.
+    ///
+    /// # Panics
+    /// Panics if `q` or `p` is not `n()` bits long.
+    pub fn residue_counts(
+        &self,
+        q: &BitVec,
+        p: &BitVec,
+        sel: &ColumnSelection,
+        bin_sel: &ColumnSelection,
+        dims: DimMask,
+    ) -> (usize, usize) {
+        assert!(
+            q.len() == self.n && p.len() == self.n,
+            "scratch length mismatch"
+        );
+        let mut below: [[&[u64]; 2]; MAX_DIMS] = [[&[]; 2]; MAX_DIMS];
+        let mut equal: [[&[u64]; 3]; MAX_DIMS] = [[&[]; 3]; MAX_DIMS];
+        let (mut nb, mut ne) = (0, 0);
+        for d in dims.iter() {
+            let cols = &self.columns[d];
+            let word = |c: u32| cols[c as usize].as_words();
+            if bin_sel.q[d] < sel.q[d] {
+                below[nb] = [word(bin_sel.q[d]), word(sel.q[d])];
+                nb += 1;
+            }
+            let missing = cols[cols.len() - 1].as_words();
+            equal[ne] = [word(sel.q[d]), word(sel.p[d]), missing];
+            ne += 1;
+        }
+        let (qw, pw) = (q.as_words(), p.as_words());
+        let (mut residue, mut non_d) = (0, 0);
+        let mut res = [0u64; RESIDUE_BLOCK_WORDS];
+        let mut nond = [0u64; RESIDUE_BLOCK_WORDS];
+        let mut start = 0;
+        while start < qw.len() {
+            let end = (start + RESIDUE_BLOCK_WORDS).min(qw.len());
+            let (res, nond) = (&mut res[..end - start], &mut nond[..end - start]);
+            let mut any = 0;
+            for ((r, &a), &b) in res.iter_mut().zip(&qw[start..end]).zip(&pw[start..end]) {
+                *r = a & !b;
+                any |= *r;
+            }
+            if any != 0 {
+                residue += tkd_bitvec::kernels::popcount(res);
+                nond.copy_from_slice(res);
+                for [cq, cp, cm] in &equal[..ne] {
+                    let cols = cq[start..end]
+                        .iter()
+                        .zip(&cp[start..end])
+                        .zip(&cm[start..end]);
+                    for (x, ((&a, &b), &m)) in nond.iter_mut().zip(cols) {
+                        *x &= (a & !b) | m;
+                    }
+                }
+                for [ca, cs] in &below[..nb] {
+                    let cols = ca[start..end].iter().zip(&cs[start..end]);
+                    for ((x, &r), (&a, &s)) in nond.iter_mut().zip(res.iter()).zip(cols) {
+                        *x |= r & a & !s;
+                    }
+                }
+                non_d += tkd_bitvec::kernels::popcount(nond);
+            }
+            start = end;
+        }
+        (residue, non_d)
+    }
+
+    /// The live rows holding each value of `dim`, ascending by value,
+    /// values no live row holds left out — read off the columns'
+    /// popcounts (`|column c| − |column c + 1|` holds value `c + 1`).
+    pub(crate) fn value_counts(&self, dim: usize) -> Vec<(f64, usize)> {
+        let count = |c: usize| match c {
+            0 => self.live_count(),
+            c => self.block_suffix[dim][c][0] as usize,
+        };
+        let counts = self.values[dim].iter().enumerate();
+        counts
+            .map(|(i, &v)| (v, count(i) - count(i + 1)))
+            .filter(|&(_, holders)| holders > 0)
+            .collect()
+    }
+
     /// 1-based value slot of object `local` in `dim`, `0` when
     /// missing — the raw form of [`BitmapIndex::value_index`], directly
     /// comparable with [`ColumnSelection::eq_slot`] for tie detection.
@@ -783,12 +880,12 @@ impl BitmapIndex {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ColumnSelection {
     /// `[Qᵢ]` column index per dimension (0 = the all-ones missing slot).
-    q: [u32; MAX_DIMS],
+    pub(crate) q: [u32; MAX_DIMS],
     /// `[Pᵢ]` column index per dimension.
-    p: [u32; MAX_DIMS],
+    pub(crate) p: [u32; MAX_DIMS],
     /// 1-based slot of the candidate's value in the index's distinct-value
     /// table, or 0 when missing / not present in this index.
-    eq: [u32; MAX_DIMS],
+    pub(crate) eq: [u32; MAX_DIMS],
 }
 
 impl Default for ColumnSelection {
@@ -832,7 +929,7 @@ impl ColumnSelection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BinnedBitmapIndex;
+    use crate::{BinBoundaries, BinnedBitmapIndex};
     use tkd_model::{dominance, fixtures};
 
     fn bits_to_string(b: &BitVec) -> String {
@@ -1085,7 +1182,7 @@ mod tests {
         // index and on the binned one, which runs the same scan.
         let ds = trending_dataset(3 * 2048 + 356);
         let exact_idx = BitmapIndex::build(&ds);
-        let binned: Vec<(usize, BinnedBitmapIndex)> = [1, 3, 21]
+        let binned: Vec<(usize, BinnedBitmapIndex<'_>)> = [1, 3, 21]
             .into_iter()
             .map(|x| (x, BinnedBitmapIndex::build(&ds, &[x; 4])))
             .collect();
@@ -1099,10 +1196,10 @@ mod tests {
             }
             for (x, idx) in &binned {
                 let sel = idx.selection_of(o as usize);
-                idx.and_selected_into((0..ds.dims()).map(|d| sel.q_pick(d)), &mut q);
+                idx.exact().q_into_selected(&sel, None, &mut q);
                 let exact = q.count_ones();
                 for budget in [0, 1, exact - 1, exact, exact + 3] {
-                    let got = idx.q_count_selected_above(&sel, budget);
+                    let got = idx.exact().q_count_selected_above(&sel, budget);
                     assert_budgeted(got, exact, budget, &format!("{x} bins obj {o}"));
                 }
             }
@@ -1118,16 +1215,17 @@ mod tests {
     fn admit_and_scoped_scan_agree_with_brute_force() {
         let ds = trending_dataset(3 * 2048 + 356);
         let mut exact_idx = BitmapIndex::build(&ds);
-        let mut binned: Vec<BinnedBitmapIndex> = [1, 3, 21]
+        let bins: Vec<BinBoundaries> = [1, 3, 21]
             .into_iter()
-            .map(|x| BinnedBitmapIndex::build(&ds, &[x; 4]))
+            .map(|x| BinBoundaries::build(&exact_idx, &[x; 4]))
             .collect();
         for o in ds.ids().step_by(13) {
             exact_idx.tombstone_row(o as usize);
-            for idx in &mut binned {
-                idx.tombstone_row(o as usize, |d| ds.value(o, d));
-            }
         }
+        let binned: Vec<BinnedBitmapIndex> = bins
+            .iter()
+            .map(|b| BinnedBitmapIndex::new(&exact_idx, b))
+            .collect();
         let live = |o: ObjectId| !o.is_multiple_of(13);
         let ranges: [&[(usize, f64, f64)]; 6] = [
             &[(0, 10.0, 25.0)],
@@ -1187,15 +1285,17 @@ mod tests {
                 // Binned: the unscoped fill ANDed with the scope.
                 for idx in &binned {
                     let sel = idx.selection_of(o as usize);
-                    idx.and_selected_into((0..ds.dims()).map(|d| sel.q_pick(d)), &mut q);
+                    idx.exact().q_into_selected(&sel, None, &mut q);
                     let exact = q.and_count(scope.bits());
                     for budget in [0, 1, exact.saturating_sub(1), exact, exact + 3] {
-                        let got = idx.q_count_selected_above_scoped(&sel, Some(&scope), budget);
+                        let got =
+                            idx.exact()
+                                .q_count_selected_above_scoped(&sel, Some(&scope), budget);
                         assert_budgeted(got, exact, budget, &format!("binned obj {o}"));
                     }
                     q.and_assign(scope.bits());
-                    let picks = (0..ds.dims()).map(|d| sel.q_pick(d));
-                    idx.and_selected_into_scoped(picks, Some(&scope), &mut scoped);
+                    idx.exact()
+                        .q_into_selected_scoped(&sel, None, Some(&scope), &mut scoped);
                     assert_eq!(scoped, q, "binned scoped Q of {o}");
                 }
             }
@@ -1212,16 +1312,17 @@ mod tests {
     fn restricted_selection_agrees_with_brute_force() {
         let ds = trending_dataset(3 * 2048 + 356);
         let mut exact_idx = BitmapIndex::build(&ds);
-        let mut binned: Vec<BinnedBitmapIndex> = [1, 3, 21]
+        let bins: Vec<BinBoundaries> = [1, 3, 21]
             .into_iter()
-            .map(|x| BinnedBitmapIndex::build(&ds, &[x; 4]))
+            .map(|x| BinBoundaries::build(&exact_idx, &[x; 4]))
             .collect();
         for o in ds.ids().step_by(11) {
             exact_idx.tombstone_row(o as usize);
-            for idx in &mut binned {
-                idx.tombstone_row(o as usize, |d| ds.value(o, d));
-            }
         }
+        let binned: Vec<BinnedBitmapIndex> = bins
+            .iter()
+            .map(|b| BinnedBitmapIndex::new(&exact_idx, b))
+            .collect();
         let live = |o: ObjectId| !o.is_multiple_of(11);
         type Case<'a> = (&'a [usize], Option<(usize, f64, f64)>);
         let cases: [Case<'_>; 6] = [
@@ -1287,15 +1388,17 @@ mod tests {
                     let q = brute(&|o, r, d| bins(o, r, d).map(|(a, b)| b >= a), o);
                     let exact = q.count_ones();
                     for budget in [0, 1, 5, exact.saturating_sub(1), exact, exact + 3] {
-                        let count = idx.q_count_selected_above_scoped(&sel, Some(&scope), budget);
+                        let count =
+                            idx.exact()
+                                .q_count_selected_above_scoped(&sel, Some(&scope), budget);
                         assert_budgeted(count, exact, budget, &format!("binned obj {o} {dims:?}"));
                     }
-                    let picks = (0..ds.dims()).map(|d| sel.q_pick(d));
-                    idx.and_selected_into_scoped(picks, Some(&scope), &mut got);
+                    idx.exact()
+                        .q_into_selected_scoped(&sel, None, Some(&scope), &mut got);
                     assert_eq!(got, q, "binned restricted Q of {o} on {dims:?}");
                     let p = brute(&|o, r, d| bins(o, r, d).map(|(a, b)| b > a), o);
-                    let picks = (0..ds.dims()).map(|d| sel.p_pick(d));
-                    idx.and_selected_into_scoped(picks, Some(&scope), &mut got);
+                    idx.exact()
+                        .p_into_selected_scoped(&sel, Some(&scope), &mut got);
                     assert_eq!(got, p, "binned restricted P of {o} on {dims:?}");
                 }
             }

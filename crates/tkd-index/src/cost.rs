@@ -10,6 +10,17 @@
 //!
 //! The paper's worked examples: `x*(N=100K, σ=0.1) = 29` and
 //! `x*(N=16K, σ=0.2) = 17`.
+//!
+//! Eq. 6 models the paper's IBIG, which scans a bin's interior in a
+//! B+-tree per observed dimension. That is not this implementation's
+//! cost: here the binned index is a view of the exact one
+//! ([`crate::BinnedBitmapIndex`]), and a scored candidate's `nonD(o)` is
+//! one fused pass of `d · ⌈N/64⌉` words whatever the bin count
+//! ([`crate::BitmapIndex::residue_counts`]), as is Heuristic 2's scan. Nor
+//! does Eq. 5's space stay separate: the binned columns are exact
+//! columns, so an engine pays `Σᵢ (Cᵢ + 1) · N` bits at any `x`. What the
+//! bin count still sets is how tight Heuristics 2 and 3 prune. The model
+//! is kept as the paper's, and `x*` as the default bin count.
 
 /// Eq. 5 — binned index size in bits for uniform bin count `x`.
 pub fn space_cost_bits(n: usize, x: usize, d: usize) -> u64 {

@@ -1,5 +1,4 @@
-//! Totally ordered `f64` key of the binned index's probe trees (and of
-//! `tkd-core`'s live value-count tables).
+//! Totally ordered `f64` key of `tkd-core`'s live value-count tables.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -10,8 +9,8 @@ use core::fmt;
 /// observed values) and **−0.0 is normalized to +0.0**, so `Eq`/`Ord` are
 /// honest and agree exactly with the IEEE `<`/`==` the rest of the system
 /// compares values with. Without the normalization, `total_cmp` would
-/// order −0.0 below +0.0 and value-equality probes (e.g. IBIG's `tagT`
-/// accumulation) would miss ties between the two zeros.
+/// order −0.0 below +0.0 and value-equality lookups would miss ties
+/// between the two zeros.
 #[derive(Clone, Copy, PartialEq)]
 pub struct F64Key(f64);
 

@@ -3,13 +3,12 @@
 //!
 //! Every query-independent artifact is a sweep over this one sequence —
 //! the exact index's distinct-value table, slots and columns
-//! ([`crate::BitmapIndexBuilder`]), the binned index's value counts, bin
-//! assignment and bulk-filled probe tree
-//! ([`crate::BinnedBitmapIndexBuilder`]), and the `|Tᵢ(o)|` suffix counts
-//! behind `MaxScore` (`tkd_core::maxscore`). So a build sorts each
-//! dimension **once** and hands the column to every artifact built over
-//! the dataset; no build path inserts tree keys one by one or asks a rank
-//! query.
+//! ([`crate::BitmapIndexBuilder`]) and the `|Tᵢ(o)|` suffix counts behind
+//! `MaxScore` (`tkd_core::maxscore`) — or read off one: the binned
+//! index's boundaries are quantiles of the exact index's value counts
+//! ([`crate::BinBoundaries::build`]). So a build sorts each dimension
+//! **once** and hands the column to every artifact built over the
+//! dataset; no build path asks a rank query.
 
 use tkd_model::{Dataset, ObjectId};
 
@@ -20,9 +19,9 @@ use tkd_model::{Dataset, ObjectId};
 /// `(value, id)`; an entirely missing dimension yields an empty column.
 /// Values are normalized with `v + 0.0`, which collapses −0.0 into +0.0
 /// and fixes every other non-NaN value: the order then agrees with IEEE
-/// `<`/`==` *and* with the probe trees' key order, so equal-value runs
-/// are contiguous and the column bulk-fills a probe tree as is. One buffer of
-/// at most `ds.len()` entries is reused across the dimensions.
+/// `<`/`==` *and* with [`crate::F64Key`]'s, so equal-value runs are
+/// contiguous. One buffer of at most `ds.len()` entries is reused across
+/// the dimensions.
 pub fn for_each_sorted_column(ds: &Dataset, mut visit: impl FnMut(usize, &[(f64, ObjectId)])) {
     let mut column: Vec<(f64, ObjectId)> = Vec::with_capacity(ds.len());
     for dim in 0..ds.dims() {

@@ -1,10 +1,10 @@
 //! Per-block suffix popcounts and the budgeted AND-count they power — the
-//! Heuristic 2 scan that both bitmap indexes run.
+//! Heuristic 2 scan of BIG and IBIG alike (IBIG's binned picks are exact
+//! columns too).
 //!
-//! Every column of [`crate::BitmapIndex`] and [`crate::BinnedBitmapIndex`]
-//! keeps a suffix table: entry `b` is the popcount of the column's words
-//! from block `b` on (blocks of [`SUFFIX_BLOCK_WORDS`] words), and the
-//! last entry is 0, so entry 0 is the column's popcount. The tables are
+//! Every column of [`crate::BitmapIndex`] keeps a suffix table: entry
+//! `b` is the popcount of the column's words from block `b` on (blocks of
+//! [`SUFFIX_BLOCK_WORDS`] words), and the last entry is 0, so entry 0 is the column's popcount. The tables are
 //! recomputed at build and load ([`suffix_counts`]), never persisted, and
 //! kept exact under dynamic maintenance by [`col_push`], [`col_clear`] and
 //! [`col_set`].
@@ -88,8 +88,8 @@ pub(crate) fn suffix_counts(col: &BitVec) -> Vec<u32> {
     suf
 }
 
-/// A row mask that the scoped scans and fills of both indexes AND in as
-/// one more operand — a constrained query's admitted live rows. Its
+/// A row mask that the scoped scans and fills AND in as one more
+/// operand — a constrained query's admitted live rows. Its
 /// block-suffix popcount table is computed once, at construction (one
 /// popcount per block), so the budgeted scan exits on it like on any
 /// column. A scope must hold live rows only: the scoped scans answer an

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use tkd_bitvec::{BitVec, Tombstones, Words};
 use tkd_core::dynamic::DynamicPartsRef;
 use tkd_core::{BinChoice, CompactionPolicy, Preprocessed, UpdateStats};
-use tkd_index::{BinnedBitmapIndex, BitmapIndex};
+use tkd_index::{BinBoundaries, BitmapIndex};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 // ----- bit vectors --------------------------------------------------------
@@ -181,87 +181,37 @@ pub fn decode_bitmap(r: &mut Reader<'_>) -> Result<BitmapIndex, StoreError> {
     .map_err(|e| r.invalid(e))
 }
 
-// ----- binned index -------------------------------------------------------
+// ----- bin boundaries ----------------------------------------------------
 
-/// `dims u32 · n u64 · per dim (nbins u64 · boundaries · ncols u64 ·
-/// columns · nprobe u64 · (value f64, id u32) pairs) · bins n·dims×u32`.
-pub fn encode_binned(w: &mut Writer, idx: &BinnedBitmapIndex) {
-    w.put_u32(idx.dims() as u32);
-    w.put_u64(idx.n() as u64);
-    for d in 0..idx.dims() {
-        w.put_u64(idx.num_bins(d) as u64);
-        for b in 0..idx.num_bins(d) {
-            w.put_f64(idx.bin_upper(d, b as u32 + 1));
-        }
-        w.put_u64(idx.num_columns(d) as u64);
-        for c in 0..idx.num_columns(d) {
-            encode_bitvec(w, idx.column(d, c));
-        }
-        w.put_u64(idx.observed_count(d) as u64);
-        for (v, id) in idx.tree_entries(d) {
+/// `dims u32 · per dim (nbins u64 · boundaries nbins×f64)` — the binned
+/// index is a view of the exact one, so its boundaries are all it stores.
+pub fn encode_boundaries(w: &mut Writer, bins: &BinBoundaries) {
+    w.put_u32(bins.dims() as u32);
+    for d in 0..bins.dims() {
+        w.put_u64(bins.of(d).len() as u64);
+        for &v in bins.of(d) {
             w.put_f64(v);
-            w.put_u32(id);
-        }
-    }
-    for o in 0..idx.n() {
-        for d in 0..idx.dims() {
-            w.put_u32(idx.bin_of(o as ObjectId, d).unwrap_or(0));
         }
     }
 }
 
-/// Inverse of [`encode_binned`]; probe trees are rebuilt from the sorted
-/// entry streams through [`BinnedBitmapIndex::from_store_parts`].
-pub fn decode_binned(r: &mut Reader<'_>) -> Result<BinnedBitmapIndex, StoreError> {
-    let dims = r.get_u32()? as usize;
-    if dims == 0 || dims > tkd_model::MAX_DIMS {
-        return Err(r.invalid(format!("bad dimensionality {dims}")));
+/// Inverse of [`encode_boundaries`] for an index of `dims` dimensions;
+/// their order is checked where the engine adopts them
+/// ([`BinBoundaries::from_store_parts`]).
+pub fn decode_boundaries(r: &mut Reader<'_>, dims: usize) -> Result<Vec<Vec<f64>>, StoreError> {
+    let stored = r.get_u32()? as usize;
+    if stored != dims {
+        return Err(r.invalid(format!(
+            "{stored} boundary sets for a {dims}-dimensional index"
+        )));
     }
-    let n = r.get_u64()?;
-    let n = usize::try_from(n).map_err(|_| r.invalid("n exceeds usize"))?;
-    let mut boundaries = Vec::with_capacity(dims);
-    let mut columns = Vec::with_capacity(dims);
-    let mut probes = Vec::with_capacity(dims);
+    let mut bounds = Vec::with_capacity(dims);
     for _ in 0..dims {
         let nbins = r.get_count_u64(8)?;
-        let bounds: Vec<f64> = r
-            .get_words(nbins)?
-            .into_iter()
-            .map(f64::from_bits)
-            .collect();
-        let ncols = r.get_count_u64(8)?;
-        let mut cols = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            cols.push(decode_bitvec(r)?);
-        }
-        let nprobe = r.get_count_u64(12)?; // f64 + u32 per entry
-        let mut entries = Vec::with_capacity(nprobe);
-        for _ in 0..nprobe {
-            let v = r.get_f64()?;
-            let id = r.get_u32()?;
-            entries.push((v, id));
-        }
-        boundaries.push(bounds);
-        columns.push(cols);
-        probes.push(entries);
+        let words = r.get_words(nbins)?;
+        bounds.push(words.into_iter().map(f64::from_bits).collect());
     }
-    let slots_len = n
-        .checked_mul(dims)
-        .ok_or_else(|| r.invalid("n × dims overflows"))?;
-    let mut slots = Vec::with_capacity(slots_len.min(r.remaining() / 4 + 1));
-    for _ in 0..slots_len {
-        slots.push(r.get_u32()?);
-    }
-    if columns.first().is_some_and(Vec::is_empty) {
-        return Err(r.invalid("dim 0 has no columns"));
-    }
-    if let Some(col0) = columns.first().and_then(|c| c.first()) {
-        if col0.len() != n {
-            return Err(r.invalid(format!("column length {} disagrees with n={n}", col0.len())));
-        }
-    }
-    BinnedBitmapIndex::from_store_parts(dims, boundaries, columns, slots, probes)
-        .map_err(|e| r.invalid(e))
+    Ok(bounds)
 }
 
 // ----- preprocessed -------------------------------------------------------

@@ -17,8 +17,8 @@ pub enum Section {
     Dataset,
     /// The serialized [`tkd_index::BitmapIndex`].
     BitmapIndex,
-    /// The serialized [`tkd_index::BinnedBitmapIndex`].
-    BinnedIndex,
+    /// The serialized [`tkd_index::BinBoundaries`] of the binned index.
+    BinBoundaries,
     /// The serialized [`tkd_core::Preprocessed`] artifacts.
     Preprocessed,
     /// The serialized dynamic-engine state.
@@ -39,7 +39,7 @@ impl fmt::Display for Section {
             Section::Header => "header",
             Section::Dataset => "dataset",
             Section::BitmapIndex => "bitmap-index",
-            Section::BinnedIndex => "binned-index",
+            Section::BinBoundaries => "bin-boundaries",
             Section::Preprocessed => "preprocessed",
             Section::Dynamic => "dynamic",
             Section::Manifest => "manifest",

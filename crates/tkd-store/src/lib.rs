@@ -2,11 +2,11 @@
 //! process lifetimes.
 //!
 //! Every `tkdq` invocation and engine start used to re-pay the full
-//! `O(N·d)` bitmap + probe-tree + preprocessing construction. This crate
+//! `O(N·d)` bitmap + preprocessing construction. This crate
 //! persists the whole maintained state of a
 //! [`DynamicEngine`] — dataset, exact
-//! [`tkd_index::BitmapIndex`], binned index with probe
-//! trees, the incomparable sets of [`tkd_core::Preprocessed`], and the
+//! [`tkd_index::BitmapIndex`], the bin boundaries the binned index views
+//! it through, the incomparable sets of [`tkd_core::Preprocessed`], and the
 //! dynamic bookkeeping (tombstones, stable ids, epoch, counters) — in a
 //! versioned binary format, and restores it **bit-identically**: a
 //! loaded engine answers every query with the same entries, scores, and
@@ -14,11 +14,11 @@
 //! with the same differential discipline as the parallel and dynamic
 //! subsystems).
 //!
-//! # Format (version 3)
+//! # Format (version 4)
 //!
 //! ```text
 //! magic            8 bytes  "TKDSNAP\0"
-//! format_version   u32      3
+//! format_version   u32      4
 //! section_count    u32      5
 //! section table    5 × { kind u32, pad u32, offset u64, len u64, fnv64 u64 }
 //! header checksum  u64      FNV-1a 64 of every byte above
@@ -26,11 +26,14 @@
 //! ```
 //!
 //! All integers are little-endian. Section kinds (in required order):
-//! 1 dataset, 2 bitmap index, 3 binned index, 4 preprocessed (the
-//! incomparable sets), 5 dynamic state. No derived queue state is
-//! stored — v3's one change over v2, which also held the `MaxScore`
-//! queue and a per-cell `|Tᵢ|` table: a load recounts the queue from
-//! the bitmap index's value slots, which it checks against the dataset.
+//! 1 dataset, 2 bitmap index, 3 bin boundaries, 4 preprocessed (the
+//! incomparable sets), 5 dynamic state. Section 3 holds only the
+//! per-dimension boundaries — v4's one change over v3, whose section 3
+//! was a whole binned index (columns, per-row bins and probe-tree
+//! entries): the binned index is a view of the bitmap index, rebuilt at
+//! load from the boundaries. No derived queue state is stored either
+//! (v3's change over v2): a load recounts the queue from the bitmap
+//! index's value slots, which it checks against the dataset.
 //! `BitVec` columns are stored as `(bit length, u64 word array)` and
 //! every word slab (columns, dataset masks/values) is zero-padded to an
 //! **8-byte file offset** (since v2). That alignment is what makes the zero-copy load possible:
@@ -38,8 +41,7 @@
 //! buffer, and after the checksums validate, every column and dataset
 //! slab is handed out as a *borrowed view* of that buffer (promoted to
 //! an owned copy only when first mutated) — load cost is O(validate),
-//! not O(copy). Tree *node structure* is never stored: probe trees
-//! serialize as their sorted entry streams and are refilled from them.
+//! not O(copy).
 //!
 //! **Compatibility policy:** exact version match. A snapshot from any
 //! other format version fails with [`StoreError::VersionMismatch`] —
@@ -101,13 +103,13 @@ use wire::{Reader, Writer};
 pub const MAGIC: [u8; 8] = *b"TKDSNAP\0";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Section kinds, in their required file order.
 const KINDS: [(u32, Section); 5] = [
     (1, Section::Dataset),
     (2, Section::BitmapIndex),
-    (3, Section::BinnedIndex),
+    (3, Section::BinBoundaries),
     (4, Section::Preprocessed),
     (5, Section::Dynamic),
 ];
@@ -300,7 +302,7 @@ pub fn encode_engine(engine: &DynamicEngine) -> Vec<u8> {
     let payloads: [&dyn Fn(&mut Writer); KINDS.len()] = [
         &|w| codec::encode_dataset(w, parts.ds),
         &|w| codec::encode_bitmap(w, parts.index),
-        &|w| codec::encode_binned(w, parts.binned),
+        &|w| codec::encode_boundaries(w, parts.boundaries),
         &|w| codec::encode_pre(w, parts.ds.len(), parts.pre),
         &|w| codec::encode_dynamic(w, &parts),
     ];
@@ -479,7 +481,7 @@ fn decode_engine_inner(
     let index = codec::decode_bitmap(&mut r)?;
     r.finish()?;
     let mut r = reader(2);
-    let binned = codec::decode_binned(&mut r)?;
+    let boundaries = codec::decode_boundaries(&mut r, index.dims())?;
     r.finish()?;
     let mut r = reader(3);
     let (pre_n, pre) = codec::decode_pre(&mut r)?;
@@ -502,7 +504,7 @@ fn decode_engine_inner(
         stable_of: meta.stable_of,
         next_id: meta.next_id,
         index,
-        binned,
+        boundaries,
         pre,
         bins: meta.bins,
         policy: meta.policy,
@@ -686,8 +688,29 @@ mod tests {
             decode_engine(&bytes).unwrap_err(),
             StoreError::VersionMismatch {
                 found: 2,
-                expected: 3
+                expected: FORMAT_VERSION
             }
+        );
+    }
+
+    /// A v3 file — whose section 3 held a whole binned index — is
+    /// rejected by its version, with the message that names both.
+    #[test]
+    fn a_v3_snapshot_is_rejected_with_version_mismatch() {
+        let mut bytes = encode_engine(&DynamicEngine::new(fixtures::fig3_sample()));
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = decode_engine(&bytes).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::VersionMismatch {
+                found: 3,
+                expected: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "snapshot format version 3 is not the supported version 4; \
+             re-create the snapshot with `tkdq build`"
         );
     }
 

@@ -291,7 +291,7 @@ impl Journal {
     /// record cannot carry.
     pub fn append(
         &mut self,
-        engine: &mut DynamicEngine,
+        engine: &DynamicEngine,
         seq: u64,
         ops: &[UpdateOp],
     ) -> Result<(), StoreError> {

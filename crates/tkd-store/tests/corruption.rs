@@ -318,3 +318,46 @@ fn value_slots_that_disagree_with_the_dataset_are_rejected() {
         tampered += 1;
     }
 }
+
+/// The bin-boundaries section tampered behind valid checksums — a dims
+/// count off the index's, a hostile boundary count, boundaries out of
+/// order, a NaN boundary — is rejected on both load paths. (A boundary
+/// moved without breaking the order loads: bins only set how tight IBIG
+/// prunes, never a score.)
+#[test]
+fn bin_boundaries_tampered_behind_valid_checksums_are_rejected() {
+    let bytes = large_snapshot();
+    let e = 16 + 2 * 32; // entry 2: bin boundaries
+    let off = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
+    let nbins = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
+    assert!(nbins >= 2, "dim 0 needs two boundaries to reorder");
+    let first = off + 12; // dim 0's first boundary
+    let tamper = |what: &str, edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut damaged = bytes.clone();
+        edit(&mut damaged);
+        fix_checksums(&mut damaged);
+        for result in [
+            decode_engine(&damaged),
+            decode_engine_shared(&SnapshotBuf::from_bytes(damaged.clone())),
+        ] {
+            match result {
+                Err(StoreError::Invalid { .. } | StoreError::Truncated { .. }) => {}
+                other => panic!("{what}: expected Invalid or Truncated, got {other:?}"),
+            }
+        }
+    };
+    tamper("dims", &|b| {
+        b[off..off + 4].copy_from_slice(&3u32.to_le_bytes())
+    });
+    tamper("count", &|b| {
+        b[off + 4..off + 12].copy_from_slice(&u64::MAX.to_le_bytes())
+    });
+    tamper("order", &|b| {
+        for i in 0..8 {
+            b.swap(first + i, first + 8 + i);
+        }
+    });
+    tamper("NaN", &|b| {
+        b[first..first + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes())
+    });
+}

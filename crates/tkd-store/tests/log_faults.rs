@@ -76,9 +76,7 @@ fn history(dir: &Path) -> History {
     let mut states = vec![encode_engine(&twin)];
     let mut lens = vec![0];
     for (i, ops) in batches().iter().enumerate() {
-        journal
-            .append(&mut twin, i as u64 + 1, ops)
-            .expect("append");
+        journal.append(&twin, i as u64 + 1, ops).expect("append");
         assert!(twin.apply_ops(ops).error.is_none());
         states.push(encode_engine(&twin));
         lens.push(std::fs::metadata(log_path(&snap)).expect("log").len() as usize);
@@ -245,7 +243,7 @@ fn every_intermediate_state_of_a_checkpoint_in_place() {
     let mut journal = Journal::clean(&h.snap, 4);
     let fifth = [UpdateOp::Insert(vec![None, None, Some(1.0), None])];
     journal
-        .append(&mut decode(&h.states[4]), 5, &fifth)
+        .append(&decode(&h.states[4]), 5, &fifth)
         .expect("append");
     let fresh = std::fs::read(&h.log).expect("fresh log");
     for cut in 0..fresh.len() {
@@ -306,7 +304,7 @@ fn append_after_a_recovered_torn_tail() {
     let mut engine = r.engine;
     let mut journal = Journal::clean(&h.snap, 0);
     journal
-        .append(&mut engine, 1, &extra)
+        .append(&engine, 1, &extra)
         .expect("append over the torn log");
     assert!(engine.apply_ops(&extra).error.is_none());
     assert_eq!(recovered(&h.snap), encode_engine(&engine));
@@ -320,7 +318,7 @@ fn append_after_a_recovered_torn_tail() {
     assert_eq!((r.seq, r.replayed), (Some(2), 2));
     let mut engine = r.engine;
     let mut journal = Journal::stale(&h.snap, 2);
-    journal.append(&mut engine, 3, &extra).expect("append");
+    journal.append(&engine, 3, &extra).expect("append");
     assert!(engine.apply_ops(&extra).error.is_none());
     assert_eq!(recovered(&h.snap), encode_engine(&engine));
     let r = recover(&h.snap).expect("recovers");
@@ -339,20 +337,18 @@ fn out_of_order_appends_are_refused() {
     let log = std::fs::read(&h.log).expect("log");
     let mut journal = Journal::stale(&h.snap, 4);
     for seq in [4, 6, 0] {
-        assert!(journal.append(&mut engine, seq, &ops).is_err(), "seq {seq}");
+        assert!(journal.append(&engine, seq, &ops).is_err(), "seq {seq}");
     }
     assert_eq!(std::fs::read(&h.log).expect("log"), log, "no checkpoint");
     journal
-        .append(&mut engine, 5, &ops)
+        .append(&engine, 5, &ops)
         .expect("checkpoint, then the first record");
     assert!(engine.apply_ops(&ops).error.is_none());
     assert_eq!(recover(&h.snap).expect("recovers").replayed, 1);
     for seq in [5, 7, 0] {
-        assert!(journal.append(&mut engine, seq, &ops).is_err(), "seq {seq}");
+        assert!(journal.append(&engine, seq, &ops).is_err(), "seq {seq}");
     }
-    journal
-        .append(&mut engine, 6, &ops[..0])
-        .expect("the next seq");
+    journal.append(&engine, 6, &ops[..0]).expect("the next seq");
     let r = recover(&h.snap).expect("recovers");
     assert_eq!((r.seq, r.replayed), (Some(6), 2));
     assert_eq!(encode_engine(&r.engine), encode_engine(&engine));

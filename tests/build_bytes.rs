@@ -1,6 +1,6 @@
 //! Byte-stability pin for the build path: a freshly built engine must
 //! encode to exactly the bytes of the committed golden snapshot, so the
-//! bulk-loaded indexes, probe trees and incomparable sets export the
+//! bulk-loaded index, bin boundaries and incomparable sets export the
 //! streams the build that wrote the file exported, value for value and in
 //! the same order. (`persist_golden.rs` pins the *codec* by
 //! re-serializing the loaded file; this pins the *builder* behind it.)
