@@ -3,7 +3,6 @@
 use core::fmt;
 
 use crate::kernels;
-use crate::words::{SharedWords, Words};
 
 const WORD_BITS: usize = 64;
 
@@ -13,14 +12,9 @@ const WORD_BITS: usize = 64;
 /// index (Fig. 6): one bit per object, word-wise boolean algebra, hardware
 /// population counts. All binary operations require equal lengths.
 ///
-/// Storage is [`Words`]: either heap-owned or borrowed straight out of a
-/// shared snapshot buffer (zero-copy load). Borrowed vectors behave
-/// identically to owned ones — equality, hashing and every query operation
-/// see only the logical word sequence — and are promoted to an owned copy
-/// the first time they are mutated.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
-    words: Words,
+    words: Vec<u64>,
     len: usize,
 }
 
@@ -28,7 +22,7 @@ impl BitVec {
     /// All-zeros vector of `len` bits.
     pub fn zeros(len: usize) -> Self {
         BitVec {
-            words: Words::Owned(vec![0; len.div_ceil(WORD_BITS)]),
+            words: vec![0; len.div_ceil(WORD_BITS)],
             len,
         }
     }
@@ -36,7 +30,7 @@ impl BitVec {
     /// All-ones vector of `len` bits.
     pub fn ones(len: usize) -> Self {
         let mut v = BitVec {
-            words: Words::Owned(vec![u64::MAX; len.div_ceil(WORD_BITS)]),
+            words: vec![u64::MAX; len.div_ceil(WORD_BITS)],
             len,
         };
         v.mask_tail();
@@ -58,7 +52,7 @@ impl BitVec {
     /// Read-only word storage.
     #[inline]
     fn w(&self) -> &[u64] {
-        self.words.as_slice()
+        &self.words
     }
 
     /// Zero out any bits beyond `len` in the last word (invariant: padding
@@ -67,7 +61,7 @@ impl BitVec {
     fn mask_tail(&mut self) {
         let tail = self.len % WORD_BITS;
         if tail != 0 {
-            if let Some(last) = self.words.to_mut().last_mut() {
+            if let Some(last) = self.words.last_mut() {
                 *last &= (1u64 << tail) - 1;
             }
         }
@@ -83,13 +77,6 @@ impl BitVec {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Does this vector still borrow a shared snapshot buffer (i.e. it has
-    /// not been mutated since a zero-copy load)?
-    #[inline]
-    pub fn is_shared(&self) -> bool {
-        self.words.is_shared()
     }
 
     /// Read bit `i`.
@@ -109,7 +96,7 @@ impl BitVec {
     #[inline]
     pub fn set(&mut self, i: usize) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words.to_mut()[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
+        self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
     }
 
     /// Set bit `i` to zero.
@@ -119,17 +106,17 @@ impl BitVec {
     #[inline]
     pub fn clear(&mut self, i: usize) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words.to_mut()[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS));
+        self.words[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS));
     }
 
     /// Append one bit, growing the length by one — the primitive behind
     /// the dynamic index's appendable columns. Amortized `O(1)`: a new
     /// word is pushed only every 64 appends, and the padding invariant is
-    /// preserved. Promotes borrowed storage (appending is a mutation).
+    /// preserved.
     #[inline]
     pub fn push(&mut self, bit: bool) {
         let len = self.len;
-        let words = self.words.to_mut();
+        let words = &mut self.words;
         if len.is_multiple_of(WORD_BITS) {
             words.push(0);
         }
@@ -152,9 +139,9 @@ impl BitVec {
     }
 
     /// Reassemble a vector from its raw word storage — the word-level
-    /// deserialization entry point of the snapshot loader: columns come
-    /// off disk as whole `u64` words and are adopted here by move, no
-    /// per-bit decode.
+    /// deserialization entry point of the snapshot loader: a live mask
+    /// comes off disk as whole `u64` words and is adopted here by move,
+    /// no per-bit decode.
     ///
     /// # Errors
     /// Rejects a word count other than `ceil(len / 64)` and nonzero
@@ -162,29 +149,6 @@ impl BitVec {
     /// in-memory [`BitVec`] upholds; accepting dirty padding would make
     /// popcounts wrong and snapshots non-canonical).
     pub fn from_words(words: Vec<u64>, len: usize) -> Result<Self, &'static str> {
-        Self::check_form(&words, len)?;
-        Ok(BitVec {
-            words: Words::Owned(words),
-            len,
-        })
-    }
-
-    /// Like [`BitVec::from_words`], but adopting a borrowed view of a
-    /// shared snapshot buffer instead of owned storage — the zero-copy
-    /// load entry point. The same canonical-form validation applies; only
-    /// the storage differs, and the first mutation promotes it to owned.
-    ///
-    /// # Errors
-    /// Same conditions as [`BitVec::from_words`].
-    pub fn from_shared(shared: SharedWords, len: usize) -> Result<Self, &'static str> {
-        Self::check_form(shared.as_words(), len)?;
-        Ok(BitVec {
-            words: Words::Shared(shared),
-            len,
-        })
-    }
-
-    fn check_form(words: &[u64], len: usize) -> Result<(), &'static str> {
         if words.len() != len.div_ceil(WORD_BITS) {
             return Err("word count does not match bit length");
         }
@@ -195,16 +159,15 @@ impl BitVec {
                 return Err("nonzero padding bits beyond the bit length");
             }
         }
-        Ok(())
+        Ok(BitVec { words, len })
     }
 
-    /// Mutable raw word storage for in-crate fused writers (promotes
-    /// borrowed storage). Callers must uphold the padding invariant (bits
-    /// beyond `len` stay zero) — call [`BitVec::fix_tail`] after bulk
-    /// writes.
+    /// Mutable raw word storage for in-crate fused writers. Callers must
+    /// uphold the padding invariant (bits beyond `len` stay zero) — call
+    /// [`BitVec::fix_tail`] after bulk writes.
     #[inline]
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        self.words.to_mut()
+        &mut self.words
     }
 
     /// Re-establish the padding invariant after bulk word writes.
@@ -219,7 +182,7 @@ impl BitVec {
     /// Panics on length mismatch.
     pub fn and_assign(&mut self, other: &BitVec) {
         assert_eq!(self.len, other.len, "length mismatch");
-        for (a, b) in self.words.to_mut().iter_mut().zip(other.w()) {
+        for (a, b) in self.words.iter_mut().zip(other.w()) {
             *a &= b;
         }
     }
@@ -230,7 +193,7 @@ impl BitVec {
     /// Panics on length mismatch.
     pub fn or_assign(&mut self, other: &BitVec) {
         assert_eq!(self.len, other.len, "length mismatch");
-        for (a, b) in self.words.to_mut().iter_mut().zip(other.w()) {
+        for (a, b) in self.words.iter_mut().zip(other.w()) {
             *a |= b;
         }
     }
@@ -241,25 +204,25 @@ impl BitVec {
     /// Panics on length mismatch.
     pub fn and_not_assign(&mut self, other: &BitVec) {
         assert_eq!(self.len, other.len, "length mismatch");
-        for (a, b) in self.words.to_mut().iter_mut().zip(other.w()) {
+        for (a, b) in self.words.iter_mut().zip(other.w()) {
             *a &= !b;
         }
     }
 
     /// Set every bit to one (respects the logical length) — no allocation.
     pub fn set_all(&mut self) {
-        self.words.to_mut().fill(!0);
+        self.words.fill(!0);
         self.mask_tail();
     }
 
     /// Set every bit to zero — no allocation.
     pub fn clear_all(&mut self) {
-        self.words.to_mut().fill(0);
+        self.words.fill(0);
     }
 
     /// In-place complement (respects the logical length).
     pub fn not_assign(&mut self) {
-        for w in self.words.to_mut() {
+        for w in &mut self.words {
             *w = !*w;
         }
         self.mask_tail();
@@ -321,15 +284,14 @@ impl BitVec {
         kernels::count_and_andnot(self.w(), b.w(), c.w())
     }
 
-    /// Overwrite `self` with a word-level copy of `other` — no allocation
-    /// when `self` is already owned.
+    /// Overwrite `self` with a word-level copy of `other` — no allocation.
     ///
     /// # Panics
     /// Panics on length mismatch.
     #[inline]
     pub fn copy_from(&mut self, other: &BitVec) {
         assert_eq!(self.len, other.len, "length mismatch");
-        self.words.to_mut().copy_from_slice(other.w());
+        self.words.copy_from_slice(other.w());
     }
 
     /// Fill `scratch` with the intersection of all `cols` — no intermediate
@@ -405,8 +367,7 @@ impl fmt::Debug for BitVec {
 // The bitmap substrate is shared read-only across query workers; these
 // compile-time assertions pin the auto-derived thread-safety so a future
 // field addition (e.g. an interior-mutability cache) cannot silently take
-// the parallel engine down with it. `Words::Shared` holds an `Arc<[u64]>`,
-// which is `Send + Sync`, so borrowed-storage vectors stay shareable.
+// the parallel engine down with it.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<BitVec>();
@@ -469,7 +430,6 @@ impl<'a> Iterator for AndNotOnes<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn zeros_and_ones() {
@@ -656,93 +616,5 @@ mod tests {
         assert!(!d.get(64));
         assert!(d.get(65));
         assert_eq!(d.count_ones(), 65);
-    }
-
-    /// A shared-backed copy of `b`, plus the backing buffer for checks.
-    fn share(b: &BitVec) -> (BitVec, Arc<[u64]>) {
-        let buf: Arc<[u64]> = b.as_words().to_vec().into();
-        let sw = SharedWords::new(buf.clone(), 0, buf.len()).unwrap();
-        (BitVec::from_shared(sw, b.len()).unwrap(), buf)
-    }
-
-    #[test]
-    fn shared_bitvec_is_interchangeable_with_owned() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let owned = BitVec::from_indices(200, (0..200).step_by(3));
-        let (shared, _buf) = share(&owned);
-        assert!(shared.is_shared());
-        assert!(!owned.is_shared());
-        assert_eq!(shared, owned);
-        assert_eq!(shared.count_ones(), owned.count_ones());
-        assert_eq!(
-            shared.iter_ones().collect::<Vec<_>>(),
-            owned.iter_ones().collect::<Vec<_>>()
-        );
-        let other = BitVec::from_indices(200, (0..200).step_by(7));
-        assert_eq!(shared.and_count(&other), owned.and_count(&other));
-        assert_eq!(
-            shared.count_and_andnot(&other, &owned),
-            owned.count_and_andnot(&other, &owned)
-        );
-        let mut h1 = DefaultHasher::new();
-        let mut h2 = DefaultHasher::new();
-        shared.hash(&mut h1);
-        owned.hash(&mut h2);
-        assert_eq!(h1.finish(), h2.finish());
-    }
-
-    #[test]
-    fn shared_bitvec_promotes_on_mutation() {
-        let base = BitVec::from_indices(130, [0, 64, 129]);
-        // Every mutating entry point must promote and leave the backing
-        // buffer untouched.
-        type Mutation = Box<dyn Fn(&mut BitVec)>;
-        let muts: Vec<(&str, Mutation)> = vec![
-            ("set", Box::new(|b: &mut BitVec| b.set(1))),
-            ("clear", Box::new(|b: &mut BitVec| b.clear(0))),
-            ("push", Box::new(|b: &mut BitVec| b.push(true))),
-            ("set_all", Box::new(|b: &mut BitVec| b.set_all())),
-            ("clear_all", Box::new(|b: &mut BitVec| b.clear_all())),
-            ("not", Box::new(|b: &mut BitVec| b.not_assign())),
-            (
-                "and_assign",
-                Box::new(|b: &mut BitVec| {
-                    let m = BitVec::ones(b.len());
-                    b.and_assign(&m)
-                }),
-            ),
-        ];
-        for (name, m) in muts {
-            let (mut shared, buf) = share(&base);
-            let before: Vec<u64> = buf.to_vec();
-            m(&mut shared);
-            assert!(!shared.is_shared(), "{name} must promote");
-            assert_eq!(&buf[..], &before[..], "{name} must not write the backing");
-        }
-        // A clone of a shared vector stays shared and promotes independently.
-        let (shared, _buf) = share(&base);
-        let mut c = shared.clone();
-        assert!(c.is_shared());
-        c.set(2);
-        assert!(!c.is_shared());
-        assert!(shared.is_shared());
-        assert!(!shared.get(2));
-        assert!(c.get(2));
-    }
-
-    #[test]
-    fn from_shared_validates_canonical_form() {
-        let buf: Arc<[u64]> = vec![u64::MAX, u64::MAX].into();
-        // Wrong word count for the bit length.
-        let sw = SharedWords::new(buf.clone(), 0, 2).unwrap();
-        assert!(BitVec::from_shared(sw, 64).is_err());
-        // Dirty padding beyond len.
-        let sw = SharedWords::new(buf.clone(), 0, 2).unwrap();
-        assert!(BitVec::from_shared(sw, 70).is_err());
-        // Valid full-word form.
-        let sw = SharedWords::new(buf, 0, 2).unwrap();
-        let b = BitVec::from_shared(sw, 128).unwrap();
-        assert_eq!(b.count_ones(), 128);
     }
 }

@@ -35,7 +35,6 @@ pub mod kernels;
 mod runs;
 mod tombstones;
 mod wah;
-mod words;
 
 pub use concise::Concise;
 pub use dense::{AndNotOnes, BitVec, Ones};
@@ -43,7 +42,6 @@ pub use hash::fnv64;
 pub use runs::{Run, BLOCK_BITS};
 pub use tombstones::Tombstones;
 pub use wah::Wah;
-pub use words::{SharedWords, Words};
 
 /// Common interface of the compressed bitmap codecs (WAH and CONCISE).
 ///

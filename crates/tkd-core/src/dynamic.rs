@@ -250,10 +250,10 @@ pub struct BatchReport {
     pub notifications: Vec<Notification>,
 }
 
-/// Borrowed view of a [`DynamicEngine`]'s persisted logical state —
-/// what the snapshot *writer* consumes ([`DynamicEngine::store_parts_ref`]).
-/// Field-for-field the borrowed twin of [`DynamicParts`], which remains
-/// the owned currency of the *load* path.
+/// Borrowed view of a [`DynamicEngine`]'s state — what the snapshot
+/// *writer* consumes ([`DynamicEngine::store_parts_ref`]). It lends the
+/// maintained artifacts; the writer reads the stored form of
+/// [`DynamicParts`], the owned currency of the *load* path, off them.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicPartsRef<'a> {
     /// All slots since the last compaction, tombstoned rows included.
@@ -266,8 +266,8 @@ pub struct DynamicPartsRef<'a> {
     pub index: &'a BitmapIndex,
     /// The bin boundaries IBIG views the index through.
     pub boundaries: &'a BinBoundaries,
-    /// The maintained incomparable sets (the queue beside them is
-    /// derived state, recounted at load).
+    /// The maintained incomparable sets (only their keys are stored; the
+    /// sets and the queue beside them are derived at load).
     pub pre: &'a Preprocessed,
     /// IBIG bin selection.
     pub bins: &'a BinChoice,
@@ -281,27 +281,33 @@ pub struct DynamicPartsRef<'a> {
 
 /// The persisted logical state of a [`DynamicEngine`] — everything
 /// [`DynamicEngine::from_store_parts`] needs to resume bit-identically,
-/// and nothing derivable: the slot→stable-id map, live/dead bookkeeping
-/// (inside [`DynamicParts::index`]'s live mask), the `MaxScore` queue,
-/// the scratch space, and the stable-id→slot inverse are all recomputed
-/// at load.
+/// and nothing derivable: the exact index is derived from the value
+/// tables, slots and live mask, each incomparable set from its key and
+/// the index, and the `MaxScore` queue and the scratch space are
+/// recomputed as well.
 #[derive(Clone, Debug)]
 pub struct DynamicParts {
     /// All slots since the last compaction, tombstoned rows included.
+    /// Its cells must be the values `values` and `slots` name, up to the
+    /// sign of a zero — the snapshot decoder builds both in one pass.
     pub ds: Dataset,
+    /// Per dimension, the exact index's sorted value table, values left
+    /// without holders by cell updates included.
+    pub values: Vec<Vec<f64>>,
+    /// Row-major `n × dims` 1-based slots into `values`, `0` = missing.
+    pub slots: Vec<u32>,
+    /// One bit per slot: set while the slot is live.
+    pub live: BitVec,
+    /// The masks an incomparable set is kept for, strictly ascending
+    /// (stale ones a cell update left behind included).
+    pub f_keys: Vec<u64>,
     /// Slot → stable id (strictly increasing).
     pub stable_of: Vec<ObjectId>,
     /// Next stable id to hand out.
     pub next_id: ObjectId,
-    /// The maintained exact bitmap index (its live mask is the engine's).
-    pub index: BitmapIndex,
-    /// The bin boundaries over `index`, per dimension (frozen until
-    /// compaction; the view's pick tables are derived at load).
+    /// The bin boundaries over the exact index, per dimension (frozen
+    /// until compaction; the view's pick tables are derived at load).
     pub boundaries: Vec<Vec<f64>>,
-    /// The maintained incomparable sets. Its queue is never read:
-    /// [`DynamicEngine::from_store_parts`] recounts the queue from the
-    /// index's value slots.
-    pub pre: Preprocessed,
     /// IBIG bin selection, re-resolved at the next compaction.
     pub bins: BinChoice,
     /// Tombstone compaction policy.
@@ -310,26 +316,6 @@ pub struct DynamicParts {
     pub epoch: u64,
     /// Lifetime update counters.
     pub stats: UpdateStats,
-}
-
-/// Storage-provenance summary of a [`DynamicEngine`] — see
-/// [`DynamicEngine::storage_report`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StorageReport {
-    /// Columns still borrowing a shared snapshot buffer.
-    pub borrowed_columns: usize,
-    /// All columns tallied (bitmap + live mask + F-sets).
-    pub total_columns: usize,
-    /// Do the dataset's value/mask slabs borrow a snapshot buffer?
-    pub dataset_borrowed: bool,
-}
-
-impl StorageReport {
-    /// Does *any* storage still borrow a snapshot buffer (i.e. the
-    /// engine serves borrowed rather than promoted/owned storage)?
-    pub fn is_borrowed(&self) -> bool {
-        self.borrowed_columns > 0 || self.dataset_borrowed
-    }
 }
 
 /// A versioned, owning update layer over the BIG/IBIG query engines: see
@@ -359,10 +345,9 @@ pub struct DynamicEngine {
     ds: Dataset,
     live: Tombstones,
     /// Slot → stable id (strictly increasing, so slot order and stable-id
-    /// order agree — the tie-order invariant).
+    /// order agree — the tie-order invariant — and an id's slot is a
+    /// binary search away).
     stable_of: Vec<ObjectId>,
-    /// Stable id → slot, live objects only.
-    slot_of: HashMap<ObjectId, usize>,
     next_id: ObjectId,
     index: BitmapIndex,
     /// The binned index's boundaries over `index`.
@@ -418,7 +403,6 @@ impl DynamicEngine {
             ds,
             live: Tombstones::all_live(n),
             stable_of: (0..n as ObjectId).collect(),
-            slot_of: (0..n).map(|s| (s as ObjectId, s)).collect(),
             next_id: n as ObjectId,
             boundaries: BinBoundaries::build(&index, &vec![1; dims]),
             index,
@@ -473,34 +457,9 @@ impl DynamicEngine {
         self.stats
     }
 
-    /// Where the engine's word storage lives: how many of its `BitVec`
-    /// columns (bitmap + incomparable sets) still **borrow** a
-    /// shared snapshot buffer versus own their words, and whether the
-    /// dataset slabs do. A freshly built engine is fully owned; a
-    /// zero-copy load is fully borrowed; mutations promote exactly the
-    /// storage they touch.
-    pub fn storage_report(&self) -> StorageReport {
-        let mut r = StorageReport::default();
-        let mut tally = |bv: &tkd_bitvec::BitVec| {
-            r.total_columns += 1;
-            r.borrowed_columns += usize::from(bv.is_shared());
-        };
-        tally(self.index.live_mask());
-        for d in 0..self.index.dims() {
-            for c in 0..self.index.num_columns(d) {
-                tally(self.index.column(d, c));
-            }
-        }
-        for bv in self.pre.f_sets.values() {
-            tally(bv);
-        }
-        r.dataset_borrowed = self.ds.is_shared();
-        r
-    }
-
     /// Is `id` a live object?
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.slot_of.contains_key(&id)
+        self.live_slot(id).is_some()
     }
 
     /// Value of live object `id` at `dim` (`None` = missing).
@@ -566,7 +525,7 @@ impl DynamicEngine {
         // Validated before any artifact is touched: inserts are atomic.
         let mask = tkd_model::validate_row(self.dims, row, self.ds.len())?;
         // 1. Indexes and storage grow by one slot.
-        let slot = self.index.append_row(|d| row[d]);
+        self.index.append_row(|d| row[d]);
         self.boundaries.sync(&self.index);
         match label {
             Some(l) => self.ds.push_row_labeled(l, row),
@@ -586,7 +545,6 @@ impl DynamicEngine {
         let id = self.next_id;
         self.next_id += 1;
         self.stable_of.push(id);
-        self.slot_of.insert(id, slot);
         self.queue_dirty = true;
         self.stats.inserts += 1;
         Ok(id)
@@ -607,7 +565,6 @@ impl DynamicEngine {
             bv.clear(slot);
         }
         self.foreign_f.clear();
-        self.slot_of.remove(&id);
         self.queue_dirty = true;
         self.stats.deletes += 1;
         self.maybe_compact();
@@ -797,7 +754,7 @@ impl DynamicEngine {
     /// The first failing op's index and error.
     pub fn check_ops(&self, ops: &[UpdateOp]) -> Result<(), (usize, UpdateError)> {
         let live = |id| {
-            let slot = *self.slot_of.get(&id)?;
+            let slot = self.live_slot(id)?;
             Some((slot, self.ds.mask(slot as ObjectId)))
         };
         check_batch(self.dims, self.next_id, self.ds.len(), live, ops)
@@ -1282,8 +1239,8 @@ impl DynamicEngine {
         self.fit_scratch(1);
         let scratch = &mut self.scratch[0];
         scratch.sel = self.index.select_for(|d| values[d]);
-        let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
-        let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
+        let (f_sets, foreign_f) = (&self.pre.f_sets, &mut self.foreign_f);
+        let cand = shard_candidate(&self.index, f_sets, foreign_f, values, member);
         Ok(big_term(&self.index, &cand, None, scratch))
     }
 
@@ -1304,8 +1261,8 @@ impl DynamicEngine {
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         scratch.bin_sel = binned.select_for(|d| values[d]);
         scratch.sel = self.index.select_for(|d| values[d]);
-        let (ds, f_sets, foreign_f) = (&self.ds, &self.pre.f_sets, &mut self.foreign_f);
-        let cand = shard_candidate(ds, &self.live, f_sets, foreign_f, values, member);
+        let (f_sets, foreign_f) = (&self.pre.f_sets, &mut self.foreign_f);
+        let cand = shard_candidate(&self.index, f_sets, foreign_f, values, member);
         let mut unlimited = usize::MAX;
         let term = score_term(&self.index, &cand, None, scratch, &mut unlimited);
         Ok(term.expect("an unlimited budget is never overdrawn"))
@@ -1313,19 +1270,26 @@ impl DynamicEngine {
 
     // ----- persistence ----------------------------------------------------
 
-    /// Export the engine's logical state for the snapshot writer. The
-    /// queue is left out (`pre` carries an empty one): it is derived
-    /// state, recounted at load.
+    /// Export the engine's logical state in its stored form: value
+    /// tables, value slots, live mask and incomparable-set keys in place
+    /// of the artifacts derived from them.
     pub fn to_store_parts(&self) -> DynamicParts {
+        let index = &self.index;
+        let mut f_keys: Vec<u64> = self.pre.f_sets.keys().copied().collect();
+        f_keys.sort_unstable();
         DynamicParts {
             ds: self.ds.clone(),
+            values: (0..self.dims).map(|d| index.values(d).to_vec()).collect(),
+            slots: (0..index.n())
+                .flat_map(|o| (0..self.dims).map(move |d| index.value_slot(o, d)))
+                .collect(),
+            live: self.live.live_mask().clone(),
+            f_keys,
             stable_of: self.stable_of.clone(),
             next_id: self.next_id,
-            index: self.index.clone(),
             boundaries: (0..self.dims)
                 .map(|d| self.boundaries.of(d).to_vec())
                 .collect(),
-            pre: Preprocessed::from_parts(self.pre.f_sets.clone()),
             bins: self.bins.clone(),
             policy: self.policy,
             epoch: self.epoch,
@@ -1333,10 +1297,9 @@ impl DynamicEngine {
         }
     }
 
-    /// Borrowed form of [`DynamicEngine::to_store_parts`] — the encode
-    /// path's view. Serializing through references keeps peak memory at
-    /// one engine plus the output buffer; the owned [`DynamicParts`]
-    /// (a full deep copy of every artifact) is only ever built on load.
+    /// Borrowed view of the engine's state — the encode path's. It lends
+    /// the maintained artifacts; the writer stores only what
+    /// [`DynamicParts`] holds, reading it off them.
     pub fn store_parts_ref(&self) -> DynamicPartsRef<'_> {
         DynamicPartsRef {
             ds: &self.ds,
@@ -1353,14 +1316,16 @@ impl DynamicEngine {
     }
 
     /// Resume an engine from persisted parts (snapshot load) — the
-    /// inverse of [`DynamicEngine::to_store_parts`], rebuilding every
-    /// derivable structure (live bookkeeping from the index's mask, the
-    /// stable-id inverse, scratch; the `MaxScore` queue at the first
-    /// query) and validating the cross-section invariants the query paths
-    /// rely on: consistent arities, strictly increasing stable ids (the
-    /// tie-order invariant), exact-index value slots that name every live
-    /// cell's value (the queue is counted from them), and an incomparable
-    /// set for every live mask.
+    /// inverse of [`DynamicEngine::to_store_parts`]. The exact index is
+    /// derived from the value tables and slots
+    /// ([`BitmapIndex::from_slots`]), each incomparable set from its key
+    /// (`live ∧ ⋀_{d ∈ key} missing_d`, read off the index's last
+    /// columns), scratch is rebuilt, and the `MaxScore` queue is
+    /// recounted at the first query. The checks are on the parts
+    /// themselves: consistent arities, the index's value tables and
+    /// slots, strictly increasing stable ids below `next_id` (the
+    /// tie-order invariant), strictly ascending keys naming dimensions
+    /// that exist, and a key for every live row's mask.
     ///
     /// # Errors
     /// A description of the first violated invariant. Bit-level integrity
@@ -1369,11 +1334,13 @@ impl DynamicEngine {
     pub fn from_store_parts(parts: DynamicParts) -> Result<Self, String> {
         let DynamicParts {
             ds,
+            values,
+            slots,
+            live,
+            f_keys,
             stable_of,
             next_id,
-            index,
             boundaries,
-            pre,
             bins,
             policy,
             epoch,
@@ -1381,15 +1348,16 @@ impl DynamicEngine {
         } = parts;
         let dims = ds.dims();
         let n = ds.len();
-        if index.n() != n || index.dims() != dims {
+        if values.len() != dims || live.len() != n {
             return Err(format!(
-                "bitmap index shape ({} × {}) disagrees with the dataset ({n} × {dims})",
-                index.n(),
-                index.dims()
+                "{} value tables and a live mask of {} bits for a {n} × {dims} dataset",
+                values.len(),
+                live.len()
             ));
         }
+        let live = Tombstones::from_live_mask(live);
+        let index = BitmapIndex::from_slots(values, slots, live.clone())?;
         let boundaries = BinBoundaries::from_store_parts(&index, boundaries)?;
-        let live = Tombstones::from_live_mask(index.live_mask().clone());
         if stable_of.len() != n {
             return Err(format!(
                 "stable-id table holds {} entries for {n} slots",
@@ -1404,49 +1372,36 @@ impl DynamicEngine {
                 return Err(format!("stable id {last} is not below next_id {next_id}"));
             }
         }
-        // Live slots' value slots name their cells: 0 for a missing one,
-        // else the slot of an IEEE-equal value.
-        for s in live.iter_live() {
-            for d in 0..dims {
-                let slot = index.value_slot(s, d) as usize;
-                let names_cell = match ds.value(s as ObjectId, d) {
-                    None => slot == 0,
-                    Some(v) => slot > 0 && index.values(d)[slot - 1] == v,
-                };
-                if !names_cell {
-                    return Err(format!(
-                        "value slot {slot} of slot {s} dim {d} disagrees with the dataset"
-                    ));
-                }
-            }
+        if f_keys.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("incomparable-set keys are not strictly ascending".into());
         }
-        for (mask, bv) in pre.f_sets() {
-            if bv.len() != n {
-                return Err(format!(
-                    "incomparable set of mask {mask:#x} has {} bits, expected {n}",
-                    bv.len()
-                ));
-            }
+        let all = DimMask::all(dims).bits();
+        if let Some(&key) = f_keys.iter().find(|&&k| k == 0 || k & !all != 0) {
+            return Err(format!(
+                "incomparable-set key {key:#x} names no dimension of {dims}"
+            ));
         }
+        let f_sets: HashMap<u64, BitVec> = f_keys
+            .into_iter()
+            .map(|key| (key, incomparable_set(&index, DimMask::from_bits(key))))
+            .collect();
         for s in live.iter_live() {
             let mask = ds.mask(s as ObjectId).bits();
-            if !pre.f_sets().contains_key(&mask) {
+            if !f_sets.contains_key(&mask) {
                 return Err(format!(
                     "no incomparable set for live mask {mask:#x} (slot {s})"
                 ));
             }
         }
-        let slot_of = live.iter_live().map(|s| (stable_of[s], s)).collect();
         Ok(DynamicEngine {
             dims,
             ds,
             live,
             stable_of,
-            slot_of,
             next_id,
             index,
             boundaries,
-            pre,
+            pre: Preprocessed::from_parts(f_sets),
             foreign_f: HashMap::new(),
             queue_dirty: true,
             scratch: Vec::new(),
@@ -1473,7 +1428,6 @@ impl DynamicEngine {
         self.ds = self.ds.select(&live_slots);
         let n = self.ds.len();
         self.live = Tombstones::all_live(n);
-        self.slot_of = stable.iter().enumerate().map(|(s, &id)| (id, s)).collect();
         self.stable_of = stable;
         self.scratch.clear();
         self.rebuild_artifacts();
@@ -1527,17 +1481,23 @@ impl DynamicEngine {
     }
 
     fn slot(&self, id: ObjectId) -> Result<usize, UpdateError> {
-        live_or(self.slot_of.get(&id).copied(), id, self.next_id)
+        live_or(self.live_slot(id), id, self.next_id)
+    }
+
+    /// The slot of live object `id`.
+    fn live_slot(&self, id: ObjectId) -> Option<usize> {
+        let slot = self.stable_of.binary_search(&id).ok()?;
+        self.live.is_live(slot).then_some(slot)
     }
 
     /// Make sure the incomparable-set table has an entry for `mask`,
     /// building it over the live objects if absent.
     fn ensure_fset(&mut self, mask: DimMask) {
-        let (ds, live) = (&self.ds, &self.live);
+        let index = &self.index;
         self.pre
             .f_sets
             .entry(mask.bits())
-            .or_insert_with(|| incomparable_window(ds, live, mask));
+            .or_insert_with(|| incomparable_set(index, mask));
     }
 
     /// Recount the candidate queue over the live rows and every
@@ -1663,10 +1623,15 @@ pub fn check_batch(
     Ok(())
 }
 
-/// The live slots observing no dimension in common with `mask`.
-fn incomparable_window(ds: &Dataset, live: &Tombstones, mask: DimMask) -> BitVec {
-    let incomparable = |&s: &usize| !ds.mask(s as ObjectId).intersects(mask);
-    BitVec::from_indices(ds.len(), live.iter_live().filter(incomparable))
+/// The live slots observing no dimension in common with `mask`: the live
+/// mask ANDed with each of `mask`'s dimensions' last exact column, which
+/// holds exactly the live rows missing that dimension.
+fn incomparable_set(index: &BitmapIndex, mask: DimMask) -> BitVec {
+    let mut f = index.live_mask().clone();
+    for d in mask.iter() {
+        f.and_assign(index.column(d, index.num_columns(d) - 1));
+    }
+    f
 }
 
 /// A shard-scoring candidate as the engine's slots see it: its mask read
@@ -1674,8 +1639,7 @@ fn incomparable_window(ds: &Dataset, live: &Tombstones, mask: DimMask) -> BitVec
 /// incomparable sets when a local row carries that mask, else computed
 /// once into `foreign_f`.
 fn shard_candidate<'a>(
-    ds: &Dataset,
-    live: &Tombstones,
+    index: &BitmapIndex,
     f_sets: &'a HashMap<u64, BitVec>,
     foreign_f: &'a mut HashMap<u64, BitVec>,
     values: &[Option<f64>],
@@ -1687,7 +1651,7 @@ fn shard_candidate<'a>(
         Some(f) => f,
         None => foreign_f
             .entry(mask.bits())
-            .or_insert_with(|| incomparable_window(ds, live, mask)),
+            .or_insert_with(|| incomparable_set(index, mask)),
     };
     Candidate { mask, member, f }
 }
@@ -2063,25 +2027,69 @@ mod tests {
             p.next_id = 5;
             assert!(DynamicEngine::from_store_parts(p).is_err());
         }
-        // A live cell whose value its exact-index value slot does not name.
+        // A value slot past its dimension's cardinality.
         {
             let mut p = parts.clone();
-            let d =
-                p.ds.mask(0)
-                    .iter()
-                    .next()
-                    .expect("slot 0 observes something");
-            let v = p.ds.value(0, d).expect("observed");
-            p.ds.set_value(0, d, Some(v + 0.5)).unwrap();
+            p.slots[1] = p.values[1].len() as u32 + 1;
             assert!(DynamicEngine::from_store_parts(p).is_err());
+        }
+        // A value table out of order.
+        {
+            let mut p = parts.clone();
+            p.values[0].swap(0, 1);
+            assert!(DynamicEngine::from_store_parts(p).is_err());
+        }
+        // Incomparable-set keys: 0, past `dims`, out of order.
+        let keys = &parts.f_keys;
+        for (keys, why) in [
+            ([&[0], &keys[..]].concat(), "names no dimension"),
+            ([&keys[..], &[1 << 4]].concat(), "names no dimension"),
+            (
+                keys.iter().rev().copied().collect(),
+                "not strictly ascending",
+            ),
+        ] {
+            let mut p = parts.clone();
+            p.f_keys = keys;
+            let err = DynamicEngine::from_store_parts(p).unwrap_err();
+            assert!(err.contains(why), "{err}");
         }
         // Missing incomparable set for a live mask.
         {
             let mut p = parts;
-            let mut f = p.pre.f_sets().clone();
-            f.remove(&p.ds.mask(0).bits());
-            p.pre = Preprocessed::from_parts(f);
+            let key = p.ds.mask(0).bits();
+            p.f_keys.retain(|&k| k != key);
             assert!(DynamicEngine::from_store_parts(p).is_err());
+        }
+    }
+
+    /// An incomparable set read off the index's last columns is the
+    /// brute-force set of live rows sharing no observed dimension with
+    /// the key — for every key, one naming a dimension no row observes
+    /// included, and with dead rows and cleared cells present.
+    #[test]
+    fn incomparable_sets_read_off_the_index_match_brute_force() {
+        let ds = Dataset::from_rows(
+            3,
+            &[
+                vec![Some(1.0), None, None],
+                vec![None, Some(2.0), None],
+                vec![Some(3.0), Some(1.0), None],
+                vec![Some(2.0), None, None],
+            ],
+        )
+        .unwrap();
+        let mut engine = engine_no_compaction(ds);
+        engine.delete(3).unwrap();
+        engine.update_value(2, 1, None).unwrap();
+        let n = engine.ds.len();
+        for key in 1..8u64 {
+            let mask = DimMask::from_bits(key);
+            let brute = (0..n).filter(|&s| {
+                engine.live.is_live(s) && !engine.ds.mask(s as ObjectId).intersects(mask)
+            });
+            let brute = BitVec::from_indices(n, brute);
+            assert_eq!(incomparable_set(&engine.index, mask), brute, "key {key:#b}");
         }
     }
 

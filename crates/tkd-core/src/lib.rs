@@ -64,7 +64,7 @@ pub mod variants;
 
 pub use dynamic::{
     BatchReport, CompactionPolicy, DynamicEngine, DynamicOptions, DynamicParts, DynamicPartsRef,
-    ScopeStats, StorageReport, UpdateError, UpdateOp, UpdateStats,
+    ScopeStats, UpdateError, UpdateOp, UpdateStats,
 };
 pub use engine::{EngineQuery, ParallelEngine};
 pub use preprocess::Preprocessed;

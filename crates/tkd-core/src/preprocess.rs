@@ -60,9 +60,9 @@ impl Preprocessed {
         &self.queue
     }
 
-    /// The per-mask incomparable sets, keyed by observation-mask bits —
-    /// the raw form the snapshot codec persists (sorted by key there, so
-    /// the map's iteration order never leaks into the format).
+    /// The per-mask incomparable sets, keyed by observation-mask bits.
+    /// The snapshot codec persists the keys alone, sorted, so the map's
+    /// iteration order never leaks into the format.
     pub fn f_sets(&self) -> &HashMap<u64, BitVec> {
         &self.f_sets
     }

@@ -78,7 +78,7 @@ fn apply(shard: &mut DynamicEngine, op: UpdateOp) -> Option<ObjectId> {
 
 /// The incomparable sets a snapshot of `shard` would persist.
 fn persisted_f_sets(shard: &mut DynamicEngine) -> HashMap<u64, BitVec> {
-    shard.to_store_parts().pre.f_sets().clone()
+    shard.store_parts_ref().pre.f_sets().clone()
 }
 
 /// All four answers to one candidate, as a worker would give them.

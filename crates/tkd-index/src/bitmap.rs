@@ -49,7 +49,9 @@ pub struct BitmapIndex {
 /// Assembles a [`BitmapIndex`] one dimension at a time from the dataset's
 /// sorted columns ([`for_each_sorted_column`]), so a build that also needs
 /// the `MaxScore` queue feeds both from one sort per dimension.
-/// [`BitmapIndex::build`] is this builder driven alone.
+/// [`BitmapIndex::build`] is this builder driven alone, and a snapshot
+/// load ([`BitmapIndex::from_slots`]) lays its columns down through the
+/// builder's one column routine too.
 #[derive(Debug)]
 pub struct BitmapIndexBuilder {
     n: usize,
@@ -57,6 +59,7 @@ pub struct BitmapIndexBuilder {
     values: Vec<Vec<f64>>,
     columns: Vec<Vec<BitVec>>,
     val_idx: Vec<u32>,
+    live: Tombstones,
 }
 
 impl BitmapIndexBuilder {
@@ -68,30 +71,53 @@ impl BitmapIndexBuilder {
             values: Vec::with_capacity(dims),
             columns: Vec::with_capacity(dims),
             val_idx: vec![MISSING; n * dims],
+            live: Tombstones::all_live(n),
         }
     }
 
     /// Add dimension `dim` from its sorted column: each equal-value run is
-    /// one distinct value, its position the run members' value slot, and
-    /// its column the previous one minus the run's members.
+    /// one distinct value, its position the run members' value slot.
     ///
     /// # Panics
     /// Panics if dimensions arrive out of order or the column names an id
     /// at or past `n`.
     pub fn push_dim(&mut self, dim: usize, column: &[(f64, ObjectId)]) {
-        assert_eq!(dim, self.values.len(), "dimensions must arrive in order");
-        let mut vals = Vec::new();
-        let mut cur = BitVec::ones(self.n);
-        let mut cols = vec![cur.clone()];
+        let mut values = Vec::new();
         for run in value_runs(column) {
-            vals.push(run[0].0);
+            values.push(run[0].0);
             for &(_, o) in run {
-                self.val_idx[o as usize * self.dims + dim] = vals.len() as u32;
-                cur.clear(o as usize);
+                self.val_idx[o as usize * self.dims + dim] = values.len() as u32;
+            }
+        }
+        let holders = value_runs(column).map(|run| run.iter().map(|&(_, o)| o as usize));
+        self.lay_dim(dim, values, holders);
+    }
+
+    /// Lay down dimension `dim`'s columns — the one column routine of
+    /// builds and loads. `holders` yields, for each of `values` in
+    /// ascending order, the rows holding it. Column 0 is all-ones, and
+    /// column `c ≥ 1` is the one below it (the live mask below column 1)
+    /// minus the holders of slot `c`: `live ∧ (missing ∨ slot > c)`. Dead
+    /// rows keep their slots but no bits, and a value without holders
+    /// repeats the column below it.
+    fn lay_dim<H: IntoIterator<Item = usize>>(
+        &mut self,
+        dim: usize,
+        values: Vec<f64>,
+        holders: impl Iterator<Item = H>,
+    ) {
+        assert_eq!(dim, self.values.len(), "dimensions must arrive in order");
+        let mut cur = self.live.live_mask().clone();
+        let mut cols = Vec::with_capacity(values.len() + 1);
+        cols.push(BitVec::ones(self.n));
+        for rows in holders {
+            for o in rows {
+                cur.clear(o);
             }
             cols.push(cur.clone());
         }
-        self.values.push(vals);
+        assert_eq!(cols.len(), values.len() + 1, "one holder set per value");
+        self.values.push(values);
         self.columns.push(cols);
     }
 
@@ -113,7 +139,7 @@ impl BitmapIndexBuilder {
             columns: self.columns,
             val_idx: self.val_idx,
             block_suffix,
-            live: Tombstones::all_live(self.n),
+            live: self.live,
         }
     }
 }
@@ -126,98 +152,100 @@ impl BitmapIndex {
         builder.finish()
     }
 
-    /// Reassemble a whole-dataset index from its persisted logical parts
-    /// — the snapshot loader's constructor. `val_slots` is the row-major
-    /// `n × dims` table of 1-based value slots with `0` marking a missing
-    /// cell (the [`BitmapIndex::value_slot`] form, which keeps the
-    /// on-disk format free of in-memory sentinels). The suffix-popcount
-    /// tables are recomputed from the adopted columns (one popcount pass,
-    /// far below a rebuild's column construction), so they can never
-    /// disagree with the bits.
+    /// Derive the index from its value tables and value slots — the
+    /// snapshot loader's constructor. `slots` is the row-major `n × dims`
+    /// table of 1-based slots into `values` with `0` marking a missing
+    /// cell (the [`BitmapIndex::value_slot`] form), and `live` the
+    /// tombstones, `n = live.len()`. Each dimension's rows are
+    /// counting-sorted by slot (one pass counts every dimension) and its
+    /// columns laid down by the builder's routine, so the result is
+    /// bit-identical to the maintained index the tables and slots were
+    /// read from: values without holders keep their columns, dead rows
+    /// their slots.
     ///
     /// # Errors
-    /// A description of the first structural inconsistency: mismatched
-    /// arities, non-ascending or NaN value tables, column lengths that
-    /// disagree with the live mask, a non-all-ones column 0, or an
-    /// out-of-range value slot. Deeper bit-level semantics are pinned by
-    /// the store's checksums and the round-trip parity suite.
-    pub fn from_store_parts(
-        dims: usize,
+    /// A description of the first inconsistency: a dimensionality outside
+    /// `1..=MAX_DIMS`, a slot table of the wrong length, a value table
+    /// that is not strictly ascending or holds NaN or −0.0 (the maintained
+    /// index normalizes zeros, see `ensure_value`), or a slot past its
+    /// dimension's cardinality.
+    pub fn from_slots(
         values: Vec<Vec<f64>>,
-        columns: Vec<Vec<BitVec>>,
-        val_slots: Vec<u32>,
+        mut slots: Vec<u32>,
         live: Tombstones,
     ) -> Result<Self, String> {
+        let dims = values.len();
         if dims == 0 || dims > MAX_DIMS {
             return Err(format!("bad dimensionality {dims}"));
         }
-        if values.len() != dims || columns.len() != dims {
-            return Err(format!(
-                "per-dimension tables disagree with dims={dims}: {} value tables, {} column sets",
-                values.len(),
-                columns.len()
-            ));
-        }
         let n = live.len();
-        if val_slots.len() != n * dims {
+        if slots.len() != n * dims {
             return Err(format!(
                 "value-slot table holds {} entries, expected {}",
-                val_slots.len(),
+                slots.len(),
                 n * dims
             ));
         }
-        for (d, (vals, cols)) in values.iter().zip(&columns).enumerate() {
+        for (d, vals) in values.iter().enumerate() {
             if vals.iter().any(|v| v.is_nan()) {
                 return Err(format!("NaN in the value table of dim {d}"));
+            }
+            if vals.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()) {
+                return Err(format!("−0.0 in the value table of dim {d}"));
             }
             if vals.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("value table of dim {d} is not strictly ascending"));
             }
-            if cols.len() != vals.len() + 1 {
-                return Err(format!(
-                    "dim {d} has {} columns for {} values (expected Cᵢ + 1)",
-                    cols.len(),
-                    vals.len()
-                ));
-            }
-            for (c, col) in cols.iter().enumerate() {
-                if col.len() != n {
-                    return Err(format!(
-                        "column {c} of dim {d} has {} bits, expected {n}",
-                        col.len()
-                    ));
+        }
+        // `counts[d][j]`: the holders of slot `j + 1` of dim `d`, counted in
+        // one pass over the table that also turns 0 into the sentinel.
+        let mut counts: Vec<Vec<usize>> = values.iter().map(|v| vec![0; v.len()]).collect();
+        for (o, row) in slots.chunks_exact_mut(dims).enumerate() {
+            for (d, (slot, counts)) in row.iter_mut().zip(&mut counts).enumerate() {
+                match *slot as usize {
+                    0 => *slot = MISSING,
+                    j if j <= counts.len() => counts[j - 1] += 1,
+                    j => {
+                        return Err(format!(
+                            "value slot {j} of object {o} exceeds dim {d}'s cardinality {}",
+                            counts.len()
+                        ))
+                    }
                 }
             }
-            if cols[0].count_ones() != n {
-                return Err(format!("column 0 of dim {d} is not all-ones"));
-            }
         }
-        let mut val_idx = val_slots;
-        for (i, slot) in val_idx.iter_mut().enumerate() {
-            let d = i % dims;
-            if *slot == 0 {
-                *slot = MISSING;
-            } else if *slot as usize > values[d].len() {
-                return Err(format!(
-                    "value slot {slot} of object {} exceeds dim {d}'s cardinality {}",
-                    i / dims,
-                    values[d].len()
-                ));
-            }
-        }
-        let block_suffix = columns
-            .iter()
-            .map(|cols| cols.iter().map(suffix_counts).collect())
-            .collect();
-        Ok(BitmapIndex {
+        let mut builder = BitmapIndexBuilder {
             n,
             dims,
-            values,
-            columns,
-            val_idx,
-            block_suffix,
+            values: Vec::with_capacity(dims),
+            columns: Vec::with_capacity(dims),
+            val_idx: slots,
             live,
-        })
+        };
+        let mut order = vec![0u32; n];
+        for (d, (vals, mut at)) in values.into_iter().zip(counts).enumerate() {
+            // Counts become starts, then placing each holder advances its
+            // slot's start to the slot's end.
+            let mut start = 0;
+            for at in &mut at {
+                start += *at;
+                *at = start - *at;
+            }
+            let column = builder.val_idx.iter().skip(d).step_by(dims);
+            for (o, &slot) in column.enumerate().filter(|&(_, &s)| s != MISSING) {
+                let at = &mut at[slot as usize - 1];
+                order[*at] = o as u32;
+                *at += 1;
+            }
+            let mut start = 0;
+            let holders = at.iter().map(|&end| {
+                let rows = &order[start..end];
+                start = end;
+                rows.iter().map(|&o| o as usize)
+            });
+            builder.lay_dim(d, vals, holders);
+        }
+        Ok(builder.finish())
     }
 
     // ----- dynamic maintenance -------------------------------------------
@@ -342,6 +370,9 @@ impl BitmapIndex {
     /// 1-based slot of `v` in `dim`'s value table, splicing in a new column
     /// when `v` is a new distinct value.
     fn ensure_value(&mut self, dim: usize, v: f64) -> usize {
+        // `+ 0.0` stores a zero as +0.0, the value a build's sorted column
+        // gives it.
+        let v = v + 0.0;
         let vals = &mut self.values[dim];
         // IEEE `<` probe: the table merges −0.0 into 0.0, which `total_cmp`
         // would separate.
@@ -1525,6 +1556,10 @@ mod tests {
             if step % 9 != 0 && step != 179 {
                 continue; // compare every few steps (and at the end)
             }
+            // The index derived from the maintained one's stored form is it.
+            let (values, slots, live) = export_parts(&dyn_idx);
+            let derived = BitmapIndex::from_slots(values, slots, live).unwrap();
+            assert_same_index(&derived, &dyn_idx, &format!("step {step}"));
             // Rebuild oracle over the live rows only.
             let live_rows: Vec<Vec<Option<f64>>> = rows.iter().flatten().cloned().collect();
             let oracle = BitmapIndex::build(&Dataset::from_rows(dims, &live_rows).unwrap());
@@ -1576,52 +1611,67 @@ mod tests {
         }
     }
 
-    /// Disassemble an index into the logical parts `from_store_parts`
-    /// adopts (the store's export shape).
-    #[allow(clippy::type_complexity)]
-    fn export_parts(
-        idx: &BitmapIndex,
-    ) -> (usize, Vec<Vec<f64>>, Vec<Vec<BitVec>>, Vec<u32>, Tombstones) {
+    /// An index's stored form: value tables, row-major value slots, live
+    /// mask — what [`BitmapIndex::from_slots`] derives the rest from.
+    fn export_parts(idx: &BitmapIndex) -> (Vec<Vec<f64>>, Vec<u32>, Tombstones) {
         let dims = idx.dims();
         let values: Vec<Vec<f64>> = (0..dims).map(|d| idx.values(d).to_vec()).collect();
-        let columns: Vec<Vec<BitVec>> = (0..dims)
-            .map(|d| {
-                (0..idx.num_columns(d))
-                    .map(|c| idx.column(d, c).clone())
-                    .collect()
-            })
-            .collect();
         let slots: Vec<u32> = (0..idx.n())
             .flat_map(|o| (0..dims).map(move |d| idx.value_slot(o, d)))
             .collect();
-        (
-            dims,
-            values,
-            columns,
-            slots,
-            Tombstones::from_live_mask(idx.live_mask().clone()),
-        )
+        let live = Tombstones::from_live_mask(idx.live_mask().clone());
+        (values, slots, live)
     }
 
+    /// `a` and `b` agree on every value table, value slot, column and
+    /// live bit.
+    fn assert_same_index(a: &BitmapIndex, b: &BitmapIndex, ctx: &str) {
+        assert_eq!((a.n(), a.dims()), (b.n(), b.dims()), "{ctx}: shape");
+        assert_eq!(a.live_mask(), b.live_mask(), "{ctx}: live mask");
+        for d in 0..a.dims() {
+            let bits = |idx: &BitmapIndex| -> Vec<u64> {
+                idx.values(d).iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b), "{ctx}: value table of dim {d}");
+            for c in 0..a.num_columns(d) {
+                assert_eq!(a.column(d, c), b.column(d, c), "{ctx}: dim {d} col {c}");
+            }
+            for o in 0..a.n() {
+                assert_eq!(a.value_slot(o, d), b.value_slot(o, d), "{ctx}: slot {o}");
+            }
+        }
+    }
+
+    /// The index derived from a maintained index's tables, slots and live
+    /// mask is that index, bit for bit: tombstones (a dead row with a
+    /// missing cell among them), values left without holders and values
+    /// spliced in after the build included — and so are its budgeted
+    /// scans, whose suffix tables the derivation recomputes.
     #[test]
     fn store_parts_roundtrip_including_tombstones() {
         let ds = fixtures::fig3_sample();
         let mut idx = BitmapIndex::build(&ds);
-        idx.tombstone_row(4);
+        let missing = (0..ds.len())
+            .find(|&o| ds.mask(o as ObjectId).count() < 4)
+            .expect("fig. 3 has a row with a missing cell");
+        idx.tombstone_row(missing);
         idx.tombstone_row(17);
-        let (dims, values, columns, slots, live) = export_parts(&idx);
-        let rebuilt = BitmapIndex::from_store_parts(dims, values, columns, slots, live).unwrap();
-        assert_eq!(rebuilt.n(), idx.n());
-        assert_eq!(rebuilt.live_count(), idx.live_count());
-        for o in ds.ids().filter(|&o| !matches!(o, 4 | 17)) {
-            assert_eq!(rebuilt.q_vec(o), idx.q_vec(o), "Q of {o}");
-            assert_eq!(rebuilt.p_vec(o), idx.p_vec(o), "P of {o}");
+        // A live row's value at dim 0 moves to a new maximum, and a value
+        // it alone held stays in the table without holders.
+        let mut live_rows = (0..ds.len()).filter(|&o| o != missing && o != 17);
+        let (a, b) = (live_rows.next().unwrap(), live_rows.next().unwrap());
+        idx.set_cell(a, 0, Some(1e9));
+        idx.set_cell(b, 2, Some(-7.5));
+        idx.append_row(|d| [Some(-5.0), None, Some(0.5), Some(3.0)][d]);
+        let (values, slots, live) = export_parts(&idx);
+        let derived = BitmapIndex::from_slots(values, slots, live).unwrap();
+        assert_same_index(&derived, &idx, "fig. 3");
+        for o in (0..idx.n() as ObjectId).filter(|&o| idx.live_mask().get(o as usize)) {
             let mbs = idx.max_bit_score_counted(o);
-            assert_eq!(rebuilt.max_bit_score_counted(o), mbs);
-            // Suffix tables were recomputed: the budgeted scans agree.
+            assert_eq!(derived.max_bit_score_counted(o), mbs);
             for tau in [0, mbs.saturating_sub(1), mbs] {
                 assert_eq!(
-                    rebuilt.max_bit_score_above(o, tau),
+                    derived.max_bit_score_above(o, tau),
                     idx.max_bit_score_above(o, tau),
                     "H2 of {o} at tau {tau}"
                 );
@@ -1634,42 +1684,58 @@ mod tests {
         let ds = fixtures::fig3_sample();
         let idx = BitmapIndex::build(&ds);
         let parts = export_parts(&idx);
+        let derive =
+            |(v, s, l): (Vec<Vec<f64>>, Vec<u32>, Tombstones)| BitmapIndex::from_slots(v, s, l);
         // Baseline sanity: unmodified parts load.
+        assert!(derive(parts.clone()).is_ok());
+        // A slot past its dimension's cardinality.
         {
-            let (d, v, c, s, l) = parts.clone();
-            assert!(BitmapIndex::from_store_parts(d, v, c, s, l).is_ok());
-        }
-        // Out-of-range value slot.
-        {
-            let (d, v, c, mut s, l) = parts.clone();
-            s[3] = 99;
-            let err = BitmapIndex::from_store_parts(d, v, c, s, l).unwrap_err();
+            let (v, mut s, l) = parts.clone();
+            s[3] = v[3].len() as u32 + 1;
+            let err = derive((v, s, l)).unwrap_err();
             assert!(err.contains("exceeds"), "{err}");
         }
-        // Column 0 not all-ones.
+        // A slot table of the wrong length.
         {
-            let (d, v, mut c, s, l) = parts.clone();
-            c[0][0].clear(2);
-            let err = BitmapIndex::from_store_parts(d, v, c, s, l).unwrap_err();
-            assert!(err.contains("all-ones"), "{err}");
+            let (v, mut s, l) = parts.clone();
+            s.pop();
+            assert!(derive((v, s, l)).is_err());
         }
-        // Column count off by one.
-        {
-            let (d, v, mut c, s, l) = parts.clone();
-            c[1].pop();
-            assert!(BitmapIndex::from_store_parts(d, v, c, s, l).is_err());
+        // Unsorted, NaN and −0.0 value tables.
+        for bad in [f64::NAN, -0.0, 1e9] {
+            let (mut v, s, l) = parts.clone();
+            v[0][0] = bad;
+            assert!(derive((v, s, l)).is_err(), "{bad} at the head of dim 0");
         }
-        // Unsorted value table.
+        // Live mask length disagrees with the slot table.
         {
-            let (d, mut v, c, s, l) = parts.clone();
-            v[0].swap(0, 1);
-            assert!(BitmapIndex::from_store_parts(d, v, c, s, l).is_err());
+            let (v, s, _) = parts.clone();
+            assert!(derive((v, s, Tombstones::all_live(idx.n() + 1))).is_err());
         }
-        // Live mask length disagrees with the columns.
+        // No dimensions at all.
         {
-            let (d, v, c, s, _) = parts;
-            let l = Tombstones::all_live(idx.n() + 1);
-            assert!(BitmapIndex::from_store_parts(d, v, c, s, l).is_err());
+            let (_, _, l) = parts;
+            assert!(BitmapIndex::from_slots(Vec::new(), Vec::new(), l).is_err());
+        }
+    }
+
+    /// A zero inserted as −0.0 enters a maintained value table as +0.0,
+    /// the bits a rebuild's table holds, whether it arrives by an append
+    /// or a cell update.
+    #[test]
+    fn inserted_negative_zero_is_stored_as_positive_zero() {
+        let ds = Dataset::from_rows(2, &[vec![Some(1.0), Some(2.0)]]).unwrap();
+        let mut idx = BitmapIndex::build(&ds);
+        idx.append_row(|d| [Some(-0.0), Some(2.0)][d]);
+        idx.set_cell(0, 1, Some(-0.0));
+        let rows = [vec![Some(1.0), Some(-0.0)], vec![Some(-0.0), Some(2.0)]];
+        let rebuilt = BitmapIndex::build(&Dataset::from_rows(2, &rows).unwrap());
+        for d in 0..2 {
+            let bits = |idx: &BitmapIndex| -> Vec<u64> {
+                idx.values(d).iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&idx), bits(&rebuilt), "dim {d}");
+            assert_eq!(bits(&idx)[0], 0.0f64.to_bits(), "dim {d}");
         }
     }
 

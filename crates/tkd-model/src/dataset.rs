@@ -1,83 +1,6 @@
 //! Datasets of incomplete multi-dimensional objects.
 
 use crate::{DimMask, ModelError, ObjectId, MAX_DIMS};
-use tkd_bitvec::SharedWords;
-
-/// Borrowed-or-owned storage of the flat row-major value slab. Shared
-/// storage views a snapshot buffer's words as `f64`s (zero-copy load);
-/// the first mutation promotes to an owned copy.
-#[derive(Clone, Debug)]
-enum ValueSlab {
-    Owned(Vec<f64>),
-    Shared(SharedWords),
-}
-
-impl ValueSlab {
-    #[inline]
-    fn as_slice(&self) -> &[f64] {
-        match self {
-            ValueSlab::Owned(v) => v,
-            ValueSlab::Shared(s) => s.as_f64s(),
-        }
-    }
-
-    #[inline]
-    fn is_shared(&self) -> bool {
-        matches!(self, ValueSlab::Shared(_))
-    }
-
-    #[inline]
-    fn to_mut(&mut self) -> &mut Vec<f64> {
-        if let ValueSlab::Shared(s) = self {
-            *self = ValueSlab::Owned(s.as_f64s().to_vec());
-        }
-        match self {
-            ValueSlab::Owned(v) => v,
-            ValueSlab::Shared(_) => unreachable!("shared slab survived promotion"),
-        }
-    }
-}
-
-/// Borrowed-or-owned storage of the mask array, same promotion contract
-/// as [`ValueSlab`].
-#[derive(Clone, Debug)]
-enum MaskSlab {
-    Owned(Vec<DimMask>),
-    Shared(SharedWords),
-}
-
-impl MaskSlab {
-    #[inline]
-    fn as_slice(&self) -> &[DimMask] {
-        match self {
-            MaskSlab::Owned(v) => v,
-            MaskSlab::Shared(s) => {
-                let w = s.as_words();
-                // SAFETY: DimMask is #[repr(transparent)] over u64, so the
-                // two slices have identical layout; every bit pattern is a
-                // valid mask (validation rejects out-of-range bits before
-                // the slab is adopted). The view borrows `s`.
-                unsafe { std::slice::from_raw_parts(w.as_ptr().cast::<DimMask>(), w.len()) }
-            }
-        }
-    }
-
-    #[inline]
-    fn is_shared(&self) -> bool {
-        matches!(self, MaskSlab::Shared(_))
-    }
-
-    #[inline]
-    fn to_mut(&mut self) -> &mut Vec<DimMask> {
-        if let MaskSlab::Shared(_) = self {
-            *self = MaskSlab::Owned(self.as_slice().to_vec());
-        }
-        match self {
-            MaskSlab::Owned(v) => v,
-            MaskSlab::Shared(_) => unreachable!("shared slab survived promotion"),
-        }
-    }
-}
 
 /// A set of `d`-dimensional objects with possibly missing values.
 ///
@@ -85,16 +8,12 @@ impl MaskSlab {
 /// [`DimMask`] per object. Missing slots hold `NaN` internally but are never
 /// exposed — every accessor consults the mask first.
 ///
-/// Both slabs are borrowed-or-owned: a zero-copy snapshot load adopts views
-/// of the shared file buffer ([`Dataset::from_shared_parts`]), and the
-/// first in-place mutation promotes the touched slab to an owned copy.
-///
 /// Objects are addressed by their [`ObjectId`] (row index, insertion order).
 #[derive(Clone, Debug)]
 pub struct Dataset {
     dims: usize,
-    values: ValueSlab,
-    masks: MaskSlab,
+    values: Vec<f64>,
+    masks: Vec<DimMask>,
     labels: Option<Vec<String>>,
 }
 
@@ -217,55 +136,22 @@ impl Dataset {
         check_parts(dims, &values, &masks, labels.as_deref())?;
         Ok(Dataset {
             dims,
-            values: ValueSlab::Owned(values),
-            masks: MaskSlab::Owned(masks),
-            labels,
-        })
-    }
-
-    /// Like [`Dataset::from_raw_parts`], but adopting borrowed views of a
-    /// shared snapshot buffer instead of owned slabs — the zero-copy load
-    /// entry point. `values` is reinterpreted as `f64`s and `masks` as
-    /// [`DimMask`]s; validation is identical to the owned constructor, and
-    /// the first in-place mutation promotes the touched slab to an owned
-    /// copy.
-    ///
-    /// # Errors
-    /// Same conditions as [`Dataset::from_raw_parts`].
-    pub fn from_shared_parts(
-        dims: usize,
-        values: SharedWords,
-        masks: SharedWords,
-        labels: Option<Vec<String>>,
-    ) -> Result<Self, ModelError> {
-        let values = ValueSlab::Shared(values);
-        let masks = MaskSlab::Shared(masks);
-        check_parts(dims, values.as_slice(), masks.as_slice(), labels.as_deref())?;
-        Ok(Dataset {
-            dims,
             values,
             masks,
             labels,
         })
     }
 
-    /// Does either slab still borrow a shared snapshot buffer (i.e. the
-    /// dataset has not been mutated since a zero-copy load)?
-    #[inline]
-    pub fn is_shared(&self) -> bool {
-        self.values.is_shared() || self.masks.is_shared()
-    }
-
     /// Read-only value slab.
     #[inline]
     fn vals(&self) -> &[f64] {
-        self.values.as_slice()
+        &self.values
     }
 
     /// Read-only mask slab.
     #[inline]
     fn msks(&self) -> &[DimMask] {
-        self.masks.as_slice()
+        &self.masks
     }
 
     /// The raw row-major value slab (missing slots hold the canonical
@@ -431,9 +317,8 @@ impl Dataset {
         let r = self.msks().len();
         let mask = validate_row(self.dims, row, r)?;
         self.values
-            .to_mut()
             .extend(row.iter().map(|v| v.unwrap_or(f64::NAN)));
-        self.masks.to_mut().push(mask);
+        self.masks.push(mask);
         match label {
             Some(l) => {
                 let labels = self.labels.get_or_insert_with(|| vec![String::new(); r]);
@@ -476,8 +361,8 @@ impl Dataset {
         match value {
             Some(v) if v.is_nan() => Err(ModelError::NaNValue { row: i, dim }),
             Some(v) => {
-                self.values.to_mut()[i * self.dims + dim] = v;
-                self.masks.to_mut()[i].set(dim);
+                self.values[i * self.dims + dim] = v;
+                self.masks[i].set(dim);
                 Ok(())
             }
             None => {
@@ -486,8 +371,8 @@ impl Dataset {
                 if mask.is_empty() {
                     return Err(ModelError::AllMissingRow(i));
                 }
-                self.values.to_mut()[i * self.dims + dim] = f64::NAN;
-                self.masks.to_mut()[i] = mask;
+                self.values[i * self.dims + dim] = f64::NAN;
+                self.masks[i] = mask;
                 Ok(())
             }
         }
@@ -510,15 +395,14 @@ impl Dataset {
         }
         Dataset {
             dims: self.dims,
-            values: ValueSlab::Owned(values),
-            masks: MaskSlab::Owned(masks),
+            values,
+            masks,
             labels,
         }
     }
 }
 
-/// Validation shared by [`Dataset::from_raw_parts`] and
-/// [`Dataset::from_shared_parts`]: the builder's invariants restated over
+/// Validation of [`Dataset::from_raw_parts`]: the builder's invariants restated over
 /// the raw slabs — consistent lengths, no mask bit at or beyond `dims`, no
 /// all-missing row, observed slots non-NaN — plus one canonical-form rule
 /// the in-memory representation always satisfies: missing slots hold the
@@ -707,8 +591,8 @@ impl DatasetBuilder {
     pub fn build(self) -> Dataset {
         Dataset {
             dims: self.dims,
-            values: ValueSlab::Owned(self.values),
-            masks: MaskSlab::Owned(self.masks),
+            values: self.values,
+            masks: self.masks,
             labels: if self.any_label {
                 Some(self.labels)
             } else {

@@ -15,11 +15,8 @@ pub const MAX_DIMS: usize = 64;
 /// test between two objects is [`DimMask::intersects`], and the number of
 /// commonly observed dimensions (`|bp & bo|` in Algorithm 3) is
 /// `a.and(b).count()`.
-/// `#[repr(transparent)]` over the raw `u64` so the snapshot loader can
-/// reinterpret a borrowed word slab as a mask slab without copying.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[repr(transparent)]
 pub struct DimMask(u64);
 
 impl DimMask {

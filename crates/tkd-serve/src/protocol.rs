@@ -494,9 +494,9 @@ wire_structs! {
         /// Wall time the startup snapshot load took, in microseconds — 0
         /// when the engine was built in-process rather than loaded.
         pub load_micros: u64,
-        /// 1 while the engine still serves storage **borrowed** from the
-        /// zero-copy snapshot buffer, 0 once fully promoted/owned (fresh
-        /// builds, big-endian hosts, or after mutations touched everything).
+        /// Always 0 since snapshot format v5, which loads no storage
+        /// borrowed from the snapshot file; kept until the next wire
+        /// version drops it.
         pub borrowed: u64,
     }
 

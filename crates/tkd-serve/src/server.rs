@@ -966,6 +966,6 @@ fn gather_stats(engine: &DynamicEngine, shared: &Shared, counters: &EngineCounte
             .config
             .load_time
             .map_or(0, |t| t.as_micros().min(u64::MAX as u128) as u64),
-        borrowed: u64::from(engine.storage_report().is_borrowed()),
+        borrowed: 0,
     }
 }

@@ -4,57 +4,85 @@
 //! state and its canonical byte form: `decode(encode(x))` restores `x`,
 //! and `encode(decode(b))` reproduces `b` byte for byte (the golden-file
 //! pin). Canonical form means: fixed field order, little-endian
-//! everywhere, `BitVec`s as `(bit length, word array)`, hash maps sorted
-//! by key, missing cells as the canonical NaN.
+//! everywhere, `BitVec`s as `(bit length, word array)`, keys ascending,
+//! value slots in the narrowest width that holds them. Nothing derived is
+//! encoded: the exact index and the incomparable sets are rebuilt from
+//! the dataset's slots and the stored keys at load.
 
 use crate::error::StoreError;
 use crate::wire::{Reader, Writer};
-use std::collections::HashMap;
-use tkd_bitvec::{BitVec, Tombstones, Words};
+use tkd_bitvec::BitVec;
 use tkd_core::dynamic::DynamicPartsRef;
 use tkd_core::{BinChoice, CompactionPolicy, Preprocessed, UpdateStats};
 use tkd_index::{BinBoundaries, BitmapIndex};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
+/// The bits of −0.0, the one zero a value table never holds.
+const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
+
 // ----- bit vectors --------------------------------------------------------
 
-/// `(pad to 8 · bit length: u64, words: ceil(len/64) × u64)` — the
-/// 8-aligned layout (v2) that lets columns load as borrowed views of the
-/// file buffer, or at worst by bulk copy.
+/// `bit length u64 · words ceil(len/64) × u64`.
 pub fn encode_bitvec(w: &mut Writer, bv: &BitVec) {
-    w.align8();
     w.put_u64(bv.len() as u64);
     w.put_words(bv.as_words());
 }
 
 /// Inverse of [`encode_bitvec`]; rejects word counts that outrun the
-/// payload *before* allocating ([`Reader::get_word_slab`] bounds-checks
-/// the byte range first), and non-canonical padding. With a shared
-/// backing attached to `r`, the returned column **borrows** the file
-/// buffer (promoted to owned on first mutation).
+/// payload *before* allocating ([`Reader::get_words`] bounds-checks the
+/// byte range first), and non-canonical padding.
 pub fn decode_bitvec(r: &mut Reader<'_>) -> Result<BitVec, StoreError> {
-    r.align8()?;
     let len = r.get_u64()?;
     let len = usize::try_from(len).map_err(|_| r.invalid("bit length exceeds usize"))?;
-    match r.get_word_slab(len.div_ceil(64))? {
-        Words::Shared(view) => BitVec::from_shared(view, len).map_err(|e| r.invalid(e)),
-        Words::Owned(words) => BitVec::from_words(words, len).map_err(|e| r.invalid(e)),
-    }
+    let words = r.get_words(len.div_ceil(64))?;
+    BitVec::from_words(words, len).map_err(|e| r.invalid(e))
 }
 
 // ----- dataset ------------------------------------------------------------
 
-/// `dims u32 · n u64 · pad to 8 · masks n×u64 · values n·dims×f64 ·
-/// has_labels u8 [· labels n×str]`.
-pub fn encode_dataset(w: &mut Writer, ds: &Dataset) {
-    w.put_u32(ds.dims() as u32);
-    w.put_u64(ds.len() as u64);
-    w.align8();
-    for &m in ds.masks() {
-        w.put_u64(m.bits());
+/// Bytes per stored value slot: the narrowest of 1, 2 and 4 that holds
+/// the largest cardinality (a slot is at most its table's length).
+fn slot_width(max_cardinality: usize) -> usize {
+    if max_cardinality <= usize::from(u8::MAX) {
+        1
+    } else if max_cardinality <= usize::from(u16::MAX) {
+        2
+    } else {
+        4
     }
-    for &v in ds.raw_values() {
-        w.put_f64(v);
+}
+
+/// `dims u32 · n u64 · per dim (card u64 · values card×f64) · width u8 ·
+/// slots n·dims×width · nzeros u64 · positions nzeros×u64 · has_labels u8
+/// [· labels n×str]` — the dataset dictionary-encoded against the exact
+/// index's value tables (values without holders included). A slot is
+/// 1-based into its dimension's table, 0 for a missing cell; the
+/// positions (`row · dims + dim`, ascending) name the cells holding
+/// −0.0, whose table entry is +0.0.
+pub fn encode_dataset(w: &mut Writer, ds: &Dataset, index: &BitmapIndex) {
+    let dims = ds.dims();
+    w.put_u32(dims as u32);
+    w.put_u64(ds.len() as u64);
+    for d in 0..dims {
+        let vals = index.values(d);
+        w.put_u64(vals.len() as u64);
+        for &v in vals {
+            w.put_f64(v);
+        }
+    }
+    let max_cardinality = (0..dims).map(|d| index.cardinality(d)).max();
+    let width = slot_width(max_cardinality.unwrap_or(0));
+    w.put_u8(width as u8);
+    for o in 0..ds.len() {
+        for d in 0..dims {
+            w.put_bytes(&index.value_slot(o, d).to_le_bytes()[..width]);
+        }
+    }
+    let raw = ds.raw_values();
+    let zeros = || (0..raw.len()).filter(|&i| raw[i].to_bits() == NEG_ZERO);
+    w.put_u64(zeros().count() as u64);
+    for i in zeros() {
+        w.put_u64(i as u64);
     }
     match ds.labels() {
         None => w.put_u8(0),
@@ -67,118 +95,134 @@ pub fn encode_dataset(w: &mut Writer, ds: &Dataset) {
     }
 }
 
-/// Inverse of [`encode_dataset`], re-validated through
-/// [`Dataset::from_raw_parts`] / [`Dataset::from_shared_parts`]. With a
-/// shared backing attached to `r`, both slabs (masks and values) are
-/// **borrowed** views of the file buffer.
-pub fn decode_dataset(r: &mut Reader<'_>) -> Result<Dataset, StoreError> {
+/// A decoded dataset section: the dataset beside the value tables and
+/// the row-major value slots it was read from.
+pub struct DecodedDataset {
+    /// The dataset, re-validated through [`Dataset::from_raw_parts`].
+    pub ds: Dataset,
+    /// Per dimension, the exact index's value table.
+    pub values: Vec<Vec<f64>>,
+    /// Row-major `n × dims` value slots, 0 = missing.
+    pub slots: Vec<u32>,
+}
+
+/// Inverse of [`encode_dataset`]. One pass over the stored slots yields
+/// the slots, each cell's value read off its table and each row's mask;
+/// a slot past its table, a width other than the canonical one and a
+/// −0.0 position out of range, out of order or on a cell other than an
+/// observed zero are rejected. Whether the tables are strictly ascending
+/// is checked where the index is derived from them
+/// ([`BitmapIndex::from_slots`]).
+pub fn decode_dataset(r: &mut Reader<'_>) -> Result<DecodedDataset, StoreError> {
     let dims = r.get_u32()? as usize;
     if dims == 0 || dims > tkd_model::MAX_DIMS {
         return Err(r.invalid(format!("bad dimensionality {dims}")));
     }
-    let n = r.get_count_u64(8 * (1 + dims))?; // each row needs a mask + dims values
-    r.align8()?;
-    let mask_words = r.get_word_slab(n)?;
-    let value_words = r.get_word_slab(n * dims)?;
+    let n = r.get_u64()?;
+    let cells = usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(dims))
+        .ok_or_else(|| r.invalid(format!("{n} rows × {dims} dims overflows")))?;
+    let mut tables = Vec::with_capacity(dims);
+    for _ in 0..dims {
+        let card = r.get_count_u64(8)?;
+        tables.push(r.get_words(card)?.into_iter().map(f64::from_bits).collect());
+    }
+    let max_cardinality = tables.iter().map(Vec::len).max().unwrap_or(0);
+    let width = usize::from(r.get_u8()?);
+    if width != slot_width(max_cardinality) {
+        return Err(r.invalid(format!(
+            "slot width {width} for a largest cardinality of {max_cardinality}"
+        )));
+    }
+    let bytes = cells
+        .checked_mul(width)
+        .ok_or_else(|| r.invalid("slot table size overflows"))?;
+    let raw = r.get_bytes(bytes)?;
+    let cells = match width {
+        1 => decode_cells::<1>(raw, &tables),
+        2 => decode_cells::<2>(raw, &tables),
+        _ => decode_cells::<4>(raw, &tables),
+    };
+    let (mut values, slots, masks) = cells.map_err(|e| r.invalid(e))?;
+    let nzeros = r.get_count_u64(8)?;
+    let mut next = 0;
+    for _ in 0..nzeros {
+        let at = r.get_u64()?;
+        let cell = usize::try_from(at)
+            .ok()
+            .filter(|&i| i >= next && i < values.len() && values[i].to_bits() == 0);
+        let Some(i) = cell else {
+            return Err(r.invalid(format!(
+                "−0.0 position {at} is out of order, out of range or not a zero cell"
+            )));
+        };
+        values[i] = -0.0;
+        next = i + 1;
+    }
     let labels = match r.get_u8()? {
         0 => None,
         1 => {
-            let mut ls = Vec::with_capacity(n.min(r.remaining() / 4));
-            for _ in 0..n {
+            let rows = masks.len();
+            let mut ls = Vec::with_capacity(rows.min(r.remaining() / 4));
+            for _ in 0..rows {
                 ls.push(r.get_str()?);
             }
             Some(ls)
         }
         other => return Err(r.invalid(format!("bad labels tag {other}"))),
     };
-    match (value_words, mask_words) {
-        (Words::Shared(values), Words::Shared(masks)) => {
-            Dataset::from_shared_parts(dims, values, masks, labels)
-        }
-        (values, masks) => {
-            let masks: Vec<DimMask> = masks
-                .as_slice()
-                .iter()
-                .map(|&w| DimMask::from_bits(w))
-                .collect();
-            let values: Vec<f64> = values
-                .as_slice()
-                .iter()
-                .map(|&w| f64::from_bits(w))
-                .collect();
-            Dataset::from_raw_parts(dims, values, masks, labels)
-        }
-    }
-    .map_err(|e| r.invalid(e.to_string()))
-}
-
-// ----- bitmap index -------------------------------------------------------
-
-/// `dims u32 · n u64 · live bitvec · per dim (card u64 · values · ncols
-/// u64 · columns) · slots n·dims×u32`.
-pub fn encode_bitmap(w: &mut Writer, idx: &BitmapIndex) {
-    w.put_u32(idx.dims() as u32);
-    w.put_u64(idx.n() as u64);
-    encode_bitvec(w, idx.live_mask());
-    for d in 0..idx.dims() {
-        let vals = idx.values(d);
-        w.put_u64(vals.len() as u64);
-        for &v in vals {
-            w.put_f64(v);
-        }
-        w.put_u64(idx.num_columns(d) as u64);
-        for c in 0..idx.num_columns(d) {
-            encode_bitvec(w, idx.column(d, c));
-        }
-    }
-    for o in 0..idx.n() {
-        for d in 0..idx.dims() {
-            w.put_u32(idx.value_slot(o, d));
-        }
-    }
-}
-
-/// Inverse of [`encode_bitmap`], re-validated through
-/// [`BitmapIndex::from_store_parts`] (suffix tables recomputed).
-pub fn decode_bitmap(r: &mut Reader<'_>) -> Result<BitmapIndex, StoreError> {
-    let dims = r.get_u32()? as usize;
-    if dims == 0 || dims > tkd_model::MAX_DIMS {
-        return Err(r.invalid(format!("bad dimensionality {dims}")));
-    }
-    let n = r.get_u64()?;
-    let n = usize::try_from(n).map_err(|_| r.invalid("n exceeds usize"))?;
-    let live = decode_bitvec(r)?;
-    if live.len() != n {
-        return Err(r.invalid(format!("live mask has {} bits for n={n}", live.len())));
-    }
-    let mut values = Vec::with_capacity(dims);
-    let mut columns = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let card = r.get_count_u64(8)?;
-        let vals: Vec<f64> = r.get_words(card)?.into_iter().map(f64::from_bits).collect();
-        let ncols = r.get_count_u64(8)?; // each column is ≥ 8 bytes (its length)
-        let mut cols = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            cols.push(decode_bitvec(r)?);
-        }
-        values.push(vals);
-        columns.push(cols);
-    }
-    let slots_len = n
-        .checked_mul(dims)
-        .ok_or_else(|| r.invalid("n × dims overflows"))?;
-    let mut slots = Vec::with_capacity(slots_len.min(r.remaining() / 4 + 1));
-    for _ in 0..slots_len {
-        slots.push(r.get_u32()?);
-    }
-    BitmapIndex::from_store_parts(
-        dims,
-        values,
-        columns,
+    let ds = Dataset::from_raw_parts(dims, values, masks, labels)
+        .map_err(|e| r.invalid(e.to_string()))?;
+    Ok(DecodedDataset {
+        ds,
+        values: tables,
         slots,
-        Tombstones::from_live_mask(live),
-    )
-    .map_err(|e| r.invalid(e))
+    })
+}
+
+/// Decoded cells: row-major values and slots, and one mask per row.
+type Cells = (Vec<f64>, Vec<u32>, Vec<DimMask>);
+
+/// Decode `W`-byte slots, row by row: each cell's slot, the value its
+/// table names (the canonical NaN when missing) and its row's mask.
+fn decode_cells<const W: usize>(raw: &[u8], tables: &[Vec<f64>]) -> Result<Cells, String> {
+    let dims = tables.len();
+    let cells = raw.len() / W;
+    // Each table behind the canonical NaN, so slot 0 reads a missing cell.
+    let lookup: Vec<Vec<f64>> = tables
+        .iter()
+        .map(|t| std::iter::once(f64::NAN).chain(t.iter().copied()).collect())
+        .collect();
+    let mut values = Vec::with_capacity(cells);
+    let mut slots = Vec::with_capacity(cells);
+    let mut masks = Vec::with_capacity(cells / dims);
+    let mut past = false;
+    for row in raw.chunks_exact(W * dims) {
+        let mut mask = 0u64;
+        for (d, (cell, table)) in row.chunks_exact(W).zip(&lookup).enumerate() {
+            let mut le = [0u8; 4];
+            le[..W].copy_from_slice(cell);
+            let slot = u32::from_le_bytes(le);
+            let value = table.get(slot as usize).copied();
+            past |= value.is_none();
+            values.push(value.unwrap_or(f64::NAN));
+            slots.push(slot);
+            mask |= u64::from(slot != 0) << d;
+        }
+        masks.push(DimMask::from_bits(mask));
+    }
+    if past {
+        let (i, slot) = (slots.iter().enumerate())
+            .find(|&(i, &s)| s as usize >= lookup[i % dims].len())
+            .expect("a slot past its table");
+        let (o, d) = (i / dims, i % dims);
+        return Err(format!(
+            "value slot {slot} of row {o} exceeds dim {d}'s cardinality {}",
+            tables[d].len()
+        ));
+    }
+    Ok((values, slots, masks))
 }
 
 // ----- bin boundaries ----------------------------------------------------
@@ -214,54 +258,32 @@ pub fn decode_boundaries(r: &mut Reader<'_>, dims: usize) -> Result<Vec<Vec<f64>
     Ok(bounds)
 }
 
-// ----- preprocessed -------------------------------------------------------
+// ----- incomparable-set keys ---------------------------------------------
 
-/// `n u64 · nsets u64 · (mask u64 ascending · bitvec) entries` — the
-/// incomparable sets only: the `MaxScore` queue is recounted at load.
-pub fn encode_pre(w: &mut Writer, n: usize, pre: &Preprocessed) {
-    w.put_u64(n as u64);
+/// `nkeys u64 · keys nkeys×u64 ascending` — the masks an incomparable set
+/// is kept for, not the sets: a load derives each from the index.
+pub fn encode_keys(w: &mut Writer, pre: &Preprocessed) {
     let mut keys: Vec<u64> = pre.f_sets().keys().copied().collect();
     keys.sort_unstable(); // canonical: the map's order never leaks
     w.put_u64(keys.len() as u64);
-    for k in keys {
-        w.put_u64(k);
-        encode_bitvec(w, &pre.f_sets()[&k]);
-    }
+    w.put_words(&keys);
 }
 
-/// Inverse of [`encode_pre`]; enforces strictly ascending mask keys (the
-/// canonical form) and per-set bit lengths of `n`. The queue comes back
-/// empty.
-pub fn decode_pre(r: &mut Reader<'_>) -> Result<(usize, Preprocessed), StoreError> {
-    let n = r.get_u64()?;
-    let n = usize::try_from(n).map_err(|_| r.invalid("n exceeds usize"))?;
-    let nsets = r.get_count_u64(16)?; // mask u64 + bit length u64 minimum
-    let mut f_sets = HashMap::with_capacity(nsets);
-    let mut last: Option<u64> = None;
-    for _ in 0..nsets {
-        let mask = r.get_u64()?;
-        if last.is_some_and(|p| p >= mask) {
-            return Err(r.invalid("incomparable-set masks are not strictly ascending"));
-        }
-        last = Some(mask);
-        let bv = decode_bitvec(r)?;
-        if bv.len() != n {
-            return Err(r.invalid(format!(
-                "incomparable set of mask {mask:#x} has {} bits for n={n}",
-                bv.len()
-            )));
-        }
-        f_sets.insert(mask, bv);
-    }
-    Ok((n, Preprocessed::from_parts(f_sets)))
+/// Inverse of [`encode_keys`]; their order and range are checked where
+/// the engine adopts them ([`tkd_core::DynamicEngine::from_store_parts`]).
+pub fn decode_keys(r: &mut Reader<'_>) -> Result<Vec<u64>, StoreError> {
+    let nkeys = r.get_count_u64(8)?;
+    r.get_words(nkeys)
 }
 
 // ----- dynamic meta -------------------------------------------------------
 
-/// The non-artifact remainder of [`tkd_core::DynamicParts`].
+/// The bookkeeping of [`tkd_core::DynamicParts`].
 pub struct DynamicMeta {
     /// Slot → stable id.
     pub stable_of: Vec<ObjectId>,
+    /// The live mask.
+    pub live: BitVec,
     /// Next stable id.
     pub next_id: ObjectId,
     /// Bin selection.
@@ -274,14 +296,15 @@ pub struct DynamicMeta {
     pub stats: UpdateStats,
 }
 
-/// `next_id u32 · nslots u64 · stable ids u32 · bins (tag u8 + payload) ·
-/// policy (f64 + u64) · epoch u64 · stats 4×u64`.
+/// `next_id u32 · nslots u64 · stable ids u32 · live bitvec · bins (tag
+/// u8 + payload) · policy (f64 + u64) · epoch u64 · stats 4×u64`.
 pub fn encode_dynamic(w: &mut Writer, parts: &DynamicPartsRef<'_>) {
     w.put_u32(parts.next_id);
     w.put_u64(parts.stable_of.len() as u64);
     for &id in parts.stable_of {
         w.put_u32(id);
     }
+    encode_bitvec(w, parts.index.live_mask());
     match parts.bins {
         BinChoice::Auto => w.put_u8(0),
         BinChoice::Fixed(x) => {
@@ -313,6 +336,7 @@ pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
     for _ in 0..nslots {
         stable_of.push(r.get_u32()?);
     }
+    let live = decode_bitvec(r)?;
     let bins = match r.get_u8()? {
         0 => BinChoice::Auto,
         1 => {
@@ -344,6 +368,7 @@ pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
     }
     Ok(DynamicMeta {
         stable_of,
+        live,
         next_id,
         bins,
         policy: CompactionPolicy {
@@ -358,4 +383,23 @@ pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
             compactions: counters[3],
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slot_width_is_the_narrowest_that_holds_every_slot() {
+        for (max_cardinality, width) in [
+            (0, 1),
+            (255, 1),
+            (256, 2),
+            (65_535, 2),
+            (65_536, 4),
+            (u32::MAX as usize, 4),
+        ] {
+            assert_eq!(slot_width(max_cardinality), width, "{max_cardinality}");
+        }
+    }
 }

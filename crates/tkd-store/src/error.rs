@@ -13,14 +13,14 @@ use core::fmt;
 pub enum Section {
     /// The magic / version / section-table region.
     Header,
-    /// The serialized [`tkd_model::Dataset`].
+    /// The dictionary-encoded [`tkd_model::Dataset`]: the exact index's
+    /// value tables and every cell's slot into them.
     Dataset,
-    /// The serialized [`tkd_index::BitmapIndex`].
-    BitmapIndex,
     /// The serialized [`tkd_index::BinBoundaries`] of the binned index.
     BinBoundaries,
-    /// The serialized [`tkd_core::Preprocessed`] artifacts.
-    Preprocessed,
+    /// The masks the incomparable sets of [`tkd_core::Preprocessed`] are
+    /// kept for.
+    IncomparableKeys,
     /// The serialized dynamic-engine state.
     Dynamic,
     /// A cluster shard manifest (`cluster.manifest`), not a snapshot
@@ -38,9 +38,8 @@ impl fmt::Display for Section {
         f.write_str(match self {
             Section::Header => "header",
             Section::Dataset => "dataset",
-            Section::BitmapIndex => "bitmap-index",
             Section::BinBoundaries => "bin-boundaries",
-            Section::Preprocessed => "preprocessed",
+            Section::IncomparableKeys => "incomparable-keys",
             Section::Dynamic => "dynamic",
             Section::Manifest => "manifest",
             Section::Frame => "frame",

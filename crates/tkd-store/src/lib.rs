@@ -2,46 +2,54 @@
 //! process lifetimes.
 //!
 //! Every `tkdq` invocation and engine start used to re-pay the full
-//! `O(N·d)` bitmap + preprocessing construction. This crate
-//! persists the whole maintained state of a
-//! [`DynamicEngine`] — dataset, exact
-//! [`tkd_index::BitmapIndex`], the bin boundaries the binned index views
-//! it through, the incomparable sets of [`tkd_core::Preprocessed`], and the
-//! dynamic bookkeeping (tombstones, stable ids, epoch, counters) — in a
+//! `O(N·d)` bitmap + preprocessing construction. This crate persists the
+//! whole logical state of a [`DynamicEngine`] — the dataset, encoded
+//! against the exact [`tkd_index::BitmapIndex`]'s value tables, the bin
+//! boundaries the binned index views it through, the keys of the
+//! incomparable sets of [`tkd_core::Preprocessed`], and the dynamic
+//! bookkeeping (tombstones, stable ids, epoch, counters) — in a
 //! versioned binary format, and restores it **bit-identically**: a
 //! loaded engine answers every query with the same entries, scores, and
 //! tie order as the freshly built one (pinned by `tests/persist_*.rs`
 //! with the same differential discipline as the parallel and dynamic
-//! subsystems).
+//! subsystems), and its derived artifacts equal the maintained ones bit
+//! for bit (`tests/derived_state.rs`).
 //!
-//! # Format (version 4)
+//! # Format (version 5)
 //!
 //! ```text
 //! magic            8 bytes  "TKDSNAP\0"
-//! format_version   u32      4
-//! section_count    u32      5
-//! section table    5 × { kind u32, pad u32, offset u64, len u64, fnv64 u64 }
+//! format_version   u32      5
+//! section_count    u32      4
+//! section table    4 × { kind u32, pad u32, offset u64, len u64, fnv64 u64 }
 //! header checksum  u64      FNV-1a 64 of every byte above
-//! payloads         5 sections, each starting 8-byte aligned
+//! payloads         4 sections, each starting 8-byte aligned
 //! ```
 //!
 //! All integers are little-endian. Section kinds (in required order):
-//! 1 dataset, 2 bitmap index, 3 bin boundaries, 4 preprocessed (the
-//! incomparable sets), 5 dynamic state. Section 3 holds only the
-//! per-dimension boundaries — v4's one change over v3, whose section 3
-//! was a whole binned index (columns, per-row bins and probe-tree
-//! entries): the binned index is a view of the bitmap index, rebuilt at
-//! load from the boundaries. No derived queue state is stored either
-//! (v3's change over v2): a load recounts the queue from the bitmap
-//! index's value slots, which it checks against the dataset.
-//! `BitVec` columns are stored as `(bit length, u64 word array)` and
-//! every word slab (columns, dataset masks/values) is zero-padded to an
-//! **8-byte file offset** (since v2). That alignment is what makes the zero-copy load possible:
-//! [`SnapshotBuf`] owns the whole file as one aligned `Arc<[u64]>`
-//! buffer, and after the checksums validate, every column and dataset
-//! slab is handed out as a *borrowed view* of that buffer (promoted to
-//! an owned copy only when first mutated) — load cost is O(validate),
-//! not O(copy).
+//! 1 dataset, 2 bin boundaries, 3 incomparable-set keys, 4 dynamic state.
+//! A snapshot stores rows, not indexes — v5's change over v4, which also
+//! stored every bitmap column and incomparable set:
+//!
+//! * **dataset** — per dimension the exact index's sorted value table
+//!   (values a cell update left without holders included), then every
+//!   cell's 1-based slot into it (0 = missing) in the narrowest of
+//!   `u8`/`u16`/`u32` that fits the largest table, then the ascending
+//!   positions of the cells holding −0.0 (a table holds +0.0), then the
+//!   labels;
+//! * **bin boundaries** — per dimension, the binned view's boundaries;
+//! * **incomparable-set keys** — the masks a set is kept for, ascending;
+//! * **dynamic state** — stable ids, the live mask, bin choice,
+//!   compaction policy, epoch and counters.
+//!
+//! A load reads the dataset's values off the tables in the same pass
+//! that decodes the slots, derives the exact index from the slots
+//! ([`tkd_index::BitmapIndex::from_slots`], the column routine a build
+//! uses), each incomparable set as `live ∧ ⋀_{d ∈ key} missing_d`, the
+//! binned view from the boundaries, and recounts the `MaxScore` queue at
+//! the first query. With one stored copy of each fact, no stored pair can
+//! disagree, so a load checks its input — checksums, table order, slot
+//! ranges, key order, −0.0 positions, stable ids — and nothing else.
 //!
 //! **Compatibility policy:** exact version match. A snapshot from any
 //! other format version fails with [`StoreError::VersionMismatch`] —
@@ -103,15 +111,14 @@ use wire::{Reader, Writer};
 pub const MAGIC: [u8; 8] = *b"TKDSNAP\0";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Section kinds, in their required file order.
-const KINDS: [(u32, Section); 5] = [
+const KINDS: [(u32, Section); 4] = [
     (1, Section::Dataset),
-    (2, Section::BitmapIndex),
-    (3, Section::BinBoundaries),
-    (4, Section::Preprocessed),
-    (5, Section::Dynamic),
+    (2, Section::BinBoundaries),
+    (3, Section::IncomparableKeys),
+    (4, Section::Dynamic),
 ];
 
 /// Header bytes before the section table.
@@ -142,126 +149,6 @@ fn read_identity(path: &std::path::Path) -> Result<u64, StoreError> {
     Ok(u64::from_le_bytes(
         head[TABLE_END - 8..].try_into().expect("8 bytes"),
     ))
-}
-
-/// An owned snapshot buffer that validated loads can **borrow** from.
-///
-/// The whole file lives in one 8-aligned allocation. On little-endian
-/// hosts — where the on-disk word layout and the in-memory `u64` layout
-/// coincide — that allocation is an `Arc<[u64]>` and decoding hands out
-/// borrowed views of it ([`decode_engine_shared`]); elsewhere it is a
-/// plain byte buffer and decoding falls back to copies, bit-identically.
-/// Both representations are always compiled; endianness only picks which
-/// one a constructor builds.
-pub struct SnapshotBuf {
-    backing: Backing,
-    /// Real file length — the final backing word may carry zero padding.
-    byte_len: usize,
-}
-
-enum Backing {
-    /// 8-aligned word storage: the borrow-capable backing.
-    Words(std::sync::Arc<[u64]>),
-    /// Plain bytes: the copying fallback (big-endian hosts).
-    Bytes(Vec<u8>),
-}
-
-impl SnapshotBuf {
-    /// Read the snapshot file at `path` into a fresh aligned buffer —
-    /// one disk read straight into the allocation the engine will
-    /// borrow from, no staging copy.
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] with the path and OS message.
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        let io_err = |e: std::io::Error| StoreError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        if cfg!(target_endian = "big") {
-            return Ok(SnapshotBuf::from_byte_vec(
-                std::fs::read(path).map_err(io_err)?,
-            ));
-        }
-        let mut f = std::fs::File::open(path).map_err(io_err)?;
-        let byte_len = f.metadata().map_err(io_err)?.len();
-        let byte_len = usize::try_from(byte_len).map_err(|_| StoreError::Io {
-            path: path.display().to_string(),
-            message: "file exceeds address space".into(),
-        })?;
-        let words = read_aligned(&mut f, byte_len).map_err(io_err)?;
-        Ok(SnapshotBuf {
-            backing: Backing::Words(words),
-            byte_len,
-        })
-    }
-
-    /// Adopt already-encoded snapshot bytes (one copy into an aligned
-    /// buffer on little-endian hosts — useful for tests and in-memory
-    /// pipelines; [`SnapshotBuf::open`] avoids even that copy).
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        if cfg!(target_endian = "big") {
-            return SnapshotBuf::from_byte_vec(bytes);
-        }
-        let byte_len = bytes.len();
-        let words = read_aligned(&mut &bytes[..], byte_len).expect("in-memory read");
-        SnapshotBuf {
-            backing: Backing::Words(words),
-            byte_len,
-        }
-    }
-
-    fn from_byte_vec(bytes: Vec<u8>) -> Self {
-        let byte_len = bytes.len();
-        SnapshotBuf {
-            backing: Backing::Bytes(bytes),
-            byte_len,
-        }
-    }
-
-    /// The snapshot bytes, exactly as on disk.
-    pub fn bytes(&self) -> &[u8] {
-        match &self.backing {
-            // SAFETY: u64 storage viewed as initialized bytes, truncated
-            // to the real file length (the final word's tail is padding).
-            Backing::Words(w) => unsafe {
-                std::slice::from_raw_parts(w.as_ptr().cast::<u8>(), self.byte_len)
-            },
-            Backing::Bytes(b) => b,
-        }
-    }
-
-    /// The aligned word backing, when this buffer can lend one.
-    fn words(&self) -> Option<&std::sync::Arc<[u64]>> {
-        match &self.backing {
-            Backing::Words(w) => Some(w),
-            Backing::Bytes(_) => None,
-        }
-    }
-}
-
-/// Read exactly `byte_len` bytes from `src` into a freshly allocated
-/// `Arc<[u64]>` (tail of the last word zeroed) — the one allocation a
-/// zero-copy load ever makes for payload data.
-fn read_aligned(
-    src: &mut impl std::io::Read,
-    byte_len: usize,
-) -> std::io::Result<std::sync::Arc<[u64]>> {
-    let nwords = byte_len.div_ceil(8);
-    let mut arc = std::sync::Arc::new_uninit_slice(nwords);
-    let slab = std::sync::Arc::get_mut(&mut arc).expect("freshly allocated, uniquely owned");
-    // SAFETY: the MaybeUninit<u64> storage is reinterpreted as bytes; the
-    // write_bytes zeroes all nwords*8 of them (covering the final word's
-    // tail beyond byte_len), then read_exact overwrites the first
-    // byte_len. Every word is fully initialized afterwards.
-    unsafe {
-        let p = slab.as_mut_ptr().cast::<u8>();
-        std::ptr::write_bytes(p, 0, nwords * 8);
-        src.read_exact(std::slice::from_raw_parts_mut(p, byte_len))?;
-    }
-    // SAFETY: all bytes of all words initialized above.
-    Ok(unsafe { arc.assume_init() })
 }
 
 /// The snapshot buffer's first allocation: well above the sizes an
@@ -300,10 +187,9 @@ pub fn encode_engine(engine: &DynamicEngine) -> Vec<u8> {
     debug_assert_eq!(w.as_bytes().len(), TABLE_END);
     // The payloads in `KINDS` order.
     let payloads: [&dyn Fn(&mut Writer); KINDS.len()] = [
-        &|w| codec::encode_dataset(w, parts.ds),
-        &|w| codec::encode_bitmap(w, parts.index),
+        &|w| codec::encode_dataset(w, parts.ds, parts.index),
         &|w| codec::encode_boundaries(w, parts.boundaries),
-        &|w| codec::encode_pre(w, parts.ds.len(), parts.pre),
+        &|w| codec::encode_keys(w, parts.pre),
         &|w| codec::encode_dynamic(w, &parts),
     ];
     for (i, encode) in payloads.iter().enumerate() {
@@ -325,41 +211,13 @@ pub fn encode_engine(engine: &DynamicEngine) -> Vec<u8> {
 }
 
 /// Restore an engine from snapshot bytes — the inverse of
-/// [`encode_engine`], with integrity (checksums) and structural
-/// invariants re-validated at every layer. This is the **copying**
-/// decode: every column and slab is materialized as owned storage. For
-/// the zero-copy path, load through a [`SnapshotBuf`] (or just
-/// [`load_engine`], which does).
+/// [`encode_engine`], with integrity (checksums) and the input's
+/// structural invariants re-validated at every layer, and every derived
+/// artifact rebuilt from the stored rows.
 ///
 /// # Errors
 /// A typed [`StoreError`] for any malformed input; see the crate docs.
 pub fn decode_engine(bytes: &[u8]) -> Result<DynamicEngine, StoreError> {
-    decode_engine_inner(bytes, None)
-}
-
-/// Restore an engine from an owned snapshot buffer, **borrowing** every
-/// `BitVec` column and dataset slab straight out of the buffer instead
-/// of copying (little-endian hosts; elsewhere this decodes identically
-/// to [`decode_engine`]). Validation — header, section table, and every
-/// section checksum — is exactly the copying path's; only the storage of
-/// the decoded words differs, and the parity suites pin the two results
-/// bit-identical.
-///
-/// The returned engine holds `Arc` references into `buf`'s buffer;
-/// mutations promote the touched storage to owned copies
-/// (copy-on-write), and the buffer is freed when the last borrower is
-/// dropped or promoted.
-///
-/// # Errors
-/// A typed [`StoreError`] for any malformed input; see the crate docs.
-pub fn decode_engine_shared(buf: &SnapshotBuf) -> Result<DynamicEngine, StoreError> {
-    decode_engine_inner(buf.bytes(), buf.words())
-}
-
-fn decode_engine_inner(
-    bytes: &[u8],
-    backing: Option<&std::sync::Arc<[u64]>>,
-) -> Result<DynamicEngine, StoreError> {
     let need = |n: usize| -> Result<(), StoreError> {
         if bytes.len() < n {
             Err(StoreError::Truncated {
@@ -468,44 +326,30 @@ fn decode_engine_inner(
 
     let reader = |i: usize| -> Reader<'_> {
         let (section, offset, len, _) = ranges[i];
-        let payload = &bytes[offset..offset + len];
-        match backing {
-            Some(file) => Reader::with_backing(payload, section, file.clone(), offset),
-            None => Reader::new(payload, section),
-        }
+        Reader::new(&bytes[offset..offset + len], section)
     };
     let mut r = reader(0);
-    let ds = codec::decode_dataset(&mut r)?;
+    let dataset = codec::decode_dataset(&mut r)?;
     r.finish()?;
     let mut r = reader(1);
-    let index = codec::decode_bitmap(&mut r)?;
+    let boundaries = codec::decode_boundaries(&mut r, dataset.ds.dims())?;
     r.finish()?;
     let mut r = reader(2);
-    let boundaries = codec::decode_boundaries(&mut r, index.dims())?;
+    let f_keys = codec::decode_keys(&mut r)?;
     r.finish()?;
     let mut r = reader(3);
-    let (pre_n, pre) = codec::decode_pre(&mut r)?;
-    r.finish()?;
-    if pre_n != ds.len() {
-        return Err(StoreError::Invalid {
-            section: Section::Preprocessed,
-            reason: format!(
-                "preprocessed n={pre_n} disagrees with dataset n={}",
-                ds.len()
-            ),
-        });
-    }
-    let mut r = reader(4);
     let meta = codec::decode_dynamic(&mut r)?;
     r.finish()?;
 
     DynamicEngine::from_store_parts(DynamicParts {
-        ds,
+        ds: dataset.ds,
+        values: dataset.values,
+        slots: dataset.slots,
+        live: meta.live,
+        f_keys,
         stable_of: meta.stable_of,
         next_id: meta.next_id,
-        index,
         boundaries,
-        pre,
         bins: meta.bins,
         policy: meta.policy,
         epoch: meta.epoch,
@@ -590,12 +434,9 @@ pub fn atomic_rewrite(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> Result
     Ok(bytes.len() as u64)
 }
 
-/// Load the acked state at `path`: the snapshot, then the op log beside
-/// it replayed ([`recover`]). The snapshot is the **zero-copy** path:
-/// the file is read once into an owned, 8-aligned [`SnapshotBuf`], and
-/// the engine's columns and dataset slabs borrow that buffer (see
-/// [`decode_engine_shared`]) until a replayed batch promotes what it
-/// touches.
+/// Load the acked state at `path`: the snapshot — one read of the file,
+/// then [`decode_engine`] — and the op log beside it replayed
+/// ([`recover`]).
 ///
 /// # Errors
 /// As [`recover`].
@@ -704,13 +545,28 @@ mod tests {
             err,
             StoreError::VersionMismatch {
                 found: 3,
-                expected: 4
+                expected: 5
             }
         );
         assert_eq!(
             err.to_string(),
-            "snapshot format version 3 is not the supported version 4; \
+            "snapshot format version 3 is not the supported version 5; \
              re-create the snapshot with `tkdq build`"
+        );
+    }
+
+    /// A v4 file — which stored every bitmap column and incomparable set
+    /// beside the dataset — is rejected by its version.
+    #[test]
+    fn a_v4_snapshot_is_rejected_with_version_mismatch() {
+        let mut bytes = encode_engine(&DynamicEngine::new(fixtures::fig3_sample()));
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            decode_engine(&bytes).unwrap_err(),
+            StoreError::VersionMismatch {
+                found: 4,
+                expected: 5
+            }
         );
     }
 
@@ -739,9 +595,8 @@ mod tests {
         let bytes = encode_engine(&engine);
         let cuts = section_boundaries(&bytes);
         // Adjacent cuts collapse when a section's padded end coincides
-        // with the next offset (always, now that v2 aligns slabs), so
-        // the distinct count is at least one per section plus the
-        // header/table/EOF marks.
+        // with the next offset, so the distinct count is at least one
+        // per section plus the header/table/EOF marks.
         assert!(cuts.len() >= 3 + KINDS.len());
         assert_eq!(*cuts.first().unwrap(), 0);
         assert!(cuts.iter().all(|&c| c <= bytes.len()));

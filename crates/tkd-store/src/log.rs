@@ -22,7 +22,7 @@
 
 use crate::error::{Section, StoreError};
 use crate::wire::{fnv64, get_ops, put_ops, Reader, Writer};
-use crate::{decode_engine_shared, identity, read_identity, save_engine, SnapshotBuf};
+use crate::{decode_engine, identity, read_identity, save_engine};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -37,9 +37,10 @@ const LOG_VERSION: u32 = 1;
 
 /// A writer checkpoints once its log holds this many records, so a
 /// recovery replays at most this many batches. At `serve-rw`'s shape
-/// (N = 20K, a 5.9 MB snapshot) the worst case — load, replay three
-/// records, first query — stays under twice a restart with no log; the
-/// measurement is in `docs/INTERNALS.md` § Persistence.
+/// (N = 20K; measured on a 5.9 MB format-v4 snapshot) the worst case —
+/// load, replay three records, first query — stays under twice a
+/// restart with no log; the measurement is in `docs/INTERNALS.md`
+/// § Persistence.
 pub const CHECKPOINT_RECORDS: usize = 3;
 
 /// magic ‖ version ‖ reserved ‖ base identity ‖ base seq ‖ fnv64.
@@ -138,7 +139,7 @@ pub struct Recovered {
 }
 
 /// Recover the acked state at `path`: decode the snapshot
-/// ([`crate::decode_engine_shared`]), then replay the records of the op
+/// ([`crate::decode_engine`]), then replay the records of the op
 /// log beside it ([`log_path`]) if the log names this snapshot, up to the
 /// first short, damaged or non-contiguous one — the torn tail a crash
 /// leaves — so only whole batches ever apply. Reads only; the torn tail
@@ -151,8 +152,8 @@ pub struct Recovered {
 /// state before it, which no crash produces.
 pub fn recover(path: impl AsRef<Path>) -> Result<Recovered, StoreError> {
     let snapshot = path.as_ref();
-    let buf = SnapshotBuf::open(snapshot)?;
-    let engine = decode_engine_shared(&buf)?;
+    let snapshot_bytes = std::fs::read(snapshot).map_err(|e| io_error(snapshot, e))?;
+    let engine = decode_engine(&snapshot_bytes)?;
     let mut recovered = Recovered {
         engine,
         seq: None,
@@ -164,7 +165,7 @@ pub fn recover(path: impl AsRef<Path>) -> Result<Recovered, StoreError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(recovered),
         Err(e) => return Err(io_error(&path, e)),
     };
-    let header = identity(buf.bytes()).and_then(|id| read_header(&bytes, id));
+    let header = identity(&snapshot_bytes).and_then(|id| read_header(&bytes, id));
     let Some(mut seq) = header else {
         return Ok(recovered);
     };

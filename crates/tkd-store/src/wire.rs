@@ -20,8 +20,6 @@
 //! op log's records ([`crate::Journal`]) all carry ops through them.
 
 use crate::error::{Section, StoreError};
-use std::sync::Arc;
-use tkd_bitvec::{SharedWords, Words};
 use tkd_core::UpdateOp;
 
 // The word-folded FNV-1a checksum lives in `tkd_bitvec::hash` (the
@@ -109,15 +107,6 @@ impl Writer {
         self.buf[pos..pos + 8].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Zero-pad to the next 8-byte boundary (no-op when already
-    /// aligned). Format v2 aligns every word slab this way so a loader
-    /// that owns the file buffer as `u64` words can hand out borrowed
-    /// views instead of copying.
-    pub fn align8(&mut self) {
-        let pad = (8 - self.buf.len() % 8) % 8;
-        self.buf.extend_from_slice(&[0u8; 8][..pad]);
-    }
-
     /// Append `len` as a `u32` count.
     ///
     /// # Errors
@@ -145,18 +134,10 @@ impl Writer {
 }
 
 /// Bounds-checked little-endian cursor over one section's payload.
-///
-/// A reader may additionally carry a **shared backing**: the whole
-/// snapshot file as one `Arc<[u64]>` plus the byte offset of this
-/// payload inside it. With a backing attached, [`Reader::get_word_slab`]
-/// returns borrowed [`Words`] views into that buffer (zero-copy) instead
-/// of copying; without one it degrades to plain copies.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     section: Section,
-    /// `(file words, byte offset of buf[0] within the file)`.
-    backing: Option<(Arc<[u64]>, usize)>,
 }
 
 impl<'a> Reader<'a> {
@@ -166,21 +147,6 @@ impl<'a> Reader<'a> {
             buf,
             pos: 0,
             section,
-            backing: None,
-        }
-    }
-
-    /// Like [`Reader::new`], but able to hand out borrowed word slabs:
-    /// `file` is the whole snapshot as aligned words and `base` is the
-    /// byte offset of `buf[0]` within it. `base` must be 8-aligned (v2
-    /// sections always are) or slabs silently fall back to copies.
-    pub fn with_backing(buf: &'a [u8], section: Section, file: Arc<[u64]>, base: usize) -> Self {
-        debug_assert!(base.is_multiple_of(8), "section payloads start 8-aligned");
-        Reader {
-            buf,
-            pos: 0,
-            section,
-            backing: Some((file, base)),
         }
     }
 
@@ -210,6 +176,13 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// The next `n` raw bytes, borrowed (bounds-checked first, so a
+    /// hostile `n` fails against the bytes present).
+    #[inline]
+    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        self.take(n)
     }
 
     /// One byte.
@@ -279,40 +252,6 @@ impl<'a> Reader<'a> {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
             .collect())
-    }
-
-    /// Consume zero padding up to the next 8-byte boundary. Nonzero pad
-    /// bytes are corruption (the canonical form zero-fills them), and on
-    /// the borrow path tolerating them would let a slab start misaligned.
-    pub fn align8(&mut self) -> Result<(), StoreError> {
-        let pad = (8 - self.pos % 8) % 8;
-        if self.take(pad)?.iter().any(|&b| b != 0) {
-            return Err(self.invalid("nonzero alignment padding"));
-        }
-        Ok(())
-    }
-
-    /// A `u64` word slab of exactly `count` words, **borrowed** from the
-    /// shared file buffer when possible (backing attached, slab 8-aligned
-    /// in the file, little-endian host — so the file bytes already *are*
-    /// the in-memory words) and copied otherwise. Callers must
-    /// [`Reader::align8`] first; v2 writers aligned every slab, so on the
-    /// zero-copy load path this never copies.
-    pub fn get_word_slab(&mut self, count: usize) -> Result<Words, StoreError> {
-        if let Some((file, base)) = &self.backing {
-            let abs = base + self.pos;
-            if abs.is_multiple_of(8) && cfg!(target_endian = "little") {
-                let bytes = count
-                    .checked_mul(8)
-                    .ok_or_else(|| self.invalid("word count overflows"))?;
-                self.need(bytes)?;
-                if let Some(view) = SharedWords::new(file.clone(), abs / 8, count) {
-                    self.pos += bytes;
-                    return Ok(Words::Shared(view));
-                }
-            }
-        }
-        self.get_words(count).map(Words::Owned)
     }
 
     /// A length-prefixed UTF-8 string.
@@ -587,7 +526,7 @@ mod tests {
         w.put_u32(1);
         w.put_u8(0);
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes, Section::Preprocessed);
+        let mut r = Reader::new(&bytes, Section::IncomparableKeys);
         let _ = r.get_u32().unwrap();
         assert!(matches!(
             r.finish().unwrap_err(),

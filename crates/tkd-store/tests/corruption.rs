@@ -11,10 +11,7 @@
 use tkd_core::{DynamicEngine, EngineQuery};
 use tkd_data::synthetic::{generate, Distribution, SyntheticConfig};
 use tkd_model::fixtures;
-use tkd_store::{
-    decode_engine, decode_engine_shared, encode_engine, fnv64, section_boundaries, SnapshotBuf,
-    StoreError,
-};
+use tkd_store::{decode_engine, encode_engine, fnv64, section_boundaries, StoreError};
 
 /// Splitmix-style deterministic offsets.
 struct Mix(u64);
@@ -69,22 +66,68 @@ fn fix_checksums(bytes: &mut [u8]) {
     bytes[table_end - 8..table_end].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Decode must fail with a typed error that also renders — on **both**
-/// load paths: the copying decode and the zero-copy (borrowed) decode
-/// must reject the same damage with the same typed error; misaligned or
-/// truncated buffers on the borrow path never become UB or panics.
+/// Decode must fail with a typed error that also renders.
 #[track_caller]
 fn assert_rejected(bytes: &[u8], what: &str) {
-    let copied = match decode_engine(bytes) {
+    match decode_engine(bytes) {
         Ok(_) => panic!("{what}: corrupted snapshot loaded silently"),
-        Err(e) => {
-            assert!(!e.to_string().is_empty(), "{what}: empty error message");
-            e
-        }
-    };
-    match decode_engine_shared(&SnapshotBuf::from_bytes(bytes.to_vec())) {
-        Ok(_) => panic!("{what}: corrupted snapshot loaded silently on the borrow path"),
-        Err(e) => assert_eq!(e, copied, "{what}: borrow path error diverges"),
+        Err(e) => assert!(!e.to_string().is_empty(), "{what}: empty error message"),
+    }
+}
+
+/// `(offset, length)` of section `i`'s payload, read off the table.
+fn section(bytes: &[u8], i: usize) -> (usize, usize) {
+    let e = 16 + i * 32;
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    (field(e + 8), field(e + 16))
+}
+
+/// Where the parts of the dataset section (section 0) sit.
+struct DatasetLayout {
+    dims: usize,
+    n: usize,
+    /// Offset of each dimension's first table value, and its length.
+    tables: Vec<(usize, usize)>,
+    /// Offset of the slot-width byte; the slots follow it.
+    width_at: usize,
+    width: usize,
+    /// Offset of the −0.0 position count; the positions follow it.
+    zeros_at: usize,
+}
+
+fn dataset_layout(bytes: &[u8]) -> DatasetLayout {
+    let (off, _) = section(bytes, 0);
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let dims = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+    let n = u64_at(off + 4);
+    let mut at = off + 12;
+    let mut tables = Vec::new();
+    for _ in 0..dims {
+        let card = u64_at(at);
+        tables.push((at + 8, card));
+        at += 8 + 8 * card;
+    }
+    let width = bytes[at] as usize;
+    DatasetLayout {
+        dims,
+        n,
+        tables,
+        width_at: at,
+        width,
+        zeros_at: at + 1 + n * dims * width,
+    }
+}
+
+/// Apply `edit`, fix the checksums up, and require a typed rejection
+/// from the structural layer behind them.
+#[track_caller]
+fn assert_tamper_rejected(bytes: &[u8], what: &str, edit: impl FnOnce(&mut Vec<u8>)) {
+    let mut damaged = bytes.to_vec();
+    edit(&mut damaged);
+    fix_checksums(&mut damaged);
+    match decode_engine(&damaged) {
+        Err(StoreError::Invalid { .. } | StoreError::Truncated { .. }) => {}
+        other => panic!("{what}: expected Invalid or Truncated, got {other:?}"),
     }
 }
 
@@ -102,9 +145,9 @@ fn truncation_at_every_byte_of_the_small_snapshot() {
 fn truncation_at_every_section_boundary_of_the_large_snapshot() {
     let bytes = large_snapshot();
     let cuts = section_boundaries(&bytes);
-    // v2 aligns slabs, so section ends usually coincide with the next
-    // offset and dedup to one cut: header, table, 5 section starts, EOF.
-    assert!(cuts.len() >= 8, "boundary enumeration looks too small");
+    // Section ends often coincide with the next offset and dedup to one
+    // cut: header, table, 4 section starts, EOF.
+    assert!(cuts.len() >= 7, "boundary enumeration looks too small");
     for &cut in &cuts {
         if cut == bytes.len() {
             continue;
@@ -177,13 +220,14 @@ fn hostile_lengths_are_rejected_before_allocation() {
             StoreError::Truncated { .. } | StoreError::Invalid { .. }
         ));
     }
-    // A BitVec bit length of u64::MAX inside the bitmap payload (the
-    // live mask's length field sits right after dims + n).
+    // A BitVec bit length of u64::MAX: the live mask's, which follows
+    // the dynamic section's stable ids.
     {
         let mut damaged = bytes.clone();
-        let e = 16 + 32; // entry 1: bitmap index
-        let off = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
-        damaged[off + 12..off + 20].copy_from_slice(&u64::MAX.to_le_bytes());
+        let (off, _) = section(&bytes, 3);
+        let nslots = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
+        let at = off + 12 + 4 * nslots;
+        damaged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         fix_checksums(&mut damaged);
         assert!(matches!(
             decode_engine(&damaged).unwrap_err(),
@@ -195,7 +239,7 @@ fn hostile_lengths_are_rejected_before_allocation() {
 #[test]
 fn content_tampering_behind_valid_checksums_is_caught_structurally() {
     let bytes = large_snapshot();
-    let dynamic_entry = 16 + 4 * 32;
+    let dynamic_entry = 16 + 3 * 32;
     let dyn_off = u64::from_le_bytes(
         bytes[dynamic_entry + 8..dynamic_entry + 16]
             .try_into()
@@ -217,46 +261,38 @@ fn content_tampering_behind_valid_checksums_is_caught_structurally() {
 }
 
 #[test]
-fn nonzero_alignment_padding_is_rejected_on_both_paths() {
-    // v2 zero-pads each word slab to an 8-byte offset; a nonzero pad
-    // byte (checksums fixed up so integrity passes) must be caught by
-    // the structural layer on the copying AND the borrow path — the
-    // borrow path must never hand out a slab whose canonical alignment
-    // was faked.
+fn nonzero_section_padding_is_rejected() {
+    // Each section starts 8-byte aligned behind zero padding; a nonzero
+    // pad byte (outside every checksum) must be caught structurally.
     let bytes = large_snapshot();
-    // Dataset section: dims u32 + n u64 = 12 bytes, then 4 pad bytes
-    // before the mask slab.
-    let ds_off = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    for pad in 0..4 {
-        let mut damaged = bytes.clone();
-        damaged[ds_off + 12 + pad] = 0xAB;
-        fix_checksums(&mut damaged);
-        match decode_engine(&damaged) {
-            Err(StoreError::Invalid { .. }) => {}
-            other => panic!("pad byte {pad}: expected Invalid, got {other:?}"),
-        }
-        match decode_engine_shared(&SnapshotBuf::from_bytes(damaged)) {
-            Err(StoreError::Invalid { .. }) => {}
-            other => panic!("pad byte {pad} (borrowed): expected Invalid, got {other:?}"),
+    let mut padded = 0;
+    for i in 0..4 {
+        let (off, len) = section(&bytes, i);
+        for pad in off + len..(off + len).div_ceil(8) * 8 {
+            let mut damaged = bytes.clone();
+            damaged[pad] = 0xAB;
+            match decode_engine(&damaged) {
+                Err(StoreError::Invalid { .. }) => {}
+                other => panic!("pad byte {pad}: expected Invalid, got {other:?}"),
+            }
+            padded += 1;
         }
     }
+    assert!(padded > 0, "no section of the large snapshot is padded");
 }
 
 #[test]
-fn snapshot_buf_tolerates_ragged_lengths() {
-    // SnapshotBuf owns buffers of any byte length (the last backing
-    // word may be partial); decoding through it must behave exactly
-    // like the byte-slice decode for every ragged tail.
+fn ragged_trailing_bytes_are_rejected() {
+    // Bytes past the last section are corruption, however many.
     let bytes = small_snapshot();
     for extra in 1..9 {
         let mut padded = bytes.clone();
         padded.extend(std::iter::repeat_n(0u8, extra));
-        let buf = SnapshotBuf::from_bytes(padded.clone());
-        assert_eq!(buf.bytes(), &padded[..]);
-        // Trailing bytes are corruption — both paths agree on the error.
-        assert_eq!(
-            decode_engine_shared(&buf).unwrap_err(),
-            decode_engine(&padded).unwrap_err(),
+        assert!(
+            matches!(
+                decode_engine(&padded).unwrap_err(),
+                StoreError::BadSectionTable { .. }
+            ),
             "extra={extra}"
         );
     }
@@ -271,80 +307,149 @@ fn loaded_large_snapshot_still_answers() {
     assert_eq!(r.len(), 5);
 }
 
-/// Exact-index value slots tampered behind valid checksums — a nonzero
-/// slot on a missing cell, a 0 on an observed one, another value's slot
-/// — are rejected on both load paths: a load counts the `MaxScore` queue
-/// from these slots, so one that disagrees with the dataset must never
-/// load.
+/// Value slots tampered behind valid checksums — past their
+/// dimension's cardinality, or stored in a width other than the one the
+/// tables call for — are rejected: a slot names its cell's value, so one
+/// that names no value of its table must never load.
 #[test]
 fn value_slots_that_disagree_with_the_dataset_are_rejected() {
     let bytes = large_snapshot();
-    let e = 16 + 32; // entry 1: bitmap index
-    let off = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
-    let len = u64::from_le_bytes(bytes[e + 16..e + 24].try_into().unwrap()) as usize;
-    let dims = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-    let n = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
-    // The value-slot table closes the section: `n × dims` u32s.
-    let slots_at = off + len - n * dims * 4;
-    let tombstoned = [3, 77];
+    let layout = dataset_layout(&bytes);
+    assert_eq!(layout.width, 1, "cardinality 40 fits a byte");
+    let slots_at = layout.width_at + 1;
     let mut rng = Mix(0x5107);
-    let mut tampered = 0;
-    while tampered < 20 {
-        let (s, d) = (rng.next() as usize % n, rng.next() as usize % dims);
-        let at = slots_at + (s * dims + d) * 4;
-        let slot = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let wrong = match (tampered % 3, slot) {
-            (0, 0) => 1,
-            (1, j) if j > 0 => 0,
-            (2, j) if j > 1 => j - 1,
-            (2, 1) => 2,
-            _ => continue,
-        };
-        if tombstoned.contains(&s) {
-            continue;
-        }
-        let mut damaged = bytes.clone();
-        damaged[at..at + 4].copy_from_slice(&wrong.to_le_bytes());
-        fix_checksums(&mut damaged);
-        let what = format!("slot {s} dim {d}: value slot {slot} → {wrong}");
-        match decode_engine(&damaged) {
-            Err(StoreError::Invalid { .. }) => {}
-            other => panic!("{what}: expected Invalid, got {other:?}"),
-        }
-        match decode_engine_shared(&SnapshotBuf::from_bytes(damaged)) {
-            Err(StoreError::Invalid { .. }) => {}
-            other => panic!("{what} (borrowed): expected Invalid, got {other:?}"),
-        }
-        tampered += 1;
+    for _ in 0..20 {
+        let (o, d) = (
+            rng.next() as usize % layout.n,
+            rng.next() as usize % layout.dims,
+        );
+        let card = layout.tables[d].1;
+        let wrong = card + 1 + rng.next() as usize % (255 - card);
+        let what = format!("row {o} dim {d}: slot {wrong} of {card}");
+        assert_tamper_rejected(&bytes, &what, |b| {
+            b[slots_at + o * layout.dims + d] = wrong as u8;
+        });
     }
+    for width in [0, 2, 3, 4, 8] {
+        assert_tamper_rejected(&bytes, &format!("width {width}"), |b| {
+            b[layout.width_at] = width;
+        });
+    }
+}
+
+/// Value tables tampered behind valid checksums — a NaN, −0.0, or two
+/// values out of order — are rejected.
+#[test]
+fn value_tables_that_are_not_ascending_or_hold_nan_are_rejected() {
+    let bytes = large_snapshot();
+    let layout = dataset_layout(&bytes);
+    let (first, card) = layout.tables[0];
+    assert!(card >= 2, "dim 0 needs two values to reorder");
+    for (what, bits) in [("NaN", f64::NAN.to_bits()), ("−0.0", (-0.0f64).to_bits())] {
+        assert_tamper_rejected(&bytes, what, |b| {
+            b[first..first + 8].copy_from_slice(&bits.to_le_bytes())
+        });
+    }
+    assert_tamper_rejected(&bytes, "order", |b| {
+        for i in 0..8 {
+            b.swap(first + i, first + 8 + i);
+        }
+    });
+}
+
+/// A snapshot whose −0.0 list is not empty: zeros of both signs in
+/// every dimension.
+fn signed_zero_snapshot() -> Vec<u8> {
+    let rows: Vec<Vec<Option<f64>>> = (0..12)
+        .map(|i| {
+            let zero = if i % 3 == 0 { -0.0 } else { 0.0 };
+            vec![Some(zero), (i % 4 != 0).then_some(i as f64), Some(-zero)]
+        })
+        .collect();
+    let ds = tkd_model::Dataset::from_rows(3, &rows).unwrap();
+    encode_engine(&DynamicEngine::new(ds))
+}
+
+/// −0.0 positions tampered behind valid checksums — past the last cell,
+/// out of order, or on a cell that is not an observed zero — are
+/// rejected; the untampered list loads its signs back.
+#[test]
+fn negative_zero_positions_out_of_range_order_or_zero_cells_are_rejected() {
+    let bytes = signed_zero_snapshot();
+    let layout = dataset_layout(&bytes);
+    let count = u64::from_le_bytes(
+        bytes[layout.zeros_at..layout.zeros_at + 8]
+            .try_into()
+            .unwrap(),
+    ) as usize;
+    assert!(count >= 2, "the fixture stores −0.0 cells");
+    let engine = decode_engine(&bytes).expect("healthy snapshot");
+    assert_eq!(
+        engine.value(0, 0).unwrap().map(f64::to_bits),
+        Some((-0.0f64).to_bits())
+    );
+    assert_eq!(
+        engine.value(1, 2).unwrap().map(f64::to_bits),
+        Some((-0.0f64).to_bits())
+    );
+    let at = |i: usize| layout.zeros_at + 8 + 8 * i;
+    let put =
+        |b: &mut Vec<u8>, i: usize, v: u64| b[at(i)..at(i) + 8].copy_from_slice(&v.to_le_bytes());
+    let cells = (layout.n * layout.dims) as u64;
+    assert_tamper_rejected(&bytes, "past the last cell", |b| put(b, count - 1, cells));
+    assert_tamper_rejected(&bytes, "hostile position", |b| put(b, 0, u64::MAX));
+    assert_tamper_rejected(&bytes, "out of order", |b| {
+        for i in 0..8 {
+            b.swap(at(0) + i, at(1) + i);
+        }
+    });
+    assert_tamper_rejected(&bytes, "repeated", |b| {
+        let first = b[at(0)..at(0) + 8].to_vec();
+        b[at(1)..at(1) + 8].copy_from_slice(&first);
+    });
+    // Row 0 dim 1 is missing; row 1 dim 1 holds 1.0.
+    assert_tamper_rejected(&bytes, "missing cell", |b| put(b, 0, 1));
+    assert_tamper_rejected(&bytes, "non-zero cell", |b| put(b, 0, 4));
+}
+
+/// Incomparable-set keys tampered behind valid checksums — 0, a mask
+/// naming a dimension past `dims`, or two keys out of order — are
+/// rejected.
+#[test]
+fn incomparable_set_keys_that_are_zero_past_dims_or_unordered_are_rejected() {
+    let bytes = large_snapshot();
+    let (off, _) = section(&bytes, 2);
+    let nkeys = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
+    assert!(nkeys >= 2, "the large snapshot keeps several keys");
+    let key = |i: usize| off + 8 + 8 * i;
+    assert_tamper_rejected(&bytes, "key 0", |b| {
+        b[key(0)..key(0) + 8].copy_from_slice(&0u64.to_le_bytes())
+    });
+    assert_tamper_rejected(&bytes, "key past dims", |b| {
+        let last = key(nkeys - 1);
+        b[last..last + 8].copy_from_slice(&(1u64 << 4).to_le_bytes())
+    });
+    assert_tamper_rejected(&bytes, "keys out of order", |b| {
+        for i in 0..8 {
+            b.swap(key(0) + i, key(1) + i);
+        }
+    });
 }
 
 /// The bin-boundaries section tampered behind valid checksums — a dims
 /// count off the index's, a hostile boundary count, boundaries out of
-/// order, a NaN boundary — is rejected on both load paths. (A boundary
+/// order, a NaN boundary — is rejected. (A boundary
 /// moved without breaking the order loads: bins only set how tight IBIG
 /// prunes, never a score.)
 #[test]
 fn bin_boundaries_tampered_behind_valid_checksums_are_rejected() {
     let bytes = large_snapshot();
-    let e = 16 + 2 * 32; // entry 2: bin boundaries
-    let off = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
+    let (off, _) = section(&bytes, 1);
     let nbins = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
     assert!(nbins >= 2, "dim 0 needs two boundaries to reorder");
     let first = off + 12; // dim 0's first boundary
     let tamper = |what: &str, edit: &dyn Fn(&mut Vec<u8>)| {
-        let mut damaged = bytes.clone();
-        edit(&mut damaged);
-        fix_checksums(&mut damaged);
-        for result in [
-            decode_engine(&damaged),
-            decode_engine_shared(&SnapshotBuf::from_bytes(damaged.clone())),
-        ] {
-            match result {
-                Err(StoreError::Invalid { .. } | StoreError::Truncated { .. }) => {}
-                other => panic!("{what}: expected Invalid or Truncated, got {other:?}"),
-            }
-        }
+        assert_tamper_rejected(&bytes, what, edit);
     };
     tamper("dims", &|b| {
         b[off..off + 4].copy_from_slice(&3u32.to_le_bytes())

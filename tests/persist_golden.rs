@@ -1,7 +1,7 @@
 //! Golden-file compatibility pin for the snapshot format.
 //!
 //! `tests/golden/fig3.tkdsnap` is a committed snapshot, in the current
-//! format version ([`FORMAT_VERSION`], 3), of the paper's Fig. 3 running
+//! format version ([`FORMAT_VERSION`]), of the paper's Fig. 3 running
 //! example. This suite documents the format's
 //! compatibility policy:
 //!
