@@ -31,7 +31,7 @@
 
 use crate::worker::shard_options;
 use crate::{newest_snapshot, seq_from_path, ClusterError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -75,8 +75,8 @@ impl ClusterConfig {
 pub struct ClusterStats {
     /// Cluster-plane request frames sent (both phases, updates, control).
     pub frames: u64,
-    /// τ broadcasts performed (one round = one announce to every query
-    /// worker).
+    /// Distinct τ values shipped in `shard_query` frames, counted once
+    /// per change within a query (not once per chunk).
     pub tau_rounds: u64,
     /// Candidate payloads shipped across all `shard_query` frames.
     pub candidates_shipped: u64,
@@ -705,7 +705,7 @@ impl Coordinator {
             .filter(|&s| self.shards[s as usize].live > 0)
             .collect();
         let mut replay = Replay::new(k);
-        let mut announced: Option<u64> = None;
+        let mut shipped: Option<u64> = None;
         let chunk_size = self.cfg.chunk.max(1);
         let mut t = 0;
         'queue: while t < queue.len() {
@@ -720,27 +720,12 @@ impl Coordinator {
             // τ at chunk start. Scoring a whole chunk against one τ is
             // exact: a candidate the sequential driver would have H2-
             // pruned under a tighter τ scores ≤ τ, so its offer is a
-            // no-op either way — only prune counters can differ.
+            // no-op either way — only prune counters can differ. τ rides
+            // in the `shard_query` frames themselves.
             let tau = replay.tau().map(|x| x as u64);
-            if let Some(tv) = tau {
-                if announced != Some(tv) {
-                    self.stats.tau_rounds += 1;
-                    let ws: BTreeSet<usize> = active
-                        .iter()
-                        .map(|&s| self.shards[s as usize].worker)
-                        .collect();
-                    for w in ws {
-                        match self.cluster(w, &ClusterRequest::TauUpdate { tau: tv })? {
-                            ClusterResponse::TauAck { tau: echoed } if echoed == tv => {}
-                            other => {
-                                return Err(Retry::Fatal(ClusterError::Protocol(format!(
-                                    "tau update answered {other:?}"
-                                ))))
-                            }
-                        }
-                    }
-                    announced = Some(tv);
-                }
+            if tau.is_some() && tau != shipped {
+                self.stats.tau_rounds += 1;
+                shipped = tau;
             }
             let values: Vec<Vec<Option<f64>>> = chunk
                 .iter()
@@ -750,7 +735,7 @@ impl Coordinator {
                 .iter()
                 .map(|&(o, _)| self.home(o).expect("queued ids are routed"))
                 .collect();
-            // Phase 1: per-shard Heuristic-2 certificates, summed here.
+            // Phase 1: per-shard exact `|∩ᵢ Qᵢ|` counts, summed here.
             let mut sums = vec![0u64; chunk.len()];
             for &s in &active {
                 let outcomes = self.shard_query(
@@ -766,17 +751,11 @@ impl Coordinator {
                     sums[i] += x;
                 }
             }
+            // Heuristic 2: the sum counts the candidate's own bit once, in
+            // its home shard, so `MaxBitScore = Σ − 1`.
             let pruned: Vec<bool> = sums
                 .iter()
-                .map(|&sum| match tau {
-                    None => false,
-                    // BIG: Σ suffix bounds ≤ τ+1 (own bit counted once);
-                    // IBIG: MaxBitScore = Σ|Q| − 1 ≤ τ.
-                    Some(tv) => match algorithm {
-                        Algorithm::Big => sum <= tv + 1,
-                        _ => sum.saturating_sub(1) <= tv,
-                    },
-                })
+                .map(|&sum| matches!(tau, Some(tv) if sum.saturating_sub(1) <= tv))
                 .collect();
             // Phase 2: exact partials for the survivors.
             let survivors: Vec<usize> = (0..chunk.len()).filter(|&i| !pruned[i]).collect();

@@ -15,7 +15,7 @@
 //!
 //! Everything rides the cluster plane of the v5 byte protocol (see
 //! `docs/WIRE_PROTOCOL.md`): queries fan out as two-phase
-//! `shard_query` frames with budgeted τ broadcasts, updates route by
+//! `shard_query` frames that carry the coordinator's τ, updates route by
 //! id through a single-writer path whose workers only ack after a synced
 //! append to the shard's op log, and shards move between workers by
 //! snapshot handoff. Worker failure is detected by a frame deadline and

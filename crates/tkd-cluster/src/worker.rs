@@ -89,8 +89,9 @@ struct ShardHost {
 #[derive(Default)]
 struct WorkerState {
     shards: HashMap<u64, ShardHost>,
-    /// The coordinator's last announced τ. Monotone within a query; a
-    /// `bounds`-phase `shard_query` without τ starts a fresh session.
+    /// The session τ: the last one a `shard_query` carried. Monotone
+    /// within a query; a `bounds`-phase `shard_query` without τ starts a
+    /// fresh session.
     tau: Option<u64>,
 }
 
@@ -496,5 +497,80 @@ impl Drop for Worker {
         if self.accept.is_some() {
             self.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tkd_model::Dataset;
+    use tkd_serve::{Client, ServeError};
+
+    /// The τ tripwire over a real socket. τ reaches a worker only inside
+    /// `shard_query` frames, so a frame whose τ went backwards, or a
+    /// partials frame that lost it mid-session, is a typed rejection
+    /// (code 4); a bounds frame without τ starts a new session; and a
+    /// `tau_update` is still accepted under the same rule.
+    #[test]
+    fn tau_tripwire_rides_in_shard_query() {
+        let dir = std::env::temp_dir().join(format!("tkd-worker-tau-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let rows = [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]].map(|r| r.map(Some).to_vec());
+        let ds = Dataset::from_rows(2, &rows).expect("valid rows");
+        let seed = dir.join("shard-0.seq0.tkd");
+        let engine = DynamicEngine::with_options(ds, shard_options());
+        tkd_store::save_engine(&seed, &engine).expect("seed snapshot");
+        let worker = Worker::start("127.0.0.1:0", WorkerConfig::default()).expect("worker start");
+        let mut client = Client::connect(worker.local_addr()).expect("connect");
+        let assign = ClusterRequest::Assign {
+            shard: 0,
+            path: seed.display().to_string(),
+            replay: Vec::new(),
+        };
+        client.cluster_call(&assign).expect("assign");
+
+        let query = |phase, tau| {
+            ClusterRequest::ShardQuery(ShardQuery {
+                shard: 0,
+                algorithm: Algorithm::Big,
+                phase,
+                tau,
+                candidates: vec![WireCandidate {
+                    values: vec![Some(1.0), Some(1.0)],
+                    member: None,
+                }],
+            })
+        };
+        let mut call = |req: ClusterRequest| client.cluster_call(&req);
+        let rejected = |answer: Result<ClusterResponse, ServeError>, datum: u64| match answer {
+            Err(ServeError::Rejected { index, .. }) => assert_eq!(index, datum),
+            other => panic!("expected a code-4 rejection, got {other:?}"),
+        };
+        let outcomes = ClusterResponse::ShardOutcomes(vec![3]);
+        let (bounds, partials) = (ShardPhase::Bounds, ShardPhase::Partials);
+
+        // A session: τ may hold or grow, never shrink.
+        assert_eq!(call(query(bounds, None)).unwrap(), outcomes);
+        assert_eq!(call(query(bounds, Some(2))).unwrap(), outcomes);
+        assert!(call(query(partials, Some(2))).is_ok());
+        assert!(call(query(bounds, Some(5))).is_ok());
+        rejected(call(query(bounds, Some(3))), 3);
+        rejected(call(query(partials, Some(4))), 4);
+        // A partials frame without τ inside a session is rejected …
+        rejected(call(query(partials, None)), 0);
+        // … and a bounds frame without τ resets the session.
+        assert_eq!(call(query(bounds, None)).unwrap(), outcomes);
+        assert!(call(query(partials, None)).is_ok());
+        assert!(call(query(bounds, Some(1))).is_ok());
+
+        // `tau_update` stays accepted (v5) and feeds the same tripwire.
+        let tau_ack = call(ClusterRequest::TauUpdate { tau: 7 });
+        assert_eq!(tau_ack.unwrap(), ClusterResponse::TauAck { tau: 7 });
+        rejected(call(ClusterRequest::TauUpdate { tau: 6 }), 6);
+        rejected(call(query(partials, Some(6))), 6);
+        assert!(call(query(partials, Some(7))).is_ok());
+
+        worker.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

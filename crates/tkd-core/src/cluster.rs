@@ -20,8 +20,8 @@
 //!
 //! * a **shard engine** answers two questions per candidate, phase by
 //!   phase ([`big_bound`] / [`ibig_q_count`], then [`big_partial`] /
-//!   [`ibig_partial`]): a cheap `|Q|` bound (BIG: suffix-table upper
-//!   bound; IBIG: exact fused count) for the coordinator's cross-shard
+//!   [`ibig_partial`]): its exact `|∩ᵢ Qᵢ|` count (at the exact picks
+//!   for BIG, the binned ones for IBIG) for the coordinator's cross-shard
 //!   Heuristic-2 decision, and the exact per-shard partial score;
 //! * the **coordinator** owns the candidate queue, sums the per-shard
 //!   answers, and drives a [`Replay`](crate::Replay) in queue order — the
@@ -29,16 +29,20 @@
 //!   and tie order are bit-identical to the in-process engines, and
 //!   Heuristic-1 termination fires at the exact sequential position.
 //!
-//! Heuristic 2 across shards uses `Σⱼ boundⱼ ≤ τ + 1` (the raw
-//! intersections count a member candidate's own bit exactly once, in its
-//! home shard), which is conservative: a bound-pruned candidate's true
-//! score is `≤ τ`, so the sequential offer would have been a no-op.
-//! Heuristic 3 (partial-score budget) is intentionally **not** applied
-//! across shards — it would need mid-scan budget exchange per candidate,
-//! so the terms run on an unlimited budget — and only the `h2/h3/scored`
-//! counters may differ from a sequential run, never the entries. (IBIG's
-//! phase-1 count reads each shard's own frozen bin boundaries, so those
-//! counters also depend on the shards' update histories.)
+//! Heuristic 2 across shards is the in-process one. `Q` is a row set
+//! and the shards partition the rows, so `Σⱼ |∩ᵢ Qᵢ|ⱼ` is the unsharded
+//! count, a member candidate's own bit included exactly once, in its
+//! home shard; the coordinator prunes when `Σ − 1 ≤ τ`, the in-process
+//! `MaxBitScore(o) ≤ τ`. At a given τ, BIG's cross-shard decisions are
+//! therefore the sequential walk's. Heuristic 3 (partial-score budget)
+//! is intentionally **not** applied across shards — it would need
+//! mid-scan budget exchange per candidate, so the terms run on an
+//! unlimited budget. A coordinator that scores a chunk of candidates
+//! against the τ at the chunk's start can only prune less than the
+//! sequential walk, so only the `h2/h3/scored` counters may differ from
+//! a sequential run, never the entries. (IBIG's phase-1 count reads each
+//! shard's own frozen bin boundaries, so its counters also depend on the
+//! shards' update histories.)
 //! `tests/cluster_parity.rs` pins that equivalence over real sockets; the
 //! tests here pin it in-process, `tests/shard_scoring.rs` on engines
 //! mutated under random op streams.
@@ -230,9 +234,10 @@ mod tests {
         }
     }
 
-    /// The phase-1 answers are sound Heuristic-2 certificates: BIG's
-    /// summed bound is an upper bound on `|Q|`; IBIG's summed count makes
-    /// `MaxBitScore = Σ − 1 ≥ score`.
+    /// The phase-1 answers are exact Heuristic-2 counts: BIG's sum over
+    /// 1–3 shards is the unsharded `|∩ᵢ Qᵢ|` — brute-forced here, own
+    /// bit included — and IBIG's summed count makes `MaxBitScore = Σ − 1
+    /// ≥ score`.
     #[test]
     fn phase1_bounds_are_sound() {
         let ds = random_dataset(77, 60, 3, 30);
@@ -244,17 +249,27 @@ mod tests {
             let (_, mut scorers) = scorers_for(&ds, shards);
             for o in 0..n {
                 let values = values_of(&ds, o);
-                let mut big_ub = 0usize;
+                let q = (0..n)
+                    .filter(|&p| {
+                        let row = values_of(&ds, p);
+                        (0..ds.dims()).all(|d| match (values[d], row[d]) {
+                            (Some(v), Some(x)) => x >= v,
+                            _ => true,
+                        })
+                    })
+                    .count();
+                let mut big_q = 0usize;
                 let mut ibig_q = 0usize;
                 for scorer in &mut scorers {
-                    big_ub += scorer.big_bound(&values);
+                    big_q += scorer.big_bound(&values);
                     ibig_q += scorer.ibig_q_count(&values);
                 }
+                assert_eq!(big_q, q, "BIG Σ|Q| (o={o} shards={shards})");
+                // The sum counts o's own bit once, so the bound on the
+                // score is `sum − 1`.
                 let score = score_of[&(o as u32)];
-                // Both phase-1 sums count o's own bit once, so the bound
-                // on the score is `sum − 1`.
-                assert!(big_ub > score, "BIG bound ≥ score (o={o})");
-                assert!(ibig_q > score, "MaxBitScore ≥ score (o={o})");
+                assert!(big_q > score, "BIG MaxBitScore ≥ score (o={o})");
+                assert!(ibig_q > score, "IBIG MaxBitScore ≥ score (o={o})");
             }
         }
     }
@@ -269,16 +284,14 @@ mod tests {
         walk(pre.queue(), k, |o, tau| {
             let values = values_of(ds, o as usize);
             let member = |j| member_of(&plan, j, o as usize);
-            let pruned = match alg {
-                Algorithm::Big => {
-                    let bound: usize = scorers.iter().map(|s| s.big_bound(&values)).sum();
-                    matches!(tau, Some(t) if bound <= t + 1)
-                }
-                _ => {
-                    let total_q: usize = scorers.iter_mut().map(|s| s.ibig_q_count(&values)).sum();
-                    matches!(tau, Some(t) if total_q - 1 <= t)
-                }
-            };
+            let total_q: usize = scorers
+                .iter_mut()
+                .map(|s| match alg {
+                    Algorithm::Big => s.big_bound(&values),
+                    _ => s.ibig_q_count(&values),
+                })
+                .sum();
+            let pruned = matches!(tau, Some(t) if total_q - 1 <= t);
             if pruned {
                 return Outcome::PrunedBitmap;
             }
@@ -324,6 +337,15 @@ mod tests {
                             got.stats.h1_pruned, want.stats.h1_pruned,
                             "H1 position is exact ({alg:?} shards={shards} k={k})"
                         );
+                        // BIG's summed count is the unsharded one, so at
+                        // the walk's per-candidate τ every H2 decision is
+                        // the sequential one.
+                        if alg == Algorithm::Big {
+                            assert_eq!(
+                                got.stats, want.stats,
+                                "BIG prune counters (shards={shards} k={k})"
+                            );
+                        }
                     }
                 }
             }

@@ -65,7 +65,8 @@
 //! [`ibig_q_count`](DynamicEngine::ibig_q_count) /
 //! [`big_partial`](DynamicEngine::big_partial) /
 //! [`ibig_partial`](DynamicEngine::ibig_partial) answer for a candidate
-//! shipped as raw values with one per-shard term of the scorers above
+//! shipped as raw values — the first two with the exact Heuristic-2
+//! count, the last two with one per-shard term of the scorers above
 //! (see [`crate::cluster`]).
 //!
 //! Deletes tombstone; a [`CompactionPolicy`] rebuilds the whole store —
@@ -1206,18 +1207,17 @@ impl DynamicEngine {
     // bit is left out of its score. Nothing is built, and after the
     // first candidate of a mask no local row carries, nothing allocated.
 
-    /// BIG phase 1: the suffix-table upper bound on this engine's `|Q|`
-    /// intersection for the candidate (its own bit included when it is a
-    /// member — the cross-shard Heuristic-2 limit is `τ + 1`).
+    /// BIG phase 1: this engine's exact `|∩ᵢ Qᵢ|` for the candidate at
+    /// the exact picks, its own bit included when it is a member — the
+    /// budgeted scan at budget 0, which counts without writing. Shards
+    /// partition the rows, so `Σⱼ` of it is the unsharded count and the
+    /// coordinator's `MaxBitScore = Σⱼ − 1` is the in-process one.
     pub fn big_bound(&self, values: &[Option<f64>]) -> usize {
         let sel = self.index.select_for(|d| values[d]);
-        self.index.q_selected_upper_bound(&sel)
+        self.index.q_count_selected_above(&sel, 0).unwrap_or(0)
     }
 
-    /// IBIG phase 1: the exact fused `|Q|` count at the binned picks
-    /// (own bit included when member) — the budgeted scan at budget 0,
-    /// which counts without writing. The coordinator's `MaxBitScore` is
-    /// `Σⱼ counts − 1`.
+    /// IBIG phase 1: the same exact count at the binned picks.
     pub fn ibig_q_count(&self, values: &[Option<f64>]) -> usize {
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         let sel = binned.select_for(|d| values[d]);

@@ -194,3 +194,65 @@ fn partials_add_up_on_mutated_never_compacting_shards() {
         }
     }
 }
+
+/// `|∩ᵢ Qᵢ|` over `rows` by brute force: the rows that miss or reach
+/// `values` in every dimension `values` observes (a member's own row
+/// included).
+fn brute_q(rows: &[Row], values: &Row) -> usize {
+    let reaches = |row: &Row| {
+        (0..DIMS).all(|d| match (values[d], row[d]) {
+            (Some(v), Some(x)) => x >= v,
+            _ => true,
+        })
+    };
+    rows.iter().filter(|row| reaches(row)).count()
+}
+
+/// BIG's phase-1 answers are exact: after every round of a random op
+/// stream (tombstones, cell rewrites to and from missing, masks that
+/// left a shard, values no shard has indexed, a shard emptied by
+/// deletes), the shards' `big_bound`s sum to the unsharded `|∩ᵢ Qᵢ|`
+/// for every live object and for a stranger, so the cross-shard
+/// Heuristic 2 is the in-process one.
+#[test]
+fn big_bounds_sum_to_the_unsharded_count_on_mutated_shards() {
+    for (m, missing) in [0.1, 0.3, 0.6].into_iter().enumerate() {
+        for shard_count in [2usize, 3] {
+            let mut rng = TestRng::new(0xB16 + (m * 10 + shard_count) as u64);
+            let mut shards: Vec<DynamicEngine> = (0..shard_count)
+                .map(|_| {
+                    let rows: Vec<Row> = (0..12).map(|_| random_row(&mut rng, missing)).collect();
+                    shard_engine(&rows)
+                })
+                .collect();
+            for round in 0..ROUNDS {
+                for _ in 0..6 {
+                    let j = rng.next_index(shard_count);
+                    let op = random_op(&mut rng, &shards[j], missing);
+                    apply(&mut shards[j], op);
+                }
+                if round == ROUNDS / 2 {
+                    let last = shards.last_mut().expect("at least two shards");
+                    for id in last.live_ids() {
+                        apply(last, UpdateOp::Delete(id));
+                    }
+                }
+                let rows: Vec<Row> = shards
+                    .iter()
+                    .flat_map(|s| s.live_ids().into_iter().map(|id| row_of(s, id)))
+                    .collect();
+                let mut stranger = random_row(&mut rng, missing);
+                let cell = stranger.iter_mut().flatten().next().expect("observed cell");
+                *cell = [6.5, -0.5][round % 2];
+                for values in rows.iter().chain([&stranger]) {
+                    let sum: usize = shards.iter().map(|s| s.big_bound(values)).sum();
+                    assert_eq!(
+                        sum,
+                        brute_q(&rows, values),
+                        "missing {missing}, {shard_count} shards, round {round}: {values:?}"
+                    );
+                }
+            }
+        }
+    }
+}

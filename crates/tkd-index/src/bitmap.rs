@@ -672,21 +672,6 @@ impl BitmapIndex {
         self.fill_selected(|d| sel.p[d] as usize, scope, p);
     }
 
-    /// Cheap upper bound of `|∩ᵢ columns[i][sel.q[i]]|`: the sparsest
-    /// selected column's total popcount (`O(dims)` table lookups, no words
-    /// touched). BIG's scorer prunes on it before any scan, and the
-    /// cluster's cross-shard Heuristic 2 sums it over the shards.
-    pub fn q_selected_upper_bound(&self, sel: &ColumnSelection) -> usize {
-        let mut ub = self.live_count();
-        for dim in 0..self.dims {
-            let c = sel.q[dim] as usize;
-            if c > 0 {
-                ub = ub.min(self.block_suffix[dim][c][0] as usize);
-            }
-        }
-        ub
-    }
-
     /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit — the
     /// Heuristic 2 scan, and the hot path of Algorithm 3 (most visited
     /// objects die here). Returns `None` as soon as the count is provably
@@ -1132,7 +1117,6 @@ mod tests {
                     // The fused count agrees (counts include o's own bit when member).
                     let raw = q.count_ones() + usize::from(member.is_some());
                     assert_eq!(s.q_count_selected_above(&sel, 0).unwrap_or(0), raw);
-                    assert!(s.q_selected_upper_bound(&sel) >= raw);
                 }
                 assert_eq!(q_total, full.q_vec(o).count_ones(), "obj {o}");
                 assert_eq!(p_total, full.p_vec(o).count_ones(), "obj {o}");
@@ -1509,9 +1493,9 @@ mod tests {
 
     /// The dynamic index must answer every live candidate exactly like an
     /// index rebuilt from scratch over the live rows: same `Q`/`P`
-    /// popcounts, same budgeted-count decisions, and sound upper bounds —
-    /// across appends, tombstones, and cell updates (including signed
-    /// zeros and to/from-missing transitions).
+    /// popcounts and the same budgeted-count decisions — across appends,
+    /// tombstones, and cell updates (including signed zeros and
+    /// to/from-missing transitions).
     #[test]
     fn dynamic_maintenance_matches_rebuild() {
         let dims = 3;
@@ -1583,7 +1567,6 @@ mod tests {
                 for dead in (0..rows.len()).filter(|&i| rows[i].is_none()) {
                     assert!(!q.get(dead) && !p.get(dead), "dead slot {dead} set");
                 }
-                assert!(dyn_idx.q_selected_upper_bound(&sel) >= qc);
                 for budget in [0, qc.saturating_sub(1), qc, qc + 2] {
                     assert_eq!(
                         dyn_idx.q_count_selected_above(&sel, budget),

@@ -61,10 +61,10 @@ fn assert_selections_agree(
     Ok(())
 }
 
-/// The rank query — the popcount of the one `[Qᵢ]` column a selection
-/// observing only dimension `i` picks — equals a brute-force count over
-/// the live rows (`None` = tombstoned), for probes at, between, below and
-/// beyond the table values.
+/// The rank query — the fused `|Q|` count of a selection observing only
+/// dimension `i`, i.e. the popcount of its one `[Qᵢ]` column — equals a
+/// brute-force count over the live rows (`None` = tombstoned), for probes
+/// at, between, below and beyond the table values.
 fn assert_ranks_agree(
     exact: &BitmapIndex,
     rows: &[Option<Vec<Option<f64>>>],
@@ -89,7 +89,7 @@ fn assert_ranks_agree(
                 .count();
             let sel = exact.select_for(|d| (d == dim).then_some(v));
             prop_assert_eq!(
-                exact.q_selected_upper_bound(&sel),
+                exact.q_count_selected_above(&sel, 0).unwrap_or(0),
                 brute,
                 "dim {} probe {}",
                 dim,

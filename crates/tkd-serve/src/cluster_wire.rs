@@ -19,27 +19,29 @@
 //! | kind | frame | answered by |
 //! |------|-------|-------------|
 //! | 16 | `shard_query` — a chunk of candidates to bound or score | 144 `shard_outcomes` |
-//! | 17 | `tau_update` — the coordinator's tightening τ broadcast | 148 `tau_ack` |
+//! | 17 | `tau_update` — a τ broadcast: accepted, no longer sent | 148 `tau_ack` |
 //! | 18 | `handoff` — checkpoint the shard and release it | 145 `handoff_ack` |
 //! | 19 | `assign` — adopt a shard from a checkpoint and its op log (+ replay) | 146 `assign_ack` |
 //! | 20 | `shard_update` — one routed update batch for a shard | 147 `shard_update_ack` |
 //!
 //! A `shard_query` runs one of two phases. `Bounds` asks for the
-//! shard's upper-bound contribution per candidate (the suffix-table /
-//! fused-count bounds `DynamicEngine::{big_bound, ibig_q_count}` of the
-//! engine hosting the shard); the coordinator sums them across shards and prunes against τ (the
-//! paper's Heuristic 2, made distributive). `Partials` asks for exact
+//! shard's exact `|∩ᵢ Qᵢ|` count per candidate (the fused counts
+//! `DynamicEngine::{big_bound, ibig_q_count}` of the engine hosting the
+//! shard); the coordinator sums them across shards and prunes against τ
+//! (the paper's Heuristic 2, made distributive). `Partials` asks for exact
 //! partial scores of the survivors; the sums are exact by the row
 //! partition argument in `tkd_core::cluster`. Both answers are plain
 //! `u64` vectors in candidate order — the *classification* of each
 //! candidate (pruned vs. scored) is the coordinator's job, because only
 //! the cross-shard sum decides it.
 //!
-//! τ monotonicity is part of the protocol: a worker's session τ only
-//! tightens (grows) within a query, and a `tau_update` carrying a
-//! smaller value than the session's current τ is a protocol error the
-//! worker must reject — a cheap tripwire for reordered or misrouted
-//! frames.
+//! τ monotonicity is part of the protocol: τ rides in every
+//! `shard_query`, a worker's session τ only tightens (grows) within a
+//! query, and a frame carrying a smaller value than the session's
+//! current τ is a protocol error the worker must reject — a cheap
+//! tripwire for reordered or misrouted frames. A worker still accepts
+//! `tau_update` under the same rule, so v5 stays decodable, but the
+//! coordinator no longer sends it.
 
 use crate::error::ServeError;
 use crate::protocol::{
@@ -52,7 +54,7 @@ use tkd_store::Section;
 /// Which half of the two-phase fan-out a `shard_query` drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardPhase {
-    /// Return each candidate's upper-bound contribution from this shard.
+    /// Return each candidate's exact `|∩ᵢ Qᵢ|` count on this shard.
     Bounds,
     /// Return each candidate's exact partial score on this shard.
     Partials,
@@ -155,7 +157,8 @@ frames! {
     pub enum ClusterRequest("cluster request") {
         /// Bound or score a chunk of candidates on one shard.
         ShardQuery(ShardQuery) = 16 "shard_query",
-        /// Broadcast the tightening τ for the in-flight query.
+        /// Announce the tightening τ for the in-flight query. Accepted,
+        /// but no longer sent: τ rides in every `shard_query`.
         TauUpdate {
             /// The k-th maintained score so far.
             tau: u64,
@@ -194,8 +197,8 @@ frames! {
         /// failure, …).
         Error(ErrorFrame) = 133 "error",
         /// Answer to [`ClusterRequest::ShardQuery`]: one `u64` per
-        /// candidate, in request order — upper bounds in the `Bounds`
-        /// phase, exact partial scores in the `Partials` phase.
+        /// candidate, in request order — exact `|∩ᵢ Qᵢ|` counts in the
+        /// `Bounds` phase, exact partial scores in the `Partials` phase.
         ShardOutcomes(Vec<u64>) = 144 "shard_outcomes",
         /// Answer to [`ClusterRequest::Handoff`]: where the released
         /// shard's snapshot was written, and its committed seq.
