@@ -17,9 +17,7 @@
 //!    deliberately *not* hand-unrolled: measurements show LLVM already
 //!    auto-vectorizes this shape into SWAR lanes (SSE2/NEON), and manual
 //!    chunks-of-4/8 accumulator unrolls defeat the vectorizer and run
-//!    ~0.75–0.9× as fast. With the `simd` cargo feature on a toolchain
-//!    that has `std::simd` (detected by a build-script probe), the
-//!    fallback instead uses explicit `u64x8` lanes.
+//!    ~0.75–0.9× as fast.
 //!
 //! The [`scalar`] submodule keeps the naive reference loops: they are the
 //! parity oracle for tests and the baseline the kernel microbenches (and
@@ -64,7 +62,6 @@ pub mod scalar {
 
 /// Portable fallback: reborrow to equal length so LLVM elides bounds
 /// checks and auto-vectorizes the loop body into SWAR lanes.
-#[cfg(not(has_portable_simd))]
 mod fallback {
     pub fn popcount(words: &[u64]) -> usize {
         words.iter().map(|w| w.count_ones() as usize).sum()
@@ -96,82 +93,6 @@ mod fallback {
         let mut s = 0usize;
         for i in 0..n {
             s += (a[i] & b[i] & !c[i]).count_ones() as usize;
-        }
-        s
-    }
-}
-
-/// Explicit eight-lane `std::simd` fallback, compiled only when the `simd`
-/// cargo feature is enabled *and* the build-script probe confirmed the
-/// toolchain ships `std::simd` with the APIs we use (nightly). On stable
-/// the probe fails and the portable fallback above is used instead, so
-/// `--features simd` builds everywhere.
-#[cfg(has_portable_simd)]
-mod fallback {
-    use std::simd::{num::SimdUint, u64x8};
-
-    pub fn popcount(words: &[u64]) -> usize {
-        let chunks = words.chunks_exact(8);
-        let rem = chunks.remainder();
-        let mut acc = u64x8::splat(0);
-        for ch in chunks {
-            acc += u64x8::from_slice(ch).count_ones();
-        }
-        acc.reduce_sum() as usize + rem.iter().map(|w| w.count_ones() as usize).sum::<usize>()
-    }
-
-    pub fn and_count(a: &[u64], b: &[u64]) -> usize {
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let mut acc = u64x8::splat(0);
-        let mut i = 0;
-        while i + 8 <= n {
-            let t = u64x8::from_slice(&a[i..i + 8]) & u64x8::from_slice(&b[i..i + 8]);
-            acc += t.count_ones();
-            i += 8;
-        }
-        let mut s = acc.reduce_sum() as usize;
-        while i < n {
-            s += (a[i] & b[i]).count_ones() as usize;
-            i += 1;
-        }
-        s
-    }
-
-    pub fn and_not_count(a: &[u64], b: &[u64]) -> usize {
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let mut acc = u64x8::splat(0);
-        let mut i = 0;
-        while i + 8 <= n {
-            let t = u64x8::from_slice(&a[i..i + 8]) & !u64x8::from_slice(&b[i..i + 8]);
-            acc += t.count_ones();
-            i += 8;
-        }
-        let mut s = acc.reduce_sum() as usize;
-        while i < n {
-            s += (a[i] & !b[i]).count_ones() as usize;
-            i += 1;
-        }
-        s
-    }
-
-    pub fn count_and_andnot(a: &[u64], b: &[u64], c: &[u64]) -> usize {
-        let n = a.len().min(b.len()).min(c.len());
-        let (a, b, c) = (&a[..n], &b[..n], &c[..n]);
-        let mut acc = u64x8::splat(0);
-        let mut i = 0;
-        while i + 8 <= n {
-            let t = u64x8::from_slice(&a[i..i + 8])
-                & u64x8::from_slice(&b[i..i + 8])
-                & !u64x8::from_slice(&c[i..i + 8]);
-            acc += t.count_ones();
-            i += 8;
-        }
-        let mut s = acc.reduce_sum() as usize;
-        while i < n {
-            s += (a[i] & b[i] & !c[i]).count_ones() as usize;
-            i += 1;
         }
         s
     }
@@ -439,21 +360,10 @@ pub fn dispatch_name() -> &'static str {
         match level() {
             Level::Avx512 => "avx512-vpopcntdq",
             Level::Avx2 => "avx2-mula",
-            Level::Portable => portable_name(),
+            Level::Portable => "portable-autovec",
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        portable_name()
-    }
-}
-
-fn portable_name() -> &'static str {
-    #[cfg(has_portable_simd)]
-    {
-        "std-simd-u64x8"
-    }
-    #[cfg(not(has_portable_simd))]
     {
         "portable-autovec"
     }

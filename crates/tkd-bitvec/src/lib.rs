@@ -26,7 +26,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![cfg_attr(has_portable_simd, feature(portable_simd))]
 
 mod concise;
 mod dense;

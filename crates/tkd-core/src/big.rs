@@ -7,7 +7,9 @@
 //! * `Q = ∩[Qᵢ] − {o}` gives `MaxBitScore(o) = |Q|`, an upper bound that is
 //!   *tighter* than `MaxScore` (Lemma 3) and prunes via **Heuristic 2**;
 //! * `P = ∩[Pᵢ]` splits off `G(o) = P − F(o)`, the objects strictly worse
-//!   than `o` wherever comparable (all dominated);
+//!   than `o` wherever comparable (all dominated). Every column holds the
+//!   rows missing its dimension, so `F(o) ⊆ P` and `|G(o)| = |P| − |F(o)|`
+//!   — `F` is only ever counted ([`crate::preprocess::MaskCounts`]);
 //! * the residue `Q − P` — objects tying `o` in at least one common
 //!   dimension — is resolved exactly: a member ties `o` on *every* common
 //!   dimension iff it is **not** dominated (`nonD(o)`);
@@ -49,12 +51,11 @@ use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk, Outcome};
 use std::borrow::Cow;
-use tkd_bitvec::BitVec;
 use tkd_index::{BitmapIndex, BitmapIndexBuilder, RowScope};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// Precomputed inputs of Algorithm 4: the bitmap index plus the shared
-/// [`Preprocessed`] artifacts (`MaxScore` queue `F`, incomparable sets).
+/// [`Preprocessed`] artifacts (`MaxScore` queue `F`, mask counts).
 pub struct BigContext<'a> {
     ds: &'a Dataset,
     index: Cow<'a, BitmapIndex>,
@@ -157,24 +158,25 @@ pub(crate) fn big_score(
 
 /// What the scoring terms need to know about the candidate being scored.
 #[derive(Clone, Copy)]
-pub(crate) struct Candidate<'a> {
+pub(crate) struct Candidate {
     /// The candidate's observed dimensions.
     pub(crate) mask: DimMask,
     /// Its row in the index, when it lives there (its own bit is then
     /// excluded from its score).
     pub(crate) member: Option<usize>,
-    /// `F(o)`: the rows observing no dimension in common with the
-    /// candidate.
-    pub(crate) f: &'a BitVec,
+    /// `|F(o)|`: how many of the rows scored against observe no
+    /// dimension in common with the candidate.
+    pub(crate) f: usize,
 }
 
-impl<'a> Candidate<'a> {
-    /// Member `o` of `ds`, with its incomparable set from `pre`.
-    pub(crate) fn member(ds: &Dataset, pre: &'a Preprocessed, o: ObjectId) -> Self {
+impl Candidate {
+    /// Member `o` of `ds`, with its incomparable count from `pre`.
+    pub(crate) fn member(ds: &Dataset, pre: &Preprocessed, o: ObjectId) -> Self {
+        let mask = ds.mask(o);
         Candidate {
-            mask: ds.mask(o),
+            mask,
             member: Some(o as usize),
-            f: pre.f_of(ds, o),
+            f: pre.masks.incomparable(mask),
         }
     }
 }
@@ -212,7 +214,7 @@ pub(crate) fn big_score_over(
         return Outcome::PrunedBitmap;
     }
     let cand = match scope {
-        Some(s) => s.candidate(ds, pre, o),
+        Some(s) => s.candidate(ds, o),
         None => Candidate::member(ds, pre, o),
     };
     Outcome::Score(big_term(index, &cand, rows, scratch))
@@ -223,7 +225,7 @@ pub(crate) fn big_score_over(
 /// its bin, on an unlimited Heuristic-3 budget (BIG has none).
 pub(crate) fn big_term(
     index: &BitmapIndex,
-    cand: &Candidate<'_>,
+    cand: &Candidate,
     scope: Option<&RowScope>,
     scratch: &mut ScratchSpace,
 ) -> usize {
@@ -247,7 +249,7 @@ pub(crate) fn big_term(
 /// at some check iff it does at the end.
 pub(crate) fn score_term(
     index: &BitmapIndex,
-    cand: &Candidate<'_>,
+    cand: &Candidate,
     scope: Option<&RowScope>,
     scratch: &mut ScratchSpace,
     nond_left: &mut usize,
@@ -255,9 +257,9 @@ pub(crate) fn score_term(
     let ScratchSpace { q, p, sel, bin_sel } = scratch;
     index.q_into_selected_scoped(bin_sel, cand.member, scope, q);
     index.p_into_selected_scoped(bin_sel, scope, p);
-    // G(o) = P − F(o) = |P ∧ ¬F|: strictly-worse-or-missing everywhere,
-    // comparable.
-    let g = p.and_not_count(cand.f);
+    // G(o) = P − F(o): strictly-worse-or-missing everywhere, comparable.
+    // P holds every row of F(o), which misses each dimension P picks.
+    let g = p.count_ones() - cand.f;
     let (q_minus_p, non_d) = index.residue_counts(q, p, sel, bin_sel, cand.mask);
     if non_d > *nond_left {
         return None;

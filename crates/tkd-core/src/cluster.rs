@@ -9,12 +9,11 @@
 //! [`DynamicEngine`](crate::DynamicEngine) runs the **same terms** the
 //! in-process engines score with — [`crate::big`]'s `score_term`, at
 //! the exact picks for BIG and the binned ones for IBIG — against its own
-//! index, from **local
-//! state only**: the indexes it maintains under updates
-//! anyway, its live-aware incomparable windows, and its own scratch. So a
-//! shard worker in another process needs nothing global to score a
-//! candidate shipped as raw dimension values, keeps no second copy of its
-//! rows to do it, and no scoring code exists twice.
+//! index, from **local state only**: the indexes it maintains under
+//! updates anyway, its live rows' count per observation mask, and its
+//! own scratch. So a shard worker in another process needs nothing
+//! global to score a candidate shipped as raw dimension values, keeps no
+//! second copy of its rows to do it, and no scoring code exists twice.
 //!
 //! The division of labor over the wire:
 //!

@@ -15,9 +15,11 @@
 //!   boundary lands in the open last bin, a never observed dimension's
 //!   values share one bin, and only the per-slot pick tables follow the
 //!   index's value tables when a new distinct value arrives;
-//! * the shared [`Preprocessed`] artifacts — the incomparable sets
-//!   gain/lose bits in `O(masks)`, and the descending `MaxScore` queue is
-//!   recounted lazily at the next query.
+//! * the shared [`Preprocessed`] artifacts — the live rows' count per
+//!   observation mask, where an insert, a delete or an observedness flip
+//!   moves one count (BIG and IBIG read `F(o)` only as a count, see
+//!   [`crate::preprocess::MaskCounts`]), and the descending `MaxScore`
+//!   queue, recounted lazily at the next query.
 //!
 //! The queue keeps no state of its own. `MaxScore(o) = minᵢ |Tᵢ(o)|`
 //! (Lemma 2) is a rank count the exact index already holds: `|Tᵢ(o)| + 1`
@@ -54,8 +56,9 @@
 //! reads per constrained dimension, and for a subspace `S` only those
 //! observing a dimension of `S`, one read of each missing column. A
 //! subspace candidate is restricted to `S`: its column picks outside `S`
-//! become the all-ones column 0, and its incomparable set is the
-//! projection's (see `crate::scope`). The queue is recounted inside the
+//! become the all-ones column 0, and its incomparable count is the
+//! projection's, read off the scope rows' count per mask inside `S` (see
+//! `crate::scope`). The queue is recounted inside the
 //! scope over `S` — one histogram of the scope rows' value slots — so it
 //! is the queue a rebuild over the admitted, projected rows would sort,
 //! and the answer is that rebuild's, tie order included.
@@ -80,7 +83,7 @@ use crate::big::{big_term, score_term, Candidate};
 use crate::engine::scorer;
 use crate::maxscore::fill_queue;
 use crate::parallel::{new_slots, run_replay, slots_needed};
-use crate::preprocess::{incomparable_bitvecs, Preprocessed};
+use crate::preprocess::{MaskCounts, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::{ResultEntry, TkdResult};
 use crate::scope::Scope;
@@ -267,9 +270,6 @@ pub struct DynamicPartsRef<'a> {
     pub index: &'a BitmapIndex,
     /// The bin boundaries IBIG views the index through.
     pub boundaries: &'a BinBoundaries,
-    /// The maintained incomparable sets (only their keys are stored; the
-    /// sets and the queue beside them are derived at load).
-    pub pre: &'a Preprocessed,
     /// IBIG bin selection.
     pub bins: &'a BinChoice,
     /// Tombstone compaction policy.
@@ -283,8 +283,8 @@ pub struct DynamicPartsRef<'a> {
 /// The persisted logical state of a [`DynamicEngine`] — everything
 /// [`DynamicEngine::from_store_parts`] needs to resume bit-identically,
 /// and nothing derivable: the exact index is derived from the value
-/// tables, slots and live mask, each incomparable set from its key and
-/// the index, and the `MaxScore` queue and the scratch space are
+/// tables, slots and live mask, the count per observation mask from the
+/// live rows, and the `MaxScore` queue and the scratch space are
 /// recomputed as well.
 #[derive(Clone, Debug)]
 pub struct DynamicParts {
@@ -299,9 +299,6 @@ pub struct DynamicParts {
     pub slots: Vec<u32>,
     /// One bit per slot: set while the slot is live.
     pub live: BitVec,
-    /// The masks an incomparable set is kept for, strictly ascending
-    /// (stale ones a cell update left behind included).
-    pub f_keys: Vec<u64>,
     /// Slot → stable id (strictly increasing).
     pub stable_of: Vec<ObjectId>,
     /// Next stable id to hand out.
@@ -353,13 +350,8 @@ pub struct DynamicEngine {
     index: BitmapIndex,
     /// The binned index's boundaries over `index`.
     boundaries: BinBoundaries,
-    /// Maintained queue + incomparable sets, lent into query contexts.
+    /// Maintained queue + live count per mask, lent into query contexts.
     pre: Preprocessed,
-    /// Incomparable windows of shard-scoring candidates whose mask no
-    /// local row carries (`pre.f_sets` has no entry to lend). Never
-    /// persisted and dropped on every mutation, so the snapshot bytes
-    /// stay a pure function of the op history whatever was scored.
-    foreign_f: HashMap<u64, BitVec>,
     /// The queue needs a recount before the next query.
     queue_dirty: bool,
     /// One scratch per query thread, (re)sized on demand by
@@ -407,8 +399,10 @@ impl DynamicEngine {
             next_id: n as ObjectId,
             boundaries: BinBoundaries::build(&index, &vec![1; dims]),
             index,
-            pre: Preprocessed::from_parts(HashMap::new()),
-            foreign_f: HashMap::new(),
+            pre: Preprocessed {
+                queue: Vec::new(),
+                masks: MaskCounts::default(),
+            },
             queue_dirty: false,
             scratch: Vec::new(),
             bins: options.bins,
@@ -525,7 +519,7 @@ impl DynamicEngine {
     ) -> Result<ObjectId, UpdateError> {
         // Validated before any artifact is touched: inserts are atomic.
         let mask = tkd_model::validate_row(self.dims, row, self.ds.len())?;
-        // 1. Indexes and storage grow by one slot.
+        // 1. Indexes, storage and the mask counts grow by one row.
         self.index.append_row(|d| row[d]);
         self.boundaries.sync(&self.index);
         match label {
@@ -535,14 +529,8 @@ impl DynamicEngine {
         .expect("row already validated");
         self.live.push_live();
         self.standing.on_structural();
-        // 2. Incomparable sets: a bit for the newcomer in every mask's
-        //    set, plus an entry for its own mask if unseen.
-        for (key, bv) in self.pre.f_sets.iter_mut() {
-            bv.push(*key & mask.bits() == 0);
-        }
-        self.ensure_fset(mask);
-        self.foreign_f.clear();
-        // 3. Stable identity.
+        self.pre.masks.add(mask);
+        // 2. Stable identity.
         let id = self.next_id;
         self.next_id += 1;
         self.stable_of.push(id);
@@ -562,10 +550,7 @@ impl DynamicEngine {
         self.standing.on_structural();
         self.live.kill(slot);
         self.index.tombstone_row(slot);
-        for bv in self.pre.f_sets.values_mut() {
-            bv.clear(slot);
-        }
-        self.foreign_f.clear();
+        self.pre.masks.remove(self.ds.mask(slot as ObjectId));
         self.queue_dirty = true;
         self.stats.deletes += 1;
         self.maybe_compact();
@@ -610,21 +595,14 @@ impl DynamicEngine {
         self.ds
             .set_value(slot as ObjectId, dim, new)
             .expect("validated above");
-        // Observedness flips re-home the object across incomparable sets.
+        // An observedness flip moves the row to another mask's count.
         if old.is_some() != new.is_some() {
+            self.pre.masks.remove(mask);
             match new {
                 Some(_) => mask.set(dim),
                 None => mask.unset(dim),
             }
-            self.ensure_fset(mask);
-            for (key, bv) in self.pre.f_sets.iter_mut() {
-                if *key & mask.bits() == 0 {
-                    bv.set(slot);
-                } else {
-                    bv.clear(slot);
-                }
-            }
-            self.foreign_f.clear();
+            self.pre.masks.add(mask);
         }
         self.queue_dirty = true;
         Ok(())
@@ -943,10 +921,10 @@ impl DynamicEngine {
     /// `live ∧ ⋂ admitted(dimᵢ) ∧ ⋃_{d ∈ dims} observed(d)`
     /// ([`BitmapIndex::observing_any`]); every candidate's column picks
     /// outside `dims` become the all-ones column 0, and its incomparable
-    /// set is the projection's, the rows sharing no observed dimension
-    /// with it inside `dims`. The queue is recounted over `dims` inside
-    /// the scope, so entries, scores and tie order equal the rebuild's,
-    /// and for BIG so does every `PruneStats` counter
+    /// count is the projection's, the scope rows sharing no observed
+    /// dimension with it inside `dims`. The queue is recounted over
+    /// `dims` inside the scope, so entries, scores and tie order equal
+    /// the rebuild's, and for BIG so does every `PruneStats` counter
     /// (`tests/subspace_scope.rs`). Sequential; entry ids are **stable
     /// ids**.
     ///
@@ -977,7 +955,7 @@ impl DynamicEngine {
     ) -> Result<TkdResult, UpdateError> {
         let rows = RowScope::new(self.scope_rows(dims, constraints)?);
         let queue = self.scoped_queue(rows.bits(), dims);
-        let scope = Scope::new(rows, dims, &self.index, &self.pre);
+        let scope = Scope::new(rows, dims, &self.ds);
         self.fit_scratch(1);
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         let score = scorer(&self.ds, &binned, &self.pre, Some(&scope), q.algorithm);
@@ -1204,8 +1182,7 @@ impl DynamicEngine {
     // — see `crate::cluster` for why the shares add up. The candidate is
     // resolved against the maintained indexes by value, so it need not
     // live here; when it does, `member` names it by stable id and its own
-    // bit is left out of its score. Nothing is built, and after the
-    // first candidate of a mask no local row carries, nothing allocated.
+    // bit is left out of its score. Nothing is built or allocated.
 
     /// BIG phase 1: this engine's exact `|∩ᵢ Qᵢ|` for the candidate at
     /// the exact picks, its own bit included when it is a member — the
@@ -1239,8 +1216,7 @@ impl DynamicEngine {
         self.fit_scratch(1);
         let scratch = &mut self.scratch[0];
         scratch.sel = self.index.select_for(|d| values[d]);
-        let (f_sets, foreign_f) = (&self.pre.f_sets, &mut self.foreign_f);
-        let cand = shard_candidate(&self.index, f_sets, foreign_f, values, member);
+        let cand = shard_candidate(&self.pre.masks, values, member);
         Ok(big_term(&self.index, &cand, None, scratch))
     }
 
@@ -1261,8 +1237,7 @@ impl DynamicEngine {
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         scratch.bin_sel = binned.select_for(|d| values[d]);
         scratch.sel = self.index.select_for(|d| values[d]);
-        let (f_sets, foreign_f) = (&self.pre.f_sets, &mut self.foreign_f);
-        let cand = shard_candidate(&self.index, f_sets, foreign_f, values, member);
+        let cand = shard_candidate(&self.pre.masks, values, member);
         let mut unlimited = usize::MAX;
         let term = score_term(&self.index, &cand, None, scratch, &mut unlimited);
         Ok(term.expect("an unlimited budget is never overdrawn"))
@@ -1271,12 +1246,10 @@ impl DynamicEngine {
     // ----- persistence ----------------------------------------------------
 
     /// Export the engine's logical state in its stored form: value
-    /// tables, value slots, live mask and incomparable-set keys in place
-    /// of the artifacts derived from them.
+    /// tables, value slots and live mask in place of the artifacts
+    /// derived from them.
     pub fn to_store_parts(&self) -> DynamicParts {
         let index = &self.index;
-        let mut f_keys: Vec<u64> = self.pre.f_sets.keys().copied().collect();
-        f_keys.sort_unstable();
         DynamicParts {
             ds: self.ds.clone(),
             values: (0..self.dims).map(|d| index.values(d).to_vec()).collect(),
@@ -1284,7 +1257,6 @@ impl DynamicEngine {
                 .flat_map(|o| (0..self.dims).map(move |d| index.value_slot(o, d)))
                 .collect(),
             live: self.live.live_mask().clone(),
-            f_keys,
             stable_of: self.stable_of.clone(),
             next_id: self.next_id,
             boundaries: (0..self.dims)
@@ -1307,7 +1279,6 @@ impl DynamicEngine {
             next_id: self.next_id,
             index: &self.index,
             boundaries: &self.boundaries,
-            pre: &self.pre,
             bins: &self.bins,
             policy: self.policy,
             epoch: self.epoch,
@@ -1318,14 +1289,12 @@ impl DynamicEngine {
     /// Resume an engine from persisted parts (snapshot load) — the
     /// inverse of [`DynamicEngine::to_store_parts`]. The exact index is
     /// derived from the value tables and slots
-    /// ([`BitmapIndex::from_slots`]), each incomparable set from its key
-    /// (`live ∧ ⋀_{d ∈ key} missing_d`, read off the index's last
-    /// columns), scratch is rebuilt, and the `MaxScore` queue is
-    /// recounted at the first query. The checks are on the parts
+    /// ([`BitmapIndex::from_slots`]), the count per observation mask
+    /// from the live rows' masks, scratch is rebuilt, and the `MaxScore`
+    /// queue is recounted at the first query. The checks are on the parts
     /// themselves: consistent arities, the index's value tables and
-    /// slots, strictly increasing stable ids below `next_id` (the
-    /// tie-order invariant), strictly ascending keys naming dimensions
-    /// that exist, and a key for every live row's mask.
+    /// slots, and strictly increasing stable ids below `next_id` (the
+    /// tie-order invariant).
     ///
     /// # Errors
     /// A description of the first violated invariant. Bit-level integrity
@@ -1337,7 +1306,6 @@ impl DynamicEngine {
             values,
             slots,
             live,
-            f_keys,
             stable_of,
             next_id,
             boundaries,
@@ -1372,27 +1340,7 @@ impl DynamicEngine {
                 return Err(format!("stable id {last} is not below next_id {next_id}"));
             }
         }
-        if f_keys.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("incomparable-set keys are not strictly ascending".into());
-        }
-        let all = DimMask::all(dims).bits();
-        if let Some(&key) = f_keys.iter().find(|&&k| k == 0 || k & !all != 0) {
-            return Err(format!(
-                "incomparable-set key {key:#x} names no dimension of {dims}"
-            ));
-        }
-        let f_sets: HashMap<u64, BitVec> = f_keys
-            .into_iter()
-            .map(|key| (key, incomparable_set(&index, DimMask::from_bits(key))))
-            .collect();
-        for s in live.iter_live() {
-            let mask = ds.mask(s as ObjectId).bits();
-            if !f_sets.contains_key(&mask) {
-                return Err(format!(
-                    "no incomparable set for live mask {mask:#x} (slot {s})"
-                ));
-            }
-        }
+        let masks = MaskCounts::of(live.iter_live().map(|s| ds.mask(s as ObjectId)));
         Ok(DynamicEngine {
             dims,
             ds,
@@ -1401,8 +1349,10 @@ impl DynamicEngine {
             next_id,
             index,
             boundaries,
-            pre: Preprocessed::from_parts(f_sets),
-            foreign_f: HashMap::new(),
+            pre: Preprocessed {
+                queue: Vec::new(),
+                masks,
+            },
             queue_dirty: true,
             scratch: Vec::new(),
             bins,
@@ -1464,8 +1414,7 @@ impl DynamicEngine {
         };
         self.index = BitmapIndex::build(ds);
         self.boundaries = BinBoundaries::build(&self.index, &bins);
-        self.pre = Preprocessed::from_parts(incomparable_bitvecs(ds));
-        self.foreign_f.clear();
+        self.pre.masks = MaskCounts::of(ds.masks().iter().copied());
         self.queue_dirty = true;
         self.refresh();
     }
@@ -1490,16 +1439,6 @@ impl DynamicEngine {
         self.live.is_live(slot).then_some(slot)
     }
 
-    /// Make sure the incomparable-set table has an entry for `mask`,
-    /// building it over the live objects if absent.
-    fn ensure_fset(&mut self, mask: DimMask) {
-        let index = &self.index;
-        self.pre
-            .f_sets
-            .entry(mask.bits())
-            .or_insert_with(|| incomparable_set(index, mask));
-    }
-
     /// Recount the candidate queue over the live rows and every
     /// dimension (deferred until the next query so op batches pay it
     /// once).
@@ -1509,6 +1448,12 @@ impl DynamicEngine {
         }
         self.pre.queue = self.scoped_queue(self.live.live_mask(), DimMask::all(self.dims));
         self.queue_dirty = false;
+    }
+
+    /// The live rows' count per observation mask — what BIG and IBIG
+    /// read every incomparable set `F(o)` as.
+    pub fn mask_counts(&self) -> &MaskCounts {
+        &self.pre.masks
     }
 
     /// Test/diagnostic hook: the maintained queue in (stable id, MaxScore)
@@ -1623,38 +1568,21 @@ pub fn check_batch(
     Ok(())
 }
 
-/// The live slots observing no dimension in common with `mask`: the live
-/// mask ANDed with each of `mask`'s dimensions' last exact column, which
-/// holds exactly the live rows missing that dimension.
-fn incomparable_set(index: &BitmapIndex, mask: DimMask) -> BitVec {
-    let mut f = index.live_mask().clone();
-    for d in mask.iter() {
-        f.and_assign(index.column(d, index.num_columns(d) - 1));
-    }
-    f
-}
-
 /// A shard-scoring candidate as the engine's slots see it: its mask read
-/// off the shipped values, its window lent from the maintained
-/// incomparable sets when a local row carries that mask, else computed
-/// once into `foreign_f`.
-fn shard_candidate<'a>(
-    index: &BitmapIndex,
-    f_sets: &'a HashMap<u64, BitVec>,
-    foreign_f: &'a mut HashMap<u64, BitVec>,
-    values: &[Option<f64>],
-    member: Option<usize>,
-) -> Candidate<'a> {
+/// off the shipped values, its incomparable count off the live rows'
+/// count per mask — whether or not a local row carries its mask.
+fn shard_candidate(masks: &MaskCounts, values: &[Option<f64>], member: Option<usize>) -> Candidate {
     let observed = values.iter().enumerate().filter(|(_, v)| v.is_some());
     let mask = DimMask::from_indices(observed.map(|(d, _)| d));
-    let f = match f_sets.get(&mask.bits()) {
-        Some(f) => f,
-        None => foreign_f
-            .entry(mask.bits())
-            .or_insert_with(|| incomparable_set(index, mask)),
-    };
-    Candidate { mask, member, f }
+    Candidate {
+        mask,
+        member,
+        f: masks.incomparable(mask),
+    }
 }
+
+#[cfg(test)]
+mod mask_count_properties;
 
 #[cfg(test)]
 mod tests {
@@ -2035,61 +1963,9 @@ mod tests {
         }
         // A value table out of order.
         {
-            let mut p = parts.clone();
+            let mut p = parts;
             p.values[0].swap(0, 1);
             assert!(DynamicEngine::from_store_parts(p).is_err());
-        }
-        // Incomparable-set keys: 0, past `dims`, out of order.
-        let keys = &parts.f_keys;
-        for (keys, why) in [
-            ([&[0], &keys[..]].concat(), "names no dimension"),
-            ([&keys[..], &[1 << 4]].concat(), "names no dimension"),
-            (
-                keys.iter().rev().copied().collect(),
-                "not strictly ascending",
-            ),
-        ] {
-            let mut p = parts.clone();
-            p.f_keys = keys;
-            let err = DynamicEngine::from_store_parts(p).unwrap_err();
-            assert!(err.contains(why), "{err}");
-        }
-        // Missing incomparable set for a live mask.
-        {
-            let mut p = parts;
-            let key = p.ds.mask(0).bits();
-            p.f_keys.retain(|&k| k != key);
-            assert!(DynamicEngine::from_store_parts(p).is_err());
-        }
-    }
-
-    /// An incomparable set read off the index's last columns is the
-    /// brute-force set of live rows sharing no observed dimension with
-    /// the key — for every key, one naming a dimension no row observes
-    /// included, and with dead rows and cleared cells present.
-    #[test]
-    fn incomparable_sets_read_off_the_index_match_brute_force() {
-        let ds = Dataset::from_rows(
-            3,
-            &[
-                vec![Some(1.0), None, None],
-                vec![None, Some(2.0), None],
-                vec![Some(3.0), Some(1.0), None],
-                vec![Some(2.0), None, None],
-            ],
-        )
-        .unwrap();
-        let mut engine = engine_no_compaction(ds);
-        engine.delete(3).unwrap();
-        engine.update_value(2, 1, None).unwrap();
-        let n = engine.ds.len();
-        for key in 1..8u64 {
-            let mask = DimMask::from_bits(key);
-            let brute = (0..n).filter(|&s| {
-                engine.live.is_live(s) && !engine.ds.mask(s as ObjectId).intersects(mask)
-            });
-            let brute = BitVec::from_indices(n, brute);
-            assert_eq!(incomparable_set(&engine.index, mask), brute, "key {key:#b}");
         }
     }
 

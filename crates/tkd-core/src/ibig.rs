@@ -207,16 +207,15 @@ pub(crate) fn ibig_score_over(
         scratch.sel.restrict(s.dims);
     }
     let cand = match scope {
-        Some(s) => s.candidate(ds, pre, o),
+        Some(s) => s.candidate(ds, o),
         None => Candidate::member(ds, pre, o),
     };
     // Heuristic 3's budget: score(o) = |Q| − |F| − |nonD| beats τ only
-    // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms. F
-    // counts inside the scope, as Q does: the unscoped |F| would
-    // over-prune.
+    // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms. A
+    // scoped candidate's |F| counts inside the scope, as Q does: the
+    // unscoped |F| would over-prune.
     let mut nond_left = tau.map_or(usize::MAX, |t| {
-        let f = rows.map_or_else(|| cand.f.count_ones(), |r| cand.f.and_count(r.bits()));
-        max_bit_score.saturating_sub(f).saturating_sub(t)
+        max_bit_score.saturating_sub(cand.f).saturating_sub(t)
     });
     match score_term(exact, &cand, rows, scratch, &mut nond_left) {
         Some(score) => Outcome::Score(score),

@@ -67,7 +67,7 @@ pub use dynamic::{
     ScopeStats, UpdateError, UpdateOp, UpdateStats,
 };
 pub use engine::{EngineQuery, ParallelEngine};
-pub use preprocess::Preprocessed;
+pub use preprocess::{MaskCounts, Preprocessed};
 pub use query::{Algorithm, BinChoice, TieBreak, TkdQuery};
 pub use result::{ResultEntry, TkdResult};
 pub use scratch::ScratchSpace;

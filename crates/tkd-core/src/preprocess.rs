@@ -1,13 +1,16 @@
 //! Query-independent preprocessing shared by the index-guided algorithms.
 
 use crate::maxscore::{max_scores_sharing, queue_from_scores};
-use std::collections::HashMap;
-use tkd_bitvec::BitVec;
-use tkd_model::{stats, Dataset, ObjectId};
+use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// The shared preprocessing artifacts of the paper's Table 3 "MaxScore"
 /// column: the descending-`MaxScore` priority queue `F` (Fig. 5) and the
-/// per-mask incomparable sets `F(o)` as dense bit vectors.
+/// rows' count per observation mask, which sizes every incomparable set
+/// `F(o)` ([`MaskCounts::incomparable`]).
+///
+/// BIG and IBIG read `F(o)` only as a count: every range-encoded column
+/// also holds the rows missing its dimension, so `F(o) ⊆ P` and
+/// `|G(o)| = |P| − |F(o)|` (`docs/INTERNALS.md` § G = |P| − |F|).
 ///
 /// [`BigContext`](crate::big::BigContext) and
 /// [`IbigContext`](crate::ibig::IbigContext) both need these; building one
@@ -22,9 +25,9 @@ pub struct Preprocessed {
     /// Crate-visible so the dynamic update layer (`crate::dynamic`) can
     /// recount the queue in place.
     pub(crate) queue: Vec<(ObjectId, usize)>,
-    /// Keyed by observation-mask bits; crate-visible for the same reason
-    /// (inserts push a bit into every set, deletes clear one).
-    pub(crate) f_sets: HashMap<u64, BitVec>,
+    /// Crate-visible for the same reason: an insert, a delete or an
+    /// observedness flip moves one count.
+    pub(crate) masks: MaskCounts,
 }
 
 impl Preprocessed {
@@ -39,19 +42,7 @@ impl Preprocessed {
     pub(crate) fn build_sharing(ds: &Dataset, also: impl FnMut(usize, &[(f64, ObjectId)])) -> Self {
         Preprocessed {
             queue: queue_from_scores(max_scores_sharing(ds, also)),
-            f_sets: incomparable_bitvecs(ds),
-        }
-    }
-
-    /// The artifacts from their incomparable sets alone, beside an empty
-    /// queue that a `DynamicEngine` recounts — how its builds and
-    /// snapshot loads assemble them. Invariant validation lives with the
-    /// caller that knows the dataset — see
-    /// `DynamicEngine::from_store_parts`.
-    pub fn from_parts(f_sets: HashMap<u64, BitVec>) -> Self {
-        Preprocessed {
-            queue: Vec::new(),
-            f_sets,
+            masks: MaskCounts::of(ds.masks().iter().copied()),
         }
     }
 
@@ -59,35 +50,63 @@ impl Preprocessed {
     pub fn queue(&self) -> &[(ObjectId, usize)] {
         &self.queue
     }
-
-    /// The per-mask incomparable sets, keyed by observation-mask bits.
-    /// The snapshot codec persists the keys alone, sorted, so the map's
-    /// iteration order never leaks into the format.
-    pub fn f_sets(&self) -> &HashMap<u64, BitVec> {
-        &self.f_sets
-    }
-
-    /// `F(o)`: the incomparable set for `o`'s observation mask.
-    ///
-    /// # Panics
-    /// Panics if `o`'s mask was not seen at build time (i.e. `ds` is not
-    /// the dataset this was built from).
-    pub fn f_of(&self, ds: &Dataset, o: ObjectId) -> &BitVec {
-        &self.f_sets[&ds.mask(o).bits()]
-    }
 }
 
-/// Per-mask incomparable sets as dense bit vectors.
-pub(crate) fn incomparable_bitvecs(ds: &Dataset) -> HashMap<u64, BitVec> {
-    stats::incomparable_sets(ds)
-        .into_iter()
-        .map(|(mask, ids)| {
-            (
-                mask.bits(),
-                BitVec::from_indices(ds.len(), ids.into_iter().map(|i| i as usize)),
-            )
-        })
-        .collect()
+/// A row set's count per observation mask: `(mask bits, rows)` entries,
+/// ascending by mask, one for each mask some row carries — an entry
+/// leaves when its count reaches 0.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MaskCounts(Vec<(u64, usize)>);
+
+impl MaskCounts {
+    /// Count `masks`, one per row, in any order.
+    pub(crate) fn of(masks: impl IntoIterator<Item = DimMask>) -> Self {
+        let mut bits: Vec<u64> = masks.into_iter().map(DimMask::bits).collect();
+        bits.sort_unstable();
+        let mut entries: Vec<(u64, usize)> = Vec::new();
+        for m in bits {
+            match entries.last_mut() {
+                Some((last, count)) if *last == m => *count += 1,
+                _ => entries.push((m, 1)),
+            }
+        }
+        MaskCounts(entries)
+    }
+
+    /// The `(mask bits, rows)` entries, ascending by mask.
+    pub fn entries(&self) -> &[(u64, usize)] {
+        &self.0
+    }
+
+    /// `|F|` of a candidate observing `mask`: the rows observing no
+    /// dimension of it.
+    pub fn incomparable(&self, mask: DimMask) -> usize {
+        let disjoint = self.0.iter().filter(|&&(m, _)| m & mask.bits() == 0);
+        disjoint.map(|&(_, count)| count).sum()
+    }
+
+    /// Count one more row observing `mask`.
+    pub(crate) fn add(&mut self, mask: DimMask) {
+        match self.0.binary_search_by_key(&mask.bits(), |&(m, _)| m) {
+            Ok(at) => self.0[at].1 += 1,
+            Err(at) => self.0.insert(at, (mask.bits(), 1)),
+        }
+    }
+
+    /// Count one row observing `mask` less.
+    ///
+    /// # Panics
+    /// Panics if no row observing `mask` is counted.
+    pub(crate) fn remove(&mut self, mask: DimMask) {
+        let at = self
+            .0
+            .binary_search_by_key(&mask.bits(), |&(m, _)| m)
+            .expect("a counted mask");
+        self.0[at].1 -= 1;
+        if self.0[at].1 == 0 {
+            self.0.remove(at);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -101,15 +120,5 @@ mod tests {
         let ds = fixtures::fig3_sample();
         let pre = Preprocessed::build(&ds);
         assert_eq!(pre.queue(), maxscore_queue(&ds).as_slice());
-    }
-
-    #[test]
-    fn f_sets_cover_every_mask() {
-        let ds = fixtures::fig3_sample();
-        let pre = Preprocessed::build(&ds);
-        for o in ds.ids() {
-            // Must not panic, and an object is never incomparable to itself.
-            assert!(!pre.f_of(&ds, o).get(o as usize));
-        }
     }
 }

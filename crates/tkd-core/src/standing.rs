@@ -6,8 +6,9 @@
 //!
 //! # One result path
 //!
-//! [`super::dynamic`] maintains the bitmap index, the incomparable sets
-//! and the `(MaxScore desc, slot asc)` queue in place under every op, so
+//! [`super::dynamic`] maintains the bitmap index, the live count per
+//! observation mask and the `(MaxScore desc, slot asc)` queue in place
+//! under every op, so
 //! a full-space standing query's answer after a batch is the engine's own
 //! [`super::DynamicEngine::query`] — the sequential Algorithm 4 walk,
 //! ties by queue order — diffed against the previous answer. There is no

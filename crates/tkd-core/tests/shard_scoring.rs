@@ -8,14 +8,14 @@
 //! the per-shard partials must add up to the brute-force score and the
 //! phase-1 answers must bound it, through tombstones, masks that left a
 //! shard, values a shard has never indexed and a shard with no rows left.
-//! Scoring must also leave the persisted state alone: a candidate whose
-//! mask no local row carries needs a window the engine does not keep, and
-//! it may not leak into what a snapshot would hold (the byte form of this
-//! is `tests/shard_snapshot_purity.rs`, next to `tkd-store`).
+//! Scoring must also leave the engine's state alone, a candidate whose
+//! mask no local row carries included: the live rows' count per mask,
+//! which sizes every incomparable set, is what scoring reads of them (the
+//! byte form of this is `tests/shard_snapshot_purity.rs`, next to
+//! `tkd-store`).
 
 use proptest::test_runner::TestRng;
-use std::collections::HashMap;
-use tkd_bitvec::BitVec;
+use std::collections::HashSet;
 use tkd_core::dynamic::{CompactionPolicy, DynamicEngine, DynamicOptions, UpdateError, UpdateOp};
 use tkd_core::BinChoice;
 use tkd_model::{dominance, Dataset, ObjectId};
@@ -76,9 +76,15 @@ fn apply(shard: &mut DynamicEngine, op: UpdateOp) -> Option<ObjectId> {
     report.inserted_ids.first().copied()
 }
 
-/// The incomparable sets a snapshot of `shard` would persist.
-fn persisted_f_sets(shard: &mut DynamicEngine) -> HashMap<u64, BitVec> {
-    shard.store_parts_ref().pre.f_sets().clone()
+/// The bits of the dimensions `row` observes.
+fn mask_of(row: &Row) -> u64 {
+    (0..DIMS).map(|d| u64::from(row[d].is_some()) << d).sum()
+}
+
+/// The masks `shard`'s live rows carry.
+fn live_masks(shard: &DynamicEngine) -> HashSet<u64> {
+    let live = shard.live_ids().into_iter();
+    live.map(|id| mask_of(&row_of(shard, id))).collect()
 }
 
 /// All four answers to one candidate, as a worker would give them.
@@ -92,9 +98,9 @@ fn score(shard: &mut DynamicEngine, values: &Row, member: Option<ObjectId>) -> [
 }
 
 /// Σ partials ≡ brute force and sound phase-1 bounds for every live
-/// object of the merged shards — and none of that scoring shows in what a
-/// snapshot would persist. Returns how many (candidate, shard) pairs met a
-/// mask the shard keeps no incomparable set for.
+/// object of the merged shards — and none of that scoring shows in the
+/// shards' mask counts. Returns how many (candidate, shard) pairs met a
+/// mask no live row of the shard carries.
 fn assert_partials_add_up(shards: &mut [DynamicEngine], context: &str) -> usize {
     let mut rows = Vec::new();
     let mut homes = Vec::new();
@@ -106,13 +112,14 @@ fn assert_partials_add_up(shards: &mut [DynamicEngine], context: &str) -> usize 
     }
     let merged = Dataset::from_rows(DIMS, &rows).expect("valid rows");
     let scores = dominance::all_scores(&merged);
-    let before: Vec<_> = shards.iter_mut().map(persisted_f_sets).collect();
+    let carried: Vec<_> = shards.iter().map(live_masks).collect();
+    let before: Vec<_> = shards.iter().map(|s| s.mask_counts().clone()).collect();
     let mut foreign = 0;
     for ((values, &(home, id)), &want) in rows.iter().zip(&homes).zip(&scores) {
-        let mask: u64 = (0..DIMS).map(|d| u64::from(values[d].is_some()) << d).sum();
+        let mask = mask_of(values);
         let mut sums = [0usize; 4];
         for (j, shard) in shards.iter_mut().enumerate() {
-            foreign += usize::from(!before[j].contains_key(&mask));
+            foreign += usize::from(!carried[j].contains(&mask));
             let answers = score(shard, values, (j == home).then_some(id));
             for (sum, x) in sums.iter_mut().zip(answers) {
                 *sum += x;
@@ -125,9 +132,9 @@ fn assert_partials_add_up(shards: &mut [DynamicEngine], context: &str) -> usize 
         assert!(bound > want, "{context}: BIG bound of {id}@{home}");
         assert!(q_count > want, "{context}: IBIG |Q| of {id}@{home}");
     }
-    for (shard, before) in shards.iter_mut().zip(&before) {
-        let after = persisted_f_sets(shard);
-        assert!(after == *before, "{context}: scoring left a trace");
+    for (shard, before) in shards.iter().zip(&before) {
+        let after = shard.mask_counts();
+        assert!(after == before, "{context}: scoring left a trace");
     }
     foreign
 }

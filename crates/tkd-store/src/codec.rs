@@ -4,16 +4,16 @@
 //! state and its canonical byte form: `decode(encode(x))` restores `x`,
 //! and `encode(decode(b))` reproduces `b` byte for byte (the golden-file
 //! pin). Canonical form means: fixed field order, little-endian
-//! everywhere, `BitVec`s as `(bit length, word array)`, keys ascending,
-//! value slots in the narrowest width that holds them. Nothing derived is
-//! encoded: the exact index and the incomparable sets are rebuilt from
-//! the dataset's slots and the stored keys at load.
+//! everywhere, `BitVec`s as `(bit length, word array)`, value slots in
+//! the narrowest width that holds them. Nothing derived is encoded: the
+//! exact index and the count per observation mask are rebuilt from the
+//! dataset's slots and the live mask at load.
 
 use crate::error::StoreError;
 use crate::wire::{Reader, Writer};
 use tkd_bitvec::BitVec;
 use tkd_core::dynamic::DynamicPartsRef;
-use tkd_core::{BinChoice, CompactionPolicy, Preprocessed, UpdateStats};
+use tkd_core::{BinChoice, CompactionPolicy, UpdateStats};
 use tkd_index::{BinBoundaries, BitmapIndex};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
@@ -256,24 +256,6 @@ pub fn decode_boundaries(r: &mut Reader<'_>, dims: usize) -> Result<Vec<Vec<f64>
         bounds.push(words.into_iter().map(f64::from_bits).collect());
     }
     Ok(bounds)
-}
-
-// ----- incomparable-set keys ---------------------------------------------
-
-/// `nkeys u64 · keys nkeys×u64 ascending` — the masks an incomparable set
-/// is kept for, not the sets: a load derives each from the index.
-pub fn encode_keys(w: &mut Writer, pre: &Preprocessed) {
-    let mut keys: Vec<u64> = pre.f_sets().keys().copied().collect();
-    keys.sort_unstable(); // canonical: the map's order never leaks
-    w.put_u64(keys.len() as u64);
-    w.put_words(&keys);
-}
-
-/// Inverse of [`encode_keys`]; their order and range are checked where
-/// the engine adopts them ([`tkd_core::DynamicEngine::from_store_parts`]).
-pub fn decode_keys(r: &mut Reader<'_>) -> Result<Vec<u64>, StoreError> {
-    let nkeys = r.get_count_u64(8)?;
-    r.get_words(nkeys)
 }
 
 // ----- dynamic meta -------------------------------------------------------

@@ -18,9 +18,6 @@ pub enum Section {
     Dataset,
     /// The serialized [`tkd_index::BinBoundaries`] of the binned index.
     BinBoundaries,
-    /// The masks the incomparable sets of [`tkd_core::Preprocessed`] are
-    /// kept for.
-    IncomparableKeys,
     /// The serialized dynamic-engine state.
     Dynamic,
     /// A cluster shard manifest (`cluster.manifest`), not a snapshot
@@ -39,7 +36,6 @@ impl fmt::Display for Section {
             Section::Header => "header",
             Section::Dataset => "dataset",
             Section::BinBoundaries => "bin-boundaries",
-            Section::IncomparableKeys => "incomparable-keys",
             Section::Dynamic => "dynamic",
             Section::Manifest => "manifest",
             Section::Frame => "frame",

@@ -5,31 +5,31 @@
 //! `O(N·d)` bitmap + preprocessing construction. This crate persists the
 //! whole logical state of a [`DynamicEngine`] — the dataset, encoded
 //! against the exact [`tkd_index::BitmapIndex`]'s value tables, the bin
-//! boundaries the binned index views it through, the keys of the
-//! incomparable sets of [`tkd_core::Preprocessed`], and the dynamic
+//! boundaries the binned index views it through, and the dynamic
 //! bookkeeping (tombstones, stable ids, epoch, counters) — in a
 //! versioned binary format, and restores it **bit-identically**: a
 //! loaded engine answers every query with the same entries, scores, and
 //! tie order as the freshly built one (pinned by `tests/persist_*.rs`
 //! with the same differential discipline as the parallel and dynamic
-//! subsystems), and its derived artifacts equal the maintained ones bit
-//! for bit (`tests/derived_state.rs`).
+//! subsystems), and its derived artifacts equal the maintained ones
+//! (`tests/derived_state.rs`).
 //!
-//! # Format (version 5)
+//! # Format (version 6)
 //!
 //! ```text
 //! magic            8 bytes  "TKDSNAP\0"
-//! format_version   u32      5
-//! section_count    u32      4
-//! section table    4 × { kind u32, pad u32, offset u64, len u64, fnv64 u64 }
+//! format_version   u32      6
+//! section_count    u32      3
+//! section table    3 × { kind u32, pad u32, offset u64, len u64, fnv64 u64 }
 //! header checksum  u64      FNV-1a 64 of every byte above
-//! payloads         4 sections, each starting 8-byte aligned
+//! payloads         3 sections, each starting 8-byte aligned
 //! ```
 //!
 //! All integers are little-endian. Section kinds (in required order):
-//! 1 dataset, 2 bin boundaries, 3 incomparable-set keys, 4 dynamic state.
-//! A snapshot stores rows, not indexes — v5's change over v4, which also
-//! stored every bitmap column and incomparable set:
+//! 1 dataset, 2 bin boundaries, 3 dynamic state. A snapshot stores rows,
+//! not indexes (v5's change over v4, which also stored every bitmap
+//! column and incomparable set), and nothing about the incomparable sets
+//! (v6's change over v5, which stored the masks a set was kept for):
 //!
 //! * **dataset** — per dimension the exact index's sorted value table
 //!   (values a cell update left without holders included), then every
@@ -38,18 +38,18 @@
 //!   positions of the cells holding −0.0 (a table holds +0.0), then the
 //!   labels;
 //! * **bin boundaries** — per dimension, the binned view's boundaries;
-//! * **incomparable-set keys** — the masks a set is kept for, ascending;
 //! * **dynamic state** — stable ids, the live mask, bin choice,
 //!   compaction policy, epoch and counters.
 //!
 //! A load reads the dataset's values off the tables in the same pass
 //! that decodes the slots, derives the exact index from the slots
 //! ([`tkd_index::BitmapIndex::from_slots`], the column routine a build
-//! uses), each incomparable set as `live ∧ ⋀_{d ∈ key} missing_d`, the
-//! binned view from the boundaries, and recounts the `MaxScore` queue at
-//! the first query. With one stored copy of each fact, no stored pair can
+//! uses), counts the live rows per observation mask (all that BIG and
+//! IBIG read of an incomparable set is its size), derives the binned
+//! view from the boundaries, and recounts the `MaxScore` queue at the
+//! first query. With one stored copy of each fact, no stored pair can
 //! disagree, so a load checks its input — checksums, table order, slot
-//! ranges, key order, −0.0 positions, stable ids — and nothing else.
+//! ranges, −0.0 positions, stable ids — and nothing else.
 //!
 //! **Compatibility policy:** exact version match. A snapshot from any
 //! other format version fails with [`StoreError::VersionMismatch`] —
@@ -111,14 +111,13 @@ use wire::{Reader, Writer};
 pub const MAGIC: [u8; 8] = *b"TKDSNAP\0";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Section kinds, in their required file order.
-const KINDS: [(u32, Section); 4] = [
+const KINDS: [(u32, Section); 3] = [
     (1, Section::Dataset),
     (2, Section::BinBoundaries),
-    (3, Section::IncomparableKeys),
-    (4, Section::Dynamic),
+    (3, Section::Dynamic),
 ];
 
 /// Header bytes before the section table.
@@ -189,7 +188,6 @@ pub fn encode_engine(engine: &DynamicEngine) -> Vec<u8> {
     let payloads: [&dyn Fn(&mut Writer); KINDS.len()] = [
         &|w| codec::encode_dataset(w, parts.ds, parts.index),
         &|w| codec::encode_boundaries(w, parts.boundaries),
-        &|w| codec::encode_keys(w, parts.pre),
         &|w| codec::encode_dynamic(w, &parts),
     ];
     for (i, encode) in payloads.iter().enumerate() {
@@ -335,9 +333,6 @@ pub fn decode_engine(bytes: &[u8]) -> Result<DynamicEngine, StoreError> {
     let boundaries = codec::decode_boundaries(&mut r, dataset.ds.dims())?;
     r.finish()?;
     let mut r = reader(2);
-    let f_keys = codec::decode_keys(&mut r)?;
-    r.finish()?;
-    let mut r = reader(3);
     let meta = codec::decode_dynamic(&mut r)?;
     r.finish()?;
 
@@ -346,7 +341,6 @@ pub fn decode_engine(bytes: &[u8]) -> Result<DynamicEngine, StoreError> {
         values: dataset.values,
         slots: dataset.slots,
         live: meta.live,
-        f_keys,
         stable_of: meta.stable_of,
         next_id: meta.next_id,
         boundaries,
@@ -545,12 +539,12 @@ mod tests {
             err,
             StoreError::VersionMismatch {
                 found: 3,
-                expected: 5
+                expected: 6
             }
         );
         assert_eq!(
             err.to_string(),
-            "snapshot format version 3 is not the supported version 5; \
+            "snapshot format version 3 is not the supported version 6; \
              re-create the snapshot with `tkdq build`"
         );
     }
@@ -565,7 +559,7 @@ mod tests {
             decode_engine(&bytes).unwrap_err(),
             StoreError::VersionMismatch {
                 found: 4,
-                expected: 5
+                expected: 6
             }
         );
     }

@@ -526,7 +526,7 @@ mod tests {
         w.put_u32(1);
         w.put_u8(0);
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes, Section::IncomparableKeys);
+        let mut r = Reader::new(&bytes, Section::Dynamic);
         let _ = r.get_u32().unwrap();
         assert!(matches!(
             r.finish().unwrap_err(),

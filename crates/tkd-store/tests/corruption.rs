@@ -146,8 +146,8 @@ fn truncation_at_every_section_boundary_of_the_large_snapshot() {
     let bytes = large_snapshot();
     let cuts = section_boundaries(&bytes);
     // Section ends often coincide with the next offset and dedup to one
-    // cut: header, table, 4 section starts, EOF.
-    assert!(cuts.len() >= 7, "boundary enumeration looks too small");
+    // cut: header, table, 3 section starts, EOF.
+    assert!(cuts.len() >= 6, "boundary enumeration looks too small");
     for &cut in &cuts {
         if cut == bytes.len() {
             continue;
@@ -224,7 +224,7 @@ fn hostile_lengths_are_rejected_before_allocation() {
     // the dynamic section's stable ids.
     {
         let mut damaged = bytes.clone();
-        let (off, _) = section(&bytes, 3);
+        let (off, _) = section(&bytes, 2);
         let nslots = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
         let at = off + 12 + 4 * nslots;
         damaged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -239,7 +239,7 @@ fn hostile_lengths_are_rejected_before_allocation() {
 #[test]
 fn content_tampering_behind_valid_checksums_is_caught_structurally() {
     let bytes = large_snapshot();
-    let dynamic_entry = 16 + 3 * 32;
+    let dynamic_entry = 16 + 2 * 32;
     let dyn_off = u64::from_le_bytes(
         bytes[dynamic_entry + 8..dynamic_entry + 16]
             .try_into()
@@ -266,7 +266,7 @@ fn nonzero_section_padding_is_rejected() {
     // pad byte (outside every checksum) must be caught structurally.
     let bytes = large_snapshot();
     let mut padded = 0;
-    for i in 0..4 {
+    for i in 0..3 {
         let (off, len) = section(&bytes, i);
         for pad in off + len..(off + len).div_ceil(8) * 8 {
             let mut damaged = bytes.clone();
@@ -412,28 +412,34 @@ fn negative_zero_positions_out_of_range_order_or_zero_cells_are_rejected() {
     assert_tamper_rejected(&bytes, "non-zero cell", |b| put(b, 0, 4));
 }
 
-/// Incomparable-set keys tampered behind valid checksums — 0, a mask
-/// naming a dimension past `dims`, or two keys out of order — are
-/// rejected.
+/// A v6 section table tampered behind valid checksums — a fourth
+/// section (v5 kept the incomparable-set keys in one), the kinds out of
+/// their required order, or v5's kind number 4 for the dynamic state —
+/// is rejected before any payload is read.
 #[test]
-fn incomparable_set_keys_that_are_zero_past_dims_or_unordered_are_rejected() {
+fn section_tables_other_than_v6_three_are_rejected() {
     let bytes = large_snapshot();
-    let (off, _) = section(&bytes, 2);
-    let nkeys = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
-    assert!(nkeys >= 2, "the large snapshot keeps several keys");
-    let key = |i: usize| off + 8 + 8 * i;
-    assert_tamper_rejected(&bytes, "key 0", |b| {
-        b[key(0)..key(0) + 8].copy_from_slice(&0u64.to_le_bytes())
-    });
-    assert_tamper_rejected(&bytes, "key past dims", |b| {
-        let last = key(nkeys - 1);
-        b[last..last + 8].copy_from_slice(&(1u64 << 4).to_le_bytes())
-    });
-    assert_tamper_rejected(&bytes, "keys out of order", |b| {
-        for i in 0..8 {
-            b.swap(key(0) + i, key(1) + i);
+    let kind_at = |i: usize| 16 + i * 32;
+    let put_kind = |b: &mut Vec<u8>, i: usize, kind: u32| {
+        b[kind_at(i)..kind_at(i) + 4].copy_from_slice(&kind.to_le_bytes())
+    };
+    let tampered = |what: &str, edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut damaged = bytes.clone();
+        edit(&mut damaged);
+        fix_checksums(&mut damaged);
+        match decode_engine(&damaged) {
+            Err(StoreError::BadSectionTable { .. }) => {}
+            other => panic!("{what}: expected BadSectionTable, got {other:?}"),
         }
+    };
+    tampered("four sections", &|b| {
+        b[12..16].copy_from_slice(&4u32.to_le_bytes())
     });
+    tampered("kinds swapped", &|b| {
+        put_kind(b, 1, 3);
+        put_kind(b, 2, 2);
+    });
+    tampered("v5 dynamic kind", &|b| put_kind(b, 2, 4));
 }
 
 /// The bin-boundaries section tampered behind valid checksums — a dims

@@ -1,10 +1,10 @@
 //! Derived ≡ maintained, artifact by artifact: a snapshot stores rows —
-//! value tables, value slots, the live mask, incomparable-set keys — and
-//! a load derives the exact index and the incomparable sets from them.
+//! value tables, value slots, the live mask — and a load derives the
+//! exact index and the live rows' count per observation mask from them.
 //! After any op history, `decode_engine(encode_engine(e))` must hold
-//! every exact column, value slot, value table, incomparable-set key and
-//! bit, and live bit that `e` maintains, give the same answers, and
-//! re-encode to the same bytes. Answer parity alone (the
+//! every exact column, value slot, value table, live bit and mask count
+//! that `e` maintains, give the same answers, and re-encode to the same
+//! bytes. Answer parity alone (the
 //! `persist_parity` suite) cannot see a wrong bit at a dead slot or in a
 //! column no query reads; this suite compares the artifacts themselves.
 
@@ -101,21 +101,13 @@ fn assert_derived_equals_maintained(engine: &mut DynamicEngine, ctx: &str) {
     {
         let (kept, derived) = (engine.store_parts_ref(), loaded.store_parts_ref());
         assert_same_index(kept.index, derived.index, ctx);
-        let (kept_f, derived_f) = (kept.pre.f_sets(), derived.pre.f_sets());
-        let mut keys: Vec<u64> = kept_f.keys().copied().collect();
-        keys.sort_unstable();
-        let mut derived_keys: Vec<u64> = derived_f.keys().copied().collect();
-        derived_keys.sort_unstable();
-        assert_eq!(keys, derived_keys, "{ctx}: incomparable-set keys");
-        for key in keys {
-            assert_eq!(kept_f[&key], derived_f[&key], "{ctx}: F({key:#x})");
-        }
         assert_eq!(cell_bits(kept.ds), cell_bits(derived.ds), "{ctx}: cells");
         assert_eq!(kept.ds.masks(), derived.ds.masks(), "{ctx}: masks");
         assert_eq!(kept.ds.labels(), derived.ds.labels(), "{ctx}: labels");
         assert_eq!(kept.stable_of, derived.stable_of, "{ctx}: stable ids");
         assert_eq!(kept.next_id, derived.next_id, "{ctx}: next id");
     }
+    assert_eq!(engine.mask_counts(), loaded.mask_counts(), "{ctx}: masks");
     assert_eq!(
         engine.maintained_queue(),
         loaded.maintained_queue(),
@@ -171,8 +163,8 @@ fn has_holderless_value(index: &BitmapIndex) -> bool {
 /// One stream spelled out so that every case the derivation must get
 /// right is present at once, each asserted before the comparison: a new
 /// value spliced in, a value left without holders, a dead row with a
-/// missing cell, a stale incomparable-set key, −0.0 cells — then the
-/// same after a compaction.
+/// missing cell, a mask that left with its last live row, −0.0 cells —
+/// then the same after a compaction.
 #[test]
 fn every_maintained_artifact_survives_a_load() {
     let ds = Dataset::from_rows(
@@ -195,7 +187,7 @@ fn every_maintained_artifact_survives_a_load() {
         UpdateOp::Insert(vec![Some(-0.0), Some(0.5), None]),
         // Row 3 alone holds 9.0 at dim 2: clearing it leaves 9.0
         // without holders, and flips row 3's mask to one no other row
-        // carries — its key goes stale when row 3 dies below.
+        // carries — its count reaches 0 when row 3 dies below.
         UpdateOp::Set(3, 2, None),
         UpdateOp::Set(0, 2, Some(-0.0)),
         // Row 1 misses dim 1: a dead row with a missing cell.
@@ -213,8 +205,10 @@ fn every_maintained_artifact_survives_a_load() {
             .filter(|&s| parts.index.live_mask().get(s))
             .map(|s| parts.ds.mask(s as ObjectId).bits())
             .collect();
-        let stale = parts.pre.f_sets().keys().any(|k| !live_masks.contains(k));
-        assert!(stale, "a stale incomparable-set key");
+        let left = (0..parts.ds.len())
+            .map(|s| parts.ds.mask(s as ObjectId).bits())
+            .any(|m| !live_masks.contains(&m));
+        assert!(left, "a mask that left with its last live row");
         let neg_zero = cell_bits(parts.ds).contains(&(-0.0f64).to_bits());
         assert!(neg_zero, "a −0.0 cell");
     }

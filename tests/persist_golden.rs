@@ -14,7 +14,8 @@
 //! * **Version gate** — a snapshot stamped with any other format version
 //!   fails with [`StoreError::VersionMismatch`], never a partial load:
 //!   no version has a migration path; snapshots are caches, rebuilt with
-//!   `tkdq build`.
+//!   `tkdq build`. `tests/golden/fig3.v5.tkdsnap`, the same example as
+//!   the last version-5 writer saved it, is refused so.
 //!
 //! To regenerate after an intentional format change:
 //! `cargo test --test persist_golden regenerate_golden -- --ignored`
@@ -24,6 +25,7 @@ use tkdi::prelude::*;
 use tkdi::store::{self, StoreError, FORMAT_VERSION};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig3.tkdsnap");
+const GOLDEN_V5: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig3.v5.tkdsnap");
 
 #[test]
 fn golden_loads_and_reproduces_fig3_answer() {
@@ -71,6 +73,17 @@ fn version_bump_fails_with_clean_mismatch() {
     // The message tells the operator what to do.
     let msg = store::decode_engine(&bytes).unwrap_err().to_string();
     assert!(msg.contains("tkdq build"), "unhelpful message: {msg}");
+}
+
+#[test]
+fn a_v5_snapshot_is_refused_with_version_mismatch() {
+    let bytes = std::fs::read(GOLDEN_V5).expect("v5 golden file present");
+    match store::decode_engine(&bytes) {
+        Err(StoreError::VersionMismatch { found, expected }) => {
+            assert_eq!((found, expected), (5, FORMAT_VERSION));
+        }
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
 }
 
 /// Not a test: regenerates the golden file after an intentional format

@@ -2,8 +2,8 @@
 //! of which candidates it was asked to score. Cluster workers score on
 //! the engine they snapshot, and replay repair compares those snapshots
 //! with engines that were never queried; a candidate whose mask no local
-//! row carries needs an incomparable window the engine does not keep, and
-//! it must stay out of the persisted state. The byte form of what
+//! row carries is scored too, and nothing of it may reach the persisted
+//! state. The byte form of what
 //! `crates/tkd-core/tests/shard_scoring.rs` pins on the parts.
 
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
@@ -24,8 +24,10 @@ fn scoring_leaves_the_snapshot_bytes_alone() {
         UpdateOp::Set(11, 0, Some(42.0)),
     ];
     assert_eq!(engine.apply_ops(&ops).error, None, "valid ops");
-    let kept = engine.store_parts_ref().pre.f_sets().clone();
-    let foreign = (1..16u64).find(|mask| !kept.contains_key(mask));
+    let observed = |id, d| engine.value(id, d).unwrap().is_some();
+    let mask_of = |id| (0..4).map(|d| u64::from(observed(id, d)) << d).sum::<u64>();
+    let live: Vec<u64> = engine.live_ids().into_iter().map(mask_of).collect();
+    let foreign = (1..16u64).find(|mask| !live.contains(mask));
     let foreign = foreign.expect("fig. 3 does not carry all 15 masks");
     let candidates: [(Vec<Option<f64>>, Option<u32>); 3] = [
         (
