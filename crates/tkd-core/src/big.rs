@@ -17,21 +17,25 @@
 //!
 //! # Where the algorithm lives
 //!
-//! BIG-Score (Algorithm 3) is written **once**, against one index:
-//! `big_score_over` reads the candidate's column picks off its stored
-//! value slots ([`BitmapIndex::selection_of`]), takes the Heuristic 2
-//! decision with the budgeted scan, and returns `score_term` —
+//! BIG-Score (Algorithm 3) is written **once**, against one index, in two
+//! steps. `big_measure` reads the candidate's column picks off its stored
+//! value slots ([`BitmapIndex::selection_of`]), runs the Heuristic 2
+//! budgeted scan at the loosest τ the walk's replays hold, and unless
+//! that scan prunes for all of them takes `term_counts` — the counts of
 //! `|P − F| + |Q − P − nonD|`, the term IBIG shares ([`crate::ibig`]).
-//! Every in-process engine scores through it: the sequential
-//! [`big_with_scratch`], and the parallel paths
-//! ([`crate::engine::ParallelEngine`], [`crate::TkdQuery::threads`],
+//! `big_decide` turns those counts and one replay's τ into that replay's
+//! outcome. A walk measures each visited candidate once for every query
+//! of a batch and decides per query (`crate::topk`'s `walk`); a single
+//! query is the one-replay case. Every in-process engine scores through
+//! it: the sequential [`big_with_scratch`], the batched
+//! [`crate::engine::ParallelEngine::query_many`], and the parallel paths
+//! ([`crate::engine::ParallelEngine::query`], [`crate::TkdQuery::threads`],
 //! [`crate::DynamicEngine::query_threads`]), which split the queue across
 //! workers over the same index and merge by replay ([`crate::parallel`]),
 //! so entries, scores, tie order **and**, with one thread, every
 //! `PruneStats` counter agree. A cluster worker
 //! ([`crate::DynamicEngine::big_partial`]) calls the term alone against
-//! the engine hosting its shard. The traversal (Algorithm 4) is
-//! `crate::topk`'s `walk`.
+//! the engine hosting its shard.
 //!
 //! The scoring path is **allocation-free** after context build: Heuristic 2
 //! is a fused multi-way AND-popcount that materializes nothing
@@ -45,11 +49,12 @@
 //! `d · ⌈N/64⌉` words per scored candidate, and blocks where `Q − P` is
 //! empty read no column.
 
+use crate::engine::Scorer;
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
-use crate::topk::{walk, Outcome};
+use crate::topk::{Need, Outcome};
 use std::borrow::Cow;
 use tkd_index::{BitmapIndex, BitmapIndexBuilder, RowScope};
 use tkd_model::{Dataset, DimMask, ObjectId};
@@ -122,6 +127,11 @@ impl<'a> BigContext<'a> {
     pub fn scratch(&self) -> ScratchSpace {
         ScratchSpace::new(self.ds.len())
     }
+
+    /// BIG-Score against this context's index.
+    pub(crate) fn scorer(&self) -> Scorer<'_> {
+        Scorer::big(self.ds, &self.index, &self.pre, None)
+    }
 }
 
 /// Answer a TKD query with BIG (builds the index and queue internally).
@@ -143,17 +153,18 @@ pub fn big_with(ctx: &BigContext<'_>, k: usize) -> TkdResult {
 /// # Panics
 /// Panics if `scratch` was sized for a different object count.
 pub fn big_with_scratch(ctx: &BigContext<'_>, k: usize, scratch: &mut ScratchSpace) -> TkdResult {
-    walk(ctx.pre.queue(), k, |o, tau| big_score(ctx, o, tau, scratch))
+    ctx.scorer().walk_one(ctx.pre.queue(), k, scratch)
 }
 
 /// BIG-Score (Algorithm 3) against the context's index.
-pub(crate) fn big_score(
+#[cfg(test)]
+fn big_score(
     ctx: &BigContext<'_>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
-    big_score_over(ctx.ds, &ctx.index, &ctx.pre, None, o, tau, scratch)
+    ctx.scorer().score(o, tau, scratch)
 }
 
 /// What the scoring terms need to know about the candidate being scored.
@@ -181,22 +192,56 @@ impl Candidate {
     }
 }
 
-/// BIG-Score (Algorithm 3) of member `o` of `ds` against `index`:
-/// Heuristic 2 on `tau`, then the exact score. [`Outcome::PrunedBitmap`]
-/// when Heuristic 2 discards `o` (its exact score is then never computed).
-/// With a `scope`, every set is ANDed with its rows and the candidate is
-/// restricted to its dimensions: the score counts only the rows in scope,
-/// compared inside the scope's dimensions (a constrained or subspace
-/// query). Allocation-free.
-pub(crate) fn big_score_over(
+/// What one visit of a candidate measured — the counts BIG-Score and
+/// IBIG-Score decide on, taken once for every replay of a walk
+/// ([`crate::topk::walk`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Measured {
+    /// Heuristic 2's `|∩ᵢ Qᵢ|`, the candidate's own bit included: exact
+    /// when above the budget it was scanned at, `None` when at or below
+    /// it (or, for BIG, when no replay held a τ to scan against).
+    pub(crate) q: Option<usize>,
+    /// The scoring term's counts, when some replay scores the candidate.
+    pub(crate) term: Option<Term>,
+}
+
+/// The counts of the scoring term `|P − F| + |Q − P − nonD|`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Term {
+    /// `|G(o)| = |P| − |F(o)|`.
+    pub(crate) g: usize,
+    /// `|Q − P|`, the rows tying the candidate somewhere.
+    pub(crate) q_minus_p: usize,
+    /// `|nonD(o)|`, the rows of `Q − P` it does not dominate.
+    pub(crate) non_d: usize,
+    /// `|F(o)|`, the rows it shares no observed dimension with.
+    pub(crate) f: usize,
+}
+
+impl Term {
+    /// How many rows the candidate dominates.
+    pub(crate) fn score(&self) -> usize {
+        self.g + self.q_minus_p - self.non_d
+    }
+}
+
+/// BIG-Score's measure step (Algorithm 3) of member `o` of `ds` against
+/// `index`: Heuristic 2's budgeted scan at the loosest τ `need` names —
+/// skipped while no replay holds one — and the term's counts unless that
+/// scan prunes for every replay. With a `scope`, every set is ANDed with
+/// its rows and the candidate is restricted to its dimensions: the score
+/// counts only the rows in scope, compared inside the scope's dimensions
+/// (a constrained or subspace query). Allocation-free.
+#[inline]
+pub(crate) fn big_measure(
     ds: &Dataset,
     index: &BitmapIndex,
     pre: &Preprocessed,
     scope: Option<&Scope>,
     o: ObjectId,
-    tau: Option<usize>,
+    need: Need,
     scratch: &mut ScratchSpace,
-) -> Outcome {
+) -> Measured {
     scratch.sel = index.selection_of(o as usize);
     if let Some(s) = scope {
         scratch.sel.restrict(s.dims);
@@ -208,21 +253,41 @@ pub(crate) fn big_score_over(
     // pass and writes nothing; survivors re-intersect in the term below —
     // redundant, but survivors enter the candidate set by construction, so
     // there are at most ~k of them per τ value.
-    let sel = &scratch.sel;
-    if matches!(tau, Some(tau) if index.q_count_selected_above_scoped(sel, rows, tau + 1).is_none())
-    {
-        return Outcome::PrunedBitmap;
+    let q = need
+        .tau
+        .and_then(|t| index.q_count_selected_above_scoped(&scratch.sel, rows, t + 1));
+    if q.is_none() && !need.unfilled {
+        return Measured { q, term: None };
     }
     let cand = match scope {
         Some(s) => s.candidate(ds, o),
         None => Candidate::member(ds, pre, o),
     };
-    Outcome::Score(big_term(index, &cand, rows, scratch))
+    scratch.bin_sel = scratch.sel;
+    let term = term_counts(index, &cand, rows, scratch);
+    Measured {
+        q,
+        term: Some(term),
+    }
 }
 
-/// BIG-Score's term: [`score_term`] at the exact picks resolved in
+/// BIG-Score's decide step for a replay holding `tau`: Heuristic 2 prunes
+/// when `|∩ᵢ Qᵢ| ≤ τ + 1`, anything else scores.
+#[inline]
+pub(crate) fn big_decide(m: &Measured, tau: Option<usize>) -> Outcome {
+    match tau {
+        Some(t) if m.q.is_none_or(|q| q <= t + 1) => Outcome::PrunedBitmap,
+        _ => Outcome::Score(
+            m.term
+                .expect("a candidate a replay scores is measured")
+                .score(),
+        ),
+    }
+}
+
+/// BIG-Score's term: the score at the exact picks resolved in
 /// `scratch.sel`, where no row of `Q − P` can sit below the candidate in
-/// its bin, on an unlimited Heuristic-3 budget (BIG has none).
+/// its bin.
 pub(crate) fn big_term(
     index: &BitmapIndex,
     cand: &Candidate,
@@ -230,30 +295,27 @@ pub(crate) fn big_term(
     scratch: &mut ScratchSpace,
 ) -> usize {
     scratch.bin_sel = scratch.sel;
-    let mut unlimited = usize::MAX;
-    score_term(index, cand, scope, scratch, &mut unlimited).expect("BIG has no budget")
+    term_counts(index, cand, scope, scratch).score()
 }
 
-/// The scoring term of BIG-Score and IBIG-Score: how many of the index's
-/// rows the candidate dominates, `|P − F| + |Q − P − nonD|`, over
-/// `scope`'s rows only when there is a scope — or `None` as soon as the
-/// `nonD` members overdraw `nond_left` (**Heuristic 3**; the members found
-/// are deducted from it otherwise).
+/// The scoring term of BIG-Score and IBIG-Score: the counts of
+/// `|P − F| + |Q − P − nonD|`, how many of the index's rows the candidate
+/// dominates, over `scope`'s rows only when there is a scope.
 ///
 /// `Q` and `P` are filled at the picks in `scratch.bin_sel` (the binned
 /// ones for IBIG, the exact ones for BIG), and `Q − P` is split in one
 /// fused pass against the exact picks in `scratch.sel`
 /// ([`BitmapIndex::residue_counts`]). Heuristic 3 is decided on the whole
-/// `nonD` count: the paper checks it after each probed dimension and each
-/// residue member, but the count only grows, so it overdraws the budget
-/// at some check iff it does at the end.
-pub(crate) fn score_term(
+/// `nonD` count ([`crate::ibig::ibig_decide`]): the paper checks it after
+/// each probed dimension and each residue member, but the count only
+/// grows, so it overdraws the budget at some check iff it does at the
+/// end.
+pub(crate) fn term_counts(
     index: &BitmapIndex,
     cand: &Candidate,
     scope: Option<&RowScope>,
     scratch: &mut ScratchSpace,
-    nond_left: &mut usize,
-) -> Option<usize> {
+) -> Term {
     let ScratchSpace { q, p, sel, bin_sel } = scratch;
     index.q_into_selected_scoped(bin_sel, cand.member, scope, q);
     index.p_into_selected_scoped(bin_sel, scope, p);
@@ -261,11 +323,12 @@ pub(crate) fn score_term(
     // P holds every row of F(o), which misses each dimension P picks.
     let g = p.count_ones() - cand.f;
     let (q_minus_p, non_d) = index.residue_counts(q, p, sel, bin_sel, cand.mask);
-    if non_d > *nond_left {
-        return None;
+    Term {
+        g,
+        q_minus_p,
+        non_d,
+        f: cand.f,
     }
-    *nond_left -= non_d;
-    Some(g + q_minus_p - non_d)
 }
 
 /// The test oracle of BIG-Score: a plain row scan over raw values that
@@ -295,7 +358,7 @@ fn big_score_alloc(ctx: &BigContext<'_>, o: ObjectId, tau: Option<usize>) -> Out
 /// Algorithm 4 driven by the allocating oracle scorer (test-only).
 #[cfg(test)]
 pub(crate) fn big_with_alloc(ctx: &BigContext<'_>, k: usize) -> TkdResult {
-    walk(ctx.pre.queue(), k, |o, tau| big_score_alloc(ctx, o, tau))
+    crate::topk::walk_scored(ctx.pre.queue(), k, |o, tau| big_score_alloc(ctx, o, tau))
 }
 
 /// `MaxBitScore(o)` of the full (unbinned) index — exposed for analysis and

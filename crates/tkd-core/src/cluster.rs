@@ -7,7 +7,7 @@
 //! partition of the live rows into shards, `score(o) = Σⱼ partialⱼ(o)`
 //! where `partialⱼ(o)` counts the shard-j rows `o` dominates. A shard's
 //! [`DynamicEngine`](crate::DynamicEngine) runs the **same terms** the
-//! in-process engines score with — [`crate::big`]'s `score_term`, at
+//! in-process engines score with — [`crate::big`]'s `term_counts`, at
 //! the exact picks for BIG and the binned ones for IBIG — against its own
 //! index, from **local state only**: the indexes it maintains under
 //! updates anyway, its live rows' count per observation mask, and its
@@ -70,7 +70,7 @@ mod tests {
     use crate::preprocess::Preprocessed;
     use crate::query::{Algorithm, TkdQuery};
     use crate::result::TkdResult;
-    use crate::topk::walk;
+    use crate::topk::walk_scored;
     use tkd_model::fixtures;
 
     /// A word-aligned partition of the id space into contiguous shards:
@@ -280,7 +280,7 @@ mod tests {
     fn drive(ds: &Dataset, shards: usize, k: usize, alg: Algorithm) -> TkdResult {
         let pre = Preprocessed::build(ds);
         let (plan, mut scorers) = scorers_for(ds, shards);
-        walk(pre.queue(), k, |o, tau| {
+        walk_scored(pre.queue(), k, |o, tau| {
             let values = values_of(ds, o as usize);
             let member = |j| member_of(&plan, j, o as usize);
             let total_q: usize = scorers

@@ -79,19 +79,18 @@
 //! compaction**: results and the mutation API speak stable ids, and the
 //! internal slot renumbering is invisible.
 
-use crate::big::{big_term, score_term, Candidate};
-use crate::engine::scorer;
+use crate::big::{big_term, term_counts, Candidate};
+use crate::engine::Scorer;
 use crate::maxscore::fill_queue;
 use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::{MaskCounts, Preprocessed};
-use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
+use crate::query::{break_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::{ResultEntry, TkdResult};
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::standing::{
     self, Notification, StandingId, StandingQuery, StandingSpec, StandingState, StandingStats,
 };
-use crate::topk::walk;
 use crate::EngineQuery;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -879,7 +878,7 @@ impl DynamicEngine {
         let threads = threads.max(1);
         self.fit_scratch(threads);
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
-        let scorer = scorer(&self.ds, &binned, &self.pre, None, q.algorithm);
+        let scorer = Scorer::of(q.algorithm, &self.ds, &binned, &self.pre, None);
         let queue = self.pre.queue();
         let slots = new_slots(slots_needed(threads, queue.len()));
         let result = run_replay(queue, q.k, &mut self.scratch[..threads], &slots, scorer);
@@ -958,9 +957,8 @@ impl DynamicEngine {
         let scope = Scope::new(rows, dims, &self.ds);
         self.fit_scratch(1);
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
-        let score = scorer(&self.ds, &binned, &self.pre, Some(&scope), q.algorithm);
-        let scratch = &mut self.scratch[0];
-        let result = walk(&queue, q.k, |o, tau| score(o, tau, scratch));
+        let scorer = Scorer::of(q.algorithm, &self.ds, &binned, &self.pre, Some(&scope));
+        let result = scorer.walk_one(&queue, q.k, &mut self.scratch[0]);
         Ok(self.stable_result(result, q.tie))
     }
 
@@ -1119,22 +1117,18 @@ impl DynamicEngine {
                 score: e.score,
             })
             .collect();
-        let mapped = TkdResult::new_ordered(entries, stats);
-        match tie {
-            TieBreak::ById => mapped,
-            TieBreak::Random(seed) => shuffle_ties(mapped, seed),
-        }
+        break_ties(TkdResult::new_ordered(entries, stats), tie)
     }
 
     /// Answer a batch of concurrent queries against the live state —
     /// the coalescing path of the network server: a
     /// [`crate::ParallelEngine`] borrowing the maintained indexes is made
-    /// **once** per batch (O(1) in the dataset) and the batch fans out
-    /// worker-per-query through
-    /// [`crate::ParallelEngine::query_many`]. Results come back in
-    /// batch order, each bit-identical (entries, scores, tie order) to
-    /// running [`DynamicEngine::query`] alone, and entry ids are
-    /// **stable ids**.
+    /// **once** per batch (O(1) in the dataset) and
+    /// [`crate::ParallelEngine::query_many`] answers every BIG query of
+    /// the batch from one walk of the queue and every IBIG query from
+    /// another. Results come back in batch order, each bit-identical
+    /// (entries, scores, tie order, `PruneStats`) to running
+    /// [`DynamicEngine::query`] alone, and entry ids are **stable ids**.
     ///
     /// # Errors
     /// [`UpdateError::UnsupportedAlgorithm`] if any query names anything
@@ -1221,8 +1215,8 @@ impl DynamicEngine {
     }
 
     /// IBIG phase 2: the same count at the binned picks — one shard term
-    /// of IBIG-Score on an unlimited Heuristic-3 budget (the real one is
-    /// global; see `crate::cluster`).
+    /// of IBIG-Score, which Heuristic 3 does not decide here (its budget
+    /// is global; see `crate::cluster`).
     ///
     /// # Errors
     /// As [`DynamicEngine::big_partial`].
@@ -1238,9 +1232,7 @@ impl DynamicEngine {
         scratch.bin_sel = binned.select_for(|d| values[d]);
         scratch.sel = self.index.select_for(|d| values[d]);
         let cand = shard_candidate(&self.pre.masks, values, member);
-        let mut unlimited = usize::MAX;
-        let term = score_term(&self.index, &cand, None, scratch, &mut unlimited);
-        Ok(term.expect("an unlimited budget is never overdrawn"))
+        Ok(term_counts(&self.index, &cand, None, scratch).score())
     }
 
     // ----- persistence ----------------------------------------------------

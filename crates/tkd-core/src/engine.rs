@@ -10,11 +10,14 @@
 //!   worker threads split the candidate queue over the one index,
 //!   exchanging the shared pruning threshold τ (see the
 //!   [`crate::parallel`] docs).
-//! * [`ParallelEngine::query_many`] parallelizes **across** a batch of
-//!   concurrent queries — the multi-user serving shape: each worker
-//!   drains queries from the batch and runs them sequentially against the
-//!   shared index, so the build is amortized over the whole batch and
-//!   per-query overhead is one pooled scratch checkout.
+//! * [`ParallelEngine::query_many`] answers a batch of concurrent
+//!   queries — the multi-user serving shape — with one walk of the
+//!   candidate queue per algorithm: every BIG query of the batch is a
+//!   replay of one walk, every IBIG query of another, each candidate
+//!   measured once and decided per query (`crate::topk`'s `walk`).
+//!   Workers take those walks and the reference-algorithm queries as
+//!   jobs, so the build is amortized over the whole batch and the
+//!   scoring over every query of an algorithm.
 //!
 //! Worker scratches and slot buffers are recycled through an internal
 //! pool, so after a warm-up query the engine performs a small constant
@@ -23,24 +26,25 @@
 //!
 //! Every algorithm routes to an implementation that is score- and
 //! order-identical to the corresponding single-threaded function: BIG and
-//! IBIG through the replay-merged scorers — the same `scorer` the
-//! dynamic engine's [`crate::DynamicEngine::query_threads`] runs —
+//! IBIG through one `Scorer` — the one the dynamic engine's
+//! [`crate::DynamicEngine::query_threads`] runs —
 //! Naive/ESB/UBB through the sequential reference implementations
 //! (reusing the engine's `MaxScore` queue where applicable).
 
-use crate::big::big_score_over;
-use crate::ibig::ibig_score_over;
-use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
+use crate::big::{big_decide, big_measure, Measured};
+use crate::ibig::{ibig_decide, ibig_measure};
+use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::preprocess::Preprocessed;
-use crate::query::{shuffle_ties, Algorithm, TieBreak};
+use crate::query::{break_ties, Algorithm, TieBreak};
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
+use crate::topk::{walk, walk_one, Need, Outcome, Replay};
 use crate::{esb, naive, ubb};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tkd_index::{BinnedBitmapIndex, BitmapIndexBuilder};
+use tkd_index::{BinnedBitmapIndex, BitmapIndex, BitmapIndexBuilder};
 use tkd_model::{Dataset, ObjectId};
 
 /// One query of a multi-user batch: `k`, the algorithm to answer it with,
@@ -79,25 +83,136 @@ impl EngineQuery {
     }
 }
 
-/// BIG-Score or IBIG-Score of a member of `ds` against one index — the
-/// exact one for BIG, its binned view for IBIG — and its preprocessing,
-/// over `scope`'s rows when there is a scope — the scorer both parallel
-/// paths hand [`run_replay`]: [`ParallelEngine`] over the index it built,
-/// and [`crate::DynamicEngine::query_threads`] over the one it maintains
-/// (and, scoped,
+/// BIG-Score or IBIG-Score of the members of `ds` against one index —
+/// the exact one for BIG, its binned view for IBIG — and its
+/// preprocessing, over `scope`'s rows when there is a scope. Every
+/// in-process BIG/IBIG path scores through one: the static contexts, the
+/// shared walk of [`ParallelEngine::query_many`], the parallel workers of
+/// [`run_replay`] ([`ParallelEngine::query`], [`crate::TkdQuery::threads`],
+/// [`crate::DynamicEngine::query_threads`]) and the scoped walks of
 /// [`crate::DynamicEngine::query_constrained`] and
-/// [`crate::DynamicEngine::query_subspace`]).
-pub(crate) fn scorer<'s>(
+/// [`crate::DynamicEngine::query_subspace`].
+#[derive(Clone, Copy)]
+pub(crate) struct Scorer<'s> {
     ds: &'s Dataset,
-    binned: &'s BinnedBitmapIndex<'s>,
     pre: &'s Preprocessed,
     scope: Option<&'s Scope>,
-    algorithm: Algorithm,
-) -> impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync + 's {
-    move |o, tau, scratch| match algorithm {
-        Algorithm::Big => big_score_over(ds, binned.exact(), pre, scope, o, tau, scratch),
-        Algorithm::Ibig => ibig_score_over(ds, binned, pre, scope, o, tau, scratch),
-        other => unreachable!("the replayed paths serve BIG/IBIG, got {other:?}"),
+    columns: Columns<'s>,
+}
+
+/// The index a scorer reads, which names its algorithm.
+#[derive(Clone, Copy)]
+enum Columns<'s> {
+    Big(&'s BitmapIndex),
+    Ibig(&'s BinnedBitmapIndex<'s>),
+}
+
+impl<'s> Scorer<'s> {
+    /// BIG-Score against `index`.
+    pub(crate) fn big(
+        ds: &'s Dataset,
+        index: &'s BitmapIndex,
+        pre: &'s Preprocessed,
+        scope: Option<&'s Scope>,
+    ) -> Self {
+        let columns = Columns::Big(index);
+        Scorer {
+            ds,
+            pre,
+            scope,
+            columns,
+        }
+    }
+
+    /// IBIG-Score against `binned`.
+    pub(crate) fn ibig(
+        ds: &'s Dataset,
+        binned: &'s BinnedBitmapIndex<'s>,
+        pre: &'s Preprocessed,
+        scope: Option<&'s Scope>,
+    ) -> Self {
+        let columns = Columns::Ibig(binned);
+        Scorer {
+            ds,
+            pre,
+            scope,
+            columns,
+        }
+    }
+
+    /// `algorithm`'s score against `binned` (BIG on its exact index).
+    pub(crate) fn of(
+        algorithm: Algorithm,
+        ds: &'s Dataset,
+        binned: &'s BinnedBitmapIndex<'s>,
+        pre: &'s Preprocessed,
+        scope: Option<&'s Scope>,
+    ) -> Self {
+        match algorithm {
+            Algorithm::Big => Scorer::big(ds, binned.exact(), pre, scope),
+            Algorithm::Ibig => Scorer::ibig(ds, binned, pre, scope),
+            other => unreachable!("the replayed paths serve BIG/IBIG, got {other:?}"),
+        }
+    }
+
+    /// The measure step: candidate `o`'s counts, at what `need` asks.
+    #[inline]
+    fn measure(&self, o: ObjectId, need: Need, scratch: &mut ScratchSpace) -> Measured {
+        let Scorer { ds, pre, scope, .. } = *self;
+        match self.columns {
+            Columns::Big(index) => big_measure(ds, index, pre, scope, o, need, scratch),
+            Columns::Ibig(binned) => ibig_measure(ds, binned, pre, scope, o, need, scratch),
+        }
+    }
+
+    /// The decide step: the outcome of a replay holding `tau`.
+    #[inline]
+    fn decide(&self, m: &Measured, tau: Option<usize>) -> Outcome {
+        match self.columns {
+            Columns::Big(_) => big_decide(m, tau),
+            Columns::Ibig(_) => ibig_decide(m, tau),
+        }
+    }
+
+    /// Candidate `o`'s outcome for a lone replay holding `tau` — what a
+    /// parallel worker publishes.
+    pub(crate) fn score(
+        &self,
+        o: ObjectId,
+        tau: Option<usize>,
+        scratch: &mut ScratchSpace,
+    ) -> Outcome {
+        self.decide(&self.measure(o, Need::of(tau), scratch), tau)
+    }
+
+    /// Walk `queue` once for every replay of `replays`.
+    pub(crate) fn walk(
+        &self,
+        queue: &[(ObjectId, usize)],
+        replays: &mut [Replay],
+        scratch: &mut ScratchSpace,
+    ) {
+        walk(
+            queue,
+            replays,
+            |o, need| self.measure(o, need, scratch),
+            |m, tau| self.decide(m, tau),
+        );
+    }
+
+    /// A single top-`k` query: the one-replay walk.
+    pub(crate) fn walk_one(
+        &self,
+        queue: &[(ObjectId, usize)],
+        k: usize,
+        scratch: &mut ScratchSpace,
+    ) -> TkdResult {
+        walk_one(
+            queue,
+            k,
+            |o, need| self.measure(o, need, scratch),
+            |m, tau| self.decide(m, tau),
+        )
     }
 }
 
@@ -263,51 +378,96 @@ impl<'a> ParallelEngine<'a> {
 
     /// Answer one query with all worker threads cooperating on it.
     pub fn query(&self, q: &EngineQuery) -> TkdResult {
-        self.run(q, self.threads)
+        break_ties(self.run(q, self.threads), q.tie)
     }
 
-    /// Answer a batch of concurrent queries, worker-per-query: each of
-    /// the engine's threads drains queries from the batch and runs them
-    /// against the shared index with a pooled scratch. Results come back
-    /// in batch order and are identical to running each query alone.
+    /// Answer a batch of concurrent queries. BIG and IBIG answer one walk
+    /// per algorithm: every query of the batch naming it is a replay of
+    /// the one traversal, which measures each candidate once and decides
+    /// per query (`crate::topk`'s `walk`), and each query's tie-break is
+    /// applied afterwards. Naive, ESB and UBB run per query. The engine's
+    /// threads take these jobs — a walk or a reference query — one at a
+    /// time, each with a pooled scratch. Results come back in batch order
+    /// and are identical to running each query alone: entries, scores,
+    /// tie order and every `PruneStats` counter.
     pub fn query_many(&self, queries: &[EngineQuery]) -> Vec<TkdResult> {
-        let threads = self.threads.min(queries.len()).max(1);
-        if threads == 1 {
-            return queries.iter().map(|q| self.run(q, 1)).collect();
-        }
+        let walks = [Algorithm::Big, Algorithm::Ibig]
+            .into_iter()
+            .filter(|&a| queries.iter().any(|q| q.algorithm == a))
+            .map(Job::Walk);
+        let alone = (0..queries.len())
+            .filter(|&i| !matches!(queries[i].algorithm, Algorithm::Big | Algorithm::Ibig))
+            .map(Job::Alone);
+        let jobs: Vec<Job> = walks.chain(alone).collect();
         let results: Vec<Mutex<Option<TkdResult>>> =
             queries.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    let r = self.run(&queries[i], 1);
-                    *results[i].lock().expect("result slot") = Some(r);
-                });
-            }
-        });
+        let run = |job: &Job| self.run_job(job, queries, &results);
+        let threads = self.threads.min(jobs.len()).max(1);
+        if threads == 1 {
+            jobs.iter().for_each(run);
+        } else {
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            run(job);
+                        }
+                    });
+                }
+            });
+        }
         results
             .into_iter()
             .map(|m| m.into_inner().expect("result slot").expect("query ran"))
             .collect()
     }
 
+    /// Run one job of a [`ParallelEngine::query_many`] batch, filling the
+    /// result slots of the queries it answers.
+    fn run_job(&self, job: &Job, queries: &[EngineQuery], results: &[Mutex<Option<TkdResult>>]) {
+        let answer = |i: usize, r: TkdResult| {
+            *results[i].lock().expect("result slot") = Some(break_ties(r, queries[i].tie));
+        };
+        match *job {
+            Job::Alone(i) => answer(i, self.run(&queries[i], 1)),
+            Job::Walk(algorithm) => {
+                let members = || (0..queries.len()).filter(|&i| queries[i].algorithm == algorithm);
+                let mut ks: Vec<usize> = members().map(|i| queries[i].k).collect();
+                ks.sort_unstable();
+                ks.dedup();
+                let mut scratch = self.pool.take_scratch(1, self.ds.len());
+                let scorer = Scorer::of(algorithm, self.ds, &self.binned, &self.pre, None);
+                let queue = self.pre.queue();
+                // A lone k walks a one-replay array, whose loops the
+                // compiler unrolls (the common single-query batch).
+                let answers: Vec<TkdResult> = if let [k] = ks[..] {
+                    vec![scorer.walk_one(queue, k, &mut scratch[0])]
+                } else {
+                    let mut replays: Vec<Replay> = ks.iter().map(|&k| Replay::new(k)).collect();
+                    scorer.walk(queue, &mut replays, &mut scratch[0]);
+                    replays.into_iter().map(Replay::finish).collect()
+                };
+                self.pool.put_scratch(scratch);
+                for i in members() {
+                    let at = ks
+                        .binary_search(&queries[i].k)
+                        .expect("every k has a replay");
+                    answer(i, answers[at].clone());
+                }
+            }
+        }
+    }
+
+    /// Answer `q` with `threads` workers, ties by ascending id.
     fn run(&self, q: &EngineQuery, threads: usize) -> TkdResult {
-        let result = match q.algorithm {
+        match q.algorithm {
             Algorithm::Big | Algorithm::Ibig => self.run_replayed(q, threads),
             // Reference algorithms for differential serving: sequential,
             // reusing the engine's MaxScore queue where applicable.
             Algorithm::Naive => naive::naive(self.ds, q.k),
             Algorithm::Esb => esb::esb(self.ds, q.k),
             Algorithm::Ubb => ubb::ubb_with_queue(self.ds, q.k, self.pre.queue()),
-        };
-        match q.tie {
-            TieBreak::ById => result,
-            TieBreak::Random(seed) => shuffle_ties(result, seed),
         }
     }
 
@@ -315,12 +475,20 @@ impl<'a> ParallelEngine<'a> {
         let queue = self.pre.queue();
         let mut workers = self.pool.take_scratch(threads, self.ds.len());
         let slots = self.pool.take_slots(slots_needed(threads, queue.len()));
-        let score = scorer(self.ds, &self.binned, &self.pre, None, q.algorithm);
-        let result = run_replay(queue, q.k, &mut workers, &slots, score);
+        let scorer = Scorer::of(q.algorithm, self.ds, &self.binned, &self.pre, None);
+        let result = run_replay(queue, q.k, &mut workers, &slots, scorer);
         self.pool.put_slots(slots);
         self.pool.put_scratch(workers);
         result
     }
+}
+
+/// One unit of a [`ParallelEngine::query_many`] batch.
+enum Job {
+    /// One walk answering every query of the batch naming the algorithm.
+    Walk(Algorithm),
+    /// The query at this batch position, answered alone.
+    Alone(usize),
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! dimension iff it is in each `[Qᵢ] ∧ ¬[Pᵢ]` or missing column. Both are
 //! counted in one fused word pass, the one BIG's residue runs
 //! ([`tkd_index::BitmapIndex::residue_counts`]): `crate::big`'s
-//! `score_term` is the term of both algorithms, BIG being the case where
+//! `term_counts` is the term of both algorithms, BIG being the case where
 //! the bin of a value is the value. At 50 000 × 8 (C = 100, σ = 0.1,
 //! `x* = 21`, k = 64, 2-vCPU host) this took a static-context IBIG query
 //! from 21.0–22.0 ms with `BTreeSet` probes and epoch-stamped
@@ -38,29 +38,34 @@
 //! # Where the algorithm lives
 //!
 //! IBIG-Score (Algorithm 5) is written **once**, against one
-//! [`BinnedBitmapIndex`]. `ibig_score_over` reads the candidate's binned
-//! picks off its stored value slots ([`BinnedBitmapIndex::selection_of`])
-//! and takes the Heuristic 2 decision on `|Q| − 1` with the budgeted scan
-//! BIG runs, at those picks. Only survivors reach the term, which runs
-//! under the Heuristic-3 budget. Every in-process engine scores through
-//! it: the sequential [`ibig_with_scratch`], and the parallel paths,
-//! which split the queue across workers over the same index and merge by
-//! replay ([`crate::parallel`]), so entries, scores, tie order **and**,
-//! with one thread, every `PruneStats` counter agree. A cluster worker
-//! ([`crate::DynamicEngine::ibig_partial`]) calls the term alone with an
-//! unlimited budget (Heuristic 3 needs the global τ). The traversal is
+//! [`BinnedBitmapIndex`], in BIG's two steps. `ibig_measure` reads the
+//! candidate's binned picks off its stored value slots
+//! ([`BinnedBitmapIndex::selection_of`]) and counts `|Q|` with the
+//! budgeted scan BIG runs, at those picks; only a candidate the scan
+//! leaves to some replay reaches the term. `ibig_decide` takes one
+//! replay's Heuristic 2 decision on `|Q| − 1` and its Heuristic 3
+//! decision on the term's `nonD`. Every in-process engine scores through
+//! it: the sequential [`ibig_with_scratch`], the batched
+//! [`crate::engine::ParallelEngine::query_many`] (one walk for every IBIG
+//! query of a batch), and the parallel paths, which split the queue
+//! across workers over the same index and merge by replay
+//! ([`crate::parallel`]), so entries, scores, tie order **and**, with one
+//! thread, every `PruneStats` counter agree. A cluster worker
+//! ([`crate::DynamicEngine::ibig_partial`]) calls the term alone with no
+//! Heuristic-3 budget (Heuristic 3 needs the global τ). The traversal is
 //! `crate::topk`'s `walk`.
 //!
 //! Like BIG, the scoring path is **allocation-free** after context build:
 //! a survivor's `Q`/`P` intersections are written straight into the
 //! caller's [`ScratchSpace`], and the residue pass writes nothing.
 
-use crate::big::{score_term, Candidate};
+use crate::big::{term_counts, Candidate, Measured};
+use crate::engine::Scorer;
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
-use crate::topk::{walk, Outcome};
+use crate::topk::{Need, Outcome};
 use std::borrow::Cow;
 use tkd_index::{cost, BinnedBitmapIndex, BitmapIndexBuilder};
 use tkd_model::{stats, Dataset, ObjectId};
@@ -128,6 +133,11 @@ impl<'a> IbigContext<'a> {
     pub fn scratch(&self) -> ScratchSpace {
         ScratchSpace::new(self.ds.len())
     }
+
+    /// IBIG-Score against this context's binned index.
+    pub(crate) fn scorer(&self) -> Scorer<'_> {
+        Scorer::ibig(self.ds, &self.binned, &self.pre, None)
+    }
 }
 
 /// Answer a TKD query with IBIG using the Eq. 8 automatic bin count (the
@@ -156,51 +166,55 @@ pub fn ibig_with(ctx: &IbigContext<'_>, k: usize) -> TkdResult {
 /// # Panics
 /// Panics if `scratch` was sized for a different object count.
 pub fn ibig_with_scratch(ctx: &IbigContext<'_>, k: usize, scratch: &mut ScratchSpace) -> TkdResult {
-    walk(ctx.pre.queue(), k, |o, tau| {
-        ibig_score(ctx, o, tau, scratch)
-    })
+    ctx.scorer().walk_one(ctx.pre.queue(), k, scratch)
 }
 
 /// IBIG-Score (Algorithm 5) against the context's binned index.
-pub(crate) fn ibig_score(
+#[cfg(test)]
+fn ibig_score(
     ctx: &IbigContext<'_>,
     o: ObjectId,
     tau: Option<usize>,
     scratch: &mut ScratchSpace,
 ) -> Outcome {
-    ibig_score_over(ctx.ds, &ctx.binned, &ctx.pre, None, o, tau, scratch)
+    ctx.scorer().score(o, tau, scratch)
 }
 
-/// IBIG-Score (Algorithm 5) of member `o` of `ds` against `binned`:
-/// Heuristic 2 on `tau`, then the exact score under the Heuristic-3
-/// budget. With a `scope`, every set and count is ANDed with its rows and
-/// the candidate is restricted to its dimensions (a constrained or
-/// subspace query). Allocation-free.
-pub(crate) fn ibig_score_over(
+/// IBIG-Score's measure step (Algorithm 5) of member `o` of `ds` against
+/// `index`: Heuristic 2's budgeted scan at the binned picks — at budget 0
+/// while some replay holds no τ, so the count comes back exact, else at
+/// the smallest τ + 1 `need` names — and, unless that scan prunes for
+/// every replay, the term's counts. With a `scope`, every set and count
+/// is ANDed with its rows and the candidate is restricted to its
+/// dimensions (a constrained or subspace query). Allocation-free.
+#[inline]
+pub(crate) fn ibig_measure(
     ds: &Dataset,
     index: &BinnedBitmapIndex<'_>,
     pre: &Preprocessed,
     scope: Option<&Scope>,
     o: ObjectId,
-    tau: Option<usize>,
+    need: Need,
     scratch: &mut ScratchSpace,
-) -> Outcome {
+) -> Measured {
     // Heuristic 2 — bitmap pruning (still sound under binning, §4.4), as
     // BIG takes it: o sits in every column it picks, so
     // MaxBitScore = |∩Qᵢ| − 1 ≤ τ reads |∩Qᵢ| ≤ τ + 1, decided by the
-    // budgeted scan without writing Q. With no τ yet the budget is 0 and
-    // the count (≥ 1, o's own bit) comes back exact.
+    // budgeted scan without writing Q.
     scratch.bin_sel = index.selection_of(o as usize);
     if let Some(s) = scope {
         scratch.bin_sel.restrict(s.dims);
     }
     let rows = scope.map(|s| &s.rows);
-    let budget = tau.map_or(0, |t| t + 1);
-    let exact = index.exact();
-    let Some(q_count) = exact.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget) else {
-        return Outcome::PrunedBitmap;
+    let budget = match need.tau {
+        Some(t) if !need.unfilled => t + 1,
+        _ => 0,
     };
-    let max_bit_score = q_count - 1;
+    let exact = index.exact();
+    let q = exact.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget);
+    if q.is_none() {
+        return Measured { q, term: None };
+    }
     // Survivors only: the exact picks the residue pass compares against.
     scratch.sel = exact.selection_of(o as usize);
     if let Some(s) = scope {
@@ -210,16 +224,30 @@ pub(crate) fn ibig_score_over(
         Some(s) => s.candidate(ds, o),
         None => Candidate::member(ds, pre, o),
     };
-    // Heuristic 3's budget: score(o) = |Q| − |F| − |nonD| beats τ only
-    // while |nonD| ≤ |Q| − |F| − τ. Nothing to beat until τ forms. A
-    // scoped candidate's |F| counts inside the scope, as Q does: the
-    // unscoped |F| would over-prune.
-    let mut nond_left = tau.map_or(usize::MAX, |t| {
-        max_bit_score.saturating_sub(cand.f).saturating_sub(t)
-    });
-    match score_term(exact, &cand, rows, scratch, &mut nond_left) {
-        Some(score) => Outcome::Score(score),
-        None => Outcome::PrunedPartial,
+    let term = term_counts(exact, &cand, rows, scratch);
+    Measured {
+        q,
+        term: Some(term),
+    }
+}
+
+/// IBIG-Score's decide step for a replay holding `tau`: Heuristic 2
+/// prunes when `|∩ᵢ Qᵢ| ≤ τ + 1`, and Heuristic 3 when the `nonD` members
+/// overdraw the budget `score(o) = |Q| − |F| − |nonD|` leaves above τ,
+/// `|nonD| > |∩ᵢ Qᵢ| − 1 − |F| − τ`. Nothing to beat until τ forms. A
+/// scoped candidate's `|F|` counts inside the scope, as `Q` does: the
+/// unscoped `|F|` would over-prune.
+#[inline]
+pub(crate) fn ibig_decide(m: &Measured, tau: Option<usize>) -> Outcome {
+    let (Some(q), Some(term)) = (m.q, m.term) else {
+        return Outcome::PrunedBitmap;
+    };
+    match tau {
+        Some(t) if q <= t + 1 => Outcome::PrunedBitmap,
+        Some(t) if term.non_d > (q - 1).saturating_sub(term.f).saturating_sub(t) => {
+            Outcome::PrunedPartial
+        }
+        _ => Outcome::Score(term.score()),
     }
 }
 
@@ -280,7 +308,7 @@ fn ibig_score_alloc(ctx: &IbigContext<'_>, o: ObjectId, tau: Option<usize>) -> O
 /// Algorithm 5 driven by the allocating oracle scorer (test-only).
 #[cfg(test)]
 pub(crate) fn ibig_with_alloc(ctx: &IbigContext<'_>, k: usize) -> TkdResult {
-    walk(ctx.pre.queue(), k, |o, tau| ibig_score_alloc(ctx, o, tau))
+    crate::topk::walk_scored(ctx.pre.queue(), k, |o, tau| ibig_score_alloc(ctx, o, tau))
 }
 
 #[cfg(test)]

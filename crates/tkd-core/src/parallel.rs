@@ -7,10 +7,11 @@
 //! [`crate::big`]'s and [`crate::ibig`]'s scorers, and the traversal is
 //! `crate::topk`'s [`Replay`] — the same state machine `walk` drives
 //! sequentially. This module adds only the scheduling and the bound
-//! exchange around them; with one worker `run_replay` *is* `walk`, so the
-//! whole run is the sequential algorithm, `PruneStats` included. Every
-//! in-process parallel path drives it: [`crate::engine::ParallelEngine`],
-//! [`crate::TkdQuery::threads`] and [`crate::DynamicEngine::query_threads`].
+//! exchange around them; with one worker `run_replay` *is* the
+//! one-replay `walk`, so the whole run is the sequential algorithm,
+//! `PruneStats` included. Every in-process parallel path drives it:
+//! [`crate::engine::ParallelEngine::query`], [`crate::TkdQuery::threads`]
+//! and [`crate::DynamicEngine::query_threads`].
 //!
 //! # Design
 //!
@@ -48,8 +49,10 @@
 //!
 //! [`ScratchSpace`]: crate::ScratchSpace
 
+use crate::engine::Scorer;
 use crate::result::TkdResult;
-use crate::topk::{walk, Replay};
+use crate::scratch::ScratchSpace;
+use crate::topk::Replay;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tkd_model::ObjectId;
@@ -141,10 +144,7 @@ fn try_merge(sh: &Shared<'_>) {
     }
 }
 
-fn worker_loop<W, F>(sh: &Shared<'_>, score: &F, w: &mut W)
-where
-    F: Fn(ObjectId, Option<usize>, &mut W) -> Outcome,
-{
+fn worker_loop(sh: &Shared<'_>, scorer: Scorer<'_>, scratch: &mut ScratchSpace) {
     let len = sh.queue.len();
     'claim: loop {
         if sh.stop.load(Ordering::Acquire) {
@@ -164,7 +164,7 @@ where
             // both prunes are conservative w.r.t. the sequential run.
             let out = match tau {
                 Some(t0) if max_score <= t0 => Outcome::PrunedBound,
-                _ => score(o, tau, w),
+                _ => scorer.score(o, tau, scratch),
             };
             sh.slots[t].store(encode(out), Ordering::Release);
         }
@@ -173,27 +173,24 @@ where
     try_merge(sh);
 }
 
-/// Drive `score` over the queue with one thread per entry of `workers`
-/// (each thread scores with its own worker state) and merge by replay.
-/// One worker is the sequential `walk` — fresh τ every candidate, no
+/// Drive `scorer` over the queue with one thread per entry of `workers`
+/// (each thread scores with its own scratch) and merge by replay. One
+/// worker is the sequential one-replay walk — fresh τ every candidate, no
 /// slots; more need `slots` to hold at least `queue.len()` zeroed entries
 /// (they are left dirty).
 ///
 /// # Panics
 /// Panics if `workers` is empty.
-pub(crate) fn run_replay<W: Send, F>(
+pub(crate) fn run_replay(
     queue: &[(ObjectId, usize)],
     k: usize,
-    workers: &mut [W],
+    workers: &mut [ScratchSpace],
     slots: &[AtomicU64],
-    score: F,
-) -> TkdResult
-where
-    F: Fn(ObjectId, Option<usize>, &mut W) -> Outcome + Sync,
-{
+    scorer: Scorer<'_>,
+) -> TkdResult {
     let (mine, others) = workers.split_first_mut().expect("at least one worker");
     if others.is_empty() {
-        return walk(queue, k, |o, tau| score(o, tau, mine));
+        return scorer.walk_one(queue, k, mine);
     }
     assert!(slots.len() >= queue.len(), "slot buffer too small");
     let shared = Shared {
@@ -211,10 +208,9 @@ where
     std::thread::scope(|s| {
         for w in others {
             let shared = &shared;
-            let score = &score;
-            s.spawn(move || worker_loop(shared, score, w));
+            s.spawn(move || worker_loop(shared, scorer, w));
         }
-        worker_loop(&shared, &score, mine);
+        worker_loop(&shared, scorer, mine);
     });
     // All workers joined: every claimed slot is written; drain the tail.
     merge_locked(&shared, &mut shared.merge.lock().expect("merge lock"));

@@ -1,8 +1,9 @@
 //! The unified query API: pick an algorithm, run, get a [`TkdResult`].
 
-use crate::big::{big_score, BigContext};
-use crate::ibig::{ibig_score, IbigContext};
-use crate::parallel::{new_slots, run_replay, slots_needed, Outcome};
+use crate::big::BigContext;
+use crate::engine::Scorer;
+use crate::ibig::IbigContext;
+use crate::parallel::{new_slots, run_replay, slots_needed};
 use crate::result::TkdResult;
 use crate::scratch::ScratchSpace;
 use crate::{esb, naive, ubb};
@@ -136,35 +137,23 @@ impl TkdQuery {
             Algorithm::Ubb => ubb::ubb(ds, self.k),
             Algorithm::Big => {
                 let ctx = BigContext::build(ds);
-                self.replay(ctx.preprocessed().queue(), ds.len(), |o, tau, s| {
-                    big_score(&ctx, o, tau, s)
-                })
+                self.replay(ctx.preprocessed().queue(), ds.len(), ctx.scorer())
             }
             Algorithm::Ibig => {
                 let ctx: IbigContext<'_> = IbigContext::build(ds, &self.resolve_bins(ds));
-                self.replay(ctx.preprocessed().queue(), ds.len(), |o, tau, s| {
-                    ibig_score(&ctx, o, tau, s)
-                })
+                self.replay(ctx.preprocessed().queue(), ds.len(), ctx.scorer())
             }
         };
-        match self.tie {
-            TieBreak::ById => result,
-            TieBreak::Random(seed) => shuffle_ties(result, seed),
-        }
+        break_ties(result, self.tie)
     }
 
-    /// Drive `score` over `queue` with `threads` fresh scratches for `n`
+    /// Drive `scorer` over `queue` with `threads` fresh scratches for `n`
     /// objects — one thread is the sequential walk.
-    fn replay(
-        &self,
-        queue: &[(ObjectId, usize)],
-        n: usize,
-        score: impl Fn(ObjectId, Option<usize>, &mut ScratchSpace) -> Outcome + Sync,
-    ) -> TkdResult {
+    fn replay(&self, queue: &[(ObjectId, usize)], n: usize, scorer: Scorer<'_>) -> TkdResult {
         let mut scratch: Vec<ScratchSpace> =
             (0..self.threads).map(|_| ScratchSpace::new(n)).collect();
         let slots = new_slots(slots_needed(self.threads, queue.len()));
-        run_replay(queue, self.k, &mut scratch, &slots, score)
+        run_replay(queue, self.k, &mut scratch, &slots, scorer)
     }
 
     fn resolve_bins(&self, ds: &Dataset) -> Vec<usize> {
@@ -182,10 +171,12 @@ impl TkdQuery {
     }
 }
 
-/// Re-order the entries tied at the k-th score pseudo-randomly (the
-/// paper's tie-break), keeping strictly better entries in place.
-pub(crate) fn shuffle_ties(result: TkdResult, seed: u64) -> TkdResult {
-    let Some(tau) = result.kth_score() else {
+/// Apply `tie` to a result ordered by ascending id among ties: with
+/// [`TieBreak::Random`], re-order the entries tied at the k-th score
+/// pseudo-randomly (the paper's tie-break), keeping strictly better
+/// entries in place.
+pub(crate) fn break_ties(result: TkdResult, tie: TieBreak) -> TkdResult {
+    let (TieBreak::Random(seed), Some(tau)) = (tie, result.kth_score()) else {
         return result;
     };
     let stats = result.stats;

@@ -1,7 +1,7 @@
 //! The traversal of Algorithm 4, once: the bounded top-k candidate set
 //! (the paper's `SC` with threshold `τ`), the [`Replay`] state machine
 //! that consumes per-candidate [`Outcome`]s in queue order, and the
-//! `walk` loop that drives a scorer through it.
+//! `walk` loop that drives any number of replays through one queue.
 //!
 //! Every engine is this walk with a different scorer in front: UBB scores
 //! pairwise, BIG and IBIG through their bitmap scorers, the standing layer
@@ -10,6 +10,20 @@
 //! threads, other processes). Heuristic 1 is checked in one place —
 //! [`Replay::h1_prunes`] — so it fires at the same queue position
 //! everywhere.
+//!
+//! # One walk per batch
+//!
+//! The queue's order does not depend on `k`, and at any queue prefix a
+//! replay's τ is the k-th largest exact score in that prefix (a candidate
+//! it pruned scores at most τ, so offering it would not have moved τ).
+//! A smaller `k` therefore never holds a smaller τ than a larger one, and
+//! every query of a batch visits a prefix of the largest one's walk.
+//! `walk` visits the queue once for all of them: it *measures* each
+//! visited candidate once, at what the loosest active replay needs
+//! ([`Need`]), and each replay *decides* its own [`Outcome`] from those
+//! counts and its own τ. Each replay's τ then equals its standalone τ at
+//! every position, so every result — `PruneStats` included — is the one
+//! the query would get alone. A single query is the one-replay case.
 
 use crate::result::{ResultEntry, TkdResult};
 use crate::stats::PruneStats;
@@ -108,6 +122,8 @@ pub enum Outcome {
 pub struct Replay {
     top: TopK,
     stats: PruneStats,
+    /// Heuristic 1 has ended the traversal.
+    ended: bool,
 }
 
 impl Replay {
@@ -116,6 +132,7 @@ impl Replay {
         Replay {
             top: TopK::new(k),
             stats: PruneStats::default(),
+            ended: false,
         }
     }
 
@@ -136,6 +153,7 @@ impl Replay {
     /// positions (including the one that fired).
     pub fn terminate(&mut self, remaining: usize) {
         self.stats.h1_pruned = remaining;
+        self.ended = true;
     }
 
     /// Replay one candidate's outcome in queue order.
@@ -156,24 +174,93 @@ impl Replay {
     }
 }
 
-/// Algorithm 4's traversal: visit `queue` in descending-`MaxScore` order,
-/// stop at Heuristic 1, and hand every visited candidate (with the fresh
-/// τ) to `score`.
-pub(crate) fn walk(
+/// What the active replays of a [`walk`] need of the next candidate's
+/// measurement. For a lone replay, `tau` is its own τ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Need {
+    /// The smallest τ an active replay holds — the loosest Heuristic-2
+    /// budget any of them prunes at — or `None` while none holds one.
+    pub(crate) tau: Option<usize>,
+    /// Some active replay holds no τ yet: it scores whatever it visits.
+    pub(crate) unfilled: bool,
+}
+
+impl Need {
+    /// What a lone replay holding `tau` needs.
+    pub(crate) fn of(tau: Option<usize>) -> Need {
+        Need {
+            tau,
+            unfilled: tau.is_none(),
+        }
+    }
+}
+
+/// Algorithm 4's traversal for every replay of `replays` at once: visit
+/// `queue` in descending-`MaxScore` order, end each replay at its own
+/// Heuristic 1, `measure` every candidate an active replay visits once
+/// (handed what the active replays [`Need`]), and let each of them
+/// `decide` its own outcome from that measurement and its own τ. Stops
+/// when every replay has ended or the queue runs out.
+pub(crate) fn walk<M>(
+    queue: &[(ObjectId, usize)],
+    replays: &mut [Replay],
+    mut measure: impl FnMut(ObjectId, Need) -> M,
+    decide: impl Fn(&M, Option<usize>) -> Outcome,
+) {
+    for (visited, &(o, max_score)) in queue.iter().enumerate() {
+        let mut active = false;
+        let mut need = Need {
+            tau: None,
+            unfilled: false,
+        };
+        for replay in replays.iter_mut().filter(|r| !r.ended) {
+            if replay.h1_prunes(max_score) {
+                replay.terminate(queue.len() - visited);
+                continue;
+            }
+            active = true;
+            match replay.tau() {
+                Some(t) => need.tau = Some(need.tau.map_or(t, |m| m.min(t))),
+                None => need.unfilled = true,
+            }
+        }
+        if !active {
+            return;
+        }
+        let measured = measure(o, need);
+        for replay in replays.iter_mut().filter(|r| !r.ended) {
+            let outcome = decide(&measured, replay.tau());
+            replay.absorb(o, outcome);
+        }
+    }
+}
+
+/// A single top-`k` query: the one-replay [`walk`].
+pub(crate) fn walk_one<M>(
+    queue: &[(ObjectId, usize)],
+    k: usize,
+    measure: impl FnMut(ObjectId, Need) -> M,
+    decide: impl Fn(&M, Option<usize>) -> Outcome,
+) -> TkdResult {
+    let mut replay = [Replay::new(k)];
+    walk(queue, &mut replay, measure, decide);
+    let [replay] = replay;
+    replay.finish()
+}
+
+/// A single top-`k` query whose scorer decides alone, handed the
+/// replay's τ.
+pub(crate) fn walk_scored(
     queue: &[(ObjectId, usize)],
     k: usize,
     mut score: impl FnMut(ObjectId, Option<usize>) -> Outcome,
 ) -> TkdResult {
-    let mut replay = Replay::new(k);
-    for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        if replay.h1_prunes(max_score) {
-            replay.terminate(queue.len() - visited);
-            break;
-        }
-        let outcome = score(o, replay.tau());
-        replay.absorb(o, outcome);
-    }
-    replay.finish()
+    walk_one(
+        queue,
+        k,
+        |o, need| score(o, need.tau),
+        |&outcome, _| outcome,
+    )
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::maxscore::maxscore_queue;
 use crate::result::TkdResult;
-use crate::topk::{walk, Outcome};
+use crate::topk::{walk_scored, Outcome};
 use tkd_model::{dominance, Dataset, ObjectId};
 
 /// Answer a TKD query with UBB.
@@ -19,7 +19,7 @@ pub fn ubb(ds: &Dataset, k: usize) -> TkdResult {
 /// UBB over a precomputed priority queue (lets benchmarks account for the
 /// preprocessing separately, as the paper's Table 3 does).
 pub fn ubb_with_queue(ds: &Dataset, k: usize, queue: &[(ObjectId, usize)]) -> TkdResult {
-    walk(queue, k, |o, _| Outcome::Score(dominance::score_of(ds, o)))
+    walk_scored(queue, k, |o, _| Outcome::Score(dominance::score_of(ds, o)))
 }
 
 #[cfg(test)]

@@ -181,7 +181,7 @@ fn query_allocations_are_constant_in_dataset_size() {
     );
 
     // Batched serving: per-query allocations in `query_many` stay
-    // n-independent too (worker-per-query, pooled scratches).
+    // n-independent too (one walk per algorithm, pooled scratches).
     let batch: Vec<engine::EngineQuery> =
         (1..=6).map(|k| engine::EngineQuery::new(k * 4)).collect();
     let _ = eng_s.query_many(&batch);
@@ -199,13 +199,40 @@ fn query_allocations_are_constant_in_dataset_size() {
         "query_many allocation count must not grow with dataset size \
          (small: {b_small}, large: {b_large})"
     );
+    // A 16-spec, one-algorithm batch (k = 1, 5, …, 61) is one shared walk:
+    // its allocations — a replay per k, the result slots and the answers —
+    // count specs, never rows.
+    const PER_SPEC_CEILING: u64 = 4;
+    let sixteen: Vec<engine::EngineQuery> = (0..16)
+        .map(|i| engine::EngineQuery::new(1 + 4 * i))
+        .collect();
+    let _ = eng_s.query_many(&sixteen);
+    let _ = eng_l.query_many(&sixteen);
+    let w_small = measure(&|| {
+        let r = eng_s.query_many(&sixteen);
+        r.into_iter().next().unwrap()
+    });
+    let w_large = measure(&|| {
+        let r = eng_l.query_many(&sixteen);
+        r.into_iter().next().unwrap()
+    });
+    assert_eq!(
+        w_small, w_large,
+        "a 16-spec batch's allocation count must not grow with dataset size \
+         (small: {w_small}, large: {w_large})"
+    );
+    assert!(
+        w_large <= PER_SPEC_CEILING * sixteen.len() as u64,
+        "a 16-spec batch performed {w_large} allocations \
+         (ceiling {PER_SPEC_CEILING} per spec)"
+    );
 
     // --- Cluster shard scoring -----------------------------------------
     // A shard worker scores value-based candidates on the engine that
     // hosts the shard: borrowed values against the maintained indexes and
-    // incomparable windows. All four phases allocate nothing, whatever the
-    // shard size. (`large` extends `small` row for row, so candidate `i`
-    // is stable id `i` of both shards.)
+    // its live rows' count per observation mask. All four phases allocate
+    // nothing, whatever the shard size. (`large` extends `small` row for
+    // row, so candidate `i` is stable id `i` of both shards.)
     let candidates: Vec<Vec<Option<f64>>> = (0..64u32)
         .map(|o| (0..small.dims()).map(|d| small.value(o, d)).collect())
         .collect();

@@ -119,7 +119,15 @@ impl Default for ServeConfig {
 
 /// Work a connection thread hands the engine thread.
 enum Work {
+    /// A single query: a run of them at the head of the queue is answered
+    /// by one engine pass.
     Query(QuerySpec),
+    /// Any other request, answered alone.
+    Solo(Solo),
+}
+
+/// A request the engine thread answers on its own.
+enum Solo {
     Batch(Vec<QuerySpec>),
     Update(Vec<UpdateOp>),
     Stats,
@@ -188,10 +196,18 @@ const SUBSCRIBED_PROBE: Duration = Duration::from_millis(1);
 /// Bell-interruptible park length between subscribed-idle probes.
 const SUBSCRIBED_PARK: Duration = Duration::from_millis(4);
 
-struct Pending {
-    work: Work,
+struct Pending<W = Work> {
+    work: W,
     enqueued: Instant,
     resp: mpsc::Sender<Response>,
+}
+
+/// What the engine thread takes off the queue at once.
+enum Taken {
+    /// A run of consecutive single queries, formed at dequeue.
+    Queries(Vec<Pending<QuerySpec>>),
+    /// One other request.
+    Solo(Pending<Solo>),
 }
 
 struct Queue {
@@ -426,13 +442,13 @@ fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc
         };
         let work = match request {
             Request::Query(q) => Work::Query(q),
-            Request::QueryBatch(qs) => Work::Batch(qs),
-            Request::UpdateOps(ops) => Work::Update(ops),
-            Request::Stats => Work::Stats,
-            Request::Shutdown => Work::Shutdown,
-            Request::Subscribe(spec) => Work::Subscribe(spec, Arc::clone(sink)),
-            Request::Unsubscribe(id) => Work::Unsubscribe(id, Arc::clone(sink)),
-            Request::QueryText(text) => Work::QueryText(text, Arc::clone(sink)),
+            Request::QueryBatch(qs) => Work::Solo(Solo::Batch(qs)),
+            Request::UpdateOps(ops) => Work::Solo(Solo::Update(ops)),
+            Request::Stats => Work::Solo(Solo::Stats),
+            Request::Shutdown => Work::Solo(Solo::Shutdown),
+            Request::Subscribe(spec) => Work::Solo(Solo::Subscribe(spec, Arc::clone(sink))),
+            Request::Unsubscribe(id) => Work::Solo(Solo::Unsubscribe(id, Arc::clone(sink))),
+            Request::QueryText(text) => Work::Solo(Solo::QueryText(text, Arc::clone(sink))),
         };
         let reply = match submit(shared, work) {
             Ok(rx) => match rx.recv() {
@@ -540,15 +556,15 @@ fn engine_loop(mut engine: DynamicEngine, shared: Arc<Shared>, done: mpsc::Sende
         .clone()
         .map(|path| Journal::stale(path, counters.seq));
     loop {
-        let (batch, drain_now) = next_batch(&shared);
-        if !batch.is_empty() {
+        let (taken, drain_now) = next_batch(&shared);
+        if let Some(taken) = taken {
             serve_one(
                 &mut engine,
                 &shared,
                 &mut counters,
                 &mut subs,
                 &mut journal,
-                batch,
+                taken,
             );
         }
         if drain_now {
@@ -592,27 +608,52 @@ fn sweep_leftovers(shared: &Shared) -> usize {
 /// Block for work; pop either one non-query item or a coalesced run of
 /// consecutive single queries. Returns `(work, queue fully drained and
 /// draining flag set)`.
-fn next_batch(shared: &Shared) -> (Vec<Pending>, bool) {
+fn next_batch(shared: &Shared) -> (Option<Taken>, bool) {
     let mut q = shared.queue.lock().expect("queue lock");
     loop {
-        if let Some(first) = q.items.pop_front() {
-            let mut batch = vec![first];
-            if matches!(batch[0].work, Work::Query(_)) {
-                // Coalesce the run of single queries behind it.
-                while batch.len() < shared.config.batch_max.max(1) {
-                    match q.items.front() {
-                        Some(p) if matches!(p.work, Work::Query(_)) => {
-                            batch.push(q.items.pop_front().expect("front exists"));
-                        }
-                        _ => break,
+        if let Some(Pending {
+            work,
+            enqueued,
+            resp,
+        }) = q.items.pop_front()
+        {
+            let taken = match work {
+                Work::Solo(work) => Taken::Solo(Pending {
+                    work,
+                    enqueued,
+                    resp,
+                }),
+                Work::Query(spec) => {
+                    let mut run = vec![Pending {
+                        work: spec,
+                        enqueued,
+                        resp,
+                    }];
+                    // Coalesce the run of single queries behind it.
+                    while run.len() < shared.config.batch_max.max(1) {
+                        let Some(&Pending {
+                            work: Work::Query(spec),
+                            enqueued,
+                            ..
+                        }) = q.items.front()
+                        else {
+                            break;
+                        };
+                        let resp = q.items.pop_front().expect("front exists").resp;
+                        run.push(Pending {
+                            work: spec,
+                            enqueued,
+                            resp,
+                        });
                     }
+                    Taken::Queries(run)
                 }
-            }
+            };
             let drained = q.draining && q.items.is_empty();
-            return (batch, drained);
+            return (Some(taken), drained);
         }
         if q.draining {
-            return (Vec::new(), true);
+            return (None, true);
         }
         let (guard, _) = shared
             .notify
@@ -622,86 +663,57 @@ fn next_batch(shared: &Shared) -> (Vec<Pending>, bool) {
     }
 }
 
+/// Per-request queue-wait timeout, checked at dequeue: answer `p` with a
+/// typed timeout and return true if it waited too long.
+fn expired<W>(p: &Pending<W>, shared: &Shared, counters: &mut EngineCounters) -> bool {
+    let waited = p.enqueued.elapsed();
+    if waited <= shared.config.request_timeout {
+        return false;
+    }
+    counters.timeouts += 1;
+    // Saturate rather than truncate: a pathological wait must not report
+    // as a short one.
+    let waited_ms = u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
+    let _ = p.resp.send(Response::Error(ErrorFrame {
+        code: ERR_TIMEOUT,
+        datum: waited_ms,
+        message: ServeError::Timeout { waited_ms }.to_string(),
+    }));
+    true
+}
+
 fn serve_one(
     engine: &mut DynamicEngine,
     shared: &Shared,
     counters: &mut EngineCounters,
     subs: &mut HashMap<u64, Arc<PushSink>>,
     journal: &mut Option<Journal>,
-    batch: Vec<Pending>,
+    taken: Taken,
 ) {
-    // Per-request queue-wait timeout, checked at dequeue (shutdown,
-    // stats, and subscription management are control traffic and
-    // exempt).
-    let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
-    for p in batch {
-        let waited = p.enqueued.elapsed();
-        let expendable = matches!(
-            p.work,
-            Work::Query(_) | Work::Batch(_) | Work::Update(_) | Work::QueryText(_, _)
-        );
-        if expendable && waited > shared.config.request_timeout {
-            counters.timeouts += 1;
-            // Saturate rather than truncate: a pathological wait must
-            // not report as a short one.
-            let waited_ms = u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
-            let _ = p.resp.send(Response::Error(ErrorFrame {
-                code: ERR_TIMEOUT,
-                datum: waited_ms,
-                message: ServeError::Timeout { waited_ms }.to_string(),
-            }));
-            continue;
-        }
-        live.push(p);
-    }
-    if live.is_empty() {
+    let p = match taken {
+        Taken::Queries(run) => return serve_queries(engine, shared, counters, run),
+        Taken::Solo(p) => p,
+    };
+    // Shutdown, stats, and subscription management are control traffic
+    // and exempt from the queue-wait timeout.
+    let expendable = matches!(
+        p.work,
+        Solo::Batch(_) | Solo::Update(_) | Solo::QueryText(_, _)
+    );
+    if expendable && expired(&p, shared, counters) {
         return;
     }
-    if live.len() > 1 {
-        // Only runs of single queries are ever batched together.
-        counters.coalesced_batches += 1;
-        let specs: Vec<QuerySpec> = live
-            .iter()
-            .map(|p| match &p.work {
-                Work::Query(q) => *q,
-                _ => unreachable!("coalesced batches contain only single queries"),
-            })
-            .collect();
-        let results = run_queries(engine, shared, &specs);
-        counters.served_queries += specs.len() as u64;
-        match results {
-            Ok(all) => {
-                for (p, entries) in live.into_iter().zip(all) {
-                    let _ = p.resp.send(Response::QueryResult(entries));
-                }
-            }
-            Err(resp) => {
-                for p in live {
-                    let _ = p.resp.send(resp.clone());
-                }
-            }
-        }
-        return;
-    }
-    let p = live.pop().expect("one pending");
     let resp = match &p.work {
-        Work::Query(spec) => {
-            counters.served_queries += 1;
-            match run_queries(engine, shared, std::slice::from_ref(spec)) {
-                Ok(mut all) => Response::QueryResult(all.pop().expect("one result")),
-                Err(resp) => resp,
-            }
-        }
-        Work::Batch(specs) => {
+        Solo::Batch(specs) => {
             counters.served_queries += specs.len() as u64;
             match run_queries(engine, shared, specs) {
                 Ok(all) => Response::BatchResult(all),
                 Err(resp) => resp,
             }
         }
-        Work::Update(ops) => apply_updates(engine, counters, subs, journal.as_mut(), ops),
-        Work::Stats => Response::StatsResult(gather_stats(engine, shared, counters)),
-        Work::Subscribe(spec, sink) => match engine.register(spec.clone()) {
+        Solo::Update(ops) => apply_updates(engine, counters, subs, journal.as_mut(), ops),
+        Solo::Stats => Response::StatsResult(gather_stats(engine, shared, counters)),
+        Solo::Subscribe(spec, sink) => match engine.register(spec.clone()) {
             Ok(id) => {
                 let result = engine
                     .standing_result(id)
@@ -722,7 +734,7 @@ fn serve_one(
                 message: e.to_string(),
             }),
         },
-        Work::Unsubscribe(id, sink) => {
+        Solo::Unsubscribe(id, sink) => {
             // Ids are sequential and echoed in every ack: a connection may
             // only end its own subscriptions, anything else is "not known".
             let own = subs.get(id).is_some_and(|s| Arc::ptr_eq(s, sink));
@@ -731,8 +743,8 @@ fn serve_one(
             }
             Response::UnsubscribeAck(own && engine.unregister(*id))
         }
-        Work::QueryText(text, sink) => serve_query_text(engine, counters, subs, text, sink),
-        Work::Shutdown => {
+        Solo::QueryText(text, sink) => serve_query_text(engine, counters, subs, text, sink),
+        Solo::Shutdown => {
             // Flip the drain flag under the queue lock so no submission
             // can slip in after the ack; everything already queued is
             // still answered before the final snapshot.
@@ -810,6 +822,41 @@ fn serve_query_text(
             Response::SubscribeAck(SubscribeAck { id, result })
         }
         Err(e) => reject(e.to_string()),
+    }
+}
+
+/// Answer a run of single queries through one `query_many` pass, each
+/// with its own `query_result` frame; a query that waited past the
+/// timeout is answered with that instead.
+fn serve_queries(
+    engine: &mut DynamicEngine,
+    shared: &Shared,
+    counters: &mut EngineCounters,
+    run: Vec<Pending<QuerySpec>>,
+) {
+    let live: Vec<Pending<QuerySpec>> = run
+        .into_iter()
+        .filter(|p| !expired(p, shared, counters))
+        .collect();
+    if live.len() > 1 {
+        counters.coalesced_batches += 1;
+    }
+    let specs: Vec<QuerySpec> = live.iter().map(|p| p.work).collect();
+    counters.served_queries += specs.len() as u64;
+    if specs.is_empty() {
+        return;
+    }
+    match run_queries(engine, shared, &specs) {
+        Ok(all) => {
+            for (p, entries) in live.into_iter().zip(all) {
+                let _ = p.resp.send(Response::QueryResult(entries));
+            }
+        }
+        Err(resp) => {
+            for p in live {
+                let _ = p.resp.send(resp.clone());
+            }
+        }
     }
 }
 

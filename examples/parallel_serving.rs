@@ -1,8 +1,9 @@
 //! Multi-user serving simulation: one [`ParallelEngine`] built over a
 //! dataset, then a mixed batch of concurrent user queries (different `k`s,
 //! BIG and IBIG, deterministic and randomized tie-breaks) served three
-//! ways — sequentially, batched across workers, and with within-query
-//! parallelism — with the answers cross-checked for exact agreement.
+//! ways — sequentially, batched into one shared walk per algorithm, and
+//! with within-query parallelism — with the answers cross-checked for
+//! exact agreement.
 //!
 //! ```sh
 //! cargo run --release --example parallel_serving
@@ -70,12 +71,13 @@ fn main() {
         batch.len()
     );
 
-    // 2) The whole batch at once, worker-per-query.
+    // 2) The whole batch at once: one queue walk per algorithm answers
+    //    every query naming it, the BIG and IBIG walks on two workers.
     let t0 = Instant::now();
     let batched = engine.query_many(&batch);
     let across = t0.elapsed();
     println!(
-        "batched (query_many):     {} queries in {across:.1?}",
+        "batched (query_many, one walk per algorithm): {} queries in {across:.1?}",
         batch.len()
     );
 

@@ -1,8 +1,8 @@
 //! Byte-stability pin for the build path: a freshly built engine must
 //! encode to exactly the bytes of the committed golden snapshot, so the
-//! bulk-loaded index, bin boundaries and incomparable sets export the
-//! streams the build that wrote the file exported, value for value and in
-//! the same order. (`persist_golden.rs` pins the *codec* by
+//! bulk-loaded index's value tables and slots, the bin boundaries and the
+//! dynamic bookkeeping export the streams the build that wrote the file
+//! exported, value for value and in the same order. (`persist_golden.rs` pins the *codec* by
 //! re-serializing the loaded file; this pins the *builder* behind it.)
 
 use tkdi::model::fixtures;
