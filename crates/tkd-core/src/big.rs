@@ -20,8 +20,9 @@
 //! BIG-Score (Algorithm 3) is written **once**, against one index, in two
 //! steps. `big_measure` reads the candidate's column picks off its stored
 //! value slots ([`BitmapIndex::selection_of`]), runs the Heuristic 2
-//! budgeted scan at the loosest τ the walk's replays hold, and unless
-//! that scan prunes for all of them takes `term_counts` — the counts of
+//! test at the loosest τ the walk's replays hold — the index's pairwise
+//! tables first, then the budgeted scan — and unless that test prunes
+//! for all of them takes `term_counts` — the counts of
 //! `|P − F| + |Q − P − nonD|`, the term IBIG shares ([`crate::ibig`]).
 //! `big_decide` turns those counts and one replay's τ into that replay's
 //! outcome. A walk measures each visited candidate once for every query
@@ -38,7 +39,9 @@
 //! the engine hosting its shard.
 //!
 //! The scoring path is **allocation-free** after context build: Heuristic 2
-//! is a fused multi-way AND-popcount that materializes nothing
+//! reads the index's pairwise tables — most prunes are one pair's joint
+//! count at or below the budget — and otherwise runs a fused multi-way
+//! AND-popcount that materializes nothing
 //! ([`BitmapIndex::q_count_selected_above`]), surviving objects fill the
 //! caller's [`ScratchSpace`] in fused passes, and the `Q − P` residue is
 //! split in one more fused pass over the index's columns
@@ -249,8 +252,10 @@ pub(crate) fn big_measure(
     let rows = scope.map(|s| &s.rows);
     // Heuristic 2 — bitmap pruning on the tight bound. The raw
     // intersection counts o's own bit, so `MaxBitScore(o) ≤ τ` reads
-    // `|∩ᵢ Qᵢ| ≤ τ + 1`. The common case (pruned) reads a fraction of one
-    // pass and writes nothing; survivors re-intersect in the term below —
+    // `|∩ᵢ Qᵢ| ≤ τ + 1`. The common case (pruned) is decided by a pair
+    // of picked columns' joint count in the index's pair tables, else by
+    // a fraction of one scan pass; nothing is written. Survivors
+    // re-intersect in the term below —
     // redundant, but survivors enter the candidate set by construction, so
     // there are at most ~k of them per τ value.
     let q = need

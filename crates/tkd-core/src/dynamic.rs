@@ -1432,13 +1432,15 @@ impl DynamicEngine {
     }
 
     /// Recount the candidate queue over the live rows and every
-    /// dimension (deferred until the next query so op batches pay it
-    /// once).
+    /// dimension, and re-derive the index's pairwise Heuristic 2 tables
+    /// that the ops dropped (both deferred until the next query so op
+    /// batches pay them once).
     fn refresh(&mut self) {
         if !self.queue_dirty {
             return;
         }
         self.pre.queue = self.scoped_queue(self.live.live_mask(), DimMask::all(self.dims));
+        self.index.derive_pair_tables();
         self.queue_dirty = false;
     }
 

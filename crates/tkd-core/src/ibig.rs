@@ -41,7 +41,9 @@
 //! [`BinnedBitmapIndex`], in BIG's two steps. `ibig_measure` reads the
 //! candidate's binned picks off its stored value slots
 //! ([`BinnedBitmapIndex::selection_of`]) and counts `|Q|` with the
-//! budgeted scan BIG runs, at those picks; only a candidate the scan
+//! Heuristic 2 test BIG runs, at those picks — the exact index's
+//! pairwise tables first (binned picks are exact columns, so the same
+//! tables bound them), then the budgeted scan; only a candidate the test
 //! leaves to some replay reaches the term. `ibig_decide` takes one
 //! replay's Heuristic 2 decision on `|Q| − 1` and its Heuristic 3
 //! decision on the term's `nonD`. Every in-process engine scores through
@@ -200,7 +202,7 @@ pub(crate) fn ibig_measure(
     // Heuristic 2 — bitmap pruning (still sound under binning, §4.4), as
     // BIG takes it: o sits in every column it picks, so
     // MaxBitScore = |∩Qᵢ| − 1 ≤ τ reads |∩Qᵢ| ≤ τ + 1, decided by the
-    // budgeted scan without writing Q.
+    // pair tables or the budgeted scan without writing Q.
     scratch.bin_sel = index.selection_of(o as usize);
     if let Some(s) = scope {
         scratch.bin_sel.restrict(s.dims);

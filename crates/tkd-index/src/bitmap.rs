@@ -1,6 +1,7 @@
 //! The range-encoded bitmap index of §4.3 (Fig. 6), with in-place dynamic
 //! maintenance (append / tombstone / cell update) for the update layer.
 
+use crate::pairs::PairTables;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
 use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
 use tkd_bitvec::{BitVec, Tombstones};
@@ -33,6 +34,11 @@ pub struct BitmapIndex {
     /// `block_suffix[i][c]` = [`suffix_counts`] of `columns[i][c]`, for the
     /// Heuristic 2 early exit.
     block_suffix: Vec<Vec<Vec<u32>>>,
+    /// Pairwise Heuristic 2 tables over the columns: derived at build and
+    /// load, dropped by any in-place maintenance, re-derived by
+    /// [`BitmapIndex::derive_pair_tables`] — absent or exact, never
+    /// stale.
+    pairs: Option<PairTables>,
     /// Live/tombstone bookkeeping for dynamic maintenance. Static builds
     /// are all-live; [`BitmapIndex::tombstone_row`] kills slots.
     ///
@@ -60,6 +66,8 @@ pub struct BitmapIndexBuilder {
     columns: Vec<Vec<BitVec>>,
     val_idx: Vec<u32>,
     live: Tombstones,
+    /// The pair tables' storage, taken before any column is laid down.
+    pair_buf: Vec<u32>,
 }
 
 impl BitmapIndexBuilder {
@@ -72,6 +80,7 @@ impl BitmapIndexBuilder {
             columns: Vec::with_capacity(dims),
             val_idx: vec![MISSING; n * dims],
             live: Tombstones::all_live(n),
+            pair_buf: PairTables::buffer(dims),
         }
     }
 
@@ -121,17 +130,19 @@ impl BitmapIndexBuilder {
         self.columns.push(cols);
     }
 
-    /// Finish the index (suffix-popcount tables included).
+    /// Finish the index (suffix-popcount and pair tables included).
     ///
     /// # Panics
     /// Panics if fewer than `dims` dimensions were pushed.
     pub fn finish(self) -> BitmapIndex {
         assert_eq!(self.values.len(), self.dims, "missing dimensions");
-        let block_suffix = self
+        let block_suffix: Vec<Vec<Vec<u32>>> = self
             .columns
             .iter()
             .map(|cols| cols.iter().map(suffix_counts).collect())
             .collect();
+        let live = self.live.live_count();
+        let pairs = PairTables::derive(&self.columns, &block_suffix, live, self.pair_buf);
         BitmapIndex {
             n: self.n,
             dims: self.dims,
@@ -139,6 +150,7 @@ impl BitmapIndexBuilder {
             columns: self.columns,
             val_idx: self.val_idx,
             block_suffix,
+            pairs,
             live: self.live,
         }
     }
@@ -221,6 +233,7 @@ impl BitmapIndex {
             columns: Vec::with_capacity(dims),
             val_idx: slots,
             live,
+            pair_buf: PairTables::buffer(dims),
         };
         let mut order = vec![0u32; n];
         for (d, (vals, mut at)) in values.into_iter().zip(counts).enumerate() {
@@ -259,6 +272,7 @@ impl BitmapIndex {
     /// `O(set bits · nblocks)` suffix updates — far below a rebuild's
     /// `O(Σᵢ (Cᵢ+1) · N/64)`.
     pub fn append_row(&mut self, mut value: impl FnMut(usize) -> Option<f64>) -> usize {
+        self.pairs = None;
         let local = self.n;
         for dim in 0..self.dims {
             let slot = match value(dim) {
@@ -302,6 +316,7 @@ impl BitmapIndex {
         if !self.live.kill(local) {
             return false;
         }
+        self.pairs = None;
         for dim in 0..self.dims {
             // Bits are set only in columns `1..hi`; missing = all of them.
             let hi = match self.val_idx[local * self.dims + dim] {
@@ -330,6 +345,7 @@ impl BitmapIndex {
     /// Panics on out-of-range slots or dead slots.
     pub fn set_cell(&mut self, local: usize, dim: usize, new: Option<f64>) {
         assert!(self.live.is_live(local), "cell update on dead slot {local}");
+        self.pairs = None;
         // Resolve the new slot first: a value-table insert shifts `val_idx`
         // (including this object's), so the old slot is read afterwards.
         let new_j = match new {
@@ -365,6 +381,25 @@ impl BitmapIndex {
             }
         }
         self.val_idx[local * self.dims + dim] = new_j;
+    }
+
+    /// Derive the pairwise Heuristic 2 tables from the columns if any
+    /// maintenance dropped them ([`BitmapIndex::append_row`],
+    /// [`BitmapIndex::tombstone_row`] and [`BitmapIndex::set_cell`] do) —
+    /// the dynamic engine's refresh runs it once per batch of ops. A
+    /// no-op while they are present. Until then the budgeted scan decides
+    /// alone, with the same answers.
+    pub fn derive_pair_tables(&mut self) {
+        if self.pairs.is_none() {
+            let live = self.live_count();
+            self.pairs = PairTables::derive(&self.columns, &self.block_suffix, live, Vec::new());
+        }
+    }
+
+    /// The pairwise Heuristic 2 tables, `None` while maintenance has
+    /// dropped them (or the index has a single dimension).
+    pub fn pair_tables(&self) -> Option<&PairTables> {
+        self.pairs.as_ref()
     }
 
     /// 1-based slot of `v` in `dim`'s value table, splicing in a new column
@@ -673,14 +708,16 @@ impl BitmapIndex {
     }
 
     /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit — the
-    /// Heuristic 2 scan, and the hot path of Algorithm 3 (most visited
+    /// Heuristic 2 test, and the hot path of Algorithm 3 (most visited
     /// objects die here). Returns `None` as soon as the count is provably
-    /// `≤ budget`: upfront when the sparsest selected column already fits,
-    /// then blockwise as soon as the bits counted so far plus the sparsest
-    /// column's remaining suffix popcount can no longer exceed `budget`
-    /// (on Heuristic-2-heavy workloads most of each scan is skipped). Else
-    /// the exact count. A `None` lets Heuristic 2 prune without finishing
-    /// the scan. IBIG runs the same scan at its binned picks
+    /// `≤ budget`: at a positive budget first when the pair tables
+    /// ([`BitmapIndex::pair_tables`]) bound some pair of picked columns'
+    /// joint count by it, then in the scan upfront when the sparsest
+    /// selected column already fits, then blockwise as soon as the bits
+    /// counted so far plus the sparsest column's remaining suffix
+    /// popcount can no longer exceed `budget`. Else the exact count. A
+    /// `None` lets Heuristic 2 prune without finishing — mostly without
+    /// starting — the scan. IBIG runs the same test at its binned picks
     /// ([`crate::BinnedBitmapIndex::selection_of`]).
     pub fn q_count_selected_above(&self, sel: &ColumnSelection, budget: usize) -> Option<usize> {
         self.q_count_selected_above_scoped(sel, None, budget)
@@ -688,17 +725,23 @@ impl BitmapIndex {
 
     /// [`BitmapIndex::q_count_selected_above`] of `|∩ᵢ columns[i][sel.q[i]]
     /// ∧ scope|`: the scope is one more operand of the same budgeted scan,
-    /// its suffix table beside the columns'. `None` is the unscoped scan.
+    /// its suffix table beside the columns'; the unscoped pair tables
+    /// bound the scoped count from above too. `None` is the unscoped
+    /// scan.
     pub fn q_count_selected_above_scoped(
         &self,
         sel: &ColumnSelection,
         scope: Option<&RowScope>,
         budget: usize,
     ) -> Option<usize> {
+        let picks = &sel.q[..self.dims];
+        if budget > 0 && self.pairs.as_ref().is_some_and(|t| t.prunes(picks, budget)) {
+            return None;
+        }
         count_selected_above(
             &self.columns,
             &self.block_suffix,
-            &sel.q[..self.dims],
+            picks,
             self.live_count(),
             scope,
             budget,

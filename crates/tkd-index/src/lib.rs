@@ -37,7 +37,13 @@
 //! Every column keeps a per-block suffix-popcount table and the index runs
 //! one budgeted AND-count over them,
 //! [`BitmapIndex::q_count_selected_above`] — Heuristic 2 for BIG and, at
-//! the binned picks, IBIG alike. The scoring term of both splits `Q − P`
+//! the binned picks, IBIG alike. Before the scan it consults
+//! [`PairTables`]: per pair of dimensions, the joint popcounts of their
+//! columns on a grid of boundary columns, derived from the columns at
+//! build and load. A pick rounds down to a boundary, a superset column,
+//! so one pair's entry within the budget proves the prune the scan would
+//! reach; most Heuristic 2 prunes are decided there without reading a
+//! column word. The scoring term of both splits `Q − P`
 //! in one fused pass of AND-NOTs over the same columns,
 //! [`BitmapIndex::residue_counts`].
 
@@ -48,6 +54,7 @@ mod bitmap;
 mod compressed;
 pub mod cost;
 mod key;
+mod pairs;
 mod sorted_column;
 mod suffix;
 
@@ -55,5 +62,6 @@ pub use binned::{compute_bins, BinBoundaries, BinnedBitmapIndex};
 pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
 pub use key::F64Key;
+pub use pairs::PairTables;
 pub use sorted_column::for_each_sorted_column;
 pub use suffix::RowScope;

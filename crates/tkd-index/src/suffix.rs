@@ -1,6 +1,10 @@
 //! Per-block suffix popcounts and the budgeted AND-count they power — the
 //! Heuristic 2 scan of BIG and IBIG alike (IBIG's binned picks are exact
-//! columns too).
+//! columns too). The scan runs only when the index's pairwise tables
+//! (`crate::pairs`) cannot decide first: at a positive budget,
+//! [`crate::BitmapIndex::q_count_selected_above_scoped`] answers `None`
+//! without a scan when some pair of picked columns' joint count is
+//! already within the budget, and the scan decides the rest.
 //!
 //! Every column of [`crate::BitmapIndex`] keeps a suffix table: entry
 //! `b` is the popcount of the column's words from block `b` on (blocks of

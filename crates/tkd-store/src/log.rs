@@ -304,27 +304,27 @@ impl Journal {
         }
         let path = log_path(&self.snapshot);
         let mut w = Writer::new();
-        if let Log::Clean = self.log {
+        if !matches!(self.log, Log::Open { .. }) {
             put_header(&mut w, read_identity(&self.snapshot)?, self.seq);
         }
         put_record(&mut w, seq, ops)?;
-        if let Log::Clean = self.log {
-            let file = File::create(&path).map_err(|e| io_error(&path, e))?;
-            // Make the new directory entry durable too (best effort, as
-            // for a snapshot's rename).
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                if let Ok(d) = File::open(dir) {
-                    d.sync_all().ok();
+        // The open log, or a log started here, which the journal adopts
+        // once its first record is durable.
+        let mut started = None;
+        let (file, records, len) = match &mut self.log {
+            Log::Open { file, records, len } => (file, records, len),
+            Log::Clean | Log::Stale => {
+                let file = File::create(&path).map_err(|e| io_error(&path, e))?;
+                // Make the new directory entry durable too (best effort,
+                // as for a snapshot's rename).
+                if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                    if let Ok(d) = File::open(dir) {
+                        d.sync_all().ok();
+                    }
                 }
+                let (file, records, len) = started.insert((file, 0, 0));
+                (file, records, len)
             }
-            self.log = Log::Open {
-                file,
-                records: 0,
-                len: 0,
-            };
-        }
-        let Log::Open { file, records, len } = &mut self.log else {
-            unreachable!("a clean log was just opened");
         };
         if let Err(e) = file.write_all(w.as_bytes()).and_then(|()| file.sync_data()) {
             let _ = file.set_len(*len);
@@ -338,6 +338,9 @@ impl Journal {
         self.seq = seq;
         *records += 1;
         *len += w.as_bytes().len() as u64;
+        if let Some((file, records, len)) = started {
+            self.log = Log::Open { file, records, len };
+        }
         Ok(())
     }
 

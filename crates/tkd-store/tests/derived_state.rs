@@ -234,6 +234,57 @@ fn two_byte_slots_round_trip() {
     assert_derived_equals_maintained(&mut engine, "two-byte slots");
 }
 
+/// After a refresh (`maintained_queue` runs it), the engine's pairwise
+/// Heuristic 2 tables — dropped by its ops, re-derived once per batch —
+/// equal the ones a load of its snapshot derives from the columns.
+fn assert_pair_tables_derived_equal_maintained(engine: &mut DynamicEngine, ctx: &str) {
+    let mut loaded = decode_engine(&encode_engine(engine)).expect("load");
+    engine.maintained_queue();
+    loaded.maintained_queue();
+    let (kept, derived) = (engine.store_parts_ref(), loaded.store_parts_ref());
+    let tables = kept.index.pair_tables();
+    assert!(tables.is_some(), "{ctx}: refresh derives the tables");
+    assert_eq!(tables, derived.index.pair_tables(), "{ctx}: pair tables");
+}
+
+/// Pair tables across op batches: an op drops the maintained tables, the
+/// next refresh re-derives them equal to a load's — batch after batch,
+/// across spliced values, tombstones, flips and compactions.
+#[test]
+fn pair_tables_after_refresh_equal_a_loads() {
+    for seed in 0..16u64 {
+        let mut rng = Mix(seed);
+        let start: Vec<Vec<Option<f64>>> = (0..20).map(|_| rng.row()).collect();
+        let policy = if seed % 2 == 0 {
+            CompactionPolicy::never()
+        } else {
+            CompactionPolicy {
+                max_tombstone_fraction: 0.2,
+                min_dead: 3,
+            }
+        };
+        let options = DynamicOptions {
+            bins: BinChoice::Auto,
+            policy,
+        };
+        let ds = Dataset::from_rows(DIMS, &start).expect("valid rows");
+        let mut engine = DynamicEngine::with_options(ds, options);
+        assert_pair_tables_derived_equal_maintained(&mut engine, &format!("seed {seed} start"));
+        for batch in 0..6 {
+            engine
+                .insert(&[Some(5000.0 + f64::from(batch)), None, Some(1.0)])
+                .expect("valid row");
+            assert!(
+                engine.store_parts_ref().index.pair_tables().is_none(),
+                "seed {seed} batch {batch}: an op drops the tables"
+            );
+            run_stream(&mut engine, &mut rng, 12);
+            let ctx = format!("seed {seed} batch {batch}");
+            assert_pair_tables_derived_equal_maintained(&mut engine, &ctx);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
