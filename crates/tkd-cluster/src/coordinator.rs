@@ -1,16 +1,22 @@
 //! The cluster coordinator: metadata authority, query planner, and the
 //! only writer.
 //!
-//! The coordinator holds no index. Its state is the rows by global id,
-//! the route map (global id → shard and local id, and the one record of
-//! which ids are live) and a per-dimension live value → count table
-//! ([`ValueCounts`]). The table gives the candidate queue:
-//! `MaxScore(o) = minᵢ |Tᵢ(o)|` is a rank count on each dimension (§4.2).
-//! An update batch is checked by [`check_batch`], the rules
-//! `DynamicEngine::apply_ops` runs, with the route map as the liveness
-//! lookup. **Scores come only from the workers**: every query fans
-//! value-based candidate chunks out to the shard workers, sums their
-//! per-shard answers, and drives a [`Replay`] — the traversal state
+//! The coordinator keeps no index, only counts over its rows. Its state
+//! is the rows by global id, the route map (global id → shard and local
+//! id, and the one record of which ids are live), a per-dimension live
+//! value → count table ([`ValueCounts`]) and, per pair of dimensions, a
+//! histogram of the live rows over a value grid ([`PairCounts`]). The
+//! value table gives the candidate queue: `MaxScore(o) = minᵢ |Tᵢ(o)|`
+//! is a rank count on each dimension (§4.2). The pair histograms give
+//! Heuristic 2 tables that prune a candidate before any shard sees it,
+//! once τ exists (`tkd_core::cluster` has the soundness argument). Both
+//! are maintained per op; the queue and the tables are recomputed once
+//! per batch, by the next query. An update batch is checked by
+//! [`check_batch`], the rules `DynamicEngine::apply_ops` runs, with the
+//! route map as the liveness lookup. **Scores come only from the
+//! workers**: every query fans the value-based candidates the tables
+//! leave, in chunks, out to the shard workers, sums their per-shard
+//! answers, and drives a [`Replay`] — the traversal state
 //! machine of every in-process engine — in queue order, so entries,
 //! scores, and tie order are bit-identical to them (see
 //! `tkd_core::cluster` for the proof obligations, and
@@ -35,7 +41,7 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
-use tkd_core::cluster::{shard_rows, Outcome};
+use tkd_core::cluster::{shard_rows, Outcome, PairCounts};
 use tkd_core::dynamic::check_batch;
 use tkd_core::maxscore::ValueCounts;
 use tkd_core::{Algorithm, DynamicEngine, Replay, TkdResult, UpdateError, UpdateOp};
@@ -51,8 +57,10 @@ use tkd_store::{ClusterManifest, ShardEntry};
 pub struct ClusterConfig {
     /// Shared snapshot/handoff directory (all workers must see it).
     pub dir: PathBuf,
-    /// Candidates per `shard_query` frame. Smaller chunks tighten τ
-    /// faster (more pruning) at the cost of more frames.
+    /// Candidates shipped per `shard_query` frame. A chunk spans the
+    /// queue positions up to its `chunk`-th candidate the coordinator's
+    /// own tables do not prune. Smaller chunks tighten τ faster (more
+    /// pruning) at the cost of more frames.
     pub chunk: usize,
     /// Per-frame deadline on worker connections — the failure detector.
     pub timeout: Duration,
@@ -139,6 +147,9 @@ pub struct Coordinator {
     route: Vec<Option<(u64, u32)>>,
     /// Per-dimension value counts of the live rows.
     counts: ValueCounts,
+    /// Per pair of dimensions, the live rows over a value grid: the
+    /// Heuristic 2 tables, refreshed with the queue.
+    pairs: PairCounts,
     /// The candidate queue `(global id, MaxScore)`; `None` after a batch
     /// until the next query sorts it again.
     queue: Option<Vec<(ObjectId, usize)>>,
@@ -222,6 +233,7 @@ impl Coordinator {
             rows: ds.clone(),
             route,
             queue: Some(counts.queue(ds, ds.ids())),
+            pairs: PairCounts::new(ds, &counts),
             counts,
             shards: metas,
             workers: workers
@@ -616,7 +628,7 @@ impl Coordinator {
         self.write_manifest()
     }
 
-    /// Apply one checked op to the rows, the counts and the route map,
+    /// Apply one checked op to the rows, both counts and the route map,
     /// and name it as its shard will see it. An insert is routed to shard
     /// `id mod shards` and bound at once, so later ops in the same batch
     /// can target it.
@@ -630,6 +642,7 @@ impl Coordinator {
                     _ => self.rows.push_row(row)?,
                 };
                 self.counts.insert(self.rows.row(g));
+                self.pairs.insert(self.rows.row(g));
                 let shard = u64::from(g) % self.shards.len() as u64;
                 let meta = &mut self.shards[shard as usize];
                 self.route.push(Some((shard, meta.next_local)));
@@ -640,6 +653,7 @@ impl Coordinator {
                 let home = self.route.get_mut(*g as usize).and_then(Option::take);
                 let (shard, local) = home.ok_or(UpdateError::Deleted(*g))?;
                 self.counts.remove(self.rows.row(*g));
+                self.pairs.remove(self.rows.row(*g));
                 (shard, UpdateOp::Delete(local))
             }
             UpdateOp::Set(g, dim, v) => {
@@ -647,6 +661,7 @@ impl Coordinator {
                 let old = self.rows.value(*g, *dim);
                 self.rows.set_value(*g, *dim, *v)?;
                 self.counts.set(*dim, old, *v);
+                self.pairs.set(self.rows.row(*g), *dim, old);
                 (shard, UpdateOp::Set(local, *dim, *v))
             }
         })
@@ -672,6 +687,7 @@ impl Coordinator {
             None => {
                 let live = self.route.iter().enumerate();
                 let live = live.filter_map(|(g, home)| home.map(|_| g as ObjectId));
+                self.pairs.refresh();
                 self.counts.queue(&self.rows, live)
             }
         };
@@ -715,40 +731,62 @@ impl Coordinator {
                 replay.terminate(queue.len() - t);
                 break;
             }
-            let end = (t + chunk_size).min(queue.len());
-            let chunk = &queue[t..end];
-            // τ at chunk start. Scoring a whole chunk against one τ is
+            // τ at chunk start. Deciding a whole chunk against one τ is
             // exact: a candidate the sequential driver would have H2-
             // pruned under a tighter τ scores ≤ τ, so its offer is a
             // no-op either way — only prune counters can differ. τ rides
             // in the `shard_query` frames themselves.
-            let tau = replay.tau().map(|x| x as u64);
-            if tau.is_some() && tau != shipped {
-                self.stats.tau_rounds += 1;
-                shipped = tau;
+            let tau = replay.tau();
+            // Fill the chunk: the coordinator's tables decide what they
+            // can, up to `chunk_size` others are shipped, and filling
+            // stops where Heuristic 1 ends the walk at this τ.
+            let mut ship: Vec<usize> = Vec::new();
+            let mut end = t;
+            while end < queue.len() && ship.len() < chunk_size {
+                let (o, max_score) = queue[end];
+                if end > t && replay.h1_prunes(max_score) {
+                    break;
+                }
+                let row = self.rows.row(o);
+                if !tau.is_some_and(|tv| self.pairs.prunes(row, tv + 1)) {
+                    ship.push(end);
+                }
+                end += 1;
             }
-            let values: Vec<Vec<Option<f64>>> = chunk
-                .iter()
-                .map(|&(o, _)| self.rows.row(o).to_options())
-                .collect();
-            let homes: Vec<(u64, u32)> = chunk
-                .iter()
-                .map(|&(o, _)| self.home(o).expect("queued ids are routed"))
-                .collect();
+            let tau = tau.map(|x| x as u64);
+            let mut values = Vec::with_capacity(ship.len());
+            let mut homes = Vec::with_capacity(ship.len());
+            for &at in &ship {
+                let o = queue[at].0;
+                let home = self.home(o).ok_or_else(|| {
+                    Retry::Fatal(ClusterError::Protocol(format!(
+                        "queued id {o} has no route"
+                    )))
+                })?;
+                values.push(self.rows.row(o).to_options());
+                homes.push(home);
+            }
             // Phase 1: per-shard exact `|∩ᵢ Qᵢ|` counts, summed here.
-            let mut sums = vec![0u64; chunk.len()];
-            for &s in &active {
-                let outcomes = self.shard_query(
-                    s,
-                    algorithm,
-                    ShardPhase::Bounds,
-                    tau,
-                    (0..chunk.len()).collect::<Vec<_>>().as_slice(),
-                    &values,
-                    &homes,
-                )?;
-                for (i, x) in outcomes.iter().enumerate() {
-                    sums[i] += x;
+            let mut sums = vec![0u64; ship.len()];
+            if !ship.is_empty() {
+                if tau.is_some() && tau != shipped {
+                    self.stats.tau_rounds += 1;
+                    shipped = tau;
+                }
+                let all: Vec<usize> = (0..ship.len()).collect();
+                for &s in &active {
+                    let outcomes = self.shard_query(
+                        s,
+                        algorithm,
+                        ShardPhase::Bounds,
+                        tau,
+                        &all,
+                        &values,
+                        &homes,
+                    )?;
+                    for (i, x) in outcomes.iter().enumerate() {
+                        sums[i] += x;
+                    }
                 }
             }
             // Heuristic 2: the sum counts the candidate's own bit once, in
@@ -757,9 +795,14 @@ impl Coordinator {
                 .iter()
                 .map(|&sum| matches!(tau, Some(tv) if sum.saturating_sub(1) <= tv))
                 .collect();
-            // Phase 2: exact partials for the survivors.
-            let survivors: Vec<usize> = (0..chunk.len()).filter(|&i| !pruned[i]).collect();
-            let mut scores = vec![0u64; chunk.len()];
+            // Phase 2: exact partials for the survivors. `scores` is per
+            // chunk position, `None` where the coordinator or the shards
+            // pruned.
+            let survivors: Vec<usize> = (0..ship.len()).filter(|&i| !pruned[i]).collect();
+            let mut scores: Vec<Option<u64>> = vec![None; end - t];
+            for &i in &survivors {
+                scores[ship[i] - t] = Some(0);
+            }
             if !survivors.is_empty() {
                 for &s in &active {
                     let outcomes = self.shard_query(
@@ -771,23 +814,20 @@ impl Coordinator {
                         &values,
                         &homes,
                     )?;
-                    for (slot, &i) in survivors.iter().enumerate() {
-                        scores[i] += outcomes[slot];
+                    for (&i, x) in survivors.iter().zip(outcomes) {
+                        *scores[ship[i] - t].get_or_insert(0) += x;
                     }
                 }
             }
             // Replay in queue order with the *evolving* top-k: the H1
             // position is exact even when it lands mid-chunk.
-            for (i, &(o, max_score)) in chunk.iter().enumerate() {
+            for (at, &(o, max_score)) in queue.iter().enumerate().take(end).skip(t) {
                 if replay.h1_prunes(max_score) {
-                    replay.terminate(queue.len() - (t + i));
+                    replay.terminate(queue.len() - at);
                     break 'queue;
                 }
-                if pruned[i] {
-                    replay.absorb(o, Outcome::PrunedBitmap);
-                } else {
-                    replay.absorb(o, Outcome::Score(scores[i] as usize));
-                }
+                let score = scores[at - t].map(|s| Outcome::Score(s as usize));
+                replay.absorb(o, score.unwrap_or(Outcome::PrunedBitmap));
             }
             t = end;
         }

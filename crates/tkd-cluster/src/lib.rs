@@ -9,9 +9,11 @@
 //! (`shard-{s}.seq{n}.tkd.log`). A hosted shard is one
 //! `DynamicEngine`: the update path maintains it in place and the query
 //! path scores candidates on it, so a worker holds each shard once. The
-//! coordinator holds no index: rows by global id, the route map, and a
-//! live value → count table per dimension that gives the queue's
-//! MaxScores.
+//! coordinator keeps no index, only counts over its rows: rows by global
+//! id, the route map, a live value → count table per dimension that
+//! gives the queue's MaxScores, and per pair of dimensions a histogram of
+//! the live rows over a value grid, whose Heuristic 2 tables prune
+//! candidates before any is shipped.
 //!
 //! Everything rides the cluster plane of the v5 byte protocol (see
 //! `docs/WIRE_PROTOCOL.md`): queries fan out as two-phase

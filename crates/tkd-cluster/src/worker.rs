@@ -330,10 +330,9 @@ fn handle_shard_update(state: &mut WorkerState, u: &ShardUpdate) -> ClusterRespo
     })
 }
 
-fn handle(state: &Mutex<WorkerState>, req: &ClusterRequest) -> ClusterResponse {
-    let mut state = state.lock().expect("worker state lock");
+fn handle(state: &mut WorkerState, req: &ClusterRequest) -> ClusterResponse {
     match req {
-        ClusterRequest::ShardQuery(q) => handle_shard_query(&mut state, q),
+        ClusterRequest::ShardQuery(q) => handle_shard_query(state, q),
         ClusterRequest::TauUpdate { tau } => {
             if let Some(cur) = state.tau {
                 if *tau < cur {
@@ -373,8 +372,8 @@ fn handle(state: &Mutex<WorkerState>, req: &ClusterRequest) -> ClusterResponse {
             shard,
             path,
             replay,
-        } => handle_assign(&mut state, *shard, path, replay),
-        ClusterRequest::ShardUpdate(u) => handle_shard_update(&mut state, u),
+        } => handle_assign(state, *shard, path, replay),
+        ClusterRequest::ShardUpdate(u) => handle_shard_update(state, u),
     }
 }
 
@@ -397,7 +396,16 @@ fn connection_loop(
             Err(_) => return, // disconnect, kill, or garbage: drop the connection
         };
         let resp = match decode_cluster_request_body(kind, &body) {
-            Ok(req) => handle(state, &req),
+            Ok(req) => match state.lock() {
+                Ok(mut state) => handle(&mut state, &req),
+                // A handler panicked holding the lock, maybe between a
+                // batch's log append and its apply, so a hosted engine
+                // may be half-changed. Serve nothing more from it: every
+                // connection ends here, the worker reads as dead to the
+                // coordinator, and its repair re-hosts the shards from
+                // their checkpoints and logs, which hold every acked batch.
+                Err(_) => return,
+            },
             Err(e) => reject(ERR_BAD_REQUEST, 0, e.to_string()),
         };
         if stop.load(Ordering::Acquire) {
@@ -572,5 +580,38 @@ mod tests {
 
         worker.stop();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A poisoned state lock ends the connection instead of panicking the
+    /// connection thread: the coordinator sees a transport failure, the
+    /// one its repair path answers.
+    #[test]
+    fn a_poisoned_state_lock_drops_the_connection() {
+        let state = Mutex::new(WorkerState::default());
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = state.lock().expect("fresh lock");
+                panic!("a handler bug, on purpose");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && state.is_poisoned());
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound address");
+        let (stop, config) = (AtomicBool::new(false), WorkerConfig::default());
+        std::thread::scope(|s| {
+            let served = s.spawn(|| {
+                let (stream, _) = listener.accept().expect("accept");
+                connection_loop(stream, &state, &stop, &config);
+            });
+            let mut client = Client::connect(addr).expect("connect");
+            let answer = client.cluster_call(&ClusterRequest::TauUpdate { tau: 1 });
+            assert!(
+                matches!(answer, Err(ServeError::Disconnected)),
+                "expected a dropped connection, got {answer:?}"
+            );
+            served.join().expect("the connection thread returns");
+        });
     }
 }

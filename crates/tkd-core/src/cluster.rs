@@ -46,14 +46,165 @@
 //! tests here pin it in-process, `tests/shard_scoring.rs` on engines
 //! mutated under random op streams.
 //!
+//! # Heuristic 2 on the coordinator
+//!
+//! Some Heuristic 2 decisions never reach a shard. The coordinator keeps
+//! [`PairCounts`]: per pair of dimensions, a histogram of the live rows
+//! over a value grid, maintained per op, whose 2-D suffix sums are
+//! [`PairTables`] — the lookup the exact index runs, derived from rows
+//! instead of columns. A candidate's value rounds down to a threshold,
+//! a superset of its `Qᵢ`, so every entry bounds `Σⱼ |∩ᵢ Qᵢ|ⱼ` from
+//! above; an entry `≤ τ + 1` is a prune without a frame. For BIG that
+//! is the prune the bounds phase would make at the same τ. For IBIG the
+//! tables bound the exact-pick count, which is at most the binned one,
+//! so the coordinator may prune a candidate the shards would have
+//! scored or H3-pruned: the entries and `h1_pruned` stay, and only the
+//! `h2/h3/scored` counters move — as they already may for IBIG.
+//!
 //! [`big_bound`]: crate::DynamicEngine::big_bound
 //! [`ibig_q_count`]: crate::DynamicEngine::ibig_q_count
 //! [`big_partial`]: crate::DynamicEngine::big_partial
 //! [`ibig_partial`]: crate::DynamicEngine::ibig_partial
 
-use tkd_model::{Dataset, ObjectId};
+use crate::maxscore::ValueCounts;
+use tkd_index::PairTables;
+use tkd_model::{Dataset, ObjectId, Row, MAX_DIMS};
 
 pub use crate::parallel::Outcome;
+
+/// Grid cells per dimension: up to `CELLS − 1` thresholds, the missing
+/// cells in the top cell.
+const CELLS: usize = PairTables::CELLS;
+
+/// Per pair of dimensions, the live rows counted over a value grid — the
+/// coordinator's Heuristic 2 tables, kept from rows alone (see the module
+/// docs). The grid is fixed at construction: any grid is sound, and
+/// rows that move only change how tight it is.
+#[derive(Clone, Debug)]
+pub struct PairCounts {
+    /// Per dimension, the ascending thresholds ([`ValueCounts::grid`]).
+    grid: Vec<Vec<f64>>,
+    /// Per pair `i < j`, `CELLS × CELLS` row counts, laid out as
+    /// [`PairTables::from_row_histograms`] reads them.
+    hist: Vec<u32>,
+    /// The suffix sums of `hist`; `None` after a change until
+    /// [`PairCounts::refresh`].
+    tables: Option<PairTables>,
+}
+
+impl PairCounts {
+    /// The histograms of every row of `ds` on the grid `counts` gives,
+    /// which must count exactly those rows; the tables are derived.
+    pub fn new(ds: &Dataset, counts: &ValueCounts) -> PairCounts {
+        let dims = ds.dims();
+        let mut pairs = PairCounts {
+            grid: counts.grid(CELLS),
+            hist: vec![0; dims * dims.saturating_sub(1) / 2 * CELLS * CELLS],
+            tables: None,
+        };
+        for o in ds.ids() {
+            pairs.count(ds.row(o), 1);
+        }
+        pairs.refresh();
+        pairs
+    }
+
+    /// Per dimension, the thresholds of the grid.
+    pub fn grid(&self) -> &[Vec<f64>] {
+        &self.grid
+    }
+
+    /// The tables, if [`PairCounts::refresh`] ran since the last change;
+    /// none below two dimensions.
+    pub fn tables(&self) -> Option<&PairTables> {
+        self.tables.as_ref()
+    }
+
+    /// The grid cell of a cell of `dim`: the thresholds at or below an
+    /// observed value, the top cell for a missing one.
+    fn cell(&self, dim: usize, value: Option<f64>) -> usize {
+        value.map_or(CELLS - 1, |v| {
+            self.grid[dim].iter().filter(|&&t| t <= v).count()
+        })
+    }
+
+    /// Add `delta` (±1) to the histograms at `row`'s cells.
+    fn count(&mut self, row: Row<'_>, delta: i32) {
+        let dims = self.grid.len();
+        let mut cells = [0u8; MAX_DIMS];
+        for (d, c) in cells[..dims].iter_mut().enumerate() {
+            *c = self.cell(d, row.value(d)) as u8;
+        }
+        let mut at = 0;
+        for i in 0..dims {
+            let ci = usize::from(cells[i]) * CELLS;
+            for &cj in &cells[i + 1..dims] {
+                let n = &mut self.hist[at + ci + usize::from(cj)];
+                *n = n.wrapping_add_signed(delta);
+                at += CELLS * CELLS;
+            }
+        }
+        self.tables = None;
+    }
+
+    /// Count `row` in.
+    pub fn insert(&mut self, row: Row<'_>) {
+        self.count(row, 1);
+    }
+
+    /// Count `row` out; it must have been counted in.
+    pub fn remove(&mut self, row: Row<'_>) {
+        self.count(row, -1);
+    }
+
+    /// Move a counted row whose cell of `dim` was `old` into its current
+    /// cells: `row` is the row after the change.
+    pub fn set(&mut self, row: Row<'_>, dim: usize, old: Option<f64>) {
+        let dims = self.grid.len();
+        let (from, to) = (self.cell(dim, old), self.cell(dim, row.value(dim)));
+        if from == to {
+            return;
+        }
+        for other in (0..dims).filter(|&d| d != dim) {
+            let c = self.cell(other, row.value(other));
+            let (i, j, cells) = if dim < other {
+                (dim, other, [from * CELLS + c, to * CELLS + c])
+            } else {
+                (other, dim, [c * CELLS + from, c * CELLS + to])
+            };
+            let pair = i * (2 * dims - i - 1) / 2 + j - i - 1;
+            let h = &mut self.hist[pair * CELLS * CELLS..][..CELLS * CELLS];
+            h[cells[0]] -= 1;
+            h[cells[1]] += 1;
+        }
+        self.tables = None;
+    }
+
+    /// Derive the tables from the histograms, if a change dropped them.
+    pub fn refresh(&mut self) {
+        if self.tables.is_none() {
+            let grid: Vec<usize> = self.grid.iter().map(Vec::len).collect();
+            self.tables = PairTables::from_row_histograms(&grid, &self.hist);
+        }
+    }
+
+    /// Whether the tables bound the count of the live rows in every `Qᵢ`
+    /// of a candidate with `row`'s values by `budget`: then its
+    /// `Σⱼ |∩ᵢ Qᵢ|ⱼ ≤ budget`. Each observed value rounds down to a
+    /// threshold, its cell; a missing one takes no part. `false` while
+    /// the tables are stale.
+    pub fn prunes(&self, row: Row<'_>, budget: usize) -> bool {
+        let Some(tables) = &self.tables else {
+            return false;
+        };
+        let dims = self.grid.len();
+        let mut picks = [0u32; MAX_DIMS];
+        for (d, v) in row.observed() {
+            picks[d] = self.cell(d, Some(v)) as u32;
+        }
+        tables.prunes(&picks[..dims], budget)
+    }
+}
 
 /// Slice a dataset's rows `[lo, hi)` into a dense shard dataset — the
 /// reference row partition used when seeding a cluster from one dataset

@@ -196,6 +196,33 @@ impl ValueCounts {
         }
     }
 
+    /// Per dimension, at most `cells − 1` ascending value thresholds at
+    /// equal shares of the observed cells: threshold `t` is the least
+    /// value with at least `t/cells` of them below it. Each lies above the
+    /// dimension's least value and thresholds never repeat, so a
+    /// dimension with few values gets fewer. Read off the sorted tables,
+    /// one pass each.
+    pub fn grid(&self, cells: usize) -> Vec<Vec<f64>> {
+        self.dims
+            .iter()
+            .map(|dim| {
+                let observed: usize = dim.observed.values().sum();
+                let (mut below, mut t) = (0, 1);
+                let mut thresholds = Vec::with_capacity(cells.saturating_sub(1));
+                for (key, &count) in &dim.observed {
+                    if t < cells && below > 0 && below * cells >= t * observed {
+                        thresholds.push(key.get());
+                        while t < cells && below * cells >= t * observed {
+                            t += 1;
+                        }
+                    }
+                    below += count;
+                }
+                thresholds
+            })
+            .collect()
+    }
+
     /// The queue `F` over the `live` rows of `ds`, which must be exactly
     /// the rows counted in: each row's `MaxScore` is the least `|Tᵢ|` of
     /// its observed cells, one binary search in dimension `i`'s table

@@ -25,12 +25,21 @@
 //! exact: a build or load derives them, any in-place maintenance of the
 //! index drops them, and [`crate::BitmapIndex::derive_pair_tables`] puts
 //! them back.
+//!
+//! A holder of rows without an index — the cluster coordinator — derives
+//! the same tables from row histograms instead
+//! ([`PairTables::from_row_histograms`]): per dimension a grid of value
+//! thresholds, per pair of dimensions the count of rows in each pair of
+//! grid cells, a missing cell in the top one. A 2-D suffix sum of a
+//! histogram is the joint count of two "at or above the threshold, or
+//! missing" row sets — the columns' bound, with the boundary columns
+//! `1, 2, …` naming the thresholds. The lookup is the one above.
 
 use tkd_bitvec::BitVec;
 use tkd_model::MAX_DIMS;
 
 /// Grid cells per dimension (boundary `b₀ = 0` included) — fewer at high
-/// dimensionality, see [`cells_for`].
+/// dimensionality for an index, see [`cells_for`].
 const CELLS: usize = 8;
 
 /// The cell count of an index with `dims` dimensions and `columns`
@@ -66,6 +75,9 @@ pub struct PairTables {
 }
 
 impl PairTables {
+    /// The most grid cells per dimension, boundary 0 included.
+    pub const CELLS: usize = CELLS;
+
     /// An empty buffer large enough for the tables of any index with
     /// `dims` dimensions. A build takes it before laying down any column:
     /// allocated after the columns, the tables raised a cold build's peak
@@ -136,6 +148,45 @@ impl PairTables {
         Some(PairTables { dims, stride, data })
     }
 
+    /// The tables of a row grid. Dimension `d` has `grid[d] < CELLS`
+    /// thresholds, so its rows fall in cells `0..=grid[d]` (the number of
+    /// thresholds at or below the value) and its missing cells in cell
+    /// `CELLS − 1`. `hist` holds, per pair `i < j` in lexicographic order,
+    /// `CELLS × CELLS` row counts, entry `a·CELLS + b` the rows in cell `a`
+    /// of `i` and cell `b` of `j`. Boundary column `t` of the tables is
+    /// threshold `t`, so a row's pick in `d` is its cell there (0 for a
+    /// missing cell, which takes no part). `None` below two dimensions.
+    pub fn from_row_histograms(grid: &[usize], hist: &[u32]) -> Option<Self> {
+        let dims = grid.len();
+        if dims < 2 {
+            return None;
+        }
+        let (stride, pairs) = (CELLS - 1, dims * (dims - 1) / 2);
+        assert_eq!(hist.len(), pairs * CELLS * CELLS, "one histogram per pair");
+        let mut data = vec![u32::MAX; dims * stride];
+        for (d, &thresholds) in grid.iter().enumerate() {
+            assert!(thresholds < CELLS, "at most CELLS - 1 thresholds");
+            for (a, b) in data[d * stride..][..thresholds].iter_mut().enumerate() {
+                *b = a as u32 + 1;
+            }
+        }
+        for h in hist.chunks_exact(CELLS * CELLS) {
+            // `below[b]`: rows in cells `≥ a` of `i` and `≥ b` of `j`.
+            let mut below = [0u32; CELLS];
+            let at = data.len();
+            data.resize(at + stride * stride, 0);
+            for a in (1..CELLS).rev() {
+                let mut right = 0;
+                for b in (1..CELLS).rev() {
+                    right += h[a * CELLS + b];
+                    below[b] += right;
+                    data[at + (a - 1) * stride + b - 1] = below[b];
+                }
+            }
+        }
+        Some(PairTables { dims, stride, data })
+    }
+
     /// Grid cells per dimension, boundary 0 included.
     pub fn cells(&self) -> usize {
         self.stride + 1
@@ -188,7 +239,7 @@ impl PairTables {
     /// `None`. Picks rounding down to boundary 0 take no part: the
     /// scan's own upfront test on the sparsest column covers them.
     #[inline]
-    pub(crate) fn prunes(&self, picks: &[u32], budget: usize) -> bool {
+    pub fn prunes(&self, picks: &[u32], budget: usize) -> bool {
         let mut dim = [0usize; MAX_DIMS];
         let mut cell = [0usize; MAX_DIMS];
         let mut m = 0;

@@ -278,13 +278,19 @@ pub struct DynamicMeta {
     pub stats: UpdateStats,
 }
 
-/// `next_id u32 · nslots u64 · stable ids u32 · live bitvec · bins (tag
-/// u8 + payload) · policy (f64 + u64) · epoch u64 · stats 4×u64`.
+/// `next_id u32 · nslots u64 · stable-id gaps (LEB128 each) · live bitvec
+/// · bins (tag u8 + payload) · policy (f64 + u64) · epoch u64 · stats
+/// 4×u64`. The ids ascend strictly, so each is stored as its gap over the
+/// previous id plus one (the first over 0): a dense id range is one byte
+/// per slot.
 pub fn encode_dynamic(w: &mut Writer, parts: &DynamicPartsRef<'_>) {
     w.put_u32(parts.next_id);
     w.put_u64(parts.stable_of.len() as u64);
+    let mut least = 0;
     for &id in parts.stable_of {
-        w.put_u32(id);
+        debug_assert!(id >= least, "stable ids ascend strictly");
+        put_leb128(w, id - least);
+        least = id.wrapping_add(1);
     }
     encode_bitvec(w, parts.index.live_mask());
     match parts.bins {
@@ -310,13 +316,51 @@ pub fn encode_dynamic(w: &mut Writer, parts: &DynamicPartsRef<'_>) {
     w.put_u64(parts.stats.compactions as u64);
 }
 
+/// `v` as unsigned LEB128: seven bits a byte, least significant first,
+/// the high bit set on every byte but the last.
+fn put_leb128(w: &mut Writer, mut v: u32) {
+    while v >= 0x80 {
+        w.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    w.put_u8(v as u8);
+}
+
+/// Inverse of [`put_leb128`]. Only the shortest encoding of a `u32` is
+/// accepted: a last byte of 0 after the first is over-long, and bits past
+/// 32 overflow.
+fn get_leb128(r: &mut Reader<'_>) -> Result<u32, StoreError> {
+    let mut v = 0u32;
+    for shift in (0..32).step_by(7) {
+        let byte = r.get_u8()?;
+        let bits = u32::from(byte & 0x7f);
+        // The fifth byte holds bits 28..32 of the value: four bits.
+        if shift == 28 && bits > 0x0f {
+            return Err(r.invalid("LEB128 value overflows u32"));
+        }
+        v |= bits << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(r.invalid("over-long LEB128 encoding"));
+            }
+            return Ok(v);
+        }
+    }
+    Err(r.invalid("LEB128 value overflows u32"))
+}
+
 /// Inverse of [`encode_dynamic`].
 pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
     let next_id = r.get_u32()?;
-    let nslots = r.get_count_u64(4)?;
+    // A gap takes at least one byte.
+    let nslots = r.get_count_u64(1)?;
     let mut stable_of = Vec::with_capacity(nslots);
+    let mut least = 0u64;
     for _ in 0..nslots {
-        stable_of.push(r.get_u32()?);
+        let id = least + u64::from(get_leb128(r)?);
+        let id = ObjectId::try_from(id).map_err(|_| r.invalid("stable-id gap overflows u32"))?;
+        stable_of.push(id);
+        least = u64::from(id) + 1;
     }
     let live = decode_bitvec(r)?;
     let bins = match r.get_u8()? {
@@ -370,6 +414,54 @@ pub fn decode_dynamic(r: &mut Reader<'_>) -> Result<DynamicMeta, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Section;
+
+    fn leb128(bytes: &[u8]) -> Result<u32, StoreError> {
+        let mut r = Reader::new(bytes, Section::Dynamic);
+        let v = get_leb128(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn leb128_round_trips_in_the_fewest_bytes() {
+        for (v, len) in [
+            (0, 1),
+            (1, 1),
+            (0x7f, 1),
+            (0x80, 2),
+            (0x3fff, 2),
+            (0x4000, 3),
+            (0x1f_ffff, 3),
+            (0x20_0000, 4),
+            (0x0fff_ffff, 4),
+            (0x1000_0000, 5),
+            (u32::MAX, 5),
+        ] {
+            let mut w = Writer::new();
+            put_leb128(&mut w, v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), len, "{v:#x}");
+            assert_eq!(leb128(&bytes).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn leb128_refuses_over_long_and_overflowing_encodings() {
+        for bytes in [
+            &[0x80, 0x00][..],
+            &[0xff, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x00],
+            &[0xff, 0xff, 0xff, 0xff, 0x10],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+        ] {
+            assert!(
+                matches!(leb128(bytes), Err(StoreError::Invalid { .. })),
+                "{bytes:x?}"
+            );
+        }
+        assert!(matches!(leb128(&[0x80]), Err(StoreError::Truncated { .. })));
+    }
 
     #[test]
     fn slot_width_is_the_narrowest_that_holds_every_slot() {

@@ -14,11 +14,11 @@
 //! subsystems), and its derived artifacts equal the maintained ones
 //! (`tests/derived_state.rs`).
 //!
-//! # Format (version 6)
+//! # Format (version 7)
 //!
 //! ```text
 //! magic            8 bytes  "TKDSNAP\0"
-//! format_version   u32      6
+//! format_version   u32      7
 //! section_count    u32      3
 //! section table    3 × { kind u32, pad u32, offset u64, len u64, fnv64 u64 }
 //! header checksum  u64      FNV-1a 64 of every byte above
@@ -39,7 +39,12 @@
 //!   labels;
 //! * **bin boundaries** — per dimension, the binned view's boundaries;
 //! * **dynamic state** — stable ids, the live mask, bin choice,
-//!   compaction policy, epoch and counters.
+//!   compaction policy, epoch and counters. The ids ascend strictly and
+//!   are stored as unsigned LEB128 gaps, each id less the previous id
+//!   plus one (v7's change over v6, which stored a `u32` per slot): a
+//!   dense range is one byte a slot, and a gap list cannot spell a
+//!   non-increasing sequence. A load refuses an over-long gap encoding
+//!   and a gap that overflows `u32`.
 //!
 //! A load reads the dataset's values off the tables in the same pass
 //! that decodes the slots, derives the exact index from the slots
@@ -111,7 +116,7 @@ use wire::{Reader, Writer};
 pub const MAGIC: [u8; 8] = *b"TKDSNAP\0";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Section kinds, in their required file order.
 const KINDS: [(u32, Section); 3] = [
@@ -539,12 +544,12 @@ mod tests {
             err,
             StoreError::VersionMismatch {
                 found: 3,
-                expected: 6
+                expected: 7
             }
         );
         assert_eq!(
             err.to_string(),
-            "snapshot format version 3 is not the supported version 6; \
+            "snapshot format version 3 is not the supported version 7; \
              re-create the snapshot with `tkdq build`"
         );
     }
@@ -559,7 +564,7 @@ mod tests {
             decode_engine(&bytes).unwrap_err(),
             StoreError::VersionMismatch {
                 found: 4,
-                expected: 6
+                expected: 7
             }
         );
     }

@@ -221,12 +221,15 @@ fn hostile_lengths_are_rejected_before_allocation() {
         ));
     }
     // A BitVec bit length of u64::MAX: the live mask's, which follows
-    // the dynamic section's stable ids.
+    // the dynamic section's stable-id gaps, one LEB128 each (a byte
+    // without its high bit ends one).
     {
         let mut damaged = bytes.clone();
         let (off, _) = section(&bytes, 2);
         let nslots = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
-        let at = off + 12 + 4 * nslots;
+        let gaps = bytes[off + 12..].iter().enumerate();
+        let ends = gaps.filter(|&(_, &b)| b & 0x80 == 0).map(|(e, _)| e + 1);
+        let at = off + 12 + ends.take(nslots).last().unwrap_or(0);
         damaged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         fix_checksums(&mut damaged);
         assert!(matches!(
@@ -245,14 +248,11 @@ fn content_tampering_behind_valid_checksums_is_caught_structurally() {
             .try_into()
             .unwrap(),
     ) as usize;
-    // Swap two stable ids (they must be strictly increasing): bytes
-    // dyn_off+4 is the slot count, ids follow.
+    // A next_id at or below the last stable id (the ids are gaps, so
+    // they ascend by construction; the bound on them is still checked):
+    // the dynamic section opens with next_id.
     let mut damaged = bytes.clone();
-    let ids_at = dyn_off + 12;
-    let (a, b) = (ids_at, ids_at + 4);
-    for i in 0..4 {
-        damaged.swap(a + i, b + i);
-    }
+    damaged[dyn_off..dyn_off + 4].copy_from_slice(&1u32.to_le_bytes());
     fix_checksums(&mut damaged);
     match decode_engine(&damaged) {
         Err(StoreError::Invalid { .. }) => {}

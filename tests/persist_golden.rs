@@ -14,8 +14,9 @@
 //! * **Version gate** — a snapshot stamped with any other format version
 //!   fails with [`StoreError::VersionMismatch`], never a partial load:
 //!   no version has a migration path; snapshots are caches, rebuilt with
-//!   `tkdq build`. `tests/golden/fig3.v5.tkdsnap`, the same example as
-//!   the last version-5 writer saved it, is refused so.
+//!   `tkdq build`. `tests/golden/fig3.v5.tkdsnap` and
+//!   `tests/golden/fig3.v6.tkdsnap`, the same example as the last
+//!   version-5 and version-6 writers saved it, are refused so.
 //!
 //! To regenerate after an intentional format change:
 //! `cargo test --test persist_golden regenerate_golden -- --ignored`
@@ -26,6 +27,7 @@ use tkdi::store::{self, StoreError, FORMAT_VERSION};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig3.tkdsnap");
 const GOLDEN_V5: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig3.v5.tkdsnap");
+const GOLDEN_V6: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig3.v6.tkdsnap");
 
 #[test]
 fn golden_loads_and_reproduces_fig3_answer() {
@@ -81,6 +83,17 @@ fn a_v5_snapshot_is_refused_with_version_mismatch() {
     match store::decode_engine(&bytes) {
         Err(StoreError::VersionMismatch { found, expected }) => {
             assert_eq!((found, expected), (5, FORMAT_VERSION));
+        }
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_v6_snapshot_is_refused_with_version_mismatch() {
+    let bytes = std::fs::read(GOLDEN_V6).expect("v6 golden file present");
+    match store::decode_engine(&bytes) {
+        Err(StoreError::VersionMismatch { found, expected }) => {
+            assert_eq!((found, expected), (6, FORMAT_VERSION));
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
