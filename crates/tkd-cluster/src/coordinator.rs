@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
-use tkd_core::cluster::{shard_rows, Outcome, PairCounts};
+use tkd_core::cluster::{seed_counts, shard_rows, Outcome, PairCounts};
 use tkd_core::dynamic::check_batch;
 use tkd_core::maxscore::ValueCounts;
 use tkd_core::{Algorithm, DynamicEngine, Replay, TkdResult, UpdateError, UpdateOp};
@@ -228,12 +228,12 @@ impl Coordinator {
                 next_local: (hi - lo) as u32,
             });
         }
-        let counts = ValueCounts::new(ds);
+        let (counts, queue, pairs) = seed_counts(ds);
         let mut coord = Coordinator {
             rows: ds.clone(),
             route,
-            queue: Some(counts.queue(ds, ds.ids())),
-            pairs: PairCounts::new(ds, &counts),
+            queue: Some(queue),
+            pairs,
             counts,
             shards: metas,
             workers: workers

@@ -34,10 +34,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 use tkd_core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkd_core::{Algorithm, BinChoice, DynamicEngine};
+use tkd_serve::accept::Acceptor;
 use tkd_serve::cluster_wire::{
     decode_cluster_request_body, encode_cluster_response, ClusterRequest, ClusterResponse,
     ShardPhase, ShardQuery, ShardUpdate, ShardUpdateAck, WireCandidate,
@@ -99,7 +99,9 @@ struct WorkerState {
 pub struct Worker {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    /// The accept loop and the connection threads
+    /// ([`tkd_serve::accept`]).
+    acceptor: Acceptor,
 }
 
 fn reject(code: u8, datum: u64, message: String) -> ClusterResponse {
@@ -433,42 +435,27 @@ impl Worker {
         let addr = listener
             .local_addr()
             .map_err(|e| ServeError::Io(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Io(e.to_string()))?;
         let stop = Arc::new(AtomicBool::new(false));
         let state = Arc::new(Mutex::new(WorkerState::default()));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                while !stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            let state = Arc::clone(&state);
-                            let stop = Arc::clone(&stop);
-                            let config = config.clone();
-                            conns.push(std::thread::spawn(move || {
-                                connection_loop(stream, &state, &stop, &config);
-                            }));
-                        }
-                        // Nothing pending — or a transient failure
-                        // (`ECONNABORTED`, `EMFILE`): a worker that still
-                        // pins its shards keeps listening until `stop`.
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                    conns.retain(|h| !h.is_finished());
-                }
-                for h in conns {
-                    let _ = h.join();
-                }
-            })
+        // A connection is served the moment it arrives; a failed accept
+        // (`ECONNABORTED`, `EMFILE`) only pauses the loop, so a worker
+        // that still pins its shards keeps listening until `stop`.
+        let acceptor = {
+            let (stopping, serving) = (Arc::clone(&stop), Arc::clone(&stop));
+            Acceptor::spawn(
+                listener,
+                move || stopping.load(Ordering::Acquire),
+                move |stream| {
+                    let _ = stream.set_nodelay(true);
+                    connection_loop(stream, &state, &serving, &config);
+                },
+            )
+            .map_err(|e| ServeError::Io(e.to_string()))?
         };
         Ok(Worker {
             addr,
             stop,
-            accept: Some(accept),
+            acceptor,
         })
     }
 
@@ -490,21 +477,18 @@ impl Worker {
         self.shutdown();
     }
 
+    /// Raise the stop flag, then wake the blocked accept and join it and
+    /// every connection thread, each of which sees the flag at its next
+    /// idle poll.
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
-        // Unblock the accept loop promptly.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.acceptor.join();
     }
 }
 
 impl Drop for Worker {
     fn drop(&mut self) {
-        if self.accept.is_some() {
-            self.shutdown();
-        }
+        self.shutdown();
     }
 }
 

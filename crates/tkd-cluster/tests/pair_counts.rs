@@ -18,7 +18,7 @@
 
 use std::net::SocketAddr;
 use tkd_cluster::{ClusterConfig, Coordinator, Worker, WorkerConfig};
-use tkd_core::cluster::PairCounts;
+use tkd_core::cluster::{seed_counts, PairCounts};
 use tkd_core::maxscore::ValueCounts;
 use tkd_core::{Algorithm, DynamicEngine, EngineQuery, TkdQuery, UpdateOp};
 use tkd_model::{Dataset, ObjectId};
@@ -317,4 +317,50 @@ fn coordinator_prunes_before_shipping() {
         w.stop();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The coordinator's one-pass seed (`seed_counts`: one sorted column per
+/// dimension) against tables built row by row with `insert` on empty
+/// ones: the value counts, the queue and the pair histograms must all
+/// be equal — over ties, −0.0 beside 0.0, σ ∈ {0, 0.3, 0.6}, a dimension
+/// holding a single value and one never observed.
+#[test]
+fn one_pass_seed_equals_row_by_row_tables() {
+    const DIMS: usize = 5;
+    for (seed, pct) in [(11, 0), (12, 30), (13, 60), (14, 0), (15, 30), (16, 60)] {
+        let mut draw = Draw(seed);
+        let rows: Vec<Vec<Option<f64>>> = (0..150)
+            .map(|_| {
+                let mut row = draw.row(DIMS, pct);
+                // Dimension 3 holds one value wherever it is observed,
+                // dimension 4 is observed nowhere.
+                if let Some(v) = row[3].as_mut() {
+                    *v = 2.5;
+                }
+                row[4] = None;
+                if row.iter().all(Option::is_none) {
+                    row[0] = Some(draw.value());
+                }
+                row
+            })
+            .collect();
+        let ds = Dataset::from_rows(DIMS, &rows).expect("valid rows");
+        let ctx = format!("seed {seed}, σ = {pct} %");
+        let (counts, queue, pairs) = seed_counts(&ds);
+
+        let empty = Dataset::from_rows(DIMS, &[]).expect("no rows");
+        let mut by_row = ValueCounts::new(&empty);
+        let mut pairs_by_row = PairCounts::new(&empty, &counts);
+        for o in ds.ids() {
+            by_row.insert(ds.row(o));
+            pairs_by_row.insert(ds.row(o));
+        }
+        pairs_by_row.refresh();
+        assert_eq!(counts, by_row, "{ctx}: value counts");
+        assert_eq!(queue, by_row.queue(&ds, ds.ids()), "{ctx}: queue");
+        assert_eq!(pairs.grid(), by_row.grid(CELLS), "{ctx}: grid");
+        assert!(pairs.grid()[3].is_empty() && pairs.grid()[4].is_empty());
+        assert_eq!(pairs.tables(), pairs_by_row.tables(), "{ctx}: pair tables");
+        assert_entries_exact(&pairs, &ds, &vec![true; ds.len()], &ctx);
+    }
 }

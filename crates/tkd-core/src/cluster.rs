@@ -66,8 +66,8 @@
 //! [`big_partial`]: crate::DynamicEngine::big_partial
 //! [`ibig_partial`]: crate::DynamicEngine::ibig_partial
 
-use crate::maxscore::ValueCounts;
-use tkd_index::PairTables;
+use crate::maxscore::{max_scores_sharing, queue_from_scores, DimCounts, ValueCounts};
+use tkd_index::{for_each_sorted_column, PairTables};
 use tkd_model::{Dataset, ObjectId, Row, MAX_DIMS};
 
 pub use crate::parallel::Outcome;
@@ -93,17 +93,30 @@ pub struct PairCounts {
 }
 
 impl PairCounts {
-    /// The histograms of every row of `ds` on the grid `counts` gives,
-    /// which must count exactly those rows; the tables are derived.
+    /// The histograms of every row of `ds` on the grid `counts` gives
+    /// (any grid is sound); the tables are derived. Each dimension's
+    /// cells come from one sweep of its sorted column against its
+    /// thresholds.
     pub fn new(ds: &Dataset, counts: &ValueCounts) -> PairCounts {
-        let dims = ds.dims();
+        let grid = counts.grid(CELLS);
+        let mut cells = vec![MISSING_CELL; ds.len() * ds.dims()];
+        for_each_sorted_column(ds, |dim, column| {
+            lay_cells(column, &grid[dim], dim, ds.dims(), &mut cells);
+        });
+        PairCounts::from_cells(grid, &cells)
+    }
+
+    /// The histograms of the rows of `cells`, a row-major table of grid
+    /// cells, one pass over it; the tables are derived.
+    fn from_cells(grid: Vec<Vec<f64>>, cells: &[u8]) -> PairCounts {
+        let dims = grid.len();
         let mut pairs = PairCounts {
-            grid: counts.grid(CELLS),
+            grid,
             hist: vec![0; dims * dims.saturating_sub(1) / 2 * CELLS * CELLS],
             tables: None,
         };
-        for o in ds.ids() {
-            pairs.count(ds.row(o), 1);
+        for row in cells.chunks_exact(dims) {
+            pairs.add_cells(row, 1);
         }
         pairs.refresh();
         pairs
@@ -135,16 +148,21 @@ impl PairCounts {
         for (d, c) in cells[..dims].iter_mut().enumerate() {
             *c = self.cell(d, row.value(d)) as u8;
         }
+        self.add_cells(&cells[..dims], delta);
+        self.tables = None;
+    }
+
+    /// Add `delta` (±1) to every pair histogram at one row's `cells`.
+    fn add_cells(&mut self, cells: &[u8], delta: i32) {
         let mut at = 0;
-        for i in 0..dims {
-            let ci = usize::from(cells[i]) * CELLS;
-            for &cj in &cells[i + 1..dims] {
+        for (i, &ci) in cells.iter().enumerate() {
+            let ci = usize::from(ci) * CELLS;
+            for &cj in &cells[i + 1..] {
                 let n = &mut self.hist[at + ci + usize::from(cj)];
                 *n = n.wrapping_add_signed(delta);
                 at += CELLS * CELLS;
             }
         }
-        self.tables = None;
     }
 
     /// Count `row` in.
@@ -204,6 +222,55 @@ impl PairCounts {
         }
         tables.prunes(&picks[..dims], budget)
     }
+}
+
+/// The top grid cell, where every missing cell falls.
+const MISSING_CELL: u8 = (CELLS - 1) as u8;
+
+/// Write the grid cell of every entry of dimension `dim`'s sorted column
+/// into the row-major `cells` table of `dims` columns: one sweep, the
+/// cell rising past each threshold at or below the value.
+fn lay_cells(
+    column: &[(f64, ObjectId)],
+    thresholds: &[f64],
+    dim: usize,
+    dims: usize,
+    cells: &mut [u8],
+) {
+    let mut cell = 0;
+    for &(v, o) in column {
+        while thresholds.get(cell).is_some_and(|&t| t <= v) {
+            cell += 1;
+        }
+        cells[o as usize * dims + dim] = cell as u8;
+    }
+}
+
+/// The coordinator's counts over every row of `ds` — the value counts,
+/// the queue `F` and the pair histograms on the grid the counts give —
+/// from one sorted column per dimension (§4.2's preprocessing order).
+/// Each column yields its dimension's count table (bulk-built from its
+/// runs), every row's `|Tᵢ|` toward its `MaxScore`, the dimension's grid
+/// and every row's cell on it; the histograms then take one pass over
+/// the `u8` cell table. Equal to [`ValueCounts::new`], its
+/// [`ValueCounts::queue`] over every row, and [`PairCounts::new`].
+pub fn seed_counts(ds: &Dataset) -> (ValueCounts, Vec<(ObjectId, usize)>, PairCounts) {
+    let (n, dims) = (ds.len(), ds.dims());
+    let mut counts = Vec::with_capacity(dims);
+    let mut grid = Vec::with_capacity(dims);
+    let mut cells = vec![MISSING_CELL; n * dims];
+    let scores = max_scores_sharing(ds, |dim, column| {
+        let dim_counts = DimCounts::from_column(column, n);
+        let thresholds = dim_counts.grid(CELLS);
+        lay_cells(column, &thresholds, dim, dims, &mut cells);
+        counts.push(dim_counts);
+        grid.push(thresholds);
+    });
+    (
+        ValueCounts { dims: counts },
+        queue_from_scores(scores),
+        PairCounts::from_cells(grid, &cells),
+    )
 }
 
 /// Slice a dataset's rows `[lo, hi)` into a dense shard dataset — the

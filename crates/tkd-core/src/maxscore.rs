@@ -113,18 +113,54 @@ pub(crate) fn queue_from_scores(scores: Vec<usize>) -> Vec<(ObjectId, usize)> {
 /// count — all the queue `F` of a changing row set needs, without an
 /// index. IEEE-equal values share one count (`−0.0` counts as `0.0`), as
 /// they share one column in the indexes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ValueCounts {
-    dims: Vec<DimCounts>,
+    /// One table per dimension, in dimension order.
+    pub(crate) dims: Vec<DimCounts>,
 }
 
-#[derive(Clone, Debug, Default)]
-struct DimCounts {
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct DimCounts {
     observed: BTreeMap<F64Key, usize>,
     missing: usize,
 }
 
 impl DimCounts {
+    /// The counts of dimension `i`'s sorted column over `n` rows: one
+    /// entry per equal-value run, bulk-built from the ascending runs, and
+    /// the rows the column leaves out as missing.
+    pub(crate) fn from_column(column: &[(f64, ObjectId)], n: usize) -> DimCounts {
+        let runs = column.chunk_by(|a, b| a.0 == b.0);
+        DimCounts {
+            observed: runs
+                .map(|run| {
+                    let key = F64Key::new(run[0].0).expect("sorted columns hold no NaN");
+                    (key, run.len())
+                })
+                .collect(),
+            missing: n - column.len(),
+        }
+    }
+
+    /// At most `cells − 1` ascending value thresholds at equal shares of
+    /// the observed cells (see [`ValueCounts::grid`]), one pass over the
+    /// ascending table.
+    pub(crate) fn grid(&self, cells: usize) -> Vec<f64> {
+        let observed: usize = self.observed.values().sum();
+        let (mut below, mut t) = (0, 1);
+        let mut thresholds = Vec::with_capacity(cells.saturating_sub(1));
+        for (key, &count) in &self.observed {
+            if t < cells && below > 0 && below * cells >= t * observed {
+                thresholds.push(key.get());
+                while t < cells && below * cells >= t * observed {
+                    t += 1;
+                }
+            }
+            below += count;
+        }
+        thresholds
+    }
+
     /// The live values ascending, beside `|Tᵢ|` of a row holding each:
     /// the missing count plus the observed cells at or above the value,
     /// less the row itself.
@@ -142,15 +178,14 @@ impl DimCounts {
 }
 
 impl ValueCounts {
-    /// The counts of every row of `ds`.
+    /// The counts of every row of `ds`, from one sorted column per
+    /// dimension.
     pub fn new(ds: &Dataset) -> ValueCounts {
-        let mut counts = ValueCounts {
-            dims: vec![DimCounts::default(); ds.dims()],
-        };
-        for o in ds.ids() {
-            counts.insert(ds.row(o));
-        }
-        counts
+        let mut dims = Vec::with_capacity(ds.dims());
+        for_each_sorted_column(ds, |_, column| {
+            dims.push(DimCounts::from_column(column, ds.len()));
+        });
+        ValueCounts { dims }
     }
 
     /// Count `row` in.
@@ -203,24 +238,7 @@ impl ValueCounts {
     /// dimension with few values gets fewer. Read off the sorted tables,
     /// one pass each.
     pub fn grid(&self, cells: usize) -> Vec<Vec<f64>> {
-        self.dims
-            .iter()
-            .map(|dim| {
-                let observed: usize = dim.observed.values().sum();
-                let (mut below, mut t) = (0, 1);
-                let mut thresholds = Vec::with_capacity(cells.saturating_sub(1));
-                for (key, &count) in &dim.observed {
-                    if t < cells && below > 0 && below * cells >= t * observed {
-                        thresholds.push(key.get());
-                        while t < cells && below * cells >= t * observed {
-                            t += 1;
-                        }
-                    }
-                    below += count;
-                }
-                thresholds
-            })
-            .collect()
+        self.dims.iter().map(|dim| dim.grid(cells)).collect()
     }
 
     /// The queue `F` over the `live` rows of `ds`, which must be exactly

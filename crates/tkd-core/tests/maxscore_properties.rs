@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeSet;
+use tkd_core::cluster::{seed_counts, PairCounts};
 use tkd_core::dynamic::{DynamicEngine, UpdateOp};
 use tkd_core::maxscore::{max_scores, max_scores_bruteforce, maxscore_queue, ValueCounts};
 use tkd_model::{Dataset, ObjectId};
@@ -107,6 +108,35 @@ fn assert_exact(engine: &mut DynamicEngine) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A dataset for the coordinator's seed: missing rate 0, 0.3 or 0.6,
+/// values of `0..card` and −0.0, and beside the random dimensions one
+/// holding a single value and one observed nowhere (each optional).
+fn seed_dataset_strategy() -> impl Strategy<Value = Dataset> {
+    (1usize..=3, 0usize..3, 1u8..=6, 0usize..4).prop_flat_map(|(random, m, card, extra)| {
+        let missing = [0.0, 0.3, 0.6][m];
+        let (single, never) = (extra & 1 == 1, extra & 2 == 2);
+        let dims = random + usize::from(single) + usize::from(never);
+        let row = (
+            proptest::collection::vec(cell_strategy(missing, card), random),
+            cell_strategy(missing, card),
+        )
+            .prop_map(move |(mut row, probe)| {
+                if single {
+                    row.push(probe.map(|_| 1.5));
+                }
+                if never {
+                    row.push(None);
+                }
+                if row.iter().all(Option::is_none) {
+                    row[0] = Some(-0.0);
+                }
+                row
+            });
+        proptest::collection::vec(row, 0..60)
+            .prop_map(move |rows| Dataset::from_rows(dims, &rows).expect("valid rows"))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -196,5 +226,32 @@ proptest! {
         let queue = counts.queue(&rows, live.iter().copied());
         prop_assert_eq!(&queue, &rebuilt_queue(&engine));
         prop_assert_eq!(queue, engine.maintained_queue());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The coordinator's one-pass seed equals tables built row by row
+    /// with `insert` on empty ones: the value counts, the queue (also a
+    /// from-scratch build's) and the pair histograms.
+    #[test]
+    fn one_pass_seed_equals_row_by_row_tables(ds in seed_dataset_strategy()) {
+        let (counts, queue, pairs) = seed_counts(&ds);
+        let empty = Dataset::from_rows(ds.dims(), &[]).expect("no rows");
+        let mut by_row = ValueCounts::new(&empty);
+        let mut pairs_by_row = PairCounts::new(&empty, &counts);
+        for o in ds.ids() {
+            by_row.insert(ds.row(o));
+            pairs_by_row.insert(ds.row(o));
+        }
+        pairs_by_row.refresh();
+        prop_assert_eq!(&counts, &by_row);
+        prop_assert_eq!(&counts, &ValueCounts::new(&ds));
+        prop_assert_eq!(&queue, &by_row.queue(&ds, ds.ids()));
+        prop_assert_eq!(&queue, &maxscore_queue(&ds));
+        prop_assert_eq!(pairs.grid(), &by_row.grid(8)[..]);
+        prop_assert_eq!(pairs.tables(), pairs_by_row.tables());
+        prop_assert_eq!(pairs.tables(), PairCounts::new(&ds, &counts).tables());
     }
 }

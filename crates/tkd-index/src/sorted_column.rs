@@ -20,20 +20,87 @@ use tkd_model::{Dataset, ObjectId};
 /// Values are normalized with `v + 0.0`, which collapses −0.0 into +0.0
 /// and fixes every other non-NaN value: the order then agrees with IEEE
 /// `<`/`==` *and* with [`crate::F64Key`]'s, so equal-value runs are
-/// contiguous. One buffer of at most `ds.len()` entries is reused across
-/// the dimensions.
+/// contiguous. Ids are laid down ascending and the sort is a stable radix
+/// sort by value (`radix_sort`), so equal values keep id order. Both of
+/// its buffers, at most `ds.len()` entries each, are taken before the
+/// first column and reused across the dimensions.
 pub fn for_each_sorted_column(ds: &Dataset, mut visit: impl FnMut(usize, &[(f64, ObjectId)])) {
     let mut column: Vec<(f64, ObjectId)> = Vec::with_capacity(ds.len());
+    let mut spare: Vec<(f64, ObjectId)> = Vec::with_capacity(ds.len());
+    let mut counts = vec![0usize; 1 << DIGIT_BITS];
     for dim in 0..ds.dims() {
         column.clear();
         column.extend(
             ds.ids()
                 .filter_map(|o| ds.value(o, dim).map(|v| (v + 0.0, o))),
         );
-        // Ids were pushed ascending, so a stable sort by value alone
-        // yields `(value, id)` order.
-        column.sort_by(|a, b| a.0.total_cmp(&b.0));
+        radix_sort(&mut column, &mut spare, &mut counts);
         visit(dim, &column);
+    }
+}
+
+/// The order-preserving `u64` image of a non-NaN `f64`:
+/// `radix_key(a).cmp(&radix_key(b))` is `a.total_cmp(&b)`. A negative
+/// value has every bit flipped (a larger magnitude sorts lower), any
+/// other value only its sign bit.
+fn radix_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
+/// The widest digit of [`radix_sort`]: 2¹¹ counters stay in L1.
+const DIGIT_BITS: u32 = 11;
+
+/// Stable LSD radix sort of `column` by [`radix_key`] of its values.
+///
+/// Only the bits that vary among the column's keys are read: the span
+/// from the lowest to the highest bit where some key differs from the
+/// first splits into the fewest digits of at most [`DIGIT_BITS`] bits, so
+/// a dimension of small integers sorts in one or two counting passes and
+/// one holding a single value in none. Each pass counts its digit, then
+/// scatters `column` into `spare` by it, in order, and swaps the two.
+/// `counts` holds at least `2^DIGIT_BITS` counters.
+fn radix_sort(
+    column: &mut Vec<(f64, ObjectId)>,
+    spare: &mut Vec<(f64, ObjectId)>,
+    counts: &mut [usize],
+) {
+    let Some(&(first, _)) = column.first() else {
+        return;
+    };
+    let first = radix_key(first);
+    let varying = column
+        .iter()
+        .fold(0, |acc, &(v, _)| acc | (radix_key(v) ^ first));
+    if varying == 0 {
+        return;
+    }
+    let low = varying.trailing_zeros();
+    let bits = u64::BITS - varying.leading_zeros() - low;
+    let passes = bits.div_ceil(DIGIT_BITS);
+    let width = bits.div_ceil(passes);
+    let counts = &mut counts[..1 << width];
+    spare.clear();
+    spare.resize(column.len(), (0.0, 0));
+    for pass in 0..passes {
+        let shift = low + pass * width;
+        let digit = |v: f64| (radix_key(v) >> shift) as usize & ((1 << width) - 1);
+        counts.fill(0);
+        for &(v, _) in column.iter() {
+            counts[digit(v)] += 1;
+        }
+        let mut at = 0;
+        for count in counts.iter_mut() {
+            let holders = *count;
+            *count = at;
+            at += holders;
+        }
+        for &entry in column.iter() {
+            let slot = &mut counts[digit(entry.0)];
+            spare[*slot] = entry;
+            *slot += 1;
+        }
+        std::mem::swap(column, spare);
     }
 }
 

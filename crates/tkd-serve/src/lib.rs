@@ -18,10 +18,15 @@
 //!   (`fault_injection` and `serve_stress` tests).
 //! * [`Client`] — typed blocking caller (`serve_parity` pins every
 //!   over-the-wire answer bit-identical to the in-process engines).
+//!
+//! [`accept`] is the accept loop the server shares with the cluster's
+//! shard workers: a blocking listener, a connection served the moment
+//! it arrives, woken by a loopback connection to stop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod accept;
 mod client;
 pub mod cluster_wire;
 mod error;

@@ -4,7 +4,7 @@
 //! # Threading model
 //!
 //! ```text
-//! listener thread ──accept──▶ connection threads (one per client)
+//! accept thread ──accept──▶ connection threads (one per client)
 //!                                   │  decode → submit → await reply
 //!                                   ▼
 //!                        bounded queue + condvar
@@ -14,6 +14,10 @@
 //!                    coalesce queries → query_many
 //!                    update batches   → check → append + sync → apply → ack
 //! ```
+//!
+//! The accept thread blocks in `accept` and hands each connection to
+//! its thread the moment it arrives ([`crate::accept`]); a stop wakes it
+//! with a loopback connection, so no tick delays a new client.
 //!
 //! Only the engine thread ever touches the engine, so updates are
 //! single-writer by construction and queries always observe a complete
@@ -51,6 +55,7 @@
 //! the log's base is exactly the state its records apply to.
 //! [`tkd_store::load_engine`] on the path recovers the acked state.
 
+use crate::accept::Acceptor;
 use crate::error::ServeError;
 use crate::protocol::{
     self, decode_request_body, encode_response, ErrorFrame, FramePolicy, QuerySpec, Request,
@@ -232,14 +237,14 @@ impl Shared {
 }
 
 /// A running serve instance. Dropping it without [`Server::stop`] /
-/// [`Server::join`] detaches the threads (they exit on the next poll
-/// after the process-exit teardown closes the listener).
+/// [`Server::join`] stops it as `stop` does and discards the engine.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    listener_handle: Option<JoinHandle<()>>,
+    /// The accept loop and the connection threads
+    /// ([`crate::accept`]).
+    acceptor: Acceptor,
     engine_handle: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     engine_rx: mpsc::Receiver<DynamicEngine>,
 }
 
@@ -254,7 +259,6 @@ impl Server {
         config: ServeConfig,
     ) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(addr).map_err(ServeError::from)?;
-        listener.set_nonblocking(true).map_err(ServeError::from)?;
         let addr = listener.local_addr().map_err(ServeError::from)?;
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
@@ -266,24 +270,26 @@ impl Server {
             overloaded: AtomicU64::new(0),
             config,
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let (engine_tx, engine_rx) = mpsc::channel();
 
         let engine_handle = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || engine_loop(engine, shared, engine_tx))
         };
-        let listener_handle = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || listener_loop(listener, shared, conns))
+        let acceptor = {
+            let (stopping, serving) = (Arc::clone(&shared), Arc::clone(&shared));
+            Acceptor::spawn(
+                listener,
+                move || stopping.stopping(),
+                move |stream| connection_loop(stream, Arc::clone(&serving)),
+            )
+            .map_err(ServeError::from)?
         };
         Ok(Server {
             addr,
             shared,
-            listener_handle: Some(listener_handle),
+            acceptor,
             engine_handle: Some(engine_handle),
-            conns,
             engine_rx,
         })
     }
@@ -328,35 +334,25 @@ impl Server {
         if let Some(h) = self.engine_handle.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.listener_handle.take() {
-            let _ = h.join();
-        }
-        let handles = std::mem::take(&mut *self.conns.lock().expect("conn list lock"));
-        for h in handles {
-            let _ = h.join();
-        }
+        // The shutdown flag is up: wake the blocked accept, then join it
+        // and every connection thread, each of which sees the flag at its
+        // next idle poll.
+        self.acceptor.join();
         engine
     }
 }
 
-/// Accept loop: nonblocking accepts with a short sleep so the shutdown
-/// flag is observed promptly.
-fn listener_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stopping() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || connection_loop(stream, shared));
-                conns.lock().expect("conn list lock").push(handle);
+impl Drop for Server {
+    /// Stop as [`Server::stop`] does, discarding the engine. A poisoned
+    /// queue lock means a thread already panicked; the drain flag is
+    /// then skipped rather than a second panic raised.
+    fn drop(&mut self) {
+        if self.engine_handle.is_some() {
+            if let Ok(mut q) = self.shared.queue.lock() {
+                q.draining = true;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+            self.shared.notify.notify_all();
+            let _ = self.reap();
         }
     }
 }
@@ -1014,5 +1010,33 @@ fn gather_stats(engine: &DynamicEngine, shared: &Shared, counters: &EngineCounte
             .load_time
             .map_or(0, |t| t.as_micros().min(u64::MAX as u128) as u64),
         borrowed: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// A finished connection's thread is joined at the next accept, so the
+    /// tracked handles stay at the open connections however many came
+    /// and went: 200 connect → `stats` → close cycles never hold more
+    /// than a few.
+    #[test]
+    fn finished_connection_threads_are_joined_as_the_loop_goes() {
+        let engine = DynamicEngine::new(tkd_model::fixtures::fig3_sample());
+        let server = Server::start(engine, "127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let mut most = 0;
+        for _ in 0..200 {
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            client.stats().expect("stats answer");
+            drop(client);
+            most = most.max(server.acceptor.tracked());
+        }
+        assert!(
+            most <= 8,
+            "{most} connection threads tracked after 200 cycles"
+        );
+        server.stop().expect("the engine comes back");
     }
 }
