@@ -18,11 +18,13 @@
 //! # Where the algorithm lives
 //!
 //! BIG-Score (Algorithm 3) is written **once**, against one index, in two
-//! steps. `big_measure` reads the candidate's column picks off its stored
-//! value slots ([`BitmapIndex::selection_of`]), runs the Heuristic 2
-//! test at the loosest τ the walk's replays hold — the index's pairwise
-//! tables first, then the budgeted scan — and unless that test prunes
-//! for all of them takes `term_counts` — the counts of
+//! steps. `big_measure` runs the Heuristic 2 test at the loosest τ the
+//! walk's replays hold. Unscoped, that is the index's member entry point
+//! [`BitmapIndex::max_bit_score_above`]: the memo of the bounds earlier
+//! queries proved, then the pairwise tables, then the budgeted scan at
+//! the picks read off the candidate's stored value slots
+//! ([`BitmapIndex::selection_of`]). Unless the test prunes for every
+//! replay, it takes `term_counts` — the counts of
 //! `|P − F| + |Q − P − nonD|`, the term IBIG shares ([`crate::ibig`]).
 //! `big_decide` turns those counts and one replay's τ into that replay's
 //! outcome. A walk measures each visited candidate once for every query
@@ -39,9 +41,11 @@
 //! the engine hosting its shard.
 //!
 //! The scoring path is **allocation-free** after context build: Heuristic 2
-//! reads the index's pairwise tables — most prunes are one pair's joint
-//! count at or below the budget — and otherwise runs a fused multi-way
-//! AND-popcount that materializes nothing
+//! reads the index's memo — on a warm index most prunes are one load of a
+//! bound an earlier query proved; the memo is sized at build and refresh,
+//! never in a query — then its pairwise tables — most other prunes are
+//! one pair's joint count at or below the budget — and otherwise runs a
+//! fused multi-way AND-popcount that materializes nothing
 //! ([`BitmapIndex::q_count_selected_above`]), surviving objects fill the
 //! caller's [`ScratchSpace`] in fused passes, and the `Q − P` residue is
 //! split in one more fused pass over the index's columns
@@ -229,12 +233,14 @@ impl Term {
 }
 
 /// BIG-Score's measure step (Algorithm 3) of member `o` of `ds` against
-/// `index`: Heuristic 2's budgeted scan at the loosest τ `need` names —
-/// skipped while no replay holds one — and the term's counts unless that
-/// scan prunes for every replay. With a `scope`, every set is ANDed with
-/// its rows and the candidate is restricted to its dimensions: the score
-/// counts only the rows in scope, compared inside the scope's dimensions
-/// (a constrained or subspace query). Allocation-free.
+/// `index`: Heuristic 2 at the loosest τ `need` names — skipped while no
+/// replay holds one — and the term's counts unless that test prunes for
+/// every replay. Unscoped, the test reads and feeds the index's memo
+/// ([`BitmapIndex::max_bit_score_above`]). With a `scope`, every set is
+/// ANDed with its rows and the candidate is restricted to its
+/// dimensions: the score counts only the rows in scope, compared inside
+/// the scope's dimensions (a constrained or subspace query).
+/// Allocation-free.
 #[inline]
 pub(crate) fn big_measure(
     ds: &Dataset,
@@ -245,25 +251,33 @@ pub(crate) fn big_measure(
     need: Need,
     scratch: &mut ScratchSpace,
 ) -> Measured {
-    scratch.sel = index.selection_of(o as usize);
-    if let Some(s) = scope {
-        scratch.sel.restrict(s.dims);
-    }
     let rows = scope.map(|s| &s.rows);
+    let select = || {
+        let mut sel = index.selection_of(o as usize);
+        if let Some(s) = scope {
+            sel.restrict(s.dims);
+        }
+        sel
+    };
     // Heuristic 2 — bitmap pruning on the tight bound. The raw
     // intersection counts o's own bit, so `MaxBitScore(o) ≤ τ` reads
-    // `|∩ᵢ Qᵢ| ≤ τ + 1`. The common case (pruned) is decided by a pair
-    // of picked columns' joint count in the index's pair tables, else by
-    // a fraction of one scan pass; nothing is written. Survivors
-    // re-intersect in the term below —
-    // redundant, but survivors enter the candidate set by construction, so
-    // there are at most ~k of them per τ value.
-    let q = need
-        .tau
-        .and_then(|t| index.q_count_selected_above_scoped(&scratch.sel, rows, t + 1));
+    // `|∩ᵢ Qᵢ| ≤ τ + 1`. Unscoped, the index's member entry point decides:
+    // its memo first — a row an earlier query pruned at this budget or a
+    // lower one costs one load — then a pair of picked columns' joint
+    // count in its pair tables, else a fraction of one scan pass. Scoped
+    // and subspace walks bypass the memo (a subspace's restricted picks
+    // raise the count past what it bounds) and go to the tables and the
+    // scan. Nothing is written but the memo. Survivors re-intersect in
+    // the term below — redundant, but survivors enter the candidate set
+    // by construction, so there are at most ~k of them per τ value.
+    let q = need.tau.and_then(|t| match scope {
+        None => index.max_bit_score_above(o, t).map(|s| s + 1),
+        Some(_) => index.q_count_selected_above_scoped(&select(), rows, t + 1),
+    });
     if q.is_none() && !need.unfilled {
         return Measured { q, term: None };
     }
+    scratch.sel = select();
     let cand = match scope {
         Some(s) => s.candidate(ds, o),
         None => Candidate::member(ds, pre, o),

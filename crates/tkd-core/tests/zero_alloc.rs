@@ -227,6 +227,37 @@ fn query_allocations_are_constant_in_dataset_size() {
          (ceiling {PER_SPEC_CEILING} per spec)"
     );
 
+    // --- A filled Heuristic 2 memo -------------------------------------
+    // The exact index keeps each row's Heuristic 2 bound across queries.
+    // The memo is sized at build and refresh, never inside a query: once
+    // queries at every k below have filled it, the sequential, parallel
+    // and batched queries stay within their ceilings.
+    for k in [1usize, 8, 64, 256] {
+        big::big_with_scratch(&ctx_l, k, &mut scr_l);
+        eng_l.query(&engine::EngineQuery::new(k));
+    }
+    let _ = eng_l.query_many(&sixteen);
+    let seq = allocs_during(|| big::big_with_scratch(&ctx_l, K, &mut scr_l));
+    assert!(
+        seq <= PER_QUERY_CEILING,
+        "BIG on a filled memo performed {seq} allocations (ceiling {PER_QUERY_CEILING})"
+    );
+    let par = measure(&|| eng_l.query(&q));
+    assert!(
+        par <= PER_PARALLEL_QUERY_CEILING,
+        "parallel query on a filled memo performed {par} allocations \
+         (ceiling {PER_PARALLEL_QUERY_CEILING})"
+    );
+    let many = measure(&|| {
+        let r = eng_l.query_many(&sixteen);
+        r.into_iter().next().unwrap()
+    });
+    assert!(
+        many <= PER_SPEC_CEILING * sixteen.len() as u64,
+        "a 16-spec batch on a filled memo performed {many} allocations \
+         (ceiling {PER_SPEC_CEILING} per spec)"
+    );
+
     // --- Cluster shard scoring -----------------------------------------
     // A shard worker scores value-based candidates on the engine that
     // hosts the shard: borrowed values against the maintained indexes and

@@ -1,6 +1,7 @@
 //! The range-encoded bitmap index of §4.3 (Fig. 6), with in-place dynamic
 //! maintenance (append / tombstone / cell update) for the update layer.
 
+use crate::memo::H2Memo;
 use crate::pairs::PairTables;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
 use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
@@ -39,6 +40,12 @@ pub struct BitmapIndex {
     /// [`BitmapIndex::derive_pair_tables`] — absent or exact, never
     /// stale.
     pairs: Option<PairTables>,
+    /// The Heuristic 2 memo: per slot, the least bound on the row's
+    /// `|∩ᵢ Qᵢ|` the lookups have proven. Sized at build and load, made
+    /// unreadable by any in-place maintenance, sized again by
+    /// [`BitmapIndex::derive_pair_tables`] — absent or exact, like
+    /// `pairs`.
+    memo: H2Memo,
     /// Live/tombstone bookkeeping for dynamic maintenance. Static builds
     /// are all-live; [`BitmapIndex::tombstone_row`] kills slots.
     ///
@@ -68,6 +75,8 @@ pub struct BitmapIndexBuilder {
     live: Tombstones,
     /// The pair tables' storage, taken before any column is laid down.
     pair_buf: Vec<u32>,
+    /// The Heuristic 2 memo, sized before any column is laid down too.
+    memo: H2Memo,
 }
 
 impl BitmapIndexBuilder {
@@ -81,6 +90,7 @@ impl BitmapIndexBuilder {
             val_idx: vec![MISSING; n * dims],
             live: Tombstones::all_live(n),
             pair_buf: PairTables::buffer(dims),
+            memo: H2Memo::new(n),
         }
     }
 
@@ -130,7 +140,8 @@ impl BitmapIndexBuilder {
         self.columns.push(cols);
     }
 
-    /// Finish the index (suffix-popcount and pair tables included).
+    /// Finish the index (suffix-popcount and pair tables included, the
+    /// Heuristic 2 memo empty).
     ///
     /// # Panics
     /// Panics if fewer than `dims` dimensions were pushed.
@@ -151,6 +162,7 @@ impl BitmapIndexBuilder {
             val_idx: self.val_idx,
             block_suffix,
             pairs,
+            memo: self.memo,
             live: self.live,
         }
     }
@@ -234,6 +246,7 @@ impl BitmapIndex {
             val_idx: slots,
             live,
             pair_buf: PairTables::buffer(dims),
+            memo: H2Memo::new(n),
         };
         let mut order = vec![0u32; n];
         for (d, (vals, mut at)) in values.into_iter().zip(counts).enumerate() {
@@ -273,6 +286,7 @@ impl BitmapIndex {
     /// `O(Σᵢ (Cᵢ+1) · N/64)`.
     pub fn append_row(&mut self, mut value: impl FnMut(usize) -> Option<f64>) -> usize {
         self.pairs = None;
+        self.memo.clear();
         let local = self.n;
         for dim in 0..self.dims {
             let slot = match value(dim) {
@@ -317,6 +331,7 @@ impl BitmapIndex {
             return false;
         }
         self.pairs = None;
+        self.memo.clear();
         for dim in 0..self.dims {
             // Bits are set only in columns `1..hi`; missing = all of them.
             let hi = match self.val_idx[local * self.dims + dim] {
@@ -346,6 +361,7 @@ impl BitmapIndex {
     pub fn set_cell(&mut self, local: usize, dim: usize, new: Option<f64>) {
         assert!(self.live.is_live(local), "cell update on dead slot {local}");
         self.pairs = None;
+        self.memo.clear();
         // Resolve the new slot first: a value-table insert shifts `val_idx`
         // (including this object's), so the old slot is read afterwards.
         let new_j = match new {
@@ -383,8 +399,9 @@ impl BitmapIndex {
         self.val_idx[local * self.dims + dim] = new_j;
     }
 
-    /// Derive the pairwise Heuristic 2 tables from the columns if any
-    /// maintenance dropped them ([`BitmapIndex::append_row`],
+    /// Derive the pairwise Heuristic 2 tables from the columns, and size
+    /// the Heuristic 2 memo with every entry unknown, if any maintenance
+    /// dropped them ([`BitmapIndex::append_row`],
     /// [`BitmapIndex::tombstone_row`] and [`BitmapIndex::set_cell`] do) —
     /// the dynamic engine's refresh runs it once per batch of ops. A
     /// no-op while they are present. Until then the budgeted scan decides
@@ -393,6 +410,9 @@ impl BitmapIndex {
         if self.pairs.is_none() {
             let live = self.live_count();
             self.pairs = PairTables::derive(&self.columns, &self.block_suffix, live, Vec::new());
+        }
+        if !self.memo.is_readable(self.n) {
+            self.memo.reset(self.n);
         }
     }
 
@@ -596,15 +616,32 @@ impl BitmapIndex {
             .map_or(0, |c| c - 1)
     }
 
-    /// Heuristic 2 in one call: `Some(MaxBitScore(o))` when it exceeds
-    /// `tau`, `None` when `MaxBitScore(o) ≤ tau` — i.e. `None` means
-    /// *prune*. The decision is exactly `max_bit_score(o) ≤ tau`, taken by
-    /// [`BitmapIndex::q_count_selected_above`] on `o`'s own selection: o's
-    /// own bit is part of every count there, so `|Q| ≤ tau` reads
-    /// `|∩ᵢ Qᵢ| ≤ tau + 1`.
+    /// Heuristic 2 in one call, the entry point for member rows:
+    /// `Some(MaxBitScore(o))` when it exceeds `tau`, `None` when
+    /// `MaxBitScore(o) ≤ tau` — i.e. `None` means *prune*. o's own bit is
+    /// part of every count here, so `|Q| ≤ tau` reads
+    /// `|∩ᵢ Qᵢ| ≤ tau + 1`. The memo goes first: an entry within that
+    /// budget is the prune. Else [`BitmapIndex::q_count_selected_above`]
+    /// decides on `o`'s own selection, and the memo keeps what it proved —
+    /// the budget after a prune, the exact count after a keep. The
+    /// decision is exactly `max_bit_score(o) ≤ tau` either way.
     pub fn max_bit_score_above(&self, o: ObjectId, tau: usize) -> Option<usize> {
-        self.q_count_selected_above(&self.selection_of(o as usize), tau + 1)
-            .map(|c| c - 1)
+        let (row, budget) = (o as usize, tau + 1);
+        if self.memo.get(row).is_some_and(|b| b <= budget) {
+            return None;
+        }
+        let count = self.q_count_selected_above(&self.selection_of(row), budget);
+        self.memo.record(row, count.unwrap_or(budget));
+        count.map(|c| c - 1)
+    }
+
+    /// The Heuristic 2 memo's bound on `MaxBitScore(o)`: what
+    /// [`BitmapIndex::max_bit_score_above`] has proven about `o` since the
+    /// index was built, loaded or last refreshed
+    /// ([`BitmapIndex::derive_pair_tables`]). `None` while nothing is
+    /// known — and from any in-place maintenance until the next refresh.
+    pub fn max_bit_score_bound(&self, o: ObjectId) -> Option<usize> {
+        self.memo.get(o as usize).map(|b| b.saturating_sub(1))
     }
 
     /// The `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row`, read off its

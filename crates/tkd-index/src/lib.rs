@@ -43,9 +43,15 @@
 //! build and load. A pick rounds down to a boundary, a superset column,
 //! so one pair's entry within the budget proves the prune the scan would
 //! reach; most Heuristic 2 prunes are decided there without reading a
-//! column word. The scoring term of both splits `Q − P`
-//! in one fused pass of AND-NOTs over the same columns,
-//! [`BitmapIndex::residue_counts`].
+//! column word. For a member row at its own exact picks — BIG's walk —
+//! [`BitmapIndex::max_bit_score_above`] reads the Heuristic 2 memo before
+//! both: per slot, the least bound on the row's count any lookup has
+//! proven, which does not depend on τ. A revisited row whose bound fits
+//! the budget is pruned with one load; the memo is sized at build and
+//! load, unreadable from any in-place op until
+//! [`BitmapIndex::derive_pair_tables`], and never persisted. The scoring
+//! term of both splits `Q − P` in one fused pass of AND-NOTs over the
+//! same columns, [`BitmapIndex::residue_counts`].
 
 #![warn(missing_docs)]
 
@@ -54,6 +60,7 @@ mod bitmap;
 mod compressed;
 pub mod cost;
 mod key;
+mod memo;
 mod pairs;
 mod sorted_column;
 mod suffix;

@@ -1,0 +1,128 @@
+//! Warm ≡ cold: an index that has answered queries answers the next one
+//! exactly as a freshly built one answers its first.
+//!
+//! The exact index remembers every row's Heuristic 2 bound across
+//! queries (`BitmapIndex::max_bit_score_above`), so a warm walk prunes a
+//! revisited candidate without a scan. One context answers a seeded,
+//! repeated and shuffled sequence of k ∈ {1, 8, 64, 256}; every answer's
+//! entries and whole `PruneStats` must equal the first answer of a
+//! context built fresh for that k. Surfaces: `big_with_scratch`,
+//! `ParallelEngine` at one thread and at two (entries and `h1_pruned`
+//! there: with two workers the other counters follow the schedule, warm
+//! or cold), 16-spec `query_many` batches, and a `DynamicEngine` queried
+//! between op batches against a fresh load of its snapshot.
+
+mod common;
+
+use common::{apply_to_mirror, random_op, synth, Mirror, Mix};
+use std::collections::BTreeMap;
+use tkdi::core::big::{big_with, big_with_scratch, BigContext};
+use tkdi::core::{PruneStats, ResultEntry, TkdResult};
+use tkdi::prelude::*;
+use tkdi::store;
+
+const KS: [usize; 4] = [1, 8, 64, 256];
+const MISSING: [u64; 2] = [10, 30];
+
+/// What an answer must reproduce: its entries in order, and its counters.
+fn answer(r: &TkdResult) -> (Vec<ResultEntry>, PruneStats) {
+    (r.entries().to_vec(), r.stats)
+}
+
+/// `KS` three times over, shuffled.
+fn k_sequence(rng: &mut Mix) -> Vec<usize> {
+    let mut ks: Vec<usize> = KS.iter().copied().cycle().take(3 * KS.len()).collect();
+    for i in (1..ks.len()).rev() {
+        ks.swap(i, rng.below(i + 1));
+    }
+    ks
+}
+
+/// Each k's answer from a context built for it alone.
+fn cold_answers(ds: &Dataset) -> BTreeMap<usize, (Vec<ResultEntry>, PruneStats)> {
+    KS.iter()
+        .map(|&k| (k, answer(&big_with(&BigContext::build(ds), k))))
+        .collect()
+}
+
+#[test]
+fn warm_static_surfaces_answer_as_cold() {
+    for (cell, &missing) in MISSING.iter().enumerate() {
+        let ds = synth(600 + cell as u64, 1_500, 4, 16, missing);
+        let cold = cold_answers(&ds);
+        assert!(
+            cold.values().any(|(_, s)| s.h2_pruned > 100),
+            "Heuristic 2 must prune here: {cold:?}"
+        );
+        let mut rng = Mix(700 + cell as u64);
+
+        let ctx = BigContext::build(&ds);
+        let mut scratch = ctx.scratch();
+        for k in k_sequence(&mut rng) {
+            let got = answer(&big_with_scratch(&ctx, k, &mut scratch));
+            assert_eq!(got, cold[&k], "big_with_scratch, σ {missing}%, k {k}");
+        }
+
+        for threads in [1, 2] {
+            let engine = ParallelEngine::builder(&ds).threads(threads).build();
+            for k in k_sequence(&mut rng) {
+                let (entries, stats) = answer(&engine.query(&EngineQuery::new(k)));
+                let (want_entries, want_stats) = &cold[&k];
+                let ctx = format!("engine threads({threads}), σ {missing}%, k {k}");
+                assert_eq!(&entries, want_entries, "{ctx}");
+                if threads == 1 {
+                    assert_eq!(&stats, want_stats, "{ctx}");
+                } else {
+                    assert_eq!(stats.h1_pruned, want_stats.h1_pruned, "{ctx}");
+                }
+            }
+        }
+
+        let engine = ParallelEngine::builder(&ds).threads(1).build();
+        for round in 0..3 {
+            let specs: Vec<EngineQuery> = (0..16)
+                .map(|_| EngineQuery::new(KS[rng.below(KS.len())]))
+                .collect();
+            for (spec, got) in specs.iter().zip(engine.query_many(&specs)) {
+                let ctx = format!("query_many round {round}, σ {missing}%, k {}", spec.k);
+                assert_eq!(answer(&got), cold[&spec.k], "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_dynamic_engine_answers_as_a_fresh_load() {
+    let (dims, missing) = (4, 20);
+    let ds = synth(800, 900, dims, 16, missing);
+    let initial: Vec<Vec<Option<f64>>> = ds
+        .ids()
+        .map(|o| (0..dims).map(|d| ds.value(o, d)).collect())
+        .collect();
+    let mut mirror = Mirror::seeded(&initial);
+    let mut next_id = ds.len() as ObjectId;
+    let mut engine = DynamicEngine::new(ds);
+    let mut rng = Mix(801);
+    for batch in 0..6 {
+        let ops: Vec<UpdateOp> = (0..12)
+            .map(|_| {
+                let op = random_op(&mut rng, &mirror, dims, missing);
+                apply_to_mirror(&mut mirror, &op, &mut next_id);
+                op
+            })
+            .collect();
+        let report = engine.apply_ops(&ops);
+        assert!(report.error.is_none(), "batch {batch}: {:?}", report.error);
+        let bytes = store::encode_engine(&engine);
+        let mut cold = BTreeMap::new();
+        for k in KS {
+            let mut fresh = store::decode_engine(&bytes).expect("snapshot decodes");
+            let first = fresh.query(&EngineQuery::new(k)).expect("BIG is served");
+            cold.insert(k, answer(&first));
+        }
+        for k in k_sequence(&mut rng) {
+            let got = engine.query(&EngineQuery::new(k)).expect("BIG is served");
+            assert_eq!(answer(&got), cold[&k], "batch {batch}, k {k}");
+        }
+    }
+}
