@@ -20,8 +20,9 @@
 //! BIG-Score (Algorithm 3) is written **once**, against one index, in two
 //! steps. `big_measure` runs the Heuristic 2 test at the loosest τ the
 //! walk's replays hold. Unscoped, that is the index's member entry point
-//! [`BitmapIndex::max_bit_score_above`]: the memo of the bounds earlier
-//! queries proved, then the pairwise tables, then the budgeted scan at
+//! [`BitmapIndex::max_bit_score_above`]: the exact memo lane of the
+//! bounds earlier queries proved, then the pairwise tables, then the
+//! budgeted scan at
 //! the picks read off the candidate's stored value slots
 //! ([`BitmapIndex::selection_of`]). Unless the test prunes for every
 //! replay, it takes `term_counts` — the counts of
@@ -41,10 +42,12 @@
 //! the engine hosting its shard.
 //!
 //! The scoring path is **allocation-free** after context build: Heuristic 2
-//! reads the index's memo — on a warm index most prunes are one load of a
-//! bound an earlier query proved; the memo is sized at build and refresh,
-//! never in a query — then its pairwise tables — most other prunes are
-//! one pair's joint count at or below the budget — and otherwise runs a
+//! reads the index's exact memo lane — on a warm index most prunes are
+//! one load of a bound an earlier query proved; the lane is sized at
+//! build and refresh, never in a query, and a [`BigContext`]'s index
+//! carries no other ([`MemoLanes::Exact`]) — then its pairwise tables —
+//! most other prunes are one pair's joint count at or below the budget —
+//! and otherwise runs a
 //! fused multi-way AND-popcount that materializes nothing
 //! ([`BitmapIndex::q_count_selected_above`]), surviving objects fill the
 //! caller's [`ScratchSpace`] in fused passes, and the `Q − P` residue is
@@ -63,7 +66,7 @@ use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{Need, Outcome};
 use std::borrow::Cow;
-use tkd_index::{BitmapIndex, BitmapIndexBuilder, RowScope};
+use tkd_index::{BitmapIndex, BitmapIndexBuilder, MemoLanes, RowScope};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// Precomputed inputs of Algorithm 4: the bitmap index plus the shared
@@ -81,7 +84,7 @@ impl<'a> BigContext<'a> {
     /// Each dimension is sorted once: the same column feeds the index and
     /// the queue.
     pub fn build(ds: &'a Dataset) -> Self {
-        let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
+        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), MemoLanes::Exact);
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         BigContext {
             ds,
@@ -96,7 +99,7 @@ impl<'a> BigContext<'a> {
     pub fn build_with(ds: &'a Dataset, pre: &'a Preprocessed) -> Self {
         BigContext {
             ds,
-            index: Cow::Owned(BitmapIndex::build(ds)),
+            index: Cow::Owned(BitmapIndex::build_with_lanes(ds, MemoLanes::Exact)),
             pre: Cow::Borrowed(pre),
         }
     }
@@ -215,10 +218,9 @@ pub(crate) struct Measured {
 /// The counts of the scoring term `|P − F| + |Q − P − nonD|`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Term {
-    /// `|G(o)| = |P| − |F(o)|`.
-    pub(crate) g: usize,
-    /// `|Q − P|`, the rows tying the candidate somewhere.
-    pub(crate) q_minus_p: usize,
+    /// `|Q − F(o)| = |G(o)| + |Q − P|`: the rows the candidate dominates
+    /// or ties somewhere (`G(o) = P − F(o)`; `P ⊆ Q` and `F(o) ⊆ P`).
+    pub(crate) q_minus_f: usize,
     /// `|nonD(o)|`, the rows of `Q − P` it does not dominate.
     pub(crate) non_d: usize,
     /// `|F(o)|`, the rows it shares no observed dimension with.
@@ -226,9 +228,20 @@ pub(crate) struct Term {
 }
 
 impl Term {
+    /// The term of a member whose `|∩ᵢ Qᵢ|` (its own bit included) and
+    /// `nonD` are known: `score(o) = |Q| − |F(o)| − |nonD(o)|` with
+    /// `|Q| = count − 1` (§4.4–4.5).
+    pub(crate) fn recalled(count: usize, non_d: usize, f: usize) -> Self {
+        Term {
+            q_minus_f: count - 1 - f,
+            non_d,
+            f,
+        }
+    }
+
     /// How many rows the candidate dominates.
     pub(crate) fn score(&self) -> usize {
-        self.g + self.q_minus_p - self.non_d
+        self.q_minus_f - self.non_d
     }
 }
 
@@ -343,8 +356,7 @@ pub(crate) fn term_counts(
     let g = p.count_ones() - cand.f;
     let (q_minus_p, non_d) = index.residue_counts(q, p, sel, bin_sel, cand.mask);
     Term {
-        g,
-        q_minus_p,
+        q_minus_f: g + q_minus_p,
         non_d,
         f: cand.f,
     }
@@ -383,7 +395,7 @@ pub(crate) fn big_with_alloc(ctx: &BigContext<'_>, k: usize) -> TkdResult {
 /// `MaxBitScore(o)` of the full (unbinned) index — exposed for analysis and
 /// the Fig. 8 reproduction.
 pub fn max_bit_scores(ds: &Dataset) -> Vec<usize> {
-    let index = BitmapIndex::build(ds);
+    let index = BitmapIndex::build_with_lanes(ds, MemoLanes::Exact);
     ds.ids().map(|o| index.max_bit_score(o)).collect()
 }
 

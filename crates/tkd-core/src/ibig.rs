@@ -38,13 +38,19 @@
 //! # Where the algorithm lives
 //!
 //! IBIG-Score (Algorithm 5) is written **once**, against one
-//! [`BinnedBitmapIndex`], in BIG's two steps. `ibig_measure` reads the
-//! candidate's binned picks off its stored value slots
-//! ([`BinnedBitmapIndex::selection_of`]) and counts `|Q|` with the
-//! Heuristic 2 test BIG runs, at those picks — the exact index's
-//! pairwise tables first (binned picks are exact columns, so the same
-//! tables bound them), then the budgeted scan; only a candidate the test
-//! leaves to some replay reaches the term. `ibig_decide` takes one
+//! [`BinnedBitmapIndex`], in BIG's two steps. `ibig_measure` counts `|Q|`
+//! at the candidate's binned picks, read off its stored value slots
+//! ([`BinnedBitmapIndex::selection_of`]), with the Heuristic 2 test BIG
+//! runs — the exact index's pairwise tables first (binned picks are
+//! exact columns, so the same tables bound them), then the budgeted
+//! scan; only a candidate the test leaves to some replay reaches the
+//! term. Unscoped, the index's binned memo lane goes before both
+//! ([`BinnedBitmapIndex::member_count_above`]): the count and the term's
+//! `nonD` depend on the row, the index and the boundaries, never on τ,
+//! so a row pruned before at this budget or a lower one costs one load,
+//! and a row scored before comes back whole — its term rebuilt from
+//! `score(o) = |Q| − |F(o)| − |nonD(o)|` with no scan and no residue
+//! pass. `ibig_decide` takes one
 //! replay's Heuristic 2 decision on `|Q| − 1` and its Heuristic 3
 //! decision on the term's `nonD`. Every in-process engine scores through
 //! it: the sequential [`ibig_with_scratch`], the batched
@@ -58,10 +64,14 @@
 //! `crate::topk`'s `walk`.
 //!
 //! Like BIG, the scoring path is **allocation-free** after context build:
-//! a survivor's `Q`/`P` intersections are written straight into the
-//! caller's [`ScratchSpace`], and the residue pass writes nothing.
+//! the memo lane is sized at build and refresh, never in a query, a
+//! survivor's `Q`/`P` intersections are written straight into the
+//! caller's [`ScratchSpace`], and the residue pass writes nothing. An
+//! [`IbigContext`]'s exact index carries the binned lane only
+//! ([`MemoLanes::Binned`]); an engine serving both algorithms carries
+//! both lanes.
 
-use crate::big::{term_counts, Candidate, Measured};
+use crate::big::{term_counts, Candidate, Measured, Term};
 use crate::engine::Scorer;
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
@@ -69,7 +79,7 @@ use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{Need, Outcome};
 use std::borrow::Cow;
-use tkd_index::{cost, BinnedBitmapIndex, BitmapIndexBuilder};
+use tkd_index::{cost, BinnedBitmapIndex, BitmapIndexBuilder, MemberCount, MemoLanes};
 use tkd_model::{stats, Dataset, ObjectId};
 
 /// Precomputed inputs of Algorithm 5: the binned index plus the shared
@@ -91,7 +101,7 @@ impl<'a> IbigContext<'a> {
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &'a Dataset, bins_per_dim: &[usize]) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
+        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), MemoLanes::Binned);
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         IbigContext {
             ds,
@@ -183,12 +193,15 @@ fn ibig_score(
 }
 
 /// IBIG-Score's measure step (Algorithm 5) of member `o` of `ds` against
-/// `index`: Heuristic 2's budgeted scan at the binned picks — at budget 0
-/// while some replay holds no τ, so the count comes back exact, else at
-/// the smallest τ + 1 `need` names — and, unless that scan prunes for
-/// every replay, the term's counts. With a `scope`, every set and count
-/// is ANDed with its rows and the candidate is restricted to its
-/// dimensions (a constrained or subspace query). Allocation-free.
+/// `index`: Heuristic 2 at the binned picks — at budget 0 while some
+/// replay holds no τ, so the count comes back exact, else at the smallest
+/// τ + 1 `need` names — and, unless that test prunes for every replay,
+/// the term's counts. Unscoped, the test reads and feeds the index's
+/// binned memo lane ([`BinnedBitmapIndex::member_count_above`]): a row
+/// scored before comes back whole, its term rebuilt from its count and
+/// `nonD`. With a `scope`, every set and count is ANDed with its rows and
+/// the candidate is restricted to its dimensions (a constrained or
+/// subspace query). Allocation-free.
 #[inline]
 pub(crate) fn ibig_measure(
     ds: &Dataset,
@@ -201,25 +214,47 @@ pub(crate) fn ibig_measure(
 ) -> Measured {
     // Heuristic 2 — bitmap pruning (still sound under binning, §4.4), as
     // BIG takes it: o sits in every column it picks, so
-    // MaxBitScore = |∩Qᵢ| − 1 ≤ τ reads |∩Qᵢ| ≤ τ + 1, decided by the
-    // pair tables or the budgeted scan without writing Q.
-    scratch.bin_sel = index.selection_of(o as usize);
-    if let Some(s) = scope {
-        scratch.bin_sel.restrict(s.dims);
-    }
+    // MaxBitScore = |∩Qᵢ| − 1 ≤ τ reads |∩Qᵢ| ≤ τ + 1. Unscoped, the
+    // binned memo lane decides first — a prune an earlier query proved
+    // at this budget or a lower one, or the count and nonD of a row
+    // scored before, cost one load; neither depends on τ — then the pair
+    // tables or the budgeted scan, without writing Q. Scoped and subspace
+    // walks bypass the lane.
     let rows = scope.map(|s| &s.rows);
     let budget = match need.tau {
         Some(t) if !need.unfilled => t + 1,
         _ => 0,
     };
     let exact = index.exact();
-    let q = exact.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget);
-    if q.is_none() {
+    let q = match scope {
+        None => match index.member_count_above(o as usize, budget) {
+            Some(MemberCount {
+                count,
+                non_d: Some(non_d),
+            }) => {
+                let f = pre.masks.incomparable(ds.mask(o));
+                return Measured {
+                    q: Some(count),
+                    term: Some(Term::recalled(count, non_d, f)),
+                };
+            }
+            measured => measured.map(|m| m.count),
+        },
+        Some(s) => {
+            scratch.bin_sel = index.selection_of(o as usize);
+            scratch.bin_sel.restrict(s.dims);
+            exact.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget)
+        }
+    };
+    let Some(count) = q else {
         return Measured { q, term: None };
-    }
-    // Survivors only: the exact picks the residue pass compares against.
+    };
+    // Survivors only: the binned picks Q and P are filled at, and the
+    // exact picks the residue pass compares against.
+    scratch.bin_sel = index.selection_of(o as usize);
     scratch.sel = exact.selection_of(o as usize);
     if let Some(s) = scope {
+        scratch.bin_sel.restrict(s.dims);
         scratch.sel.restrict(s.dims);
     }
     let cand = match scope {
@@ -227,6 +262,9 @@ pub(crate) fn ibig_measure(
         None => Candidate::member(ds, pre, o),
     };
     let term = term_counts(exact, &cand, rows, scratch);
+    if scope.is_none() {
+        index.record_non_d(o as usize, count, term.non_d);
+    }
     Measured {
         q,
         term: Some(term),

@@ -13,7 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tkd_core::{big, engine, ibig, DynamicEngine, UpdateOp};
+use tkd_core::{big, engine, ibig, Algorithm, DynamicEngine, UpdateOp};
 use tkd_model::Dataset;
 
 struct CountingAlloc;
@@ -227,7 +227,7 @@ fn query_allocations_are_constant_in_dataset_size() {
          (ceiling {PER_SPEC_CEILING} per spec)"
     );
 
-    // --- A filled Heuristic 2 memo -------------------------------------
+    // --- A filled Heuristic 2 memo (the exact lane) -------------------
     // The exact index keeps each row's Heuristic 2 bound across queries.
     // The memo is sized at build and refresh, never inside a query: once
     // queries at every k below have filled it, the sequential, parallel
@@ -255,6 +255,40 @@ fn query_allocations_are_constant_in_dataset_size() {
     assert!(
         many <= PER_SPEC_CEILING * sixteen.len() as u64,
         "a 16-spec batch on a filled memo performed {many} allocations \
+         (ceiling {PER_SPEC_CEILING} per spec)"
+    );
+
+    // --- A filled binned memo lane --------------------------------------
+    // IBIG's walk keeps each row's count at its binned picks and, once
+    // scored, its nonD: a revisited survivor is measured from one load.
+    // The lane too is sized at build and refresh only: once IBIG queries
+    // at every k below have filled it, sequential, parallel and batched
+    // IBIG queries stay within the same ceilings.
+    let ibig_q = |k| engine::EngineQuery::new(k).algorithm(Algorithm::Ibig);
+    let ibig_sixteen: Vec<engine::EngineQuery> = (0..16).map(|i| ibig_q(1 + 4 * i)).collect();
+    for k in [1usize, 8, 64, 256] {
+        ibig::ibig_with_scratch(&ictx_l, k, &mut iscr_l);
+        eng_l.query(&ibig_q(k));
+    }
+    let _ = eng_l.query_many(&ibig_sixteen);
+    let seq = allocs_during(|| ibig::ibig_with_scratch(&ictx_l, K, &mut iscr_l));
+    assert!(
+        seq <= PER_QUERY_CEILING,
+        "IBIG on a filled lane performed {seq} allocations (ceiling {PER_QUERY_CEILING})"
+    );
+    let par = measure(&|| eng_l.query(&ibig_q(K)));
+    assert!(
+        par <= PER_PARALLEL_QUERY_CEILING,
+        "parallel IBIG on a filled lane performed {par} allocations \
+         (ceiling {PER_PARALLEL_QUERY_CEILING})"
+    );
+    let many = measure(&|| {
+        let r = eng_l.query_many(&ibig_sixteen);
+        r.into_iter().next().unwrap()
+    });
+    assert!(
+        many <= PER_SPEC_CEILING * ibig_sixteen.len() as u64,
+        "a 16-spec IBIG batch on a filled lane performed {many} allocations \
          (ceiling {PER_SPEC_CEILING} per spec)"
     );
 

@@ -12,6 +12,14 @@
 //! ([`BitmapIndex::residue_counts`]). Bins set only how tight
 //! Heuristics 2 and 3 prune; no score depends on them.
 //!
+//! A member row's count at its binned picks and its `nonD` depend on the
+//! row, the index and the boundaries, never on τ, so the exact index
+//! keeps them across queries in its binned memo lane
+//! ([`BinnedBitmapIndex::member_count_above`]). The lane's entries hold
+//! for one set of pick tables: it belongs to the first boundaries that
+//! read it, by their stamp, and a view through other boundaries runs
+//! memo-free.
+//!
 //! The last bin is open above: a value inserted past the build-time
 //! boundaries lands in it, and a dimension with no boundaries (never
 //! observed at build) holds all its values in one bin. Compaction
@@ -19,7 +27,9 @@
 //! without being maintained.
 
 use crate::bitmap::{BitmapIndex, ColumnSelection};
+use crate::memo::{BinnedLane, MemoLanes};
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tkd_bitvec::BitVec;
 use tkd_model::{Dataset, ObjectId};
 
@@ -70,7 +80,13 @@ pub fn compute_bins(value_counts: &[(f64, usize)], x: usize) -> Vec<f64> {
 /// and `[Pᵢ]` picks. The boundaries are the state (what a snapshot
 /// stores); the pick tables follow the index's value tables
 /// ([`BinBoundaries::sync`]).
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Each set of boundaries carries a process-unique stamp, taken at
+/// [`BinBoundaries::build`] and [`BinBoundaries::from_store_parts`] and
+/// kept by `clone`: the index's binned memo lane belongs to the first
+/// stamp that reads it (see [`BinnedBitmapIndex::member_count_above`]).
+/// Equality ignores it.
+#[derive(Clone, Debug)]
 pub struct BinBoundaries {
     /// Per dimension: ascending upper boundary of each bin; the last bin
     /// is open above.
@@ -78,7 +94,18 @@ pub struct BinBoundaries {
     /// `picks[d][j]`: the `(Q, P)` exact columns of the bin holding value
     /// slot `j ≥ 1` of `d`; entry 0 (missing) is `(0, 0)`.
     picks: Vec<Vec<(u32, u32)>>,
+    /// Which boundaries these are, to the binned memo lane.
+    stamp: u64,
 }
+
+impl PartialEq for BinBoundaries {
+    fn eq(&self, other: &Self) -> bool {
+        self.bounds == other.bounds && self.picks == other.picks
+    }
+}
+
+/// The next [`BinBoundaries`] stamp; 0 is the memo's "unclaimed".
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 impl BinBoundaries {
     /// Quantile boundaries (Eq. 3–4) of `exact`'s live values, with
@@ -141,6 +168,7 @@ impl BinBoundaries {
         let mut bins = BinBoundaries {
             picks: vec![Vec::new(); bounds.len()],
             bounds,
+            stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
         };
         bins.sync(exact);
         bins
@@ -193,6 +221,20 @@ fn upper_column(bounds: &[f64], values: &[f64], b: usize) -> u32 {
     }
 }
 
+/// What IBIG's measure step knows of a member row at its binned picks
+/// ([`BinnedBitmapIndex::member_count_above`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MemberCount {
+    /// `|∩ᵢ Qᵢ|` at the row's binned picks, its own bit included: exact
+    /// from [`BinnedBitmapIndex::member_count_above`]; from
+    /// [`BinnedBitmapIndex::member_count_bound`] an upper bound, exact
+    /// when `non_d` is known.
+    pub count: usize,
+    /// The row's `nonD(o)`, the rows of `Q − P` it does not dominate,
+    /// when the binned memo lane holds it.
+    pub non_d: Option<usize>,
+}
+
 /// Binned bitmap index: per-dimension bin boundaries viewed over a
 /// [`BitmapIndex`], with one column per value *bin* — `Σ(xᵢ+1)·N` bits
 /// (Eq. 5) where the exact index holds `Σ(Cᵢ+1)·N`. See the module docs.
@@ -209,12 +251,15 @@ pub struct BinnedBitmapIndex<'a> {
 
 impl<'a> BinnedBitmapIndex<'a> {
     /// Build the exact index of `ds` and its Eq. 3–4 boundaries with
-    /// `bins_per_dim[i]` bins requested for dimension `i`.
+    /// `bins_per_dim[i]` bins requested for dimension `i`. The exact
+    /// index carries the binned memo lane only: a walk over this view
+    /// reads no other.
     ///
     /// # Panics
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &Dataset, bins_per_dim: &[usize]) -> BinnedBitmapIndex<'static> {
-        BinnedBitmapIndex::owned(BitmapIndex::build(ds), bins_per_dim)
+        let exact = BitmapIndex::build_with_lanes(ds, MemoLanes::Binned);
+        BinnedBitmapIndex::owned(exact, bins_per_dim)
     }
 
     /// The view of `exact` binned with `bins_per_dim[i]` bins requested
@@ -314,6 +359,66 @@ impl<'a> BinnedBitmapIndex<'a> {
             sel.eq[dim] = j;
         }
         sel
+    }
+
+    /// Heuristic 2 for **member** row `row` at its binned picks, the
+    /// entry point of IBIG's unscoped walk: `None` when
+    /// `|∩ᵢ Qᵢ| ≤ budget` (*prune*), else the exact count with the row's
+    /// `nonD` when the binned memo lane holds it — the whole measurement,
+    /// from one load. The lane goes first: an entry within the budget is
+    /// the prune, an exact count with its `nonD` the answer. Else
+    /// [`BitmapIndex::q_count_selected_above`] decides at
+    /// [`BinnedBitmapIndex::selection_of`], and the lane keeps what it
+    /// proved — the budget after a prune, the exact count after a keep;
+    /// [`BinnedBitmapIndex::record_non_d`] adds the `nonD` once the term
+    /// is counted. The lane belongs to the first boundaries that read it:
+    /// through any other, or while the index carries none or in-place
+    /// maintenance left it unreadable, this is the memo-free test.
+    #[inline]
+    pub fn member_count_above(&self, row: usize, budget: usize) -> Option<MemberCount> {
+        let lane = self.lane(true);
+        if let Some(entry) = lane.and_then(|l| l.get(row)) {
+            if entry.count <= budget {
+                return None;
+            }
+            if entry.non_d.is_some() {
+                return Some(entry);
+            }
+        }
+        let count = self
+            .exact
+            .q_count_selected_above(&self.selection_of(row), budget);
+        if let Some(lane) = lane {
+            lane.record(row, count.unwrap_or(budget), None);
+        }
+        count.map(|count| MemberCount { count, non_d: None })
+    }
+
+    /// Record member row `row`'s `nonD` beside its exact `count` at its
+    /// binned picks (what [`BinnedBitmapIndex::member_count_above`]
+    /// answered), for a later lookup to answer whole. A no-op where that
+    /// lookup reads no lane.
+    #[inline]
+    pub fn record_non_d(&self, row: usize, count: usize, non_d: usize) {
+        if let Some(lane) = self.lane(true) {
+            lane.record(row, count, Some(non_d));
+        }
+    }
+
+    /// The binned memo lane's entry for member row `row` through these
+    /// boundaries: an upper bound on its `|∩ᵢ Qᵢ|`, exact when the `nonD`
+    /// beside it is known. `None` while nothing is known, while other
+    /// boundaries own the lane (claiming nothing), and from any in-place
+    /// maintenance until the next refresh.
+    pub fn member_count_bound(&self, row: usize) -> Option<MemberCount> {
+        self.lane(false)?.get(row)
+    }
+
+    /// The index's binned memo lane, if these boundaries own it — with
+    /// `claim`, also if nobody does yet.
+    #[inline]
+    fn lane(&self, claim: bool) -> Option<BinnedLane<'_>> {
+        self.exact.memo().binned_lane(self.bins.stamp, claim)
     }
 
     /// Resolve the binned picks for an **arbitrary value vector** — the

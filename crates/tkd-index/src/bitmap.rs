@@ -1,7 +1,7 @@
 //! The range-encoded bitmap index of §4.3 (Fig. 6), with in-place dynamic
 //! maintenance (append / tombstone / cell update) for the update layer.
 
-use crate::memo::H2Memo;
+use crate::memo::{Memo, MemoLanes};
 use crate::pairs::PairTables;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
 use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
@@ -40,12 +40,14 @@ pub struct BitmapIndex {
     /// [`BitmapIndex::derive_pair_tables`] — absent or exact, never
     /// stale.
     pairs: Option<PairTables>,
-    /// The Heuristic 2 memo: per slot, the least bound on the row's
-    /// `|∩ᵢ Qᵢ|` the lookups have proven. Sized at build and load, made
-    /// unreadable by any in-place maintenance, sized again by
+    /// The measurement memo: per slot, the least bound on the row's
+    /// `|∩ᵢ Qᵢ|` the lookups have proven (at its exact picks, and at one
+    /// set of binned picks with its `nonD`), in the lanes the index was
+    /// built with. Sized at build and load, made unreadable by any
+    /// in-place maintenance, sized again by
     /// [`BitmapIndex::derive_pair_tables`] — absent or exact, like
     /// `pairs`.
-    memo: H2Memo,
+    memo: Memo,
     /// Live/tombstone bookkeeping for dynamic maintenance. Static builds
     /// are all-live; [`BitmapIndex::tombstone_row`] kills slots.
     ///
@@ -75,13 +77,20 @@ pub struct BitmapIndexBuilder {
     live: Tombstones,
     /// The pair tables' storage, taken before any column is laid down.
     pair_buf: Vec<u32>,
-    /// The Heuristic 2 memo, sized before any column is laid down too.
-    memo: H2Memo,
+    /// The measurement memo, sized before any column is laid down too.
+    memo: Memo,
 }
 
 impl BitmapIndexBuilder {
-    /// Start an index with `dims` dimensions over `n` objects.
+    /// Start an index with `dims` dimensions over `n` objects, carrying
+    /// every memo lane.
     pub fn new(dims: usize, n: usize) -> Self {
+        Self::with_lanes(dims, n, MemoLanes::Both)
+    }
+
+    /// [`BitmapIndexBuilder::new`] carrying only the memo lanes of the
+    /// walks its owner serves.
+    pub fn with_lanes(dims: usize, n: usize, lanes: MemoLanes) -> Self {
         BitmapIndexBuilder {
             n,
             dims,
@@ -90,7 +99,7 @@ impl BitmapIndexBuilder {
             val_idx: vec![MISSING; n * dims],
             live: Tombstones::all_live(n),
             pair_buf: PairTables::buffer(dims),
-            memo: H2Memo::new(n),
+            memo: Memo::new(n, lanes),
         }
     }
 
@@ -141,7 +150,7 @@ impl BitmapIndexBuilder {
     }
 
     /// Finish the index (suffix-popcount and pair tables included, the
-    /// Heuristic 2 memo empty).
+    /// memo empty).
     ///
     /// # Panics
     /// Panics if fewer than `dims` dimensions were pushed.
@@ -169,9 +178,15 @@ impl BitmapIndexBuilder {
 }
 
 impl BitmapIndex {
-    /// Build the index for `ds`.
+    /// Build the index for `ds`, carrying every memo lane.
     pub fn build(ds: &Dataset) -> Self {
-        let mut builder = BitmapIndexBuilder::new(ds.dims(), ds.len());
+        Self::build_with_lanes(ds, MemoLanes::Both)
+    }
+
+    /// [`BitmapIndex::build`] carrying only the memo lanes of the walks
+    /// its owner serves.
+    pub fn build_with_lanes(ds: &Dataset, lanes: MemoLanes) -> Self {
+        let mut builder = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), lanes);
         for_each_sorted_column(ds, |dim, column| builder.push_dim(dim, column));
         builder.finish()
     }
@@ -185,7 +200,8 @@ impl BitmapIndex {
     /// columns laid down by the builder's routine, so the result is
     /// bit-identical to the maintained index the tables and slots were
     /// read from: values without holders keep their columns, dead rows
-    /// their slots.
+    /// their slots. It carries every memo lane (a load serves the dynamic
+    /// engine, which walks both).
     ///
     /// # Errors
     /// A description of the first inconsistency: a dimensionality outside
@@ -246,7 +262,7 @@ impl BitmapIndex {
             val_idx: slots,
             live,
             pair_buf: PairTables::buffer(dims),
-            memo: H2Memo::new(n),
+            memo: Memo::new(n, MemoLanes::Both),
         };
         let mut order = vec![0u32; n];
         for (d, (vals, mut at)) in values.into_iter().zip(counts).enumerate() {
@@ -400,7 +416,7 @@ impl BitmapIndex {
     }
 
     /// Derive the pairwise Heuristic 2 tables from the columns, and size
-    /// the Heuristic 2 memo with every entry unknown, if any maintenance
+    /// the memo's lanes with every entry unknown, if any maintenance
     /// dropped them ([`BitmapIndex::append_row`],
     /// [`BitmapIndex::tombstone_row`] and [`BitmapIndex::set_cell`] do) —
     /// the dynamic engine's refresh runs it once per batch of ops. A
@@ -411,9 +427,7 @@ impl BitmapIndex {
             let live = self.live_count();
             self.pairs = PairTables::derive(&self.columns, &self.block_suffix, live, Vec::new());
         }
-        if !self.memo.is_readable(self.n) {
-            self.memo.reset(self.n);
-        }
+        self.memo.refresh(self.n);
     }
 
     /// The pairwise Heuristic 2 tables, `None` while maintenance has
@@ -627,21 +641,28 @@ impl BitmapIndex {
     /// decision is exactly `max_bit_score(o) ≤ tau` either way.
     pub fn max_bit_score_above(&self, o: ObjectId, tau: usize) -> Option<usize> {
         let (row, budget) = (o as usize, tau + 1);
-        if self.memo.get(row).is_some_and(|b| b <= budget) {
+        if self.memo.exact_bound(row).is_some_and(|b| b <= budget) {
             return None;
         }
         let count = self.q_count_selected_above(&self.selection_of(row), budget);
-        self.memo.record(row, count.unwrap_or(budget));
+        self.memo.record_exact(row, count.unwrap_or(budget));
         count.map(|c| c - 1)
     }
 
-    /// The Heuristic 2 memo's bound on `MaxBitScore(o)`: what
+    /// The measurement memo, for the binned view's lane.
+    pub(crate) fn memo(&self) -> &Memo {
+        &self.memo
+    }
+
+    /// The exact memo lane's bound on `MaxBitScore(o)`: what
     /// [`BitmapIndex::max_bit_score_above`] has proven about `o` since the
     /// index was built, loaded or last refreshed
     /// ([`BitmapIndex::derive_pair_tables`]). `None` while nothing is
     /// known — and from any in-place maintenance until the next refresh.
     pub fn max_bit_score_bound(&self, o: ObjectId) -> Option<usize> {
-        self.memo.get(o as usize).map(|b| b.saturating_sub(1))
+        self.memo
+            .exact_bound(o as usize)
+            .map(|b| b.saturating_sub(1))
     }
 
     /// The `[Qᵢ]`/`[Pᵢ]` column picks of **member** row `row`, read off its

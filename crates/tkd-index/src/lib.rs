@@ -43,11 +43,16 @@
 //! build and load. A pick rounds down to a boundary, a superset column,
 //! so one pair's entry within the budget proves the prune the scan would
 //! reach; most Heuristic 2 prunes are decided there without reading a
-//! column word. For a member row at its own exact picks — BIG's walk —
-//! [`BitmapIndex::max_bit_score_above`] reads the Heuristic 2 memo before
-//! both: per slot, the least bound on the row's count any lookup has
-//! proven, which does not depend on τ. A revisited row whose bound fits
-//! the budget is pruned with one load; the memo is sized at build and
+//! column word. For a member row, both walks read the **measurement
+//! memo** before either: per slot, the least bound on the row's count
+//! any lookup has proven, which does not depend on τ, so a revisited row
+//! whose bound fits the budget is pruned with one load. BIG's lane holds
+//! the bound at the row's own exact picks
+//! ([`BitmapIndex::max_bit_score_above`]); IBIG's holds it at the row's
+//! binned picks beside the row's `nonD` once it has been scored, so a
+//! revisited survivor's whole measurement is one load too
+//! ([`BinnedBitmapIndex::member_count_above`]). An index carries the
+//! lanes its owner walks ([`MemoLanes`]); they are sized at build and
 //! load, unreadable from any in-place op until
 //! [`BitmapIndex::derive_pair_tables`], and never persisted. The scoring
 //! term of both splits `Q − P` in one fused pass of AND-NOTs over the
@@ -65,10 +70,11 @@ mod pairs;
 mod sorted_column;
 mod suffix;
 
-pub use binned::{compute_bins, BinBoundaries, BinnedBitmapIndex};
+pub use binned::{compute_bins, BinBoundaries, BinnedBitmapIndex, MemberCount};
 pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
 pub use key::F64Key;
+pub use memo::MemoLanes;
 pub use pairs::PairTables;
 pub use sorted_column::for_each_sorted_column;
 pub use suffix::RowScope;

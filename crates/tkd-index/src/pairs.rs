@@ -24,10 +24,10 @@
 //! The tables are derived from the columns alone and are either absent or
 //! exact: a build or load derives them, any in-place maintenance of the
 //! index drops them, and [`crate::BitmapIndex::derive_pair_tables`] puts
-//! them back. The Heuristic 2 memo (`crate::memo`) follows the same rule
-//! and goes before them for a member row at its own picks: a row whose
-//! prune a table or the scan has already proven at this budget or a
-//! lower one is not looked up again.
+//! them back. The measurement memo (`crate::memo`) follows the same rule
+//! and goes before them for a member row at its own exact or binned
+//! picks: a row whose prune a table or the scan has already proven at
+//! this budget or a lower one is not looked up again.
 //!
 //! A holder of rows without an index — the cluster coordinator — derives
 //! the same tables from row histograms instead

@@ -5,9 +5,9 @@
 //! [`crate::BitmapIndex::q_count_selected_above_scoped`] answers `None`
 //! without a scan when some pair of picked columns' joint count is
 //! already within the budget, and the scan decides the rest. For a
-//! member row at its own picks the Heuristic 2 memo (`crate::memo`) goes
-//! before both, so a row a warm index has already pruned at this budget
-//! or a lower one reaches neither.
+//! member row at its own exact or binned picks the measurement memo
+//! (`crate::memo`) goes before both, so a row a warm index has already
+//! pruned at this budget or a lower one reaches neither.
 //!
 //! Every column of [`crate::BitmapIndex`] keeps a suffix table: entry
 //! `b` is the popcount of the column's words from block `b` on (blocks of

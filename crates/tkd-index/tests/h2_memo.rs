@@ -1,24 +1,45 @@
-//! The Heuristic 2 memo against the memo-free test.
+//! The measurement memo against the memo-free test.
 //!
-//! `BitmapIndex::max_bit_score_above` reads the memo before the pair
-//! tables and the budgeted scan, and stores what they proved. After calls
-//! at random budgets, in random row order and repeated, every answer must
-//! equal the memo-free budgeted count (`q_count_selected_above` on the
-//! row's `selection_of`); no bound may ever be below the row's exact
-//! `MaxBitScore`; a prune must leave a bound within its budget (so the
-//! revisit is the memo's to decide) and a keep the exact score. Checked
-//! on static builds, on snapshot-style loads (`from_slots`), and along
-//! seeded op streams — inserts, deletes, observedness flips, cell
-//! rewrites and compactions — where every in-place op must make the
-//! memo unreadable until `derive_pair_tables`.
+//! **The exact lane.** `BitmapIndex::max_bit_score_above` reads the memo
+//! before the pair tables and the budgeted scan, and stores what they
+//! proved. After calls at random budgets, in random row order and
+//! repeated, every answer must equal the memo-free budgeted count
+//! (`q_count_selected_above` on the row's `selection_of`); no bound may
+//! ever be below the row's exact `MaxBitScore`; a prune must leave a
+//! bound within its budget (so the revisit is the memo's to decide) and a
+//! keep the exact score.
+//!
+//! **The binned lane.** `BinnedBitmapIndex::member_count_above` reads it
+//! first and `record_non_d` completes a kept row's entry with its `nonD`.
+//! Every lookup must equal the memo-free count at the view's
+//! `selection_of`; no bound may be below the exact count; a cached
+//! `nonD` must equal a fresh residue pass over the row's `Q` and `P`, so
+//! the score rebuilt from the entry, `count − 1 − |F| − nonD`, equals a
+//! brute-force dominance count over the live rows; and a view through
+//! other boundaries over the same index must never read or feed the lane.
+//!
+//! Both lanes are checked on static builds, on snapshot-style loads
+//! (`from_slots`), and along seeded op streams — inserts, deletes,
+//! observedness flips, cell rewrites and compactions — where every
+//! in-place op must make the lane unreadable until `derive_pair_tables`.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use tkd_bitvec::Tombstones;
-use tkd_index::BitmapIndex;
-use tkd_model::{Dataset, ObjectId};
+use tkd_bitvec::{BitVec, Tombstones};
+use tkd_index::{BinBoundaries, BinnedBitmapIndex, BitmapIndex, MemberCount, MemoLanes};
+use tkd_model::{Dataset, DimMask, ObjectId};
 
-type Rows = Vec<Vec<Option<f64>>>;
+type Row = Vec<Option<f64>>;
+type Rows = Vec<Row>;
+/// Slot-indexed rows, `None` once tombstoned.
+type Mirror = Vec<Option<Row>>;
+
+/// Which memo lane a test drives.
+#[derive(Clone, Copy, Debug)]
+enum Lane {
+    Exact,
+    Binned,
+}
 
 /// Rows over `dims` dimensions, values on a grid of `card` steps.
 fn rows_strategy(dims: usize, card: u32, max_rows: usize) -> impl Strategy<Value = Rows> {
@@ -134,25 +155,27 @@ fn op_value(state: &mut u64, card: u32) -> f64 {
     }
 }
 
-/// Drive `len` seeded ops over the index of `rows`, with the memo warm
+/// Drive `len` seeded ops over the index of `rows`, with `lane` warm
 /// before each: every in-place op must leave every row unbounded (and
 /// the answers exact, memo or not) until `derive_pair_tables`, after
-/// which the memo starts over and stays sound. A compaction (a rebuild
-/// from the live rows) starts with an empty memo.
-fn run_stream(rows: Rows, seed: u64, len: usize, card: u32) -> Result<(), TestCaseError> {
+/// which the lane starts over and stays sound. A compaction (a rebuild
+/// from the live rows, with new boundaries) starts with an empty lane.
+fn run_stream(
+    rows: Rows,
+    seed: u64,
+    len: usize,
+    card: u32,
+    lane: Lane,
+) -> Result<(), TestCaseError> {
     let dims = rows[0].len();
     let mut state = seed;
     let mut idx = BitmapIndex::build(&Dataset::from_rows(dims, &rows).unwrap());
-    // Slot-indexed mirror, `None` once tombstoned.
-    let mut mirror: Vec<Option<Vec<Option<f64>>>> = rows.into_iter().map(Some).collect();
+    let mut bins = BinBoundaries::build(&idx, &vec![3; dims]);
+    let mut mirror: Mirror = rows.into_iter().map(Some).collect();
     let mut readable = true;
     for step in 0..len {
         let ctx = format!("step {step}");
-        if readable {
-            exercise(&idx, &mut state, &ctx)?;
-        } else {
-            exercise_unreadable(&idx, &mut state, &ctx)?;
-        }
+        drive(lane, &idx, &bins, &mirror, &mut state, &ctx, readable)?;
         let live: Vec<usize> = (0..mirror.len()).filter(|&s| mirror[s].is_some()).collect();
         match mix(&mut state) % 10 {
             0..=3 => {
@@ -189,27 +212,77 @@ fn run_stream(rows: Rows, seed: u64, len: usize, card: u32) -> Result<(), TestCa
             9 => {
                 let kept: Rows = mirror.iter().flatten().cloned().collect();
                 idx = BitmapIndex::build(&Dataset::from_rows(dims, &kept).unwrap());
+                bins = BinBoundaries::build(&idx, &vec![3; dims]);
                 mirror = kept.into_iter().map(Some).collect();
-                assert_unknown(&idx, &format!("compaction at {ctx}"))?;
+                assert_lane_unknown(lane, &idx, &bins, &format!("compaction at {ctx}"))?;
                 readable = true;
                 continue;
             }
             _ => continue,
         }
-        assert_unknown(&idx, &format!("unreadable after the op at {ctx}"))?;
-        exercise_unreadable(&idx, &mut state, &ctx)?;
+        bins.sync(&idx);
+        assert_lane_unknown(
+            lane,
+            &idx,
+            &bins,
+            &format!("unreadable after the op at {ctx}"),
+        )?;
+        drive(lane, &idx, &bins, &mirror, &mut state, &ctx, false)?;
         // Now and then a second op lands before the refresh.
         readable = !mix(&mut state).is_multiple_of(3);
         if readable {
             idx.derive_pair_tables();
-            assert_unknown(&idx, &format!("refreshed at {ctx}"))?;
+            assert_lane_unknown(lane, &idx, &bins, &format!("refreshed at {ctx}"))?;
         }
     }
     idx.derive_pair_tables();
-    exercise(&idx, &mut state, "stream end")?;
+    drive(lane, &idx, &bins, &mirror, &mut state, "stream end", true)?;
     let loaded = reload(&idx);
-    assert_unknown(&loaded, "load at stream end")?;
-    exercise(&loaded, &mut state, "load at stream end")
+    let loaded_bins = reload_bins(&loaded, &bins);
+    assert_lane_unknown(lane, &loaded, &loaded_bins, "load at stream end")?;
+    drive(
+        lane,
+        &loaded,
+        &loaded_bins,
+        &mirror,
+        &mut state,
+        "load at stream end",
+        true,
+    )
+}
+
+/// One round of `lane`'s checks over `idx` (through `bins` for the
+/// binned lane), readable or not.
+fn drive(
+    lane: Lane,
+    idx: &BitmapIndex,
+    bins: &BinBoundaries,
+    mirror: &[Option<Row>],
+    state: &mut u64,
+    ctx: &str,
+    readable: bool,
+) -> Result<(), TestCaseError> {
+    match (lane, readable) {
+        (Lane::Exact, true) => exercise(idx, state, ctx),
+        (Lane::Exact, false) => exercise_unreadable(idx, state, ctx),
+        (Lane::Binned, _) => {
+            let view = BinnedBitmapIndex::new(idx, bins);
+            exercise_binned(&view, mirror, state, ctx, readable)
+        }
+    }
+}
+
+/// Every live row of `lane` is unknown — a fresh or refreshed lane.
+fn assert_lane_unknown(
+    lane: Lane,
+    idx: &BitmapIndex,
+    bins: &BinBoundaries,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    match lane {
+        Lane::Exact => assert_unknown(idx, ctx),
+        Lane::Binned => assert_binned_unknown(&BinnedBitmapIndex::new(idx, bins), ctx),
+    }
 }
 
 /// An unreadable memo answers every call memo-free and stores nothing.
@@ -254,7 +327,45 @@ proptest! {
         seed in any::<u64>(),
         len in 1usize..40,
     ) {
-        run_stream(rows, seed, len, 10)?;
+        run_stream(rows, seed, len, 10, Lane::Exact)?;
+    }
+
+    /// Static builds, their clones and their loads: the binned lane
+    /// starts unknown, stays sound, and answers whole only what a fresh
+    /// term would count.
+    #[test]
+    fn static_binned_lane_is_sound(
+        (dims, rows) in (1usize..=4).prop_flat_map(|d| (Just(d), rows_strategy(d, 12, 80))),
+        bins in 1usize..=5,
+        seed in any::<u64>(),
+    ) {
+        let ds = Dataset::from_rows(dims, &rows).unwrap();
+        let mirror: Mirror = rows.into_iter().map(Some).collect();
+        let view = BinnedBitmapIndex::build(&ds, &vec![bins; dims]);
+        let mut state = seed;
+        assert_binned_unknown(&view, "build")?;
+        exercise_binned(&view, &mirror, &mut state, "build", true)?;
+        let clone = view.clone();
+        for o in live_rows(view.exact()) {
+            prop_assert_eq!(clone.member_count_bound(o), view.member_count_bound(o));
+        }
+        let loaded = reload(view.exact());
+        let loaded_bins = reload_bins(&loaded, view.boundaries());
+        let loaded = BinnedBitmapIndex::new(&loaded, &loaded_bins);
+        assert_binned_unknown(&loaded, "load")?;
+        exercise_binned(&loaded, &mirror, &mut state, "load", true)?;
+    }
+
+    /// Seeded op streams through the binned lane: every in-place op makes
+    /// it unreadable until the refresh, and every refreshed lane stays
+    /// sound, its cached `nonD` exact with tombstones present.
+    #[test]
+    fn binned_lane_follows_op_streams(
+        (_, rows) in (1usize..=3).prop_flat_map(|d| (Just(d), rows_strategy(d, 10, 40))),
+        seed in any::<u64>(),
+        len in 1usize..40,
+    ) {
+        run_stream(rows, seed, len, 10, Lane::Binned)?;
     }
 }
 
@@ -300,5 +411,279 @@ fn revisits_are_the_memos_to_decide() {
             idx.max_bit_score_above(o, tau),
             memo_free(&idx, o as usize, tau)
         );
+    }
+}
+
+/// The boundaries `bins` holds, adopted for `loaded` — the snapshot
+/// loader's path, with a stamp of their own.
+fn reload_bins(loaded: &BitmapIndex, bins: &BinBoundaries) -> BinBoundaries {
+    let bounds = (0..bins.dims()).map(|d| bins.of(d).to_vec()).collect();
+    BinBoundaries::from_store_parts(loaded, bounds).expect("consistent boundaries")
+}
+
+/// The memo-free count at `view`'s picks for member row `o`.
+fn memo_free_binned(view: &BinnedBitmapIndex<'_>, o: usize, budget: usize) -> Option<usize> {
+    view.exact()
+        .q_count_selected_above(&view.selection_of(o), budget)
+}
+
+/// A fresh term for member row `o` at `view`'s picks: `|Q|` (its own bit
+/// excluded) and `nonD`, from the fills and the residue pass IBIG scores
+/// with.
+fn fresh_term(view: &BinnedBitmapIndex<'_>, o: usize) -> (usize, usize) {
+    let exact = view.exact();
+    let (bin_sel, sel) = (view.selection_of(o), exact.selection_of(o));
+    let (mut q, mut p) = (BitVec::zeros(exact.n()), BitVec::zeros(exact.n()));
+    exact.q_into_selected(&bin_sel, Some(o), &mut q);
+    exact.p_into_selected(&bin_sel, &mut p);
+    let mask = DimMask::from_indices((0..exact.dims()).filter(|&d| exact.value_slot(o, d) != 0));
+    let (_, non_d) = exact.residue_counts(&q, &p, &sel, &bin_sel, mask);
+    (q.count_ones(), non_d)
+}
+
+/// `|F(o)|` and `o`'s score by brute force over the live rows of
+/// `mirror`: the rows sharing no observed dimension with it, and the rows
+/// it dominates (lower is better).
+fn brute_f_and_score(mirror: &[Option<Row>], o: usize) -> (usize, usize) {
+    let me = mirror[o].as_ref().expect("a live row");
+    let (mut f, mut score) = (0, 0);
+    for (r, row) in mirror.iter().enumerate() {
+        let Some(row) = row.as_ref().filter(|_| r != o) else {
+            continue;
+        };
+        let cells: Vec<(f64, f64)> = me
+            .iter()
+            .zip(row)
+            .filter_map(|(a, b)| Some(((*a)?, (*b)?)))
+            .collect();
+        if cells.is_empty() {
+            f += 1;
+        } else if cells.iter().all(|(a, b)| a <= b) && cells.iter().any(|(a, b)| a < b) {
+            score += 1;
+        }
+    }
+    (f, score)
+}
+
+/// Every live row's binned entry is unknown — a fresh, refreshed or
+/// unreadable lane.
+fn assert_binned_unknown(view: &BinnedBitmapIndex<'_>, ctx: &str) -> Result<(), TestCaseError> {
+    for o in live_rows(view.exact()) {
+        let entry = view.member_count_bound(o);
+        prop_assert_eq!(entry, None, "{}: row {} already bounded", ctx, o);
+    }
+    Ok(())
+}
+
+/// Every live row's binned entry, where known, bounds its exact count;
+/// where it holds a `nonD`, the count is exact, the `nonD` a fresh term's
+/// and the score rebuilt from them the brute-force one.
+fn assert_binned_hold(
+    view: &BinnedBitmapIndex<'_>,
+    mirror: &[Option<Row>],
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    for o in live_rows(view.exact()) {
+        let Some(entry) = view.member_count_bound(o) else {
+            continue;
+        };
+        let count = memo_free_binned(view, o, 0).unwrap_or(0);
+        prop_assert!(
+            entry.count >= count,
+            "{}: row {} bound {:?} below its count {}",
+            ctx,
+            o,
+            entry,
+            count
+        );
+        if let Some(non_d) = entry.non_d {
+            let (q, fresh) = fresh_term(view, o);
+            prop_assert_eq!(entry.count, count, "{}: row {} nonD beside a bound", ctx, o);
+            prop_assert_eq!(non_d, fresh, "{}: row {} cached nonD", ctx, o);
+            prop_assert_eq!(q, count - 1, "{}: row {} |Q|", ctx, o);
+            let (f, score) = brute_f_and_score(mirror, o);
+            prop_assert_eq!(
+                count - 1 - f - non_d,
+                score,
+                "{}: row {} rebuilt score",
+                ctx,
+                o
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Drive `member_count_above` over `view`'s live rows in seeded order,
+/// three passes of random budgets around each row's count, completing
+/// most kept rows with a fresh term's `nonD` as IBIG's walk does; hold
+/// every answer to the memo-free count and every entry to what the calls
+/// proved. An unreadable lane answers memo-free and keeps nothing.
+fn exercise_binned(
+    view: &BinnedBitmapIndex<'_>,
+    mirror: &[Option<Row>],
+    state: &mut u64,
+    ctx: &str,
+    readable: bool,
+) -> Result<(), TestCaseError> {
+    let mut rows = live_rows(view.exact());
+    for pass in 0..3 {
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, mix(state) as usize % (i + 1));
+        }
+        for &o in &rows {
+            let count = memo_free_binned(view, o, 0).unwrap_or(0);
+            let budget = match mix(state) % 4 {
+                0 => count,
+                1 => count.saturating_sub(1),
+                2 => 0,
+                _ => mix(state) as usize % (count + 3),
+            };
+            let got = view.member_count_above(o, budget);
+            let want = memo_free_binned(view, o, budget);
+            let at = format!("{ctx}: pass {pass} row {o} budget {budget}");
+            prop_assert_eq!(got.map(|m| m.count), want, "{}", at);
+            if let Some(MemberCount { count, non_d }) = got {
+                let (_, fresh) = fresh_term(view, o);
+                match non_d {
+                    Some(cached) => prop_assert_eq!(cached, fresh, "{}: cached nonD", at),
+                    None if !mix(state).is_multiple_of(4) => view.record_non_d(o, count, fresh),
+                    None => {}
+                }
+            }
+            let entry = view.member_count_bound(o);
+            if !readable {
+                prop_assert_eq!(entry, None, "{}: unreadable lane kept", at);
+                continue;
+            }
+            match got {
+                None => prop_assert!(
+                    entry.is_some_and(|e| e.count <= budget),
+                    "{}: prune left {:?}",
+                    at,
+                    entry
+                ),
+                Some(m) => prop_assert_eq!(entry.map(|e| e.count), Some(m.count), "{}", at),
+            }
+        }
+        if readable {
+            assert_binned_hold(view, mirror, ctx)?;
+        }
+    }
+    Ok(())
+}
+
+/// A seeded 600-row dataset over 4 dimensions, values 0..20.
+fn grid_rows(seed: u64) -> Rows {
+    let mut state = seed;
+    (0..600)
+        .map(|_| {
+            let mut row: Row = (0..4)
+                .map(|_| {
+                    (!mix(&mut state).is_multiple_of(8)).then(|| (mix(&mut state) % 20) as f64)
+                })
+                .collect();
+            if row.iter().all(Option::is_none) {
+                row[0] = Some(1.0);
+            }
+            row
+        })
+        .collect()
+}
+
+/// The binned lane belongs to the first boundaries that read it: their
+/// clones read it too, but a view through other boundaries — even equal
+/// ones built apart — answers memo-free, sees no entry and stores
+/// nothing. A refresh hands the lane to whoever reads it next.
+#[test]
+fn other_boundaries_never_read_the_lane() {
+    let rows = grid_rows(5);
+    let mirror: Mirror = rows.iter().cloned().map(Some).collect();
+    let mut idx = BitmapIndex::build(&Dataset::from_rows(4, &rows).unwrap());
+    let owner = BinBoundaries::build(&idx, &[2; 4]);
+    let finer = BinBoundaries::build(&idx, &[6; 4]);
+    let twin = BinBoundaries::build(&idx, &[2; 4]);
+    assert_eq!(twin, owner, "equality ignores the stamp");
+    let mut state = 9;
+    let view = BinnedBitmapIndex::new(&idx, &owner);
+    exercise_binned(&view, &mirror, &mut state, "owner", true).unwrap();
+    let filled: Vec<Option<MemberCount>> = live_rows(&idx)
+        .into_iter()
+        .map(|o| view.member_count_bound(o))
+        .collect();
+    assert!(
+        filled
+            .iter()
+            .filter(|e| e.is_some_and(|e| e.non_d.is_some()))
+            .count()
+            > 100
+    );
+    let cloned = owner.clone();
+    let clone_view = BinnedBitmapIndex::new(&idx, &cloned);
+    for other in [&finer, &twin] {
+        let other = BinnedBitmapIndex::new(&idx, other);
+        for o in live_rows(&idx) {
+            assert_eq!(other.member_count_bound(o), None, "row {o}");
+            assert_eq!(
+                clone_view.member_count_bound(o),
+                filled[o],
+                "clone, row {o}"
+            );
+            for budget in [0, 1, 8, 40] {
+                let got = other.member_count_above(o, budget);
+                assert_eq!(got.map(|m| m.count), memo_free_binned(&other, o, budget));
+                assert!(got.is_none_or(|m| m.non_d.is_none()), "row {o}");
+                if let Some(m) = got {
+                    other.record_non_d(o, m.count, 0);
+                }
+            }
+            assert_eq!(view.member_count_bound(o), filled[o], "row {o}");
+        }
+    }
+    // A refresh after an op leaves the lane to the next reader.
+    idx.append_row(|d| Some(d as f64));
+    idx.derive_pair_tables();
+    let mut finer = finer;
+    finer.sync(&idx);
+    let mut mirror = mirror;
+    mirror.push(Some(vec![Some(0.0), Some(1.0), Some(2.0), Some(3.0)]));
+    let view = BinnedBitmapIndex::new(&idx, &finer);
+    exercise_binned(&view, &mirror, &mut state, "finer after refresh", true).unwrap();
+    assert!(live_rows(&idx)
+        .into_iter()
+        .any(|o| view.member_count_bound(o).is_some()));
+}
+
+/// An index carries only the lanes it was built with: a BIG-only index
+/// keeps no binned entry and an IBIG-only one no exact bound, before and
+/// after a refresh, while both still answer exactly.
+#[test]
+fn lanes_follow_the_owner() {
+    let rows = grid_rows(6);
+    let ds = Dataset::from_rows(4, &rows).unwrap();
+    let mirror: Mirror = rows.iter().cloned().map(Some).collect();
+    for lanes in [MemoLanes::Exact, MemoLanes::Binned, MemoLanes::Both] {
+        let mut idx = BitmapIndex::build_with_lanes(&ds, lanes);
+        for refreshed in [false, true] {
+            if refreshed {
+                idx.tombstone_row(0);
+                idx.derive_pair_tables();
+            }
+            let bins = BinBoundaries::build(&idx, &[3; 4]);
+            let view = BinnedBitmapIndex::new(&idx, &bins);
+            let mut mirror = mirror.clone();
+            if refreshed {
+                mirror[0] = None;
+            }
+            let mut state = 3;
+            let binned = !matches!(lanes, MemoLanes::Exact);
+            exercise_binned(&view, &mirror, &mut state, "lanes", binned).unwrap();
+            for o in live_rows(&idx) {
+                let tau = idx.max_bit_score(o as ObjectId);
+                assert_eq!(idx.max_bit_score_above(o as ObjectId, tau), None);
+                let kept = idx.max_bit_score_bound(o as ObjectId).is_some();
+                assert_eq!(kept, lanes != MemoLanes::Binned, "{lanes:?} row {o}");
+            }
+        }
     }
 }
