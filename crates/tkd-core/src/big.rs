@@ -27,17 +27,20 @@
 //! ([`BitmapIndex::selection_of`]). Unless the test prunes for every
 //! replay, it takes `term_counts` — the counts of
 //! `|P − F| + |Q − P − nonD|`, the term IBIG shares ([`crate::ibig`]).
-//! `big_decide` turns those counts and one replay's τ into that replay's
-//! outcome. A walk measures each visited candidate once for every query
-//! of a batch and decides per query (`crate::topk`'s `walk`); a single
-//! query is the one-replay case. Every in-process engine scores through
-//! it: the sequential [`big_with_scratch`], the batched
-//! [`crate::engine::ParallelEngine::query_many`], and the parallel paths
-//! ([`crate::engine::ParallelEngine::query`], [`crate::TkdQuery::threads`],
-//! [`crate::DynamicEngine::query_threads`]), which split the queue across
-//! workers over the same index and merge by replay ([`crate::parallel`]),
-//! so entries, scores, tie order **and**, with one thread, every
-//! `PruneStats` counter agree. A cluster worker
+//! Whenever the term is taken, it carries the exact `|∩ᵢ Qᵢ|` too
+//! (`Term::count`), even when no replay held a τ to scan against, so a
+//! measurement decides exactly at any τ at least the one it was taken
+//! at. `big_decide` turns those counts and one replay's τ into that
+//! replay's outcome. A walk measures each visited candidate once for
+//! every query of a batch and decides per query (`crate::topk`'s
+//! `walk`); a single query is the one-replay case. Every in-process
+//! engine scores through it: the sequential [`big_with_scratch`], and
+//! the engines' single queries and batches at any thread count
+//! ([`crate::engine::ParallelEngine`], [`crate::TkdQuery::threads`],
+//! [`crate::DynamicEngine::query_threads`]), whose workers measure
+//! candidates of the one walk over the same index while every decision
+//! is taken in queue order ([`crate::parallel`]) — so entries, scores,
+//! tie order **and** every `PruneStats` counter agree. A cluster worker
 //! ([`crate::DynamicEngine::big_partial`]) calls the term alone against
 //! the engine hosting its shard.
 //!
@@ -59,12 +62,12 @@
 //! `d · ⌈N/64⌉` words per scored candidate, and blocks where `Q − P` is
 //! empty read no column.
 
-use crate::engine::Scorer;
+use crate::engine::{Columns, Scorer};
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
-use crate::topk::{Need, Outcome};
+use crate::topk::{walk_one, Need, Outcome};
 use std::borrow::Cow;
 use tkd_index::{BitmapIndex, BitmapIndexBuilder, MemoLanes, RowScope};
 use tkd_model::{Dataset, DimMask, ObjectId};
@@ -140,7 +143,7 @@ impl<'a> BigContext<'a> {
 
     /// BIG-Score against this context's index.
     pub(crate) fn scorer(&self) -> Scorer<'_> {
-        Scorer::big(self.ds, &self.index, &self.pre, None)
+        Scorer::new(self.ds, &self.pre, None, Columns::Big(&self.index))
     }
 }
 
@@ -163,7 +166,13 @@ pub fn big_with(ctx: &BigContext<'_>, k: usize) -> TkdResult {
 /// # Panics
 /// Panics if `scratch` was sized for a different object count.
 pub fn big_with_scratch(ctx: &BigContext<'_>, k: usize, scratch: &mut ScratchSpace) -> TkdResult {
-    ctx.scorer().walk_one(ctx.pre.queue(), k, scratch)
+    walk_one(
+        ctx.pre.queue(),
+        k,
+        std::slice::from_mut(scratch),
+        &[],
+        &ctx.scorer(),
+    )
 }
 
 /// BIG-Score (Algorithm 3) against the context's index.
@@ -202,18 +211,11 @@ impl Candidate {
     }
 }
 
-/// What one visit of a candidate measured — the counts BIG-Score and
-/// IBIG-Score decide on, taken once for every replay of a walk
-/// ([`crate::topk::walk`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Measured {
-    /// Heuristic 2's `|∩ᵢ Qᵢ|`, the candidate's own bit included: exact
-    /// when above the budget it was scanned at, `None` when at or below
-    /// it (or, for BIG, when no replay held a τ to scan against).
-    pub(crate) q: Option<usize>,
-    /// The scoring term's counts, when some replay scores the candidate.
-    pub(crate) term: Option<Term>,
-}
+/// What one visit of a candidate measured, once for every replay of a
+/// walk: the scoring term's counts, exact `|∩ᵢ Qᵢ|` included
+/// ([`Term::count`]), or `None` when Heuristic 2 pruned it at the budget
+/// it was measured at — which prunes it at every τ at least that one.
+pub(crate) type Measured = Option<Term>;
 
 /// The counts of the scoring term `|P − F| + |Q − P − nonD|`.
 #[derive(Clone, Copy, Debug)]
@@ -237,6 +239,12 @@ impl Term {
             non_d,
             f,
         }
+    }
+
+    /// The candidate's `|∩ᵢ Qᵢ|`, its own bit included: [`Term::recalled`]
+    /// run backwards.
+    pub(crate) fn count(&self) -> usize {
+        self.q_minus_f + self.f + 1
     }
 
     /// How many rows the candidate dominates.
@@ -288,7 +296,7 @@ pub(crate) fn big_measure(
         Some(_) => index.q_count_selected_above_scoped(&select(), rows, t + 1),
     });
     if q.is_none() && !need.unfilled {
-        return Measured { q, term: None };
+        return None;
     }
     scratch.sel = select();
     let cand = match scope {
@@ -297,23 +305,17 @@ pub(crate) fn big_measure(
     };
     scratch.bin_sel = scratch.sel;
     let term = term_counts(index, &cand, rows, scratch);
-    Measured {
-        q,
-        term: Some(term),
-    }
+    debug_assert!(q.is_none_or(|q| q == term.count()), "scan and term agree");
+    Some(term)
 }
 
 /// BIG-Score's decide step for a replay holding `tau`: Heuristic 2 prunes
 /// when `|∩ᵢ Qᵢ| ≤ τ + 1`, anything else scores.
 #[inline]
 pub(crate) fn big_decide(m: &Measured, tau: Option<usize>) -> Outcome {
-    match tau {
-        Some(t) if m.q.is_none_or(|q| q <= t + 1) => Outcome::PrunedBitmap,
-        _ => Outcome::Score(
-            m.term
-                .expect("a candidate a replay scores is measured")
-                .score(),
-        ),
+    match m {
+        Some(term) if tau.is_none_or(|t| term.count() > t + 1) => Outcome::Score(term.score()),
+        _ => Outcome::PrunedBitmap,
     }
 }
 

@@ -70,7 +70,7 @@ use crate::maxscore::{max_scores_sharing, queue_from_scores, DimCounts, ValueCou
 use tkd_index::{for_each_sorted_column, PairTables};
 use tkd_model::{Dataset, ObjectId, Row, MAX_DIMS};
 
-pub use crate::parallel::Outcome;
+pub use crate::topk::Outcome;
 
 /// Grid cells per dimension: up to `CELLS − 1` thresholds, the missing
 /// cells in the top cell.

@@ -39,10 +39,11 @@
 //!
 //! Queries run through the **unchanged** scorers: BIG-Score /
 //! IBIG-Score against the maintained indexes (the same scorer
-//! [`crate::ParallelEngine`] runs), driven by the one replay driver of
-//! [`crate::parallel`] — with one thread that *is* the sequential walk of
+//! [`crate::ParallelEngine`] runs), driven by the one queue walk of
+//! `crate::topk` — with one thread the sequential walk of
 //! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`],
-//! with more the workers split the candidate queue and merge by replay —
+//! with more the same walk whose candidates the workers of
+//! [`crate::parallel`] measure, on the engine's own recycled scratches —
 //! and a full-space standing query is answered by that same
 //! [`DynamicEngine::query`] after every batch. IBIG scores off the exact
 //! index's dense columns at its binned picks, as it does everywhere (see
@@ -80,14 +81,13 @@
 //! internal slot renumbering is invisible.
 
 use crate::big::{big_term, term_counts, Candidate};
-use crate::engine::Scorer;
+use crate::engine::{walk_batch, Scorer};
 use crate::maxscore::fill_queue;
-use crate::parallel::{new_slots, run_replay, slots_needed};
+use crate::parallel::Crew;
 use crate::preprocess::{MaskCounts, Preprocessed};
 use crate::query::{break_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::{ResultEntry, TkdResult};
 use crate::scope::Scope;
-use crate::scratch::ScratchSpace;
 use crate::standing::{
     self, Notification, StandingId, StandingQuery, StandingSpec, StandingState, StandingStats,
 };
@@ -353,9 +353,9 @@ pub struct DynamicEngine {
     pre: Preprocessed,
     /// The queue needs a recount before the next query.
     queue_dirty: bool,
-    /// One scratch per query thread, (re)sized on demand by
-    /// `fit_scratch`.
-    scratch: Vec<ScratchSpace>,
+    /// The query walks' workers: a scratch per thread and the slots they
+    /// publish into, (re)sized on demand and kept between queries.
+    crew: Crew,
     bins: BinChoice,
     policy: CompactionPolicy,
     epoch: u64,
@@ -403,7 +403,7 @@ impl DynamicEngine {
                 masks: MaskCounts::default(),
             },
             queue_dirty: false,
-            scratch: Vec::new(),
+            crew: Crew::default(),
             bins: options.bins,
             policy: options.policy,
             epoch: 0,
@@ -859,12 +859,12 @@ impl DynamicEngine {
         self.query_threads(q, 1)
     }
 
-    /// Answer a query with `threads` workers cooperating on the candidate
-    /// queue and merging by replay (identical results to
-    /// [`DynamicEngine::query`] — the same differential guarantee
-    /// [`crate::ParallelEngine`] carries; every worker scores against the
-    /// one maintained index, whose live-aware paths keep tombstoned slots
-    /// out of every count).
+    /// Answer a query with `threads` workers measuring the candidates of
+    /// one queue walk (identical results to [`DynamicEngine::query`],
+    /// `PruneStats` included — the same differential guarantee
+    /// [`crate::ParallelEngine`] carries; every worker measures against
+    /// the one maintained index, whose live-aware paths keep tombstoned
+    /// slots out of every count).
     ///
     /// # Errors
     /// [`UpdateError::UnsupportedAlgorithm`] for anything but BIG/IBIG.
@@ -875,13 +875,11 @@ impl DynamicEngine {
     ) -> Result<TkdResult, UpdateError> {
         serves(q.algorithm)?;
         self.refresh();
-        let threads = threads.max(1);
-        self.fit_scratch(threads);
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         let scorer = Scorer::of(q.algorithm, &self.ds, &binned, &self.pre, None);
-        let queue = self.pre.queue();
-        let slots = new_slots(slots_needed(threads, queue.len()));
-        let result = run_replay(queue, q.k, &mut self.scratch[..threads], &slots, scorer);
+        let result = self
+            .crew
+            .answer_one(threads, self.pre.queue(), q.k, &scorer);
         Ok(self.stable_result(result, q.tie))
     }
 
@@ -955,10 +953,9 @@ impl DynamicEngine {
         let rows = RowScope::new(self.scope_rows(dims, constraints)?);
         let queue = self.scoped_queue(rows.bits(), dims);
         let scope = Scope::new(rows, dims, &self.ds);
-        self.fit_scratch(1);
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         let scorer = Scorer::of(q.algorithm, &self.ds, &binned, &self.pre, Some(&scope));
-        let result = scorer.walk_one(&queue, q.k, &mut self.scratch[0]);
+        let result = self.crew.answer_one(1, &queue, q.k, &scorer);
         Ok(self.stable_result(result, q.tie))
     }
 
@@ -1121,12 +1118,11 @@ impl DynamicEngine {
     }
 
     /// Answer a batch of concurrent queries against the live state —
-    /// the coalescing path of the network server: a
-    /// [`crate::ParallelEngine`] borrowing the maintained indexes is made
-    /// **once** per batch (O(1) in the dataset) and
-    /// [`crate::ParallelEngine::query_many`] answers every BIG query of
-    /// the batch from one walk of the queue and every IBIG query from
-    /// another. Results come back in batch order, each bit-identical
+    /// the coalescing path of the network server: every BIG query of the
+    /// batch from one walk of the maintained queue and every IBIG query
+    /// from another, each walk on `threads` workers with the engine's
+    /// own recycled scratches, as [`crate::ParallelEngine::query_many`]
+    /// walks. Results come back in batch order, each bit-identical
     /// (entries, scores, tie order, `PruneStats`) to running
     /// [`DynamicEngine::query`] alone, and entry ids are **stable ids**.
     ///
@@ -1147,20 +1143,18 @@ impl DynamicEngine {
         }
         self.refresh();
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
-        let engine = crate::ParallelEngine::from_prebuilt(&self.ds, binned, &self.pre, threads);
-        // Run with the identity tie-break and map slot → stable ids
-        // first, applying the requested tie handling after the mapping —
-        // the exact order of operations of `query_threads`, so the two
-        // paths stay bit-identical.
-        let plain: Vec<EngineQuery> = queries
-            .iter()
-            .map(|q| EngineQuery {
-                k: q.k,
-                algorithm: q.algorithm,
-                tie: TieBreak::ById,
-            })
-            .collect();
-        let results = engine.query_many(&plain);
+        let mut results = vec![TkdResult::default(); queries.len()];
+        walk_batch(
+            queries,
+            &mut results,
+            &mut self.crew,
+            threads,
+            self.pre.queue(),
+            |a| Scorer::of(a, &self.ds, &binned, &self.pre, None),
+        );
+        // Ties by id until the slot → stable id mapping, the requested
+        // tie handling after it — `query_threads`' order of operations,
+        // so the two paths stay bit-identical.
         Ok(queries
             .iter()
             .zip(results)
@@ -1207,8 +1201,7 @@ impl DynamicEngine {
         member: Option<ObjectId>,
     ) -> Result<usize, UpdateError> {
         let member = member.map(|id| self.slot(id)).transpose()?;
-        self.fit_scratch(1);
-        let scratch = &mut self.scratch[0];
+        let scratch = self.crew.scratch(self.ds.len());
         scratch.sel = self.index.select_for(|d| values[d]);
         let cand = shard_candidate(&self.pre.masks, values, member);
         Ok(big_term(&self.index, &cand, None, scratch))
@@ -1226,8 +1219,7 @@ impl DynamicEngine {
         member: Option<ObjectId>,
     ) -> Result<usize, UpdateError> {
         let member = member.map(|id| self.slot(id)).transpose()?;
-        self.fit_scratch(1);
-        let scratch = &mut self.scratch[0];
+        let scratch = self.crew.scratch(self.ds.len());
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         scratch.bin_sel = binned.select_for(|d| values[d]);
         scratch.sel = self.index.select_for(|d| values[d]);
@@ -1346,7 +1338,7 @@ impl DynamicEngine {
                 masks,
             },
             queue_dirty: true,
-            scratch: Vec::new(),
+            crew: Crew::default(),
             bins,
             policy,
             epoch,
@@ -1371,7 +1363,7 @@ impl DynamicEngine {
         let n = self.ds.len();
         self.live = Tombstones::all_live(n);
         self.stable_of = stable;
-        self.scratch.clear();
+        self.crew = Crew::default();
         self.rebuild_artifacts();
         self.epoch += 1;
         self.stats.compactions += 1;
@@ -1412,14 +1404,6 @@ impl DynamicEngine {
     }
 
     // ----- internals ------------------------------------------------------
-
-    /// Make (at least) `threads` scratches fit the current slot count.
-    fn fit_scratch(&mut self, threads: usize) {
-        let n = self.ds.len();
-        self.scratch.retain(|s| s.n() == n);
-        let wanted = threads.max(self.scratch.len());
-        self.scratch.resize_with(wanted, || ScratchSpace::new(n));
-    }
 
     fn slot(&self, id: ObjectId) -> Result<usize, UpdateError> {
         live_or(self.live_slot(id), id, self.next_id)

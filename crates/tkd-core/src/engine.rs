@@ -1,48 +1,46 @@
-//! [`ParallelEngine`] — a multi-user query-serving facade over the replay
-//! driver of [`crate::parallel`].
+//! [`ParallelEngine`] — a multi-user query-serving facade over the one
+//! queue walk of `crate::topk`, run by the workers of [`crate::parallel`].
 //!
 //! The engine pays preprocessing and index construction **once** per
 //! dataset — one sort per dimension feeds the `MaxScore` queue and the
 //! exact index, which the binned index is a view of — and then serves any
 //! number of queries against it:
 //!
-//! * [`ParallelEngine::query`] parallelizes **within** one query: all
-//!   worker threads split the candidate queue over the one index,
-//!   exchanging the shared pruning threshold τ (see the
-//!   [`crate::parallel`] docs).
+//! * [`ParallelEngine::query`] answers one query with every worker
+//!   thread measuring candidates of its queue walk over the one index
+//!   (see the [`crate::parallel`] docs).
 //! * [`ParallelEngine::query_many`] answers a batch of concurrent
 //!   queries — the multi-user serving shape — with one walk of the
 //!   candidate queue per algorithm: every BIG query of the batch is a
 //!   replay of one walk, every IBIG query of another, each candidate
-//!   measured once and decided per query (`crate::topk`'s `walk`).
-//!   Workers take those walks and the reference-algorithm queries as
-//!   jobs, so the build is amortized over the whole batch and the
-//!   scoring over every query of an algorithm.
+//!   measured once and decided per query. Each walk runs on every worker
+//!   thread, so the build is amortized over the whole batch and the
+//!   scoring over every query of an algorithm. Naive, ESB and UBB specs
+//!   run after them, in batch order, on the calling thread.
 //!
 //! Worker scratches and slot buffers are recycled through an internal
-//! pool, so after a warm-up query the engine performs a small constant
-//! number of allocations per query regardless of dataset size
+//! pool of crews, so after a warm-up query the engine performs a small
+//! constant number of allocations per query regardless of dataset size
 //! (`crates/tkd-core/tests/zero_alloc.rs` pins this).
 //!
 //! Every algorithm routes to an implementation that is score- and
 //! order-identical to the corresponding single-threaded function: BIG and
 //! IBIG through one `Scorer` — the one the dynamic engine's
-//! [`crate::DynamicEngine::query_threads`] runs —
+//! [`crate::DynamicEngine::query_threads`] runs — with the whole
+//! `PruneStats` of the sequential run at every thread count, and
 //! Naive/ESB/UBB through the sequential reference implementations
 //! (reusing the engine's `MaxScore` queue where applicable).
 
-use crate::big::{big_decide, big_measure, Measured};
+use crate::big::{big_decide, big_measure, Measured, Term};
 use crate::ibig::{ibig_decide, ibig_measure};
-use crate::parallel::{new_slots, run_replay, slots_needed};
+use crate::parallel::Crew;
 use crate::preprocess::Preprocessed;
 use crate::query::{break_ties, Algorithm, TieBreak};
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
-use crate::topk::{walk, walk_one, Need, Outcome, Replay};
+use crate::topk::{Measure, Need, Outcome};
 use crate::{esb, naive, ubb};
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tkd_index::{BinnedBitmapIndex, BitmapIndex, BitmapIndexBuilder};
 use tkd_model::{Dataset, ObjectId};
@@ -86,10 +84,11 @@ impl EngineQuery {
 /// BIG-Score or IBIG-Score of the members of `ds` against one index —
 /// the exact one for BIG, its binned view for IBIG — and its
 /// preprocessing, over `scope`'s rows when there is a scope. Every
-/// in-process BIG/IBIG path scores through one: the static contexts, the
-/// shared walk of [`ParallelEngine::query_many`], the parallel workers of
-/// [`run_replay`] ([`ParallelEngine::query`], [`crate::TkdQuery::threads`],
-/// [`crate::DynamicEngine::query_threads`]) and the scoped walks of
+/// in-process BIG/IBIG walk measures and decides through one: the static
+/// contexts, the engines' single queries and batches at any thread count
+/// ([`ParallelEngine`], [`crate::TkdQuery::threads`],
+/// [`crate::DynamicEngine::query_threads`] and
+/// [`crate::DynamicEngine::query_many`]) and the scoped walks of
 /// [`crate::DynamicEngine::query_constrained`] and
 /// [`crate::DynamicEngine::query_subspace`].
 #[derive(Clone, Copy)]
@@ -102,36 +101,21 @@ pub(crate) struct Scorer<'s> {
 
 /// The index a scorer reads, which names its algorithm.
 #[derive(Clone, Copy)]
-enum Columns<'s> {
+pub(crate) enum Columns<'s> {
+    /// BIG-Score against the exact index.
     Big(&'s BitmapIndex),
+    /// IBIG-Score against its binned view.
     Ibig(&'s BinnedBitmapIndex<'s>),
 }
 
 impl<'s> Scorer<'s> {
-    /// BIG-Score against `index`.
-    pub(crate) fn big(
+    /// The score `columns` names.
+    pub(crate) fn new(
         ds: &'s Dataset,
-        index: &'s BitmapIndex,
         pre: &'s Preprocessed,
         scope: Option<&'s Scope>,
+        columns: Columns<'s>,
     ) -> Self {
-        let columns = Columns::Big(index);
-        Scorer {
-            ds,
-            pre,
-            scope,
-            columns,
-        }
-    }
-
-    /// IBIG-Score against `binned`.
-    pub(crate) fn ibig(
-        ds: &'s Dataset,
-        binned: &'s BinnedBitmapIndex<'s>,
-        pre: &'s Preprocessed,
-        scope: Option<&'s Scope>,
-    ) -> Self {
-        let columns = Columns::Ibig(binned);
         Scorer {
             ds,
             pre,
@@ -149,13 +133,31 @@ impl<'s> Scorer<'s> {
         scope: Option<&'s Scope>,
     ) -> Self {
         match algorithm {
-            Algorithm::Big => Scorer::big(ds, binned.exact(), pre, scope),
-            Algorithm::Ibig => Scorer::ibig(ds, binned, pre, scope),
-            other => unreachable!("the replayed paths serve BIG/IBIG, got {other:?}"),
+            Algorithm::Big => Scorer::new(ds, pre, scope, Columns::Big(binned.exact())),
+            Algorithm::Ibig => Scorer::new(ds, pre, scope, Columns::Ibig(binned)),
+            other => unreachable!("the walked paths serve BIG/IBIG, got {other:?}"),
         }
     }
 
-    /// The measure step: candidate `o`'s counts, at what `need` asks.
+    /// Candidate `o`'s outcome for a lone replay holding `tau`.
+    #[cfg(test)]
+    pub(crate) fn score(
+        &self,
+        o: ObjectId,
+        tau: Option<usize>,
+        scratch: &mut ScratchSpace,
+    ) -> Outcome {
+        self.decide(&self.measure(o, Need::of(tau), scratch), tau)
+    }
+}
+
+impl Measure for Scorer<'_> {
+    type Measured = Measured;
+
+    fn rows(&self) -> usize {
+        self.ds.len()
+    }
+
     #[inline]
     fn measure(&self, o: ObjectId, need: Need, scratch: &mut ScratchSpace) -> Measured {
         let Scorer { ds, pre, scope, .. } = *self;
@@ -165,7 +167,6 @@ impl<'s> Scorer<'s> {
         }
     }
 
-    /// The decide step: the outcome of a replay holding `tau`.
     #[inline]
     fn decide(&self, m: &Measured, tau: Option<usize>) -> Outcome {
         match self.columns {
@@ -174,92 +175,54 @@ impl<'s> Scorer<'s> {
         }
     }
 
-    /// Candidate `o`'s outcome for a lone replay holding `tau` — what a
-    /// parallel worker publishes.
-    pub(crate) fn score(
-        &self,
-        o: ObjectId,
-        tau: Option<usize>,
-        scratch: &mut ScratchSpace,
-    ) -> Outcome {
-        self.decide(&self.measure(o, Need::of(tau), scratch), tau)
+    /// `1` for a prune, else the count in the high half and `nonD` in the
+    /// low, as the memo's binned lane keeps them (a count is at least 1).
+    fn publish(&self, m: &Measured) -> u64 {
+        m.map_or(1, |term| {
+            let count = u32::try_from(term.count()).expect("a count fits 32 bits");
+            (u64::from(count) << 32) | term.non_d as u64
+        })
     }
 
-    /// Walk `queue` once for every replay of `replays`.
-    pub(crate) fn walk(
-        &self,
-        queue: &[(ObjectId, usize)],
-        replays: &mut [Replay],
-        scratch: &mut ScratchSpace,
-    ) {
-        walk(
-            queue,
-            replays,
-            |o, need| self.measure(o, need, scratch),
-            |m, tau| self.decide(m, tau),
-        );
-    }
-
-    /// A single top-`k` query: the one-replay walk.
-    pub(crate) fn walk_one(
-        &self,
-        queue: &[(ObjectId, usize)],
-        k: usize,
-        scratch: &mut ScratchSpace,
-    ) -> TkdResult {
-        walk_one(
-            queue,
-            k,
-            |o, need| self.measure(o, need, scratch),
-            |m, tau| self.decide(m, tau),
-        )
+    /// The term rebuilt with the candidate's `|F(o)|`.
+    fn read(&self, o: ObjectId, word: u64) -> Measured {
+        (word != 1).then(|| {
+            let f = match self.scope {
+                Some(s) => s.candidate(self.ds, o).f,
+                None => self.pre.masks.incomparable(self.ds.mask(o)),
+            };
+            Term::recalled((word >> 32) as usize, word as u32 as usize, f)
+        })
     }
 }
 
-/// Reusable per-query resources, recycled through [`ParallelEngine`]'s
-/// pool.
-struct Pool {
-    scratch: Mutex<Vec<ScratchSpace>>,
-    slots: Mutex<Vec<Vec<AtomicU64>>>,
-}
-
-impl Pool {
-    fn new() -> Self {
-        Pool {
-            scratch: Mutex::new(Vec::new()),
-            slots: Mutex::new(Vec::new()),
+/// Answer every BIG and IBIG spec of `queries` into its place in
+/// `results`, with one walk of `queue` per algorithm named, by `threads`
+/// workers of `crew`, measuring with `scorer`'s scorer for that
+/// algorithm. Ties come out by ascending id; other specs are left alone.
+pub(crate) fn walk_batch<S: Measure>(
+    queries: &[EngineQuery],
+    results: &mut [TkdResult],
+    crew: &mut Crew,
+    threads: usize,
+    queue: &[(ObjectId, usize)],
+    scorer: impl Fn(Algorithm) -> S,
+) {
+    for algorithm in [Algorithm::Big, Algorithm::Ibig] {
+        let members = || (0..queries.len()).filter(|&i| queries[i].algorithm == algorithm);
+        let mut ks: Vec<usize> = members().map(|i| queries[i].k).collect();
+        if ks.is_empty() {
+            continue;
         }
-    }
-
-    fn take_scratch(&self, count: usize, n: usize) -> Vec<ScratchSpace> {
-        let mut pool = self.scratch.lock().expect("scratch pool");
-        let keep = pool.len().saturating_sub(count);
-        let mut out = pool.split_off(keep);
-        drop(pool);
-        out.resize_with(count, || ScratchSpace::new(n));
-        out
-    }
-
-    fn put_scratch(&self, scratch: Vec<ScratchSpace>) {
-        self.scratch.lock().expect("scratch pool").extend(scratch);
-    }
-
-    fn take_slots(&self, n: usize) -> Vec<AtomicU64> {
-        let mut pool = self.slots.lock().expect("slot pool");
-        let slots = pool.pop();
-        drop(pool);
-        let slots = match slots {
-            Some(s) if s.len() >= n => s,
-            _ => new_slots(n),
-        };
-        for s in &slots[..n] {
-            s.store(0, Ordering::Relaxed);
+        ks.sort_unstable();
+        ks.dedup();
+        let answers = crew.answer(threads, queue, &ks, &scorer(algorithm));
+        for i in members() {
+            let at = ks
+                .binary_search(&queries[i].k)
+                .expect("every k has a replay");
+            results[i] = answers[at].clone();
         }
-        slots
-    }
-
-    fn put_slots(&self, s: Vec<AtomicU64>) {
-        self.slots.lock().expect("slot pool").push(s);
     }
 }
 
@@ -310,8 +273,8 @@ impl<'a> EngineBuilder<'a> {
             ds,
             threads,
             binned: BinnedBitmapIndex::owned(index.finish(), &bins),
-            pre: Cow::Owned(pre),
-            pool: Pool::new(),
+            pre,
+            crews: Mutex::new(Vec::new()),
         }
     }
 }
@@ -319,14 +282,14 @@ impl<'a> EngineBuilder<'a> {
 /// A query-serving engine: one exact index with its binned view and one
 /// `MaxScore` queue built once, queries answered with
 /// within-query parallelism ([`ParallelEngine::query`]) or batched
-/// across-query parallelism ([`ParallelEngine::query_many`]). See the
-/// [module docs](self).
+/// ([`ParallelEngine::query_many`]). See the [module docs](self).
 pub struct ParallelEngine<'a> {
     ds: &'a Dataset,
     threads: usize,
     binned: BinnedBitmapIndex<'a>,
-    pre: Cow<'a, Preprocessed>,
-    pool: Pool,
+    pre: Preprocessed,
+    /// Idle crews, one taken per query or batch in flight.
+    crews: Mutex<Vec<Crew>>,
 }
 
 impl<'a> ParallelEngine<'a> {
@@ -344,28 +307,6 @@ impl<'a> ParallelEngine<'a> {
         }
     }
 
-    /// Borrow a serving engine from the maintained state of a
-    /// [`crate::DynamicEngine`] — nothing is built or copied — so that
-    /// [`crate::DynamicEngine::query_many`] can fan a batch out through
-    /// [`ParallelEngine::query_many`]. Entry ids are **slot** ids, and
-    /// only BIG/IBIG see the index's live mask (the reference algorithms
-    /// would count tombstoned slots).
-    pub(crate) fn from_prebuilt(
-        ds: &'a Dataset,
-        binned: BinnedBitmapIndex<'a>,
-        pre: &'a Preprocessed,
-        threads: usize,
-    ) -> Self {
-        assert_eq!(binned.n(), ds.len(), "index/dataset size mismatch");
-        ParallelEngine {
-            ds,
-            threads: threads.max(1),
-            binned,
-            pre: Cow::Borrowed(pre),
-            pool: Pool::new(),
-        }
-    }
-
     /// The dataset this engine serves.
     pub fn dataset(&self) -> &'a Dataset {
         self.ds
@@ -378,117 +319,65 @@ impl<'a> ParallelEngine<'a> {
 
     /// Answer one query with all worker threads cooperating on it.
     pub fn query(&self, q: &EngineQuery) -> TkdResult {
-        break_ties(self.run(q, self.threads), q.tie)
+        let result = match q.algorithm {
+            Algorithm::Big | Algorithm::Ibig => self.with_crew(|crew| {
+                let scorer = self.scorer(q.algorithm);
+                crew.answer_one(self.threads, self.pre.queue(), q.k, &scorer)
+            }),
+            _ => self.reference(q),
+        };
+        break_ties(result, q.tie)
     }
 
     /// Answer a batch of concurrent queries. BIG and IBIG answer one walk
-    /// per algorithm: every query of the batch naming it is a replay of
-    /// the one traversal, which measures each candidate once and decides
-    /// per query (`crate::topk`'s `walk`), and each query's tie-break is
-    /// applied afterwards. Naive, ESB and UBB run per query. The engine's
-    /// threads take these jobs — a walk or a reference query — one at a
-    /// time, each with a pooled scratch. Results come back in batch order
-    /// and are identical to running each query alone: entries, scores,
-    /// tie order and every `PruneStats` counter.
+    /// per algorithm on every worker thread: every query of the batch
+    /// naming it is a replay of the one traversal, which measures each
+    /// candidate once and decides per query. Naive, ESB and UBB then run
+    /// per query, in batch order, on the calling thread. Each query's
+    /// tie-break is applied last. Results come back in batch order and
+    /// are identical to running each query alone: entries, scores, tie
+    /// order and every `PruneStats` counter.
     pub fn query_many(&self, queries: &[EngineQuery]) -> Vec<TkdResult> {
-        let walks = [Algorithm::Big, Algorithm::Ibig]
-            .into_iter()
-            .filter(|&a| queries.iter().any(|q| q.algorithm == a))
-            .map(Job::Walk);
-        let alone = (0..queries.len())
-            .filter(|&i| !matches!(queries[i].algorithm, Algorithm::Big | Algorithm::Ibig))
-            .map(Job::Alone);
-        let jobs: Vec<Job> = walks.chain(alone).collect();
-        let results: Vec<Mutex<Option<TkdResult>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
-        let run = |job: &Job| self.run_job(job, queries, &results);
-        let threads = self.threads.min(jobs.len()).max(1);
-        if threads == 1 {
-            jobs.iter().for_each(run);
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| {
-                        while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            run(job);
-                        }
-                    });
-                }
+        let mut results = vec![TkdResult::default(); queries.len()];
+        self.with_crew(|crew| {
+            let queue = self.pre.queue();
+            walk_batch(queries, &mut results, crew, self.threads, queue, |a| {
+                self.scorer(a)
             });
+        });
+        for (q, result) in queries.iter().zip(&mut results) {
+            if !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig) {
+                *result = self.reference(q);
+            }
+            *result = break_ties(std::mem::take(result), q.tie);
         }
         results
-            .into_iter()
-            .map(|m| m.into_inner().expect("result slot").expect("query ran"))
-            .collect()
     }
 
-    /// Run one job of a [`ParallelEngine::query_many`] batch, filling the
-    /// result slots of the queries it answers.
-    fn run_job(&self, job: &Job, queries: &[EngineQuery], results: &[Mutex<Option<TkdResult>>]) {
-        let answer = |i: usize, r: TkdResult| {
-            *results[i].lock().expect("result slot") = Some(break_ties(r, queries[i].tie));
-        };
-        match *job {
-            Job::Alone(i) => answer(i, self.run(&queries[i], 1)),
-            Job::Walk(algorithm) => {
-                let members = || (0..queries.len()).filter(|&i| queries[i].algorithm == algorithm);
-                let mut ks: Vec<usize> = members().map(|i| queries[i].k).collect();
-                ks.sort_unstable();
-                ks.dedup();
-                let mut scratch = self.pool.take_scratch(1, self.ds.len());
-                let scorer = Scorer::of(algorithm, self.ds, &self.binned, &self.pre, None);
-                let queue = self.pre.queue();
-                // A lone k walks a one-replay array, whose loops the
-                // compiler unrolls (the common single-query batch).
-                let answers: Vec<TkdResult> = if let [k] = ks[..] {
-                    vec![scorer.walk_one(queue, k, &mut scratch[0])]
-                } else {
-                    let mut replays: Vec<Replay> = ks.iter().map(|&k| Replay::new(k)).collect();
-                    scorer.walk(queue, &mut replays, &mut scratch[0]);
-                    replays.into_iter().map(Replay::finish).collect()
-                };
-                self.pool.put_scratch(scratch);
-                for i in members() {
-                    let at = ks
-                        .binary_search(&queries[i].k)
-                        .expect("every k has a replay");
-                    answer(i, answers[at].clone());
-                }
-            }
-        }
+    /// `algorithm`'s scorer over the engine's index.
+    fn scorer(&self, algorithm: Algorithm) -> Scorer<'_> {
+        Scorer::of(algorithm, self.ds, &self.binned, &self.pre, None)
     }
 
-    /// Answer `q` with `threads` workers, ties by ascending id.
-    fn run(&self, q: &EngineQuery, threads: usize) -> TkdResult {
+    /// Run `f` with an idle crew of the pool (a fresh one when none is
+    /// idle), then return the crew to the pool.
+    fn with_crew<T>(&self, f: impl FnOnce(&mut Crew) -> T) -> T {
+        let idle = self.crews.lock().expect("crew pool").pop();
+        let mut crew = idle.unwrap_or_default();
+        let out = f(&mut crew);
+        self.crews.lock().expect("crew pool").push(crew);
+        out
+    }
+
+    /// A reference algorithm's answer, ties by ascending id: sequential,
+    /// reusing the engine's `MaxScore` queue where applicable.
+    fn reference(&self, q: &EngineQuery) -> TkdResult {
         match q.algorithm {
-            Algorithm::Big | Algorithm::Ibig => self.run_replayed(q, threads),
-            // Reference algorithms for differential serving: sequential,
-            // reusing the engine's MaxScore queue where applicable.
             Algorithm::Naive => naive::naive(self.ds, q.k),
             Algorithm::Esb => esb::esb(self.ds, q.k),
-            Algorithm::Ubb => ubb::ubb_with_queue(self.ds, q.k, self.pre.queue()),
+            _ => ubb::ubb_with_queue(self.ds, q.k, self.pre.queue()),
         }
     }
-
-    fn run_replayed(&self, q: &EngineQuery, threads: usize) -> TkdResult {
-        let queue = self.pre.queue();
-        let mut workers = self.pool.take_scratch(threads, self.ds.len());
-        let slots = self.pool.take_slots(slots_needed(threads, queue.len()));
-        let scorer = Scorer::of(q.algorithm, self.ds, &self.binned, &self.pre, None);
-        let result = run_replay(queue, q.k, &mut workers, &slots, scorer);
-        self.pool.put_slots(slots);
-        self.pool.put_scratch(workers);
-        result
-    }
-}
-
-/// One unit of a [`ParallelEngine::query_many`] batch.
-enum Job {
-    /// One walk answering every query of the batch naming the algorithm.
-    Walk(Algorithm),
-    /// The query at this batch position, answered alone.
-    Alone(usize),
 }
 
 #[cfg(test)]

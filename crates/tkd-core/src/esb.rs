@@ -29,7 +29,7 @@ pub fn esb(ds: &Dataset, k: usize) -> TkdResult {
         );
     }
     let candidates = esb_candidates(ds, k);
-    let mut top = TopK::new(k);
+    let mut top = TopK::new(k, candidates.len());
     for &o in &candidates {
         top.offer(o, dominance::score_of(ds, o));
     }

@@ -53,12 +53,12 @@
 //! pass. `ibig_decide` takes one
 //! replay's Heuristic 2 decision on `|Q| − 1` and its Heuristic 3
 //! decision on the term's `nonD`. Every in-process engine scores through
-//! it: the sequential [`ibig_with_scratch`], the batched
-//! [`crate::engine::ParallelEngine::query_many`] (one walk for every IBIG
-//! query of a batch), and the parallel paths, which split the queue
-//! across workers over the same index and merge by replay
-//! ([`crate::parallel`]), so entries, scores, tie order **and**, with one
-//! thread, every `PruneStats` counter agree. A cluster worker
+//! it: the sequential [`ibig_with_scratch`], and the engines' single
+//! queries and batches (one walk for every IBIG query of a batch) at any
+//! thread count, whose workers measure candidates of the one walk over
+//! the same index while every decision is taken in queue order
+//! ([`crate::parallel`]) — so entries, scores, tie order **and** every
+//! `PruneStats` counter agree. A cluster worker
 //! ([`crate::DynamicEngine::ibig_partial`]) calls the term alone with no
 //! Heuristic-3 budget (Heuristic 3 needs the global τ). The traversal is
 //! `crate::topk`'s `walk`.
@@ -72,12 +72,12 @@
 //! both lanes.
 
 use crate::big::{term_counts, Candidate, Measured, Term};
-use crate::engine::Scorer;
+use crate::engine::{Columns, Scorer};
 use crate::preprocess::Preprocessed;
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
-use crate::topk::{Need, Outcome};
+use crate::topk::{walk_one, Need, Outcome};
 use std::borrow::Cow;
 use tkd_index::{cost, BinnedBitmapIndex, BitmapIndexBuilder, MemberCount, MemoLanes};
 use tkd_model::{stats, Dataset, ObjectId};
@@ -148,7 +148,7 @@ impl<'a> IbigContext<'a> {
 
     /// IBIG-Score against this context's binned index.
     pub(crate) fn scorer(&self) -> Scorer<'_> {
-        Scorer::ibig(self.ds, &self.binned, &self.pre, None)
+        Scorer::new(self.ds, &self.pre, None, Columns::Ibig(&self.binned))
     }
 }
 
@@ -178,7 +178,13 @@ pub fn ibig_with(ctx: &IbigContext<'_>, k: usize) -> TkdResult {
 /// # Panics
 /// Panics if `scratch` was sized for a different object count.
 pub fn ibig_with_scratch(ctx: &IbigContext<'_>, k: usize, scratch: &mut ScratchSpace) -> TkdResult {
-    ctx.scorer().walk_one(ctx.pre.queue(), k, scratch)
+    walk_one(
+        ctx.pre.queue(),
+        k,
+        std::slice::from_mut(scratch),
+        &[],
+        &ctx.scorer(),
+    )
 }
 
 /// IBIG-Score (Algorithm 5) against the context's binned index.
@@ -233,10 +239,7 @@ pub(crate) fn ibig_measure(
                 non_d: Some(non_d),
             }) => {
                 let f = pre.masks.incomparable(ds.mask(o));
-                return Measured {
-                    q: Some(count),
-                    term: Some(Term::recalled(count, non_d, f)),
-                };
+                return Some(Term::recalled(count, non_d, f));
             }
             measured => measured.map(|m| m.count),
         },
@@ -246,9 +249,7 @@ pub(crate) fn ibig_measure(
             exact.q_count_selected_above_scoped(&scratch.bin_sel, rows, budget)
         }
     };
-    let Some(count) = q else {
-        return Measured { q, term: None };
-    };
+    let count = q?;
     // Survivors only: the binned picks Q and P are filled at, and the
     // exact picks the residue pass compares against.
     scratch.bin_sel = index.selection_of(o as usize);
@@ -262,31 +263,27 @@ pub(crate) fn ibig_measure(
         None => Candidate::member(ds, pre, o),
     };
     let term = term_counts(exact, &cand, rows, scratch);
+    debug_assert_eq!(count, term.count(), "scan and term agree");
     if scope.is_none() {
         index.record_non_d(o as usize, count, term.non_d);
     }
-    Measured {
-        q,
-        term: Some(term),
-    }
+    Some(term)
 }
 
 /// IBIG-Score's decide step for a replay holding `tau`: Heuristic 2
 /// prunes when `|∩ᵢ Qᵢ| ≤ τ + 1`, and Heuristic 3 when the `nonD` members
 /// overdraw the budget `score(o) = |Q| − |F| − |nonD|` leaves above τ,
-/// `|nonD| > |∩ᵢ Qᵢ| − 1 − |F| − τ`. Nothing to beat until τ forms. A
-/// scoped candidate's `|F|` counts inside the scope, as `Q` does: the
-/// unscoped `|F|` would over-prune.
+/// `|nonD| > |Q| − |F| − τ`. Nothing to beat until τ forms. A scoped
+/// candidate's `|F|` counts inside the scope, as `Q` does: the unscoped
+/// `|F|` would over-prune.
 #[inline]
 pub(crate) fn ibig_decide(m: &Measured, tau: Option<usize>) -> Outcome {
-    let (Some(q), Some(term)) = (m.q, m.term) else {
+    let Some(term) = m else {
         return Outcome::PrunedBitmap;
     };
     match tau {
-        Some(t) if q <= t + 1 => Outcome::PrunedBitmap,
-        Some(t) if term.non_d > (q - 1).saturating_sub(term.f).saturating_sub(t) => {
-            Outcome::PrunedPartial
-        }
+        Some(t) if term.count() <= t + 1 => Outcome::PrunedBitmap,
+        Some(t) if term.non_d > term.q_minus_f.saturating_sub(t) => Outcome::PrunedPartial,
         _ => Outcome::Score(term.score()),
     }
 }

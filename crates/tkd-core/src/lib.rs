@@ -16,10 +16,13 @@
 //! (Definitions 2–3) and a [`PruneStats`] describing how much work each
 //! heuristic saved (the paper's Fig. 18).
 //!
-//! Beyond the paper, the [`parallel`] module splits BIG/IBIG's candidate
-//! queue across worker threads over one index, with a shared pruning
-//! threshold τ (score- and order-identical to the sequential runs), and
-//! [`engine`] wraps it in a multi-user [`ParallelEngine`] with a batched
+//! Beyond the paper, one queue walk answers one BIG/IBIG query or a
+//! whole batch of them — each candidate measured once, each query
+//! deciding at its own τ — on one thread or several: the [`parallel`]
+//! module's workers measure candidates of the walk over one index while
+//! every decision is taken in queue order, so every thread count gives
+//! the sequential run's entries, tie order and `PruneStats`. [`engine`]
+//! wraps it in a multi-user [`ParallelEngine`] with a batched
 //! `query_many` API.
 //!
 //! The ergonomic entry point is [`TkdQuery`]:

@@ -21,7 +21,7 @@ pub fn naive(ds: &Dataset, k: usize) -> TkdResult {
         );
     }
     let scores = dominance::all_scores(ds);
-    let mut top = TopK::new(k);
+    let mut top = TopK::new(k, ds.len());
     for o in ds.ids() {
         top.offer(o, scores[o as usize]);
     }

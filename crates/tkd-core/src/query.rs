@@ -3,9 +3,8 @@
 use crate::big::BigContext;
 use crate::engine::Scorer;
 use crate::ibig::IbigContext;
-use crate::parallel::{new_slots, run_replay, slots_needed};
+use crate::parallel::Crew;
 use crate::result::TkdResult;
-use crate::scratch::ScratchSpace;
 use crate::{esb, naive, ubb};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -113,10 +112,10 @@ impl TkdQuery {
     }
 
     /// Worker thread count (default 1 = the sequential engines). BIG and
-    /// IBIG build the one context their algorithm needs and split its
-    /// candidate queue across `threads` workers, merging by replay
-    /// ([`crate::parallel`]) — score- and order-identical to the
-    /// sequential run; the other algorithms stay sequential. For serving
+    /// IBIG build the one context their algorithm needs and have
+    /// `threads` workers measure the candidates of its queue walk
+    /// ([`crate::parallel`]) — identical to the sequential run, entries,
+    /// tie order and `PruneStats`; the other algorithms stay sequential. For serving
     /// many queries against one dataset, prefer
     /// [`crate::engine::ParallelEngine`], which builds its indexes once.
     pub fn threads(mut self, t: usize) -> Self {
@@ -137,23 +136,20 @@ impl TkdQuery {
             Algorithm::Ubb => ubb::ubb(ds, self.k),
             Algorithm::Big => {
                 let ctx = BigContext::build(ds);
-                self.replay(ctx.preprocessed().queue(), ds.len(), ctx.scorer())
+                self.walk(ctx.preprocessed().queue(), ctx.scorer())
             }
             Algorithm::Ibig => {
                 let ctx: IbigContext<'_> = IbigContext::build(ds, &self.resolve_bins(ds));
-                self.replay(ctx.preprocessed().queue(), ds.len(), ctx.scorer())
+                self.walk(ctx.preprocessed().queue(), ctx.scorer())
             }
         };
         break_ties(result, self.tie)
     }
 
-    /// Drive `scorer` over `queue` with `threads` fresh scratches for `n`
-    /// objects — one thread is the sequential walk.
-    fn replay(&self, queue: &[(ObjectId, usize)], n: usize, scorer: Scorer<'_>) -> TkdResult {
-        let mut scratch: Vec<ScratchSpace> =
-            (0..self.threads).map(|_| ScratchSpace::new(n)).collect();
-        let slots = new_slots(slots_needed(self.threads, queue.len()));
-        run_replay(queue, self.k, &mut scratch, &slots, scorer)
+    /// Walk `queue` with `scorer` on `threads` fresh workers — one thread
+    /// is the sequential walk.
+    fn walk(&self, queue: &[(ObjectId, usize)], scorer: Scorer<'_>) -> TkdResult {
+        Crew::default().answer_one(self.threads, queue, self.k, &scorer)
     }
 
     fn resolve_bins(&self, ds: &Dataset) -> Vec<usize> {

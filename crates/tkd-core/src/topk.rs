@@ -1,15 +1,15 @@
 //! The traversal of Algorithm 4, once: the bounded top-k candidate set
 //! (the paper's `SC` with threshold `τ`), the [`Replay`] state machine
-//! that consumes per-candidate [`Outcome`]s in queue order, and the
-//! `walk` loop that drives any number of replays through one queue.
+//! that consumes per-candidate [`Outcome`]s in queue order, and `walk`,
+//! the one driver that takes any number of replays through one queue on
+//! one worker thread or several.
 //!
 //! Every engine is this walk with a different scorer in front: UBB scores
 //! pairwise, BIG and IBIG through their bitmap scorers, the standing layer
-//! answers from its score cache first, the parallel merger and the cluster
-//! coordinator feed a [`Replay`] outcomes computed elsewhere (other
-//! threads, other processes). Heuristic 1 is checked in one place —
-//! [`Replay::h1_prunes`] — so it fires at the same queue position
-//! everywhere.
+//! answers from its score cache first, and the cluster coordinator feeds
+//! a [`Replay`] outcomes assembled from shard answers. Heuristic 1 is
+//! checked in one place — [`Replay::h1_prunes`] — so it fires at the same
+//! queue position everywhere.
 //!
 //! # One walk per batch
 //!
@@ -24,9 +24,18 @@
 //! counts and its own τ. Each replay's τ then equals its standalone τ at
 //! every position, so every result — `PruneStats` included — is the one
 //! the query would get alone. A single query is the one-replay case.
+//!
+//! # One walk on several workers
+//!
+//! A measurement decides exactly for every replay whose τ is at least
+//! the one it was taken at ([`Measure`]), so other threads may measure
+//! ahead of the replays while every decision is still taken in queue
+//! order at each replay's own τ (`crate::parallel`).
 
 use crate::result::{ResultEntry, TkdResult};
+use crate::scratch::ScratchSpace;
 use crate::stats::PruneStats;
+use std::sync::atomic::AtomicU64;
 use tkd_model::ObjectId;
 
 /// A bounded set of the best `k` `(score, id)` pairs seen so far,
@@ -43,10 +52,12 @@ pub struct TopK {
 }
 
 impl TopK {
-    pub fn new(k: usize) -> Self {
+    /// An empty set for a top-`k` query over at most `candidates` offers:
+    /// room for `min(k, candidates)` entries, all it can ever hold.
+    pub fn new(k: usize, candidates: usize) -> Self {
         TopK {
             k,
-            entries: Vec::with_capacity(k.min(1024)),
+            entries: Vec::with_capacity(k.min(candidates)),
         }
     }
 
@@ -89,13 +100,11 @@ impl TopK {
     }
 }
 
-/// Outcome of scoring one candidate — what a scorer hands the [`Replay`],
-/// whether directly, through the parallel merger's slots, or assembled by
-/// a cluster coordinator from shard answers.
+/// Outcome of scoring one candidate — what a replay decides from a
+/// measurement, or what a cluster coordinator assembles from shard
+/// answers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
-    /// Skipped on the `MaxScore` bound against a published τ.
-    PrunedBound,
     /// Pruned by Heuristic 2 (`MaxBitScore ≤ τ`).
     PrunedBitmap,
     /// Pruned by Heuristic 3 (partial-score budget exhausted).
@@ -129,8 +138,14 @@ pub struct Replay {
 impl Replay {
     /// Start a replay for a top-`k` query.
     pub fn new(k: usize) -> Replay {
+        Replay::sized(k, 0)
+    }
+
+    /// A replay with room for every entry a walk of `candidates` queue
+    /// positions can give it.
+    pub(crate) fn sized(k: usize, candidates: usize) -> Replay {
         Replay {
-            top: TopK::new(k),
+            top: TopK::new(k, candidates),
             stats: PruneStats::default(),
             ended: false,
         }
@@ -159,7 +174,7 @@ impl Replay {
     /// Replay one candidate's outcome in queue order.
     pub fn absorb(&mut self, id: ObjectId, outcome: Outcome) {
         match outcome {
-            Outcome::PrunedBound | Outcome::PrunedBitmap => self.stats.h2_pruned += 1,
+            Outcome::PrunedBitmap => self.stats.h2_pruned += 1,
             Outcome::PrunedPartial => self.stats.h3_pruned += 1,
             Outcome::Score(s) => {
                 self.stats.scored += 1;
@@ -187,6 +202,7 @@ pub(crate) struct Need {
 
 impl Need {
     /// What a lone replay holding `tau` needs.
+    #[cfg(test)]
     pub(crate) fn of(tau: Option<usize>) -> Need {
         Need {
             tau,
@@ -195,57 +211,124 @@ impl Need {
     }
 }
 
+/// The scorer a [`walk`] drives: the measure step, run once per visited
+/// candidate on whichever worker claimed it, and the decide step each
+/// replay runs on that measurement. **Soundness:** a measurement taken
+/// at a [`Need`] must decide exactly for every replay whose τ is at
+/// least that `Need`'s — it prunes only what the `Need`'s budget prunes,
+/// and otherwise carries exact counts.
+pub(crate) trait Measure: Sync {
+    /// What one visit of a candidate measured.
+    type Measured;
+
+    /// The object count a worker's scratch is sized for.
+    fn rows(&self) -> usize;
+
+    /// Candidate `o`'s counts, at what `need` asks.
+    fn measure(&self, o: ObjectId, need: Need, scratch: &mut ScratchSpace) -> Self::Measured;
+
+    /// The outcome of a replay holding `tau`.
+    fn decide(&self, m: &Self::Measured, tau: Option<usize>) -> Outcome;
+
+    /// `m` as one nonzero word, for a measurement that crosses threads.
+    fn publish(&self, m: &Self::Measured) -> u64;
+
+    /// The measurement of candidate `o` that [`Measure::publish`] wrote
+    /// as `word`.
+    fn read(&self, o: ObjectId, word: u64) -> Self::Measured;
+}
+
+/// Heuristic 1 at a queue position with `remaining` positions left (this
+/// one included) for every active replay of `replays`: end those it fires
+/// for, and return what the rest [`Need`] — `None` once none is active.
+pub(crate) fn visit(replays: &mut [Replay], max_score: usize, remaining: usize) -> Option<Need> {
+    let mut active = false;
+    let mut need = Need {
+        tau: None,
+        unfilled: false,
+    };
+    for replay in replays.iter_mut().filter(|r| !r.ended) {
+        if replay.h1_prunes(max_score) {
+            replay.terminate(remaining);
+            continue;
+        }
+        active = true;
+        match replay.tau() {
+            Some(t) => need.tau = Some(need.tau.map_or(t, |m| m.min(t))),
+            None => need.unfilled = true,
+        }
+    }
+    active.then_some(need)
+}
+
+/// Every active replay of `replays` decides candidate `o`'s outcome from
+/// one measurement with its own τ, and absorbs it.
+pub(crate) fn absorb<M>(
+    replays: &mut [Replay],
+    o: ObjectId,
+    measured: &M,
+    decide: impl Fn(&M, Option<usize>) -> Outcome,
+) {
+    for replay in replays.iter_mut().filter(|r| !r.ended) {
+        let outcome = decide(measured, replay.tau());
+        replay.absorb(o, outcome);
+    }
+}
+
 /// Algorithm 4's traversal for every replay of `replays` at once: visit
 /// `queue` in descending-`MaxScore` order, end each replay at its own
-/// Heuristic 1, `measure` every candidate an active replay visits once
-/// (handed what the active replays [`Need`]), and let each of them
-/// `decide` its own outcome from that measurement and its own τ. Stops
-/// when every replay has ended or the queue runs out.
-pub(crate) fn walk<M>(
+/// Heuristic 1, measure every candidate an active replay visits once,
+/// at what the active replays [`Need`], and let each of them decide its
+/// own outcome from that measurement and its own τ. One entry of
+/// `workers` is the sequential loop; more run one thread each, which
+/// publish into `slots` (at least `queue.len()` of them).
+pub(crate) fn walk<S: Measure>(
+    queue: &[(ObjectId, usize)],
+    replays: &mut [Replay],
+    workers: &mut [ScratchSpace],
+    slots: &[AtomicU64],
+    scorer: &S,
+) {
+    match workers {
+        [scratch] => walk_with(
+            queue,
+            replays,
+            |o, need| scorer.measure(o, need, scratch),
+            |m, tau| scorer.decide(m, tau),
+        ),
+        _ => crate::parallel::walk_workers(queue, replays, workers, slots, scorer),
+    }
+}
+
+/// A single top-`k` query: the one-replay [`walk`], on an array whose
+/// loops the compiler unrolls.
+pub(crate) fn walk_one<S: Measure>(
+    queue: &[(ObjectId, usize)],
+    k: usize,
+    workers: &mut [ScratchSpace],
+    slots: &[AtomicU64],
+    scorer: &S,
+) -> TkdResult {
+    let mut replay = [Replay::sized(k, queue.len())];
+    walk(queue, &mut replay, workers, slots, scorer);
+    let [replay] = replay;
+    replay.finish()
+}
+
+/// The sequential loop of [`walk`], over a measure and a decide closure.
+fn walk_with<M>(
     queue: &[(ObjectId, usize)],
     replays: &mut [Replay],
     mut measure: impl FnMut(ObjectId, Need) -> M,
     decide: impl Fn(&M, Option<usize>) -> Outcome,
 ) {
     for (visited, &(o, max_score)) in queue.iter().enumerate() {
-        let mut active = false;
-        let mut need = Need {
-            tau: None,
-            unfilled: false,
-        };
-        for replay in replays.iter_mut().filter(|r| !r.ended) {
-            if replay.h1_prunes(max_score) {
-                replay.terminate(queue.len() - visited);
-                continue;
-            }
-            active = true;
-            match replay.tau() {
-                Some(t) => need.tau = Some(need.tau.map_or(t, |m| m.min(t))),
-                None => need.unfilled = true,
-            }
-        }
-        if !active {
+        let Some(need) = visit(replays, max_score, queue.len() - visited) else {
             return;
-        }
+        };
         let measured = measure(o, need);
-        for replay in replays.iter_mut().filter(|r| !r.ended) {
-            let outcome = decide(&measured, replay.tau());
-            replay.absorb(o, outcome);
-        }
+        absorb(replays, o, &measured, &decide);
     }
-}
-
-/// A single top-`k` query: the one-replay [`walk`].
-pub(crate) fn walk_one<M>(
-    queue: &[(ObjectId, usize)],
-    k: usize,
-    measure: impl FnMut(ObjectId, Need) -> M,
-    decide: impl Fn(&M, Option<usize>) -> Outcome,
-) -> TkdResult {
-    let mut replay = [Replay::new(k)];
-    walk(queue, &mut replay, measure, decide);
-    let [replay] = replay;
-    replay.finish()
 }
 
 /// A single top-`k` query whose scorer decides alone, handed the
@@ -255,12 +338,15 @@ pub(crate) fn walk_scored(
     k: usize,
     mut score: impl FnMut(ObjectId, Option<usize>) -> Outcome,
 ) -> TkdResult {
-    walk_one(
+    let mut replay = [Replay::sized(k, queue.len())];
+    walk_with(
         queue,
-        k,
+        &mut replay,
         |o, need| score(o, need.tau),
         |&outcome, _| outcome,
-    )
+    );
+    let [replay] = replay;
+    replay.finish()
 }
 
 #[cfg(test)]
@@ -269,7 +355,7 @@ mod tests {
 
     #[test]
     fn tau_is_none_until_full() {
-        let mut t = TopK::new(2);
+        let mut t = TopK::new(2, 2);
         assert_eq!(t.tau(), None);
         t.offer(1, 10);
         assert_eq!(t.tau(), None);
@@ -279,7 +365,7 @@ mod tests {
 
     #[test]
     fn strict_replacement() {
-        let mut t = TopK::new(2);
+        let mut t = TopK::new(2, 5);
         t.offer(1, 5);
         t.offer(2, 5);
         // Equal score does not displace (Algorithm 2 line 7: score > τ).
@@ -295,7 +381,7 @@ mod tests {
 
     #[test]
     fn prunes_at_or_below_tau() {
-        let mut t = TopK::new(1);
+        let mut t = TopK::new(1, 1);
         assert!(!t.prunes(0));
         t.offer(1, 4);
         assert!(t.prunes(4));
@@ -305,7 +391,7 @@ mod tests {
 
     #[test]
     fn k_zero_accepts_nothing() {
-        let mut t = TopK::new(0);
+        let mut t = TopK::new(0, 1);
         t.offer(1, 100);
         assert!(t.into_entries().is_empty());
     }

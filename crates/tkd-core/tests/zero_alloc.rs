@@ -227,6 +227,52 @@ fn query_allocations_are_constant_in_dataset_size() {
          (ceiling {PER_SPEC_CEILING} per spec)"
     );
 
+    // --- Dynamic engine at two threads ---------------------------------
+    // `query_threads` and `query_many` walk on the engine's own workers:
+    // their scratches and slots are kept between queries, so after
+    // warm-up a 2-thread query and a 16-spec batch allocate as many
+    // times on either size, within the same ceilings.
+    let mut dyn_s = DynamicEngine::new(small.clone());
+    let mut dyn_l = DynamicEngine::new(large.clone());
+    let dyn_min = |engine: &mut DynamicEngine, batch: &[engine::EngineQuery]| {
+        for _ in 0..3 {
+            // Warm-up: the queue recount, the crew, thread-stack caches.
+            engine.query_threads(&q, 2).unwrap();
+            engine.query_many(batch, 2).unwrap();
+        }
+        let one = (0..3)
+            .map(|_| allocs_during(|| engine.query_threads(&q, 2).unwrap()))
+            .min()
+            .unwrap();
+        let many = (0..3)
+            .map(|_| allocs_during(|| engine.query_many(batch, 2).unwrap().remove(0)))
+            .min()
+            .unwrap();
+        (one, many)
+    };
+    let (d_small, dm_small) = dyn_min(&mut dyn_s, &sixteen);
+    let (d_large, dm_large) = dyn_min(&mut dyn_l, &sixteen);
+    assert_eq!(
+        d_small, d_large,
+        "2-thread dynamic query allocation count must not grow with dataset size \
+         (small: {d_small}, large: {d_large})"
+    );
+    assert!(
+        d_large <= PER_PARALLEL_QUERY_CEILING,
+        "a 2-thread dynamic query performed {d_large} allocations \
+         (ceiling {PER_PARALLEL_QUERY_CEILING})"
+    );
+    assert_eq!(
+        dm_small, dm_large,
+        "a 2-thread dynamic 16-spec batch's allocation count must not grow \
+         with dataset size (small: {dm_small}, large: {dm_large})"
+    );
+    assert!(
+        dm_large <= PER_SPEC_CEILING * sixteen.len() as u64,
+        "a 2-thread dynamic 16-spec batch performed {dm_large} allocations \
+         (ceiling {PER_SPEC_CEILING} per spec)"
+    );
+
     // --- A filled Heuristic 2 memo (the exact lane) -------------------
     // The exact index keeps each row's Heuristic 2 bound across queries.
     // The memo is sized at build and refresh, never inside a query: once

@@ -702,7 +702,7 @@ fn serve_one(
     let resp = match &p.work {
         Solo::Batch(specs) => {
             counters.served_queries += specs.len() as u64;
-            match run_queries(engine, shared, specs) {
+            match run_queries(engine, shared, specs, true) {
                 Ok(all) => Response::BatchResult(all),
                 Err(resp) => resp,
             }
@@ -842,7 +842,7 @@ fn serve_queries(
     if specs.is_empty() {
         return;
     }
-    match run_queries(engine, shared, &specs) {
+    match run_queries(engine, shared, &specs, false) {
         Ok(all) => {
             for (p, entries) in live.into_iter().zip(all) {
                 let _ = p.resp.send(Response::QueryResult(entries));
@@ -856,12 +856,35 @@ fn serve_queries(
     }
 }
 
-/// Answer a slice of wire queries through one `query_many` pass.
+/// Answer a slice of wire queries through one `query_many` pass. When
+/// the answers share one `batch_result` frame (`one_frame`), a batch
+/// whose answer could outgrow the largest frame this server reads,
+/// `max_frame`, is rejected before any walk runs: each answer holds at
+/// most `min(k, live rows)` entries of 16 bytes, so the body is bounded
+/// by `4 + Σ (4 + 16 · min(kᵢ, live rows))` bytes. (A run of single
+/// queries is at most `batch_max` answers, each in a frame of its own.)
 fn run_queries(
     engine: &mut DynamicEngine,
     shared: &Shared,
     specs: &[QuerySpec],
+    one_frame: bool,
 ) -> Result<Vec<Vec<WireEntry>>, Response> {
+    if one_frame {
+        let live = engine.len() as u64;
+        let bound = specs.iter().fold(4u64, |bytes, s| {
+            bytes.saturating_add(4 + 16 * s.k.min(live))
+        });
+        let max = shared.config.max_frame;
+        if bound > max {
+            return Err(Response::Error(ErrorFrame {
+                code: ERR_REJECTED,
+                datum: 0,
+                message: format!(
+                    "the batch's answer may take {bound} bytes, past the {max} a frame may hold"
+                ),
+            }));
+        }
+    }
     let queries: Vec<EngineQuery> = specs
         .iter()
         .map(|s| EngineQuery {

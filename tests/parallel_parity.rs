@@ -1,13 +1,14 @@
-//! The differential-testing harness pinning the parallel paths — the
-//! candidate queue split across threads over one index — to the
-//! sequential oracles.
+//! The differential-testing harness pinning the parallel paths — one
+//! queue walk whose candidates several threads measure over one index —
+//! to the sequential oracles.
 //!
 //! Grid: thread counts {1, 2, 4} × missing rates {0.1, 0.3, 0.6} ×
 //! k ∈ {1, n − 1, n, n + 5}. For every cell, parallel BIG and IBIG must
-//! return **identical entries, scores, and tie order** to the sequential
-//! scratch engines (which are themselves pinned to the allocating
-//! `#[cfg(test)]` oracles by the proptests inside `tkd-core`), and the
-//! serving engine must agree query-by-query under batching.
+//! return **identical entries, scores, tie order and `PruneStats`** to
+//! the sequential scratch engines (which are themselves pinned to the
+//! allocating `#[cfg(test)]` oracles by the proptests inside
+//! `tkd-core`), and the serving engine must agree query-by-query under
+//! batching.
 
 mod common;
 
@@ -43,6 +44,10 @@ fn parallel_big_differential_grid() {
                     "H1 must fire at the same queue position \
                      (missing={missing}% threads={threads} k={k})"
                 );
+                assert_eq!(
+                    par.stats, reference.stats,
+                    "missing={missing}% threads={threads} k={k}"
+                );
             }
         }
     }
@@ -66,6 +71,10 @@ fn parallel_ibig_differential_grid() {
                     assert_eq!(
                         par.entries(),
                         reference.entries(),
+                        "missing={missing}% bins={bins} threads={threads} k={k}"
+                    );
+                    assert_eq!(
+                        par.stats, reference.stats,
                         "missing={missing}% bins={bins} threads={threads} k={k}"
                     );
                 }
@@ -109,6 +118,11 @@ fn engine_batch_differential() {
                 "threads={threads} {:?} k={}",
                 q.algorithm,
                 q.k
+            );
+            assert_eq!(
+                r.stats, reference.stats,
+                "threads={threads} {:?} k={}",
+                q.algorithm, q.k
             );
         }
     }
@@ -170,6 +184,67 @@ fn one_shard_one_thread_is_the_sequential_run() {
                     let cell = format!("{surface} {alg:?} missing={missing}% k={k}");
                     assert_eq!(got.entries(), reference.entries(), "{cell}");
                     assert_eq!(got.stats, reference.stats, "{cell}");
+                }
+            }
+        }
+    }
+}
+
+/// Several threads measure the candidates of one walk, and every decision
+/// is still taken in queue order at each query's own τ: at 2 and 4
+/// threads the whole `PruneStats` of every engine surface equals the
+/// sequential scratch run's, as at one thread.
+#[test]
+fn every_thread_count_is_the_sequential_run() {
+    use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
+    use tkdi::core::DynamicEngine;
+
+    for (seed, &missing) in MISSING.iter().enumerate() {
+        let ds = synth(900 + seed as u64, 150, 4, 8, missing);
+        let bins = vec![3usize; ds.dims()];
+        let seq = big::BigContext::build(&ds);
+        let iseq: ibig::IbigContext<'_> = ibig::IbigContext::build(&ds, &bins);
+        let (mut scratch, mut iscratch) = (seq.scratch(), iseq.scratch());
+        let mut dynamic = DynamicEngine::with_options(
+            ds.clone(),
+            DynamicOptions {
+                bins: BinChoice::PerDim(bins.clone()),
+                policy: CompactionPolicy::default(),
+            },
+        );
+        for threads in [2usize, 4] {
+            let engine = ParallelEngine::builder(&ds)
+                .threads(threads)
+                .bins(bins.clone())
+                .build();
+            let mut ks = grid_ks(ds.len());
+            ks.push(0);
+            for k in ks {
+                for alg in [Algorithm::Big, Algorithm::Ibig] {
+                    let q = EngineQuery::new(k).algorithm(alg);
+                    let reference = match alg {
+                        Algorithm::Big => big::big_with_scratch(&seq, k, &mut scratch),
+                        _ => ibig::ibig_with_scratch(&iseq, k, &mut iscratch),
+                    };
+                    let one_off = TkdQuery::new(k)
+                        .algorithm(alg)
+                        .bins(BinChoice::PerDim(bins.clone()))
+                        .threads(threads)
+                        .run(&ds);
+                    let surfaces = [
+                        ("TkdQuery::threads", one_off),
+                        ("ParallelEngine::query", engine.query(&q)),
+                        (
+                            "DynamicEngine::query_threads",
+                            dynamic.query_threads(&q, threads).expect("BIG/IBIG"),
+                        ),
+                    ];
+                    for (surface, got) in surfaces {
+                        let cell =
+                            format!("{surface} {alg:?} missing={missing}% threads={threads} k={k}");
+                        assert_eq!(got.entries(), reference.entries(), "{cell}");
+                        assert_eq!(got.stats, reference.stats, "{cell}");
+                    }
                 }
             }
         }

@@ -4,8 +4,9 @@
 //! 20 000-row IND dataset (d = 8, σ = 0.1, C = 100, seed 42) answers a
 //! top-64 query, and BIG's and IBIG's four counters must equal the values
 //! recorded below on every surface that scores a static dataset: the
-//! sequential scratch path, the serving engine at one thread, and the
-//! dynamic engine (each scores IBIG off the binned index's dense columns).
+//! sequential scratch path, the serving engine at one and two threads
+//! (single queries and a batch), and the dynamic engine at one and two
+//! threads (each scores IBIG off the binned index's dense columns).
 //! A change to how a heuristic is *decided* — a cheaper Heuristic 2 scan,
 //! a new early exit — must leave every number here alone.
 
@@ -76,4 +77,31 @@ fn prune_counters_at_scale() {
     check("DynamicEngine IBIG", &dyn_ibig, IBIG);
     assert_eq!(dyn_big.scores(), big.scores());
     assert_eq!(dyn_ibig.scores(), ibig.scores());
+
+    // Two threads measure the candidates of one walk; every decision is
+    // the merger's, at the query's own τ, so the counters do not move.
+    let two = ParallelEngine::builder(&ds).threads(2).build();
+    check(
+        "2-thread ParallelEngine BIG",
+        &two.query(&query(Algorithm::Big)),
+        BIG,
+    );
+    check(
+        "2-thread ParallelEngine IBIG",
+        &two.query(&query(Algorithm::Ibig)),
+        IBIG,
+    );
+    let batch = two.query_many(&[query(Algorithm::Big), query(Algorithm::Ibig)]);
+    check("2-thread query_many BIG", &batch[0], BIG);
+    check("2-thread query_many IBIG", &batch[1], IBIG);
+    let dyn_big2 = dynamic
+        .query_threads(&query(Algorithm::Big), 2)
+        .expect("BIG");
+    let dyn_ibig2 = dynamic
+        .query_threads(&query(Algorithm::Ibig), 2)
+        .expect("IBIG");
+    check("2-thread DynamicEngine BIG", &dyn_big2, BIG);
+    check("2-thread DynamicEngine IBIG", &dyn_ibig2, IBIG);
+    assert_eq!(dyn_big2.entries(), dyn_big.entries());
+    assert_eq!(dyn_ibig2.entries(), dyn_ibig.entries());
 }

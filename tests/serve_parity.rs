@@ -250,6 +250,45 @@ fn edge_cases_over_the_wire() {
     server.stop().expect("clean stop");
 }
 
+/// A `query_batch` whose answer could not fit one frame — here the
+/// default `max_frame` over a 200-row dataset, with `k = usize::MAX` on
+/// every spec — is refused with a typed rejection before any walk runs,
+/// and the connection goes on serving.
+#[test]
+fn an_oversized_batch_is_rejected_and_the_connection_serves_on() {
+    let mut rng = Mix(56);
+    let ds = random_dataset(&mut rng, 200, 3, 30);
+    let n = ds.len() as u64;
+    let mut twin = engine_over(ds.clone());
+    let (server, mut client) = start(ds);
+    // Each spec's answer may hold n entries of 16 bytes: enough specs
+    // to outgrow the frame, in a request of about 9 bytes per spec.
+    let (max_frame, per_spec) = (ServeConfig::default().max_frame, 4 + 16 * n);
+    let specs = vec![QuerySpec::new(usize::MAX); (max_frame / per_spec + 1) as usize];
+    match client.query_batch(&specs) {
+        Err(ServeError::Rejected { message, .. }) => {
+            assert!(message.contains("frame"), "{message}")
+        }
+        other => panic!("expected a typed rejection, got {other:?}"),
+    }
+    // The same connection answers the next request, as the twin does.
+    for alg in [Algorithm::Big, Algorithm::Ibig] {
+        assert_eq!(
+            over_wire(&mut client, 7, alg),
+            in_process(&mut twin, 7, alg),
+            "{alg:?}"
+        );
+    }
+    // A batch just inside the bound is answered whole.
+    let fits = vec![QuerySpec::new(usize::MAX); (max_frame / per_spec - 1) as usize];
+    let got = client
+        .query_batch(&fits)
+        .expect("a batch that fits answers");
+    assert_eq!(got.len(), fits.len());
+    assert!(got.iter().all(|r| r.len() as u64 == n));
+    server.stop().expect("clean stop");
+}
+
 /// Reinterpret a pushed wire notification as the core type so the view
 /// can be folded with the same [`apply_notification`] the engine-side
 /// parity harness pins.
