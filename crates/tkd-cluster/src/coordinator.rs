@@ -15,12 +15,31 @@
 //! [`check_batch`], the rules `DynamicEngine::apply_ops` runs, with the
 //! route map as the liveness lookup. **Scores come only from the
 //! workers**: every query fans the value-based candidates the tables
-//! leave, in chunks, out to the shard workers, sums their per-shard
+//! leave out to the shard workers in chunks, sums their per-shard
 //! answers, and drives a [`Replay`] — the traversal state
 //! machine of every in-process engine — in queue order, so entries,
 //! scores, and tie order are bit-identical to them (see
 //! `tkd_core::cluster` for the proof obligations, and
-//! `tests/cluster_parity.rs` for the pin).
+//! `tests/cluster_parity.rs` for the pin). A walk's length is unknown
+//! until τ forms, so the first chunk holds [`ClusterConfig::chunk`]
+//! candidates and each later one twice as many as the one before, up to
+//! what one `shard_query` frame can carry: a walk over `m` positions
+//! costs `O(log m)` chunks, and a short one still ships little past its
+//! Heuristic 1 cutoff.
+//!
+//! # Fan-out
+//!
+//! Every exchange that addresses several shards — both phases of a
+//! query chunk, a batch's per-shard `shard_update`s and the seed's
+//! `assign`s — goes through one scatter/gather step: it writes a frame
+//! to every worker before it reads any answer, so the workers answer
+//! side by side and a phase costs one round trip, not one per shard. A
+//! connection holds one request at a time, so the shards one worker
+//! hosts go in successive waves, each sent as soon as that worker's
+//! previous answer is read. After a failure every other outstanding
+//! answer is still read, before any repair: no connection keeps a reply
+//! nobody read, and every shard whose batch was acked has its seq
+//! recorded.
 //!
 //! # Failure model
 //!
@@ -37,7 +56,7 @@
 
 use crate::worker::shard_options;
 use crate::{newest_snapshot, seq_from_path, ClusterError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -46,9 +65,10 @@ use tkd_core::dynamic::check_batch;
 use tkd_core::maxscore::ValueCounts;
 use tkd_core::{Algorithm, DynamicEngine, Replay, TkdResult, UpdateError, UpdateOp};
 use tkd_model::{Dataset, ObjectId};
+use tkd_serve::protocol::DEFAULT_MAX_FRAME;
 use tkd_serve::{
     Client, ClusterRequest, ClusterResponse, ReplayBatch, ServeError, ShardPhase, ShardQuery,
-    ShardUpdate, WireCandidate,
+    ShardUpdate, ShardUpdateAck, WireCandidate,
 };
 use tkd_store::{ClusterManifest, ShardEntry};
 
@@ -57,10 +77,13 @@ use tkd_store::{ClusterManifest, ShardEntry};
 pub struct ClusterConfig {
     /// Shared snapshot/handoff directory (all workers must see it).
     pub dir: PathBuf,
-    /// Candidates shipped per `shard_query` frame. A chunk spans the
-    /// queue positions up to its `chunk`-th candidate the coordinator's
-    /// own tables do not prune. Smaller chunks tighten τ faster (more
-    /// pruning) at the cost of more frames.
+    /// Candidates shipped in a query's first chunk; each later chunk
+    /// ships twice as many as the one before, up to what one
+    /// `shard_query` frame carries within the wire's default frame bound
+    /// at the cluster's dimensionality. A chunk spans the queue
+    /// positions up to its last candidate the coordinator's own tables
+    /// do not prune, and never past the Heuristic 1 position. Smaller
+    /// chunks tighten τ faster (more pruning) at the cost of more frames.
     pub chunk: usize,
     /// Per-frame deadline on worker connections — the failure detector.
     pub timeout: Duration,
@@ -99,15 +122,39 @@ struct WorkerLink {
 }
 
 impl WorkerLink {
-    /// The open connection, dialled on first use; a failed dial marks
-    /// the worker dead.
+    /// The open connection, dialled on first use.
     fn connect(&mut self, timeout: Duration) -> Result<&mut Client, ServeError> {
         let client = match self.client.take() {
             Some(client) => client,
-            None => Client::connect_with(self.addr, timeout).inspect_err(|_| self.dead = true)?,
+            None => Client::connect_with(self.addr, timeout)?,
         };
         Ok(self.client.insert(client))
     }
+
+    /// A transport failure marks the worker dead and drops its
+    /// connection, which may have stopped mid-frame and is never reused;
+    /// a typed rejection leaves both alone.
+    fn settle<T>(&mut self, result: Result<T, ServeError>) -> Result<T, ServeError> {
+        if result.as_ref().is_err_and(is_transport) {
+            self.dead = true;
+            self.client = None;
+        }
+        result
+    }
+}
+
+/// Bytes of a `shard_query` body besides its candidates: the shard (8),
+/// the algorithm (1), the phase (1), τ (1 + 8) and the count (4).
+const QUERY_HEAD_BYTES: u64 = 23;
+
+/// The most candidates one `shard_query` frame carries at `dims`
+/// dimensions without passing [`DEFAULT_MAX_FRAME`]: a candidate takes at
+/// most `13 + 9·dims` body bytes (its value count, a flagged `f64` per
+/// cell and a flagged member id).
+fn chunk_cap(dims: usize) -> usize {
+    let per_candidate = 13 + 9 * dims as u64;
+    let cap = (DEFAULT_MAX_FRAME - QUERY_HEAD_BYTES) / per_candidate;
+    usize::try_from(cap).unwrap_or(usize::MAX).max(1)
 }
 
 struct ShardMeta {
@@ -247,25 +294,26 @@ impl Coordinator {
             cfg,
             stats: ClusterStats::default(),
         };
-        for j in 0..shard_count {
-            let (w, path, live) = {
-                let m = &coord.shards[j];
-                (m.worker, m.checkpoint.1.display().to_string(), m.live)
-            };
-            match coord.call(
-                w,
-                &ClusterRequest::Assign {
+        let assigns: Vec<(usize, ClusterRequest)> = (coord.shards.iter().enumerate())
+            .map(|(j, m)| {
+                let assign = ClusterRequest::Assign {
                     shard: j as u64,
-                    path,
+                    path: m.checkpoint.1.display().to_string(),
                     replay: Vec::new(),
-                },
-            ) {
-                Ok(ClusterResponse::AssignAck { shard, live: got }) => {
-                    if shard != j as u64 || got != live {
-                        return Err(ClusterError::Protocol(format!(
-                            "seed assign of shard {j} acked shard {shard} with {got} live (expected {live})"
-                        )));
-                    }
+                };
+                (m.worker, assign)
+            })
+            .collect();
+        let answers = coord.fan_out(&assigns);
+        for ((j, m), answer) in coord.shards.iter().enumerate().zip(answers) {
+            match answer {
+                Ok(ClusterResponse::AssignAck { shard, live })
+                    if (shard, live) == (j as u64, m.live) => {}
+                Ok(ClusterResponse::AssignAck { shard, live }) => {
+                    return Err(ClusterError::Protocol(format!(
+                        "seed assign of shard {j} acked shard {shard} with {live} live (expected {})",
+                        m.live
+                    )));
                 }
                 Ok(other) => {
                     return Err(ClusterError::Protocol(format!(
@@ -354,6 +402,12 @@ impl Coordinator {
     /// failures mark the worker dead (the caller repairs); typed worker
     /// rejections pass through with the worker still considered alive.
     fn call(&mut self, w: usize, req: &ClusterRequest) -> Result<ClusterResponse, ServeError> {
+        self.send(w, req)?;
+        self.receive(w)
+    }
+
+    /// Write `req` to worker `w`, dialling it on first use.
+    fn send(&mut self, w: usize, req: &ClusterRequest) -> Result<(), ServeError> {
         let link = &mut self.workers[w];
         if link.dead {
             return Err(ServeError::Io(format!(
@@ -361,24 +415,85 @@ impl Coordinator {
                 link.addr
             )));
         }
-        let client = link.connect(self.cfg.timeout)?;
-        self.stats.frames += 1;
-        let resp = client.cluster_call(req);
-        if resp.as_ref().is_err_and(is_transport) {
-            link.dead = true;
-            link.client = None;
-        }
-        resp
+        let sent = match link.connect(self.cfg.timeout) {
+            Ok(client) => {
+                self.stats.frames += 1;
+                client.cluster_send(req)
+            }
+            Err(e) => Err(e),
+        };
+        link.settle(sent)
     }
 
-    fn cluster(&mut self, w: usize, req: &ClusterRequest) -> Result<ClusterResponse, Retry> {
-        self.call(w, req).map_err(|e| {
-            if self.workers[w].dead {
-                Retry::Dead(w)
-            } else {
-                Retry::Fatal(ClusterError::Worker(e))
+    /// Read worker `w`'s answer to the request [`Coordinator::send`]
+    /// wrote. A connection that is gone by then reads as a dead worker.
+    fn receive(&mut self, w: usize) -> Result<ClusterResponse, ServeError> {
+        let link = &mut self.workers[w];
+        let answer = match link.client.as_mut() {
+            Some(client) => client.cluster_recv(),
+            None => Err(ServeError::Io(format!(
+                "worker {w} ({}) has no connection to answer on",
+                link.addr
+            ))),
+        };
+        link.settle(answer)
+    }
+
+    /// Send every request and gather every answer: request `i` goes to
+    /// worker `requests[i].0`, and answer `i` is its reply. Frames to
+    /// different workers are all written before any answer is read, so
+    /// the workers answer side by side. A worker holds one request at a
+    /// time and gets its next as soon as its answer is read, so the
+    /// requests one worker takes go in successive waves. A failure marks
+    /// its worker dead, drops the connection and fails that worker's
+    /// unsent requests, but every other answer is still read before this
+    /// returns: no connection is left holding a stale reply, and every
+    /// ack reaches the caller before any repair.
+    fn fan_out(
+        &mut self,
+        requests: &[(usize, ClusterRequest)],
+    ) -> Vec<Result<ClusterResponse, ServeError>> {
+        // Every slot is overwritten: each request is either sent and its
+        // answer read, or failed unsent.
+        let mut answers: Vec<Result<ClusterResponse, ServeError>> = requests
+            .iter()
+            .map(|_| Err(ServeError::Disconnected))
+            .collect();
+        let mut queued = vec![VecDeque::new(); self.workers.len()];
+        for (i, &(w, _)) in requests.iter().enumerate() {
+            queued[w].push_back(i);
+        }
+        let mut in_flight: Vec<Option<usize>> = Vec::with_capacity(queued.len());
+        for (w, queue) in queued.iter_mut().enumerate() {
+            in_flight.push(self.send_next(w, requests, queue, &mut answers));
+        }
+        while in_flight.iter().any(Option::is_some) {
+            for (w, (slot, queue)) in in_flight.iter_mut().zip(&mut queued).enumerate() {
+                if let Some(i) = *slot {
+                    answers[i] = self.receive(w);
+                    *slot = self.send_next(w, requests, queue, &mut answers);
+                }
             }
-        })
+        }
+        answers
+    }
+
+    /// Send worker `w` the next of its `queued` requests, failing each
+    /// that cannot be sent; returns the one now in flight.
+    fn send_next(
+        &mut self,
+        w: usize,
+        requests: &[(usize, ClusterRequest)],
+        queued: &mut VecDeque<usize>,
+        answers: &mut [Result<ClusterResponse, ServeError>],
+    ) -> Option<usize> {
+        while let Some(i) = queued.pop_front() {
+            match self.send(w, &requests[i].1) {
+                Ok(()) => return Some(i),
+                Err(e) => answers[i] = Err(e),
+            }
+        }
+        None
     }
 
     /// Pick a live worker, preferring one other than `not`.
@@ -574,58 +689,84 @@ impl Coordinator {
             let (shard, local_op) = self.route_op(op).map_err(|e| rejected((i, e)))?;
             routed.entry(shard).or_default().push(local_op);
         }
-        for (shard, local_ops) in routed {
-            let seq = self.shards[shard as usize].seq + 1;
-            self.shards[shard as usize]
-                .log
-                .push((seq, local_ops.clone()));
-            let w = self.shards[shard as usize].worker;
-            match self.call(
-                w,
-                &ClusterRequest::ShardUpdate(ShardUpdate {
-                    shard,
-                    seq,
-                    ops: local_ops,
-                }),
-            ) {
+        // Each shard's batch is logged before it is sent, so the repair of
+        // a worker that fails it, or never gets it, replays it.
+        let mut sent = Vec::with_capacity(routed.len());
+        let mut requests = Vec::with_capacity(routed.len());
+        for (shard, ops) in routed {
+            let meta = &mut self.shards[shard as usize];
+            let seq = meta.seq + 1;
+            meta.log.push((seq, ops.clone()));
+            sent.push((shard, seq));
+            let update = ShardUpdate { shard, seq, ops };
+            requests.push((meta.worker, ClusterRequest::ShardUpdate(update)));
+        }
+        // Every answer is in before anything is repaired: an ack from a
+        // surviving worker is recorded even when another worker failed.
+        let answers = self.fan_out(&requests);
+        let (mut dead, mut failed) = (Vec::new(), None);
+        for ((&(shard, seq), &(w, _)), answer) in sent.iter().zip(&requests).zip(answers) {
+            let outcome = match answer {
                 Ok(ClusterResponse::ShardUpdateAck(ack)) => {
-                    if ack.seq != seq {
-                        return Err(ClusterError::Protocol(format!(
-                            "shard {shard} acked seq {}, expected {seq}",
-                            ack.seq
-                        )));
-                    }
-                    let allocated =
-                        first_local[shard as usize]..self.shards[shard as usize].next_local;
-                    let expected: Vec<u64> = allocated.map(u64::from).collect();
-                    if ack.inserted != expected {
-                        return Err(ClusterError::Protocol(format!(
-                            "shard {shard} allocated inserts {:?}, coordinator predicted {:?}",
-                            ack.inserted, expected
-                        )));
-                    }
-                    let checkpoint = checkpoint(shard, ack.path, seq)?;
-                    let meta = &mut self.shards[shard as usize];
-                    meta.seq = seq;
-                    meta.live = ack.live;
-                    meta.checkpoint = checkpoint;
-                    meta.log.retain(|&(s, _)| s > ack.seq);
+                    self.commit_ack(shard, seq, first_local[shard as usize], ack)
                 }
-                Ok(other) => {
-                    return Err(ClusterError::Protocol(format!(
-                        "shard update answered {other:?}"
-                    )))
-                }
+                Ok(other) => Err(ClusterError::Protocol(format!(
+                    "shard update answered {other:?}"
+                ))),
                 Err(_) if self.workers[w].dead => {
                     // In-doubt batch: repair re-hosts the shard from the
                     // newest snapshot (which proves whether the batch
                     // committed) and replays it if it did not.
-                    self.repair_worker(w)?;
+                    if !dead.contains(&w) {
+                        dead.push(w);
+                    }
+                    Ok(())
                 }
-                Err(e) => return Err(ClusterError::Worker(e)),
+                Err(e) => Err(ClusterError::Worker(e)),
+            };
+            if let Err(e) = outcome {
+                failed.get_or_insert(e);
             }
         }
-        self.write_manifest()
+        for w in dead {
+            if let Err(e) = self.repair_worker(w) {
+                failed.get_or_insert(e);
+            }
+        }
+        let written = self.write_manifest();
+        failed.map_or(written, Err)
+    }
+
+    /// Record shard `shard`'s ack of its batch `seq`, whose inserts were
+    /// allocated local ids from `first_local` on.
+    fn commit_ack(
+        &mut self,
+        shard: u64,
+        seq: u64,
+        first_local: u32,
+        ack: ShardUpdateAck,
+    ) -> Result<(), ClusterError> {
+        if ack.seq != seq {
+            return Err(ClusterError::Protocol(format!(
+                "shard {shard} acked seq {}, expected {seq}",
+                ack.seq
+            )));
+        }
+        let allocated = first_local..self.shards[shard as usize].next_local;
+        let expected: Vec<u64> = allocated.map(u64::from).collect();
+        if ack.inserted != expected {
+            return Err(ClusterError::Protocol(format!(
+                "shard {shard} allocated inserts {:?}, coordinator predicted {:?}",
+                ack.inserted, expected
+            )));
+        }
+        let checkpoint = checkpoint(shard, ack.path, seq)?;
+        let meta = &mut self.shards[shard as usize];
+        meta.seq = seq;
+        meta.live = ack.live;
+        meta.checkpoint = checkpoint;
+        meta.log.retain(|&(s, _)| s > ack.seq);
+        Ok(())
     }
 
     /// Apply one checked op to the rows, both counts and the route map,
@@ -722,7 +863,17 @@ impl Coordinator {
             .collect();
         let mut replay = Replay::new(k);
         let mut shipped: Option<u64> = None;
-        let chunk_size = self.cfg.chunk.max(1);
+        // The first chunk ships `cfg.chunk` candidates, each later one
+        // twice as many as the one before, up to what one frame carries.
+        let cap = chunk_cap(self.rows.dims());
+        let mut chunk_size = self.cfg.chunk.clamp(1, cap);
+        // Per-chunk buffers, reused by every chunk: the shipped queue
+        // positions, the ids of the candidates a phase asks about, the
+        // per-candidate sums it gathers, each position's score (`None`
+        // where the coordinator or the shards pruned) and the frames.
+        let (mut ship, mut picks) = (Vec::new(), Vec::new());
+        let (mut sums, mut scores) = (Vec::new(), Vec::new());
+        let mut requests = Vec::new();
         let mut t = 0;
         'queue: while t < queue.len() {
             // Heuristic 1 at the chunk head: nothing is shipped for a
@@ -740,7 +891,7 @@ impl Coordinator {
             // Fill the chunk: the coordinator's tables decide what they
             // can, up to `chunk_size` others are shipped, and filling
             // stops where Heuristic 1 ends the walk at this τ.
-            let mut ship: Vec<usize> = Vec::new();
+            ship.clear();
             let mut end = t;
             while end < queue.len() && ship.len() < chunk_size {
                 let (o, max_score) = queue[end];
@@ -754,69 +905,35 @@ impl Coordinator {
                 end += 1;
             }
             let tau = tau.map(|x| x as u64);
-            let mut values = Vec::with_capacity(ship.len());
-            let mut homes = Vec::with_capacity(ship.len());
-            for &at in &ship {
-                let o = queue[at].0;
-                let home = self.home(o).ok_or_else(|| {
-                    Retry::Fatal(ClusterError::Protocol(format!(
-                        "queued id {o} has no route"
-                    )))
-                })?;
-                values.push(self.rows.row(o).to_options());
-                homes.push(home);
-            }
-            // Phase 1: per-shard exact `|∩ᵢ Qᵢ|` counts, summed here.
-            let mut sums = vec![0u64; ship.len()];
+            scores.clear();
+            scores.resize(end - t, None);
+            picks.clear();
             if !ship.is_empty() {
                 if tau.is_some() && tau != shipped {
                     self.stats.tau_rounds += 1;
                     shipped = tau;
                 }
-                let all: Vec<usize> = (0..ship.len()).collect();
-                for &s in &active {
-                    let outcomes = self.shard_query(
-                        s,
-                        algorithm,
-                        ShardPhase::Bounds,
-                        tau,
-                        &all,
-                        &values,
-                        &homes,
-                    )?;
-                    for (i, x) in outcomes.iter().enumerate() {
-                        sums[i] += x;
+                // Phase 1: per-shard exact `|∩ᵢ Qᵢ|` counts, summed here.
+                picks.extend(ship.iter().map(|&at| queue[at].0));
+                let phase = (algorithm, ShardPhase::Bounds, tau);
+                self.fan_sums(&active, phase, &picks, &mut requests, &mut sums)?;
+                // Heuristic 2: the sum counts the candidate's own bit
+                // once, in its home shard, so `MaxBitScore = Σ − 1`.
+                picks.clear();
+                for (&at, &sum) in ship.iter().zip(&sums) {
+                    if !matches!(tau, Some(tv) if sum.saturating_sub(1) <= tv) {
+                        picks.push(queue[at].0);
+                        scores[at - t] = Some(0);
                     }
                 }
             }
-            // Heuristic 2: the sum counts the candidate's own bit once, in
-            // its home shard, so `MaxBitScore = Σ − 1`.
-            let pruned: Vec<bool> = sums
-                .iter()
-                .map(|&sum| matches!(tau, Some(tv) if sum.saturating_sub(1) <= tv))
-                .collect();
-            // Phase 2: exact partials for the survivors. `scores` is per
-            // chunk position, `None` where the coordinator or the shards
-            // pruned.
-            let survivors: Vec<usize> = (0..ship.len()).filter(|&i| !pruned[i]).collect();
-            let mut scores: Vec<Option<u64>> = vec![None; end - t];
-            for &i in &survivors {
-                scores[ship[i] - t] = Some(0);
-            }
-            if !survivors.is_empty() {
-                for &s in &active {
-                    let outcomes = self.shard_query(
-                        s,
-                        algorithm,
-                        ShardPhase::Partials,
-                        tau,
-                        &survivors,
-                        &values,
-                        &homes,
-                    )?;
-                    for (&i, x) in survivors.iter().zip(outcomes) {
-                        *scores[ship[i] - t].get_or_insert(0) += x;
-                    }
+            // Phase 2: exact partials for the survivors, whose slots are
+            // the chunk's `Some` scores in queue order.
+            if !picks.is_empty() {
+                let phase = (algorithm, ShardPhase::Partials, tau);
+                self.fan_sums(&active, phase, &picks, &mut requests, &mut sums)?;
+                for (score, &sum) in scores.iter_mut().flatten().zip(&sums) {
+                    *score = sum;
                 }
             }
             // Replay in queue order with the *evolving* top-k: the H1
@@ -830,46 +947,77 @@ impl Coordinator {
                 replay.absorb(o, score.unwrap_or(Outcome::PrunedBitmap));
             }
             t = end;
+            chunk_size = chunk_size.saturating_mul(2).min(cap);
         }
         Ok(replay.finish())
     }
 
-    /// One `shard_query` frame: candidates `picks` (indices into
-    /// `values`/`homes`) against shard `s`.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_query(
+    /// One phase of a chunk: every active shard bounds or scores the
+    /// candidates `picks` at `(algorithm, phase, τ)`, in one fan-out, and
+    /// `sums` gets each candidate's sum of their answers. A dead worker
+    /// outranks any other failure, so its repair comes first.
+    fn fan_sums(
         &mut self,
-        s: u64,
-        algorithm: Algorithm,
-        phase: ShardPhase,
-        tau: Option<u64>,
-        picks: &[usize],
-        values: &[Vec<Option<f64>>],
-        homes: &[(u64, u32)],
-    ) -> Result<Vec<u64>, Retry> {
-        let candidates: Vec<WireCandidate> = picks
-            .iter()
-            .map(|&i| WireCandidate {
-                values: values[i].clone(),
-                member: (homes[i].0 == s).then_some(u64::from(homes[i].1)),
-            })
-            .collect();
-        self.stats.candidates_shipped += candidates.len() as u64;
-        let w = self.shards[s as usize].worker;
-        match self.cluster(
-            w,
-            &ClusterRequest::ShardQuery(ShardQuery {
+        active: &[u64],
+        (algorithm, phase, tau): (Algorithm, ShardPhase, Option<u64>),
+        picks: &[ObjectId],
+        requests: &mut Vec<(usize, ClusterRequest)>,
+        sums: &mut Vec<u64>,
+    ) -> Result<(), Retry> {
+        requests.clear();
+        for &s in active {
+            let mut candidates = Vec::with_capacity(picks.len());
+            for &o in picks {
+                let (home, local) = self.home(o).ok_or_else(|| {
+                    Retry::Fatal(ClusterError::Protocol(format!(
+                        "queued id {o} has no route"
+                    )))
+                })?;
+                candidates.push(WireCandidate {
+                    values: self.rows.row(o).to_options(),
+                    member: (home == s).then_some(u64::from(local)),
+                });
+            }
+            self.stats.candidates_shipped += candidates.len() as u64;
+            let query = ShardQuery {
                 shard: s,
                 algorithm,
                 phase,
                 tau,
                 candidates,
-            }),
-        )? {
-            ClusterResponse::ShardOutcomes(v) if v.len() == picks.len() => Ok(v),
-            other => Err(Retry::Fatal(ClusterError::Protocol(format!(
-                "shard query answered {other:?}"
-            )))),
+            };
+            requests.push((
+                self.shards[s as usize].worker,
+                ClusterRequest::ShardQuery(query),
+            ));
+        }
+        let answers = self.fan_out(requests);
+        sums.clear();
+        sums.resize(picks.len(), 0);
+        let (mut dead, mut fatal) = (None, None);
+        for (&(w, _), answer) in requests.iter().zip(answers) {
+            match answer {
+                Ok(ClusterResponse::ShardOutcomes(v)) if v.len() == picks.len() => {
+                    for (sum, x) in sums.iter_mut().zip(v) {
+                        *sum += x;
+                    }
+                }
+                Ok(other) => {
+                    let e = format!("shard query answered {other:?}");
+                    fatal.get_or_insert(ClusterError::Protocol(e));
+                }
+                Err(_) if self.workers[w].dead => {
+                    dead.get_or_insert(w);
+                }
+                Err(e) => {
+                    fatal.get_or_insert(ClusterError::Worker(e));
+                }
+            }
+        }
+        match (dead, fatal) {
+            (Some(w), _) => Err(Retry::Dead(w)),
+            (None, Some(e)) => Err(Retry::Fatal(e)),
+            (None, None) => Ok(()),
         }
     }
 }
@@ -900,6 +1048,48 @@ mod tests {
         let coord =
             Coordinator::seed(ds, 2, &addrs, ClusterConfig::new(&dir)).expect("seed cluster");
         (workers, coord, DynamicEngine::new(ds.clone()), dir)
+    }
+
+    /// The chunk cap is the frame bound's: a worst-case `shard_query`
+    /// body — every cell observed, τ and every member id present — takes
+    /// exactly `QUERY_HEAD_BYTES` plus `13 + 9·dims` bytes a candidate,
+    /// and `chunk_cap` candidates fit within `DEFAULT_MAX_FRAME` where
+    /// one more would not.
+    #[test]
+    fn chunk_cap_is_the_largest_frame_the_wire_takes() {
+        use tkd_serve::cluster_wire::encode_cluster_request;
+        use tkd_serve::protocol::HEADER_LEN;
+        for dims in [1, 2, 6, 64] {
+            let per = 13 + 9 * dims as u64;
+            for n in [0, 1, 3] {
+                let candidate = WireCandidate {
+                    values: vec![Some(-1.5); dims],
+                    member: Some(u64::MAX),
+                };
+                let frame = ClusterRequest::ShardQuery(ShardQuery {
+                    shard: 7,
+                    algorithm: Algorithm::Ibig,
+                    phase: ShardPhase::Partials,
+                    tau: Some(u64::MAX),
+                    candidates: vec![candidate; n],
+                });
+                let body = encode_cluster_request(&frame).expect("encodes").len() - HEADER_LEN;
+                assert_eq!(
+                    body as u64,
+                    QUERY_HEAD_BYTES + n as u64 * per,
+                    "{dims} dims"
+                );
+            }
+            let cap = chunk_cap(dims) as u64;
+            assert!(
+                QUERY_HEAD_BYTES + cap * per <= DEFAULT_MAX_FRAME,
+                "{dims} dims"
+            );
+            assert!(
+                QUERY_HEAD_BYTES + (cap + 1) * per > DEFAULT_MAX_FRAME,
+                "{dims} dims"
+            );
+        }
     }
 
     /// A handoff naming a shard or worker the cluster does not have is a

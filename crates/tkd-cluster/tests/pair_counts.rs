@@ -14,7 +14,9 @@
 //!
 //! A coordinator query is pinned beside them: for one fixed shape and k
 //! the frames and shipped candidates are exact, so a coordinator that
-//! silently stops pruning on its own fails here, not only in a benchmark.
+//! silently stops pruning on its own fails here, not only in a benchmark;
+//! and a long walk's frames are bounded by the logarithm of its length,
+//! so a coordinator whose chunks stop doubling fails here too.
 
 use std::net::SocketAddr;
 use tkd_cluster::{ClusterConfig, Coordinator, Worker, WorkerConfig};
@@ -252,8 +254,9 @@ fn a_set_within_one_cell_keeps_the_tables() {
 }
 
 /// Two workers and a cluster over a fixed 1 000-row, 4-dimensional
-/// dataset with ties and missing cells: the BIG top-16 answer equals the
-/// in-process one, and the frames and shipped candidates are pinned.
+/// dataset with ties and missing cells: the BIG top-16 answers before and
+/// after a batch, and the top-64 after it, equal the in-process ones, and
+/// the frames and shipped candidates are pinned.
 #[test]
 fn coordinator_prunes_before_shipping() {
     const K: usize = 16;
@@ -283,13 +286,13 @@ fn coordinator_prunes_before_shipping() {
     let shipped = coord.stats.candidates_shipped - before.candidates_shipped;
     // Without the coordinator's tables every visited candidate would go
     // to both shards in the bounds phase, and every scored one again in
-    // the partials phase: 2 · (59 + 32) = 182 candidates. The tables
-    // decide 21 of the 27 Heuristic 2 prunes, so 2 · (38 + 32) = 140 go.
+    // the partials phase: 2 · (59 + 39) = 196 candidates. The tables
+    // decide 9 of the 20 Heuristic 2 prunes, so 2 · (50 + 39) = 178 go.
     let visited = got.stats.scored + got.stats.h2_pruned + got.stats.h3_pruned;
     let untabled = 2 * (visited + got.stats.scored) as u64;
-    assert_eq!((visited, got.stats.scored), (59, 32), "{:?}", got.stats);
+    assert_eq!((visited, got.stats.scored), (59, 39), "{:?}", got.stats);
     assert!(shipped < untabled, "shipped {shipped} of {untabled}");
-    assert_eq!((frames, shipped), (12, 140), "pinned frames and candidates");
+    assert_eq!((frames, shipped), (12, 178), "pinned frames and candidates");
 
     // After a batch the tables are refreshed with the queue and prune as
     // before, and the answer still matches a twin engine.
@@ -308,9 +311,31 @@ fn coordinator_prunes_before_shipping() {
     let frames = coord.stats.frames - before.frames;
     let shipped = coord.stats.candidates_shipped - before.candidates_shipped;
     let visited = got.stats.scored + got.stats.h2_pruned + got.stats.h3_pruned;
-    assert_eq!((visited, got.stats.scored), (54, 30), "{:?}", got.stats);
-    // 2 · (54 + 30) = 168 without the tables.
-    assert_eq!((frames, shipped), (12, 134), "pinned after the batch");
+    assert_eq!((visited, got.stats.scored), (54, 38), "{:?}", got.stats);
+    // 2 · (54 + 38) = 184 without the tables.
+    assert_eq!((frames, shipped), (8, 172), "pinned after the batch");
+
+    // A long walk: chunks of 16, 32, 64, … candidates, so every chunk
+    // but the last ships its full size and a walk over `m` positions
+    // takes the fewest `c` chunks with 16 · (2^c − 1) ≥ m — each chunk
+    // one bounds and at most one partials frame per shard.
+    const LONG: usize = 64;
+    let before = coord.stats;
+    let got = coord.query(LONG, Algorithm::Big).expect("cluster query");
+    let want = twin.query(&EngineQuery::new(LONG)).expect("twin");
+    assert_eq!(got.entries(), want.entries());
+    let frames = coord.stats.frames - before.frames;
+    let shipped = coord.stats.candidates_shipped - before.candidates_shipped;
+    let visited = got.stats.scored + got.stats.h2_pruned + got.stats.h3_pruned;
+    let chunks = (1..)
+        .find(|&c| 16 * ((1 << c) - 1) >= visited)
+        .expect("a chunk count");
+    assert!(
+        frames <= 4 * chunks as u64,
+        "{frames} frames over {visited} positions"
+    );
+    assert_eq!((visited, got.stats.scored), (163, 115), "{:?}", got.stats);
+    assert_eq!((frames, shipped), (16, 490), "pinned long walk");
 
     drop(coord);
     for w in workers {

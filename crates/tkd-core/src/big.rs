@@ -48,7 +48,8 @@
 //! reads the index's exact memo lane — on a warm index most prunes are
 //! one load of a bound an earlier query proved; the lane is sized at
 //! build and refresh, never in a query, and a [`BigContext`]'s index
-//! carries no other ([`MemoLanes::Exact`]) — then its pairwise tables —
+//! carries no other ([`MemoLanes::Exact`]; a one-shot `TkdQuery::run`
+//! context, which walks once, carries none) — then its pairwise tables —
 //! most other prunes are one pair's joint count at or below the budget —
 //! and otherwise runs a
 //! fused multi-way AND-popcount that materializes nothing
@@ -87,7 +88,13 @@ impl<'a> BigContext<'a> {
     /// Each dimension is sorted once: the same column feeds the index and
     /// the queue.
     pub fn build(ds: &'a Dataset) -> Self {
-        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), MemoLanes::Exact);
+        Self::build_lanes(ds, MemoLanes::Exact)
+    }
+
+    /// [`BigContext::build`] with the memo `lanes` given: a one-shot
+    /// query, which walks once, carries none.
+    pub(crate) fn build_lanes(ds: &'a Dataset, lanes: MemoLanes) -> Self {
+        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), lanes);
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         BigContext {
             ds,

@@ -69,7 +69,8 @@
 //! caller's [`ScratchSpace`], and the residue pass writes nothing. An
 //! [`IbigContext`]'s exact index carries the binned lane only
 //! ([`MemoLanes::Binned`]); an engine serving both algorithms carries
-//! both lanes.
+//! both lanes, and a one-shot `TkdQuery::run` context, which walks once,
+//! none.
 
 use crate::big::{term_counts, Candidate, Measured, Term};
 use crate::engine::{Columns, Scorer};
@@ -100,8 +101,14 @@ impl<'a> IbigContext<'a> {
     /// # Panics
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &'a Dataset, bins_per_dim: &[usize]) -> Self {
+        Self::build_lanes(ds, bins_per_dim, MemoLanes::Binned)
+    }
+
+    /// [`IbigContext::build`] with the memo `lanes` given: a one-shot
+    /// query, which walks once, carries none.
+    pub(crate) fn build_lanes(ds: &'a Dataset, bins_per_dim: &[usize], lanes: MemoLanes) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), MemoLanes::Binned);
+        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), lanes);
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         IbigContext {
             ds,

@@ -8,7 +8,7 @@ use crate::result::TkdResult;
 use crate::{esb, naive, ubb};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use tkd_index::cost;
+use tkd_index::{cost, MemoLanes};
 use tkd_model::{stats, Dataset, ObjectId};
 
 /// Which of the paper's algorithms answers the query.
@@ -134,12 +134,15 @@ impl TkdQuery {
             Algorithm::Naive => naive::naive(ds, self.k),
             Algorithm::Esb => esb::esb(ds, self.k),
             Algorithm::Ubb => ubb::ubb(ds, self.k),
+            // One walk reads no memo entry it wrote: the contexts carry
+            // no lane.
             Algorithm::Big => {
-                let ctx = BigContext::build(ds);
+                let ctx = BigContext::build_lanes(ds, MemoLanes::None);
                 self.walk(ctx.preprocessed().queue(), ctx.scorer())
             }
             Algorithm::Ibig => {
-                let ctx: IbigContext<'_> = IbigContext::build(ds, &self.resolve_bins(ds));
+                let bins = self.resolve_bins(ds);
+                let ctx = IbigContext::build_lanes(ds, &bins, MemoLanes::None);
                 self.walk(ctx.preprocessed().queue(), ctx.scorer())
             }
         };
@@ -197,6 +200,49 @@ mod tests {
                 let r = TkdQuery::new(k).algorithm(alg).run(&ds);
                 assert_eq!(r.scores(), reference.scores(), "{alg:?} k={k}");
             }
+        }
+    }
+
+    /// `TkdQuery::run` walks once, so its contexts carry no memo lane: a
+    /// lane-less context answers as a laned one, entries and whole
+    /// `PruneStats`, and remembers nothing, where the laned one does.
+    #[test]
+    fn lane_less_contexts_answer_as_laned_ones_and_remember_nothing() {
+        let rows: Vec<Vec<Option<f64>>> = (0..400u32)
+            .map(|i| {
+                let h = i.wrapping_mul(2_654_435_761);
+                (0..4u32)
+                    .map(|d| {
+                        let v = (h >> (5 * d)) % 9;
+                        (d == 0 || v != 0).then_some(f64::from(v % 6))
+                    })
+                    .collect()
+            })
+            .collect();
+        let ds = Dataset::from_rows(4, &rows).expect("valid rows");
+        let answer = |r: TkdResult| (r.entries().to_vec(), r.stats);
+        for k in [1, 8, 64] {
+            let laned = BigContext::build(&ds);
+            let bare = BigContext::build_lanes(&ds, MemoLanes::None);
+            let want = answer(crate::big::big_with(&laned, k));
+            assert_eq!(answer(crate::big::big_with(&bare, k)), want, "BIG k={k}");
+            let bound = |ctx: &BigContext<'_>, o| ctx.index().max_bit_score_bound(o);
+            assert!(ds.ids().all(|o| bound(&bare, o).is_none()), "BIG k={k}");
+            assert!(ds.ids().any(|o| bound(&laned, o).is_some()), "BIG k={k}");
+
+            let laned = IbigContext::build(&ds, &[3; 4]);
+            let bare = IbigContext::build_lanes(&ds, &[3; 4], MemoLanes::None);
+            let want = answer(crate::ibig::ibig_with(&laned, k));
+            assert_eq!(answer(crate::ibig::ibig_with(&bare, k)), want, "IBIG k={k}");
+            let bound = |ctx: &IbigContext<'_>, o| ctx.index().member_count_bound(o);
+            assert!(
+                (0..ds.len()).all(|o| bound(&bare, o).is_none()),
+                "IBIG k={k}"
+            );
+            assert!(
+                (0..ds.len()).any(|o| bound(&laned, o).is_some()),
+                "IBIG k={k}"
+            );
         }
     }
 

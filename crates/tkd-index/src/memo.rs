@@ -55,9 +55,11 @@ const UNCLAIMED: u64 = 0;
 /// lanes it carries (see the module docs). A lane a walk never reads
 /// costs its bytes per slot and nothing else, so each owner sizes only
 /// its own: a BIG context the exact lane, an IBIG context the binned one,
-/// an engine serving both every lane.
+/// an engine serving both every lane, and a one-shot query none.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemoLanes {
+    /// No lane: one walk visits each row once and would never read one.
+    None,
     /// BIG's lane: bounds at each row's own exact picks.
     Exact,
     /// IBIG's lane: bounds and `nonD` at each row's binned picks.

@@ -269,9 +269,10 @@ impl Client {
     }
 
     /// Send one cluster-plane request and read its matching answer —
-    /// the `tkd-cluster` coordinator's side of the v5 cluster frames.
-    /// Workers speak strict request/response (no pushes), so exactly
-    /// one frame comes back; a worker's error frame is surfaced as the
+    /// the `tkd-cluster` coordinator's side of the v5 cluster frames:
+    /// [`Client::cluster_send`], then [`Client::cluster_recv`]. Workers
+    /// speak strict request/response (no pushes), so exactly one frame
+    /// comes back; a worker's error frame is surfaced as the
     /// [`ServeError`] it encodes, like every other call on this client.
     /// The per-frame timeout doubles as the coordinator's failure
     /// detector: a worker that misses the deadline gets a typed
@@ -280,8 +281,28 @@ impl Client {
     /// # Errors
     /// Transport errors, or the typed rejection the worker sent.
     pub fn cluster_call(&mut self, req: &ClusterRequest) -> Result<ClusterResponse, ServeError> {
+        self.cluster_send(req)?;
+        self.cluster_recv()
+    }
+
+    /// Write one cluster-plane request without waiting for its answer,
+    /// so a coordinator can address several workers before it reads any
+    /// of them. A worker answers one request at a time: read this one's
+    /// answer with [`Client::cluster_recv`] before sending the next.
+    ///
+    /// # Errors
+    /// An encode error, or a transport error writing the frame.
+    pub fn cluster_send(&mut self, req: &ClusterRequest) -> Result<(), ServeError> {
         let frame = encode_cluster_request(req)?;
-        protocol::write_frame_bytes(&mut self.stream, &frame, self.timeout)?;
+        protocol::write_frame_bytes(&mut self.stream, &frame, self.timeout)
+    }
+
+    /// Read the answer to the request [`Client::cluster_send`] wrote,
+    /// within the per-frame timeout.
+    ///
+    /// # Errors
+    /// Transport errors, or the typed rejection the worker sent.
+    pub fn cluster_recv(&mut self) -> Result<ClusterResponse, ServeError> {
         let policy = FramePolicy {
             frame_timeout: self.timeout,
             idle_timeout: Some(self.timeout),

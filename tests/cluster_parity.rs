@@ -8,22 +8,33 @@
 //! [`ParallelEngine`] (static grid) or a twin [`DynamicEngine`]
 //! (interleaved updates). The failure legs kill a worker mid-stream and
 //! require either a typed error or a correct retried answer; a wrong
-//! answer is never acceptable.
+//! answer is never acceptable. The scatter legs kill a worker behind a
+//! frame proxy on a chosen frame of a fan-out, while another worker's
+//! answer to the same fan-out is outstanding — in a query's bounds or
+//! partials phase, in an update's fan-out, and on a worker that hosts
+//! two of three shards — and then require the next update and query to
+//! match the twin.
 
 mod common;
 
 use common::{apply_to_mirror, random_op, synth, Mirror, Mix};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 use tkdi::cluster::{ClusterConfig, ClusterError, Coordinator, Worker, WorkerConfig};
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::{
     Algorithm, BinChoice, DynamicEngine, EngineQuery, ParallelEngine, TkdResult, UpdateOp,
 };
 use tkdi::serve::cluster_wire::{
-    ClusterRequest, ClusterResponse, ShardPhase, ShardQuery, ShardUpdate, WireCandidate,
+    decode_cluster_request_body, decode_cluster_response_body, encode_cluster_request,
+    encode_cluster_response, ClusterRequest, ClusterResponse, ShardPhase, ShardQuery, ShardUpdate,
+    WireCandidate,
 };
+use tkdi::serve::protocol::{read_frame, write_frame_bytes, FramePolicy, DEFAULT_MAX_FRAME};
 use tkdi::serve::{Client, ServeError};
 
 const SHARDS: [usize; 3] = [1, 2, 3];
@@ -447,5 +458,245 @@ fn rejected_shard_update_rolls_back_to_the_committed_snapshot() {
     );
     for w in workers {
         w.stop();
+    }
+}
+
+/// A worker behind a frame proxy that kills it on cue. Frames pass both
+/// ways until, once `armed`, the `nth` request matching the cue arrives;
+/// then the worker is killed — before it sees that request, or with
+/// `forward` after it has answered it — and the coordinator's connection
+/// is cut without an answer.
+struct Doomed {
+    addr: SocketAddr,
+    armed: Arc<AtomicBool>,
+    /// Whether the cue fired, once the coordinator has hung up.
+    proxy: JoinHandle<bool>,
+}
+
+type Cue = Box<dyn Fn(&ClusterRequest) -> bool + Send>;
+
+impl Doomed {
+    fn start(cue: Cue, nth: usize, forward: bool) -> Doomed {
+        let worker = Worker::start("127.0.0.1:0", WorkerConfig::default()).expect("worker start");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+        let addr = listener.local_addr().expect("proxy address");
+        let armed = Arc::new(AtomicBool::new(false));
+        let live = Arc::clone(&armed);
+        let proxy = std::thread::spawn(move || {
+            let timeout = Duration::from_secs(30);
+            let policy = FramePolicy {
+                frame_timeout: timeout,
+                idle_timeout: None,
+            };
+            let (mut front, _) = listener.accept().expect("the coordinator dials");
+            let mut back = TcpStream::connect(worker.local_addr()).expect("dial the worker");
+            let mut seen = 0;
+            loop {
+                let Ok((kind, body)) = read_frame(&mut front, DEFAULT_MAX_FRAME, policy, &|| false)
+                else {
+                    return false; // the coordinator hung up
+                };
+                let req = decode_cluster_request_body(kind, &body).expect("a cluster request");
+                let fire = live.load(Ordering::Acquire) && cue(&req) && {
+                    seen += 1;
+                    seen == nth
+                };
+                if fire && !forward {
+                    worker.kill();
+                    return true;
+                }
+                let frame = encode_cluster_request(&req).expect("re-encodes");
+                write_frame_bytes(&mut back, &frame, timeout).expect("to the worker");
+                let (kind, body) =
+                    read_frame(&mut back, DEFAULT_MAX_FRAME, policy, &|| false).expect("answered");
+                if fire {
+                    worker.kill();
+                    return true;
+                }
+                let resp = decode_cluster_response_body(kind, &body).expect("a cluster response");
+                let frame = encode_cluster_response(&resp).expect("re-encodes");
+                write_frame_bytes(&mut front, &frame, timeout).expect("to the coordinator");
+            }
+        });
+        Doomed { addr, armed, proxy }
+    }
+
+    fn arm(&self) {
+        self.armed.store(true, Ordering::Release);
+    }
+
+    /// Whether the cue fired; call once the coordinator is dropped.
+    fn fired(self) -> bool {
+        self.proxy.join().expect("the proxy thread returns")
+    }
+}
+
+/// A cluster of `shards` shards over the doomed worker (worker 0, hosting
+/// shards 0, 2, …) and one plain worker, a twin engine, and one batch
+/// already routed so every shard has a checkpoint and seq to repair from.
+fn doomed_cluster(
+    ds: &tkdi::model::Dataset,
+    shards: usize,
+    doomed: &Doomed,
+    scratch: &ScratchDir,
+) -> (Worker, Coordinator, DynamicEngine) {
+    let (mut plain, addrs) = start_workers(1);
+    let addrs = [doomed.addr, addrs[0]];
+    let mut coord =
+        Coordinator::seed(ds, shards, &addrs, ClusterConfig::new(&scratch.0)).expect("seed");
+    let mut twin = DynamicEngine::new(ds.clone());
+    let n = ds.len() as u32;
+    let ops = [
+        UpdateOp::Delete(1),
+        UpdateOp::Delete(n / 2),
+        UpdateOp::Delete(n - 1),
+    ];
+    coord.update(&ops).expect("cluster update");
+    assert!(twin.apply_ops(&ops).error.is_none());
+    (plain.remove(0), coord, twin)
+}
+
+/// After a leg: the doomed worker is gone, and the next update and both
+/// algorithms' queries match the twin — a shard whose seq fell out of
+/// step would reject the update as out of order.
+fn assert_in_step(coord: &mut Coordinator, twin: &mut DynamicEngine, ctx: &str) {
+    let more = [
+        UpdateOp::Insert(vec![Some(1.0), Some(2.0), None]),
+        UpdateOp::Delete(10),
+        UpdateOp::Delete(11),
+        UpdateOp::Set(12, 0, Some(4.0)),
+    ];
+    coord
+        .update(&more)
+        .unwrap_or_else(|e| panic!("{ctx}: next update: {e}"));
+    assert!(twin.apply_ops(&more).error.is_none());
+    assert!(coord.stats.repairs >= 1, "{ctx}: no repair ran");
+    assert_eq!(coord.live_workers(), 1, "{ctx}");
+    for &alg in &ALGS {
+        for k in [1, 9] {
+            let reference = twin
+                .query(&EngineQuery::new(k).algorithm(alg))
+                .expect("twin");
+            let got = coord.query(k, alg).expect("next query");
+            assert_eq!(entries(&got), entries(&reference), "{ctx}: {alg:?} k={k}");
+        }
+    }
+}
+
+/// A query's answer after a kill: the twin's, or a typed error.
+fn assert_exact_or_typed(got: Result<TkdResult, ClusterError>, want: &TkdResult, ctx: &str) {
+    match got {
+        Ok(r) => {
+            assert_eq!(
+                entries(&r),
+                entries(want),
+                "{ctx}: retried answer must be exact"
+            );
+            assert_eq!(r.stats.h1_pruned, want.stats.h1_pruned, "{ctx}");
+        }
+        Err(e) => assert!(
+            matches!(
+                e,
+                ClusterError::Worker(_) | ClusterError::NoWorkers | ClusterError::Store(_)
+            ),
+            "{ctx}: typed error only, got {e}"
+        ),
+    }
+}
+
+fn is_phase(phase: ShardPhase) -> Cue {
+    Box::new(move |r| matches!(r, ClusterRequest::ShardQuery(q) if q.phase == phase))
+}
+
+/// (a) A worker dies on a query's bounds or partials frame while the
+/// other worker's answer to the same phase is outstanding: the repair
+/// must find every connection idle, and the retried query is exact.
+#[test]
+fn a_kill_inside_a_query_fan_out_is_repaired() {
+    let ds = synth(960, 300, 3, 6, 30);
+    for phase in [ShardPhase::Bounds, ShardPhase::Partials] {
+        for &alg in &ALGS {
+            let ctx = format!("{phase:?} {alg:?}");
+            let doomed = Doomed::start(is_phase(phase), 2, false);
+            let scratch = ScratchDir::new("scatter-query");
+            let (plain, mut coord, mut twin) = doomed_cluster(&ds, 2, &doomed, &scratch);
+            let want = twin
+                .query(&EngineQuery::new(40).algorithm(alg))
+                .expect("twin");
+            doomed.arm();
+            assert_exact_or_typed(coord.query(40, alg), &want, &ctx);
+            assert_in_step(&mut coord, &mut twin, &ctx);
+            drop(coord);
+            assert!(doomed.fired(), "{ctx}: the cue never fired");
+            plain.stop();
+        }
+    }
+}
+
+/// (b) A worker dies inside an update's fan-out, before its shard logs
+/// the batch or after it has and before it answers, while the other
+/// shard's ack is outstanding: that ack is recorded, the repair replays
+/// or skips the in-doubt batch, and the batch lands exactly once.
+#[test]
+fn a_kill_inside_an_update_fan_out_is_repaired() {
+    let ds = synth(970, 200, 3, 6, 30);
+    for forward in [false, true] {
+        let ctx = format!("forwarded {forward}");
+        let cue: Cue = Box::new(|r| matches!(r, ClusterRequest::ShardUpdate(_)));
+        let doomed = Doomed::start(cue, 1, forward);
+        let scratch = ScratchDir::new("scatter-update");
+        let (plain, mut coord, mut twin) = doomed_cluster(&ds, 2, &doomed, &scratch);
+        // Rows 0..100 live on shard 0, 100..200 on shard 1, and the
+        // inserts alternate: both shards take part.
+        let ops = [
+            UpdateOp::Delete(5),
+            UpdateOp::Delete(150),
+            UpdateOp::Insert(vec![Some(0.5), None, Some(2.0)]),
+            UpdateOp::Insert(vec![Some(3.0), Some(3.0), Some(3.0)]),
+        ];
+        doomed.arm();
+        coord
+            .update(&ops)
+            .unwrap_or_else(|e| panic!("{ctx}: repaired update: {e}"));
+        assert!(twin.apply_ops(&ops).error.is_none());
+        assert_eq!(coord.len(), twin.len(), "{ctx}");
+        assert_in_step(&mut coord, &mut twin, &ctx);
+        drop(coord);
+        assert!(doomed.fired(), "{ctx}: the cue never fired");
+        plain.stop();
+    }
+}
+
+/// (c) Three shards on two workers, so the doomed worker takes shards 0
+/// and 2 in successive waves, at k = n on a few thousand rows, so the
+/// walk's chunks double many times. The worker dies on the partials
+/// frame of the third chunk that has survivors: on shard 0's, in the
+/// first wave, while the other worker's answer is outstanding and
+/// shard 2's frame is still unsent; or on shard 2's, in the second wave.
+#[test]
+fn a_kill_in_a_wave_of_a_long_walk_is_repaired() {
+    let ds = synth(980, 3_000, 3, 6, 30);
+    let n = ds.len();
+    for shard in [0, 2] {
+        for &alg in &ALGS {
+            let ctx = format!("shard {shard} {alg:?}");
+            let cue: Cue = Box::new(move |r| {
+                matches!(r, ClusterRequest::ShardQuery(q)
+                    if q.shard == shard && q.phase == ShardPhase::Partials)
+            });
+            let doomed = Doomed::start(cue, 3, false);
+            let scratch = ScratchDir::new("scatter-waves");
+            let (plain, mut coord, mut twin) = doomed_cluster(&ds, 3, &doomed, &scratch);
+            assert_eq!((coord.worker_of(0), coord.worker_of(2)), (0, 0));
+            let want = twin
+                .query(&EngineQuery::new(n).algorithm(alg))
+                .expect("twin");
+            doomed.arm();
+            assert_exact_or_typed(coord.query(n, alg), &want, &ctx);
+            assert_in_step(&mut coord, &mut twin, &ctx);
+            drop(coord);
+            assert!(doomed.fired(), "{ctx}: the cue never fired");
+            plain.stop();
+        }
     }
 }

@@ -124,6 +124,27 @@ fn warm_ibig_surfaces_answer_as_cold() {
     }
 }
 
+/// A one-shot query (`TkdQuery::run`) walks once, so its contexts carry
+/// no memo lane: its entries and whole `PruneStats` must equal a laned
+/// context's first answer, for BIG and IBIG, at one thread and at two.
+#[test]
+fn a_lane_less_one_shot_answers_as_a_laned_context() {
+    for (cell, &missing) in MISSING.iter().enumerate() {
+        let ds = synth(640 + cell as u64, 1_500, 4, 16, missing);
+        let (big, ibig) = (cold_answers(&ds), cold_ibig_answers(&ds));
+        for k in KS {
+            for threads in [1, 2] {
+                let ctx = format!("σ {missing}%, k {k}, threads {threads}");
+                let got = TkdQuery::new(k).threads(threads).run(&ds);
+                assert_eq!(answer(&got), big[&k], "BIG, {ctx}");
+                let query = TkdQuery::new(k).algorithm(Algorithm::Ibig);
+                let got = query.threads(threads).run(&ds);
+                assert_eq!(answer(&got), ibig[&k], "IBIG, {ctx}");
+            }
+        }
+    }
+}
+
 #[test]
 fn warm_static_surfaces_answer_as_cold() {
     for (cell, &missing) in MISSING.iter().enumerate() {
