@@ -21,7 +21,7 @@
 //! scores, and tie order are bit-identical to them (see
 //! `tkd_core::cluster` for the proof obligations, and
 //! `tests/cluster_parity.rs` for the pin). A walk's length is unknown
-//! until τ forms, so the first chunk holds [`ClusterConfig::chunk`]
+//! until τ forms, so the first chunk holds `FIRST_CHUNK` (16)
 //! candidates and each later one twice as many as the one before, up to
 //! what one `shard_query` frame can carry: a walk over `m` positions
 //! costs `O(log m)` chunks, and a short one still ships little past its
@@ -77,14 +77,6 @@ use tkd_store::{ClusterManifest, ShardEntry};
 pub struct ClusterConfig {
     /// Shared snapshot/handoff directory (all workers must see it).
     pub dir: PathBuf,
-    /// Candidates shipped in a query's first chunk; each later chunk
-    /// ships twice as many as the one before, up to what one
-    /// `shard_query` frame carries within the wire's default frame bound
-    /// at the cluster's dimensionality. A chunk spans the queue
-    /// positions up to its last candidate the coordinator's own tables
-    /// do not prune, and never past the Heuristic 1 position. Smaller
-    /// chunks tighten τ faster (more pruning) at the cost of more frames.
-    pub chunk: usize,
     /// Per-frame deadline on worker connections — the failure detector.
     pub timeout: Duration,
 }
@@ -94,7 +86,6 @@ impl ClusterConfig {
     pub fn new(dir: impl Into<PathBuf>) -> ClusterConfig {
         ClusterConfig {
             dir: dir.into(),
-            chunk: 16,
             timeout: Duration::from_secs(10),
         }
     }
@@ -142,6 +133,13 @@ impl WorkerLink {
         result
     }
 }
+
+/// Candidates shipped in a query's first chunk; each later chunk ships
+/// twice as many as the one before, up to [`chunk_cap`]. A chunk spans
+/// the queue positions up to its last candidate the coordinator's own
+/// tables do not prune, and never past the Heuristic 1 position. Smaller
+/// chunks tighten τ faster (more pruning) at the cost of more frames.
+const FIRST_CHUNK: usize = 16;
 
 /// Bytes of a `shard_query` body besides its candidates: the shard (8),
 /// the algorithm (1), the phase (1), τ (1 + 8) and the count (4).
@@ -863,10 +861,10 @@ impl Coordinator {
             .collect();
         let mut replay = Replay::new(k);
         let mut shipped: Option<u64> = None;
-        // The first chunk ships `cfg.chunk` candidates, each later one
+        // The first chunk ships `FIRST_CHUNK` candidates, each later one
         // twice as many as the one before, up to what one frame carries.
         let cap = chunk_cap(self.rows.dims());
-        let mut chunk_size = self.cfg.chunk.clamp(1, cap);
+        let mut chunk_size = FIRST_CHUNK.min(cap);
         // Per-chunk buffers, reused by every chunk: the shipped queue
         // positions, the ids of the candidates a phase asks about, the
         // per-candidate sums it gathers, each position's score (`None`

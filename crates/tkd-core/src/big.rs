@@ -46,10 +46,10 @@
 //!
 //! The scoring path is **allocation-free** after context build: Heuristic 2
 //! reads the index's exact memo lane — on a warm index most prunes are
-//! one load of a bound an earlier query proved; the lane is sized at
-//! build and refresh, never in a query, and a [`BigContext`]'s index
-//! carries no other ([`MemoLanes::Exact`]; a one-shot `TkdQuery::run`
-//! context, which walks once, carries none) — then its pairwise tables —
+//! one load of a bound an earlier query proved; the lane is sized by the
+//! second walk over the index ([`BitmapIndex::announce_walk`]) before its
+//! first lookup, so a one-shot `TkdQuery::run` context, which walks
+//! once, holds none — then its pairwise tables —
 //! most other prunes are one pair's joint count at or below the budget —
 //! and otherwise runs a
 //! fused multi-way AND-popcount that materializes nothing
@@ -70,14 +70,14 @@ use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk_one, Need, Outcome};
 use std::borrow::Cow;
-use tkd_index::{BitmapIndex, BitmapIndexBuilder, MemoLanes, RowScope};
+use tkd_index::{BitmapIndex, BitmapIndexBuilder, RowScope};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// Precomputed inputs of Algorithm 4: the bitmap index plus the shared
 /// [`Preprocessed`] artifacts (`MaxScore` queue `F`, mask counts).
 pub struct BigContext<'a> {
     ds: &'a Dataset,
-    index: Cow<'a, BitmapIndex>,
+    index: BitmapIndex,
     pre: Cow<'a, Preprocessed>,
 }
 
@@ -88,17 +88,11 @@ impl<'a> BigContext<'a> {
     /// Each dimension is sorted once: the same column feeds the index and
     /// the queue.
     pub fn build(ds: &'a Dataset) -> Self {
-        Self::build_lanes(ds, MemoLanes::Exact)
-    }
-
-    /// [`BigContext::build`] with the memo `lanes` given: a one-shot
-    /// query, which walks once, carries none.
-    pub(crate) fn build_lanes(ds: &'a Dataset, lanes: MemoLanes) -> Self {
-        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), lanes);
+        let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         BigContext {
             ds,
-            index: Cow::Owned(index.finish()),
+            index: index.finish(),
             pre: Cow::Owned(pre),
         }
     }
@@ -109,21 +103,7 @@ impl<'a> BigContext<'a> {
     pub fn build_with(ds: &'a Dataset, pre: &'a Preprocessed) -> Self {
         BigContext {
             ds,
-            index: Cow::Owned(BitmapIndex::build_with_lanes(ds, MemoLanes::Exact)),
-            pre: Cow::Borrowed(pre),
-        }
-    }
-
-    /// Borrow **prebuilt** artifacts wholesale — nothing is constructed.
-    /// This is how the dynamic update layer serves queries through the
-    /// unchanged Algorithm 4 scratch path: its incrementally-maintained
-    /// index and preprocessing are lent in per query. The index may carry
-    /// tombstones; its live-aware fast paths keep the scoring exact.
-    pub fn from_prebuilt(ds: &'a Dataset, index: &'a BitmapIndex, pre: &'a Preprocessed) -> Self {
-        assert_eq!(index.n(), ds.len(), "index/dataset size mismatch");
-        BigContext {
-            ds,
-            index: Cow::Borrowed(index),
+            index: BitmapIndex::build(ds),
             pre: Cow::Borrowed(pre),
         }
     }
@@ -404,7 +384,7 @@ pub(crate) fn big_with_alloc(ctx: &BigContext<'_>, k: usize) -> TkdResult {
 /// `MaxBitScore(o)` of the full (unbinned) index — exposed for analysis and
 /// the Fig. 8 reproduction.
 pub fn max_bit_scores(ds: &Dataset) -> Vec<usize> {
-    let index = BitmapIndex::build_with_lanes(ds, MemoLanes::Exact);
+    let index = BitmapIndex::build(ds);
     ds.ids().map(|o| index.max_bit_score(o)).collect()
 }
 

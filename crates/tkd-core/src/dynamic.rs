@@ -96,8 +96,8 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tkd_bitvec::{BitVec, Tombstones};
-use tkd_index::{cost, BinBoundaries, BinnedBitmapIndex, BitmapIndex, RowScope};
-use tkd_model::{stats, Dataset, DimMask, ModelError, ObjectId};
+use tkd_index::{BinBoundaries, BinnedBitmapIndex, BitmapIndex, RowScope};
+use tkd_model::{Dataset, DimMask, ModelError, ObjectId};
 use tkd_skyline::constrained::Constraints;
 
 /// When the engine rebuilds itself to shed tombstones.
@@ -340,7 +340,6 @@ pub struct DynamicEngine {
     /// All slots ever inserted since the last compaction, tombstones
     /// included (their rows keep their values until compaction).
     ds: Dataset,
-    live: Tombstones,
     /// Slot → stable id (strictly increasing, so slot order and stable-id
     /// order agree — the tie-order invariant — and an id's slot is a
     /// binary search away).
@@ -393,7 +392,6 @@ impl DynamicEngine {
         let mut engine = DynamicEngine {
             dims,
             ds,
-            live: Tombstones::all_live(n),
             stable_of: (0..n as ObjectId).collect(),
             next_id: n as ObjectId,
             boundaries: BinBoundaries::build(&index, &vec![1; dims]),
@@ -423,7 +421,7 @@ impl DynamicEngine {
 
     /// Number of **live** objects.
     pub fn len(&self) -> usize {
-        self.live.live_count()
+        self.live().live_count()
     }
 
     /// Is the live set empty?
@@ -433,12 +431,12 @@ impl DynamicEngine {
 
     /// Number of tombstoned slots awaiting compaction.
     pub fn tombstones(&self) -> usize {
-        self.live.dead_count()
+        self.live().dead_count()
     }
 
     /// Current tombstone fraction of the slot space.
     pub fn tombstone_fraction(&self) -> f64 {
-        self.live.dead_fraction()
+        self.live().dead_fraction()
     }
 
     /// Compaction epoch: how many times the store has been rebuilt.
@@ -477,14 +475,14 @@ impl DynamicEngine {
 
     /// Stable ids of the live objects, in insertion order.
     pub fn live_ids(&self) -> Vec<ObjectId> {
-        self.live.iter_live().map(|s| self.stable_of[s]).collect()
+        self.live().iter_live().map(|s| self.stable_of[s]).collect()
     }
 
     /// A compacted copy of the live data, in insertion order (row `i`
     /// corresponds to `live_ids()[i]`) — what a rebuild-from-scratch
     /// oracle would operate on.
     pub fn snapshot(&self) -> Dataset {
-        let slots: Vec<ObjectId> = self.live.iter_live().map(|s| s as ObjectId).collect();
+        let slots: Vec<ObjectId> = self.live().iter_live().map(|s| s as ObjectId).collect();
         self.ds.select(&slots)
     }
 
@@ -526,7 +524,6 @@ impl DynamicEngine {
             None => self.ds.push_row(row),
         }
         .expect("row already validated");
-        self.live.push_live();
         self.standing.on_structural();
         self.pre.masks.add(mask);
         // 2. Stable identity.
@@ -547,7 +544,6 @@ impl DynamicEngine {
     pub fn delete(&mut self, id: ObjectId) -> Result<(), UpdateError> {
         let slot = self.slot(id)?;
         self.standing.on_structural();
-        self.live.kill(slot);
         self.index.tombstone_row(slot);
         self.pre.masks.remove(self.ds.mask(slot as ObjectId));
         self.queue_dirty = true;
@@ -775,7 +771,7 @@ impl DynamicEngine {
             }
         }
         let live = self.len() + inserted - deleted.len();
-        let oldest = self.live.iter_live().map(|s| self.stable_of[s]);
+        let oldest = self.live().iter_live().map(|s| self.stable_of[s]);
         let oldest = oldest.chain(self.next_id..self.next_id + inserted as ObjectId);
         oldest
             .filter(|id| !deleted.contains(id))
@@ -1031,7 +1027,7 @@ impl DynamicEngine {
             let dims = self.dims;
             return Err(ModelError::DimensionOutOfRange { dim, dims }.into());
         }
-        let mut scope = self.live.live_mask().clone();
+        let mut scope = self.live().live_mask().clone();
         let mut rows = BitVec::zeros(self.ds.len());
         for dim in 0..self.dims {
             if let Some((lo, hi)) = constraints.interval(dim) {
@@ -1240,7 +1236,7 @@ impl DynamicEngine {
             slots: (0..index.n())
                 .flat_map(|o| (0..self.dims).map(move |d| index.value_slot(o, d)))
                 .collect(),
-            live: self.live.live_mask().clone(),
+            live: self.live().live_mask().clone(),
             stable_of: self.stable_of.clone(),
             next_id: self.next_id,
             boundaries: (0..self.dims)
@@ -1307,8 +1303,7 @@ impl DynamicEngine {
                 live.len()
             ));
         }
-        let live = Tombstones::from_live_mask(live);
-        let index = BitmapIndex::from_slots(values, slots, live.clone())?;
+        let index = BitmapIndex::from_slots(values, slots, Tombstones::from_live_mask(live))?;
         let boundaries = BinBoundaries::from_store_parts(&index, boundaries)?;
         if stable_of.len() != n {
             return Err(format!(
@@ -1324,11 +1319,11 @@ impl DynamicEngine {
                 return Err(format!("stable id {last} is not below next_id {next_id}"));
             }
         }
-        let masks = MaskCounts::of(live.iter_live().map(|s| ds.mask(s as ObjectId)));
+        let live = index.tombstones().iter_live();
+        let masks = MaskCounts::of(live.map(|s| ds.mask(s as ObjectId)));
         Ok(DynamicEngine {
             dims,
             ds,
-            live,
             stable_of,
             next_id,
             index,
@@ -1354,14 +1349,12 @@ impl DynamicEngine {
     /// survive. (Normally policy-triggered; exposed for tests, benches,
     /// and operational control.)
     pub fn compact_now(&mut self) {
-        let live_slots: Vec<ObjectId> = self.live.iter_live().map(|s| s as ObjectId).collect();
+        let live_slots: Vec<ObjectId> = self.live().iter_live().map(|s| s as ObjectId).collect();
         let stable: Vec<ObjectId> = live_slots
             .iter()
             .map(|&s| self.stable_of[s as usize])
             .collect();
         self.ds = self.ds.select(&live_slots);
-        let n = self.ds.len();
-        self.live = Tombstones::all_live(n);
         self.stable_of = stable;
         self.crew = Crew::default();
         self.rebuild_artifacts();
@@ -1371,8 +1364,8 @@ impl DynamicEngine {
     }
 
     fn maybe_compact(&mut self) {
-        if self.live.dead_count() >= self.policy.min_dead
-            && self.live.dead_fraction() > self.policy.max_tombstone_fraction
+        if self.live().dead_count() >= self.policy.min_dead
+            && self.live().dead_fraction() > self.policy.max_tombstone_fraction
         {
             self.compact_now();
         }
@@ -1380,27 +1373,14 @@ impl DynamicEngine {
 
     /// (Re)build every maintained artifact from `self.ds`, which must be
     /// tombstone-free — the epoch-0 initialisation and the compaction
-    /// tail.
+    /// tail. The queue is left dirty, for the first query to count.
     fn rebuild_artifacts(&mut self) {
         let ds = &self.ds;
-        let n = ds.len();
-        let dims = self.dims;
-        let bins = match &self.bins {
-            BinChoice::Auto => {
-                let x = cost::optimal_bins(n, stats::missing_rate(ds));
-                vec![x; dims]
-            }
-            BinChoice::Fixed(x) => vec![(*x).max(1); dims],
-            BinChoice::PerDim(v) => {
-                assert_eq!(v.len(), dims, "one bin count per dimension");
-                v.clone()
-            }
-        };
+        let bins = self.bins.resolve(ds);
         self.index = BitmapIndex::build(ds);
         self.boundaries = BinBoundaries::build(&self.index, &bins);
         self.pre.masks = MaskCounts::of(ds.masks().iter().copied());
         self.queue_dirty = true;
-        self.refresh();
     }
 
     // ----- internals ------------------------------------------------------
@@ -1409,10 +1389,15 @@ impl DynamicEngine {
         live_or(self.live_slot(id), id, self.next_id)
     }
 
+    /// Which slots are live: the index's bookkeeping.
+    fn live(&self) -> &Tombstones {
+        self.index.tombstones()
+    }
+
     /// The slot of live object `id`.
     fn live_slot(&self, id: ObjectId) -> Option<usize> {
         let slot = self.stable_of.binary_search(&id).ok()?;
-        self.live.is_live(slot).then_some(slot)
+        self.live().is_live(slot).then_some(slot)
     }
 
     /// Recount the candidate queue over the live rows and every
@@ -1423,7 +1408,7 @@ impl DynamicEngine {
         if !self.queue_dirty {
             return;
         }
-        self.pre.queue = self.scoped_queue(self.live.live_mask(), DimMask::all(self.dims));
+        self.pre.queue = self.scoped_queue(self.live().live_mask(), DimMask::all(self.dims));
         self.index.derive_pair_tables();
         self.queue_dirty = false;
     }

@@ -35,7 +35,7 @@ use crate::big::{big_decide, big_measure, Measured, Term};
 use crate::ibig::{ibig_decide, ibig_measure};
 use crate::parallel::Crew;
 use crate::preprocess::Preprocessed;
-use crate::query::{break_ties, Algorithm, TieBreak};
+use crate::query::{break_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
@@ -158,6 +158,16 @@ impl Measure for Scorer<'_> {
         self.ds.len()
     }
 
+    /// An unscoped walk reads its index's memo lane; a scoped one reads
+    /// none.
+    fn announce(&self) {
+        match (self.scope, self.columns) {
+            (Some(_), _) => {}
+            (None, Columns::Big(index)) => index.announce_walk(),
+            (None, Columns::Ibig(binned)) => binned.announce_walk(),
+        }
+    }
+
     #[inline]
     fn measure(&self, o: ObjectId, need: Need, scratch: &mut ScratchSpace) -> Measured {
         let Scorer { ds, pre, scope, .. } = *self;
@@ -262,11 +272,8 @@ impl<'a> EngineBuilder<'a> {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let bins = self.bins.unwrap_or_else(|| {
-            let x = tkd_index::cost::optimal_bins(ds.len(), tkd_model::stats::missing_rate(ds));
-            vec![x; ds.dims()]
-        });
-        assert_eq!(bins.len(), ds.dims(), "one bin count per dimension");
+        let bins = self.bins.map_or(BinChoice::Auto, BinChoice::PerDim);
+        let bins = bins.resolve(ds);
         let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         ParallelEngine {
@@ -315,6 +322,12 @@ impl<'a> ParallelEngine<'a> {
     /// Worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The binned index IBIG queries read, a view over the exact index
+    /// BIG queries read.
+    pub fn index(&self) -> &BinnedBitmapIndex<'a> {
+        &self.binned
     }
 
     /// Answer one query with all worker threads cooperating on it.

@@ -64,24 +64,25 @@
 //! `crate::topk`'s `walk`.
 //!
 //! Like BIG, the scoring path is **allocation-free** after context build:
-//! the memo lane is sized at build and refresh, never in a query, a
+//! the binned memo lane is sized by the second IBIG walk over the index
+//! ([`BinnedBitmapIndex::announce_walk`]) before its first lookup, a
 //! survivor's `Q`/`P` intersections are written straight into the
 //! caller's [`ScratchSpace`], and the residue pass writes nothing. An
-//! [`IbigContext`]'s exact index carries the binned lane only
-//! ([`MemoLanes::Binned`]); an engine serving both algorithms carries
-//! both lanes, and a one-shot `TkdQuery::run` context, which walks once,
-//! none.
+//! [`IbigContext`]'s exact index so holds the binned lane only, an
+//! engine only the lanes its queries walk, and a one-shot
+//! `TkdQuery::run` context, which walks once, none.
 
 use crate::big::{term_counts, Candidate, Measured, Term};
 use crate::engine::{Columns, Scorer};
 use crate::preprocess::Preprocessed;
+use crate::query::BinChoice;
 use crate::result::TkdResult;
 use crate::scope::Scope;
 use crate::scratch::ScratchSpace;
 use crate::topk::{walk_one, Need, Outcome};
 use std::borrow::Cow;
-use tkd_index::{cost, BinnedBitmapIndex, BitmapIndexBuilder, MemberCount, MemoLanes};
-use tkd_model::{stats, Dataset, ObjectId};
+use tkd_index::{BinnedBitmapIndex, BitmapIndexBuilder, MemberCount};
+use tkd_model::{Dataset, ObjectId};
 
 /// Precomputed inputs of Algorithm 5: the binned index plus the shared
 /// [`Preprocessed`] artifacts.
@@ -101,14 +102,8 @@ impl<'a> IbigContext<'a> {
     /// # Panics
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &'a Dataset, bins_per_dim: &[usize]) -> Self {
-        Self::build_lanes(ds, bins_per_dim, MemoLanes::Binned)
-    }
-
-    /// [`IbigContext::build`] with the memo `lanes` given: a one-shot
-    /// query, which walks once, carries none.
-    pub(crate) fn build_lanes(ds: &'a Dataset, bins_per_dim: &[usize], lanes: MemoLanes) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        let mut index = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), lanes);
+        let mut index = BitmapIndexBuilder::new(ds.dims(), ds.len());
         let pre = Preprocessed::build_sharing(ds, |dim, column| index.push_dim(dim, column));
         IbigContext {
             ds,
@@ -129,8 +124,7 @@ impl<'a> IbigContext<'a> {
 
     /// Build with the Eq. 8 optimal bin count on every dimension.
     pub fn build_auto(ds: &'a Dataset) -> Self {
-        let x = cost::optimal_bins(ds.len(), stats::missing_rate(ds));
-        Self::build(ds, &vec![x; ds.dims()])
+        Self::build(ds, &BinChoice::Auto.resolve(ds))
     }
 
     /// The binned index.
@@ -531,7 +525,7 @@ mod tests {
             k in 1usize..8,
         ) {
             for (ds, c) in [(&ds_2, 2), (&ds_10, 10), (&ds_1000, 1000)] {
-                let x_star = cost::optimal_bins(ds.len(), stats::missing_rate(ds));
+                let x_star = BinChoice::Auto.resolve(ds)[0];
                 for bins in [1, x_star, c, 2 * c] {
                     let ctx: IbigContext<'_> = IbigContext::build(ds, &vec![bins; ds.dims()]);
                     let new = ibig_with(&ctx, k);

@@ -8,7 +8,7 @@ use crate::result::TkdResult;
 use crate::{esb, naive, ubb};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use tkd_index::{cost, MemoLanes};
+use tkd_index::cost;
 use tkd_model::{stats, Dataset, ObjectId};
 
 /// Which of the paper's algorithms answers the query.
@@ -47,6 +47,26 @@ pub enum BinChoice {
     Fixed(usize),
     /// Explicit per-dimension counts (e.g. Zillow's `6/10/35/x/1000`).
     PerDim(Vec<usize>),
+}
+
+impl BinChoice {
+    /// The bin count this choice names for each dimension of `ds`.
+    ///
+    /// # Panics
+    /// Panics if [`BinChoice::PerDim`] names another dimensionality.
+    pub(crate) fn resolve(&self, ds: &Dataset) -> Vec<usize> {
+        match self {
+            BinChoice::Auto => {
+                let x = cost::optimal_bins(ds.len(), stats::missing_rate(ds));
+                vec![x; ds.dims()]
+            }
+            BinChoice::Fixed(x) => vec![(*x).max(1); ds.dims()],
+            BinChoice::PerDim(v) => {
+                assert_eq!(v.len(), ds.dims(), "one bin count per dimension");
+                v.clone()
+            }
+        }
+    }
 }
 
 /// Tie handling among candidates sharing the k-th score.
@@ -134,15 +154,14 @@ impl TkdQuery {
             Algorithm::Naive => naive::naive(ds, self.k),
             Algorithm::Esb => esb::esb(ds, self.k),
             Algorithm::Ubb => ubb::ubb(ds, self.k),
-            // One walk reads no memo entry it wrote: the contexts carry
-            // no lane.
+            // One walk sizes no memo lane.
             Algorithm::Big => {
-                let ctx = BigContext::build_lanes(ds, MemoLanes::None);
+                let ctx = BigContext::build(ds);
                 self.walk(ctx.preprocessed().queue(), ctx.scorer())
             }
             Algorithm::Ibig => {
-                let bins = self.resolve_bins(ds);
-                let ctx = IbigContext::build_lanes(ds, &bins, MemoLanes::None);
+                let bins = self.bins.resolve(ds);
+                let ctx = IbigContext::build(ds, &bins);
                 self.walk(ctx.preprocessed().queue(), ctx.scorer())
             }
         };
@@ -153,20 +172,6 @@ impl TkdQuery {
     /// is the sequential walk.
     fn walk(&self, queue: &[(ObjectId, usize)], scorer: Scorer<'_>) -> TkdResult {
         Crew::default().answer_one(self.threads, queue, self.k, &scorer)
-    }
-
-    fn resolve_bins(&self, ds: &Dataset) -> Vec<usize> {
-        match &self.bins {
-            BinChoice::Auto => {
-                let x = cost::optimal_bins(ds.len(), stats::missing_rate(ds));
-                vec![x; ds.dims()]
-            }
-            BinChoice::Fixed(x) => vec![(*x).max(1); ds.dims()],
-            BinChoice::PerDim(v) => {
-                assert_eq!(v.len(), ds.dims(), "one bin count per dimension");
-                v.clone()
-            }
-        }
     }
 }
 
@@ -203,11 +208,12 @@ mod tests {
         }
     }
 
-    /// `TkdQuery::run` walks once, so its contexts carry no memo lane: a
-    /// lane-less context answers as a laned one, entries and whole
-    /// `PruneStats`, and remembers nothing, where the laned one does.
+    /// A context sizes the memo lane its walks read at the second walk:
+    /// one walk — all `TkdQuery::run` takes — remembers nothing, the
+    /// second does, and every walk answers as a fresh context's first,
+    /// entries and whole `PruneStats`.
     #[test]
-    fn lane_less_contexts_answer_as_laned_ones_and_remember_nothing() {
+    fn one_walk_remembers_nothing_the_second_does() {
         let rows: Vec<Vec<Option<f64>>> = (0..400u32)
             .map(|i| {
                 let h = i.wrapping_mul(2_654_435_761);
@@ -222,27 +228,22 @@ mod tests {
         let ds = Dataset::from_rows(4, &rows).expect("valid rows");
         let answer = |r: TkdResult| (r.entries().to_vec(), r.stats);
         for k in [1, 8, 64] {
-            let laned = BigContext::build(&ds);
-            let bare = BigContext::build_lanes(&ds, MemoLanes::None);
-            let want = answer(crate::big::big_with(&laned, k));
-            assert_eq!(answer(crate::big::big_with(&bare, k)), want, "BIG k={k}");
-            let bound = |ctx: &BigContext<'_>, o| ctx.index().max_bit_score_bound(o);
-            assert!(ds.ids().all(|o| bound(&bare, o).is_none()), "BIG k={k}");
-            assert!(ds.ids().any(|o| bound(&laned, o).is_some()), "BIG k={k}");
+            let want = answer(crate::big::big_with(&BigContext::build(&ds), k));
+            let ctx = BigContext::build(&ds);
+            let bound = |o| ctx.index().max_bit_score_bound(o);
+            for second in [false, true] {
+                assert_eq!(answer(crate::big::big_with(&ctx, k)), want, "BIG k={k}");
+                assert_eq!(ds.ids().any(|o| bound(o).is_some()), second, "BIG k={k}");
+            }
 
-            let laned = IbigContext::build(&ds, &[3; 4]);
-            let bare = IbigContext::build_lanes(&ds, &[3; 4], MemoLanes::None);
-            let want = answer(crate::ibig::ibig_with(&laned, k));
-            assert_eq!(answer(crate::ibig::ibig_with(&bare, k)), want, "IBIG k={k}");
-            let bound = |ctx: &IbigContext<'_>, o| ctx.index().member_count_bound(o);
-            assert!(
-                (0..ds.len()).all(|o| bound(&bare, o).is_none()),
-                "IBIG k={k}"
-            );
-            assert!(
-                (0..ds.len()).any(|o| bound(&laned, o).is_some()),
-                "IBIG k={k}"
-            );
+            let want = answer(crate::ibig::ibig_with(&IbigContext::build(&ds, &[3; 4]), k));
+            let ctx = IbigContext::build(&ds, &[3; 4]);
+            let bound = |o| ctx.index().member_count_bound(o);
+            for second in [false, true] {
+                assert_eq!(answer(crate::ibig::ibig_with(&ctx, k)), want, "IBIG k={k}");
+                let remembers = (0..ds.len()).any(|o| bound(o).is_some());
+                assert_eq!(remembers, second, "IBIG k={k}");
+            }
         }
     }
 

@@ -224,6 +224,11 @@ pub(crate) trait Measure: Sync {
     /// The object count a worker's scratch is sized for.
     fn rows(&self) -> usize;
 
+    /// A walk with this scorer starts: [`walk`] tells it once, before the
+    /// first measurement, so a memo lane the scorer reads is sized by the
+    /// walks that read it (the second one sizes it).
+    fn announce(&self) {}
+
     /// Candidate `o`'s counts, at what `need` asks.
     fn measure(&self, o: ObjectId, need: Need, scratch: &mut ScratchSpace) -> Self::Measured;
 
@@ -289,6 +294,7 @@ pub(crate) fn walk<S: Measure>(
     slots: &[AtomicU64],
     scorer: &S,
 ) {
+    scorer.announce();
     match workers {
         [scratch] => walk_with(
             queue,

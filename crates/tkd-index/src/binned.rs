@@ -27,7 +27,7 @@
 //! without being maintained.
 
 use crate::bitmap::{BitmapIndex, ColumnSelection};
-use crate::memo::{BinnedLane, MemoLanes};
+use crate::memo::BinnedLane;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tkd_bitvec::BitVec;
@@ -251,14 +251,12 @@ pub struct BinnedBitmapIndex<'a> {
 
 impl<'a> BinnedBitmapIndex<'a> {
     /// Build the exact index of `ds` and its Eq. 3–4 boundaries with
-    /// `bins_per_dim[i]` bins requested for dimension `i`. The exact
-    /// index carries the binned memo lane only: a walk over this view
-    /// reads no other.
+    /// `bins_per_dim[i]` bins requested for dimension `i`.
     ///
     /// # Panics
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &Dataset, bins_per_dim: &[usize]) -> BinnedBitmapIndex<'static> {
-        let exact = BitmapIndex::build_with_lanes(ds, MemoLanes::Binned);
+        let exact = BitmapIndex::build(ds);
         BinnedBitmapIndex::owned(exact, bins_per_dim)
     }
 
@@ -372,8 +370,9 @@ impl<'a> BinnedBitmapIndex<'a> {
     /// proved — the budget after a prune, the exact count after a keep;
     /// [`BinnedBitmapIndex::record_non_d`] adds the `nonD` once the term
     /// is counted. The lane belongs to the first boundaries that read it:
-    /// through any other, or while the index carries none or in-place
-    /// maintenance left it unreadable, this is the memo-free test.
+    /// through any other, or while no walk has sized it
+    /// ([`BinnedBitmapIndex::announce_walk`]) or in-place maintenance left
+    /// it unreadable, this is the memo-free test.
     #[inline]
     pub fn member_count_above(&self, row: usize, budget: usize) -> Option<MemberCount> {
         let lane = self.lane(true);
@@ -405,11 +404,19 @@ impl<'a> BinnedBitmapIndex<'a> {
         }
     }
 
+    /// A walk that reads [`BinnedBitmapIndex::member_count_above`]
+    /// (IBIG's unscoped walk) starts; call once per walk, before its first
+    /// lookup. The second sizes the index's binned memo lane, every entry
+    /// unknown.
+    pub fn announce_walk(&self) {
+        self.exact.memo().binned.announce(self.exact.n());
+    }
+
     /// The binned memo lane's entry for member row `row` through these
     /// boundaries: an upper bound on its `|∩ᵢ Qᵢ|`, exact when the `nonD`
-    /// beside it is known. `None` while nothing is known, while other
-    /// boundaries own the lane (claiming nothing), and from any in-place
-    /// maintenance until the next refresh.
+    /// beside it is known. `None` while nothing is known or no lane is
+    /// sized, while other boundaries own the lane (claiming nothing), and
+    /// from any in-place maintenance until the next refresh.
     pub fn member_count_bound(&self, row: usize) -> Option<MemberCount> {
         self.lane(false)?.get(row)
     }

@@ -1,7 +1,7 @@
 //! The range-encoded bitmap index of §4.3 (Fig. 6), with in-place dynamic
 //! maintenance (append / tombstone / cell update) for the update layer.
 
-use crate::memo::{Memo, MemoLanes};
+use crate::memo::Memo;
 use crate::pairs::PairTables;
 use crate::sorted_column::{for_each_sorted_column, value_runs};
 use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_counts, RowScope};
@@ -42,11 +42,9 @@ pub struct BitmapIndex {
     pairs: Option<PairTables>,
     /// The measurement memo: per slot, the least bound on the row's
     /// `|∩ᵢ Qᵢ|` the lookups have proven (at its exact picks, and at one
-    /// set of binned picks with its `nonD`), in the lanes the index was
-    /// built with. Sized at build and load, made unreadable by any
-    /// in-place maintenance, sized again by
-    /// [`BitmapIndex::derive_pair_tables`] — absent or exact, like
-    /// `pairs`.
+    /// set of binned picks with its `nonD`), in the lanes walks have
+    /// sized. Unreadable from any in-place op until
+    /// [`BitmapIndex::derive_pair_tables`] — absent or exact, like `pairs`.
     memo: Memo,
     /// Live/tombstone bookkeeping for dynamic maintenance. Static builds
     /// are all-live; [`BitmapIndex::tombstone_row`] kills slots.
@@ -77,20 +75,11 @@ pub struct BitmapIndexBuilder {
     live: Tombstones,
     /// The pair tables' storage, taken before any column is laid down.
     pair_buf: Vec<u32>,
-    /// The measurement memo, sized before any column is laid down too.
-    memo: Memo,
 }
 
 impl BitmapIndexBuilder {
-    /// Start an index with `dims` dimensions over `n` objects, carrying
-    /// every memo lane.
+    /// Start an index with `dims` dimensions over `n` objects.
     pub fn new(dims: usize, n: usize) -> Self {
-        Self::with_lanes(dims, n, MemoLanes::Both)
-    }
-
-    /// [`BitmapIndexBuilder::new`] carrying only the memo lanes of the
-    /// walks its owner serves.
-    pub fn with_lanes(dims: usize, n: usize, lanes: MemoLanes) -> Self {
         BitmapIndexBuilder {
             n,
             dims,
@@ -99,7 +88,6 @@ impl BitmapIndexBuilder {
             val_idx: vec![MISSING; n * dims],
             live: Tombstones::all_live(n),
             pair_buf: PairTables::buffer(dims),
-            memo: Memo::new(n, lanes),
         }
     }
 
@@ -149,8 +137,8 @@ impl BitmapIndexBuilder {
         self.columns.push(cols);
     }
 
-    /// Finish the index (suffix-popcount and pair tables included, the
-    /// memo empty).
+    /// Finish the index (suffix-popcount and pair tables included, no memo
+    /// lane sized).
     ///
     /// # Panics
     /// Panics if fewer than `dims` dimensions were pushed.
@@ -171,22 +159,16 @@ impl BitmapIndexBuilder {
             val_idx: self.val_idx,
             block_suffix,
             pairs,
-            memo: self.memo,
+            memo: Memo::default(),
             live: self.live,
         }
     }
 }
 
 impl BitmapIndex {
-    /// Build the index for `ds`, carrying every memo lane.
+    /// Build the index for `ds`.
     pub fn build(ds: &Dataset) -> Self {
-        Self::build_with_lanes(ds, MemoLanes::Both)
-    }
-
-    /// [`BitmapIndex::build`] carrying only the memo lanes of the walks
-    /// its owner serves.
-    pub fn build_with_lanes(ds: &Dataset, lanes: MemoLanes) -> Self {
-        let mut builder = BitmapIndexBuilder::with_lanes(ds.dims(), ds.len(), lanes);
+        let mut builder = BitmapIndexBuilder::new(ds.dims(), ds.len());
         for_each_sorted_column(ds, |dim, column| builder.push_dim(dim, column));
         builder.finish()
     }
@@ -200,8 +182,7 @@ impl BitmapIndex {
     /// columns laid down by the builder's routine, so the result is
     /// bit-identical to the maintained index the tables and slots were
     /// read from: values without holders keep their columns, dead rows
-    /// their slots. It carries every memo lane (a load serves the dynamic
-    /// engine, which walks both).
+    /// their slots.
     ///
     /// # Errors
     /// A description of the first inconsistency: a dimensionality outside
@@ -262,7 +243,6 @@ impl BitmapIndex {
             val_idx: slots,
             live,
             pair_buf: PairTables::buffer(dims),
-            memo: Memo::new(n, MemoLanes::Both),
         };
         let mut order = vec![0u32; n];
         for (d, (vals, mut at)) in values.into_iter().zip(counts).enumerate() {
@@ -416,8 +396,8 @@ impl BitmapIndex {
     }
 
     /// Derive the pairwise Heuristic 2 tables from the columns, and size
-    /// the memo's lanes with every entry unknown, if any maintenance
-    /// dropped them ([`BitmapIndex::append_row`],
+    /// the memo lanes walks have sized with every entry unknown, if any
+    /// maintenance dropped them ([`BitmapIndex::append_row`],
     /// [`BitmapIndex::tombstone_row`] and [`BitmapIndex::set_cell`] do) —
     /// the dynamic engine's refresh runs it once per batch of ops. A
     /// no-op while they are present. Until then the budgeted scan decides
@@ -475,9 +455,9 @@ impl BitmapIndex {
         self.live.live_count()
     }
 
-    /// Number of tombstoned slots.
-    pub fn dead_count(&self) -> usize {
-        self.live.dead_count()
+    /// The live/tombstone bookkeeping: which slots are live.
+    pub fn tombstones(&self) -> &Tombstones {
+        &self.live
     }
 
     /// Dense live mask (bit per slot), for word-parallel scans over live
@@ -616,14 +596,10 @@ impl BitmapIndex {
         self.p_into_selected(&self.selection_of(o as usize), p);
     }
 
-    /// `MaxBitScore(o) = |Q|` (Heuristic 2).
+    /// `MaxBitScore(o) = |Q|` (Heuristic 2), as a fused multi-way
+    /// AND-popcount over the column words — nothing is materialized and
+    /// nothing is allocated.
     pub fn max_bit_score(&self, o: ObjectId) -> usize {
-        self.max_bit_score_counted(o)
-    }
-
-    /// `MaxBitScore(o)` as a fused multi-way AND-popcount over the column
-    /// words — nothing is materialized and nothing is allocated.
-    pub fn max_bit_score_counted(&self, o: ObjectId) -> usize {
         // o ∈ [Qᵢ] for every i (o[i] ≥ o[i], and the missing slot is
         // all-ones), so |Q| = |∩ᵢ Qᵢ| − 1 without clearing o's bit.
         self.q_count_selected_above(&self.selection_of(o as usize), 0)
@@ -654,11 +630,25 @@ impl BitmapIndex {
         &self.memo
     }
 
+    /// A walk that reads [`BitmapIndex::max_bit_score_above`] (BIG's
+    /// unscoped walk) starts; call once per walk, before its first lookup.
+    /// The second sizes the exact memo lane, every entry unknown.
+    pub fn announce_walk(&self) {
+        self.memo.exact.announce(self.n);
+    }
+
+    /// The bytes the memo lanes hold: 4 per slot for the exact lane and 8
+    /// for the binned one once walks have sized them, 0 while none is
+    /// sized or in-place maintenance has left them unreadable.
+    pub fn memo_bytes(&self) -> usize {
+        size_of_val(self.memo.exact.entries()) + size_of_val(self.memo.binned.entries())
+    }
+
     /// The exact memo lane's bound on `MaxBitScore(o)`: what
     /// [`BitmapIndex::max_bit_score_above`] has proven about `o` since the
-    /// index was built, loaded or last refreshed
-    /// ([`BitmapIndex::derive_pair_tables`]). `None` while nothing is
-    /// known — and from any in-place maintenance until the next refresh.
+    /// lane was sized or last refreshed. `None` while nothing is known or
+    /// no lane is sized, and from any in-place op until the next refresh
+    /// ([`BitmapIndex::derive_pair_tables`]).
     pub fn max_bit_score_bound(&self, o: ObjectId) -> Option<usize> {
         self.memo
             .exact_bound(o as usize)
@@ -1167,7 +1157,7 @@ mod tests {
             assert_eq!(p, oracle_p(o), "p_into object {o}");
             assert_eq!(q, idx.q_vec(o), "q_vec routes through q_into");
             assert_eq!(
-                idx.max_bit_score_counted(o),
+                idx.max_bit_score(o),
                 oracle_q(o).count_ones(),
                 "counted MaxBitScore of object {o}"
             );
@@ -1649,7 +1639,10 @@ mod tests {
             let live_rows: Vec<Vec<Option<f64>>> = rows.iter().flatten().cloned().collect();
             let oracle = BitmapIndex::build(&Dataset::from_rows(dims, &live_rows).unwrap());
             assert_eq!(dyn_idx.live_count(), live_rows.len());
-            assert_eq!(dyn_idx.n() - dyn_idx.dead_count(), live_rows.len());
+            assert_eq!(
+                dyn_idx.n() - dyn_idx.tombstones().dead_count(),
+                live_rows.len()
+            );
             let mut q = BitVec::zeros(dyn_idx.n());
             let mut p = BitVec::zeros(dyn_idx.n());
             let mut oq = BitVec::zeros(oracle.n());
@@ -1680,8 +1673,8 @@ mod tests {
             let mut live_i = 0;
             for (slot, row) in rows.iter().enumerate() {
                 let Some(_) = row else { continue };
-                let mbs = dyn_idx.max_bit_score_counted(slot as ObjectId);
-                let ombs = oracle.max_bit_score_counted(live_i as ObjectId);
+                let mbs = dyn_idx.max_bit_score(slot as ObjectId);
+                let ombs = oracle.max_bit_score(live_i as ObjectId);
                 assert_eq!(mbs, ombs, "MaxBitScore at step {step} slot {slot}");
                 for tau in [0, mbs.saturating_sub(1), mbs, mbs + 1] {
                     assert_eq!(
@@ -1751,8 +1744,8 @@ mod tests {
         let derived = BitmapIndex::from_slots(values, slots, live).unwrap();
         assert_same_index(&derived, &idx, "fig. 3");
         for o in (0..idx.n() as ObjectId).filter(|&o| idx.live_mask().get(o as usize)) {
-            let mbs = idx.max_bit_score_counted(o);
-            assert_eq!(derived.max_bit_score_counted(o), mbs);
+            let mbs = idx.max_bit_score(o);
+            assert_eq!(derived.max_bit_score(o), mbs);
             for tau in [0, mbs.saturating_sub(1), mbs] {
                 assert_eq!(
                     derived.max_bit_score_above(o, tau),
@@ -1832,17 +1825,17 @@ mod tests {
         assert_eq!((a, b), (0, 1));
         assert_eq!(idx.live_count(), 2);
         // 2.0 ≥-dominates: MaxBitScore(a) counts b, not vice versa.
-        assert_eq!(idx.max_bit_score_counted(0), 1);
-        assert_eq!(idx.max_bit_score_counted(1), 0);
+        assert_eq!(idx.max_bit_score(0), 1);
+        assert_eq!(idx.max_bit_score(1), 0);
         assert!(idx.tombstone_row(0));
         assert!(idx.tombstone_row(1));
         assert_eq!(idx.live_count(), 0);
-        assert_eq!(idx.dead_count(), 2);
+        assert_eq!(idx.tombstones().dead_count(), 2);
         // Rebirth by appending again into the tombstone-saturated index.
         let c = idx.append_row(|_| Some(3.0));
         assert_eq!(c, 2);
         assert_eq!(idx.live_count(), 1);
-        assert_eq!(idx.max_bit_score_counted(2), 0);
+        assert_eq!(idx.max_bit_score(2), 0);
     }
 
     #[test]

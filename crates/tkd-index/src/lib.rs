@@ -51,12 +51,14 @@
 //! ([`BitmapIndex::max_bit_score_above`]); IBIG's holds it at the row's
 //! binned picks beside the row's `nonD` once it has been scored, so a
 //! revisited survivor's whole measurement is one load too
-//! ([`BinnedBitmapIndex::member_count_above`]). An index carries the
-//! lanes its owner walks ([`MemoLanes`]); they are sized at build and
-//! load, unreadable from any in-place op until
-//! [`BitmapIndex::derive_pair_tables`], and never persisted. The scoring
-//! term of both splits `Q − P` in one fused pass of AND-NOTs over the
-//! same columns, [`BitmapIndex::residue_counts`].
+//! ([`BinnedBitmapIndex::member_count_above`]). Lanes are sized by the
+//! walks that read them: every walk announces itself to its lane
+//! ([`BitmapIndex::announce_walk`], [`BinnedBitmapIndex::announce_walk`])
+//! and the second sizes it, so a build or load holds none and an index
+//! walked once none either. A sized lane is unreadable from any in-place
+//! op until [`BitmapIndex::derive_pair_tables`], and never persisted.
+//! The scoring term of both splits `Q − P` in one fused pass of AND-NOTs
+//! over the same columns, [`BitmapIndex::residue_counts`].
 
 #![warn(missing_docs)]
 
@@ -74,7 +76,6 @@ pub use binned::{compute_bins, BinBoundaries, BinnedBitmapIndex, MemberCount};
 pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
 pub use key::F64Key;
-pub use memo::MemoLanes;
 pub use pairs::PairTables;
 pub use sorted_column::for_each_sorted_column;
 pub use suffix::RowScope;

@@ -31,15 +31,19 @@
 //! lane, and a reader that sees its own stamp reads self-contained
 //! entries, whichever of them it sees.
 //!
-//! Like the pair tables the memo is absent or exact: a build or load
-//! sizes the lanes its owner walks ([`MemoLanes`]) with every entry
-//! unknown, any in-place maintenance of the index makes both unreadable
-//! (one row's new bits move every other row's count), and
-//! [`crate::BitmapIndex::derive_pair_tables`] sizes them again, unclaimed.
-//! It is never persisted.
+//! Like the pair tables the memo is absent or exact. The walks size it,
+//! not a build, load or clone: each walk announces itself to the lane it
+//! reads ([`crate::BitmapIndex::announce_walk`],
+//! [`crate::BinnedBitmapIndex::announce_walk`]), and the second sizes it
+//! with every entry unknown — one walk never revisits a row. Any
+//! in-place maintenance of the index makes both lanes unreadable (one
+//! row's new bits move every other row's count), and
+//! [`crate::BitmapIndex::derive_pair_tables`] sizes them again,
+//! unclaimed, in their allocations. It is never persisted.
 
 use crate::binned::MemberCount;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// An exact-lane entry no lookup has bounded yet, and the binned lane's
 /// "unknown" half.
@@ -51,84 +55,37 @@ const UNKNOWN_ENTRY: u64 = u64::MAX;
 /// The owner of a binned lane no boundaries have read yet.
 const UNCLAIMED: u64 = 0;
 
-/// Which walks an exact index remembers its measurements for — the memo
-/// lanes it carries (see the module docs). A lane a walk never reads
-/// costs its bytes per slot and nothing else, so each owner sizes only
-/// its own: a BIG context the exact lane, an IBIG context the binned one,
-/// an engine serving both every lane, and a one-shot query none.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemoLanes {
-    /// No lane: one walk visits each row once and would never read one.
-    None,
-    /// BIG's lane: bounds at each row's own exact picks.
-    Exact,
-    /// IBIG's lane: bounds and `nonD` at each row's binned picks.
-    Binned,
-    /// Both lanes.
-    Both,
-}
-
-impl MemoLanes {
-    fn exact(self) -> bool {
-        matches!(self, MemoLanes::Exact | MemoLanes::Both)
-    }
-
-    fn binned(self) -> bool {
-        matches!(self, MemoLanes::Binned | MemoLanes::Both)
-    }
-}
-
-/// The lanes an index carries, each one entry per slot or none at all
-/// while unreadable.
-#[derive(Debug)]
+/// The lanes an index carries, each sized by the walks that read it.
+#[derive(Debug, Default)]
 pub(crate) struct Memo {
-    lanes: MemoLanes,
-    exact: Vec<AtomicU32>,
-    binned: Vec<AtomicU64>,
-    /// The stamp of the boundaries the binned lane belongs to.
+    pub(crate) exact: Lane<AtomicU32>,
+    pub(crate) binned: Lane<AtomicU64>,
+    /// The stamp of the boundaries the binned lane belongs to
+    /// ([`UNCLAIMED`] by default).
     owner: AtomicU64,
 }
 
 impl Memo {
-    /// `lanes` sized over `n` slots, every entry unknown.
-    pub(crate) fn new(n: usize, lanes: MemoLanes) -> Self {
-        let mut memo = Memo {
-            lanes,
-            exact: Vec::new(),
-            binned: Vec::new(),
-            owner: AtomicU64::new(UNCLAIMED),
-        };
-        memo.refresh(n);
-        memo
-    }
-
     /// Forget every entry: both lanes read as unknown everywhere until
-    /// [`Memo::refresh`]. Keeps the allocations.
+    /// [`Memo::refresh`], and the binned lane is unclaimed. Keeps the
+    /// allocations.
     pub(crate) fn clear(&mut self) {
-        self.exact.clear();
-        self.binned.clear();
+        self.refresh(0);
+        *self.owner.get_mut() = UNCLAIMED;
     }
 
-    /// Size every carried lane that is unreadable over `n` slots, every
-    /// entry unknown and the binned lane unclaimed. Readable lanes keep
-    /// their entries.
+    /// Size every lane walks have sized that is unreadable over `n`
+    /// slots, every entry unknown. Readable lanes keep their entries.
     pub(crate) fn refresh(&mut self, n: usize) {
-        if self.lanes.exact() && self.exact.len() != n {
-            self.exact.clear();
-            self.exact.resize_with(n, || AtomicU32::new(UNKNOWN));
-        }
-        if self.lanes.binned() && self.binned.len() != n {
-            self.binned.clear();
-            self.binned.resize_with(n, || AtomicU64::new(UNKNOWN_ENTRY));
-            *self.owner.get_mut() = UNCLAIMED;
-        }
+        self.exact.resize(n);
+        self.binned.resize(n);
     }
 
     /// The exact-lane bound stored for `row`, `None` while unknown or
     /// unreadable.
     #[inline]
     pub(crate) fn exact_bound(&self, row: usize) -> Option<usize> {
-        let bound = self.exact.get(row)?.load(Ordering::Relaxed);
+        let bound = self.exact.entries().get(row)?.load(Ordering::Relaxed);
         (bound != UNKNOWN).then_some(bound as usize)
     }
 
@@ -136,7 +93,7 @@ impl Memo {
     /// no-op while unreadable; bounds past `u32` are not worth keeping.
     #[inline]
     pub(crate) fn record_exact(&self, row: usize, bound: usize) {
-        if let (Some(entry), Ok(bound)) = (self.exact.get(row), u32::try_from(bound)) {
+        if let (Some(entry), Ok(bound)) = (self.exact.entries().get(row), u32::try_from(bound)) {
             entry.fetch_min(bound, Ordering::Relaxed);
         }
     }
@@ -146,34 +103,97 @@ impl Memo {
     /// unclaimed lane becomes theirs.
     #[inline]
     pub(crate) fn binned_lane(&self, stamp: u64, claim: bool) -> Option<BinnedLane<'_>> {
-        if self.binned.is_empty() {
+        let entries = self.binned.entries();
+        if entries.is_empty() {
             return None;
         }
-        let mut owner = self.owner.load(Ordering::Relaxed);
-        if owner == UNCLAIMED && claim {
-            owner = match self.owner.compare_exchange(
-                UNCLAIMED,
-                stamp,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => stamp,
-                Err(other) => other,
-            };
+        let owner = match self.owner.load(Ordering::Relaxed) {
+            UNCLAIMED if claim => self
+                .owner
+                .compare_exchange(UNCLAIMED, stamp, Ordering::Relaxed, Ordering::Relaxed)
+                .map_or_else(|other| other, |_| stamp),
+            owner => owner,
+        };
+        (owner == stamp).then_some(BinnedLane(entries))
+    }
+}
+
+/// One memo entry: an atomic word, `unknown` until a lookup bounds it,
+/// and its `copy` for a clone of the index.
+pub(crate) trait Entry: Sized {
+    fn unknown() -> Self;
+    fn copy(&self) -> Self;
+}
+
+impl Entry for AtomicU32 {
+    fn unknown() -> Self {
+        AtomicU32::new(UNKNOWN)
+    }
+    fn copy(&self) -> Self {
+        AtomicU32::new(self.load(Ordering::Relaxed))
+    }
+}
+
+impl Entry for AtomicU64 {
+    fn unknown() -> Self {
+        AtomicU64::new(UNKNOWN_ENTRY)
+    }
+    fn copy(&self) -> Self {
+        AtomicU64::new(self.load(Ordering::Relaxed))
+    }
+}
+
+/// One lane: unsized until the second walk that reads it, then one entry
+/// per slot, or none while in-place maintenance leaves it unreadable.
+#[derive(Debug, Default)]
+pub(crate) struct Lane<E> {
+    /// A walk that reads the lane has started.
+    walked: AtomicBool,
+    entries: OnceLock<Vec<E>>,
+}
+
+impl<E: Entry> Lane<E> {
+    /// The entries, empty while unsized or unreadable.
+    #[inline]
+    pub(crate) fn entries(&self) -> &[E] {
+        self.entries.get().map_or(&[], Vec::as_slice)
+    }
+
+    /// A walk that reads the lane starts: the second sizes it over `n`
+    /// slots, every entry unknown.
+    pub(crate) fn announce(&self, n: usize) {
+        if self.entries.get().is_none() && self.walked.swap(true, Ordering::Relaxed) {
+            self.entries
+                .get_or_init(|| (0..n).map(|_| E::unknown()).collect());
         }
-        (owner == stamp).then_some(BinnedLane(&self.binned))
+    }
+
+    /// Size a lane walks have sized over `n` slots, every entry unknown,
+    /// unless it holds `n` entries already.
+    fn resize(&mut self, n: usize) {
+        if let Some(entries) = self.entries.get_mut().filter(|e| e.len() != n) {
+            entries.clear();
+            entries.resize_with(n, E::unknown);
+        }
+    }
+}
+
+impl<E: Entry> Clone for Lane<E> {
+    fn clone(&self) -> Self {
+        let copy = |sized: &Vec<E>| OnceLock::from(sized.iter().map(E::copy).collect::<Vec<_>>());
+        Lane {
+            walked: AtomicBool::new(self.walked.load(Ordering::Relaxed)),
+            entries: self.entries.get().map_or_else(OnceLock::new, copy),
+        }
     }
 }
 
 impl Clone for Memo {
-    /// The same entries and owner: they hold for a clone of the index too.
+    /// The same lanes and owner: they hold for a clone of the index too.
     fn clone(&self) -> Self {
-        let exact = self.exact.iter().map(|b| b.load(Ordering::Relaxed));
-        let binned = self.binned.iter().map(|b| b.load(Ordering::Relaxed));
         Memo {
-            lanes: self.lanes,
-            exact: exact.map(AtomicU32::new).collect(),
-            binned: binned.map(AtomicU64::new).collect(),
+            exact: self.exact.clone(),
+            binned: self.binned.clone(),
             owner: AtomicU64::new(self.owner.load(Ordering::Relaxed)),
         }
     }

@@ -22,11 +22,14 @@
 //! (`from_slots`), and along seeded op streams — inserts, deletes,
 //! observedness flips, cell rewrites and compactions — where every
 //! in-place op must make the lane unreadable until `derive_pair_tables`.
+//! A lane is sized by the walks that read it, at the second one, so each
+//! build, load and reload here is armed with two announced walks first;
+//! `lanes_follow_the_walks` holds that rule itself.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use tkd_bitvec::{BitVec, Tombstones};
-use tkd_index::{BinBoundaries, BinnedBitmapIndex, BitmapIndex, MemberCount, MemoLanes};
+use tkd_index::{BinBoundaries, BinnedBitmapIndex, BitmapIndex, MemberCount};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
 type Row = Vec<Option<f64>>;
@@ -56,6 +59,28 @@ fn mix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Two announced BIG walks over `idx`: the second sizes the exact lane.
+fn arm_exact(idx: &BitmapIndex) {
+    idx.announce_walk();
+    idx.announce_walk();
+}
+
+/// Two announced IBIG walks through `view`: the second sizes the binned
+/// lane.
+fn arm_binned(view: &BinnedBitmapIndex<'_>) {
+    view.announce_walk();
+    view.announce_walk();
+}
+
+/// Two announced walks of the algorithm that reads `lane` over `idx`
+/// (through `bins` for the binned lane).
+fn arm(lane: Lane, idx: &BitmapIndex, bins: &BinBoundaries) {
+    match lane {
+        Lane::Exact => arm_exact(idx),
+        Lane::Binned => arm_binned(&BinnedBitmapIndex::new(idx, bins)),
+    }
 }
 
 /// The live slots of `idx`.
@@ -171,6 +196,7 @@ fn run_stream(
     let mut state = seed;
     let mut idx = BitmapIndex::build(&Dataset::from_rows(dims, &rows).unwrap());
     let mut bins = BinBoundaries::build(&idx, &vec![3; dims]);
+    arm(lane, &idx, &bins);
     let mut mirror: Mirror = rows.into_iter().map(Some).collect();
     let mut readable = true;
     for step in 0..len {
@@ -213,6 +239,7 @@ fn run_stream(
                 let kept: Rows = mirror.iter().flatten().cloned().collect();
                 idx = BitmapIndex::build(&Dataset::from_rows(dims, &kept).unwrap());
                 bins = BinBoundaries::build(&idx, &vec![3; dims]);
+                arm(lane, &idx, &bins);
                 mirror = kept.into_iter().map(Some).collect();
                 assert_lane_unknown(lane, &idx, &bins, &format!("compaction at {ctx}"))?;
                 readable = true;
@@ -239,6 +266,7 @@ fn run_stream(
     drive(lane, &idx, &bins, &mirror, &mut state, "stream end", true)?;
     let loaded = reload(&idx);
     let loaded_bins = reload_bins(&loaded, &bins);
+    arm(lane, &loaded, &loaded_bins);
     assert_lane_unknown(lane, &loaded, &loaded_bins, "load at stream end")?;
     drive(
         lane,
@@ -306,6 +334,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let idx = BitmapIndex::build(&Dataset::from_rows(dims, &rows).unwrap());
+        arm_exact(&idx);
         let mut state = seed;
         assert_unknown(&idx, "build")?;
         exercise(&idx, &mut state, "build")?;
@@ -315,6 +344,7 @@ proptest! {
             prop_assert_eq!(clone.max_bit_score_bound(o), idx.max_bit_score_bound(o));
         }
         let loaded = reload(&idx);
+        arm_exact(&loaded);
         assert_unknown(&loaded, "load")?;
         exercise(&loaded, &mut state, "load")?;
     }
@@ -342,6 +372,7 @@ proptest! {
         let ds = Dataset::from_rows(dims, &rows).unwrap();
         let mirror: Mirror = rows.into_iter().map(Some).collect();
         let view = BinnedBitmapIndex::build(&ds, &vec![bins; dims]);
+        arm_binned(&view);
         let mut state = seed;
         assert_binned_unknown(&view, "build")?;
         exercise_binned(&view, &mirror, &mut state, "build", true)?;
@@ -352,6 +383,7 @@ proptest! {
         let loaded = reload(view.exact());
         let loaded_bins = reload_bins(&loaded, view.boundaries());
         let loaded = BinnedBitmapIndex::new(&loaded, &loaded_bins);
+        arm_binned(&loaded);
         assert_binned_unknown(&loaded, "load")?;
         exercise_binned(&loaded, &mirror, &mut state, "load", true)?;
     }
@@ -390,6 +422,7 @@ fn revisits_are_the_memos_to_decide() {
         })
         .collect();
     let idx = BitmapIndex::build(&Dataset::from_rows(dims, &rows).unwrap());
+    arm_exact(&idx);
     let mut scores: Vec<usize> = (0..idx.n())
         .map(|o| idx.max_bit_score(o as ObjectId))
         .collect();
@@ -606,6 +639,7 @@ fn other_boundaries_never_read_the_lane() {
     assert_eq!(twin, owner, "equality ignores the stamp");
     let mut state = 9;
     let view = BinnedBitmapIndex::new(&idx, &owner);
+    arm_binned(&view);
     exercise_binned(&view, &mirror, &mut state, "owner", true).unwrap();
     let filled: Vec<Option<MemberCount>> = live_rows(&idx)
         .into_iter()
@@ -654,35 +688,52 @@ fn other_boundaries_never_read_the_lane() {
         .any(|o| view.member_count_bound(o).is_some()));
 }
 
-/// An index carries only the lanes it was built with: a BIG-only index
-/// keeps no binned entry and an IBIG-only one no exact bound, before and
-/// after a refresh, while both still answer exactly.
+/// An index holds the lanes its walks have sized and no other: built or
+/// walked once it holds none; after two BIG walks only the exact lane (4
+/// bytes per slot), after two IBIG walks only the binned one (8), after
+/// both both — before and after a refresh, while every lookup still
+/// answers exactly.
 #[test]
-fn lanes_follow_the_owner() {
+fn lanes_follow_the_walks() {
     let rows = grid_rows(6);
     let ds = Dataset::from_rows(4, &rows).unwrap();
     let mirror: Mirror = rows.iter().cloned().map(Some).collect();
-    for lanes in [MemoLanes::Exact, MemoLanes::Binned, MemoLanes::Both] {
-        let mut idx = BitmapIndex::build_with_lanes(&ds, lanes);
+    for (big, ibig) in [(true, false), (false, true), (true, true)] {
+        let mut idx = BitmapIndex::build(&ds);
+        let ctx = format!("BIG walks {big}, IBIG walks {ibig}");
         for refreshed in [false, true] {
             if refreshed {
                 idx.tombstone_row(0);
+                assert_eq!(idx.memo_bytes(), 0, "{ctx}: unreadable after an op");
                 idx.derive_pair_tables();
             }
             let bins = BinBoundaries::build(&idx, &[3; 4]);
             let view = BinnedBitmapIndex::new(&idx, &bins);
+            if !refreshed {
+                for walk in 0..2 {
+                    assert_eq!(idx.memo_bytes(), 0, "{ctx}: after {walk} walks");
+                    if big {
+                        idx.announce_walk();
+                    }
+                    if ibig {
+                        view.announce_walk();
+                    }
+                }
+            }
+            let n = idx.n();
+            let want = usize::from(big) * 4 * n + usize::from(ibig) * 8 * n;
+            assert_eq!(idx.memo_bytes(), want, "{ctx}, refreshed {refreshed}");
             let mut mirror = mirror.clone();
             if refreshed {
                 mirror[0] = None;
             }
             let mut state = 3;
-            let binned = !matches!(lanes, MemoLanes::Exact);
-            exercise_binned(&view, &mirror, &mut state, "lanes", binned).unwrap();
+            exercise_binned(&view, &mirror, &mut state, "lanes", ibig).unwrap();
             for o in live_rows(&idx) {
                 let tau = idx.max_bit_score(o as ObjectId);
                 assert_eq!(idx.max_bit_score_above(o as ObjectId, tau), None);
                 let kept = idx.max_bit_score_bound(o as ObjectId).is_some();
-                assert_eq!(kept, lanes != MemoLanes::Binned, "{lanes:?} row {o}");
+                assert_eq!(kept, big, "{ctx}, row {o}");
             }
         }
     }
