@@ -130,7 +130,7 @@ impl<'a> BigContext<'a> {
 
     /// BIG-Score against this context's index.
     pub(crate) fn scorer(&self) -> Scorer<'_> {
-        Scorer::new(self.ds, &self.pre, None, Columns::Big(&self.index))
+        Scorer::new(self.ds.masks(), &self.pre, None, Columns::Big(&self.index))
     }
 }
 
@@ -187,9 +187,10 @@ pub(crate) struct Candidate {
 }
 
 impl Candidate {
-    /// Member `o` of `ds`, with its incomparable count from `pre`.
-    pub(crate) fn member(ds: &Dataset, pre: &Preprocessed, o: ObjectId) -> Self {
-        let mask = ds.mask(o);
+    /// Member `o` of the rows whose masks are `masks`, with its
+    /// incomparable count from `pre`.
+    pub(crate) fn member(masks: &[DimMask], pre: &Preprocessed, o: ObjectId) -> Self {
+        let mask = masks[o as usize];
         Candidate {
             mask,
             member: Some(o as usize),
@@ -251,7 +252,7 @@ impl Term {
 /// Allocation-free.
 #[inline]
 pub(crate) fn big_measure(
-    ds: &Dataset,
+    masks: &[DimMask],
     index: &BitmapIndex,
     pre: &Preprocessed,
     scope: Option<&Scope>,
@@ -287,12 +288,17 @@ pub(crate) fn big_measure(
     }
     scratch.sel = select();
     let cand = match scope {
-        Some(s) => s.candidate(ds, o),
-        None => Candidate::member(ds, pre, o),
+        Some(s) => s.candidate(masks, o),
+        None => Candidate::member(masks, pre, o),
     };
     scratch.bin_sel = scratch.sel;
     let term = term_counts(index, &cand, rows, scratch);
     debug_assert!(q.is_none_or(|q| q == term.count()), "scan and term agree");
+    // The count is exact whether or not Heuristic 2 ran — before τ forms
+    // it does not — so the memo keeps it either way.
+    if scope.is_none() {
+        index.record_count(o, term.count());
+    }
     Some(term)
 }
 

@@ -3,9 +3,14 @@
 //! Top-k Dominating Queries* brought to the incomplete-data setting of
 //! Miao et al. (ICDE 2016).
 //!
-//! [`DynamicEngine`] **owns** its dataset and maintains every
+//! [`DynamicEngine`] **owns** its rows and maintains every
 //! query-acceleration artifact in place instead of rebuilding it per
-//! change:
+//! change. The rows are kept once, as the exact index's value slots: a
+//! cell's value is its slot's entry in its dimension's value table, so
+//! beside the index the engine holds only each row's observation mask,
+//! its label, and the cells holding −0.0 (a table holds a zero as +0.0).
+//! A value, a label, a [`DynamicEngine::snapshot`] or the stored parts
+//! are materialized from those on demand. It maintains:
 //!
 //! * the range-encoded [`BitmapIndex`] — columns grow by appended bits,
 //!   deletes clear tombstone bits (suffix-popcount tables repaired
@@ -256,11 +261,14 @@ pub struct BatchReport {
 /// Borrowed view of a [`DynamicEngine`]'s state — what the snapshot
 /// *writer* consumes ([`DynamicEngine::store_parts_ref`]). It lends the
 /// maintained artifacts; the writer reads the stored form of
-/// [`DynamicParts`], the owned currency of the *load* path, off them.
+/// [`DynamicParts`], the owned currency of the *load* path, off them —
+/// the rows' value tables and slot table straight off the index.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicPartsRef<'a> {
-    /// All slots since the last compaction, tombstoned rows included.
-    pub ds: &'a Dataset,
+    /// The cells holding −0.0, as `slot · dims + dim`, ascending.
+    pub neg_zeros: &'a [usize],
+    /// Slot → label, when the rows are labeled.
+    pub labels: Option<&'a [String]>,
     /// Slot → stable id (strictly increasing).
     pub stable_of: &'a [ObjectId],
     /// Next stable id to hand out.
@@ -282,20 +290,24 @@ pub struct DynamicPartsRef<'a> {
 /// The persisted logical state of a [`DynamicEngine`] — everything
 /// [`DynamicEngine::from_store_parts`] needs to resume bit-identically,
 /// and nothing derivable: the exact index is derived from the value
-/// tables, slots and live mask, the count per observation mask from the
-/// live rows, and the `MaxScore` queue and the scratch space are
-/// recomputed as well.
+/// tables, slots and live mask, each row's mask from its slots, the count
+/// per observation mask from the live rows, and the `MaxScore` queue and
+/// the scratch space are recomputed as well. The rows — all slots since
+/// the last compaction, tombstoned ones included — are `values`, `slots`,
+/// `neg_zeros` and `labels`.
 #[derive(Clone, Debug)]
 pub struct DynamicParts {
-    /// All slots since the last compaction, tombstoned rows included.
-    /// Its cells must be the values `values` and `slots` name, up to the
-    /// sign of a zero — the snapshot decoder builds both in one pass.
-    pub ds: Dataset,
     /// Per dimension, the exact index's sorted value table, values left
     /// without holders by cell updates included.
     pub values: Vec<Vec<f64>>,
     /// Row-major `n × dims` 1-based slots into `values`, `0` = missing.
     pub slots: Vec<u32>,
+    /// The cells holding −0.0, as `slot · dims + dim`, ascending; each is
+    /// an observed cell whose table entry is +0.0.
+    pub neg_zeros: Vec<usize>,
+    /// Slot → label, when the rows are labeled (unlabeled rows of a
+    /// labeled engine hold the empty string).
+    pub labels: Option<Vec<String>>,
     /// One bit per slot: set while the slot is live.
     pub live: BitVec,
     /// Slot → stable id (strictly increasing).
@@ -337,9 +349,17 @@ pub struct DynamicParts {
 /// ```
 pub struct DynamicEngine {
     dims: usize,
-    /// All slots ever inserted since the last compaction, tombstones
-    /// included (their rows keep their values until compaction).
-    ds: Dataset,
+    /// Slot → observation mask, for every slot since the last compaction,
+    /// tombstones included (their rows keep their cells until
+    /// compaction) — all the scorers and the batch check read of a row.
+    /// Its values are its slots in `index`.
+    masks: Vec<DimMask>,
+    /// Slot → label, once any row is labeled (unlabeled rows hold the
+    /// empty string, as a labeled [`Dataset`]'s do).
+    labels: Option<Vec<String>>,
+    /// The cells holding −0.0, as `slot · dims + dim`, ascending: the
+    /// index keeps a zero as +0.0, so the sign is kept here.
+    neg_zeros: Vec<usize>,
     /// Slot → stable id (strictly increasing, so slot order and stable-id
     /// order agree — the tie-order invariant — and an id's slot is a
     /// binary search away).
@@ -391,7 +411,9 @@ impl DynamicEngine {
         let index = BitmapIndex::build(&Dataset::from_rows(dims, &[]).expect("valid dims"));
         let mut engine = DynamicEngine {
             dims,
-            ds,
+            masks: Vec::new(),
+            labels: None,
+            neg_zeros: Vec::new(),
             stable_of: (0..n as ObjectId).collect(),
             next_id: n as ObjectId,
             boundaries: BinBoundaries::build(&index, &vec![1; dims]),
@@ -408,7 +430,7 @@ impl DynamicEngine {
             stats: UpdateStats::default(),
             standing: StandingState::default(),
         };
-        engine.rebuild_artifacts();
+        engine.adopt(ds);
         engine
     }
 
@@ -464,13 +486,13 @@ impl DynamicEngine {
             }
             .into());
         }
-        Ok(self.ds.value(slot as ObjectId, dim))
+        Ok(self.cell(slot, dim))
     }
 
     /// Label of live object `id`, if any.
     pub fn label(&self, id: ObjectId) -> Result<Option<&str>, UpdateError> {
         let slot = self.slot(id)?;
-        Ok(self.ds.label(slot as ObjectId))
+        Ok(self.labels.as_ref().map(|ls| ls[slot].as_str()))
     }
 
     /// Stable ids of the live objects, in insertion order.
@@ -482,8 +504,8 @@ impl DynamicEngine {
     /// corresponds to `live_ids()[i]`) — what a rebuild-from-scratch
     /// oracle would operate on.
     pub fn snapshot(&self) -> Dataset {
-        let slots: Vec<ObjectId> = self.live().iter_live().map(|s| s as ObjectId).collect();
-        self.ds.select(&slots)
+        let slots: Vec<usize> = self.live().iter_live().collect();
+        self.rows(&slots)
     }
 
     // ----- updates --------------------------------------------------------
@@ -515,15 +537,27 @@ impl DynamicEngine {
         label: Option<String>,
     ) -> Result<ObjectId, UpdateError> {
         // Validated before any artifact is touched: inserts are atomic.
-        let mask = tkd_model::validate_row(self.dims, row, self.ds.len())?;
-        // 1. Indexes, storage and the mask counts grow by one row.
+        let slot = self.masks.len();
+        let mask = tkd_model::validate_row(self.dims, row, slot)?;
+        // 1. The index (which holds the values), the row's mask, label and
+        // signs, and the mask counts grow by one row.
         self.index.append_row(|d| row[d]);
         self.boundaries.sync(&self.index);
+        self.masks.push(mask);
         match label {
-            Some(l) => self.ds.push_row_labeled(l, row),
-            None => self.ds.push_row(row),
+            Some(l) => self
+                .labels
+                .get_or_insert_with(|| vec![String::new(); slot])
+                .push(l),
+            None => {
+                if let Some(labels) = &mut self.labels {
+                    labels.push(String::new());
+                }
+            }
         }
-        .expect("row already validated");
+        let base = slot * self.dims;
+        let zeros = (row.iter().enumerate()).filter(|&(_, &v)| v.is_some_and(is_neg_zero));
+        self.neg_zeros.extend(zeros.map(|(d, _)| base + d));
         self.standing.on_structural();
         self.pre.masks.add(mask);
         // 2. Stable identity.
@@ -545,7 +579,7 @@ impl DynamicEngine {
         let slot = self.slot(id)?;
         self.standing.on_structural();
         self.index.tombstone_row(slot);
-        self.pre.masks.remove(self.ds.mask(slot as ObjectId));
+        self.pre.masks.remove(self.masks[slot]);
         self.queue_dirty = true;
         self.stats.deletes += 1;
         self.maybe_compact();
@@ -567,29 +601,22 @@ impl DynamicEngine {
         new: Option<f64>,
     ) -> Result<(), UpdateError> {
         let slot = self.slot(id)?;
-        let mut mask = self.ds.mask(slot as ObjectId);
+        let mut mask = self.masks[slot];
         check_cell(self.dims, slot, mask, dim, new)?;
-        let old = self.ds.value(slot as ObjectId, dim);
+        let old = self.cell(slot, dim);
         self.stats.cell_updates += 1;
+        self.set_sign(slot, dim, new);
         match (old, new) {
             (None, None) => return Ok(()),
             // IEEE-equal rewrite (covers −0.0 ↔ 0.0): every index artifact
             // treats the two identically (value tables dedup with `==`,
-            // `F64Key` normalizes signed zero), so only storage changes.
-            (Some(a), Some(b)) if a == b => {
-                self.ds
-                    .set_value(slot as ObjectId, dim, new)
-                    .expect("validated");
-                return Ok(());
-            }
+            // `F64Key` normalizes signed zero), so only the sign changes.
+            (Some(a), Some(b)) if a == b => return Ok(()),
             _ => {}
         }
         self.standing.on_set(dim);
         self.index.set_cell(slot, dim, new);
         self.boundaries.sync(&self.index);
-        self.ds
-            .set_value(slot as ObjectId, dim, new)
-            .expect("validated above");
         // An observedness flip moves the row to another mask's count.
         if old.is_some() != new.is_some() {
             self.pre.masks.remove(mask);
@@ -598,6 +625,7 @@ impl DynamicEngine {
                 None => mask.unset(dim),
             }
             self.pre.masks.add(mask);
+            self.masks[slot] = mask;
         }
         self.queue_dirty = true;
         Ok(())
@@ -695,8 +723,24 @@ impl DynamicEngine {
     /// at which applying the ops one by one would have stopped. An
     /// accepted batch runs its ops front to back, then window age-out,
     /// then standing-query maintenance: one [`Notification`] per
-    /// registered standing query, empty deltas included.
+    /// registered standing query, empty deltas included. It is
+    /// [`DynamicEngine::apply_batch`] followed, for an accepted batch, by
+    /// [`DynamicEngine::maintain_standing`].
     pub fn apply_ops(&mut self, ops: &[UpdateOp]) -> BatchReport {
+        let mut report = self.apply_batch(ops);
+        if report.error.is_none() {
+            report.notifications = self.maintain_standing();
+        }
+        report
+    }
+
+    /// [`DynamicEngine::apply_ops`] up to its standing-query maintenance,
+    /// which an accepted batch leaves pending: the report has no
+    /// notifications, and [`DynamicEngine::maintain_standing`] must run
+    /// before the next batch or registration. A writer that acknowledges
+    /// a batch before its standing queries are re-run calls the two
+    /// apart.
+    pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> BatchReport {
         let mut report = BatchReport::default();
         if let Err(failed) = self.check_ops(ops) {
             report.error = Some(failed);
@@ -715,7 +759,6 @@ impl DynamicEngine {
         report.aged_out = aged_out;
         self.standing.batch_seq += 1;
         report.batch_seq = self.standing.batch_seq;
-        report.notifications = self.standing_maintenance();
         report
     }
 
@@ -729,9 +772,9 @@ impl DynamicEngine {
     pub fn check_ops(&self, ops: &[UpdateOp]) -> Result<(), (usize, UpdateError)> {
         let live = |id| {
             let slot = self.live_slot(id)?;
-            Some((slot, self.ds.mask(slot as ObjectId)))
+            Some((slot, self.masks[slot]))
         };
-        check_batch(self.dims, self.next_id, self.ds.len(), live, ops)
+        check_batch(self.dims, self.next_id, self.masks.len(), live, ops)
     }
 
     /// The batch [`DynamicEngine::apply_ops`] makes of `ops` under the
@@ -779,10 +822,12 @@ impl DynamicEngine {
             .collect()
     }
 
-    /// Run one batch's standing maintenance: re-query every registered
-    /// query the batch could have changed, emit the deltas, and clear the
-    /// per-batch counters.
-    fn standing_maintenance(&mut self) -> Vec<Notification> {
+    /// Run the standing maintenance of the batch
+    /// [`DynamicEngine::apply_batch`] last accepted: re-query every
+    /// registered query the batch could have changed, emit the deltas —
+    /// one [`Notification`] per registered query, empty deltas included —
+    /// and clear the per-batch counters.
+    pub fn maintain_standing(&mut self) -> Vec<Notification> {
         if !self.standing.tracking() {
             return Vec::new();
         }
@@ -872,7 +917,7 @@ impl DynamicEngine {
         serves(q.algorithm)?;
         self.refresh();
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
-        let scorer = Scorer::of(q.algorithm, &self.ds, &binned, &self.pre, None);
+        let scorer = Scorer::of(q.algorithm, &self.masks, &binned, &self.pre, None);
         let result = self
             .crew
             .answer_one(threads, self.pre.queue(), q.k, &scorer);
@@ -948,9 +993,9 @@ impl DynamicEngine {
     ) -> Result<TkdResult, UpdateError> {
         let rows = RowScope::new(self.scope_rows(dims, constraints)?);
         let queue = self.scoped_queue(rows.bits(), dims);
-        let scope = Scope::new(rows, dims, &self.ds);
+        let scope = Scope::new(rows, dims, &self.masks);
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
-        let scorer = Scorer::of(q.algorithm, &self.ds, &binned, &self.pre, Some(&scope));
+        let scorer = Scorer::of(q.algorithm, &self.masks, &binned, &self.pre, Some(&scope));
         let result = self.crew.answer_one(1, &queue, q.k, &scorer);
         Ok(self.stable_result(result, q.tie))
     }
@@ -1028,7 +1073,7 @@ impl DynamicEngine {
             return Err(ModelError::DimensionOutOfRange { dim, dims }.into());
         }
         let mut scope = self.live().live_mask().clone();
-        let mut rows = BitVec::zeros(self.ds.len());
+        let mut rows = BitVec::zeros(self.masks.len());
         for dim in 0..self.dims {
             if let Some((lo, hi)) = constraints.interval(dim) {
                 self.index.admit(dim, lo, hi, &mut rows);
@@ -1146,7 +1191,7 @@ impl DynamicEngine {
             &mut self.crew,
             threads,
             self.pre.queue(),
-            |a| Scorer::of(a, &self.ds, &binned, &self.pre, None),
+            |a| Scorer::of(a, &self.masks, &binned, &self.pre, None),
         );
         // Ties by id until the slot → stable id mapping, the requested
         // tie handling after it — `query_threads`' order of operations,
@@ -1197,7 +1242,7 @@ impl DynamicEngine {
         member: Option<ObjectId>,
     ) -> Result<usize, UpdateError> {
         let member = member.map(|id| self.slot(id)).transpose()?;
-        let scratch = self.crew.scratch(self.ds.len());
+        let scratch = self.crew.scratch(self.masks.len());
         scratch.sel = self.index.select_for(|d| values[d]);
         let cand = shard_candidate(&self.pre.masks, values, member);
         Ok(big_term(&self.index, &cand, None, scratch))
@@ -1215,7 +1260,7 @@ impl DynamicEngine {
         member: Option<ObjectId>,
     ) -> Result<usize, UpdateError> {
         let member = member.map(|id| self.slot(id)).transpose()?;
-        let scratch = self.crew.scratch(self.ds.len());
+        let scratch = self.crew.scratch(self.masks.len());
         let binned = BinnedBitmapIndex::new(&self.index, &self.boundaries);
         scratch.bin_sel = binned.select_for(|d| values[d]);
         scratch.sel = self.index.select_for(|d| values[d]);
@@ -1226,16 +1271,15 @@ impl DynamicEngine {
     // ----- persistence ----------------------------------------------------
 
     /// Export the engine's logical state in its stored form: value
-    /// tables, value slots and live mask in place of the artifacts
-    /// derived from them.
+    /// tables, value slots, signs, labels and live mask in place of the
+    /// artifacts derived from them.
     pub fn to_store_parts(&self) -> DynamicParts {
         let index = &self.index;
         DynamicParts {
-            ds: self.ds.clone(),
             values: (0..self.dims).map(|d| index.values(d).to_vec()).collect(),
-            slots: (0..index.n())
-                .flat_map(|o| (0..self.dims).map(move |d| index.value_slot(o, d)))
-                .collect(),
+            slots: index.slot_table().to_vec(),
+            neg_zeros: self.neg_zeros.clone(),
+            labels: self.labels.clone(),
             live: self.live().live_mask().clone(),
             stable_of: self.stable_of.clone(),
             next_id: self.next_id,
@@ -1254,7 +1298,8 @@ impl DynamicEngine {
     /// [`DynamicParts`] holds, reading it off them.
     pub fn store_parts_ref(&self) -> DynamicPartsRef<'_> {
         DynamicPartsRef {
-            ds: &self.ds,
+            neg_zeros: &self.neg_zeros,
+            labels: self.labels.as_deref(),
             stable_of: &self.stable_of,
             next_id: self.next_id,
             index: &self.index,
@@ -1269,12 +1314,15 @@ impl DynamicEngine {
     /// Resume an engine from persisted parts (snapshot load) — the
     /// inverse of [`DynamicEngine::to_store_parts`]. The exact index is
     /// derived from the value tables and slots
-    /// ([`BitmapIndex::from_slots`]), the count per observation mask
-    /// from the live rows' masks, scratch is rebuilt, and the `MaxScore`
-    /// queue is recounted at the first query. The checks are on the parts
-    /// themselves: consistent arities, the index's value tables and
-    /// slots, and strictly increasing stable ids below `next_id` (the
-    /// tie-order invariant).
+    /// ([`BitmapIndex::from_slots`], which adopts the slot table), each
+    /// row's mask from its slots, the count per observation mask from the
+    /// live rows' masks, scratch is rebuilt, and the `MaxScore` queue is
+    /// recounted at the first query. No value is copied out of the
+    /// tables. The checks are on the parts themselves: consistent
+    /// arities, the index's value tables and slots, no row without an
+    /// observed cell, −0.0 positions ascending on observed zero cells,
+    /// and strictly increasing stable ids below `next_id` (the tie-order
+    /// invariant).
     ///
     /// # Errors
     /// A description of the first violated invariant. Bit-level integrity
@@ -1282,9 +1330,10 @@ impl DynamicEngine {
     /// by the round-trip parity suite.
     pub fn from_store_parts(parts: DynamicParts) -> Result<Self, String> {
         let DynamicParts {
-            ds,
             values,
             slots,
+            neg_zeros,
+            labels,
             live,
             stable_of,
             next_id,
@@ -1294,16 +1343,24 @@ impl DynamicEngine {
             epoch,
             stats,
         } = parts;
-        let dims = ds.dims();
-        let n = ds.len();
-        if values.len() != dims || live.len() != n {
-            return Err(format!(
-                "{} value tables and a live mask of {} bits for a {n} × {dims} dataset",
-                values.len(),
-                live.len()
-            ));
-        }
+        let dims = values.len();
+        let n = live.len();
         let index = BitmapIndex::from_slots(values, slots, Tombstones::from_live_mask(live))?;
+        let masks: Vec<DimMask> = index.slot_table().chunks_exact(dims).map(mask_of).collect();
+        if let Some(o) = masks.iter().position(|m| m.is_empty()) {
+            return Err(format!("row {o} observes no dimension"));
+        }
+        let zero_cell = |at: usize| {
+            let j = index.slot_table().get(at).map_or(0, |&j| j as usize);
+            j > 0 && index.values(at % dims)[j - 1] == 0.0
+        };
+        let ascending = neg_zeros.windows(2).all(|w| w[0] < w[1]);
+        if !ascending || !neg_zeros.iter().all(|&at| zero_cell(at)) {
+            return Err("−0.0 positions out of order, out of range or not on zero cells".into());
+        }
+        if let Some(ls) = labels.as_ref().filter(|ls| ls.len() != n) {
+            return Err(format!("{} labels for {n} slots", ls.len()));
+        }
         let boundaries = BinBoundaries::from_store_parts(&index, boundaries)?;
         if stable_of.len() != n {
             return Err(format!(
@@ -1320,17 +1377,19 @@ impl DynamicEngine {
             }
         }
         let live = index.tombstones().iter_live();
-        let masks = MaskCounts::of(live.map(|s| ds.mask(s as ObjectId)));
+        let counts = MaskCounts::of(live.map(|s| masks[s]));
         Ok(DynamicEngine {
             dims,
-            ds,
+            masks,
+            labels,
+            neg_zeros,
             stable_of,
             next_id,
             index,
             boundaries,
             pre: Preprocessed {
                 queue: Vec::new(),
-                masks,
+                masks: counts,
             },
             queue_dirty: true,
             crew: Crew::default(),
@@ -1349,15 +1408,11 @@ impl DynamicEngine {
     /// survive. (Normally policy-triggered; exposed for tests, benches,
     /// and operational control.)
     pub fn compact_now(&mut self) {
-        let live_slots: Vec<ObjectId> = self.live().iter_live().map(|s| s as ObjectId).collect();
-        let stable: Vec<ObjectId> = live_slots
-            .iter()
-            .map(|&s| self.stable_of[s as usize])
-            .collect();
-        self.ds = self.ds.select(&live_slots);
-        self.stable_of = stable;
+        let live: Vec<usize> = self.live().iter_live().collect();
+        self.stable_of = live.iter().map(|&s| self.stable_of[s]).collect();
+        let rows = self.rows(&live);
         self.crew = Crew::default();
-        self.rebuild_artifacts();
+        self.adopt(rows);
         self.epoch += 1;
         self.stats.compactions += 1;
         self.standing.on_structural();
@@ -1371,16 +1426,63 @@ impl DynamicEngine {
         }
     }
 
-    /// (Re)build every maintained artifact from `self.ds`, which must be
-    /// tombstone-free — the epoch-0 initialisation and the compaction
-    /// tail. The queue is left dirty, for the first query to count.
-    fn rebuild_artifacts(&mut self) {
-        let ds = &self.ds;
-        let bins = self.bins.resolve(ds);
-        self.index = BitmapIndex::build(ds);
+    /// Take the tombstone-free `ds` as the engine's rows — the epoch-0
+    /// initialisation and the compaction tail: every maintained artifact
+    /// is built from it, its masks and labels are kept by move with the
+    /// positions of its −0.0 cells, and its values are dropped, the
+    /// index's value tables and slots holding them now. The queue is
+    /// left dirty, for the first query to count.
+    fn adopt(&mut self, ds: Dataset) {
+        let bins = self.bins.resolve(&ds);
+        self.index = BitmapIndex::build(&ds);
         self.boundaries = BinBoundaries::build(&self.index, &bins);
         self.pre.masks = MaskCounts::of(ds.masks().iter().copied());
         self.queue_dirty = true;
+        let (values, masks, labels) = ds.into_raw_parts();
+        let zeros = values.iter().enumerate().filter(|&(_, &v)| is_neg_zero(v));
+        self.neg_zeros = zeros.map(|(at, _)| at).collect();
+        self.masks = masks;
+        self.labels = labels;
+    }
+
+    /// The value of the cell at `slot`, `dim` (`None` = missing): its
+    /// slot's value-table entry, −0.0 where the sign list names the cell.
+    fn cell(&self, slot: usize, dim: usize) -> Option<f64> {
+        let j = self.index.value_slot(slot, dim) as usize;
+        let v = self.index.values(dim)[j.checked_sub(1)?];
+        let at = slot * self.dims + dim;
+        let negative = v == 0.0 && self.neg_zeros.binary_search(&at).is_ok();
+        Some(if negative { -0.0 } else { v })
+    }
+
+    /// Record whether the cell at `slot`, `dim` holds −0.0 once `value`
+    /// is written to it.
+    fn set_sign(&mut self, slot: usize, dim: usize, value: Option<f64>) {
+        let at = slot * self.dims + dim;
+        match (
+            self.neg_zeros.binary_search(&at),
+            value.is_some_and(is_neg_zero),
+        ) {
+            (Ok(i), false) => {
+                self.neg_zeros.remove(i);
+            }
+            (Err(i), true) => self.neg_zeros.insert(i, at),
+            _ => {}
+        }
+    }
+
+    /// The rows at `slots`, in order, materialized as a dataset — values,
+    /// masks and labels.
+    fn rows(&self, slots: &[usize]) -> Dataset {
+        let mut values = Vec::with_capacity(slots.len() * self.dims);
+        for &s in slots {
+            values.extend((0..self.dims).map(|d| self.cell(s, d).unwrap_or(f64::NAN)));
+        }
+        let masks = slots.iter().map(|&s| self.masks[s]).collect();
+        let labels =
+            (self.labels.as_ref()).map(|ls| slots.iter().map(|&s| ls[s].clone()).collect());
+        Dataset::from_raw_parts(self.dims, values, masks, labels)
+            .expect("the engine's rows are valid")
     }
 
     // ----- internals ------------------------------------------------------
@@ -1432,6 +1534,17 @@ impl DynamicEngine {
             .map(|&(s, ms)| (self.stable_of[s as usize], ms))
             .collect()
     }
+}
+
+/// Is `v` −0.0?
+fn is_neg_zero(v: f64) -> bool {
+    v == 0.0 && v.is_sign_negative()
+}
+
+/// The observation mask of a row of value slots (`0` = missing).
+fn mask_of(slots: &[u32]) -> DimMask {
+    let bits = (slots.iter().enumerate()).fold(0, |m, (d, &j)| m | u64::from(j != 0) << d);
+    DimMask::from_bits(bits)
 }
 
 /// Whether the engine answers queries with `algorithm`: BIG and IBIG.

@@ -149,11 +149,11 @@ proptest! {
             }
         }
         let rows = engine.scope_rows(dims, &constraints).expect("dimensions in range");
-        let scope = Scope::new(RowScope::new(rows.clone()), dims, &engine.ds);
-        let inside = |s: usize| engine.ds.mask(s as ObjectId).and(dims);
+        let scope = Scope::new(RowScope::new(rows.clone()), dims, &engine.masks);
+        let inside = |s: usize| engine.masks[s].and(dims);
         for o in rows.iter_ones() {
             let f = rows.iter_ones().filter(|&r| !inside(r).intersects(inside(o))).count();
-            let cand = scope.candidate(&engine.ds, o as ObjectId);
+            let cand = scope.candidate(&engine.masks, o as ObjectId);
             assert_eq!(cand.f, f, "slot {o} in {dims:?}");
         }
     }

@@ -43,7 +43,7 @@ use crate::topk::{Measure, Need, Outcome};
 use crate::{esb, naive, ubb};
 use std::sync::Mutex;
 use tkd_index::{BinnedBitmapIndex, BitmapIndex, BitmapIndexBuilder};
-use tkd_model::{Dataset, ObjectId};
+use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// One query of a multi-user batch: `k`, the algorithm to answer it with,
 /// and the tie handling among candidates sharing the k-th score.
@@ -93,7 +93,9 @@ impl EngineQuery {
 /// [`crate::DynamicEngine::query_subspace`].
 #[derive(Clone, Copy)]
 pub(crate) struct Scorer<'s> {
-    ds: &'s Dataset,
+    /// Every row's observation mask, indexed by row: all a scorer reads
+    /// of the rows themselves.
+    masks: &'s [DimMask],
     pre: &'s Preprocessed,
     scope: Option<&'s Scope>,
     columns: Columns<'s>,
@@ -111,13 +113,13 @@ pub(crate) enum Columns<'s> {
 impl<'s> Scorer<'s> {
     /// The score `columns` names.
     pub(crate) fn new(
-        ds: &'s Dataset,
+        masks: &'s [DimMask],
         pre: &'s Preprocessed,
         scope: Option<&'s Scope>,
         columns: Columns<'s>,
     ) -> Self {
         Scorer {
-            ds,
+            masks,
             pre,
             scope,
             columns,
@@ -127,14 +129,14 @@ impl<'s> Scorer<'s> {
     /// `algorithm`'s score against `binned` (BIG on its exact index).
     pub(crate) fn of(
         algorithm: Algorithm,
-        ds: &'s Dataset,
+        masks: &'s [DimMask],
         binned: &'s BinnedBitmapIndex<'s>,
         pre: &'s Preprocessed,
         scope: Option<&'s Scope>,
     ) -> Self {
         match algorithm {
-            Algorithm::Big => Scorer::new(ds, pre, scope, Columns::Big(binned.exact())),
-            Algorithm::Ibig => Scorer::new(ds, pre, scope, Columns::Ibig(binned)),
+            Algorithm::Big => Scorer::new(masks, pre, scope, Columns::Big(binned.exact())),
+            Algorithm::Ibig => Scorer::new(masks, pre, scope, Columns::Ibig(binned)),
             other => unreachable!("the walked paths serve BIG/IBIG, got {other:?}"),
         }
     }
@@ -155,7 +157,7 @@ impl Measure for Scorer<'_> {
     type Measured = Measured;
 
     fn rows(&self) -> usize {
-        self.ds.len()
+        self.masks.len()
     }
 
     /// An unscoped walk reads its index's memo lane; a scoped one reads
@@ -170,10 +172,12 @@ impl Measure for Scorer<'_> {
 
     #[inline]
     fn measure(&self, o: ObjectId, need: Need, scratch: &mut ScratchSpace) -> Measured {
-        let Scorer { ds, pre, scope, .. } = *self;
+        let Scorer {
+            masks, pre, scope, ..
+        } = *self;
         match self.columns {
-            Columns::Big(index) => big_measure(ds, index, pre, scope, o, need, scratch),
-            Columns::Ibig(binned) => ibig_measure(ds, binned, pre, scope, o, need, scratch),
+            Columns::Big(index) => big_measure(masks, index, pre, scope, o, need, scratch),
+            Columns::Ibig(binned) => ibig_measure(masks, binned, pre, scope, o, need, scratch),
         }
     }
 
@@ -198,8 +202,8 @@ impl Measure for Scorer<'_> {
     fn read(&self, o: ObjectId, word: u64) -> Measured {
         (word != 1).then(|| {
             let f = match self.scope {
-                Some(s) => s.candidate(self.ds, o).f,
-                None => self.pre.masks.incomparable(self.ds.mask(o)),
+                Some(s) => s.candidate(self.masks, o).f,
+                None => self.pre.masks.incomparable(self.masks[o as usize]),
             };
             Term::recalled((word >> 32) as usize, word as u32 as usize, f)
         })
@@ -369,7 +373,7 @@ impl<'a> ParallelEngine<'a> {
 
     /// `algorithm`'s scorer over the engine's index.
     fn scorer(&self, algorithm: Algorithm) -> Scorer<'_> {
-        Scorer::of(algorithm, self.ds, &self.binned, &self.pre, None)
+        Scorer::of(algorithm, self.ds.masks(), &self.binned, &self.pre, None)
     }
 
     /// Run `f` with an idle crew of the pool (a fresh one when none is

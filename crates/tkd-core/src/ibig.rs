@@ -82,7 +82,7 @@ use crate::scratch::ScratchSpace;
 use crate::topk::{walk_one, Need, Outcome};
 use std::borrow::Cow;
 use tkd_index::{BinnedBitmapIndex, BitmapIndexBuilder, MemberCount};
-use tkd_model::{Dataset, ObjectId};
+use tkd_model::{Dataset, DimMask, ObjectId};
 
 /// Precomputed inputs of Algorithm 5: the binned index plus the shared
 /// [`Preprocessed`] artifacts.
@@ -149,7 +149,12 @@ impl<'a> IbigContext<'a> {
 
     /// IBIG-Score against this context's binned index.
     pub(crate) fn scorer(&self) -> Scorer<'_> {
-        Scorer::new(self.ds, &self.pre, None, Columns::Ibig(&self.binned))
+        Scorer::new(
+            self.ds.masks(),
+            &self.pre,
+            None,
+            Columns::Ibig(&self.binned),
+        )
     }
 }
 
@@ -211,7 +216,7 @@ fn ibig_score(
 /// subspace query). Allocation-free.
 #[inline]
 pub(crate) fn ibig_measure(
-    ds: &Dataset,
+    masks: &[DimMask],
     index: &BinnedBitmapIndex<'_>,
     pre: &Preprocessed,
     scope: Option<&Scope>,
@@ -239,7 +244,7 @@ pub(crate) fn ibig_measure(
                 count,
                 non_d: Some(non_d),
             }) => {
-                let f = pre.masks.incomparable(ds.mask(o));
+                let f = pre.masks.incomparable(masks[o as usize]);
                 return Some(Term::recalled(count, non_d, f));
             }
             measured => measured.map(|m| m.count),
@@ -260,8 +265,8 @@ pub(crate) fn ibig_measure(
         scratch.sel.restrict(s.dims);
     }
     let cand = match scope {
-        Some(s) => s.candidate(ds, o),
-        None => Candidate::member(ds, pre, o),
+        Some(s) => s.candidate(masks, o),
+        None => Candidate::member(masks, pre, o),
     };
     let term = term_counts(exact, &cand, rows, scratch);
     debug_assert_eq!(count, term.count(), "scan and term agree");

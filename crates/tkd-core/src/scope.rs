@@ -16,7 +16,7 @@
 use crate::big::Candidate;
 use crate::preprocess::MaskCounts;
 use tkd_index::RowScope;
-use tkd_model::{Dataset, DimMask, ObjectId};
+use tkd_model::{DimMask, ObjectId};
 
 /// A scoped query's view of an index pair's rows.
 pub(crate) struct Scope {
@@ -31,13 +31,10 @@ pub(crate) struct Scope {
 }
 
 impl Scope {
-    /// Scope to the rows of `ds` in `rows` over `dims`, counting them per
-    /// restricted mask `mask ∩ dims`.
-    pub(crate) fn new(rows: RowScope, dims: DimMask, ds: &Dataset) -> Self {
-        let restricted = rows
-            .bits()
-            .iter_ones()
-            .map(|s| ds.mask(s as ObjectId).and(dims));
+    /// Scope to the rows in `rows` over `dims`, counting them per
+    /// restricted mask `mask ∩ dims` (`masks` holds every row's mask).
+    pub(crate) fn new(rows: RowScope, dims: DimMask, masks: &[DimMask]) -> Self {
+        let restricted = rows.bits().iter_ones().map(|s| masks[s].and(dims));
         Scope {
             masks: MaskCounts::of(restricted),
             rows,
@@ -45,10 +42,10 @@ impl Scope {
         }
     }
 
-    /// Member `o` of `ds` as the scope sees it: observing `mask(o) ∩ S`,
-    /// incomparable to `F_S(o)`.
-    pub(crate) fn candidate(&self, ds: &Dataset, o: ObjectId) -> Candidate {
-        let mask = ds.mask(o).and(self.dims);
+    /// Member `o` of the rows whose masks are `masks` as the scope sees
+    /// it: observing `mask(o) ∩ S`, incomparable to `F_S(o)`.
+    pub(crate) fn candidate(&self, masks: &[DimMask], o: ObjectId) -> Candidate {
+        let mask = masks[o as usize].and(self.dims);
         Candidate {
             mask,
             member: Some(o as usize),

@@ -8,9 +8,6 @@ use crate::suffix::{col_clear, col_push, col_set, count_selected_above, suffix_c
 use tkd_bitvec::{BitVec, Tombstones};
 use tkd_model::{Dataset, DimMask, ObjectId, MAX_DIMS};
 
-/// Sentinel marking a missing value in the per-object column-index table.
-const MISSING: u32 = u32::MAX;
-
 /// Words per block of [`BitmapIndex::residue_counts`]'s staged pass.
 const RESIDUE_BLOCK_WORDS: usize = 32;
 
@@ -29,8 +26,9 @@ pub struct BitmapIndex {
     /// `columns[i][c]` = `{p : p[i] missing ∨ p[i] > values[i][c-1]}`;
     /// `columns[i][0]` is all-ones (the missing slot).
     columns: Vec<Vec<BitVec>>,
-    /// Per object, per dimension: 1-based index of the object's value in
-    /// `values[i]`, or `MISSING`.
+    /// Row-major per object, per dimension: 1-based index of the
+    /// object's value in `values[i]`, or `0` when missing — the
+    /// [`BitmapIndex::value_slot`] form, which a snapshot stores as is.
     val_idx: Vec<u32>,
     /// `block_suffix[i][c]` = [`suffix_counts`] of `columns[i][c]`, for the
     /// Heuristic 2 early exit.
@@ -85,7 +83,7 @@ impl BitmapIndexBuilder {
             dims,
             values: Vec::with_capacity(dims),
             columns: Vec::with_capacity(dims),
-            val_idx: vec![MISSING; n * dims],
+            val_idx: vec![0; n * dims],
             live: Tombstones::all_live(n),
             pair_buf: PairTables::buffer(dims),
         }
@@ -192,7 +190,7 @@ impl BitmapIndex {
     /// dimension's cardinality.
     pub fn from_slots(
         values: Vec<Vec<f64>>,
-        mut slots: Vec<u32>,
+        slots: Vec<u32>,
         live: Tombstones,
     ) -> Result<Self, String> {
         let dims = values.len();
@@ -218,18 +216,17 @@ impl BitmapIndex {
                 return Err(format!("value table of dim {d} is not strictly ascending"));
             }
         }
-        // `counts[d][j]`: the holders of slot `j + 1` of dim `d`, counted in
-        // one pass over the table that also turns 0 into the sentinel.
-        let mut counts: Vec<Vec<usize>> = values.iter().map(|v| vec![0; v.len()]).collect();
-        for (o, row) in slots.chunks_exact_mut(dims).enumerate() {
-            for (d, (slot, counts)) in row.iter_mut().zip(&mut counts).enumerate() {
-                match *slot as usize {
-                    0 => *slot = MISSING,
-                    j if j <= counts.len() => counts[j - 1] += 1,
+        // `counts[d][j]`: the holders of slot `j` of dim `d` (slot 0, the
+        // missing cells, included), counted in one pass over the table.
+        let mut counts: Vec<Vec<usize>> = values.iter().map(|v| vec![0; v.len() + 1]).collect();
+        for (o, row) in slots.chunks_exact(dims).enumerate() {
+            for (d, (&slot, counts)) in row.iter().zip(&mut counts).enumerate() {
+                match slot as usize {
+                    j if j < counts.len() => counts[j] += 1,
                     j => {
                         return Err(format!(
                             "value slot {j} of object {o} exceeds dim {d}'s cardinality {}",
-                            counts.len()
+                            counts.len() - 1
                         ))
                     }
                 }
@@ -247,14 +244,16 @@ impl BitmapIndex {
         let mut order = vec![0u32; n];
         for (d, (vals, mut at)) in values.into_iter().zip(counts).enumerate() {
             // Counts become starts, then placing each holder advances its
-            // slot's start to the slot's end.
+            // slot's start to the slot's end. The missing cells (slot 0)
+            // are not placed.
+            let at = &mut at[1..];
             let mut start = 0;
-            for at in &mut at {
+            for at in at.iter_mut() {
                 start += *at;
                 *at = start - *at;
             }
             let column = builder.val_idx.iter().skip(d).step_by(dims);
-            for (o, &slot) in column.enumerate().filter(|&(_, &s)| s != MISSING) {
+            for (o, &slot) in column.enumerate().filter(|&(_, &s)| s != 0) {
                 let at = &mut at[slot as usize - 1];
                 order[*at] = o as u32;
                 *at += 1;
@@ -293,7 +292,7 @@ impl BitmapIndex {
                     {
                         col_push(col, suf, true);
                     }
-                    MISSING
+                    0
                 }
                 Some(v) => {
                     let j1 = self.ensure_value(dim, v);
@@ -331,7 +330,7 @@ impl BitmapIndex {
         for dim in 0..self.dims {
             // Bits are set only in columns `1..hi`; missing = all of them.
             let hi = match self.val_idx[local * self.dims + dim] {
-                MISSING => self.columns[dim].len(),
+                0 => self.columns[dim].len(),
                 j => j as usize,
             };
             for c in 1..hi {
@@ -361,18 +360,18 @@ impl BitmapIndex {
         // Resolve the new slot first: a value-table insert shifts `val_idx`
         // (including this object's), so the old slot is read afterwards.
         let new_j = match new {
-            None => MISSING,
+            None => 0,
             Some(v) => self.ensure_value(dim, v) as u32,
         };
         let old_j = self.val_idx[local * self.dims + dim];
         let ncols = self.columns[dim].len();
         // Set-bit ranges are prefixes `1..hi` of the non-trivial columns.
         let old_hi = match old_j {
-            MISSING => ncols,
+            0 => ncols,
             j => j as usize,
         };
         let new_hi = match new_j {
-            MISSING => ncols,
+            0 => ncols,
             j => j as usize,
         };
         if new_hi > old_hi {
@@ -441,9 +440,8 @@ impl BitmapIndex {
         let suf = suffix_counts(&col);
         self.columns[dim].insert(j + 1, col);
         self.block_suffix[dim].insert(j + 1, suf);
-        for o in 0..self.n {
-            let slot = &mut self.val_idx[o * self.dims + dim];
-            if *slot != MISSING && *slot as usize > j {
+        for slot in self.val_idx.iter_mut().skip(dim).step_by(self.dims) {
+            if *slot as usize > j {
                 *slot += 1;
             }
         }
@@ -503,7 +501,7 @@ impl BitmapIndex {
     #[inline]
     pub fn value_index(&self, o: ObjectId, dim: usize) -> Option<u32> {
         match self.val_idx[o as usize * self.dims + dim] {
-            MISSING => None,
+            0 => None,
             j => Some(j),
         }
     }
@@ -625,6 +623,16 @@ impl BitmapIndex {
         count.map(|c| c - 1)
     }
 
+    /// Record member row `o`'s exact `|∩ᵢ Qᵢ|` at its exact picks — a
+    /// term's count, measured whole — for a later
+    /// [`BitmapIndex::max_bit_score_above`] to decide from, as the binned
+    /// view's [`crate::BinnedBitmapIndex::record_non_d`] keeps IBIG's. A
+    /// no-op while the exact lane is unreadable.
+    #[inline]
+    pub fn record_count(&self, o: ObjectId, count: usize) {
+        self.memo.record_exact(o as usize, count);
+    }
+
     /// The measurement memo, for the binned view's lane.
     pub(crate) fn memo(&self) -> &Memo {
         &self.memo
@@ -645,7 +653,8 @@ impl BitmapIndex {
     }
 
     /// The exact memo lane's bound on `MaxBitScore(o)`: what
-    /// [`BitmapIndex::max_bit_score_above`] has proven about `o` since the
+    /// [`BitmapIndex::max_bit_score_above`] and
+    /// [`BitmapIndex::record_count`] have proven about `o` since the
     /// lane was sized or last refreshed. `None` while nothing is known or
     /// no lane is sized, and from any in-place op until the next refresh
     /// ([`BitmapIndex::derive_pair_tables`]).
@@ -664,7 +673,7 @@ impl BitmapIndex {
         let mut sel = ColumnSelection::default();
         let slots = &self.val_idx[row * self.dims..(row + 1) * self.dims];
         for (dim, &j) in slots.iter().enumerate() {
-            if j != MISSING {
+            if j != 0 {
                 sel.q[dim] = j - 1;
                 sel.p[dim] = j;
                 sel.eq[dim] = j;
@@ -945,10 +954,14 @@ impl BitmapIndex {
     /// comparable with [`ColumnSelection::eq_slot`] for tie detection.
     #[inline]
     pub fn value_slot(&self, local: usize, dim: usize) -> u32 {
-        match self.val_idx[local * self.dims + dim] {
-            MISSING => 0,
-            j => j,
-        }
+        self.val_idx[local * self.dims + dim]
+    }
+
+    /// Every object's [`BitmapIndex::value_slot`]s at once: the row-major
+    /// `n × dims` table [`BitmapIndex::from_slots`] takes back — what a
+    /// snapshot stores of the rows.
+    pub fn slot_table(&self) -> &[u32] {
+        &self.val_idx
     }
 
     /// Index size in bits: the paper's **logical** `cost_s =

@@ -77,5 +77,5 @@ pub use bitmap::{BitmapIndex, BitmapIndexBuilder, ColumnSelection};
 pub use compressed::CompressedColumns;
 pub use key::F64Key;
 pub use pairs::PairTables;
-pub use sorted_column::for_each_sorted_column;
+pub use sorted_column::{for_each_sorted_column, for_each_sorted_column_of};
 pub use suffix::RowScope;

@@ -24,14 +24,27 @@ use tkd_model::{Dataset, ObjectId};
 /// sort by value (`radix_sort`), so equal values keep id order. Both of
 /// its buffers, at most `ds.len()` entries each, are taken before the
 /// first column and reused across the dimensions.
-pub fn for_each_sorted_column(ds: &Dataset, mut visit: impl FnMut(usize, &[(f64, ObjectId)])) {
-    let mut column: Vec<(f64, ObjectId)> = Vec::with_capacity(ds.len());
-    let mut spare: Vec<(f64, ObjectId)> = Vec::with_capacity(ds.len());
+pub fn for_each_sorted_column(ds: &Dataset, visit: impl FnMut(usize, &[(f64, ObjectId)])) {
+    for_each_sorted_column_of(ds, ds.ids(), visit);
+}
+
+/// [`for_each_sorted_column`] over the rows `rows` of `ds` alone, as if
+/// they were a dataset of their own (ids stay `ds`'s): equal values keep
+/// the order of `rows`, so the columns ascend by `(value, id)` when
+/// `rows` ascends.
+pub fn for_each_sorted_column_of(
+    ds: &Dataset,
+    rows: impl Iterator<Item = ObjectId> + Clone,
+    mut visit: impl FnMut(usize, &[(f64, ObjectId)]),
+) {
+    let n = rows.clone().count();
+    let mut column: Vec<(f64, ObjectId)> = Vec::with_capacity(n);
+    let mut spare: Vec<(f64, ObjectId)> = Vec::with_capacity(n);
     let mut counts = vec![0usize; 1 << DIGIT_BITS];
     for dim in 0..ds.dims() {
         column.clear();
         column.extend(
-            ds.ids()
+            rows.clone()
                 .filter_map(|o| ds.value(o, dim).map(|v| (v + 0.0, o))),
         );
         radix_sort(&mut column, &mut spare, &mut counts);

@@ -142,6 +142,14 @@ impl Dataset {
         })
     }
 
+    /// Take the dataset apart into what [`Dataset::from_raw_parts`] takes
+    /// back: the row-major value slab, the masks and the labels — the
+    /// dynamic engine keeps the masks and labels by move and drops the
+    /// slab once its index holds the values.
+    pub fn into_raw_parts(self) -> (Vec<f64>, Vec<DimMask>, Option<Vec<String>>) {
+        (self.values, self.masks, self.labels)
+    }
+
     /// Read-only value slab.
     #[inline]
     fn vals(&self) -> &[f64] {
@@ -152,13 +160,6 @@ impl Dataset {
     #[inline]
     fn msks(&self) -> &[DimMask] {
         &self.masks
-    }
-
-    /// The raw row-major value slab (missing slots hold the canonical
-    /// NaN) — the storage [`Dataset::from_raw_parts`] adopts back.
-    #[inline]
-    pub fn raw_values(&self) -> &[f64] {
-        self.vals()
     }
 
     /// The label array, if this dataset is labeled (one entry per object;
@@ -269,20 +270,38 @@ impl Dataset {
                 });
             }
         }
-        let mut b = Dataset::builder(dims.len())?;
+        if dims.len() > MAX_DIMS {
+            return Err(ModelError::BadDimensionality(dims.len()));
+        }
+        // A kept row's cells are the source's, so they need no validation:
+        // only the all-missing projections are dropped.
+        let mut values = Vec::new();
+        let mut masks = Vec::new();
+        let mut labels = self.labels.as_ref().map(|_| Vec::new());
         let mut kept = Vec::new();
         for o in self.ids() {
-            let row: Vec<Option<f64>> = dims.iter().map(|&d| self.value(o, d)).collect();
-            if row.iter().all(Option::is_none) {
+            let (row, mask) = (self.row(o), self.mask(o));
+            let projected = DimMask::from_indices(
+                (dims.iter().enumerate()).filter_map(|(i, &d)| mask.observed(d).then_some(i)),
+            );
+            if projected.is_empty() {
                 continue;
             }
-            match self.label(o) {
-                Some(l) => b.push_labeled(l, &row)?,
-                None => b.push(&row)?,
-            };
+            values.extend(dims.iter().map(|&d| row.values[d]));
+            masks.push(projected);
+            if let (Some(out), Some(ls)) = (labels.as_mut(), self.labels.as_ref()) {
+                out.push(ls[o as usize].clone());
+            }
             kept.push(o);
         }
-        Ok((b.build(), kept))
+        let dims = dims.len();
+        let projected = Dataset {
+            dims,
+            values,
+            masks,
+            labels,
+        };
+        Ok((projected, kept))
     }
 
     /// Append an unlabeled row in place, returning its id — the dynamic
@@ -841,31 +860,23 @@ mod tests {
         b.push_labeled("p", &[Some(1.0), None, Some(3.0)]).unwrap();
         b.push_labeled("q", &[None, Some(-0.0), None]).unwrap();
         let ds = b.build();
-        let rebuilt = Dataset::from_raw_parts(
-            ds.dims(),
-            ds.raw_values().to_vec(),
-            ds.masks().to_vec(),
-            ds.labels().map(<[String]>::to_vec),
-        )
-        .unwrap();
+        let (values, masks, labels) = ds.clone().into_raw_parts();
+        assert_eq!(values[4].to_bits(), (-0.0f64).to_bits());
+        let rebuilt = Dataset::from_raw_parts(ds.dims(), values, masks, labels).unwrap();
         assert_eq!(rebuilt, ds);
         assert_eq!(rebuilt.label(0), Some("p"));
         // Unlabeled datasets round-trip a None label array.
         let plain = tiny();
-        let rebuilt = Dataset::from_raw_parts(
-            plain.dims(),
-            plain.raw_values().to_vec(),
-            plain.masks().to_vec(),
-            None,
-        )
-        .unwrap();
+        let (values, masks, labels) = plain.clone().into_raw_parts();
+        assert_eq!(labels, None);
+        let rebuilt = Dataset::from_raw_parts(plain.dims(), values, masks, labels).unwrap();
         assert_eq!(rebuilt, plain);
     }
 
     #[test]
     fn from_raw_parts_rejects_inconsistencies() {
         let ds = tiny();
-        let (vals, masks) = (ds.raw_values().to_vec(), ds.masks().to_vec());
+        let (vals, masks, _) = ds.into_raw_parts();
         assert_eq!(
             Dataset::from_raw_parts(0, vals.clone(), masks.clone(), None).unwrap_err(),
             ModelError::BadDimensionality(0)

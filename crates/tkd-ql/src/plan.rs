@@ -110,21 +110,19 @@ impl PlanStats {
     }
 
     /// Measure the rows `rows` of `ds` as if they were a dataset of their
-    /// own, without copying them out.
+    /// own, without copying them out: one radix-sorted column per
+    /// dimension ([`tkd_index::for_each_sorted_column_of`]), whose length
+    /// is the dimension's observed cells and whose equal-value runs are
+    /// its distinct values — −0.0 and 0.0 one value, as in the indexes.
     pub fn of_rows(ds: &Dataset, rows: impl Iterator<Item = ObjectId> + Clone) -> Self {
         let dims = ds.dims();
         let n = rows.clone().count();
-        let observed: usize = rows.clone().map(|o| ds.mask(o).count() as usize).sum();
-        let distinct = (0..dims)
-            .map(|d| {
-                // IEEE dedup after a total-order sort: −0.0 and 0.0 are one
-                // value, as in the indexes.
-                let mut values: Vec<f64> = rows.clone().filter_map(|o| ds.value(o, d)).collect();
-                values.sort_by(f64::total_cmp);
-                values.dedup();
-                values.len()
-            })
-            .collect();
+        let mut observed = 0;
+        let mut distinct = Vec::with_capacity(dims);
+        tkd_index::for_each_sorted_column_of(ds, rows, |_, column| {
+            observed += column.len();
+            distinct.push(column.chunk_by(|a, b| a.0 == b.0).count());
+        });
         Self::of_counts(n, dims, observed, distinct)
     }
 
@@ -235,6 +233,30 @@ mod tests {
                 "{rows:?}"
             );
         }
+    }
+
+    /// Distinct values are counted as the indexes count them: ties once,
+    /// −0.0 and 0.0 as one value, ±∞ as values of their own, and an
+    /// entirely missing dimension as none.
+    #[test]
+    fn distinct_counts_ties_signed_zeros_infinities_and_missing_dimensions() {
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        let rows = [
+            vec![Some(-0.0), Some(inf), None, Some(1.0)],
+            vec![Some(0.0), Some(ninf), None, Some(1.0)],
+            vec![Some(-0.0), Some(inf), None, Some(2.0)],
+            vec![Some(3.0), Some(ninf), None, Some(1.0)],
+            vec![None, Some(0.0), None, Some(2.0)],
+        ];
+        let ds = Dataset::from_rows(4, &rows).unwrap();
+        let s = PlanStats::of(&ds);
+        assert_eq!(s.distinct, vec![2, 3, 0, 2]);
+        assert_eq!((s.n, s.dims), (5, 4));
+        assert_eq!(s.sigma, 6.0 / 20.0, "4 + 5 + 0 + 5 of 20 cells observed");
+        // A row subset counts only its own values.
+        let s = PlanStats::of_rows(&ds, [1, 3].into_iter());
+        assert_eq!(s.distinct, vec![2, 1, 0, 1]);
+        assert_eq!(s.n, 2);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! ```text
 //! accept thread ──accept──▶ connection threads (one per client)
 //!                                   │  decode → submit → await reply
+//!                                   │  (+ a push thread once subscribed)
 //!                                   ▼
 //!                        bounded queue + condvar
 //!                                   │
@@ -13,11 +14,15 @@
 //!                  engine thread (sole owner of the DynamicEngine)
 //!                    coalesce queries → query_many
 //!                    update batches   → check → append + sync → apply → ack
+//!                                       → standing re-queries → pushes
 //! ```
 //!
 //! The accept thread blocks in `accept` and hands each connection to
 //! its thread the moment it arrives ([`crate::accept`]); a stop wakes it
-//! with a loopback connection, so no tick delays a new client.
+//! with a loopback connection, so no tick delays a new client. A
+//! connection thread blocks in `peek` until a request starts, and a
+//! subscribed connection's push thread waits on its sink's bell, so
+//! neither a request nor a push waits for a poll tick.
 //!
 //! Only the engine thread ever touches the engine, so updates are
 //! single-writer by construction and queries always observe a complete
@@ -146,24 +151,22 @@ enum Solo {
 }
 
 /// A connection's outbox for server-initiated frames. The engine thread
-/// enqueues sealed `notify` frames; the owning connection thread writes
-/// them between client requests (so a push can never interleave inside a
-/// request/response exchange on the wire). When the connection dies it
-/// flips `alive`, and the engine thread unregisters the orphaned
-/// standing queries the next time it routes to the sink.
+/// enqueues sealed `notify` frames and rings the bell; the connection's
+/// push thread writes them, each whole, under the connection's write
+/// lock (so a push can never interleave inside a frame on the wire).
+/// When the connection dies it flips `dead`, and the engine thread
+/// unregisters the orphaned standing queries the next time it routes to
+/// the sink.
 #[derive(Default)]
 struct PushSink {
     frames: Mutex<VecDeque<Vec<u8>>>,
-    /// Rung by [`PushSink::push`] so an idle subscriber's connection
-    /// thread wakes and writes the frame immediately instead of on its
-    /// next poll tick — pushes buffered *before* a poll began its sleep
-    /// used to wait out the whole tick.
+    /// Rung by [`PushSink::push`] and [`PushSink::close`]: the push
+    /// thread writes a frame the moment it is buffered.
     bell: Condvar,
     dead: AtomicBool,
     /// Set by the engine thread when the first standing query registers
-    /// on this connection; switches the idle loop to the short
-    /// bell-waiting cadence. Never cleared — a once-subscribed
-    /// connection stays latency-sensitive.
+    /// on this connection; the connection thread then starts the push
+    /// thread. Never cleared.
     subscribed: AtomicBool,
 }
 
@@ -173,33 +176,31 @@ impl PushSink {
         self.bell.notify_all();
     }
 
-    fn drain(&self) -> Vec<Vec<u8>> {
-        self.frames
-            .lock()
-            .expect("push sink lock")
-            .drain(..)
-            .collect()
+    /// Wait until a frame is buffered, the sink closes or `wait`
+    /// elapses, then take every buffered frame.
+    fn take(&self, wait: Duration) -> Vec<Vec<u8>> {
+        let mut frames = self.frames.lock().expect("push sink lock");
+        if frames.is_empty() && !self.dead.load(Ordering::Acquire) {
+            frames = self
+                .bell
+                .wait_timeout(frames, wait)
+                .expect("push sink lock")
+                .0;
+        }
+        frames.drain(..).collect()
     }
 
-    /// Park until a frame is buffered or `wait` elapses. Returns
-    /// immediately if one is already there.
-    fn wait_for_push(&self, wait: Duration) {
-        let guard = self.frames.lock().expect("push sink lock");
-        if guard.is_empty() {
-            let _ = self.bell.wait_timeout(guard, wait).expect("push sink lock");
-        }
+    /// Mark the connection gone and wake its push thread.
+    fn close(&self) {
+        let _frames = self.frames.lock().expect("push sink lock");
+        self.dead.store(true, Ordering::Release);
+        self.bell.notify_all();
     }
 }
 
-/// How often an idle connection checks for pushed frames (and shutdown).
+/// How often an idle connection (and a push thread with nothing to
+/// write) checks for a stop.
 const PUSH_POLL: Duration = Duration::from_millis(50);
-/// The idle cadence of a *subscribed* connection: a short socket probe,
-/// then a bell-interruptible park. Worst-case delivery latency for a
-/// buffered push is one probe plus one park (~5 ms), an order of
-/// magnitude under [`PUSH_POLL`] — `serve_parity` asserts this.
-const SUBSCRIBED_PROBE: Duration = Duration::from_millis(1);
-/// Bell-interruptible park length between subscribed-idle probes.
-const SUBSCRIBED_PARK: Duration = Duration::from_millis(4);
 
 struct Pending<W = Work> {
     work: W,
@@ -357,45 +358,49 @@ impl Drop for Server {
     }
 }
 
-/// One client connection: read frames, submit work, relay responses, and
-/// write standing-query pushes whenever the line is quiet. Every failure
-/// path ends in a typed error frame (best effort), a retired push sink,
-/// and a clean close — never a panic, and never a wedged server.
+/// One client connection: read frames, submit work, relay responses.
+/// Standing-query pushes go out on a second thread, started when the
+/// connection's first standing query registers. Every failure path ends
+/// in a typed error frame (best effort), a closed push sink, and a clean
+/// close — never a panic, and never a wedged server.
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
+    let Ok(out) = stream.try_clone() else {
+        return;
+    };
+    let out = Mutex::new(out);
     let sink = Arc::new(PushSink::default());
-    connection_loop_inner(stream, &shared, &sink);
-    // However the connection ended, orphan its subscriptions: the engine
-    // thread unregisters them on the next notification it routes here.
-    sink.dead.store(true, Ordering::Release);
+    std::thread::scope(|scope| {
+        connection_loop_inner(stream, &shared, &sink, &out, scope);
+        // However the connection ended, orphan its subscriptions: the
+        // engine thread unregisters them on the next notification it
+        // routes here. The push thread, if any, ends with it.
+        sink.close();
+    });
 }
 
-fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc<PushSink>) {
+fn connection_loop_inner<'s>(
+    mut stream: TcpStream,
+    shared: &'s Shared,
+    sink: &'s Arc<PushSink>,
+    out: &'s Mutex<TcpStream>,
+    scope: &'s std::thread::Scope<'s, '_>,
+) {
     let _ = stream.set_nodelay(true);
     let policy = FramePolicy {
         frame_timeout: shared.config.io_timeout,
         idle_timeout: None,
     };
+    let mut pusher = None;
     loop {
-        // Idle phase: wait for the next request to *start*, flushing
-        // pushed frames between polls. `peek` consumes nothing, so a
-        // frame arriving mid-poll is read intact below. Unsubscribed
-        // connections idle on the long poll; subscribed ones use a
-        // short probe plus a bell-interruptible park so a buffered
-        // push goes out in milliseconds, not on the next tick.
+        // Idle phase: wait for the next request to *start*. `peek`
+        // consumes nothing, so the frame is read intact below; it
+        // returns the moment the frame arrives, and every poll to look
+        // for a stop.
         loop {
             if shared.stopping() {
                 return;
             }
-            if !flush_pushes(&mut stream, shared, sink) {
-                return;
-            }
-            let subscribed = sink.subscribed.load(Ordering::Acquire);
-            let probe_wait = if subscribed {
-                SUBSCRIBED_PROBE
-            } else {
-                PUSH_POLL
-            };
-            if stream.set_read_timeout(Some(probe_wait)).is_err() {
+            if stream.set_read_timeout(Some(PUSH_POLL)).is_err() {
                 return;
             }
             let mut probe = [0u8; 1];
@@ -404,12 +409,7 @@ fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc
                 Ok(_) => break,  // a frame has started
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if subscribed {
-                        sink.wait_for_push(SUBSCRIBED_PARK);
-                    }
-                }
+                        || e.kind() == std::io::ErrorKind::TimedOut => {}
                 Err(_) => return,
             }
         }
@@ -421,7 +421,7 @@ fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc
                 Err(e) => {
                     // Malformed or stalled input. The stream may be
                     // desynchronized, so answer once and close.
-                    respond(&mut stream, shared, bad_request(&e));
+                    respond(&mut write_lock(out), shared, bad_request(&e));
                     return;
                 }
             };
@@ -432,7 +432,7 @@ fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc
                 // consumed), but the body is invalid. Reject and close:
                 // a peer that speaks the framing but not the schema is
                 // not going to get better.
-                respond(&mut stream, shared, bad_request(&e));
+                respond(&mut write_lock(out), shared, bad_request(&e));
                 return;
             }
         };
@@ -446,6 +446,9 @@ fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc
             Request::Unsubscribe(id) => Work::Solo(Solo::Unsubscribe(id, Arc::clone(sink))),
             Request::QueryText(text) => Work::Solo(Solo::QueryText(text, Arc::clone(sink))),
         };
+        // The write lock is held from submission to the response, so the
+        // pushes an update batch causes follow its ack on this line.
+        let mut writer = write_lock(out);
         let reply = match submit(shared, work) {
             Ok(rx) => match rx.recv() {
                 Ok(resp) => resp,
@@ -459,20 +462,42 @@ fn connection_loop_inner(mut stream: TcpStream, shared: &Arc<Shared>, sink: &Arc
             },
             Err(resp) => resp,
         };
-        if !respond(&mut stream, shared, reply) {
+        if !respond(&mut writer, shared, reply) {
             return;
+        }
+        drop(writer);
+        if pusher.is_none() && sink.subscribed.load(Ordering::Acquire) {
+            pusher = Some(scope.spawn(move || push_loop(shared, sink, out)));
         }
     }
 }
 
-/// Write every queued push frame. Returns false if the peer is gone.
-fn flush_pushes(stream: &mut TcpStream, shared: &Shared, sink: &PushSink) -> bool {
-    for frame in sink.drain() {
-        if protocol::write_frame_bytes(stream, &frame, shared.config.io_timeout).is_err() {
-            return false;
+fn write_lock(out: &Mutex<TcpStream>) -> std::sync::MutexGuard<'_, TcpStream> {
+    out.lock().expect("connection write lock")
+}
+
+/// A subscribed connection's push thread: write each buffered frame as
+/// soon as the bell rings. It ends when the connection closes, at a
+/// stop, or when a write fails — the peer is gone, so it shuts the
+/// socket and the connection thread's read ends too.
+fn push_loop(shared: &Shared, sink: &PushSink, out: &Mutex<TcpStream>) {
+    loop {
+        let frames = sink.take(PUSH_POLL);
+        if sink.dead.load(Ordering::Acquire) || shared.stopping() {
+            return;
+        }
+        if frames.is_empty() {
+            continue;
+        }
+        let mut stream = write_lock(out);
+        for frame in frames {
+            if protocol::write_frame_bytes(&mut stream, &frame, shared.config.io_timeout).is_err() {
+                sink.dead.store(true, Ordering::Release);
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return;
+            }
         }
     }
-    true
 }
 
 /// Admission control, under the queue lock. Returns the response
@@ -707,7 +732,7 @@ fn serve_one(
                 Err(resp) => resp,
             }
         }
-        Solo::Update(ops) => apply_updates(engine, counters, subs, journal.as_mut(), ops),
+        Solo::Update(ops) => apply_updates(engine, counters, journal.as_mut(), ops),
         Solo::Stats => Response::StatsResult(gather_stats(engine, shared, counters)),
         Solo::Subscribe(spec, sink) => match engine.register(spec.clone()) {
             Ok(id) => {
@@ -750,7 +775,14 @@ fn serve_one(
             Response::ShutdownAck
         }
     };
+    let acked = matches!(resp, Response::UpdateAck(_));
     let _ = p.resp.send(resp);
+    // An acked batch's standing queries are re-run once the ack is on its
+    // way, before the next request is taken: its pushes follow the ack.
+    if acked {
+        let notes = engine.maintain_standing();
+        route_notifications(engine, subs, &notes);
+    }
     // The acked batches are durable in the log; folding them into a
     // checkpoint is housekeeping, done once the ack is on its way.
     if let Some(journal) = journal.as_mut().filter(|j| j.is_full()) {
@@ -916,9 +948,10 @@ fn run_queries(
     }
 }
 
-/// Apply one update batch as a maintenance unit: check it, make it
-/// durable, apply it ([`DynamicEngine::apply_ops`]), route the
-/// standing-query deltas it produced, ack. A batch applies whole or not
+/// Apply one update batch: check it, make it durable, apply it
+/// ([`DynamicEngine::apply_batch`]), ack. Its standing-query maintenance
+/// is left pending for the caller, which runs it once the ack is sent
+/// ([`DynamicEngine::maintain_standing`]). A batch applies whole or not
 /// at all: a rejected one — an op fails the check (the frame carries its
 /// index) or the log append fails (the frame carries the batch length) —
 /// changes nothing: engine, `seq`, files, subscribers. `seq` counts the
@@ -929,7 +962,6 @@ fn run_queries(
 fn apply_updates(
     engine: &mut DynamicEngine,
     counters: &mut EngineCounters,
-    subs: &mut HashMap<u64, Arc<PushSink>>,
     journal: Option<&mut Journal>,
     ops: &[UpdateOp],
 ) -> Response {
@@ -952,8 +984,7 @@ fn apply_updates(
         }
         counters.seq += 1;
     }
-    let report = engine.apply_ops(&batch);
-    route_notifications(engine, subs, &report.notifications);
+    let report = engine.apply_batch(&batch);
     Response::UpdateAck(UpdateAck {
         applied: ops.len() as u64,
         seq: counters.seq,

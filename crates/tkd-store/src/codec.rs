@@ -6,19 +6,16 @@
 //! pin). Canonical form means: fixed field order, little-endian
 //! everywhere, `BitVec`s as `(bit length, word array)`, value slots in
 //! the narrowest width that holds them. Nothing derived is encoded: the
-//! exact index and the count per observation mask are rebuilt from the
-//! dataset's slots and the live mask at load.
+//! exact index, the rows' masks and the count per observation mask are
+//! rebuilt from the stored slots and the live mask at load.
 
 use crate::error::StoreError;
 use crate::wire::{Reader, Writer};
 use tkd_bitvec::BitVec;
 use tkd_core::dynamic::DynamicPartsRef;
 use tkd_core::{BinChoice, CompactionPolicy, UpdateStats};
-use tkd_index::{BinBoundaries, BitmapIndex};
-use tkd_model::{Dataset, DimMask, ObjectId};
-
-/// The bits of −0.0, the one zero a value table never holds.
-const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
+use tkd_index::BinBoundaries;
+use tkd_model::ObjectId;
 
 // ----- bit vectors --------------------------------------------------------
 
@@ -54,15 +51,18 @@ fn slot_width(max_cardinality: usize) -> usize {
 
 /// `dims u32 · n u64 · per dim (card u64 · values card×f64) · width u8 ·
 /// slots n·dims×width · nzeros u64 · positions nzeros×u64 · has_labels u8
-/// [· labels n×str]` — the dataset dictionary-encoded against the exact
+/// [· labels n×str]` — the rows dictionary-encoded against the exact
 /// index's value tables (values without holders included). A slot is
 /// 1-based into its dimension's table, 0 for a missing cell; the
 /// positions (`row · dims + dim`, ascending) name the cells holding
-/// −0.0, whose table entry is +0.0.
-pub fn encode_dataset(w: &mut Writer, ds: &Dataset, index: &BitmapIndex) {
-    let dims = ds.dims();
+/// −0.0, whose table entry is +0.0. The slots are the index's own slot
+/// table and the positions the engine's sign list, each written in one
+/// pass: no value is read.
+pub fn encode_dataset(w: &mut Writer, parts: &DynamicPartsRef<'_>) {
+    let index = parts.index;
+    let dims = index.dims();
     w.put_u32(dims as u32);
-    w.put_u64(ds.len() as u64);
+    w.put_u64(index.n() as u64);
     for d in 0..dims {
         let vals = index.values(d);
         w.put_u64(vals.len() as u64);
@@ -73,18 +73,12 @@ pub fn encode_dataset(w: &mut Writer, ds: &Dataset, index: &BitmapIndex) {
     let max_cardinality = (0..dims).map(|d| index.cardinality(d)).max();
     let width = slot_width(max_cardinality.unwrap_or(0));
     w.put_u8(width as u8);
-    for o in 0..ds.len() {
-        for d in 0..dims {
-            w.put_bytes(&index.value_slot(o, d).to_le_bytes()[..width]);
-        }
+    w.put_narrow(index.slot_table(), width);
+    w.put_u64(parts.neg_zeros.len() as u64);
+    for &at in parts.neg_zeros {
+        w.put_u64(at as u64);
     }
-    let raw = ds.raw_values();
-    let zeros = || (0..raw.len()).filter(|&i| raw[i].to_bits() == NEG_ZERO);
-    w.put_u64(zeros().count() as u64);
-    for i in zeros() {
-        w.put_u64(i as u64);
-    }
-    match ds.labels() {
+    match parts.labels {
         None => w.put_u8(0),
         Some(labels) => {
             w.put_u8(1);
@@ -95,24 +89,26 @@ pub fn encode_dataset(w: &mut Writer, ds: &Dataset, index: &BitmapIndex) {
     }
 }
 
-/// A decoded dataset section: the dataset beside the value tables and
-/// the row-major value slots it was read from.
+/// A decoded dataset section: the rows as the engine keeps them.
 pub struct DecodedDataset {
-    /// The dataset, re-validated through [`Dataset::from_raw_parts`].
-    pub ds: Dataset,
     /// Per dimension, the exact index's value table.
     pub values: Vec<Vec<f64>>,
     /// Row-major `n × dims` value slots, 0 = missing.
     pub slots: Vec<u32>,
+    /// The cells holding −0.0, as `row · dims + dim`.
+    pub neg_zeros: Vec<usize>,
+    /// One label per row, when the rows are labeled.
+    pub labels: Option<Vec<String>>,
 }
 
-/// Inverse of [`encode_dataset`]. One pass over the stored slots yields
-/// the slots, each cell's value read off its table and each row's mask;
-/// a slot past its table, a width other than the canonical one and a
-/// −0.0 position out of range, out of order or on a cell other than an
-/// observed zero are rejected. Whether the tables are strictly ascending
-/// is checked where the index is derived from them
-/// ([`BitmapIndex::from_slots`]).
+/// Inverse of [`encode_dataset`]: the stored slots are widened to the
+/// index's slot table in one pass, and no value is read off a table. A
+/// width other than the canonical one is rejected here; the rest is
+/// checked where the engine adopts the parts
+/// ([`tkd_core::DynamicEngine::from_store_parts`]): a slot past its
+/// table, tables that are not strictly ascending, a row without an
+/// observed cell, and a −0.0 position out of range, out of order or on a
+/// cell other than an observed zero.
 pub fn decode_dataset(r: &mut Reader<'_>) -> Result<DecodedDataset, StoreError> {
     let dims = r.get_u32()? as usize;
     if dims == 0 || dims > tkd_model::MAX_DIMS {
@@ -139,31 +135,22 @@ pub fn decode_dataset(r: &mut Reader<'_>) -> Result<DecodedDataset, StoreError> 
         .checked_mul(width)
         .ok_or_else(|| r.invalid("slot table size overflows"))?;
     let raw = r.get_bytes(bytes)?;
-    let cells = match width {
-        1 => decode_cells::<1>(raw, &tables),
-        2 => decode_cells::<2>(raw, &tables),
-        _ => decode_cells::<4>(raw, &tables),
+    let slots = match width {
+        1 => raw.iter().map(|&b| u32::from(b)).collect(),
+        2 => widen::<2>(raw),
+        _ => widen::<4>(raw),
     };
-    let (mut values, slots, masks) = cells.map_err(|e| r.invalid(e))?;
     let nzeros = r.get_count_u64(8)?;
-    let mut next = 0;
+    let mut neg_zeros = Vec::with_capacity(nzeros);
     for _ in 0..nzeros {
         let at = r.get_u64()?;
-        let cell = usize::try_from(at)
-            .ok()
-            .filter(|&i| i >= next && i < values.len() && values[i].to_bits() == 0);
-        let Some(i) = cell else {
-            return Err(r.invalid(format!(
-                "−0.0 position {at} is out of order, out of range or not a zero cell"
-            )));
-        };
-        values[i] = -0.0;
-        next = i + 1;
+        let at = usize::try_from(at).map_err(|_| r.invalid(format!("−0.0 position {at}")))?;
+        neg_zeros.push(at);
     }
     let labels = match r.get_u8()? {
         0 => None,
         1 => {
-            let rows = masks.len();
+            let rows = cells / dims;
             let mut ls = Vec::with_capacity(rows.min(r.remaining() / 4));
             for _ in 0..rows {
                 ls.push(r.get_str()?);
@@ -172,57 +159,22 @@ pub fn decode_dataset(r: &mut Reader<'_>) -> Result<DecodedDataset, StoreError> 
         }
         other => return Err(r.invalid(format!("bad labels tag {other}"))),
     };
-    let ds = Dataset::from_raw_parts(dims, values, masks, labels)
-        .map_err(|e| r.invalid(e.to_string()))?;
     Ok(DecodedDataset {
-        ds,
         values: tables,
         slots,
+        neg_zeros,
+        labels,
     })
 }
 
-/// Decoded cells: row-major values and slots, and one mask per row.
-type Cells = (Vec<f64>, Vec<u32>, Vec<DimMask>);
-
-/// Decode `W`-byte slots, row by row: each cell's slot, the value its
-/// table names (the canonical NaN when missing) and its row's mask.
-fn decode_cells<const W: usize>(raw: &[u8], tables: &[Vec<f64>]) -> Result<Cells, String> {
-    let dims = tables.len();
-    let cells = raw.len() / W;
-    // Each table behind the canonical NaN, so slot 0 reads a missing cell.
-    let lookup: Vec<Vec<f64>> = tables
-        .iter()
-        .map(|t| std::iter::once(f64::NAN).chain(t.iter().copied()).collect())
-        .collect();
-    let mut values = Vec::with_capacity(cells);
-    let mut slots = Vec::with_capacity(cells);
-    let mut masks = Vec::with_capacity(cells / dims);
-    let mut past = false;
-    for row in raw.chunks_exact(W * dims) {
-        let mut mask = 0u64;
-        for (d, (cell, table)) in row.chunks_exact(W).zip(&lookup).enumerate() {
-            let mut le = [0u8; 4];
-            le[..W].copy_from_slice(cell);
-            let slot = u32::from_le_bytes(le);
-            let value = table.get(slot as usize).copied();
-            past |= value.is_none();
-            values.push(value.unwrap_or(f64::NAN));
-            slots.push(slot);
-            mask |= u64::from(slot != 0) << d;
-        }
-        masks.push(DimMask::from_bits(mask));
-    }
-    if past {
-        let (i, slot) = (slots.iter().enumerate())
-            .find(|&(i, &s)| s as usize >= lookup[i % dims].len())
-            .expect("a slot past its table");
-        let (o, d) = (i / dims, i % dims);
-        return Err(format!(
-            "value slot {slot} of row {o} exceeds dim {d}'s cardinality {}",
-            tables[d].len()
-        ));
-    }
-    Ok((values, slots, masks))
+/// `W`-byte little-endian slots, widened to `u32`.
+fn widen<const W: usize>(raw: &[u8]) -> Vec<u32> {
+    let slot = |cell: &[u8]| {
+        let mut le = [0u8; 4];
+        le[..W].copy_from_slice(cell);
+        u32::from_le_bytes(le)
+    };
+    raw.chunks_exact(W).map(slot).collect()
 }
 
 // ----- bin boundaries ----------------------------------------------------

@@ -3,7 +3,7 @@
 //!
 //! Every `tkdq` invocation and engine start used to re-pay the full
 //! `O(N·d)` bitmap + preprocessing construction. This crate persists the
-//! whole logical state of a [`DynamicEngine`] — the dataset, encoded
+//! whole logical state of a [`DynamicEngine`] — its rows, encoded
 //! against the exact [`tkd_index::BitmapIndex`]'s value tables, the bin
 //! boundaries the binned index views it through, and the dynamic
 //! bookkeeping (tombstones, stable ids, epoch, counters) — in a
@@ -46,15 +46,19 @@
 //!   non-increasing sequence. A load refuses an over-long gap encoding
 //!   and a gap that overflows `u32`.
 //!
-//! A load reads the dataset's values off the tables in the same pass
-//! that decodes the slots, derives the exact index from the slots
+//! The engine keeps its rows in the same form — the index's slot table
+//! and value tables, the rows' masks, the −0.0 positions and the labels
+//! — so a save writes the slot table in one pass and a load widens the
+//! stored slots into the index's slot table in one pass, reading no
+//! value off a table. The load derives the exact index from the slots
 //! ([`tkd_index::BitmapIndex::from_slots`], the column routine a build
-//! uses), counts the live rows per observation mask (all that BIG and
-//! IBIG read of an incomparable set is its size), derives the binned
-//! view from the boundaries, and recounts the `MaxScore` queue at the
-//! first query. With one stored copy of each fact, no stored pair can
-//! disagree, so a load checks its input — checksums, table order, slot
-//! ranges, −0.0 positions, stable ids — and nothing else.
+//! uses) and each row's mask from its slots, counts the live rows per
+//! observation mask (all that BIG and IBIG read of an incomparable set is
+//! its size), derives the binned view from the boundaries, and recounts
+//! the `MaxScore` queue at the first query. With one stored copy of each
+//! fact, no stored pair can disagree, so a load checks its input —
+//! checksums, table order, slot ranges, rows with an observed cell, −0.0
+//! positions, stable ids — and nothing else.
 //!
 //! **Compatibility policy:** exact version match. A snapshot from any
 //! other format version fails with [`StoreError::VersionMismatch`] —
@@ -191,7 +195,7 @@ pub fn encode_engine(engine: &DynamicEngine) -> Vec<u8> {
     debug_assert_eq!(w.as_bytes().len(), TABLE_END);
     // The payloads in `KINDS` order.
     let payloads: [&dyn Fn(&mut Writer); KINDS.len()] = [
-        &|w| codec::encode_dataset(w, parts.ds, parts.index),
+        &|w| codec::encode_dataset(w, &parts),
         &|w| codec::encode_boundaries(w, parts.boundaries),
         &|w| codec::encode_dynamic(w, &parts),
     ];
@@ -335,16 +339,17 @@ pub fn decode_engine(bytes: &[u8]) -> Result<DynamicEngine, StoreError> {
     let dataset = codec::decode_dataset(&mut r)?;
     r.finish()?;
     let mut r = reader(1);
-    let boundaries = codec::decode_boundaries(&mut r, dataset.ds.dims())?;
+    let boundaries = codec::decode_boundaries(&mut r, dataset.values.len())?;
     r.finish()?;
     let mut r = reader(2);
     let meta = codec::decode_dynamic(&mut r)?;
     r.finish()?;
 
     DynamicEngine::from_store_parts(DynamicParts {
-        ds: dataset.ds,
         values: dataset.values,
         slots: dataset.slots,
+        neg_zeros: dataset.neg_zeros,
+        labels: dataset.labels,
         live: meta.live,
         stable_of: meta.stable_of,
         next_id: meta.next_id,

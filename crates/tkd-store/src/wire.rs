@@ -95,6 +95,26 @@ impl Writer {
         }
     }
 
+    /// Append each of `values` in its low `width` bytes (1, 2 or 4),
+    /// little-endian, in one pass over the slice; every value must fit.
+    pub fn put_narrow(&mut self, values: &[u32], width: usize) {
+        match width {
+            1 => self.buf.extend(values.iter().map(|&v| v as u8)),
+            2 => {
+                self.buf.reserve(values.len() * 2);
+                for &v in values {
+                    self.buf.extend_from_slice(&(v as u16).to_le_bytes());
+                }
+            }
+            _ => {
+                self.buf.reserve(values.len() * 4);
+                for &v in values {
+                    self.buf.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+    }
+
     /// Overwrite 8 bytes at `pos` with a `u64`, little-endian — the
     /// backpatch primitive: the snapshot writer lays the section table
     /// down as placeholders, streams the payloads into the same buffer,

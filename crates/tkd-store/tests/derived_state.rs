@@ -87,10 +87,9 @@ fn assert_same_index(a: &BitmapIndex, b: &BitmapIndex, ctx: &str) {
     }
 }
 
-/// Every bit cell of the dataset, signed zeros and missing cells
-/// included.
-fn cell_bits(ds: &Dataset) -> Vec<u64> {
-    ds.raw_values().iter().map(|v| v.to_bits()).collect()
+/// The observed dimensions of row `s` of `index`, as mask bits.
+fn mask_bits(index: &BitmapIndex, s: usize) -> u64 {
+    (0..index.dims()).fold(0, |m, d| m | u64::from(index.value_slot(s, d) != 0) << d)
 }
 
 /// The load of `engine`'s snapshot equals `engine`, artifact by artifact,
@@ -101,9 +100,8 @@ fn assert_derived_equals_maintained(engine: &mut DynamicEngine, ctx: &str) {
     {
         let (kept, derived) = (engine.store_parts_ref(), loaded.store_parts_ref());
         assert_same_index(kept.index, derived.index, ctx);
-        assert_eq!(cell_bits(kept.ds), cell_bits(derived.ds), "{ctx}: cells");
-        assert_eq!(kept.ds.masks(), derived.ds.masks(), "{ctx}: masks");
-        assert_eq!(kept.ds.labels(), derived.ds.labels(), "{ctx}: labels");
+        assert_eq!(kept.neg_zeros, derived.neg_zeros, "{ctx}: −0.0 cells");
+        assert_eq!(kept.labels, derived.labels, "{ctx}: labels");
         assert_eq!(kept.stable_of, derived.stable_of, "{ctx}: stable ids");
         assert_eq!(kept.next_id, derived.next_id, "{ctx}: next id");
     }
@@ -198,19 +196,19 @@ fn every_maintained_artifact_survives_a_load() {
     {
         let parts = engine.store_parts_ref();
         assert!(has_holderless_value(parts.index), "a holderless value");
-        let dead_missing = (0..parts.ds.len())
-            .any(|s| !parts.index.live_mask().get(s) && parts.ds.mask(s as ObjectId).count() < 3);
+        let index = parts.index;
+        let dead_missing = (0..index.n())
+            .any(|s| !index.live_mask().get(s) && mask_bits(index, s).count_ones() < 3);
         assert!(dead_missing, "a dead row with a missing cell");
-        let live_masks: Vec<u64> = (0..parts.ds.len())
-            .filter(|&s| parts.index.live_mask().get(s))
-            .map(|s| parts.ds.mask(s as ObjectId).bits())
+        let live_masks: Vec<u64> = (0..index.n())
+            .filter(|&s| index.live_mask().get(s))
+            .map(|s| mask_bits(index, s))
             .collect();
-        let left = (0..parts.ds.len())
-            .map(|s| parts.ds.mask(s as ObjectId).bits())
+        let left = (0..index.n())
+            .map(|s| mask_bits(index, s))
             .any(|m| !live_masks.contains(&m));
         assert!(left, "a mask that left with its last live row");
-        let neg_zero = cell_bits(parts.ds).contains(&(-0.0f64).to_bits());
-        assert!(neg_zero, "a −0.0 cell");
+        assert!(!parts.neg_zeros.is_empty(), "a −0.0 cell");
     }
     assert_derived_equals_maintained(&mut engine, "spelled-out stream");
     engine.compact_now();
